@@ -306,7 +306,7 @@ impl<T> AdmissionQueue<T> {
                     // Bucket emptied by shedding: retire it from the ring
                     // and try the next tenant in this same sweep.
                     bucket.in_ring = false;
-                    if bucket.outstanding == 0 {
+                    if self.fair && bucket.outstanding == 0 {
                         st.buckets.remove(&key);
                     }
                     st.ring.pop_front();
@@ -317,13 +317,17 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// A handler finished (or shed-answered) a call popped earlier:
-    /// return its quota slot to `tenant`.
+    /// return its quota slot to `tenant`. An idle tenant's bucket is
+    /// dropped so transient tenants cannot accumulate — except FIFO
+    /// mode's single shared bucket, which would otherwise be freed and
+    /// re-allocated (both deques included) every time the server goes
+    /// momentarily idle.
     pub fn release(&self, tenant: u64) {
         let key = self.bucket_key(tenant);
         let mut st = self.state.lock();
         if let Some(bucket) = st.buckets.get_mut(&key) {
             bucket.outstanding = bucket.outstanding.saturating_sub(1);
-            if bucket.outstanding == 0 && bucket.queued_empty() && !bucket.in_ring {
+            if self.fair && bucket.outstanding == 0 && bucket.queued_empty() && !bucket.in_ring {
                 st.buckets.remove(&key);
             }
         }
@@ -600,6 +604,23 @@ mod tests {
             .map(|_| q.try_pop(0).run.expect("queued").1)
             .collect();
         assert_eq!(order, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fifo_mode_keeps_its_one_bucket_across_idle_gaps() {
+        // The closed-loop shape (push, pop, release, idle, repeat) must
+        // reuse the shared bucket and its deques, not rebuild them.
+        let q: AdmissionQueue<u32> = AdmissionQueue::new(16, 0, &[]);
+        let mut capacity = None;
+        for i in 0..4u32 {
+            q.try_push(meta(u64::from(i)), i).unwrap();
+            assert_eq!(q.try_pop(0).run.unwrap().1, i);
+            q.release(u64::from(i));
+            let st = q.state.lock();
+            assert_eq!(st.buckets.len(), 1, "FIFO mode has exactly bucket 0");
+            let cap = st.buckets[&0].queues[1].capacity();
+            assert_eq!(*capacity.get_or_insert(cap), cap, "deque was re-allocated");
+        }
     }
 
     #[test]

@@ -109,14 +109,16 @@ pub struct RpcConfig {
     /// (replacing the paper's one-Reader-thread-per-connection model).
     /// `0` = auto (currently 4).
     pub reader_shards: usize,
-    /// Responder shard count. Responses are routed to a shard by
-    /// connection id, preserving per-connection ordering. `0` = auto
-    /// (currently 1, the paper's single-Responder behaviour).
+    /// Responder shard count. Handlers send their own responses; the
+    /// shards carry what cannot go inline (reader-produced answers,
+    /// parked duplicates, overflow), routed by connection id so
+    /// per-connection ordering holds. `0` = auto (currently 1, the
+    /// paper's single Responder).
     pub responder_shards: usize,
     /// Opportunistic wire batching (on by default). Socket: calls that
     /// queue behind an in-flight flush leave as one gathered write;
-    /// verbs: the responder's ready responses are merged into shared
-    /// completions. `false` restores strict one-frame-per-wire-op — the
+    /// verbs: responses queued at a responder shard for one connection
+    /// are merged into shared completions. `false` restores strict one-frame-per-wire-op — the
     /// control arm for the `batching` benchmark and the CI matrix.
     pub wire_batch: bool,
     /// Highest frame version this endpoint offers in the connect

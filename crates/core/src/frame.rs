@@ -283,8 +283,9 @@ pub fn read_request_header(input: &mut dyn DataInput) -> io::Result<RequestHeade
 /// Serialize the version-neutral tail of a response:
 /// `[u8 status][value … | Text error]`. Every version's response frame is
 /// its lead followed by exactly these bytes, which is what lets the
-/// handler serialize a result once and the responder/retry-cache replay
-/// it under any negotiated version.
+/// handler serialize a result once and every sender (the handler itself,
+/// a responder shard, a retry-cache replay) put it on the wire under any
+/// negotiated version.
 pub fn write_response_body(
     out: &mut dyn DataOutput,
     result: Result<&dyn Writable, &str>,

@@ -34,7 +34,7 @@ pub struct MethodKeyInner {
     protocol: Arc<str>,
     method: Arc<str>,
     /// Lazily-interned sibling key for the server's response-direction
-    /// metrics (`<protocol, method#resp>`), so responders never
+    /// metrics (`<protocol, method#resp>`), so response senders never
     /// `format!` per response.
     resp: OnceLock<MethodKey>,
 }

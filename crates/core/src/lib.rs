@@ -20,10 +20,11 @@
 //!
 //! The engine keeps the shape of Hadoop's thread architecture — caller +
 //! Connection thread on the client; Listener, Readers, Handlers,
-//! Responders on the server — but shards the server's read and write
-//! sides: reader *shards* each run an event loop over the connections
-//! hashed onto them, and responder *shards* split transmissions by
-//! connection (see [`server`] and `RpcConfig::{reader_shards,
+//! Responders on the server — but shards the read side (reader *shards*
+//! each run an event loop over the connections hashed onto them) and
+//! has the handler that computed a response send it, as Hadoop's
+//! `doRespond` does; responder *shards* carry only the responses that
+//! cannot go out inline (see [`server`] and `RpcConfig::{reader_shards,
 //! responder_shards}`). Both transports expose the same
 //! [`transport::Conn`] interface, mirroring the paper's
 //! stream-interface-compatibility design.

@@ -20,7 +20,7 @@
 //! remain for tests and tools, riding the interner.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -388,7 +388,9 @@ pub struct PoolCounters {
 pub enum ShardRole {
     /// An event-loop shard receiving frames from its assigned connections.
     Reader,
-    /// A shard transmitting serialized responses for its connections.
+    /// The home shard of a set of connections' response traffic: it
+    /// transmits what handlers could not send inline, and every response
+    /// sent for its connections — by whichever thread — is booked here.
     Responder,
     /// An M:N handler-runtime worker (`handler_runtime = mn`): pops the
     /// admission queue, runs lightweight call tasks, steals from
@@ -416,13 +418,14 @@ pub struct ShardStats {
     /// gauge — incremented at registration, decremented at teardown).
     connections: AtomicU64,
     /// Work items currently queued for this shard (responder shards: the
-    /// outbound response queue).
+    /// outbound response queue — responses sent inline never enter it).
     queue_depth: AtomicU64,
     /// High-water mark of `queue_depth` over the shard's lifetime.
     queue_depth_max: AtomicU64,
     /// Work items this shard has completed (reader shards: frames read;
-    /// responder shards: response transmissions attempted; workers:
-    /// tasks completed).
+    /// responder shards: response transmissions attempted on its
+    /// connections, inline sends by handlers included; workers: tasks
+    /// completed).
     processed: AtomicU64,
     /// Busy rejections this shard issued (reader shards).
     busy_rejections: AtomicU64,
@@ -630,6 +633,11 @@ pub struct MethodEntry {
     recv_alloc_ns: AtomicU64,
     recv_total_ns: AtomicU64,
     sizes: Mutex<Vec<u32>>,
+    /// Size of the last message body serialized under this key — the
+    /// paper's message-size locality as a one-word history: the server
+    /// sizes a response's heap buffer from it (recorded on the
+    /// `<protocol, method#resp>` key). A hint, not a statistic.
+    last_body_size: AtomicUsize,
     /// Whether this key's phase histograms were ever exposed/recorded
     /// (keeps `phase_snapshot` listing only keys that opted in, matching
     /// the pre-interning map semantics).
@@ -650,6 +658,7 @@ impl MethodEntry {
             recv_alloc_ns: AtomicU64::new(0),
             recv_total_ns: AtomicU64::new(0),
             sizes: Mutex::new(Vec::new()),
+            last_body_size: AtomicUsize::new(0),
             phases_touched: AtomicBool::new(false),
             phases: Arc::new(PhaseHistograms::default()),
         }
@@ -687,6 +696,18 @@ impl MethodEntry {
     pub fn record_phase(&self, phase: Phase, ns: u64) {
         self.phases_touched.store(true, Ordering::Relaxed);
         self.phases.record(phase, ns);
+    }
+
+    /// Size of the last body recorded by [`MethodEntry::note_body_size`]
+    /// (0 before the first).
+    pub fn last_body_size(&self) -> usize {
+        self.last_body_size.load(Ordering::Relaxed)
+    }
+
+    /// Remember `len` as the size the next body of this kind will
+    /// probably have.
+    pub fn note_body_size(&self, len: usize) {
+        self.last_body_size.store(len, Ordering::Relaxed);
     }
 
     /// The phase-histogram block, for callers that batch several records.

@@ -11,11 +11,15 @@
 //! * **completed** — replay the cached serialized response; the handler
 //!   pool never sees the duplicate.
 //!
-//! Completed entries expire by TTL and are evicted oldest-first over
-//! capacity. In-flight entries are never expired or evicted — a waiter
-//! parked behind one must not be stranded — so the hard memory bound is
-//! `capacity` completed responses plus however many calls are genuinely
-//! executing.
+//! Completed entries expire by TTL and are evicted oldest-first while the
+//! cache is over either of two bounds: `capacity` entries, or a byte
+//! budget on the cached response bodies (an entry bound alone lets 8192
+//! bulk responses of 256 KiB pin 2 GB). The entry just completed is
+//! never evicted, so a single response larger than the whole budget is
+//! still replayable until the next completion. In-flight entries are
+//! never expired or evicted — a waiter parked behind one must not be
+//! stranded — so the hard memory bound is the byte budget (or one
+//! oversized response) plus however many calls are genuinely executing.
 //!
 //! The cache is generic over the waiter payload `W` (the server parks
 //! `(connection, response-routing)` tuples; unit tests park `()`).
@@ -67,6 +71,24 @@ struct CacheInner<W> {
     /// Monotonic completion counter stamping `order` records and `Done`
     /// entries.
     next_gen: u64,
+    /// Total length of the live `Done` entries' response bodies.
+    bytes: usize,
+}
+
+impl<W> CacheInner<W> {
+    /// Remove `key`'s entry if it is the `Done` entry that `order_gen`
+    /// stamped. The order queue can hold stale records for entries that
+    /// were re-completed or already removed; those match nothing.
+    fn remove_done(&mut self, key: CallKey, order_gen: u64) -> bool {
+        match self.entries.get(&key) {
+            Some(Entry::Done { response, gen }) if *gen == order_gen => {
+                self.bytes -= response.len();
+                self.entries.remove(&key);
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// See module docs. Cheap interior mutability; shared by Readers and
@@ -75,22 +97,33 @@ pub struct RetryCache<W> {
     inner: Mutex<CacheInner<W>>,
     ttl: Duration,
     capacity: usize,
+    max_bytes: usize,
     metrics: MetricsRegistry,
 }
 
 impl<W> RetryCache<W> {
-    /// `capacity == 0` disables caching: every `begin` admits.
+    /// `capacity == 0` disables caching: every `begin` admits. The byte
+    /// budget starts unlimited; see [`RetryCache::with_byte_budget`].
     pub fn new(ttl: Duration, capacity: usize, metrics: MetricsRegistry) -> RetryCache<W> {
         RetryCache {
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
                 order: VecDeque::new(),
                 next_gen: 0,
+                bytes: 0,
             }),
             ttl,
             capacity,
+            max_bytes: usize::MAX,
             metrics,
         }
+    }
+
+    /// Bound the total size of cached response bodies to `max_bytes`, on
+    /// top of the entry bound.
+    pub fn with_byte_budget(mut self, max_bytes: usize) -> RetryCache<W> {
+        self.max_bytes = max_bytes;
+        self
     }
 
     /// Present an arriving call. `waiter` is only invoked (and parked)
@@ -135,31 +168,29 @@ impl<W> RetryCache<W> {
         let mut inner = self.inner.lock();
         let gen = inner.next_gen;
         inner.next_gen += 1;
-        let waiters = match inner.entries.insert(
-            key,
-            Entry::Done {
-                response: Arc::clone(&response),
-                gen,
-            },
-        ) {
+        inner.bytes += response.len();
+        let waiters = match inner.entries.insert(key, Entry::Done { response, gen }) {
             Some(Entry::InFlight { waiters }) => waiters,
-            // Re-completion (should not happen) or a racing abort: keep
-            // the fresher response, nobody is parked. The displaced Done
-            // entry's order record goes stale; the generation stamp keeps
-            // it from ever expiring this fresh one.
-            _ => Vec::new(),
+            // Re-completion (should not happen): keep the fresher
+            // response, nobody is parked. The displaced Done entry's
+            // order record goes stale; the generation stamp keeps it from
+            // ever expiring this fresh one.
+            Some(Entry::Done { response: old, .. }) => {
+                inner.bytes -= old.len();
+                Vec::new()
+            }
+            // A racing abort already forgot the call.
+            None => Vec::new(),
         };
         inner.order.push_back((key, gen, now));
-        // Capacity eviction: drop the oldest completed entries.
-        while inner.order.len() > self.capacity {
-            if let Some((old_key, old_gen, _)) = inner.order.pop_front() {
-                if matches!(
-                    inner.entries.get(&old_key),
-                    Some(Entry::Done { gen, .. }) if *gen == old_gen
-                ) {
-                    inner.entries.remove(&old_key);
-                    self.metrics.inc_retry_cache_evictions();
-                }
+        // Eviction: drop the oldest completed entries while over either
+        // bound — but never the one just pushed (the last record).
+        while (inner.order.len() > self.capacity || inner.bytes > self.max_bytes)
+            && inner.order.len() > 1
+        {
+            let (old_key, old_gen, _) = inner.order.pop_front().expect("len checked");
+            if inner.remove_done(old_key, old_gen) {
+                self.metrics.inc_retry_cache_evictions();
             }
         }
         waiters
@@ -200,14 +231,7 @@ impl<W> RetryCache<W> {
                 break;
             }
             inner.order.pop_front();
-            // The order queue can hold stale records for entries that
-            // were re-completed or capacity-evicted; only the entry this
-            // record stamped (generations match) counts as an expiration.
-            if matches!(
-                inner.entries.get(&key),
-                Some(Entry::Done { gen, .. }) if *gen == order_gen
-            ) {
-                inner.entries.remove(&key);
+            if inner.remove_done(key, order_gen) {
                 self.metrics.inc_retry_cache_expired();
             }
         }
@@ -305,6 +329,55 @@ mod tests {
             Admission::Replay(bytes) => assert_eq!(*bytes, vec![2]),
             other => panic!("expected replay, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn byte_budget_evicts_oldest_completed_first() {
+        let metrics = MetricsRegistry::new(false);
+        let cache: RetryCache<u32> =
+            RetryCache::new(Duration::from_secs(60), 16, metrics.clone()).with_byte_budget(250);
+        // An in-flight call older than everything completed below: the
+        // byte bound must never touch it.
+        assert!(matches!(cache.begin((9, 9), || 0), Admission::Execute));
+        for seq in 0..4i64 {
+            assert!(matches!(cache.begin((1, seq), || 0), Admission::Execute));
+            cache.complete((1, seq), Arc::new(vec![seq as u8; 100]));
+        }
+        // 4 × 100 B against 250 B: the two oldest went, far below the
+        // 16-entry bound.
+        assert_eq!(metrics.counters().retry_cache_evictions, 2);
+        assert!(matches!(cache.begin((1, 0), || 0), Admission::Execute));
+        assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
+        for seq in [2i64, 3] {
+            match cache.begin((1, seq), || 0) {
+                Admission::Replay(bytes) => assert_eq!(*bytes, vec![seq as u8; 100]),
+                other => panic!("expected replay of seq {seq}, got {other:?}"),
+            }
+        }
+        assert!(matches!(cache.begin((9, 9), || 7), Admission::Parked));
+        assert_eq!(cache.complete((9, 9), resp(1)), vec![7]);
+    }
+
+    #[test]
+    fn response_larger_than_the_budget_replays_until_the_next_completion() {
+        let metrics = MetricsRegistry::new(false);
+        let cache: RetryCache<u32> =
+            RetryCache::new(Duration::from_secs(60), 16, metrics.clone()).with_byte_budget(64);
+        let big = (1, 1);
+        assert!(matches!(cache.begin(big, || 0), Admission::Execute));
+        cache.complete(big, Arc::new(vec![0xBB; 1000]));
+        assert_eq!(metrics.counters().retry_cache_evictions, 0);
+        match cache.begin(big, || 0) {
+            Admission::Replay(bytes) => assert_eq!(bytes.len(), 1000),
+            other => panic!("expected replay, got {other:?}"),
+        }
+        // The next completion pushes the oversized one out.
+        let next = (1, 2);
+        assert!(matches!(cache.begin(next, || 0), Admission::Execute));
+        cache.complete(next, resp(2));
+        assert_eq!(metrics.counters().retry_cache_evictions, 1);
+        assert!(matches!(cache.begin(big, || 0), Admission::Execute));
+        assert!(matches!(cache.begin(next, || 0), Admission::Replay(_)));
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! The RPC server: the paper's Section III-D pipeline, with both ends
-//! sharded.
+//! The RPC server: the paper's Section III-D pipeline, sharded on the
+//! read side, with the computing thread doing the sending.
 //!
-//! Hadoop's 0.20.x architecture — reproduced faithfully up to PR 3 —
-//! dedicates one **Reader** thread to every connection and funnels every
-//! transmission through a *single* **Responder** thread. That is exactly
-//! right for the paper's 8–16 node runs and exactly wrong at scale:
-//! thread explosion on the read side, a serialization point on the write
-//! side. Following the Ibdxnet design (dedicated, sharded send/recv
-//! threads with explicit per-connection ordering), the pipeline is now:
+//! Hadoop's 0.20.x architecture dedicates one **Reader** thread to every
+//! connection — thread explosion at scale — and this repo's earlier
+//! rounds funnelled every transmission through **Responder** threads — a
+//! thread hop, a payload copy and a handful of allocations per call that
+//! stock Hadoop itself skips: `Responder.doRespond` writes from the
+//! Handler thread whenever the connection's response queue is empty. The
+//! rule here is the same: **the thread that computes a response sends it;
+//! the Responder is the overflow and foreign-thread path.**
 //!
 //! * a **Listener** thread accepts connections, assigns each a
 //!   monotonically increasing connection id, and hands the stream to a
@@ -32,25 +33,31 @@
 //!   pushed onto the bounded call queue — *without blocking*: an
 //!   overflowing queue answers with a retryable busy rejection instead
 //!   of stalling every other call on the shard;
-//! * a pool of **Handler** threads pops calls, dispatches into the
-//!   registered services, serializes the response once, and hands the
-//!   bytes (to the caller *and* any parked duplicate attempts) to the
-//!   responder shards;
-//! * **M responder shards** (`RpcConfig::responder_shards`) transmit
-//!   responses. A response is routed to shard `conn_id % M`, so all
-//!   responses of one connection flow through one shard in enqueue
-//!   order — per-connection ordering is preserved no matter how many
-//!   shards exist, and a parked duplicate on a *different* connection is
-//!   delivered by *its* connection's shard. Each sweep drains everything
-//!   already queued (when `RpcConfig::wire_batch` is on) and sends each
-//!   connection's ready responses as one gathered wire operation; the
-//!   shard also owns its connections' V3 response-lead encoders, since
-//!   sweep order *is* wire order.
-//!
-//! With `reader_shards = 1, responder_shards = 1` this degenerates to
-//! "one Reader event loop + the paper's single Responder"; the `0`/auto
-//! defaults keep the single-responder behaviour while giving the read
-//! side a small fixed shard pool.
+//! * a pool of **Handler** threads (or M:N workers) pops calls,
+//!   dispatches into the registered services, serializes the response
+//!   once, and **transmits it** (`ServerInner::respond`): it takes the
+//!   connection's *send turn* — the lock around the connection's V3
+//!   response-lead encoder — with a non-blocking `try_lock` and, when
+//!   nothing is already queued for that connection at its responder
+//!   shard, encodes the lead and writes lead + body straight into the
+//!   transport ([`Conn::send_serialized`]: a pooled registered buffer on
+//!   verbs, a borrowed-slice gather on sockets). No queue entry, no
+//!   frame copy, no thread hop. If the turn is taken or responses are
+//!   queued, the response queues behind them instead, so a handler never
+//!   waits on another thread's send and a slow or credit-starved peer
+//!   costs the one sender holding its turn, never the pool;
+//! * **M responder shards** (`RpcConfig::responder_shards`; a connection's
+//!   home shard is `conn_id % M`) transmit exactly the responses that
+//!   must not go inline: those a reader shard produces (busy, replay — a
+//!   reader blocked on slot credits could not consume the credit message
+//!   that unblocks it), parked duplicates released on *other*
+//!   connections, and the handlers' overflow. A shard sends under the
+//!   same per-connection send turn, in queue order, so encode order
+//!   equals wire order whoever sends; with `RpcConfig::wire_batch` on it
+//!   drains everything already queued and sends each connection's ready
+//!   responses as one gathered wire operation. Inline transmissions are
+//!   booked on the connection's home shard, so per-shard `processed`
+//!   counts mean "responses of my connections sent", whoever sent them.
 //!
 //! Shutdown comes in two flavors: [`Server::stop`] (abrupt — close
 //! everything now) and [`Server::drain`] (graceful — stop accepting,
@@ -118,9 +125,26 @@ const READ_BURST: usize = 32;
 /// [`IDLE_SLICE`] while another shard runs hot.
 const STEAL_POLL: Duration = Duration::from_millis(1);
 
+/// Everything the server keeps per connection that more than one thread
+/// touches: the transport, and the state of its *send side*.
+struct ServerConn {
+    /// Accept-order id; `id % N` picks the reader and responder shards.
+    id: u64,
+    transport: Arc<dyn Conn>,
+    /// The connection's send turn. Whoever holds it is the only thread
+    /// writing to `transport`, so the V3 response-lead encoder inside
+    /// advances in exactly wire order whether a handler or the responder
+    /// shard sends. Socket connections are stateful (reliable stream);
+    /// verbs connections run the self-contained encoding.
+    send: Mutex<V3Encoder>,
+    /// Responses sitting in the home responder shard's queue (or its
+    /// fair-share carry) for this connection. While non-zero, nobody
+    /// sends inline: a later response must not overtake a queued one.
+    queued: AtomicUsize,
+}
+
 struct RawCall {
-    conn_id: u64,
-    conn: Arc<dyn Conn>,
+    conn: Arc<ServerConn>,
     header: RequestHeader,
     payload: Payload,
     /// Offset of the parameter bytes within the payload.
@@ -132,19 +156,16 @@ struct RawCall {
 
 /// Where one serialized response must be delivered. The retry cache parks
 /// these for duplicate attempts; completion fans the same bytes out to
-/// every route. `conn_id` picks the responder shard, so every response of
-/// a connection flows through the same shard in order.
+/// every route.
 struct RespRoute {
-    conn_id: u64,
-    conn: Arc<dyn Conn>,
-    /// The request's interned key; the responder derives the response's
+    conn: Arc<ServerConn>,
+    /// The request's interned key; the send derives the response's
     /// buffer-history key from it (`key.response_key()`).
     key: MethodKey,
     /// The version *this route's request* arrived in — a parked duplicate
     /// may sit on a connection speaking a different version than the
     /// executing attempt's, so the lead is composed per route, not per
-    /// response. The responder shard owns the per-connection V3 lead
-    /// encoders.
+    /// response.
     version: FrameVersion,
     /// Tenant identity of the route's caller; the responder's
     /// weighted-fair sweep budgets transmissions by it.
@@ -152,18 +173,29 @@ struct RespRoute {
     seq: i64,
 }
 
+impl RespRoute {
+    fn new(conn: Arc<ServerConn>, header: &RequestHeader) -> RespRoute {
+        RespRoute {
+            conn,
+            key: header.key,
+            version: header.version,
+            client_id: header.client_id,
+            seq: header.seq,
+        }
+    }
+}
+
 struct OutboundResponse {
     route: RespRoute,
     /// The serialized *version-neutral* response body (`[status][value]`),
-    /// shared when a completed call also releases parked duplicates; each
-    /// route's responder shard prepends the per-version lead.
+    /// shared with the retry cache and any parked duplicates; the sender
+    /// prepends each route's own lead.
     bytes: Arc<Vec<u8>>,
 }
 
 /// A connection handed from the accept path to its reader shard.
 struct ShardConn {
-    conn_id: u64,
-    conn: Arc<dyn Conn>,
+    conn: Arc<ServerConn>,
     /// Frame version negotiated at the handshake (1 for legacy peers).
     version: u8,
     /// Identity from the handshake; V3 frames no longer carry it.
@@ -199,10 +231,11 @@ struct ServerInner {
     /// never sees a gap).
     live_readers: AtomicUsize,
     /// Admitted calls whose responses have not yet been transmitted.
-    /// Incremented by a reader shard before enqueueing a call (and for
-    /// each standalone response it enqueues), decremented by a responder
-    /// shard after the send attempt — so "no open work" really means no
-    /// call or response is anywhere in the pipeline.
+    /// Incremented by a reader shard before enqueueing a call and for
+    /// every response queued at a responder shard; decremented by the
+    /// handler after it has answered the call and by the responder shard
+    /// after each send attempt — so "no open work" really means no call
+    /// or response is anywhere in the pipeline.
     open_work: AtomicUsize,
     metrics: MetricsRegistry,
     /// Present in RPCoIB mode; kept here so metrics snapshots can read
@@ -290,35 +323,186 @@ impl ServerInner {
         &self.responders[(conn_id % self.responders.len() as u64) as usize]
     }
 
-    /// Enqueue a response without blocking (reader-side replay and busy
-    /// paths). Dropping on a full queue is safe: the client retries, and
-    /// for replays the cache still holds the bytes.
-    fn try_enqueue_response(&self, route: RespRoute, bytes: Arc<Vec<u8>>) {
+    /// Queue a response at its connection's home responder shard. A
+    /// handler passes `wait` — a computed response must not be dropped,
+    /// so it blocks while the shard is behind. A reader shard never
+    /// waits (and never sends inline: blocked on slot credits it could
+    /// not consume the credit message that unblocks it); dropping its
+    /// busy or replay answer on a full queue is safe — the client
+    /// retries, and for replays the cache still holds the bytes.
+    fn enqueue_response(&self, route: RespRoute, bytes: Arc<Vec<u8>>, wait: bool) {
         self.open_work.fetch_add(1, Ordering::AcqRel);
-        let shard = self.responder_for(route.conn_id);
-        // Depth is bumped before the item is visible to the shard thread,
-        // so the matching dequeue can never race ahead of it.
+        let conn = Arc::clone(&route.conn);
+        let shard = self.responder_for(conn.id);
+        // Both gauges are bumped before the item is visible to the shard
+        // thread, so the matching decrement can never race ahead of it.
+        conn.queued.fetch_add(1, Ordering::AcqRel);
         shard.stats.enqueued();
-        if shard
-            .tx
-            .try_send(OutboundResponse { route, bytes })
-            .is_err()
-        {
+        let out = OutboundResponse { route, bytes };
+        let queued = if wait {
+            shard.tx.send(out).is_ok()
+        } else {
+            shard.tx.try_send(out).is_ok()
+        };
+        if !queued {
             shard.stats.dequeued();
+            conn.queued.fetch_sub(1, Ordering::AcqRel);
             self.open_work.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
-    /// Enqueue a response, blocking if the responder shard is behind
-    /// (Handler side — a computed response must not be dropped).
-    fn enqueue_response(&self, route: RespRoute, bytes: Arc<Vec<u8>>) {
-        self.open_work.fetch_add(1, Ordering::AcqRel);
-        let shard = self.responder_for(route.conn_id);
-        shard.stats.enqueued();
-        if shard.tx.send(OutboundResponse { route, bytes }).is_err() {
-            shard.stats.dequeued();
-            self.open_work.fetch_sub(1, Ordering::AcqRel);
+    /// Encode `route`'s lead and put lead + body on the wire as one
+    /// frame, with no intermediate copy. The caller holds the
+    /// connection's send turn — `enc` is the guard's content.
+    fn transmit(&self, route: &RespRoute, enc: &mut V3Encoder, body: &[u8]) {
+        let mut lead = [0u8; LEAD_MAX];
+        let mut cursor = &mut lead[..];
+        if write_lead(enc, route, &mut cursor).is_err() {
+            self.metrics.inc_frame_errors();
+            return;
         }
+        let lead_len = LEAD_MAX - cursor.len();
+        let sent =
+            route
+                .conn
+                .transport
+                .send_serialized(route.key.response_key(), &lead[..lead_len], body);
+        self.check_sent(&route.conn, sent);
+    }
+
+    /// The responder's batched form of [`ServerInner::transmit`]: several
+    /// responses queued for one connection go out as one gathered wire
+    /// operation (which needs each frame as an owned buffer).
+    fn transmit_gathered(&self, group: &[OutboundResponse], enc: &mut V3Encoder) {
+        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(group.len());
+        for out in group {
+            let mut frame = Vec::with_capacity(out.bytes.len() + LEAD_MAX);
+            if write_lead(enc, &out.route, &mut frame).is_err() {
+                self.metrics.inc_frame_errors();
+                continue;
+            }
+            frame.extend_from_slice(&out.bytes);
+            frames.push(frame);
+        }
+        if frames.is_empty() {
+            return;
+        }
+        // The response's buffer-size history is keyed separately from the
+        // request's; one key per batch is enough — the gathered frames
+        // share a wire op anyway.
+        let route = &group[0].route;
+        let sent = route
+            .conn
+            .transport
+            .send_frames(route.key.response_key(), frames);
+        self.check_sent(&route.conn, sent);
+    }
+
+    /// A failed send only affects that one connection — but it does mean
+    /// the connection is broken: close it so its reader shard stops
+    /// pulling requests whose responses could never be delivered, and
+    /// count it.
+    fn check_sent(&self, conn: &ServerConn, sent: RpcResult<()>) {
+        if sent.is_err() {
+            self.metrics.inc_broken_sends();
+            conn.transport.close();
+        }
+    }
+
+    /// The computing thread sends (Hadoop's `Responder.doRespond`): take
+    /// the connection's send turn *without waiting* and, when nothing is
+    /// already queued for it at its responder shard, transmit from this
+    /// thread; otherwise queue behind whatever is ahead. A handler thus
+    /// never blocks on another thread's send, and a slow or
+    /// credit-starved peer costs the one handler that holds its turn,
+    /// never the pool. The transmission is booked on the connection's
+    /// home responder shard either way.
+    fn send_or_enqueue(&self, route: RespRoute, bytes: &Arc<Vec<u8>>) {
+        if route.conn.queued.load(Ordering::Acquire) == 0 {
+            if let Some(mut enc) = route.conn.send.try_lock() {
+                // Re-check under the lock: a response queued since the
+                // first look must still go out ahead of this one.
+                if route.conn.queued.load(Ordering::Acquire) == 0 {
+                    self.transmit(&route, &mut enc, bytes);
+                    drop(enc);
+                    self.responder_for(route.conn.id).stats.inc_processed();
+                    return;
+                }
+            }
+        }
+        self.enqueue_response(route, Arc::clone(bytes), true);
+    }
+
+    /// Deliver the response of an admitted call — executed or shed — from
+    /// the thread that produced it: to the call's own connection by
+    /// [`ServerInner::send_or_enqueue`], and to every duplicate attempt
+    /// parked behind it (usually on *other* connections) through their
+    /// responder shards. A duplicate arriving before the cache entry
+    /// completes parks and is released here; one arriving after replays.
+    fn respond(&self, call: RawCall, body: Vec<u8>) {
+        // The request buffer goes back to its pool before the send.
+        let RawCall { conn, header, .. } = call;
+        let bytes = Arc::new(body);
+        self.send_or_enqueue(RespRoute::new(conn, &header), &bytes);
+        if header.version != FrameVersion::V1 && header.client_id != 0 {
+            let key = (header.client_id, header.seq);
+            for waiter in self.retry_cache.complete(key, Arc::clone(&bytes)) {
+                self.enqueue_response(waiter, Arc::clone(&bytes), true);
+            }
+        }
+        // The call's own open_work slot is released only now, after its
+        // response is on the wire or queued (each queued response holds a
+        // slot of its own), so `drain` never sees a gap.
+        self.open_work.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Serialize a dispatch result into the version-neutral response body
+    /// (`[status][value | error]`): once, on the computing thread, so a
+    /// replay or a parked duplicate in another frame version shares the
+    /// bytes. The buffer is sized from the last response of this
+    /// `<protocol, method#resp>` — the paper's message-size locality — so
+    /// it is allocated once instead of grown.
+    fn serialize_response(
+        &self,
+        key: MethodKey,
+        result: &RpcResult<Box<dyn Writable + Send>>,
+    ) -> Vec<u8> {
+        let error_text;
+        let result_ref: Result<&dyn Writable, &str> = match result {
+            Ok(value) => Ok(value.as_ref()),
+            Err(e) => {
+                // Application errors travel as their bare message; engine
+                // errors keep their category prefix.
+                error_text = match e {
+                    RpcError::Remote(m) => m.clone(),
+                    other => other.to_string(),
+                };
+                Err(&error_text)
+            }
+        };
+        let sizes = self.metrics.entry(key.response_key());
+        let mut body = Vec::with_capacity(sizes.last_body_size());
+        write_response_body(&mut body, result_ref).expect("serializing to Vec cannot fail");
+        sizes.note_body_size(body.len());
+        body
+    }
+}
+
+/// Room for any response lead: V3's is one vlong (≤ 9 bytes), V2's is
+/// 12, V1's 4.
+const LEAD_MAX: usize = 16;
+
+/// Write the per-version bytes that precede `route`'s response body. An
+/// error means the lead is unrepresentable (a V1 seq outside `i32`): the
+/// caller drops that one response and keeps the connection.
+fn write_lead(
+    enc: &mut V3Encoder,
+    route: &RespRoute,
+    out: &mut dyn wire::DataOutput,
+) -> std::io::Result<()> {
+    match route.version {
+        FrameVersion::V3 => enc.write_response_lead(out, route.seq),
+        v => write_response_lead(out, v, route.seq),
     }
 }
 
@@ -362,11 +546,16 @@ impl Server {
         let admission =
             AdmissionQueue::new(cfg.call_queue_len, cfg.tenant_quota, &cfg.tenant_weights);
         let metrics = MetricsRegistry::new(false);
+        // Byte budget: as if every cached response were as large as an
+        // eager frame can get (`rdma_threshold`) — 128 MiB at defaults.
+        // Small-call servers never reach it; bulk responses evict early
+        // instead of pinning `capacity × response size`.
         let retry_cache = RetryCache::new(
             cfg.retry_cache_ttl,
             cfg.retry_cache_capacity,
             metrics.clone(),
-        );
+        )
+        .with_byte_budget(cfg.retry_cache_capacity.saturating_mul(cfg.rdma_threshold));
 
         let mut reader_regs = Vec::with_capacity(n_readers);
         let mut reader_rxs = Vec::with_capacity(n_readers);
@@ -638,7 +827,7 @@ impl Server {
         for state in &self.inner.reader_state {
             let mut state = state.lock();
             for slot in state.slots.iter().flatten() {
-                slot.sc.conn.close();
+                slot.sc.conn.transport.close();
             }
             state.slots.clear();
             state.gens.clear();
@@ -792,14 +981,21 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                             ),
                         };
                         inner2.conns.lock().insert(conn_id, Arc::clone(&conn));
+                        // Stream transports run the stateful V3 codec,
+                        // verbs the self-contained one (see `frame`).
+                        let stateful = !inner2.cfg.ib_enabled;
                         let shard = (conn_id % inner2.reader_regs.len() as u64) as usize;
                         if inner2.reader_regs[shard]
                             .send(ShardConn {
-                                conn_id,
-                                conn,
+                                conn: Arc::new(ServerConn {
+                                    id: conn_id,
+                                    transport: conn,
+                                    send: Mutex::new(V3Encoder::new(stateful)),
+                                    queued: AtomicUsize::new(0),
+                                }),
                                 version,
                                 client_id,
-                                dec: V3Decoder::new(!inner2.cfg.ib_enabled),
+                                dec: V3Decoder::new(stateful),
                             })
                             .is_ok()
                         {
@@ -882,9 +1078,11 @@ fn adopt_registrations(
             Arc::clone(ready),
         ));
         let hook_state = Arc::clone(&wake);
-        sc.conn.set_ready_hook(Arc::new(move || hook_state.wake()));
+        sc.conn
+            .transport
+            .set_ready_hook(Arc::new(move || hook_state.wake()));
         let slot = ReaderSlot { sc, wake };
-        if slot.sc.conn.poll_ready() {
+        if slot.sc.conn.transport.poll_ready() {
             slot.wake.wake();
         }
         state.slots[idx] = Some(slot);
@@ -932,7 +1130,7 @@ fn service_token(
         };
         let mut outcome = ReadOutcome::Idle;
         for _ in 0..budget {
-            if !slot.sc.conn.poll_ready() {
+            if !slot.sc.conn.transport.poll_ready() {
                 break;
             }
             outcome = read_one(inner, &mut slot.sc, actor_stats);
@@ -946,8 +1144,8 @@ fn service_token(
     match outcome {
         ReadOutcome::Forfeit => {
             let slot = state.slots[idx].take().expect("checked above");
-            slot.sc.conn.close();
-            inner.conns.lock().remove(&slot.sc.conn_id);
+            slot.sc.conn.transport.close();
+            inner.conns.lock().remove(&slot.sc.conn.id);
             inner.reader_stats[owner].conn_removed();
             // Reap the wake token: bump the generation first, so the
             // token the `close()` above just (re-)queued — and any
@@ -962,7 +1160,7 @@ fn service_token(
             // than the budget, a stashed verbs frame, sticky EOF),
             // requeue at the back of the wake list.
             let slot = state.slots[idx].as_ref().expect("checked above");
-            if slot.sc.conn.poll_ready() {
+            if slot.sc.conn.transport.poll_ready() {
                 slot.wake.wake();
             }
         }
@@ -1007,7 +1205,7 @@ fn reader_shard_loop(
             last_sweep = Instant::now();
             let state = inner.reader_state[shard].lock();
             for slot in state.slots.iter().flatten() {
-                if slot.sc.conn.poll_ready() {
+                if slot.sc.conn.transport.poll_ready() {
                     slot.wake.wake();
                 }
             }
@@ -1056,7 +1254,7 @@ fn reader_shard_loop(
 /// wait (the shard only calls it after `poll_ready`).
 fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) -> ReadOutcome {
     let conn = &sc.conn;
-    let (payload, recv) = match conn.recv_msg(READ_SLICE) {
+    let (payload, recv) = match conn.transport.recv_msg(READ_SLICE) {
         Ok(v) => v,
         Err(RpcError::Timeout) => return ReadOutcome::Idle,
         Err(RpcError::Protocol(_)) => {
@@ -1105,42 +1303,21 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
         None
     };
     if let Some(key) = cache_key {
-        match inner.retry_cache.begin(key, || RespRoute {
-            conn_id: sc.conn_id,
-            conn: Arc::clone(conn),
-            key: header.key,
-            version: header.version,
-            client_id: header.client_id,
-            seq: header.seq,
-        }) {
+        match inner
+            .retry_cache
+            .begin(key, || RespRoute::new(Arc::clone(conn), &header))
+        {
             Admission::Execute => {}
             Admission::Parked => return ReadOutcome::Frame,
             Admission::Replay(bytes) => {
                 // Completed earlier: answer from the cache, never
                 // touching the handler pool.
-                let route = RespRoute {
-                    conn_id: sc.conn_id,
-                    conn: Arc::clone(conn),
-                    key: header.key,
-                    version: header.version,
-                    client_id: header.client_id,
-                    seq: header.seq,
-                };
-                inner.try_enqueue_response(route, bytes);
+                inner.enqueue_response(RespRoute::new(Arc::clone(conn), &header), bytes, false);
                 return ReadOutcome::Frame;
             }
         }
     }
-    let route = RespRoute {
-        conn_id: sc.conn_id,
-        conn: Arc::clone(conn),
-        key: header.key,
-        version: header.version,
-        client_id: header.client_id,
-        seq: header.seq,
-    };
     let call = RawCall {
-        conn_id: sc.conn_id,
         conn: Arc::clone(conn),
         header,
         payload,
@@ -1185,7 +1362,7 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
             inner.open_work.fetch_sub(1, Ordering::AcqRel);
             inner.metrics.inc_busy_rejections_for(header.client_id);
             stats.inc_busy();
-            let mut routes = vec![route];
+            let mut routes = vec![RespRoute::new(Arc::clone(conn), &header)];
             if let Some(key) = cache_key {
                 // Duplicates that parked in the begin/try_push window
                 // (another connection of the same client) get the same
@@ -1196,7 +1373,7 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
                 // Per route, not shared: a V1 route needs the error-string
                 // body where modern routes get the bare busy status.
                 let bytes = Arc::new(busy_body(r.version));
-                inner.try_enqueue_response(r, bytes);
+                inner.enqueue_response(r, bytes, false);
             }
         }
         Err((AdmitError::Closed, _call)) => {
@@ -1234,50 +1411,9 @@ fn handler_loop(inner: Arc<ServerInner>) {
                     call.header.method(),
                     &mut reader,
                 );
-                // Serialize once, on the handler thread; the responder
-                // shard (and any parked duplicate) just transmits bytes.
-                let error_text;
-                let result_ref: Result<&dyn Writable, &str> = match &result {
-                    Ok(value) => Ok(value.as_ref()),
-                    Err(e) => {
-                        // Application errors travel as their bare
-                        // message; engine errors keep their category
-                        // prefix.
-                        error_text = match e {
-                            RpcError::Remote(m) => m.clone(),
-                            other => other.to_string(),
-                        };
-                        Err(&error_text)
-                    }
-                };
-                // The body is serialized *version-neutral* (`[status]
-                // [value]`): the responder shard prepends each route's
-                // own lead, so a replay or parked duplicate arriving in a
-                // different frame version still shares these bytes.
-                let mut body = Vec::new();
-                write_response_body(&mut body, result_ref).expect("serializing to Vec cannot fail");
-                let bytes = Arc::new(body);
+                let body = inner.serialize_response(call.header.key, &result);
                 entry.record_phase(Phase::Handler, handler_start.elapsed().as_nanos() as u64);
-
-                let mut routes = vec![RespRoute {
-                    conn_id: call.conn_id,
-                    conn: call.conn,
-                    key: call.header.key,
-                    version: call.header.version,
-                    client_id: call.header.client_id,
-                    seq: call.header.seq,
-                }];
-                if call.header.version != FrameVersion::V1 && call.header.client_id != 0 {
-                    let key = (call.header.client_id, call.header.seq);
-                    routes.extend(inner.retry_cache.complete(key, Arc::clone(&bytes)));
-                }
-                for route in routes {
-                    inner.enqueue_response(route, Arc::clone(&bytes));
-                }
-                // The call's own open_work slot transfers to the response
-                // entries enqueued above; release it only now so `drain`
-                // never sees a gap between "popped" and "response queued".
-                inner.open_work.fetch_sub(1, Ordering::AcqRel);
+                inner.respond(call, body);
                 inner.admission.release(meta.tenant);
             }
             None => {
@@ -1338,10 +1474,9 @@ fn mn_worker_loop(inner: Arc<ServerInner>, worker: usize) {
 /// bytes on the heap, against the legacy pool's full OS thread per
 /// in-flight call.
 ///
-/// A completed poll mirrors [`handler_loop`]'s tail exactly: serialize
-/// the version-neutral body once, fan out to the caller's route plus any
-/// parked duplicates, transfer the open-work slot to the responses, and
-/// release the tenant's admission quota.
+/// A completed poll ends like [`handler_loop`]'s: serialize once, answer
+/// from the worker that ran the final poll ([`ServerInner::respond`]),
+/// and release the tenant's admission quota.
 fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call: RawCall) {
     let inner = Arc::clone(inner);
     let mut call = Some(call);
@@ -1386,41 +1521,10 @@ fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call
             Err(e) => Err(e),
         };
         let c = call.take().expect("taken once");
-        let error_text;
-        let result_ref: Result<&dyn Writable, &str> = match &result {
-            Ok(value) => Ok(value.as_ref()),
-            Err(e) => {
-                error_text = match e {
-                    RpcError::Remote(m) => m.clone(),
-                    other => other.to_string(),
-                };
-                Err(&error_text)
-            }
-        };
-        let mut body = Vec::new();
-        write_response_body(&mut body, result_ref).expect("serializing to Vec cannot fail");
-        let bytes = Arc::new(body);
+        let body = inner.serialize_response(c.header.key, &result);
         handler_ns += poll_start.elapsed().as_nanos() as u64;
         entry.record_phase(Phase::Handler, handler_ns);
-
-        let mut routes = vec![RespRoute {
-            conn_id: c.conn_id,
-            conn: c.conn,
-            key: c.header.key,
-            version: c.header.version,
-            client_id: c.header.client_id,
-            seq: c.header.seq,
-        }];
-        if c.header.version != FrameVersion::V1 && c.header.client_id != 0 {
-            let key = (c.header.client_id, c.header.seq);
-            routes.extend(inner.retry_cache.complete(key, Arc::clone(&bytes)));
-        }
-        for route in routes {
-            inner.enqueue_response(route, Arc::clone(&bytes));
-        }
-        // The call's open_work slot transfers to the responses above,
-        // exactly as in the thread pool.
-        inner.open_work.fetch_sub(1, Ordering::AcqRel);
+        inner.respond(c, body);
         inner.admission.release(meta.tenant);
         Step::Done
     });
@@ -1432,25 +1536,10 @@ fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call
 /// instead of re-executing a call the client already gave up on.
 fn shed_call(inner: &Arc<ServerInner>, meta: CallMeta, call: RawCall) {
     inner.metrics.inc_deadline_sheds_for(meta.tenant);
-    let bytes = Arc::new(expired_body(call.header.version));
-    let mut routes = vec![RespRoute {
-        conn_id: call.conn_id,
-        conn: call.conn,
-        key: call.header.key,
-        version: call.header.version,
-        client_id: call.header.client_id,
-        seq: call.header.seq,
-    }];
-    if call.header.version != FrameVersion::V1 && call.header.client_id != 0 {
-        let key = (call.header.client_id, call.header.seq);
-        routes.extend(inner.retry_cache.complete(key, Arc::clone(&bytes)));
-    }
-    for route in routes {
-        inner.enqueue_response(route, Arc::clone(&bytes));
-    }
     // The queue already returned the tenant's quota slot when it shed the
-    // call; only the open_work slot transfers to the responses above.
-    inner.open_work.fetch_sub(1, Ordering::AcqRel);
+    // call, so unlike an executed call there is nothing to release.
+    let body = expired_body(call.header.version);
+    inner.respond(call, body);
 }
 
 /// Most responses one responder sweep drains before sending. Bounds the
@@ -1463,14 +1552,15 @@ const RESPONDER_SWEEP: usize = 64;
 /// next sweep so light tenants' responses are not queued behind it.
 const RESPONDER_FAIR_QUANTUM: u32 = 8;
 
+/// One responder shard: the overflow and foreign-thread send path. It
+/// transmits exactly the responses that could not go out inline — those a
+/// reader shard produced (busy, replay), parked duplicates released by
+/// another connection's handler, and a handler's own response when the
+/// connection's send turn was taken or something was already queued for
+/// it. Everything queued for one connection is sent in pop order under
+/// that connection's send turn, one gathered wire operation per sweep
+/// when `wire_batch` is on.
 fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats: Arc<ShardStats>) {
-    // Per-connection V3 response-lead encoders. They live here — all of a
-    // connection's responses flow through its one responder shard in
-    // enqueue order, which is exactly the wire order the client's decoder
-    // replays. Socket connections are stateful (reliable stream); verbs
-    // connections run the self-contained encoding.
-    let mut encs: HashMap<u64, V3Encoder> = HashMap::new();
-    let stateful = !inner.cfg.ib_enabled;
     let sweep = if inner.cfg.wire_batch {
         RESPONDER_SWEEP
     } else {
@@ -1511,14 +1601,20 @@ fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats
                 Err(_) => break,
             }
         }
-        // Weighted-fair partition (QoS mode only): each tenant sends up
-        // to weight × quantum responses this sweep; the excess is carried
-        // — still in order — so a flooder's burst cannot head-of-line
-        // block light tenants' responses through the shared shard.
-        let send = if fair {
+        // Group by connection, preserving pop order within and across
+        // groups (pop order == enqueue order). A sweep is at most
+        // `RESPONDER_SWEEP` responses, so a linear probe beats a map.
+        let mut groups: Vec<Vec<OutboundResponse>> = Vec::new();
+        if fair {
             sweep_used.clear();
-            let mut send = Vec::new();
-            for out in batch.drain(..) {
+        }
+        for out in batch.drain(..) {
+            if fair {
+                // Weighted-fair partition (QoS mode only): each tenant
+                // sends up to weight × quantum responses this sweep; the
+                // excess is carried — still in order — so a flooder's
+                // burst cannot head-of-line block light tenants'
+                // responses through the shared shard.
                 let tenant = out.route.client_id;
                 let budget = inner
                     .admission
@@ -1527,81 +1623,35 @@ fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats
                 let used = sweep_used.entry(tenant).or_insert(0);
                 if *used >= budget {
                     carry.push(out);
-                } else {
-                    *used += 1;
-                    send.push(out);
+                    continue;
                 }
+                *used += 1;
             }
-            send
-        } else {
-            std::mem::take(&mut batch)
-        };
-        {
-            // Group by connection, preserving pop order within and
-            // across groups (pop order == enqueue order == the order
-            // per-connection state was advanced in).
-            let mut groups: Vec<(u64, Vec<OutboundResponse>)> = Vec::new();
-            let mut index: HashMap<u64, usize> = HashMap::new();
-            for out in send {
-                match index.get(&out.route.conn_id) {
-                    Some(&i) => groups[i].1.push(out),
-                    None => {
-                        index.insert(out.route.conn_id, groups.len());
-                        groups.push((out.route.conn_id, vec![out]));
-                    }
-                }
+            match groups
+                .iter_mut()
+                .find(|g| Arc::ptr_eq(&g[0].route.conn, &out.route.conn))
+            {
+                Some(group) => group.push(out),
+                None => groups.push(vec![out]),
             }
-            for (conn_id, group) in groups {
-                let conn = Arc::clone(&group[0].route.conn);
-                // The response's buffer-size history is keyed
-                // separately from the request's; one key per batch is
-                // enough — the gathered frames share a wire op anyway.
-                let resp_key = group[0].route.key.response_key();
-                let n = group.len();
-                let mut frames: Vec<Vec<u8>> = Vec::with_capacity(n);
-                for out in &group {
-                    let mut frame = Vec::with_capacity(out.bytes.len() + 16);
-                    let lead = match out.route.version {
-                        FrameVersion::V3 => encs
-                            .entry(conn_id)
-                            .or_insert_with(|| V3Encoder::new(stateful))
-                            .write_response_lead(&mut frame, out.route.seq),
-                        v => write_response_lead(&mut frame, v, out.route.seq),
-                    };
-                    if lead.is_err() {
-                        // Unrepresentable lead (a V1 seq outside i32):
-                        // drop this one response, keep the connection.
-                        inner.metrics.inc_frame_errors();
-                        continue;
-                    }
-                    frame.extend_from_slice(&out.bytes);
-                    frames.push(frame);
-                }
-                // A failed send only affects that one connection — but
-                // it does mean the connection is broken: close it so
-                // its reader shard stops pulling requests whose
-                // responses could never be delivered, and count it.
-                let send_result = if frames.is_empty() {
-                    Ok(())
-                } else {
-                    conn.send_frames(resp_key, frames)
-                };
-                if send_result.is_err() {
-                    inner.metrics.inc_broken_sends();
-                    conn.close();
-                    encs.remove(&conn_id);
-                }
-                for _ in 0..n {
-                    stats.inc_processed();
-                    inner.open_work.fetch_sub(1, Ordering::AcqRel);
-                }
+        }
+        for group in groups {
+            let n = group.len();
+            let conn = &group[0].route.conn;
+            // Wait for the send turn: whatever an inline sender has in
+            // flight goes out first, and no handler sends inline again
+            // until `queued` drops back to zero below.
+            let mut enc = conn.send.lock();
+            if let [out] = group.as_slice() {
+                inner.transmit(&out.route, &mut enc, &out.bytes);
+            } else {
+                inner.transmit_gathered(&group, &mut enc);
             }
-            // Bound the encoder map under connection churn: dead
-            // connections never announce themselves to this shard, so
-            // prune against the live table once the map gets large.
-            if encs.len() >= 1024 {
-                let live = inner.conns.lock();
-                encs.retain(|id, _| live.contains_key(id));
+            conn.queued.fetch_sub(n, Ordering::AcqRel);
+            drop(enc);
+            for _ in 0..n {
+                stats.inc_processed();
+                inner.open_work.fetch_sub(1, Ordering::AcqRel);
             }
         }
     }

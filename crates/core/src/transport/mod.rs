@@ -93,6 +93,24 @@ pub trait Conn: Send + Sync {
         Ok(())
     }
 
+    /// Transmit one frame whose parts are already serialized: `lead`
+    /// (a few order-sensitive header bytes) immediately followed by
+    /// `body`. This is the server's response path — the body was
+    /// serialized once by the thread that computed it (and may be shared
+    /// with a retry cache), and the caller holds its own per-connection
+    /// ordering lock across encoding `lead` and this call, so the bytes
+    /// go to the wire exactly once with no intermediate frame buffer. The
+    /// default writes both parts through [`Conn::send_msg`], which is
+    /// already copy-free for transports that serialize into their own
+    /// send buffers (verbs: straight into pooled registered memory).
+    fn send_serialized(&self, key: MethodKey, lead: &[u8], body: &[u8]) -> RpcResult<()> {
+        self.send_msg(key, &mut |out| {
+            out.write_bytes(lead)?;
+            out.write_bytes(body)
+        })
+        .map(|_| ())
+    }
+
     /// Receive the next message. Returns [`crate::RpcError::Timeout`] if
     /// nothing arrives within `timeout` (the caller decides whether to
     /// retry), [`crate::RpcError::ConnectionClosed`] on orderly EOF.

@@ -358,9 +358,14 @@ impl SocketConn {
                 _ => Ok(()),
             };
         }
-
         st.flushing = true;
-        loop {
+        self.flush_queue(st)
+    }
+
+    /// The flusher's sweep: one gather per iteration until nothing is
+    /// queued, then release the wire. The caller has set `flushing`.
+    fn flush_queue<'a>(&'a self, mut st: parking_lot::MutexGuard<'a, WriteQueue>) -> RpcResult<()> {
+        while !st.queue.is_empty() {
             let take = if self.batch { st.queue.len() } else { 1 };
             let batch: Vec<WqEntry> = st.queue.drain(..take).collect();
             drop(st);
@@ -371,21 +376,23 @@ impl SocketConn {
                     st.done_ticket = batch.last().expect("non-empty batch").ticket;
                     self.wq_cv.notify_all();
                 }
-                Err(e) => {
-                    if st.err.is_none() {
-                        st.err = Some(e.clone());
-                    }
-                    st.queue.clear();
-                    st.flushing = false;
-                    self.wq_cv.notify_all();
-                    return Err(e);
-                }
-            }
-            if st.queue.is_empty() {
-                st.flushing = false;
-                return Ok(());
+                Err(e) => return Err(self.fail_flush(st, e)),
             }
         }
+        st.flushing = false;
+        Ok(())
+    }
+
+    /// A flusher's write failed: make the error sticky, fail everything
+    /// queued behind it and release the wire.
+    fn fail_flush(&self, mut st: parking_lot::MutexGuard<'_, WriteQueue>, e: RpcError) -> RpcError {
+        if st.err.is_none() {
+            st.err = Some(e.clone());
+        }
+        st.queue.clear();
+        st.flushing = false;
+        self.wq_cv.notify_all();
+        e
     }
 }
 
@@ -464,6 +471,45 @@ impl Conn for SocketConn {
             // serialized body, which is what sizing heuristics care about.
             size: body_len,
         })
+    }
+
+    fn send_serialized(&self, key: MethodKey, lead: &[u8], body: &[u8]) -> RpcResult<()> {
+        self.check_open()?;
+        let send_start = Instant::now();
+        let mut st = self.wq.lock();
+        if let Some(e) = &st.err {
+            return Err(e.clone());
+        }
+        if st.flushing {
+            // Another sender owns the wire: an owned copy queues behind it.
+            drop(st);
+            self.transmit_one(None, [lead, body].concat())?;
+        } else {
+            // Wire free (so nothing is queued): this thread is the flusher
+            // and gathers `[len][lead][body]` straight from the borrowed
+            // slices — no staging buffer, no queue entry.
+            let ticket = st.next_ticket;
+            st.next_ticket += 1;
+            st.flushing = true;
+            drop(st);
+            let prefix = ((lead.len() + body.len()) as i32).to_be_bytes();
+            let result = self.stream.write_gather(&[&prefix, lead, body]);
+            st = self.wq.lock();
+            match result {
+                Ok(_) => {
+                    st.done_ticket = ticket;
+                    self.flush_queue(st)?;
+                }
+                Err(e) => return Err(self.fail_flush(st, Self::map_write_err(e))),
+            }
+        }
+        if let Some(m) = &self.metrics {
+            // Pre-serialized, like `send_frames`: serialize time is nil.
+            let entry = m.entry(key);
+            entry.record_phase(Phase::Serialize, 0);
+            entry.record_phase(Phase::Wire, send_start.elapsed().as_nanos() as u64);
+        }
+        Ok(())
     }
 
     fn send_frames(&self, key: MethodKey, frames: Vec<Vec<u8>>) -> RpcResult<()> {
@@ -800,6 +846,53 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn serialized_send_is_one_frame_and_queues_behind_a_busy_wire() {
+        let (cli, srv) = conn_pair();
+        let key = crate::intern::method_key("p", "m");
+        cli.send_serialized(key, &[0xAA, 0xBB], &[1, 2, 3]).unwrap();
+        let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
+        let mut got = vec![0u8; 5];
+        std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+        assert_eq!(got, [0xAA, 0xBB, 1, 2, 3]);
+
+        // Racing ordinary senders: whichever path a frame takes (borrowed
+        // gather as the flusher, owned copy behind one), it arrives whole.
+        let mut handles = Vec::new();
+        for t in 0..4u8 {
+            let cli = Arc::clone(&cli);
+            handles.push(thread::spawn(move || {
+                for i in 0..32u8 {
+                    if t % 2 == 0 {
+                        cli.send_serialized(key, &[t, i], &[t ^ i; 200]).unwrap();
+                    } else {
+                        cli.send_msg(key, &mut |out| {
+                            out.write_bytes(&[t, i])?;
+                            out.write_bytes(&[t ^ i; 200])
+                        })
+                        .unwrap();
+                    }
+                }
+            }));
+        }
+        for _ in 0..128 {
+            let (payload, _) = srv.recv_msg(Duration::from_secs(5)).unwrap();
+            assert_eq!(payload.len(), 202);
+            let mut frame = vec![0u8; 202];
+            std::io::Read::read_exact(&mut payload.reader(), &mut frame).unwrap();
+            let (t, i) = (frame[0], frame[1]);
+            assert!(frame[2..].iter().all(|&b| b == t ^ i), "frame corrupted");
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        cli.close();
+        assert_eq!(
+            cli.send_serialized(key, &[1], &[2]).unwrap_err(),
+            RpcError::ConnectionClosed
+        );
     }
 
     #[test]

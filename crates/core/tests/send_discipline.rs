@@ -1,0 +1,348 @@
+//! The response path's send discipline: the thread that computes a
+//! response transmits it when the connection's send turn is free and
+//! nothing is queued for it, and the responder shard carries everything
+//! else (reader-produced replays, parked duplicates, overflow).
+//!
+//! Whoever sends, one connection's frames must be encoded in wire order,
+//! a stuck peer must cost one sender and not the pool, and `drain` must
+//! still account for every response.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use rpcoib::handshake::client_hello;
+use rpcoib::intern::method_key;
+use rpcoib::transport::rdma::RdmaConn;
+use rpcoib::transport::Conn;
+use rpcoib::{
+    Client, IbContext, RetryPolicy, RpcConfig, RpcError, RpcService, Server, ServiceRegistry,
+    ShardRole, V3Encoder,
+};
+use simnet::{model, Fabric, SimStream};
+use wire::{BytesWritable, DataInput, IntWritable, Writable};
+
+/// `echo` returns its payload (and counts the execution); `slow_echo`
+/// sleeps `delay` first; `inflate` answers an `i32 n` with `n` bytes.
+struct TestService {
+    executed: Arc<AtomicU64>,
+    delay: Duration,
+}
+
+impl RpcService for TestService {
+    fn protocol(&self) -> &'static str {
+        "test.SendDiscipline"
+    }
+    fn call(
+        &self,
+        method: &str,
+        param: &mut dyn DataInput,
+    ) -> Result<Box<dyn Writable + Send>, String> {
+        match method {
+            "echo" | "slow_echo" => {
+                if method == "slow_echo" {
+                    std::thread::sleep(self.delay);
+                }
+                let mut payload = BytesWritable::default();
+                payload.read_fields(param).map_err(|e| e.to_string())?;
+                self.executed.fetch_add(1, Ordering::AcqRel);
+                Ok(Box::new(payload))
+            }
+            "inflate" => {
+                let mut n = IntWritable::default();
+                n.read_fields(param).map_err(|e| e.to_string())?;
+                Ok(Box::new(BytesWritable(vec![0x5a; n.0 as usize])))
+            }
+            other => Err(format!("no such method {other}")),
+        }
+    }
+}
+
+fn start_server(fabric: &Fabric, cfg: &RpcConfig, delay: Duration) -> (Server, Arc<AtomicU64>) {
+    let executed = Arc::new(AtomicU64::new(0));
+    let mut registry = ServiceRegistry::new();
+    registry.register(Arc::new(TestService {
+        executed: Arc::clone(&executed),
+        delay,
+    }));
+    let server = Server::start(fabric, fabric.add_node(), 8020, cfg.clone(), registry).unwrap();
+    (server, executed)
+}
+
+fn echo(
+    client: &Client,
+    server: &Server,
+    method: &str,
+    payload: &[u8],
+) -> Result<Vec<u8>, RpcError> {
+    client
+        .call::<_, BytesWritable>(
+            server.addr(),
+            "test.SendDiscipline",
+            method,
+            &BytesWritable(payload.to_vec()),
+        )
+        .map(|b| b.0)
+}
+
+fn wait_until(limit: Duration, what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + limit;
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// (a) One stateful-V3 socket connection carries, interleaved, responses
+/// sent inline by eight handlers and responses sent by the responder
+/// shard: every `slow_echo` outlives the call timeout, so its retry —
+/// the same seq on the same connection — parks behind the execution (and
+/// is released through the responder) or, arriving later, is replayed by
+/// the reader (again through the responder). The V3 response lead is a
+/// *delta* against the previous frame on the wire: if encode order ever
+/// differed from wire order the client would attribute frames to the
+/// wrong calls, so every echo matching its request is the proof.
+#[test]
+fn inline_and_responder_sends_share_one_stateful_connection() {
+    let fabric = Fabric::new(model::IPOIB_QDR);
+    let cfg = RpcConfig {
+        handlers: 8,
+        call_timeout: Duration::from_millis(40),
+        retry: RetryPolicy::exponential(8, Duration::from_millis(2)),
+        ..RpcConfig::socket()
+    };
+    let (server, _executed) = start_server(&fabric, &cfg, Duration::from_millis(70));
+    let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+    echo(&client, &server, "echo", b"warm").unwrap();
+    assert_eq!(client.negotiated_version(server.addr()), Some(3));
+
+    let callers: Vec<_> = (0..4u8)
+        .map(|t| {
+            let client = client.clone();
+            let addr = server.addr();
+            std::thread::spawn(move || {
+                for i in 0..40u8 {
+                    // Caller 0 forces the duplicates; the others keep the
+                    // inline path busy on the same connection.
+                    let method = if t == 0 && i % 4 == 0 {
+                        "slow_echo"
+                    } else {
+                        "echo"
+                    };
+                    let payload = vec![t * 64 + i; 48 + (t as usize) * 100 + i as usize];
+                    let got: BytesWritable = client
+                        .call(
+                            addr,
+                            "test.SendDiscipline",
+                            method,
+                            &BytesWritable(payload.clone()),
+                        )
+                        .unwrap_or_else(|e| panic!("caller {t} call {i} ({method}): {e:?}"));
+                    assert_eq!(
+                        got.0, payload,
+                        "caller {t} call {i} got another call's response"
+                    );
+                }
+            })
+        })
+        .collect();
+    for c in callers {
+        c.join().unwrap();
+    }
+
+    let server_counters = server.metrics().counters();
+    assert!(
+        server_counters.retry_cache_parked + server_counters.retry_cache_hits >= 10,
+        "the slow calls should each have forced a duplicate: {server_counters:?}"
+    );
+    assert_eq!(server_counters.frame_errors, 0);
+    assert_eq!(server_counters.broken_sends, 0);
+    let client_counters = client.metrics().counters();
+    assert_eq!(client_counters.failed_calls, 0, "{client_counters:?}");
+    assert_eq!(
+        client_counters.reconnects, 0,
+        "a corrupt response frame would have cost the connection"
+    );
+    let responder_queued: u64 = server
+        .metrics_snapshot()
+        .shards
+        .iter()
+        .filter(|s| s.role == ShardRole::Responder)
+        .map(|s| s.queue_depth_max)
+        .sum();
+    assert!(
+        responder_queued >= 1,
+        "no response ever took the responder path"
+    );
+    client.shutdown();
+    server.stop();
+}
+
+/// (c) A credit-starved bulk response holds up its own connection's send
+/// turn — one sender — and nothing else. Peer A never polls its receive
+/// side, so it never returns slot credits: its first 10 kB response takes
+/// three of its four slots and the second blocks whoever sends it for the
+/// server's whole credit budget. Meanwhile a second connection's 512 B
+/// calls, which time out after a tenth of that budget, must all complete.
+#[test]
+fn credit_starved_peer_costs_one_sender_not_the_pool() {
+    let fabric = Fabric::new(model::IB_QDR_VERBS);
+    let cfg = RpcConfig {
+        handlers: 2,
+        rdma_threshold: 2 * 1024,
+        recv_buf_bytes: 4 * 1024,
+        posted_recvs: 8,
+        prefill_per_class: 2,
+        large_region_bytes: 16 * 1024,
+        large_slots: 4,
+        // The server's slot-credit budget for one bulk send.
+        call_timeout: Duration::from_secs(5),
+        retry: RetryPolicy::none(),
+        ..RpcConfig::rpcoib()
+    };
+    let (server, _executed) = start_server(&fabric, &cfg, Duration::ZERO);
+
+    // Peer A: a hand-driven verbs connection whose receive side is never
+    // polled.
+    let node_a = fabric.add_node();
+    let ctx_a = IbContext::new(&fabric, node_a, &cfg).unwrap();
+    let stream_a = SimStream::connect(&fabric, node_a, server.addr()).unwrap();
+    client_hello(&stream_a, 0, 3).unwrap();
+    let conn_a = RdmaConn::bootstrap(&stream_a, &ctx_a, &cfg).unwrap();
+    let key = method_key("test.SendDiscipline", "inflate");
+    let mut enc = V3Encoder::new(false);
+    for seq in 1..=2i64 {
+        conn_a
+            .send_msg(key, &mut |out| {
+                enc.write_request_header(out, seq, 0, None, key)?;
+                IntWritable(10_000).write(out)
+            })
+            .unwrap();
+    }
+    // The first response is out (its transmission is booked on the
+    // responder shard whoever sent it); the second is right behind it.
+    let responses_sent = |server: &Server| -> u64 {
+        server
+            .metrics_snapshot()
+            .shards
+            .iter()
+            .filter(|s| s.role == ShardRole::Responder)
+            .map(|s| s.processed)
+            .sum()
+    };
+    wait_until(Duration::from_secs(5), "A's first response", || {
+        responses_sent(&server) >= 1
+    });
+
+    // Connection B: an ordinary client with a much shorter patience than
+    // A's stall.
+    let client_b = Client::new(
+        &fabric,
+        fabric.add_node(),
+        RpcConfig {
+            call_timeout: Duration::from_millis(500),
+            ..cfg.clone()
+        },
+    )
+    .unwrap();
+    for i in 0..50u8 {
+        let payload = vec![i; 512];
+        let got = echo(&client_b, &server, "echo", &payload)
+            .unwrap_or_else(|e| panic!("B's call {i} was held up behind A: {e:?}"));
+        assert_eq!(got, payload);
+    }
+    // All of B finished while A's second response was still waiting for
+    // credits: it has neither completed nor failed yet. (A sender books
+    // its transmission just after the bytes leave, so B's last one may
+    // trail B's return by a moment.)
+    const A_FIRST_PLUS_B: u64 = 1 + 50;
+    wait_until(Duration::from_secs(1), "B's sends to be booked", || {
+        responses_sent(&server) >= A_FIRST_PLUS_B
+    });
+    assert_eq!(
+        responses_sent(&server),
+        A_FIRST_PLUS_B,
+        "A's second response went out?"
+    );
+    assert_eq!(server.metrics().counters().broken_sends, 0);
+
+    // The stall ends the way a stall must: the budget runs out and the
+    // one starved connection is torn down.
+    wait_until(Duration::from_secs(15), "A's starved send to fail", || {
+        server.metrics().counters().broken_sends == 1
+    });
+    client_b.shutdown();
+    drop(conn_a);
+    server.stop();
+}
+
+/// (d) `drain` with inline sends in flight: callers hammer the server
+/// while it drains; `open_work` must still reach zero, and every call the
+/// server executed is answered exactly once — each success is one
+/// execution, no caller sees a duplicate or a stray response.
+fn drain_answers_every_admitted_call_once(fabric: Fabric, base: RpcConfig) {
+    let cfg = RpcConfig {
+        handlers: 4,
+        call_timeout: Duration::from_secs(5),
+        retry: RetryPolicy::none(),
+        ..base
+    };
+    let (server, executed) = start_server(&fabric, &cfg, Duration::ZERO);
+    let server = Arc::new(server);
+    let clients: Vec<Client> = (0..2)
+        .map(|_| Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap())
+        .collect();
+    for c in &clients {
+        echo(c, &server, "echo", b"warm").unwrap();
+    }
+    let warm = executed.load(Ordering::Acquire);
+
+    let callers: Vec<_> = (0..8usize)
+        .map(|t| {
+            let client = clients[t % 2].clone();
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let mut ok = 0u64;
+                for i in 0..100_000u32 {
+                    let payload = [t as u8, i as u8, (i >> 8) as u8, (i >> 16) as u8];
+                    match echo(&client, &server, "echo", &payload) {
+                        Ok(got) => {
+                            assert_eq!(got, payload);
+                            ok += 1;
+                        }
+                        // The drained server closes the connection.
+                        Err(_) => break,
+                    }
+                }
+                ok
+            })
+        })
+        .collect();
+    wait_until(Duration::from_secs(10), "traffic", || {
+        executed.load(Ordering::Acquire) >= warm + 200
+    });
+    assert!(
+        server.drain(Duration::from_secs(10)),
+        "open work never reached zero"
+    );
+    let ok: u64 = callers.into_iter().map(|c| c.join().unwrap()).sum();
+    assert_eq!(
+        executed.load(Ordering::Acquire) - warm,
+        ok,
+        "an executed call went unanswered (or was answered twice)"
+    );
+    for c in &clients {
+        assert_eq!(c.metrics().counters().late_responses, 0);
+        c.shutdown();
+    }
+}
+
+#[test]
+fn drain_answers_every_admitted_call_once_socket() {
+    drain_answers_every_admitted_call_once(Fabric::new(model::IPOIB_QDR), RpcConfig::socket());
+}
+
+#[test]
+fn drain_answers_every_admitted_call_once_verbs() {
+    drain_answers_every_admitted_call_once(Fabric::new(model::IB_QDR_VERBS), RpcConfig::rpcoib());
+}

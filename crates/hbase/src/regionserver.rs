@@ -16,7 +16,8 @@
 //! and the dead servers' WAL segments are replayed — so rows survive a
 //! region-server crash.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,12 +39,27 @@ const ENTRY_DELETE: u8 = 2;
 /// Error message prefix a client interprets as "refresh your region map".
 pub const NOT_SERVING: &str = "NotServingRegion";
 
+type Rows = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// A memstore snapshot whose store file is being written to HDFS
+/// (outside the region lock). It stays readable here until installed.
+struct Flush {
+    seq: u64,
+    /// Shared with the thread writing the store file.
+    rows: Arc<Rows>,
+    /// The HDFS write has returned; the snapshot may install once every
+    /// older flush of the region has.
+    written: bool,
+}
+
 struct Region {
     /// In-memory, not yet persisted.
-    memstore: BTreeMap<Vec<u8>, Vec<u8>>,
+    memstore: Rows,
     memstore_bytes: usize,
+    /// Flushes in flight, oldest first (ascending `seq`).
+    flushing: VecDeque<Flush>,
     /// Block-cache stand-in: flushed rows, kept queryable.
-    flushed: BTreeMap<Vec<u8>, Vec<u8>>,
+    flushed: Rows,
     flush_seq: u64,
 }
 
@@ -52,13 +68,52 @@ impl Region {
         Region {
             memstore: BTreeMap::new(),
             memstore_bytes: 0,
+            flushing: VecDeque::new(),
             flushed: BTreeMap::new(),
             flush_seq: 0,
         }
     }
 
+    /// Every place a row can live, newest first: the memstore, the
+    /// in-flight flush snapshots newest to oldest, the flushed rows. The
+    /// first layer holding a key has its current value.
+    fn layers(&self) -> impl Iterator<Item = &Rows> {
+        std::iter::once(&self.memstore)
+            .chain(self.flushing.iter().rev().map(|f| &*f.rows))
+            .chain(std::iter::once(&self.flushed))
+    }
+
     fn get(&self, key: &[u8]) -> Option<&Vec<u8>> {
-        self.memstore.get(key).or_else(|| self.flushed.get(key))
+        self.layers().find_map(|rows| rows.get(key))
+    }
+
+    /// Take the memstore as the next flush; its rows stay readable
+    /// through `flushing` while the caller writes the store file.
+    fn begin_flush(&mut self) -> (u64, Arc<Rows>) {
+        let rows = Arc::new(std::mem::take(&mut self.memstore));
+        self.memstore_bytes = 0;
+        self.flush_seq += 1;
+        self.flushing.push_back(Flush {
+            seq: self.flush_seq,
+            rows: Arc::clone(&rows),
+            written: false,
+        });
+        (self.flush_seq, rows)
+    }
+
+    /// Flush `seq`'s write has returned. Snapshots install strictly in
+    /// flush order: one that finishes early waits — still readable —
+    /// behind an older flush in flight, so an old value can never land
+    /// on top of a newer one.
+    fn finish_flush(&mut self, seq: u64) {
+        if let Some(flush) = self.flushing.iter_mut().find(|f| f.seq == seq) {
+            flush.written = true;
+        }
+        while self.flushing.front().is_some_and(|f| f.written) {
+            let flush = self.flushing.pop_front().expect("front checked");
+            let rows = Arc::try_unwrap(flush.rows).unwrap_or_else(|shared| (*shared).clone());
+            self.flushed.extend(rows);
+        }
     }
 }
 
@@ -144,32 +199,25 @@ impl RsState {
                 .ok_or_else(|| format!("{NOT_SERVING}: bucket {bucket}"))?;
             region.memstore_bytes += key.len() + value.len();
             region.memstore.insert(key, value);
-            if region.memstore_bytes >= self.cfg.memstore_flush_bytes {
-                let snapshot = std::mem::take(&mut region.memstore);
-                region.memstore_bytes = 0;
-                region.flush_seq += 1;
-                Some((snapshot, region.flush_seq))
-            } else {
-                None
-            }
+            (region.memstore_bytes >= self.cfg.memstore_flush_bytes).then(|| region.begin_flush())
         };
-        if let Some((snapshot, seq)) = flush {
+        if let Some((seq, snapshot)) = flush {
             // Persist the store file under the *region's* directory so any
             // future host of this bucket can recover it.
             let mut buf = Vec::new();
-            for (k, v) in &snapshot {
+            for (k, v) in snapshot.iter() {
                 append_entry(&mut buf, ENTRY_PUT, k, v);
             }
+            drop(snapshot);
             let path = format!("/hbase/region{bucket}/hfile-rs{}-{seq:06}", self.rs_id);
-            self.dfs
-                .write_file(&path, &buf)
-                .map_err(|e| e.to_string())?;
-            let mut regions = self.regions.lock();
-            if let Some(region) = regions.get_mut(&bucket) {
-                for (k, v) in snapshot {
-                    region.flushed.insert(k, v);
-                }
+            let written = self.dfs.write_file(&path, &buf);
+            // Installed even when the write failed: the rows are in the
+            // WAL, and an uninstalled snapshot would block every later
+            // flush of the region.
+            if let Some(region) = self.regions.lock().get_mut(&bucket) {
+                region.finish_flush(seq);
             }
+            written.map_err(|e| e.to_string())?;
         }
         self.puts.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -183,9 +231,15 @@ impl RsState {
         let region = regions
             .get_mut(&bucket)
             .ok_or_else(|| format!("{NOT_SERVING}: bucket {bucket}"))?;
-        let in_mem = region.memstore.remove(key).is_some();
-        let in_flushed = region.flushed.remove(key).is_some();
-        Ok(in_mem || in_flushed)
+        let mut found = region.memstore.remove(key).is_some();
+        for flush in &mut region.flushing {
+            // Copies the snapshot only if its writer still shares it.
+            if flush.rows.contains_key(key) {
+                found |= Arc::make_mut(&mut flush.rows).remove(key).is_some();
+            }
+        }
+        found |= region.flushed.remove(key).is_some();
+        Ok(found)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
@@ -203,20 +257,17 @@ impl RsState {
         let mut rows = Vec::new();
         let regions = self.regions.lock();
         for region in regions.values() {
-            for (k, v) in region.memstore.range(start.to_vec()..) {
-                rows.push(Row {
-                    key: k.clone(),
-                    value: v.clone(),
-                });
-            }
-            for (k, v) in region.flushed.range(start.to_vec()..) {
-                if !region.memstore.contains_key(k) {
-                    rows.push(Row {
-                        key: k.clone(),
-                        value: v.clone(),
-                    });
+            // Newest layer first: a key's first sighting is its value.
+            let mut current: BTreeMap<&Vec<u8>, &Vec<u8>> = BTreeMap::new();
+            for layer in region.layers() {
+                for (k, v) in layer.range::<[u8], _>((Bound::Included(start), Bound::Unbounded)) {
+                    current.entry(k).or_insert(v);
                 }
             }
+            rows.extend(current.into_iter().map(|(k, v)| Row {
+                key: k.clone(),
+                value: v.clone(),
+            }));
         }
         rows.sort_by(|a, b| a.key.cmp(&b.key));
         rows.truncate(limit);
@@ -523,6 +574,44 @@ impl std::fmt::Debug for HRegionServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put(region: &mut Region, key: &[u8], value: &[u8]) {
+        region.memstore.insert(key.to_vec(), value.to_vec());
+    }
+
+    #[test]
+    fn overlapping_flushes_stay_readable_and_install_in_flush_order() {
+        let mut region = Region::new();
+        put(&mut region, b"a", b"a1");
+        put(&mut region, b"b", b"b1");
+        let (first, _) = region.begin_flush();
+        put(&mut region, b"a", b"a2");
+        let (second, _) = region.begin_flush();
+        put(&mut region, b"c", b"c3");
+        let (third, _) = region.begin_flush();
+        assert_eq!((first, second, third), (1, 2, 3));
+
+        // Nothing has been written yet; every row is readable, newest
+        // snapshot first.
+        let read = |region: &Region, key: &[u8]| region.get(key).cloned();
+        assert_eq!(read(&region, b"a"), Some(b"a2".to_vec()));
+        assert_eq!(read(&region, b"b"), Some(b"b1".to_vec()));
+        assert_eq!(read(&region, b"c"), Some(b"c3".to_vec()));
+
+        // The newest two writes return first: they wait behind flush 1.
+        region.finish_flush(third);
+        region.finish_flush(second);
+        assert!(region.flushed.is_empty(), "installed ahead of flush 1");
+        assert_eq!(read(&region, b"a"), Some(b"a2".to_vec()));
+
+        // Flush 1 lands last — and must not resurrect a1 over a2.
+        region.finish_flush(first);
+        assert!(region.flushing.is_empty());
+        assert_eq!(region.flushed.len(), 3);
+        assert_eq!(read(&region, b"a"), Some(b"a2".to_vec()));
+        assert_eq!(read(&region, b"b"), Some(b"b1".to_vec()));
+        assert_eq!(read(&region, b"c"), Some(b"c3".to_vec()));
+    }
 
     #[test]
     fn entry_format_roundtrips_and_tolerates_truncation() {

@@ -12,14 +12,24 @@
 //! `legacy_metadata` on and checks the re-enacted pre-interning
 //! metadata path allocates again — proving the counter actually sees
 //! what the ablation claims to restore.
+//!
+//! The same allocator also keeps a *process-wide* tally (every thread,
+//! `hw_scope` excluded the same way), which is what sees the server side
+//! of a call: reader shard, handler, responder, retry cache, admission
+//! queue. Two gates use it — a ceiling on whole-process allocations per
+//! steady-state 512 B verbs echo, and a ceiling on payload-sized buffers
+//! per 256 KiB echo — so churn added to `server.rs` fails a test instead
+//! of waiting for a benchmark run. The tests of this file serialize on
+//! one lock, since a process-wide count must not see a sibling test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rpcoib::{Client, RpcConfig, RpcService, Server, ServiceRegistry};
 use simnet::{model, Fabric};
-use wire::{DataInput, IntWritable, Writable};
+use wire::{BytesWritable, DataInput, IntWritable, Writable};
 
 struct CountingAlloc;
 
@@ -28,7 +38,14 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+/// Process-wide tally: every thread's allocations while the flag is set,
+/// and how many of them asked for at least `BIG_BYTES`.
+static PROCESS_COUNTING: AtomicBool = AtomicBool::new(false);
+static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static PROCESS_BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BIG_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+fn note_alloc(size: usize) {
     // `try_with`, not `with`: the allocator runs during TLS setup and
     // teardown, where touching a destroyed key would abort.
     let _ = COUNTING.try_with(|counting| {
@@ -36,11 +53,17 @@ fn note_alloc() {
             let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
         }
     });
+    if PROCESS_COUNTING.load(Ordering::Relaxed) && !simnet::in_hw_scope() {
+        PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if size >= BIG_BYTES.load(Ordering::Relaxed) {
+            PROCESS_BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -49,12 +72,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -72,6 +95,30 @@ fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(|allocs| allocs.get()), result)
 }
 
+/// Run `f` with the process-wide tally on; returns (allocations on any
+/// thread, those of at least `big_bytes`). The caller holds [`serial`].
+fn counted_process_wide(big_bytes: usize, f: impl FnOnce()) -> (u64, u64) {
+    BIG_BYTES.store(big_bytes, Ordering::Relaxed);
+    PROCESS_ALLOCS.store(0, Ordering::Relaxed);
+    PROCESS_BIG_ALLOCS.store(0, Ordering::Relaxed);
+    PROCESS_COUNTING.store(true, Ordering::SeqCst);
+    f();
+    PROCESS_COUNTING.store(false, Ordering::SeqCst);
+    (
+        PROCESS_ALLOCS.load(Ordering::Relaxed),
+        PROCESS_BIG_ALLOCS.load(Ordering::Relaxed),
+    )
+}
+
+/// One test of this file at a time (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // A sibling's failed assertion must not cascade into this test.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 struct EchoService;
 
 impl RpcService for EchoService {
@@ -83,14 +130,24 @@ impl RpcService for EchoService {
         method: &str,
         param: &mut dyn DataInput,
     ) -> Result<Box<dyn Writable + Send>, String> {
-        let mut value = IntWritable::default();
-        value.read_fields(param).map_err(|e| e.to_string())?;
         match method {
-            "echo" => Ok(Box::new(value)),
+            "echo" => {
+                let mut value = IntWritable::default();
+                value.read_fields(param).map_err(|e| e.to_string())?;
+                Ok(Box::new(value))
+            }
+            "echo_bytes" => {
+                let mut value = BytesWritable::default();
+                value.read_fields(param).map_err(|e| e.to_string())?;
+                Ok(Box::new(value))
+            }
             other => Err(format!("no such method {other}")),
         }
     }
 }
+
+/// Ceiling for [`verbs_small_echo_whole_process_allocations_within_ceiling`].
+const WHOLE_PROCESS_ALLOCS_PER_SMALL_ECHO: f64 = 6.0;
 
 const WARMUP_CALLS: usize = 50;
 const MEASURED_CALLS: u64 = 20;
@@ -128,6 +185,7 @@ fn measure_per_call(fabric: &Fabric, cfg: RpcConfig) -> u64 {
 #[test]
 #[ignore = "tier-2: allocator-sensitive, run with --ignored"]
 fn rdma_steady_state_call_is_allocation_free() {
+    let _serial = serial();
     let fabric = Fabric::new(model::IB_QDR_VERBS);
     let per_call = measure_per_call(&fabric, RpcConfig::rpcoib());
     assert_eq!(
@@ -144,6 +202,7 @@ fn rdma_steady_state_call_is_allocation_free() {
 #[test]
 #[ignore = "tier-2: allocator-sensitive, run with --ignored"]
 fn rdma_steady_state_large_call_is_allocation_and_registration_free() {
+    let _serial = serial();
     use rpcoib::intern::method_key;
     use rpcoib::transport::rdma::RdmaConn;
     use rpcoib::transport::Conn;
@@ -222,6 +281,7 @@ fn rdma_steady_state_large_call_is_allocation_and_registration_free() {
 #[test]
 #[ignore = "tier-2: allocator-sensitive, run with --ignored"]
 fn socket_steady_state_call_allocates_within_bound() {
+    let _serial = serial();
     let fabric = Fabric::new(model::IPOIB_QDR);
     let per_call = measure_per_call(&fabric, RpcConfig::socket());
     assert!(
@@ -239,6 +299,7 @@ fn socket_steady_state_call_allocates_within_bound() {
 #[test]
 #[ignore = "tier-2: allocator-sensitive, run with --ignored"]
 fn legacy_metadata_mode_restores_per_call_allocations() {
+    let _serial = serial();
     let fabric = Fabric::new(model::IB_QDR_VERBS);
     let cfg = RpcConfig {
         legacy_metadata: true,
@@ -248,5 +309,71 @@ fn legacy_metadata_mode_restores_per_call_allocations() {
     assert!(
         per_call >= 8,
         "legacy mode must re-enact the historical metadata allocations (got {per_call}/call)"
+    );
+}
+
+/// Boots a verbs server + client pair, warms it with `warmup` echoes of
+/// `payload` bytes, then counts allocations on *every* thread across
+/// `calls` more. Returns (all, at least `payload` bytes) per call.
+fn measure_process_wide(payload: usize, warmup: usize, calls: u64) -> (f64, f64) {
+    let fabric = Fabric::new(model::IB_QDR_VERBS);
+    let cfg = RpcConfig::rpcoib();
+    let mut registry = ServiceRegistry::new();
+    registry.register(Arc::new(EchoService));
+    let server = Server::start(&fabric, fabric.add_node(), 8020, cfg.clone(), registry).unwrap();
+    let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+    let addr = server.addr();
+    let body = BytesWritable(vec![0x42; payload]);
+    let echo = || {
+        let got: BytesWritable = client
+            .call(addr, "test.AllocProtocol", "echo_bytes", &body)
+            .unwrap();
+        assert_eq!(got.0.len(), payload);
+    };
+    for _ in 0..warmup {
+        echo();
+    }
+    let (all, big) = counted_process_wide(payload, || {
+        for _ in 0..calls {
+            echo();
+        }
+    });
+    client.shutdown();
+    server.stop();
+    (all as f64 / calls as f64, big as f64 / calls as f64)
+}
+
+/// Whole-process allocations of one steady-state 512 B verbs echo:
+/// caller, Connection thread, reader shard, handler (which also sends the
+/// response), retry cache. Measured 5.0 — the caller's and the handler's
+/// payload values, the handler's boxed result, and the response body
+/// with its `Arc` — so the ceiling is 6; staging responses through
+/// per-call route and frame vectors on the way to a responder thread
+/// measured 14.
+#[test]
+#[ignore = "tier-2: allocator-sensitive, run with --ignored"]
+fn verbs_small_echo_whole_process_allocations_within_ceiling() {
+    let _serial = serial();
+    let (per_call, _) = measure_process_wide(512, 300, 400);
+    assert!(
+        per_call <= WHOLE_PROCESS_ALLOCS_PER_SMALL_ECHO,
+        "a 512 B verbs echo now costs {per_call:.2} allocations process-wide \
+         (ceiling {WHOLE_PROCESS_ALLOCS_PER_SMALL_ECHO})"
+    );
+}
+
+/// Payload-sized heap buffers of one 256 KiB verbs echo: the handler's
+/// request value, the serialized response body (allocated once, at its
+/// final size), and the caller's response value. Request and response
+/// cross the wire in pooled registered memory; a fourth buffer means a
+/// payload copy crept back into the response path.
+#[test]
+#[ignore = "tier-2: allocator-sensitive, run with --ignored"]
+fn verbs_bulk_echo_allocates_at_most_three_payload_buffers() {
+    let _serial = serial();
+    let (_, big_per_call) = measure_process_wide(256 * 1024, 24, 40);
+    assert!(
+        big_per_call <= 3.0,
+        "a 256 KiB echo now allocates {big_per_call:.2} payload-sized buffers per call"
     );
 }
