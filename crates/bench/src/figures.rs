@@ -1619,14 +1619,12 @@ const MN_FAST_SERVICE_NS: u64 = 4_000;
 /// call frame (queue ops + one closure invocation; no stack switch).
 const MN_PARK_POLL_NS: u64 = 500;
 
-/// Figure: the M:N handler runtime (`handler_runtime = mn`) — parked
-/// calls cost bytes, not threads.
+/// Figure: the handler runtime — parked calls cost bytes, not threads.
 ///
 /// **Part A (real engine, both transports).** A lone sequential
-/// ping-pong under `threads` versus `mn`: the runtime choice must be
-/// invisible to the modeled ledger when nothing suspends. Asserted
-/// in-code: the p50 delta is *exactly* 0 bp on both transports (same
-/// seed ⇒ same jitter draws ⇒ identical samples).
+/// ping-pong: the reference cost of a call that never suspends (its
+/// first poll completes on the worker's stack; the scheduler in Part B
+/// never sees it).
 ///
 /// **Part B (virtual time).** The *real* [`Sched`] — same queues, same
 /// wake cells, same timer heap the server mounts — driven
@@ -1639,36 +1637,21 @@ const MN_PARK_POLL_NS: u64 = 500;
 /// the file byte-identical per seed.
 pub fn run_handlers_mn(opts: &RunOpts, git_rev: &str) -> Json {
     use rpcoib::metrics::{MetricsRegistry, ShardRole};
-    use rpcoib::{HandlerRuntime, Sched, Step};
+    use rpcoib::{Sched, Step};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     let mut rows = Vec::new();
 
-    // ---- Part A: lone-call equivalence on the real engine. ----
+    // ---- Part A: a lone call on the real engine. ----
     let warmup = opts.iters(5, 20);
     let iters = opts.iters(40, 200);
     for (label, cfg) in transports() {
-        let mut p50 = std::collections::HashMap::new();
-        for runtime in [HandlerRuntime::Threads, HandlerRuntime::Mn] {
-            let mut cfg = cfg.clone();
-            cfg.rpc.handler_runtime = runtime;
-            let env = boot(&cfg, opts.seed, Some(JITTER));
-            let mut samples = modeled_samples(&env, 512, warmup, iters);
-            let row = Json::obj()
-                .field("transport", label)
-                .field("point", format!("lone_{}", runtime.name()));
-            let row = percentile_fields(row, &mut samples);
-            p50.insert(runtime.name(), percentile_ns(&samples, 0.50));
-            rows.push(row);
-            env.client.shutdown();
-        }
-        let (threads, mn) = (p50["threads"], p50["mn"]);
-        assert_eq!(
-            threads, mn,
-            "{label}: a lone call must cost identically under threads and mn \
-             (threads p50 {threads} ns vs mn p50 {mn} ns; delta must be 0 bp)"
-        );
+        let env = boot(&cfg, opts.seed, Some(JITTER));
+        let mut samples = modeled_samples(&env, 512, warmup, iters);
+        let row = Json::obj().field("transport", label).field("point", "lone");
+        rows.push(percentile_fields(row, &mut samples));
+        env.client.shutdown();
     }
 
     // ---- Part B: the runtime itself under a parked-call flood. ----

@@ -1,5 +1,5 @@
 //! Weighted-fair, deadline-aware admission queue between the reader
-//! shards and the handler pool.
+//! shards and the handler workers.
 //!
 //! The seed design used one bounded FIFO channel: first come, first
 //! served, with a global `STATUS_BUSY` overflow. Under skewed
@@ -35,9 +35,8 @@
 //! seed's ordering exactly.
 
 use std::collections::{HashMap, VecDeque};
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Why [`AdmissionQueue::try_push`] refused a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +147,6 @@ struct State<T> {
 /// See module docs.
 pub struct AdmissionQueue<T> {
     state: Mutex<State<T>>,
-    cv: Condvar,
     capacity: usize,
     /// Per-tenant outstanding cap; 0 = unlimited.
     quota: usize,
@@ -170,7 +168,6 @@ impl<T> AdmissionQueue<T> {
                 len: 0,
                 closed: false,
             }),
-            cv: Condvar::new(),
             capacity,
             quota,
             weights: weights.iter().copied().collect(),
@@ -196,7 +193,9 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Admit a call, or hand it back with the reason. Never blocks.
+    /// Admit a call, or hand it back with the reason. Never blocks, and
+    /// wakes nobody: the queue has no blocking consumer, the pusher
+    /// notifies whoever pops (the server: `Sched::notify`).
     pub fn try_push(&self, meta: CallMeta, item: T) -> Result<(), (AdmitError, T)> {
         let mut st = self.state.lock();
         if st.closed {
@@ -226,8 +225,6 @@ impl<T> AdmissionQueue<T> {
         if newly_ready {
             st.ring.push_back(key);
         }
-        drop(st);
-        self.cv.notify_one();
         Ok(())
     }
 
@@ -235,29 +232,8 @@ impl<T> AdmissionQueue<T> {
     /// heads as `shed` and return the next runnable call per the fair
     /// schedule. Never blocks.
     pub fn try_pop(&self, now_ns: u64) -> Popped<T> {
-        let mut st = self.state.lock();
-        self.pop_locked(&mut st, now_ns)
-    }
-
-    /// Blocking pop: like [`AdmissionQueue::try_pop`] but parks up to
-    /// `timeout` waiting for work. Returns empty on timeout or when the
-    /// queue is closed and drained. `now_ns` is sampled by the caller —
-    /// a stale reading after a park only delays sheds, never invents
-    /// them.
-    pub fn pop(&self, now_ns: u64, timeout: Duration) -> Popped<T> {
-        let mut st = self.state.lock();
-        loop {
-            let popped = self.pop_locked(&mut st, now_ns);
-            if !popped.is_empty() || st.closed {
-                return popped;
-            }
-            if self.cv.wait_for(&mut st, timeout).timed_out() {
-                return self.pop_locked(&mut st, now_ns);
-            }
-        }
-    }
-
-    fn pop_locked(&self, st: &mut State<T>, now_ns: u64) -> Popped<T> {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let mut shed = Vec::new();
         while let Some(&key) = st.ring.front() {
             let bucket = st.buckets.get_mut(&key).expect("ringed bucket exists");
@@ -343,12 +319,10 @@ impl<T> AdmissionQueue<T> {
         self.len() == 0
     }
 
-    /// Close the queue: future pushes fail with [`AdmitError::Closed`]
-    /// and blocked pops wake. Already-queued calls remain poppable so a
-    /// drain can finish them.
+    /// Close the queue: future pushes fail with [`AdmitError::Closed`].
+    /// Already-queued calls remain poppable so a drain can finish them.
     pub fn close(&self) {
         self.state.lock().closed = true;
-        self.cv.notify_all();
     }
 }
 
@@ -519,20 +493,16 @@ mod tests {
     }
 
     #[test]
-    fn blocking_pop_wakes_on_push_and_on_close() {
-        use std::sync::Arc;
-        let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(16, 0, &[]));
-        let q2 = Arc::clone(&q);
-        let popper = std::thread::spawn(move || q2.pop(0, Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
+    fn a_push_is_poppable_at_once_and_close_leaves_the_queue_drainable() {
+        let q: AdmissionQueue<u32> = AdmissionQueue::new(16, 0, &[]);
+        assert!(q.try_pop(0).is_empty());
         q.try_push(meta(1), 42).unwrap();
-        assert_eq!(popper.join().unwrap().run.unwrap().1, 42);
+        assert_eq!(q.try_pop(0).run.unwrap().1, 42);
 
-        let q2 = Arc::clone(&q);
-        let popper = std::thread::spawn(move || q2.pop(0, Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
+        q.try_push(meta(1), 43).unwrap();
         q.close();
-        assert!(popper.join().unwrap().is_empty());
+        assert_eq!(q.try_pop(0).run.unwrap().1, 43);
+        assert!(q.try_pop(0).is_empty());
     }
 
     #[test]

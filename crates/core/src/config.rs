@@ -9,41 +9,6 @@ use std::time::Duration;
 
 use crate::retry::RetryPolicy;
 
-/// Which execution engine runs server-side handlers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HandlerRuntime {
-    /// The paper's fixed pool: `cfg.handlers` OS threads, each blocking
-    /// on one call at a time. The default; byte-identical to the
-    /// pre-M:N engine (all committed bench baselines are recorded
-    /// under it).
-    #[default]
-    Threads,
-    /// The work-stealing M:N runtime (`core::sched`): lightweight call
-    /// tasks on `handler_workers` OS workers; a parked call costs bytes,
-    /// not a thread, so in-flight calls are bounded by
-    /// `max_inflight_calls`, not thread count.
-    Mn,
-}
-
-impl HandlerRuntime {
-    /// Stable lowercase name (config/env/JSON spelling).
-    pub fn name(self) -> &'static str {
-        match self {
-            HandlerRuntime::Threads => "threads",
-            HandlerRuntime::Mn => "mn",
-        }
-    }
-
-    /// Parse the config/env spelling (`"threads"` / `"mn"`).
-    pub fn parse(s: &str) -> Option<HandlerRuntime> {
-        match s {
-            "threads" => Some(HandlerRuntime::Threads),
-            "mn" => Some(HandlerRuntime::Mn),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration shared by [`crate::Client`] and [`crate::Server`].
 #[derive(Debug, Clone)]
 pub struct RpcConfig {
@@ -53,7 +18,10 @@ pub struct RpcConfig {
     /// Messages at or below this size go through send/recv; larger ones
     /// through one-sided RDMA write (Section III-D's tunable threshold).
     pub rdma_threshold: usize,
-    /// Server handler thread count (the paper's microbenchmarks fix 8).
+    /// Server handler worker count (the paper's microbenchmarks fix 8).
+    /// A call runs on one of these threads; one that suspends
+    /// (`RpcService::call_mn` returning `Pending`) gives the thread back
+    /// and is resumed later by whichever is free.
     pub handlers: usize,
     /// Bound of the server call queue between Readers and Handlers.
     pub call_queue_len: usize,
@@ -154,19 +122,12 @@ pub struct RpcConfig {
     /// latency, not rejection), keeping the accept path's thread and
     /// memory use bounded.
     pub accept_backlog: usize,
-    /// Which engine runs handlers: `Threads` (default, the paper's
-    /// fixed pool — byte-identical legacy behaviour) or `Mn` (the
-    /// work-stealing lightweight-task runtime in `core::sched`).
-    pub handler_runtime: HandlerRuntime,
-    /// OS worker threads driving the M:N runtime. `0` = auto
-    /// (currently 4). Ignored under `handler_runtime = Threads`, where
-    /// `handlers` sizes the pool as before.
-    pub handler_workers: usize,
-    /// Cap on concurrently in-flight lightweight call tasks (runnable +
-    /// running + parked) under the M:N runtime; workers stop popping
+    /// Cap on calls popped from the admission queue and not yet
+    /// answered (running + runnable + parked); workers stop popping
     /// admission when at the cap, leaving calls queued (backpressure,
-    /// not rejection). `0` (default) = memory-bound, no cap. Ignored
-    /// under `Threads`.
+    /// not rejection). It only binds when calls suspend — otherwise at
+    /// most `handlers` are ever in flight. `0` (default) = memory-bound,
+    /// no cap.
     pub max_inflight_calls: usize,
     /// Reader-shard work-stealing: an idle reader shard steals a ready
     /// token from a hot sibling's ready queue (per-connection order is
@@ -204,10 +165,6 @@ pub(crate) const AUTO_READER_SHARDS: usize = 4;
 /// one, matching the paper's single Responder thread.
 pub(crate) const AUTO_RESPONDER_SHARDS: usize = 1;
 
-/// M:N worker count used when `handler_workers` is `0` (auto): four, the
-/// figure's reference point ("100k parked calls on 4 workers").
-pub(crate) const AUTO_HANDLER_WORKERS: usize = 4;
-
 impl Default for RpcConfig {
     fn default() -> Self {
         RpcConfig {
@@ -237,8 +194,6 @@ impl Default for RpcConfig {
             deadline_propagation: true,
             max_connections: 0,
             accept_backlog: 64,
-            handler_runtime: HandlerRuntime::Threads,
-            handler_workers: 0,
             max_inflight_calls: 0,
             reader_steal: false,
             priority_protocols: Vec::new(),
@@ -276,15 +231,6 @@ impl RpcConfig {
             AUTO_RESPONDER_SHARDS
         } else {
             self.responder_shards
-        }
-    }
-
-    /// The effective M:N worker count (resolving `0` = auto).
-    pub fn effective_handler_workers(&self) -> usize {
-        if self.handler_workers == 0 {
-            AUTO_HANDLER_WORKERS
-        } else {
-            self.handler_workers
         }
     }
 
@@ -340,19 +286,10 @@ impl RpcConfig {
         if self.accept_backlog == 0 {
             return Err("accept_backlog must be >= 1 (no connection could ever set up)".into());
         }
-        if self.handler_workers > MAX_SHARDS {
+        if self.max_inflight_calls != 0 && self.max_inflight_calls < self.handlers {
             return Err(format!(
-                "handler_workers ({}) exceeds the sanity cap ({MAX_SHARDS})",
-                self.handler_workers
-            ));
-        }
-        if self.max_inflight_calls != 0
-            && self.max_inflight_calls < self.effective_handler_workers()
-        {
-            return Err(format!(
-                "max_inflight_calls ({}) below handler_workers ({}): workers could never all run",
-                self.max_inflight_calls,
-                self.effective_handler_workers()
+                "max_inflight_calls ({}) below handlers ({}): workers could never all run",
+                self.max_inflight_calls, self.handlers
             ));
         }
         {
@@ -590,45 +527,22 @@ mod tests {
     }
 
     #[test]
-    fn handler_runtime_knobs_validated() {
-        // Defaults: legacy thread pool, auto worker count, no cap.
+    fn inflight_cap_validated() {
+        // Defaults: no cap, no stealing, one admission class.
         let cfg = RpcConfig::default();
-        assert_eq!(cfg.handler_runtime, HandlerRuntime::Threads);
-        assert_eq!(cfg.handler_workers, 0);
-        assert_eq!(cfg.effective_handler_workers(), AUTO_HANDLER_WORKERS);
         assert_eq!(cfg.max_inflight_calls, 0);
         assert!(!cfg.reader_steal);
         assert!(cfg.priority_protocols.is_empty());
-        // Name/parse round-trips are the env/config spelling.
-        for rt in [HandlerRuntime::Threads, HandlerRuntime::Mn] {
-            assert_eq!(HandlerRuntime::parse(rt.name()), Some(rt));
-        }
-        assert_eq!(HandlerRuntime::parse("fibers"), None);
-        // A sane mn config validates.
         let cfg = RpcConfig {
-            handler_runtime: HandlerRuntime::Mn,
-            handler_workers: 4,
+            handlers: 4,
             max_inflight_calls: 100_000,
             ..RpcConfig::default()
         };
         cfg.validate().unwrap();
         // A cap below the worker count could never let them all run.
         let cfg = RpcConfig {
-            handler_runtime: HandlerRuntime::Mn,
-            handler_workers: 8,
+            handlers: 8,
             max_inflight_calls: 4,
-            ..RpcConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        // ...and the auto worker count participates in that check.
-        let cfg = RpcConfig {
-            max_inflight_calls: AUTO_HANDLER_WORKERS - 1,
-            ..RpcConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        // Absurd worker counts are caught like shard counts.
-        let cfg = RpcConfig {
-            handler_workers: MAX_SHARDS + 1,
             ..RpcConfig::default()
         };
         assert!(cfg.validate().is_err());

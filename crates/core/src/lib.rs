@@ -86,7 +86,7 @@ pub mod transport;
 
 pub use admission::{AdmissionQueue, AdmitError, CallClass, CallMeta, Popped};
 pub use client::{Client, RawResponse};
-pub use config::{HandlerRuntime, RpcConfig};
+pub use config::RpcConfig;
 pub use error::{RpcError, RpcResult};
 pub use frame::{FrameVersion, Payload, ResponseStatus, V3Decoder, V3Encoder};
 pub use intern::{MethodId, MethodKey};
@@ -98,7 +98,7 @@ pub use metrics::{
 pub use readiness::{ReadyQueue, WakeState};
 pub use retry::RetryPolicy;
 pub use retry_cache::{Admission, RetryCache};
-pub use sched::{CallPoll, HandlerCx, RunOutcome, Sched, Step, WakeHandle};
+pub use sched::{CallPoll, HandlerCx, Sched, Step, WakeHandle};
 pub use server::Server;
 pub use service::{RpcService, ServiceRegistry};
 pub use stream::{RdmaInputStream, RdmaOutputStream, RegionReader};

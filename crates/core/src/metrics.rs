@@ -392,9 +392,8 @@ pub enum ShardRole {
     /// transmits what handlers could not send inline, and every response
     /// sent for its connections — by whichever thread — is booked here.
     Responder,
-    /// An M:N handler-runtime worker (`handler_runtime = mn`): pops the
-    /// admission queue, runs lightweight call tasks, steals from
-    /// siblings. Absent in `threads` mode.
+    /// A handler worker: pops the admission queue, polls calls, resumes
+    /// suspended ones, steals them from siblings.
     Worker,
 }
 
@@ -424,13 +423,13 @@ pub struct ShardStats {
     queue_depth_max: AtomicU64,
     /// Work items this shard has completed (reader shards: frames read;
     /// responder shards: response transmissions attempted on its
-    /// connections, inline sends by handlers included; workers: tasks
+    /// connections, inline sends by handlers included; workers: calls
     /// completed).
     processed: AtomicU64,
     /// Busy rejections this shard issued (reader shards).
     busy_rejections: AtomicU64,
     /// Work taken from a sibling: reader shards count ready tokens
-    /// stolen from a hot sibling's wake list; M:N workers count tasks
+    /// stolen from a hot sibling's wake list; handler workers count tasks
     /// stolen from a sibling's run queue.
     steals: AtomicU64,
     /// Tasks this worker parked (suspended awaiting a wake). Reader and

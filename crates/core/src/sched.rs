@@ -1,38 +1,39 @@
-//! The M:N handler runtime: work-stealing lightweight tasks.
+//! The handler runtime: a call is a stack frame until it suspends, a
+//! heap frame after.
 //!
 //! The paper's server executes every call on a dedicated OS thread from a
-//! fixed pool, so in-flight concurrency is capped at `cfg.handlers` — a
-//! slow handler pins a thread for its whole duration. Following the
-//! bRPC/bthread argument (and Ibdxnet's, for highly concurrent
-//! InfiniBand applications): decouple *logical* concurrency from kernel
-//! threads. This module provides the runtime the server mounts when
-//! `RpcConfig::handler_runtime` is [`mn`](crate::config::HandlerRuntime):
+//! fixed pool, so a slow handler pins a thread for its whole duration.
+//! Following the bRPC/bthread argument (and Ibdxnet's, for highly
+//! concurrent InfiniBand applications), logical concurrency is decoupled
+//! from kernel threads — but only for the calls that need it. The
+//! server's workers poll every call once on their own stack
+//! ([`Sched::run_first`]); a call that completes there never touches
+//! this module's queues. Only a poll that returns [`Step::Yield`] or
+//! [`Step::Park`] boxes the call into a [`Task`]:
 //!
-//! * **Lightweight tasks** — a task is a heap-allocated call frame (a
-//!   boxed `FnMut` closure plus wake bookkeeping, tens of bytes) with
-//!   *explicit* yield/park points. No stack switching: handlers are
-//!   already closure-shaped, so suspension is "return
-//!   [`Step::Park`] and be polled again", exactly like a hand-rolled
-//!   future. A parked call costs bytes, not a thread.
-//! * **Per-worker LIFO run queues with stealing** — each worker owns a
-//!   deque: it pushes and pops at the back (LIFO, for cache-warm
-//!   continuations), thieves take from the front (FIFO, the oldest —
-//!   the Chase-Lev discipline, here under a short mutex rather than a
-//!   lock-free deque since queue ops are nanoseconds against
-//!   microsecond-scale handler bodies).
-//! * **A global injector** — new calls popped from the
-//!   [`AdmissionQueue`](crate::admission::AdmissionQueue) enter in DRR
-//!   pop order, and externally woken tasks re-enter here, visible to
-//!   every worker.
+//! * **Lightweight tasks** — a heap-allocated call frame (a boxed `FnMut`
+//!   closure) with *explicit* yield/park points. No stack switching:
+//!   suspension is "return [`Step::Park`] and be polled again", like a
+//!   hand-rolled future. A parked call costs bytes, not a thread.
+//! * **Per-worker LIFO run queues with stealing** — a worker pushes and
+//!   pops its deque at the back (cache-warm continuations), thieves take
+//!   from the front (the oldest — the Chase-Lev discipline, under a short
+//!   mutex: queue ops are nanoseconds against microsecond handlers).
+//! * **A global injector** — woken tasks re-enter here, visible to every
+//!   worker.
 //! * **A parker on the modeled-time ledger's terms** — parking charges
-//!   **zero** nanoseconds to any node: the task's frame sits in its
-//!   [`WakeHandle`] slot (or the timer heap for [`park_until`]
-//!   deadlines) and no thread spins or sleeps on its behalf. Wakes
-//!   follow the PR-8 `WakeSlot`/[`WakeState`](crate::readiness)
-//!   contract: firing is charge-free, non-blocking, idempotent while
-//!   armed (at most one requeue per park), and a wake racing the park
-//!   itself is never lost — it is observed at park-commit time and the
-//!   task re-queues instead of suspending.
+//!   **zero** nanoseconds to any node: the frame sits in the parked
+//!   table under its wake cell's key (plus a timer entry for
+//!   [`park_until`](TaskCx::park_until_ns) deadlines) and no thread
+//!   spins or sleeps on its behalf. Wakes follow the PR-8
+//!   `WakeSlot`/[`WakeState`](crate::readiness) contract: charge-free,
+//!   non-blocking, idempotent while armed (at most one requeue per
+//!   park), and a wake racing the park itself is observed at park-commit
+//!   time — the task re-queues instead of suspending.
+//!
+//! The runtime owns every frame (run queues, injector, parked table); a
+//! [`WakeHandle`] owns only its cell, so [`Sched::close`] drops every
+//! frame whoever still holds a handle.
 //!
 //! Time is an explicit `now_ns` argument on every operation, exactly
 //! like the admission queue: the server's workers feed a monotonic
@@ -41,8 +42,8 @@
 //! committed JSON baseline bit-for-bit reproducible.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cell::{Cell, OnceCell};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -60,37 +61,24 @@ pub enum Step {
     /// deque, so everything already runnable goes first.
     Yield,
     /// Suspend. The task is re-queued when its [`WakeHandle`] fires —
-    /// from the timer heap if [`TaskCx::park_until_ns`] set a deadline,
-    /// or from any thread holding a clone of the handle.
+    /// from the timer table if [`TaskCx::park_until_ns`] set a deadline,
+    /// or from any thread holding a clone of the handle. If a wake
+    /// already fired during this poll, it re-queues at once instead.
     Park,
 }
 
-/// Outcome of [`Sched::run`], for drivers that track per-task progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    Done,
-    Yielded,
-    Parked,
-    /// The task asked to park but a wake had already fired during the
-    /// poll; it was re-queued immediately instead of suspending.
-    WakePending,
-}
-
 /// Context handed to a task on every poll.
-pub struct TaskCx {
+pub struct TaskCx<'a> {
     now_ns: u64,
     polls: u64,
-    wake: WakeHandle,
-    park_deadline_ns: Option<u64>,
+    sched: &'a Arc<SchedInner>,
+    /// The task's wake cell, allocated the first time anyone asks for a
+    /// handle (or the task parks): a call that never suspends has none.
+    cell: &'a OnceCell<Arc<WakeCell>>,
+    park_deadline_ns: Cell<Option<u64>>,
 }
 
-impl TaskCx {
-    /// The driver's clock reading for this poll (the server's monotonic
-    /// ns-since-start, or virtual time under the bench harness).
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns
-    }
-
+impl TaskCx<'_> {
     /// Times this task has been polled before the current poll.
     pub fn polls(&self) -> u64 {
         self.polls
@@ -101,48 +89,50 @@ impl TaskCx {
     /// `now_ns` reaches `at_ns`. Without this, a parked task waits for
     /// its [`WakeHandle`] alone.
     pub fn park_until_ns(&mut self, at_ns: u64) {
-        self.park_deadline_ns = Some(at_ns);
+        self.park_deadline_ns.set(Some(at_ns));
     }
 
     /// A clonable wake handle for external events (a stream becoming
-    /// readable, a completion arriving). Fits anywhere a PR-8 wake hook
-    /// does: firing is charge-free, non-blocking, and idempotent per
-    /// park.
+    /// readable, a completion arriving): firing is charge-free,
+    /// non-blocking, and idempotent per park.
     pub fn wake_handle(&self) -> WakeHandle {
-        self.wake.clone()
+        WakeHandle {
+            cell: Arc::clone(self.sched.cell_of(self.cell)),
+        }
     }
 }
 
-/// A lightweight task: the boxed call frame plus its wake cell.
+/// A lightweight task: the boxed call frame plus its (lazy) wake cell.
 pub struct Task {
-    poll: Box<dyn FnMut(&mut TaskCx) -> Step + Send>,
-    wake: Arc<WakeCell>,
+    poll: Box<dyn FnMut(&mut TaskCx<'_>) -> Step + Send>,
+    wake: OnceCell<Arc<WakeCell>>,
     polls: u64,
 }
 
-/// The parked-task state machine (the `WakeSlot` contract, with the
-/// frame itself riding in the slot):
+/// The parked-task state machine (the `WakeSlot` contract):
 ///
-/// * `Running { notified: false }` — owned by a queue or a polling
-///   worker; a wake sets `notified`.
+/// * `Running { notified: false }` — the task is on a queue or being
+///   polled; a wake sets `notified`.
 /// * `Running { notified: true }` — a wake fired while the task was not
 ///   parked; the next park-commit consumes it and requeues instead of
 ///   suspending. Further wakes coalesce (at most one requeue per park).
-/// * `Parked(frame)` — suspended; the *only* owner of the frame. A wake
-///   takes the frame and injects it.
-/// * `Done` — completed; wakes (e.g. a late timer) are inert.
+/// * `Parked` — suspended; the frame sits in the parked table under this
+///   cell's key. A wake takes it out and injects it.
+/// * `Done` — completed or dropped; wakes (e.g. a late timer) are inert.
 enum WakeSt {
     Running { notified: bool },
-    Parked(Task),
+    Parked,
     Done,
 }
 
 struct WakeCell {
     st: Mutex<WakeSt>,
     sched: Weak<SchedInner>,
-    /// Stats of the worker that parked the task, so the wake is
-    /// attributed to it wherever the wake itself runs.
-    parked_by: Mutex<Option<Arc<ShardStats>>>,
+}
+
+/// Key of a cell's frame in the parked table.
+fn parked_key(cell: &Arc<WakeCell>) -> usize {
+    Arc::as_ptr(cell) as usize
 }
 
 /// Clonable wake handle for one task. See [`TaskCx::wake_handle`].
@@ -158,94 +148,112 @@ impl WakeHandle {
     /// non-blocking, idempotent while armed; inert after completion.
     pub fn wake(&self) {
         let Some(sched) = self.cell.sched.upgrade() else {
-            return; // runtime gone (abrupt stop)
+            return; // runtime gone
         };
         let mut st = self.cell.st.lock();
-        match std::mem::replace(&mut *st, WakeSt::Done) {
-            WakeSt::Parked(task) => {
+        match *st {
+            WakeSt::Parked => {
+                let parked = sched.parked.lock().remove(&parked_key(&self.cell));
+                let Some((worker, task)) = parked else {
+                    *st = WakeSt::Done; // the frame went with `close`
+                    return;
+                };
                 *st = WakeSt::Running { notified: false };
                 drop(st);
-                if let Some(stats) = self.cell.parked_by.lock().as_ref() {
-                    stats.inc_wake();
-                }
-                sched.parked.fetch_sub(1, Ordering::AcqRel);
-                sched.inject(task);
+                // Attributed to the worker that parked the task,
+                // wherever the wake itself runs.
+                sched.stats[worker].inc_wake();
+                sched.enqueue(&sched.injector, task, false);
             }
-            WakeSt::Running { .. } => {
-                *st = WakeSt::Running { notified: true };
-            }
-            WakeSt::Done => {} // keep Done
+            WakeSt::Running { .. } => *st = WakeSt::Running { notified: true },
+            WakeSt::Done => {}
         }
-    }
-
-    /// Adapt this handle into a PR-8 style wake hook (what
-    /// `Conn::set_ready_hook` and `simnet::WakeSlot::set` accept), so a
-    /// streaming handler can park until a transport readiness edge.
-    pub fn hook(&self) -> Arc<dyn Fn() + Send + Sync> {
-        let h = self.clone();
-        Arc::new(move || h.wake())
-    }
-}
-
-/// One timer-heap entry, min-ordered by `(at_ns, seq)`; `seq` breaks
-/// ties in park order so firing is deterministic.
-struct TimerEntry {
-    at_ns: u64,
-    seq: u64,
-    wake: WakeHandle,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at_ns, self.seq) == (other.at_ns, other.seq)
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_ns, self.seq).cmp(&(other.at_ns, other.seq))
     }
 }
 
 struct SchedInner {
     /// Per-worker run queues: owner at the back, thieves at the front.
     locals: Vec<Mutex<VecDeque<Task>>>,
-    /// The global injector: new calls (in admission DRR order) and
-    /// externally woken tasks.
+    /// The global injector: externally spawned and woken tasks.
     injector: Mutex<VecDeque<Task>>,
-    /// Parked tasks with a deadline, min-heap on `(at_ns, seq)`.
-    timers: Mutex<BinaryHeap<Reverse<TimerEntry>>>,
-    timer_seq: AtomicU64,
-    /// Tasks spawned and not yet completed (runnable + running + parked).
-    inflight: AtomicUsize,
-    /// Currently parked tasks, plus the lifetime high-water mark — the
-    /// "in-flight calls cost bytes" claim, observable.
-    parked: AtomicUsize,
+    /// Suspended frames by [`parked_key`], each with the worker that
+    /// parked it — "in-flight calls cost bytes", observable.
+    parked: Mutex<HashMap<usize, (usize, Task)>>,
     parked_peak: AtomicUsize,
-    /// Idle workers block here; wakes, spawns, injections, admission
-    /// pushes, and close all notify.
+    /// Armed park deadlines in firing order: `(at_ns, seq)`, `seq`
+    /// breaking ties in park order so firing is deterministic.
+    timers: Mutex<BTreeMap<(u64, u64), WakeHandle>>,
+    timer_seq: AtomicU64,
+    /// Calls entered and not yet completed: on a worker's stack,
+    /// runnable, or parked.
+    inflight: AtomicUsize,
+    /// Idle workers block on `idle_cv`; every producer of work bumps
+    /// `wake_epoch` *under* `idle_lock` before signalling, so a worker
+    /// that read the epoch before its empty scan can tell, under the
+    /// same lock, that something arrived since.
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
+    wake_epoch: AtomicU64,
+    /// Set by [`Sched::close`]. Every site that stores a frame checks it
+    /// under the lock it stores under, so `close`'s sweep of that
+    /// container is final.
     closed: AtomicBool,
     stats: Vec<Arc<ShardStats>>,
 }
 
 impl SchedInner {
-    fn inject(&self, task: Task) {
-        self.injector.lock().push_back(task);
+    fn cell_of<'c>(self: &Arc<Self>, cell: &'c OnceCell<Arc<WakeCell>>) -> &'c Arc<WakeCell> {
+        cell.get_or_init(|| {
+            Arc::new(WakeCell {
+                st: Mutex::new(WakeSt::Running { notified: false }),
+                sched: Arc::downgrade(self),
+            })
+        })
+    }
+
+    fn closed(&self) -> bool {
+        self.closed.load(Ordering::SeqCst)
+    }
+
+    fn notify(&self) {
+        {
+            let _idle = self.idle_lock.lock();
+            self.wake_epoch.fetch_add(1, Ordering::SeqCst);
+        }
         self.idle_cv.notify_one();
+    }
+
+    /// Store `task` on `queue` (front or back) and wake a worker — or,
+    /// once closed, drop the frame.
+    fn enqueue(&self, queue: &Mutex<VecDeque<Task>>, task: Task, front: bool) {
+        let mut q = queue.lock();
+        if self.closed() {
+            drop(q);
+            return self.retire(&task.wake);
+        }
+        if front {
+            q.push_front(task);
+        } else {
+            q.push_back(task);
+        }
+        drop(q);
+        self.notify();
+    }
+
+    /// One call is over — completed, or dropped by `close`: any handle
+    /// still out there goes inert.
+    fn retire(&self, wake: &OnceCell<Arc<WakeCell>>) {
+        if let Some(cell) = wake.get() {
+            *cell.st.lock() = WakeSt::Done;
+        }
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// The work-stealing M:N scheduler. Passive by design: it owns no
-/// threads. The server's `mn` worker loops drive it on wall-derived
-/// monotonic time; the `handlers_mn` bench figure drives the identical
-/// structure single-threaded on virtual time.
+/// The work-stealing scheduler. Passive by design: it owns no threads.
+/// The server's worker loops drive it on wall-derived monotonic time;
+/// the `handlers_mn` bench figure drives the identical structure
+/// single-threaded on virtual time.
 pub struct Sched {
     inner: Arc<SchedInner>,
 }
@@ -261,77 +269,95 @@ impl Sched {
             inner: Arc::new(SchedInner {
                 locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
                 injector: Mutex::new(VecDeque::new()),
-                timers: Mutex::new(BinaryHeap::new()),
+                parked: Mutex::new(HashMap::new()),
+                parked_peak: AtomicUsize::new(0),
+                timers: Mutex::new(BTreeMap::new()),
                 timer_seq: AtomicU64::new(0),
                 inflight: AtomicUsize::new(0),
-                parked: AtomicUsize::new(0),
-                parked_peak: AtomicUsize::new(0),
                 idle_lock: Mutex::new(()),
                 idle_cv: Condvar::new(),
+                wake_epoch: AtomicU64::new(0),
                 closed: AtomicBool::new(false),
                 stats,
             }),
         }
     }
 
-    pub fn workers(&self) -> usize {
-        self.inner.locals.len()
+    /// Poll a new call for the first time on `worker`'s own stack. A
+    /// poll that returns [`Step::Done`] allocates nothing and touches no
+    /// queue; only one that yields or parks boxes `poll` into a [`Task`]
+    /// (with `polls() == 1` at its next poll) and queues or parks it
+    /// exactly as [`Sched::run`] would. A [`WakeHandle`] taken — even
+    /// fired — during this poll behaves as on any later one.
+    pub fn run_first<F>(&self, worker: usize, now_ns: u64, mut poll: F)
+    where
+        F: FnMut(&mut TaskCx<'_>) -> Step + Send + 'static,
+    {
+        self.inner.inflight.fetch_add(1, Ordering::AcqRel);
+        let wake = OnceCell::new();
+        let (step, park_deadline_ns) = self.poll_once(&mut poll, &wake, 0, now_ns);
+        if step == Step::Done {
+            self.inner.retire(&wake);
+            self.inner.stats[worker].inc_processed();
+            return;
+        }
+        let task = Task {
+            poll: Box::new(poll),
+            wake,
+            polls: 1,
+        };
+        self.settle(worker, task, step, park_deadline_ns);
     }
 
     /// Spawn a task onto `worker`'s own queue (LIFO end — it runs next
-    /// on that worker unless stolen). This is how a worker turns a call
-    /// it just popped from the admission queue into a frame without
-    /// losing locality.
-    pub fn spawn(&self, worker: usize, poll: impl FnMut(&mut TaskCx) -> Step + Send + 'static) {
+    /// on that worker unless stolen).
+    pub fn spawn(&self, worker: usize, poll: impl FnMut(&mut TaskCx<'_>) -> Step + Send + 'static) {
         let task = self.make_task(Box::new(poll));
-        self.inner.locals[worker].lock().push_back(task);
-        self.inner.idle_cv.notify_one();
+        self.inner.enqueue(&self.inner.locals[worker], task, false);
     }
 
     /// Spawn a task onto the global injector (FIFO). External producers
     /// — and the bench harness modelling arrivals — use this.
-    pub fn inject(&self, poll: impl FnMut(&mut TaskCx) -> Step + Send + 'static) {
+    pub fn inject(&self, poll: impl FnMut(&mut TaskCx<'_>) -> Step + Send + 'static) {
         let task = self.make_task(Box::new(poll));
-        self.inner.inject(task);
+        self.inner.enqueue(&self.inner.injector, task, false);
     }
 
-    fn make_task(&self, poll: Box<dyn FnMut(&mut TaskCx) -> Step + Send>) -> Task {
+    fn make_task(&self, poll: Box<dyn FnMut(&mut TaskCx<'_>) -> Step + Send>) -> Task {
         self.inner.inflight.fetch_add(1, Ordering::AcqRel);
         Task {
             poll,
-            wake: Arc::new(WakeCell {
-                st: Mutex::new(WakeSt::Running { notified: false }),
-                sched: Arc::downgrade(&self.inner),
-                parked_by: Mutex::new(None),
-            }),
+            wake: OnceCell::new(),
             polls: 0,
         }
     }
 
     /// Fire every timer whose deadline has passed at `now_ns`, waking
-    /// the parked tasks in deadline order. Returns how many fired.
-    pub fn fire_timers(&self, now_ns: u64) -> usize {
-        let mut fired = 0;
+    /// the parked tasks in deadline order.
+    pub fn fire_timers(&self, now_ns: u64) {
         loop {
             let wake = {
                 let mut timers = self.inner.timers.lock();
-                match timers.peek() {
-                    Some(Reverse(e)) if e.at_ns <= now_ns => timers.pop().expect("peeked").0.wake,
+                match timers.first_entry() {
+                    Some(e) if e.key().0 <= now_ns => e.remove(),
                     _ => break,
                 }
             };
-            // Outside the heap lock: the wake takes the cell lock and
+            // Outside the timer lock: the wake takes the cell lock and
             // may inject.
             wake.wake();
-            fired += 1;
         }
-        fired
     }
 
     /// The earliest armed timer deadline, if any (idle workers bound
     /// their sleep with it).
     pub fn next_timer_ns(&self) -> Option<u64> {
-        self.inner.timers.lock().peek().map(|Reverse(e)| e.at_ns)
+        self.inner
+            .timers
+            .lock()
+            .keys()
+            .next()
+            .map(|&(at_ns, _)| at_ns)
     }
 
     /// Take the next runnable task for `worker`: own queue's LIFO end,
@@ -358,78 +384,82 @@ impl Sched {
 
     /// Poll `task` once on behalf of `worker` at time `now_ns`, then
     /// retire, requeue, or park it per the returned [`Step`].
-    pub fn run(&self, worker: usize, mut task: Task, now_ns: u64) -> RunOutcome {
+    pub fn run(&self, worker: usize, mut task: Task, now_ns: u64) {
+        let (step, park_deadline_ns) =
+            self.poll_once(&mut *task.poll, &task.wake, task.polls, now_ns);
+        task.polls += 1;
+        self.settle(worker, task, step, park_deadline_ns);
+    }
+
+    fn poll_once(
+        &self,
+        poll: &mut dyn FnMut(&mut TaskCx<'_>) -> Step,
+        cell: &OnceCell<Arc<WakeCell>>,
+        polls: u64,
+        now_ns: u64,
+    ) -> (Step, Option<u64>) {
         let mut cx = TaskCx {
             now_ns,
-            polls: task.polls,
-            wake: WakeHandle {
-                cell: Arc::clone(&task.wake),
-            },
-            park_deadline_ns: None,
+            polls,
+            sched: &self.inner,
+            cell,
+            park_deadline_ns: Cell::new(None),
         };
-        let step = (task.poll)(&mut cx);
-        task.polls += 1;
-        let stats = &self.inner.stats[worker];
+        let step = poll(&mut cx);
+        (step, cx.park_deadline_ns.get())
+    }
+
+    fn settle(&self, worker: usize, task: Task, step: Step, park_deadline_ns: Option<u64>) {
+        let inner = &self.inner;
+        let stats = &inner.stats[worker];
         match step {
             Step::Done => {
-                *task.wake.st.lock() = WakeSt::Done;
-                self.inner.inflight.fetch_sub(1, Ordering::AcqRel);
+                inner.retire(&task.wake);
                 stats.inc_processed();
-                RunOutcome::Done
             }
-            Step::Yield => {
-                // The stealing end: behind everything already queued
-                // locally, ahead of nothing.
-                self.inner.locals[worker].lock().push_front(task);
-                self.inner.idle_cv.notify_one();
-                RunOutcome::Yielded
-            }
+            // The stealing end: behind everything already queued
+            // locally, ahead of nothing.
+            Step::Yield => inner.enqueue(&inner.locals[worker], task, true),
             Step::Park => {
-                let cell = Arc::clone(&task.wake);
-                *cell.parked_by.lock() = Some(Arc::clone(stats));
+                let cell = Arc::clone(inner.cell_of(&task.wake));
                 let mut st = cell.st.lock();
-                match *st {
-                    WakeSt::Running { notified: true } => {
-                        // A wake raced the poll: honor it now instead of
-                        // suspending (the no-lost-wakeup half of the
-                        // contract).
-                        *st = WakeSt::Running { notified: false };
-                        drop(st);
-                        stats.inc_wake();
-                        self.inner.inject(task);
-                        RunOutcome::WakePending
-                    }
-                    _ => {
-                        if let Some(at_ns) = cx.park_deadline_ns {
-                            let seq = self.inner.timer_seq.fetch_add(1, Ordering::Relaxed);
-                            self.inner.timers.lock().push(Reverse(TimerEntry {
-                                at_ns,
-                                seq,
-                                wake: WakeHandle {
-                                    cell: Arc::clone(&cell),
-                                },
-                            }));
-                        }
-                        *st = WakeSt::Parked(task);
-                        drop(st);
-                        stats.inc_park();
-                        let parked = self.inner.parked.fetch_add(1, Ordering::AcqRel) + 1;
-                        self.inner.parked_peak.fetch_max(parked, Ordering::AcqRel);
-                        RunOutcome::Parked
-                    }
+                if matches!(*st, WakeSt::Running { notified: true }) {
+                    // A wake raced the poll: honor it now instead of
+                    // suspending (the no-lost-wakeup half of the
+                    // contract).
+                    *st = WakeSt::Running { notified: false };
+                    drop(st);
+                    stats.inc_wake();
+                    return inner.enqueue(&inner.injector, task, false);
                 }
+                let mut parked = inner.parked.lock();
+                if inner.closed() {
+                    drop((parked, st));
+                    return inner.retire(&task.wake);
+                }
+                if let Some(at_ns) = park_deadline_ns {
+                    let seq = inner.timer_seq.fetch_add(1, Ordering::Relaxed);
+                    let wake = WakeHandle {
+                        cell: Arc::clone(&cell),
+                    };
+                    inner.timers.lock().insert((at_ns, seq), wake);
+                }
+                parked.insert(parked_key(&cell), (worker, task));
+                inner.parked_peak.fetch_max(parked.len(), Ordering::AcqRel);
+                *st = WakeSt::Parked;
+                stats.inc_park();
             }
         }
     }
 
-    /// Spawned tasks not yet completed (runnable + running + parked).
+    /// Calls entered and not yet completed (polling + runnable + parked).
     pub fn inflight(&self) -> usize {
         self.inner.inflight.load(Ordering::Acquire)
     }
 
     /// Tasks currently parked.
     pub fn parked(&self) -> usize {
-        self.inner.parked.load(Ordering::Acquire)
+        self.inner.parked.lock().len()
     }
 
     /// Lifetime high-water mark of concurrently parked tasks.
@@ -444,58 +474,61 @@ impl Sched {
         locals + self.inner.injector.lock().len()
     }
 
-    /// Armed timer entries (fired entries leave the heap immediately).
-    pub fn timers_len(&self) -> usize {
-        self.inner.timers.lock().len()
-    }
-
     /// Everything still held by the runtime — the drain-residue gauge:
     /// zero means no frame, queue slot, or timer entry survives.
     pub fn residue(&self) -> usize {
-        self.inflight() + self.timers_len()
+        self.inflight() + self.inner.timers.lock().len()
     }
 
-    /// Wake one idle worker (a producer made new work observable — e.g.
-    /// the reader pushed onto the admission queue).
+    /// Wake one idle worker: a producer made new work observable (the
+    /// reader pushed onto the admission queue). Queue pushes and wakes
+    /// inside the runtime do this themselves.
     pub fn notify(&self) {
-        self.inner.idle_cv.notify_one();
+        self.inner.notify();
+    }
+
+    /// The wake epoch: read it *before* scanning for work, pass it to
+    /// [`Sched::idle_wait`] after the scan came up empty.
+    pub fn wake_epoch(&self) -> u64 {
+        self.inner.wake_epoch.load(Ordering::SeqCst)
     }
 
     /// Block the calling worker until notified or `timeout`, whichever
-    /// first. Callers bound `timeout` by [`Sched::next_timer_ns`] so a
-    /// deadline park never oversleeps. Returns immediately once closed.
-    pub fn idle_wait(&self, timeout: Duration) {
-        if self.inner.closed.load(Ordering::Acquire) {
+    /// first — unless a notify has landed since `seen_epoch` was read,
+    /// in which case the work it announced may have been missed by the
+    /// caller's scan and the wait returns at once. Callers bound
+    /// `timeout` by [`Sched::next_timer_ns`] so a deadline park never
+    /// oversleeps. Returns immediately once closed.
+    pub fn idle_wait(&self, seen_epoch: u64, timeout: Duration) {
+        let mut idle = self.inner.idle_lock.lock();
+        if self.inner.closed() || self.wake_epoch() != seen_epoch {
             return;
         }
-        let mut guard = self.inner.idle_lock.lock();
-        if self.inner.closed.load(Ordering::Acquire) {
-            return;
-        }
-        let _ = self.inner.idle_cv.wait_for(&mut guard, timeout);
+        let _ = self.inner.idle_cv.wait_for(&mut idle, timeout);
     }
 
-    /// Close the runtime: every idle worker wakes; subsequent
-    /// `idle_wait`s return immediately. Queued tasks stay runnable so a
-    /// drain can finish them.
+    /// Close the runtime: every frame it holds — queued, parked on a
+    /// timer, or parked on a handle someone still keeps — is dropped,
+    /// later wakes and spawns are inert, every idle worker wakes, and
+    /// subsequent `idle_wait`s return immediately.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::Release);
-        self.inner.idle_cv.notify_all();
-    }
-
-    pub fn closed(&self) -> bool {
-        self.inner.closed.load(Ordering::Acquire)
-    }
-}
-
-impl std::fmt::Debug for Sched {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sched")
-            .field("workers", &self.workers())
-            .field("inflight", &self.inflight())
-            .field("parked", &self.parked())
-            .field("queued", &self.queued())
-            .finish()
+        let inner = &self.inner;
+        inner.closed.store(true, Ordering::SeqCst);
+        // Collect under the locks, drop outside them: a frame's drop
+        // releases whatever the call captured.
+        let mut frames: Vec<Task> = Vec::new();
+        frames.extend(inner.parked.lock().drain().map(|(_, (_, task))| task));
+        frames.extend(inner.injector.lock().drain(..));
+        for queue in &inner.locals {
+            frames.extend(queue.lock().drain(..));
+        }
+        let timers = std::mem::take(&mut *inner.timers.lock());
+        for task in &frames {
+            inner.retire(&task.wake);
+        }
+        drop((frames, timers));
+        drop(inner.idle_lock.lock());
+        inner.idle_cv.notify_all();
     }
 }
 
@@ -509,87 +542,76 @@ pub enum CallPoll {
     Pending,
 }
 
-/// What a pending handler asked the runtime to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ParkRequest {
-    /// Park until the external [`WakeHandle`] fires.
-    Handle,
-    /// Cooperative yield: runnable again immediately, behind queued work.
-    Yield,
-    /// Park until the given absolute `now_ns` deadline (or an earlier
-    /// external wake).
-    Until(u64),
-}
-
-/// The `Yield`/`park_until` surface handlers gain under the `mn`
-/// runtime: per-poll context for services implementing
-/// [`RpcService::call_mn`](crate::service::RpcService::call_mn).
+/// The suspension surface of
+/// [`RpcService::call_mn`](crate::service::RpcService::call_mn): per-poll
+/// context for a call that may yield or park.
 ///
 /// A suspending service records *one* request (`yield_now`, `park_for`,
 /// `park_until_ns`, or nothing — meaning "until my [`WakeHandle`]
 /// fires") and returns [`CallPoll::Pending`]; per-call state survives
 /// across polls in [`HandlerCx::stash`].
 pub struct HandlerCx<'a> {
-    polls: u64,
-    now_ns: u64,
-    wake: WakeHandle,
+    task: &'a TaskCx<'a>,
     stash: &'a mut Option<Box<dyn Any + Send>>,
-    request: ParkRequest,
+    /// What [`CallPoll::Pending`] means this poll; the last request wins.
+    pending: Step,
 }
 
 impl<'a> HandlerCx<'a> {
-    pub(crate) fn new(cx: &TaskCx, stash: &'a mut Option<Box<dyn Any + Send>>) -> HandlerCx<'a> {
+    pub(crate) fn new(
+        task: &'a TaskCx<'a>,
+        stash: &'a mut Option<Box<dyn Any + Send>>,
+    ) -> HandlerCx<'a> {
         HandlerCx {
-            polls: cx.polls,
-            now_ns: cx.now_ns,
-            wake: cx.wake_handle(),
+            task,
             stash,
-            request: ParkRequest::Handle,
+            pending: Step::Park,
         }
     }
 
-    pub(crate) fn request(&self) -> ParkRequest {
-        self.request
+    pub(crate) fn pending_step(&self) -> Step {
+        self.pending
     }
 
     /// True on the call's first poll.
     pub fn first_poll(&self) -> bool {
-        self.polls == 0
+        self.task.polls == 0
     }
 
     /// Completed polls before this one.
     pub fn polls(&self) -> u64 {
-        self.polls
+        self.task.polls
     }
 
     /// The runtime's clock for this poll (server-monotonic ns).
     pub fn now_ns(&self) -> u64 {
-        self.now_ns
+        self.task.now_ns
     }
 
     /// Request a cooperative yield: when the service returns
     /// [`CallPoll::Pending`], the call re-queues behind already-runnable
     /// work instead of parking.
     pub fn yield_now(&mut self) {
-        self.request = ParkRequest::Yield;
+        self.pending = Step::Yield;
     }
 
     /// Request a timed park ending at the absolute deadline `at_ns` on
     /// the runtime's clock.
     pub fn park_until_ns(&mut self, at_ns: u64) {
-        self.request = ParkRequest::Until(at_ns);
+        self.pending = Step::Park;
+        self.task.park_deadline_ns.set(Some(at_ns));
     }
 
     /// Request a timed park of `d` from now.
     pub fn park_for(&mut self, d: Duration) {
-        self.park_until_ns(self.now_ns.saturating_add(d.as_nanos() as u64));
+        self.park_until_ns(self.now_ns().saturating_add(d.as_nanos() as u64));
     }
 
     /// The call's wake handle, for parks ended by an external event
     /// rather than a deadline. Clone it anywhere; firing it is
     /// charge-free and idempotent per park.
     pub fn wake_handle(&self) -> WakeHandle {
-        self.wake.clone()
+        self.task.wake_handle()
     }
 
     /// Per-call state that survives across polls (the "call frame" a
@@ -611,14 +633,11 @@ mod tests {
         Sched::new(workers, stats)
     }
 
-    fn drain_worker(s: &Sched, worker: usize, now_ns: u64) -> usize {
-        let mut ran = 0;
+    fn drain_worker(s: &Sched, worker: usize, now_ns: u64) {
         s.fire_timers(now_ns);
         while let Some(t) = s.next_task(worker) {
             s.run(worker, t, now_ns);
-            ran += 1;
         }
-        ran
     }
 
     #[test]
@@ -734,30 +753,29 @@ mod tests {
     }
 
     #[test]
-    fn wake_during_poll_is_not_lost() {
-        // The race the WakeSlot contract exists for: the wake fires
-        // while the task is mid-poll deciding to park. The park must
-        // become a requeue.
+    fn first_poll_is_inline_and_a_wake_during_it_is_not_lost() {
         let s = sched(1);
-        let polls = Arc::new(AtomicU32::new(0));
-        {
-            let polls = Arc::clone(&polls);
-            s.spawn(0, move |cx| {
-                polls.fetch_add(1, Ordering::Relaxed);
-                if cx.polls() == 0 {
-                    // Fire the wake *before* returning Park.
-                    cx.wake_handle().wake();
-                    return Step::Park;
-                }
-                Step::Done
-            });
-        }
-        let t = s.next_task(0).expect("spawned");
-        assert_eq!(s.run(0, t, 0), RunOutcome::WakePending);
-        assert_eq!(s.parked(), 0, "never suspended");
+        // Done on the first poll: nothing was ever queued.
+        s.run_first(0, 0, |_cx| Step::Done);
+        assert_eq!((s.inflight(), s.queued()), (0, 0));
+        // The race the WakeSlot contract exists for, on the inline poll:
+        // the wake fires while the call is mid-poll deciding to park.
+        // The park must become a requeue, and the frame a task whose
+        // poll counter carries on.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        s.run_first(0, 0, move |cx| {
+            seen2.lock().push(cx.polls());
+            if cx.polls() == 0 {
+                cx.wake_handle().wake();
+                return Step::Park;
+            }
+            Step::Done
+        });
+        assert_eq!((s.parked(), s.queued()), (0, 1), "never suspended");
         drain_worker(&s, 0, 0);
-        assert_eq!(polls.load(Ordering::Relaxed), 2);
-        assert_eq!(s.inflight(), 0);
+        assert_eq!(*seen.lock(), vec![0, 1]);
+        assert_eq!(s.residue(), 0);
     }
 
     #[test]
@@ -784,16 +802,15 @@ mod tests {
         drain_worker(&s, 0, 0);
         assert_eq!(runs.load(Ordering::Relaxed), 1);
         // …and the stale timer entry fires into a Done cell: no-op.
-        assert_eq!(s.timers_len(), 1);
+        assert_eq!(s.residue(), 1);
         drain_worker(&s, 0, 20_000);
         assert_eq!(runs.load(Ordering::Relaxed), 1);
         assert_eq!(s.residue(), 0);
     }
 
     #[test]
-    fn counters_attribute_steals_parks_wakes() {
-        let stats: Vec<_> = (0..2).map(|_| Arc::new(ShardStats::default())).collect();
-        let s = Sched::new(2, stats.clone());
+    fn stolen_task_parks_and_wakes_on_the_thief() {
+        let s = sched(2);
         s.spawn(0, |cx| {
             if cx.polls() == 0 {
                 cx.park_until_ns(100);
@@ -801,22 +818,12 @@ mod tests {
             }
             Step::Done
         });
-        // Worker 1 steals the task and parks it; the timer wake is
-        // attributed to the parker (worker 1), not the firing thread.
+        // Worker 1 steals the task and parks it; the timer wake brings
+        // it back through the injector. (The per-worker counters are
+        // asserted through `MetricsRegistry` in the server-level tests.)
         let t = s.next_task(1).expect("steal");
         s.run(1, t, 0);
-        s.fire_timers(200);
         drain_worker(&s, 1, 200);
-        let snap = |i: usize| {
-            let st: &ShardStats = &stats[i];
-            // No snapshot accessor on ShardStats itself; go through a
-            // registry-free read by formatting… instead just re-read via
-            // the public counters on ShardSnapshot path in server tests.
-            st
-        };
-        let _ = snap;
-        // inc_* are write-only here; observable via MetricsRegistry in
-        // the server-level tests. This test asserts scheduler behavior:
         assert_eq!(s.residue(), 0);
     }
 
@@ -845,7 +852,7 @@ mod tests {
         let s2 = Arc::clone(&s);
         let h = std::thread::spawn(move || {
             let start = std::time::Instant::now();
-            s2.idle_wait(Duration::from_secs(30));
+            s2.idle_wait(s2.wake_epoch(), Duration::from_secs(30));
             start.elapsed()
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -855,6 +862,56 @@ mod tests {
             waited < Duration::from_secs(5),
             "close must interrupt idle_wait"
         );
-        s.idle_wait(Duration::from_secs(30)); // returns immediately when closed
+        s.idle_wait(s.wake_epoch(), Duration::from_secs(30)); // returns immediately when closed
+    }
+
+    #[test]
+    fn notify_between_scan_and_wait_is_not_slept_through() {
+        // The worker's sequence, single-threaded so the interleaving is
+        // exact: read the epoch, scan (empty), *then* the producer
+        // notifies, then the worker waits.
+        let s = sched(1);
+        let seen = s.wake_epoch();
+        assert!(s.next_task(0).is_none());
+        s.notify();
+        let start = std::time::Instant::now();
+        s.idle_wait(seen, Duration::from_secs(30));
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "a notify after the scan must cancel the wait"
+        );
+    }
+
+    #[test]
+    fn close_drops_every_frame_whoever_holds_a_handle() {
+        let s = sched(1);
+        // What each frame captures; alive exactly as long as its frame.
+        let captured = Arc::new(());
+        let handle: Arc<Mutex<Option<WakeHandle>>> = Arc::new(Mutex::new(None));
+        for kind in 0..3 {
+            let (captured, handle) = (Arc::clone(&captured), Arc::clone(&handle));
+            s.spawn(0, move |cx| {
+                let _ = &captured;
+                match kind {
+                    0 => cx.park_until_ns(u64::MAX),
+                    1 => *handle.lock() = Some(cx.wake_handle()),
+                    _ => return Step::Yield,
+                }
+                Step::Park
+            });
+        }
+        for _ in 0..3 {
+            let t = s.next_task(0).expect("spawned");
+            s.run(0, t, 0);
+        }
+        assert_eq!((s.parked(), s.queued()), (2, 1));
+        assert_eq!(Arc::strong_count(&captured), 4);
+        s.close();
+        assert_eq!(Arc::strong_count(&captured), 1, "every frame dropped");
+        assert_eq!(s.residue(), 0);
+        // The surviving handle is inert, and nothing can be stored anew.
+        handle.lock().clone().expect("captured").wake();
+        s.spawn(0, |_cx| Step::Done);
+        assert_eq!((s.queued(), s.residue()), (0, 0));
     }
 }

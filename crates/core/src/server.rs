@@ -33,9 +33,14 @@
 //!   pushed onto the bounded call queue — *without blocking*: an
 //!   overflowing queue answers with a retryable busy rejection instead
 //!   of stalling every other call on the shard;
-//! * a pool of **Handler** threads (or M:N workers) pops calls,
-//!   dispatches into the registered services, serializes the response
-//!   once, and **transmits it** (`ServerInner::respond`): it takes the
+//! * `RpcConfig::handlers` **Handler** workers pop calls and poll each
+//!   one for the first time on their own stack; a call that completes
+//!   there — every call of a service that never suspends — is a plain
+//!   function call, and only one that yields or parks becomes a heap
+//!   frame on the [`crate::sched`] runtime, to be resumed by whichever
+//!   worker is free (see [`worker_loop`]). The worker that ran the final
+//!   poll serializes the response once and **transmits it**
+//!   (`ServerInner::respond`): it takes the
 //!   connection's *send turn* — the lock around the connection's V3
 //!   response-lead encoder — with a non-blocking `try_lock` and, when
 //!   nothing is already queued for that connection at its responder
@@ -75,7 +80,7 @@ use simnet::{Fabric, NodeId, SimAddr, SimListener};
 use wire::Writable;
 
 use crate::admission::{AdmissionQueue, AdmitError, CallClass, CallMeta};
-use crate::config::{HandlerRuntime, RpcConfig};
+use crate::config::RpcConfig;
 use crate::error::{RpcError, RpcResult};
 use crate::frame::{
     busy_body, expired_body, read_request_header, write_response_body, write_response_lead,
@@ -88,7 +93,7 @@ use crate::metrics::{
 };
 use crate::readiness::{token, token_gen, token_slot, Pop, ReadyQueue, WakeState, TOKEN_REGISTER};
 use crate::retry_cache::{Admission, CallKey, RetryCache};
-use crate::sched::{CallPoll, HandlerCx, ParkRequest, Sched, Step};
+use crate::sched::{HandlerCx, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
 use crate::transport::rdma::{IbContext, RdmaConn};
 use crate::transport::socket::SocketConn;
@@ -271,9 +276,10 @@ struct ServerInner {
     /// books the stolen connection's lifecycle (conn gauge) against its
     /// *owner* shard while counting the work on itself.
     reader_stats: Vec<Arc<ShardStats>>,
-    /// The M:N handler runtime (`handler_runtime = mn`); `None` under
-    /// the legacy thread pool.
-    sched: Option<Arc<Sched>>,
+    /// Where suspended calls live between polls, and what the handler
+    /// workers sleep on. Its frames hold `Arc<ServerInner>`; the cycle
+    /// is broken by `shutdown`, which closes it.
+    sched: Sched,
     /// Protocols of the control/heartbeat admission class
     /// (`cfg.priority_protocols`); empty = single class.
     priority: HashSet<String>,
@@ -572,18 +578,10 @@ impl Server {
             reader_stats.push(stats);
             reader_state.push(Mutex::new(ReaderState::default()));
         }
-        // The M:N runtime and its per-worker counter blocks (absent —
-        // along with the `worker` shard rows — under the legacy pool).
-        let sched = match cfg.handler_runtime {
-            HandlerRuntime::Threads => None,
-            HandlerRuntime::Mn => {
-                let n = cfg.effective_handler_workers();
-                let stats: Vec<_> = (0..n)
-                    .map(|i| metrics.register_shard(ShardRole::Worker, i))
-                    .collect();
-                Some(Arc::new(Sched::new(n, stats)))
-            }
-        };
+        let worker_stats = (0..cfg.handlers)
+            .map(|i| metrics.register_shard(ShardRole::Worker, i))
+            .collect();
+        let sched = Sched::new(cfg.handlers, worker_stats);
         let mut responders = Vec::with_capacity(n_responders);
         for i in 0..n_responders {
             let (tx, rx) = bounded(cfg.call_queue_len);
@@ -653,32 +651,15 @@ impl Server {
                     .expect("spawn reader shard"),
             );
         }
-        // The execution engine: the paper's fixed handler pool, or the
-        // M:N runtime's worker loops.
-        match inner.cfg.handler_runtime {
-            HandlerRuntime::Threads => {
-                for h in 0..inner.cfg.handlers {
-                    let inner = Arc::clone(&inner);
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("rpc-handler-{h}"))
-                            .spawn(move || handler_loop(inner))
-                            .expect("spawn handler"),
-                    );
-                }
-            }
-            HandlerRuntime::Mn => {
-                let workers = inner.cfg.effective_handler_workers();
-                for w in 0..workers {
-                    let inner = Arc::clone(&inner);
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("rpc-worker-{w}"))
-                            .spawn(move || mn_worker_loop(inner, w))
-                            .expect("spawn mn worker"),
-                    );
-                }
-            }
+        // Handler workers.
+        for h in 0..inner.cfg.handlers {
+            let inner = Arc::clone(&inner);
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("rpc-handler-{h}"))
+                    .spawn(move || worker_loop(inner, h))
+                    .expect("spawn handler"),
+            );
         }
         // Responder shards.
         for i in 0..n_responders {
@@ -744,6 +725,14 @@ impl Server {
         self.inner.retry_cache.len()
     }
 
+    /// What the handler runtime still holds — calls being polled,
+    /// runnable or parked, plus armed timer entries. Zero after a
+    /// completed [`Server::drain`] and after [`Server::stop`], which
+    /// drops suspended calls unanswered.
+    pub fn handler_residue(&self) -> usize {
+        self.inner.sched.residue()
+    }
+
     /// Graceful shutdown: stop accepting connections and reading new
     /// calls, let every already-admitted call execute and its response
     /// flush, then stop all threads. Returns `true` if the server fully
@@ -805,13 +794,14 @@ impl Server {
         if self.inner.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Wake handlers parked on the admission queue; anything still
-        // queued stays poppable, but handlers exit on the stop flag.
+        // Refuse further admissions; what is already queued stays
+        // poppable and the workers finish it before they exit.
         self.inner.admission.close();
-        // And the M:N workers parked on the runtime's idle condvar.
-        if let Some(sched) = &self.inner.sched {
-            sched.close();
-        }
+        // Wake the idle workers, and drop every suspended call: their
+        // frames hold `Arc<ServerInner>`, so one left parked (on a
+        // timer, or on a handle a service still keeps) would keep the
+        // whole server — registry, retry cache, registered pool — alive.
+        self.inner.sched.close();
         // And the reader shards blocked on their wake lists.
         for ready in &self.inner.reader_ready {
             ready.close();
@@ -1347,13 +1337,8 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
     };
     inner.open_work.fetch_add(1, Ordering::AcqRel);
     match inner.admission.try_push(meta, call) {
-        Ok(()) => {
-            // Under the M:N runtime nothing blocks on the admission
-            // queue's condvar — nudge an idle worker instead.
-            if let Some(sched) = &inner.sched {
-                sched.notify();
-            }
-        }
+        // The queue has no blocking consumer: wake an idle worker.
+        Ok(()) => inner.sched.notify(),
         Err((AdmitError::QueueFull | AdmitError::TenantOverQuota, _call)) => {
             // Overload (shared queue full, or this tenant over its
             // quota): reject instead of blocking the shard (which would
@@ -1387,105 +1372,81 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
     ReadOutcome::Frame
 }
 
-fn handler_loop(inner: Arc<ServerInner>) {
-    loop {
-        let popped = inner.admission.pop(inner.now_ns(), IDLE_SLICE);
-        // Expired heads are answered without execution — that is the whole
-        // point of deadline propagation: the client already gave up on
-        // these, so running them is pure wasted work.
-        for (meta, call) in popped.shed {
-            shed_call(&inner, meta, call);
-        }
-        match popped.run {
-            Some((meta, call)) => {
-                let entry = inner.metrics.entry(call.header.key);
-                entry.record_phase(
-                    Phase::ServerQueue,
-                    call.admitted_at.elapsed().as_nanos() as u64,
-                );
-                let handler_start = Instant::now();
-                let mut reader = call.payload.reader();
-                reader.skip(call.body_offset);
-                let result = inner.registry.dispatch(
-                    call.header.protocol(),
-                    call.header.method(),
-                    &mut reader,
-                );
-                let body = inner.serialize_response(call.header.key, &result);
-                entry.record_phase(Phase::Handler, handler_start.elapsed().as_nanos() as u64);
-                inner.respond(call, body);
-                inner.admission.release(meta.tenant);
-            }
-            None => {
-                if inner.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// One M:N worker's loop (`handler_runtime = mn`): fire due timers,
-/// admit new calls from the admission queue (DRR pop order preserved —
-/// each call is injected into the runtime's global FIFO), and run the
-/// next task — own queue first, then the injector, then stealing. The
-/// admission step precedes the run step so a yield-spinning task can
-/// never starve new arrivals; the in-flight cap
+/// One handler worker. Each pass: fire due timers; pop the admission
+/// queue — expired heads are answered without execution, that is the
+/// whole point of deadline propagation — and poll the popped call for
+/// the first time right here, on this stack ([`Sched::run_first`]); then
+/// run one suspended call that is runnable again — own queue first, then
+/// the injector, then stealing. Admission precedes the task so a
+/// yield-spinning call can never starve new arrivals; the in-flight cap
 /// (`cfg.max_inflight_calls`) pauses admission — backpressure into the
-/// bounded queue, not rejection — while parked tasks pile up.
-fn mn_worker_loop(inner: Arc<ServerInner>, worker: usize) {
-    let sched = Arc::clone(inner.sched.as_ref().expect("mn mode"));
+/// bounded queue, not rejection — while parked calls pile up. A pass
+/// that found nothing sleeps on the runtime's idle wait.
+fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
+    let sched = &inner.sched;
     let cap = inner.cfg.max_inflight_calls;
     loop {
+        // Read before the scan: a push or wake landing after the scan
+        // has passed it by moves the epoch and cancels the wait below.
+        let epoch = sched.wake_epoch();
         let now = inner.now_ns();
         sched.fire_timers(now);
+        let mut worked = false;
         if cap == 0 || sched.inflight() < cap {
             let popped = inner.admission.try_pop(now);
+            worked = !popped.is_empty();
             for (meta, call) in popped.shed {
                 shed_call(&inner, meta, call);
             }
             if let Some((meta, call)) = popped.run {
-                spawn_call_task(&inner, &sched, meta, call);
+                sched.run_first(worker, now, call_frame(&inner, meta, call));
             }
         }
         if let Some(task) = sched.next_task(worker) {
             sched.run(worker, task, inner.now_ns());
+            worked = true;
+        }
+        if worked {
             continue;
         }
         if inner.stop.load(Ordering::Acquire) {
             return;
         }
-        // Nothing runnable and nothing admitted: sleep until the next
-        // timer deadline (a parked `park_until` must not oversleep), a
-        // notify (new call, external wake), or the idle slice.
+        // Sleep until the next timer deadline (a `park_until` must not
+        // oversleep), a notify (new call, external wake), or the idle
+        // slice.
         let timeout = match sched.next_timer_ns() {
             Some(at) => {
                 Duration::from_nanos(at.saturating_sub(inner.now_ns()).max(1)).min(IDLE_SLICE)
             }
             None => IDLE_SLICE,
         };
-        sched.idle_wait(timeout);
+        sched.idle_wait(epoch, timeout);
     }
 }
 
-/// Turn one admitted call into a lightweight task on the M:N runtime.
-/// The task's frame *is* this closure's captures — the `RawCall`, the
-/// service's stash, and the accumulated handler time — a few hundred
-/// bytes on the heap, against the legacy pool's full OS thread per
-/// in-flight call.
+/// One admitted call as the runtime polls it: the `RawCall`, the
+/// service's stash and the accumulated handler time are this closure's
+/// captures. They sit on the worker's stack for the first poll and move
+/// to the heap — a few hundred bytes, against an OS thread per blocked
+/// call — only if that poll suspends.
 ///
-/// A completed poll ends like [`handler_loop`]'s: serialize once, answer
-/// from the worker that ran the final poll ([`ServerInner::respond`]),
-/// and release the tenant's admission quota.
-fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call: RawCall) {
+/// The poll that completes serializes once, answers from the worker it
+/// ran on ([`ServerInner::respond`]) and releases the tenant's admission
+/// quota.
+fn call_frame(
+    inner: &Arc<ServerInner>,
+    meta: CallMeta,
+    call: RawCall,
+) -> impl FnMut(&mut TaskCx<'_>) -> Step + Send + 'static {
     let inner = Arc::clone(inner);
     let mut call = Some(call);
     let mut stash: Option<Box<dyn std::any::Any + Send>> = None;
-    // Handler-phase time is the sum of this task's *running* slices;
+    // Handler-phase time is the sum of the call's *running* slices;
     // parked time is charged to nobody — that is the point.
     let mut handler_ns: u64 = 0;
-    sched.inject(move |cx| {
-        let c = call.as_mut().expect("task polled after completion");
+    move |cx: &mut TaskCx<'_>| {
+        let c = call.as_mut().expect("call polled after completion");
         let entry = inner.metrics.entry(c.header.key);
         if cx.polls() == 0 {
             entry.record_phase(
@@ -1497,28 +1458,13 @@ fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call
         let mut reader = c.payload.reader();
         reader.skip(c.body_offset);
         let mut hcx = HandlerCx::new(cx, &mut stash);
-        let dispatched = inner.registry.dispatch_mn(
-            c.header.protocol(),
-            c.header.method(),
-            &mut reader,
-            &mut hcx,
-        );
-        let request = hcx.request();
-        let result: RpcResult<Box<dyn Writable + Send>> = match dispatched {
-            Ok(CallPoll::Pending) => {
-                handler_ns += poll_start.elapsed().as_nanos() as u64;
-                return match request {
-                    ParkRequest::Yield => Step::Yield,
-                    ParkRequest::Handle => Step::Park,
-                    ParkRequest::Until(at_ns) => {
-                        cx.park_until_ns(at_ns);
-                        Step::Park
-                    }
-                };
-            }
-            Ok(CallPoll::Ready(Ok(value))) => Ok(value),
-            Ok(CallPoll::Ready(Err(msg))) => Err(RpcError::Remote(msg)),
-            Err(e) => Err(e),
+        let (protocol, method) = (c.header.protocol(), c.header.method());
+        let Some(result) = inner
+            .registry
+            .dispatch(protocol, method, &mut reader, &mut hcx)
+        else {
+            handler_ns += poll_start.elapsed().as_nanos() as u64;
+            return hcx.pending_step();
         };
         let c = call.take().expect("taken once");
         let body = inner.serialize_response(c.header.key, &result);
@@ -1527,7 +1473,7 @@ fn spawn_call_task(inner: &Arc<ServerInner>, sched: &Sched, meta: CallMeta, call
         inner.respond(c, body);
         inner.admission.release(meta.tenant);
         Step::Done
-    });
+    }
 }
 
 /// Answer a deadline-expired call with `STATUS_EXPIRED` without executing

@@ -29,18 +29,17 @@ pub trait RpcService: Send + Sync {
         param: &mut dyn DataInput,
     ) -> Result<Box<dyn Writable + Send>, String>;
 
-    /// Poll `method` under the M:N runtime (`handler_runtime = mn`).
-    ///
-    /// Called once per task poll; a suspending service records a
+    /// Poll `method`: what the server actually invokes, once per poll of
+    /// the call. A service that can suspend overrides it: it records a
     /// yield/park request on `cx` (or nothing, meaning "park until my
     /// [`WakeHandle`](crate::sched::WakeHandle) fires"), keeps per-call
     /// state in [`HandlerCx::stash`], and returns [`CallPoll::Pending`];
-    /// it is polled again after the wake with `cx.polls()` advanced.
-    /// `param` is re-presented from the start of the parameter bytes on
-    /// every poll.
+    /// the worker moves on and the call is polled again after the wake
+    /// with `cx.polls()` advanced. `param` is re-presented from the
+    /// start of the parameter bytes on every poll.
     ///
-    /// The default completes synchronously via [`RpcService::call`], so
-    /// existing services run unmodified under either runtime.
+    /// The default completes on the first poll via [`RpcService::call`];
+    /// such a call is never more than a function call on its worker.
     fn call_mn(&self, method: &str, param: &mut dyn DataInput, cx: &mut HandlerCx<'_>) -> CallPoll {
         let _ = cx;
         CallPoll::Ready(self.call(method, param))
@@ -69,35 +68,23 @@ impl ServiceRegistry {
         );
     }
 
-    /// Dispatch a call.
+    /// Dispatch one poll of a call: `None` while the service suspends it
+    /// ([`CallPoll::Pending`]), else its result. An unknown protocol is
+    /// a result too.
     pub fn dispatch(
         &self,
         protocol: &str,
         method: &str,
         param: &mut dyn DataInput,
-    ) -> RpcResult<Box<dyn Writable + Send>> {
-        let service = self
-            .services
-            .get(protocol)
-            .ok_or_else(|| RpcError::UnknownProtocol(protocol.to_owned()))?;
-        service.call(method, param).map_err(RpcError::Remote)
-    }
-
-    /// Dispatch one poll of a call under the M:N runtime. Protocol
-    /// lookup errors are terminal ([`CallPoll::Ready`] with the error);
-    /// only the service itself can return [`CallPoll::Pending`].
-    pub fn dispatch_mn(
-        &self,
-        protocol: &str,
-        method: &str,
-        param: &mut dyn DataInput,
         cx: &mut HandlerCx<'_>,
-    ) -> RpcResult<CallPoll> {
-        let service = self
-            .services
-            .get(protocol)
-            .ok_or_else(|| RpcError::UnknownProtocol(protocol.to_owned()))?;
-        Ok(service.call_mn(method, param, cx))
+    ) -> Option<RpcResult<Box<dyn Writable + Send>>> {
+        let Some(service) = self.services.get(protocol) else {
+            return Some(Err(RpcError::UnknownProtocol(protocol.to_owned())));
+        };
+        match service.call_mn(method, param, cx) {
+            CallPoll::Ready(result) => Some(result.map_err(RpcError::Remote)),
+            CallPoll::Pending => None,
+        }
     }
 
     /// Registered protocol names (diagnostics).
@@ -164,7 +151,30 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::EchoService;
     use super::*;
+    use crate::metrics::ShardStats;
+    use crate::sched::{Sched, Step};
     use wire::{to_bytes, IntWritable};
+
+    /// One first poll through `dispatch`, the way a server worker makes
+    /// it; no test service suspends.
+    fn dispatch(
+        registry: &ServiceRegistry,
+        protocol: &'static str,
+        method: &'static str,
+        param: Vec<u8>,
+    ) -> RpcResult<Box<dyn Writable + Send>> {
+        let sched = Sched::new(1, vec![Arc::new(ShardStats::default())]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let registry = registry.clone();
+        sched.run_first(0, 0, move |cx| {
+            let mut stash = None;
+            let mut hcx = HandlerCx::new(cx, &mut stash);
+            let polled = registry.dispatch(protocol, method, &mut param.as_slice(), &mut hcx);
+            tx.send(polled).expect("receiver alive");
+            Step::Done
+        });
+        rx.recv().expect("polled once").expect("completed")
+    }
 
     #[test]
     fn dispatch_routes_by_protocol_and_method() {
@@ -173,9 +183,7 @@ mod tests {
         let mut param = Vec::new();
         param.extend(to_bytes(&IntWritable(2)).unwrap());
         param.extend(to_bytes(&IntWritable(40)).unwrap());
-        let result = registry
-            .dispatch("test.EchoProtocol", "add", &mut param.as_slice())
-            .unwrap();
+        let result = dispatch(&registry, "test.EchoProtocol", "add", param).unwrap();
         assert_eq!(
             to_bytes(result.as_ref()).unwrap(),
             to_bytes(&IntWritable(42)).unwrap()
@@ -184,9 +192,7 @@ mod tests {
 
     #[test]
     fn unknown_protocol_is_an_error() {
-        let registry = ServiceRegistry::new();
-        let err = registry
-            .dispatch("nope", "m", &mut [].as_slice())
+        let err = dispatch(&ServiceRegistry::new(), "nope", "m", Vec::new())
             .err()
             .unwrap();
         assert!(matches!(err, RpcError::UnknownProtocol(_)));
@@ -196,8 +202,7 @@ mod tests {
     fn app_errors_become_remote() {
         let mut registry = ServiceRegistry::new();
         registry.register(Arc::new(EchoService));
-        let err = registry
-            .dispatch("test.EchoProtocol", "boom", &mut [].as_slice())
+        let err = dispatch(&registry, "test.EchoProtocol", "boom", Vec::new())
             .err()
             .unwrap();
         assert_eq!(err, RpcError::Remote("deliberate failure".into()));

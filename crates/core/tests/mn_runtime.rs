@@ -1,19 +1,21 @@
-//! End-to-end tests of the M:N handler runtime (PR 10): parked calls
-//! must cost bytes instead of threads, fast traffic must not starve
-//! behind slow calls, random yield/park schedules must answer exactly
-//! once on both transports, protocol-priority classes must keep
-//! heartbeats ahead of a bulk flood, and the reader-shard work-stealing
-//! and burst-decode paths must preserve per-connection correctness.
+//! End-to-end tests of the handler runtime: a call that suspends must
+//! cost bytes instead of a thread, fast traffic must not starve behind
+//! parked calls, random yield/park schedules must answer exactly once on
+//! both transports and see the same `HandlerCx` whether a poll ran
+//! inline or as a task, a stopped server must let go of every suspended
+//! call, protocol-priority classes must keep heartbeats ahead of a bulk
+//! flood, and the reader-shard work-stealing and burst-decode paths must
+//! preserve per-connection correctness.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rpcoib::metrics::ShardStats;
 use rpcoib::{
-    CallPoll, Client, HandlerCx, HandlerRuntime, RpcConfig, RpcService, Sched, Server,
-    ServiceRegistry, ShardRole, Step,
+    CallPoll, Client, HandlerCx, RpcConfig, RpcService, Sched, Server, ServiceRegistry, ShardRole,
+    Step, WakeHandle,
 };
 use simnet::{model, Fabric, SimAddr};
 use wire::{BytesWritable, DataInput, LongWritable, Writable};
@@ -60,13 +62,19 @@ fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
     ]
 }
 
-/// Echo service with explicit suspension points for the `mn` runtime.
+type Reply = Result<Box<dyn Writable + Send>, String>;
+
+/// A service that overrides `call_mn` — all the server invokes — still
+/// owes the trait a `call`; it is unreachable.
+fn only_polled() -> Reply {
+    Err("the server polls call_mn".into())
+}
+
+/// Echo service with explicit suspension points.
 ///
-/// Request body: `[steps, op_1 .. op_steps, data...]`. Under `mn`, poll
-/// `k < steps` suspends per `op_{k+1}` (even → cooperative yield, odd →
-/// timed park of `op % 3` ms); the poll after the last op echoes `data`.
-/// Under the thread pool the schedule is skipped and `data` echoes
-/// directly — the response must be identical either way.
+/// Request body: `[steps, op_1 .. op_steps, data...]`. Poll `k < steps`
+/// suspends per `op_{k+1}` (even → cooperative yield, odd → timed park
+/// of `op % 3` ms); the poll after the last op echoes `data`.
 struct ScriptEcho {
     completions: AtomicU64,
 }
@@ -82,16 +90,8 @@ impl RpcService for ScriptEcho {
         "mn.ScriptEcho"
     }
 
-    fn call(
-        &self,
-        _method: &str,
-        param: &mut dyn DataInput,
-    ) -> Result<Box<dyn Writable + Send>, String> {
-        let mut b = BytesWritable::default();
-        b.read_fields(param).map_err(|e| e.to_string())?;
-        let (_, data) = split_schedule(&b.0);
-        self.completions.fetch_add(1, Ordering::Relaxed);
-        Ok(Box::new(BytesWritable(data.to_vec())))
+    fn call(&self, _method: &str, _param: &mut dyn DataInput) -> Reply {
+        only_polled()
     }
 
     fn call_mn(
@@ -129,14 +129,8 @@ impl RpcService for ParkEcho {
         "mn.ParkEcho"
     }
 
-    fn call(
-        &self,
-        _method: &str,
-        param: &mut dyn DataInput,
-    ) -> Result<Box<dyn Writable + Send>, String> {
-        let mut b = BytesWritable::default();
-        b.read_fields(param).map_err(|e| e.to_string())?;
-        Ok(Box::new(b))
+    fn call(&self, _method: &str, _param: &mut dyn DataInput) -> Reply {
+        only_polled()
     }
 
     fn call_mn(&self, method: &str, param: &mut dyn DataInput, cx: &mut HandlerCx<'_>) -> CallPoll {
@@ -174,22 +168,36 @@ fn echo(client: &Client, addr: SimAddr, proto: &str, method: &str, body: Vec<u8>
     resp.0
 }
 
+/// Sum of one per-worker counter over the server's worker rows.
+fn worker_sum(server: &Server, counter: fn(&rpcoib::ShardSnapshot) -> u64) -> u64 {
+    let shards = server.metrics_snapshot().shards;
+    let workers = shards.iter().filter(|s| s.role == ShardRole::Worker);
+    workers.map(counter).sum()
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 // ---------------------------------------------------------------------
-// Tentpole: the M:N runtime end to end.
+// The runtime end to end.
 // ---------------------------------------------------------------------
 
-/// A lone call round-trips under `handler_runtime = mn` on both
-/// transports, and the runtime's per-worker shard counters surface in
-/// the server snapshot.
+/// A lone call round-trips on both transports, and the per-worker shard
+/// counters surface in the server snapshot — a call that never suspends
+/// is still booked on the worker that ran it.
 #[test]
-fn mn_lone_echo_round_trips_on_both_transports() {
+fn lone_echo_round_trips_on_both_transports() {
     let _wd = watchdog(
-        "mn_lone_echo_round_trips_on_both_transports",
+        "lone_echo_round_trips_on_both_transports",
         Duration::from_secs(60),
     );
     for (label, fabric, mut cfg) in transports() {
-        cfg.handler_runtime = HandlerRuntime::Mn;
-        cfg.handler_workers = 4;
+        cfg.handlers = 4;
         let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
         let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
         let body = vec![0x42u8; 1024];
@@ -198,42 +206,18 @@ fn mn_lone_echo_round_trips_on_both_transports() {
             body,
             "transport {label}"
         );
-        assert_eq!(
-            server
-                .metrics_snapshot()
-                .shards
-                .iter()
-                .filter(|s| s.role == ShardRole::Worker)
-                .count(),
-            4,
-            "transport {label}: one row per worker"
-        );
+        assert_eq!(worker_sum(&server, |_| 1), 4, "{label}: one row per worker");
         // The response races the worker's own post-poll bookkeeping by a
         // few instructions; poll briefly instead of reading once.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let processed: u64 = server
-                .metrics_snapshot()
-                .shards
-                .iter()
-                .filter(|s| s.role == ShardRole::Worker)
-                .map(|s| s.processed)
-                .sum();
-            if processed >= 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "transport {label}: the call never counted on a worker"
-            );
-            std::thread::yield_now();
-        }
+        wait_until("the call to count on a worker", || {
+            worker_sum(&server, |s| s.processed) >= 1
+        });
         client.shutdown();
         server.stop();
     }
 }
 
-/// The starvation regression the M:N design exists for: with a *single*
+/// The starvation regression suspension exists for: with a *single*
 /// worker, a call parked for 600 ms must not block fast traffic — the
 /// park frees the worker, so a burst of fast calls completes while the
 /// slow call sleeps, and the slow call still answers correctly after its
@@ -245,8 +229,7 @@ fn parked_call_frees_its_single_worker() {
         Duration::from_secs(60),
     );
     for (label, fabric, mut cfg) in transports() {
-        cfg.handler_runtime = HandlerRuntime::Mn;
-        cfg.handler_workers = 1;
+        cfg.handlers = 1;
         let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
         let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
 
@@ -292,12 +275,10 @@ fn parked_call_frees_its_single_worker() {
             "transport {label}: the park was cut short ({slow_elapsed:?})"
         );
 
-        let snap = server.metrics_snapshot();
-        let (parks, wakes): (u64, u64) = snap
-            .shards
-            .iter()
-            .filter(|s| s.role == ShardRole::Worker)
-            .fold((0, 0), |(p, w), s| (p + s.parks, w + s.wakes));
+        let (parks, wakes) = (
+            worker_sum(&server, |s| s.parks),
+            worker_sum(&server, |s| s.wakes),
+        );
         assert!(parks >= 1, "transport {label}: the park was counted");
         assert!(wakes >= 1, "transport {label}: the timer wake was counted");
         client.shutdown();
@@ -316,8 +297,7 @@ fn concurrent_random_schedules_complete_exactly_once() {
         Duration::from_secs(120),
     );
     for (label, fabric, mut cfg) in transports() {
-        cfg.handler_runtime = HandlerRuntime::Mn;
-        cfg.handler_workers = 4;
+        cfg.handlers = 4;
         let service = Arc::new(ScriptEcho {
             completions: AtomicU64::new(0),
         });
@@ -364,6 +344,208 @@ fn concurrent_random_schedules_complete_exactly_once() {
     }
 }
 
+/// One suspension behaviour per method: `record` notes what each poll
+/// sees as `(polls, first_poll, stash)`, stashes the poll number, and
+/// suspends twice (a yield, then a timed park); `self_wake` fires its own
+/// wake handle *inside* the first poll, then parks on it; `park` parks on
+/// a handle the service keeps; `park_timer` parks for an hour; `block` is
+/// a plain blocking handler that meets the test at `entered` and holds
+/// its worker until the test opens `gate`. `_sentinel`'s strong count
+/// tells whether the service (hence the server internals) is alive.
+struct Probe {
+    seen: Mutex<Vec<(u64, bool, Option<u64>)>>,
+    handles: Mutex<Vec<WakeHandle>>,
+    completions: AtomicU64,
+    entered: Barrier,
+    gate: Barrier,
+    _sentinel: Arc<()>,
+}
+
+fn probe(sentinel: &Arc<()>) -> Arc<Probe> {
+    Arc::new(Probe {
+        seen: Mutex::new(Vec::new()),
+        handles: Mutex::new(Vec::new()),
+        completions: AtomicU64::new(0),
+        entered: Barrier::new(3),
+        gate: Barrier::new(3),
+        _sentinel: Arc::clone(sentinel),
+    })
+}
+
+impl RpcService for Probe {
+    fn protocol(&self) -> &'static str {
+        "mn.Probe"
+    }
+
+    fn call(&self, _method: &str, _param: &mut dyn DataInput) -> Reply {
+        self.entered.wait();
+        self.gate.wait();
+        Ok(Box::new(LongWritable(0)))
+    }
+
+    fn call_mn(&self, method: &str, param: &mut dyn DataInput, cx: &mut HandlerCx<'_>) -> CallPoll {
+        let polls = cx.polls();
+        match method {
+            "block" => return CallPoll::Ready(self.call(method, param)),
+            "record" => {
+                let stashed = cx.stash().as_ref().map(|s| *s.downcast_ref().unwrap());
+                let view = (polls, cx.first_poll(), stashed);
+                self.seen.lock().unwrap().push(view);
+                *cx.stash() = Some(Box::new(polls));
+                match polls {
+                    0 => cx.yield_now(),
+                    1 => cx.park_for(Duration::from_millis(1)),
+                    _ => {}
+                }
+                if polls < 2 {
+                    return CallPoll::Pending;
+                }
+            }
+            // No deadline below: only the handle can end these parks.
+            "self_wake" if cx.first_poll() => {
+                cx.wake_handle().wake();
+                return CallPoll::Pending;
+            }
+            "park" if cx.first_poll() => {
+                self.handles.lock().unwrap().push(cx.wake_handle());
+                return CallPoll::Pending;
+            }
+            "park_timer" => {
+                cx.park_for(Duration::from_secs(3600));
+                return CallPoll::Pending;
+            }
+            _ => {}
+        }
+        self.completions.fetch_add(1, Ordering::Relaxed);
+        CallPoll::Ready(Ok(Box::new(LongWritable(polls as i64))))
+    }
+}
+
+fn probe_call(client: &Client, addr: SimAddr, method: &str) -> rpcoib::RpcResult<i64> {
+    let polls: LongWritable = client.call(addr, "mn.Probe", method, &LongWritable(0))?;
+    Ok(polls.0)
+}
+
+/// The first poll runs on the worker's stack and the later ones as a
+/// task; the service must not be able to tell: `polls()` counts on,
+/// `first_poll()` is true exactly once, and the stash written by the
+/// inline poll is there on the next. And a wake that fires before the
+/// inline poll has even returned `Pending` must re-queue the call, not
+/// be lost: with no timer armed, a lost wake would park it forever.
+#[test]
+fn inline_first_poll_and_task_polls_are_one_call() {
+    let _wd = watchdog(
+        "inline_first_poll_and_task_polls_are_one_call",
+        Duration::from_secs(60),
+    );
+    for (label, fabric, cfg) in transports() {
+        let service = probe(&Arc::new(()));
+        let (server, addr) = start(&fabric, &cfg, vec![Arc::clone(&service)]);
+        let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+        assert_eq!(probe_call(&client, addr, "record"), Ok(2), "{label}");
+        assert_eq!(
+            *service.seen.lock().unwrap(),
+            vec![(0, true, None), (1, false, Some(0)), (2, false, Some(1))],
+            "transport {label}"
+        );
+        let parks = worker_sum(&server, |s| s.parks);
+        assert_eq!(
+            probe_call(&client, addr, "self_wake"),
+            Ok(1),
+            "transport {label}: answered by the second poll"
+        );
+        assert_eq!(worker_sum(&server, |s| s.parks), parks, "never suspended");
+        wait_until("the calls to retire", || server.handler_residue() == 0);
+        client.shutdown();
+        server.stop();
+    }
+}
+
+/// 1 000 parked calls hold neither of the two workers — two blocking
+/// handlers still get one each — and, once woken, they wait for a worker
+/// like any runnable call and complete when the blockers return.
+#[test]
+fn parked_calls_hold_no_worker() {
+    let _wd = watchdog("parked_calls_hold_no_worker", Duration::from_secs(120));
+    const PARKED: u64 = 1_000;
+    let fabric = Fabric::new(model::IB_QDR_VERBS);
+    let mut cfg = RpcConfig::rpcoib();
+    cfg.handlers = 2;
+    let service = probe(&Arc::new(()));
+    let (server, addr) = start(&fabric, &cfg, vec![Arc::clone(&service)]);
+    let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+    let caller = |method: &'static str| {
+        let client = client.clone();
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || probe_call(&client, addr, method).expect(method))
+            .unwrap()
+    };
+
+    let parked: Vec<_> = (0..PARKED).map(|_| caller("park")).collect();
+    wait_until("every call to park", || {
+        worker_sum(&server, |s| s.parks) == PARKED
+    });
+    // Both workers are free: each blocker gets one and all three
+    // parties meet inside `call`.
+    let blockers = [caller("block"), caller("block")];
+    service.entered.wait();
+    // Woken calls are runnable, but both workers are provably inside
+    // `call`: nothing can have polled them.
+    for h in service.handles.lock().unwrap().drain(..) {
+        h.wake();
+    }
+    assert_eq!(service.completions.load(Ordering::Relaxed), 0);
+    service.gate.wait();
+    for t in parked.into_iter().chain(blockers) {
+        t.join().unwrap();
+    }
+    assert_eq!(service.completions.load(Ordering::Relaxed), PARKED);
+    wait_until("the runtime to empty", || server.handler_residue() == 0);
+    client.shutdown();
+    server.stop();
+}
+
+/// `Server::stop` with a suspended call must not leak the server: the
+/// parked frame owns an `Arc` of the server internals, which own the
+/// runtime, whose timer table — or a handle the service keeps — reaches
+/// the frame. Stop drops every suspended frame, so dropping the stopped
+/// server frees the registered service and the runtime holds nothing.
+#[test]
+fn stop_with_a_suspended_call_frees_the_server() {
+    let _wd = watchdog(
+        "stop_with_a_suspended_call_frees_the_server",
+        Duration::from_secs(120),
+    );
+    for method in ["park_timer", "park"] {
+        for (label, fabric, mut cfg) in transports() {
+            cfg.call_timeout = Duration::from_secs(2);
+            cfg.retry = rpcoib::RetryPolicy::none();
+            let sentinel = Arc::new(());
+            // `start` moves the only service reference into the registry.
+            let (server, addr) = start(&fabric, &cfg, vec![probe(&sentinel)]);
+            let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+            let caller = {
+                let client = client.clone();
+                std::thread::spawn(move || probe_call(&client, addr, method))
+            };
+            wait_until("the call to park", || worker_sum(&server, |s| s.parks) == 1);
+            assert!(server.handler_residue() >= 1, "{method}/{label}");
+
+            server.stop();
+            assert_eq!(server.handler_residue(), 0, "{method}/{label}");
+            drop(server);
+            assert_eq!(
+                Arc::strong_count(&sentinel),
+                1,
+                "{method}/{label}: the registered service outlived its server"
+            );
+            assert!(caller.join().unwrap().is_err(), "never answered");
+            client.shutdown();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Satellite: protocol-priority classes.
 // ---------------------------------------------------------------------
@@ -376,11 +558,7 @@ impl RpcService for BulkService {
     fn protocol(&self) -> &'static str {
         "mn.Bulk"
     }
-    fn call(
-        &self,
-        _method: &str,
-        _param: &mut dyn DataInput,
-    ) -> Result<Box<dyn Writable + Send>, String> {
+    fn call(&self, _method: &str, _param: &mut dyn DataInput) -> Reply {
         std::thread::sleep(Duration::from_millis(25));
         self.done.fetch_add(1, Ordering::Relaxed);
         Ok(Box::new(LongWritable(1)))
@@ -395,11 +573,7 @@ impl RpcService for HeartbeatService {
     fn protocol(&self) -> &'static str {
         "mn.Heartbeat"
     }
-    fn call(
-        &self,
-        _method: &str,
-        _param: &mut dyn DataInput,
-    ) -> Result<Box<dyn Writable + Send>, String> {
+    fn call(&self, _method: &str, _param: &mut dyn DataInput) -> Reply {
         // Report how much of the bulk flood had drained when this
         // heartbeat actually ran.
         Ok(Box::new(LongWritable(
@@ -474,52 +648,42 @@ fn heartbeats_jump_a_bulk_flood() {
 /// Gathered V3 batches (many pipelined frames arriving as one wire op)
 /// decode wholesale on the server's read side: heavy pipelining over a
 /// single connection stays correct — every response routed to its
-/// caller, byte-identical — under both handler runtimes and transports.
+/// caller, byte-identical — on both transports.
 #[test]
-fn gathered_bursts_decode_correctly_under_both_runtimes() {
-    let _wd = watchdog(
-        "gathered_bursts_decode_correctly_under_both_runtimes",
-        Duration::from_secs(120),
-    );
-    for runtime in [HandlerRuntime::Threads, HandlerRuntime::Mn] {
-        for (label, fabric, mut cfg) in transports() {
-            cfg.handler_runtime = runtime;
-            let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
-            // One client = one connection; 8 threads pipeline onto it so
-            // the server sees multi-frame gathered batches.
-            let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-            let handles: Vec<_> = (0..8usize)
-                .map(|t| {
-                    let client = client.clone();
-                    std::thread::spawn(move || {
-                        for i in 0..20usize {
-                            let body = vec![(t * 32 + i) as u8; 128 + i];
-                            let resp: BytesWritable = client
-                                .call(addr, "mn.ParkEcho", "echo", &BytesWritable(body.clone()))
-                                .expect("pipelined call");
-                            assert_eq!(resp.0, body);
-                        }
-                    })
+fn gathered_bursts_decode_correctly() {
+    let _wd = watchdog("gathered_bursts_decode_correctly", Duration::from_secs(120));
+    for (label, fabric, cfg) in transports() {
+        let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
+        // One client = one connection; 8 threads pipeline onto it so
+        // the server sees multi-frame gathered batches.
+        let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+        let handles: Vec<_> = (0..8usize)
+            .map(|t| {
+                let client = client.clone();
+                std::thread::spawn(move || {
+                    for i in 0..20usize {
+                        let body = vec![(t * 32 + i) as u8; 128 + i];
+                        let resp: BytesWritable = client
+                            .call(addr, "mn.ParkEcho", "echo", &BytesWritable(body.clone()))
+                            .expect("pipelined call");
+                        assert_eq!(resp.0, body);
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let snap = server.metrics_snapshot();
-            let frames: u64 = snap
-                .shards
-                .iter()
-                .filter(|s| s.role == ShardRole::Reader)
-                .map(|s| s.processed)
-                .sum();
-            assert!(
-                frames >= 160,
-                "runtime {} transport {label}: {frames} frames read",
-                runtime.name()
-            );
-            client.shutdown();
-            server.stop();
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        let snap = server.metrics_snapshot();
+        let frames: u64 = snap
+            .shards
+            .iter()
+            .filter(|s| s.role == ShardRole::Reader)
+            .map(|s| s.processed)
+            .sum();
+        assert!(frames >= 160, "transport {label}: {frames} frames read");
+        client.shutdown();
+        server.stop();
     }
 }
 
@@ -639,8 +803,7 @@ fn prop_env(rdma: bool) -> &'static PropEnv {
         } else {
             (model::IPOIB_QDR, RpcConfig::socket())
         };
-        cfg.handler_runtime = HandlerRuntime::Mn;
-        cfg.handler_workers = 4;
+        cfg.handlers = 4;
         let fabric = Fabric::new(net);
         let service = Arc::new(ScriptEcho {
             completions: AtomicU64::new(0),
@@ -682,8 +845,7 @@ fn run_schedule(env: &PropEnv, schedule: Vec<u8>, data: Vec<u8>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every random yield/park schedule answers exactly once over RPCoIB
-    /// under the M:N runtime.
+    /// Every random yield/park schedule answers exactly once over RPCoIB.
     #[test]
     fn mn_random_schedules_respond_exactly_once_verbs(
         schedule in proptest::collection::vec(any::<u8>(), 0..6),
@@ -745,6 +907,7 @@ fn soak_100k_parked_calls_leave_zero_residue() {
             let sched = Arc::clone(&sched);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || loop {
+                let epoch = sched.wake_epoch();
                 if let Some(task) = sched.next_task(w) {
                     sched.run(w, task, 0);
                     continue;
@@ -752,7 +915,7 @@ fn soak_100k_parked_calls_leave_zero_residue() {
                 if stop.load(Ordering::Acquire) {
                     return;
                 }
-                sched.idle_wait(Duration::from_millis(1));
+                sched.idle_wait(epoch, Duration::from_millis(1));
             })
         })
         .collect();

@@ -27,12 +27,10 @@ use wire::{BytesWritable, DataInput, LongWritable, Text, Writable};
 /// coalescing and responder sweep batching), and the adaptive eager/bulk
 /// crossover toggled by `RPC_ADAPTIVE` (`on` lets each verbs connection
 /// retune its `rdma_threshold` from live cost samples; a no-op on the
-/// socket transport), and the handler runtime selected by
-/// `RPC_HANDLER_RUNTIME` (`mn` → the work-stealing M:N task runtime;
-/// unset or anything else keeps the legacy thread-per-handler pool).
+/// socket transport).
 /// CI's resilience matrix crosses these variables, so every scenario
 /// here runs single-sharded *and* at 4×4, batched *and* per-frame,
-/// static *and* adaptive, threaded *and* M:N.
+/// static *and* adaptive.
 fn env_transport() -> (Fabric, RpcConfig) {
     let (fabric, mut cfg) = if std::env::var("RPC_TRANSPORT").as_deref() == Ok("verbs") {
         (Fabric::new(model::IB_QDR_VERBS), RpcConfig::rpcoib())
@@ -52,9 +50,6 @@ fn env_transport() -> (Fabric, RpcConfig) {
     }
     if std::env::var("RPC_ADAPTIVE").as_deref() == Ok("on") {
         cfg.adaptive_rdma_threshold = true;
-    }
-    if std::env::var("RPC_HANDLER_RUNTIME").as_deref() == Ok("mn") {
-        cfg.handler_runtime = rpcoib::HandlerRuntime::Mn;
     }
     (fabric, cfg)
 }
@@ -687,28 +682,18 @@ fn late_response_is_counted_and_connection_survives() {
 /// concurrent call must be *rejected* as retryable `ServerBusy` — fast,
 /// because the Reader refuses admission instead of blocking on the full
 /// queue — while the two admitted calls complete normally.
-///
-/// On the M:N runtime `handlers` no longer bounds execution (in-flight
-/// calls cost frames, not threads), so the same one-at-a-time shape is
-/// pinned through `max_inflight_calls` — the overload *contract*
-/// (bounded queue + bounded in-flight ⇒ prompt retryable rejection,
-/// never execution) is identical under both engines.
 #[test]
 fn queue_overflow_rejects_with_server_busy() {
     let _wd = watchdog("server_busy", Duration::from_secs(60));
     let (fabric, base) = env_transport();
     let server_node = fabric.add_node();
-    let mut cfg = RpcConfig {
+    let cfg = RpcConfig {
         handlers: 1,
         call_queue_len: 1,
         call_timeout: Duration::from_secs(5),
         retry: RetryPolicy::none(),
         ..base
     };
-    if cfg.handler_runtime == rpcoib::HandlerRuntime::Mn {
-        cfg.handler_workers = 1;
-        cfg.max_inflight_calls = 1;
-    }
     let (server, applied) =
         start_counter_server(&fabric, server_node, &cfg, Duration::from_millis(500));
     let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();

@@ -1,17 +1,15 @@
-//! M:N handler runtime drill: in-flight calls cost bytes, not threads.
+//! Handler runtime drill: a suspended call costs bytes, not a thread.
 //!
 //! ```sh
 //! cargo run --release --example mn_drill
 //! ```
 //!
-//! Three observable claims, each asserted:
+//! Two observable claims, each asserted:
 //!
-//! 1. **Parity** — flipping `handler_runtime` from `threads` to `mn`
-//!    is invisible to a lone sequential caller.
-//! 2. **Elasticity** — 64 calls parked mid-handler on a 2-worker `mn`
+//! 1. **Elasticity** — 64 calls parked mid-handler on a 2-handler
 //!    server all complete, while a fast caller keeps flowing *through*
-//!    the parked population (the legacy pool would need 64 threads).
-//! 3. **Priority** — with `priority_protocols`, a heartbeat protocol
+//!    the parked population (blocking handlers would need 64 threads).
+//! 2. **Priority** — with `priority_protocols`, a heartbeat protocol
 //!    pops ahead of a bulk flood instead of queueing behind it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,8 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rpcoib_suite::rpcoib::{
-    CallPoll, Client, HandlerCx, HandlerRuntime, RpcConfig, RpcService, Server, ServiceRegistry,
-    ShardRole,
+    CallPoll, Client, HandlerCx, RpcConfig, RpcService, Server, ServiceRegistry, ShardRole,
 };
 use rpcoib_suite::simnet::{model, Fabric};
 use rpcoib_suite::wire::{DataInput, LongWritable, Writable};
@@ -40,22 +37,12 @@ impl RpcService for LookupService {
 
     fn call(
         &self,
-        method: &str,
-        param: &mut dyn DataInput,
+        _method: &str,
+        _param: &mut dyn DataInput,
     ) -> Result<Box<dyn Writable + Send>, String> {
-        // Legacy-pool path (`handler_runtime = threads`): same contract,
-        // but a slow call blocks its pool thread for the duration.
-        let mut arg = LongWritable::default();
-        arg.read_fields(param).map_err(|e| e.to_string())?;
-        match method {
-            "ping" => Ok(Box::new(LongWritable(arg.0 + 1))),
-            "slow_lookup" => {
-                std::thread::sleep(Duration::from_millis(arg.0 as u64));
-                self.parked_completions.fetch_add(1, Ordering::Relaxed);
-                Ok(Box::new(LongWritable(arg.0)))
-            }
-            other => Err(format!("unknown method {other}")),
-        }
+        // The server polls `call_mn`; a service that overrides it never
+        // sees `call`.
+        Err("the server polls call_mn".into())
     }
 
     fn call_mn(&self, method: &str, param: &mut dyn DataInput, cx: &mut HandlerCx<'_>) -> CallPoll {
@@ -105,35 +92,12 @@ fn ping(client: &Client, server: &Server, v: i64) -> i64 {
     r.0
 }
 
-/// Part 1: a lone sequential caller can't tell the runtimes apart.
-fn parity() {
-    println!("== parity: lone caller, threads vs mn ==");
-    for runtime in [HandlerRuntime::Threads, HandlerRuntime::Mn] {
-        let mut cfg = RpcConfig::rpcoib();
-        cfg.handler_runtime = runtime;
-        let (_fabric, server, client, _service) = boot(&cfg);
-        for i in 0..20 {
-            assert_eq!(ping(&client, &server, i), i + 1);
-        }
-        let start = Instant::now();
-        let n = 200;
-        for i in 0..n {
-            assert_eq!(ping(&client, &server, i), i + 1);
-        }
-        let per_call = start.elapsed() / n as u32;
-        println!("  {:>7}: {per_call:>9.1?} per call", runtime.name());
-        client.shutdown();
-        server.stop();
-    }
-}
-
-/// Part 2: 64 parked calls on 2 workers, with a fast caller flowing
+/// Part 1: 64 parked calls on 2 handlers, with a fast caller flowing
 /// through them the whole time.
 fn elasticity() {
-    println!("== elasticity: 64 parked calls on a 2-worker mn server ==");
+    println!("== elasticity: 64 parked calls on a 2-handler server ==");
     let mut cfg = RpcConfig::rpcoib();
-    cfg.handler_runtime = HandlerRuntime::Mn;
-    cfg.handler_workers = 2;
+    cfg.handlers = 2;
     let (_fabric, server, client, service) = boot(&cfg);
     assert_eq!(ping(&client, &server, 0), 1);
 
@@ -179,17 +143,24 @@ fn elasticity() {
         .iter()
         .filter(|s| s.role == ShardRole::Worker)
         .collect();
+    let processed: u64 = workers.iter().map(|s| s.processed).sum();
+    let steals: u64 = workers.iter().map(|s| s.steals).sum();
     let parks: u64 = workers.iter().map(|s| s.parks).sum();
     let wakes: u64 = workers.iter().map(|s| s.wakes).sum();
-    assert_eq!(workers.len(), 2, "the mn server mounts exactly 2 workers");
+    assert_eq!(workers.len(), 2, "one counter row per handler");
+    assert!(
+        processed >= (PARKED + fast as usize) as u64,
+        "parked and inline completions are both booked on workers (saw {processed})"
+    );
     assert!(
         parks >= PARKED as u64,
         "every slow call must have parked (saw {parks})"
     );
     assert!(wakes >= PARKED as u64, "and been woken (saw {wakes})");
     println!(
-        "  {PARKED} slow calls completed on 2 workers; fast pings {fast_per_call:.1?} per call \
-         mid-flight; worker counters: parks={parks} wakes={wakes}"
+        "  {PARKED} slow calls completed on 2 handlers; fast pings {fast_per_call:.1?} per call \
+         mid-flight; worker counters: processed={processed} steals={steals} parks={parks} \
+         wakes={wakes}"
     );
     client.shutdown();
     server.stop();
@@ -221,7 +192,7 @@ impl RpcService for BulkService {
     }
 }
 
-/// Part 3: heartbeats pop ahead of a single-handler bulk flood.
+/// Part 2: heartbeats pop ahead of a single-handler bulk flood.
 fn priority() {
     println!("== priority: heartbeats vs a bulk flood, 1 handler ==");
     let mut cfg = RpcConfig::rpcoib();
@@ -269,7 +240,6 @@ fn priority() {
 }
 
 fn main() {
-    parity();
     elasticity();
     priority();
     println!("mn_drill: all assertions held");
