@@ -89,11 +89,9 @@ fn boot(cfg: &BenchConfig, seed: u64, jitter: Option<Duration>) -> Env {
     let client = Client::new(&fabric, client_node, cfg.rpc.clone()).expect("client");
     // Pre-register two buffers per class up to the large region (RPCoIB
     // only; no-op on sockets). Without this, the first large response's
-    // drain on the connection thread can race the caller's send-buffer
-    // return: whichever loses the race registers a fresh region, and that
-    // scheduling-dependent registration charge would leak into exactly
-    // one sample. Registration paid here lands outside every measurement
-    // window.
+    // drain registers a fresh region for its size class, and that
+    // charge would leak into exactly one sample. Registration paid here
+    // lands outside every measurement window.
     client.prewarm_pool(cfg.rpc.large_region_bytes, 2);
     Env {
         fabric,

@@ -158,8 +158,8 @@ pub fn throughput_kops(
     payload: usize,
     duration: Duration,
 ) -> f64 {
-    // One Client (and hence one connection + Connection thread) per
-    // simulated client process, as in the paper's setup.
+    // One Client (and hence one connection, received on by its caller)
+    // per simulated client process, as in the paper's setup.
     let nodes: Vec<_> = (0..client_nodes).map(|_| env.fabric.add_node()).collect();
     let stop = Arc::new(AtomicBool::new(false));
     let ops = Arc::new(AtomicU64::new(0));

@@ -1,11 +1,21 @@
-//! The RPC client: caller threads plus one Connection thread per server
-//! (Section III-D keeps Hadoop's two-thread client design).
+//! The RPC client: caller threads, and nothing else.
 //!
 //! Callers serialize and transmit on their own thread (so per-call
-//! serialization cost lands on the caller, as in Hadoop), register the
-//! call's sequence number in the pending table, and park until the
-//! Connection thread — which owns the receive side — routes the response
-//! back.
+//! serialization cost lands on the caller, as in Hadoop) and register the
+//! call's sequence number in the pending table. The paper keeps Hadoop's
+//! second client thread — one **Connection** thread per server owning the
+//! receive side (Section III-D); here the waiting caller receives. Each
+//! connection has one *receive turn* (a mutex around its response
+//! decoder): a caller with no answer yet takes it if it is free and reads
+//! the wire itself — its own response returns straight off its stack, a
+//! sibling's goes to that sibling's [`CallSlot`] — and parks on its own
+//! slot if it is taken. **If any call on a connection is waiting, exactly
+//! one waiter holds the turn**: a caller marks itself parked *before* it
+//! tries the turn, and every caller that stops waiting promotes a parked
+//! one if the turn is free (`ClientConnection::pass_turn`), so either the
+//! leaver sees the mark or the marker sees the turn free. An idle
+//! connection has no thread and is not watched: a close by the server is
+//! discovered by the next call, which fails retryably (DESIGN §6.2.1).
 //!
 //! Steady-state calls are allocation-free and lock-light on this side:
 //! the `<protocol, method>` pair is resolved once to an interned
@@ -23,7 +33,7 @@
 //! can deduplicate re-executions.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,14 +50,10 @@ use crate::frame::{
 use crate::handshake;
 use crate::hostcost;
 use crate::intern::{self, MethodKey};
-use crate::metrics::{
-    CallProfile, MetricsRegistry, MetricsSnapshot, Phase, RecvProfile as MetricsRecv,
-};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase};
 use crate::transport::rdma::{IbContext, RdmaConn};
 use crate::transport::socket::SocketConn;
 use crate::transport::Conn;
-
-const IDLE_SLICE: Duration = Duration::from_millis(100);
 
 /// Pending-table shard count (power of two; sequence numbers are dense,
 /// so masking the low bits spreads concurrent callers evenly).
@@ -59,11 +65,10 @@ const PENDING_SHARDS: usize = 8;
 /// (its predecessor grew by one entry per server, forever).
 const RECONNECT_TRACK_CAP: usize = 256;
 
-/// A response as the Connection thread hands it to a parked caller: the
-/// lead parsed exactly once (the Connection thread owns the connection's
-/// V3 decoder state, so under the compact header it is the only thread
-/// that *can* parse it), and the frame bytes with the body starting at
-/// `body_offset`.
+/// A response as the receive turn produces it: the lead parsed exactly
+/// once (the turn guards the connection's V3 decoder state, so leads are
+/// decoded in wire order by whoever holds it), and the frame bytes with
+/// the body starting at `body_offset`.
 pub struct RawResponse {
     /// The parsed response lead (sequence number and status).
     pub header: ResponseHeader,
@@ -89,6 +94,9 @@ struct CallSlot {
 struct SlotState {
     gen: u64,
     result: Option<RpcResult<RawResponse>>,
+    /// The caller waits (or is about to wait) on this slot for a leader's
+    /// delivery; cleared by whoever promotes it to take the turn.
+    parked: bool,
 }
 
 impl CallSlot {
@@ -97,6 +105,7 @@ impl CallSlot {
             state: Mutex::new(SlotState {
                 gen: 0,
                 result: None,
+                parked: false,
             }),
             cv: Condvar::new(),
         })
@@ -120,28 +129,50 @@ impl CallSlot {
         true
     }
 
-    /// Park until a generation-`gen` result arrives or `timeout` passes.
-    fn wait(&self, timeout: Duration) -> Option<RpcResult<RawResponse>> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        loop {
-            if let Some(result) = st.result.take() {
-                return Some(result);
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            self.cv.wait_until(&mut st, deadline);
-        }
+    /// Announce this caller as parked. Done *before* trying the turn, so
+    /// a leaver whose release we did not see finds us in its scan.
+    fn park(&self) {
+        self.state.lock().parked = true;
     }
 
-    /// Advance the generation (invalidating any in-flight delivery) and
-    /// clear a result that raced in; called before the slot returns to
-    /// the freelist.
+    /// Stop being a follower (the caller took the turn) and pick up a
+    /// result the previous leader delivered before it left.
+    fn unpark(&self) -> Option<RpcResult<RawResponse>> {
+        let mut st = self.state.lock();
+        st.parked = false;
+        st.result.take()
+    }
+
+    /// Wake the generation-`gen` caller to take the turn, if it is parked.
+    fn promote(&self, gen: u64) -> bool {
+        let mut st = self.state.lock();
+        if st.gen != gen || !st.parked {
+            return false;
+        }
+        st.parked = false;
+        self.cv.notify_one();
+        true
+    }
+
+    /// Sleep until a result arrives (returned), a leaver promotes this
+    /// caller, or `deadline` passes (both `None`).
+    fn wait(&self, deadline: Instant) -> Option<RpcResult<RawResponse>> {
+        let mut st = self.state.lock();
+        while st.result.is_none() && st.parked && Instant::now() < deadline {
+            self.cv.wait_until(&mut st, deadline);
+        }
+        st.parked = false;
+        st.result.take()
+    }
+
+    /// Advance the generation (invalidating any in-flight delivery or
+    /// promotion) and clear a result that raced in; called before the
+    /// slot returns to the freelist.
     fn retire(&self) {
         let mut st = self.state.lock();
         st.gen = st.gen.wrapping_add(1);
         st.result = None;
+        st.parked = false;
     }
 }
 
@@ -151,17 +182,23 @@ struct PendingCall {
     key: MethodKey,
 }
 
-/// The in-flight call table, sharded by sequence number so the caller's
-/// insert/remove and the Connection thread's response lookup contend
+/// The in-flight call table, sharded by sequence number so concurrent
+/// callers' inserts and removes and the leader's response lookups contend
 /// only when they touch the same shard.
 struct PendingTable {
     shards: [Mutex<HashMap<i64, PendingCall>>; PENDING_SHARDS],
+    /// Entries across all shards, so a leaving caller learns that nobody
+    /// is left to promote without visiting them. `SeqCst`: the leaver's
+    /// read must not pass its own release of the turn, nor a newcomer's
+    /// insert its later look at the turn.
+    len: AtomicUsize,
 }
 
 impl PendingTable {
     fn new() -> PendingTable {
         PendingTable {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            len: AtomicUsize::new(0),
         }
     }
 
@@ -170,15 +207,36 @@ impl PendingTable {
     }
 
     fn insert(&self, seq: i64, call: PendingCall) {
-        self.shard(seq).lock().insert(seq, call);
+        if self.shard(seq).lock().insert(seq, call).is_none() {
+            self.len.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     fn remove(&self, seq: i64) -> Option<PendingCall> {
-        self.shard(seq).lock().remove(&seq)
+        let call = self.shard(seq).lock().remove(&seq)?;
+        self.len.fetch_sub(1, Ordering::SeqCst);
+        Some(call)
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.len.load(Ordering::SeqCst)
+    }
+
+    /// Remove every entry, handing each to `f`.
+    fn drain(&self, mut f: impl FnMut(PendingCall)) {
+        for shard in &self.shards {
+            for (_, call) in shard.lock().drain() {
+                self.len.fetch_sub(1, Ordering::SeqCst);
+                f(call);
+            }
+        }
+    }
+
+    /// Whether `f` accepts some entry; stops at the first it does.
+    fn any(&self, mut f: impl FnMut(&PendingCall) -> bool) -> bool {
+        self.shards
+            .iter()
+            .any(|shard| shard.lock().values().any(&mut f))
     }
 }
 
@@ -193,11 +251,19 @@ struct ClientConnection {
     /// runs the lead closure under the transport's own ordering lock — so
     /// this mutex only ever guards one encode at a time.
     enc: Mutex<V3Encoder>,
+    /// The receive turn. Holding this lock *is* being the connection's
+    /// one receiver (the [`Conn`] contract); it guards the V3 response
+    /// decoder (`None` below version 3) because leads must be decoded in
+    /// wire order, which only the receiver knows.
+    recv: Mutex<Option<V3Decoder>>,
     pending: PendingTable,
     /// Retired call slots awaiting reuse; bounded by this connection's
     /// peak caller concurrency.
     slots: Mutex<Vec<Arc<CallSlot>>>,
     broken: AtomicBool,
+    /// Times a caller was woken through its slot by another caller — a
+    /// sibling's response delivered, or the turn passed on.
+    handoffs: AtomicU64,
 }
 
 impl ClientConnection {
@@ -210,12 +276,27 @@ impl ClientConnection {
         self.slots.lock().push(slot);
     }
 
+    /// Close the transport — which is what gets a leader out of a blocked
+    /// `recv_msg` — and fail every pending call with `err`.
     fn fail_all(&self, err: RpcError) {
         self.broken.store(true, Ordering::Release);
-        for shard in &self.pending.shards {
-            for (_, call) in shard.lock().drain() {
-                call.slot.deliver(call.gen, Err(err.clone()));
-            }
+        self.conn.close();
+        self.pending.drain(|call| {
+            call.slot.deliver(call.gen, Err(err.clone()));
+        });
+    }
+
+    /// Keep the turn invariant on the way out: a caller that stops
+    /// waiting, having released the turn and removed its own entry,
+    /// promotes one parked follower if calls remain and nobody leads.
+    /// Promoting while some third caller takes the turn is harmless — the
+    /// woken follower finds it taken and parks again.
+    fn pass_turn(&self) {
+        if self.pending.len() == 0 || self.recv.try_lock().is_none() {
+            return;
+        }
+        if self.pending.any(|call| call.slot.promote(call.gen)) {
+            self.handoffs.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -276,21 +357,34 @@ impl ClientInner {
         }
     }
 
-    /// Mark `connection` unusable and evict it from the cache.
-    fn invalidate(&self, connection: &Arc<ClientConnection>) {
-        connection.broken.store(true, Ordering::Release);
+    /// Close every cached connection and fail what waits on it: closing
+    /// the transport gets a leader out of a blocked `recv_msg`, failing
+    /// the table wakes every follower, and there is no thread to join.
+    fn close_all(&self) {
+        for (_, conn) in self.conns.lock().drain() {
+            conn.fail_all(RpcError::ConnectionClosed);
+        }
+    }
+
+    /// Give `connection` up for `err`. Evict before failing the waiters,
+    /// so a retrying caller that wakes on `fail_all` finds the cache
+    /// already clean and reconnects instead of reusing this dead entry.
+    fn fail_connection(&self, connection: &Arc<ClientConnection>, err: RpcError) {
         self.forget_connection(connection);
+        connection.fail_all(err);
     }
 }
 
-/// Removes one call's pending-table entry on drop and returns its slot
-/// to the connection's freelist, so *every* exit from
-/// [`Client::try_call`] — response delivered, timeout, send failure,
-/// busy rejection, even a panic while parked — leaves the table clean.
-/// The entry removal is a no-op on paths where the Connection thread
-/// already removed it (response delivery, `fail_all`); retiring the slot
-/// advances its generation so any still-in-flight delivery is dropped as
-/// late rather than leaking into the slot's next call.
+/// Removes one call's pending-table entry on drop, returns its slot to
+/// the connection's freelist and passes the receive turn on, so *every*
+/// exit from [`Client::try_call`] — response received, timeout, send
+/// failure, busy rejection, even a panic while waiting — leaves the table
+/// clean and the remaining callers led. The entry removal is a no-op on
+/// paths where a leader already removed it (response delivery,
+/// `fail_all`); retiring the slot advances its generation so any
+/// still-in-flight delivery is dropped as late rather than leaking into
+/// the slot's next call. Declared before the turn is taken, so it drops
+/// after the turn is released.
 struct PendingGuard<'a> {
     connection: &'a ClientConnection,
     seq: i64,
@@ -303,19 +397,16 @@ impl Drop for PendingGuard<'_> {
         if let Some(slot) = self.slot.take() {
             self.connection.release_slot(slot);
         }
+        self.connection.pass_turn();
     }
 }
 
 impl Drop for ClientInner {
     fn drop(&mut self) {
-        // Last user-held handle gone: close every connection so the
-        // per-connection threads exit and release their buffers. The
-        // threads only hold `Weak` references, so this does run.
+        // Last user-held handle gone (so no call is in flight): release
+        // every connection's buffers.
         self.stopped.store(true, Ordering::Release);
-        for (_, conn) in self.conns.lock().drain() {
-            conn.conn.close();
-            conn.fail_all(RpcError::ConnectionClosed);
-        }
+        self.close_all();
     }
 }
 
@@ -422,6 +513,20 @@ impl Client {
             .sum()
     }
 
+    /// Times a caller on a cached connection was woken by another caller
+    /// (a sibling's response delivered to its slot, or the receive turn
+    /// passed on). Regression hook for the receive discipline: a lone
+    /// caller receives its own responses, so this stays 0.
+    #[doc(hidden)]
+    pub fn recv_handoffs(&self) -> u64 {
+        self.inner
+            .conns
+            .lock()
+            .values()
+            .map(|c| c.handoffs.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Servers currently tracked as dropped-and-reconnectable.
     /// Regression hook for the tracking set's boundedness: it must
     /// return to 0 once every dropped server has been reconnected to
@@ -462,7 +567,7 @@ impl Client {
         let deser_start = Instant::now();
         let result = (|| {
             let mut reader = resp.payload.reader();
-            // The Connection thread already parsed the lead (it owns the
+            // The lead was parsed under the receive turn (which guards the
             // V3 decoder state); jump straight to the body.
             reader.skip(resp.body_offset);
             match resp.header.status {
@@ -501,8 +606,8 @@ impl Client {
     /// Like [`Client::call`] but returns the raw response — the parsed
     /// lead plus the frame bytes — for callers that deserialize response
     /// bodies themselves. (Before V3 this handed back unparsed frame
-    /// bytes; with the compact header only the Connection thread holds
-    /// the decoder state, so the lead comes pre-parsed.)
+    /// bytes; with the compact header the decoder state lives under the
+    /// receive turn, so the lead comes pre-parsed.)
     ///
     /// Drives the configured [`crate::RetryPolicy`]: each attempt gets at
     /// most `call_timeout` (capped by the remaining overall deadline, if
@@ -682,52 +787,115 @@ impl Client {
             Ok(p) => p,
             Err(e) => {
                 if e.invalidates_connection() {
-                    self.inner.invalidate(&connection);
-                    connection.fail_all(e.clone());
+                    self.inner.fail_connection(&connection, e.clone());
                 }
                 return Err(e);
             }
         };
-        self.inner.metrics.entry(key).record_call(CallProfile {
-            serialize_ns: profile.serialize_ns,
-            send_ns: profile.send_ns,
-            adjustments: profile.adjustments,
-            size: profile.size,
-        });
+        self.inner.metrics.entry(key).record_call(profile);
 
-        match slot.wait(attempt_timeout) {
-            Some(Ok(resp)) => {
-                // A busy rejection means the server refused admission and
-                // the call never executed — surface it as a retryable
-                // error so the retry loop backs off. (The lead was parsed
-                // by the Connection thread; no re-parse here.)
-                if resp.header.status == ResponseStatus::Busy {
-                    return Err(RpcError::ServerBusy);
-                }
-                // An expired rejection means the server shed the call
-                // before execution because its propagated deadline passed.
-                // Non-retryable by construction: a retry's budget would
-                // already be spent too.
-                if resp.header.status == ResponseStatus::Expired {
-                    return Err(RpcError::DeadlineExpired);
-                }
-                Ok(resp)
+        let deadline = Instant::now() + attempt_timeout;
+        let resp = self.await_response(&connection, &slot, seq, deadline)?;
+        // A busy rejection means the server refused admission and the call
+        // never executed — surface it as a retryable error so the retry
+        // loop backs off. An expired rejection means the server shed the
+        // call before execution because its propagated deadline passed;
+        // non-retryable by construction: a retry's budget would already
+        // be spent too.
+        match resp.header.status {
+            ResponseStatus::Busy => Err(RpcError::ServerBusy),
+            ResponseStatus::Expired => Err(RpcError::DeadlineExpired),
+            ResponseStatus::Ok | ResponseStatus::Error => Ok(resp),
+        }
+    }
+
+    /// Wait for call `seq`'s response until `deadline`: as the
+    /// connection's receiver if the turn is free, parked on `slot`
+    /// otherwise. `Timeout` leaves the connection cached (the server may
+    /// simply be slow); only this call gives up, and a response that
+    /// still arrives is counted late by whichever leader meets it.
+    fn await_response(
+        &self,
+        connection: &Arc<ClientConnection>,
+        slot: &CallSlot,
+        seq: i64,
+        deadline: Instant,
+    ) -> RpcResult<RawResponse> {
+        loop {
+            slot.park();
+            if let Some(mut turn) = connection.recv.try_lock() {
+                return match slot.unpark() {
+                    Some(result) => result,
+                    None => self.lead(connection, &mut turn, slot, seq, deadline),
+                };
             }
-            Some(Err(e)) => {
-                // Delivered by the Connection thread's fail_all: the
-                // connection itself is gone; make sure it is also evicted
-                // before a retry reconnects.
-                if e.invalidates_connection() {
-                    self.inner.invalidate(&connection);
-                }
-                Err(e)
+            if let Some(result) = slot.wait(deadline) {
+                return result;
             }
-            None => {
-                // No response in time. The connection may be fine (slow
-                // server), so it stays cached; only this call gives up
-                // (the guard unregisters it and retires the slot, so a
-                // response that still arrives is dropped as late).
-                Err(RpcError::Timeout)
+            if Instant::now() >= deadline {
+                return Err(RpcError::Timeout);
+            }
+        }
+    }
+
+    /// Hold the receive turn until call `seq`'s own response arrives,
+    /// delivering every sibling's response met on the way.
+    fn lead(
+        &self,
+        connection: &Arc<ClientConnection>,
+        dec: &mut Option<V3Decoder>,
+        slot: &CallSlot,
+        seq: i64,
+        deadline: Instant,
+    ) -> RpcResult<RawResponse> {
+        let metrics = &self.inner.metrics;
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let (payload, recv) = match connection.conn.recv_msg(remaining) {
+                Ok(v) => v,
+                Err(RpcError::Timeout) => return Err(RpcError::Timeout),
+                Err(e) => {
+                    // Whoever failed the connection first (a sender,
+                    // `shutdown`) closed the transport to get us here and
+                    // left the cause on our slot; else the cause is ours.
+                    return slot.unpark().unwrap_or_else(|| {
+                        self.inner.fail_connection(connection, e.clone());
+                        Err(e)
+                    });
+                }
+            };
+            let mut reader = payload.reader();
+            let parsed = match dec.as_mut() {
+                Some(d) => d.read_response_header(&mut reader),
+                None => read_response_header(&mut reader),
+            };
+            let Ok(header) = parsed else {
+                let e = RpcError::Protocol("corrupt response frame".into());
+                self.inner.fail_connection(connection, e.clone());
+                return Err(e);
+            };
+            let resp = RawResponse {
+                header,
+                body_offset: reader.position(),
+                payload,
+            };
+            let call = connection.pending.remove(header.seq);
+            if let Some(call) = &call {
+                metrics.entry(call.key).record_recv(recv);
+            }
+            if header.seq == seq {
+                return Ok(resp);
+            }
+            match call {
+                Some(call) if call.slot.deliver(call.gen, Ok(resp)) => {
+                    connection.handoffs.fetch_add(1, Ordering::Relaxed);
+                }
+                // No entry: the caller timed out and went away (or a
+                // parked duplicate's answer raced the original's). Entry
+                // but a retired slot: it gave up between our removal and
+                // the delivery. Either way the response is dropped and the
+                // connection stays healthy — but the event is visible.
+                _ => metrics.inc_late_responses(),
             }
         }
     }
@@ -783,9 +951,11 @@ impl Client {
             // so V3 there is self-contained per frame; the socket path is
             // reliable-ordered and uses the stateful delta encoding.
             enc: Mutex::new(V3Encoder::new(!self.inner.cfg.ib_enabled)),
+            recv: Mutex::new((version >= 3).then(|| V3Decoder::new(!self.inner.cfg.ib_enabled))),
             pending: PendingTable::new(),
             slots: Mutex::new(Vec::new()),
             broken: AtomicBool::new(false),
+            handoffs: AtomicU64::new(0),
         });
         // A reconnect is an establishment to a server whose previous
         // connection was dropped: either it is still cached (broken, and
@@ -801,17 +971,14 @@ impl Client {
         if replaced || was_dropped {
             self.inner.metrics.inc_reconnects();
         }
+        if self.inner.stopped.load(Ordering::Acquire) {
+            // `shutdown` raced this establishment and its sweep may have
+            // run before the insert; nothing else would ever close it.
+            self.inner.conns.lock().remove(&server);
+            connection.fail_all(RpcError::ConnectionClosed);
+            return Err(RpcError::ConnectionClosed);
+        }
 
-        // The Connection thread: owns the receive side for this server.
-        // It holds only a Weak reference to the client, so dropping the
-        // last Client handle tears the thread (and the connection's
-        // buffers) down.
-        let inner = Arc::downgrade(&self.inner);
-        let connection2 = Arc::clone(&connection);
-        std::thread::Builder::new()
-            .name(format!("rpc-connection-{server}"))
-            .spawn(move || connection_loop(inner, connection2))
-            .expect("spawn connection thread");
         Ok(connection)
     }
 
@@ -828,10 +995,7 @@ impl Client {
             let _guard = self.inner.stop_lock.lock();
             self.inner.stop_cv.notify_all();
         }
-        for (_, conn) in self.inner.conns.lock().drain() {
-            conn.conn.close();
-            conn.fail_all(RpcError::ConnectionClosed);
-        }
+        self.inner.close_all();
     }
 }
 
@@ -841,82 +1005,5 @@ impl std::fmt::Debug for Client {
             .field("node", &self.inner.node)
             .field("ib", &self.inner.ib.is_some())
             .finish()
-    }
-}
-
-fn connection_loop(inner: std::sync::Weak<ClientInner>, connection: Arc<ClientConnection>) {
-    // The response-side V3 decoder lives on this thread (never shared):
-    // this loop is the only reader, so lead parsing needs no lock.
-    let mut dec = {
-        let Some(strong) = inner.upgrade() else {
-            connection.fail_all(RpcError::ConnectionClosed);
-            return;
-        };
-        (connection.version >= 3).then(|| V3Decoder::new(!strong.cfg.ib_enabled))
-    };
-    loop {
-        // Upgrade per iteration: if every user-facing Client handle is
-        // gone, stop polling and let the connection (and its registered
-        // buffers) drop.
-        let Some(inner) = inner.upgrade() else {
-            connection.fail_all(RpcError::ConnectionClosed);
-            return;
-        };
-        if inner.stopped.load(Ordering::Acquire) || connection.broken.load(Ordering::Acquire) {
-            inner.forget_connection(&connection);
-            connection.fail_all(RpcError::ConnectionClosed);
-            return;
-        }
-        let (payload, recv) = match connection.conn.recv_msg(IDLE_SLICE) {
-            Ok(v) => v,
-            Err(RpcError::Timeout) => continue,
-            Err(e) => {
-                // Evict before failing the waiters, so a retrying caller
-                // that wakes on fail_all finds the cache already clean
-                // and reconnects instead of reusing this dead entry.
-                inner.invalidate(&connection);
-                connection.fail_all(e);
-                return;
-            }
-        };
-        let (header, body_offset) = {
-            let mut reader = payload.reader();
-            let parsed = match dec.as_mut() {
-                Some(d) => d.read_response_header(&mut reader),
-                None => read_response_header(&mut reader),
-            };
-            match parsed {
-                Ok(h) => (h, reader.position()),
-                Err(_) => {
-                    inner.invalidate(&connection);
-                    connection.conn.close();
-                    connection.fail_all(RpcError::Protocol("corrupt response frame".into()));
-                    return;
-                }
-            }
-        };
-        if let Some(call) = connection.pending.remove(header.seq) {
-            inner.metrics.entry(call.key).record_recv(MetricsRecv {
-                alloc_ns: recv.alloc_ns,
-                total_ns: recv.total_ns,
-                size: recv.size,
-            });
-            let resp = RawResponse {
-                header,
-                payload,
-                body_offset,
-            };
-            if !call.slot.deliver(call.gen, Ok(resp)) {
-                // The caller retired the slot between our pending-table
-                // removal and the delivery: it gave up; same outcome as
-                // not finding the entry at all.
-                inner.metrics.inc_late_responses();
-            }
-        } else {
-            // The caller timed out and went away (or a parked duplicate's
-            // answer raced the original's). The response is dropped, the
-            // connection stays healthy — but the event is visible.
-            inner.metrics.inc_late_responses();
-        }
     }
 }

@@ -18,16 +18,18 @@
 //!   messages, one-sided RDMA writes (+ credit flow control) for large
 //!   ones.
 //!
-//! The engine keeps the shape of Hadoop's thread architecture — caller +
-//! Connection thread on the client; Listener, Readers, Handlers,
-//! Responders on the server — but shards the read side (reader *shards*
-//! each run an event loop over the connections hashed onto them) and
-//! has the handler that computed a response send it, as Hadoop's
-//! `doRespond` does; responder *shards* carry only the responses that
-//! cannot go out inline (see [`server`] and `RpcConfig::{reader_shards,
-//! responder_shards}`). Both transports expose the same
-//! [`transport::Conn`] interface, mirroring the paper's
-//! stream-interface-compatibility design.
+//! The engine keeps the stages of Hadoop's thread architecture — callers
+//! on the client; Listener, Readers, Handlers, Responders on the server —
+//! but a thread that is already there does the neighbouring stage's work
+//! when it can: the client has no Connection thread (the caller that is
+//! waiting holds its connection's receive turn and reads the wire itself,
+//! see [`client`]), the read side is sharded (reader *shards* each run an
+//! event loop over the connections hashed onto them), and the handler
+//! that computed a response sends it, as Hadoop's `doRespond` does;
+//! responder *shards* carry only the responses that cannot go out inline
+//! (see [`server`] and `RpcConfig::{reader_shards, responder_shards}`).
+//! Both transports expose the same [`transport::Conn`] interface,
+//! mirroring the paper's stream-interface-compatibility design.
 //!
 //! ```
 //! use rpcoib::{Client, RpcConfig, RpcService, Server, ServiceRegistry};

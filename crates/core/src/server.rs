@@ -88,9 +88,7 @@ use crate::frame::{
 };
 use crate::handshake;
 use crate::intern::MethodKey;
-use crate::metrics::{
-    MetricsRegistry, MetricsSnapshot, Phase, RecvProfile as MetricsRecv, ShardRole, ShardStats,
-};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase, ShardRole, ShardStats};
 use crate::readiness::{token, token_gen, token_slot, Pop, ReadyQueue, WakeState, TOKEN_REGISTER};
 use crate::retry_cache::{Admission, CallKey, RetryCache};
 use crate::sched::{HandlerCx, Sched, Step, TaskCx};
@@ -1276,11 +1274,7 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
     };
     stats.inc_processed();
     let body_offset = reader.position();
-    inner.metrics.entry(header.key).record_recv(MetricsRecv {
-        alloc_ns: recv.alloc_ns,
-        total_ns: recv.total_ns,
-        size: recv.size,
-    });
+    inner.metrics.entry(header.key).record_recv(recv);
     // At-most-once admission. V1 peers (and clients with caching
     // disabled, client_id 0) skip the cache but still get the
     // non-blocking queue admission below. The cache stores *neutral*

@@ -16,36 +16,28 @@ use crate::error::RpcResult;
 use crate::frame::Payload;
 use crate::intern::MethodKey;
 
-/// Profile of one outgoing message (feeds Table I columns).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SendProfile {
-    pub serialize_ns: u64,
-    pub send_ns: u64,
-    /// Algorithm-1 adjustments (socket) or pool re-acquisitions (RPCoIB).
-    pub adjustments: u64,
-    pub size: usize,
-}
-
-/// Profile of one incoming message (feeds Figure 1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecvProfile {
-    pub alloc_ns: u64,
-    pub total_ns: u64,
-    pub size: usize,
-}
+/// Profile of one outgoing message (feeds Table I columns) and of one
+/// incoming message (feeds Figure 1): the transports produce exactly the
+/// observations the metrics registry records.
+pub use crate::metrics::{CallProfile as SendProfile, RecvProfile};
 
 /// A bidirectional, message-oriented RPC connection.
 ///
 /// `send_msg` may be called from any thread (internally serialized);
-/// `recv_msg` must be driven by a single receiving thread at a time —
-/// the client's Connection thread, or the server reader *shard* that the
+/// `recv_msg` has one receiver at a time, and it is the callers' turn
+/// discipline that enforces it: on the client, the waiting caller that
+/// holds the connection's receive turn (there is no Connection thread —
+/// see [`crate::client`]); on the server, the reader *shard* that the
 /// connection was hashed onto at accept time. A shard multiplexes many
 /// connections event-style: each conn's [`Conn::set_ready_hook`] enqueues
 /// a wake token when input becomes observable, the shard blocks on its
 /// ready queue, and `poll_ready` stays the level-triggered truth the
 /// shard re-checks on every wake (so a spurious or duplicate wake is
 /// harmless, and a conn with residual input is re-armed). Idle
-/// connections therefore cost nothing per scheduling round.
+/// connections therefore cost nothing per scheduling round — on either
+/// side. A transport may read its own wire outside `recv_msg` when one of
+/// its senders must block on it (verbs credit waits); what it reads is
+/// kept, in order, for the receiver, and announced through the hook.
 pub trait Conn: Send + Sync {
     /// Serialize one message via `write` (which receives this transport's
     /// preferred `DataOutput`) and transmit it. `key` indexes the RPCoIB

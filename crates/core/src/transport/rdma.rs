@@ -32,7 +32,7 @@
 //! [`Crossover`](crate::transport::crossover::Crossover) controller
 //! auto-tunes it from live modeled-cost samples.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -196,6 +196,9 @@ impl IbContext {
     }
 }
 
+/// One received frame and the profile of receiving it.
+type Frame = (Payload, RecvProfile);
+
 /// A grant of `consumed` credits whose frame starts at slot `start`. The
 /// `ticket` orders the actual RDMA writes: grants must hit the wire in
 /// grant order or the receiver's FIFO drain would credit slots a later,
@@ -217,6 +220,17 @@ struct RingState {
     next_ticket: u64,
     turn: u64,
     closed: bool,
+    /// The connection's *poll turn*: a thread is inside `poll_recv` on the
+    /// queue pair. Completions are consumed by one thread at a time (frame
+    /// order, posted-buffer matching) and no thread is dedicated to it —
+    /// whoever blocks on this connection, in `recv_msg` or here for
+    /// credits, takes the turn if it is free. Kept in this state because
+    /// credit waiters sleep on `cv` and must see its release under the
+    /// lock they sleep on.
+    polling: bool,
+    /// Threads asleep on `cv`. Nobody asleep, nothing to notify: the
+    /// turn is released once per received message.
+    sleepers: usize,
 }
 
 /// Multi-slot credit ring over the peer's large region. `slots = 1`
@@ -237,68 +251,57 @@ impl SlotRing {
                 next_ticket: 0,
                 turn: 0,
                 closed: false,
+                polling: false,
+                sleepers: 0,
             }),
             cv: Condvar::new(),
         }
     }
 
-    /// Claim `k` contiguous slots, waiting up to `budget` (sliced, so a
-    /// concurrent close is noticed promptly). Exhausting the budget is
-    /// [`RpcError::CreditStarved`] — the peer is alive but not draining.
-    fn acquire(&self, k: usize, budget: Duration) -> RpcResult<Grant> {
+    /// Claim `k` contiguous slots if the ring has them free right now.
+    fn try_grant(&self, st: &mut RingState, k: usize) -> Option<Grant> {
         debug_assert!(k >= 1 && k <= self.slots);
-        let mut remaining = budget;
-        let mut st = self.state.lock();
-        loop {
-            if st.closed {
-                return Err(RpcError::ConnectionClosed);
-            }
-            let tail = self.slots - st.ring_pos;
-            let granted = if k <= tail {
-                // Contiguous from the cursor.
-                (st.credits >= k).then(|| {
-                    let start = st.ring_pos;
-                    st.ring_pos = (st.ring_pos + k) % self.slots;
-                    st.credits -= k;
-                    (start, k)
-                })
-            } else if tail + k <= self.slots {
-                // Wrap: skip the tail stub and start at slot 0. The
-                // skipped slots are *consumed* with the grant (and
-                // credited back by the receiver via the imm's count) —
-                // leaving them nominally free would let their credits pay
-                // for slots an earlier in-flight frame still occupies.
-                (st.credits >= tail + k).then(|| {
-                    st.ring_pos = k % self.slots;
-                    st.credits -= tail + k;
-                    (0, tail + k)
-                })
-            } else {
-                // The frame is too big to wrap-with-skip (tail + k would
-                // exceed the ring). Wait for a full drain: with nothing
-                // outstanding the ring is equivalent to a fresh one and
-                // the cursor can reset to 0.
-                (st.credits == self.slots).then(|| {
-                    st.ring_pos = k % self.slots;
-                    st.credits -= k;
-                    (0, k)
-                })
-            };
-            if let Some((start, consumed)) = granted {
-                let ticket = st.next_ticket;
-                st.next_ticket += 1;
-                return Ok(Grant {
-                    start,
-                    consumed,
-                    ticket,
-                });
-            }
-            if remaining.is_zero() {
-                return Err(RpcError::CreditStarved);
-            }
-            let slice = POLL_SLICE.min(remaining);
-            self.cv.wait_for(&mut st, slice);
-            remaining = remaining.saturating_sub(slice);
+        let tail = self.slots - st.ring_pos;
+        let (start, consumed) = if k <= tail {
+            // Contiguous from the cursor.
+            (st.credits >= k).then_some((st.ring_pos, k))?
+        } else if tail + k <= self.slots {
+            // Wrap: skip the tail stub and start at slot 0. The
+            // skipped slots are *consumed* with the grant (and
+            // credited back by the receiver via the imm's count) —
+            // leaving them nominally free would let their credits pay
+            // for slots an earlier in-flight frame still occupies.
+            (st.credits >= tail + k).then_some((0, tail + k))?
+        } else {
+            // The frame is too big to wrap-with-skip (tail + k would
+            // exceed the ring). Wait for a full drain: with nothing
+            // outstanding the ring is equivalent to a fresh one and
+            // the cursor can reset to 0.
+            (st.credits == self.slots).then_some((0, k))?
+        };
+        st.ring_pos = (start + k) % self.slots;
+        st.credits -= consumed;
+        let ticket = st.next_ticket;
+        st.next_ticket += 1;
+        Some(Grant {
+            start,
+            consumed,
+            ticket,
+        })
+    }
+
+    /// Sleep on the ring until notified or `slice` passes.
+    fn sleep(&self, st: &mut parking_lot::MutexGuard<'_, RingState>, slice: Duration) {
+        st.sleepers += 1;
+        self.cv.wait_for(st, slice);
+        st.sleepers -= 1;
+    }
+
+    /// Wake every sleeper to re-check its condition; `st` is the held
+    /// state lock, so no sleeper can slip between its check and its wait.
+    fn wake(&self, st: &RingState) {
+        if st.sleepers > 0 {
+            self.cv.notify_all();
         }
     }
 
@@ -312,28 +315,29 @@ impl SlotRing {
             if st.turn == ticket {
                 return Ok(());
             }
-            self.cv.wait_for(&mut st, POLL_SLICE);
+            self.sleep(&mut st, POLL_SLICE);
         }
     }
 
     /// Pass the turn to the next granted ticket. Must run exactly once
-    /// per successful [`SlotRing::acquire`], error paths included.
+    /// per granted ticket, error paths included.
     fn advance_turn(&self) {
         let mut st = self.state.lock();
         st.turn += 1;
-        self.cv.notify_all();
+        self.wake(&st);
     }
 
     /// Return `n` drained slots announced by a peer credit message.
     fn release(&self, n: usize) {
         let mut st = self.state.lock();
         st.credits = (st.credits + n).min(self.slots);
-        self.cv.notify_all();
+        self.wake(&st);
     }
 
     fn close(&self) {
-        self.state.lock().closed = true;
-        self.cv.notify_all();
+        let mut st = self.state.lock();
+        st.closed = true;
+        self.wake(&st);
     }
 }
 
@@ -361,9 +365,11 @@ pub struct RdmaConn {
     peer_slot_size: usize,
     /// Receive buffers currently posted, by work-request id.
     posted: Mutex<HashMap<u64, PooledBuf<MemoryRegion>>>,
-    /// Frames unpacked from an [`IMM_BATCH`] completion beyond the first,
-    /// served by subsequent `recv_msg` calls before the wire is polled.
-    stash: Mutex<std::collections::VecDeque<Vec<u8>>>,
+    /// Frames pulled off the queue pair and not yet handed to a
+    /// `recv_msg` caller, oldest first: every completion lands here
+    /// (under the poll turn, so in wire order) whether the receiver, a
+    /// credit-waiting sender or an [`IMM_BATCH`] unpack produced it.
+    stash: Mutex<VecDeque<Frame>>,
     next_wr: AtomicU64,
     send: Mutex<SendState>,
     /// Credits over the *peer's* region, spent by our bulk sends.
@@ -442,6 +448,27 @@ fn parse_hello(buf: &[u8], cfg: &RpcConfig) -> RpcResult<(QpEndpoint, RemoteKey,
     Ok((peer_ep, peer_rkey, large, slots))
 }
 
+/// Split an [`IMM_BATCH`] chunk — `[vlong len][frame]…` — handing each
+/// sub-frame to `emit` in order.
+fn unpack_batch(mut chunk: &[u8], mut emit: impl FnMut(&[u8])) -> RpcResult<()> {
+    use wire::DataInput;
+    if chunk.is_empty() {
+        return Err(RpcError::Protocol("empty batch completion".into()));
+    }
+    while !chunk.is_empty() {
+        let len = chunk
+            .read_vlong()
+            .ok()
+            .and_then(|l| usize::try_from(l).ok())
+            .filter(|&l| l <= chunk.len())
+            .ok_or_else(|| RpcError::Protocol("malformed batch sub-frame length".into()))?;
+        let (frame, rest) = chunk.split_at(len);
+        emit(frame);
+        chunk = rest;
+    }
+    Ok(())
+}
+
 impl RdmaConn {
     /// Run the end-point exchange over an established bootstrap stream and
     /// bring up the verbs connection. Symmetric: both the client and the
@@ -483,7 +510,7 @@ impl RdmaConn {
             peer_slots,
             peer_slot_size: peer_large_size / peer_slots,
             posted: Mutex::new(HashMap::new()),
-            stash: Mutex::new(std::collections::VecDeque::new()),
+            stash: Mutex::new(VecDeque::new()),
             next_wr: AtomicU64::new(1),
             send: Mutex::new(SendState {
                 credit_mr: ctx.device.register(128),
@@ -580,6 +607,60 @@ impl RdmaConn {
         let _ = self.send_credit(count);
     }
 
+    /// One step of receive progress for a thread that must block on this
+    /// connection, `st` being the held ring lock: if another thread has
+    /// the poll turn, sleep on the ring (it releases what it reads and
+    /// wakes us); otherwise take the turn and consume one completion.
+    /// Returns whether this thread stashed a frame.
+    fn progress(
+        &self,
+        mut st: parking_lot::MutexGuard<'_, RingState>,
+        slice: Duration,
+    ) -> RpcResult<bool> {
+        if st.polling {
+            self.ring.sleep(&mut st, slice);
+            return Ok(false);
+        }
+        st.polling = true;
+        drop(st);
+        let polled = self.poll_one(slice);
+        let mut st = self.ring.state.lock();
+        st.polling = false;
+        self.ring.wake(&st);
+        polled
+    }
+
+    /// Claim `k` contiguous slots of the peer's region, waiting up to
+    /// `call_timeout` (sliced, so a concurrent close is noticed promptly).
+    /// Exhausting the budget is [`RpcError::CreditStarved`] — the peer is
+    /// alive but not draining.
+    ///
+    /// The credits arrive as [`IMM_CREDIT`] completions on our own queue
+    /// pair, and no thread is dedicated to reading it: when nobody is
+    /// receiving, this waiter reads them itself. Frames it meets on the
+    /// way are stashed for the receiver, which is told through the ready
+    /// hook (an event-driven reader shard saw the queue pair's own edge
+    /// before we emptied it).
+    fn acquire_slots(&self, k: usize) -> RpcResult<Grant> {
+        let deadline = Instant::now() + self.cfg.call_timeout;
+        loop {
+            let mut st = self.ring.state.lock();
+            if st.closed {
+                return Err(RpcError::ConnectionClosed);
+            }
+            if let Some(grant) = self.ring.try_grant(&mut st, k) {
+                return Ok(grant);
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(RpcError::CreditStarved);
+            }
+            if self.progress(st, POLL_SLICE.min(remaining))? {
+                self.fire_ready_hook();
+            }
+        }
+    }
+
     /// Claim slots, wait for the posting turn, and gather-write one bulk
     /// frame into the peer's region.
     fn send_bulk(&self, segs: &[PooledBuf<MemoryRegion>], len: usize) -> RpcResult<()> {
@@ -593,7 +674,7 @@ impl RdmaConn {
                 self.peer_slots, self.peer_slot_size
             )));
         }
-        let grant = self.ring.acquire(k, self.cfg.call_timeout)?;
+        let grant = self.acquire_slots(k)?;
         self.ring.await_turn(grant.ticket)?;
         let result = self.post_bulk_writes(&grant, segs, len);
         self.ring.advance_turn();
@@ -667,6 +748,135 @@ impl RdmaConn {
             )));
         }
         Ok(len)
+    }
+
+    /// Wait up to `slice` for one receive completion and consume it:
+    /// credits go to the slot ring, frames to the back of the stash.
+    /// Returns whether a frame was stashed. The caller holds the poll
+    /// turn — completions are consumed, and the stash grows, in wire
+    /// order by one thread at a time.
+    fn poll_one(&self, slice: Duration) -> RpcResult<bool> {
+        let completion = match self.qp.poll_recv(slice) {
+            Ok(c) => c,
+            Err(VerbsError::Timeout) => return Ok(false),
+            Err(e) => return Err(verbs_err(e)),
+        };
+        let total_start = Instant::now();
+        let frame = match (completion.kind, completion.imm & 0xff) {
+            (CompletionKind::Recv, IMM_SMALL) => {
+                let buf = self.take_posted(completion.wr_id)?;
+                // Replenish the ring; with a warm pool this is a
+                // freelist pop — the "allocation" cost RPCoIB removes.
+                let alloc_start = Instant::now();
+                self.post_one_recv();
+                let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
+                (
+                    Payload::Pooled {
+                        buf,
+                        len: completion.len,
+                    },
+                    RecvProfile {
+                        alloc_ns,
+                        total_ns: total_start.elapsed().as_nanos() as u64 + 1,
+                        size: completion.len,
+                    },
+                )
+            }
+            (CompletionKind::Recv, IMM_BATCH) => {
+                let buf = self.take_posted(completion.wr_id)?;
+                let alloc_start = Instant::now();
+                self.post_one_recv();
+                let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
+                // One copy per sub-frame, straight out of registered
+                // memory onto the stash.
+                let mut stash = self.stash.lock();
+                let first = stash.len();
+                let unpacked = buf.mem().with(|chunk| {
+                    unpack_batch(&chunk[..completion.len], |frame| {
+                        stash.push_back((
+                            Payload::Owned(frame.to_vec()),
+                            RecvProfile {
+                                alloc_ns: 0,
+                                total_ns: 1,
+                                size: frame.len(),
+                            },
+                        ));
+                    })
+                });
+                if let Err(e) = unpacked {
+                    stash.truncate(first);
+                    return Err(e);
+                }
+                // The completion's measured cost rides its first frame.
+                let (_, profile) = &mut stash[first];
+                profile.alloc_ns = alloc_ns;
+                profile.total_ns = total_start.elapsed().as_nanos() as u64 + 1;
+                return Ok(true);
+            }
+            (CompletionKind::Recv, IMM_CREDIT) => {
+                // Flow-control credits: recycle the consumed recv
+                // buffer and wake senders blocked on the slot ring.
+                drop(self.take_posted(completion.wr_id)?);
+                self.post_one_recv();
+                let count = (completion.imm >> 8) as usize;
+                if count == 0 || count > self.peer_slots {
+                    return Err(self.frame_corruption(format!(
+                        "credit return of {count} slots (ring has {})",
+                        self.peer_slots
+                    )));
+                }
+                self.ring.release(count);
+                return Ok(false);
+            }
+            (CompletionKind::RecvRdmaWithImm, IMM_LARGE) => {
+                drop(self.take_posted(completion.wr_id)?);
+                self.post_one_recv();
+                let start = ((completion.imm >> 8) & 0xfff) as usize;
+                let consumed = ((completion.imm >> 20) & 0xfff) as usize;
+                let len = self.bulk_frame_len(start, consumed)?;
+                let base = start * self.my_slot_size + HEADER_BYTES;
+                // Drain the region into a pooled buffer so the slots
+                // can be credited back; the copy is charged to our
+                // ledger (the sender side was zero-copy, this is the
+                // one memcpy the design retains).
+                let alloc_start = Instant::now();
+                let mut buf = self.ctx.pool.acquire_size(len);
+                let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
+                self.my_large
+                    .with(|region| buf.mem_mut().put(0, &region[base..base + len]));
+                self.ctx
+                    .device
+                    .fabric()
+                    .charge_host_ns(self.ctx.device.node(), hostcost::drain_ns(len));
+                *self.pending_credits.lock() += consumed;
+                self.maybe_flush_credits();
+                (
+                    Payload::Pooled { buf, len },
+                    RecvProfile {
+                        alloc_ns,
+                        total_ns: total_start.elapsed().as_nanos() as u64 + 1,
+                        size: len,
+                    },
+                )
+            }
+            (kind, imm) => {
+                return Err(
+                    self.frame_corruption(format!("unexpected completion {kind:?} imm={imm}"))
+                );
+            }
+        };
+        self.stash.lock().push_back(frame);
+        Ok(true)
+    }
+
+    /// Tell the receiver that input became observable by our own doing
+    /// (a frame stashed on its behalf, a local close) — edges the queue
+    /// pair will not announce.
+    fn fire_ready_hook(&self) {
+        let hook = self.ready_hook.lock().clone();
+        if let Some(hook) = hook {
+            hook();
+        }
     }
 
     /// Post the accumulated `[vlong len][frame]…` chunk as one
@@ -809,154 +1019,31 @@ impl Conn for RdmaConn {
         Ok(())
     }
 
-    fn recv_msg(&self, timeout: Duration) -> RpcResult<(Payload, RecvProfile)> {
+    fn recv_msg(&self, timeout: Duration) -> RpcResult<Frame> {
         let deadline = Instant::now() + timeout;
         loop {
             if self.closed.load(Ordering::Acquire) {
                 return Err(RpcError::ConnectionClosed);
             }
-            if let Some(frame) = self.stash.lock().pop_front() {
-                let size = frame.len();
-                return Ok((
-                    Payload::Owned(frame),
-                    RecvProfile {
-                        alloc_ns: 0,
-                        total_ns: 1,
-                        size,
-                    },
-                ));
-            }
             // Idle moments are when batched credits drain: if nothing else
             // is inbound, whatever we owe the peer goes back now.
-            self.maybe_flush_credits();
+            if self.stash.lock().is_empty() {
+                self.maybe_flush_credits();
+            }
+            // Popped under the ring lock: a credit-waiting sender stashes
+            // before it releases the poll turn, so once the turn is seen
+            // free and the stash empty, only our own poll can fill it.
+            let st = self.ring.state.lock();
+            if let Some(frame) = self.stash.lock().pop_front() {
+                return Ok(frame);
+            }
             let now = Instant::now();
             if now >= deadline {
                 return Err(RpcError::Timeout);
             }
-            let completion = match self.qp.poll_recv(POLL_SLICE.min(deadline - now)) {
-                Ok(c) => c,
-                Err(VerbsError::Timeout) => continue,
-                Err(e) => return Err(verbs_err(e)),
-            };
-            let total_start = Instant::now();
-            match (completion.kind, completion.imm & 0xff) {
-                (CompletionKind::Recv, IMM_SMALL) => {
-                    let buf = self.take_posted(completion.wr_id)?;
-                    // Replenish the ring; with a warm pool this is a
-                    // freelist pop — the "allocation" cost RPCoIB removes.
-                    let alloc_start = Instant::now();
-                    self.post_one_recv();
-                    let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
-                    let total_ns = total_start.elapsed().as_nanos() as u64 + 1;
-                    return Ok((
-                        Payload::Pooled {
-                            buf,
-                            len: completion.len,
-                        },
-                        RecvProfile {
-                            alloc_ns,
-                            total_ns,
-                            size: completion.len,
-                        },
-                    ));
-                }
-                (CompletionKind::Recv, IMM_BATCH) => {
-                    let buf = self.take_posted(completion.wr_id)?;
-                    let alloc_start = Instant::now();
-                    self.post_one_recv();
-                    let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
-                    // Unpack on the receiving thread: copy the chunk out of
-                    // registered memory once, split it, serve the first
-                    // frame now and stash the rest for the next calls.
-                    let mut bytes = vec![0u8; completion.len];
-                    buf.mem().get(0, &mut bytes);
-                    drop(buf);
-                    let mut frames: Vec<Vec<u8>> = Vec::new();
-                    let mut rest: &[u8] = &bytes;
-                    while !rest.is_empty() {
-                        use wire::DataInput;
-                        let flen = rest
-                            .read_vlong()
-                            .ok()
-                            .and_then(|l| usize::try_from(l).ok())
-                            .filter(|&l| l <= rest.len())
-                            .ok_or_else(|| {
-                                RpcError::Protocol("malformed batch sub-frame length".into())
-                            })?;
-                        frames.push(rest[..flen].to_vec());
-                        rest = &rest[flen..];
-                    }
-                    if frames.is_empty() {
-                        return Err(RpcError::Protocol("empty batch completion".into()));
-                    }
-                    let first = frames.remove(0);
-                    if !frames.is_empty() {
-                        self.stash.lock().extend(frames);
-                    }
-                    let size = first.len();
-                    let total_ns = total_start.elapsed().as_nanos() as u64 + 1;
-                    return Ok((
-                        Payload::Owned(first),
-                        RecvProfile {
-                            alloc_ns,
-                            total_ns,
-                            size,
-                        },
-                    ));
-                }
-                (CompletionKind::Recv, IMM_CREDIT) => {
-                    // Flow-control credits: recycle the consumed recv
-                    // buffer and wake senders blocked on the slot ring.
-                    drop(self.take_posted(completion.wr_id)?);
-                    self.post_one_recv();
-                    let count = (completion.imm >> 8) as usize;
-                    if count == 0 || count > self.peer_slots {
-                        return Err(self.frame_corruption(format!(
-                            "credit return of {count} slots (ring has {})",
-                            self.peer_slots
-                        )));
-                    }
-                    self.ring.release(count);
-                    continue;
-                }
-                (CompletionKind::RecvRdmaWithImm, IMM_LARGE) => {
-                    drop(self.take_posted(completion.wr_id)?);
-                    self.post_one_recv();
-                    let start = ((completion.imm >> 8) & 0xfff) as usize;
-                    let consumed = ((completion.imm >> 20) & 0xfff) as usize;
-                    let len = self.bulk_frame_len(start, consumed)?;
-                    let base = start * self.my_slot_size + HEADER_BYTES;
-                    // Drain the region into a pooled buffer so the slots
-                    // can be credited back; the copy is charged to our
-                    // ledger (the sender side was zero-copy, this is the
-                    // one memcpy the design retains).
-                    let alloc_start = Instant::now();
-                    let mut buf = self.ctx.pool.acquire_size(len);
-                    let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
-                    self.my_large
-                        .with(|region| buf.mem_mut().put(0, &region[base..base + len]));
-                    self.ctx
-                        .device
-                        .fabric()
-                        .charge_host_ns(self.ctx.device.node(), hostcost::drain_ns(len));
-                    *self.pending_credits.lock() += consumed;
-                    self.maybe_flush_credits();
-                    let total_ns = total_start.elapsed().as_nanos() as u64 + 1;
-                    return Ok((
-                        Payload::Pooled { buf, len },
-                        RecvProfile {
-                            alloc_ns,
-                            total_ns,
-                            size: len,
-                        },
-                    ));
-                }
-                (kind, imm) => {
-                    return Err(
-                        self.frame_corruption(format!("unexpected completion {kind:?} imm={imm}"))
-                    );
-                }
-            }
+            // Poll — or, while such a sender does, sleep: what it reads
+            // lands in the stash and its release wakes us.
+            self.progress(st, POLL_SLICE.min(deadline - now))?;
         }
     }
 
@@ -976,10 +1063,9 @@ impl Conn for RdmaConn {
     }
 
     fn buffered_bytes(&self) -> usize {
-        // Frames unpacked from a merged IMM_BATCH completion awaiting
-        // recv_msg; completions still in the QP's inbox are NIC-side and
-        // not yet host memory.
-        self.stash.lock().iter().map(Vec::len).sum()
+        // Frames pulled off the queue pair awaiting recv_msg; completions
+        // still in the QP's inbox are NIC-side and not yet host memory.
+        self.stash.lock().iter().map(|(p, _)| p.len()).sum()
     }
 
     fn close(&self) {
@@ -988,10 +1074,7 @@ impl Conn for RdmaConn {
         self.ring.close();
         // Local close is a readiness edge: `poll_ready` is now permanently
         // true, but no completion will arrive to announce it.
-        let hook = self.ready_hook.lock().clone();
-        if let Some(hook) = hook {
-            hook();
-        }
+        self.fire_ready_hook();
     }
 
     fn peer(&self) -> String {
@@ -1034,17 +1117,6 @@ mod tests {
         let srv_conn = RdmaConn::bootstrap(&srv_stream, &server_ctx, cfg).unwrap();
         let cli_conn = h.join().unwrap();
         (Arc::new(cli_conn), Arc::new(srv_conn))
-    }
-
-    /// Keep a client's receive path moving so credits (and echoes) flow,
-    /// as the engine's Connection thread does. Stops when the conn closes.
-    fn progress_thread(conn: Arc<RdmaConn>) -> thread::JoinHandle<()> {
-        thread::spawn(move || loop {
-            match conn.recv_msg(Duration::from_millis(100)) {
-                Err(RpcError::Timeout) => continue,
-                _ => return,
-            }
-        })
     }
 
     #[test]
@@ -1094,9 +1166,8 @@ mod tests {
     fn back_to_back_large_messages_respect_credits() {
         let cfg = RpcConfig::rpcoib();
         let (cli, srv) = conn_pair(&cfg);
-        // Credits come back through the client's receive path; in the real
-        // engine the Connection thread polls it continuously — emulate it.
-        let progress = progress_thread(Arc::clone(&cli));
+        // Credits come back through the client's receive path, which
+        // nobody polls here: the sender waiting for them reads them itself.
         let srv2 = Arc::clone(&srv);
         let reader = thread::spawn(move || {
             let mut sizes = Vec::new();
@@ -1118,8 +1189,6 @@ mod tests {
         }
         let sizes = reader.join().unwrap();
         assert_eq!(sizes, vec![50_000, 100_000, 150_000, 200_000]);
-        cli.close();
-        progress.join().unwrap();
     }
 
     #[test]
@@ -1131,7 +1200,6 @@ mod tests {
             ..RpcConfig::rpcoib()
         };
         let (cli, srv) = conn_pair(&cfg);
-        let progress = progress_thread(Arc::clone(&cli));
         let srv2 = Arc::clone(&srv);
         let reader = thread::spawn(move || {
             for want in 1..=4usize {
@@ -1148,8 +1216,34 @@ mod tests {
             .unwrap();
         }
         reader.join().unwrap();
-        cli.close();
-        progress.join().unwrap();
+    }
+
+    #[test]
+    fn batch_unpack_rejects_bad_lengths_and_keeps_empty_frames() {
+        let unpack = |chunk: &[u8]| {
+            let mut frames: Vec<Vec<u8>> = Vec::new();
+            unpack_batch(chunk, |f| frames.push(f.to_vec())).map(|()| frames)
+        };
+        // [len 2][a b][len 0][][len 1][c]: a 0-length sub-frame is a frame.
+        assert_eq!(
+            unpack(&[2, b'a', b'b', 0, 1, b'c']).unwrap(),
+            vec![b"ab".to_vec(), Vec::new(), b"c".to_vec()]
+        );
+        assert_eq!(unpack(&[0]).unwrap(), vec![Vec::<u8>::new()]);
+        // A length that overruns the chunk (first or later sub-frame), a
+        // negative one and one cut off mid-vlong are all malformed, and
+        // no bytes at all is not a batch of none.
+        for bad in [&[5u8, 1, 2][..], &[1, 9, 3, 7], &[0xff], &[0x8f]] {
+            assert_eq!(
+                unpack(bad).unwrap_err(),
+                RpcError::Protocol("malformed batch sub-frame length".into()),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            unpack(&[]).unwrap_err(),
+            RpcError::Protocol("empty batch completion".into())
+        );
     }
 
     #[test]
@@ -1356,7 +1450,6 @@ mod tests {
             ..RpcConfig::rpcoib()
         };
         let (cli, srv) = conn_pair(&cfg);
-        let progress = progress_thread(Arc::clone(&cli));
         let srv2 = Arc::clone(&srv);
         let drain = thread::spawn(move || {
             let mut got = 0usize;
@@ -1380,8 +1473,6 @@ mod tests {
             "threshold stuck at {} after 128 small bulk sends",
             cli.crossover_threshold()
         );
-        cli.close();
-        progress.join().unwrap();
     }
 
     #[test]
@@ -1496,7 +1587,6 @@ mod tests {
     fn steady_state_bulk_sends_touch_no_new_registrations() {
         let cfg = RpcConfig::rpcoib();
         let (cli, srv) = conn_pair(&cfg);
-        let progress = progress_thread(Arc::clone(&cli));
         let body = vec![9u8; 200_000];
         let roundtrip = |n: usize| {
             for _ in 0..n {
@@ -1533,7 +1623,5 @@ mod tests {
             0,
             "receiver oversize allocations"
         );
-        cli.close();
-        progress.join().unwrap();
     }
 }

@@ -45,6 +45,9 @@ use crate::transport::{Conn, RecvProfile, SendProfile};
 /// (the JDK uses an 8 KB-ish temp direct buffer).
 const TEMP_CHUNK: usize = 8 * 1024;
 
+/// How finely a blocked read slices its wait to notice a local close.
+const READ_SLICE: Duration = Duration::from_millis(50);
+
 /// Inline capacity for a frame's order-sensitive lead bytes. A V3 lead is
 /// 3–27 bytes unless it carries an inline method announcement, which
 /// spills to the heap once per `<protocol, method>` per connection.
@@ -209,12 +212,20 @@ impl SocketConn {
     fn read_exact_deadline(&self, buf: &mut [u8], deadline: Option<Instant>) -> RpcResult<usize> {
         use std::io::Read;
         let mut filled = 0usize;
-        self.stream
-            .set_read_timeout(Some(Duration::from_millis(50)));
         loop {
             if self.closed.load(Ordering::Acquire) {
                 return Err(RpcError::ConnectionClosed);
             }
+            // Sliced so a local close is noticed; while nothing is consumed
+            // the slice is cut to the deadline, so a waiting caller's
+            // timeout is its own and not rounded up to the slice.
+            let slice = match deadline {
+                Some(d) if filled == 0 => {
+                    READ_SLICE.min(d.saturating_duration_since(Instant::now()))
+                }
+                _ => READ_SLICE,
+            };
+            self.stream.set_read_timeout(Some(slice));
             match (&self.stream).read(&mut buf[filled..]) {
                 Ok(0) => return Err(RpcError::ConnectionClosed),
                 Ok(n) => {

@@ -11,7 +11,7 @@
 //! transport error — retryable starvation, timeout, closure, or protocol
 //! — and never as a deadlock or a panic.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -73,17 +73,6 @@ fn pair(cfg: &RpcConfig, seed: u64) -> Pair {
     }
 }
 
-/// Credits flow back through the client's receive path; emulate the
-/// engine's Connection thread. Stops once the conn closes.
-fn progress_thread(conn: Arc<RdmaConn>) -> thread::JoinHandle<()> {
-    thread::spawn(move || loop {
-        match conn.recv_msg(Duration::from_millis(100)) {
-            Err(RpcError::Timeout) => continue,
-            _ => return,
-        }
-    })
-}
-
 /// Abort (not hang) if a schedule wedges: a flow-control deadlock would
 /// otherwise stall the whole property suite.
 struct Watchdog {
@@ -129,11 +118,12 @@ fn frame_body(sender: usize, seq: usize, len: usize) -> Vec<u8> {
 
 /// Run `lens` as concurrent large calls (round-robined over `senders`
 /// threads) against a `slots`-slot ring and return the delivered frames.
+/// Nobody polls the client's receive side: the senders waiting for
+/// credits read them off the queue pair themselves.
 fn deliver(slots: usize, senders: usize, lens: &[usize], seed: u64) -> Vec<Vec<u8>> {
     simnet::set_fast_forward(true);
     let cfg = bulk_cfg(slots, Duration::from_secs(20));
     let p = pair(&cfg, seed);
-    let progress = progress_thread(Arc::clone(&p.cli));
     let total = lens.len();
     let srv = Arc::clone(&p.srv);
     let reader = thread::spawn(move || {
@@ -170,7 +160,6 @@ fn deliver(slots: usize, senders: usize, lens: &[usize], seed: u64) -> Vec<Vec<u
     let got = reader.join().unwrap();
     p.cli.close();
     p.srv.close();
-    progress.join().unwrap();
     got
 }
 
@@ -248,8 +237,7 @@ proptest! {
             p.client_node,
             FaultSpec::default().with_drop_rate(drop_bp as f64 / 10_000.0),
         );
-        let progress = progress_thread(Arc::clone(&p.cli));
-        let srv = Arc::clone(&p.srv);
+            let srv = Arc::clone(&p.srv);
         let sent_flag = Arc::new(AtomicBool::new(false));
         let sent_flag2 = Arc::clone(&sent_flag);
         let reader = thread::spawn(move || {
@@ -296,8 +284,7 @@ proptest! {
         );
         p.cli.close();
         p.srv.close();
-        progress.join().unwrap();
-    }
+        }
 }
 
 /// A frame too large for the peer's region is refused up front with a
@@ -332,4 +319,58 @@ fn oversize_frames_are_rejected_on_both_arms() {
         p.cli.close();
         p.srv.close();
     }
+}
+
+/// A sender blocked on credits with nobody receiving takes the poll turn
+/// itself. Frames that arrive ahead of the credit are parked for
+/// `recv_msg`, in order, and announced through the ready hook — the queue
+/// pair's own edge is gone once the waiter has consumed the completion.
+#[test]
+fn credit_waiter_stashes_the_frames_it_meets_and_tells_the_receiver() {
+    let _wd = watchdog("credit_waiter_stash", Duration::from_secs(60));
+    let p = pair(&bulk_cfg(1, Duration::from_secs(20)), 11);
+    let key = method_key("prop.Stash", "frame");
+    let fired = Arc::new(AtomicUsize::new(0));
+    let fired2 = Arc::clone(&fired);
+    p.cli.set_ready_hook(Arc::new(move || {
+        fired2.fetch_add(1, Ordering::Relaxed);
+    }));
+    // The first bulk frame takes the only slot; the second waits for its
+    // credit, which the server owes only once it drains the first.
+    let first = frame_body(0, 0, 10_000);
+    p.cli
+        .send_msg(key, &mut |out| out.write_bytes(&first))
+        .unwrap();
+    let cli = Arc::clone(&p.cli);
+    let blocked = thread::spawn(move || {
+        let second = frame_body(0, 1, 10_000);
+        cli.send_msg(key, &mut |out| out.write_bytes(&second))
+    });
+    for tag in [1u8, 2] {
+        p.srv
+            .send_msg(key, &mut |out| out.write_bytes(&[tag; 32]))
+            .unwrap();
+    }
+    let edges = fired.load(Ordering::Relaxed);
+    for seq in 0..2 {
+        let (payload, _) = p.srv.recv_msg(Duration::from_secs(10)).unwrap();
+        let mut bytes = Vec::new();
+        std::io::Read::read_to_end(&mut payload.reader(), &mut bytes).unwrap();
+        assert_eq!(bytes, frame_body(0, seq, 10_000));
+    }
+    blocked.join().unwrap().unwrap();
+    assert!(
+        fired.load(Ordering::Relaxed) > edges,
+        "stashed frames were not announced"
+    );
+    assert!(p.cli.poll_ready());
+    assert_eq!(p.cli.buffered_bytes(), 64);
+    for tag in [1u8, 2] {
+        let (payload, _) = p.cli.recv_msg(Duration::from_secs(1)).unwrap();
+        let mut bytes = Vec::new();
+        std::io::Read::read_to_end(&mut payload.reader(), &mut bytes).unwrap();
+        assert_eq!(bytes, [tag; 32], "stash out of order");
+    }
+    p.cli.close();
+    p.srv.close();
 }

@@ -226,9 +226,9 @@ fn pending_cleared_on_busy_rejection() {
 }
 
 /// Socket-only: a raw fake server completes the handshake, then answers
-/// the first request with an unparseable frame. The Connection thread
-/// must fail the waiting call and leave the table (and the connection
-/// cache) clean.
+/// the first request with an unparseable frame. The caller, receiving,
+/// must fail its own call and leave the table (and the connection cache)
+/// clean.
 #[test]
 fn pending_cleared_on_corrupt_response() {
     let fabric = Fabric::new(model::IPOIB_QDR);
@@ -300,8 +300,8 @@ fn reconnect_tracking_is_bounded_by_churn() {
                 "{name} round {round}: healthy connection must not be tracked"
             );
             server.stop();
-            // Whether the Connection thread has already noticed the stop
-            // or the next round's call will discover it, at most this one
+            // The stop is only discovered by the next round's call; until
+            // then nothing is tracked, and after it at most this one
             // dropped server is ever remembered.
             assert!(
                 client.reconnect_tracking_len() <= 1,

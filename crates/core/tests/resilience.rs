@@ -658,10 +658,12 @@ fn late_response_is_counted_and_connection_survives() {
     let err = counter_call(&client, &server, "slow").unwrap_err();
     assert!(matches!(err, RpcError::Timeout), "got {err:?}");
 
-    // The server finishes at ~400 ms and the response lands on a pending
-    // table with no matching entry.
+    // The server finishes at ~400 ms. Nobody reads an idle connection,
+    // so the response waits on the wire until the next call's receiver
+    // meets it — ahead of its own, with no matching pending entry.
     let deadline = Instant::now() + Duration::from_secs(5);
     while client.metrics().counters().late_responses == 0 && Instant::now() < deadline {
+        assert_eq!(counter_call(&client, &server, "get").unwrap().0, 0);
         std::thread::sleep(Duration::from_millis(20));
     }
     assert_eq!(client.metrics().counters().late_responses, 1);
@@ -1542,7 +1544,19 @@ fn connection_churn_soak_leaks_nothing() {
     wait_connection_count(&server, 0, Duration::from_secs(60), "soak reap");
 
     // No residue: every reader slot freed, every ready-queue token
-    // consumed, no buffered bytes pinned.
+    // consumed, no buffered bytes pinned. The table empties before the
+    // shards have popped the (inert) tokens the last batch's closes
+    // re-queued, so the depth is waited for, boundedly — a leaked token
+    // never drains.
+    let queued = |server: &Server| {
+        let shards = server.metrics_snapshot().shards;
+        let readers = shards.iter().filter(|s| s.role.name() == "reader");
+        readers.map(|s| s.queue_depth).sum::<u64>()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while queued(&server) != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let snap = server.metrics_snapshot();
     for shard in snap.shards.iter().filter(|s| s.role.name() == "reader") {
         assert_eq!(shard.connections, 0, "reader slot leaked: {shard:?}");

@@ -344,8 +344,8 @@ fn measure_process_wide(payload: usize, warmup: usize, calls: u64) -> (f64, f64)
 }
 
 /// Whole-process allocations of one steady-state 512 B verbs echo:
-/// caller, Connection thread, reader shard, handler (which also sends the
-/// response), retry cache. Measured 5.0 — the caller's and the handler's
+/// caller (which also receives the response), reader shard, handler
+/// (which also sends it), retry cache. Measured 5.0 — the caller's and the handler's
 /// payload values, the handler's boxed result, and the response body
 /// with its `Arc` — so the ceiling is 6; staging responses through
 /// per-call route and frame vectors on the way to a responder thread
