@@ -85,8 +85,7 @@ impl CallClass {
 /// Admission metadata for one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallMeta {
-    /// Tenant identity — the handshake `client_id` (V1 peers pool under
-    /// 0).
+    /// Tenant identity — the handshake `client_id`.
     pub tenant: u64,
     /// Absolute expiry on the queue's `now_ns` timeline; `None` = no
     /// deadline, never shed.

@@ -43,12 +43,8 @@ use wire::Writable;
 
 use crate::config::RpcConfig;
 use crate::error::{RpcError, RpcResult};
-use crate::frame::{
-    read_response_header, write_request, Payload, ResponseHeader, ResponseStatus, V3Decoder,
-    V3Encoder,
-};
+use crate::frame::{Payload, ResponseHeader, ResponseStatus, V3Decoder, V3Encoder};
 use crate::handshake;
-use crate::hostcost;
 use crate::intern::{self, MethodKey};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase};
 use crate::transport::rdma::{IbContext, RdmaConn};
@@ -66,7 +62,7 @@ const PENDING_SHARDS: usize = 8;
 const RECONNECT_TRACK_CAP: usize = 256;
 
 /// A response as the receive turn produces it: the lead parsed exactly
-/// once (the turn guards the connection's V3 decoder state, so leads are
+/// once (the turn guards the connection's decoder state, so leads are
 /// decoded in wire order by whoever holds it), and the frame bytes with
 /// the body starting at `body_offset`.
 pub struct RawResponse {
@@ -243,19 +239,16 @@ impl PendingTable {
 struct ClientConnection {
     conn: Arc<dyn Conn>,
     server: SimAddr,
-    /// Frame version negotiated in the connect handshake; `>= 3` switches
-    /// both directions of this connection to the compact header.
-    version: u8,
-    /// V3 request-header encoder (delta seq + method table). Its state
+    /// Request-header encoder (delta seq + method table). Its state
     /// advances at the transport's wire-ordering point — `send_msg_ordered`
     /// runs the lead closure under the transport's own ordering lock — so
     /// this mutex only ever guards one encode at a time.
     enc: Mutex<V3Encoder>,
     /// The receive turn. Holding this lock *is* being the connection's
-    /// one receiver (the [`Conn`] contract); it guards the V3 response
-    /// decoder (`None` below version 3) because leads must be decoded in
-    /// wire order, which only the receiver knows.
-    recv: Mutex<Option<V3Decoder>>,
+    /// one receiver (the [`Conn`] contract); it guards the response
+    /// decoder because leads must be decoded in wire order, which only
+    /// the receiver knows.
+    recv: Mutex<V3Decoder>,
     pending: PendingTable,
     /// Retired call slots awaiting reuse; bounded by this connection's
     /// peak caller concurrency.
@@ -452,7 +445,7 @@ impl Client {
     }
 
     /// The stable identity this client presents at every connect
-    /// handshake (and in every V2 request frame).
+    /// handshake.
     pub fn client_id(&self) -> u64 {
         self.inner.client_id.load(Ordering::Acquire)
     }
@@ -542,13 +535,6 @@ impl Client {
         self.inner.next_seq.store(seq, Ordering::Relaxed);
     }
 
-    /// Frame version the cached connection to `server` negotiated, or
-    /// `None` when no connection is cached (negotiation-matrix tests).
-    #[doc(hidden)]
-    pub fn negotiated_version(&self, server: SimAddr) -> Option<u8> {
-        self.inner.conns.lock().get(&server).map(|c| c.version)
-    }
-
     /// Invoke `protocol.method(request)` on the server at `server` and
     /// deserialize the response into `Resp`.
     pub fn call<Req, Resp>(
@@ -568,7 +554,7 @@ impl Client {
         let result = (|| {
             let mut reader = resp.payload.reader();
             // The lead was parsed under the receive turn (which guards the
-            // V3 decoder state); jump straight to the body.
+            // decoder state); jump straight to the body.
             reader.skip(resp.body_offset);
             match resp.header.status {
                 ResponseStatus::Ok => {
@@ -605,9 +591,8 @@ impl Client {
 
     /// Like [`Client::call`] but returns the raw response — the parsed
     /// lead plus the frame bytes — for callers that deserialize response
-    /// bodies themselves. (Before V3 this handed back unparsed frame
-    /// bytes; with the compact header the decoder state lives under the
-    /// receive turn, so the lead comes pre-parsed.)
+    /// bodies themselves. The decoder state lives under the receive
+    /// turn, so the lead comes pre-parsed.
     ///
     /// Drives the configured [`crate::RetryPolicy`]: each attempt gets at
     /// most `call_timeout` (capped by the remaining overall deadline, if
@@ -718,16 +703,6 @@ impl Client {
             return Err(RpcError::ConnectionClosed);
         }
         let connection = self.get_connection(server)?;
-        let client_id = self.inner.client_id.load(Ordering::Acquire);
-        if self.inner.cfg.legacy_metadata {
-            // Ablation baseline: do the pre-interning metadata work for
-            // real (so allocation harnesses see it) and charge its
-            // modeled host cost to this node's ledger.
-            std::hint::black_box(hostcost::reenact_legacy_call(key.protocol(), key.method()));
-            self.inner
-                .fabric
-                .charge_host_ns(self.inner.node, hostcost::legacy_call_ns());
-        }
         let slot = connection.acquire_slot();
         let gen = slot.generation();
         connection.pending.insert(
@@ -746,43 +721,29 @@ impl Client {
             slot: Some(Arc::clone(&slot)),
         };
 
-        // V3 splits the frame: the compact header is encoded by the
-        // connection's stateful encoder at the transport's wire-ordering
-        // point (so delta-seq/method-table state advances in exactly the
-        // order frames hit the wire), while the body serializes on this
-        // caller thread as before. V2 keeps the single-closure path.
-        let sent = if connection.version >= 3 {
-            // Deadline propagation: ship the attempt's remaining budget so
-            // the server can shed the call once it expires instead of
-            // executing work this client has already timed out on.
-            let budget = self
-                .inner
-                .cfg
-                .deadline_propagation
-                .then_some(attempt_timeout);
-            connection.conn.send_msg_ordered(
-                key,
-                &mut |out| {
-                    connection
-                        .enc
-                        .lock()
-                        .write_request_header(out, seq, retry_attempt, budget, key)
-                },
-                &mut |out| request.write(out),
-            )
-        } else {
-            connection.conn.send_msg(key, &mut |out| {
-                write_request(
-                    out,
-                    client_id,
-                    seq,
-                    retry_attempt,
-                    key.protocol(),
-                    key.method(),
-                    request,
-                )
-            })
-        };
+        // Deadline propagation: ship the attempt's remaining budget so
+        // the server can shed the call once it expires instead of
+        // executing work this client has already timed out on.
+        let budget = self
+            .inner
+            .cfg
+            .deadline_propagation
+            .then_some(attempt_timeout);
+        // The frame is split: the header is encoded by the connection's
+        // stateful encoder at the transport's wire-ordering point (so
+        // delta-seq/method-table state advances in exactly the order
+        // frames hit the wire), while the body serializes on this caller
+        // thread.
+        let sent = connection.conn.send_msg_ordered(
+            key,
+            &mut |out| {
+                connection
+                    .enc
+                    .lock()
+                    .write_request_header(out, seq, retry_attempt, budget, key)
+            },
+            &mut |out| request.write(out),
+        );
         let profile = match sent {
             Ok(p) => p,
             Err(e) => {
@@ -843,7 +804,7 @@ impl Client {
     fn lead(
         &self,
         connection: &Arc<ClientConnection>,
-        dec: &mut Option<V3Decoder>,
+        dec: &mut V3Decoder,
         slot: &CallSlot,
         seq: i64,
         deadline: Instant,
@@ -865,11 +826,7 @@ impl Client {
                 }
             };
             let mut reader = payload.reader();
-            let parsed = match dec.as_mut() {
-                Some(d) => d.read_response_header(&mut reader),
-                None => read_response_header(&mut reader),
-            };
-            let Ok(header) = parsed else {
+            let Ok(header) = dec.read_response_header(&mut reader) else {
                 let e = RpcError::Protocol("corrupt response frame".into());
                 self.inner.fail_connection(connection, e.clone());
                 return Err(e);
@@ -922,15 +879,12 @@ impl Client {
             }
         }
         let stream = SimStream::connect(&self.inner.fabric, self.inner.node, server)?;
-        // Identity/version handshake precedes everything else on the
-        // stream (including the RPCoIB endpoint exchange). Adopt the id
-        // the server confirmed: for a client that presented 0 this is the
+        // The handshake precedes everything else on the stream
+        // (including the RPCoIB endpoint exchange). Adopt the id the
+        // server confirmed: for a client that presented 0 this is the
         // server-assigned identity it must re-present from now on.
-        let (version, confirmed) = handshake::client_hello(
-            &stream,
-            self.inner.client_id.load(Ordering::Acquire),
-            self.inner.cfg.max_wire_version,
-        )?;
+        let confirmed =
+            handshake::client_hello(&stream, self.inner.client_id.load(Ordering::Acquire))?;
         self.inner.client_id.store(confirmed, Ordering::Release);
         let conn: Arc<dyn Conn> = match &self.inner.ib {
             Some(ctx) => Arc::new(
@@ -946,12 +900,11 @@ impl Client {
         let connection = Arc::new(ClientConnection {
             conn,
             server,
-            version,
             // Verbs drops frames silently (they are charged and vanish),
-            // so V3 there is self-contained per frame; the socket path is
-            // reliable-ordered and uses the stateful delta encoding.
+            // so the codec there is self-contained per frame; the socket
+            // path is reliable-ordered and uses the stateful delta encoding.
             enc: Mutex::new(V3Encoder::new(!self.inner.cfg.ib_enabled)),
-            recv: Mutex::new((version >= 3).then(|| V3Decoder::new(!self.inner.cfg.ib_enabled))),
+            recv: Mutex::new(V3Decoder::new(!self.inner.cfg.ib_enabled)),
             pending: PendingTable::new(),
             slots: Mutex::new(Vec::new()),
             broken: AtomicBool::new(false),

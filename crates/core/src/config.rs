@@ -40,7 +40,7 @@ pub struct RpcConfig {
     pub retry_cache_ttl: Duration,
     /// Maximum completed responses the server's retry cache holds; the
     /// oldest completed entry is evicted first. `0` disables at-most-once
-    /// caching entirely (every retry re-executes, pre-V2 behavior).
+    /// caching entirely: every retry re-executes.
     pub retry_cache_capacity: usize,
     /// Whether the shadow pool uses `<protocol, method>` size history
     /// (disabled only by the ablation).
@@ -89,10 +89,6 @@ pub struct RpcConfig {
     /// are merged into shared completions. `false` restores strict one-frame-per-wire-op — the
     /// control arm for the `batching` benchmark and the CI matrix.
     pub wire_batch: bool,
-    /// Highest frame version this endpoint offers in the connect
-    /// handshake (see [`crate::handshake`]). Default is the build's
-    /// maximum; pin to 2 to emulate a previous-release peer.
-    pub max_wire_version: u8,
     /// Per-tenant weights for the weighted-fair admission plane, keyed by
     /// handshake `client_id`. A tenant absent from the list has weight 1;
     /// a tenant with weight `w` is served up to `w` calls per fair round.
@@ -106,10 +102,10 @@ pub struct RpcConfig {
     /// the whole call queue. `0` (default) disables per-tenant quotas.
     pub tenant_quota: usize,
     /// Whether the client propagates its remaining per-attempt deadline
-    /// budget in V3 request headers and the server sheds queued calls
-    /// whose budget has expired (answered with `STATUS_EXPIRED`, never
-    /// executed). On by default; V2/V1 peers carry no budget and are
-    /// never shed regardless.
+    /// budget in request headers and the server sheds queued calls whose
+    /// budget has expired (answered with `STATUS_EXPIRED`, never
+    /// executed). On by default; a call that carries no budget is never
+    /// shed.
     pub deadline_propagation: bool,
     /// Maximum connections the server keeps alive (live + in setup);
     /// connects past the limit are answered with the retryable busy
@@ -141,13 +137,6 @@ pub struct RpcConfig {
     /// cannot starve heartbeats. Empty (default) = single class,
     /// seed-identical FIFO order.
     pub priority_protocols: Vec<String>,
-    /// Ablation baseline for the interned hot path: when `true` the
-    /// client re-enacts the pre-interning per-call metadata work (owned
-    /// key strings, a fresh reply channel) for real and charges
-    /// [`crate::hostcost::legacy_call_ns`] to its node's modeled-time
-    /// ledger on every attempt. Off by default — the normal path is
-    /// allocation-free and charges nothing.
-    pub legacy_metadata: bool,
 }
 
 /// Upper bound on explicit shard counts — far above any sane
@@ -188,7 +177,6 @@ impl Default for RpcConfig {
             reader_shards: 0,
             responder_shards: 0,
             wire_batch: true,
-            max_wire_version: crate::handshake::MAX_VERSION,
             tenant_weights: Vec::new(),
             tenant_quota: 0,
             deadline_propagation: true,
@@ -197,7 +185,6 @@ impl Default for RpcConfig {
             max_inflight_calls: 0,
             reader_steal: false,
             priority_protocols: Vec::new(),
-            legacy_metadata: false,
         }
     }
 }
@@ -255,16 +242,6 @@ impl RpcConfig {
             return Err(format!(
                 "responder_shards ({}) exceeds the sanity cap ({MAX_SHARDS})",
                 self.responder_shards
-            ));
-        }
-        if !(crate::handshake::MIN_VERSION..=crate::handshake::MAX_VERSION)
-            .contains(&self.max_wire_version)
-        {
-            return Err(format!(
-                "max_wire_version ({}) outside the supported range {}..={}",
-                self.max_wire_version,
-                crate::handshake::MIN_VERSION,
-                crate::handshake::MAX_VERSION
             ));
         }
         self.retry.validate()?;
@@ -451,22 +428,6 @@ mod tests {
             ..RpcConfig::default()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn wire_version_bounds_enforced() {
-        for bad in [0u8, 1, crate::handshake::MAX_VERSION + 1] {
-            let cfg = RpcConfig {
-                max_wire_version: bad,
-                ..RpcConfig::default()
-            };
-            assert!(cfg.validate().is_err(), "version {bad} must be rejected");
-        }
-        let cfg = RpcConfig {
-            max_wire_version: 2,
-            ..RpcConfig::default()
-        };
-        cfg.validate().unwrap();
     }
 
     #[test]

@@ -1,30 +1,24 @@
 //! Frame layout shared by both transports.
 //!
-//! Three frame versions coexist. **V2** carries the at-most-once
-//! identity triple — a per-client id, a wrap-safe `i64` sequence number,
-//! and the retry attempt — so the server's retry cache can recognize a
-//! re-sent call:
-//!
-//! * request: `[i32 V2_SENTINEL][u64 client_id][i64 seq][vlong retry_attempt]
-//!   [Text protocol][Text method][param …]`
-//! * response: `[i32 V2_SENTINEL][i64 seq][u8 status][value … | Text error]`
-//!
-//! **V3** (current, handshake-negotiated) is the compact header the
-//! wire-batching layer rides on. It is *connection-scoped*: the
-//! handshake fixes the version for the whole connection, so frames carry
-//! no per-frame version marker, and the client id travels once in the
-//! handshake instead of in every request. Encode/decode state lives in a
+//! There is one frame format. It is *connection-scoped*: the mandatory
+//! connect handshake (see [`crate::handshake`]) fixes the wire version and
+//! the client's identity for the whole connection, so frames carry no
+//! version marker and no client id. Encode/decode state lives in a
 //! [`V3Encoder`]/[`V3Decoder`] pair per connection direction:
 //!
 //! * request: `[vlong seq_field][vlong retry_attempt][vlong deadline_µs]
 //!   [vlong method_ref]([Text protocol][Text method])?[param …]`
 //! * response: `[vlong seq_field][u8 status][value … | Text error]`
 //!
+//! `(client_id, seq, retry_attempt)` is the at-most-once identity triple:
+//! all attempts of one logical call re-send the same `seq` on connections
+//! of the same `client_id`, which is how the server's retry cache
+//! recognizes a re-sent call.
+//!
 //! `deadline_µs` is the caller's remaining per-attempt deadline budget in
 //! microseconds (`0` = none): the admission plane sheds a queued call
 //! once that budget has elapsed instead of executing it (see
-//! [`STATUS_EXPIRED`]). V2/V1 requests carry no budget and are never
-//! shed.
+//! [`STATUS_EXPIRED`]).
 //!
 //! In **stateful** mode (stream transports, where a lost byte kills the
 //! connection and its codec state with it) `seq_field` is the wrapping
@@ -34,18 +28,6 @@
 //! mode (datagram-like verbs completions, where the fault model can drop
 //! a frame without killing the connection) every frame decodes alone:
 //! `seq_field` is the absolute seq and the method strings ride inline.
-//!
-//! **V1** (previous release) is still *decoded* for one release so an old
-//! peer keeps working — the server's connect-time magic sniff (see
-//! [`crate::handshake`]) lets a pre-handshake peer straight through to
-//! this framing layer — and the server answers a V1 request with a V1
-//! response:
-//!
-//! * request: `[i32 call_id][Text protocol][Text method][param …]`
-//! * response: `[i32 call_id][u8 status][value … | Text error]`
-//!
-//! The version marker is an `i32` sentinel (`-2`) in the position where V1
-//! kept its non-negative `call_id`, so one 4-byte read disambiguates.
 //!
 //! On the socket transport each payload is preceded by a 4-byte big-endian
 //! length (Hadoop's `out.writeInt(dataLength)`); on the RDMA transport the
@@ -65,39 +47,26 @@ pub const STATUS_OK: u8 = 0;
 /// Response status byte: the server reports an error string.
 pub const STATUS_ERROR: u8 = 1;
 /// Response status byte: the server's call queue is full; the call was
-/// never executed and is safe to retry (V2 only).
+/// never executed and is safe to retry.
 pub const STATUS_BUSY: u8 = 2;
 /// Response status byte: the call's propagated deadline budget expired
 /// while it was queued, so the server shed it without executing it.
 /// Retrying is pointless — the caller's deadline has passed — so clients
-/// classify this as a non-retryable deadline failure (V2/V3 only).
+/// classify this as a non-retryable deadline failure.
 pub const STATUS_EXPIRED: u8 = 3;
 
-/// Marker in the leading `i32` slot distinguishing a V2 frame from a V1
-/// frame (whose call ids are non-negative).
-pub const V2_SENTINEL: i32 = -2;
-
-/// Frame wire version. V1/V2 are detected per message from the leading
-/// `i32`; V3 is fixed per connection by the handshake (no in-band
-/// marker), so the transport layer tags V3 frames out of band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameVersion {
-    /// `[i32 call_id]`-headed frames from the previous release.
-    V1,
-    /// Frames carrying the at-most-once identity triple in-band.
-    V2,
-    /// Compact connection-scoped headers (see [`V3Encoder`]).
-    V3,
-}
+/// The whole body of a busy rejection: the status byte, nothing after it.
+pub const BUSY_BODY: [u8; 1] = [STATUS_BUSY];
+/// The whole body of a deadline shed: the status byte, nothing after it.
+pub const EXPIRED_BODY: [u8; 1] = [STATUS_EXPIRED];
 
 /// Parsed request header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestHeader {
-    pub version: FrameVersion,
-    /// Stable per-client identity (0 for V1 peers, which get no caching).
+    /// Stable per-client identity, from the connection's handshake.
     pub client_id: u64,
     /// Client-assigned sequence number; retries of one logical call
-    /// re-send the same value. For V1 frames this is the old `call_id`.
+    /// re-send the same value.
     pub seq: i64,
     /// 0 on the first transmission, incremented per re-send.
     pub retry_attempt: u32,
@@ -106,9 +75,8 @@ pub struct RequestHeader {
     /// handle instead of owned `String`s.
     pub key: MethodKey,
     /// Remaining per-attempt deadline budget propagated by the caller
-    /// (V3 only; `None` for V2/V1 peers and for callers with no
-    /// deadline). The admission plane sheds the call once this much time
-    /// has passed since admission.
+    /// (`None` for callers with no deadline). The admission plane sheds
+    /// the call once this much time has passed since admission.
     pub deadline_budget: Option<Duration>,
 }
 
@@ -124,47 +92,15 @@ impl RequestHeader {
     }
 }
 
-/// Serialize a V2 request frame body (everything after the length prefix).
-pub fn write_request(
-    out: &mut dyn DataOutput,
-    client_id: u64,
-    seq: i64,
-    retry_attempt: u32,
-    protocol: &str,
-    method: &str,
-    param: &dyn Writable,
-) -> io::Result<()> {
-    out.write_i32(V2_SENTINEL)?;
-    out.write_u64(client_id)?;
-    out.write_i64(seq)?;
-    // vlong, not `as i32` vint: an attempt count above i32::MAX would
-    // silently go negative on the wire and round-trip to a different
-    // value. The encodings are byte-identical for in-range values.
-    out.write_vlong(i64::from(retry_attempt))?;
-    out.write_string(protocol)?;
-    out.write_string(method)?;
-    param.write(out)
-}
-
-/// Serialize a V1 request frame body. Kept (for one release) so the
-/// old-peer decode path stays exercised; new code writes V2.
-pub fn write_request_v1(
-    out: &mut dyn DataOutput,
-    call_id: i32,
-    protocol: &str,
-    method: &str,
-    param: &dyn Writable,
-) -> io::Result<()> {
-    out.write_i32(call_id)?;
-    out.write_string(protocol)?;
-    out.write_string(method)?;
-    param.write(out)
-}
-
 /// Stack window for decoding key strings: real `<protocol, method>` names
 /// are short, so steady-state decode never touches the heap; a longer name
 /// spills to a one-off heap read.
 const KEY_STACK: usize = 192;
+
+/// Longest protocol or method name a header may carry. The length is a
+/// peer-supplied vint (up to `i32::MAX`) and sizes the spill buffer, so it
+/// is bounded *before* anything is allocated for it.
+pub const KEY_TEXT_MAX: usize = 4096;
 
 /// Read one Hadoop `Text` string into the caller's buffers and hand back a
 /// borrowed `&str` (no allocation unless the name overflows `KEY_STACK`).
@@ -174,13 +110,15 @@ fn read_key_text<'a>(
     heap: &'a mut Vec<u8>,
 ) -> io::Result<&'a str> {
     let len = input.read_vint()?;
-    if len < 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "negative string length",
-        ));
-    }
-    let len = len as usize;
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&len| len <= KEY_TEXT_MAX)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("key string length {len} outside 0..={KEY_TEXT_MAX}"),
+            )
+        })?;
     let bytes: &mut [u8] = if len <= KEY_STACK {
         &mut stack[..len]
     } else {
@@ -192,9 +130,10 @@ fn read_key_text<'a>(
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad utf8: {e}")))
 }
 
-/// Decode a retry attempt: vlong on the wire, rejected (like other
-/// malformed header fields) when it does not fit the `u32` the engine
-/// tracks attempts in.
+/// Decode a retry attempt: vlong on the wire (an `as i32` vint would flip
+/// counts above `i32::MAX` negative), rejected (like other malformed
+/// header fields) when it does not fit the `u32` the engine tracks
+/// attempts in.
 fn read_retry_attempt(input: &mut dyn DataInput) -> io::Result<u32> {
     let raw = input.read_vlong()?;
     u32::try_from(raw).map_err(|_| {
@@ -243,49 +182,12 @@ fn read_method_key(input: &mut dyn DataInput) -> io::Result<MethodKey> {
     Ok(intern::method_key(protocol, method))
 }
 
-/// Parse the header of a request frame (either version); the param bytes
-/// follow in `input`.
-pub fn read_request_header(input: &mut dyn DataInput) -> io::Result<RequestHeader> {
-    let lead = input.read_i32()?;
-    if lead == V2_SENTINEL {
-        let client_id = input.read_u64()?;
-        let seq = input.read_i64()?;
-        let retry_attempt = read_retry_attempt(input)?;
-        Ok(RequestHeader {
-            version: FrameVersion::V2,
-            client_id,
-            seq,
-            retry_attempt,
-            key: read_method_key(input)?,
-            deadline_budget: None,
-        })
-    } else {
-        if lead < 0 {
-            // V1 call ids are non-negative; any other negative lead is
-            // garbage (and would be unanswerable — the V1 response path
-            // rejects out-of-range ids).
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("invalid V1 call id {lead}"),
-            ));
-        }
-        Ok(RequestHeader {
-            version: FrameVersion::V1,
-            client_id: 0,
-            seq: lead as i64,
-            retry_attempt: 0,
-            key: read_method_key(input)?,
-            deadline_budget: None,
-        })
-    }
-}
-
-/// Serialize the version-neutral tail of a response:
-/// `[u8 status][value … | Text error]`. Every version's response frame is
-/// its lead followed by exactly these bytes, which is what lets the
-/// handler serialize a result once and every sender (the handler itself,
-/// a responder shard, a retry-cache replay) put it on the wire under any
-/// negotiated version.
+/// Serialize the tail of a response: `[u8 status][value … | Text error]`.
+/// A response frame is its lead ([`V3Encoder::write_response_lead`],
+/// which depends on the connection) followed by exactly these bytes
+/// (which do not), which is what lets the handler serialize a result once
+/// and every sender (the handler itself, a responder shard, a retry-cache
+/// replay) put it on the wire of whichever connection asks.
 pub fn write_response_body(
     out: &mut dyn DataOutput,
     result: Result<&dyn Writable, &str>,
@@ -299,96 +201,6 @@ pub fn write_response_body(
             out.write_u8(STATUS_ERROR)?;
             out.write_string(message)
         }
-    }
-}
-
-/// The version-neutral body of a busy rejection. V2/V3 clients get the
-/// bare `STATUS_BUSY` byte (retryable, never executed); a V1 peer cannot
-/// parse status 2, so it gets an ordinary error string.
-pub fn busy_body(version: FrameVersion) -> Vec<u8> {
-    match version {
-        FrameVersion::V1 => {
-            let mut out = vec![STATUS_ERROR];
-            out.write_string("server too busy: call queue full")
-                .expect("vec write");
-            out
-        }
-        FrameVersion::V2 | FrameVersion::V3 => vec![STATUS_BUSY],
-    }
-}
-
-/// The version-neutral body of a deadline shed. Only V3 requests carry a
-/// budget, so only V3-capable clients can ever be shed — but a parked
-/// *duplicate* of a shed call may sit on a V2 connection, and a V1 peer
-/// can never reach this path at all (no client identity, no cache entry,
-/// no budget). V2/V3 clients both parse the bare `STATUS_EXPIRED` byte;
-/// the V1 arm exists for layout symmetry with [`busy_body`].
-pub fn expired_body(version: FrameVersion) -> Vec<u8> {
-    match version {
-        FrameVersion::V1 => {
-            let mut out = vec![STATUS_ERROR];
-            out.write_string("call deadline expired before execution")
-                .expect("vec write");
-            out
-        }
-        FrameVersion::V2 | FrameVersion::V3 => vec![STATUS_EXPIRED],
-    }
-}
-
-/// Serialize a full response frame in `version`'s layout (a server
-/// answers each request in the version it arrived in). V3 leads need the
-/// connection's [`V3Encoder`]; this stateless helper serves V1/V2.
-pub fn write_response(
-    out: &mut dyn DataOutput,
-    version: FrameVersion,
-    seq: i64,
-    result: Result<&dyn Writable, &str>,
-) -> io::Result<()> {
-    write_response_lead(out, version, seq)?;
-    write_response_body(out, result)
-}
-
-/// Serialize a busy-rejection response (stateless V1/V2 form).
-pub fn write_busy_response(
-    out: &mut dyn DataOutput,
-    version: FrameVersion,
-    seq: i64,
-) -> io::Result<()> {
-    write_response_lead(out, version, seq)?;
-    out.write_bytes(&busy_body(version))
-}
-
-/// The per-version bytes that precede a response's neutral body. V3 is
-/// stateful per connection and handled by [`V3Encoder::write_response_lead`].
-pub(crate) fn write_response_lead(
-    out: &mut dyn DataOutput,
-    version: FrameVersion,
-    seq: i64,
-) -> io::Result<()> {
-    match version {
-        FrameVersion::V2 => {
-            out.write_i32(V2_SENTINEL)?;
-            out.write_i64(seq)
-        }
-        FrameVersion::V1 => {
-            // V1 call ids are non-negative i32s; request decode enforces
-            // this, but a silent `as i32` truncation here would corrupt
-            // the call id if that invariant ever broke.
-            let id = i32::try_from(seq)
-                .ok()
-                .filter(|id| *id >= 0)
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("seq {seq} does not fit a V1 call id"),
-                    )
-                })?;
-            out.write_i32(id)
-        }
-        FrameVersion::V3 => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "V3 response leads require the connection's V3Encoder",
-        )),
     }
 }
 
@@ -410,7 +222,6 @@ pub enum ResponseStatus {
 /// Parsed response header; the value (or error string) follows in `input`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResponseHeader {
-    pub version: FrameVersion,
     pub seq: i64,
     pub status: ResponseStatus,
 }
@@ -435,29 +246,12 @@ fn read_status(input: &mut dyn DataInput) -> io::Result<ResponseStatus> {
     }
 }
 
-/// Parse a response frame header (V1 or V2; V3 responses decode through
-/// the connection's [`V3Decoder`]).
-pub fn read_response_header(input: &mut dyn DataInput) -> io::Result<ResponseHeader> {
-    let lead = input.read_i32()?;
-    let (version, seq) = if lead == V2_SENTINEL {
-        (FrameVersion::V2, input.read_i64()?)
-    } else {
-        (FrameVersion::V1, lead as i64)
-    };
-    let status = read_status(input)?;
-    Ok(ResponseHeader {
-        version,
-        seq,
-        status,
-    })
-}
-
 /// `method_ref` value marking inline `[Text protocol][Text method]`
 /// strings with no table interaction (every self-contained frame, and any
 /// stateful frame the encoder chooses not to table).
 const MREF_INLINE: i64 = -1;
 
-/// Encoder half of the V3 connection codec. One instance per connection
+/// Encoder half of the connection codec. One instance per connection
 /// direction (client requests, or server responses), fed frames in exact
 /// wire order.
 ///
@@ -495,7 +289,7 @@ impl V3Encoder {
         }
     }
 
-    /// Serialize a V3 request header; the param bytes follow.
+    /// Serialize a request header; the param bytes follow.
     /// `deadline_budget` is the caller's remaining per-attempt budget
     /// (`None` encodes as `0`: no deadline, never shed).
     pub fn write_request_header(
@@ -527,14 +321,14 @@ impl V3Encoder {
         out.write_string(key.method())
     }
 
-    /// Serialize a V3 response lead (`[vlong seq_field]`); the neutral
-    /// `[status][body]` bytes follow.
+    /// Serialize a response lead (`[vlong seq_field]`); the
+    /// `[status][body]` bytes of [`write_response_body`] follow.
     pub fn write_response_lead(&mut self, out: &mut dyn DataOutput, seq: i64) -> io::Result<()> {
         out.write_vlong(self.seq_field(seq))
     }
 }
 
-/// Decoder half of the V3 connection codec; mirrors [`V3Encoder`] and
+/// Decoder half of the connection codec; mirrors [`V3Encoder`] and
 /// fail-stops (`InvalidData`) on any inconsistency — the connection is
 /// forfeited rather than risking a misattributed frame.
 pub struct V3Decoder {
@@ -598,7 +392,7 @@ impl V3Decoder {
         Ok(key)
     }
 
-    /// Parse a V3 request header; `client_id` comes from the handshake
+    /// Parse a request header; `client_id` comes from the handshake
     /// (it is not on the wire per-frame). The param bytes follow.
     pub fn read_request_header(
         &mut self,
@@ -611,7 +405,6 @@ impl V3Decoder {
         let mref = input.read_vlong()?;
         let key = self.method_key(input, mref)?;
         Ok(RequestHeader {
-            version: FrameVersion::V3,
             client_id,
             seq,
             retry_attempt,
@@ -620,18 +413,14 @@ impl V3Decoder {
         })
     }
 
-    /// Parse a V3 response header; the value/error bytes follow.
+    /// Parse a response header; the value/error bytes follow.
     pub fn read_response_header(
         &mut self,
         input: &mut dyn DataInput,
     ) -> io::Result<ResponseHeader> {
         let seq = self.seq(input.read_vlong()?);
         let status = read_status(input)?;
-        Ok(ResponseHeader {
-            version: FrameVersion::V3,
-            seq,
-            status,
-        })
+        Ok(ResponseHeader { seq, status })
     }
 }
 
@@ -756,94 +545,38 @@ impl Read for PayloadReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wire::{IntWritable, Text};
+    use wire::IntWritable;
 
-    #[test]
-    fn v2_request_roundtrip() {
+    /// A request header up to where its inline `[Text protocol]` begins,
+    /// with `retry` in the `retry_attempt` field.
+    fn header_before_names(retry: i64) -> Vec<u8> {
         let mut buf: Vec<u8> = Vec::new();
-        write_request(
-            &mut buf,
-            0xdead_beef,
-            (i32::MAX as i64) + 17,
-            3,
-            "hdfs.ClientProtocol",
-            "getFileInfo",
-            &Text::from("/a/b"),
-        )
-        .unwrap();
-        let mut input = buf.as_slice();
-        let header = read_request_header(&mut input).unwrap();
-        assert_eq!(header.version, FrameVersion::V2);
-        assert_eq!(header.client_id, 0xdead_beef);
-        assert_eq!(header.seq, (i32::MAX as i64) + 17);
-        assert_eq!(header.retry_attempt, 3);
-        assert_eq!(header.protocol(), "hdfs.ClientProtocol");
-        assert_eq!(header.method(), "getFileInfo");
-        assert_eq!(
-            header.key,
-            crate::intern::method_key("hdfs.ClientProtocol", "getFileInfo"),
-            "decode resolves to the process-wide interned key"
-        );
-        let mut param = Text::default();
-        param.read_fields(&mut input).unwrap();
-        assert_eq!(param.0, "/a/b");
+        buf.write_vlong(1).unwrap(); // seq
+        buf.write_vlong(retry).unwrap();
+        buf.write_vlong(0).unwrap(); // no deadline
+        buf.write_vlong(MREF_INLINE).unwrap();
+        buf
     }
 
-    #[test]
-    fn v1_request_still_decodes() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_request_v1(
-            &mut buf,
-            17,
-            "hdfs.ClientProtocol",
-            "getFileInfo",
-            &Text::from("/a/b"),
-        )
-        .unwrap();
-        let mut input = buf.as_slice();
-        let header = read_request_header(&mut input).unwrap();
-        assert_eq!(header.version, FrameVersion::V1);
-        assert_eq!(header.client_id, 0, "V1 peers have no client identity");
-        assert_eq!(header.seq, 17);
-        assert_eq!(header.retry_attempt, 0);
-        assert_eq!(header.protocol(), "hdfs.ClientProtocol");
-        assert_eq!(header.method(), "getFileInfo");
-        let mut param = Text::default();
-        param.read_fields(&mut input).unwrap();
-        assert_eq!(param.0, "/a/b");
-    }
-
-    #[test]
-    fn ok_response_roundtrip_both_versions() {
-        for version in [FrameVersion::V1, FrameVersion::V2] {
-            let mut buf: Vec<u8> = Vec::new();
-            write_response(&mut buf, version, 5, Ok(&IntWritable(99))).unwrap();
-            let mut input = buf.as_slice();
-            let header = read_response_header(&mut input).unwrap();
-            assert!(header.ok());
-            assert_eq!(header.version, version);
-            assert_eq!(header.seq, 5);
-            let mut v = IntWritable::default();
-            v.read_fields(&mut input).unwrap();
-            assert_eq!(v.0, 99);
-        }
-    }
-
-    #[test]
-    fn v2_response_carries_i64_seq() {
-        let seq = (i32::MAX as i64) + 1;
-        let mut buf: Vec<u8> = Vec::new();
-        write_response(&mut buf, FrameVersion::V2, seq, Ok(&IntWritable(1))).unwrap();
-        let mut input = buf.as_slice();
-        assert_eq!(read_response_header(&mut input).unwrap().seq, seq);
+    /// A complete request header whose `retry_attempt` field is `raw`.
+    fn header_with_retry_field(raw: i64) -> Vec<u8> {
+        let mut buf = header_before_names(raw);
+        buf.write_string("p").unwrap();
+        buf.write_string("m").unwrap();
+        buf
     }
 
     #[test]
     fn error_response_roundtrip() {
         let mut buf: Vec<u8> = Vec::new();
-        write_response(&mut buf, FrameVersion::V2, 6, Err("file not found")).unwrap();
+        V3Encoder::new(true)
+            .write_response_lead(&mut buf, 6)
+            .unwrap();
+        write_response_body(&mut buf, Err("file not found")).unwrap();
         let mut input = buf.as_slice();
-        let header = read_response_header(&mut input).unwrap();
+        let header = V3Decoder::new(true)
+            .read_response_header(&mut input)
+            .unwrap();
         assert_eq!(header.status, ResponseStatus::Error);
         let mut msg = String::new();
         msg.read_fields(&mut input).unwrap();
@@ -851,76 +584,77 @@ mod tests {
     }
 
     #[test]
-    fn busy_response_roundtrip() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_busy_response(&mut buf, FrameVersion::V2, 9).unwrap();
-        let mut input = buf.as_slice();
-        let header = read_response_header(&mut input).unwrap();
-        assert_eq!(header.status, ResponseStatus::Busy);
-        assert_eq!(header.seq, 9);
-        assert_eq!(input.len(), 0, "busy responses carry no body");
-
-        // A V1 peer gets the rejection as an ordinary error string.
-        let mut buf: Vec<u8> = Vec::new();
-        write_busy_response(&mut buf, FrameVersion::V1, 9).unwrap();
-        let mut input = buf.as_slice();
-        let header = read_response_header(&mut input).unwrap();
-        assert_eq!(header.version, FrameVersion::V1);
-        assert_eq!(header.status, ResponseStatus::Error);
-    }
-
-    #[test]
-    fn negative_v1_call_id_is_invalid_data() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_request_v1(&mut buf, -1, "p", "m", &IntWritable(0)).unwrap();
-        let mut input = buf.as_slice();
-        assert!(read_request_header(&mut input).is_err());
-    }
-
-    #[test]
-    fn v1_response_rejects_out_of_range_seq() {
-        for seq in [-1i64, (i32::MAX as i64) + 1] {
-            let mut buf: Vec<u8> = Vec::new();
-            let err =
-                write_response(&mut buf, FrameVersion::V1, seq, Ok(&IntWritable(1))).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "seq {seq}");
-        }
-    }
-
-    #[test]
     fn bad_status_is_invalid_data() {
-        let buf = [0, 0, 0, 1, 9];
+        let buf = [1, 9]; // seq delta 1, status 9
         let mut input = buf.as_slice();
-        assert!(read_response_header(&mut input).is_err());
+        let err = V3Decoder::new(true)
+            .read_response_header(&mut input)
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn retry_attempt_roundtrips_across_the_i32_boundary() {
         // Regression: `retry_attempt as i32` through the signed vint path
         // flipped counts above i32::MAX negative on the wire.
+        let key = crate::intern::method_key("p", "m");
         for attempt in [0u32, 1, i32::MAX as u32, (i32::MAX as u32) + 1, u32::MAX] {
             let mut buf: Vec<u8> = Vec::new();
-            write_request(&mut buf, 7, 1, attempt, "p", "m", &IntWritable(0)).unwrap();
-            let mut input = buf.as_slice();
-            let header = read_request_header(&mut input).unwrap();
+            V3Encoder::new(true)
+                .write_request_header(&mut buf, 1, attempt, None, key)
+                .unwrap();
+            let header = V3Decoder::new(true)
+                .read_request_header(&mut buf.as_slice(), 7)
+                .unwrap();
             assert_eq!(header.retry_attempt, attempt, "attempt {attempt}");
         }
     }
 
     #[test]
     fn out_of_range_retry_attempt_is_invalid_data() {
+        assert!(V3Decoder::new(true)
+            .read_request_header(&mut header_with_retry_field(0).as_slice(), 7)
+            .is_ok());
         for raw in [-1i64, i64::from(u32::MAX) + 1, i64::MIN] {
-            let mut buf: Vec<u8> = Vec::new();
-            buf.write_i32(V2_SENTINEL).unwrap();
-            buf.write_u64(7).unwrap();
-            buf.write_i64(1).unwrap();
-            buf.write_vlong(raw).unwrap();
-            buf.write_string("p").unwrap();
-            buf.write_string("m").unwrap();
-            let mut input = buf.as_slice();
-            let err = read_request_header(&mut input).unwrap_err();
+            let err = V3Decoder::new(true)
+                .read_request_header(&mut header_with_retry_field(raw).as_slice(), 7)
+                .unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "raw {raw}");
         }
+    }
+
+    #[test]
+    fn oversized_key_text_is_refused_before_any_allocation() {
+        // A 12-byte frame announcing a 2 GiB protocol name.
+        let mut buf = header_before_names(0);
+        buf.write_vint(i32::MAX).unwrap();
+        buf.extend_from_slice(b"abc");
+        assert_eq!(buf.len(), 12);
+        for stateful in [true, false] {
+            let err = V3Decoder::new(stateful)
+                .read_request_header(&mut buf.as_slice(), 7)
+                .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+
+        // The spill buffer is never sized by a refused length, and the
+        // largest admissible name still decodes.
+        for len in [KEY_TEXT_MAX + 1, i32::MAX as usize] {
+            let mut text: Vec<u8> = Vec::new();
+            text.write_vint(len as i32).unwrap();
+            let (mut stack, mut heap) = ([0u8; KEY_STACK], Vec::new());
+            let err = read_key_text(&mut text.as_slice(), &mut stack, &mut heap).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len {len}");
+            assert_eq!(heap.capacity(), 0, "len {len} must not size the buffer");
+        }
+        let name = "n".repeat(KEY_TEXT_MAX);
+        let mut text: Vec<u8> = Vec::new();
+        text.write_string(&name).unwrap();
+        let (mut stack, mut heap) = ([0u8; KEY_STACK], Vec::new());
+        assert_eq!(
+            read_key_text(&mut text.as_slice(), &mut stack, &mut heap).unwrap(),
+            name
+        );
     }
 
     #[test]
@@ -936,7 +670,6 @@ mod tests {
             sizes.push(buf.len());
             let mut input = buf.as_slice();
             let header = dec.read_request_header(&mut input, 42).unwrap();
-            assert_eq!(header.version, FrameVersion::V3);
             assert_eq!(header.client_id, 42, "client id comes from the handshake");
             assert_eq!(header.seq, seq);
             assert_eq!(header.key, key);
@@ -980,8 +713,8 @@ mod tests {
         let mut enc = V3Encoder::new(true);
         let mut dec = V3Decoder::new(true);
         for (seq, body) in [
-            (5i64, busy_body(FrameVersion::V3)),
-            (6, {
+            (5i64, BUSY_BODY.to_vec()),
+            ((i32::MAX as i64) + 6, {
                 let mut b = Vec::new();
                 write_response_body(&mut b, Ok(&IntWritable(77))).unwrap();
                 b
@@ -992,10 +725,10 @@ mod tests {
             buf.extend_from_slice(&body);
             let mut input = buf.as_slice();
             let header = dec.read_response_header(&mut input).unwrap();
-            assert_eq!(header.version, FrameVersion::V3);
             assert_eq!(header.seq, seq);
             if seq == 5 {
                 assert_eq!(header.status, ResponseStatus::Busy);
+                assert!(input.is_empty(), "busy responses carry no body");
             } else {
                 let mut v = IntWritable::default();
                 v.read_fields(&mut input).unwrap();
@@ -1080,35 +813,16 @@ mod tests {
 
     #[test]
     fn expired_response_roundtrip() {
-        // V2 lead + neutral expired body: what a parked duplicate on a V2
-        // connection receives when the original call is shed.
-        let mut buf: Vec<u8> = Vec::new();
-        write_response_lead(&mut buf, FrameVersion::V2, 9).unwrap();
-        buf.extend_from_slice(&expired_body(FrameVersion::V2));
-        let mut input = buf.as_slice();
-        let header = read_response_header(&mut input).unwrap();
-        assert_eq!(header.status, ResponseStatus::Expired);
-        assert_eq!(header.seq, 9);
-        assert_eq!(input.len(), 0, "expired responses carry no body");
-
-        // V3 lead + the same neutral body.
         let mut enc = V3Encoder::new(true);
         let mut dec = V3Decoder::new(true);
         let mut buf: Vec<u8> = Vec::new();
         enc.write_response_lead(&mut buf, 5).unwrap();
-        buf.extend_from_slice(&expired_body(FrameVersion::V3));
+        buf.extend_from_slice(&EXPIRED_BODY);
         let mut input = buf.as_slice();
         let header = dec.read_response_header(&mut input).unwrap();
         assert_eq!(header.status, ResponseStatus::Expired);
         assert_eq!(header.seq, 5);
-
-        // A V1 peer would see an ordinary error string.
-        let mut buf: Vec<u8> = Vec::new();
-        write_response_lead(&mut buf, FrameVersion::V1, 3).unwrap();
-        buf.extend_from_slice(&expired_body(FrameVersion::V1));
-        let mut input = buf.as_slice();
-        let header = read_response_header(&mut input).unwrap();
-        assert_eq!(header.status, ResponseStatus::Error);
+        assert_eq!(input.len(), 0, "expired responses carry no body");
     }
 
     #[test]
@@ -1124,12 +838,6 @@ mod tests {
             let header = dec.read_request_header(&mut input, 1).unwrap();
             assert_eq!(header.seq, seq);
         }
-    }
-
-    #[test]
-    fn stateless_lead_writer_refuses_v3() {
-        let mut buf: Vec<u8> = Vec::new();
-        assert!(write_response(&mut buf, FrameVersion::V3, 1, Ok(&IntWritable(1))).is_err());
     }
 
     #[test]

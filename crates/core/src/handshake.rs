@@ -1,14 +1,20 @@
-//! Connect-time handshake: version negotiation and client identity.
+//! Connect-time handshake: wire version and client identity.
 //!
 //! Before any RPC frame (and, in RPCoIB mode, before the verbs end-point
 //! exchange) the client sends a 13-byte hello over the freshly connected
-//! stream — magic, the highest frame version it speaks, and its
-//! `client_id` — and the server answers with a 9-byte ack carrying the
-//! *negotiated* version (`min(peer, MAX_VERSION)`) and the identity the
-//! connection will speak under. Both sides then frame every message on
-//! that connection in the negotiated version, which is how the V3
-//! compact header gets turned on without any per-frame marker: a V2 peer
-//! offers 2, is acked 2, and never sees a V3 byte.
+//! stream — `[u32 MAGIC][u8 version][u64 client_id]` — and the server
+//! answers with a 9-byte ack, `[u8 version][u64 client_id]`, carrying the
+//! version the connection will speak and the identity it will speak under.
+//! There is one wire version ([`MAX_VERSION`]; see [`crate::frame`]): the
+//! server acks it to every peer that offers at least that much and
+//! refuses a peer that offers less. The byte stays in both messages as
+//! the forward-compatibility hook — a later build can offer more and
+//! still be acked what this one speaks.
+//!
+//! The handshake is *demanded*. A connection whose first four bytes are
+//! not the magic is refused before anything else is read from it: nothing
+//! is written back, no endpoint exchange starts, and no byte of it is ever
+//! interpreted as a frame length. The peer sees its connection close.
 //!
 //! The `client_id` keys the server's retry cache, so it must be stable
 //! across reconnects of one client and unique among all clients a server
@@ -16,20 +22,6 @@
 //! and presents it on every connect; a client that presents `0` is handed
 //! a server-assigned id in the ack ("handed out at connect handshake"),
 //! which it adopts and re-presents on subsequent connects.
-//!
-//! **Legacy (pre-handshake) peers.** The handshake only exists since
-//! frame V2, so the server *sniffs* rather than demands it: it peeks at
-//! the connection's first four bytes, and anything but the magic is
-//! pushed back onto the stream and the connection proceeds exactly as in
-//! the previous release — straight to the frame (socket) or verbs
-//! endpoint exchange (RPCoIB), with no client identity and therefore no
-//! retry caching. That keeps an old client working against a new server
-//! for one release; the reverse direction (new client, old server) is
-//! not supported, because an old server would read the hello as frame
-//! bytes. A truly garbage peer passes the sniff as "legacy" and is then
-//! rejected one layer down, when its bytes fail to parse as a frame.
-//! (The sniff is ambiguous only if a legacy frame's length prefix equals
-//! the magic — a 1.3 GB frame, far beyond any real call.)
 
 use std::io::Write;
 
@@ -40,20 +32,16 @@ use crate::error::{RpcError, RpcResult};
 /// `b"RPCB"` — first bytes on every connection.
 pub const MAGIC: u32 = 0x5250_4342;
 
-/// Lowest version the handshake can negotiate (the handshake itself
-/// only exists since V2; pre-V2 peers take the Legacy sniff path).
-pub const MIN_VERSION: u8 = 2;
-
-/// Highest frame/wire version this build speaks (see [`crate::frame`]).
+/// The wire version this build speaks (see [`crate::frame`]) — the
+/// highest, and the only one.
 pub const MAX_VERSION: u8 = 3;
 
-/// Client side: offer versions up to `max_version` and present
-/// `client_id` (0 = please assign one). Returns the negotiated version
-/// and the id the server confirmed or assigned.
-pub fn client_hello(stream: &SimStream, client_id: u64, max_version: u8) -> RpcResult<(u8, u64)> {
+/// Client side: offer [`MAX_VERSION`] and present `client_id` (0 = please
+/// assign one). Returns the id the server confirmed or assigned.
+pub fn client_hello(stream: &SimStream, client_id: u64) -> RpcResult<u64> {
     let mut hello = [0u8; 13];
     hello[..4].copy_from_slice(&MAGIC.to_be_bytes());
-    hello[4] = max_version;
+    hello[4] = MAX_VERSION;
     hello[5..].copy_from_slice(&client_id.to_be_bytes());
     (&*stream)
         .write_all(&hello)
@@ -63,80 +51,63 @@ pub fn client_hello(stream: &SimStream, client_id: u64, max_version: u8) -> RpcR
     stream
         .read_exact_at(&mut ack)
         .map_err(|e| RpcError::Io(e.to_string()))?;
-    let version = ack[0];
-    if version == 0 {
+    match ack[0] {
         // Accept-path backpressure: the server is at `max_connections`
-        // (or its accept backlog) and refused this connection before any
-        // setup. Retryable — the client backs off and reconnects.
-        return Err(RpcError::ServerBusy);
+        // and refused this connection before any setup. Retryable — the
+        // client backs off and reconnects.
+        0 => return Err(RpcError::ServerBusy),
+        MAX_VERSION => {}
+        other => {
+            return Err(RpcError::Protocol(format!(
+                "server acked wire version {other}, this client speaks {MAX_VERSION}"
+            )))
+        }
     }
-    if !(MIN_VERSION..=max_version).contains(&version) {
-        return Err(RpcError::Protocol(format!(
-            "server negotiated frame version {version}, this client speaks {MIN_VERSION}..={max_version}"
-        )));
-    }
-    let confirmed = u64::from_be_bytes(ack[1..9].try_into().unwrap());
+    let confirmed = u64::from_be_bytes(ack[1..9].try_into().expect("8-byte slice"));
     if confirmed == 0 {
         return Err(RpcError::Protocol("server confirmed client_id 0".into()));
     }
-    Ok((version, confirmed))
+    Ok(confirmed)
 }
 
-/// What the server learned from a freshly accepted connection's opening
-/// bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerHello {
-    /// The peer spoke the handshake; the connection operates under the
-    /// negotiated frame version and this client id.
-    Modern { version: u8, client_id: u64 },
-    /// The peer's first bytes were not the magic: a pre-handshake (V1)
-    /// peer. The sniffed bytes were pushed back onto the stream, which is
-    /// positioned exactly as the previous release expects — no ack was
-    /// sent, no identity exists, and the retry cache stays out of play.
-    Legacy,
-}
-
-/// Server side: sniff the connection's first four bytes. On the magic,
-/// finish the handshake (assigning an id via `assign` if the client
-/// presented 0), ack the negotiated version, and return it with the
-/// connection's client id; on anything else, push the bytes back and
-/// report a legacy peer.
+/// Server side: demand the hello on a freshly accepted connection, ack
+/// [`MAX_VERSION`] with the connection's client id (assigned via `assign` if
+/// the client presented 0), and return that id.
 ///
-/// `Protocol` errors mean the peer spoke the magic but an unsupportable
-/// version (count it); `Io` means the peer vanished mid-handshake
-/// (routine churn).
-pub fn server_accept(stream: &SimStream, assign: impl FnOnce() -> u64) -> RpcResult<ServerHello> {
-    let mut lead = [0u8; 4];
+/// `Protocol` errors mean the peer did not open with the magic, or
+/// offered a version below [`MAX_VERSION`]: nothing was written to it, and
+/// the caller counts it and closes. `Io` means the peer vanished
+/// mid-handshake (routine churn).
+pub fn server_accept(stream: &SimStream, assign: impl FnOnce() -> u64) -> RpcResult<u64> {
+    let mut hello = [0u8; 13];
     stream
-        .read_exact_at(&mut lead)
+        .read_exact_at(&mut hello[..4])
         .map_err(|e| RpcError::Io(e.to_string()))?;
-    if u32::from_be_bytes(lead) != MAGIC {
-        stream.unread(&lead);
-        return Ok(ServerHello::Legacy);
-    }
-    let mut rest = [0u8; 9];
-    stream
-        .read_exact_at(&mut rest)
-        .map_err(|e| RpcError::Io(e.to_string()))?;
-    let peer_version = rest[0];
-    if peer_version < MIN_VERSION {
-        // The handshake itself only exists since V2 — a peer that sends
-        // it speaks at least V2 (pre-V2 peers take the Legacy path).
+    if hello[..4] != MAGIC.to_be_bytes() {
         return Err(RpcError::Protocol(format!(
-            "unsupported peer frame version {peer_version}"
+            "connection opened with {:02x?}, not the handshake magic",
+            &hello[..4]
         )));
     }
-    let version = peer_version.min(MAX_VERSION);
-    let presented = u64::from_be_bytes(rest[1..9].try_into().unwrap());
+    stream
+        .read_exact_at(&mut hello[4..])
+        .map_err(|e| RpcError::Io(e.to_string()))?;
+    let peer_version = hello[4];
+    if peer_version < MAX_VERSION {
+        return Err(RpcError::Protocol(format!(
+            "peer offers wire version {peer_version}, this server speaks {MAX_VERSION}"
+        )));
+    }
+    let presented = u64::from_be_bytes(hello[5..].try_into().expect("8-byte slice"));
     let client_id = if presented == 0 { assign() } else { presented };
 
     let mut ack = [0u8; 9];
-    ack[0] = version;
+    ack[0] = MAX_VERSION;
     ack[1..].copy_from_slice(&client_id.to_be_bytes());
     (&*stream)
         .write_all(&ack)
         .map_err(|e| RpcError::Io(e.to_string()))?;
-    Ok(ServerHello::Modern { version, client_id })
+    Ok(client_id)
 }
 
 /// Mint a random, non-zero client id. Mixes wall-clock entropy, the
@@ -177,41 +148,18 @@ mod tests {
     }
 
     #[test]
-    fn presented_id_is_confirmed_at_max_version() {
+    fn presented_id_is_confirmed() {
         let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || client_hello(&cli, 0xfeed, MAX_VERSION).unwrap());
+        let h = thread::spawn(move || client_hello(&cli, 0xfeed).unwrap());
         let seen = server_accept(&srv, || panic!("must not assign")).unwrap();
-        assert_eq!(
-            seen,
-            ServerHello::Modern {
-                version: MAX_VERSION,
-                client_id: 0xfeed
-            }
-        );
-        assert_eq!(h.join().unwrap(), (MAX_VERSION, 0xfeed));
+        assert_eq!(seen, 0xfeed);
+        assert_eq!(h.join().unwrap(), 0xfeed);
     }
 
     #[test]
-    fn v2_peer_negotiates_down_to_v2() {
-        let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || client_hello(&cli, 0xfeed, 2).unwrap());
-        let seen = server_accept(&srv, || panic!("must not assign")).unwrap();
-        assert_eq!(
-            seen,
-            ServerHello::Modern {
-                version: 2,
-                client_id: 0xfeed
-            },
-            "the server must never ack a version above the peer's offer"
-        );
-        assert_eq!(h.join().unwrap(), (2, 0xfeed));
-    }
-
-    #[test]
-    fn future_peer_is_capped_at_our_max() {
+    fn future_peer_is_acked_our_version() {
         let (cli, srv) = stream_pair();
         let h = thread::spawn(move || {
-            use std::io::Write;
             let mut hello = [0u8; 13];
             hello[..4].copy_from_slice(&MAGIC.to_be_bytes());
             hello[4] = MAX_VERSION + 5; // a build from the future
@@ -221,58 +169,44 @@ mod tests {
             cli.read_exact_at(&mut ack).unwrap();
             ack[0]
         });
-        let seen = server_accept(&srv, || 1).unwrap();
-        assert_eq!(
-            seen,
-            ServerHello::Modern {
-                version: MAX_VERSION,
-                client_id: 0xbeef
-            }
-        );
+        assert_eq!(server_accept(&srv, || 1).unwrap(), 0xbeef);
         assert_eq!(h.join().unwrap(), MAX_VERSION);
     }
 
     #[test]
     fn zero_id_gets_assigned() {
         let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || client_hello(&cli, 0, MAX_VERSION).unwrap());
-        let seen = server_accept(&srv, || 777).unwrap();
-        assert_eq!(
-            seen,
-            ServerHello::Modern {
-                version: MAX_VERSION,
-                client_id: 777
-            }
-        );
-        assert_eq!(
-            h.join().unwrap(),
-            (MAX_VERSION, 777),
-            "assigned id travels back"
+        let h = thread::spawn(move || client_hello(&cli, 0).unwrap());
+        assert_eq!(server_accept(&srv, || 777).unwrap(), 777);
+        assert_eq!(h.join().unwrap(), 777, "assigned id travels back");
+    }
+
+    /// What the peer of a refused connection sees: no byte, then EOF.
+    fn assert_refused(opening: &[u8]) {
+        let (cli, srv) = stream_pair();
+        (&cli).write_all(opening).unwrap();
+        let err = server_accept(&srv, || panic!("must not assign")).unwrap_err();
+        assert!(matches!(err, RpcError::Protocol(_)), "{err}");
+        drop(srv);
+        let mut byte = [0u8; 1];
+        assert!(
+            cli.read_exact_at(&mut byte).is_err(),
+            "a refused peer must be written nothing"
         );
     }
 
     #[test]
-    fn non_magic_peer_is_legacy_with_bytes_preserved() {
-        let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || {
-            use std::io::Write;
-            // A pre-handshake peer's first bytes: a frame length prefix.
-            (&cli).write_all(&[0, 0, 0, 64, 0xab, 0xcd]).unwrap();
-        });
-        let seen = server_accept(&srv, || panic!("must not assign")).unwrap();
-        assert_eq!(seen, ServerHello::Legacy);
-        // The sniffed bytes were pushed back: the stream reads from the
-        // very beginning, as the legacy framing layer expects.
-        let mut first = [0u8; 6];
-        srv.read_exact_at(&mut first).unwrap();
-        assert_eq!(first, [0, 0, 0, 64, 0xab, 0xcd]);
-        h.join().unwrap();
+    fn non_magic_peer_is_refused_with_nothing_written() {
+        // A frame length prefix (what a pre-handshake peer would open
+        // with), and an HTTP probe.
+        assert_refused(&[0, 0, 0, 64, 0xab, 0xcd]);
+        assert_refused(b"GET / HTTP/1.1\r\n\r\n");
     }
 
     #[test]
     fn busy_ack_maps_to_retryable_server_busy() {
         let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || client_hello(&cli, 0xfeed, MAX_VERSION));
+        let h = thread::spawn(move || client_hello(&cli, 0xfeed));
         // The listener's refusal: the 9-byte ack with version byte 0,
         // written without reading the hello.
         (&srv).write_all(&[0u8; 9]).unwrap();
@@ -283,18 +217,28 @@ mod tests {
     }
 
     #[test]
-    fn magic_with_unsupported_version_is_a_protocol_error() {
-        let (cli, srv) = stream_pair();
-        let h = thread::spawn(move || {
-            use std::io::Write;
+    fn client_accepts_only_its_own_version_in_the_ack() {
+        for acked in [2u8, MAX_VERSION + 1] {
+            let (cli, srv) = stream_pair();
+            let h = thread::spawn(move || client_hello(&cli, 0xfeed));
+            let mut ack = [0u8; 9];
+            ack[0] = acked;
+            ack[1..].copy_from_slice(&0xfeedu64.to_be_bytes());
+            (&srv).write_all(&ack).unwrap();
+            let err = h.join().unwrap().unwrap_err();
+            assert!(matches!(err, RpcError::Protocol(_)), "ack {acked}: {err}");
+        }
+    }
+
+    #[test]
+    fn magic_with_an_older_version_is_refused() {
+        for version in [0u8, 1, 2] {
             let mut hello = [0u8; 13];
             hello[..4].copy_from_slice(&MAGIC.to_be_bytes());
-            hello[4] = 1; // claims a version predating the handshake
-            (&cli).write_all(&hello).unwrap();
-        });
-        let err = server_accept(&srv, || 1).unwrap_err();
-        assert!(matches!(err, RpcError::Protocol(_)), "{err}");
-        h.join().unwrap();
+            hello[4] = version;
+            hello[5..].copy_from_slice(&0xfeedu64.to_be_bytes());
+            assert_refused(&hello);
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! while both designs under comparison do the same host work, but the
 //! whole point of the interned hot path is that it *stops* doing that
 //! work. To make the saving visible in the deterministic, replayable
-//! bench figures, [`RpcConfig::legacy_metadata`](crate::RpcConfig) mode
-//! re-enacts the pre-interning metadata path for real **and** charges the
-//! caller's ledger with the constants below, one bundle per call.
+//! bench figures, the `smallcall` figure's `*_legacy` rows are its
+//! `*_interned` samples plus [`legacy_call_ns`] — the bundle of constants
+//! below, which is what the pre-interning metadata path cost per call.
 //!
 //! The constants are deliberately conservative round numbers in the range
 //! reported for managed-runtime RPC stacks (the paper's §III measures
@@ -37,7 +37,7 @@ pub const LEGACY_ALLOCS_PER_CALL: u64 = 8;
 /// mutex (insert + remove), and the trace flag.
 pub const LEGACY_LOCKS_PER_CALL: u64 = 6;
 
-/// The per-call ledger charge applied in legacy-metadata mode.
+/// What the pre-interning metadata path cost per call.
 pub const fn legacy_call_ns() -> u64 {
     LEGACY_ALLOCS_PER_CALL * MANAGED_ALLOC_NS + LEGACY_LOCKS_PER_CALL * LOCK_ROUND_NS
 }
@@ -52,21 +52,6 @@ pub const DRAIN_BYTES_PER_NS: u64 = 10;
 /// Modeled cost of copying `len` bytes out of the large region.
 pub const fn drain_ns(len: usize) -> u64 {
     (len as u64).div_ceil(DRAIN_BYTES_PER_NS)
-}
-
-/// Re-enact the pre-interning metadata heap traffic for real — exactly
-/// [`LEGACY_ALLOCS_PER_CALL`] boxed allocations of the call's key
-/// strings — so allocation-counting harnesses observe the legacy path's
-/// behavior, not just its modeled charge. Returns a value derived from
-/// the allocations so the optimizer cannot elide them.
-pub fn reenact_legacy_call(protocol: &str, method: &str) -> usize {
-    let mut footprint = 0usize;
-    for _ in 0..LEGACY_ALLOCS_PER_CALL / 2 {
-        let p = std::hint::black_box(protocol.to_owned());
-        let m = std::hint::black_box(method.to_owned());
-        footprint = footprint.wrapping_add(p.len() + m.len());
-    }
-    footprint
 }
 
 #[cfg(test)]

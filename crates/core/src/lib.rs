@@ -90,7 +90,7 @@ pub use admission::{AdmissionQueue, AdmitError, CallClass, CallMeta, Popped};
 pub use client::{Client, RawResponse};
 pub use config::RpcConfig;
 pub use error::{RpcError, RpcResult};
-pub use frame::{FrameVersion, Payload, ResponseStatus, V3Decoder, V3Encoder};
+pub use frame::{Payload, ResponseStatus, V3Decoder, V3Encoder};
 pub use intern::{MethodId, MethodKey};
 pub use metrics::{
     CallProfile, EngineCounters, HistogramSnapshot, LatencyHistogram, MethodEntry, MethodStats,

@@ -589,7 +589,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Point-in-time admission counters for one tenant (handshake
-/// `client_id`; V1 peers pool under id 0).
+/// `client_id`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantSnapshot {
     pub client_id: u64,
@@ -1063,7 +1063,7 @@ impl MetricsRegistry {
     }
 
     /// Count one busy rejection, attributed to `tenant` (the handshake
-    /// `client_id`; V1 peers pool under 0). Bumps the global counter too.
+    /// `client_id`). Bumps the global counter too.
     pub fn inc_busy_rejections_for(&self, tenant: u64) {
         self.inc_busy_rejections();
         self.bump_tenant(tenant, |c| c.busy_rejections += 1);

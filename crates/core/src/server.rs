@@ -41,7 +41,7 @@
 //!   worker is free (see [`worker_loop`]). The worker that ran the final
 //!   poll serializes the response once and **transmits it**
 //!   (`ServerInner::respond`): it takes the
-//!   connection's *send turn* — the lock around the connection's V3
+//!   connection's *send turn* — the lock around the connection's
 //!   response-lead encoder — with a non-blocking `try_lock` and, when
 //!   nothing is already queued for that connection at its responder
 //!   shard, encodes the lead and writes lead + body straight into the
@@ -83,14 +83,13 @@ use crate::admission::{AdmissionQueue, AdmitError, CallClass, CallMeta};
 use crate::config::RpcConfig;
 use crate::error::{RpcError, RpcResult};
 use crate::frame::{
-    busy_body, expired_body, read_request_header, write_response_body, write_response_lead,
-    FrameVersion, Payload, RequestHeader, V3Decoder, V3Encoder,
+    write_response_body, Payload, RequestHeader, V3Decoder, V3Encoder, BUSY_BODY, EXPIRED_BODY,
 };
 use crate::handshake;
 use crate::intern::MethodKey;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase, ShardRole, ShardStats};
 use crate::readiness::{token, token_gen, token_slot, Pop, ReadyQueue, WakeState, TOKEN_REGISTER};
-use crate::retry_cache::{Admission, CallKey, RetryCache};
+use crate::retry_cache::{Admission, RetryCache};
 use crate::sched::{HandlerCx, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
 use crate::transport::rdma::{IbContext, RdmaConn};
@@ -117,7 +116,7 @@ const DRAIN_POLL: Duration = Duration::from_millis(2);
 
 /// Frames one readiness pop may decode from a single connection before
 /// its token re-arms at the back of the queue (non-QoS mode; QoS mode
-/// budgets by tenant weight instead). A gathered V3 batch arrives as one
+/// budgets by tenant weight instead). A gathered batch arrives as one
 /// wire op carrying many frames: draining them in one pop turns
 /// batch-of-32 service from 32 queue round-trips into one, while the
 /// bound keeps one chatty peer from starving its shard.
@@ -135,7 +134,7 @@ struct ServerConn {
     id: u64,
     transport: Arc<dyn Conn>,
     /// The connection's send turn. Whoever holds it is the only thread
-    /// writing to `transport`, so the V3 response-lead encoder inside
+    /// writing to `transport`, so the response-lead encoder inside
     /// advances in exactly wire order whether a handler or the responder
     /// shard sends. Socket connections are stateful (reliable stream);
     /// verbs connections run the self-contained encoding.
@@ -165,11 +164,6 @@ struct RespRoute {
     /// The request's interned key; the send derives the response's
     /// buffer-history key from it (`key.response_key()`).
     key: MethodKey,
-    /// The version *this route's request* arrived in — a parked duplicate
-    /// may sit on a connection speaking a different version than the
-    /// executing attempt's, so the lead is composed per route, not per
-    /// response.
-    version: FrameVersion,
     /// Tenant identity of the route's caller; the responder's
     /// weighted-fair sweep budgets transmissions by it.
     client_id: u64,
@@ -181,7 +175,6 @@ impl RespRoute {
         RespRoute {
             conn,
             key: header.key,
-            version: header.version,
             client_id: header.client_id,
             seq: header.seq,
         }
@@ -190,21 +183,19 @@ impl RespRoute {
 
 struct OutboundResponse {
     route: RespRoute,
-    /// The serialized *version-neutral* response body (`[status][value]`),
-    /// shared with the retry cache and any parked duplicates; the sender
-    /// prepends each route's own lead.
+    /// The serialized response body (`[status][value]`), shared with the
+    /// retry cache and any parked duplicates; the sender prepends each
+    /// route's own lead.
     bytes: Arc<Vec<u8>>,
 }
 
 /// A connection handed from the accept path to its reader shard.
 struct ShardConn {
     conn: Arc<ServerConn>,
-    /// Frame version negotiated at the handshake (1 for legacy peers).
-    version: u8,
-    /// Identity from the handshake; V3 frames no longer carry it.
+    /// Identity from the handshake (never 0); frames do not carry it.
     client_id: u64,
-    /// Request-header decoder for V3 connections. Owned by the one reader
-    /// shard the connection is hashed onto, so decoding needs no lock.
+    /// Request-header decoder. Owned by the one reader shard the
+    /// connection is hashed onto, so decoding needs no lock.
     dec: V3Decoder,
 }
 
@@ -361,10 +352,8 @@ impl ServerInner {
     fn transmit(&self, route: &RespRoute, enc: &mut V3Encoder, body: &[u8]) {
         let mut lead = [0u8; LEAD_MAX];
         let mut cursor = &mut lead[..];
-        if write_lead(enc, route, &mut cursor).is_err() {
-            self.metrics.inc_frame_errors();
-            return;
-        }
+        enc.write_response_lead(&mut cursor, route.seq)
+            .expect("a vlong fits LEAD_MAX");
         let lead_len = LEAD_MAX - cursor.len();
         let sent =
             route
@@ -381,15 +370,10 @@ impl ServerInner {
         let mut frames: Vec<Vec<u8>> = Vec::with_capacity(group.len());
         for out in group {
             let mut frame = Vec::with_capacity(out.bytes.len() + LEAD_MAX);
-            if write_lead(enc, &out.route, &mut frame).is_err() {
-                self.metrics.inc_frame_errors();
-                continue;
-            }
+            enc.write_response_lead(&mut frame, out.route.seq)
+                .expect("writing to a Vec cannot fail");
             frame.extend_from_slice(&out.bytes);
             frames.push(frame);
-        }
-        if frames.is_empty() {
-            return;
         }
         // The response's buffer-size history is keyed separately from the
         // request's; one key per batch is enough — the gathered frames
@@ -448,11 +432,9 @@ impl ServerInner {
         let RawCall { conn, header, .. } = call;
         let bytes = Arc::new(body);
         self.send_or_enqueue(RespRoute::new(conn, &header), &bytes);
-        if header.version != FrameVersion::V1 && header.client_id != 0 {
-            let key = (header.client_id, header.seq);
-            for waiter in self.retry_cache.complete(key, Arc::clone(&bytes)) {
-                self.enqueue_response(waiter, Arc::clone(&bytes), true);
-            }
+        let key = (header.client_id, header.seq);
+        for waiter in self.retry_cache.complete(key, Arc::clone(&bytes)) {
+            self.enqueue_response(waiter, Arc::clone(&bytes), true);
         }
         // The call's own open_work slot is released only now, after its
         // response is on the wire or queued (each queued response holds a
@@ -460,9 +442,9 @@ impl ServerInner {
         self.open_work.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Serialize a dispatch result into the version-neutral response body
+    /// Serialize a dispatch result into the response body
     /// (`[status][value | error]`): once, on the computing thread, so a
-    /// replay or a parked duplicate in another frame version shares the
+    /// replay or a parked duplicate on another connection shares the
     /// bytes. The buffer is sized from the last response of this
     /// `<protocol, method#resp>` — the paper's message-size locality — so
     /// it is allocated once instead of grown.
@@ -492,23 +474,9 @@ impl ServerInner {
     }
 }
 
-/// Room for any response lead: V3's is one vlong (≤ 9 bytes), V2's is
-/// 12, V1's 4.
-const LEAD_MAX: usize = 16;
-
-/// Write the per-version bytes that precede `route`'s response body. An
-/// error means the lead is unrepresentable (a V1 seq outside `i32`): the
-/// caller drops that one response and keeps the connection.
-fn write_lead(
-    enc: &mut V3Encoder,
-    route: &RespRoute,
-    out: &mut dyn wire::DataOutput,
-) -> std::io::Result<()> {
-    match route.version {
-        FrameVersion::V3 => enc.write_response_lead(out, route.seq),
-        v => write_response_lead(out, v, route.seq),
-    }
-}
+/// Room for a response lead: one vlong, a prefix byte plus at most eight
+/// of payload.
+const LEAD_MAX: usize = 9;
 
 /// Decrements a counter on drop, so read-side thread exits (normal,
 /// panic, early return) all release their slot.
@@ -900,10 +868,8 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                 // Hard admission cap, *before* any resource is
                 // committed: past `max_connections` (live + in setup),
                 // answer with the 9-byte busy ack (version byte 0) and
-                // drop the stream. A modern client maps it to the
-                // retryable `ServerBusy`; a legacy peer just sees its
-                // connection die, which its reconnect logic already
-                // handles.
+                // drop the stream. The client maps it to the retryable
+                // `ServerBusy`.
                 let setups = inner.setups_inflight.load(Ordering::Acquire);
                 let over_cap = inner.cfg.max_connections != 0
                     && inner.conns.lock().len() + setups >= inner.cfg.max_connections;
@@ -933,23 +899,16 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                     .spawn(move || {
                         let _slot = CountGuard(&inner2.live_readers);
                         let _setup = CountGuard(&inner2.setups_inflight);
-                        // Identity/version handshake first, on the raw
-                        // stream. A peer that opens with anything but the
-                        // magic is a pre-handshake (V1) peer: the sniffed
-                        // bytes are pushed back and the connection runs
-                        // the previous release's protocol — no identity,
-                        // no retry caching, V1 frames answered in V1. A
-                        // garbage peer takes the same path and is weeded
-                        // out when its bytes fail to parse as a frame.
-                        let (version, client_id) =
+                        // The handshake first, on the raw stream, and
+                        // nothing before it: a peer that does not open
+                        // with the magic (or offers an older version) is
+                        // counted and dropped — nothing is written back,
+                        // no endpoint exchange starts, and none of its
+                        // bytes is ever read as a frame.
+                        let client_id =
                             match handshake::server_accept(&stream, || inner2.assign_client_id()) {
-                                Ok(handshake::ServerHello::Modern { version, client_id }) => {
-                                    (version, client_id)
-                                }
-                                Ok(handshake::ServerHello::Legacy) => (1, 0),
+                                Ok(client_id) => client_id,
                                 Err(RpcError::Protocol(_)) => {
-                                    // Spoke the magic but an unsupportable
-                                    // version: refuse and count it.
                                     inner2.metrics.inc_frame_errors();
                                     return;
                                 }
@@ -969,7 +928,7 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                             ),
                         };
                         inner2.conns.lock().insert(conn_id, Arc::clone(&conn));
-                        // Stream transports run the stateful V3 codec,
+                        // Stream transports run the stateful codec,
                         // verbs the self-contained one (see `frame`).
                         let stateful = !inner2.cfg.ib_enabled;
                         let shard = (conn_id % inner2.reader_regs.len() as u64) as usize;
@@ -981,7 +940,6 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                                     send: Mutex::new(V3Encoder::new(stateful)),
                                     queued: AtomicUsize::new(0),
                                 }),
-                                version,
                                 client_id,
                                 dec: V3Decoder::new(stateful),
                             })
@@ -1107,7 +1065,7 @@ fn service_token(
         slot.wake.begin_poll();
         // Burst budget: QoS mode reads up to the tenant's weight per
         // wake (a light tenant's at least one); otherwise up to
-        // `READ_BURST` frames, so a gathered V3 batch decodes in one
+        // `READ_BURST` frames, so a gathered batch decodes in one
         // pop instead of one queue round-trip per frame. Per-connection
         // order holds either way — it is one connection drained
         // sequentially under the table lock.
@@ -1246,23 +1204,15 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
         Ok(v) => v,
         Err(RpcError::Timeout) => return ReadOutcome::Idle,
         Err(RpcError::Protocol(_)) => {
-            // Unframeable bytes (e.g. a garbage peer that passed the
-            // legacy handshake sniff): count it like any corrupt frame
-            // before forfeiting the connection.
+            // Unframeable bytes: count it like any corrupt frame before
+            // forfeiting the connection.
             inner.metrics.inc_frame_errors();
             return ReadOutcome::Forfeit;
         }
         Err(_) => return ReadOutcome::Forfeit,
     };
     let mut reader = payload.reader();
-    let parsed = if sc.version >= 3 {
-        // The compact header: the negotiated version selects the codec,
-        // no per-frame marker exists to mis-sniff.
-        sc.dec.read_request_header(&mut reader, sc.client_id)
-    } else {
-        read_request_header(&mut reader)
-    };
-    let header = match parsed {
+    let header = match sc.dec.read_request_header(&mut reader, sc.client_id) {
         Ok(h) => h,
         Err(_) => {
             // Corrupt frame: past this point the stream cannot be
@@ -1275,30 +1225,22 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
     stats.inc_processed();
     let body_offset = reader.position();
     inner.metrics.entry(header.key).record_recv(recv);
-    // At-most-once admission. V1 peers (and clients with caching
-    // disabled, client_id 0) skip the cache but still get the
-    // non-blocking queue admission below. The cache stores *neutral*
-    // bodies, so V2 and V3 attempts of the same logical call share one
-    // entry — each route's lead is composed in its own version.
-    let cache_key: Option<CallKey> = if header.version != FrameVersion::V1 && header.client_id != 0
+    // At-most-once admission (a cache of capacity 0 admits everything).
+    // The cache stores bodies without their leads, so attempts of one
+    // logical call arriving on different connections share one entry —
+    // each route's lead is composed by its own connection's encoder.
+    let cache_key = (header.client_id, header.seq);
+    match inner
+        .retry_cache
+        .begin(cache_key, || RespRoute::new(Arc::clone(conn), &header))
     {
-        Some((header.client_id, header.seq))
-    } else {
-        None
-    };
-    if let Some(key) = cache_key {
-        match inner
-            .retry_cache
-            .begin(key, || RespRoute::new(Arc::clone(conn), &header))
-        {
-            Admission::Execute => {}
-            Admission::Parked => return ReadOutcome::Frame,
-            Admission::Replay(bytes) => {
-                // Completed earlier: answer from the cache, never
-                // touching the handler pool.
-                inner.enqueue_response(RespRoute::new(Arc::clone(conn), &header), bytes, false);
-                return ReadOutcome::Frame;
-            }
+        Admission::Execute => {}
+        Admission::Parked => return ReadOutcome::Frame,
+        Admission::Replay(bytes) => {
+            // Completed earlier: answer from the cache, never touching
+            // the handler pool.
+            inner.enqueue_response(RespRoute::new(Arc::clone(conn), &header), bytes, false);
+            return ReadOutcome::Frame;
         }
     }
     let call = RawCall {
@@ -1308,9 +1250,8 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
         body_offset,
         admitted_at: Instant::now(),
     };
-    // The shedding deadline in the server's own clock. Only V3 peers
-    // carry a budget; a zero-config server (deadline_propagation off)
-    // ignores it entirely.
+    // The shedding deadline in the server's own clock; a server with
+    // `deadline_propagation` off ignores the budget entirely.
     let expires_at_ns = match (inner.cfg.deadline_propagation, header.deadline_budget) {
         (true, Some(budget)) => Some(inner.now_ns().saturating_add(budget.as_nanos() as u64)),
         _ => None,
@@ -1341,25 +1282,18 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
             inner.open_work.fetch_sub(1, Ordering::AcqRel);
             inner.metrics.inc_busy_rejections_for(header.client_id);
             stats.inc_busy();
-            let mut routes = vec![RespRoute::new(Arc::clone(conn), &header)];
-            if let Some(key) = cache_key {
-                // Duplicates that parked in the begin/try_push window
-                // (another connection of the same client) get the same
-                // busy answer; the entry is gone so a retry can execute.
-                routes.extend(inner.retry_cache.abort(key));
-            }
-            for r in routes {
-                // Per route, not shared: a V1 route needs the error-string
-                // body where modern routes get the bare busy status.
-                let bytes = Arc::new(busy_body(r.version));
-                inner.enqueue_response(r, bytes, false);
+            // Duplicates that parked in the begin/try_push window
+            // (another connection of the same client) get the same busy
+            // answer; the entry is gone so a retry can execute.
+            let bytes = Arc::new(BUSY_BODY.to_vec());
+            let own = RespRoute::new(Arc::clone(conn), &header);
+            for route in std::iter::once(own).chain(inner.retry_cache.abort(cache_key)) {
+                inner.enqueue_response(route, Arc::clone(&bytes), false);
             }
         }
         Err((AdmitError::Closed, _call)) => {
             inner.open_work.fetch_sub(1, Ordering::AcqRel);
-            if let Some(key) = cache_key {
-                inner.retry_cache.abort(key);
-            }
+            inner.retry_cache.abort(cache_key);
             return ReadOutcome::Shutdown; // the server is going away
         }
     }
@@ -1478,8 +1412,7 @@ fn shed_call(inner: &Arc<ServerInner>, meta: CallMeta, call: RawCall) {
     inner.metrics.inc_deadline_sheds_for(meta.tenant);
     // The queue already returned the tenant's quota slot when it shed the
     // call, so unlike an executed call there is nothing to release.
-    let body = expired_body(call.header.version);
-    inner.respond(call, body);
+    inner.respond(call, EXPIRED_BODY.to_vec());
 }
 
 /// Most responses one responder sweep drains before sending. Bounds the

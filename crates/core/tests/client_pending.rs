@@ -245,8 +245,8 @@ fn pending_cleared_on_corrupt_response() {
         let mut body = vec![0u8; i32::from_be_bytes(len_buf) as usize];
         stream.read_exact_at(&mut body).unwrap();
         // Length-prefixed frame whose body cannot parse as a response
-        // header: lead i32 = -1 selects V1, and then the status byte is
-        // missing.
+        // header: a one-byte seq delta, then 0xff where a status byte
+        // belongs.
         (&stream).write_all(&4i32.to_be_bytes()).unwrap();
         (&stream).write_all(&(-1i32).to_be_bytes()).unwrap();
         // Hold the stream open until the client has reacted, so EOF

@@ -384,7 +384,7 @@ proptest! {
                 drain(now, &mut executed, &mut shed);
                 continue;
             }
-            // Keys 0..3 carry a deadline; 3..6 do not (V2-style peers).
+            // Keys 0..3 carry a deadline; 3..6 do not (callers with no deadline).
             let expires_at_ns = (idx < 3).then_some(now + BUDGET);
             match cache.begin((CLIENT, idx as i64), || idx) {
                 Admission::Execute => {

@@ -32,7 +32,13 @@ use wire::{BytesWritable, DataInput, LongWritable, Text, Writable};
 /// here runs single-sharded *and* at 4×4, batched *and* per-frame,
 /// static *and* adaptive.
 fn env_transport() -> (Fabric, RpcConfig) {
-    let (fabric, mut cfg) = if std::env::var("RPC_TRANSPORT").as_deref() == Ok("verbs") {
+    transport_with_env_shape(std::env::var("RPC_TRANSPORT").as_deref() == Ok("verbs"))
+}
+
+/// [`env_transport`] with the transport chosen by the caller, for the
+/// scenarios that must hold on both in every run.
+fn transport_with_env_shape(verbs: bool) -> (Fabric, RpcConfig) {
+    let (fabric, mut cfg) = if verbs {
         (Fabric::new(model::IB_QDR_VERBS), RpcConfig::rpcoib())
     } else {
         (Fabric::new(model::IPOIB_QDR), RpcConfig::socket())
@@ -923,70 +929,90 @@ fn drain_under_multi_tenant_load_leaves_no_call_unanswered() {
     light.shutdown();
 }
 
-/// A pre-handshake (V1) peer — no hello, straight to length-prefixed V1
-/// frames — is sniffed as legacy and served: its call executes and the
-/// answer comes back in V1 framing. This keeps the "V1 decoded for one
-/// release" promise honest over the wire, not just at the codec layer.
+/// The handshake is demanded, not sniffed. A connection that opens with
+/// anything else — the previous release's V1 frame, an HTTP probe, a
+/// hello offering version 2 — is closed with nothing written back,
+/// counted in `frame_errors`, never reaches a reader shard or (on verbs)
+/// the endpoint exchange, and costs the server's real clients nothing: a
+/// V3 client on another connection is served before, between and after.
 #[test]
-fn legacy_v1_peer_is_served_without_handshake() {
-    use rpcoib::frame::{self, FrameVersion, ResponseStatus};
+fn connection_without_the_handshake_is_refused() {
     use std::io::Write;
+    use wire::DataOutput;
 
-    let _wd = watchdog("legacy_v1_peer", Duration::from_secs(60));
-    let fabric = Fabric::new(model::IPOIB_QDR);
-    let server_node = fabric.add_node();
-    let cfg = RpcConfig::socket();
-    let (server, applied) = start_counter_server(&fabric, server_node, &cfg, Duration::ZERO);
+    let _wd = watchdog("refused_peer", Duration::from_secs(120));
+    // `[i32 len][i32 call_id][Text protocol][Text method][param]`, as a
+    // pre-handshake peer put it on the wire.
+    let mut v1_frame: Vec<u8> = Vec::new();
+    v1_frame.write_i32(7).unwrap();
+    v1_frame.write_string("test.CounterProtocol").unwrap();
+    v1_frame.write_string("incr").unwrap();
+    LongWritable(1).write(&mut v1_frame).unwrap();
+    let mut v1_peer = (v1_frame.len() as i32).to_be_bytes().to_vec();
+    v1_peer.extend_from_slice(&v1_frame);
+    let mut v2_hello = rpcoib::handshake::MAGIC.to_be_bytes().to_vec();
+    v2_hello.push(2);
+    v2_hello.extend_from_slice(&0xfeed_u64.to_be_bytes());
+    let openings = [v1_peer, b"GET / HTTP/1.1\r\n\r\n".to_vec(), v2_hello];
 
-    let legacy_node = fabric.add_node();
-    let stream = simnet::SimStream::connect(&fabric, legacy_node, server.addr()).unwrap();
+    for verbs in [false, true] {
+        let (fabric, cfg) = transport_with_env_shape(verbs);
+        let server_node = fabric.add_node();
+        let (server, applied) = start_counter_server(&fabric, server_node, &cfg, Duration::ZERO);
+        let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+        assert_eq!(counter_call(&client, &server, "incr").unwrap().0, 1);
 
-    // A V1 request frame, exactly as the previous release put it on the
-    // wire: 4-byte length prefix, then `[i32 call_id][proto][method][param]`.
-    let mut body: Vec<u8> = Vec::new();
-    frame::write_request_v1(
-        &mut body,
-        7,
-        "test.CounterProtocol",
-        "incr",
-        &LongWritable(1),
-    )
-    .unwrap();
-    let mut framed = (body.len() as i32).to_be_bytes().to_vec();
-    framed.extend_from_slice(&body);
-    (&stream).write_all(&framed).unwrap();
-
-    // The answer comes back length-prefixed in V1 framing.
-    let mut len = [0u8; 4];
-    stream.read_exact_at(&mut len).unwrap();
-    let mut resp = vec![0u8; i32::from_be_bytes(len) as usize];
-    stream.read_exact_at(&mut resp).unwrap();
-    let mut input = resp.as_slice();
-    let header = frame::read_response_header(&mut input).unwrap();
-    assert_eq!(header.version, FrameVersion::V1);
-    assert_eq!(header.seq, 7, "V1 response echoes the call id");
-    assert_eq!(header.status, ResponseStatus::Ok);
-    let mut value = LongWritable::default();
-    value.read_fields(&mut input).unwrap();
-    assert_eq!(value.0, 1);
-    assert_eq!(applied.load(Ordering::Acquire), 1);
-
-    // A modern (handshaking) client coexists on the same server.
-    let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
-    assert_eq!(counter_call(&client, &server, "incr").unwrap().0, 2);
-    client.shutdown();
-    server.stop();
+        for (i, opening) in openings.iter().enumerate() {
+            let refused = i as u64 + 1;
+            let (_, _, _, regs_before) = fabric.stats().snapshot();
+            let stream = SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
+            (&stream).write_all(opening).unwrap();
+            let mut byte = [0u8; 1];
+            assert!(
+                stream.read_exact_at(&mut byte).is_err(),
+                "verbs={verbs}: refused peer #{refused} must see EOF and no bytes"
+            );
+            // The setup thread counts before it drops the stream, so the
+            // EOF above orders this read after the increment.
+            assert_eq!(
+                server.metrics_snapshot().counters.frame_errors,
+                refused,
+                "verbs={verbs}: each refusal is counted once"
+            );
+            let (_, _, _, regs_after) = fabric.stats().snapshot();
+            assert_eq!(
+                regs_after, regs_before,
+                "verbs={verbs}: a refused peer must not start the endpoint exchange"
+            );
+            assert_eq!(
+                server.connection_count(),
+                1,
+                "verbs={verbs}: only the client's connection is live"
+            );
+            assert_eq!(
+                counter_call(&client, &server, "incr").unwrap().0,
+                refused as i64 + 1,
+                "verbs={verbs}: the client is served as if nothing happened"
+            );
+        }
+        assert_eq!(applied.load(Ordering::Acquire), openings.len() as u64 + 1);
+        assert_eq!(client.metrics_snapshot().counters.retries, 0);
+        client.shutdown();
+        server.stop();
+    }
 }
 
-/// Per-connection response ORDER survives responder batching. A raw V1
-/// peer pipelines 8 requests; with a single handler thread, completion
-/// order equals request order, and the batched responder sweep — which
-/// may drain several ready responses into one gathered send — must put
-/// them on the wire in exactly that order. Runs with batching on and
-/// off so a regression in either arm is pinned to the sweep logic.
+/// Per-connection response ORDER survives responder batching. A raw peer
+/// — handshake, then the frame codec by hand — pipelines 8 requests; with
+/// a single handler thread, completion order equals request order, and
+/// the batched responder sweep — which may drain several ready responses
+/// into one gathered send — must put them on the wire in exactly that
+/// order. Runs with batching on and off so a regression in either arm is
+/// pinned to the sweep logic.
 #[test]
 fn pipelined_responses_stay_in_request_order_under_batching() {
-    use rpcoib::frame::{self, ResponseStatus};
+    use rpcoib::intern::method_key;
+    use rpcoib::{ResponseStatus, V3Decoder, V3Encoder};
     use std::io::Write;
 
     let _wd = watchdog("pipelined_order", Duration::from_secs(60));
@@ -1001,43 +1027,41 @@ fn pipelined_responses_stay_in_request_order_under_batching() {
         let (server, applied) = start_counter_server(&fabric, server_node, &cfg, Duration::ZERO);
 
         let stream = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
-        const PIPELINED: i32 = 8;
+        client_hello(&stream, 0).unwrap();
+        const PIPELINED: i64 = 8;
         // All 8 requests hit the wire before any response is read: the
         // responder's ready queue actually fills, so a batched sweep
         // really does gather several responses per send.
+        let key = method_key("test.CounterProtocol", "incr");
+        let mut enc = V3Encoder::new(true);
         let mut burst: Vec<u8> = Vec::new();
-        for seq in 0..PIPELINED {
+        for seq in 1..=PIPELINED {
             let mut body: Vec<u8> = Vec::new();
-            frame::write_request_v1(
-                &mut body,
-                seq,
-                "test.CounterProtocol",
-                "incr",
-                &LongWritable(1),
-            )
-            .unwrap();
+            enc.write_request_header(&mut body, seq, 0, None, key)
+                .unwrap();
+            LongWritable(1).write(&mut body).unwrap();
             burst.extend_from_slice(&(body.len() as i32).to_be_bytes());
             burst.extend_from_slice(&body);
         }
         (&stream).write_all(&burst).unwrap();
 
-        for seq in 0..PIPELINED {
+        let mut dec = V3Decoder::new(true);
+        for seq in 1..=PIPELINED {
             let mut len = [0u8; 4];
             stream.read_exact_at(&mut len).unwrap();
             let mut resp = vec![0u8; i32::from_be_bytes(len) as usize];
             stream.read_exact_at(&mut resp).unwrap();
             let mut input = resp.as_slice();
-            let header = frame::read_response_header(&mut input).unwrap();
+            let header = dec.read_response_header(&mut input).unwrap();
             assert_eq!(
-                header.seq, seq as i64,
+                header.seq, seq,
                 "batch={wire_batch}: response #{seq} out of order"
             );
             assert_eq!(header.status, ResponseStatus::Ok);
             let mut value = LongWritable::default();
             value.read_fields(&mut input).unwrap();
             assert_eq!(
-                value.0,
-                (seq + 1) as i64,
+                value.0, seq,
                 "batch={wire_batch}: single-handler completion order broken"
             );
         }
@@ -1074,7 +1098,7 @@ fn server_assigned_client_id_is_adopted() {
 }
 
 /// Regression for the old `i32` call-id counter, which wrapped negative
-/// after 2³¹ calls and collided with the V2 sentinel space: sequence
+/// after 2³¹ calls: sequence
 /// numbers are `i64` now, and calls crossing the old boundary just work.
 #[test]
 fn sequence_numbers_survive_i32_wraparound() {
@@ -1418,7 +1442,7 @@ fn park_conn(
     ctx: Option<&IbContext>,
 ) -> Result<ParkedConn, RpcError> {
     let stream = SimStream::connect(fabric, node, addr).map_err(|e| RpcError::Io(e.to_string()))?;
-    client_hello(&stream, 0, 3)?;
+    client_hello(&stream, 0)?;
     let conn = match ctx {
         Some(ctx) => Some(RdmaConn::bootstrap(&stream, ctx, cfg)?),
         None => None,

@@ -129,7 +129,6 @@ fn inline_and_responder_sends_share_one_stateful_connection() {
     let (server, _executed) = start_server(&fabric, &cfg, Duration::from_millis(70));
     let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
     echo(&client, &server, "echo", b"warm").unwrap();
-    assert_eq!(client.negotiated_version(server.addr()), Some(3));
 
     let callers: Vec<_> = (0..4u8)
         .map(|t| {
@@ -225,7 +224,7 @@ fn credit_starved_peer_costs_one_sender_not_the_pool() {
     let node_a = fabric.add_node();
     let ctx_a = IbContext::new(&fabric, node_a, &cfg).unwrap();
     let stream_a = SimStream::connect(&fabric, node_a, server.addr()).unwrap();
-    client_hello(&stream_a, 0, 3).unwrap();
+    client_hello(&stream_a, 0).unwrap();
     let conn_a = RdmaConn::bootstrap(&stream_a, &ctx_a, &cfg).unwrap();
     let key = method_key("test.SendDiscipline", "inflate");
     let mut enc = V3Encoder::new(false);

@@ -3,13 +3,69 @@
 //! method keys repeating in any order, either compression mode — the
 //! paired decoder must recover exactly the headers that went in, and the
 //! stateful encoding must actually get *smaller* once a method has been
-//! announced.
+//! announced. And the decoder is a trust boundary: whatever bytes a peer
+//! sends, it answers `Ok` or an `io::Error` — it never panics, and no
+//! length in those bytes sizes an allocation past `KEY_TEXT_MAX`.
 
 use proptest::prelude::*;
-use rpcoib::frame::ResponseStatus;
+use rpcoib::frame::{ResponseStatus, KEY_TEXT_MAX};
 use rpcoib::intern::method_key;
 use rpcoib::{V3Decoder, V3Encoder};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::Duration;
+use wire::DataOutput;
+
+/// Passes every request through to the system allocator, recording the
+/// largest one the current thread makes.
+struct LargestAlloc;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    // `try_with`: the allocator also runs during TLS setup and teardown.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAlloc = LargestAlloc;
+
+/// Feed `bytes` to every decoder entry point in both codec modes. The
+/// results are discarded — any is acceptable — but a panic fails the
+/// case, and so does an allocation a peer's length field inflated.
+fn decode_hostile(bytes: &[u8]) {
+    for stateful in [true, false] {
+        LARGEST.with(|largest| largest.set(0));
+        let _ = V3Decoder::new(stateful).read_request_header(&mut &bytes[..], 7);
+        let _ = V3Decoder::new(stateful).read_response_header(&mut &bytes[..]);
+        let largest = LARGEST.with(Cell::get);
+        prop_assert!(
+            largest <= KEY_TEXT_MAX,
+            "{} input bytes made the decoder allocate {largest}",
+            bytes.len()
+        );
+    }
+}
 
 /// A small pool of interned keys the generators draw from (interning is
 /// process-wide, so the pool is fixed up front).
@@ -106,6 +162,40 @@ proptest! {
                 if ok { ResponseStatus::Ok } else { ResponseStatus::Error }
             );
         }
+    }
+
+    /// Arbitrary bytes never panic the decoder or inflate an allocation.
+    #[test]
+    fn arbitrary_bytes_never_panic_or_overallocate(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64)
+    ) {
+        decode_hostile(&bytes);
+    }
+
+    /// The same, aimed: a run of arbitrary vlong fields (seq, retry,
+    /// deadline, method ref, string lengths — every value a peer can put
+    /// there) followed by arbitrary bytes, so hostile lengths actually
+    /// reach the string reader instead of dying on the first field.
+    #[test]
+    fn arbitrary_header_fields_never_panic_or_overallocate(
+        fields in proptest::collection::vec((any::<i64>(), 0..3usize), 0..6),
+        tail in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let mut bytes: Vec<u8> = Vec::new();
+        for (field, range) in fields {
+            // Mixed magnitudes: tiny values get a header past its retry,
+            // deadline and method-ref fields; `i32`-sized ones are what a
+            // string length can hold; the rest is everything else.
+            let field = match range {
+                0 => field % 8,
+                1 => i64::from(field as i32),
+                _ => field,
+            };
+            bytes.write_vlong(field).unwrap();
+        }
+        bytes.extend_from_slice(&tail);
+        bytes.truncate(63);
+        decode_hostile(&bytes);
     }
 
     /// The point of the method table: after a key's announcement frame,

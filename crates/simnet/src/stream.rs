@@ -463,21 +463,6 @@ impl SimStream {
         Ok(n)
     }
 
-    /// Push `bytes` back onto the read side: the next reads return them
-    /// before any not-yet-consumed network data. Used by protocol sniffing
-    /// (peek at the first bytes of a connection, then hand the stream to a
-    /// parser that expects to see them).
-    pub fn unread(&self, bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        self.inner
-            .rx
-            .lock()
-            .leftover
-            .push_front(Bytes::copy_from_slice(bytes));
-    }
-
     /// Read exactly `buf.len()` bytes or fail (like `Read::read_exact`, but
     /// usable on `&self`).
     pub fn read_exact_at(&self, buf: &mut [u8]) -> io::Result<()> {
@@ -704,19 +689,6 @@ mod tests {
             out.extend_from_slice(&chunk[..n]);
         }
         assert_eq!(out, (0u8..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn unread_bytes_come_back_before_network_data() {
-        let (_f, mut cli, mut srv) = pair(IPOIB_QDR);
-        cli.write_all(b"tail").unwrap();
-        let mut sniff = [0u8; 2];
-        srv.read_exact(&mut sniff).unwrap();
-        assert_eq!(&sniff, b"ta");
-        srv.unread(&sniff);
-        let mut buf = [0u8; 4];
-        srv.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"tail");
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn main() {
     let parked: Vec<SimStream> = (0..IDLE)
         .map(|_| {
             let s = SimStream::connect(&fabric, idle_node, server.addr()).unwrap();
-            client_hello(&s, 0, 3).unwrap();
+            client_hello(&s, 0).unwrap();
             s
         })
         .collect();
@@ -124,7 +124,7 @@ fn main() {
     let held: Vec<SimStream> = (0..4)
         .map(|_| {
             let s = SimStream::connect(&fabric, peer_node, server.addr()).unwrap();
-            client_hello(&s, 0, 3).unwrap();
+            client_hello(&s, 0).unwrap();
             s
         })
         .collect();
@@ -136,7 +136,7 @@ fn main() {
     let mut busy = 0;
     for _ in 0..6 {
         let s = SimStream::connect(&fabric, peer_node, server.addr()).unwrap();
-        match client_hello(&s, 0, 3) {
+        match client_hello(&s, 0) {
             Err(e @ RpcError::ServerBusy) => {
                 assert!(e.is_retryable());
                 busy += 1;

@@ -8,10 +8,7 @@
 //! warmup phase fills the buffer pools, the call-slot freelist, and the
 //! pending-table shard capacity, the RPCoIB (verbs) hot path must make
 //! **zero** allocations per call, and the sockets baseline must stay
-//! under its small historical bound. A third test flips
-//! `legacy_metadata` on and checks the re-enacted pre-interning
-//! metadata path allocates again — proving the counter actually sees
-//! what the ablation claims to restore.
+//! under its small historical bound.
 //!
 //! The same allocator also keeps a *process-wide* tally (every thread,
 //! `hw_scope` excluded the same way), which is what sees the server side
@@ -19,7 +16,8 @@
 //! queue. Two gates use it — a ceiling on whole-process allocations per
 //! steady-state 512 B verbs echo, and a ceiling on payload-sized buffers
 //! per 256 KiB echo — so churn added to `server.rs` fails a test instead
-//! of waiting for a benchmark run. The tests of this file serialize on
+//! of waiting for a benchmark run. A third bounds what a peer that never
+//! handshakes can make the server allocate. The tests of this file serialize on
 //! one lock, since a process-wide count must not see a sibling test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -294,22 +292,40 @@ fn socket_steady_state_call_allocates_within_bound() {
     );
 }
 
-/// The `legacy_metadata` ablation re-enacts the pre-interning per-call
-/// metadata churn; the counter must see those allocations come back.
+/// A connection that does not open with the handshake is refused before
+/// any of its bytes can size anything: on both transports the server
+/// makes no allocation above 64 KiB on its account — not the 1.19 GB
+/// receive buffer `"GET "` reads as when taken for a frame length, and
+/// (verbs) not the registered regions of an endpoint exchange.
 #[test]
 #[ignore = "tier-2: allocator-sensitive, run with --ignored"]
-fn legacy_metadata_mode_restores_per_call_allocations() {
+fn refused_peer_makes_the_server_allocate_nothing_big() {
+    use simnet::SimStream;
+    use std::io::Write;
+
     let _serial = serial();
-    let fabric = Fabric::new(model::IB_QDR_VERBS);
-    let cfg = RpcConfig {
-        legacy_metadata: true,
-        ..RpcConfig::rpcoib()
-    };
-    let per_call = measure_per_call(&fabric, cfg);
-    assert!(
-        per_call >= 8,
-        "legacy mode must re-enact the historical metadata allocations (got {per_call}/call)"
-    );
+    for (net, cfg) in [
+        (model::IPOIB_QDR, RpcConfig::socket()),
+        (model::IB_QDR_VERBS, RpcConfig::rpcoib()),
+    ] {
+        let fabric = Fabric::new(net);
+        let mut registry = ServiceRegistry::new();
+        registry.register(Arc::new(EchoService));
+        let server = Server::start(&fabric, fabric.add_node(), 8020, cfg, registry).unwrap();
+        let probe_node = fabric.add_node();
+        let (_, big) = counted_process_wide(64 * 1024 + 1, || {
+            let stream = SimStream::connect(&fabric, probe_node, server.addr()).unwrap();
+            (&stream).write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+            let mut byte = [0u8; 1];
+            assert!(
+                stream.read_exact_at(&mut byte).is_err(),
+                "the probe must be closed on, not answered"
+            );
+        });
+        assert_eq!(server.metrics_snapshot().counters.frame_errors, 1);
+        assert_eq!(big, 0, "a refused peer cost {big} allocations above 64 KiB");
+        server.stop();
+    }
 }
 
 /// Boots a verbs server + client pair, warms it with `warmup` echoes of

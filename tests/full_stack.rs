@@ -9,7 +9,7 @@ use rpcoib_suite::mini_hbase::{HBaseConfig, MiniHbase};
 use rpcoib_suite::mini_mapred::record::{read_all, write_record};
 use rpcoib_suite::mini_mapred::{JobConf, JobKind, MiniMr, MrConfig};
 use rpcoib_suite::rpcoib::{Client, RpcConfig, RpcService, Server, ServiceRegistry};
-use rpcoib_suite::simnet::{model, Fabric};
+use rpcoib_suite::simnet::{model, Fabric, SimStream};
 use rpcoib_suite::wire::{BytesWritable, DataInput, Writable};
 
 /// WordCount end-to-end with the *entire* control plane (JobTracker,
@@ -88,6 +88,23 @@ fn hbase_best_configuration_serves_ycsb() {
     hbase.stop();
 }
 
+struct Echo;
+
+impl RpcService for Echo {
+    fn protocol(&self) -> &'static str {
+        "suite.Echo"
+    }
+    fn call(
+        &self,
+        _method: &str,
+        param: &mut dyn DataInput,
+    ) -> Result<Box<dyn Writable + Send>, String> {
+        let mut b = BytesWritable::default();
+        b.read_fields(param).map_err(|e| e.to_string())?;
+        Ok(Box::new(b))
+    }
+}
+
 /// The headline direction of the paper, asserted as a test: the same
 /// ping-pong is faster over RPCoIB than over socket RPC on IPoIB.
 /// Measured on simnet's modeled-time ledger (per-call `Fabric::modeled_ns`
@@ -96,22 +113,6 @@ fn hbase_best_configuration_serves_ycsb() {
 /// and hbase latency-contrast tests received.
 #[test]
 fn rpcoib_beats_ipoib_sockets() {
-    struct Echo;
-    impl RpcService for Echo {
-        fn protocol(&self) -> &'static str {
-            "suite.Echo"
-        }
-        fn call(
-            &self,
-            _method: &str,
-            param: &mut dyn DataInput,
-        ) -> Result<Box<dyn Writable + Send>, String> {
-            let mut b = BytesWritable::default();
-            b.read_fields(param).map_err(|e| e.to_string())?;
-            Ok(Box::new(b))
-        }
-    }
-
     fn median_ns(net: simnet::NetworkModel, rpc: RpcConfig) -> u64 {
         let fabric = Fabric::new(net);
         let sn = fabric.add_node();
@@ -147,4 +148,57 @@ fn rpcoib_beats_ipoib_sockets() {
         rpcoib < ipoib,
         "paper's headline violated: rpcoib {rpcoib}ns vs ipoib {ipoib}ns"
     );
+}
+
+/// The server's first trust boundary: a connection that does not open
+/// with the handshake magic — the previous release's length-prefixed
+/// frame, an HTTP probe — is closed with nothing written back and
+/// counted, while a real client on another connection is served before
+/// and after as if nothing happened.
+#[test]
+fn connection_without_the_handshake_is_refused() {
+    use std::io::Write;
+
+    let fabric = Fabric::new(model::IPOIB_QDR);
+    let mut registry = ServiceRegistry::new();
+    registry.register(Arc::new(Echo));
+    let server =
+        Server::start(&fabric, fabric.add_node(), 1, RpcConfig::socket(), registry).unwrap();
+    let client = Client::new(&fabric, fabric.add_node(), RpcConfig::socket()).unwrap();
+    let echo = |n: u8| {
+        let body = BytesWritable(vec![n; 64]);
+        let got: BytesWritable = client
+            .call(server.addr(), "suite.Echo", "x", &body)
+            .unwrap();
+        assert_eq!(got.0, body.0);
+    };
+    echo(0);
+
+    let openings: [&[u8]; 2] = [
+        // `[i32 len = 22][i32 call_id = 7]…`: a pre-handshake frame.
+        &[0, 0, 0, 22, 0, 0, 0, 7, 1, b'p', 1, b'm'],
+        b"GET / HTTP/1.1\r\n\r\n",
+    ];
+    for (i, opening) in openings.into_iter().enumerate() {
+        let stream = SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
+        (&stream).write_all(opening).unwrap();
+        // The blocking read runs on its own thread so a server that
+        // neither answers nor closes fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut byte = [0u8; 1];
+            let _ = tx.send(stream.read_exact_at(&mut byte).is_err());
+        });
+        let closed_unanswered = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the server neither answered nor closed the connection");
+        assert!(closed_unanswered, "a refused peer must be written nothing");
+        let snap = server.metrics_snapshot();
+        assert_eq!(snap.counters.frame_errors, i as u64 + 1);
+        assert_eq!(snap.connections, 1, "only the client's connection is live");
+        echo(i as u8 + 1);
+    }
+    assert_eq!(client.metrics_snapshot().counters.retries, 0);
+    client.shutdown();
+    server.stop();
 }
