@@ -18,10 +18,14 @@ pub struct RpcConfig {
     /// Messages at or below this size go through send/recv; larger ones
     /// through one-sided RDMA write (Section III-D's tunable threshold).
     pub rdma_threshold: usize,
-    /// Server handler worker count (the paper's microbenchmarks fix 8).
-    /// A call runs on one of these threads; one that suspends
-    /// (`RpcService::call_mn` returning `Pending`) gives the thread back
-    /// and is resumed later by whichever is free.
+    /// Calls the server executes at once (the paper's microbenchmarks
+    /// fix 8) — a count of calls, not a set of threads. That many
+    /// handler workers are started, but a reader shard that has just
+    /// read a lone call runs it itself, *in the place of* an idle worker
+    /// (under one of this many run permits), so whichever threads are
+    /// executing, never more than `handlers` calls are. One that
+    /// suspends (`RpcService::call_mn` returning `Pending`) gives its
+    /// permit back and is resumed later by whichever worker is free.
     pub handlers: usize,
     /// Bound of the server call queue between Readers and Handlers.
     pub call_queue_len: usize,
@@ -125,12 +129,6 @@ pub struct RpcConfig {
     /// most `handlers` are ever in flight. `0` (default) = memory-bound,
     /// no cap.
     pub max_inflight_calls: usize,
-    /// Reader-shard work-stealing: an idle reader shard steals a ready
-    /// token from a hot sibling's ready queue (per-connection order is
-    /// preserved — the stolen connection is serviced under its owner's
-    /// slot-table lock). Off by default; stealing shifts per-shard
-    /// `processed` attribution, so the committed baselines keep it off.
-    pub reader_steal: bool,
     /// Protocol names treated as the control/heartbeat class by the
     /// admission queue: within a tenant's DRR turn, calls to these
     /// protocols dequeue ahead of bulk calls, so a flood of bulk work
@@ -183,7 +181,6 @@ impl Default for RpcConfig {
             max_connections: 0,
             accept_backlog: 64,
             max_inflight_calls: 0,
-            reader_steal: false,
             priority_protocols: Vec::new(),
         }
     }
@@ -489,10 +486,9 @@ mod tests {
 
     #[test]
     fn inflight_cap_validated() {
-        // Defaults: no cap, no stealing, one admission class.
+        // Defaults: no cap, one admission class.
         let cfg = RpcConfig::default();
         assert_eq!(cfg.max_inflight_calls, 0);
-        assert!(!cfg.reader_steal);
         assert!(cfg.priority_protocols.is_empty());
         let cfg = RpcConfig {
             handlers: 4,

@@ -43,14 +43,25 @@ pub fn client_hello(stream: &SimStream, client_id: u64) -> RpcResult<u64> {
     hello[..4].copy_from_slice(&MAGIC.to_be_bytes());
     hello[4] = MAX_VERSION;
     hello[5..].copy_from_slice(&client_id.to_be_bytes());
-    (&*stream)
-        .write_all(&hello)
-        .map_err(|e| RpcError::Io(e.to_string()))?;
-
+    // A server at `max_connections` refuses without reading: it writes
+    // its busy ack and closes, possibly before this hello is out. A send
+    // that failed with something already there to read therefore decides
+    // nothing yet — that something may be the ack, the retryable answer.
+    // (With nothing there, nothing is waited for: the peer never heard
+    // the hello and will not answer it.)
+    let sent = (&*stream).write_all(&hello);
+    if let Err(e) = &sent {
+        if !stream.readable() {
+            return Err(RpcError::Io(e.to_string()));
+        }
+    }
     let mut ack = [0u8; 9];
-    stream
-        .read_exact_at(&mut ack)
-        .map_err(|e| RpcError::Io(e.to_string()))?;
+    if let Err(unread) = stream.read_exact_at(&mut ack) {
+        return Err(RpcError::Io(sent.err().unwrap_or(unread).to_string()));
+    }
+    if ack[0] != 0 {
+        sent.map_err(|e| RpcError::Io(e.to_string()))?;
+    }
     match ack[0] {
         // Accept-path backpressure: the server is at `max_connections`
         // and refused this connection before any setup. Retryable — the
@@ -214,6 +225,22 @@ mod tests {
         drop(srv);
         assert!(matches!(err, RpcError::ServerBusy), "{err}");
         assert!(err.is_retryable(), "accept rejection must be retryable");
+    }
+
+    #[test]
+    fn busy_ack_is_read_even_when_the_server_closed_before_the_hello() {
+        // A listener that accepts at once can have refused and hung up
+        // before the client has said anything.
+        let (cli, srv) = stream_pair();
+        (&srv).write_all(&[0u8; 9]).unwrap();
+        drop(srv);
+        let err = client_hello(&cli, 0xfeed).unwrap_err();
+        assert!(matches!(err, RpcError::ServerBusy), "{err}");
+        // Hung up on with nothing said: still the I/O error it was.
+        let (cli, srv) = stream_pair();
+        drop(srv);
+        let err = client_hello(&cli, 0xfeed).unwrap_err();
+        assert!(matches!(err, RpcError::Io(_)), "{err}");
     }
 
     #[test]

@@ -37,6 +37,23 @@
 //!   never touch the modeled-time ledger, and never call back into the
 //!   transport.
 //!
+//! * **One owner, who may be away; an away queue is taken over.** Each
+//!   queue is popped by the one reader shard that owns it. When that
+//!   shard runs a call itself (see [`crate::server`]) it first marks the
+//!   queue *away* ([`ReadyQueue::try_leave`], which succeeds only while
+//!   the queue is empty — a shard with something else to read keeps
+//!   reading). From then on every push, wake token or
+//!   [`TOKEN_REGISTER`], also fires the queue's takeover hook (the
+//!   server's: wake one idle handler worker), and any thread may pop the
+//!   queue from the front with [`ReadyQueue::take_over`] and service the
+//!   token in the owner's stead. The flag changes and is read under the
+//!   queue's lock, so a push lands either before the owner left (the
+//!   owner sees a non-empty queue and stays) or after (the hook fires):
+//!   never in between, unseen by both. [`ReadyQueue::come_back`] ends it;
+//!   tokens nobody took are still queued for the owner. Everything above
+//!   holds whoever pops: wakes stay hints, tokens stay
+//!   generation-stamped.
+//!
 //! Shutdown is event-shaped too: [`ReadyQueue::close`] wakes every
 //! blocked pop immediately, so `Server::drain` does not wait out a poll
 //! timeout.
@@ -93,11 +110,22 @@ struct QueueState {
     closed: bool,
 }
 
+/// What a push onto an *away* queue calls, on the pusher's thread: the
+/// server wakes an idle handler worker with it. Same rules as a wake
+/// hook — charge-free, non-blocking.
+pub type TakeoverHook = Arc<dyn Fn() + Send + Sync>;
+
 /// One reader shard's wake list: an MPSC queue of conn tokens, pushed by
-/// transport hooks (any thread) and popped by the owning shard.
+/// transport hooks (any thread) and popped by the owning shard — or, while
+/// the owner is away, by whoever takes over.
 pub struct ReadyQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
+    /// The owner is running a call and not popping. Written only under
+    /// `state`'s lock, so a push reads it exactly; the lock-free read in
+    /// [`ReadyQueue::is_away`] is a hint.
+    away: AtomicBool,
+    takeover: Option<TakeoverHook>,
     /// When attached (the server's per-shard stats), real tokens feed the
     /// shard's queue-depth gauge and high-water mark.
     stats: Option<Arc<ShardStats>>,
@@ -111,23 +139,39 @@ impl ReadyQueue {
                 closed: false,
             }),
             cv: Condvar::new(),
+            away: AtomicBool::new(false),
+            takeover: None,
             stats,
         }
     }
 
-    /// Enqueue a token and wake one blocked pop. Non-blocking, no modeled
+    /// Attach the hook a push onto this queue fires while its owner is
+    /// away. A queue without one can never be left.
+    pub fn with_takeover_hook(mut self, hook: TakeoverHook) -> ReadyQueue {
+        self.takeover = Some(hook);
+        self
+    }
+
+    /// Enqueue a token and wake one blocked pop — or, if the owner is
+    /// away, whoever the takeover hook wakes. Non-blocking, no modeled
     /// charge — safe to call from a peer's writer thread.
     pub fn push(&self, tok: u64) {
-        {
+        let away = {
             let mut st = self.state.lock();
             st.queue.push_back(tok);
-        }
+            self.away.load(Ordering::Relaxed)
+        };
         if tok != TOKEN_REGISTER {
             if let Some(stats) = &self.stats {
                 stats.enqueued();
             }
         }
-        self.cv.notify_one();
+        match &self.takeover {
+            Some(hook) if away => hook(),
+            _ => {
+                self.cv.notify_one();
+            }
+        }
     }
 
     /// Block for the next token, up to `timeout`. Tokens still queued at
@@ -169,21 +213,43 @@ impl ReadyQueue {
         tok
     }
 
-    /// Work-stealing pop for a *sibling* shard: take the newest real
-    /// token from the **back** of this queue (the owner drains the
-    /// front, so contention on a hot queue is minimal and the owner's
-    /// FIFO view of the rest is untouched). [`TOKEN_REGISTER`] is never
-    /// stolen — adoption must happen on the owning shard, whose slot
-    /// table the registration targets — and is left in place. Returns
-    /// `None` when the queue is empty or holds only register
-    /// pseudo-tokens at the back.
-    pub fn steal(&self) -> Option<u64> {
+    /// The owner leaves to run a call: mark the queue away, *unless*
+    /// something is queued (the shard has more to read, so it should not
+    /// leave), the queue is closed, or it has no takeover hook. On `true`
+    /// the owner must not pop until it has called
+    /// [`ReadyQueue::come_back`].
+    pub fn try_leave(&self) -> bool {
+        let st = self.state.lock();
+        if self.takeover.is_none() || st.closed || !st.queue.is_empty() {
+            return false;
+        }
+        self.away.store(true, Ordering::Relaxed);
+        true
+    }
+
+    /// The owner is back and pops again; tokens pushed meanwhile that
+    /// nobody took over are still queued, in order.
+    pub fn come_back(&self) {
+        let _st = self.state.lock();
+        self.away.store(false, Ordering::Relaxed);
+    }
+
+    /// Whether the owner is away — a lock-free hint that lets a scanning
+    /// worker skip the shards that are being read.
+    pub fn is_away(&self) -> bool {
+        self.away.load(Ordering::Relaxed)
+    }
+
+    /// Pop the oldest token in the owner's stead: `None` unless the owner
+    /// is away. [`TOKEN_REGISTER`] is handed out like any other — the
+    /// taker adopts into the owner's table.
+    pub fn take_over(&self) -> Option<u64> {
         let tok = {
             let mut st = self.state.lock();
-            match st.queue.back() {
-                Some(&t) if t != TOKEN_REGISTER => st.queue.pop_back(),
-                _ => None,
+            if !self.away.load(Ordering::Relaxed) {
+                return None;
             }
+            st.queue.pop_front()
         }?;
         self.count_dequeue(tok);
         Some(tok)
@@ -283,6 +349,7 @@ impl std::fmt::Debug for WakeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::thread;
     use std::time::Instant;
 
@@ -354,42 +421,63 @@ mod tests {
         assert_eq!(q.pop(Duration::from_millis(5)), Pop::TimedOut);
     }
 
-    #[test]
-    fn steal_takes_newest_and_leaves_owner_fifo_intact() {
-        let q = ReadyQueue::new(None);
-        q.push(token(1, 0));
-        q.push(token(2, 0));
-        q.push(token(3, 0));
-        // The thief takes the back…
-        assert_eq!(q.steal(), Some(token(3, 0)));
-        // …and the owner still sees the remaining tokens in order.
-        assert_eq!(q.try_pop(), Some(token(1, 0)));
-        assert_eq!(q.try_pop(), Some(token(2, 0)));
-        assert_eq!(q.steal(), None, "empty queue yields nothing");
+    fn away_capable(stats: Option<Arc<ShardStats>>) -> (ReadyQueue, Arc<AtomicUsize>) {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let hook = Arc::clone(&fired);
+        let q = ReadyQueue::new(stats).with_takeover_hook(Arc::new(move || {
+            hook.fetch_add(1, Ordering::Relaxed);
+        }));
+        (q, fired)
     }
 
     #[test]
-    fn steal_never_takes_register_tokens() {
-        let q = ReadyQueue::new(None);
+    fn an_owner_leaves_only_an_empty_open_hooked_queue() {
+        assert!(!ReadyQueue::new(None).try_leave(), "nobody could take over");
+        let (q, _) = away_capable(None);
+        q.push(token(1, 0));
+        assert!(!q.try_leave(), "something else to read");
+        assert_eq!(q.try_pop(), Some(token(1, 0)));
+        assert!(q.try_leave());
+        assert!(q.is_away());
+        q.come_back();
+        assert!(!q.is_away());
+        q.close();
+        assert!(!q.try_leave(), "closed");
+    }
+
+    #[test]
+    fn a_push_onto_an_away_queue_fires_the_hook_and_is_taken_from_the_front() {
+        let (q, fired) = away_capable(None);
+        q.push(token(1, 0));
+        assert_eq!(fired.load(Ordering::Relaxed), 0, "owner present");
+        assert_eq!(q.take_over(), None, "nobody takes from a present owner");
+        assert_eq!(q.try_pop(), Some(token(1, 0)));
+
+        assert!(q.try_leave());
+        q.push(token(2, 0));
         q.push(TOKEN_REGISTER);
-        assert_eq!(q.steal(), None, "registration must stay on its owner");
-        assert_eq!(q.len(), 1, "the pseudo-token is left in place");
-        // A real token pushed after it is fair game…
-        q.push(token(5, 0));
-        assert_eq!(q.steal(), Some(token(5, 0)));
-        // …and the register token is still there for the owner.
-        assert_eq!(q.try_pop(), Some(TOKEN_REGISTER));
+        q.push(token(3, 0));
+        assert_eq!(fired.load(Ordering::Relaxed), 3, "one hook call per push");
+        // Oldest first, registrations included.
+        assert_eq!(q.take_over(), Some(token(2, 0)));
+        assert_eq!(q.take_over(), Some(TOKEN_REGISTER));
+        q.come_back();
+        assert_eq!(q.take_over(), None);
+        assert_eq!(q.try_pop(), Some(token(3, 0)), "the rest is the owner's");
+        q.push(token(4, 0));
+        assert_eq!(fired.load(Ordering::Relaxed), 3, "owner present again");
     }
 
     #[test]
-    fn steal_counts_against_depth_stats() {
+    fn takeovers_count_against_depth_stats() {
         let stats = Arc::new(ShardStats::default());
-        let q = ReadyQueue::new(Some(Arc::clone(&stats)));
+        let (q, _) = away_capable(Some(Arc::clone(&stats)));
+        assert!(q.try_leave());
         q.push(token(1, 0));
         q.push(token(2, 0));
-        assert_eq!(q.steal(), Some(token(2, 0)));
-        assert_eq!(q.try_pop(), Some(token(1, 0)));
-        // Depth gauge returns to zero: steals are proper dequeues.
+        assert_eq!(q.take_over(), Some(token(1, 0)));
+        assert_eq!(q.take_over(), Some(token(2, 0)));
+        // Depth gauge returns to zero: takeovers are proper dequeues.
         assert_eq!(q.len(), 0);
     }
 }

@@ -31,6 +31,18 @@
 //!   park), and a wake racing the park itself is observed at park-commit
 //!   time — the task re-queues instead of suspending.
 //!
+//! * **Run permits** — the runtime counts the polls in progress and
+//!   hands out at most `workers` permits ([`Sched::try_permit`]): *that*
+//!   is what `RpcConfig::handlers` bounds, calls executing at once, not a
+//!   set of threads. A worker polls under a permit; so does any other
+//!   thread that takes an idle worker's place — the server's reader
+//!   shard running the call it just read ([`Sched::run_first_foreign`]) —
+//!   which is why such a thread runs *instead of* a worker, never beside
+//!   all of them. Whoever returns a permit while work is waiting
+//!   notifies, under the same epoch protocol as every other producer, so
+//!   a worker that found no permit free and is on its way to sleep is
+//!   not left asleep beside a free permit and a runnable call.
+//!
 //! The runtime owns every frame (run queues, injector, parked table); a
 //! [`WakeHandle`] owns only its cell, so [`Sched::close`] drops every
 //! frame whoever still holds a handle.
@@ -187,6 +199,12 @@ struct SchedInner {
     /// Calls entered and not yet completed: on a worker's stack,
     /// runnable, or parked.
     inflight: AtomicUsize,
+    /// Run permits out: polls in progress, on whichever threads. Never
+    /// above `locals.len()`.
+    running: AtomicUsize,
+    /// Tasks on the run queues (locals + injector), so that returning a
+    /// permit can tell "someone should run" without taking their locks.
+    runnable: AtomicUsize,
     /// Idle workers block on `idle_cv`; every producer of work bumps
     /// `wake_epoch` *under* `idle_lock` before signalling, so a worker
     /// that read the epoch before its empty scan can tell, under the
@@ -236,8 +254,18 @@ impl SchedInner {
         } else {
             q.push_back(task);
         }
+        self.runnable.fetch_add(1, Ordering::SeqCst);
         drop(q);
         self.notify();
+    }
+
+    /// Take one task off `queue` (its front or back), keeping the
+    /// runnable count.
+    fn dequeue(&self, queue: &Mutex<VecDeque<Task>>, front: bool) -> Option<Task> {
+        let mut q = queue.lock();
+        let task = if front { q.pop_front() } else { q.pop_back() }?;
+        self.runnable.fetch_sub(1, Ordering::SeqCst);
+        Some(task)
     }
 
     /// One call is over — completed, or dropped by `close`: any handle
@@ -248,6 +276,15 @@ impl SchedInner {
         }
         self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
+}
+
+/// Whose stack a poll ran on: a worker's, or a permit-holding thread's
+/// that is no worker (the index then names the row its parks are booked
+/// on).
+#[derive(Clone, Copy)]
+enum Seat {
+    Worker(usize),
+    Foreign(usize),
 }
 
 /// The work-stealing scheduler. Passive by design: it owns no threads.
@@ -274,6 +311,8 @@ impl Sched {
                 timers: Mutex::new(BTreeMap::new()),
                 timer_seq: AtomicU64::new(0),
                 inflight: AtomicUsize::new(0),
+                running: AtomicUsize::new(0),
+                runnable: AtomicUsize::new(0),
                 idle_lock: Mutex::new(()),
                 idle_cv: Condvar::new(),
                 wake_epoch: AtomicU64::new(0),
@@ -289,7 +328,27 @@ impl Sched {
     /// (with `polls() == 1` at its next poll) and queues or parks it
     /// exactly as [`Sched::run`] would. A [`WakeHandle`] taken — even
     /// fired — during this poll behaves as on any later one.
-    pub fn run_first<F>(&self, worker: usize, now_ns: u64, mut poll: F)
+    pub fn run_first<F>(&self, worker: usize, now_ns: u64, poll: F)
+    where
+        F: FnMut(&mut TaskCx<'_>) -> Step + Send + 'static,
+    {
+        self.first_poll(Seat::Worker(worker), now_ns, poll);
+    }
+
+    /// [`Sched::run_first`] on a thread that is not a worker — one that
+    /// holds a run permit in an idle worker's place. It has no run queue
+    /// and no counter row: a poll that completes is booked nowhere here;
+    /// one that yields goes to the injector, one that parks to the parked
+    /// table, and either way a worker resumes it. The park (and its wake)
+    /// is booked on worker row `seat`.
+    pub fn run_first_foreign<F>(&self, seat: usize, now_ns: u64, poll: F)
+    where
+        F: FnMut(&mut TaskCx<'_>) -> Step + Send + 'static,
+    {
+        self.first_poll(Seat::Foreign(seat), now_ns, poll);
+    }
+
+    fn first_poll<F>(&self, seat: Seat, now_ns: u64, mut poll: F)
     where
         F: FnMut(&mut TaskCx<'_>) -> Step + Send + 'static,
     {
@@ -298,7 +357,9 @@ impl Sched {
         let (step, park_deadline_ns) = self.poll_once(&mut poll, &wake, 0, now_ns);
         if step == Step::Done {
             self.inner.retire(&wake);
-            self.inner.stats[worker].inc_processed();
+            if let Seat::Worker(worker) = seat {
+                self.inner.stats[worker].inc_processed();
+            }
             return;
         }
         let task = Task {
@@ -306,7 +367,7 @@ impl Sched {
             wake,
             polls: 1,
         };
-        self.settle(worker, task, step, park_deadline_ns);
+        self.settle(seat, task, step, park_deadline_ns);
     }
 
     /// Spawn a task onto `worker`'s own queue (LIFO end — it runs next
@@ -365,17 +426,18 @@ impl Sched {
     /// sibling (scanned round-robin from `worker + 1`, counted on the
     /// thief).
     pub fn next_task(&self, worker: usize) -> Option<Task> {
-        if let Some(task) = self.inner.locals[worker].lock().pop_back() {
+        let inner = &self.inner;
+        if let Some(task) = inner.dequeue(&inner.locals[worker], false) {
             return Some(task);
         }
-        if let Some(task) = self.inner.injector.lock().pop_front() {
+        if let Some(task) = inner.dequeue(&inner.injector, true) {
             return Some(task);
         }
-        let n = self.inner.locals.len();
+        let n = inner.locals.len();
         for off in 1..n {
             let victim = (worker + off) % n;
-            if let Some(task) = self.inner.locals[victim].lock().pop_front() {
-                self.inner.stats[worker].inc_steal();
+            if let Some(task) = inner.dequeue(&inner.locals[victim], true) {
+                inner.stats[worker].inc_steal();
                 return Some(task);
             }
         }
@@ -388,7 +450,7 @@ impl Sched {
         let (step, park_deadline_ns) =
             self.poll_once(&mut *task.poll, &task.wake, task.polls, now_ns);
         task.polls += 1;
-        self.settle(worker, task, step, park_deadline_ns);
+        self.settle(Seat::Worker(worker), task, step, park_deadline_ns);
     }
 
     fn poll_once(
@@ -409,18 +471,20 @@ impl Sched {
         (step, cx.park_deadline_ns.get())
     }
 
-    fn settle(&self, worker: usize, task: Task, step: Step, park_deadline_ns: Option<u64>) {
+    fn settle(&self, seat: Seat, task: Task, step: Step, park_deadline_ns: Option<u64>) {
         let inner = &self.inner;
+        let (Seat::Worker(worker) | Seat::Foreign(worker)) = seat;
         let stats = &inner.stats[worker];
-        match step {
-            Step::Done => {
+        match (step, seat) {
+            (Step::Done, _) => {
                 inner.retire(&task.wake);
                 stats.inc_processed();
             }
             // The stealing end: behind everything already queued
             // locally, ahead of nothing.
-            Step::Yield => inner.enqueue(&inner.locals[worker], task, true),
-            Step::Park => {
+            (Step::Yield, Seat::Worker(_)) => inner.enqueue(&inner.locals[worker], task, true),
+            (Step::Yield, Seat::Foreign(_)) => inner.enqueue(&inner.injector, task, false),
+            (Step::Park, _) => {
                 let cell = Arc::clone(inner.cell_of(&task.wake));
                 let mut st = cell.st.lock();
                 if matches!(*st, WakeSt::Running { notified: true }) {
@@ -449,6 +513,30 @@ impl Sched {
                 *st = WakeSt::Parked;
                 stats.inc_park();
             }
+        }
+    }
+
+    /// Take a run permit: the right to poll one call (or resume one task)
+    /// now. Fails when `workers` polls are already in progress, on
+    /// whichever threads. Pair with [`Sched::release_permit`].
+    pub fn try_permit(&self) -> bool {
+        let limit = self.inner.locals.len();
+        self.inner
+            .running
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < limit).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// Return a run permit. If a suspended call is runnable, or the
+    /// caller says calls are queued that it will not come back for
+    /// (`calls_waiting`), notify: a worker that found no permit free may
+    /// be asleep, or — the epoch having moved — about to not fall asleep.
+    pub fn release_permit(&self, calls_waiting: bool) {
+        self.inner.running.fetch_sub(1, Ordering::SeqCst);
+        if calls_waiting || self.inner.runnable.load(Ordering::SeqCst) > 0 {
+            self.inner.notify();
         }
     }
 
@@ -487,6 +575,14 @@ impl Sched {
         self.inner.notify();
     }
 
+    /// [`Sched::notify`] as a value: for producers that cannot hold a
+    /// reference to the runtime (the server's reader wake lists, which
+    /// call it when something arrives for a shard whose owner is away).
+    pub fn notifier(&self) -> impl Fn() + Send + Sync + 'static {
+        let inner = Arc::clone(&self.inner);
+        move || inner.notify()
+    }
+
     /// The wake epoch: read it *before* scanning for work, pass it to
     /// [`Sched::idle_wait`] after the scan came up empty.
     pub fn wake_epoch(&self) -> u64 {
@@ -518,9 +614,10 @@ impl Sched {
         // releases whatever the call captured.
         let mut frames: Vec<Task> = Vec::new();
         frames.extend(inner.parked.lock().drain().map(|(_, (_, task))| task));
-        frames.extend(inner.injector.lock().drain(..));
-        for queue in &inner.locals {
-            frames.extend(queue.lock().drain(..));
+        for queue in std::iter::once(&inner.injector).chain(&inner.locals) {
+            let mut q = queue.lock();
+            inner.runnable.fetch_sub(q.len(), Ordering::SeqCst);
+            frames.extend(q.drain(..));
         }
         let timers = std::mem::take(&mut *inner.timers.lock());
         for task in &frames {
@@ -874,12 +971,134 @@ mod tests {
         let seen = s.wake_epoch();
         assert!(s.next_task(0).is_none());
         s.notify();
+        assert_wait_is_cancelled(&s, seen, "a notify after the scan must cancel the wait");
+    }
+
+    /// `idle_wait(seen, 30 s)` must return at once: the epoch moved.
+    fn assert_wait_is_cancelled(s: &Sched, seen: u64, why: &str) {
         let start = std::time::Instant::now();
         s.idle_wait(seen, Duration::from_secs(30));
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "a notify after the scan must cancel the wait"
-        );
+        assert!(start.elapsed() < Duration::from_secs(5), "{why}");
+    }
+
+    #[test]
+    fn permits_never_exceed_the_worker_count() {
+        // Eight threads race for two permits; each holder checks that it
+        // is one of at most two.
+        let s = Arc::new(sched(2));
+        let holders = Arc::new(AtomicU32::new(0));
+        let granted = Arc::new(AtomicU32::new(0));
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let (s, holders, granted) =
+                    (Arc::clone(&s), Arc::clone(&holders), Arc::clone(&granted));
+                std::thread::spawn(move || {
+                    for _ in 0..20_000 {
+                        if s.try_permit() {
+                            let now = holders.fetch_add(1, Ordering::SeqCst) + 1;
+                            assert!(now <= 2, "{now} permits out of 2");
+                            granted.fetch_add(1, Ordering::Relaxed);
+                            holders.fetch_sub(1, Ordering::SeqCst);
+                            s.release_permit(false);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert!(granted.load(Ordering::Relaxed) > 0);
+        // Every permit came back: both can be had again, and no third.
+        assert!(s.try_permit() && s.try_permit() && !s.try_permit());
+    }
+
+    #[test]
+    fn a_permit_returned_beside_waiting_work_notifies() {
+        let s = sched(1);
+        assert!(s.try_permit());
+        assert!(!s.try_permit(), "one worker, one permit");
+        // Nothing waiting: a release is silent.
+        let quiet = s.wake_epoch();
+        s.release_permit(false);
+        assert_eq!(s.wake_epoch(), quiet);
+        // The caller knows of queued calls it will not come back for.
+        assert!(s.try_permit());
+        s.release_permit(true);
+        assert_ne!(s.wake_epoch(), quiet);
+        // A runnable task is work the runtime knows of itself.
+        s.inject(|_cx| Step::Done);
+        let told = s.wake_epoch();
+        assert!(s.try_permit());
+        s.release_permit(false);
+        assert_ne!(s.wake_epoch(), told, "a task was runnable");
+        // ...and once it has run, a release is silent again.
+        drain_worker(&s, 0, 0);
+        let done = s.wake_epoch();
+        assert!(s.try_permit());
+        s.release_permit(false);
+        assert_eq!(s.wake_epoch(), done);
+    }
+
+    #[test]
+    fn a_release_between_a_failed_permit_and_the_wait_is_not_slept_through() {
+        // The worker's sequence, single-threaded so the interleaving is
+        // exact: a reader holds the only permit; a call is queued. The
+        // worker reads the epoch, finds no permit, and — before it gets
+        // to sleep — the reader returns the permit.
+        let s = sched(1);
+        assert!(s.try_permit(), "the reader's");
+        let seen = s.wake_epoch();
+        assert!(!s.try_permit(), "the worker finds none");
+        s.release_permit(true);
+        assert_wait_is_cancelled(&s, seen, "the release must cancel the wait");
+        assert!(s.try_permit(), "and the worker's next pass gets it");
+    }
+
+    #[test]
+    fn a_foreign_first_poll_hands_a_suspended_call_to_the_workers() {
+        let metrics = crate::metrics::MetricsRegistry::new(false);
+        let rows = (0..2)
+            .map(|i| metrics.register_shard(crate::metrics::ShardRole::Worker, i))
+            .collect();
+        let s = Sched::new(2, rows);
+        // Completing on the foreign stack books nothing on any worker.
+        s.run_first_foreign(1, 0, |_cx| Step::Done);
+        assert_eq!((s.inflight(), s.queued()), (0, 0));
+        assert!(metrics
+            .shard_snapshot()
+            .iter()
+            .all(|row| row.processed == 0));
+        // A yield goes to the injector — a foreign thread has no queue —
+        // and worker 0, which it was not booked on, picks it up.
+        let polls = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&polls);
+        s.run_first_foreign(1, 0, move |cx| {
+            seen.lock().push(cx.polls());
+            if cx.polls() == 0 {
+                return Step::Yield;
+            }
+            Step::Done
+        });
+        assert_eq!(s.inner.injector.lock().len(), 1);
+        drain_worker(&s, 0, 0);
+        assert_eq!(*polls.lock(), vec![0, 1]);
+        // A park is held like any other and wakes through the injector.
+        s.run_first_foreign(1, 0, |cx| {
+            if cx.polls() == 0 {
+                cx.park_until_ns(100);
+                return Step::Park;
+            }
+            Step::Done
+        });
+        assert_eq!(s.parked(), 1);
+        drain_worker(&s, 0, 200);
+        assert_eq!(s.residue(), 0);
+        // Booked: the park on the seat named, the completions on the
+        // worker that resumed them.
+        let rows = metrics.shard_snapshot();
+        assert_eq!((rows[1].parks, rows[1].wakes), (1, 1));
+        assert_eq!((rows[0].processed, rows[1].processed), (2, 0));
     }
 
     #[test]

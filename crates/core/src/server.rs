@@ -1,21 +1,25 @@
 //! The RPC server: the paper's Section III-D pipeline, sharded on the
-//! read side, with the computing thread doing the sending.
+//! read side, in which **the thread that has the work does the next
+//! step**: the thread that computes a response sends it, and the thread
+//! that reads a lone call runs it.
 //!
 //! Hadoop's 0.20.x architecture dedicates one **Reader** thread to every
-//! connection — thread explosion at scale — and this repo's earlier
-//! rounds funnelled every transmission through **Responder** threads — a
-//! thread hop, a payload copy and a handful of allocations per call that
-//! stock Hadoop itself skips: `Responder.doRespond` writes from the
-//! Handler thread whenever the connection's response queue is empty. The
-//! rule here is the same: **the thread that computes a response sends it;
-//! the Responder is the overflow and foreign-thread path.**
+//! connection — thread explosion at scale — hands every call to a
+//! **Handler** pool through a queue, and this repo's earlier rounds
+//! funnelled every transmission through **Responder** threads. Each of
+//! those hand-offs is a futex wake, a context switch and a queue
+//! residence per call; stock Hadoop itself skips the last
+//! (`Responder.doRespond` writes from the Handler thread whenever the
+//! connection's response queue is empty), and Ibdxnet's receive thread
+//! runs the handler of the message it just decoded. The roles here:
 //!
-//! * a **Listener** thread accepts connections, assigns each a
-//!   monotonically increasing connection id, and hands the stream to a
-//!   transient setup thread (handshake and, in RPCoIB mode, the blocking
-//!   end-point exchange) which registers the finished connection with
-//!   its reader shard. The accept path is *bounded*: at most
-//!   `RpcConfig::accept_backlog` setups run concurrently (further
+//! * a **Listener** thread *blocks* in accept (no polling: `drain` and
+//!   `stop` unbind its socket, which fails the accept at once), assigns
+//!   each connection a monotonically increasing id, and hands the stream
+//!   to a transient setup thread (handshake and, in RPCoIB mode, the
+//!   blocking end-point exchange) which registers the finished
+//!   connection with its reader shard. The accept path is *bounded*: at
+//!   most `RpcConfig::accept_backlog` setups run concurrently (further
 //!   connects wait in the listener queue), and once
 //!   `RpcConfig::max_connections` connections are live (or being set
 //!   up), further connects are answered with a retryable busy rejection
@@ -28,45 +32,96 @@
 //!   re-checks [`Conn::poll_ready`], receives a bounded burst of frames,
 //!   and re-arms the token if input remains — so idle connections cost
 //!   nothing per scheduling round, which is what makes a 50k-connection
-//!   front door affordable (ROADMAP item 1). Each admitted frame
-//!   consults the [`RetryCache`] for at-most-once admission and is
-//!   pushed onto the bounded call queue — *without blocking*: an
-//!   overflowing queue answers with a retryable busy rejection instead
-//!   of stalling every other call on the shard;
+//!   front door affordable. Each admitted frame consults the
+//!   [`RetryCache`] for at-most-once admission and is pushed onto the
+//!   bounded call queue — *without blocking*: an overflowing queue
+//!   answers with a retryable busy rejection instead of stalling every
+//!   other call on the shard;
 //! * `RpcConfig::handlers` **Handler** workers pop calls and poll each
 //!   one for the first time on their own stack; a call that completes
 //!   there — every call of a service that never suspends — is a plain
 //!   function call, and only one that yields or parks becomes a heap
 //!   frame on the [`crate::sched`] runtime, to be resumed by whichever
-//!   worker is free (see [`worker_loop`]). The worker that ran the final
-//!   poll serializes the response once and **transmits it**
-//!   (`ServerInner::respond`): it takes the
-//!   connection's *send turn* — the lock around the connection's
-//!   response-lead encoder — with a non-blocking `try_lock` and, when
-//!   nothing is already queued for that connection at its responder
-//!   shard, encodes the lead and writes lead + body straight into the
-//!   transport ([`Conn::send_serialized`]: a pooled registered buffer on
-//!   verbs, a borrowed-slice gather on sockets). No queue entry, no
-//!   frame copy, no thread hop. If the turn is taken or responses are
-//!   queued, the response queues behind them instead, so a handler never
-//!   waits on another thread's send and a slow or credit-starved peer
-//!   costs the one sender holding its turn, never the pool;
+//!   worker is free (see [`worker_loop`]).
+//!
+//! ## Who runs a call
+//!
+//! Every call goes through `retry_cache.begin` and `admission.try_push`
+//! — busy rejection, tenant quota, priority class, deadline shedding and
+//! DRR order are properties of that one queue, and there is no way around
+//! it. What varies is who *pops*. A burst (a gathered batch, pipelined
+//! calls) is announced to the workers frame by frame, as it always was,
+//! and keeps its parallelism. But a reader shard whose burst ends on an
+//! admitted call, and which has nothing else to read, does not wake a
+//! worker to pop the one call it just pushed: it performs one pass of the
+//! worker loop's body itself ([`run_in_place`]) — pop, answer the shed,
+//! poll the popped call on its own stack. A closed-loop 512 B call then
+//! blocks two threads, not three. A handler may block (a region server's
+//! put sits in a 5 ms HDFS write), and the engine cannot know which do,
+//! so three rules hold for every call:
+//!
+//! 1. **Run permit — a reader runs only instead of a worker.** The
+//!    runtime hands out `handlers` run permits ([`Sched::try_permit`]);
+//!    workers and readers alike execute only under one. `handlers` means
+//!    *calls executing at once*, whichever threads execute them.
+//! 2. **Only when there is nothing else to read.** The connection has no
+//!    further input after the frame just admitted and the shard's wake
+//!    list is empty ([`ReadyQueue::try_leave`]); otherwise the call is
+//!    announced and the shard keeps reading.
+//! 3. **Away, and taken over.** The handler runs *outside* the shard's
+//!    table lock, with the shard's wake list marked *away*: anything
+//!    pushed onto it meanwhile (a wake token, a registration) also wakes
+//!    an idle worker, whose loop services away shards' tokens in the
+//!    owner's stead ([`take_over`]) — reading, adopting, queueing and
+//!    refusing, but never running a call from in there; it meets the
+//!    call again, under a permit, in its own pass. Reading needs no
+//!    permit, and a permit in a reader's hand is a worker that cannot be
+//!    executing, so *shards away = permits held by readers ≤ workers not
+//!    executing*: an away shard always has a reader. A call that suspends
+//!    on a reader's stack goes to the runtime's injector and is a
+//!    worker's from then on.
+//!
+//! ## Who sends a response
+//!
+//! The thread that ran the final poll — worker or reader — serializes
+//! the response once and **transmits it** (`ServerInner::respond`): it
+//! takes the connection's *send turn* — the lock around the connection's
+//! response-lead encoder — with a non-blocking `try_lock` and, when
+//! nothing is already queued for that connection at its responder shard,
+//! encodes the lead and writes lead + body straight into the transport
+//! ([`Conn::send_serialized`]: a pooled registered buffer on verbs, a
+//! borrowed-slice gather on sockets). No queue entry, no frame copy, no
+//! thread hop. If the turn is taken or responses are queued, the response
+//! queues behind them instead, so a handler never waits on another
+//! thread's send and a slow or credit-starved peer costs the one sender
+//! holding its turn, never the pool. (A taken turn is given one
+//! `yield_now` before it is given up: its holder is most often a sender
+//! preempted mid-send by the very caller it woke.) A reader shard may be that sender:
+//! the one reason it could not — blocked on slot credits, it could not
+//! have consumed the credit message that unblocks it — went when credit
+//! waits began to drive receive progress themselves
+//! (`RdmaConn::acquire_slots`), and while it waits its shard is away and
+//! read by a worker.
+//!
 //! * **M responder shards** (`RpcConfig::responder_shards`; a connection's
 //!   home shard is `conn_id % M`) transmit exactly the responses that
-//!   must not go inline: those a reader shard produces (busy, replay — a
-//!   reader blocked on slot credits could not consume the credit message
-//!   that unblocks it), parked duplicates released on *other*
-//!   connections, and the handlers' overflow. A shard sends under the
-//!   same per-connection send turn, in queue order, so encode order
-//!   equals wire order whoever sends; with `RpcConfig::wire_batch` on it
-//!   drains everything already queued and sends each connection's ready
-//!   responses as one gathered wire operation. Inline transmissions are
-//!   booked on the connection's home shard, so per-shard `processed`
-//!   counts mean "responses of my connections sent", whoever sent them.
+//!   must not go inline: those produced *while reading* (busy, replay —
+//!   whoever reads holds the shard's table lock and must not wait on a
+//!   send; these go through the responder until the send turn learns to
+//!   drain what queued behind it, ROADMAP item 1(a)), parked duplicates
+//!   released on *other* connections, and the overflow. A shard sends
+//!   under the same per-connection send turn, in queue order, so encode
+//!   order equals wire order whoever sends; with `RpcConfig::wire_batch`
+//!   on it drains everything already queued and sends each connection's
+//!   ready responses as one gathered wire operation. Inline
+//!   transmissions are booked on the connection's home shard, so
+//!   per-shard `processed` counts mean "responses of my connections
+//!   sent", whoever sent them — as frames read are booked on the
+//!   connection's owner reader shard, whoever read them.
 //!
 //! Shutdown comes in two flavors: [`Server::stop`] (abrupt — close
 //! everything now) and [`Server::drain`] (graceful — stop accepting,
-//! quiesce the reader shards, finish queued calls, flush responses, then
+//! quiesce the read side, finish queued calls, flush responses, then
 //! join).
 
 use std::collections::{HashMap, HashSet};
@@ -76,7 +131,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use simnet::{Fabric, NodeId, SimAddr, SimListener};
+use simnet::{Fabric, ListenerCloser, NodeId, SimAddr, SimListener};
 use wire::Writable;
 
 use crate::admission::{AdmissionQueue, AdmitError, CallClass, CallMeta};
@@ -88,7 +143,9 @@ use crate::frame::{
 use crate::handshake;
 use crate::intern::MethodKey;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase, ShardRole, ShardStats};
-use crate::readiness::{token, token_gen, token_slot, Pop, ReadyQueue, WakeState, TOKEN_REGISTER};
+use crate::readiness::{
+    token, token_gen, token_slot, Pop, ReadyQueue, TakeoverHook, WakeState, TOKEN_REGISTER,
+};
 use crate::retry_cache::{Admission, RetryCache};
 use crate::sched::{HandlerCx, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
@@ -111,6 +168,10 @@ const LIVENESS_SWEEP: Duration = Duration::from_secs(1);
 /// most this long for a message riding behind it.
 const READ_SLICE: Duration = Duration::from_millis(1);
 
+/// How often a Listener paused at `accept_backlog` looks for a finished
+/// setup.
+const BACKLOG_POLL: Duration = Duration::from_millis(1);
+
 /// Poll interval of [`Server::drain`]'s quiescence checks.
 const DRAIN_POLL: Duration = Duration::from_millis(2);
 
@@ -121,11 +182,6 @@ const DRAIN_POLL: Duration = Duration::from_millis(2);
 /// batch-of-32 service from 32 queue round-trips into one, while the
 /// bound keeps one chatty peer from starving its shard.
 const READ_BURST: usize = 32;
-
-/// Pop timeout of a reader shard with `reader_steal` on: short, so an
-/// idle shard visits its siblings' queues instead of blocking a full
-/// [`IDLE_SLICE`] while another shard runs hot.
-const STEAL_POLL: Duration = Duration::from_millis(1);
 
 /// Everything the server keeps per connection that more than one thread
 /// touches: the transport, and the state of its *send side*.
@@ -248,23 +304,33 @@ struct ServerInner {
     /// Registration channels into the reader shards, indexed by
     /// `conn_id % reader_shards`.
     reader_regs: Vec<Sender<ShardConn>>,
+    /// Their receiving ends, indexed alike. Here rather than in the
+    /// shard threads so that whoever services a shard's
+    /// [`TOKEN_REGISTER`] — its owner, or a worker taking over — can
+    /// adopt.
+    reader_reg_rx: Vec<Receiver<ShardConn>>,
     /// The reader shards' wake lists, indexed like `reader_regs`. The
     /// accept path pushes [`TOKEN_REGISTER`] after a registration so a
     /// blocked shard adopts promptly; `drain`/`stop` close them so
     /// blocked pops exit without waiting out a timeout.
     reader_ready: Vec<Arc<ReadyQueue>>,
     /// Each reader shard's slot table, indexed like `reader_regs`.
-    /// Shared (rather than thread-local as before PR 10) so an idle
-    /// sibling can steal a ready token and service the connection under
-    /// the owner's table lock — which is also what keeps per-connection
-    /// frame order: whoever holds the lock is the only thread reading
-    /// that shard's connections. With `reader_steal` off only the owner
-    /// ever takes it, uncontended.
+    /// Shared so a worker can service the shard while its owner is away
+    /// running a call, under the table lock — which is also what keeps
+    /// per-connection frame order: whoever holds the lock is the only
+    /// thread reading that shard's connections. It is held for a read
+    /// burst and **never across a handler**: `shutdown` takes every one
+    /// of them and must not wait for a call to finish.
     reader_state: Vec<Mutex<ReaderState>>,
-    /// Per reader-shard counters, indexed like `reader_regs`; a thief
-    /// books the stolen connection's lifecycle (conn gauge) against its
-    /// *owner* shard while counting the work on itself.
+    /// Per reader-shard counters, indexed like `reader_regs`. Frames,
+    /// busy rejections and the conn gauge are booked on the connection's
+    /// *owner* shard whoever read them (as sends are booked on the home
+    /// responder shard); a takeover counts as a `steal` on the worker
+    /// that made it.
     reader_stats: Vec<Arc<ShardStats>>,
+    /// The handler workers' counter rows (the runtime holds the same
+    /// ones), for booking takeovers.
+    worker_stats: Vec<Arc<ShardStats>>,
     /// Where suspended calls live between polls, and what the handler
     /// workers sleep on. Its frames hold `Arc<ServerInner>`; the cycle
     /// is broken by `shutdown`, which closes it.
@@ -293,6 +359,14 @@ struct ServerInner {
     /// are joined by the Listener on every accept-loop pass; the rest at
     /// `stop()`.
     setup_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Unbinds the Listener's socket, which is what gets the Listener
+    /// out of its blocking accept at `drain`/`stop`.
+    listener_closer: ListenerCloser,
+    /// The two refusal bodies, built once: a busy rejection or a deadline
+    /// shed clones an `Arc` — the moment a server refuses work is the
+    /// wrong one to allocate in.
+    busy_body: Arc<Vec<u8>>,
+    expired_body: Arc<Vec<u8>>,
 }
 
 impl ServerInner {
@@ -320,11 +394,11 @@ impl ServerInner {
 
     /// Queue a response at its connection's home responder shard. A
     /// handler passes `wait` — a computed response must not be dropped,
-    /// so it blocks while the shard is behind. A reader shard never
-    /// waits (and never sends inline: blocked on slot credits it could
-    /// not consume the credit message that unblocks it); dropping its
-    /// busy or replay answer on a full queue is safe — the client
-    /// retries, and for replays the cache still holds the bytes.
+    /// so it blocks while the shard is behind. Whoever is *reading* (a
+    /// reader shard, or a worker taking over) never waits: it holds the
+    /// shard's table lock, and dropping a busy or replay answer on a full
+    /// queue is safe — the client retries, and for replays the cache
+    /// still holds the bytes.
     fn enqueue_response(&self, route: RespRoute, bytes: Arc<Vec<u8>>, wait: bool) {
         self.open_work.fetch_add(1, Ordering::AcqRel);
         let conn = Arc::clone(&route.conn);
@@ -398,16 +472,26 @@ impl ServerInner {
     }
 
     /// The computing thread sends (Hadoop's `Responder.doRespond`): take
-    /// the connection's send turn *without waiting* and, when nothing is
-    /// already queued for it at its responder shard, transmit from this
-    /// thread; otherwise queue behind whatever is ahead. A handler thus
-    /// never blocks on another thread's send, and a slow or
-    /// credit-starved peer costs the one handler that holds its turn,
-    /// never the pool. The transmission is booked on the connection's
-    /// home responder shard either way.
+    /// the connection's send turn *without waiting* (one yield aside —
+    /// see below) and, when nothing is already queued for it at its
+    /// responder shard, transmit from this thread; otherwise queue
+    /// behind whatever is ahead. A handler thus never blocks on another
+    /// thread's send, and a slow or credit-starved peer costs the one
+    /// sender that holds its turn, never the pool. The transmission is
+    /// booked on the connection's home responder shard either way.
     fn send_or_enqueue(&self, route: RespRoute, bytes: &Arc<Vec<u8>>) {
         if route.conn.queued.load(Ordering::Acquire) == 0 {
-            if let Some(mut enc) = route.conn.send.try_lock() {
+            // One yield before giving the turn up for taken: its holder is
+            // usually a sender that the caller it just woke preempted
+            // mid-send (that caller's next call is what this thread ran),
+            // runnable and a few instructions from letting go. A holder
+            // that is really stuck — a credit-starved peer — is not waited
+            // for.
+            let turn = route.conn.send.try_lock().or_else(|| {
+                std::thread::yield_now();
+                route.conn.send.try_lock()
+            });
+            if let Some(mut enc) = turn {
                 // Re-check under the lock: a response queued since the
                 // first look must still go out ahead of this one.
                 if route.conn.queued.load(Ordering::Acquire) == 0 {
@@ -427,10 +511,9 @@ impl ServerInner {
     /// parked behind it (usually on *other* connections) through their
     /// responder shards. A duplicate arriving before the cache entry
     /// completes parks and is released here; one arriving after replays.
-    fn respond(&self, call: RawCall, body: Vec<u8>) {
+    fn respond(&self, call: RawCall, bytes: Arc<Vec<u8>>) {
         // The request buffer goes back to its pool before the send.
         let RawCall { conn, header, .. } = call;
-        let bytes = Arc::new(body);
         self.send_or_enqueue(RespRoute::new(conn, &header), &bytes);
         let key = (header.client_id, header.seq);
         for waiter in self.retry_cache.complete(key, Arc::clone(&bytes)) {
@@ -529,25 +612,31 @@ impl Server {
         )
         .with_byte_budget(cfg.retry_cache_capacity.saturating_mul(cfg.rdma_threshold));
 
+        let worker_stats: Vec<_> = (0..cfg.handlers)
+            .map(|i| metrics.register_shard(ShardRole::Worker, i))
+            .collect();
+        let sched = Sched::new(cfg.handlers, worker_stats.clone());
+        // What a push onto an away shard's wake list does: get an idle
+        // worker to take the shard over.
+        let wake_worker: TakeoverHook = Arc::new(sched.notifier());
         let mut reader_regs = Vec::with_capacity(n_readers);
-        let mut reader_rxs = Vec::with_capacity(n_readers);
+        let mut reader_reg_rx = Vec::with_capacity(n_readers);
         let mut reader_stats = Vec::with_capacity(n_readers);
         let mut reader_ready = Vec::with_capacity(n_readers);
         let mut reader_state = Vec::with_capacity(n_readers);
         for i in 0..n_readers {
             let (tx, rx) = unbounded();
             reader_regs.push(tx);
-            reader_rxs.push(rx);
+            reader_reg_rx.push(rx);
             let stats = metrics.register_shard(ShardRole::Reader, i);
             // The shard's wake list feeds its queue-depth gauge.
-            reader_ready.push(Arc::new(ReadyQueue::new(Some(Arc::clone(&stats)))));
+            reader_ready.push(Arc::new(
+                ReadyQueue::new(Some(Arc::clone(&stats)))
+                    .with_takeover_hook(Arc::clone(&wake_worker)),
+            ));
             reader_stats.push(stats);
             reader_state.push(Mutex::new(ReaderState::default()));
         }
-        let worker_stats = (0..cfg.handlers)
-            .map(|i| metrics.register_shard(ShardRole::Worker, i))
-            .collect();
-        let sched = Sched::new(cfg.handlers, worker_stats);
         let mut responders = Vec::with_capacity(n_responders);
         for i in 0..n_responders {
             let (tx, rx) = bounded(cfg.call_queue_len);
@@ -576,9 +665,11 @@ impl Server {
             admission,
             started: Instant::now(),
             reader_regs,
+            reader_reg_rx,
             reader_ready,
             reader_state,
-            reader_stats: reader_stats.clone(),
+            reader_stats,
+            worker_stats,
             sched,
             priority,
             setups_inflight: AtomicUsize::new(0),
@@ -587,6 +678,9 @@ impl Server {
             next_conn_id: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             setup_threads: Mutex::new(Vec::new()),
+            listener_closer: listener.closer(),
+            busy_body: Arc::new(BUSY_BODY.to_vec()),
+            expired_body: Arc::new(EXPIRED_BODY.to_vec()),
         });
 
         let mut threads = Vec::new();
@@ -603,16 +697,15 @@ impl Server {
         }
         // Reader shards (counted in live_readers for their whole life;
         // `drain` waits for them to observe the draining flag and exit).
-        for (i, reg_rx) in reader_rxs.into_iter().enumerate() {
-            inner.live_readers.fetch_add(1, Ordering::AcqRel);
-            let ready = Arc::clone(&inner.reader_ready[i]);
+        for i in 0..n_readers {
+            inner.live_readers.fetch_add(1, Ordering::SeqCst);
             let inner = Arc::clone(&inner);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("rpc-reader-{i}"))
                     .spawn(move || {
                         let _slot = CountGuard(&inner.live_readers);
-                        reader_shard_loop(&inner, i, reg_rx, ready);
+                        reader_shard_loop(&inner, i);
                     })
                     .expect("spawn reader shard"),
             );
@@ -708,9 +801,14 @@ impl Server {
         if self.inner.stop.load(Ordering::Acquire) {
             return true;
         }
-        self.inner.draining.store(true, Ordering::Release);
-        // Wake every reader shard blocked on its ready queue *now*: the
-        // draining flag alone would only be observed after a pop timeout.
+        // SeqCst against a worker's "count myself a reader, then look at
+        // the flag" (see `take_over`): either it sees the flag and reads
+        // nothing, or phase 2 below sees it counted and waits.
+        self.inner.draining.store(true, Ordering::SeqCst);
+        // Wake the Listener out of its accept and every reader shard
+        // blocked on its ready queue *now*: the draining flag alone would
+        // only be observed after an idle slice.
+        self.inner.listener_closer.close();
         for ready in &self.inner.reader_ready {
             ready.close();
         }
@@ -725,9 +823,11 @@ impl Server {
             std::thread::sleep(DRAIN_POLL);
         }
         // Phase 2: the read side quiesces — every reader shard observes
-        // the draining flag and exits, and in-flight connection setups
-        // finish. No new calls enter the pipeline after this.
-        while self.inner.live_readers.load(Ordering::Acquire) > 0 {
+        // the draining flag and exits (one that is inside a handler, when
+        // that call has answered), a worker that was reading in an away
+        // shard's stead finishes its burst, and in-flight connection
+        // setups finish. No new calls enter the pipeline after this.
+        while self.inner.live_readers.load(Ordering::SeqCst) > 0 {
             if Instant::now() >= deadline {
                 self.shutdown(false);
                 return false;
@@ -768,11 +868,14 @@ impl Server {
         // timer, or on a handle a service still keeps) would keep the
         // whole server — registry, retry cache, registered pool — alive.
         self.inner.sched.close();
-        // And the reader shards blocked on their wake lists.
+        // And the Listener blocked in accept, and the reader shards
+        // blocked on their wake lists.
+        self.inner.listener_closer.close();
         for ready in &self.inner.reader_ready {
             ready.close();
         }
-        // Clear every shard's slot table. The slots hold the *other*
+        // Clear every shard's slot table (a table lock is never held
+        // across a handler, so this cannot wait on a call). The slots hold the *other*
         // `Arc<dyn Conn>` clones (the conn table below holds the first),
         // and stale-connection fast-fail depends on the server-side
         // transport state being released at stop — a `ReaderSlot`
@@ -836,35 +939,43 @@ impl std::fmt::Debug for Server {
     }
 }
 
-fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
-    while !inner.stop.load(Ordering::Acquire) && !inner.draining.load(Ordering::Acquire) {
-        // Reap setup threads whose connections have finished (or failed)
-        // bootstrap. Without this, a server that lives through N transient
-        // clients holds N parked JoinHandles (and their stacks) forever.
-        {
-            let mut threads = inner.setup_threads.lock();
-            if threads.iter().any(|t| t.is_finished()) {
-                let mut live = Vec::with_capacity(threads.len());
-                for t in threads.drain(..) {
-                    if t.is_finished() {
-                        let _ = t.join();
-                    } else {
-                        live.push(t);
-                    }
-                }
-                *threads = live;
+/// Join the setup threads whose connections have finished (or failed)
+/// bootstrap. Without this, a server that lives through N transient
+/// clients holds N parked JoinHandles (and their stacks) until `stop`.
+fn reap_setup_threads(inner: &ServerInner) {
+    let mut threads = inner.setup_threads.lock();
+    if threads.iter().any(|t| t.is_finished()) {
+        let mut live = Vec::with_capacity(threads.len());
+        for t in threads.drain(..) {
+            if t.is_finished() {
+                let _ = t.join();
+            } else {
+                live.push(t);
             }
         }
+        *threads = live;
+    }
+}
+
+/// The Listener *blocks* in accept: an idle one makes no timed wake-up
+/// but the [`IDLE_SLICE`] re-check every blocking loop here makes, a
+/// connect is accepted the moment it arrives, and `drain`/`stop` unbind
+/// the socket ([`ServerInner::listener_closer`]), which fails the accept
+/// at once.
+fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
+    while !inner.stop.load(Ordering::Acquire) && !inner.draining.load(Ordering::Acquire) {
         // Backlog backpressure: with `accept_backlog` setups already in
         // flight, stop accepting until one finishes. Pending connects
         // queue in the listener (bounded latency, like a TCP SYN queue),
-        // so a legitimate burst is absorbed rather than refused.
+        // so a legitimate burst is absorbed rather than refused. (A
+        // transient state, so it may poll.)
         if inner.setups_inflight.load(Ordering::Acquire) >= inner.cfg.accept_backlog {
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(BACKLOG_POLL);
             continue;
         }
-        match listener.try_accept() {
+        match listener.accept_timeout(IDLE_SLICE) {
             Ok(Some((stream, _peer))) => {
+                reap_setup_threads(&inner);
                 // Hard admission cap, *before* any resource is
                 // committed: past `max_connections` (live + in setup),
                 // answer with the 9-byte busy ack (version byte 0) and
@@ -887,7 +998,7 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                 // Counted before the spawn so `drain` can never observe
                 // "listener done, read side quiesced" while a setup is in
                 // flight; same for the backpressure gauge.
-                inner.live_readers.fetch_add(1, Ordering::AcqRel);
+                inner.live_readers.fetch_add(1, Ordering::SeqCst);
                 inner.setups_inflight.fetch_add(1, Ordering::AcqRel);
                 let inner2 = Arc::clone(&inner);
                 // Connection setup (handshake, and in RPCoIB mode the
@@ -956,8 +1067,8 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                     .expect("spawn conn setup");
                 inner.setup_threads.lock().push(handle);
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(1)),
-            Err(_) => break, // listener evicted (node killed)
+            Ok(None) => {}   // an idle slice (or an injected accept failure)
+            Err(_) => break, // unbound: `drain`/`stop`, or the node was killed
         }
     }
     inner.listener_done.store(true, Ordering::Release);
@@ -966,8 +1077,14 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
 /// What one bounded receive attempt on a ready connection produced.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ReadOutcome {
-    /// A frame was consumed (admitted, replayed, or rejected busy).
+    /// A frame was consumed (replayed, parked, or rejected busy).
     Frame,
+    /// A frame was consumed and its call pushed onto the admission queue
+    /// — and **nobody has been told yet**. From [`read_one`]: the call
+    /// just pushed. From [`service_token`]: additionally, the connection
+    /// has nothing more to read. Whoever receives this must run a pass of
+    /// the worker loop's body itself or `Sched::notify`.
+    Admitted,
     /// Nothing usable within [`READ_SLICE`] (e.g. only a flow-control
     /// credit was pending); the connection stays assigned.
     Idle,
@@ -1003,14 +1120,15 @@ struct ReaderState {
 /// slot, arm the transport's readiness hook, and deliver the no-lost-wake
 /// guarantee (probe `poll_ready` once *after* arming, catching input that
 /// arrived before the hook existed).
-fn adopt_registrations(
-    reg_rx: &Receiver<ShardConn>,
-    ready: &Arc<ReadyQueue>,
-    state: &mut ReaderState,
-    stats: &ShardStats,
-) {
-    while let Ok(sc) = reg_rx.try_recv() {
-        stats.conn_added();
+///
+/// The caller is the shard's owner or a worker taking over; the table
+/// lock serializes them.
+fn adopt_registrations(inner: &ServerInner, shard: usize) {
+    let ready = &inner.reader_ready[shard];
+    let mut state = inner.reader_state[shard].lock();
+    let state = &mut *state;
+    while let Ok(sc) = inner.reader_reg_rx[shard].try_recv() {
+        inner.reader_stats[shard].conn_added();
         let idx = match state.free.pop() {
             Some(idx) => idx,
             None => {
@@ -1035,21 +1153,24 @@ fn adopt_registrations(
     }
 }
 
-/// Service one popped (or stolen) wake token against shard `owner`'s
-/// connection table. The caller may be the owner or a stealing sibling;
-/// the table lock is held for the whole burst, which is what serializes
-/// reads per connection (and per shard) no matter who services it.
+/// Service one wake token against shard `owner`'s connection table. The
+/// caller is the owner, or a worker that took the token over while the
+/// owner is away; the table lock is held for the whole burst, which is
+/// what serializes reads per connection (and per shard) no matter who
+/// services it. No call is ever run from in here.
 ///
-/// `actor_stats` books the work (frames processed, busy rejections) on
-/// whichever shard actually did it; connection lifecycle (the conn
-/// gauge) always lands on the *owner*, which adopted the connection.
-fn service_token(
-    inner: &Arc<ServerInner>,
-    owner: usize,
-    tok: u64,
-    actor_stats: &ShardStats,
-) -> ReadOutcome {
+/// Everything is booked on the *owner*'s counters — frames, busy
+/// rejections, the conn gauge — so per-shard `processed` stays a function
+/// of which connections a shard was dealt, not of who happened to read.
+///
+/// Every call admitted is announced with `Sched::notify` as soon as it is
+/// known not to be the burst's last: a gathered batch is handed to the
+/// workers exactly as it always was. The last one is announced too if the
+/// connection still has input; if it has none, the outcome is
+/// [`ReadOutcome::Admitted`] and the announcement is the caller's.
+fn service_token(inner: &Arc<ServerInner>, owner: usize, tok: u64) -> ReadOutcome {
     let fair = inner.admission.fair();
+    let stats = &inner.reader_stats[owner];
     let mut state = inner.reader_state[owner].lock();
     let idx = token_slot(tok);
     if idx >= state.slots.len() || state.gens[idx] != token_gen(tok) || state.slots[idx].is_none() {
@@ -1079,9 +1200,13 @@ fn service_token(
             if !slot.sc.conn.transport.poll_ready() {
                 break;
             }
-            outcome = read_one(inner, &mut slot.sc, actor_stats);
+            if outcome == ReadOutcome::Admitted {
+                // Not the last of its burst: a worker's.
+                inner.sched.notify();
+            }
+            outcome = read_one(inner, &mut slot.sc, stats);
             match outcome {
-                ReadOutcome::Frame => {}
+                ReadOutcome::Frame | ReadOutcome::Admitted => {}
                 ReadOutcome::Idle | ReadOutcome::Forfeit | ReadOutcome::Shutdown => break,
             }
         }
@@ -1092,7 +1217,7 @@ fn service_token(
             let slot = state.slots[idx].take().expect("checked above");
             slot.sc.conn.transport.close();
             inner.conns.lock().remove(&slot.sc.conn.id);
-            inner.reader_stats[owner].conn_removed();
+            stats.conn_removed();
             // Reap the wake token: bump the generation first, so the
             // token the `close()` above just (re-)queued — and any
             // other stale one — can never index this slot's next
@@ -1101,13 +1226,17 @@ fn service_token(
             state.free.push(idx);
         }
         ReadOutcome::Shutdown => {}
-        ReadOutcome::Frame | ReadOutcome::Idle => {
+        ReadOutcome::Frame | ReadOutcome::Admitted | ReadOutcome::Idle => {
             // Level-trigger re-arm: if input remains (a burst larger
             // than the budget, a stashed verbs frame, sticky EOF),
             // requeue at the back of the wake list.
             let slot = state.slots[idx].as_ref().expect("checked above");
             if slot.sc.conn.transport.poll_ready() {
                 slot.wake.wake();
+                if outcome == ReadOutcome::Admitted {
+                    inner.sched.notify();
+                    return ReadOutcome::Frame;
+                }
             }
         }
     }
@@ -1122,20 +1251,12 @@ fn service_token(
 /// of the queue, giving round-robin service among ready connections while
 /// idle ones cost nothing at all.
 ///
-/// With `reader_steal` on, a shard that finds its own queue empty visits
-/// its siblings' queues and steals the *newest* ready token from the
-/// first non-empty one, servicing the stolen connection under its
-/// owner's table lock — so a hot shard's backlog drains at the speed of
-/// every idle shard, not just its own.
-fn reader_shard_loop(
-    inner: &Arc<ServerInner>,
-    shard: usize,
-    reg_rx: Receiver<ShardConn>,
-    ready: Arc<ReadyQueue>,
-) {
-    let stats = Arc::clone(&inner.reader_stats[shard]);
-    let steal = inner.cfg.reader_steal && inner.reader_ready.len() > 1;
-    let pop_slice = if steal { STEAL_POLL } else { IDLE_SLICE };
+/// A burst that ends on an admitted call with nothing behind it — the
+/// lone closed-loop call — is not handed to a worker: if the wake list
+/// has nothing more for it either, the shard runs a call itself
+/// ([`run_in_place`]).
+fn reader_shard_loop(inner: &Arc<ServerInner>, shard: usize) {
+    let ready = &inner.reader_ready[shard];
     let mut last_sweep = Instant::now();
     while !inner.stop.load(Ordering::Acquire) && !inner.draining.load(Ordering::Acquire) {
         // Low-frequency liveness sweep: a peer that dies without closing
@@ -1159,40 +1280,142 @@ fn reader_shard_loop(
         // The timeout is only a belt-and-suspenders re-check of the stop
         // flags; `drain`/`stop` close the queue, which wakes this pop
         // immediately.
-        let tok = match ready.pop(pop_slice) {
+        let tok = match ready.pop(IDLE_SLICE) {
             Pop::Token(tok) => tok,
-            Pop::TimedOut => {
-                if steal {
-                    // Own queue idle: take the newest token off the
-                    // first hot sibling and service it in their stead.
-                    let n = inner.reader_ready.len();
-                    for off in 1..n {
-                        let victim = (shard + off) % n;
-                        if let Some(tok) = inner.reader_ready[victim].steal() {
-                            stats.inc_steal();
-                            if service_token(inner, victim, tok, &stats) == ReadOutcome::Shutdown {
-                                return;
-                            }
-                            break;
-                        }
-                    }
-                }
-                continue;
-            }
+            Pop::TimedOut => continue,
             Pop::Closed => break,
         };
         if tok == TOKEN_REGISTER {
-            let mut state = inner.reader_state[shard].lock();
-            adopt_registrations(&reg_rx, &ready, &mut state, &stats);
+            adopt_registrations(inner, shard);
             continue;
         }
-        if service_token(inner, shard, tok, &stats) == ReadOutcome::Shutdown {
-            break;
+        match service_token(inner, shard, tok) {
+            ReadOutcome::Shutdown => break,
+            ReadOutcome::Admitted => {
+                if !run_in_place(inner, shard) {
+                    inner.sched.notify();
+                }
+            }
+            ReadOutcome::Frame | ReadOutcome::Idle | ReadOutcome::Forfeit => {}
         }
     }
     // On stop or drain the assigned connections stay open and in the
     // table — a draining server still owes them responses, and `stop()`
     // closes the whole table itself.
+}
+
+/// The reader takes an idle worker's place: the heart of a worker pass
+/// ([`pop_and_poll`]) — pop whichever call the admission queue hands out
+/// (after `try_push`, so quota, class, DRR order and deadline shedding are
+/// the queued path's by construction), answer the shed ones, poll the
+/// popped one on this stack — where it would have woken a worker to do
+/// the same.
+/// `false` = it did not, and the caller announces the call instead.
+///
+/// * **Instead of a worker, not beside them:** only under a run permit
+///   (never more than `cfg.handlers` calls execute, whichever threads
+///   run them), below the in-flight cap, and not once the server is
+///   draining or stopping.
+/// * **Only with nothing else to read:** the burst is over (the caller
+///   got [`ReadOutcome::Admitted`]) and the shard's wake list is empty
+///   ([`ReadyQueue::try_leave`]).
+/// * **Away, and taken over:** this runs outside the shard's table lock,
+///   with the wake list marked *away*, so anything arriving for the
+///   shard meanwhile wakes an idle worker, which reads it ([`take_over`])
+///   — and one exists: a permit held here is a worker that cannot be
+///   executing. A handler may therefore block without deafening its
+///   shard.
+///
+/// A poll that suspends goes to the injector for a worker to resume; a
+/// reader has no run queue.
+fn run_in_place(inner: &Arc<ServerInner>, shard: usize) -> bool {
+    let sched = &inner.sched;
+    let cap = inner.cfg.max_inflight_calls;
+    if inner.draining.load(Ordering::Acquire)
+        || inner.stop.load(Ordering::Acquire)
+        || (cap != 0 && sched.inflight() >= cap)
+        || !sched.try_permit()
+    {
+        return false;
+    }
+    let ready = &inner.reader_ready[shard];
+    if !ready.try_leave() {
+        sched.release_permit(false);
+        return false;
+    }
+    pop_and_poll(inner, inner.now_ns(), Runner::Reader(shard));
+    // This thread goes back to reading: whatever is still queued needs a
+    // worker, and one that found no permit may be asleep.
+    sched.release_permit(!inner.admission.is_empty());
+    ready.come_back();
+    true
+}
+
+/// Whose stack a call's first poll runs on.
+#[derive(Clone, Copy)]
+enum Runner {
+    Worker(usize),
+    /// A reader shard, holding a permit in an idle worker's place.
+    Reader(usize),
+}
+
+/// The heart of a worker pass, under a run permit: pop the admission
+/// queue at `now` — expired heads are answered without execution, that
+/// is the whole point of deadline propagation — and poll the popped call
+/// for the first time right here, on the caller's stack. `true` if
+/// anything was popped.
+fn pop_and_poll(inner: &Arc<ServerInner>, now: u64, runner: Runner) -> bool {
+    let popped = inner.admission.try_pop(now);
+    let worked = !popped.is_empty();
+    for (meta, call) in popped.shed {
+        shed_call(inner, meta, call);
+    }
+    if let Some((meta, call)) = popped.run {
+        let frame = call_frame(inner, meta, call);
+        match runner {
+            Runner::Worker(worker) => inner.sched.run_first(worker, now, frame),
+            // Parks are booked on a worker row; the shard's index picks it.
+            Runner::Reader(shard) => {
+                let seat = shard % inner.worker_stats.len();
+                inner.sched.run_first_foreign(seat, now, frame)
+            }
+        }
+    }
+    worked
+}
+
+/// A worker's reading step: service one token (or registration) from
+/// each shard whose owner is away running a call. It only reads and
+/// pushes — the calls it admits it meets again in its own loop, under a
+/// permit like any other — so with every permit taken an away shard is
+/// still read, queued for and refused for. Counted a reader while at it,
+/// so that `drain` waits for it; nobody takes over once `draining` is set.
+fn take_over(inner: &Arc<ServerInner>, worker: usize) -> bool {
+    if !inner.reader_ready.iter().any(|ready| ready.is_away()) {
+        return false;
+    }
+    inner.live_readers.fetch_add(1, Ordering::SeqCst);
+    let _reading = CountGuard(&inner.live_readers);
+    if inner.draining.load(Ordering::SeqCst) || inner.stop.load(Ordering::Acquire) {
+        return false;
+    }
+    let mut took = false;
+    for (victim, ready) in inner.reader_ready.iter().enumerate() {
+        let Some(tok) = ready.take_over() else {
+            continue;
+        };
+        took = true;
+        inner.worker_stats[worker].inc_steal();
+        if tok == TOKEN_REGISTER {
+            adopt_registrations(inner, victim);
+        } else {
+            // An `Admitted` needs no notify: this worker's own pass pops
+            // next, and if no permit is free, nobody could run it anyway
+            // — whoever frees one looks at the queue.
+            service_token(inner, victim, tok);
+        }
+    }
+    took
 }
 
 /// Receive and admit one frame from a ready connection. This is the body
@@ -1272,8 +1495,9 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
     };
     inner.open_work.fetch_add(1, Ordering::AcqRel);
     match inner.admission.try_push(meta, call) {
-        // The queue has no blocking consumer: wake an idle worker.
-        Ok(()) => inner.sched.notify(),
+        // The queue has no blocking consumer, so somebody must be told —
+        // or do the popping: the caller's decision.
+        Ok(()) => return ReadOutcome::Admitted,
         Err((AdmitError::QueueFull | AdmitError::TenantOverQuota, _call)) => {
             // Overload (shared queue full, or this tenant over its
             // quota): reject instead of blocking the shard (which would
@@ -1285,10 +1509,9 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
             // Duplicates that parked in the begin/try_push window
             // (another connection of the same client) get the same busy
             // answer; the entry is gone so a retry can execute.
-            let bytes = Arc::new(BUSY_BODY.to_vec());
             let own = RespRoute::new(Arc::clone(conn), &header);
             for route in std::iter::once(own).chain(inner.retry_cache.abort(cache_key)) {
-                inner.enqueue_response(route, Arc::clone(&bytes), false);
+                inner.enqueue_response(route, Arc::clone(&inner.busy_body), false);
             }
         }
         Err((AdmitError::Closed, _call)) => {
@@ -1300,16 +1523,19 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
     ReadOutcome::Frame
 }
 
-/// One handler worker. Each pass: fire due timers; pop the admission
-/// queue — expired heads are answered without execution, that is the
-/// whole point of deadline propagation — and poll the popped call for
-/// the first time right here, on this stack ([`Sched::run_first`]); then
-/// run one suspended call that is runnable again — own queue first, then
-/// the injector, then stealing. Admission precedes the task so a
-/// yield-spinning call can never starve new arrivals; the in-flight cap
-/// (`cfg.max_inflight_calls`) pauses admission — backpressure into the
-/// bounded queue, not rejection — while parked calls pile up. A pass
-/// that found nothing sleeps on the runtime's idle wait.
+/// One handler worker. Each pass: fire due timers; read for any shard
+/// whose owner is away ([`take_over`] — needs no permit); then, under a
+/// run permit, pop the admission queue and poll the popped call for the
+/// first time right here, on this stack ([`pop_and_poll`]), and run one
+/// suspended call that is runnable
+/// again — own queue first, then the injector, then stealing. Admission
+/// precedes the task so a yield-spinning call can never starve new
+/// arrivals; the in-flight cap (`cfg.max_inflight_calls`) pauses
+/// admission — backpressure into the bounded queue, not rejection — while
+/// parked calls pile up. A pass that found nothing — or no permit: a
+/// reader shard is running in this worker's place — sleeps on the
+/// runtime's idle wait; whoever pushes a call, wakes a task, pushes onto
+/// an away shard or returns a permit beside waiting work notifies.
 fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
     let sched = &inner.sched;
     let cap = inner.cfg.max_inflight_calls;
@@ -1319,20 +1545,17 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
         let epoch = sched.wake_epoch();
         let now = inner.now_ns();
         sched.fire_timers(now);
-        let mut worked = false;
-        if cap == 0 || sched.inflight() < cap {
-            let popped = inner.admission.try_pop(now);
-            worked = !popped.is_empty();
-            for (meta, call) in popped.shed {
-                shed_call(&inner, meta, call);
+        let mut worked = take_over(&inner, worker);
+        if sched.try_permit() {
+            if cap == 0 || sched.inflight() < cap {
+                worked |= pop_and_poll(&inner, now, Runner::Worker(worker));
             }
-            if let Some((meta, call)) = popped.run {
-                sched.run_first(worker, now, call_frame(&inner, meta, call));
+            if let Some(task) = sched.next_task(worker) {
+                sched.run(worker, task, inner.now_ns());
+                worked = true;
             }
-        }
-        if let Some(task) = sched.next_task(worker) {
-            sched.run(worker, task, inner.now_ns());
-            worked = true;
+            // This worker looks at the admission queue again itself.
+            sched.release_permit(false);
         }
         if worked {
             continue;
@@ -1341,8 +1564,7 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
             return;
         }
         // Sleep until the next timer deadline (a `park_until` must not
-        // oversleep), a notify (new call, external wake), or the idle
-        // slice.
+        // oversleep), a notify, or the idle slice.
         let timeout = match sched.next_timer_ns() {
             Some(at) => {
                 Duration::from_nanos(at.saturating_sub(inner.now_ns()).max(1)).min(IDLE_SLICE)
@@ -1398,7 +1620,7 @@ fn call_frame(
         let body = inner.serialize_response(c.header.key, &result);
         handler_ns += poll_start.elapsed().as_nanos() as u64;
         entry.record_phase(Phase::Handler, handler_ns);
-        inner.respond(c, body);
+        inner.respond(c, Arc::new(body));
         inner.admission.release(meta.tenant);
         Step::Done
     }
@@ -1412,7 +1634,7 @@ fn shed_call(inner: &Arc<ServerInner>, meta: CallMeta, call: RawCall) {
     inner.metrics.inc_deadline_sheds_for(meta.tenant);
     // The queue already returned the tenant's quota slot when it shed the
     // call, so unlike an executed call there is nothing to release.
-    inner.respond(call, EXPIRED_BODY.to_vec());
+    inner.respond(call, Arc::clone(&inner.expired_body));
 }
 
 /// Most responses one responder sweep drains before sending. Bounds the

@@ -4,11 +4,12 @@
 //! both transports and see the same `HandlerCx` whether a poll ran
 //! inline or as a task, a stopped server must let go of every suspended
 //! call, protocol-priority classes must keep heartbeats ahead of a bulk
-//! flood, and the reader-shard work-stealing and burst-decode paths must
-//! preserve per-connection correctness.
+//! flood, and the burst-decode and shard-takeover paths (a worker reads
+//! for a shard whose owner is inside a handler) must preserve
+//! per-connection correctness.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -188,8 +189,10 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 // ---------------------------------------------------------------------
 
 /// A lone call round-trips on both transports, and the per-worker shard
-/// counters surface in the server snapshot — a call that never suspends
-/// is still booked on the worker that ran it.
+/// counters surface in the server snapshot. (A lone call that never
+/// suspends runs on the reader shard that read it and is booked on no
+/// worker — `run_discipline.rs` pins that; one that suspends is resumed,
+/// and booked, by a worker.)
 #[test]
 fn lone_echo_round_trips_on_both_transports() {
     let _wd = watchdog(
@@ -207,9 +210,14 @@ fn lone_echo_round_trips_on_both_transports() {
             "transport {label}"
         );
         assert_eq!(worker_sum(&server, |_| 1), 4, "{label}: one row per worker");
+        assert_eq!(
+            echo(&client, addr, "mn.ParkEcho", "park_ms", vec![1, 7]),
+            vec![1, 7],
+            "transport {label}"
+        );
         // The response races the worker's own post-poll bookkeeping by a
         // few instructions; poll briefly instead of reading once.
-        wait_until("the call to count on a worker", || {
+        wait_until("the resumed call to count on a worker", || {
             worker_sum(&server, |s| s.processed) >= 1
         });
         client.shutdown();
@@ -687,21 +695,72 @@ fn gathered_bursts_decode_correctly() {
     }
 }
 
-/// With `reader_steal` on, an idle reader shard drains a hot sibling:
-/// pin the flood onto the connections of one shard (found empirically
-/// via the per-shard `processed` counter) and assert the other shard's
-/// steal counter moves while every response stays correct.
+/// `echo` answers at once; `hold` notes the thread it runs on and blocks
+/// there until the test lets go.
+#[derive(Default)]
+struct HoldEcho {
+    held_on: Mutex<Option<String>>,
+    released: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl HoldEcho {
+    fn release(&self) {
+        *self.released.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+}
+
+/// Releases the held call when dropped, so a failed assertion unwinds
+/// into a server that can stop.
+struct ReleaseOnDrop(Arc<HoldEcho>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+impl RpcService for HoldEcho {
+    fn protocol(&self) -> &'static str {
+        "mn.HoldEcho"
+    }
+
+    fn call(&self, method: &str, param: &mut dyn DataInput) -> Reply {
+        let mut b = BytesWritable::default();
+        b.read_fields(param).map_err(|e| e.to_string())?;
+        if method == "hold" {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            *self.held_on.lock().unwrap() = Some(name);
+            self.cv.notify_all();
+            let mut released = self.released.lock().unwrap();
+            while !*released {
+                released = self.cv.wait(released).unwrap();
+            }
+        }
+        Ok(Box::new(b))
+    }
+}
+
+/// A shard whose owner is inside a handler is drained by an idle worker:
+/// a lone `hold` call runs on the reader shard that read it and blocks
+/// there; the flood is then pinned onto the *other* connections of that
+/// same shard (found empirically via the per-shard `processed` counter).
+/// Every one of its calls can only have been read by a worker taking the
+/// shard over — the workers' steal counters move — and every response
+/// must still be the right one.
 #[test]
-fn reader_steal_drains_a_hot_sibling() {
+fn a_shard_whose_owner_is_in_a_handler_is_drained_by_a_worker() {
     let _wd = watchdog(
-        "reader_steal_drains_a_hot_sibling",
+        "a_shard_whose_owner_is_in_a_handler_is_drained_by_a_worker",
         Duration::from_secs(120),
     );
     let fabric = Fabric::new(model::IB_QDR_VERBS);
     let mut cfg = RpcConfig::rpcoib();
     cfg.reader_shards = 2;
-    cfg.reader_steal = true;
-    let (server, addr) = start(&fabric, &cfg, vec![Arc::new(ParkEcho)]);
+    let service = Arc::new(HoldEcho::default());
+    let (server, addr) = start(&fabric, &cfg, vec![Arc::clone(&service)]);
+    let _release = ReleaseOnDrop(Arc::clone(&service));
 
     // Probe each client's shard: one ping, then see whose `processed`
     // moved.
@@ -718,7 +777,7 @@ fn reader_steal_drains_a_hot_sibling() {
     for _ in 0..6 {
         let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
         let before = shard_processed(&server);
-        echo(&client, addr, "mn.ParkEcho", "echo", vec![1, 2, 3]);
+        echo(&client, addr, "mn.HoldEcho", "echo", vec![1, 2, 3]);
         let after = shard_processed(&server);
         if after[0] > before[0] {
             hot.push(client);
@@ -727,54 +786,65 @@ fn reader_steal_drains_a_hot_sibling() {
         }
     }
     assert!(
-        hot.len() >= 2,
-        "conn placement should land >=2 of 6 clients on shard 0, got {}",
+        hot.len() >= 3,
+        "conn placement should land >=3 of 6 clients on shard 0, got {}",
         hot.len()
     );
 
-    // Flood shard 0 only (4 pipelining threads per hot connection);
-    // shard 1 idles and must start stealing.
-    let stop = Arc::new(AtomicBool::new(false));
+    // Shard 0's owner goes into a handler and stays there.
+    let holder = hot.pop().unwrap();
+    let held = {
+        let holder = holder.clone();
+        std::thread::spawn(move || echo(&holder, addr, "mn.HoldEcho", "hold", vec![9]))
+    };
+    {
+        let mut held_on = service.held_on.lock().unwrap();
+        while held_on.is_none() {
+            held_on = service.cv.wait(held_on).unwrap();
+        }
+        let name = held_on.as_deref().unwrap();
+        assert!(
+            name.starts_with("rpc-reader-"),
+            "a lone call should run on the shard that read it, ran on {name:?}"
+        );
+    }
+    let steals_before = worker_sum(&server, |s| s.steals);
+    let frames_before = shard_processed(&server);
+
+    // Flood shard 0 only (4 pipelining threads per hot connection).
+    const CALLS: usize = 50;
     let hot = Arc::new(hot);
     let handles: Vec<_> = (0..hot.len() * 4)
         .map(|t| {
-            let stop = Arc::clone(&stop);
             let hot = Arc::clone(&hot);
             std::thread::spawn(move || {
                 let client = &hot[t % hot.len()];
-                let mut i = 0usize;
-                while !stop.load(Ordering::Acquire) {
+                for i in 0..CALLS {
                     let body = vec![(t * 31 + i) as u8; 512];
                     let resp: BytesWritable = client
-                        .call(addr, "mn.ParkEcho", "echo", &BytesWritable(body.clone()))
+                        .call(addr, "mn.HoldEcho", "echo", &BytesWritable(body.clone()))
                         .expect("flood call");
                     assert_eq!(resp.0, body);
-                    i += 1;
                 }
             })
         })
         .collect();
-
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut steals = 0u64;
-    while Instant::now() < deadline {
-        steals = server
-            .metrics_snapshot()
-            .shards
-            .iter()
-            .filter(|s| s.role == ShardRole::Reader)
-            .map(|s| s.steals)
-            .sum();
-        if steals >= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    stop.store(true, Ordering::Release);
+    let flood = handles.len() * CALLS;
     for h in handles {
         h.join().unwrap();
     }
-    assert!(steals >= 1, "the idle shard never stole from the hot one");
+    assert!(
+        worker_sum(&server, |s| s.steals) > steals_before,
+        "no worker ever took the away shard over"
+    );
+    // Booked on the shard the connections were dealt to, whoever read.
+    let frames_after = shard_processed(&server);
+    assert_eq!(frames_after[0] - frames_before[0], flood as u64);
+    assert_eq!(frames_after[1], frames_before[1]);
+
+    service.release();
+    assert_eq!(held.join().unwrap(), vec![9]);
+    holder.shutdown();
     for client in hot.iter() {
         client.shutdown();
     }

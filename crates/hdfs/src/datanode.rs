@@ -11,7 +11,7 @@ use rpcoib::transport::rdma::RdmaConn;
 use rpcoib::transport::socket::SocketConn;
 use rpcoib::transport::Conn;
 use rpcoib::{Client, RpcError, RpcResult};
-use simnet::{SimAddr, SimListener};
+use simnet::{ListenerCloser, SimAddr, SimListener};
 use wire::{IntWritable, NullWritable};
 
 use crate::config::{HdfsConfig, HostNet};
@@ -56,6 +56,9 @@ struct DnState {
     pool: DataConnPool,
     blocks: Mutex<HashMap<u64, StoredBlock>>,
     stop: AtomicBool,
+    /// Unbinds the data port, which is what gets the acceptor out of its
+    /// blocking accept at `stop`.
+    acceptor: ListenerCloser,
 }
 
 /// A running DataNode.
@@ -86,6 +89,7 @@ impl DataNode {
             pool,
             blocks: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
+            acceptor: listener.closer(),
         });
 
         let mut threads = Vec::new();
@@ -167,6 +171,7 @@ impl DataNode {
             return;
         }
         self.state.rpc.shutdown();
+        self.state.acceptor.close();
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
@@ -234,10 +239,12 @@ fn heartbeat_loop(state: Arc<DnState>) {
     }
 }
 
+/// Blocks in accept — an idle DataNode polls nothing here; `stop` unbinds
+/// the port, which fails the accept at once.
 fn acceptor_loop(state: Arc<DnState>, listener: SimListener) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !state.stop.load(Ordering::Acquire) {
-        match listener.try_accept() {
+        match listener.accept_timeout(IDLE_SLICE) {
             Ok(Some((stream, _peer))) => {
                 let state2 = Arc::clone(&state);
                 let handle = std::thread::Builder::new()
@@ -256,7 +263,7 @@ fn acceptor_loop(state: Arc<DnState>, listener: SimListener) {
                     .expect("spawn xceiver");
                 handlers.push(handle);
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(1)),
+            Ok(None) => {}
             Err(_) => break,
         }
     }

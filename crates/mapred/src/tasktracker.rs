@@ -20,7 +20,7 @@ use rpcoib::transport::rdma::RdmaConn;
 use rpcoib::transport::socket::SocketConn;
 use rpcoib::transport::Conn;
 use rpcoib::{Client, RpcConfig, RpcError, RpcResult, RpcService, Server, ServiceRegistry};
-use simnet::{Cluster, Host, SimAddr, SimListener};
+use simnet::{Cluster, Host, ListenerCloser, SimAddr, SimListener};
 use wire::{BooleanWritable, DataInput, IntWritable, NullWritable, VLongWritable, Writable};
 
 use crate::config::MrConfig;
@@ -55,6 +55,9 @@ struct TtState {
     in_flight_maps: AtomicU32,
     in_flight_reduces: AtomicU32,
     stop: AtomicBool,
+    /// Unbinds the shuffle port, which is what gets the shuffle acceptor
+    /// out of its blocking accept at `stop`.
+    shuffle_closer: ListenerCloser,
 }
 
 /// The umbilical RPC service hosted for this tracker's tasks.
@@ -209,6 +212,7 @@ impl TaskTracker {
             in_flight_maps: AtomicU32::new(0),
             in_flight_reduces: AtomicU32::new(0),
             stop: AtomicBool::new(false),
+            shuffle_closer: shuffle_listener.closer(),
         });
 
         // Umbilical RPC server (a couple of handlers is plenty: its only
@@ -298,6 +302,7 @@ impl TaskTracker {
         self.state.jt_client.shutdown();
         self.state.umb_client.shutdown();
         self.state.dfs.shutdown();
+        self.state.shuffle_closer.close();
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
@@ -635,10 +640,12 @@ fn run_reduce_attempt(state: &Arc<TtState>, attempt: u64) -> RpcResult<()> {
     Ok(())
 }
 
+/// Blocks in accept — an idle tracker polls nothing here; `stop` unbinds
+/// the shuffle port, which fails the accept at once.
 fn shuffle_acceptor(state: Arc<TtState>, listener: SimListener) {
     let mut handlers = Vec::new();
     while !state.stop.load(Ordering::Acquire) {
-        match listener.try_accept() {
+        match listener.accept_timeout(IDLE_SLICE) {
             Ok(Some((stream, _))) => {
                 let state2 = Arc::clone(&state);
                 handlers.push(
@@ -666,7 +673,7 @@ fn shuffle_acceptor(state: Arc<TtState>, listener: SimListener) {
                         .expect("spawn shuffle conn"),
                 );
             }
-            Ok(None) => std::thread::sleep(Duration::from_millis(1)),
+            Ok(None) => {}
             Err(_) => break,
         }
     }

@@ -178,7 +178,10 @@ pub(crate) struct FabricInner {
     pub(crate) accept_failures: Mutex<HashMap<SimAddr, u32>>,
     /// State of the deterministic fault RNG (drop coins, jitter samples).
     pub(crate) fault_rng: Mutex<u64>,
-    pub(crate) listeners: Mutex<HashMap<SimAddr, Sender<PendingConn>>>,
+    /// Bound listeners: the binding's id (a rebind of the same address
+    /// gets a new one) and the sender connects are handed to.
+    pub(crate) listeners: Mutex<HashMap<SimAddr, (u64, Sender<PendingConn>)>>,
+    pub(crate) next_listener_id: AtomicU64,
     /// Each queue pair's completion inbox plus the wake slot its receiver
     /// may have armed; senders fire the slot after posting a completion.
     pub(crate) qps: Mutex<HashMap<u64, QpSlot>>,
@@ -209,6 +212,7 @@ impl Fabric {
                 accept_failures: Mutex::new(HashMap::new()),
                 fault_rng: Mutex::new(0x9e37_79b9_7f4a_7c15),
                 listeners: Mutex::new(HashMap::new()),
+                next_listener_id: AtomicU64::new(0),
                 qps: Mutex::new(HashMap::new()),
                 mrs: Mutex::new(HashMap::new()),
                 next_node: AtomicU32::new(0),
@@ -255,6 +259,17 @@ impl Fabric {
             .listeners
             .lock()
             .retain(|addr, _| addr.node != node);
+    }
+
+    /// Remove binding `id` of `addr` — and only that one: a listener that
+    /// was evicted (its node killed) must not, when it is finally closed
+    /// or dropped, unbind the successor bound there after the node's
+    /// revival. Dropping the sender is what wakes a blocked accept.
+    pub(crate) fn unbind(&self, addr: SimAddr, id: u64) {
+        let mut listeners = self.inner.listeners.lock();
+        if listeners.get(&addr).is_some_and(|(bound, _)| *bound == id) {
+            listeners.remove(&addr);
+        }
     }
 
     /// Bring a previously killed node back (it must re-bind its listeners).

@@ -71,7 +71,7 @@ pub use fabric::{Fabric, FabricStats, NodeId, SimAddr, WakeSlot};
 pub use faults::FaultSpec;
 pub use hw::{hw_scope, in_hw_scope};
 pub use model::NetworkModel;
-pub use stream::{SimListener, SimStream};
+pub use stream::{ListenerCloser, SimListener, SimStream};
 pub use time::{fast_forward, set_fast_forward};
 pub use topology::{Cluster, Host};
 pub use verbs::{

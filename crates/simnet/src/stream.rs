@@ -131,7 +131,7 @@ impl SimStream {
             .listeners
             .lock()
             .get(&remote)
-            .cloned()
+            .map(|(_, tx)| tx.clone())
             .ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::ConnectionRefused,
@@ -526,6 +526,8 @@ fn ephemeral_port(fabric: &Fabric) -> u16 {
 pub struct SimListener {
     fabric: Fabric,
     addr: SimAddr,
+    /// Which binding of `addr` this is (see [`Fabric::unbind`]).
+    id: u64,
     incoming: Receiver<PendingConn>,
 }
 
@@ -543,11 +545,16 @@ impl SimListener {
                 format!("{addr} already bound"),
             ));
         }
-        listeners.insert(addr, tx);
+        let id = fabric
+            .inner
+            .next_listener_id
+            .fetch_add(1, Ordering::Relaxed);
+        listeners.insert(addr, (id, tx));
         drop(listeners);
         Ok(SimListener {
             fabric: fabric.clone(),
             addr,
+            id,
             incoming: rx,
         })
     }
@@ -560,88 +567,98 @@ impl SimListener {
     /// Block until a peer connects; returns the stream and the peer address.
     pub fn accept(&self) -> io::Result<(SimStream, SimAddr)> {
         loop {
-            if self.fabric.is_dead(self.addr.node) {
-                return Err(io::Error::new(io::ErrorKind::NotConnected, "node is down"));
+            if let Some(accepted) = self.accept_timeout(FAILURE_POLL)? {
+                return Ok(accepted);
             }
-            match self.incoming.recv_timeout(FAILURE_POLL) {
-                Ok(pending) => {
-                    // Injected accept failure: drop the connection on the
-                    // floor — the peer's connect already succeeded, so it
-                    // discovers the breakage only on its first I/O.
-                    if self.fabric.take_accept_failure(self.addr) {
-                        continue;
-                    }
-                    let peer = pending.peer_addr;
-                    let stream = SimStream {
-                        inner: Arc::new(StreamInner {
-                            fabric: self.fabric.clone(),
-                            local: self.addr,
-                            peer,
-                            tx: Mutex::new(Some(pending.to_peer)),
-                            rx: Mutex::new(RxState {
-                                rx: pending.from_peer,
-                                leftover: VecDeque::new(),
-                                peeked: None,
-                                eof: false,
-                            }),
-                            read_timeout: Mutex::new(None),
-                            read_wake: pending.read_wake,
-                            peer_wake: pending.peer_wake,
-                        }),
-                    };
-                    return Ok((stream, peer));
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotConnected,
-                        "listener evicted",
-                    ))
-                }
-            }
+        }
+    }
+
+    /// Block until a peer connects, for at most `timeout`: `Ok(None)` when
+    /// none did. Returns `Err` at once when the listener is unbound under
+    /// it — its node killed, or [`ListenerCloser::close`] — so a thread
+    /// parked here needs no poll to be stopped.
+    pub fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<(SimStream, SimAddr)>> {
+        if self.fabric.is_dead(self.addr.node) {
+            return Err(io::Error::new(io::ErrorKind::NotConnected, "node is down"));
+        }
+        match self.incoming.recv_timeout(timeout) {
+            Ok(pending) => Ok(self.establish(pending)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(evicted()),
         }
     }
 
     /// Non-blocking accept: `Ok(None)` when no connection is pending.
     pub fn try_accept(&self) -> io::Result<Option<(SimStream, SimAddr)>> {
         match self.incoming.try_recv() {
-            Ok(pending) => {
-                if self.fabric.take_accept_failure(self.addr) {
-                    drop(pending);
-                    return Ok(None);
-                }
-                let peer = pending.peer_addr;
-                let stream = SimStream {
-                    inner: Arc::new(StreamInner {
-                        fabric: self.fabric.clone(),
-                        local: self.addr,
-                        peer,
-                        tx: Mutex::new(Some(pending.to_peer)),
-                        rx: Mutex::new(RxState {
-                            rx: pending.from_peer,
-                            leftover: VecDeque::new(),
-                            peeked: None,
-                            eof: false,
-                        }),
-                        read_timeout: Mutex::new(None),
-                        read_wake: pending.read_wake,
-                        peer_wake: pending.peer_wake,
-                    }),
-                };
-                Ok(Some((stream, peer)))
-            }
+            Ok(pending) => Ok(self.establish(pending)),
             Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "listener evicted",
-            )),
+            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(evicted()),
         }
+    }
+
+    /// Turn a pending connect into the accepted end of the stream — or
+    /// into nothing, on an injected accept failure: the connection is
+    /// dropped on the floor, and the peer, whose connect already
+    /// succeeded, discovers the breakage only on its first I/O.
+    fn establish(&self, pending: PendingConn) -> Option<(SimStream, SimAddr)> {
+        if self.fabric.take_accept_failure(self.addr) {
+            return None;
+        }
+        let peer = pending.peer_addr;
+        let stream = SimStream {
+            inner: Arc::new(StreamInner {
+                fabric: self.fabric.clone(),
+                local: self.addr,
+                peer,
+                tx: Mutex::new(Some(pending.to_peer)),
+                rx: Mutex::new(RxState {
+                    rx: pending.from_peer,
+                    leftover: VecDeque::new(),
+                    peeked: None,
+                    eof: false,
+                }),
+                read_timeout: Mutex::new(None),
+                read_wake: pending.read_wake,
+                peer_wake: pending.peer_wake,
+            }),
+        };
+        Some((stream, peer))
+    }
+
+    /// A handle that unbinds this listener from another thread.
+    pub fn closer(&self) -> ListenerCloser {
+        ListenerCloser {
+            fabric: self.fabric.clone(),
+            addr: self.addr,
+            id: self.id,
+        }
+    }
+}
+
+fn evicted() -> io::Error {
+    io::Error::new(io::ErrorKind::NotConnected, "listener evicted")
+}
+
+/// Unbinds one particular [`SimListener`] — not whatever is bound at its
+/// address by then — so that a thread blocked in its `accept` returns
+/// `Err` immediately and later connects are refused. How a server stops
+/// its accept thread without having it poll.
+pub struct ListenerCloser {
+    fabric: Fabric,
+    addr: SimAddr,
+    id: u64,
+}
+
+impl ListenerCloser {
+    pub fn close(&self) {
+        self.fabric.unbind(self.addr, self.id);
     }
 }
 
 impl Drop for SimListener {
     fn drop(&mut self) {
-        self.fabric.inner.listeners.lock().remove(&self.addr);
+        self.fabric.unbind(self.addr, self.id);
     }
 }
 

@@ -148,9 +148,11 @@ fn elasticity() {
     let parks: u64 = workers.iter().map(|s| s.parks).sum();
     let wakes: u64 = workers.iter().map(|s| s.wakes).sum();
     assert_eq!(workers.len(), 2, "one counter row per handler");
+    // (The lone fast pings mostly run on the reader shard that read
+    // them and are booked on no worker.)
     assert!(
-        processed >= (PARKED + fast as usize) as u64,
-        "parked and inline completions are both booked on workers (saw {processed})"
+        processed >= PARKED as u64,
+        "every resumed call completes, and is booked, on a worker (saw {processed})"
     );
     assert!(
         parks >= PARKED as u64,

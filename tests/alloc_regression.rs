@@ -23,9 +23,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use rpcoib::{Client, RpcConfig, RpcService, Server, ServiceRegistry};
+use rpcoib::{Client, RetryPolicy, RpcConfig, RpcError, RpcService, Server, ServiceRegistry};
 use simnet::{model, Fabric};
 use wire::{BytesWritable, DataInput, IntWritable, Writable};
 
@@ -42,6 +42,10 @@ static PROCESS_COUNTING: AtomicBool = AtomicBool::new(false);
 static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static PROCESS_BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BIG_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// ...and how many asked for exactly `EXACT_BYTES` (the allocator rounds
+/// nothing: a one-byte `Vec` asks for one byte).
+static PROCESS_EXACT_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static EXACT_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 fn note_alloc(size: usize) {
     // `try_with`, not `with`: the allocator runs during TLS setup and
@@ -55,6 +59,9 @@ fn note_alloc(size: usize) {
         PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
         if size >= BIG_BYTES.load(Ordering::Relaxed) {
             PROCESS_BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        if size == EXACT_BYTES.load(Ordering::Relaxed) {
+            PROCESS_EXACT_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -324,6 +331,139 @@ fn refused_peer_makes_the_server_allocate_nothing_big() {
         });
         assert_eq!(server.metrics_snapshot().counters.frame_errors, 1);
         assert_eq!(big, 0, "a refused peer cost {big} allocations above 64 KiB");
+        server.stop();
+    }
+}
+
+/// A handler the test holds: `hold` blocks until released, so that one
+/// call occupies the server's one run permit and the next its one queue
+/// slot.
+#[derive(Default)]
+struct HoldService {
+    released: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl HoldService {
+    fn release(&self) {
+        *self.released.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+}
+
+/// Releases the held calls when dropped, so a failed assertion unwinds
+/// into a server that can stop.
+struct ReleaseOnDrop(Arc<HoldService>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+impl RpcService for HoldService {
+    fn protocol(&self) -> &'static str {
+        "test.AllocHold"
+    }
+    fn call(
+        &self,
+        _method: &str,
+        param: &mut dyn DataInput,
+    ) -> Result<Box<dyn Writable + Send>, String> {
+        let mut value = IntWritable::default();
+        value.read_fields(param).map_err(|e| e.to_string())?;
+        let mut released = self.released.lock().unwrap();
+        while !*released {
+            released = self.cv.wait(released).unwrap();
+        }
+        Ok(Box::new(value))
+    }
+}
+
+/// A server refuses work exactly when it has none to spare: a busy
+/// rejection must not build its (one-byte) body anew — the server holds
+/// it once and shares it. With the one permit and the one queue slot
+/// taken, 1 000 calls are each refused `ServerBusy`, and in all that time
+/// no thread of the process allocates anything the size of that body.
+/// (One `Vec` per rejection at a build that calls `BUSY_BODY.to_vec()`.)
+#[test]
+#[ignore = "tier-2: allocator-sensitive, run with --ignored"]
+fn busy_rejections_build_no_body() {
+    const REJECTIONS: u64 = 1_000;
+    let _serial = serial();
+    for (net, base) in [
+        (model::IPOIB_QDR, RpcConfig::socket()),
+        (model::IB_QDR_VERBS, RpcConfig::rpcoib()),
+    ] {
+        let fabric = Fabric::new(net);
+        let cfg = RpcConfig {
+            handlers: 1,
+            call_queue_len: 1,
+            reader_shards: 1,
+            retry: RetryPolicy::none(),
+            ..base
+        };
+        let service = Arc::new(HoldService::default());
+        let mut registry = ServiceRegistry::new();
+        registry.register(Arc::clone(&service) as Arc<dyn RpcService>);
+        let server =
+            Server::start(&fabric, fabric.add_node(), 8020, cfg.clone(), registry).unwrap();
+        let _release = ReleaseOnDrop(Arc::clone(&service));
+        let addr = server.addr();
+        let frames_read = || -> u64 {
+            let shards = server.metrics_snapshot().shards;
+            let readers = shards
+                .iter()
+                .filter(|s| s.role == rpcoib::ShardRole::Reader);
+            readers.map(|s| s.processed).sum()
+        };
+        let hold = |n: i32| {
+            let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+            std::thread::spawn(move || {
+                let got: IntWritable =
+                    client.call(addr, "test.AllocHold", "hold", &IntWritable(n))?;
+                client.shutdown();
+                Ok::<i32, RpcError>(got.0)
+            })
+        };
+        // One call executing, one queued behind it — in that order.
+        let mut held = Vec::new();
+        for n in 1..=2 {
+            held.push(hold(n));
+            while frames_read() < n as u64 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+
+        let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+        let refused =
+            || client.call::<_, IntWritable>(addr, "test.AllocHold", "hold", &IntWritable(0));
+        assert_eq!(refused().unwrap_err(), RpcError::ServerBusy, "warm-up");
+        let exact = {
+            EXACT_BYTES.store(rpcoib::frame::BUSY_BODY.len(), Ordering::Relaxed);
+            PROCESS_EXACT_ALLOCS.store(0, Ordering::Relaxed);
+            counted_process_wide(usize::MAX, || {
+                for _ in 0..REJECTIONS {
+                    assert_eq!(refused().unwrap_err(), RpcError::ServerBusy);
+                }
+            });
+            EXACT_BYTES.store(usize::MAX, Ordering::Relaxed);
+            PROCESS_EXACT_ALLOCS.load(Ordering::Relaxed)
+        };
+        assert_eq!(
+            server.metrics_snapshot().counters.busy_rejections,
+            REJECTIONS + 1
+        );
+        assert_eq!(
+            exact, 0,
+            "{REJECTIONS} busy rejections allocated {exact} buffers the size of a busy body"
+        );
+
+        service.release();
+        for (n, call) in held.into_iter().enumerate() {
+            assert_eq!(call.join().unwrap(), Ok(n as i32 + 1));
+        }
+        client.shutdown();
         server.stop();
     }
 }
