@@ -549,6 +549,14 @@ pub struct EngineCounters {
     pub retry_cache_evictions: u64,
     /// Completed retry-cache entries discarded because their TTL passed.
     pub retry_cache_expired: u64,
+    /// Response bodies serialized into a recycled buffer — one the retry
+    /// cache had let go of (or, cache off, one the server had just sent) —
+    /// at no allocation, and those that needed a fresh one (server side).
+    /// `reused / (reused + fresh)` is the pool's hit share: fresh ≈ 0 in
+    /// the evicting steady state, fresh ≈ all while a cache fills or when
+    /// a method's sizes wander across size classes.
+    pub resp_bodies_reused: u64,
+    pub resp_bodies_fresh: u64,
 }
 
 /// Registry of per-call-kind statistics. Cheap to clone and share.
@@ -773,6 +781,8 @@ struct MetricsInner {
     retry_cache_parked: AtomicU64,
     retry_cache_evictions: AtomicU64,
     retry_cache_expired: AtomicU64,
+    resp_bodies_reused: AtomicU64,
+    resp_bodies_fresh: AtomicU64,
     /// Per-tenant rejection/shed counters. Mutex-guarded: these paths run
     /// only when a call is refused or shed, never on the per-call hot
     /// path. Bounded at [`TENANT_TRACK_CAP`] distinct tenants.
@@ -812,6 +822,8 @@ impl Default for MetricsInner {
             retry_cache_parked: AtomicU64::new(0),
             retry_cache_evictions: AtomicU64::new(0),
             retry_cache_expired: AtomicU64::new(0),
+            resp_bodies_reused: AtomicU64::new(0),
+            resp_bodies_fresh: AtomicU64::new(0),
             tenants: Mutex::new(HashMap::new()),
         }
     }
@@ -1122,6 +1134,16 @@ impl MetricsRegistry {
             .fetch_add(1, Ordering::Relaxed);
     }
 
+    pub fn inc_resp_bodies_reused(&self) {
+        self.inner
+            .resp_bodies_reused
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn inc_resp_bodies_fresh(&self) {
+        self.inner.resp_bodies_fresh.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot of the resilience counters.
     pub fn counters(&self) -> EngineCounters {
         EngineCounters {
@@ -1138,6 +1160,8 @@ impl MetricsRegistry {
             retry_cache_parked: self.inner.retry_cache_parked.load(Ordering::Relaxed),
             retry_cache_evictions: self.inner.retry_cache_evictions.load(Ordering::Relaxed),
             retry_cache_expired: self.inner.retry_cache_expired.load(Ordering::Relaxed),
+            resp_bodies_reused: self.inner.resp_bodies_reused.load(Ordering::Relaxed),
+            resp_bodies_fresh: self.inner.resp_bodies_fresh.load(Ordering::Relaxed),
         }
     }
 
@@ -1171,6 +1195,8 @@ impl MetricsRegistry {
         self.inner.retry_cache_parked.store(0, Ordering::Relaxed);
         self.inner.retry_cache_evictions.store(0, Ordering::Relaxed);
         self.inner.retry_cache_expired.store(0, Ordering::Relaxed);
+        self.inner.resp_bodies_reused.store(0, Ordering::Relaxed);
+        self.inner.resp_bodies_fresh.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1392,6 +1418,8 @@ mod tests {
         reg.inc_retry_cache_parked();
         reg.inc_retry_cache_evictions();
         reg.inc_retry_cache_expired();
+        reg.inc_resp_bodies_reused();
+        reg.inc_resp_bodies_fresh();
         let c = reg.counters();
         assert_eq!(c.retries, 2);
         assert_eq!(c.reconnects, 1);
@@ -1405,6 +1433,7 @@ mod tests {
         assert_eq!(c.retry_cache_parked, 1);
         assert_eq!(c.retry_cache_evictions, 1);
         assert_eq!(c.retry_cache_expired, 1);
+        assert_eq!((c.resp_bodies_reused, c.resp_bodies_fresh), (1, 1));
         reg.reset();
         assert_eq!(reg.counters(), EngineCounters::default());
         assert!(reg.tenant_snapshot().is_empty(), "reset clears tenants");

@@ -119,6 +119,20 @@
 //!   sent", whoever sent them — as frames read are booked on the
 //!   connection's owner reader shard, whoever read them.
 //!
+//! **The body's life.** A response body is `Arc<Vec<u8>>` end to end —
+//! the retry cache must own the bytes, and replays and parked duplicates
+//! share them — and it goes round: *spare* → *serialized*
+//! (`ServerInner::serialize_response` writes into a buffer the cache has
+//! let go of, picked by the size class of the method's last response;
+//! only a miss allocates) → *sent* (inline or queued, always behind a
+//! per-route lead) → *cached* (`RetryCache::complete`) → *evicted* (entry
+//! bound, byte budget or TTL; moved out under the cache mutex, offered
+//! after it) → *spare* again, if `Arc::get_mut` finds nobody still
+//! holding it; a body somebody does hold is dropped by its last holder,
+//! as ever. With the cache off nothing is evicted, and the step after
+//! *sent* is the offer. Steady state, the server's call path allocates
+//! nothing of its own. See [`crate::retry_cache`] for the rules.
+//!
 //! Shutdown comes in two flavors: [`Server::stop`] (abrupt — close
 //! everything now) and [`Server::drain`] (graceful — stop accepting,
 //! quiesce the read side, finish queued calls, flush responses, then
@@ -146,7 +160,7 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase, ShardRole, ShardSt
 use crate::readiness::{
     token, token_gen, token_slot, Pop, ReadyQueue, TakeoverHook, WakeState, TOKEN_REGISTER,
 };
-use crate::retry_cache::{Admission, RetryCache};
+use crate::retry_cache::{Admission, Retention, RetryCache};
 use crate::sched::{HandlerCx, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
 use crate::transport::rdma::{IbContext, RdmaConn};
@@ -523,22 +537,34 @@ impl ServerInner {
         // response is on the wire or queued (each queued response holds a
         // slot of its own), so `drain` never sees a gap.
         self.open_work.fetch_sub(1, Ordering::AcqRel);
+        // A server that caches nothing evicts nothing: the one place its
+        // spares can come from is the response's own buffer, now that it
+        // is sent — kept if nobody else holds it (it went out inline).
+        // With the cache on the cache holds it, so do not even ask.
+        if self.cfg.retry_cache_capacity == 0 {
+            self.retry_cache.offer(bytes);
+        }
     }
 
     /// Serialize a dispatch result into the response body
     /// (`[status][value | error]`): once, on the computing thread, so a
     /// replay or a parked duplicate on another connection shares the
-    /// bytes. The buffer is sized from the last response of this
-    /// `<protocol, method#resp>` — the paper's message-size locality — so
-    /// it is allocated once instead of grown.
+    /// bytes — and into a buffer the retry cache has let go of, when it
+    /// has one of the size the last response of this
+    /// `<protocol, method#resp>` had (the paper's message-size locality):
+    /// steady state, neither the `Vec` nor its `Arc` is allocated. A
+    /// fresh buffer is sized from the same history, so it is allocated
+    /// once instead of grown. An error is not its method's size locality:
+    /// it is sized by its own text and leaves the history alone.
     fn serialize_response(
         &self,
         key: MethodKey,
         result: &RpcResult<Box<dyn Writable + Send>>,
-    ) -> Vec<u8> {
+    ) -> Arc<Vec<u8>> {
         let error_text;
-        let result_ref: Result<&dyn Writable, &str> = match result {
-            Ok(value) => Ok(value.as_ref()),
+        let sizes = self.metrics.entry(key.response_key());
+        let (result_ref, hint): (Result<&dyn Writable, &str>, usize) = match result {
+            Ok(value) => (Ok(value.as_ref()), sizes.last_body_size()),
             Err(e) => {
                 // Application errors travel as their bare message; engine
                 // errors keep their category prefix.
@@ -546,16 +572,22 @@ impl ServerInner {
                     RpcError::Remote(m) => m.clone(),
                     other => other.to_string(),
                 };
-                Err(&error_text)
+                (Err(&error_text), ERROR_LEAD_MAX + error_text.len())
             }
         };
-        let sizes = self.metrics.entry(key.response_key());
-        let mut body = Vec::with_capacity(sizes.last_body_size());
-        write_response_body(&mut body, result_ref).expect("serializing to Vec cannot fail");
-        sizes.note_body_size(body.len());
+        let body = self.retry_cache.build_body(hint, |buf| {
+            write_response_body(buf, result_ref).expect("serializing to Vec cannot fail")
+        });
+        if result.is_ok() {
+            sizes.note_body_size(body.len());
+        }
         body
     }
 }
+
+/// Room for what precedes an error's text in a response body: the status
+/// byte and the text's vint length.
+const ERROR_LEAD_MAX: usize = 6;
 
 /// Room for a response lead: one vlong, a prefix byte plus at most eight
 /// of payload.
@@ -601,10 +633,11 @@ impl Server {
         let admission =
             AdmissionQueue::new(cfg.call_queue_len, cfg.tenant_quota, &cfg.tenant_weights);
         let metrics = MetricsRegistry::new(false);
-        // Byte budget: as if every cached response were as large as an
-        // eager frame can get (`rdma_threshold`) — 128 MiB at defaults.
-        // Small-call servers never reach it; bulk responses evict early
-        // instead of pinning `capacity × response size`.
+        // Byte budget (cached bodies and idle spares, by `capacity()`):
+        // as if every cached response were as large as an eager frame
+        // can get (`rdma_threshold`) — 128 MiB at defaults. Small-call
+        // servers never reach it; bulk responses evict early instead of
+        // pinning `capacity × response size`.
         let retry_cache = RetryCache::new(
             cfg.retry_cache_ttl,
             cfg.retry_cache_capacity,
@@ -782,6 +815,13 @@ impl Server {
     /// observability).
     pub fn retry_cache_len(&self) -> usize {
         self.inner.retry_cache.len()
+    }
+
+    /// What the retry cache retains — completed bodies and idle spares,
+    /// by `len()` and by `capacity()` — for the allocation tests.
+    #[doc(hidden)]
+    pub fn retry_cache_retention(&self) -> Retention {
+        self.inner.retry_cache.retention()
     }
 
     /// What the handler runtime still holds — calls being polled,
@@ -1620,7 +1660,7 @@ fn call_frame(
         let body = inner.serialize_response(c.header.key, &result);
         handler_ns += poll_start.elapsed().as_nanos() as u64;
         entry.record_phase(Phase::Handler, handler_ns);
-        inner.respond(c, Arc::new(body));
+        inner.respond(c, body);
         inner.admission.release(meta.tenant);
         Step::Done
     }
@@ -1662,7 +1702,9 @@ fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats
         1
     };
     let fair = inner.admission.fair();
-    let mut batch: Vec<OutboundResponse> = Vec::new();
+    let cache_off = inner.cfg.retry_cache_capacity == 0;
+    let mut batch: Vec<OutboundResponse> = Vec::with_capacity(sweep);
+    let mut groups: Vec<Vec<OutboundResponse>> = Vec::new();
     // Responses deferred by the fair partition below, in pop order; the
     // next sweep leads with them so nothing is reordered within a tenant.
     let mut carry: Vec<OutboundResponse> = Vec::new();
@@ -1698,8 +1740,10 @@ fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats
         }
         // Group by connection, preserving pop order within and across
         // groups (pop order == enqueue order). A sweep is at most
-        // `RESPONDER_SWEEP` responses, so a linear probe beats a map.
-        let mut groups: Vec<Vec<OutboundResponse>> = Vec::new();
+        // `RESPONDER_SWEEP` responses, so a linear probe beats a map. The
+        // group vectors are kept from sweep to sweep: a lone overflow
+        // response must not cost two allocations to be "grouped".
+        let mut active = 0;
         if fair {
             sweep_used.clear();
         }
@@ -1722,15 +1766,21 @@ fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats
                 }
                 *used += 1;
             }
-            match groups
+            match groups[..active]
                 .iter_mut()
                 .find(|g| Arc::ptr_eq(&g[0].route.conn, &out.route.conn))
             {
                 Some(group) => group.push(out),
-                None => groups.push(vec![out]),
+                None => {
+                    if active == groups.len() {
+                        groups.push(Vec::new());
+                    }
+                    groups[active].push(out);
+                    active += 1;
+                }
             }
         }
-        for group in groups {
+        for group in &mut groups[..active] {
             let n = group.len();
             let conn = &group[0].route.conn;
             // Wait for the send turn: whatever an inline sender has in
@@ -1740,13 +1790,20 @@ fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats
             if let [out] = group.as_slice() {
                 inner.transmit(&out.route, &mut enc, &out.bytes);
             } else {
-                inner.transmit_gathered(&group, &mut enc);
+                inner.transmit_gathered(group, &mut enc);
             }
             conn.queued.fetch_sub(n, Ordering::AcqRel);
             drop(enc);
             for _ in 0..n {
                 stats.inc_processed();
                 inner.open_work.fetch_sub(1, Ordering::AcqRel);
+            }
+            // Sent: as at the end of `respond`, with the cache off the
+            // body is the next response's buffer.
+            for out in group.drain(..) {
+                if cache_off {
+                    inner.retry_cache.offer(out.bytes);
+                }
             }
         }
     }

@@ -96,7 +96,17 @@ fn end_to_end_calls_populate_every_phase_histogram() {
     // Server side: queue wait and handler execution under the request's
     // method; the responder's serialize/wire under the `#resp` key (a
     // method's responses have their own stable size history).
-    let srv = server.metrics_snapshot();
+    // The sender books a response's phases when its send returns, which
+    // can be after the caller has the bytes: give the last one a moment.
+    let settle = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let srv = loop {
+        let srv = server.metrics_snapshot();
+        let booked = phase_count(&srv, "test.EchoProtocol", "pingpong#resp", Phase::Wire);
+        if booked >= CALLS || std::time::Instant::now() >= settle {
+            break srv;
+        }
+        std::thread::yield_now();
+    };
     for phase in [Phase::ServerQueue, Phase::Handler] {
         assert_eq!(
             phase_count(&srv, "test.EchoProtocol", "pingpong", phase),

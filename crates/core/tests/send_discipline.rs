@@ -7,7 +7,7 @@
 //! a stuck peer must cost one sender and not the pool, and `drain` must
 //! still account for every response.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -365,6 +365,121 @@ fn drain_answers_every_admitted_call_once_socket() {
 #[test]
 fn drain_answers_every_admitted_call_once_verbs() {
     drain_answers_every_admitted_call_once(
+        Fabric::new(model::IB_QDR_VERBS),
+        matrix(RpcConfig::rpcoib()),
+    );
+}
+
+/// Aborts (rather than hangs) the test binary if a case wedges.
+struct Watchdog(Arc<AtomicBool>);
+
+fn watchdog(name: &'static str, limit: Duration) -> Watchdog {
+    let done = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&done);
+    std::thread::spawn(move || {
+        let deadline = Instant::now() + limit;
+        while !flag.load(Ordering::Acquire) {
+            if Instant::now() >= deadline {
+                eprintln!("watchdog: {name} exceeded {limit:?}, aborting");
+                std::process::abort();
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+    Watchdog(done)
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// (e) A response body is never rewritten while anyone can still send
+/// it. With `retry_cache_capacity = 2` nearly every completion evicts a
+/// body and the next response is serialized into it — while duplicates,
+/// forced as in (a), keep *other* holders of cached bodies alive: a retry
+/// parked behind a slow execution is released through the responder
+/// shard, a later one is replayed from the cache, and both can still be
+/// queued there when two more completions evict the entry. Payloads are
+/// distinct per call and stay within two size classes, so a buffer
+/// recycled while a responder still held it would reach some caller as
+/// another call's bytes.
+fn recycled_bodies_are_not_rewritten_under_a_sender(fabric: Fabric, base: RpcConfig) {
+    let _wd = watchdog("recycled_bodies", Duration::from_secs(120));
+    let cfg = RpcConfig {
+        handlers: 8,
+        retry_cache_capacity: 2,
+        call_timeout: Duration::from_millis(40),
+        retry: RetryPolicy::exponential(8, Duration::from_millis(2)),
+        ..base
+    };
+    let (server, _executed) = start_server(&fabric, &cfg, Duration::from_millis(70));
+    let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+    echo(&client, &server, "echo", b"warm").unwrap();
+
+    let callers: Vec<_> = (0..4u32)
+        .map(|t| {
+            let client = client.clone();
+            let addr = server.addr();
+            std::thread::spawn(move || {
+                for i in 0..200u32 {
+                    // Two callers force duplicates now and then; all four
+                    // keep completions — evictions — coming.
+                    let method = if t % 2 == 0 && i % 16 == 5 {
+                        "slow_echo"
+                    } else {
+                        "echo"
+                    };
+                    let mut payload = vec![(t * 50 + i % 50) as u8; 260 + (i as usize * 7) % 700];
+                    payload[..8]
+                        .copy_from_slice(&(u64::from(t) << 32 | u64::from(i)).to_be_bytes());
+                    let got: BytesWritable = client
+                        .call(
+                            addr,
+                            "test.SendDiscipline",
+                            method,
+                            &BytesWritable(payload.clone()),
+                        )
+                        .unwrap_or_else(|e| panic!("caller {t} call {i} ({method}): {e:?}"));
+                    assert_eq!(
+                        got.0, payload,
+                        "caller {t} call {i} got bytes that are not its response"
+                    );
+                }
+            })
+        })
+        .collect();
+    for c in callers {
+        c.join().unwrap();
+    }
+
+    let counters = server.metrics().counters();
+    assert!(
+        counters.retry_cache_parked + counters.retry_cache_hits >= 10,
+        "the slow calls should each have forced a duplicate: {counters:?}"
+    );
+    assert!(
+        counters.resp_bodies_reused >= 400,
+        "a cache of two entries evicts — and recycles — on nearly every call: {counters:?}"
+    );
+    assert_eq!(counters.frame_errors, 0);
+    assert_eq!(client.metrics().counters().failed_calls, 0);
+    client.shutdown();
+    server.stop();
+}
+
+#[test]
+fn recycled_bodies_are_not_rewritten_under_a_sender_socket() {
+    recycled_bodies_are_not_rewritten_under_a_sender(
+        Fabric::new(model::IPOIB_QDR),
+        matrix(RpcConfig::socket()),
+    );
+}
+
+#[test]
+fn recycled_bodies_are_not_rewritten_under_a_sender_verbs() {
+    recycled_bodies_are_not_rewritten_under_a_sender(
         Fabric::new(model::IB_QDR_VERBS),
         matrix(RpcConfig::rpcoib()),
     );
