@@ -337,24 +337,25 @@ pub fn run_handlers(opts: &RunOpts, git_rev: &str) -> Json {
 /// Connection counts of the shard-scaling sweep.
 const SHARD_CLIENTS: &[usize] = &[1, 4, 16, 64, 256];
 
-/// Shard counts swept (applied to readers and responders alike; `1` is
-/// the paper's single-Responder baseline).
+/// Reader shard counts swept.
 const SHARD_COUNTS: &[usize] = &[1, 2, 4];
 
-/// Figure: connection scaling versus reader/responder shard count. Every
+/// Figure: connection scaling versus reader shard count. Every
 /// connection drives an identical sequential call stream from its own
 /// fabric node, so each per-call ledger delta is deterministic, and —
 /// because connections are dealt onto shards round-robin by accept-order
 /// id — the per-shard load split is `ceil(C/M)` connections on the
 /// busiest shard no matter which client won which accept slot.
 ///
-/// The serialized throughput figure is *derived* from the ledger with a
-/// pipeline model: a responder shard transmits its connections' response
-/// streams serially, shards run in parallel, so the modeled makespan is
-/// `ceil(C/M) × per_conn_ns` and modeled throughput is total calls over
-/// that. At 64+ connections this is where responder sharding pays:
-/// `M = 4` cuts the bottleneck shard's stream to a quarter. Wall-clock
-/// throughput (scheduler-dependent) goes to stdout only.
+/// The serialized throughput figure is *derived* from the ledger, not
+/// measured: it models each reader shard as serving its connections'
+/// call streams one after another — a lone call is read, run and
+/// answered by its shard's thread — and the shards as running in
+/// parallel, so the modeled makespan is `ceil(C/M) × per_conn_ns` (the
+/// busiest *reader* shard's connections) and modeled throughput is total
+/// calls over that: `M = 4` cuts the bottleneck shard's stream to a
+/// quarter. Wall-clock throughput (scheduler-dependent) goes to stdout
+/// only.
 pub fn run_shards(opts: &RunOpts, git_rev: &str) -> Json {
     let warmup = 2usize;
     let calls_per_conn = opts.iters(6, 24);
@@ -365,7 +366,6 @@ pub fn run_shards(opts: &RunOpts, git_rev: &str) -> Json {
             for &shards in SHARD_COUNTS {
                 let mut cfg = cfg.clone();
                 cfg.rpc.reader_shards = shards;
-                cfg.rpc.responder_shards = shards;
                 // Trim per-connection buffer footprints: at 256
                 // connections the default 4 MB large region plus a
                 // 32-deep 64 KB recv ring would cost gigabytes; the
@@ -427,26 +427,20 @@ pub fn run_shards(opts: &RunOpts, git_rev: &str) -> Json {
                     total_calls as f64 / wall.as_secs_f64()
                 );
 
-                // Per-shard processed counts: which connection landed on
-                // which shard is an accept race, but the *sorted* counts
-                // are fixed by the round-robin deal. Snapshot only after
-                // `stop` has joined the shard threads — a responder bumps
-                // its counter *after* transmitting, so a pre-join read
-                // could miss the final response's increment.
+                // Per-shard frames read: which connection landed on which
+                // shard is an accept race, but the *sorted* counts are
+                // fixed by the round-robin deal.
                 server.stop();
                 let snap = server.metrics_snapshot();
-                let shard_counts = |role: &str| {
-                    let mut counts: Vec<u64> = snap
-                        .shards
-                        .iter()
-                        .filter(|s| s.role.name() == role)
-                        .map(|s| s.processed)
-                        .collect();
-                    counts.sort_unstable_by(|a, b| b.cmp(a));
-                    Json::Arr(counts.into_iter().map(Json::U64).collect())
-                };
-                let reader_processed = shard_counts("reader");
-                let responder_processed = shard_counts("responder");
+                let mut reader_processed: Vec<u64> = snap
+                    .shards
+                    .iter()
+                    .filter(|s| s.role.name() == "reader")
+                    .map(|s| s.processed)
+                    .collect();
+                reader_processed.sort_unstable_by(|a, b| b.cmp(a));
+                let reader_processed =
+                    Json::Arr(reader_processed.into_iter().map(Json::U64).collect());
 
                 let bottleneck_conns = clients.div_ceil(shards);
                 let makespan_ns = bottleneck_conns as u64 * per_conn_ns;
@@ -463,8 +457,7 @@ pub fn run_shards(opts: &RunOpts, git_rev: &str) -> Json {
                     .field("bottleneck_conns", bottleneck_conns as u64)
                     .field("modeled_makespan_ns", makespan_ns)
                     .field("modeled_calls_per_sec", modeled_calls_per_sec)
-                    .field("reader_processed", reader_processed)
-                    .field("responder_processed", responder_processed);
+                    .field("reader_processed", reader_processed);
                 rows.push(row);
             }
         }
@@ -536,7 +529,7 @@ pub fn run_smallcall(opts: &RunOpts, git_rev: &str) -> Json {
 pub const BATCHING_PAYLOADS: &[usize] = &[1, 32, 128];
 
 /// Queue depth of the multi-client point: how many small frames are
-/// ready for one connection when the responder sweep (or the client's
+/// ready for one connection when a send turn's holder (or the client's
 /// gathered flush) runs. Eight callers multiplexed on a connection is
 /// the shape of the paper's multi-client small-call experiments.
 const BATCH_DEPTH: usize = 8;

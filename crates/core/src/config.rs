@@ -81,17 +81,12 @@ pub struct RpcConfig {
     /// (replacing the paper's one-Reader-thread-per-connection model).
     /// `0` = auto (currently 4).
     pub reader_shards: usize,
-    /// Responder shard count. Handlers send their own responses; the
-    /// shards carry what cannot go inline (reader-produced answers,
-    /// parked duplicates, overflow), routed by connection id so
-    /// per-connection ordering holds. `0` = auto (currently 1, the
-    /// paper's single Responder).
-    pub responder_shards: usize,
     /// Opportunistic wire batching (on by default). Socket: calls that
     /// queue behind an in-flight flush leave as one gathered write;
-    /// verbs: responses queued at a responder shard for one connection
-    /// are merged into shared completions. `false` restores strict one-frame-per-wire-op — the
-    /// control arm for the `batching` benchmark and the CI matrix.
+    /// verbs: eager-sized responses pending behind one connection's send
+    /// turn are merged into shared completions. `false` restores strict
+    /// one-frame-per-wire-op — the control arm for the `batching`
+    /// benchmark and the CI matrix.
     pub wire_batch: bool,
     /// Per-tenant weights for the weighted-fair admission plane, keyed by
     /// handshake `client_id`. A tenant absent from the list has weight 1;
@@ -148,10 +143,6 @@ pub const MAX_LARGE_SLOTS: usize = 2048;
 /// Reader shard count used when `reader_shards` is `0` (auto).
 pub(crate) const AUTO_READER_SHARDS: usize = 4;
 
-/// Responder shard count used when `responder_shards` is `0` (auto):
-/// one, matching the paper's single Responder thread.
-pub(crate) const AUTO_RESPONDER_SHARDS: usize = 1;
-
 impl Default for RpcConfig {
     fn default() -> Self {
         RpcConfig {
@@ -173,7 +164,6 @@ impl Default for RpcConfig {
             trace_sizes: false,
             server_buffer_init: 10 * 1024,
             reader_shards: 0,
-            responder_shards: 0,
             wire_batch: true,
             tenant_weights: Vec::new(),
             tenant_quota: 0,
@@ -209,15 +199,6 @@ impl RpcConfig {
         }
     }
 
-    /// The effective responder shard count (resolving `0` = auto).
-    pub fn effective_responder_shards(&self) -> usize {
-        if self.responder_shards == 0 {
-            AUTO_RESPONDER_SHARDS
-        } else {
-            self.responder_shards
-        }
-    }
-
     /// Whether any QoS feature (weights or quotas) asks the server for
     /// weighted-fair admission instead of the plain FIFO call queue.
     pub fn qos_enabled(&self) -> bool {
@@ -233,12 +214,6 @@ impl RpcConfig {
             return Err(format!(
                 "reader_shards ({}) exceeds the sanity cap ({MAX_SHARDS})",
                 self.reader_shards
-            ));
-        }
-        if self.responder_shards > MAX_SHARDS {
-            return Err(format!(
-                "responder_shards ({}) exceeds the sanity cap ({MAX_SHARDS})",
-                self.responder_shards
             ));
         }
         self.retry.validate()?;
@@ -396,32 +371,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_defaults_resolve_to_paper_shape() {
+    fn reader_shards_default_to_auto() {
         let cfg = RpcConfig::default();
         assert_eq!(cfg.reader_shards, 0);
-        assert_eq!(cfg.responder_shards, 0);
         assert_eq!(cfg.effective_reader_shards(), AUTO_READER_SHARDS);
-        // Auto keeps the paper's single-Responder behaviour.
-        assert_eq!(cfg.effective_responder_shards(), 1);
         let cfg = RpcConfig {
             reader_shards: 2,
-            responder_shards: 8,
             ..RpcConfig::default()
         };
         cfg.validate().unwrap();
         assert_eq!(cfg.effective_reader_shards(), 2);
-        assert_eq!(cfg.effective_responder_shards(), 8);
     }
 
     #[test]
     fn absurd_shard_counts_rejected() {
         let cfg = RpcConfig {
             reader_shards: MAX_SHARDS + 1,
-            ..RpcConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = RpcConfig {
-            responder_shards: usize::MAX,
             ..RpcConfig::default()
         };
         assert!(cfg.validate().is_err());

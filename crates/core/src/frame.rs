@@ -186,8 +186,9 @@ fn read_method_key(input: &mut dyn DataInput) -> io::Result<MethodKey> {
 /// A response frame is its lead ([`V3Encoder::write_response_lead`],
 /// which depends on the connection) followed by exactly these bytes
 /// (which do not), which is what lets the handler serialize a result once
-/// and every sender (the handler itself, a responder shard, a retry-cache
-/// replay) put it on the wire of whichever connection asks.
+/// and every sender (the handler itself, the holder of a send turn it
+/// queued behind, a retry-cache replay) put it on the wire of whichever
+/// connection asks.
 pub fn write_response_body(
     out: &mut dyn DataOutput,
     result: Result<&dyn Writable, &str>,

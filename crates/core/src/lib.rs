@@ -19,15 +19,15 @@
 //!   ones.
 //!
 //! The engine keeps the stages of Hadoop's thread architecture — callers
-//! on the client; Listener, Readers, Handlers, Responders on the server —
+//! on the client; Listener, Readers, Handlers, Responder on the server —
 //! but a thread that is already there does the neighbouring stage's work
 //! when it can: the client has no Connection thread (the caller that is
 //! waiting holds its connection's receive turn and reads the wire itself,
 //! see [`client`]), the read side is sharded (reader *shards* each run an
-//! event loop over the connections hashed onto them), and the handler
-//! that computed a response sends it, as Hadoop's `doRespond` does;
-//! responder *shards* carry only the responses that cannot go out inline
-//! (see [`server`] and `RpcConfig::{reader_shards, responder_shards}`).
+//! event loop over the connections hashed onto them), and the server has
+//! no Responder thread: the thread that produced a response sends it, as
+//! Hadoop's `doRespond` does, and one that finds the connection's send
+//! turn taken leaves it for the turn's holder to send (see [`server`]).
 //! Both transports expose the same [`transport::Conn`] interface,
 //! mirroring the paper's stream-interface-compatibility design.
 //!

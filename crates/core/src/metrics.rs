@@ -180,8 +180,8 @@ pub const HISTOGRAM_BUCKETS: usize = 40;
 /// A lock-free log2-bucketed latency histogram.
 ///
 /// Recording is three relaxed atomic RMWs (bucket, count+sum, max); there
-/// is no lock and no allocation, so it is safe to call from reader,
-/// handler and responder hot paths.
+/// is no lock and no allocation, so it is safe to call from the read,
+/// run and send hot paths.
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
@@ -383,14 +383,15 @@ pub struct PoolCounters {
     pub oversize: u64,
 }
 
-/// Which half of the sharded server pipeline a shard belongs to.
+/// Which part of the server pipeline a row of counters describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ShardRole {
     /// An event-loop shard receiving frames from its assigned connections.
     Reader,
-    /// The home shard of a set of connections' response traffic: it
-    /// transmits what handlers could not send inline, and every response
-    /// sent for its connections — by whichever thread — is booked here.
+    /// The send ledger: one row (index 0) with no thread behind it —
+    /// whoever holds a connection's send turn sends. `processed` counts
+    /// responses sent by whichever thread; the queue-depth gauge counts
+    /// responses pending behind a turn's holder, over all connections.
     Responder,
     /// A handler worker: pops the admission queue, polls calls, resumes
     /// suspended ones, steals them from siblings.
@@ -408,23 +409,23 @@ impl ShardRole {
     }
 }
 
-/// Live counters for one reader or responder shard. Registered with the
-/// [`MetricsRegistry`] at server start; the owning shard thread updates
-/// them with relaxed atomics on its hot path.
+/// Live counters for one reader shard, one worker, or the send ledger.
+/// Registered with the [`MetricsRegistry`] at server start and updated
+/// with relaxed atomics on the hot path.
 #[derive(Debug, Default)]
 pub struct ShardStats {
     /// Connections currently assigned to this shard (reader shards; a
     /// gauge — incremented at registration, decremented at teardown).
     connections: AtomicU64,
-    /// Work items currently queued for this shard (responder shards: the
-    /// outbound response queue — responses sent inline never enter it).
+    /// Work items currently queued for this shard (send ledger: responses
+    /// on connections' pending lists — one sent at once never enters
+    /// one).
     queue_depth: AtomicU64,
     /// High-water mark of `queue_depth` over the shard's lifetime.
     queue_depth_max: AtomicU64,
     /// Work items this shard has completed (reader shards: frames read;
-    /// responder shards: response transmissions attempted on its
-    /// connections, inline sends by handlers included; workers: calls
-    /// completed).
+    /// send ledger: response transmissions attempted, by whichever
+    /// thread; workers: calls completed).
     processed: AtomicU64,
     /// Busy rejections this shard issued (reader shards).
     busy_rejections: AtomicU64,
@@ -432,8 +433,8 @@ pub struct ShardStats {
     /// stolen from a hot sibling's wake list; handler workers count tasks
     /// stolen from a sibling's run queue.
     steals: AtomicU64,
-    /// Tasks this worker parked (suspended awaiting a wake). Reader and
-    /// responder shards never park work; always 0 for them.
+    /// Tasks this worker parked (suspended awaiting a wake). Always 0 for
+    /// reader shards and the send ledger.
     parks: AtomicU64,
     /// Parked tasks made runnable again, attributed to the worker that
     /// parked them (timer expiry or an external wake handle).
@@ -557,6 +558,12 @@ pub struct EngineCounters {
     /// a method's sizes wander across size classes.
     pub resp_bodies_reused: u64,
     pub resp_bodies_fresh: u64,
+    /// Responses that left on a thread other than their producer's: they
+    /// met a taken send turn (or others already waiting), were pushed
+    /// onto their connection's pending list, and the turn's holder sent
+    /// them (server side). Over the send ledger's `processed`, the share
+    /// of responses that did not leave at once.
+    pub resp_sent_behind: u64,
 }
 
 /// Registry of per-call-kind statistics. Cheap to clone and share.
@@ -783,6 +790,7 @@ struct MetricsInner {
     retry_cache_expired: AtomicU64,
     resp_bodies_reused: AtomicU64,
     resp_bodies_fresh: AtomicU64,
+    resp_sent_behind: AtomicU64,
     /// Per-tenant rejection/shed counters. Mutex-guarded: these paths run
     /// only when a call is refused or shed, never on the per-call hot
     /// path. Bounded at [`TENANT_TRACK_CAP`] distinct tenants.
@@ -824,6 +832,7 @@ impl Default for MetricsInner {
             retry_cache_expired: AtomicU64::new(0),
             resp_bodies_reused: AtomicU64::new(0),
             resp_bodies_fresh: AtomicU64::new(0),
+            resp_sent_behind: AtomicU64::new(0),
             tenants: Mutex::new(HashMap::new()),
         }
     }
@@ -1144,6 +1153,10 @@ impl MetricsRegistry {
         self.inner.resp_bodies_fresh.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub fn add_resp_sent_behind(&self, n: u64) {
+        self.inner.resp_sent_behind.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Snapshot of the resilience counters.
     pub fn counters(&self) -> EngineCounters {
         EngineCounters {
@@ -1162,6 +1175,7 @@ impl MetricsRegistry {
             retry_cache_expired: self.inner.retry_cache_expired.load(Ordering::Relaxed),
             resp_bodies_reused: self.inner.resp_bodies_reused.load(Ordering::Relaxed),
             resp_bodies_fresh: self.inner.resp_bodies_fresh.load(Ordering::Relaxed),
+            resp_sent_behind: self.inner.resp_sent_behind.load(Ordering::Relaxed),
         }
     }
 
@@ -1197,6 +1211,7 @@ impl MetricsRegistry {
         self.inner.retry_cache_expired.store(0, Ordering::Relaxed);
         self.inner.resp_bodies_reused.store(0, Ordering::Relaxed);
         self.inner.resp_bodies_fresh.store(0, Ordering::Relaxed);
+        self.inner.resp_sent_behind.store(0, Ordering::Relaxed);
     }
 }
 

@@ -38,18 +38,19 @@
 //!   transport.
 //!
 //! * **One owner, who may be away; an away queue is taken over.** Each
-//!   queue is popped by the one reader shard that owns it. When that
-//!   shard runs a call itself (see [`crate::server`]) it first marks the
-//!   queue *away* ([`ReadyQueue::try_leave`], which succeeds only while
-//!   the queue is empty — a shard with something else to read keeps
-//!   reading). From then on every push, wake token or
+//!   queue is popped by the one reader shard that owns it. Before that
+//!   shard does something that may block — runs a call itself, sends
+//!   (see [`crate::server`]) — it marks the queue *away*
+//!   ([`ReadyQueue::leave`]; whether to leave with tokens still queued is
+//!   the owner's policy, not this protocol's: a leave that does fires the
+//!   hook for them). From then on every push, wake token or
 //!   [`TOKEN_REGISTER`], also fires the queue's takeover hook (the
 //!   server's: wake one idle handler worker), and any thread may pop the
 //!   queue from the front with [`ReadyQueue::take_over`] and service the
 //!   token in the owner's stead. The flag changes and is read under the
 //!   queue's lock, so a push lands either before the owner left (the
-//!   owner sees a non-empty queue and stays) or after (the hook fires):
-//!   never in between, unseen by both. [`ReadyQueue::come_back`] ends it;
+//!   leave announces it) or after (the push does): never in between,
+//!   unannounced by both. [`ReadyQueue::come_back`] ends it;
 //!   tokens nobody took are still queued for the owner. Everything above
 //!   holds whoever pops: wakes stay hints, tokens stay
 //!   generation-stamped.
@@ -213,17 +214,26 @@ impl ReadyQueue {
         tok
     }
 
-    /// The owner leaves to run a call: mark the queue away, *unless*
-    /// something is queued (the shard has more to read, so it should not
-    /// leave), the queue is closed, or it has no takeover hook. On `true`
+    /// The owner leaves — to run a call, to send: mark the queue away,
+    /// *unless* it is closed or has no takeover hook. Tokens still queued
+    /// are announced through the hook, as if pushed just now. On `true`
     /// the owner must not pop until it has called
     /// [`ReadyQueue::come_back`].
-    pub fn try_leave(&self) -> bool {
-        let st = self.state.lock();
-        if self.takeover.is_none() || st.closed || !st.queue.is_empty() {
+    pub fn leave(&self) -> bool {
+        let Some(hook) = &self.takeover else {
             return false;
+        };
+        let left_behind = {
+            let st = self.state.lock();
+            if st.closed {
+                return false;
+            }
+            self.away.store(true, Ordering::Relaxed);
+            !st.queue.is_empty()
+        };
+        if left_behind {
+            hook();
         }
-        self.away.store(true, Ordering::Relaxed);
         true
     }
 
@@ -431,18 +441,21 @@ mod tests {
     }
 
     #[test]
-    fn an_owner_leaves_only_an_empty_open_hooked_queue() {
-        assert!(!ReadyQueue::new(None).try_leave(), "nobody could take over");
-        let (q, _) = away_capable(None);
-        q.push(token(1, 0));
-        assert!(!q.try_leave(), "something else to read");
-        assert_eq!(q.try_pop(), Some(token(1, 0)));
-        assert!(q.try_leave());
+    fn an_owner_leaves_only_an_open_hooked_queue_and_announces_what_it_leaves() {
+        assert!(!ReadyQueue::new(None).leave(), "nobody could take over");
+        let (q, fired) = away_capable(None);
+        assert!(q.leave());
         assert!(q.is_away());
+        assert_eq!(fired.load(Ordering::Relaxed), 0, "nothing left behind");
         q.come_back();
         assert!(!q.is_away());
+        q.push(token(1, 0));
+        assert!(q.leave());
+        assert_eq!(fired.load(Ordering::Relaxed), 1, "the queued token");
+        assert_eq!(q.take_over(), Some(token(1, 0)));
+        q.come_back();
         q.close();
-        assert!(!q.try_leave(), "closed");
+        assert!(!q.leave(), "closed");
     }
 
     #[test]
@@ -453,7 +466,7 @@ mod tests {
         assert_eq!(q.take_over(), None, "nobody takes from a present owner");
         assert_eq!(q.try_pop(), Some(token(1, 0)));
 
-        assert!(q.try_leave());
+        assert!(q.leave());
         q.push(token(2, 0));
         q.push(TOKEN_REGISTER);
         q.push(token(3, 0));
@@ -472,7 +485,7 @@ mod tests {
     fn takeovers_count_against_depth_stats() {
         let stats = Arc::new(ShardStats::default());
         let (q, _) = away_capable(Some(Arc::clone(&stats)));
-        assert!(q.try_leave());
+        assert!(q.leave());
         q.push(token(1, 0));
         q.push(token(2, 0));
         assert_eq!(q.take_over(), Some(token(1, 0)));

@@ -36,9 +36,9 @@
 //! it up. The rules:
 //!
 //! * **One owner, proven by the type.** A body is cleared or written only
-//!   through `Arc::get_mut`, which succeeds only when no replay queued at
-//!   a responder shard, no parked-duplicate route and no handler mid-send
-//!   holds it. A body still shared when it is offered is simply dropped
+//!   through `Arc::get_mut`, which succeeds only when no replay pending
+//!   behind a send turn, no parked-duplicate route and no handler
+//!   mid-send holds it. A body still shared when it is offered is simply dropped
 //!   by its last holder. No reference count is ever read.
 //! * **Class-matched.** Spares are filed under the native pool's size
 //!   ladder ([`bufpool::classes`]) by `capacity()` and drawn by the class
@@ -736,7 +736,7 @@ mod tests {
         let (cache, _) = cache(Duration::from_secs(60), 1);
         assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
         cache.complete((1, 1), Arc::new(vec![7; 300]));
-        // A replay in a responder's queue.
+        // A replay on a connection's pending list.
         let Admission::Replay(held) = cache.begin((1, 1), || 0) else {
             panic!("expected replay");
         };

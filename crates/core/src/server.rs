@@ -66,8 +66,8 @@
 //!    *calls executing at once*, whichever threads execute them.
 //! 2. **Only when there is nothing else to read.** The connection has no
 //!    further input after the frame just admitted and the shard's wake
-//!    list is empty ([`ReadyQueue::try_leave`]); otherwise the call is
-//!    announced and the shard keeps reading.
+//!    list is empty; otherwise the call is announced and the shard keeps
+//!    reading.
 //! 3. **Away, and taken over.** The handler runs *outside* the shard's
 //!    table lock, with the shard's wake list marked *away*: anything
 //!    pushed onto it meanwhile (a wake token, a registration) also wakes
@@ -83,41 +83,56 @@
 //!
 //! ## Who sends a response
 //!
-//! The thread that ran the final poll — worker or reader — serializes
-//! the response once and **transmits it** (`ServerInner::respond`): it
-//! takes the connection's *send turn* — the lock around the connection's
-//! response-lead encoder — with a non-blocking `try_lock` and, when
-//! nothing is already queued for that connection at its responder shard,
-//! encodes the lead and writes lead + body straight into the transport
+//! Every response — a handler's, a shed, a busy rejection, a replay, a
+//! parked duplicate released on another connection — leaves through one
+//! function, [`ServerConn::send`], which takes the connection's *send
+//! turn* — the lock around its response-lead encoder — **without
+//! waiting**. Turn free and nothing pending (all but a few in a hundred):
+//! lead + body go straight into the transport from this thread
 //! ([`Conn::send_serialized`]: a pooled registered buffer on verbs, a
-//! borrowed-slice gather on sockets). No queue entry, no frame copy, no
-//! thread hop. If the turn is taken or responses are queued, the response
-//! queues behind them instead, so a handler never waits on another
-//! thread's send and a slow or credit-starved peer costs the one sender
-//! holding its turn, never the pool. (A taken turn is given one
-//! `yield_now` before it is given up: its holder is most often a sender
-//! preempted mid-send by the very caller it woke.) A reader shard may be that sender:
-//! the one reason it could not — blocked on slot credits, it could not
-//! have consumed the credit message that unblocks it — went when credit
-//! waits began to drive receive progress themselves
+//! borrowed-slice gather on sockets) — no queue entry, no frame copy, no
+//! thread hop. Otherwise the response goes onto the connection's own
+//! *pending list*, and whoever holds the turn sends what queued behind it
+//! before letting go, and looks once more after. There is no responder
+//! thread: nobody is woken to send, a handler never waits on another
+//! thread's send, and a slow or credit-starved peer costs the one sender
+//! holding its turn, never the pool. A reader shard may be that sender:
+//! credit waits drive receive progress themselves
 //! (`RdmaConn::acquire_slots`), and while it waits its shard is away and
-//! read by a worker.
+//! read by a worker. Five rules:
 //!
-//! * **M responder shards** (`RpcConfig::responder_shards`; a connection's
-//!   home shard is `conn_id % M`) transmit exactly the responses that
-//!   must not go inline: those produced *while reading* (busy, replay —
-//!   whoever reads holds the shard's table lock and must not wait on a
-//!   send; these go through the responder until the send turn learns to
-//!   drain what queued behind it, ROADMAP item 1(a)), parked duplicates
-//!   released on *other* connections, and the overflow. A shard sends
-//!   under the same per-connection send turn, in queue order, so encode
-//!   order equals wire order whoever sends; with `RpcConfig::wire_batch`
-//!   on it drains everything already queued and sends each connection's
-//!   ready responses as one gathered wire operation. Inline
-//!   transmissions are booked on the connection's home shard, so
-//!   per-shard `processed` counts mean "responses of my connections
-//!   sent", whoever sent them — as frames read are booked on the
-//!   connection's owner reader shard, whoever read them.
+//! 1. **Push, then try; release, then look** — why nothing pushed is ever
+//!    stranded: see [`ServerConn::flush`]. Wire order on a connection is
+//!    push order, and a response that finds others pending goes to the
+//!    back, never past them: the stateful socket lead is a delta against
+//!    the frame before it.
+//! 2. **One yield, for an eager-sized body only** ([`ServerConn::send`]).
+//! 3. **Gather what is eager, borrow what is bulk.** Several eager-sized
+//!    responses at the front of the list leave as one
+//!    [`Conn::send_frames`] gather (under `RpcConfig::wire_batch`, at
+//!    most [`SEND_GATHER`] a wire operation); a bulk-sized body is never
+//!    copied to ride a gather it would be split out of again.
+//! 4. **A reader sends its own refusals — never under its table lock,
+//!    never deaf.** Whoever reads holds its shard's table lock and must
+//!    not wait on a send, so its busy rejections and replays are only
+//!    *pushed* from in there (and dropped beyond `call_queue_len`
+//!    pending: the client retries, a replay is still cached) and
+//!    *flushed* by the same thread once [`service_token`] has let the
+//!    lock go — not by waking a worker: a refusal must not wait for one.
+//!    A flush sends whatever is pending there, and a bulk-sized response
+//!    can block on slot credits, so a shard's owner flushes *away*
+//!    ([`ReadyQueue::leave`], which announces the tokens it leaves behind
+//!    through the takeover hook), exactly as it runs a call.
+//! 5. **Accounting and lifetime.** A pending response holds an
+//!    `open_work` slot from push to send attempt, so `drain` still means
+//!    "nothing anywhere"; it carries no `Arc` to its own connection (a
+//!    list must not keep a dead connection's queue pair and registered
+//!    buffers alive); and it is attempted even on a broken connection —
+//!    fails fast, counts a broken send, gives its slot back.
+//!
+//! The snapshot's one `ShardRole::Responder` row is the send ledger, no
+//! thread behind it: responses sent, whoever sent them, and responses
+//! pending behind holders, over all connections.
 //!
 //! **The body's life.** A response body is `Arc<Vec<u8>>` end to end —
 //! the retry cache must own the bytes, and replays and parked duplicates
@@ -138,12 +153,13 @@
 //! quiesce the read side, finish queued calls, flush responses, then
 //! join).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use simnet::{Fabric, ListenerCloser, NodeId, SimAddr, SimListener};
 use wire::Writable;
@@ -197,22 +213,52 @@ const DRAIN_POLL: Duration = Duration::from_millis(2);
 /// bound keeps one chatty peer from starving its shard.
 const READ_BURST: usize = 32;
 
+/// Most eager-sized responses one gathered wire operation carries. Bounds
+/// the latency a response can pick up behind the gather it rides.
+const SEND_GATHER: usize = 64;
+
 /// Everything the server keeps per connection that more than one thread
 /// touches: the transport, and the state of its *send side*.
 struct ServerConn {
-    /// Accept-order id; `id % N` picks the reader and responder shards.
+    /// Accept-order id; `id % N` picks the reader shard.
     id: u64,
     transport: Arc<dyn Conn>,
     /// The connection's send turn. Whoever holds it is the only thread
     /// writing to `transport`, so the response-lead encoder inside
-    /// advances in exactly wire order whether a handler or the responder
-    /// shard sends. Socket connections are stateful (reliable stream);
-    /// verbs connections run the self-contained encoding.
-    send: Mutex<V3Encoder>,
-    /// Responses sitting in the home responder shard's queue (or its
-    /// fair-share carry) for this connection. While non-zero, nobody
-    /// sends inline: a later response must not overtake a queued one.
-    queued: AtomicUsize,
+    /// advances in exactly wire order whoever sends. Socket connections
+    /// are stateful (reliable stream); verbs ones self-contained.
+    turn: Mutex<V3Encoder>,
+    /// Responses that met a taken turn (or others already waiting), in
+    /// push order — their wire order — for the turn's holder to send
+    /// ([`ServerConn::flush`]). Locked only for a push, a pop or a look;
+    /// lock order: inside the turn, never around it.
+    pending: Mutex<VecDeque<Outbound>>,
+}
+
+/// One response on a connection's pending list. No `Arc` to the
+/// connection: the list is the connection's own.
+struct Outbound {
+    /// The request's interned key (`key.response_key()` is the send's).
+    key: MethodKey,
+    seq: i64,
+    /// The serialized body (`[status][value]`), shared with the retry
+    /// cache and any parked duplicates; the sender prepends the lead.
+    bytes: Arc<Vec<u8>>,
+    /// Who pushed it: a response sent by anybody else left *behind* a
+    /// holder (`EngineCounters::resp_sent_behind`).
+    producer: ThreadId,
+}
+
+/// Where a producer stands when it hands [`ServerConn::send`] a response.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Producer {
+    /// It computed (or shed) the response and may transmit it; what it
+    /// hands over is never dropped.
+    Computing,
+    /// It is reading, under its shard's table lock: its answer is only
+    /// pushed (or dropped, past `call_queue_len` pending) and flushed
+    /// once the lock is released — rule 4 of the module docs.
+    Reading,
 }
 
 struct RawCall {
@@ -231,12 +277,7 @@ struct RawCall {
 /// every route.
 struct RespRoute {
     conn: Arc<ServerConn>,
-    /// The request's interned key; the send derives the response's
-    /// buffer-history key from it (`key.response_key()`).
     key: MethodKey,
-    /// Tenant identity of the route's caller; the responder's
-    /// weighted-fair sweep budgets transmissions by it.
-    client_id: u64,
     seq: i64,
 }
 
@@ -245,18 +286,9 @@ impl RespRoute {
         RespRoute {
             conn,
             key: header.key,
-            client_id: header.client_id,
             seq: header.seq,
         }
     }
-}
-
-struct OutboundResponse {
-    route: RespRoute,
-    /// The serialized response body (`[status][value]`), shared with the
-    /// retry cache and any parked duplicates; the sender prepends each
-    /// route's own lead.
-    bytes: Arc<Vec<u8>>,
 }
 
 /// A connection handed from the accept path to its reader shard.
@@ -267,15 +299,6 @@ struct ShardConn {
     /// Request-header decoder. Owned by the one reader shard the
     /// connection is hashed onto, so decoding needs no lock.
     dec: V3Decoder,
-}
-
-/// One responder shard's queue and counters. The receiving end is also
-/// held here (not moved into the thread) so `Server::start` can spawn the
-/// shard thread after `ServerInner` is built.
-struct RespShard {
-    tx: Sender<OutboundResponse>,
-    rx: Receiver<OutboundResponse>,
-    stats: Arc<ShardStats>,
 }
 
 struct ServerInner {
@@ -295,11 +318,11 @@ struct ServerInner {
     /// never sees a gap).
     live_readers: AtomicUsize,
     /// Admitted calls whose responses have not yet been transmitted.
-    /// Incremented by a reader shard before enqueueing a call and for
-    /// every response queued at a responder shard; decremented by the
-    /// handler after it has answered the call and by the responder shard
-    /// after each send attempt — so "no open work" really means no call
-    /// or response is anywhere in the pipeline.
+    /// Incremented by whoever reads before it queues a call, and for every
+    /// response pushed onto a connection's pending list; decremented by
+    /// the handler after it has answered the call and by whoever drains
+    /// the list after each send attempt — so "no open work" really means
+    /// no call or response is anywhere in the pipeline.
     open_work: AtomicUsize,
     metrics: MetricsRegistry,
     /// Present in RPCoIB mode; kept here so metrics snapshots can read
@@ -338,9 +361,8 @@ struct ServerInner {
     reader_state: Vec<Mutex<ReaderState>>,
     /// Per reader-shard counters, indexed like `reader_regs`. Frames,
     /// busy rejections and the conn gauge are booked on the connection's
-    /// *owner* shard whoever read them (as sends are booked on the home
-    /// responder shard); a takeover counts as a `steal` on the worker
-    /// that made it.
+    /// *owner* shard whoever read them; a takeover counts as a `steal` on
+    /// the worker that made it.
     reader_stats: Vec<Arc<ShardStats>>,
     /// The handler workers' counter rows (the runtime holds the same
     /// ones), for booking takeovers.
@@ -358,8 +380,11 @@ struct ServerInner {
     /// accepting until a setup finishes; past `max_connections` it
     /// answers busy instead of spawning.
     setups_inflight: AtomicUsize,
-    /// Responder shards, indexed by `conn_id % responder_shards`.
-    responders: Vec<RespShard>,
+    /// The send ledger — the snapshot's one `ShardRole::Responder` row:
+    /// responses sent (`processed`, whoever sent them) and responses
+    /// pending behind a turn's holder, over all connections (the depth
+    /// gauge).
+    send_ledger: Arc<ShardStats>,
     /// Live connections, keyed by accept order. Entries are removed by
     /// the owning reader shard when a connection is forfeited, so
     /// connection churn does not accumulate dead `Arc<dyn Conn>`s (and,
@@ -402,78 +427,6 @@ impl ServerInner {
         }
     }
 
-    fn responder_for(&self, conn_id: u64) -> &RespShard {
-        &self.responders[(conn_id % self.responders.len() as u64) as usize]
-    }
-
-    /// Queue a response at its connection's home responder shard. A
-    /// handler passes `wait` — a computed response must not be dropped,
-    /// so it blocks while the shard is behind. Whoever is *reading* (a
-    /// reader shard, or a worker taking over) never waits: it holds the
-    /// shard's table lock, and dropping a busy or replay answer on a full
-    /// queue is safe — the client retries, and for replays the cache
-    /// still holds the bytes.
-    fn enqueue_response(&self, route: RespRoute, bytes: Arc<Vec<u8>>, wait: bool) {
-        self.open_work.fetch_add(1, Ordering::AcqRel);
-        let conn = Arc::clone(&route.conn);
-        let shard = self.responder_for(conn.id);
-        // Both gauges are bumped before the item is visible to the shard
-        // thread, so the matching decrement can never race ahead of it.
-        conn.queued.fetch_add(1, Ordering::AcqRel);
-        shard.stats.enqueued();
-        let out = OutboundResponse { route, bytes };
-        let queued = if wait {
-            shard.tx.send(out).is_ok()
-        } else {
-            shard.tx.try_send(out).is_ok()
-        };
-        if !queued {
-            shard.stats.dequeued();
-            conn.queued.fetch_sub(1, Ordering::AcqRel);
-            self.open_work.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Encode `route`'s lead and put lead + body on the wire as one
-    /// frame, with no intermediate copy. The caller holds the
-    /// connection's send turn — `enc` is the guard's content.
-    fn transmit(&self, route: &RespRoute, enc: &mut V3Encoder, body: &[u8]) {
-        let mut lead = [0u8; LEAD_MAX];
-        let mut cursor = &mut lead[..];
-        enc.write_response_lead(&mut cursor, route.seq)
-            .expect("a vlong fits LEAD_MAX");
-        let lead_len = LEAD_MAX - cursor.len();
-        let sent =
-            route
-                .conn
-                .transport
-                .send_serialized(route.key.response_key(), &lead[..lead_len], body);
-        self.check_sent(&route.conn, sent);
-    }
-
-    /// The responder's batched form of [`ServerInner::transmit`]: several
-    /// responses queued for one connection go out as one gathered wire
-    /// operation (which needs each frame as an owned buffer).
-    fn transmit_gathered(&self, group: &[OutboundResponse], enc: &mut V3Encoder) {
-        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(group.len());
-        for out in group {
-            let mut frame = Vec::with_capacity(out.bytes.len() + LEAD_MAX);
-            enc.write_response_lead(&mut frame, out.route.seq)
-                .expect("writing to a Vec cannot fail");
-            frame.extend_from_slice(&out.bytes);
-            frames.push(frame);
-        }
-        // The response's buffer-size history is keyed separately from the
-        // request's; one key per batch is enough — the gathered frames
-        // share a wire op anyway.
-        let route = &group[0].route;
-        let sent = route
-            .conn
-            .transport
-            .send_frames(route.key.response_key(), frames);
-        self.check_sent(&route.conn, sent);
-    }
-
     /// A failed send only affects that one connection — but it does mean
     /// the connection is broken: close it so its reader shard stops
     /// pulling requests whose responses could never be delivered, and
@@ -485,62 +438,30 @@ impl ServerInner {
         }
     }
 
-    /// The computing thread sends (Hadoop's `Responder.doRespond`): take
-    /// the connection's send turn *without waiting* (one yield aside —
-    /// see below) and, when nothing is already queued for it at its
-    /// responder shard, transmit from this thread; otherwise queue
-    /// behind whatever is ahead. A handler thus never blocks on another
-    /// thread's send, and a slow or credit-starved peer costs the one
-    /// sender that holds its turn, never the pool. The transmission is
-    /// booked on the connection's home responder shard either way.
-    fn send_or_enqueue(&self, route: RespRoute, bytes: &Arc<Vec<u8>>) {
-        if route.conn.queued.load(Ordering::Acquire) == 0 {
-            // One yield before giving the turn up for taken: its holder is
-            // usually a sender that the caller it just woke preempted
-            // mid-send (that caller's next call is what this thread ran),
-            // runnable and a few instructions from letting go. A holder
-            // that is really stuck — a credit-starved peer — is not waited
-            // for.
-            let turn = route.conn.send.try_lock().or_else(|| {
-                std::thread::yield_now();
-                route.conn.send.try_lock()
-            });
-            if let Some(mut enc) = turn {
-                // Re-check under the lock: a response queued since the
-                // first look must still go out ahead of this one.
-                if route.conn.queued.load(Ordering::Acquire) == 0 {
-                    self.transmit(&route, &mut enc, bytes);
-                    drop(enc);
-                    self.responder_for(route.conn.id).stats.inc_processed();
-                    return;
-                }
-            }
-        }
-        self.enqueue_response(route, Arc::clone(bytes), true);
-    }
-
     /// Deliver the response of an admitted call — executed or shed — from
-    /// the thread that produced it: to the call's own connection by
-    /// [`ServerInner::send_or_enqueue`], and to every duplicate attempt
-    /// parked behind it (usually on *other* connections) through their
-    /// responder shards. A duplicate arriving before the cache entry
+    /// the thread that produced it: to the call's own connection, and to
+    /// every duplicate attempt parked behind it (usually on *other*
+    /// connections). A duplicate arriving before the cache entry
     /// completes parks and is released here; one arriving after replays.
     fn respond(&self, call: RawCall, bytes: Arc<Vec<u8>>) {
         // The request buffer goes back to its pool before the send.
         let RawCall { conn, header, .. } = call;
-        self.send_or_enqueue(RespRoute::new(conn, &header), &bytes);
+        conn.send(self, header.key, header.seq, &bytes, Producer::Computing);
         let key = (header.client_id, header.seq);
         for waiter in self.retry_cache.complete(key, Arc::clone(&bytes)) {
-            self.enqueue_response(waiter, Arc::clone(&bytes), true);
+            waiter
+                .conn
+                .send(self, waiter.key, waiter.seq, &bytes, Producer::Computing);
         }
         // The call's own open_work slot is released only now, after its
-        // response is on the wire or queued (each queued response holds a
-        // slot of its own), so `drain` never sees a gap.
+        // response is on the wire or pending (each pending response holds
+        // a slot of its own), so `drain` never sees a gap.
         self.open_work.fetch_sub(1, Ordering::AcqRel);
         // A server that caches nothing evicts nothing: the one place its
         // spares can come from is the response's own buffer, now that it
-        // is sent — kept if nobody else holds it (it went out inline).
-        // With the cache on the cache holds it, so do not even ask.
+        // is sent — kept if nobody else holds it (it went out inline; one
+        // that went pending is offered by whoever sends it). With the
+        // cache on the cache holds it, so do not even ask.
         if self.cfg.retry_cache_capacity == 0 {
             self.retry_cache.offer(bytes);
         }
@@ -593,6 +514,183 @@ const ERROR_LEAD_MAX: usize = 6;
 /// of payload.
 const LEAD_MAX: usize = 9;
 
+impl ServerConn {
+    /// The one way out for a response, whoever produced it. Take the send
+    /// turn without waiting; free, and nothing pending: transmit from
+    /// this thread. Otherwise push onto the pending list — to the back,
+    /// never past what is there — and send the list if the turn can be
+    /// had ([`ServerConn::flush`]); if it cannot, its holder will.
+    fn send(
+        &self,
+        inner: &ServerInner,
+        key: MethodKey,
+        seq: i64,
+        bytes: &Arc<Vec<u8>>,
+        from: Producer,
+    ) {
+        if from == Producer::Computing {
+            let mut turn = self.turn.try_lock();
+            if turn.is_none() && bytes.len() <= inner.cfg.rdma_threshold {
+                // One yield before a taken turn is given up, for an
+                // eager-sized body only. An eager send cannot block
+                // (socket streams are unbounded, eager verbs sends take no
+                // credits), so the holder is runnable and about to let
+                // go: most often the sender of this caller's previous
+                // response, preempted mid-send by the very caller it
+                // woke. Queueing behind it at once is correct but, on one
+                // CPU, settles into a slow stable mode when that holder
+                // is a reader running in place: it resumes only to send
+                // what queued behind it, is preempted in that send too,
+                // and never gets back to its post — a third thread reads
+                // for it call after call. A bulk-sized body queues at
+                // once: its turn's holder is as likely asleep on slot
+                // credits, and yielding to a sleeper is a wasted switch
+                // pair.
+                std::thread::yield_now();
+                turn = self.turn.try_lock();
+            }
+            if let Some(mut enc) = turn {
+                if self.pending.lock().is_empty() {
+                    self.transmit(inner, &mut enc, key, seq, bytes);
+                    drop(enc);
+                    inner.send_ledger.inc_processed();
+                    // Release, then look.
+                    return self.flush(inner);
+                }
+                // Others are waiting: this one goes behind them. The turn
+                // is let go here and taken again by the flush below.
+            }
+        }
+        {
+            let mut pending = self.pending.lock();
+            if from == Producer::Reading && pending.len() >= inner.cfg.call_queue_len {
+                return;
+            }
+            // Both counts move before the item can be popped, so the
+            // matching decrements can never run ahead of them.
+            inner.open_work.fetch_add(1, Ordering::AcqRel);
+            inner.send_ledger.enqueued();
+            pending.push_back(Outbound {
+                key,
+                seq,
+                bytes: Arc::clone(bytes),
+                producer: std::thread::current().id(),
+            });
+        }
+        if from == Producer::Computing {
+            self.flush(inner);
+        }
+    }
+
+    /// Send what is pending, if the turn can be had; if it cannot, its
+    /// holder sends it. Nothing pushed is ever stranded, because a
+    /// producer pushes *then* tries the turn (here), and a holder lets
+    /// the turn go *then* looks at the list (the loop condition, after
+    /// the guard of the previous round has dropped). Push and look both
+    /// take `pending`'s lock, which orders them: a push this look does
+    /// not see comes after it, hence after the release before it — so
+    /// that producer's own try for the turn cannot be refused by *this*
+    /// holder, and whoever does refuse it is a later holder with its own
+    /// look still to come.
+    fn flush(&self, inner: &ServerInner) {
+        while !self.pending.lock().is_empty() {
+            let Some(mut enc) = self.turn.try_lock() else {
+                return;
+            };
+            while self.send_next(inner, &mut enc) {}
+        }
+    }
+
+    /// One wire operation's worth from the front of the pending list,
+    /// under the turn (`enc` is its guard's content); `false` once the
+    /// list is empty. Eager-sized responses at the front leave as one
+    /// gather; anything else alone — a bulk-sized body borrowed, not
+    /// copied into a frame.
+    fn send_next(&self, inner: &ServerInner, enc: &mut V3Encoder) -> bool {
+        // Only the turn's holder pops, so what is counted here is still
+        // at the front when it is popped below.
+        let run = {
+            let pending = self.pending.lock();
+            if pending.is_empty() {
+                return false;
+            }
+            pending
+                .iter()
+                .take(if inner.cfg.wire_batch { SEND_GATHER } else { 0 })
+                .take_while(|out| out.bytes.len() <= inner.cfg.rdma_threshold)
+                .count()
+        };
+        let me = std::thread::current().id();
+        let mut behind = 0;
+        let mut pop = || {
+            let out = self.pending.lock().pop_front();
+            let out = out.expect("only the turn's holder pops");
+            inner.send_ledger.dequeued();
+            behind += u64::from(out.producer != me);
+            out
+        };
+        // Sent: as at the end of `respond`, with the cache off the body
+        // is the next response's buffer.
+        let sent_body = |bytes: Arc<Vec<u8>>| {
+            if inner.cfg.retry_cache_capacity == 0 {
+                inner.retry_cache.offer(bytes);
+            }
+        };
+        let first = pop();
+        let sent = if run >= 2 {
+            // The response's buffer-size history is keyed separately from
+            // the request's; one key per gather is enough — its frames
+            // share a wire op anyway.
+            let key = first.key.response_key();
+            let mut frames: Vec<Vec<u8>> = Vec::with_capacity(run);
+            for out in std::iter::once(first).chain((1..run).map(|_| pop())) {
+                let mut frame = Vec::with_capacity(out.bytes.len() + LEAD_MAX);
+                enc.write_response_lead(&mut frame, out.seq)
+                    .expect("writing to a Vec cannot fail");
+                frame.extend_from_slice(&out.bytes);
+                frames.push(frame);
+                sent_body(out.bytes);
+            }
+            inner.check_sent(self, self.transport.send_frames(key, frames));
+            run
+        } else {
+            self.transmit(inner, enc, first.key, first.seq, &first.bytes);
+            sent_body(first.bytes);
+            1
+        };
+        for _ in 0..sent {
+            inner.send_ledger.inc_processed();
+        }
+        inner.open_work.fetch_sub(sent, Ordering::AcqRel);
+        if behind > 0 {
+            inner.metrics.add_resp_sent_behind(behind);
+        }
+        true
+    }
+
+    /// Encode the lead for `seq` and put lead + body on the wire as one
+    /// frame, with no intermediate copy. The caller holds the send turn —
+    /// `enc` is the guard's content.
+    fn transmit(
+        &self,
+        inner: &ServerInner,
+        enc: &mut V3Encoder,
+        key: MethodKey,
+        seq: i64,
+        body: &[u8],
+    ) {
+        let mut lead = [0u8; LEAD_MAX];
+        let mut cursor = &mut lead[..];
+        enc.write_response_lead(&mut cursor, seq)
+            .expect("a vlong fits LEAD_MAX");
+        let lead_len = LEAD_MAX - cursor.len();
+        let sent = self
+            .transport
+            .send_serialized(key.response_key(), &lead[..lead_len], body);
+        inner.check_sent(self, sent);
+    }
+}
+
 /// Decrements a counter on drop, so read-side thread exits (normal,
 /// panic, early return) all release their slot.
 struct CountGuard<'a>(&'a AtomicUsize);
@@ -629,7 +727,6 @@ impl Server {
         };
 
         let n_readers = cfg.effective_reader_shards();
-        let n_responders = cfg.effective_responder_shards();
         let admission =
             AdmissionQueue::new(cfg.call_queue_len, cfg.tenant_quota, &cfg.tenant_weights);
         let metrics = MetricsRegistry::new(false);
@@ -670,15 +767,7 @@ impl Server {
             reader_stats.push(stats);
             reader_state.push(Mutex::new(ReaderState::default()));
         }
-        let mut responders = Vec::with_capacity(n_responders);
-        for i in 0..n_responders {
-            let (tx, rx) = bounded(cfg.call_queue_len);
-            responders.push(RespShard {
-                tx,
-                rx,
-                stats: metrics.register_shard(ShardRole::Responder, i),
-            });
-        }
+        let send_ledger = metrics.register_shard(ShardRole::Responder, 0);
 
         let id_seed = handshake::mint_client_id((u64::from(node.0) << 16) ^ u64::from(port));
         let priority: HashSet<String> = cfg.priority_protocols.iter().cloned().collect();
@@ -706,7 +795,7 @@ impl Server {
             sched,
             priority,
             setups_inflight: AtomicUsize::new(0),
-            responders,
+            send_ledger,
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
@@ -751,18 +840,6 @@ impl Server {
                     .name(format!("rpc-handler-{h}"))
                     .spawn(move || worker_loop(inner, h))
                     .expect("spawn handler"),
-            );
-        }
-        // Responder shards.
-        for i in 0..n_responders {
-            let inner2 = Arc::clone(&inner);
-            let rx = inner.responders[i].rx.clone();
-            let stats = Arc::clone(&inner.responders[i].stats);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("rpc-responder-{i}"))
-                    .spawn(move || responder_loop(inner2, rx, stats))
-                    .expect("spawn responder"),
             );
         }
 
@@ -1031,9 +1108,9 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                     continue;
                 }
                 inner.accepted.fetch_add(1, Ordering::Relaxed);
-                // The id decides the connection's reader and responder
-                // shards; assigned here, in accept order, so shard
-                // placement does not depend on setup-thread scheduling.
+                // The id decides the connection's reader shard; assigned
+                // here, in accept order, so shard placement does not
+                // depend on setup-thread scheduling.
                 let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
                 // Counted before the spawn so `drain` can never observe
                 // "listener done, read side quiesced" while a setup is in
@@ -1088,8 +1165,8 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                                 conn: Arc::new(ServerConn {
                                     id: conn_id,
                                     transport: conn,
-                                    send: Mutex::new(V3Encoder::new(stateful)),
-                                    queued: AtomicUsize::new(0),
+                                    turn: Mutex::new(V3Encoder::new(stateful)),
+                                    pending: Mutex::new(VecDeque::new()),
                                 }),
                                 client_id,
                                 dec: V3Decoder::new(stateful),
@@ -1208,7 +1285,16 @@ fn adopt_registrations(inner: &ServerInner, shard: usize) {
 /// workers exactly as it always was. The last one is announced too if the
 /// connection still has input; if it has none, the outcome is
 /// [`ReadOutcome::Admitted`] and the announcement is the caller's.
-fn service_token(inner: &Arc<ServerInner>, owner: usize, tok: u64) -> ReadOutcome {
+///
+/// So is the flush: the connections this burst answered itself (busy,
+/// replay) are noted in `answered`, and the caller [`ServerConn::flush`]es
+/// them now that the table lock is released.
+fn service_token(
+    inner: &Arc<ServerInner>,
+    owner: usize,
+    tok: u64,
+    answered: &mut Vec<Arc<ServerConn>>,
+) -> ReadOutcome {
     let fair = inner.admission.fair();
     let stats = &inner.reader_stats[owner];
     let mut state = inner.reader_state[owner].lock();
@@ -1244,7 +1330,7 @@ fn service_token(inner: &Arc<ServerInner>, owner: usize, tok: u64) -> ReadOutcom
                 // Not the last of its burst: a worker's.
                 inner.sched.notify();
             }
-            outcome = read_one(inner, &mut slot.sc, stats);
+            outcome = read_one(inner, &mut slot.sc, stats, answered);
             match outcome {
                 ReadOutcome::Frame | ReadOutcome::Admitted => {}
                 ReadOutcome::Idle | ReadOutcome::Forfeit | ReadOutcome::Shutdown => break,
@@ -1298,6 +1384,7 @@ fn service_token(inner: &Arc<ServerInner>, owner: usize, tok: u64) -> ReadOutcom
 fn reader_shard_loop(inner: &Arc<ServerInner>, shard: usize) {
     let ready = &inner.reader_ready[shard];
     let mut last_sweep = Instant::now();
+    let mut answered = Vec::new();
     while !inner.stop.load(Ordering::Acquire) && !inner.draining.load(Ordering::Acquire) {
         // Low-frequency liveness sweep: a peer that dies without closing
         // its stream (node failure) makes its conns readable without any
@@ -1329,7 +1416,20 @@ fn reader_shard_loop(inner: &Arc<ServerInner>, shard: usize) {
             adopt_registrations(inner, shard);
             continue;
         }
-        match service_token(inner, shard, tok) {
+        let outcome = service_token(inner, shard, tok, &mut answered);
+        if !answered.is_empty() {
+            // The flush sends whatever is pending on those connections,
+            // and a bulk-sized response a handler queued there can block
+            // on slot credits: away meanwhile, like any send of a
+            // reader's (a closed wake list cannot be left, and need not
+            // be — the shard is on its way out).
+            let left = ready.leave();
+            answered.drain(..).for_each(|conn| conn.flush(inner));
+            if left {
+                ready.come_back();
+            }
+        }
+        match outcome {
             ReadOutcome::Shutdown => break,
             ReadOutcome::Admitted => {
                 if !run_in_place(inner, shard) {
@@ -1357,8 +1457,9 @@ fn reader_shard_loop(inner: &Arc<ServerInner>, shard: usize) {
 ///   run them), below the in-flight cap, and not once the server is
 ///   draining or stopping.
 /// * **Only with nothing else to read:** the burst is over (the caller
-///   got [`ReadOutcome::Admitted`]) and the shard's wake list is empty
-///   ([`ReadyQueue::try_leave`]).
+///   got [`ReadOutcome::Admitted`]) and the shard's wake list is empty.
+///   (A token landing between that look and [`ReadyQueue::leave`] is
+///   announced by the leave.)
 /// * **Away, and taken over:** this runs outside the shard's table lock,
 ///   with the wake list marked *away*, so anything arriving for the
 ///   shard meanwhile wakes an idle worker, which reads it ([`take_over`])
@@ -1379,7 +1480,7 @@ fn run_in_place(inner: &Arc<ServerInner>, shard: usize) -> bool {
         return false;
     }
     let ready = &inner.reader_ready[shard];
-    if !ready.try_leave() {
+    if !ready.is_empty() || !ready.leave() {
         sched.release_permit(false);
         return false;
     }
@@ -1428,7 +1529,8 @@ fn pop_and_poll(inner: &Arc<ServerInner>, now: u64, runner: Runner) -> bool {
 /// each shard whose owner is away running a call. It only reads and
 /// pushes — the calls it admits it meets again in its own loop, under a
 /// permit like any other — so with every permit taken an away shard is
-/// still read, queued for and refused for. Counted a reader while at it,
+/// still read, queued for and refused for (its refusals it sends itself).
+/// Counted a reader while at it,
 /// so that `drain` waits for it; nobody takes over once `draining` is set.
 fn take_over(inner: &Arc<ServerInner>, worker: usize) -> bool {
     if !inner.reader_ready.iter().any(|ready| ready.is_away()) {
@@ -1440,6 +1542,7 @@ fn take_over(inner: &Arc<ServerInner>, worker: usize) -> bool {
         return false;
     }
     let mut took = false;
+    let mut answered = Vec::new();
     for (victim, ready) in inner.reader_ready.iter().enumerate() {
         let Some(tok) = ready.take_over() else {
             continue;
@@ -1452,16 +1555,42 @@ fn take_over(inner: &Arc<ServerInner>, worker: usize) -> bool {
             // An `Admitted` needs no notify: this worker's own pass pops
             // next, and if no permit is free, nobody could run it anyway
             // — whoever frees one looks at the queue.
-            service_token(inner, victim, tok);
+            service_token(inner, victim, tok, &mut answered);
+            answered.drain(..).for_each(|conn| conn.flush(inner));
         }
     }
     took
 }
 
+/// A reader's own answer (busy, replay, a parked duplicate it aborts),
+/// from under the table lock: pushed onto its connection's pending list,
+/// the connection noted in `answered` for the flush that follows.
+fn answer_reading(
+    inner: &ServerInner,
+    route: RespRoute,
+    bytes: &Arc<Vec<u8>>,
+    answered: &mut Vec<Arc<ServerConn>>,
+) {
+    route
+        .conn
+        .send(inner, route.key, route.seq, bytes, Producer::Reading);
+    if !answered
+        .last()
+        .is_some_and(|conn| Arc::ptr_eq(conn, &route.conn))
+    {
+        answered.push(route.conn);
+    }
+}
+
 /// Receive and admit one frame from a ready connection. This is the body
 /// the per-connection Reader thread used to run, minus the blocking idle
 /// wait (the shard only calls it after `poll_ready`).
-fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) -> ReadOutcome {
+fn read_one(
+    inner: &Arc<ServerInner>,
+    sc: &mut ShardConn,
+    stats: &ShardStats,
+    answered: &mut Vec<Arc<ServerConn>>,
+) -> ReadOutcome {
     let conn = &sc.conn;
     let (payload, recv) = match conn.transport.recv_msg(READ_SLICE) {
         Ok(v) => v,
@@ -1502,7 +1631,8 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
         Admission::Replay(bytes) => {
             // Completed earlier: answer from the cache, never touching
             // the handler pool.
-            inner.enqueue_response(RespRoute::new(Arc::clone(conn), &header), bytes, false);
+            let own = RespRoute::new(Arc::clone(conn), &header);
+            answer_reading(inner, own, &bytes, answered);
             return ReadOutcome::Frame;
         }
     }
@@ -1551,7 +1681,7 @@ fn read_one(inner: &Arc<ServerInner>, sc: &mut ShardConn, stats: &ShardStats) ->
             // answer; the entry is gone so a retry can execute.
             let own = RespRoute::new(Arc::clone(conn), &header);
             for route in std::iter::once(own).chain(inner.retry_cache.abort(cache_key)) {
-                inner.enqueue_response(route, Arc::clone(&inner.busy_body), false);
+                answer_reading(inner, route, &inner.busy_body, answered);
             }
         }
         Err((AdmitError::Closed, _call)) => {
@@ -1675,136 +1805,4 @@ fn shed_call(inner: &Arc<ServerInner>, meta: CallMeta, call: RawCall) {
     // The queue already returned the tenant's quota slot when it shed the
     // call, so unlike an executed call there is nothing to release.
     inner.respond(call, Arc::clone(&inner.expired_body));
-}
-
-/// Most responses one responder sweep drains before sending. Bounds the
-/// latency a response can pick up behind its batch; one sweep's worth of
-/// frames per connection goes out as a single gathered wire operation.
-const RESPONDER_SWEEP: usize = 64;
-
-/// Responses one weight unit buys a tenant per responder sweep (QoS mode
-/// only). A flooder past `weight × quantum` has its excess carried to the
-/// next sweep so light tenants' responses are not queued behind it.
-const RESPONDER_FAIR_QUANTUM: u32 = 8;
-
-/// One responder shard: the overflow and foreign-thread send path. It
-/// transmits exactly the responses that could not go out inline — those a
-/// reader shard produced (busy, replay), parked duplicates released by
-/// another connection's handler, and a handler's own response when the
-/// connection's send turn was taken or something was already queued for
-/// it. Everything queued for one connection is sent in pop order under
-/// that connection's send turn, one gathered wire operation per sweep
-/// when `wire_batch` is on.
-fn responder_loop(inner: Arc<ServerInner>, rx: Receiver<OutboundResponse>, stats: Arc<ShardStats>) {
-    let sweep = if inner.cfg.wire_batch {
-        RESPONDER_SWEEP
-    } else {
-        1
-    };
-    let fair = inner.admission.fair();
-    let cache_off = inner.cfg.retry_cache_capacity == 0;
-    let mut batch: Vec<OutboundResponse> = Vec::with_capacity(sweep);
-    let mut groups: Vec<Vec<OutboundResponse>> = Vec::new();
-    // Responses deferred by the fair partition below, in pop order; the
-    // next sweep leads with them so nothing is reordered within a tenant.
-    let mut carry: Vec<OutboundResponse> = Vec::new();
-    let mut sweep_used: HashMap<u64, u32> = HashMap::new();
-    loop {
-        if carry.is_empty() {
-            match rx.recv_timeout(IDLE_SLICE) {
-                Ok(out) => {
-                    stats.dequeued();
-                    batch.push(out);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if inner.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        } else {
-            std::mem::swap(&mut batch, &mut carry);
-        }
-        // Opportunistic drain: everything already queued behind the
-        // blocking pop rides in this sweep (up to the cap).
-        while batch.len() < sweep {
-            match rx.try_recv() {
-                Ok(more) => {
-                    stats.dequeued();
-                    batch.push(more);
-                }
-                Err(_) => break,
-            }
-        }
-        // Group by connection, preserving pop order within and across
-        // groups (pop order == enqueue order). A sweep is at most
-        // `RESPONDER_SWEEP` responses, so a linear probe beats a map. The
-        // group vectors are kept from sweep to sweep: a lone overflow
-        // response must not cost two allocations to be "grouped".
-        let mut active = 0;
-        if fair {
-            sweep_used.clear();
-        }
-        for out in batch.drain(..) {
-            if fair {
-                // Weighted-fair partition (QoS mode only): each tenant
-                // sends up to weight × quantum responses this sweep; the
-                // excess is carried — still in order — so a flooder's
-                // burst cannot head-of-line block light tenants'
-                // responses through the shared shard.
-                let tenant = out.route.client_id;
-                let budget = inner
-                    .admission
-                    .weight(tenant)
-                    .saturating_mul(RESPONDER_FAIR_QUANTUM);
-                let used = sweep_used.entry(tenant).or_insert(0);
-                if *used >= budget {
-                    carry.push(out);
-                    continue;
-                }
-                *used += 1;
-            }
-            match groups[..active]
-                .iter_mut()
-                .find(|g| Arc::ptr_eq(&g[0].route.conn, &out.route.conn))
-            {
-                Some(group) => group.push(out),
-                None => {
-                    if active == groups.len() {
-                        groups.push(Vec::new());
-                    }
-                    groups[active].push(out);
-                    active += 1;
-                }
-            }
-        }
-        for group in &mut groups[..active] {
-            let n = group.len();
-            let conn = &group[0].route.conn;
-            // Wait for the send turn: whatever an inline sender has in
-            // flight goes out first, and no handler sends inline again
-            // until `queued` drops back to zero below.
-            let mut enc = conn.send.lock();
-            if let [out] = group.as_slice() {
-                inner.transmit(&out.route, &mut enc, &out.bytes);
-            } else {
-                inner.transmit_gathered(group, &mut enc);
-            }
-            conn.queued.fetch_sub(n, Ordering::AcqRel);
-            drop(enc);
-            for _ in 0..n {
-                stats.inc_processed();
-                inner.open_work.fetch_sub(1, Ordering::AcqRel);
-            }
-            // Sent: as at the end of `respond`, with the cache off the
-            // body is the next response's buffer.
-            for out in group.drain(..) {
-                if cache_off {
-                    inner.retry_cache.offer(out.bytes);
-                }
-            }
-        }
-    }
 }

@@ -66,8 +66,8 @@ const IMM_LARGE: u32 = 2;
 /// how many slots are being credited back (flow control).
 const IMM_CREDIT: u32 = 3;
 /// Immediate tag: the posted recv buffer holds several small frames
-/// back-to-back, each as `[vlong len][frame]` — the responder's batched
-/// sweep merged into one send (RDMAbox-style io-merging).
+/// back-to-back, each as `[vlong len][frame]` — what was pending behind
+/// a send turn, merged into one send (RDMAbox-style io-merging).
 const IMM_BATCH: u32 = 4;
 
 /// How finely blocked polls slice their waits to notice closure.

@@ -94,7 +94,7 @@ fn end_to_end_calls_populate_every_phase_histogram() {
     assert!(wire.quantile_ns(0.99) <= wire.max_ns.next_power_of_two().max(wire.max_ns));
 
     // Server side: queue wait and handler execution under the request's
-    // method; the responder's serialize/wire under the `#resp` key (a
+    // method; the sender's serialize/wire under the `#resp` key (a
     // method's responses have their own stable size history).
     // The sender books a response's phases when its send returns, which
     // can be after the caller has the bytes: give the last one a moment.
@@ -118,7 +118,7 @@ fn end_to_end_calls_populate_every_phase_histogram() {
         assert_eq!(
             phase_count(&srv, "test.EchoProtocol", "pingpong#resp", phase),
             CALLS,
-            "responder {phase:?} must be recorded once per response"
+            "sender {phase:?} must be recorded once per response"
         );
     }
 

@@ -43,7 +43,6 @@ fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
     .map(|(name, model, mut cfg)| {
         if let Some(n) = shards {
             cfg.reader_shards = n;
-            cfg.responder_shards = n;
         }
         cfg.wire_batch = batch;
         (name, Fabric::new(model), cfg)
@@ -191,8 +190,8 @@ fn wait_until(limit: Duration, what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// Responses the server has put on the wire (inline sends are booked on
-/// the connection's home responder shard).
+/// Responses the server has put on the wire (booked, whoever sent them,
+/// on the send ledger — the snapshot's one `Responder` row).
 fn responses_sent(server: &Server) -> u64 {
     server
         .metrics_snapshot()
@@ -236,7 +235,6 @@ fn lone_caller_receives_for_itself_and_connections_cost_no_thread() {
         let cfg = RpcConfig {
             handlers: 1,
             reader_shards: 1,
-            responder_shards: 1,
             prefill_per_class: 1,
             posted_recvs: 4,
             large_region_bytes: 256 * 1024,

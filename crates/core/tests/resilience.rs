@@ -21,16 +21,17 @@ use wire::{BytesWritable, DataInput, LongWritable, Text, Writable};
 
 /// Fabric + matching config for the transport selected by
 /// `RPC_TRANSPORT` (CI runs the suite under both values), with the
-/// server pipeline shape from `RPC_SHARDS` (pins both reader and
-/// responder shard counts; unset or 0 keeps the config defaults) and
-/// wire batching toggled by `RPC_BATCH` (`off` disables client gather
-/// coalescing and responder sweep batching), and the adaptive eager/bulk
+/// server pipeline shape from `RPC_SHARDS` (pins the reader shard
+/// count; unset or 0 keeps the config default) and wire batching
+/// toggled by `RPC_BATCH` (`off` disables client gather coalescing and
+/// the gathering of responses pending behind one connection's send
+/// turn), and the adaptive eager/bulk
 /// crossover toggled by `RPC_ADAPTIVE` (`on` lets each verbs connection
 /// retune its `rdma_threshold` from live cost samples; a no-op on the
 /// socket transport).
 /// CI's resilience matrix crosses these variables, so every scenario
-/// here runs single-sharded *and* at 4×4, batched *and* per-frame,
-/// static *and* adaptive.
+/// here runs single-sharded *and* on 4 reader shards, batched *and*
+/// per-frame, static *and* adaptive.
 fn env_transport() -> (Fabric, RpcConfig) {
     transport_with_env_shape(std::env::var("RPC_TRANSPORT").as_deref() == Ok("verbs"))
 }
@@ -49,7 +50,6 @@ fn transport_with_env_shape(verbs: bool) -> (Fabric, RpcConfig) {
         .filter(|&n| n > 0)
     {
         cfg.reader_shards = n;
-        cfg.responder_shards = n;
     }
     if std::env::var("RPC_BATCH").as_deref() == Ok("off") {
         cfg.wire_batch = false;
@@ -1002,13 +1002,13 @@ fn connection_without_the_handshake_is_refused() {
     }
 }
 
-/// Per-connection response ORDER survives responder batching. A raw peer
+/// Per-connection response ORDER survives send batching. A raw peer
 /// — handshake, then the frame codec by hand — pipelines 8 requests; with
-/// a single handler thread, completion order equals request order, and
-/// the batched responder sweep — which may drain several ready responses
-/// into one gathered send — must put them on the wire in exactly that
-/// order. Runs with batching on and off so a regression in either arm is
-/// pinned to the sweep logic.
+/// a single run permit, completion order equals request order, and
+/// whoever holds the connection's send turn — it may find several
+/// responses pending behind it and gather them into one send — must put
+/// them on the wire in exactly that order. Runs with batching on and off
+/// so a regression in either arm is pinned to the gather logic.
 #[test]
 fn pipelined_responses_stay_in_request_order_under_batching() {
     use rpcoib::intern::method_key;
@@ -1029,9 +1029,8 @@ fn pipelined_responses_stay_in_request_order_under_batching() {
         let stream = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
         client_hello(&stream, 0).unwrap();
         const PIPELINED: i64 = 8;
-        // All 8 requests hit the wire before any response is read: the
-        // responder's ready queue actually fills, so a batched sweep
-        // really does gather several responses per send.
+        // All 8 requests hit the wire before any response is read, so
+        // responses can really meet a taken turn and queue behind it.
         let key = method_key("test.CounterProtocol", "incr");
         let mut enc = V3Encoder::new(true);
         let mut burst: Vec<u8> = Vec::new();
@@ -1273,20 +1272,19 @@ fn retry_cache_ttl_expiry_reexecutes_instead_of_replaying_stale() {
 }
 
 /// The sharded pipeline's correctness contract, cross-shard: with two
-/// reader and two responder shards, two connections land on *different*
-/// shards (conn ids are assigned in accept order and routed `id % N`),
-/// and
+/// reader shards, two connections land on *different* shards (conn ids
+/// are assigned in accept order and routed `id % N`), and
 ///
 /// * a parked duplicate on one connection still fans out exactly once;
 /// * a non-idempotent workload split across both connections applies
 ///   exactly once per logical call under seeded link faults;
 /// * concurrent callers multiplexed on one connection always get *their
-///   own* response back — the per-connection responder routing never
-///   lets two shards interleave writes on a single connection.
+///   own* response back — the per-connection send turn never lets two
+///   threads interleave writes on a single connection.
 ///
-/// All three invariants must hold whether the responder sweeps one
-/// response per send or gathers a whole batch: this runs under the
-/// `RPC_BATCH` environment toggle, so CI exercises both arms.
+/// All three invariants must hold whether a turn's holder sends one
+/// pending response per wire operation or gathers them: this runs under
+/// the `RPC_BATCH` environment toggle, so CI exercises both arms.
 #[test]
 fn cross_shard_ordering_and_at_most_once() {
     let _wd = watchdog("cross_shard", Duration::from_secs(120));
@@ -1295,7 +1293,6 @@ fn cross_shard_ordering_and_at_most_once() {
     let server_node = fabric.add_node();
     let cfg = RpcConfig {
         reader_shards: 2,
-        responder_shards: 2,
         // The slow_incr handler takes 400 ms: the first attempt times out
         // and its retry parks behind the in-flight execution.
         call_timeout: Duration::from_millis(300),
@@ -1312,14 +1309,14 @@ fn cross_shard_ordering_and_at_most_once() {
     let server = Server::start(&fabric, server_node, 8020, cfg.clone(), registry).unwrap();
 
     // Two clients = two connections; sequential warm-ups pin the accept
-    // order, so conn 0 and conn 1 sit on different shards of both kinds.
+    // order, so conn 0 and conn 1 sit on different reader shards.
     let client_a = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
     counter_call(&client_a, &server, "get").unwrap();
     let client_b = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
     counter_call(&client_b, &server, "get").unwrap();
 
     // Parked duplicate on connection A while connection B (on the other
-    // responder shard) keeps working.
+    // shard) keeps working.
     let resp = counter_call(&client_a, &server, "slow_incr")
         .expect("the retry should collect the first attempt's response");
     assert_eq!(resp.0, 1);
@@ -1373,8 +1370,8 @@ fn cross_shard_ordering_and_at_most_once() {
     );
 
     // Clean links again: hammer one connection with concurrent callers.
-    // If responder routing ever let two shards write one connection,
-    // interleaved frames would corrupt these echoes.
+    // If two threads ever wrote one connection at once, interleaved
+    // frames would corrupt these echoes.
     let hammers: Vec<_> = (0..4)
         .map(|t| {
             let client = client_a.clone();
@@ -1399,15 +1396,16 @@ fn cross_shard_ordering_and_at_most_once() {
         h.join().unwrap();
     }
 
-    // Both shards of each kind must actually have seen work.
+    // Both reader shards must actually have seen work, and the send
+    // ledger (one row: no thread, no shard) every response.
     let shards = server.metrics_snapshot().shards;
-    for role in ["reader", "responder"] {
+    for (role, rows) in [("reader", 2), ("responder", 1)] {
         let busy: Vec<_> = shards
             .iter()
             .filter(|s| s.role.name() == role && s.processed > 0)
             .collect();
         assert!(
-            busy.len() >= 2,
+            busy.len() >= rows,
             "{role} work was not spread across shards: {shards:?}"
         );
     }

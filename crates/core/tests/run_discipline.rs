@@ -54,7 +54,6 @@ fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
     .map(|(name, model, mut cfg)| {
         if let Some(n) = env_shards() {
             cfg.reader_shards = n;
-            cfg.responder_shards = n;
         }
         cfg.wire_batch = batch;
         (name, Fabric::new(model), cfg)

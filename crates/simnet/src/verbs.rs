@@ -4,7 +4,8 @@
 //! against: open a device on a node, register memory regions, create queue
 //! pairs, exchange endpoints out of band, then communicate with two-sided
 //! send/recv or one-sided RDMA write (with optional immediate data, which —
-//! as on real hardware — consumes a posted receive WQE at the responder).
+//! as on real hardware — consumes a posted receive WQE at the responder:
+//! verbs' name for the remote queue pair, no relation to an RPC thread).
 //!
 //! Cost model: posting pays the verbs overhead (WQE + doorbell, no kernel
 //! stack), wire time is charged against the sender's egress link clock, and

@@ -12,8 +12,8 @@
 //!
 //! The same allocator also keeps a *process-wide* tally (every thread,
 //! `hw_scope` excluded the same way), which is what sees the server side
-//! of a call: reader shard, handler, responder, retry cache, admission
-//! queue. The engine's own share of that tally is **zero**: a response is
+//! of a call: reader shard, handler, whoever sends, retry cache,
+//! admission queue. The engine's own share of that tally is **zero**: a response is
 //! serialized into a buffer the retry cache has just let go of, so what a
 //! steady-state call allocates anywhere in the process is the
 //! application's — the values `RpcService::call` and `Client::call` hand
@@ -555,7 +555,7 @@ fn measure_process_wide(payload: usize, warmup: usize, calls: u64) -> (f64, f64)
 /// its `Arc` — 2 more until the engine learnt to serialize into the
 /// buffer its retry cache had just evicted — are gone, so the ceiling
 /// is 4; staging responses through per-call route and frame vectors on
-/// the way to a responder thread once measured 14.
+/// the way to a responder thread (there was one) once measured 14.
 #[test]
 #[ignore = "tier-2: allocator-sensitive, run with --ignored"]
 fn verbs_small_echo_whole_process_allocations_within_ceiling() {
@@ -585,6 +585,54 @@ fn verbs_bulk_echo_allocates_at_most_two_payload_buffers() {
     );
 }
 
+/// A bulk-sized response that waits behind its connection's send turn is
+/// sent from where it lies — borrowed — never copied into a frame to ride
+/// a gather it would be split out of again. Four callers share one verbs
+/// connection, so 256 KiB responses do queue behind a holder
+/// (`resp_sent_behind`), and still every payload-sized allocation is one
+/// of the application's two per call — or a response body built with no
+/// spare to recycle (`resp_bodies_fresh`: four calls in flight now and
+/// then need one body more than are in circulation), or, once in a few
+/// hundred calls, the registered pool growing by a buffer — hence the 1 %
+/// of slack. (With responder shards, two such responses meeting in one
+/// sweep were each copied into a fresh quarter-megabyte `Vec`, then sent
+/// one by one anyway: 190 to 280 more such allocations per 400 calls.)
+#[test]
+#[ignore = "tier-2: allocator-sensitive, run with --ignored"]
+fn bulk_responses_pending_behind_a_holder_are_not_copied() {
+    const PAYLOAD: usize = 256 * 1024;
+    const CALLERS: u64 = 4;
+    const CALLS: u64 = 100;
+    let _serial = serial();
+    let pair = Pair::verbs(SMALL_CACHE);
+    let body = BytesWritable(vec![0x42; PAYLOAD]);
+    let volley = |calls: u64| {
+        std::thread::scope(|s| {
+            for _ in 0..CALLERS {
+                s.spawn(|| (0..calls).for_each(|_| pair.echo_ok(&body)));
+            }
+        })
+    };
+    // Past the cache's filling, with as many bodies in circulation as
+    // there will be calls in flight.
+    volley(SMALL_CACHE as u64);
+    let warm = pair.server.metrics_snapshot().counters;
+    let (_, big) = counted_process_wide(PAYLOAD, || volley(CALLS));
+    let counters = pair.server.metrics_snapshot().counters;
+    pair.stop();
+    assert!(
+        counters.resp_sent_behind > warm.resp_sent_behind,
+        "no response waited behind a holder: {counters:?}"
+    );
+    let fresh = counters.resp_bodies_fresh - warm.resp_bodies_fresh;
+    let calls = CALLERS * CALLS;
+    assert!(
+        big <= 2 * calls + fresh + calls / 100,
+        "{calls} calls and {fresh} fresh bodies made {big} payload-sized allocations \
+         ({counters:?})"
+    );
+}
+
 /// The engine's own steady-state cost, with the application's taken
 /// away: a `NullWritable → NullWritable` service allocates nothing (a
 /// boxed zero-sized value is no allocation), so across 2 000 verbs calls
@@ -599,8 +647,8 @@ fn verbs_bulk_echo_allocates_at_most_two_payload_buffers() {
 /// the retry cache's `HashMap` reaching its final size (its tombstones
 /// decide when), and the first response that finds its connection's send
 /// turn still held by the previous one's sender (preempted by the caller
-/// it woke) and leaves through the responder shard, growing that shard's
-/// queue and sweep vectors. Measured 0 to 2 per 2 000 calls.
+/// it woke) and waits on the connection's pending list, which allocates
+/// when it is first pushed onto. Measured 0 to 2 per 2 000 calls.
 #[test]
 #[ignore = "tier-2: allocator-sensitive, run with --ignored"]
 fn engine_allocates_nothing_for_a_service_that_allocates_nothing() {
@@ -617,7 +665,7 @@ fn engine_allocates_nothing_for_a_service_that_allocates_nothing() {
         };
         // Two callers on the one connection warm up what a lone caller
         // only meets now and then: two calls in flight (two spares in
-        // circulation) and the responder shard's overflow path.
+        // circulation) and the connection's pending list.
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| (0..3 * SMALL_CACHE).for_each(|_| null()));
