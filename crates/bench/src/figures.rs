@@ -87,12 +87,6 @@ fn boot(cfg: &BenchConfig, seed: u64, jitter: Option<Duration>) -> Env {
         Server::start(&fabric, server_node, 9999, cfg.rpc.clone(), registry).expect("start server");
     let addr = server.addr();
     let client = Client::new(&fabric, client_node, cfg.rpc.clone()).expect("client");
-    // Pre-register two buffers per class up to the large region (RPCoIB
-    // only; no-op on sockets). Without this, the first large response's
-    // drain registers a fresh region for its size class, and that
-    // charge would leak into exactly one sample. Registration paid here
-    // lands outside every measurement window.
-    client.prewarm_pool(cfg.rpc.large_region_bytes, 2);
     Env {
         fabric,
         _server: server,
@@ -1224,14 +1218,18 @@ const BULK_ADAPTIVE_CONVERGED: usize = 8_191;
 ///
 /// Stages per frame: sender-thread CPU (stack cost of the header write
 /// plus each gather segment), a serialized sender egress (wire time of
-/// every write), message latency, then a serialized receiver drain (the
-/// payload's ingress wire time plus the modeled region→pool memcpy).
+/// every write), message latency, then a serialized receiver stage that
+/// is the payload's ingress wire time alone: the frame is read in the
+/// slots it landed in, so there is no region→pool memcpy to model (the
+/// reader's own pass over the bytes is host software, which this ledger
+/// charges on neither transport).
 /// Slot credits mirror the transport's ring arithmetic exactly — in-order
 /// allocation, wrap-skip-as-consume, full-drain reset — and each frame's
-/// consumed slots return one message latency after its drain completes.
+/// consumed slots return one message latency after it has been received
+/// (readers here release in arrival order, at once).
 /// With one slot every frame waits out its predecessor's full
-/// drain-and-credit round trip; with sixteen, frames overlap until the
-/// slowest stage (egress or drain) saturates.
+/// receive-and-credit round trip; with sixteen, frames overlap until the
+/// slowest stage (egress or ingress) saturates.
 fn bulk_makespan(m: &simnet::NetworkModel, slots: usize, payload: usize, seg_limit: usize) -> u64 {
     let slot = BULK_PIPE_REGION / slots;
     let footprint = payload + 8;
@@ -1247,7 +1245,7 @@ fn bulk_makespan(m: &simnet::NetworkModel, slots: usize, payload: usize, seg_lim
         wire_total += m.wire_ns(n);
         remaining -= n;
     }
-    let drain = m.wire_ns(payload) + rpcoib::hostcost::drain_ns(payload);
+    let ingress = m.wire_ns(payload);
     let lat = m.base_latency_ns;
 
     let mut thread_free = [0u64; BULK_PIPE_THREADS];
@@ -1282,7 +1280,7 @@ fn bulk_makespan(m: &simnet::NetworkModel, slots: usize, payload: usize, seg_lim
         let posted = (start + stack_cpu).max(egress_free);
         thread_free[tid] = posted;
         egress_free = posted + wire_total;
-        let done = recv_free.max(egress_free + lat) + drain;
+        let done = recv_free.max(egress_free + lat) + ingress;
         recv_free = done;
         let credit_at = done + lat;
         for _ in 0..consumed {
@@ -1299,9 +1297,12 @@ fn bulk_makespan(m: &simnet::NetworkModel, slots: usize, payload: usize, seg_lim
 ///   large call at a time through a 1-slot ring (the paper's one-deep
 ///   gate) versus the default 4-slot ring. The arms must charge
 ///   *identical* ledgers (`p50_delta_bp == 0` exactly): slot accounting
-///   is bookkeeping, not traffic. The measured window also asserts the
-///   registration-cache claim — zero new registrations, zero pool
-///   misses, zero oversize allocations at steady state, on both ends.
+///   is bookkeeping, not traffic. The receiver lets each frame go
+///   unread, as a reader that is done with it would, *before* the sender
+///   absorbs the credit: the credit is sent by that release, not by the
+///   receive. The measured window also asserts the registration-cache
+///   claim — zero new registrations, zero pool misses, zero oversize
+///   allocations at steady state, on both ends.
 /// * `pipe_p{N}` — the deterministic pipeline model: makespan of 16
 ///   pipelined transfers, one-deep versus 16 slots ([`bulk_makespan`]).
 ///   Acceptance: `speedup_bp >= 20000` (≥ 2×) on every payload.
@@ -1333,6 +1334,9 @@ pub fn run_bulk(opts: &RunOpts, git_rev: &str) -> Json {
                     .expect("bulk send");
                 let (got, _) = srv.recv_msg(Duration::from_secs(10)).expect("bulk recv");
                 assert_eq!(got.len(), payload);
+                // The frame was handed over in its slot; dropping it is
+                // what credits the slot back.
+                drop(got);
                 // Absorb the credit return into the sender's ledger (a
                 // credit-only completion surfaces as a timeout).
                 match cli.recv_msg(Duration::from_millis(5)) {

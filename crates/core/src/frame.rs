@@ -41,6 +41,7 @@ use simnet::MemoryRegion;
 use wire::{DataInput, DataOutput, Writable};
 
 use crate::intern::{self, MethodKey};
+use crate::transport::rdma::SlotLease;
 
 /// Response status byte: success.
 pub const STATUS_OK: u8 = 0;
@@ -426,8 +427,10 @@ impl V3Decoder {
 }
 
 /// A received frame payload: heap bytes on the socket path (Listing 2
-/// allocates per call), pooled registered memory on the RPCoIB path (zero
-/// extra copies).
+/// allocates per call), registered memory on the RPCoIB path — the pooled
+/// buffer an eager message landed in, or the large-region slots a bulk
+/// frame was RDMA-written into. Either way deserialization reads out of
+/// the memory the DMA wrote: zero copies beyond it.
 pub enum Payload {
     /// Freshly allocated heap buffer (socket baseline).
     Owned(Vec<u8>),
@@ -436,6 +439,20 @@ pub enum Payload {
         buf: PooledBuf<MemoryRegion>,
         len: usize,
     },
+    /// A bulk frame where it landed: `len` bytes at `base` of the
+    /// connection's large region. The slots under it stay the sender's
+    /// to reuse only once this payload is dropped — dropping `lease` is
+    /// what hands them back (see [`SlotLease`]) — so hold it no longer
+    /// than the read takes; a reader that must wait first takes its bytes
+    /// with it ([`crate::IbContext::evacuate`]). The peer holds the
+    /// region's rkey and can rewrite the bytes mid-read: every byte is
+    /// untrusted input however often it has been looked at.
+    InPlace {
+        region: MemoryRegion,
+        base: usize,
+        len: usize,
+        lease: SlotLease,
+    },
 }
 
 impl Payload {
@@ -443,7 +460,7 @@ impl Payload {
     pub fn len(&self) -> usize {
         match self {
             Payload::Owned(v) => v.len(),
-            Payload::Pooled { len, .. } => *len,
+            Payload::Pooled { len, .. } | Payload::InPlace { len, .. } => *len,
         }
     }
 
@@ -469,12 +486,13 @@ impl std::fmt::Debug for Payload {
         match self {
             Payload::Owned(v) => write!(f, "Payload::Owned({} bytes)", v.len()),
             Payload::Pooled { len, .. } => write!(f, "Payload::Pooled({len} bytes)"),
+            Payload::InPlace { len, .. } => write!(f, "Payload::InPlace({len} bytes)"),
         }
     }
 }
 
 /// Read-side staging size (mirrors the write-combining stage in
-/// `RdmaOutputStream`): pooled payloads live behind a lock, so per-field
+/// `RdmaOutputStream`): registered memory lives behind a lock, so per-field
 /// reads fetch through a small local window.
 const READ_STAGE: usize = 512;
 
@@ -511,34 +529,34 @@ impl Read for PayloadReader<'_> {
         if n == 0 {
             return Ok(0);
         }
-        match self.payload {
+        // Registered memory, and where in it the payload starts.
+        let (mem, origin) = match self.payload {
             Payload::Owned(v) => {
                 out[..n].copy_from_slice(&v[self.pos..self.pos + n]);
                 self.pos += n;
+                return Ok(n);
             }
-            Payload::Pooled { buf, .. } => {
-                if n >= READ_STAGE {
-                    // Bulk read: bypass the stage.
-                    buf.mem().get(self.pos, &mut out[..n]);
-                    self.pos += n;
-                } else {
-                    // Serve from the staged window, refilling as needed.
-                    let in_stage = self.pos >= self.stage_start
-                        && self.pos < self.stage_start + self.stage_len;
-                    if !in_stage {
-                        let fill = self.remaining().min(READ_STAGE);
-                        buf.mem().get(self.pos, &mut self.stage[..fill]);
-                        self.stage_start = self.pos;
-                        self.stage_len = fill;
-                    }
-                    let off = self.pos - self.stage_start;
-                    let n = n.min(self.stage_len - off);
-                    out[..n].copy_from_slice(&self.stage[off..off + n]);
-                    self.pos += n;
-                    return Ok(n);
-                }
-            }
+            Payload::Pooled { buf, .. } => (buf.mem(), 0),
+            Payload::InPlace { region, base, .. } => (region, *base),
+        };
+        if n >= READ_STAGE {
+            // Bulk read: bypass the stage.
+            mem.get(origin + self.pos, &mut out[..n]);
+            self.pos += n;
+            return Ok(n);
         }
+        // Serve from the staged window, refilling as needed.
+        let in_stage = self.pos >= self.stage_start && self.pos < self.stage_start + self.stage_len;
+        if !in_stage {
+            let fill = self.remaining().min(READ_STAGE);
+            mem.get(origin + self.pos, &mut self.stage[..fill]);
+            self.stage_start = self.pos;
+            self.stage_len = fill;
+        }
+        let off = self.pos - self.stage_start;
+        let n = n.min(self.stage_len - off);
+        out[..n].copy_from_slice(&self.stage[off..off + n]);
+        self.pos += n;
         Ok(n)
     }
 }

@@ -42,11 +42,13 @@ pub const fn legacy_call_ns() -> u64 {
     LEGACY_ALLOCS_PER_CALL * MANAGED_ALLOC_NS + LEGACY_LOCKS_PER_CALL * LOCK_ROUND_NS
 }
 
-/// Modeled host memcpy bandwidth for draining a received large frame out
+/// Modeled host memcpy bandwidth for copying a received large frame out
 /// of the registered region into a pooled buffer, ~10 GB/s (a single
-/// stream of rep-movs on the paper's Westmere hosts). The one-sided bulk
-/// plane charges this to the *receiver's* ledger per drained byte; the
-/// sender side is zero-copy and charges nothing beyond the wire.
+/// stream of rep-movs on the paper's Westmere hosts). Charged to the
+/// *receiver's* ledger per copied byte, where the copy is made: when a
+/// call that suspends takes its bytes with it
+/// ([`crate::IbContext::evacuate`]). A frame read where it landed — every
+/// other one — charges nothing beyond the wire, like the sender side.
 pub const DRAIN_BYTES_PER_NS: u64 = 10;
 
 /// Modeled cost of copying `len` bytes out of the large region.

@@ -103,5 +103,5 @@ pub use retry_cache::{Admission, RetryCache};
 pub use sched::{CallPoll, HandlerCx, Sched, Step, WakeHandle};
 pub use server::Server;
 pub use service::{RpcService, ServiceRegistry};
-pub use stream::{RdmaInputStream, RdmaOutputStream, RegionReader};
+pub use stream::{RdmaInputStream, RdmaOutputStream};
 pub use transport::rdma::IbContext;

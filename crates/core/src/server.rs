@@ -443,9 +443,7 @@ impl ServerInner {
     /// every duplicate attempt parked behind it (usually on *other*
     /// connections). A duplicate arriving before the cache entry
     /// completes parks and is released here; one arriving after replays.
-    fn respond(&self, call: RawCall, bytes: Arc<Vec<u8>>) {
-        // The request buffer goes back to its pool before the send.
-        let RawCall { conn, header, .. } = call;
+    fn respond(&self, conn: Arc<ServerConn>, header: RequestHeader, bytes: Arc<Vec<u8>>) {
         conn.send(self, header.key, header.seq, &bytes, Producer::Computing);
         let key = (header.client_id, header.seq);
         for waiter in self.retry_cache.complete(key, Arc::clone(&bytes)) {
@@ -1668,11 +1666,13 @@ fn read_one(
         // The queue has no blocking consumer, so somebody must be told —
         // or do the popping: the caller's decision.
         Ok(()) => return ReadOutcome::Admitted,
-        Err((AdmitError::QueueFull | AdmitError::TenantOverQuota, _call)) => {
+        Err((AdmitError::QueueFull | AdmitError::TenantOverQuota, call)) => {
             // Overload (shared queue full, or this tenant over its
             // quota): reject instead of blocking the shard (which would
             // stall every connection assigned to it). The call never
-            // executed, so the rejection is retryable.
+            // executed, so the rejection is retryable. A refused request
+            // is let go where it is refused.
+            drop(call);
             inner.open_work.fetch_sub(1, Ordering::AcqRel);
             inner.metrics.inc_busy_rejections_for(header.client_id);
             stats.inc_busy();
@@ -1751,6 +1751,22 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
 /// to the heap — a few hundred bytes, against an OS thread per blocked
 /// call — only if that poll suspends.
 ///
+/// **The request's life.** The parameter bytes are read where the wire
+/// put them — an eager message's posted buffer, a bulk frame's slots of
+/// the large region ([`Payload::InPlace`]) — and both are the peer's to
+/// send into again only once the payload is dropped. So the request is
+/// let go the moment `dispatch` has returned a result: *before* the
+/// response is serialized, let alone sent (a send can wait on the peer's
+/// credits; nothing of the peer's waits on it meanwhile). A call that is
+/// refused — busy, replayed, a parked duplicate, shed — lets go where it
+/// is refused. And a poll that suspends must not take slots of the
+/// peer's ring into a wait with no bound: *a stack frame reads in place,
+/// a heap frame takes its bytes with it* ([`IbContext::evacuate`] — the
+/// one copy of a bulk request the engine still makes, charged to the
+/// ledger there). Waiting in the admission queue for a run permit does
+/// not evacuate: see [`crate::transport::rdma`] for why that cannot
+/// deadlock.
+///
 /// The poll that completes serializes once, answers from the worker it
 /// ran on ([`ServerInner::respond`]) and releases the tenant's admission
 /// quota.
@@ -1783,14 +1799,24 @@ fn call_frame(
             .registry
             .dispatch(protocol, method, &mut reader, &mut hcx)
         else {
+            // Polled again, it reads the same bytes from its own copy.
+            if let Some(ib) = &inner.ib {
+                ib.evacuate(&mut c.payload);
+            }
             handler_ns += poll_start.elapsed().as_nanos() as u64;
             return hcx.pending_step();
         };
-        let c = call.take().expect("taken once");
-        let body = inner.serialize_response(c.header.key, &result);
+        let RawCall {
+            conn,
+            header,
+            payload,
+            ..
+        } = call.take().expect("taken once");
+        drop(payload);
+        let body = inner.serialize_response(header.key, &result);
         handler_ns += poll_start.elapsed().as_nanos() as u64;
         entry.record_phase(Phase::Handler, handler_ns);
-        inner.respond(c, body);
+        inner.respond(conn, header, body);
         inner.admission.release(meta.tenant);
         Step::Done
     }
@@ -1803,6 +1829,8 @@ fn call_frame(
 fn shed_call(inner: &Arc<ServerInner>, meta: CallMeta, call: RawCall) {
     inner.metrics.inc_deadline_sheds_for(meta.tenant);
     // The queue already returned the tenant's quota slot when it shed the
-    // call, so unlike an executed call there is nothing to release.
-    inner.respond(call, Arc::clone(&inner.expired_body));
+    // call, so unlike an executed call there is nothing to release — but
+    // the request itself: dropped here, before the send.
+    let RawCall { conn, header, .. } = call;
+    inner.respond(conn, header, Arc::clone(&inner.expired_body));
 }

@@ -350,45 +350,6 @@ impl Read for RdmaInputStream {
     }
 }
 
-/// Reader over a sub-range of a raw [`MemoryRegion`] — used to deserialize
-/// a large frame in place, straight out of the region the peer
-/// RDMA-wrote it into.
-pub struct RegionReader<'a> {
-    region: &'a MemoryRegion,
-    pos: usize,
-    end: usize,
-}
-
-impl<'a> RegionReader<'a> {
-    /// Read `[0, len)` of `region`.
-    pub fn new(region: &'a MemoryRegion, len: usize) -> Self {
-        RegionReader {
-            region,
-            pos: 0,
-            end: len,
-        }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.end - self.pos
-    }
-}
-
-impl Read for RegionReader<'_> {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let n = self.remaining().min(out.len());
-        if n == 0 {
-            return Ok(0);
-        }
-        self.region
-            .read_at(self.pos, &mut out[..n])
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        self.pos += n;
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,19 +464,5 @@ mod tests {
             out.buf().capacity() <= 4096,
             "history must not pull a jumbo buffer into the gather path"
         );
-    }
-
-    #[test]
-    fn region_reader_reads_in_place() {
-        let fabric = Fabric::new(model::IB_QDR_VERBS);
-        let node = fabric.add_node();
-        let dev = RdmaDevice::open(&fabric, node).unwrap();
-        let region = dev.register(256);
-        let mut bytes = Vec::new();
-        bytes.write_string("in place").unwrap();
-        region.write_at(0, &bytes).unwrap();
-        let mut reader = RegionReader::new(&region, bytes.len());
-        assert_eq!(reader.read_string().unwrap(), "in place");
-        assert_eq!(reader.remaining(), 0);
     }
 }

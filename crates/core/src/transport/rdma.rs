@@ -22,10 +22,16 @@
 //!   8-byte length header, then the payload segments back-to-back; no
 //!   staging copy, no jumbo buffer), and is announced with an immediate
 //!   carrying the slot offset and the slot count to credit back. The
-//!   receiver drains the frame into a pooled buffer and returns credits
-//!   in batches — so pipelined large transfers overlap in the region
-//!   instead of serializing on a one-deep handshake, while
-//!   `large_slots = 1` reproduces the paper's one-deep gate exactly.
+//!   receiver copies nothing: the frame is handed to its reader *in the
+//!   slots it landed in* ([`Payload::InPlace`]), exactly as an eager
+//!   message is read out of its posted buffer, and the slots go back to
+//!   the sender when that reader drops the payload — in ring order
+//!   whatever order readers finish in, in batches ([`SlotLedger`]). So
+//!   pipelined large transfers overlap in the region instead of
+//!   serializing on a one-deep handshake, while `large_slots = 1`
+//!   reproduces the paper's one-deep gate exactly. The one reader that
+//!   cannot hold a slot — a call that suspends — takes its bytes with it
+//!   ([`IbContext::evacuate`]).
 //!
 //! The eager/bulk switch point is the static `rdma_threshold` by default;
 //! with `adaptive_rdma_threshold` on, a per-connection
@@ -35,6 +41,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bufpool::{NativePool, PoolMem, PooledBuf, RdmaMemFactory, ShadowPool, SizeClasses};
@@ -62,8 +69,9 @@ const IMM_SMALL: u32 = 1;
 /// count to credit back (which can exceed the frame's own footprint when
 /// the grant wrapped past the end of the ring).
 const IMM_LARGE: u32 = 2;
-/// Immediate tag: the receiver drained its large region; bits 8.. carry
-/// how many slots are being credited back (flow control).
+/// Immediate tag: readers at the receiver are done with frames at the
+/// head of its large region; bits 8.. carry how many slots are being
+/// credited back (flow control).
 const IMM_CREDIT: u32 = 3;
 /// Immediate tag: the posted recv buffer holds several small frames
 /// back-to-back, each as `[vlong len][frame]` — what was pending behind
@@ -194,6 +202,30 @@ impl IbContext {
             oversize,
         }
     }
+
+    /// *A stack frame reads in place, a heap frame takes its bytes with
+    /// it.* A reader that is about to wait for something other than the
+    /// CPU — a call that suspends — must not wait holding slots of its
+    /// peer's ring: copy an in-place bulk frame into a pooled buffer and
+    /// let the slots go. This is the drain copy every bulk frame used to
+    /// pay on receipt, made (and charged to the receiver's ledger) only
+    /// here. Any other payload is left as it is.
+    pub fn evacuate(&self, payload: &mut Payload) {
+        let Payload::InPlace {
+            region, base, len, ..
+        } = &*payload
+        else {
+            return;
+        };
+        let (base, len) = (*base, *len);
+        let mut buf = self.pool.acquire_size(len);
+        region.with(|bytes| buf.mem_mut().put(0, &bytes[base..base + len]));
+        self.device
+            .fabric()
+            .charge_host_ns(self.device.node(), hostcost::drain_ns(len));
+        // Dropping the in-place payload releases its lease.
+        *payload = Payload::Pooled { buf, len };
+    }
 }
 
 /// One received frame and the profile of receiving it.
@@ -201,8 +233,8 @@ type Frame = (Payload, RecvProfile);
 
 /// A grant of `consumed` credits whose frame starts at slot `start`. The
 /// `ticket` orders the actual RDMA writes: grants must hit the wire in
-/// grant order or the receiver's FIFO drain would credit slots a later,
-/// still-unwritten frame already owns.
+/// grant order or the receiver's arrival-order crediting would return
+/// slots a later, still-unwritten frame already owns.
 struct Grant {
     start: usize,
     consumed: usize,
@@ -211,8 +243,10 @@ struct Grant {
 
 struct RingState {
     /// Free slots. The free region is always contiguous — allocation
-    /// walks the ring in order and the receiver drains frames in arrival
-    /// order — so `credits >= k` means the next `k` slots are free.
+    /// walks the ring in order and the receiver credits frames back in
+    /// arrival order, whatever order their readers finish in (see
+    /// [`SlotLedger`]) — so `credits >= k` means the next `k` slots are
+    /// free.
     credits: usize,
     /// Next slot index to allocate.
     ring_pos: usize,
@@ -327,7 +361,7 @@ impl SlotRing {
         self.wake(&st);
     }
 
-    /// Return `n` drained slots announced by a peer credit message.
+    /// Return `n` slots announced by a peer credit message.
     fn release(&self, n: usize) {
         let mut st = self.state.lock();
         st.credits = (st.credits + n).min(self.slots);
@@ -349,11 +383,168 @@ struct SendState {
     header_mr: MemoryRegion,
 }
 
+/// The connection's way onto the wire: its queue pair, the lock that
+/// orders posts to it, and whether it has been closed. Apart from the
+/// connection only the [`SlotLedger`] knows it, weakly — a credit return
+/// is a send, and whoever drops a [`SlotLease`] makes it.
+struct Link {
+    qp: QueuePair,
+    send: Mutex<SendState>,
+    closed: AtomicBool,
+}
+
+impl Link {
+    fn send_credit(&self, count: usize) -> RpcResult<()> {
+        let state = self.send.lock();
+        state.credit_mr.write_at(0, &[0]).map_err(verbs_err)?;
+        self.qp
+            .post_send(&state.credit_mr, 0, 1, IMM_CREDIT | ((count as u32) << 8))
+            .map_err(verbs_err)
+    }
+}
+
+/// The receive side's account of *our* large region: which announced
+/// bulk frames are still being read where they landed, and how many slots
+/// the peer is owed.
+///
+/// **Credits return in ring order whatever order frames are released
+/// in.** The sender's [`SlotRing`] is right only because its free region
+/// is contiguous: it reads `credits >= k` as "the next `k` slots from the
+/// cursor are free". Readers finish out of order — two callers on one
+/// connection, a queued call behind a running one — so frames are kept
+/// here in arrival order (which is ring order: the sender's turnstile
+/// posts grants in grant order), each with the `consumed` count its
+/// immediate carried (wrap stubs included) and a released mark, and only
+/// the released *prefix* is owed back: MPICH2's in-order head pointer. A
+/// frame released early waits behind an older one still being read; that
+/// costs head-of-line delay on a credit, never a slot handed out twice.
+///
+/// **Why holding slots while a call waits for a run permit cannot
+/// deadlock.** A connection has at most `large_slots` unread bulk frames
+/// at its peer, and the next one waits at its *sender*
+/// ([`RdmaConn::acquire_slots`], which drives receive progress itself
+/// and gives up after `call_timeout` with the retryable `CreditStarved`).
+/// What each holder of a slot needs in order to let go: the consumer of a
+/// *response* needs only CPU (a parked caller is woken to read; a frame a
+/// credit-waiting sender stashed is popped by the connection's leader);
+/// the consumer of a *request* needs a run permit — it lets go when its
+/// handler returns, before the response is serialized or sent — and a
+/// call that suspends evacuates first ([`IbContext::evacuate`]); a permit
+/// holder blocked *sending* a response holds no request slot and waits on
+/// the client's slots, which the client's consumers free without needing
+/// anything from the server. The one consumer that may never come is that
+/// of a late response on a connection nobody waits on any more: its slots
+/// stay taken until the next caller leads, and a sender that needs them
+/// sooner is `CreditStarved` — bounded, retryable, and only after every
+/// call on that connection had already timed out.
+///
+/// A [`SlotLease`] may be dropped on any thread, under any engine lock:
+/// release takes this ledger's own lock and then (not nested) the link's
+/// send lock, nothing else. It keeps alive the ledger and — through the
+/// payload — the region it reads; not the connection: a payload somebody
+/// still holds must not keep a dead peer's queue pair registered.
+struct SlotLedger {
+    state: Mutex<LedgerState>,
+    /// Slots in our region; what the peer can have outstanding at most.
+    slots: usize,
+    /// Owed credits go back once this many have accumulated, or at once
+    /// when the inbox is quiet (so a lone transfer is credited
+    /// immediately — its latency is the one-deep gate's).
+    credit_batch: usize,
+    link: Weak<Link>,
+}
+
+struct LedgerState {
+    /// Frames announced and not yet owed back, oldest first:
+    /// `(consumed, released)`. At most `slots` entries (each consumed at
+    /// least one), so its storage is allocated once.
+    frames: VecDeque<(usize, bool)>,
+    /// Arrival number of `frames[0]`; lease `seq` is entry `seq - head`.
+    head: u64,
+    /// Slots of the released prefix, owed to the peer and not yet sent.
+    pending: usize,
+}
+
+impl SlotLedger {
+    /// Enter a frame the peer announced with `consumed` slots; `None` if
+    /// the peer has no such credit — it wrote over slots it was never
+    /// given back.
+    fn admit(self: &Arc<Self>, consumed: usize) -> Option<SlotLease> {
+        let mut st = self.state.lock();
+        let held: usize = st.frames.iter().map(|&(consumed, _)| consumed).sum();
+        if held + st.pending + consumed > self.slots {
+            return None;
+        }
+        st.frames.push_back((consumed, false));
+        Some(SlotLease {
+            seq: st.head + st.frames.len() as u64 - 1,
+            ledger: Arc::clone(self),
+        })
+    }
+
+    /// Frame `seq`'s reader is done: mark it, move the released prefix to
+    /// `pending`, and apply the cadence rule.
+    fn release(&self, seq: u64) {
+        let mut st = self.state.lock();
+        let idx = seq.wrapping_sub(st.head) as usize;
+        if let Some(frame) = st.frames.get_mut(idx) {
+            frame.1 = true;
+        }
+        while let Some(&(consumed, true)) = st.frames.front() {
+            st.frames.pop_front();
+            st.head += 1;
+            st.pending += consumed;
+        }
+        self.settle(st);
+    }
+
+    /// The cadence rule at one of the receiver's idle moments
+    /// ([`Conn::recv_msg`] with nothing stashed).
+    fn flush(&self) {
+        self.settle(self.state.lock());
+    }
+
+    /// Send the peer what it is owed, if the batch is full or the inbox
+    /// has gone quiet — unless the connection is gone or closed, when
+    /// nobody is owed anything.
+    fn settle(&self, mut st: parking_lot::MutexGuard<'_, LedgerState>) {
+        if st.pending == 0 {
+            return;
+        }
+        let Some(link) = self.link.upgrade() else {
+            return;
+        };
+        if link.closed.load(Ordering::Acquire)
+            || (st.pending < self.credit_batch && link.qp.recv_pending())
+        {
+            return;
+        }
+        let count = std::mem::take(&mut st.pending);
+        drop(st);
+        // Best-effort: if the peer has gone away the credits are moot.
+        let _ = link.send_credit(count);
+    }
+}
+
+/// The hold an in-place bulk frame ([`Payload::InPlace`]) has on the
+/// slots it occupies; dropping it releases them to the connection's
+/// [`SlotLedger`]. No allocation: a cloned `Arc` and an arrival number.
+pub struct SlotLease {
+    ledger: Arc<SlotLedger>,
+    seq: u64,
+}
+
+impl Drop for SlotLease {
+    fn drop(&mut self) {
+        self.ledger.release(self.seq);
+    }
+}
+
 /// An established RPCoIB connection.
 pub struct RdmaConn {
     ctx: IbContext,
     cfg: RpcConfig,
-    qp: QueuePair,
+    link: Arc<Link>,
     /// Region the *peer* RDMA-writes large frames into.
     my_large: MemoryRegion,
     /// Slot geometry of `my_large` (receiver side of the bulk plane).
@@ -371,20 +562,16 @@ pub struct RdmaConn {
     /// credit-waiting sender or an [`IMM_BATCH`] unpack produced it.
     stash: Mutex<VecDeque<Frame>>,
     next_wr: AtomicU64,
-    send: Mutex<SendState>,
     /// Credits over the *peer's* region, spent by our bulk sends.
     ring: SlotRing,
-    /// Slots of *our* region drained but not yet credited back to the
-    /// peer; flushed in batches of `credit_batch` (or when the inbox goes
-    /// quiet, so a lone transfer is credited immediately).
-    pending_credits: Mutex<usize>,
-    credit_batch: usize,
+    /// Leases over *our* region, held by the in-place frames not yet
+    /// read, and the credits owed back to the peer.
+    ledger: Arc<SlotLedger>,
     /// Recycled storage for the gather serializer's segment list, so a
     /// steady-state bulk send allocates nothing.
     seg_scratch: Mutex<Vec<PooledBuf<MemoryRegion>>>,
     /// Eager/bulk switch point (static, or adaptive when configured).
     crossover: Crossover,
-    closed: AtomicBool,
     peer_desc: String,
     /// When attached, every send feeds the per-`<protocol, method>`
     /// serialize/wire phase histograms.
@@ -499,10 +686,28 @@ impl RdmaConn {
 
         qp.connect(peer_ep);
 
+        let link = Arc::new(Link {
+            qp,
+            send: Mutex::new(SendState {
+                credit_mr: ctx.device.register(128),
+                header_mr: ctx.device.register(64),
+            }),
+            closed: AtomicBool::new(false),
+        });
         let conn = RdmaConn {
             ctx: ctx.clone(),
             cfg: cfg.clone(),
-            qp,
+            ledger: Arc::new(SlotLedger {
+                state: Mutex::new(LedgerState {
+                    frames: VecDeque::with_capacity(cfg.large_slots),
+                    head: 0,
+                    pending: 0,
+                }),
+                slots: cfg.large_slots,
+                credit_batch: (cfg.large_slots / 2).max(1),
+                link: Arc::downgrade(&link),
+            }),
+            link,
             my_large,
             my_slots: cfg.large_slots,
             my_slot_size: cfg.large_region_bytes / cfg.large_slots,
@@ -512,20 +717,13 @@ impl RdmaConn {
             posted: Mutex::new(HashMap::new()),
             stash: Mutex::new(VecDeque::new()),
             next_wr: AtomicU64::new(1),
-            send: Mutex::new(SendState {
-                credit_mr: ctx.device.register(128),
-                header_mr: ctx.device.register(64),
-            }),
             ring: SlotRing::new(peer_slots),
-            pending_credits: Mutex::new(0),
-            credit_batch: (cfg.large_slots / 2).max(1),
             seg_scratch: Mutex::new(Vec::new()),
             crossover: Crossover::new(
                 cfg.adaptive_rdma_threshold,
                 cfg.rdma_threshold,
                 cfg.recv_buf_bytes,
             ),
-            closed: AtomicBool::new(false),
             peer_desc: format!("rdma:{}", peer_ep.node),
             metrics: None,
             ready_hook: Mutex::new(None),
@@ -553,7 +751,7 @@ impl RdmaConn {
     fn post_one_recv(&self) {
         let wr = self.next_wr.fetch_add(1, Ordering::Relaxed);
         let buf = self.ctx.pool.acquire_size(self.cfg.recv_buf_bytes);
-        self.qp.post_recv(wr, buf.mem().clone());
+        self.link.qp.post_recv(wr, buf.mem().clone());
         self.posted.lock().insert(wr, buf);
     }
 
@@ -579,32 +777,6 @@ impl RdmaConn {
         }
         self.close();
         RpcError::Protocol(msg)
-    }
-
-    fn send_credit(&self, count: usize) -> RpcResult<()> {
-        let state = self.send.lock();
-        state.credit_mr.write_at(0, &[0]).map_err(verbs_err)?;
-        self.qp
-            .post_send(&state.credit_mr, 0, 1, IMM_CREDIT | ((count as u32) << 8))
-            .map_err(verbs_err)
-    }
-
-    /// Flush accumulated drain credits when the batch is full or the
-    /// inbox has gone quiet (so a lone transfer is credited immediately —
-    /// its latency is identical to the one-deep gate's).
-    fn maybe_flush_credits(&self) {
-        let count = {
-            let mut pending = self.pending_credits.lock();
-            if *pending == 0 {
-                return;
-            }
-            if *pending < self.credit_batch && self.qp.recv_pending() {
-                return;
-            }
-            std::mem::take(&mut *pending)
-        };
-        // Best-effort: if the peer has gone away the credits are moot.
-        let _ = self.send_credit(count);
     }
 
     /// One step of receive progress for a thread that must block on this
@@ -633,7 +805,7 @@ impl RdmaConn {
     /// Claim `k` contiguous slots of the peer's region, waiting up to
     /// `call_timeout` (sliced, so a concurrent close is noticed promptly).
     /// Exhausting the budget is [`RpcError::CreditStarved`] — the peer is
-    /// alive but not draining.
+    /// alive but not letting go of what it holds.
     ///
     /// The credits arrive as [`IMM_CREDIT`] completions on our own queue
     /// pair, and no thread is dedicated to reading it: when nobody is
@@ -696,7 +868,7 @@ impl RdmaConn {
     ) -> RpcResult<()> {
         let base = grant.start * self.peer_slot_size;
         let imm = IMM_LARGE | ((grant.start as u32) << 8) | ((grant.consumed as u32) << 20);
-        let state = self.send.lock();
+        let state = self.link.send.lock();
         state
             .header_mr
             .write_at(0, &(len as u64).to_be_bytes())
@@ -718,7 +890,8 @@ impl RdmaConn {
                     (seg.mem(), 0usize, n, base + HEADER_BYTES + i * seg_bytes)
                 }),
         );
-        self.qp
+        self.link
+            .qp
             .rdma_write_vectored(chain, self.peer_rkey, Some(imm))
             .map_err(verbs_err)?;
         Ok(())
@@ -727,7 +900,9 @@ impl RdmaConn {
     /// Validate an [`IMM_LARGE`] announcement against our region geometry
     /// and read the frame's length header. Violations tear the
     /// connection down — an out-of-contract peer write means the region
-    /// contents can't be trusted.
+    /// contents can't be trusted. What passes bounds what the frame's
+    /// reader may touch: the slots the announcement pays for, which lie
+    /// inside the region.
     fn bulk_frame_len(&self, start: usize, consumed: usize) -> RpcResult<usize> {
         if consumed == 0 || start + consumed > self.my_slots {
             return Err(self.frame_corruption(format!(
@@ -740,11 +915,18 @@ impl RdmaConn {
         let mut hdr = [0u8; HEADER_BYTES];
         self.my_large.read_at(base, &mut hdr).map_err(verbs_err)?;
         let len = u64::from_be_bytes(hdr) as usize;
-        if base + HEADER_BYTES + len > self.cfg.large_region_bytes {
+        // All three grant shapes consume at least the frame's footprint
+        // (a wrap's `consumed` adds the skipped tail stub), so a frame
+        // longer than `consumed` slots is one whose reader would walk
+        // over slots the peer still owns — and is credited for only some.
+        if len
+            .checked_add(HEADER_BYTES)
+            .is_none_or(|footprint| footprint > consumed * self.my_slot_size)
+        {
             return Err(self.frame_corruption(format!(
-                "bulk frame of {len} bytes at slot {start} overruns the \
-                 {}-byte region",
-                self.cfg.large_region_bytes
+                "bulk frame of {len} bytes at slot {start} claims more than the \
+                 {consumed} slots of {} bytes it pays for",
+                self.my_slot_size
             )));
         }
         Ok(len)
@@ -756,7 +938,7 @@ impl RdmaConn {
     /// turn — completions are consumed, and the stash grows, in wire
     /// order by one thread at a time.
     fn poll_one(&self, slice: Duration) -> RpcResult<bool> {
-        let completion = match self.qp.poll_recv(slice) {
+        let completion = match self.link.qp.poll_recv(slice) {
             Ok(c) => c,
             Err(VerbsError::Timeout) => return Ok(false),
             Err(e) => return Err(verbs_err(e)),
@@ -834,26 +1016,25 @@ impl RdmaConn {
                 let start = ((completion.imm >> 8) & 0xfff) as usize;
                 let consumed = ((completion.imm >> 20) & 0xfff) as usize;
                 let len = self.bulk_frame_len(start, consumed)?;
-                let base = start * self.my_slot_size + HEADER_BYTES;
-                // Drain the region into a pooled buffer so the slots
-                // can be credited back; the copy is charged to our
-                // ledger (the sender side was zero-copy, this is the
-                // one memcpy the design retains).
-                let alloc_start = Instant::now();
-                let mut buf = self.ctx.pool.acquire_size(len);
-                let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
-                self.my_large
-                    .with(|region| buf.mem_mut().put(0, &region[base..base + len]));
-                self.ctx
-                    .device
-                    .fabric()
-                    .charge_host_ns(self.ctx.device.node(), hostcost::drain_ns(len));
-                *self.pending_credits.lock() += consumed;
-                self.maybe_flush_credits();
+                // Nothing is copied and nothing acquired: the frame is
+                // read where it landed, and its slots are credited back
+                // when its reader drops the payload.
+                let Some(lease) = self.ledger.admit(consumed) else {
+                    return Err(self.frame_corruption(format!(
+                        "bulk announcement of {consumed} slots exceeds the credit \
+                         the peer holds over {} slots",
+                        self.my_slots
+                    )));
+                };
                 (
-                    Payload::Pooled { buf, len },
+                    Payload::InPlace {
+                        region: self.my_large.clone(),
+                        base: start * self.my_slot_size + HEADER_BYTES,
+                        len,
+                        lease,
+                    },
                     RecvProfile {
-                        alloc_ns,
+                        alloc_ns: 0,
                         total_ns: total_start.elapsed().as_nanos() as u64 + 1,
                         size: len,
                     },
@@ -887,8 +1068,9 @@ impl RdmaConn {
         }
         let mut buf = self.ctx.pool.acquire_size(chunk.len());
         buf.mem_mut().put(0, chunk);
-        let state = self.send.lock();
-        self.qp
+        let state = self.link.send.lock();
+        self.link
+            .qp
             .post_send(buf.mem(), 0, chunk.len(), IMM_BATCH)
             .map_err(verbs_err)?;
         drop(state);
@@ -904,7 +1086,7 @@ impl Conn for RdmaConn {
         key: MethodKey,
         write: &mut dyn FnMut(&mut dyn DataOutput) -> io::Result<()>,
     ) -> RpcResult<SendProfile> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.link.closed.load(Ordering::Acquire) {
             return Err(RpcError::ConnectionClosed);
         }
 
@@ -933,8 +1115,9 @@ impl Conn for RdmaConn {
         }
         match route {
             Route::Eager => {
-                let state = self.send.lock();
-                self.qp
+                let state = self.link.send.lock();
+                self.link
+                    .qp
                     .post_send(segs[0].mem(), 0, len, IMM_SMALL)
                     .map_err(verbs_err)?;
                 drop(state);
@@ -968,7 +1151,7 @@ impl Conn for RdmaConn {
     }
 
     fn send_frames(&self, key: MethodKey, frames: Vec<Vec<u8>>) -> RpcResult<()> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.link.closed.load(Ordering::Acquire) {
             return Err(RpcError::ConnectionClosed);
         }
         if !self.cfg.wire_batch || frames.len() == 1 {
@@ -1022,13 +1205,13 @@ impl Conn for RdmaConn {
     fn recv_msg(&self, timeout: Duration) -> RpcResult<Frame> {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.closed.load(Ordering::Acquire) {
+            if self.link.closed.load(Ordering::Acquire) {
                 return Err(RpcError::ConnectionClosed);
             }
             // Idle moments are when batched credits drain: if nothing else
             // is inbound, whatever we owe the peer goes back now.
             if self.stash.lock().is_empty() {
-                self.maybe_flush_credits();
+                self.ledger.flush();
             }
             // Popped under the ring lock: a credit-waiting sender stashes
             // before it releases the poll turn, so once the turn is seen
@@ -1052,14 +1235,14 @@ impl Conn for RdmaConn {
         // ConnectionClosed). A pending completion may be a credit rather
         // than a message — the shard's bounded recv_msg then consumes the
         // credit and times out, which is still progress.
-        self.closed.load(Ordering::Acquire)
+        self.link.closed.load(Ordering::Acquire)
             || !self.stash.lock().is_empty()
-            || self.qp.recv_pending()
+            || self.link.qp.recv_pending()
     }
 
     fn set_ready_hook(&self, hook: std::sync::Arc<dyn Fn() + Send + Sync>) {
         *self.ready_hook.lock() = Some(hook.clone());
-        self.qp.set_recv_interest(hook);
+        self.link.qp.set_recv_interest(hook);
     }
 
     fn buffered_bytes(&self) -> usize {
@@ -1069,7 +1252,8 @@ impl Conn for RdmaConn {
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        // Leases still out release into nothing from here on.
+        self.link.closed.store(true, Ordering::Release);
         // Senders blocked on slot credits must observe the close.
         self.ring.close();
         // Local close is a readiness edge: `poll_ready` is now permanently
@@ -1194,7 +1378,7 @@ mod tests {
     #[test]
     fn one_deep_ring_behaves_like_the_legacy_gate() {
         // `large_slots = 1` is the paper's configuration: exactly one
-        // outstanding large frame, each blocked on the previous drain.
+        // outstanding large frame, each blocked on the previous release.
         let cfg = RpcConfig {
             large_slots: 1,
             ..RpcConfig::rpcoib()
@@ -1295,9 +1479,198 @@ mod tests {
         assert!(matches!(err, RpcError::Protocol(_)), "{err}");
     }
 
+    /// What a peer that ignores the protocol can do with the rkey: write
+    /// `header` at `slot` of the receiver's region and announce it with a
+    /// hand-built immediate.
+    fn announce(cli: &RdmaConn, header: u64, slot: usize, start: u32, consumed: u32) {
+        let state = cli.link.send.lock();
+        state.header_mr.write_at(0, &header.to_be_bytes()).unwrap();
+        cli.link
+            .qp
+            .rdma_write(
+                &state.header_mr,
+                0,
+                HEADER_BYTES,
+                cli.peer_rkey,
+                slot * cli.peer_slot_size,
+                Some(IMM_LARGE | (start << 8) | (consumed << 20)),
+            )
+            .unwrap();
+    }
+
+    fn assert_torn_down(srv: &RdmaConn, what: &str) {
+        let err = srv.recv_msg(Duration::from_secs(1)).unwrap_err();
+        assert!(matches!(err, RpcError::Protocol(_)), "{what}: {err}");
+        assert_eq!(
+            srv.recv_msg(Duration::from_millis(10)).unwrap_err(),
+            RpcError::ConnectionClosed,
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn frame_longer_than_the_slots_it_pays_for_is_rejected() {
+        // One slot announced, three slots' worth of length written: the
+        // frame ends inside the region, so only the footprint bound can
+        // refuse it. Same for a length that overflows the sum, and for a
+        // wrap-shaped grant (start 0, stub included) that is still short.
+        let cfg = RpcConfig::rpcoib();
+        let slot = cfg.large_region_bytes / cfg.large_slots;
+        for (len, consumed) in [
+            (3 * slot as u64 - 8, 1),
+            (slot as u64 - 7, 1),
+            (u64::MAX - 3, 1),
+            (3 * slot as u64, 3),
+        ] {
+            let (cli, srv) = conn_pair(&cfg);
+            let metrics = MetricsRegistry::new(false);
+            let srv = Arc::into_inner(srv).unwrap().with_metrics(metrics.clone());
+            announce(&cli, len, 0, 0, consumed);
+            assert_torn_down(&srv, &format!("len {len} over {consumed} slots"));
+            assert_eq!(metrics.counters().frame_errors, 1);
+        }
+        // The largest frame one slot does pay for is read, in place.
+        let (cli, srv) = conn_pair(&cfg);
+        announce(&cli, slot as u64 - 8, 1, 1, 1);
+        let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
+        assert!(matches!(payload, Payload::InPlace { .. }));
+        assert_eq!(payload.len(), slot - 8);
+    }
+
+    #[test]
+    fn announcement_beyond_the_credit_the_peer_holds_is_rejected() {
+        // Four valid one-slot frames fill the ring; a fifth, with none
+        // of them credited back, names slots the peer was never returned.
+        let cfg = RpcConfig::rpcoib();
+        let (cli, srv) = conn_pair(&cfg);
+        let held: Vec<_> = (0..cfg.large_slots as u32)
+            .map(|i| {
+                announce(&cli, 100, i as usize, i, 1);
+                srv.recv_msg(Duration::from_secs(1)).unwrap()
+            })
+            .collect();
+        announce(&cli, 100, 0, 0, 1);
+        assert_torn_down(&srv, "fifth frame over four slots");
+        // Leases still out release into a closed connection: nothing sent.
+        drop(held);
+        assert_eq!(
+            cli.recv_msg(Duration::from_millis(20)).unwrap_err(),
+            RpcError::Timeout
+        );
+    }
+
+    #[test]
+    fn credits_return_in_ring_order_whatever_order_frames_are_released_in() {
+        let cfg = RpcConfig::rpcoib();
+        let (cli, srv) = conn_pair(&cfg);
+        let body = vec![5u8; 100_000];
+        let key = crate::intern::method_key("p", "big");
+        let mut frames: Vec<_> = (0..3)
+            .map(|_| {
+                cli.send_msg(key, &mut |out| out.write_bytes(&body))
+                    .unwrap();
+                Some(srv.recv_msg(Duration::from_secs(5)).unwrap().0)
+            })
+            .collect();
+        let credits = |cli: &RdmaConn| {
+            // A credit-only completion surfaces as a timeout.
+            let _ = cli.recv_msg(Duration::from_millis(20));
+            cli.ring.state.lock().credits
+        };
+        assert_eq!(credits(&cli), 1);
+        // The youngest and the middle one go first: nothing is owed yet —
+        // their slots lie behind one still being read.
+        frames[2] = None;
+        frames[1] = None;
+        assert_eq!(credits(&cli), 1);
+        // The oldest goes: the whole released prefix comes back at once.
+        frames[0] = None;
+        assert_eq!(credits(&cli), 4);
+    }
+
+    #[test]
+    fn evacuated_frame_frees_its_slot_and_keeps_its_bytes() {
+        let cfg = RpcConfig {
+            large_slots: 1,
+            ..RpcConfig::rpcoib()
+        };
+        let (cli, srv) = conn_pair(&cfg);
+        let key = crate::intern::method_key("p", "big");
+        let first: Vec<u8> = (0..150_000u32).map(|i| (i % 241) as u8).collect();
+        cli.send_msg(key, &mut |out| out.write_bytes(&first))
+            .unwrap();
+        let (mut payload, _) = srv.recv_msg(Duration::from_secs(5)).unwrap();
+        // Registering the copy's buffer is set-up, not the copy.
+        srv.ctx.prewarm(256 * 1024, 1);
+        let fabric = srv.ctx.device.fabric();
+        let node = srv.ctx.device.node();
+        let before = fabric.modeled_ns(node);
+        srv.ctx.evacuate(&mut payload);
+        assert!(matches!(payload, Payload::Pooled { .. }));
+        // The copy is charged where it is made; the release it causes
+        // sends the one-byte credit message.
+        let m = fabric.model();
+        let charged = hostcost::drain_ns(first.len()) + m.stack_ns(1) + m.wire_ns(1);
+        assert_eq!(
+            fabric.modeled_ns(node) - before,
+            charged + m.base_latency_ns
+        );
+        // Evacuating again is a no-op, charged nothing.
+        srv.ctx.evacuate(&mut payload);
+        assert_eq!(
+            fabric.modeled_ns(node) - before,
+            charged + m.base_latency_ns
+        );
+        // The only slot is free again: a second frame overwrites it while
+        // the first is still held, and the held copy does not change.
+        cli.send_msg(key, &mut |out| out.write_bytes(&[9u8; 150_000]))
+            .unwrap();
+        let mut got = vec![0u8; first.len()];
+        std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+        assert_eq!(got, first);
+    }
+
+    #[test]
+    fn a_held_frame_outlives_its_connection_and_keeps_only_the_region() {
+        let cfg = RpcConfig::rpcoib();
+        let (cli, srv) = conn_pair(&cfg);
+        let key = crate::intern::method_key("p", "big");
+        let body: Vec<u8> = (0..100_000u32).map(|i| (i % 239) as u8).collect();
+        for _ in 0..2 {
+            cli.send_msg(key, &mut |out| out.write_bytes(&body))
+                .unwrap();
+        }
+        // One frame in a reader's hands, one still in the stash — and the
+        // connection closes and goes away under both.
+        let (held, _) = srv.recv_msg(Duration::from_secs(5)).unwrap();
+        assert!(srv.progress(srv.ring.state.lock(), POLL_SLICE).unwrap());
+        assert_eq!(srv.buffered_bytes(), body.len());
+        srv.close();
+        drop(Arc::into_inner(srv).expect("sole owner"));
+        // The queue pair went with the connection: the peer finds out.
+        let err = cli
+            .send_msg(key, &mut |out| out.write_bytes(&[1u8; 64]))
+            .unwrap_err();
+        assert_eq!(err, RpcError::ConnectionClosed);
+        // The region did not: the frame still reads, and a write to its
+        // rkey still lands — until the last payload is dropped.
+        let probe = |cli: &RdmaConn| {
+            let state = cli.link.send.lock();
+            cli.link
+                .qp
+                .rdma_write(&state.header_mr, 0, 8, cli.peer_rkey, 3 << 20, None)
+        };
+        let mut got = vec![0u8; body.len()];
+        std::io::Read::read_exact(&mut held.reader(), &mut got).unwrap();
+        assert_eq!(got, body);
+        assert_eq!(probe(&cli), Ok(()));
+        drop(held);
+        assert_eq!(probe(&cli), Err(VerbsError::BadRemoteKey));
+    }
+
     #[test]
     fn credit_starvation_is_a_retryable_transport_error() {
-        // A peer that never drains: the sender must come back with
+        // A peer that never reads: the sender must come back with
         // CreditStarved (retryable, non-invalidating) — not a wall-clock
         // Timeout, and never a deadlock.
         let cfg = RpcConfig {
@@ -1597,7 +1970,7 @@ mod tests {
                 let _ = srv.recv_msg(Duration::from_secs(5)).unwrap();
             }
         };
-        roundtrip(3); // warm: segment + drain classes populate
+        roundtrip(3); // warm: the segment class populates
         let fabric = cli.ctx.device.fabric();
         let (_, _, _, regs_before) = fabric.stats().snapshot();
         let (_, misses_before, _, over_before) = cli.ctx.pool_stats();

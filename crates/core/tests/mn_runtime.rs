@@ -554,6 +554,157 @@ fn stop_with_a_suspended_call_frees_the_server() {
     }
 }
 
+/// Digests its parameter on every poll and suspends `body[0]` times
+/// first — the first time parked on a handle the test fires, after that
+/// by yielding — answering with the digest. A poll that reads other
+/// bytes than the first one read fails the call.
+#[derive(Default)]
+struct SuspendDigest {
+    handles: Mutex<Vec<WakeHandle>>,
+}
+
+fn digest(bytes: &[u8]) -> i64 {
+    let fold = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, fold) as i64
+}
+
+impl RpcService for SuspendDigest {
+    fn protocol(&self) -> &'static str {
+        "mn.SuspendDigest"
+    }
+
+    fn call(&self, _method: &str, _param: &mut dyn DataInput) -> Reply {
+        only_polled()
+    }
+
+    fn call_mn(
+        &self,
+        _method: &str,
+        param: &mut dyn DataInput,
+        cx: &mut HandlerCx<'_>,
+    ) -> CallPoll {
+        let mut b = BytesWritable::default();
+        if let Err(e) = b.read_fields(param) {
+            return CallPoll::Ready(Err(e.to_string()));
+        }
+        let now = digest(&b.0);
+        let first = cx.stash().get_or_insert_with(|| Box::new(now));
+        if first.downcast_ref() != Some(&now) {
+            return CallPoll::Ready(Err(format!("poll {} read other bytes", cx.polls())));
+        }
+        if cx.polls() < u64::from(b.0[0]) {
+            if cx.first_poll() {
+                self.handles.lock().unwrap().push(cx.wake_handle());
+            } else {
+                cx.yield_now();
+            }
+            return CallPoll::Pending;
+        }
+        CallPoll::Ready(Ok(Box::new(LongWritable(now))))
+    }
+}
+
+/// A suspended bulk call gives its slots back: one more 256 KiB call
+/// than the ring has slots, on one connection, all park — the last
+/// without its sender waiting out a credit budget for a slot a parked
+/// call sits in — and every later poll reads the bytes the first read,
+/// from the call's own copy. That copy is made, and charged, once per
+/// suspended call however often it is polled again, and never for a
+/// call that completes on its first poll: against calls that never
+/// suspend, the server's ledger grows by `drain_ns` per call and its
+/// pool hands out one buffer more per call, for one suspension or three.
+#[test]
+fn a_suspended_bulk_call_gives_its_slot_back() {
+    let _wd = watchdog(
+        "a_suspended_bulk_call_gives_its_slot_back",
+        Duration::from_secs(120),
+    );
+    simnet::set_fast_forward(true);
+    const LEN: usize = 256 * 1024;
+    for slots in [1usize, 4] {
+        let fabric = Fabric::new(model::IB_QDR_VERBS);
+        let cfg = RpcConfig {
+            large_slots: slots,
+            call_timeout: Duration::from_secs(20),
+            retry: rpcoib::RetryPolicy::none(),
+            ..RpcConfig::rpcoib()
+        };
+        let service = Arc::new(SuspendDigest::default());
+        let (server, addr) = start(&fabric, &cfg, vec![Arc::clone(&service)]);
+        let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+        let calls = slots + 1;
+        // What registering one copy's buffer costs: the pool keeps four
+        // idle per jumbo class, so five parked at once register a fifth.
+        let register_ns = fabric.model().registration_ns(LEN.next_power_of_two() * 2);
+        // (ledger ns net of registrations, pool buffers handed out) at the
+        // server over one volley of `calls` calls suspending
+        // `suspensions` times each.
+        let volley = |suspensions: u8| {
+            let parks = worker_sum(&server, |s| s.parks);
+            let ledger = fabric.modeled_ns(addr.node);
+            let pool = server.metrics_snapshot().pool.expect("verbs pool");
+            let callers: Vec<_> = (0..calls)
+                .map(|c| {
+                    let client = client.clone();
+                    let mut body = vec![c as u8 ^ 0x5a; LEN];
+                    body[0] = suspensions;
+                    std::thread::spawn(move || {
+                        let want = digest(&body);
+                        let got: LongWritable = client
+                            .call(addr, "mn.SuspendDigest", "digest", &BytesWritable(body))
+                            .unwrap_or_else(|e| panic!("slots={slots} call {c}: {e:?}"));
+                        assert_eq!(got.0, want, "slots={slots} call {c}");
+                    })
+                })
+                .collect();
+            if suspensions > 0 {
+                let asked = Instant::now();
+                wait_until("every call to park", || {
+                    worker_sum(&server, |s| s.parks) - parks >= calls as u64
+                });
+                assert!(
+                    asked.elapsed() < cfg.call_timeout / 2,
+                    "slots={slots}: a sender waited on a parked call's slot"
+                );
+                for h in service.handles.lock().unwrap().drain(..) {
+                    h.wake();
+                }
+            }
+            for c in callers {
+                c.join().unwrap();
+            }
+            let after = server.metrics_snapshot().pool.expect("verbs pool");
+            let registered = (after.native_misses - pool.native_misses) * register_ns;
+            (
+                fabric.modeled_ns(addr.node) - ledger - registered,
+                (after.native_hits + after.native_misses) - (pool.native_hits + pool.native_misses),
+            )
+        };
+        volley(3); // warm: every class the volleys touch is registered
+        let (plain_ns, plain_bufs) = volley(0);
+        let (once_ns, once_bufs) = volley(1);
+        let (thrice_ns, thrice_bufs) = volley(3);
+        assert_eq!(once_bufs, plain_bufs + calls as u64, "slots={slots}");
+        assert_eq!(thrice_bufs, once_bufs, "slots={slots}");
+        // The volleys differ by the copies' charge — and by how many
+        // credit messages the same credits rode in, a few µs each.
+        let copies = calls as u64 * rpcoib::hostcost::drain_ns(LEN + 4);
+        let credit_jitter = calls as u64 * 3_000;
+        assert!(
+            (once_ns - plain_ns).abs_diff(copies) <= credit_jitter,
+            "slots={slots}: {calls} suspended calls cost {} ns more than {calls} plain ones, \
+             not {copies}",
+            once_ns - plain_ns
+        );
+        assert!(
+            once_ns.abs_diff(thrice_ns) <= credit_jitter,
+            "slots={slots}: polling again was charged ({once_ns} vs {thrice_ns} ns)"
+        );
+        client.shutdown();
+        server.stop();
+    }
+}
+
 // ---------------------------------------------------------------------
 // Satellite: protocol-priority classes.
 // ---------------------------------------------------------------------

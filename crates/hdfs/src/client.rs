@@ -102,29 +102,39 @@ impl DfsClient {
 
     // --- Write path. ---
 
-    /// Open a file for writing.
-    pub fn create(&self, path: &str) -> RpcResult<DfsWriter<'_>> {
+    fn create_entry(&self, path: &str) -> RpcResult<()> {
         let _: BooleanWritable = self.rpc.call(
             self.nn,
             CLIENT_PROTOCOL,
             "create",
             &(Text::from(path), IntWritable(self.cfg.replication as i32)),
         )?;
+        Ok(())
+    }
+
+    /// Open a file for writing. The writer's buffer grows as it is
+    /// written to: a block's worth (2 MiB) up front was an mmap, its page
+    /// faults and a munmap per file, however small the file.
+    pub fn create(&self, path: &str) -> RpcResult<DfsWriter<'_>> {
+        self.create_entry(path)?;
         Ok(DfsWriter {
             client: self,
             path: path.to_owned(),
-            buf: Vec::with_capacity(self.cfg.block_size),
+            buf: Vec::new(),
             closed: false,
         })
     }
 
-    /// Convenience: create + write + close.
+    /// Create a file holding `data`. The caller's slice is cut into
+    /// blocks where it lies — nothing is staged: the same `create`,
+    /// `addBlock` per block and `complete` a [`DfsWriter`] would issue.
     pub fn write_file(&self, path: &str, data: &[u8]) -> RpcResult<()> {
-        let mut writer = self.create(path)?;
-        writer
-            .write_all(data)
-            .map_err(|e| RpcError::Io(e.to_string()))?;
-        writer.close()
+        self.create_entry(path)?;
+        let mut exclude = Vec::new();
+        for block in data.chunks(self.cfg.block_size) {
+            self.write_block(path, block, &mut exclude)?;
+        }
+        self.complete(path)
     }
 
     /// Read a whole file back. Like Hadoop's `FileSystem.open`, this

@@ -493,6 +493,7 @@ fn busy_rejections_build_no_body() {
 /// A verbs server + client pair for the process-wide gates, with a retry
 /// cache of [`SMALL_CACHE`] entries (or `capacity`).
 struct Pair {
+    fabric: Fabric,
     server: Server,
     client: Client,
 }
@@ -509,7 +510,11 @@ impl Pair {
         let server =
             Server::start(&fabric, fabric.add_node(), 8020, cfg.clone(), registry).unwrap();
         let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
-        Pair { server, client }
+        Pair {
+            fabric,
+            server,
+            client,
+        }
     }
 
     fn echo(&self, method: &str, body: &BytesWritable) -> Result<BytesWritable, RpcError> {
@@ -583,6 +588,54 @@ fn verbs_bulk_echo_allocates_at_most_two_payload_buffers() {
         big_per_call <= 2.0,
         "a 256 KiB echo now allocates {big_per_call:.2} payload-sized buffers per call"
     );
+}
+
+/// A steady-state 256 KiB echo touches the registered pool on the *send*
+/// side only. Each direction serializes its frame into five 64 KiB
+/// segments; receiving it costs the pool nothing but the posted-receive
+/// buffer every completion — the frame's announcement, a credit message —
+/// uses up and has replaced: the frame itself is read in the slots it
+/// landed in. So over a window, client and server together draw exactly
+/// `calls × (2 × 5 + 2)` buffers plus one per message on the wire (the
+/// only messages are credit returns) — all hits. Draining every frame
+/// into a jumbo pooled buffer first, as the receive path once did, drew
+/// one more on each side per call.
+#[test]
+#[ignore = "tier-2: allocator-sensitive, run with --ignored"]
+fn verbs_bulk_echo_touches_the_pool_on_the_send_side_only() {
+    const CALLS: u64 = 40;
+    const SEGMENTS: u64 = 5;
+    let _serial = serial();
+    let pair = Pair::verbs(SMALL_CACHE);
+    let body = BytesWritable(vec![0x42; 256 * 1024]);
+    for _ in 0..3 * SMALL_CACHE {
+        pair.echo_ok(&body);
+    }
+    // (buffers drawn, misses, oversize) of both pools, and messages sent.
+    let read = || {
+        let server = pair.server.metrics_snapshot().pool.expect("verbs pool");
+        let (hits, misses, _, oversize) = pair.client.pool_stats().expect("verbs pool");
+        (
+            hits + misses + server.native_hits + server.native_misses,
+            misses + server.native_misses,
+            oversize + server.oversize,
+            pair.fabric.stats().snapshot().0,
+        )
+    };
+    let before = read();
+    for _ in 0..CALLS {
+        pair.echo_ok(&body);
+    }
+    let after = read();
+    pair.stop();
+    let messages = after.3 - before.3;
+    assert_eq!(
+        after.0 - before.0,
+        CALLS * (2 * SEGMENTS + 2) + messages,
+        "{CALLS} echoes and {messages} credit messages"
+    );
+    assert_eq!(after.1 - before.1, 0, "pool misses");
+    assert_eq!(after.2 - before.2, 0, "oversize allocations");
 }
 
 /// A bulk-sized response that waits behind its connection's send turn is
