@@ -521,6 +521,40 @@ impl PayloadReader<'_> {
     pub fn skip(&mut self, n: usize) {
         self.pos = (self.pos + n).min(self.payload.len());
     }
+
+    /// Run `f` on the next `len` bytes where they landed — the heap
+    /// buffer, the pooled buffer or the ring slots — and step past them;
+    /// a `len` beyond [`Self::remaining`] is refused before `f` runs.
+    ///
+    /// This is how a data plane takes a packet without a `Vec` of its
+    /// own per packet: it appends to its final destination inside `f`.
+    /// The borrow is closure-scoped because registered memory sits behind
+    /// its region's lock, so `f` should copy and return; and because the
+    /// peer holds the rkey and may rewrite the bytes once `f` has seen
+    /// them, whatever is checked (a CRC, a length) must be checked on the
+    /// copy `f` made — *verify what you keep* — never on a second visit.
+    ///
+    /// Inherent, not a `DataInput` method: the blanket
+    /// `impl<R: Read> DataInput for R` admits no override, so a handler
+    /// holding `&mut dyn DataInput` still reads through the stage.
+    pub fn with_bytes<R>(&mut self, len: usize, f: impl FnOnce(&[u8]) -> R) -> io::Result<R> {
+        if len > self.remaining() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("{len} bytes announced, {} left", self.remaining()),
+            ));
+        }
+        let (start, end) = (self.pos, self.pos + len);
+        let out = match self.payload {
+            Payload::Owned(v) => f(&v[start..end]),
+            Payload::Pooled { buf, .. } => buf.mem().with(|m| f(&m[start..end])),
+            Payload::InPlace { region, base, .. } => {
+                region.with(|m| f(&m[base + start..base + end]))
+            }
+        };
+        self.pos = end;
+        Ok(out)
+    }
 }
 
 impl Read for PayloadReader<'_> {
@@ -870,5 +904,20 @@ mod tests {
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).unwrap();
         assert_eq!(rest, vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn with_bytes_visits_owned_bytes_in_place_and_refuses_an_overrun() {
+        let payload = Payload::Owned(vec![1, 2, 3, 4, 5]);
+        let mut reader = payload.reader();
+        assert_eq!(reader.read_u8().unwrap(), 1);
+        assert_eq!(reader.with_bytes(3, <[u8]>::to_vec).unwrap(), [2, 3, 4]);
+        assert_eq!(reader.position(), 4);
+        // One byte left: two are refused, `f` never runs, nothing moves.
+        let err = reader.with_bytes(2, |_| panic!("visited")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(reader.position(), 4);
+        assert_eq!(reader.with_bytes(0, <[u8]>::len).unwrap(), 0);
+        assert_eq!(reader.read_u8().unwrap(), 5);
     }
 }

@@ -1589,6 +1589,47 @@ mod tests {
     }
 
     #[test]
+    fn with_bytes_visits_registered_memory_where_the_frame_landed() {
+        // An eager frame lands in a pooled buffer, a bulk frame in the
+        // ring; holding the first bulk frame makes the second land behind
+        // it, at a `base` that is not the region's start.
+        let cfg = RpcConfig::rpcoib();
+        let (cli, srv) = conn_pair(&cfg);
+        let key = crate::intern::method_key("p", "visit");
+        let bodies: [Vec<u8>; 3] = [
+            (0..300u32).map(|i| i as u8).collect(),
+            (0..100_000u32).map(|i| (i % 239) as u8).collect(),
+            (0..100_000u32).map(|i| (i % 241) as u8).collect(),
+        ];
+        let mut held = Vec::new();
+        for body in &bodies {
+            cli.send_msg(key, &mut |out| {
+                out.write_u8(7)?;
+                out.write_bytes(body)
+            })
+            .unwrap();
+            let (payload, _) = srv.recv_msg(Duration::from_secs(5)).unwrap();
+            let mut reader = payload.reader();
+            assert_eq!(reader.read_u8().unwrap(), 7);
+            let over = reader.with_bytes(body.len() + 1, |_| panic!("visited"));
+            assert_eq!(over.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+            let half = body.len() / 2;
+            assert!(reader.with_bytes(half, |b| b == &body[..half]).unwrap());
+            assert_eq!(reader.position(), 1 + half);
+            // A staged read picks up where the visit stopped.
+            assert_eq!(reader.read_u8().unwrap(), body[half]);
+            let rest = &body[half + 1..];
+            assert!(reader.with_bytes(rest.len(), |b| b == rest).unwrap());
+            assert_eq!(reader.remaining(), 0);
+            held.push(payload);
+        }
+        assert!(matches!(held[0], Payload::Pooled { .. }));
+        assert!(matches!(held[1], Payload::InPlace { .. }));
+        let slot = cfg.large_region_bytes / cfg.large_slots;
+        assert!(matches!(held[2], Payload::InPlace { base, .. } if base > slot));
+    }
+
+    #[test]
     fn evacuated_frame_frees_its_slot_and_keeps_its_bytes() {
         let cfg = RpcConfig {
             large_slots: 1,

@@ -117,6 +117,10 @@ impl Region {
     }
 }
 
+/// What an entry occupies beside its key and value: the opcode and two
+/// `u32` lengths.
+const ENTRY_OVERHEAD: usize = 9;
+
 /// Serialize entries in the WAL / store-file format.
 fn append_entry(buf: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
     buf.push(op);
@@ -152,6 +156,46 @@ fn parse_entries(data: &[u8]) -> Vec<(u8, Vec<u8>, Vec<u8>)> {
     out
 }
 
+/// Serialize `rows` as a store file, into a buffer reserved at exactly
+/// its size: growing one by doubling from empty asks the allocator for
+/// four times the file at every flush.
+fn store_file(rows: &Rows) -> Vec<u8> {
+    let size = rows
+        .iter()
+        .map(|(k, v)| ENTRY_OVERHEAD + k.len() + v.len())
+        .sum();
+    let mut buf = Vec::with_capacity(size);
+    for (k, v) in rows {
+        append_entry(&mut buf, ENTRY_PUT, k, v);
+    }
+    buf
+}
+
+/// The write-ahead log in memory: the buffer puts append to, and the one
+/// the previous roll handed back once its segment was in HDFS. A roll
+/// swaps the two, so after the first rolls no put grows a buffer.
+#[derive(Default)]
+struct Wal {
+    buf: Vec<u8>,
+    spare: Vec<u8>,
+}
+
+impl Wal {
+    /// The buffered entries; the (empty) spare takes their place.
+    fn take_segment(&mut self) -> Vec<u8> {
+        let spare = std::mem::take(&mut self.spare);
+        std::mem::replace(&mut self.buf, spare)
+    }
+
+    /// A written segment's buffer comes back to serve the next roll.
+    fn give_back(&mut self, mut segment: Vec<u8>) {
+        segment.clear();
+        if segment.capacity() > self.spare.capacity() {
+            self.spare = segment;
+        }
+    }
+}
+
 struct RsState {
     cfg: HBaseConfig,
     rs_id: u32,
@@ -159,7 +203,7 @@ struct RsState {
     /// Dynamically hosted buckets.
     regions: Mutex<HashMap<u32, Region>>,
     dfs: DfsClient,
-    wal: Mutex<Vec<u8>>,
+    wal: Mutex<Wal>,
     wal_seq: AtomicU64,
     puts: AtomicU64,
     gets: AtomicU64,
@@ -174,18 +218,18 @@ impl RsState {
     fn append_wal(&self, op: u8, key: &[u8], value: &[u8]) -> RpcResult<()> {
         let segment = {
             let mut wal = self.wal.lock();
-            append_entry(&mut wal, op, key, value);
-            if wal.len() >= self.cfg.wal_roll_bytes {
-                Some(std::mem::take(&mut *wal))
-            } else {
-                None
-            }
+            append_entry(&mut wal.buf, op, key, value);
+            (wal.buf.len() >= self.cfg.wal_roll_bytes).then(|| wal.take_segment())
         };
-        if let Some(segment) = segment {
-            let seq = self.wal_seq.fetch_add(1, Ordering::Relaxed);
-            self.dfs.write_file(&self.wal_path(seq), &segment)?;
-        }
-        Ok(())
+        segment.map_or(Ok(()), |segment| self.write_segment(segment))
+    }
+
+    /// Write a rolled segment to HDFS and hand its buffer back.
+    fn write_segment(&self, segment: Vec<u8>) -> RpcResult<()> {
+        let seq = self.wal_seq.fetch_add(1, Ordering::Relaxed);
+        let written = self.dfs.write_file(&self.wal_path(seq), &segment);
+        self.wal.lock().give_back(segment);
+        written
     }
 
     fn put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), String> {
@@ -204,10 +248,7 @@ impl RsState {
         if let Some((seq, snapshot)) = flush {
             // Persist the store file under the *region's* directory so any
             // future host of this bucket can recover it.
-            let mut buf = Vec::new();
-            for (k, v) in snapshot.iter() {
-                append_entry(&mut buf, ENTRY_PUT, k, v);
-            }
+            let buf = store_file(&snapshot);
             drop(snapshot);
             let path = format!("/hbase/region{bucket}/hfile-rs{}-{seq:06}", self.rs_id);
             let written = self.dfs.write_file(&path, &buf);
@@ -354,25 +395,23 @@ impl RsState {
         if !shed.is_empty() {
             // Roll the whole WAL buffer (covers every shed bucket's
             // unflushed puts and deletes).
-            let segment = std::mem::take(&mut *self.wal.lock());
-            if !segment.is_empty() {
-                let seq = self.wal_seq.fetch_add(1, Ordering::Relaxed);
-                let _ = self.dfs.write_file(&self.wal_path(seq), &segment);
+            let segment = {
+                let mut wal = self.wal.lock();
+                (!wal.buf.is_empty()).then(|| wal.take_segment())
+            };
+            if let Some(segment) = segment {
+                let _ = self.write_segment(segment);
             }
-            for (bucket, mut region) in shed {
+            for (bucket, region) in shed {
                 if region.memstore.is_empty() {
                     continue;
                 }
-                let mut buf = Vec::new();
-                for (k, v) in std::mem::take(&mut region.memstore) {
-                    append_entry(&mut buf, ENTRY_PUT, &k, &v);
-                }
-                region.flush_seq += 1;
                 let path = format!(
                     "/hbase/region{bucket}/hfile-rs{}-{:06}",
-                    self.rs_id, region.flush_seq
+                    self.rs_id,
+                    region.flush_seq + 1
                 );
-                let _ = self.dfs.write_file(&path, &buf);
+                let _ = self.dfs.write_file(&path, &store_file(&region.memstore));
             }
         }
     }
@@ -471,7 +510,7 @@ impl HRegionServer {
             n_regions,
             regions: Mutex::new(HashMap::new()),
             dfs,
-            wal: Mutex::new(Vec::new()),
+            wal: Mutex::new(Wal::default()),
             wal_seq: AtomicU64::new(0),
             puts: AtomicU64::new(0),
             gets: AtomicU64::new(0),

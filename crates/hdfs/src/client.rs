@@ -9,8 +9,8 @@ use wire::{BooleanWritable, IntWritable, LongWritable, NullWritable, Text};
 
 use crate::config::{HdfsConfig, HostNet};
 use crate::dataxfer::{
-    recv_frame, send_chunk, send_end, send_read, send_write_header, DataConnPool, DataFrame,
-    ACK_CORRUPT, ACK_OK, DATA_TIMEOUT,
+    recv_frame, recv_frame_into, send_chunk, send_end, send_read, send_write_header, DataConnPool,
+    DataFrame, ACK_CORRUPT, ACK_OK, DATA_TIMEOUT,
 };
 use crate::types::{AddBlockArgs, FileStatus, LocatedBlock};
 
@@ -182,7 +182,7 @@ impl DfsClient {
         let run = (|| -> RpcResult<Vec<u8>> {
             send_read(conn.conn(), block, offset, len)?;
             let size = match recv_frame(conn.conn(), DATA_TIMEOUT)? {
-                DataFrame::Size(size) => size as usize,
+                DataFrame::Size(size) => size,
                 DataFrame::Ack(ACK_CORRUPT) => {
                     return Err(RpcError::Protocol(format!(
                         "replica of block {block} failed checksum verification"
@@ -193,15 +193,18 @@ impl DfsClient {
                 }
                 _ => return Err(RpcError::Protocol("expected SIZE".into())),
             };
-            let mut data = Vec::with_capacity(size);
+            // The replica's word, so clamped: no block is larger than
+            // `block_size`, and `END` must find exactly `size` bytes.
+            let cap = size.min(self.cfg.block_size as u64) as usize;
+            let mut data = Vec::with_capacity(cap);
             loop {
-                match recv_frame(conn.conn(), DATA_TIMEOUT)? {
-                    DataFrame::Data(chunk) => data.extend_from_slice(&chunk),
+                match recv_frame_into(conn.conn(), DATA_TIMEOUT, &mut data, cap)? {
+                    DataFrame::Data { .. } => {}
                     DataFrame::End => break,
                     _ => return Err(RpcError::Protocol("expected DATA or END".into())),
                 }
             }
-            if data.len() != size {
+            if data.len() as u64 != size {
                 return Err(RpcError::Protocol(format!(
                     "short block read: {} of {size}",
                     data.len()
@@ -304,7 +307,7 @@ impl DfsClient {
             .ok_or_else(|| RpcError::Protocol("empty pipeline".into()))?;
         let mut conn = self.pool.checkout(first.xfer_addr())?;
         let run = (|| -> RpcResult<()> {
-            send_write_header(conn.conn(), lb.block, &lb.targets[1..])?;
+            send_write_header(conn.conn(), lb.block, data.len() as u64, &lb.targets[1..])?;
             for chunk in data.chunks(self.cfg.chunk) {
                 send_chunk(conn.conn(), chunk)?;
             }

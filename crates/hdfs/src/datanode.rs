@@ -1,7 +1,8 @@
 //! The DataNode: in-memory block store, streaming data-transfer service,
 //! pipeline forwarding, heartbeats and block reports.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,8 +17,8 @@ use wire::{IntWritable, NullWritable};
 
 use crate::config::{HdfsConfig, HostNet};
 use crate::dataxfer::{
-    recv_frame, send_ack, send_chunk, send_end, send_size, send_write_header, DataConnPool,
-    DataFrame, ACK_CORRUPT, ACK_FAIL, ACK_OK, DATA_TIMEOUT,
+    recv_frame, recv_frame_into, send_ack, send_chunk, send_end, send_packet, send_size,
+    send_write_header, DataConnPool, DataFrame, ACK_CORRUPT, ACK_FAIL, ACK_OK, DATA_TIMEOUT,
 };
 use crate::types::{BlockReceivedArgs, BlockReportArgs, DatanodeInfo, DnCommand};
 use crate::DATA_PORT;
@@ -26,25 +27,104 @@ const IDLE_SLICE: Duration = Duration::from_millis(100);
 /// A full block report every this many heartbeats.
 const REPORT_EVERY: u32 = 8;
 
-/// A stored replica: the data plus the CRC-32 computed when the block was
-/// received (the analogue of the `.meta` checksum file HDFS keeps next to
-/// each block file). Reads and re-replication verify against it.
+/// Stored bytes one block report re-verifies (HDFS's block scanner is
+/// rate-limited the same way): the scan resumes where the last report
+/// stopped, so its cost per report does not grow with the store. A
+/// replica larger than the whole budget is verified alone.
+const SCAN_BYTES_PER_REPORT: usize = 4 * 1024 * 1024;
+
+/// A stored replica: the data plus its CRC-32, folded from the packet
+/// CRCs the block was received and verified under (the analogue of the
+/// `.meta` checksum file HDFS keeps next to each block file). Reads,
+/// re-replication and the report scan verify against it.
 struct StoredBlock {
     data: Arc<Vec<u8>>,
     crc: u32,
+    /// Failed verification once: never served or reported again. Only a
+    /// fresh copy written over it clears this.
+    corrupt: bool,
 }
 
-impl StoredBlock {
-    fn new(data: Vec<u8>) -> StoredBlock {
-        let crc = wire::crc32(&data);
-        StoredBlock {
+/// What a look at a stored replica finds.
+enum Replica {
+    Intact(Arc<Vec<u8>>),
+    Corrupt,
+    Missing,
+}
+
+/// The node's replicas, by block id. One lock, held only to look up,
+/// insert or mark: every CRC over stored bytes runs on an `Arc` clone
+/// outside it (a 2 MiB CRC under it would stall every write and read of
+/// the node).
+#[derive(Default)]
+struct BlockStore {
+    blocks: Mutex<BTreeMap<u64, StoredBlock>>,
+}
+
+impl BlockStore {
+    /// Store a freshly received replica (over any older copy) under the
+    /// CRC it was verified against on the way in.
+    fn insert(&self, block: u64, data: Vec<u8>, crc: u32) {
+        let stored = StoredBlock {
             data: Arc::new(data),
             crc,
+            corrupt: false,
+        };
+        self.blocks.lock().insert(block, stored);
+    }
+
+    /// The replica of `block`, verified against its stored checksum; a
+    /// failure is remembered.
+    fn replica(&self, block: u64) -> Replica {
+        let (data, crc) = match self.blocks.lock().get(&block) {
+            None => return Replica::Missing,
+            Some(stored) if stored.corrupt => return Replica::Corrupt,
+            Some(stored) => (Arc::clone(&stored.data), stored.crc),
+        };
+        if wire::crc32(&data) == crc {
+            return Replica::Intact(data);
+        }
+        self.mark_corrupt(block, &data);
+        Replica::Corrupt
+    }
+
+    /// `data` failed verification as the replica of `block`. A fresh copy
+    /// may have replaced it since it was cloned; that one is not blamed.
+    fn mark_corrupt(&self, block: u64, data: &Arc<Vec<u8>>) {
+        if let Some(stored) = self.blocks.lock().get_mut(&block) {
+            stored.corrupt |= Arc::ptr_eq(&stored.data, data);
         }
     }
 
-    fn is_intact(&self) -> bool {
-        wire::crc32(&self.data) == self.crc
+    /// The blocks to report: every replica not known corrupt, after
+    /// re-verifying the next [`SCAN_BYTES_PER_REPORT`] of them in id
+    /// order from `scanned` (wrapping). Corrupt replicas are left out, so
+    /// the NameNode sees them as missing and schedules re-replication
+    /// from an intact copy (HDFS reports them as corrupt; the effect — a
+    /// fresh replica elsewhere — is the same).
+    fn report(&self, scanned: &mut u64) -> Vec<u64> {
+        let picked: Vec<u64> = {
+            let blocks = self.blocks.lock();
+            let mut budget = SCAN_BYTES_PER_REPORT;
+            blocks
+                .range((Bound::Excluded(*scanned), Bound::Unbounded))
+                .chain(blocks.range(..=*scanned))
+                .filter(|(_, stored)| !stored.corrupt)
+                .take_while(|(_, stored)| {
+                    let fits = stored.data.len() <= budget || budget == SCAN_BYTES_PER_REPORT;
+                    budget = budget.saturating_sub(stored.data.len());
+                    fits
+                })
+                .map(|(&id, _)| id)
+                .collect()
+        };
+        for &id in &picked {
+            self.replica(id);
+            *scanned = id;
+        }
+        let blocks = self.blocks.lock();
+        let intact = blocks.iter().filter(|(_, stored)| !stored.corrupt);
+        intact.map(|(&id, _)| id).collect()
     }
 }
 
@@ -54,7 +134,7 @@ struct DnState {
     nn: SimAddr,
     rpc: Client,
     pool: DataConnPool,
-    blocks: Mutex<HashMap<u64, StoredBlock>>,
+    store: BlockStore,
     stop: AtomicBool,
     /// Unbinds the data port, which is what gets the acceptor out of its
     /// blocking accept at `stop`.
@@ -87,7 +167,7 @@ impl DataNode {
             nn,
             rpc,
             pool,
-            blocks: Mutex::new(HashMap::new()),
+            store: BlockStore::default(),
             stop: AtomicBool::new(false),
             acceptor: listener.closer(),
         });
@@ -124,12 +204,13 @@ impl DataNode {
 
     /// Number of blocks stored locally.
     pub fn block_count(&self) -> usize {
-        self.state.blocks.lock().len()
+        self.state.store.blocks.lock().len()
     }
 
     /// Total bytes stored locally.
     pub fn used_bytes(&self) -> usize {
         self.state
+            .store
             .blocks
             .lock()
             .values()
@@ -141,18 +222,18 @@ impl DataNode {
     /// checksum (`None` if the block is not here) — what HDFS's block
     /// scanner reports per replica.
     pub fn block_is_intact(&self, block: u64) -> Option<bool> {
-        self.state
-            .blocks
-            .lock()
-            .get(&block)
-            .map(StoredBlock::is_intact)
+        match self.state.store.replica(block) {
+            Replica::Intact(_) => Some(true),
+            Replica::Corrupt => Some(false),
+            Replica::Missing => None,
+        }
     }
 
     /// Failure injection: flip one byte of a stored replica without
     /// updating its stored checksum, so the next read or re-replication
     /// detects the corruption. Returns `false` if the block is not here.
     pub fn corrupt_block(&self, block: u64) -> bool {
-        let mut blocks = self.state.blocks.lock();
+        let mut blocks = self.state.store.blocks.lock();
         match blocks.get_mut(&block) {
             Some(stored) if !stored.data.is_empty() => {
                 let mut data = stored.data.as_ref().clone();
@@ -195,6 +276,8 @@ impl std::fmt::Debug for DataNode {
 
 fn heartbeat_loop(state: Arc<DnState>) {
     let mut ticks = 0u32;
+    // The last block id the report scan verified.
+    let mut scanned = 0u64;
     while !state.stop.load(Ordering::Acquire) {
         std::thread::sleep(state.cfg.heartbeat);
         let commands = state.rpc.call::<IntWritable, Vec<DnCommand>>(
@@ -215,24 +298,13 @@ fn heartbeat_loop(state: Arc<DnState>) {
         }
         ticks += 1;
         if ticks.is_multiple_of(REPORT_EVERY) {
-            // Corrupt replicas are left out of the report, so the NameNode
-            // sees them as missing and schedules re-replication from an
-            // intact copy (HDFS reports them as corrupt; the effect — a
-            // fresh replica elsewhere — is the same).
-            let blocks: Vec<u64> = state
-                .blocks
-                .lock()
-                .iter()
-                .filter(|(_, stored)| stored.is_intact())
-                .map(|(&id, _)| id)
-                .collect();
             let _ = state.rpc.call::<BlockReportArgs, NullWritable>(
                 state.nn,
                 "hdfs.DatanodeProtocol",
                 "blockReport",
                 &BlockReportArgs {
                     dn_id: state.id,
-                    blocks,
+                    blocks: state.store.report(&mut scanned),
                 },
             );
         }
@@ -289,17 +361,19 @@ impl DnState {
 /// Per-connection server loop: one WRITE or READ operation at a time.
 fn xceiver_loop(state: Arc<DnState>, conn: Arc<dyn Conn>) {
     while !state.stop.load(Ordering::Acquire) {
-        let frame = match recv_frame(&conn, IDLE_SLICE) {
-            Ok(f) => f,
+        // A frame this node refuses takes the broken-connection path too.
+        let result = match recv_frame(&conn, IDLE_SLICE) {
             Err(RpcError::Timeout) => continue,
-            Err(_) => return,
-        };
-        let result = match frame {
-            DataFrame::Write { block, targets } => handle_write(&state, &conn, block, targets),
-            DataFrame::Read { block, offset, len } => {
+            Ok(DataFrame::Write {
+                block,
+                len,
+                targets,
+            }) => handle_write(&state, &conn, block, len, targets),
+            Ok(DataFrame::Read { block, offset, len }) => {
                 handle_read(&state, &conn, block, offset, len)
             }
-            _ => Err(RpcError::Protocol("unexpected leading frame".into())),
+            Ok(_) => Err(RpcError::Protocol("unexpected leading frame".into())),
+            Err(e) => Err(e),
         };
         if result.is_err() {
             let _ = send_ack(&conn, ACK_FAIL);
@@ -308,43 +382,64 @@ fn xceiver_loop(state: Arc<DnState>, conn: Arc<dyn Conn>) {
     }
 }
 
+/// Receive one block and pass it down the pipeline. The block's bytes are
+/// allocated once: the `WRITE` header's length — a peer's word, so
+/// clamped to `block_size` — reserves the replica before the first packet
+/// and caps it after, and `END` must find exactly the announced length.
+/// Each packet is copied once, from the wire buffer onto the block's
+/// tail, verified there, and forwarded from there.
 fn handle_write(
     state: &Arc<DnState>,
     upstream: &Arc<dyn Conn>,
     block: u64,
+    len: u64,
     targets: Vec<DatanodeInfo>,
 ) -> RpcResult<()> {
     // Open the downstream leg of the pipeline first.
     let mut downstream = match targets.split_first() {
         Some((next, rest)) => {
             let dc = state.pool.checkout(next.xfer_addr())?;
-            send_write_header(dc.conn(), block, rest)?;
+            send_write_header(dc.conn(), block, len, rest)?;
             Some(dc)
         }
         None => None,
     };
 
-    let run = (|| -> RpcResult<usize> {
-        let mut data = Vec::new();
+    let run = (|| -> RpcResult<()> {
+        let cap = len.min(state.cfg.block_size as u64) as usize;
+        let mut data = Vec::with_capacity(cap);
+        let mut crc = wire::crc32(&[]);
         loop {
-            match recv_frame(upstream, DATA_TIMEOUT)? {
-                DataFrame::Data(chunk) => {
+            let at = data.len();
+            match recv_frame_into(upstream, DATA_TIMEOUT, &mut data, cap)? {
+                DataFrame::Data { crc: packet } => {
+                    // Forwarded from the stored tail under the CRC it has
+                    // just been verified against: the wire buffer is
+                    // already released, and the block's CRC is folded
+                    // from the packets' without a second pass.
+                    let tail = &data[at..];
                     if let Some(d) = &downstream {
-                        send_chunk(d.conn(), &chunk)?;
+                        send_packet(d.conn(), packet, tail)?;
                     }
-                    data.extend_from_slice(&chunk);
+                    crc = wire::crc32_combine(crc, packet, tail.len());
                 }
-                DataFrame::End => {
+                DataFrame::End if data.len() as u64 == len => {
                     if let Some(d) = &downstream {
                         send_end(d.conn())?;
                     }
                     break;
                 }
+                DataFrame::End => {
+                    return Err(RpcError::Protocol(format!(
+                        "block {block} ended at {} of {len} announced bytes",
+                        data.len()
+                    )))
+                }
                 _ => return Err(RpcError::Protocol("expected DATA or END".into())),
             }
         }
-        let size = data.len();
-        state.blocks.lock().insert(block, StoredBlock::new(data));
+        let size = data.len() as u64;
+        state.store.insert(block, data, crc);
         // Report to the NameNode before acking (the paper: "once a block
         // is written to a DataNode, a block-report is sent").
         state.rpc.call::<BlockReceivedArgs, NullWritable>(
@@ -354,7 +449,7 @@ fn handle_write(
             &BlockReceivedArgs {
                 dn_id: state.id,
                 block,
-                size: size as u64,
+                size,
             },
         )?;
         // Wait for the downstream ack before acking upstream.
@@ -367,11 +462,11 @@ fn handle_write(
                 _ => return Err(RpcError::Protocol("expected ACK".into())),
             }
         }
-        Ok(size)
+        Ok(())
     })();
 
     match run {
-        Ok(_) => {
+        Ok(()) => {
             send_ack(upstream, ACK_OK)?;
             Ok(())
         }
@@ -387,26 +482,27 @@ fn handle_write(
 /// Push a locally held block to `targets` through a write pipeline —
 /// the DataNode side of NameNode-driven re-replication.
 fn replicate_block(state: &Arc<DnState>, block: u64, targets: &[DatanodeInfo]) -> RpcResult<()> {
-    let data = {
-        let blocks = state.blocks.lock();
-        let stored = blocks.get(&block).ok_or_else(|| {
-            RpcError::Protocol(format!("asked to replicate unknown block {block}"))
-        })?;
+    let data = match state.store.replica(block) {
+        Replica::Intact(data) => data,
         // Never propagate a corrupt replica; the NameNode will retry the
         // replication from another source once its pending entry expires.
-        if !stored.is_intact() {
+        Replica::Corrupt => {
             return Err(RpcError::Protocol(format!(
                 "local replica of block {block} is corrupt"
-            )));
+            )))
         }
-        Arc::clone(&stored.data)
+        Replica::Missing => {
+            return Err(RpcError::Protocol(format!(
+                "asked to replicate unknown block {block}"
+            )))
+        }
     };
     let first = targets
         .first()
         .ok_or_else(|| RpcError::Protocol("replicate with no targets".into()))?;
     let mut conn = state.pool.checkout(first.xfer_addr())?;
     let run = (|| -> RpcResult<()> {
-        send_write_header(conn.conn(), block, &targets[1..])?;
+        send_write_header(conn.conn(), block, data.len() as u64, &targets[1..])?;
         for chunk in data.chunks(state.cfg.chunk) {
             send_chunk(conn.conn(), chunk)?;
         }
@@ -429,24 +525,13 @@ fn handle_read(
     offset: u64,
     len: u64,
 ) -> RpcResult<()> {
-    let data = {
-        let blocks = state.blocks.lock();
-        match blocks.get(&block) {
-            Some(stored) if stored.is_intact() => Arc::clone(&stored.data),
-            Some(_) => {
-                // Verified-on-read, like HDFS: a replica whose bytes no
-                // longer match the stored checksum is never served; the
-                // client fails over to another replica.
-                drop(blocks);
-                send_ack(conn, ACK_CORRUPT)?;
-                return Ok(()); // connection stays usable
-            }
-            None => {
-                drop(blocks);
-                send_ack(conn, ACK_FAIL)?;
-                return Ok(()); // connection stays usable
-            }
-        }
+    let data = match state.store.replica(block) {
+        Replica::Intact(data) => data,
+        // Verified-on-read, like HDFS: a replica whose bytes no longer
+        // match the stored checksum is never served; the client fails
+        // over to another replica. Either way the connection stays usable.
+        Replica::Corrupt => return send_ack(conn, ACK_CORRUPT),
+        Replica::Missing => return send_ack(conn, ACK_FAIL),
     };
     // Clamp the requested range to the block (len == u64::MAX reads to
     // the end; an offset past the end is an empty read, not an error).
@@ -461,4 +546,81 @@ fn handle_read(
         send_chunk(conn, chunk)?;
     }
     send_end(conn)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MIB: usize = 1024 * 1024;
+
+    /// A store of `n` one-MiB replicas, ids `1..=n`, each stored under a
+    /// CRC its bytes do not have when `corrupt(id)`.
+    fn store_of(n: u64, corrupt: impl Fn(u64) -> bool) -> BlockStore {
+        let store = BlockStore::default();
+        for id in 1..=n {
+            let data = vec![id as u8; MIB];
+            let crc = wire::crc32(&data) ^ u32::from(corrupt(id));
+            store.insert(id, data, crc);
+        }
+        store
+    }
+
+    #[test]
+    fn a_report_scans_a_budget_of_bytes_and_resumes_where_it_stopped() {
+        // Ten replicas, every one corrupt: each report can find only the
+        // ones it verified, a budget's worth, in id order.
+        let per_report = (SCAN_BYTES_PER_REPORT / MIB) as u64;
+        let store = store_of(10, |_| true);
+        let mut scanned = 0;
+        let mut expected: Vec<u64> = (1..=10).collect();
+        for round in 1..=3 {
+            expected.retain(|&id| id > round * per_report);
+            assert_eq!(store.report(&mut scanned), expected, "round {round}");
+            assert_eq!(scanned, (round * per_report).min(10));
+        }
+        assert!(expected.is_empty());
+        // Nothing is left to scan; the cursor stays.
+        assert_eq!(store.report(&mut scanned), expected);
+        assert_eq!(scanned, 10);
+    }
+
+    #[test]
+    fn the_scan_wraps_and_a_corrupt_replica_stays_out_of_every_later_report() {
+        let store = store_of(6, |id| id == 2);
+        let mut scanned = 4;
+        // 5, 6, then round to 1, 2: block 2 is found on the wrap.
+        assert_eq!(store.report(&mut scanned), [1, 3, 4, 5, 6]);
+        assert_eq!(scanned, 2);
+        // Later scans skip it (3, 4, 5, 6 fit one budget) and so do the
+        // reports, although nothing verifies it again.
+        assert_eq!(store.report(&mut scanned), [1, 3, 4, 5, 6]);
+        assert_eq!(scanned, 6);
+        assert!(matches!(store.replica(2), Replica::Corrupt));
+
+        // Found on a read instead: the next report already leaves it out.
+        let store = store_of(6, |id| id == 5);
+        assert!(matches!(store.replica(5), Replica::Corrupt));
+        assert!(matches!(store.replica(4), Replica::Intact(_)));
+        assert!(matches!(store.replica(7), Replica::Missing));
+        let mut scanned = 0;
+        assert_eq!(store.report(&mut scanned), [1, 2, 3, 4, 6]);
+        assert_eq!(scanned, 4);
+        // A fresh copy written over it is reported again.
+        let data = vec![5u8; MIB];
+        let crc = wire::crc32(&data);
+        store.insert(5, data, crc);
+        assert_eq!(store.report(&mut scanned), [1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn a_replica_larger_than_the_budget_is_scanned_alone() {
+        let store = BlockStore::default();
+        for id in 1..=2 {
+            store.insert(id, vec![0u8; SCAN_BYTES_PER_REPORT + 1], 1);
+        }
+        let mut scanned = 0;
+        assert_eq!(store.report(&mut scanned), [2]);
+        assert_eq!(store.report(&mut scanned), [] as [u64; 0]);
+    }
 }

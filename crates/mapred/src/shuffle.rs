@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mini_hdfs::dataxfer::DataConnPool;
+use mini_hdfs::dataxfer::{append_len_bytes, DataConnPool};
 use parking_lot::Mutex;
 use rpcoib::transport::Conn;
 use rpcoib::{RpcError, RpcResult};
@@ -28,6 +28,9 @@ const OP_DONE: u8 = 0x25;
 
 /// Chunk size for shuffle transfers.
 const SHUFFLE_CHUNK: usize = 64 * 1024;
+/// Most a fetch reserves on the announced partition size alone; a larger
+/// partition grows as its chunks arrive.
+pub const FETCH_RESERVE: usize = 2 * 1024 * 1024;
 /// Timeout for an in-progress fetch.
 const FETCH_TIMEOUT: Duration = Duration::from_secs(20);
 
@@ -121,12 +124,13 @@ fn send_found(conn: &Arc<dyn Conn>, data: &[u8]) -> RpcResult<()> {
         },
     )?;
     for chunk in data.chunks(SHUFFLE_CHUNK) {
-        conn.send_msg(
+        // `[op][len-prefixed bytes]`, the chunk sent from where it lies.
+        let mut lead = [OP_CHUNK; 5];
+        lead[1..].copy_from_slice(&(chunk.len() as i32).to_be_bytes());
+        conn.send_serialized(
             rpcoib::intern::method_key("mapred.shuffle", "chunk"),
-            &mut |out| {
-                out.write_u8(OP_CHUNK)?;
-                out.write_len_bytes(chunk)
-            },
+            &lead,
+            chunk,
         )?;
     }
     conn.send_msg(
@@ -166,9 +170,11 @@ pub fn fetch(
             OP_FOUND => {
                 let total = reader
                     .read_vlong()
-                    .map_err(|e| RpcError::Protocol(e.to_string()))?
-                    as usize;
-                let mut data = Vec::with_capacity(total);
+                    .map_err(|e| RpcError::Protocol(e.to_string()))?;
+                let total = usize::try_from(total).map_err(|_| {
+                    RpcError::Protocol(format!("shuffle partition of {total} bytes"))
+                })?;
+                let mut data = Vec::with_capacity(total.min(FETCH_RESERVE));
                 loop {
                     let (payload, _) = conn.conn().recv_msg(FETCH_TIMEOUT)?;
                     let mut reader = payload.reader();
@@ -176,12 +182,10 @@ pub fn fetch(
                         .read_u8()
                         .map_err(|e| RpcError::Protocol(e.to_string()))?;
                     match op {
-                        OP_CHUNK => {
-                            let chunk = reader
-                                .read_len_bytes()
-                                .map_err(|e| RpcError::Protocol(e.to_string()))?;
-                            data.extend_from_slice(&chunk);
-                        }
+                        // Appended in the one visit the wire buffer gets.
+                        OP_CHUNK => append_len_bytes(&mut reader, &mut data, total)
+                            .map(drop)
+                            .map_err(|e| RpcError::Protocol(e.to_string()))?,
                         OP_DONE => break,
                         other => {
                             return Err(RpcError::Protocol(format!(

@@ -93,6 +93,11 @@ impl<W: Write + ?Sized> DataOutput for W {
     }
 }
 
+/// What [`DataInput::read_len_bytes`] allocates on an announced length
+/// alone: every buffer this system sends (a 64 KiB packet, the 256 KiB
+/// bulk echo) fits, so a well-formed read is still one exact allocation.
+pub const LEN_BYTES_ON_TRUST: usize = 1024 * 1024;
+
 /// Java `DataInput` + Hadoop `WritableUtils` read-side operations.
 pub trait DataInput {
     /// Fill `buf` completely or fail.
@@ -196,17 +201,21 @@ pub trait DataInput {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad utf8: {e}")))
     }
 
-    /// Counterpart of [`DataOutput::write_len_bytes`].
+    /// Counterpart of [`DataOutput::write_len_bytes`]. The length is the
+    /// peer's word until the bytes show up: at most [`LEN_BYTES_ON_TRUST`]
+    /// are allocated on it, and past that the buffer grows by no more
+    /// than has already arrived (a 9-byte frame announcing 2 GiB costs
+    /// one such buffer and an `UnexpectedEof`, not 2 GiB zeroed).
     fn read_len_bytes(&mut self) -> io::Result<Vec<u8>> {
-        let len = self.read_i32()?;
-        if len < 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "negative buffer length",
-            ));
-        }
-        let mut buf = vec![0u8; len as usize];
+        let len = usize::try_from(self.read_i32()?)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "negative buffer length"))?;
+        let mut buf = vec![0u8; len.min(LEN_BYTES_ON_TRUST)];
         self.read_bytes(&mut buf)?;
+        while buf.len() < len {
+            let at = buf.len();
+            buf.resize(at + (len - at).min(at), 0);
+            self.read_bytes(&mut buf[at..])?;
+        }
         Ok(buf)
     }
 }
@@ -267,6 +276,29 @@ mod tests {
         out.write_len_bytes(&[9, 8, 7]).unwrap();
         assert_eq!(out, [0, 0, 0, 3, 9, 8, 7]);
         assert_eq!(out.as_slice().read_len_bytes().unwrap(), vec![9, 8, 7]);
+    }
+
+    #[test]
+    fn len_bytes_allocates_on_evidence_not_on_the_announced_length() {
+        // Nine bytes announcing i32::MAX: refused for want of bytes.
+        let mut hostile: Vec<u8> = Vec::new();
+        hostile.write_i32(i32::MAX).unwrap();
+        hostile.extend_from_slice(b"short");
+        let err = hostile.as_slice().read_len_bytes().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let err = [0xff, 0xff, 0xff, 0xfe].as_slice().read_len_bytes();
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData);
+
+        // A buffer past the trusted size still arrives whole, and one
+        // byte short of what it announced still fails.
+        let body: Vec<u8> = (0..3 * LEN_BYTES_ON_TRUST + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut out: Vec<u8> = Vec::new();
+        out.write_len_bytes(&body).unwrap();
+        assert_eq!(out.as_slice().read_len_bytes().unwrap(), body);
+        out.pop();
+        assert!(out.as_slice().read_len_bytes().is_err());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod types;
 pub mod varint;
 
 pub use buffer::{DataInputBuffer, DataOutputBuffer};
-pub use crc::{crc32, crc32_extend};
+pub use crc::{crc32, crc32_combine, crc32_extend};
 pub use io::{DataInput, DataOutput};
 pub use object::ObjectWritable;
 pub use types::{

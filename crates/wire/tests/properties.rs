@@ -81,6 +81,19 @@ proptest! {
         prop_assert_eq!(back.0, data);
     }
 
+    /// Folding the CRCs of a block's packets with `crc32_combine` gives
+    /// the CRC of the block, however it is cut — empty packets included.
+    #[test]
+    fn crc32_combine_matches_one_shot_over_any_split(
+        parts in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..300), 0..12))
+    {
+        let folded = parts.iter().fold(wire::crc32(&[]), |crc, part| {
+            wire::crc32_combine(crc, wire::crc32(part), part.len())
+        });
+        prop_assert_eq!(folded, wire::crc32(&parts.concat()));
+    }
+
     /// Vec<VLongWritable> roundtrips (vint count + elements).
     #[test]
     fn vec_roundtrip(vs in proptest::collection::vec(any::<i64>(), 0..64)) {
