@@ -6,8 +6,8 @@
 //! multi-tenant load that collapses — a single flooder fills the queue,
 //! every light tenant's calls either bounce or wait behind the flood, and
 //! handlers burn time executing calls whose callers have long since timed
-//! out. This queue replaces it with three mechanisms, each individually
-//! switchable from [`crate::RpcConfig`]:
+//! out. This queue replaces it with three mechanisms — the first two
+//! sized by [`crate::RpcConfig`], the third always on:
 //!
 //! * **Per-tenant quotas** (`tenant_quota`): a tenant's outstanding calls
 //!   (queued + executing) are capped, so the flooder hits its own ceiling
@@ -17,11 +17,11 @@
 //!   handlers pop in a deficit-round-robin sweep — a tenant with weight
 //!   `w` gets up to `w` pops per round, so backlog depth stops deciding
 //!   service order.
-//! * **Deadline shedding** (`deadline_propagation`): a call that carried
-//!   a deadline budget (see [`crate::frame`]) and outlived it while
-//!   queued is handed back in [`Popped::shed`] instead of
+//! * **Deadline shedding**: a call that carried a deadline budget (see
+//!   [`crate::frame`]; the client stamps every attempt's) and outlived it
+//!   while queued is handed back in [`Popped::shed`] instead of
 //!   [`Popped::run`] — the server answers `STATUS_EXPIRED` and no
-//!   handler ever executes it.
+//!   handler ever executes it. A call that carries none is never shed.
 //!
 //! Time is an explicit `now_ns` argument on every operation rather than
 //! an internal `Instant::now()`. The server feeds it a monotonic reading;

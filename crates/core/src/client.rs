@@ -724,11 +724,7 @@ impl Client {
         // Deadline propagation: ship the attempt's remaining budget so
         // the server can shed the call once it expires instead of
         // executing work this client has already timed out on.
-        let budget = self
-            .inner
-            .cfg
-            .deadline_propagation
-            .then_some(attempt_timeout);
+        let budget = Some(attempt_timeout);
         // The frame is split: the header is encoded by the connection's
         // stateful encoder at the transport's wire-ordering point (so
         // delta-seq/method-table state advances in exactly the order
@@ -893,7 +889,6 @@ impl Client {
             ),
             None => Arc::new(
                 SocketConn::new(stream, wire::buffer::INITIAL_CAPACITY)
-                    .with_batch(self.inner.cfg.wire_batch)
                     .with_metrics(self.inner.metrics.clone()),
             ),
         };

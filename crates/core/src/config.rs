@@ -2,8 +2,12 @@
 //!
 //! The paper exposes a single switch, `rpc.ib.enabled`, plus a tunable
 //! small-message threshold that routes tiny payloads through send/recv and
-//! larger ones through RDMA. [`RpcConfig`] carries those and the knobs the
-//! ablation benchmarks sweep.
+//! larger ones through RDMA. [`RpcConfig`] carries those, the sizing of
+//! the server's pools, queues and rings, the policies (retry, tenant,
+//! priority) two deployments can want different values of, and the
+//! switches the paper's ablations flip (`use_size_history`, `trace_sizes`,
+//! `prefill_per_class`). A behaviour with one value in use is not here:
+//! it is what the engine does.
 
 use std::time::Duration;
 
@@ -17,6 +21,9 @@ pub struct RpcConfig {
     pub ib_enabled: bool,
     /// Messages at or below this size go through send/recv; larger ones
     /// through one-sided RDMA write (Section III-D's tunable threshold).
+    /// The configured value is the value used, read where a frame is
+    /// routed: nothing clamps or retunes it ([`RpcConfig::validate`]
+    /// rejects one a posted receive buffer could not hold).
     pub rdma_threshold: usize,
     /// Calls the server executes at once (the paper's microbenchmarks
     /// fix 8) — a count of calls, not a set of threads. That many
@@ -66,28 +73,14 @@ pub struct RpcConfig {
     /// up to `large_slots` worth of frames can be in flight at once.
     /// `1` reproduces the original one-deep credit gate exactly.
     pub large_slots: usize,
-    /// Auto-tune the small/large crossover from live per-path cost
-    /// samples instead of the static `rdma_threshold` knob. Off by
-    /// default; `rdma_threshold` then seeds the adaptive starting point.
-    pub adaptive_rdma_threshold: bool,
     /// Record every call's serialized size in the metrics registry
     /// (needed by the Figure 3 harness; off by default — it allocates).
     pub trace_sizes: bool,
-    /// Server-side initial serialization buffer for the socket baseline
-    /// (Hadoop uses 10 KB on the server, 32 B on the client).
-    pub server_buffer_init: usize,
     /// Reader shard count. Connections are hashed onto shards at accept
     /// time and each shard runs an event loop over its connections
     /// (replacing the paper's one-Reader-thread-per-connection model).
     /// `0` = auto (currently 4).
     pub reader_shards: usize,
-    /// Opportunistic wire batching (on by default). Socket: calls that
-    /// queue behind an in-flight flush leave as one gathered write;
-    /// verbs: eager-sized responses pending behind one connection's send
-    /// turn are merged into shared completions. `false` restores strict
-    /// one-frame-per-wire-op — the control arm for the `batching`
-    /// benchmark and the CI matrix.
-    pub wire_batch: bool,
     /// Per-tenant weights for the weighted-fair admission plane, keyed by
     /// handshake `client_id`. A tenant absent from the list has weight 1;
     /// a tenant with weight `w` is served up to `w` calls per fair round.
@@ -100,12 +93,6 @@ pub struct RpcConfig {
     /// even while the global queue has room, so one flooder cannot own
     /// the whole call queue. `0` (default) disables per-tenant quotas.
     pub tenant_quota: usize,
-    /// Whether the client propagates its remaining per-attempt deadline
-    /// budget in request headers and the server sheds queued calls whose
-    /// budget has expired (answered with `STATUS_EXPIRED`, never
-    /// executed). On by default; a call that carries no budget is never
-    /// shed.
-    pub deadline_propagation: bool,
     /// Maximum connections the server keeps alive (live + in setup);
     /// connects past the limit are answered with the retryable busy
     /// rejection instead of growing the conn table without bound. `0`
@@ -160,14 +147,10 @@ impl Default for RpcConfig {
             posted_recvs: 32,
             large_region_bytes: 4 * 1024 * 1024,
             large_slots: 4,
-            adaptive_rdma_threshold: false,
             trace_sizes: false,
-            server_buffer_init: 10 * 1024,
             reader_shards: 0,
-            wire_batch: true,
             tenant_weights: Vec::new(),
             tenant_quota: 0,
-            deadline_propagation: true,
             max_connections: 0,
             accept_backlog: 64,
             max_inflight_calls: 0,
@@ -197,12 +180,6 @@ impl RpcConfig {
         } else {
             self.reader_shards
         }
-    }
-
-    /// Whether any QoS feature (weights or quotas) asks the server for
-    /// weighted-fair admission instead of the plain FIFO call queue.
-    pub fn qos_enabled(&self) -> bool {
-        self.tenant_quota > 0 || !self.tenant_weights.is_empty()
     }
 
     /// Validate internal consistency; called by client/server construction.
@@ -394,21 +371,20 @@ mod tests {
 
     #[test]
     fn qos_knobs_validated() {
-        // Defaults: QoS off.
-        assert!(!RpcConfig::default().qos_enabled());
-        // Either knob flips it on.
+        // Defaults: no quota, no weights; either knob alone is legal.
+        let cfg = RpcConfig::default();
+        assert_eq!(cfg.tenant_quota, 0);
+        assert!(cfg.tenant_weights.is_empty());
         let cfg = RpcConfig {
             tenant_quota: 64,
             ..RpcConfig::default()
         };
         cfg.validate().unwrap();
-        assert!(cfg.qos_enabled());
         let cfg = RpcConfig {
             tenant_weights: vec![(7, 4), (9, 1)],
             ..RpcConfig::default()
         };
         cfg.validate().unwrap();
-        assert!(cfg.qos_enabled());
         // Zero weights and duplicate tenants are config mistakes.
         let cfg = RpcConfig {
             tenant_weights: vec![(7, 0)],

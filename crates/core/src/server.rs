@@ -109,9 +109,9 @@
 //! 2. **One yield, for an eager-sized body only** ([`ServerConn::send`]).
 //! 3. **Gather what is eager, borrow what is bulk.** Several eager-sized
 //!    responses at the front of the list leave as one
-//!    [`Conn::send_frames`] gather (under `RpcConfig::wire_batch`, at
-//!    most [`SEND_GATHER`] a wire operation); a bulk-sized body is never
-//!    copied to ride a gather it would be split out of again.
+//!    [`Conn::send_frames`] gather (at most [`SEND_GATHER`] a wire
+//!    operation); a bulk-sized body is never copied to ride a gather it
+//!    would be split out of again.
 //! 4. **A reader sends its own refusals — never under its table lock,
 //!    never deaf.** Whoever reads holds its shard's table lock and must
 //!    not wait on a send, so its busy rejections and replays are only
@@ -180,7 +180,7 @@ use crate::retry_cache::{Admission, Retention, RetryCache};
 use crate::sched::{HandlerCx, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
 use crate::transport::rdma::{IbContext, RdmaConn};
-use crate::transport::socket::SocketConn;
+use crate::transport::socket::{SocketConn, SERVER_INIT_BUF};
 use crate::transport::Conn;
 
 /// How long blocking queue pops wait before re-checking for shutdown.
@@ -614,7 +614,7 @@ impl ServerConn {
             }
             pending
                 .iter()
-                .take(if inner.cfg.wire_batch { SEND_GATHER } else { 0 })
+                .take(SEND_GATHER)
                 .take_while(|out| out.bytes.len() <= inner.cfg.rdma_threshold)
                 .count()
         };
@@ -1148,8 +1148,7 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                                 }
                             }
                             None => Arc::new(
-                                SocketConn::new(stream, inner2.cfg.server_buffer_init)
-                                    .with_batch(inner2.cfg.wire_batch)
+                                SocketConn::new(stream, SERVER_INIT_BUF)
                                     .with_metrics(inner2.metrics.clone()),
                             ),
                         };
@@ -1641,12 +1640,11 @@ fn read_one(
         body_offset,
         admitted_at: Instant::now(),
     };
-    // The shedding deadline in the server's own clock; a server with
-    // `deadline_propagation` off ignores the budget entirely.
-    let expires_at_ns = match (inner.cfg.deadline_propagation, header.deadline_budget) {
-        (true, Some(budget)) => Some(inner.now_ns().saturating_add(budget.as_nanos() as u64)),
-        _ => None,
-    };
+    // The shedding deadline in the server's own clock; a call that
+    // carries no budget is never shed.
+    let expires_at_ns = header
+        .deadline_budget
+        .map(|budget| inner.now_ns().saturating_add(budget.as_nanos() as u64));
     // Protocol-priority class: calls to a listed control protocol jump
     // their tenant's bulk backlog inside the admission queue. The
     // default empty set marks everything Bulk — ordering identical to

@@ -10,7 +10,7 @@
 //!
 //! Message paths:
 //!
-//! * **eager** (≤ the crossover threshold): serialized directly into a
+//! * **eager** (≤ `rdma_threshold`): serialized directly into a
 //!   pooled registered buffer and `post_send`-ed from it; the receiver has
 //!   a ring of pre-posted pooled buffers, and deserialization reads
 //!   straight out of the one the message landed in. Zero copies beyond
@@ -33,10 +33,10 @@
 //!   cannot hold a slot — a call that suspends — takes its bytes with it
 //!   ([`IbContext::evacuate`]).
 //!
-//! The eager/bulk switch point is the static `rdma_threshold` by default;
-//! with `adaptive_rdma_threshold` on, a per-connection
-//! [`Crossover`](crate::transport::crossover::Crossover) controller
-//! auto-tunes it from live modeled-cost samples.
+//! The eager/bulk switch point is `rdma_threshold`, a static value as in
+//! the paper (§III-D), compared where a frame is routed. Several
+//! eager-sized frames handed over together ([`Conn::send_frames`]) leave
+//! merged into as few sends as hold them ([`IMM_BATCH`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
@@ -59,7 +59,6 @@ use crate::hostcost;
 use crate::intern::MethodKey;
 use crate::metrics::{MetricsRegistry, Phase, PoolCounters};
 use crate::stream::RdmaGatherStream;
-use crate::transport::crossover::{Crossover, Route};
 use crate::transport::{Conn, RecvProfile, SendProfile};
 
 /// Immediate tag: payload is a complete frame in the posted recv buffer.
@@ -570,8 +569,6 @@ pub struct RdmaConn {
     /// Recycled storage for the gather serializer's segment list, so a
     /// steady-state bulk send allocates nothing.
     seg_scratch: Mutex<Vec<PooledBuf<MemoryRegion>>>,
-    /// Eager/bulk switch point (static, or adaptive when configured).
-    crossover: Crossover,
     peer_desc: String,
     /// When attached, every send feeds the per-`<protocol, method>`
     /// serialize/wire phase histograms.
@@ -719,11 +716,6 @@ impl RdmaConn {
             next_wr: AtomicU64::new(1),
             ring: SlotRing::new(peer_slots),
             seg_scratch: Mutex::new(Vec::new()),
-            crossover: Crossover::new(
-                cfg.adaptive_rdma_threshold,
-                cfg.rdma_threshold,
-                cfg.recv_buf_bytes,
-            ),
             peer_desc: format!("rdma:{}", peer_ep.node),
             metrics: None,
             ready_hook: Mutex::new(None),
@@ -740,12 +732,6 @@ impl RdmaConn {
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The live eager/bulk switch point (equals `rdma_threshold` unless
-    /// the adaptive controller has moved it).
-    pub fn crossover_threshold(&self) -> usize {
-        self.crossover.threshold()
     }
 
     fn post_one_recv(&self) {
@@ -1104,28 +1090,19 @@ impl Conn for RdmaConn {
 
         // --- Transmission. ---
         let send_start = Instant::now();
-        let fabric = self.ctx.device.fabric();
-        let node = self.ctx.device.node();
-        let modeled_before = fabric.modeled_ns(node);
-        let mut route = self.crossover.route(len);
-        if route == Route::Eager && segs.len() > 1 {
-            // Can't happen while the controller caps its threshold at the
-            // segment size; routed defensively rather than asserted.
-            route = Route::Bulk;
-        }
-        match route {
-            Route::Eager => {
+        match &segs[..] {
+            // One segment whenever `rdma_threshold <= recv_buf_bytes`, which
+            // `validate` requires; anything else takes the gather path.
+            [seg] if len <= self.cfg.rdma_threshold => {
                 let state = self.link.send.lock();
                 self.link
                     .qp
-                    .post_send(segs[0].mem(), 0, len, IMM_SMALL)
+                    .post_send(seg.mem(), 0, len, IMM_SMALL)
                     .map_err(verbs_err)?;
                 drop(state);
             }
-            Route::Bulk => self.send_bulk(&segs, len)?,
+            _ => self.send_bulk(&segs, len)?,
         }
-        let modeled_delta = fabric.modeled_ns(node).saturating_sub(modeled_before);
-        self.crossover.record(len, route, modeled_delta);
         let send_ns = send_start.elapsed().as_nanos() as u64;
 
         // Segments return to the pool; their Vec storage is recycled.
@@ -1154,25 +1131,18 @@ impl Conn for RdmaConn {
         if self.link.closed.load(Ordering::Acquire) {
             return Err(RpcError::ConnectionClosed);
         }
-        if !self.cfg.wire_batch || frames.len() == 1 {
-            for frame in frames {
-                self.send_msg(key, &mut |out| out.write_bytes(&frame))?;
-            }
-            return Ok(());
-        }
         // Merge consecutive small frames into recv-ring-sized chunks (the
         // chunk must land whole in one posted buffer); a frame that won't
         // ride in a chunk flushes what's pending — order is preserved —
         // and takes the ordinary eager/bulk path by itself.
         let cap = self.cfg.recv_buf_bytes;
-        let threshold = self.crossover.threshold();
         let batch_start = Instant::now();
         let mut chunk: Vec<u8> = Vec::new();
         let mut in_chunk = 0usize;
         let mut merged = 0u64;
         for frame in &frames {
             let prefixed = wire::varint::vlong_size(frame.len() as i64) + frame.len();
-            if frame.len() > threshold || prefixed > cap {
+            if frame.len() > self.cfg.rdma_threshold || prefixed > cap {
                 self.flush_batch_chunk(&mut chunk, &mut in_chunk)?;
                 self.send_msg(key, &mut |out| out.write_bytes(frame))?;
                 continue;
@@ -1848,59 +1818,29 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_crossover_learns_that_small_frames_prefer_eager() {
-        // On the modeled ledger the bulk path pays a flat surcharge over
-        // eager (the length-header write in the doorbell chain), so for
-        // small frames — where that surcharge clears the retune margin —
-        // bulk is the wrong route. Start from a deliberately-low static
-        // threshold that sends 5 kB frames down the bulk path; probe
-        // traffic must teach the controller to raise the threshold past
-        // them. (At mid sizes the surcharge is *inside* the margin, and
-        // staying put is the correct, churn-free behaviour — that case
-        // is `static_crossover_never_moves`' territory.)
-        let cfg = RpcConfig {
-            adaptive_rdma_threshold: true,
-            rdma_threshold: 2048,
-            ..RpcConfig::rpcoib()
-        };
-        let (cli, srv) = conn_pair(&cfg);
-        let srv2 = Arc::clone(&srv);
-        let drain = thread::spawn(move || {
-            let mut got = 0usize;
-            while got < 128 {
-                match srv2.recv_msg(Duration::from_secs(5)) {
-                    Ok(_) => got += 1,
-                    Err(e) => panic!("server drain failed after {got}: {e}"),
-                }
-            }
-        });
-        assert_eq!(cli.crossover_threshold(), cfg.rdma_threshold);
-        for _ in 0..128 {
-            cli.send_msg(crate::intern::method_key("p", "small"), &mut |out| {
-                out.write_bytes(&[5u8; 5_000])
-            })
-            .unwrap();
-        }
-        drain.join().unwrap();
-        assert!(
-            cli.crossover_threshold() > 5_000,
-            "threshold stuck at {} after 128 small bulk sends",
-            cli.crossover_threshold()
-        );
-    }
-
-    #[test]
-    fn static_crossover_never_moves() {
+    fn the_threshold_is_the_last_eager_length() {
+        // Read off the wire, not off the connection: a frame of exactly
+        // `rdma_threshold` bytes leaves as one send, one byte more as an
+        // RDMA write (the length header, then its single segment).
         let cfg = RpcConfig::rpcoib();
         let (cli, srv) = conn_pair(&cfg);
-        for _ in 0..40 {
-            cli.send_msg(crate::intern::method_key("p", "m"), &mut |out| {
-                out.write_bytes(&[5u8; 8_000])
-            })
-            .unwrap();
-            let _ = srv.recv_msg(Duration::from_secs(1)).unwrap();
+        let fabric = cli.ctx.device.fabric();
+        let key = crate::intern::method_key("p", "m");
+        for (len, sends, writes) in [(cfg.rdma_threshold, 1, 0), (cfg.rdma_threshold + 1, 0, 2)] {
+            let (sends_before, _, writes_before, _) = fabric.stats().snapshot();
+            let profile = cli
+                .send_msg(key, &mut |out| out.write_bytes(&vec![7u8; len]))
+                .unwrap();
+            assert_eq!(profile.size, len);
+            let (sends_after, _, writes_after, _) = fabric.stats().snapshot();
+            assert_eq!(
+                (sends_after - sends_before, writes_after - writes_before),
+                (sends, writes),
+                "a {len}-byte frame took the wrong path"
+            );
+            let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
+            assert_eq!(payload.len(), len);
         }
-        assert_eq!(cli.crossover_threshold(), cfg.rdma_threshold);
     }
 
     #[test]
@@ -1956,24 +1896,6 @@ mod tests {
             let mut got = vec![0u8; want.len()];
             std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
             assert_eq!(&got, want, "ordering drifted around the large frame");
-        }
-    }
-
-    #[test]
-    fn batching_disabled_falls_back_to_per_frame_sends() {
-        let cfg = RpcConfig {
-            wire_batch: false,
-            ..RpcConfig::rpcoib()
-        };
-        let (cli, srv) = conn_pair(&cfg);
-        let frames: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 32]).collect();
-        cli.send_frames(crate::intern::method_key("p", "m"), frames.clone())
-            .unwrap();
-        for want in &frames {
-            let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
-            let mut got = vec![0u8; want.len()];
-            std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
-            assert_eq!(&got, want);
         }
     }
 

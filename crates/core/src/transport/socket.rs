@@ -48,6 +48,11 @@ const TEMP_CHUNK: usize = 8 * 1024;
 /// How finely a blocked read slices its wait to notice a local close.
 const READ_SLICE: Duration = Duration::from_millis(50);
 
+/// Initial serialization buffer of a server-side connection: Hadoop's
+/// server starts at 10 KB where its client starts at
+/// [`wire::buffer::INITIAL_CAPACITY`] (32 B).
+pub const SERVER_INIT_BUF: usize = 10 * 1024;
+
 /// Inline capacity for a frame's order-sensitive lead bytes. A V3 lead is
 /// 3–27 bytes unless it carries an inline method announcement, which
 /// spills to the heap once per `<protocol, method>` per connection.
@@ -66,9 +71,6 @@ pub struct SocketConn {
     /// Initial capacity of fresh serialization buffers (32 B client-side,
     /// 10 KB server-side in Hadoop).
     init_buf: usize,
-    /// When false the flusher writes one frame per gather (coalescing
-    /// off — the bench/CI control arm).
-    batch: bool,
     /// When attached, every send feeds the per-`<protocol, method>`
     /// serialize/wire phase histograms.
     metrics: Option<MetricsRegistry>,
@@ -177,7 +179,6 @@ impl SocketConn {
             }),
             closed: AtomicBool::new(false),
             init_buf,
-            batch: true,
             metrics: None,
             ready_hook: Mutex::new(None),
         }
@@ -187,14 +188,6 @@ impl SocketConn {
     /// and wire times into its phase histograms.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Enable/disable write coalescing (default on). Off, the flusher
-    /// writes exactly one frame per gathered write — same queue, same
-    /// ordering, no amortization — so the batching win is measurable.
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -377,8 +370,7 @@ impl SocketConn {
     /// queued, then release the wire. The caller has set `flushing`.
     fn flush_queue<'a>(&'a self, mut st: parking_lot::MutexGuard<'a, WriteQueue>) -> RpcResult<()> {
         while !st.queue.is_empty() {
-            let take = if self.batch { st.queue.len() } else { 1 };
-            let batch: Vec<WqEntry> = st.queue.drain(..take).collect();
+            let batch: Vec<WqEntry> = st.queue.drain(..).collect();
             drop(st);
             let result = self.write_batch(&batch);
             st = self.wq.lock();
@@ -653,7 +645,7 @@ mod tests {
         let cli_stream = h.join().unwrap();
         (
             Arc::new(SocketConn::new(cli_stream, 32)),
-            Arc::new(SocketConn::new(srv_stream, 10240)),
+            Arc::new(SocketConn::new(srv_stream, SERVER_INIT_BUF)),
         )
     }
 

@@ -169,11 +169,15 @@ fn echo(client: &Client, addr: SimAddr, proto: &str, method: &str, body: Vec<u8>
     resp.0
 }
 
+/// Sum of one counter over the server's rows of one role.
+fn role_sum(server: &Server, role: ShardRole, counter: fn(&rpcoib::ShardSnapshot) -> u64) -> u64 {
+    let shards = server.metrics_snapshot().shards;
+    shards.iter().filter(|s| s.role == role).map(counter).sum()
+}
+
 /// Sum of one per-worker counter over the server's worker rows.
 fn worker_sum(server: &Server, counter: fn(&rpcoib::ShardSnapshot) -> u64) -> u64 {
-    let shards = server.metrics_snapshot().shards;
-    let workers = shards.iter().filter(|s| s.role == ShardRole::Worker);
-    workers.map(counter).sum()
+    role_sum(server, ShardRole::Worker, counter)
 }
 
 fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -611,8 +615,9 @@ impl RpcService for SuspendDigest {
 /// from the call's own copy. That copy is made, and charged, once per
 /// suspended call however often it is polled again, and never for a
 /// call that completes on its first poll: against calls that never
-/// suspend, the server's ledger grows by `drain_ns` per call and its
-/// pool hands out one buffer more per call, for one suspension or three.
+/// suspend, the server's ledger grows by `drain_ns` per call, and while
+/// the volley is parked its pool has one buffer out per call beside the
+/// posted receives, for one suspension or three.
 #[test]
 fn a_suspended_bulk_call_gives_its_slot_back() {
     let _wd = watchdog(
@@ -636,13 +641,23 @@ fn a_suspended_bulk_call_gives_its_slot_back() {
         // What registering one copy's buffer costs: the pool keeps four
         // idle per jumbo class, so five parked at once register a fifth.
         let register_ns = fabric.model().registration_ns(LEN.next_power_of_two() * 2);
-        // (ledger ns net of registrations, pool buffers handed out) at the
-        // server over one volley of `calls` calls suspending
-        // `suspensions` times each.
+        // Buffers out of the server's pool, and responses whose send has
+        // returned (its buffer with it). A copy is counted as what is out
+        // while nothing is being sent: how many send buffers a volley's
+        // responses ride in depends on how many meet a taken send turn.
+        let out = || {
+            let pool = server.metrics_snapshot().pool.expect("verbs pool");
+            pool.native_hits + pool.native_misses - pool.native_returns
+        };
+        let sent = || role_sum(&server, ShardRole::Responder, |s| s.processed);
+        // (ledger ns net of registrations, copies held while the volley
+        // is parked) at the server over one volley of `calls` calls
+        // suspending `suspensions` times each.
         let volley = |suspensions: u8| {
             let parks = worker_sum(&server, |s| s.parks);
             let ledger = fabric.modeled_ns(addr.node);
             let pool = server.metrics_snapshot().pool.expect("verbs pool");
+            let (out_before, sent_before) = (out(), sent());
             let callers: Vec<_> = (0..calls)
                 .map(|c| {
                     let client = client.clone();
@@ -657,6 +672,7 @@ fn a_suspended_bulk_call_gives_its_slot_back() {
                     })
                 })
                 .collect();
+            let mut copies_held = 0;
             if suspensions > 0 {
                 let asked = Instant::now();
                 wait_until("every call to park", || {
@@ -666,6 +682,7 @@ fn a_suspended_bulk_call_gives_its_slot_back() {
                     asked.elapsed() < cfg.call_timeout / 2,
                     "slots={slots}: a sender waited on a parked call's slot"
                 );
+                copies_held = out() - out_before;
                 for h in service.handles.lock().unwrap().drain(..) {
                     h.wake();
                 }
@@ -673,18 +690,23 @@ fn a_suspended_bulk_call_gives_its_slot_back() {
             for c in callers {
                 c.join().unwrap();
             }
+            // A caller can have its answer before the sender has let the
+            // send buffer go; the next volley must not count that one.
+            wait_until("every send to return", || {
+                sent() - sent_before >= calls as u64
+            });
             let after = server.metrics_snapshot().pool.expect("verbs pool");
             let registered = (after.native_misses - pool.native_misses) * register_ns;
             (
                 fabric.modeled_ns(addr.node) - ledger - registered,
-                (after.native_hits + after.native_misses) - (pool.native_hits + pool.native_misses),
+                copies_held,
             )
         };
         volley(3); // warm: every class the volleys touch is registered
-        let (plain_ns, plain_bufs) = volley(0);
+        let (plain_ns, _) = volley(0);
         let (once_ns, once_bufs) = volley(1);
         let (thrice_ns, thrice_bufs) = volley(3);
-        assert_eq!(once_bufs, plain_bufs + calls as u64, "slots={slots}");
+        assert_eq!(once_bufs, calls as u64, "slots={slots}");
         assert_eq!(thrice_bufs, once_bufs, "slots={slots}");
         // The volleys differ by the copies' charge — and by how many
         // credit messages the same credits rode in, a few µs each.
@@ -700,6 +722,75 @@ fn a_suspended_bulk_call_gives_its_slot_back() {
             once_ns.abs_diff(thrice_ns) <= credit_jitter,
             "slots={slots}: polling again was charged ({once_ns} vs {thrice_ns} ns)"
         );
+        client.shutdown();
+        server.stop();
+    }
+}
+
+/// `max_inflight_calls` is backpressure, not rejection: under two run
+/// permits and a cap of four, eight calls that park leave four parked
+/// and four in the admission queue — read, refused nothing, polled by
+/// nobody — and each wake answers one call and lets exactly the next one
+/// in, until all eight have been polled, parked and answered once.
+#[test]
+fn the_inflight_cap_holds_calls_in_the_admission_queue() {
+    let _wd = watchdog(
+        "the_inflight_cap_holds_calls_in_the_admission_queue",
+        Duration::from_secs(120),
+    );
+    const CALLS: usize = 8;
+    const CAP: usize = 4;
+    for (label, fabric, mut cfg) in transports() {
+        cfg.handlers = 2;
+        cfg.max_inflight_calls = CAP;
+        cfg.retry = rpcoib::RetryPolicy::none();
+        let service = Arc::new(SuspendDigest::default());
+        let (server, addr) = start(&fabric, &cfg, vec![Arc::clone(&service)]);
+        let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+        let answered = Arc::new(AtomicU64::new(0));
+        let callers: Vec<_> = (0..CALLS)
+            .map(|c| {
+                let (client, answered) = (client.clone(), Arc::clone(&answered));
+                std::thread::spawn(move || {
+                    let body = vec![1, c as u8]; // suspend once
+                    let want = digest(&body);
+                    let got: LongWritable = client
+                        .call(addr, "mn.SuspendDigest", "digest", &BytesWritable(body))
+                        .unwrap_or_else(|e| panic!("{label} call {c}: {e:?}"));
+                    assert_eq!(got.0, want, "{label} call {c}");
+                    answered.fetch_add(1, Ordering::Release);
+                })
+            })
+            .collect();
+        let parks = || worker_sum(&server, |s| s.parks) as usize;
+        wait_until("every call to be read and the cap to fill", || {
+            role_sum(&server, ShardRole::Reader, |s| s.processed) == CALLS as u64 && parks() == CAP
+        });
+        // All eight are in, two workers are idle, and the other four stay
+        // where they are: long enough for a pop that should not happen.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(parks(), CAP, "{label}: a call was polled past the cap");
+        assert_eq!(server.handler_residue(), CAP, "{label}");
+        assert_eq!(answered.load(Ordering::Acquire), 0, "{label}");
+        for woken in 1..=CALLS {
+            let handle = service
+                .handles
+                .lock()
+                .unwrap()
+                .pop()
+                .expect("a parked call");
+            handle.wake();
+            // One out, the next one in — and no further.
+            wait_until("a wake to answer one call and admit the next", || {
+                answered.load(Ordering::Acquire) == woken as u64
+                    && parks() == (CAP + woken).min(CALLS)
+                    && server.handler_residue() == CAP.min(CALLS - woken)
+            });
+        }
+        for c in callers {
+            c.join().unwrap();
+        }
+        assert_eq!(parks(), CALLS, "{label}: every call was polled once");
         client.shutdown();
         server.stop();
     }

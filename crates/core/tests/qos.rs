@@ -5,8 +5,8 @@
 //! seeded misbehaving-tenant soak.
 //!
 //! Like the resilience suite, transport-agnostic tests pick their fabric
-//! from `RPC_TRANSPORT`; the soak additionally honors `RPC_QOS=on|off`
-//! (CI crosses both) — isolation assertions only apply when QoS is on,
+//! from `RPC_TRANSPORT`; the soak runs twice, with quotas and weights and
+//! on the plain FIFO plane — isolation assertions only apply with quotas,
 //! liveness and at-most-once must hold either way.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,12 +31,6 @@ fn env_transport() -> (Fabric, RpcConfig) {
     } else {
         (Fabric::new(model::IPOIB_QDR), RpcConfig::socket())
     }
-}
-
-/// True unless `RPC_QOS=off`: the soak runs its isolation assertions
-/// only when the QoS knobs are actually engaged.
-fn env_qos_on() -> bool {
-    std::env::var("RPC_QOS").as_deref() != Ok("off")
 }
 
 /// Aborts the process if the guard outlives `limit` — a stuck queue
@@ -427,17 +421,25 @@ proptest! {
     }
 }
 
-/// Seeded misbehaving-tenant soak (`RPC_QOS` × transport in CI): several
+#[test]
+fn soak_with_quotas_and_weights_isolates_the_light_tenants() {
+    soak_zipfian_light_tenants_with_flooder(true);
+}
+
+#[test]
+fn soak_on_the_fifo_plane_stays_live_and_at_most_once() {
+    soak_zipfian_light_tenants_with_flooder(false);
+}
+
+/// Seeded misbehaving-tenant soak (per transport in CI): several
 /// light tenants doing fast mutating calls while one flooder hammers slow
 /// calls through the same server. Liveness (every call reaches a definite
 /// outcome) and at-most-once (the applied count equals the light tenants'
 /// successes) must hold with QoS on or off; with QoS on, the flooder's
 /// quota must leave the light tenants with successes and never cost them
 /// a busy rejection.
-#[test]
-fn soak_zipfian_light_tenants_with_flooder() {
+fn soak_zipfian_light_tenants_with_flooder(qos_on: bool) {
     let _wd = watchdog("qos_soak", Duration::from_secs(120));
-    let qos_on = env_qos_on();
     let (fabric, base) = env_transport();
     fabric.set_fault_seed(42);
     let server_node = fabric.add_node();

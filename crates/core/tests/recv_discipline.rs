@@ -7,7 +7,7 @@
 //! waiting promotes a parked follower when nobody leads.
 //!
 //! Each case runs on both transports (honouring the CI matrix's
-//! `RPC_SHARDS` / `RPC_BATCH`) under a watchdog, and is built to fail
+//! `RPC_SHARDS`) under a watchdog, and is built to fail
 //! when its hazard is open: (a) at a build with a thread per connection,
 //! (b) and (c) at a build whose leaving leader does not promote.
 
@@ -28,13 +28,12 @@ static QUIET: RwLock<()> = RwLock::new(());
 const GATES: usize = 8;
 
 /// Both transports with their fabric model, under the CI matrix's shard
-/// and batch settings.
+/// setting.
 fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
     let shards = std::env::var("RPC_SHARDS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0);
-    let batch = std::env::var("RPC_BATCH").as_deref() != Ok("off");
     [
         ("socket", model::IPOIB_QDR, RpcConfig::socket()),
         ("verbs", model::IB_QDR_VERBS, RpcConfig::rpcoib()),
@@ -44,7 +43,6 @@ fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
         if let Some(n) = shards {
             cfg.reader_shards = n;
         }
-        cfg.wire_batch = batch;
         (name, Fabric::new(model), cfg)
     })
     .collect()

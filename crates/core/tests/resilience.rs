@@ -22,16 +22,9 @@ use wire::{BytesWritable, DataInput, LongWritable, Text, Writable};
 /// Fabric + matching config for the transport selected by
 /// `RPC_TRANSPORT` (CI runs the suite under both values), with the
 /// server pipeline shape from `RPC_SHARDS` (pins the reader shard
-/// count; unset or 0 keeps the config default) and wire batching
-/// toggled by `RPC_BATCH` (`off` disables client gather coalescing and
-/// the gathering of responses pending behind one connection's send
-/// turn), and the adaptive eager/bulk
-/// crossover toggled by `RPC_ADAPTIVE` (`on` lets each verbs connection
-/// retune its `rdma_threshold` from live cost samples; a no-op on the
-/// socket transport).
-/// CI's resilience matrix crosses these variables, so every scenario
-/// here runs single-sharded *and* on 4 reader shards, batched *and*
-/// per-frame, static *and* adaptive.
+/// count; unset or 0 keeps the config default). CI's resilience matrix
+/// crosses the two, so every scenario here runs on both transports,
+/// single-sharded *and* on 4 reader shards.
 fn env_transport() -> (Fabric, RpcConfig) {
     transport_with_env_shape(std::env::var("RPC_TRANSPORT").as_deref() == Ok("verbs"))
 }
@@ -50,12 +43,6 @@ fn transport_with_env_shape(verbs: bool) -> (Fabric, RpcConfig) {
         .filter(|&n| n > 0)
     {
         cfg.reader_shards = n;
-    }
-    if std::env::var("RPC_BATCH").as_deref() == Ok("off") {
-        cfg.wire_batch = false;
-    }
-    if std::env::var("RPC_ADAPTIVE").as_deref() == Ok("on") {
-        cfg.adaptive_rdma_threshold = true;
     }
     (fabric, cfg)
 }
@@ -1007,8 +994,7 @@ fn connection_without_the_handshake_is_refused() {
 /// a single run permit, completion order equals request order, and
 /// whoever holds the connection's send turn — it may find several
 /// responses pending behind it and gather them into one send — must put
-/// them on the wire in exactly that order. Runs with batching on and off
-/// so a regression in either arm is pinned to the gather logic.
+/// them on the wire in exactly that order.
 #[test]
 fn pipelined_responses_stay_in_request_order_under_batching() {
     use rpcoib::intern::method_key;
@@ -1016,58 +1002,49 @@ fn pipelined_responses_stay_in_request_order_under_batching() {
     use std::io::Write;
 
     let _wd = watchdog("pipelined_order", Duration::from_secs(60));
-    for wire_batch in [true, false] {
-        let fabric = Fabric::new(model::IPOIB_QDR);
-        let server_node = fabric.add_node();
-        let cfg = RpcConfig {
-            handlers: 1,
-            wire_batch,
-            ..RpcConfig::socket()
-        };
-        let (server, applied) = start_counter_server(&fabric, server_node, &cfg, Duration::ZERO);
+    let fabric = Fabric::new(model::IPOIB_QDR);
+    let server_node = fabric.add_node();
+    let cfg = RpcConfig {
+        handlers: 1,
+        ..RpcConfig::socket()
+    };
+    let (server, applied) = start_counter_server(&fabric, server_node, &cfg, Duration::ZERO);
 
-        let stream = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
-        client_hello(&stream, 0).unwrap();
-        const PIPELINED: i64 = 8;
-        // All 8 requests hit the wire before any response is read, so
-        // responses can really meet a taken turn and queue behind it.
-        let key = method_key("test.CounterProtocol", "incr");
-        let mut enc = V3Encoder::new(true);
-        let mut burst: Vec<u8> = Vec::new();
-        for seq in 1..=PIPELINED {
-            let mut body: Vec<u8> = Vec::new();
-            enc.write_request_header(&mut body, seq, 0, None, key)
-                .unwrap();
-            LongWritable(1).write(&mut body).unwrap();
-            burst.extend_from_slice(&(body.len() as i32).to_be_bytes());
-            burst.extend_from_slice(&body);
-        }
-        (&stream).write_all(&burst).unwrap();
-
-        let mut dec = V3Decoder::new(true);
-        for seq in 1..=PIPELINED {
-            let mut len = [0u8; 4];
-            stream.read_exact_at(&mut len).unwrap();
-            let mut resp = vec![0u8; i32::from_be_bytes(len) as usize];
-            stream.read_exact_at(&mut resp).unwrap();
-            let mut input = resp.as_slice();
-            let header = dec.read_response_header(&mut input).unwrap();
-            assert_eq!(
-                header.seq, seq,
-                "batch={wire_batch}: response #{seq} out of order"
-            );
-            assert_eq!(header.status, ResponseStatus::Ok);
-            let mut value = LongWritable::default();
-            value.read_fields(&mut input).unwrap();
-            assert_eq!(
-                value.0, seq,
-                "batch={wire_batch}: single-handler completion order broken"
-            );
-        }
-        assert_eq!(applied.load(Ordering::Acquire), PIPELINED as u64);
-        drop(stream);
-        server.stop();
+    let stream = simnet::SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
+    client_hello(&stream, 0).unwrap();
+    const PIPELINED: i64 = 8;
+    // All 8 requests hit the wire before any response is read, so
+    // responses can really meet a taken turn and queue behind it.
+    let key = method_key("test.CounterProtocol", "incr");
+    let mut enc = V3Encoder::new(true);
+    let mut burst: Vec<u8> = Vec::new();
+    for seq in 1..=PIPELINED {
+        let mut body: Vec<u8> = Vec::new();
+        enc.write_request_header(&mut body, seq, 0, None, key)
+            .unwrap();
+        LongWritable(1).write(&mut body).unwrap();
+        burst.extend_from_slice(&(body.len() as i32).to_be_bytes());
+        burst.extend_from_slice(&body);
     }
+    (&stream).write_all(&burst).unwrap();
+
+    let mut dec = V3Decoder::new(true);
+    for seq in 1..=PIPELINED {
+        let mut len = [0u8; 4];
+        stream.read_exact_at(&mut len).unwrap();
+        let mut resp = vec![0u8; i32::from_be_bytes(len) as usize];
+        stream.read_exact_at(&mut resp).unwrap();
+        let mut input = resp.as_slice();
+        let header = dec.read_response_header(&mut input).unwrap();
+        assert_eq!(header.seq, seq, "response #{seq} out of order");
+        assert_eq!(header.status, ResponseStatus::Ok);
+        let mut value = LongWritable::default();
+        value.read_fields(&mut input).unwrap();
+        assert_eq!(value.0, seq, "single-handler completion order broken");
+    }
+    assert_eq!(applied.load(Ordering::Acquire), PIPELINED as u64);
+    drop(stream);
+    server.stop();
 }
 
 /// The handshake's assign-on-zero path: a client that presents id 0 is
@@ -1282,9 +1259,8 @@ fn retry_cache_ttl_expiry_reexecutes_instead_of_replaying_stale() {
 ///   own* response back — the per-connection send turn never lets two
 ///   threads interleave writes on a single connection.
 ///
-/// All three invariants must hold whether a turn's holder sends one
-/// pending response per wire operation or gathers them: this runs under
-/// the `RPC_BATCH` environment toggle, so CI exercises both arms.
+/// All three invariants must hold whether a turn's holder finds one
+/// response pending behind it or gathers several.
 #[test]
 fn cross_shard_ordering_and_at_most_once() {
     let _wd = watchdog("cross_shard", Duration::from_secs(120));

@@ -13,9 +13,9 @@
 //!   suspends on a reader's stack is a worker's from then on (e).
 //!
 //! Each case runs on both transports (honouring the CI matrix's
-//! `RPC_SHARDS` / `RPC_BATCH`; with `RPC_SHARDS=1` the takeover is the
-//! *only* reader a busy shard has) under a watchdog, with gates that open
-//! when the test unwinds.
+//! `RPC_SHARDS`; with `RPC_SHARDS=1` the takeover is the *only* reader a
+//! busy shard has) under a watchdog, with gates that open when the test
+//! unwinds.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -43,9 +43,8 @@ fn env_shards() -> Option<usize> {
 }
 
 /// Both transports with their fabric model, under the CI matrix's shard
-/// and batch settings.
+/// setting.
 fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
-    let batch = std::env::var("RPC_BATCH").as_deref() != Ok("off");
     [
         ("socket", model::IPOIB_QDR, RpcConfig::socket()),
         ("verbs", model::IB_QDR_VERBS, RpcConfig::rpcoib()),
@@ -55,7 +54,6 @@ fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
         if let Some(n) = env_shards() {
             cfg.reader_shards = n;
         }
-        cfg.wire_batch = batch;
         (name, Fabric::new(model), cfg)
     })
     .collect()

@@ -63,8 +63,8 @@ impl RpcService for TestService {
     }
 }
 
-/// `cfg` under the CI matrix's shard and batch settings (each case picks
-/// its own transport).
+/// `cfg` under the CI matrix's shard setting (each case picks its own
+/// transport).
 fn matrix(mut cfg: RpcConfig) -> RpcConfig {
     if let Some(n) = std::env::var("RPC_SHARDS")
         .ok()
@@ -73,7 +73,6 @@ fn matrix(mut cfg: RpcConfig) -> RpcConfig {
     {
         cfg.reader_shards = n;
     }
-    cfg.wire_batch = std::env::var("RPC_BATCH").as_deref() != Ok("off");
     cfg
 }
 

@@ -93,10 +93,27 @@ impl<W: Write + ?Sized> DataOutput for W {
     }
 }
 
-/// What [`DataInput::read_len_bytes`] allocates on an announced length
-/// alone: every buffer this system sends (a 64 KiB packet, the 256 KiB
-/// bulk echo) fits, so a well-formed read is still one exact allocation.
+/// What a reader allocates on an announced length alone — a byte buffer,
+/// a string, a collection's elements: every length this system sends (a
+/// 64 KiB packet, the 256 KiB bulk echo) fits, so a well-formed read is
+/// still one exact allocation.
 pub const LEN_BYTES_ON_TRUST: usize = 1024 * 1024;
+
+/// Read `len` bytes a peer announced. The length is the peer's word until
+/// the bytes show up: at most [`LEN_BYTES_ON_TRUST`] are allocated on it,
+/// and past that the buffer grows by no more than has already arrived (a
+/// 9-byte frame announcing 2 GiB costs one such buffer and an
+/// `UnexpectedEof`, not 2 GiB zeroed).
+fn read_announced<R: DataInput + ?Sized>(input: &mut R, len: usize) -> io::Result<Vec<u8>> {
+    let mut buf = vec![0u8; len.min(LEN_BYTES_ON_TRUST)];
+    input.read_bytes(&mut buf)?;
+    while buf.len() < len {
+        let at = buf.len();
+        buf.resize(at + (len - at).min(at), 0);
+        input.read_bytes(&mut buf[at..])?;
+    }
+    Ok(buf)
+}
 
 /// Java `DataInput` + Hadoop `WritableUtils` read-side operations.
 pub trait DataInput {
@@ -186,37 +203,20 @@ pub trait DataInput {
         })
     }
 
-    /// Hadoop `Text::readString`.
+    /// Hadoop `Text::readString`; sized like [`DataInput::read_len_bytes`].
     fn read_string(&mut self) -> io::Result<String> {
-        let len = self.read_vint()?;
-        if len < 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "negative string length",
-            ));
-        }
-        let mut buf = vec![0u8; len as usize];
-        self.read_bytes(&mut buf)?;
-        String::from_utf8(buf)
+        let len = usize::try_from(self.read_vint()?)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "negative string length"))?;
+        String::from_utf8(read_announced(self, len)?)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad utf8: {e}")))
     }
 
-    /// Counterpart of [`DataOutput::write_len_bytes`]. The length is the
-    /// peer's word until the bytes show up: at most [`LEN_BYTES_ON_TRUST`]
-    /// are allocated on it, and past that the buffer grows by no more
-    /// than has already arrived (a 9-byte frame announcing 2 GiB costs
-    /// one such buffer and an `UnexpectedEof`, not 2 GiB zeroed).
+    /// Counterpart of [`DataOutput::write_len_bytes`]: allocates on
+    /// evidence, not on the announced length ([`LEN_BYTES_ON_TRUST`]).
     fn read_len_bytes(&mut self) -> io::Result<Vec<u8>> {
         let len = usize::try_from(self.read_i32()?)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "negative buffer length"))?;
-        let mut buf = vec![0u8; len.min(LEN_BYTES_ON_TRUST)];
-        self.read_bytes(&mut buf)?;
-        while buf.len() < len {
-            let at = buf.len();
-            buf.resize(at + (len - at).min(at), 0);
-            self.read_bytes(&mut buf[at..])?;
-        }
-        Ok(buf)
+        read_announced(self, len)
     }
 }
 
@@ -299,6 +299,26 @@ mod tests {
         assert_eq!(out.as_slice().read_len_bytes().unwrap(), body);
         out.pop();
         assert!(out.as_slice().read_len_bytes().is_err());
+    }
+
+    #[test]
+    fn strings_allocate_on_evidence_not_on_the_announced_length() {
+        // Five bytes of vint announcing i32::MAX, then five of body.
+        let mut hostile: Vec<u8> = Vec::new();
+        hostile.write_vint(i32::MAX).unwrap();
+        hostile.extend_from_slice(b"short");
+        let err = hostile.as_slice().read_string().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let mut negative: Vec<u8> = Vec::new();
+        negative.write_vint(-2).unwrap();
+        let err = negative.as_slice().read_string().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // A string past the trusted size still arrives whole.
+        let long = "ab".repeat(LEN_BYTES_ON_TRUST);
+        let mut out: Vec<u8> = Vec::new();
+        out.write_string(&long).unwrap();
+        assert_eq!(out.as_slice().read_string().unwrap(), long);
     }
 
     #[test]

@@ -90,19 +90,10 @@ impl Writable for ObjectWritable {
             "org.apache.hadoop.io.Text" => ObjectWritable::Text(input.read_string()?),
             "org.apache.hadoop.io.BytesWritable" => ObjectWritable::Bytes(input.read_len_bytes()?),
             "array" => {
-                let n = input.read_vint()?;
-                if n < 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "negative array length",
-                    ));
-                }
-                let mut items = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let mut item = ObjectWritable::default();
-                    item.read_fields(input)?;
-                    items.push(item);
-                }
+                // The wire form of `Vec<ObjectWritable>`, count bounded
+                // as there.
+                let mut items = Vec::new();
+                items.read_fields(input)?;
                 ObjectWritable::Array(items)
             }
             other => {
@@ -163,5 +154,21 @@ mod tests {
         let mut buf: Vec<u8> = Vec::new();
         crate::io::DataOutput::write_string(&mut buf, "com.evil.Gadget").unwrap();
         assert!(from_bytes::<ObjectWritable>(&buf).is_err());
+    }
+
+    #[test]
+    fn array_length_reserves_on_evidence_not_on_the_announced_length() {
+        use crate::io::DataOutput;
+        // An array of i32::MAX elements, one of them sent.
+        let mut buf: Vec<u8> = Vec::new();
+        buf.write_string("array").unwrap();
+        buf.write_vint(i32::MAX).unwrap();
+        ObjectWritable::Int(7).write(&mut buf).unwrap();
+        let err = from_bytes::<ObjectWritable>(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        buf.truncate(6);
+        buf.write_vint(-1).unwrap();
+        let err = from_bytes::<ObjectWritable>(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

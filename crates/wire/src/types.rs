@@ -7,7 +7,7 @@
 
 use std::io;
 
-use crate::io::{DataInput, DataOutput};
+use crate::io::{DataInput, DataOutput, LEN_BYTES_ON_TRUST};
 
 /// A value that serializes itself Hadoop-style: `write` emits fields in
 /// order, `read_fields` fills a default-constructed instance back in.
@@ -230,15 +230,12 @@ impl<T: Writable + Default> Writable for Vec<T> {
         Ok(())
     }
     fn read_fields(&mut self, input: &mut dyn DataInput) -> io::Result<()> {
-        let n = input.read_vint()?;
-        if n < 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "negative element count",
-            ));
-        }
+        let n = usize::try_from(input.read_vint()?)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "negative element count"))?;
         self.clear();
-        self.reserve(n as usize);
+        // On the peer's word, what `LEN_BYTES_ON_TRUST` holds of `T`;
+        // past that the vector grows as its elements arrive.
+        self.reserve(n.min(LEN_BYTES_ON_TRUST / size_of::<T>().max(1)));
         for _ in 0..n {
             let mut item = T::default();
             item.read_fields(input)?;
@@ -365,5 +362,18 @@ mod tests {
         let mut bad = Vec::new();
         crate::varint::write_vint(&mut bad, -3).unwrap();
         assert!(from_bytes::<Vec<IntWritable>>(&bad).is_err());
+    }
+
+    #[test]
+    fn element_counts_reserve_on_evidence_not_on_the_announced_count() {
+        // i32::MAX elements announced, two sent: refused for want of
+        // bytes, not by the allocator.
+        let mut hostile = Vec::new();
+        crate::varint::write_vint(&mut hostile, i32::MAX).unwrap();
+        hostile.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 2, 0]);
+        let err = from_bytes::<Vec<IntWritable>>(&hostile).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // A collection past the trusted size still arrives whole.
+        roundtrip(vec![true; LEN_BYTES_ON_TRUST + 5]);
     }
 }

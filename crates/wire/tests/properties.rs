@@ -1,9 +1,51 @@
 //! Property tests for the wire format and the Algorithm-1 buffer.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use proptest::prelude::*;
 use wire::buffer::INITIAL_CAPACITY;
+use wire::io::LEN_BYTES_ON_TRUST;
 use wire::varint::{read_vlong, vlong_size, write_vlong};
-use wire::{from_bytes, to_bytes, BytesWritable, DataOutputBuffer, Text, VLongWritable};
+use wire::{
+    from_bytes, to_bytes, BytesWritable, DataOutputBuffer, ObjectWritable, Text, VLongWritable,
+};
+
+thread_local! {
+    /// The largest single allocation this thread has asked for since the
+    /// cell was last zeroed.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+struct LargestAlloc;
+
+// SAFETY: every call is forwarded to `System` unchanged; the bookkeeping
+// beside it touches one thread-local `Cell` and allocates nothing.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAlloc = LargestAlloc;
 
 proptest! {
     /// u64 fixed-width values (frame-v2 client ids) roundtrip and always
@@ -92,6 +134,57 @@ proptest! {
             wire::crc32_combine(crc, wire::crc32(part), part.len())
         });
         prop_assert_eq!(folded, wire::crc32(&parts.concat()));
+    }
+
+    /// A length is the peer's word until the bytes show up: whatever a
+    /// string, a byte buffer, a collection or an object array announces
+    /// — up to `i32::MAX` — over a body of a few bytes, the reader fails
+    /// cleanly (or succeeds, when the body really is that long) and no
+    /// single allocation exceeds `LEN_BYTES_ON_TRUST`.
+    #[test]
+    fn announced_lengths_size_nothing(
+        shape in 0..3u8,
+        n in 0..i32::MAX,
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        use wire::DataOutput;
+        // About what the body holds, anything, or as much as fits.
+        let announced = match shape {
+            0 => n % 65,
+            1 => n,
+            _ => i32::MAX - n % 65,
+        };
+        let mut vint_led: Vec<u8> = Vec::new();
+        vint_led.write_vint(announced).unwrap();
+        vint_led.extend_from_slice(&body);
+        let mut i32_led: Vec<u8> = announced.to_be_bytes().to_vec();
+        i32_led.extend_from_slice(&body);
+        let mut array: Vec<u8> = Vec::new();
+        array.write_string("array").unwrap();
+        array.extend_from_slice(&vint_led);
+
+        LARGEST.with(|largest| largest.set(0));
+        let results = [
+            from_bytes::<Text>(&vint_led).err(),
+            from_bytes::<Vec<VLongWritable>>(&vint_led).err(),
+            from_bytes::<BytesWritable>(&i32_led).err(),
+            from_bytes::<ObjectWritable>(&array).err(),
+        ];
+        let largest = LARGEST.with(Cell::get);
+        prop_assert!(
+            largest <= LEN_BYTES_ON_TRUST,
+            "a length of {announced} over {} bytes made a reader allocate {largest}",
+            body.len()
+        );
+        if announced as usize > body.len() {
+            for err in results {
+                let kind = err.expect("more announced than sent").kind();
+                prop_assert!(matches!(
+                    kind,
+                    std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::InvalidData
+                ));
+            }
+        }
     }
 
     /// Vec<VLongWritable> roundtrips (vint count + elements).
