@@ -1267,15 +1267,20 @@ fn bulk_makespan(m: &simnet::NetworkModel, slots: usize, payload: usize, seg_lim
 /// The one-sided bulk data-plane figure (DESIGN.md §12).
 ///
 /// * `lone_p{N}_slots{S}` — real-connection lone-transfer guard: one
-///   large call at a time through a 1-slot ring (the paper's one-deep
-///   gate) versus the default 4-slot ring. The arms must charge
-///   *identical* ledgers (`p50_delta_bp == 0` exactly): slot accounting
-///   is bookkeeping, not traffic. The receiver lets each frame go
-///   unread, as a reader that is done with it would, *before* the sender
-///   absorbs the credit: the credit is sent by that release, not by the
-///   receive. The measured window also asserts the registration-cache
-///   claim — zero new registrations, zero pool misses, zero oversize
-///   allocations at steady state, on both ends.
+///   large frame at a time, one way, through a 1-slot ring (the paper's
+///   one-deep gate) versus the default 4-slot ring. The receiver lets
+///   each frame go unread, as a reader that is done with it would, and
+///   has nothing to send back and no idle moment; the sender then
+///   absorbs whatever credit message came. The gate sends one per
+///   transfer, at the release. The deeper ring holds a credit below its
+///   batch for a frame to carry, so it sends fewer, and the arms'
+///   ledgers differ by *exactly* the messages it did not send
+///   (`ledger_saved_ns == (one_deep_credit_msgs - credit_msgs) ×` one
+///   one-byte send, no transfer costing more than the gate's): slot
+///   accounting is bookkeeping, and what traffic it makes is counted.
+///   The measured window also asserts the registration-cache claim —
+///   zero new registrations, zero pool misses, zero oversize allocations
+///   at steady state, on both ends.
 /// * `pipe_p{N}` — the deterministic pipeline model: makespan of 16
 ///   pipelined transfers, one-deep versus 16 slots ([`bulk_makespan`]).
 ///   Acceptance: `speedup_bp >= 20000` (≥ 2×) on every payload.
@@ -1288,8 +1293,11 @@ pub fn run_bulk(opts: &RunOpts, git_rev: &str) -> Json {
     let mut rows = Vec::new();
 
     // Part A: lone-transfer latency and steady-state counters.
+    // What a flow-control message of its own charges the two ledgers.
+    let credit_ns = base.model.stack_ns(1) + base.model.wire_ns(1) + base.model.base_latency_ns;
     for &payload in BULK_PAYLOADS {
-        let mut one_deep_p50 = 0u64;
+        // The one-deep arm's p50, samples and credit messages.
+        let mut one_deep: Option<(u64, Vec<u64>, u64)> = None;
         for &slots in &[1usize, 4] {
             let mut rpc = base.rpc.clone();
             rpc.large_slots = slots;
@@ -1303,10 +1311,11 @@ pub fn run_bulk(opts: &RunOpts, git_rev: &str) -> Json {
                 let (got, _) = srv.recv_msg(Duration::from_secs(10)).expect("bulk recv");
                 assert_eq!(got.len(), payload);
                 // The frame was handed over in its slot; dropping it is
-                // what credits the slot back.
+                // what owes the slot back.
                 drop(got);
-                // Absorb the credit return into the sender's ledger (a
-                // credit-only completion surfaces as a timeout).
+                // Absorb the credit return, if that release sent one,
+                // into the sender's ledger (a credit-only completion
+                // surfaces as a timeout).
                 match cli.recv_msg(Duration::from_millis(5)) {
                     Err(rpcoib::RpcError::Timeout) => {}
                     other => panic!("expected credit-only recv, got {other:?}"),
@@ -1315,7 +1324,7 @@ pub fn run_bulk(opts: &RunOpts, git_rev: &str) -> Json {
             for _ in 0..warmup {
                 transfer();
             }
-            let (_, _, _, regs_before) = fabric.stats().snapshot();
+            let (sends_before, _, _, regs_before) = fabric.stats().snapshot();
             let (_, cli_miss_b, _, cli_over_b) = cli_ctx.pool_stats();
             let (_, srv_miss_b, _, srv_over_b) = srv_ctx.pool_stats();
             let mut samples: Vec<u64> = (0..iters)
@@ -1325,7 +1334,9 @@ pub fn run_bulk(opts: &RunOpts, git_rev: &str) -> Json {
                     fabric.modeled_ns(cli_node) + fabric.modeled_ns(srv_node) - before
                 })
                 .collect();
-            let (_, _, _, regs_after) = fabric.stats().snapshot();
+            let (sends_after, _, _, regs_after) = fabric.stats().snapshot();
+            // Every frame is an RDMA write: what was *sent* is flow control.
+            let credit_msgs = sends_after - sends_before;
             let (_, cli_miss_a, _, cli_over_a) = cli_ctx.pool_stats();
             let (_, srv_miss_a, _, srv_over_a) = srv_ctx.pool_stats();
             let new_regs = regs_after - regs_before;
@@ -1343,27 +1354,41 @@ pub fn run_bulk(opts: &RunOpts, git_rev: &str) -> Json {
                 new_oversize, 0,
                 "lone_p{payload}_slots{slots}: steady-state large calls allocated oversize"
             );
-            samples.sort_unstable();
-            let p50 = percentile_ns(&samples, 0.50);
+            let in_order = samples.clone();
             let row = Json::obj()
                 .field("transport", "verbs")
                 .field("point", format!("lone_p{payload}_slots{slots}"));
             let mut row = percentile_fields(row, &mut samples)
                 .field("steady_registrations", new_regs)
                 .field("steady_pool_misses", new_misses)
-                .field("steady_oversize", new_oversize);
-            if slots == 1 {
-                one_deep_p50 = p50;
-            } else {
-                let delta = p50.abs_diff(one_deep_p50);
-                assert_eq!(
-                    delta, 0,
-                    "lone_p{payload}: multi-slot ring changed a lone transfer's ledger \
-                     ({one_deep_p50} vs {p50} ns)"
-                );
-                row = row
-                    .field("one_deep_p50_ns", one_deep_p50)
-                    .field("p50_delta_bp", delta * 10_000 / one_deep_p50.max(1));
+                .field("steady_oversize", new_oversize)
+                .field("credit_msgs", credit_msgs);
+            let p50 = percentile_ns(&samples, 0.50);
+            match &one_deep {
+                None => {
+                    assert_eq!(
+                        credit_msgs, iters as u64,
+                        "lone_p{payload}: the one-deep gate credits every transfer at once"
+                    );
+                    one_deep = Some((p50, in_order, credit_msgs));
+                }
+                Some((gate_p50, gate, gate_msgs)) => {
+                    assert!(
+                        in_order.iter().zip(gate).all(|(multi, gate)| multi <= gate),
+                        "lone_p{payload}: a multi-slot ring made a lone transfer cost more \
+                         than the one-deep gate ({in_order:?} vs {gate:?} ns)"
+                    );
+                    let saved = gate.iter().sum::<u64>() - in_order.iter().sum::<u64>();
+                    assert!(
+                        credit_msgs <= *gate_msgs && saved == (gate_msgs - credit_msgs) * credit_ns,
+                        "lone_p{payload}: the arms' ledgers differ by {saved} ns, their credit \
+                         messages by {gate_msgs} - {credit_msgs} of {credit_ns} ns"
+                    );
+                    row = row
+                        .field("one_deep_p50_ns", *gate_p50)
+                        .field("one_deep_credit_msgs", *gate_msgs)
+                        .field("ledger_saved_ns", saved);
+                }
             }
             rows.push(row);
         }

@@ -24,14 +24,19 @@
 //!   carrying the slot offset and the slot count to credit back. The
 //!   receiver copies nothing: the frame is handed to its reader *in the
 //!   slots it landed in* ([`Payload::InPlace`]), exactly as an eager
-//!   message is read out of its posted buffer, and the slots go back to
-//!   the sender when that reader drops the payload — in ring order
-//!   whatever order readers finish in, in batches ([`SlotLedger`]). So
+//!   message is read out of its posted buffer, and the slots are owed
+//!   back to the sender when that reader drops the payload — in ring
+//!   order whatever order readers finish in ([`SlotLedger`]). So
 //!   pipelined large transfers overlap in the region instead of
 //!   serializing on a one-deep handshake, while `large_slots = 1`
 //!   reproduces the paper's one-deep gate exactly. The one reader that
 //!   cannot hold a slot — a call that suspends — takes its bytes with it
 //!   ([`IbContext::evacuate`]).
+//! * **credits ride the data**: what a side owes its peer leaves on the
+//!   next frame going that way, whatever its kind — in the immediate of
+//!   an eager or merged send, in the spare bits of a bulk frame's length
+//!   word — and a message of its own ([`IMM_CREDIT`]) only when there is
+//!   no such frame to wait for (the cadence rule is on [`SlotLedger`]).
 //!
 //! The eager/bulk switch point is `rdma_threshold`, a static value as in
 //! the paper (§III-D), compared where a frame is routed. Several
@@ -62,30 +67,37 @@ use crate::stream::RdmaGatherStream;
 use crate::transport::{Conn, RecvProfile, SendProfile};
 
 /// Immediate tag: payload is a complete frame in the posted recv buffer.
+/// Bits 8.. carry the slots credited back with it.
 const IMM_SMALL: u32 = 1;
 /// Immediate tag: a frame was RDMA-written into the receiver's large
 /// region. Bits 8..20 carry the starting slot index, bits 20..32 the slot
 /// count to credit back (which can exceed the frame's own footprint when
-/// the grant wrapped past the end of the ring).
+/// the grant wrapped past the end of the ring). No bit is spare: the
+/// slots credited back with it ride the frame's length word
+/// ([`CARRIED_SHIFT`]).
 const IMM_LARGE: u32 = 2;
-/// Immediate tag: readers at the receiver are done with frames at the
-/// head of its large region; bits 8.. carry how many slots are being
-/// credited back (flow control).
+/// Immediate tag: flow control with no frame to ride. Bits 8.. carry how
+/// many slots are being credited back; zero is a *pull* — the sender has
+/// found no grant and asks for whatever the receiver holds.
 const IMM_CREDIT: u32 = 3;
 /// Immediate tag: the posted recv buffer holds several small frames
 /// back-to-back, each as `[vlong len][frame]` — what was pending behind
-/// a send turn, merged into one send (RDMAbox-style io-merging).
+/// a send turn, merged into one send (RDMAbox-style io-merging). Bits 8..
+/// carry the slots credited back with it.
 const IMM_BATCH: u32 = 4;
 
 /// How finely blocked polls slice their waits to notice closure.
 const POLL_SLICE: Duration = Duration::from_millis(50);
 
-/// Length prefix written ahead of a bulk frame in its first slot.
+/// Length word written ahead of a bulk frame in its first slot: the
+/// frame's length in the low [`CARRIED_SHIFT`] bits (no region is larger
+/// than [`MAX_SANE_REGION`]), the slots credited back with it above.
 const HEADER_BYTES: usize = 8;
+const CARRIED_SHIFT: u32 = 48;
 
 /// Bootstrap hello framing: magic, version, and fixed length.
 const HELLO_MAGIC: u32 = 0x5250_4942; // "RPIB"
-const HELLO_VERSION: u8 = 2;
+const HELLO_VERSION: u8 = 3;
 const HELLO_BYTES: usize = 48;
 
 /// No sane peer advertises a terabyte-scale pinned region.
@@ -393,6 +405,8 @@ struct Link {
 }
 
 impl Link {
+    /// A flow-control message of its own: `count` slots credited back,
+    /// or, with zero, the ask for whatever the peer holds.
     fn send_credit(&self, count: usize) -> RpcResult<()> {
         let state = self.send.lock();
         state.credit_mr.write_at(0, &[0]).map_err(verbs_err)?;
@@ -437,6 +451,24 @@ impl Link {
 /// sooner is `CreditStarved` — bounded, retryable, and only after every
 /// call on that connection had already timed out.
 ///
+/// **When what is owed goes back** (`pending`, the released prefix):
+///
+/// * *carried* — every frame leaving for the peer takes all of it
+///   ([`SlotLedger::take`]); in request / response traffic that is every
+///   credit, and none costs a message;
+/// * *batch* — a release that brings it to [`credit_batch`] of the ring
+///   sends it at once, so a one-way stream is not throttled waiting for
+///   a frame that is not coming (with `large_slots = 1` the batch is 1:
+///   every release sends, the one-deep gate's behaviour);
+/// * *idle* — the receiver's idle moment ([`Conn::recv_msg`] with nothing
+///   stashed and a quiet inbox) sends it;
+/// * *pulled* — otherwise a release holds it, and a sender that then
+///   finds no grant asks ([`RdmaConn::acquire_slots`]): the ask is
+///   answered with what is held, or by the next release if nothing is.
+///   The ask is a completion like any other — it fires the ready hook —
+///   so a held credit delays nobody who is waiting for it, whether or
+///   not this side ever sends or goes idle.
+///
 /// A [`SlotLease`] may be dropped on any thread, under any engine lock:
 /// release takes this ledger's own lock and then (not nested) the link's
 /// send lock, nothing else. It keeps alive the ledger and — through the
@@ -446,11 +478,13 @@ struct SlotLedger {
     state: Mutex<LedgerState>,
     /// Slots in our region; what the peer can have outstanding at most.
     slots: usize,
-    /// Owed credits go back once this many have accumulated, or at once
-    /// when the inbox is quiet (so a lone transfer is credited
-    /// immediately — its latency is the one-deep gate's).
-    credit_batch: usize,
     link: Weak<Link>,
+}
+
+/// Owed credits a ring of `slots` does not hold back: see the cadence
+/// rule on [`SlotLedger`]. A batch of 1 never holds.
+fn credit_batch(slots: usize) -> usize {
+    (slots / 2).max(1)
 }
 
 struct LedgerState {
@@ -462,6 +496,9 @@ struct LedgerState {
     head: u64,
     /// Slots of the released prefix, owed to the peer and not yet sent.
     pending: usize,
+    /// The peer has asked and nothing has gone back since: the next
+    /// release is not held.
+    pulled: bool,
 }
 
 impl SlotLedger {
@@ -494,30 +531,51 @@ impl SlotLedger {
             st.head += 1;
             st.pending += consumed;
         }
-        self.settle(st);
+        self.settle(st, false);
     }
 
     /// The cadence rule at one of the receiver's idle moments
     /// ([`Conn::recv_msg`] with nothing stashed).
     fn flush(&self) {
-        self.settle(self.state.lock());
+        self.settle(self.state.lock(), true);
     }
 
-    /// Send the peer what it is owed, if the batch is full or the inbox
-    /// has gone quiet — unless the connection is gone or closed, when
-    /// nobody is owed anything.
-    fn settle(&self, mut st: parking_lot::MutexGuard<'_, LedgerState>) {
+    /// The peer has found no grant and asks for what is held.
+    fn pull(&self) {
+        let mut st = self.state.lock();
+        st.pulled = true;
+        self.settle(st, false);
+    }
+
+    /// Everything the peer is owed, to ride a frame that is leaving for
+    /// it anyway. At most `slots` (≤ [`MAX_LARGE_SLOTS`]), so it fits
+    /// either carrier.
+    fn take(&self) -> u32 {
+        let mut st = self.state.lock();
+        if st.pending > 0 {
+            // Whoever asked is answered by this frame.
+            st.pulled = false;
+        }
+        std::mem::take(&mut st.pending) as u32
+    }
+
+    /// Send the peer what it is owed in a message of its own, if the
+    /// cadence rule says it has waited long enough — unless the
+    /// connection is gone or closed, when nobody is owed anything.
+    fn settle(&self, mut st: parking_lot::MutexGuard<'_, LedgerState>, idle: bool) {
         if st.pending == 0 {
             return;
         }
         let Some(link) = self.link.upgrade() else {
             return;
         };
-        if link.closed.load(Ordering::Acquire)
-            || (st.pending < self.credit_batch && link.qp.recv_pending())
-        {
+        let due = st.pending >= credit_batch(self.slots)
+            || st.pulled
+            || (idle && !link.qp.recv_pending());
+        if !due || link.closed.load(Ordering::Acquire) {
             return;
         }
+        st.pulled = false;
         let count = std::mem::take(&mut st.pending);
         drop(st);
         // Best-effort: if the peer has gone away the credits are moot.
@@ -566,9 +624,12 @@ pub struct RdmaConn {
     /// Leases over *our* region, held by the in-place frames not yet
     /// read, and the credits owed back to the peer.
     ledger: Arc<SlotLedger>,
-    /// Recycled storage for the gather serializer's segment list, so a
-    /// steady-state bulk send allocates nothing.
-    seg_scratch: Mutex<Vec<PooledBuf<MemoryRegion>>>,
+    /// Recycled storage for the gather serializer's segment lists, so a
+    /// steady-state bulk send allocates nothing: one list per sender that
+    /// has ever been inside `send_msg` beside another (with a single
+    /// list, the second of two callers whose sends overlapped built its
+    /// own every time).
+    seg_scratch: Mutex<Vec<Vec<PooledBuf<MemoryRegion>>>>,
     peer_desc: String,
     /// When attached, every send feeds the per-`<protocol, method>`
     /// serialize/wire phase histograms.
@@ -699,9 +760,9 @@ impl RdmaConn {
                     frames: VecDeque::with_capacity(cfg.large_slots),
                     head: 0,
                     pending: 0,
+                    pulled: false,
                 }),
                 slots: cfg.large_slots,
-                credit_batch: (cfg.large_slots / 2).max(1),
                 link: Arc::downgrade(&link),
             }),
             link,
@@ -793,14 +854,23 @@ impl RdmaConn {
     /// Exhausting the budget is [`RpcError::CreditStarved`] — the peer is
     /// alive but not letting go of what it holds.
     ///
-    /// The credits arrive as [`IMM_CREDIT`] completions on our own queue
-    /// pair, and no thread is dedicated to reading it: when nobody is
-    /// receiving, this waiter reads them itself. Frames it meets on the
-    /// way are stashed for the receiver, which is told through the ready
-    /// hook (an event-driven reader shard saw the queue pair's own edge
-    /// before we emptied it).
+    /// The credits arrive as completions on our own queue pair (a count
+    /// of their own or riding a frame), and no thread is dedicated to
+    /// reading it: when nobody is receiving, this waiter reads them
+    /// itself. Frames it meets on the way are stashed for the receiver,
+    /// which is told through the ready hook (an event-driven reader shard
+    /// saw the queue pair's own edge before we emptied it).
+    ///
+    /// The peer may be holding credits for a frame of its own to carry
+    /// (a ring deep enough to batch), so a waiter *pulls*: it asks once,
+    /// and again whenever the count it asked about has changed and still
+    /// yields no grant — every ask is answered by the next credit the
+    /// peer has, and every answer changes the count, so between the two
+    /// nothing this waiter needs stays held.
     fn acquire_slots(&self, k: usize) -> RpcResult<Grant> {
         let deadline = Instant::now() + self.cfg.call_timeout;
+        let peer_holds = credit_batch(self.peer_slots) > 1;
+        let mut asked_at = None;
         loop {
             let mut st = self.ring.state.lock();
             if st.closed {
@@ -812,6 +882,12 @@ impl RdmaConn {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(RpcError::CreditStarved);
+            }
+            if peer_holds && asked_at != Some(st.credits) {
+                asked_at = Some(st.credits);
+                drop(st);
+                self.link.send_credit(0)?;
+                continue;
             }
             if self.progress(st, POLL_SLICE.min(remaining))? {
                 self.fire_ready_hook();
@@ -855,9 +931,10 @@ impl RdmaConn {
         let base = grant.start * self.peer_slot_size;
         let imm = IMM_LARGE | ((grant.start as u32) << 8) | ((grant.consumed as u32) << 20);
         let state = self.link.send.lock();
+        let word = len as u64 | u64::from(self.ledger.take()) << CARRIED_SHIFT;
         state
             .header_mr
-            .write_at(0, &(len as u64).to_be_bytes())
+            .write_at(0, &word.to_be_bytes())
             .map_err(verbs_err)?;
         // Header + segments go out as ONE doorbell-batched chain, so the
         // whole frame pays a single propagation latency regardless of
@@ -884,12 +961,12 @@ impl RdmaConn {
     }
 
     /// Validate an [`IMM_LARGE`] announcement against our region geometry
-    /// and read the frame's length header. Violations tear the
-    /// connection down — an out-of-contract peer write means the region
-    /// contents can't be trusted. What passes bounds what the frame's
-    /// reader may touch: the slots the announcement pays for, which lie
-    /// inside the region.
-    fn bulk_frame_len(&self, start: usize, consumed: usize) -> RpcResult<usize> {
+    /// and read the frame's length word: its length, and the credits
+    /// riding it (not yet checked). Violations tear the connection down —
+    /// an out-of-contract peer write means the region contents can't be
+    /// trusted. What passes bounds what the frame's reader may touch: the
+    /// slots the announcement pays for, which lie inside the region.
+    fn bulk_frame_len(&self, start: usize, consumed: usize) -> RpcResult<(usize, usize)> {
         if consumed == 0 || start + consumed > self.my_slots {
             return Err(self.frame_corruption(format!(
                 "bulk announcement out of range: start={start} consumed={consumed} \
@@ -900,7 +977,9 @@ impl RdmaConn {
         let base = start * self.my_slot_size;
         let mut hdr = [0u8; HEADER_BYTES];
         self.my_large.read_at(base, &mut hdr).map_err(verbs_err)?;
-        let len = u64::from_be_bytes(hdr) as usize;
+        let word = u64::from_be_bytes(hdr);
+        let carried = (word >> CARRIED_SHIFT) as usize;
+        let len = (word & ((1 << CARRIED_SHIFT) - 1)) as usize;
         // All three grant shapes consume at least the frame's footprint
         // (a wrap's `consumed` adds the skipped tail stub), so a frame
         // longer than `consumed` slots is one whose reader would walk
@@ -915,7 +994,23 @@ impl RdmaConn {
                 self.my_slot_size
             )));
         }
-        Ok(len)
+        Ok((len, carried))
+    }
+
+    /// Apply the credits that rode a frame, under the check a credit
+    /// message of its own gets: a count beyond the ring is a peer whose
+    /// accounting cannot be trusted.
+    fn credit(&self, count: usize) -> RpcResult<()> {
+        if count > self.peer_slots {
+            return Err(self.frame_corruption(format!(
+                "credit return of {count} slots (ring has {})",
+                self.peer_slots
+            )));
+        }
+        if count > 0 {
+            self.ring.release(count);
+        }
+        Ok(())
     }
 
     /// Wait up to `slice` for one receive completion and consume it:
@@ -933,6 +1028,7 @@ impl RdmaConn {
         let frame = match (completion.kind, completion.imm & 0xff) {
             (CompletionKind::Recv, IMM_SMALL) => {
                 let buf = self.take_posted(completion.wr_id)?;
+                self.credit((completion.imm >> 8) as usize)?;
                 // Replenish the ring; with a warm pool this is a
                 // freelist pop — the "allocation" cost RPCoIB removes.
                 let alloc_start = Instant::now();
@@ -952,6 +1048,7 @@ impl RdmaConn {
             }
             (CompletionKind::Recv, IMM_BATCH) => {
                 let buf = self.take_posted(completion.wr_id)?;
+                self.credit((completion.imm >> 8) as usize)?;
                 let alloc_start = Instant::now();
                 self.post_one_recv();
                 let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
@@ -982,18 +1079,15 @@ impl RdmaConn {
                 return Ok(true);
             }
             (CompletionKind::Recv, IMM_CREDIT) => {
-                // Flow-control credits: recycle the consumed recv
-                // buffer and wake senders blocked on the slot ring.
+                // Flow control alone: recycle the consumed recv buffer,
+                // then wake senders blocked on the slot ring — or, asked
+                // by one blocked at the peer, answer.
                 drop(self.take_posted(completion.wr_id)?);
                 self.post_one_recv();
-                let count = (completion.imm >> 8) as usize;
-                if count == 0 || count > self.peer_slots {
-                    return Err(self.frame_corruption(format!(
-                        "credit return of {count} slots (ring has {})",
-                        self.peer_slots
-                    )));
+                match (completion.imm >> 8) as usize {
+                    0 => self.ledger.pull(),
+                    count => self.credit(count)?,
                 }
-                self.ring.release(count);
                 return Ok(false);
             }
             (CompletionKind::RecvRdmaWithImm, IMM_LARGE) => {
@@ -1001,7 +1095,8 @@ impl RdmaConn {
                 self.post_one_recv();
                 let start = ((completion.imm >> 8) & 0xfff) as usize;
                 let consumed = ((completion.imm >> 20) & 0xfff) as usize;
-                let len = self.bulk_frame_len(start, consumed)?;
+                let (len, carried) = self.bulk_frame_len(start, consumed)?;
+                self.credit(carried)?;
                 // Nothing is copied and nothing acquired: the frame is
                 // read where it landed, and its slots are credited back
                 // when its reader drops the payload.
@@ -1057,7 +1152,12 @@ impl RdmaConn {
         let state = self.link.send.lock();
         self.link
             .qp
-            .post_send(buf.mem(), 0, chunk.len(), IMM_BATCH)
+            .post_send(
+                buf.mem(),
+                0,
+                chunk.len(),
+                IMM_BATCH | self.ledger.take() << 8,
+            )
             .map_err(verbs_err)?;
         drop(state);
         chunk.clear();
@@ -1078,11 +1178,7 @@ impl Conn for RdmaConn {
 
         // --- Serialization: straight into pooled registered segments. ---
         let ser_start = Instant::now();
-        let scratch = self
-            .seg_scratch
-            .try_lock()
-            .map(|mut v| std::mem::take(&mut *v))
-            .unwrap_or_default();
+        let scratch = self.seg_scratch.lock().pop().unwrap_or_default();
         let mut out = RdmaGatherStream::new(&self.ctx.pool, key, self.cfg.recv_buf_bytes, scratch);
         write(&mut out)?;
         let (mut segs, len, grows) = out.finish();
@@ -1097,7 +1193,7 @@ impl Conn for RdmaConn {
                 let state = self.link.send.lock();
                 self.link
                     .qp
-                    .post_send(seg.mem(), 0, len, IMM_SMALL)
+                    .post_send(seg.mem(), 0, len, IMM_SMALL | self.ledger.take() << 8)
                     .map_err(verbs_err)?;
                 drop(state);
             }
@@ -1107,11 +1203,7 @@ impl Conn for RdmaConn {
 
         // Segments return to the pool; their Vec storage is recycled.
         segs.clear();
-        if let Some(mut slot) = self.seg_scratch.try_lock() {
-            if slot.capacity() < segs.capacity() {
-                *slot = segs;
-            }
-        }
+        self.seg_scratch.lock().push(segs);
 
         if let Some(m) = &self.metrics {
             let entry = m.entry(key);
@@ -1556,6 +1648,213 @@ mod tests {
         // The oldest goes: the whole released prefix comes back at once.
         frames[0] = None;
         assert_eq!(credits(&cli), 4);
+    }
+
+    #[test]
+    fn carried_credits_return_in_ring_order_and_cost_no_message() {
+        // Eight slots, so the batch is four and a released prefix of
+        // three is held for a frame to carry.
+        let cfg = RpcConfig {
+            large_slots: 8,
+            ..RpcConfig::rpcoib()
+        };
+        let (cli, srv) = conn_pair(&cfg);
+        let fabric = cli.ctx.device.fabric();
+        let key = crate::intern::method_key("p", "big");
+        let body = vec![5u8; 100_000];
+        let mut frames: Vec<_> = (0..3)
+            .map(|_| {
+                cli.send_msg(key, &mut |out| out.write_bytes(&body))
+                    .unwrap();
+                Some(srv.recv_msg(Duration::from_secs(5)).unwrap().0)
+            })
+            .collect();
+        // One eager frame back, read by the client: what it carried is in
+        // the client's ring, and it is the only message that crossed.
+        let crossing = |want_credits: usize| {
+            let (sends_before, ..) = fabric.stats().snapshot();
+            srv.send_msg(key, &mut |out| out.write_u8(1)).unwrap();
+            let (sends_after, ..) = fabric.stats().snapshot();
+            assert_eq!(sends_after - sends_before, 1);
+            assert_eq!(cli.recv_msg(Duration::from_secs(1)).unwrap().0.len(), 1);
+            assert_eq!(cli.ring.state.lock().credits, want_credits);
+        };
+        crossing(5);
+        // The youngest and the middle one go first: nothing is owed yet —
+        // their slots lie behind one still being read.
+        frames[2] = None;
+        frames[1] = None;
+        crossing(5);
+        // The oldest goes: the whole released prefix is owed, held (no
+        // message: the client's inbox stays empty), and rides the next
+        // frame out.
+        frames[0] = None;
+        assert_eq!(
+            cli.recv_msg(Duration::from_millis(20)).unwrap_err(),
+            RpcError::Timeout
+        );
+        assert_eq!(cli.ring.state.lock().credits, 5);
+        crossing(8);
+    }
+
+    #[test]
+    fn carried_count_beyond_the_ring_is_rejected_on_every_carrier() {
+        let cfg = RpcConfig::rpcoib();
+        let beyond = cfg.large_slots as u32 + 1;
+        // A well-formed one-byte frame (or batch of one empty frame)
+        // under a hand-built immediate.
+        let send = |cli: &RdmaConn, imm: u32| {
+            let state = cli.link.send.lock();
+            state.credit_mr.write_at(0, &[0]).unwrap();
+            cli.link.qp.post_send(&state.credit_mr, 0, 1, imm).unwrap();
+        };
+        type Carrier = (&'static str, Box<dyn Fn(&RdmaConn, u32)>);
+        let carriers: [Carrier; 3] = [
+            (
+                "eager immediate",
+                Box::new(move |cli, count| send(cli, IMM_SMALL | count << 8)),
+            ),
+            (
+                "batch immediate",
+                Box::new(move |cli, count| send(cli, IMM_BATCH | count << 8)),
+            ),
+            (
+                "bulk length word",
+                Box::new(|cli, count| {
+                    announce(cli, u64::from(count) << CARRIED_SHIFT | 100, 0, 0, 1)
+                }),
+            ),
+        ];
+        for (what, carry) in &carriers {
+            let (cli, srv) = conn_pair(&cfg);
+            let metrics = MetricsRegistry::new(false);
+            let srv = Arc::into_inner(srv).unwrap().with_metrics(metrics.clone());
+            carry(&cli, beyond);
+            assert_torn_down(&srv, what);
+            assert_eq!(metrics.counters().frame_errors, 1, "{what}");
+            // The whole ring, which an honest peer can owe, is taken.
+            let (cli, srv) = conn_pair(&cfg);
+            carry(&cli, cfg.large_slots as u32);
+            srv.recv_msg(Duration::from_secs(1)).expect(what);
+            assert_eq!(srv.ring.state.lock().credits, cfg.large_slots, "{what}");
+        }
+    }
+
+    /// A four-slot ring small enough to fill with one frame, and a
+    /// receiver driven the way a reader shard drives one: it reads when
+    /// its hook has fired and input is pending, and is otherwise nowhere
+    /// near `recv_msg` — it has no idle moment. It reads `frames` frames
+    /// and returns their lengths; the first `keep` it holds on to, and
+    /// lets go of the oldest each time it is told to, the rest it drops
+    /// as soon as read.
+    fn event_driven_pair(
+        frames: usize,
+        keep: usize,
+    ) -> (
+        RpcConfig,
+        Arc<RdmaConn>,
+        std::sync::mpsc::Sender<()>,
+        thread::JoinHandle<Vec<usize>>,
+    ) {
+        let cfg = RpcConfig {
+            rdma_threshold: 2 * 1024,
+            recv_buf_bytes: 4 * 1024,
+            posted_recvs: 4,
+            prefill_per_class: 1,
+            large_region_bytes: 16 * 1024,
+            large_slots: 4,
+            call_timeout: Duration::from_secs(4),
+            ..RpcConfig::rpcoib()
+        };
+        let (cli, srv) = conn_pair(&cfg);
+        let (wake, woken) = std::sync::mpsc::channel();
+        srv.set_ready_hook(Arc::new(move || {
+            let _ = wake.send(());
+        }));
+        let (let_go, told) = std::sync::mpsc::channel();
+        let reader = thread::spawn(move || {
+            let mut lens = Vec::new();
+            let mut kept = VecDeque::new();
+            while lens.len() < frames {
+                let _ = woken.recv_timeout(Duration::from_millis(10));
+                if told.try_recv().is_ok() {
+                    kept.pop_front();
+                }
+                while srv.poll_ready() {
+                    match srv.recv_msg(Duration::from_millis(1)) {
+                        Ok((payload, _)) => {
+                            lens.push(payload.len());
+                            if lens.len() <= keep {
+                                kept.push_back(payload);
+                            }
+                        }
+                        Err(RpcError::Timeout) => {}
+                        Err(e) => panic!("event-driven receiver: {e}"),
+                    }
+                }
+            }
+            lens
+        });
+        (cfg, cli, let_go, reader)
+    }
+
+    #[test]
+    fn a_sender_needing_the_whole_ring_pulls_the_credit_its_peer_holds() {
+        // The first frame's slot is released at once and held (one owed,
+        // a batch of two); the peer has nothing to send and never goes
+        // idle. The second frame needs all four slots.
+        let (cfg, cli, _let_go, reader) = event_driven_pair(2, 0);
+        let key = crate::intern::method_key("p", "m");
+        let whole = cfg.large_region_bytes - HEADER_BYTES;
+        let started = Instant::now();
+        for len in [3_000, whole] {
+            cli.send_msg(key, &mut |out| out.write_bytes(&vec![1u8; len]))
+                .unwrap();
+        }
+        assert_eq!(reader.join().unwrap(), [3_000, whole]);
+        assert!(
+            started.elapsed() < cfg.call_timeout / 2,
+            "the held credit came back after {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn an_ask_that_finds_nothing_held_is_answered_by_the_releases_that_follow() {
+        // As above, but `kept` one-slot frames are still being read when
+        // the sender asks: there is nothing to answer with until their
+        // readers let go, one by one — and each of those releases (one
+        // owed, below the batch) is wanted: none may be held. With two
+        // kept, the second release is answered only because the sender,
+        // one credit richer and still short, has asked again.
+        for kept in [1, 2] {
+            let (cfg, cli, let_go, reader) = event_driven_pair(kept + 1, kept);
+            let key = crate::intern::method_key("p", "m");
+            let whole = cfg.large_region_bytes - HEADER_BYTES;
+            for _ in 0..kept {
+                cli.send_msg(key, &mut |out| out.write_bytes(&[1u8; 3_000]))
+                    .unwrap();
+            }
+            let cli2 = Arc::clone(&cli);
+            let sender = thread::spawn(move || {
+                cli2.send_msg(key, &mut |out| out.write_bytes(&vec![1u8; whole]))
+            });
+            let started = Instant::now();
+            for _ in 0..kept {
+                // Long enough for the ask to have been read.
+                thread::sleep(Duration::from_millis(100));
+                let_go.send(()).unwrap();
+            }
+            sender.join().unwrap().unwrap();
+            let mut lens = vec![3_000; kept];
+            lens.push(whole);
+            assert_eq!(reader.join().unwrap(), lens);
+            assert!(
+                started.elapsed() < cfg.call_timeout / 2,
+                "{kept} kept: a release was held, {:?}",
+                started.elapsed()
+            );
+        }
     }
 
     #[test]

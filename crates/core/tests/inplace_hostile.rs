@@ -100,7 +100,7 @@ impl RpcService for SumService {
 
 /// The RPCoIB wire constants a peer has to know (`transport/rdma.rs`).
 const HELLO_MAGIC: u32 = 0x5250_4942;
-const HELLO_VERSION: u8 = 2;
+const HELLO_VERSION: u8 = 3;
 const HELLO_BYTES: usize = 48;
 const IMM_SMALL: u32 = 1;
 const IMM_LARGE: u32 = 2;

@@ -90,13 +90,13 @@ impl HBaseClient {
     /// map and retrying when the assignment moved (e.g. after a region
     /// server crash — the master reassigns within its liveness timeout).
     fn with_region<T>(&self, key: &[u8], op: impl Fn(&RegionInfo) -> RpcResult<T>) -> RpcResult<T> {
-        let mut last_err = RpcError::Protocol("no region attempt made".into());
+        let mut last_err = None;
         for attempt in 0..12 {
             let region = self.locate(key)?;
             match op(&region) {
                 Ok(v) => return Ok(v),
                 Err(e) if Self::is_stale_region(&e) => {
-                    last_err = e;
+                    last_err = Some(e);
                     // Recovery takes a master liveness timeout plus a
                     // heartbeat; back off accordingly.
                     std::thread::sleep(std::time::Duration::from_millis(50 * (attempt + 1)));
@@ -105,7 +105,7 @@ impl HBaseClient {
                 Err(e) => return Err(e),
             }
         }
-        Err(last_err)
+        Err(last_err.unwrap_or_else(|| RpcError::Protocol("no region attempt made".into())))
     }
 
     /// Store a row.

@@ -9,8 +9,8 @@ use wire::{BooleanWritable, IntWritable, LongWritable, NullWritable, Text};
 
 use crate::config::{HdfsConfig, HostNet};
 use crate::dataxfer::{
-    recv_frame, recv_frame_into, send_chunk, send_end, send_read, send_write_header, DataConnPool,
-    DataFrame, ACK_CORRUPT, ACK_OK, DATA_TIMEOUT,
+    recv_frame, recv_frame_into, send_read, send_transfer, DataConnPool, DataFrame, Opening,
+    ACK_CORRUPT, ACK_OK, DATA_TIMEOUT,
 };
 use crate::types::{AddBlockArgs, FileStatus, LocatedBlock};
 
@@ -161,14 +161,15 @@ impl DfsClient {
 
     /// Read `[offset, offset+len)` of one block, trying each replica.
     fn read_block_range(&self, lb: &LocatedBlock, offset: u64, len: u64) -> RpcResult<Vec<u8>> {
-        let mut last_err = RpcError::Protocol(format!("block {} has no locations", lb.block));
+        let mut last_err = None;
         for target in &lb.targets {
             match self.try_read_block_from(lb.block, target.xfer_addr(), offset, len) {
                 Ok(data) => return Ok(data),
-                Err(e) => last_err = e,
+                Err(e) => last_err = Some(e),
             }
         }
-        Err(last_err)
+        Err(last_err
+            .unwrap_or_else(|| RpcError::Protocol(format!("block {} has no locations", lb.block))))
     }
 
     fn try_read_block_from(
@@ -181,8 +182,13 @@ impl DfsClient {
         let mut conn = self.pool.checkout(addr)?;
         let run = (|| -> RpcResult<Vec<u8>> {
             send_read(conn.conn(), block, offset, len)?;
-            let size = match recv_frame(conn.conn(), DATA_TIMEOUT)? {
-                DataFrame::Size(size) => size,
+            // The replica's word, so refused beyond `block_size`: `SIZE`
+            // reserves `data` for exactly the bytes it announces, and the
+            // read is complete when that many have arrived.
+            let mut data = Vec::new();
+            let opened = recv_frame_into(conn.conn(), DATA_TIMEOUT, &mut data, self.cfg.block_size);
+            let size = match opened? {
+                DataFrame::Size { size, .. } => size as usize,
                 DataFrame::Ack(ACK_CORRUPT) => {
                     return Err(RpcError::Protocol(format!(
                         "replica of block {block} failed checksum verification"
@@ -193,22 +199,16 @@ impl DfsClient {
                 }
                 _ => return Err(RpcError::Protocol("expected SIZE".into())),
             };
-            // The replica's word, so clamped: no block is larger than
-            // `block_size`, and `END` must find exactly `size` bytes.
-            let cap = size.min(self.cfg.block_size as u64) as usize;
-            let mut data = Vec::with_capacity(cap);
-            loop {
-                match recv_frame_into(conn.conn(), DATA_TIMEOUT, &mut data, cap)? {
+            while data.len() < size {
+                match recv_frame_into(conn.conn(), DATA_TIMEOUT, &mut data, size)? {
                     DataFrame::Data { .. } => {}
-                    DataFrame::End => break,
-                    _ => return Err(RpcError::Protocol("expected DATA or END".into())),
+                    _ => {
+                        return Err(RpcError::Protocol(format!(
+                            "short block read: {} of {size}",
+                            data.len()
+                        )))
+                    }
                 }
-            }
-            if data.len() as u64 != size {
-                return Err(RpcError::Protocol(format!(
-                    "short block read: {} of {size}",
-                    data.len()
-                )));
             }
             Ok(data)
         })();
@@ -264,7 +264,7 @@ impl DfsClient {
     /// Write one block's worth of data through a fresh pipeline, retrying
     /// with exclusions when a replica fails mid-stream.
     fn write_block(&self, path: &str, data: &[u8], exclude: &mut Vec<u32>) -> RpcResult<()> {
-        let mut last_err = RpcError::Protocol("no write attempts made".into());
+        let mut last_err = None;
         for _attempt in 0..WRITE_ATTEMPTS {
             let lb: LocatedBlock = self.rpc.call(
                 self.nn,
@@ -292,12 +292,12 @@ impl DfsClient {
                         "abandonBlock",
                         &(Text::from(path), LongWritable(lb.block as i64)),
                     )?;
-                    last_err = e;
+                    last_err = Some(e);
                     std::thread::sleep(self.cfg.heartbeat);
                 }
             }
         }
-        Err(last_err)
+        Err(last_err.unwrap_or_else(|| RpcError::Protocol("no write attempts made".into())))
     }
 
     fn try_pipeline(&self, lb: &LocatedBlock, data: &[u8]) -> RpcResult<()> {
@@ -307,11 +307,12 @@ impl DfsClient {
             .ok_or_else(|| RpcError::Protocol("empty pipeline".into()))?;
         let mut conn = self.pool.checkout(first.xfer_addr())?;
         let run = (|| -> RpcResult<()> {
-            send_write_header(conn.conn(), lb.block, data.len() as u64, &lb.targets[1..])?;
-            for chunk in data.chunks(self.cfg.chunk) {
-                send_chunk(conn.conn(), chunk)?;
-            }
-            send_end(conn.conn())?;
+            let opening = Opening::Write {
+                block: lb.block,
+                len: data.len() as u64,
+                targets: &lb.targets[1..],
+            };
+            send_transfer(conn.conn(), &opening, data, self.cfg.chunk)?;
             match recv_frame(conn.conn(), DATA_TIMEOUT)? {
                 DataFrame::Ack(ACK_OK) => Ok(()),
                 DataFrame::Ack(_) => Err(RpcError::Protocol("pipeline reported failure".into())),

@@ -17,8 +17,8 @@ use wire::{IntWritable, NullWritable};
 
 use crate::config::{HdfsConfig, HostNet};
 use crate::dataxfer::{
-    recv_frame, recv_frame_into, send_ack, send_chunk, send_end, send_packet, send_size,
-    send_write_header, DataConnPool, DataFrame, ACK_CORRUPT, ACK_FAIL, ACK_OK, DATA_TIMEOUT,
+    recv_frame, recv_frame_into, send_ack, send_opening, send_packet, send_transfer, DataConnPool,
+    DataFrame, Opening, ACK_CORRUPT, ACK_FAIL, ACK_OK, DATA_TIMEOUT,
 };
 use crate::types::{BlockReceivedArgs, BlockReportArgs, DatanodeInfo, DnCommand};
 use crate::DATA_PORT;
@@ -361,14 +361,18 @@ impl DnState {
 /// Per-connection server loop: one WRITE or READ operation at a time.
 fn xceiver_loop(state: Arc<DnState>, conn: Arc<dyn Conn>) {
     while !state.stop.load(Ordering::Acquire) {
+        // A write's replica: reserved by the frame that opens it, for the
+        // length that frame announces, which `block_size` bounds.
+        let mut data = Vec::new();
         // A frame this node refuses takes the broken-connection path too.
-        let result = match recv_frame(&conn, IDLE_SLICE) {
+        let result = match recv_frame_into(&conn, IDLE_SLICE, &mut data, state.cfg.block_size) {
             Err(RpcError::Timeout) => continue,
             Ok(DataFrame::Write {
                 block,
                 len,
                 targets,
-            }) => handle_write(&state, &conn, block, len, targets),
+                first,
+            }) => handle_write(&state, &conn, block, len, targets, data, first),
             Ok(DataFrame::Read { block, offset, len }) => {
                 handle_read(&state, &conn, block, offset, len)
             }
@@ -384,32 +388,41 @@ fn xceiver_loop(state: Arc<DnState>, conn: Arc<dyn Conn>) {
 
 /// Receive one block and pass it down the pipeline. The block's bytes are
 /// allocated once: the `WRITE` header's length — a peer's word, so
-/// clamped to `block_size` — reserves the replica before the first packet
-/// and caps it after, and `END` must find exactly the announced length.
-/// Each packet is copied once, from the wire buffer onto the block's
-/// tail, verified there, and forwarded from there.
+/// refused beyond `block_size` — reserved `data` before the `first`
+/// packet, which rode that header, was copied into it, and caps it after;
+/// the block is complete when exactly that many bytes have arrived. Each
+/// packet is copied once, from the wire buffer onto the block's tail,
+/// verified there, and forwarded from there — the first with the header
+/// for the rest of the pipeline riding it, as it came.
 fn handle_write(
     state: &Arc<DnState>,
     upstream: &Arc<dyn Conn>,
     block: u64,
     len: u64,
     targets: Vec<DatanodeInfo>,
+    mut data: Vec<u8>,
+    first: Option<u32>,
 ) -> RpcResult<()> {
     // Open the downstream leg of the pipeline first.
     let mut downstream = match targets.split_first() {
         Some((next, rest)) => {
             let dc = state.pool.checkout(next.xfer_addr())?;
-            send_write_header(dc.conn(), block, len, rest)?;
+            let opening = Opening::Write {
+                block,
+                len,
+                targets: rest,
+            };
+            send_opening(dc.conn(), &opening, first.map(|crc| (crc, &data[..])))?;
             Some(dc)
         }
         None => None,
     };
 
     let run = (|| -> RpcResult<()> {
-        let cap = len.min(state.cfg.block_size as u64) as usize;
-        let mut data = Vec::with_capacity(cap);
-        let mut crc = wire::crc32(&[]);
-        loop {
+        let cap = len as usize;
+        // `data` so far: the first packet alone, or nothing.
+        let mut crc = first.unwrap_or_else(|| wire::crc32(&[]));
+        while data.len() < cap {
             let at = data.len();
             match recv_frame_into(upstream, DATA_TIMEOUT, &mut data, cap)? {
                 DataFrame::Data { crc: packet } => {
@@ -423,22 +436,13 @@ fn handle_write(
                     }
                     crc = wire::crc32_combine(crc, packet, tail.len());
                 }
-                DataFrame::End if data.len() as u64 == len => {
-                    if let Some(d) = &downstream {
-                        send_end(d.conn())?;
-                    }
-                    break;
-                }
-                DataFrame::End => {
+                _ => {
                     return Err(RpcError::Protocol(format!(
-                        "block {block} ended at {} of {len} announced bytes",
-                        data.len()
+                        "block {block} stopped at {at} of {len} announced bytes"
                     )))
                 }
-                _ => return Err(RpcError::Protocol("expected DATA or END".into())),
             }
         }
-        let size = data.len() as u64;
         state.store.insert(block, data, crc);
         // Report to the NameNode before acking (the paper: "once a block
         // is written to a DataNode, a block-report is sent").
@@ -449,7 +453,7 @@ fn handle_write(
             &BlockReceivedArgs {
                 dn_id: state.id,
                 block,
-                size,
+                size: len,
             },
         )?;
         // Wait for the downstream ack before acking upstream.
@@ -502,11 +506,12 @@ fn replicate_block(state: &Arc<DnState>, block: u64, targets: &[DatanodeInfo]) -
         .ok_or_else(|| RpcError::Protocol("replicate with no targets".into()))?;
     let mut conn = state.pool.checkout(first.xfer_addr())?;
     let run = (|| -> RpcResult<()> {
-        send_write_header(conn.conn(), block, data.len() as u64, &targets[1..])?;
-        for chunk in data.chunks(state.cfg.chunk) {
-            send_chunk(conn.conn(), chunk)?;
-        }
-        send_end(conn.conn())?;
+        let opening = Opening::Write {
+            block,
+            len: data.len() as u64,
+            targets: &targets[1..],
+        };
+        send_transfer(conn.conn(), &opening, &data, state.cfg.chunk)?;
         match recv_frame(conn.conn(), DATA_TIMEOUT)? {
             DataFrame::Ack(ACK_OK) => Ok(()),
             _ => Err(RpcError::Protocol("replication pipeline failed".into())),
@@ -541,11 +546,8 @@ fn handle_read(
         n => start.saturating_add(n as usize).min(data.len()),
     };
     let slice = &data[start..end];
-    send_size(conn, slice.len() as u64)?;
-    for chunk in slice.chunks(state.cfg.chunk) {
-        send_chunk(conn, chunk)?;
-    }
-    send_end(conn)
+    let opening = Opening::Size(slice.len() as u64);
+    send_transfer(conn, &opening, slice, state.cfg.chunk)
 }
 
 #[cfg(test)]

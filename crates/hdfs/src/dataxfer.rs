@@ -8,18 +8,29 @@
 //!
 //! Frames (one `Conn` message each):
 //!
-//! * `WRITE` — `[op][block u64][vlong len][vint n][targets…]`: open a
+//! * `WRITE` — `[op][block u64][vlong len][vint n][targets…]` and then the
+//!   transfer's first packet, `[crc32 u32][len-prefixed bytes]`: open a
 //!   write pipeline for a block of `len` bytes, so the receiver sizes the
-//!   replica before the first byte arrives; it forwards a `WRITE` with the
-//!   remaining targets downstream;
-//! * `DATA` — `[op][crc32 u32][len-prefixed bytes]`: one chunk, protected
-//!   by a CRC-32 the receiver verifies (HDFS checksums every data chunk);
-//! * `END` — `[op]`: end of block; receiver stores + reports, then waits
-//!   for the downstream `ACK` before acking upstream;
+//!   replica before it copies the first byte; it forwards a `WRITE` with
+//!   the remaining targets, and the same packet, downstream;
+//! * `DATA` — `[op][crc32 u32][len-prefixed bytes]`: one further packet,
+//!   protected by a CRC-32 the receiver verifies (HDFS checksums every
+//!   data chunk);
 //! * `ACK` — `[op][status u8]`;
 //! * `READ` — `[op][block u64][vlong offset][len u64]`: fetch a block range;
-//! * `SIZE` — `[op][size u64]`: read response header, followed by `DATA`
-//!   chunks and `END`.
+//! * `SIZE` — `[op][size u64]` and then the first packet, as `WRITE`: read
+//!   response header; further packets follow as `DATA`.
+//!
+//! **Control rides the data.** A transfer's header travels in the message
+//! that carries its first packet, and nothing marks its end: it is
+//! complete when the bytes its header announced have arrived, at which
+//! point a write's receiver stores + reports, then waits for the
+//! downstream `ACK` before acking upstream. More bytes than announced, an
+//! empty packet, or any other frame where a packet is due, is refused
+//! ([`recv_frame_into`]). Only a transfer of no bytes sends a header
+//! alone. (A payload-free message costs the fabric model's whole
+//! per-message stack charge; a header and an end marker per hop were two
+//! of the five messages of a 128 KiB block.)
 //!
 //! A packet's bytes are copied once on each side of the wire: the sender
 //! hands the transport a borrowed chunk ([`send_packet`]), the receiver
@@ -38,13 +49,12 @@ use rpcoib::transport::socket::SocketConn;
 use rpcoib::transport::Conn;
 use rpcoib::{RpcConfig, RpcError, RpcResult};
 use simnet::{Fabric, NodeId, SimAddr, SimStream};
-use wire::DataInput;
+use wire::{DataInput, DataOutput};
 
 use crate::types::DatanodeInfo;
 
 pub const OP_WRITE: u8 = 1;
 pub const OP_DATA: u8 = 2;
-pub const OP_END: u8 = 3;
 pub const OP_ACK: u8 = 4;
 pub const OP_READ: u8 = 5;
 pub const OP_SIZE: u8 = 6;
@@ -173,28 +183,80 @@ impl Drop for PooledConn<'_> {
 // Frame helpers.
 // ---------------------------------------------------------------------------
 
-/// Send a `WRITE` header opening a pipeline for `block`, `len` bytes
-/// long, to `targets`.
-pub fn send_write_header(
+/// What opens a transfer: it announces the transfer's length, and rides
+/// the message that carries its first packet.
+#[derive(Debug, Clone, Copy)]
+pub enum Opening<'a> {
+    /// A write pipeline for `block`, `len` bytes long, through `targets`.
+    Write {
+        block: u64,
+        len: u64,
+        targets: &'a [DatanodeInfo],
+    },
+    /// The answer to a `READ`: this many bytes follow.
+    Size(u64),
+}
+
+/// The longest lead [`send_opening`] builds: a `WRITE` naming
+/// [`MAX_TARGETS`] targets (ten bytes each on the wire), then a packet's
+/// CRC and length.
+const LEAD_MAX: usize = 1 + 8 + 9 + 5 + MAX_TARGETS * 10 + 8;
+
+/// Send `opening` and, riding it, the transfer's `first` packet (its CRC
+/// and its bytes; `None` only for a transfer of no bytes). Like
+/// [`send_packet`], nothing is staged: the lead is built on the stack.
+pub fn send_opening(
     conn: &Arc<dyn Conn>,
-    block: u64,
-    len: u64,
-    targets: &[DatanodeInfo],
+    opening: &Opening<'_>,
+    first: Option<(u32, &[u8])>,
 ) -> RpcResult<()> {
-    conn.send_msg(
-        rpcoib::intern::method_key("hdfs.data", "write"),
-        &mut |out| {
+    let mut lead = [0u8; LEAD_MAX];
+    let mut out = &mut lead[..];
+    let key = match *opening {
+        Opening::Write {
+            block,
+            len,
+            targets,
+        } => {
             out.write_u8(OP_WRITE)?;
             out.write_i64(block as i64)?;
             out.write_vlong(len as i64)?;
             out.write_vint(targets.len() as i32)?;
             for t in targets {
-                wire::Writable::write(t, out)?;
+                wire::Writable::write(t, &mut out)?;
             }
-            Ok(())
-        },
-    )
-    .map(|_| ())
+            rpcoib::intern::method_key("hdfs.data", "write")
+        }
+        Opening::Size(size) => {
+            out.write_u8(OP_SIZE)?;
+            out.write_i64(size as i64)?;
+            rpcoib::intern::method_key("hdfs.data", "size")
+        }
+    };
+    let chunk = match first {
+        Some((crc, chunk)) => {
+            out.write_i32(crc as i32)?;
+            out.write_i32(chunk.len() as i32)?;
+            chunk
+        }
+        None => &[],
+    };
+    let used = LEAD_MAX - out.len();
+    conn.send_serialized(key, &lead[..used], chunk)
+}
+
+/// Send a whole transfer: `opening` riding the first `chunk`-byte packet
+/// of `data`, the rest of `data` behind it as `DATA` packets.
+pub fn send_transfer(
+    conn: &Arc<dyn Conn>,
+    opening: &Opening<'_>,
+    data: &[u8],
+    chunk: usize,
+) -> RpcResult<()> {
+    let mut chunks = data.chunks(chunk);
+    let first = chunks.next().map(|first| (wire::crc32(first), first));
+    send_opening(conn, opening, first)?;
+    chunks.try_for_each(|chunk| send_chunk(conn, chunk))
 }
 
 /// Send one data chunk, protected by a CRC-32 of its bytes.
@@ -216,14 +278,6 @@ pub fn send_packet(conn: &Arc<dyn Conn>, crc: u32, chunk: &[u8]) -> RpcResult<()
         &lead,
         chunk,
     )
-}
-
-/// Send the end-of-block marker.
-pub fn send_end(conn: &Arc<dyn Conn>) -> RpcResult<()> {
-    conn.send_msg(rpcoib::intern::method_key("hdfs.data", "end"), &mut |out| {
-        out.write_u8(OP_END)
-    })
-    .map(|_| ())
 }
 
 /// Send an `ACK` with `status`.
@@ -250,53 +304,50 @@ pub fn send_read(conn: &Arc<dyn Conn>, block: u64, offset: u64, len: u64) -> Rpc
     .map(|_| ())
 }
 
-/// Send the `SIZE` response header of a read.
-pub fn send_size(conn: &Arc<dyn Conn>, size: u64) -> RpcResult<()> {
-    conn.send_msg(
-        rpcoib::intern::method_key("hdfs.data", "size"),
-        &mut |out| {
-            out.write_u8(OP_SIZE)?;
-            out.write_i64(size as i64)
-        },
-    )
-    .map(|_| ())
-}
-
-/// A parsed data-plane frame.
+/// A parsed data-plane frame. A packet it carried has been verified and
+/// is now the tail of the sink it was received into; `crc` / `first` is
+/// the CRC it was verified against.
 #[derive(Debug)]
 pub enum DataFrame {
     Write {
         block: u64,
-        /// The block's announced length — a hint until `END` confirms it.
+        /// The block's length: what the sink was reserved for, and the
+        /// byte count at which the transfer is complete.
         len: u64,
         targets: Vec<DatanodeInfo>,
+        /// The packet that rode the header (`None`: it travelled alone).
+        first: Option<u32>,
     },
-    /// One verified packet, now the tail of the sink it was received
-    /// into, and the CRC it was verified against.
     Data {
         crc: u32,
     },
-    End,
     Ack(u8),
     Read {
         block: u64,
         offset: u64,
         len: u64,
     },
-    Size(u64),
+    Size {
+        size: u64,
+        first: Option<u32>,
+    },
 }
 
-/// Receive and parse the next frame where no `DATA` is due (a packet has
-/// nowhere to go and is refused).
+/// Receive and parse the next frame where no transfer may open and no
+/// packet is due (either has nowhere to go and is refused).
 pub fn recv_frame(conn: &Arc<dyn Conn>, timeout: Duration) -> RpcResult<DataFrame> {
     recv_frame_into(conn, timeout, &mut Vec::new(), 0)
 }
 
-/// Receive and parse the next frame of a block transfer. A `DATA` packet
-/// is appended to `sink`, which it may fill up to `limit` bytes — what
-/// the transfer's header announced, clamped by the caller to a constant
-/// of its own, and reserved by it once: a peer's length sizes nothing
-/// here. Every refusal is [`RpcError::Protocol`].
+/// Receive and parse the next frame of a block transfer, with `sink` to
+/// receive into and `limit`, the most bytes `sink` may come to hold — a
+/// constant of the caller's until a transfer is open, what its header
+/// announced from then on. A header that announces more than `limit` is
+/// refused; one that passes reserves `sink` for exactly what it
+/// announces, once, before its packet is copied, so a peer's length
+/// sizes nothing beyond the caller's constant. A packet is appended to
+/// `sink` if it is not empty and fits under `limit`. Every refusal is
+/// [`RpcError::Protocol`].
 pub fn recv_frame_into(
     conn: &Arc<dyn Conn>,
     timeout: Duration,
@@ -334,6 +385,55 @@ pub fn append_len_bytes(
     }
 }
 
+/// `[crc][len-prefixed bytes]`: append one packet to `sink` and verify
+/// it there; returns its CRC. An empty packet is refused — a transfer
+/// ends by byte count, so every packet must bring it nearer.
+fn read_packet(
+    reader: &mut PayloadReader<'_>,
+    sink: &mut Vec<u8>,
+    limit: usize,
+) -> io::Result<u32> {
+    let expected = reader.read_i32()? as u32;
+    let at = append_len_bytes(reader, sink, limit)?;
+    if at == sink.len() {
+        return Err(invalid("empty packet".into()));
+    }
+    // Verify what is kept: on verbs the peer holds the rkey of the memory
+    // the packet was copied from and may rewrite it after any look, so
+    // the CRC is taken over the stored tail, and a packet that fails it
+    // is not kept.
+    let actual = wire::crc32(&sink[at..]);
+    if actual != expected {
+        sink.truncate(at);
+        return Err(invalid(format!(
+            "chunk checksum mismatch: expected {expected:#010x}, got {actual:#010x}"
+        )));
+    }
+    Ok(actual)
+}
+
+/// The rest of a frame that opens a transfer of `announced` bytes:
+/// refuse it if it is beyond `limit`, reserve `sink` for it, and receive
+/// the packet riding the header, if there is one.
+fn open_transfer(
+    reader: &mut PayloadReader<'_>,
+    sink: &mut Vec<u8>,
+    limit: usize,
+    announced: u64,
+) -> io::Result<Option<u32>> {
+    if announced > limit as u64 {
+        return Err(invalid(format!(
+            "a transfer of {announced} bytes where at most {limit} fit"
+        )));
+    }
+    let announced = announced as usize;
+    sink.reserve_exact(announced.saturating_sub(sink.len()));
+    match reader.remaining() {
+        0 => Ok(None),
+        _ => read_packet(reader, sink, announced).map(Some),
+    }
+}
+
 fn parse_frame(
     reader: &mut PayloadReader<'_>,
     sink: &mut Vec<u8>,
@@ -360,32 +460,25 @@ fn parse_frame(
                 block,
                 len,
                 targets,
+                first: open_transfer(reader, sink, limit, len)?,
             }
         }
-        OP_DATA => {
-            let expected = reader.read_i32()? as u32;
-            let at = append_len_bytes(reader, sink, limit)?;
-            // Verify what is kept: on verbs the peer holds the rkey of
-            // the memory the packet was copied from and may rewrite it
-            // after any look, so the CRC is taken over the stored tail,
-            // and a packet that fails it is not kept.
-            let actual = wire::crc32(&sink[at..]);
-            if actual != expected {
-                sink.truncate(at);
-                return Err(invalid(format!(
-                    "chunk checksum mismatch: expected {expected:#010x}, got {actual:#010x}"
-                )));
-            }
-            DataFrame::Data { crc: actual }
-        }
-        OP_END => DataFrame::End,
+        OP_DATA => DataFrame::Data {
+            crc: read_packet(reader, sink, limit)?,
+        },
         OP_ACK => DataFrame::Ack(reader.read_u8()?),
         OP_READ => DataFrame::Read {
             block: reader.read_i64()? as u64,
             offset: reader.read_vlong()? as u64,
             len: reader.read_i64()? as u64,
         },
-        OP_SIZE => DataFrame::Size(reader.read_i64()? as u64),
+        OP_SIZE => {
+            let size = reader.read_i64()? as u64;
+            DataFrame::Size {
+                size,
+                first: open_transfer(reader, sink, limit, size)?,
+            }
+        }
         other => return Err(invalid(format!("unknown data opcode {other}"))),
     })
 }
@@ -483,26 +576,54 @@ mod tests {
         let chunk = [1u8, 2, 3];
         let crc = wire::crc32(&chunk);
         let mut sink = Vec::with_capacity(2);
-        // Past the limit, negative, beyond the payload; no sink at all.
+        // Past the limit, negative, beyond the payload; no sink at all;
+        // and empty, which brings a transfer no nearer its end.
         assert!(parse(data_frame(crc, 3, &chunk), &mut sink, 2).contains("packet"));
         assert!(parse(data_frame(crc, -1, &chunk), &mut sink, 2).contains("packet"));
         assert!(parse(data_frame(crc, i32::MAX, &chunk), &mut sink, usize::MAX).contains("left"));
         assert!(parse(data_frame(crc, 3, &chunk), &mut Vec::new(), 0).contains("packet"));
+        assert!(parse(data_frame(wire::crc32(&[]), 0, &[]), &mut sink, 2).contains("empty"));
 
         let write = |len: i64, targets: i32| {
             let mut out = vec![OP_WRITE];
             out.write_i64(42).unwrap();
             out.write_vlong(len).unwrap();
             out.write_vint(targets).unwrap();
-            Payload::Owned(out)
+            out
         };
-        assert!(parse(write(-1, 0), &mut sink, 0).contains("block length"));
+        let size = |size: u64| {
+            let mut out = vec![OP_SIZE];
+            out.write_u64(size).unwrap();
+            out
+        };
+        assert!(parse(Payload::Owned(write(-1, 0)), &mut sink, 0).contains("block length"));
         for n in [-1, MAX_TARGETS as i32 + 1, i32::MAX] {
-            assert!(parse(write(0, n), &mut sink, 0).contains("targets"));
+            assert!(parse(Payload::Owned(write(0, n)), &mut sink, 0).contains("targets"));
         }
-        // A length is a hint: the largest one parses, and sizes nothing.
-        let hinted = parse_frame(&mut write(i64::MAX, 0).reader(), &mut sink, 0).unwrap();
-        assert!(matches!(hinted, DataFrame::Write { len, .. } if len == i64::MAX as u64));
+        // A transfer longer than the caller allows is refused by its
+        // header — alone, or with a packet that would itself have fit.
+        for header in [write(3, 0), write(i64::MAX, 0), size(3), size(u64::MAX)] {
+            let mut riding = header.clone();
+            riding.write_i32(crc as i32).unwrap();
+            riding.write_i32(2).unwrap();
+            riding.extend_from_slice(&chunk[..2]);
+            for frame in [header, riding] {
+                assert!(parse(Payload::Owned(frame), &mut sink, 2).contains("transfer"));
+            }
+        }
+        // One that fits reserves exactly what it announces, and its
+        // packet may not exceed that, whatever the caller allows.
+        let mut over = write(2, 0);
+        over.write_i32(crc as i32).unwrap();
+        over.write_i32(3).unwrap();
+        over.extend_from_slice(&chunk);
+        let mut sink = Vec::new();
+        let err = parse_frame(&mut Payload::Owned(over).reader(), &mut sink, 1 << 20).unwrap_err();
+        assert!(
+            err.to_string().contains("3-byte packet where 2 of 2"),
+            "{err}"
+        );
+        assert_eq!((sink.len(), sink.capacity()), (0, 2));
     }
 
     #[test]
@@ -515,11 +636,15 @@ mod tests {
         let srv = thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let conn: Arc<dyn Conn> = Arc::new(SocketConn::new(stream, 4096));
-            let mut sink = Vec::with_capacity(3);
-            let frames: Vec<_> = (0..4)
-                .map(|_| recv_frame_into(&conn, Duration::from_secs(5), &mut sink, 3).unwrap())
+            // A five-byte write in two-byte packets and an empty one; a
+            // three-byte read answer; an ack.
+            let (mut written, mut read) = (Vec::new(), Vec::new());
+            let mut frames: Vec<_> = (0..4)
+                .map(|_| recv_frame_into(&conn, Duration::from_secs(5), &mut written, 5).unwrap())
                 .collect();
-            (frames, sink)
+            frames.push(recv_frame_into(&conn, Duration::from_secs(5), &mut read, 3).unwrap());
+            frames.push(recv_frame(&conn, Duration::from_secs(5)).unwrap());
+            (frames, written, read)
         });
         let pool = DataConnPool::new(&fabric, client, RpcConfig::socket()).unwrap();
         let c = pool.checkout(addr).unwrap();
@@ -528,17 +653,34 @@ mod tests {
             xfer_node: 3,
             xfer_port: 50010,
         }];
-        send_write_header(c.conn(), 42, 3, &targets).unwrap();
-        send_chunk(c.conn(), &[1, 2, 3]).unwrap();
-        send_end(c.conn()).unwrap();
+        let write = |len| Opening::Write {
+            block: 42,
+            len,
+            targets: &targets,
+        };
+        send_transfer(c.conn(), &write(5), &[1, 2, 3, 4, 5], 2).unwrap();
+        send_transfer(c.conn(), &write(0), &[], 2).unwrap();
+        send_transfer(c.conn(), &Opening::Size(3), &[6, 7, 8], 3).unwrap();
         send_ack(c.conn(), ACK_OK).unwrap();
-        let (frames, sink) = srv.join().unwrap();
+        let (frames, written, read) = srv.join().unwrap();
+        let crc = |bytes: &[u8]| Some(wire::crc32(bytes));
         assert!(
-            matches!(&frames[0], DataFrame::Write { block: 42, len: 3, targets: t } if t == &targets)
+            matches!(&frames[0], DataFrame::Write { block: 42, len: 5, targets: t, first }
+                if t == &targets && *first == crc(&[1, 2]))
         );
-        assert!(matches!(frames[1], DataFrame::Data { crc } if crc == wire::crc32(&[1, 2, 3])));
-        assert_eq!(sink, [1, 2, 3]);
-        assert!(matches!(frames[2], DataFrame::End));
-        assert!(matches!(frames[3], DataFrame::Ack(ACK_OK)));
+        assert!(matches!(frames[1], DataFrame::Data { crc: c } if Some(c) == crc(&[3, 4])));
+        assert!(matches!(frames[2], DataFrame::Data { crc: c } if Some(c) == crc(&[5])));
+        let alone = DataFrame::Write {
+            block: 42,
+            len: 0,
+            targets: targets.clone(),
+            first: None,
+        };
+        assert_eq!(format!("{:?}", frames[3]), format!("{alone:?}"));
+        assert!(
+            matches!(frames[4], DataFrame::Size { size: 3, first } if first == crc(&[6, 7, 8]))
+        );
+        assert!(matches!(frames[5], DataFrame::Ack(ACK_OK)));
+        assert_eq!((written, read), (vec![1, 2, 3, 4, 5], vec![6, 7, 8]));
     }
 }

@@ -10,10 +10,13 @@
 //! back the other way. The drill checks the two properties the design
 //! promises for lone transfers:
 //!
-//! * **slot-count parity** — a transfer with nothing to pipeline against
-//!   costs exactly the same modeled time on a one-deep ring
-//!   (`large_slots = 1`, the legacy credit gate) as on a multi-slot
-//!   ring: the ring only changes what *concurrent* frames may do;
+//! * **slot-count parity, less the credit message** — a transfer with
+//!   nothing to pipeline against costs the same modeled time on a
+//!   one-deep ring (`large_slots = 1`, the legacy credit gate) as on a
+//!   multi-slot ring, but for flow control: the gate answers every
+//!   response with a credit message of its own, the deeper ring lets the
+//!   credit ride the caller's next request. The client's ledger differs
+//!   by exactly that one-byte send per call, and by nothing else;
 //! * **zero steady-state registrations** — after warmup, large calls
 //!   are served entirely from pooled registered segments: the fabric's
 //!   memory-registration counter must not move.
@@ -97,14 +100,18 @@ fn main() {
         "{:>10}  {:>16}  {:>16}  {:>7}",
         "payload", "one-deep ring", "16-slot ring", "regs"
     );
+    // What a credit message of its own charges its sender's ledger.
+    let m = model::IB_QDR_VERBS;
+    let credit_ns = m.stack_ns(1) + m.wire_ns(1) + m.base_latency_ns;
     for &payload in &[65_536usize, 262_144, 1_048_576] {
         let (one_deep, regs_a) = drill(1, payload, 8);
         let (multi, regs_b) = drill(16, payload, 8);
-        // Lone transfers never wait on ring credits, so slot count must
-        // not change their modeled cost at all.
+        // Lone transfers never wait on ring credits, so slot count
+        // changes their modeled cost by the credit message alone.
         assert_eq!(
-            one_deep, multi,
-            "lone-transfer cost must be slot-count invariant at {payload} B"
+            one_deep - multi,
+            credit_ns,
+            "lone-transfer cost must differ by one credit message at {payload} B"
         );
         // Steady state registers nothing: segments come from the pool.
         assert_eq!(
@@ -120,7 +127,9 @@ fn main() {
             regs_a + regs_b,
         );
     }
-    println!("\nlone-transfer parity holds (one-deep == multi-slot, to the ns)");
+    println!(
+        "\nlone-transfer parity holds (one-deep == multi-slot + one {credit_ns} ns credit message)"
+    );
     println!("and the measured windows performed zero memory registrations —");
     println!("steady-state large calls gather straight from pooled segments.");
 }
