@@ -88,6 +88,13 @@ type Body = Arc<Vec<u8>>;
 /// leave behind.
 pub const SPARES_PER_CLASS: usize = 4;
 
+/// The order ring is reserved up front for what it holds in steady
+/// state, the capacity plus the completion pushed before the oldest is
+/// evicted — grown by doubling, it reallocated itself well after
+/// start-up — but for at most this many records, so that a huge
+/// capacity asks for nothing huge.
+const ORDER_RESERVE_MAX: usize = 1 << 16;
+
 /// Size classes that keep spares: 128 B · 2^k up to 1 GiB. A larger body
 /// is never kept.
 const SPARE_CLASSES: usize = 24;
@@ -195,7 +202,7 @@ impl<W> RetryCache<W> {
         RetryCache {
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
-                order: VecDeque::new(),
+                order: VecDeque::with_capacity(capacity.saturating_add(1).min(ORDER_RESERVE_MAX)),
                 next_gen: 0,
             }),
             spares: Mutex::new(std::array::from_fn(|_| {

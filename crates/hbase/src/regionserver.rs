@@ -10,13 +10,47 @@
 //! Flushed data stays readable through an in-memory store-file cache
 //! (HBase's block cache equivalent), so Gets hit memory.
 //!
+//! ## The WAL's lifecycle
+//!
+//! Every edit — a put, or a delete, which is a tombstone until its flush
+//! installs — takes its region's next sequence number and carries it in
+//! its WAL entry and its store-file entry. A store file is named by the
+//! highest sequence number it holds (`hfile-{seq:020}-rs{id}`), so path
+//! order is edit order, whichever server wrote it.
+//!
+//! A WAL segment lives until every edit in it is in a *durable* store
+//! file. Each region keeps its floor, the oldest segment holding one of
+//! its edits that is not: its memstore's, each in-flight flush's until
+//! its store file is written, and a failed flush's for as long as the
+//! region is hosted here (its rows are installed all the same, so only
+//! the WAL holds them). A bucket handed off keeps its floor until its
+//! hand-off store file is written. After each successful segment write or
+//! flush, every written segment below the lowest floor — and below the
+//! open segment — is deleted, and HDFS frees its replicas.
+//!
+//! An edit is logged only for a bucket this server hosts, checked under
+//! the lock that orders the region's edits: a stray entry logged for a
+//! bucket held elsewhere would be replayed over newer store files.
+//!
+//! ## Recovery
+//!
 //! Region hosting is **dynamic**: the server heartbeats the HMaster and
-//! receives its current bucket assignment; buckets gained after another
-//! server's death are *recovered* from HDFS — store files are reloaded
-//! and the dead servers' WAL segments are replayed — so rows survive a
-//! region-server crash.
+//! receives its current bucket assignment; a bucket gained after another
+//! server's death is *recovered* from HDFS, so rows survive a
+//! region-server crash. Recovery reads the WAL — every writer's
+//! segments, this bucket's entries — *before* it lists the store files: a
+//! segment deleted after the WAL was listed held only edits that a store
+//! file written before the deletion holds, and the later listing sees
+//! that file (a listed segment gone before it is read is skipped for the
+//! same reason). Then each row takes its newest edit by sequence number,
+//! from store files and WAL alike, and a tombstone leaves the row out.
+//! That is "the store files, then the WAL edits newer than them"; taken
+//! per row, it also holds when a failed or overtaken flush left a row's
+//! newest edit in the WAL alone. The region's sequence numbers resume
+//! above the largest seen.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::io;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,14 +73,43 @@ const ENTRY_DELETE: u8 = 2;
 /// Error message prefix a client interprets as "refresh your region map".
 pub const NOT_SERVING: &str = "NotServingRegion";
 
+/// One edit of a row: its sequence number, and the value it put or
+/// `None` for a delete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Cell {
+    seq: u64,
+    value: Option<Vec<u8>>,
+}
+
+/// Unflushed edits by row: a memstore, or a snapshot being flushed.
+type Cells = BTreeMap<Vec<u8>, Cell>;
+/// Flushed rows.
 type Rows = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// Keep `cell` as `key`'s edit unless the one there is newer.
+fn keep_newest(cells: &mut Cells, key: Vec<u8>, cell: Cell) {
+    match cells.entry(key) {
+        btree_map::Entry::Vacant(slot) => {
+            slot.insert(cell);
+        }
+        btree_map::Entry::Occupied(mut slot) => {
+            if cell.seq > slot.get().seq {
+                slot.insert(cell);
+            }
+        }
+    }
+}
 
 /// A memstore snapshot whose store file is being written to HDFS
 /// (outside the region lock). It stays readable here until installed.
 struct Flush {
+    /// The snapshot's highest sequence number, which names its store file.
     seq: u64,
     /// Shared with the thread writing the store file.
-    rows: Arc<Rows>,
+    cells: Arc<Cells>,
+    /// The oldest WAL segment holding one of its edits, until the write
+    /// returns.
+    floor: Option<u64>,
     /// The HDFS write has returned; the snapshot may install once every
     /// older flush of the region has.
     written: bool,
@@ -54,13 +117,20 @@ struct Flush {
 
 struct Region {
     /// In-memory, not yet persisted.
-    memstore: Rows,
+    memstore: Cells,
     memstore_bytes: usize,
+    /// The oldest WAL segment holding a memstore edit.
+    memstore_floor: Option<u64>,
     /// Flushes in flight, oldest first (ascending `seq`).
     flushing: VecDeque<Flush>,
     /// Block-cache stand-in: flushed rows, kept queryable.
     flushed: Rows,
-    flush_seq: u64,
+    /// The sequence number the next edit takes.
+    next_seq: u64,
+    /// The oldest WAL segment holding an edit of a flush whose store file
+    /// was not written: installed all the same, those rows are durable in
+    /// the WAL alone.
+    pinned: Option<u64>,
 }
 
 impl Region {
@@ -68,123 +138,207 @@ impl Region {
         Region {
             memstore: BTreeMap::new(),
             memstore_bytes: 0,
+            memstore_floor: None,
             flushing: VecDeque::new(),
             flushed: BTreeMap::new(),
-            flush_seq: 0,
+            next_seq: 1,
+            pinned: None,
         }
     }
 
-    /// Every place a row can live, newest first: the memstore, the
-    /// in-flight flush snapshots newest to oldest, the flushed rows. The
-    /// first layer holding a key has its current value.
-    fn layers(&self) -> impl Iterator<Item = &Rows> {
-        std::iter::once(&self.memstore)
-            .chain(self.flushing.iter().rev().map(|f| &*f.rows))
-            .chain(std::iter::once(&self.flushed))
+    /// The unflushed edits, newest first: the memstore, then the
+    /// in-flight flush snapshots newest to oldest.
+    fn unflushed(&self) -> impl Iterator<Item = &Cells> {
+        std::iter::once(&self.memstore).chain(self.flushing.iter().rev().map(|f| &*f.cells))
     }
 
+    /// `key`'s current value: its newest unflushed edit (a delete hides
+    /// the row), else its flushed row.
     fn get(&self, key: &[u8]) -> Option<&Vec<u8>> {
-        self.layers().find_map(|rows| rows.get(key))
+        match self.unflushed().find_map(|cells| cells.get(key)) {
+            Some(cell) => cell.value.as_ref(),
+            None => self.flushed.get(key),
+        }
+    }
+
+    /// Apply an edit the WAL logged in `segment` under `next_seq`.
+    fn apply(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, segment: u64) {
+        self.memstore_bytes += key.len() + value.as_ref().map_or(0, Vec::len);
+        self.memstore_floor.get_or_insert(segment);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.memstore.insert(key, Cell { seq, value });
+    }
+
+    /// The oldest WAL segment holding an edit of this region that no
+    /// written store file holds.
+    fn floor(&self) -> Option<u64> {
+        let flushing = self.flushing.iter().filter_map(|f| f.floor);
+        flushing.chain(self.memstore_floor).chain(self.pinned).min()
     }
 
     /// Take the memstore as the next flush; its rows stay readable
-    /// through `flushing` while the caller writes the store file.
-    fn begin_flush(&mut self) -> (u64, Arc<Rows>) {
-        let rows = Arc::new(std::mem::take(&mut self.memstore));
+    /// through `flushing` while the caller writes the store file. Its
+    /// highest sequence number is the last one taken: the memstore holds
+    /// the newest edit.
+    fn begin_flush(&mut self) -> (u64, Arc<Cells>) {
+        let cells = Arc::new(std::mem::take(&mut self.memstore));
         self.memstore_bytes = 0;
-        self.flush_seq += 1;
+        let seq = self.next_seq - 1;
         self.flushing.push_back(Flush {
-            seq: self.flush_seq,
-            rows: Arc::clone(&rows),
+            seq,
+            cells: Arc::clone(&cells),
+            floor: self.memstore_floor.take(),
             written: false,
         });
-        (self.flush_seq, rows)
+        (seq, cells)
     }
 
-    /// Flush `seq`'s write has returned. Snapshots install strictly in
-    /// flush order: one that finishes early waits — still readable —
-    /// behind an older flush in flight, so an old value can never land
-    /// on top of a newer one.
-    fn finish_flush(&mut self, seq: u64) {
+    /// Flush `seq`'s write has returned, `written` or not: its floor is
+    /// released, or pinned if the store file was not written. Snapshots
+    /// install strictly in flush order: one that finishes early waits —
+    /// still readable — behind an older flush in flight, so an old value
+    /// can never land on top of a newer one. A delete removes its row.
+    fn finish_flush(&mut self, seq: u64, written: bool) {
         if let Some(flush) = self.flushing.iter_mut().find(|f| f.seq == seq) {
             flush.written = true;
+            let floor = flush.floor.take();
+            if !written {
+                self.pinned = self.pinned.into_iter().chain(floor).min();
+            }
         }
         while self.flushing.front().is_some_and(|f| f.written) {
             let flush = self.flushing.pop_front().expect("front checked");
-            let rows = Arc::try_unwrap(flush.rows).unwrap_or_else(|shared| (*shared).clone());
-            self.flushed.extend(rows);
+            let cells = Arc::try_unwrap(flush.cells).unwrap_or_else(|shared| (*shared).clone());
+            for (key, cell) in cells {
+                match cell.value {
+                    Some(value) => self.flushed.insert(key, value),
+                    None => self.flushed.remove(&key),
+                };
+            }
         }
+    }
+
+    /// Every unflushed edit, the newest of each row: what a hand-off
+    /// writes as one store file.
+    fn into_unflushed(self) -> Cells {
+        let mut cells = self.memstore;
+        for flush in self.flushing {
+            for (key, cell) in flush.cells.iter() {
+                keep_newest(&mut cells, key.clone(), cell.clone());
+            }
+        }
+        cells
     }
 }
 
-/// What an entry occupies beside its key and value: the opcode and two
-/// `u32` lengths.
+/// What an entry occupies beside its sequence number, key and value: the
+/// opcode and two `u32` lengths.
 const ENTRY_OVERHEAD: usize = 9;
 
-/// Serialize entries in the WAL / store-file format.
-fn append_entry(buf: &mut Vec<u8>, op: u8, key: &[u8], value: &[u8]) {
+/// The bytes [`append_entry`] writes for this edit.
+fn entry_size(seq: u64, key: &[u8], value: Option<&[u8]>) -> usize {
+    ENTRY_OVERHEAD + wire::varint::vlong_size(seq as i64) + key.len() + value.map_or(0, <[u8]>::len)
+}
+
+/// Serialize an edit in the WAL / store-file format: `[op][seq: vlong]
+/// [u32 len][key][u32 len][value]`, a delete's value empty.
+fn append_entry(buf: &mut Vec<u8>, seq: u64, key: &[u8], value: Option<&[u8]>) {
+    let op = if value.is_some() {
+        ENTRY_PUT
+    } else {
+        ENTRY_DELETE
+    };
     buf.push(op);
+    wire::varint::write_vlong(buf, seq as i64).expect("a Vec takes every byte");
+    let value = value.unwrap_or_default();
     buf.extend_from_slice(&(key.len() as u32).to_be_bytes());
     buf.extend_from_slice(key);
     buf.extend_from_slice(&(value.len() as u32).to_be_bytes());
     buf.extend_from_slice(value);
 }
 
-/// Parse entries written by [`append_entry`].
-fn parse_entries(data: &[u8]) -> Vec<(u8, Vec<u8>, Vec<u8>)> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos + 9 <= data.len() {
-        let op = data[pos];
-        pos += 1;
-        let klen = u32::from_be_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if pos + klen + 4 > data.len() {
-            break; // truncated tail (partial roll) — ignore, like HBase
-        }
-        let key = data[pos..pos + klen].to_vec();
-        pos += klen;
-        let vlen = u32::from_be_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if pos + vlen > data.len() {
-            break;
-        }
-        let value = data[pos..pos + vlen].to_vec();
-        pos += vlen;
-        out.push((op, key, value));
-    }
-    out
+/// Parse entries written by [`append_entry`], up to the first torn one
+/// (a partial roll — ignored, like HBase) or malformed one.
+fn parse_entries(mut data: &[u8]) -> Vec<(Vec<u8>, Cell)> {
+    std::iter::from_fn(|| read_entry(&mut data).ok()).collect()
 }
 
-/// Serialize `rows` as a store file, into a buffer reserved at exactly
+fn read_entry(input: &mut &[u8]) -> io::Result<(Vec<u8>, Cell)> {
+    let op = input.read_u8()?;
+    let seq = input.read_vlong()? as u64;
+    let key = read_field(input)?;
+    let value = read_field(input)?;
+    let value = match op {
+        ENTRY_PUT => Some(value),
+        ENTRY_DELETE => None,
+        _ => return Err(io::ErrorKind::InvalidData.into()),
+    };
+    Ok((key, Cell { seq, value }))
+}
+
+/// A `u32`-length-prefixed field, refused if it runs past the data.
+fn read_field(input: &mut &[u8]) -> io::Result<Vec<u8>> {
+    let len = input.read_i32()? as u32 as usize;
+    if len > input.len() {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    let (field, rest) = input.split_at(len);
+    *input = rest;
+    Ok(field.to_vec())
+}
+
+/// Serialize `cells` as a store file, into a buffer reserved at exactly
 /// its size: growing one by doubling from empty asks the allocator for
 /// four times the file at every flush.
-fn store_file(rows: &Rows) -> Vec<u8> {
-    let size = rows
+fn store_file(cells: &Cells) -> Vec<u8> {
+    let size = cells
         .iter()
-        .map(|(k, v)| ENTRY_OVERHEAD + k.len() + v.len())
+        .map(|(k, c)| entry_size(c.seq, k, c.value.as_deref()))
         .sum();
     let mut buf = Vec::with_capacity(size);
-    for (k, v) in rows {
-        append_entry(&mut buf, ENTRY_PUT, k, v);
+    for (k, c) in cells {
+        append_entry(&mut buf, c.seq, k, c.value.as_deref());
     }
     buf
 }
 
-/// The write-ahead log in memory: the buffer puts append to, and the one
+/// The write-ahead log in memory: the buffer edits append to, and the one
 /// the previous roll handed back once its segment was in HDFS. A roll
 /// swaps the two, so after the first rolls no put grows a buffer.
 #[derive(Default)]
 struct Wal {
     buf: Vec<u8>,
     spare: Vec<u8>,
+    /// The segment `buf` is written as when it rolls.
+    open: u64,
+    /// Rolled segments whose write has returned, not yet deleted.
+    rolled: BTreeSet<u64>,
 }
 
 impl Wal {
-    /// The buffered entries; the (empty) spare takes their place.
-    fn take_segment(&mut self) -> Vec<u8> {
+    /// Log an edit in the open segment. Returns that segment, and the
+    /// segment to write if this entry filled it.
+    fn append(
+        &mut self,
+        seq: u64,
+        key: &[u8],
+        value: Option<&[u8]>,
+        roll_bytes: usize,
+    ) -> (u64, Option<(u64, Vec<u8>)>) {
+        let open = self.open;
+        append_entry(&mut self.buf, seq, key, value);
+        (
+            open,
+            (self.buf.len() >= roll_bytes).then(|| self.take_segment()),
+        )
+    }
+
+    /// The open segment and its number; the (empty) spare takes its place.
+    fn take_segment(&mut self) -> (u64, Vec<u8>) {
         let spare = std::mem::take(&mut self.spare);
-        std::mem::replace(&mut self.buf, spare)
+        self.open += 1;
+        (self.open - 1, std::mem::replace(&mut self.buf, spare))
     }
 
     /// A written segment's buffer comes back to serve the next roll.
@@ -200,87 +354,116 @@ struct RsState {
     cfg: HBaseConfig,
     rs_id: u32,
     n_regions: u32,
-    /// Dynamically hosted buckets.
+    /// Dynamically hosted buckets. Lock order: `regions`, `handed_off`,
+    /// `wal`.
     regions: Mutex<HashMap<u32, Region>>,
+    /// Floors of buckets handed off whose store file is not written yet.
+    handed_off: Mutex<Vec<u64>>,
     dfs: DfsClient,
     wal: Mutex<Wal>,
-    wal_seq: AtomicU64,
     puts: AtomicU64,
     gets: AtomicU64,
     stop: AtomicBool,
 }
 
 impl RsState {
-    fn wal_path(&self, seq: u64) -> String {
-        format!("/hbase/wal/rs{}-{seq:08}", self.rs_id)
+    fn wal_path(&self, segment: u64) -> String {
+        format!("/hbase/wal/rs{}-{segment:08}", self.rs_id)
     }
 
-    fn append_wal(&self, op: u8, key: &[u8], value: &[u8]) -> RpcResult<()> {
-        let segment = {
-            let mut wal = self.wal.lock();
-            append_entry(&mut wal.buf, op, key, value);
-            (wal.buf.len() >= self.cfg.wal_roll_bytes).then(|| wal.take_segment())
-        };
-        segment.map_or(Ok(()), |segment| self.write_segment(segment))
+    /// The store file of `bucket` whose highest sequence number is `seq`.
+    fn store_path(&self, bucket: u32, seq: u64) -> String {
+        format!("/hbase/region{bucket}/hfile-{seq:020}-rs{}", self.rs_id)
     }
 
-    /// Write a rolled segment to HDFS and hand its buffer back.
-    fn write_segment(&self, segment: Vec<u8>) -> RpcResult<()> {
-        let seq = self.wal_seq.fetch_add(1, Ordering::Relaxed);
-        let written = self.dfs.write_file(&self.wal_path(seq), &segment);
-        self.wal.lock().give_back(segment);
-        written
-    }
-
-    fn put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), String> {
+    /// Log an edit of `key` — a put, or with `None` a delete — and apply
+    /// it to its region's memstore, rolling the WAL and flushing the
+    /// memstore when either is full. A delete of a row that does not
+    /// exist logs nothing and returns `false`.
+    fn edit(&self, key: Vec<u8>, value: Option<Vec<u8>>) -> Result<bool, String> {
         let bucket = region_of(&key, self.n_regions);
-        self.append_wal(ENTRY_PUT, &key, &value)
-            .map_err(|e| e.to_string())?;
-        let flush = {
+        let (roll, flush) = {
             let mut regions = self.regions.lock();
             let region = regions
                 .get_mut(&bucket)
                 .ok_or_else(|| format!("{NOT_SERVING}: bucket {bucket}"))?;
-            region.memstore_bytes += key.len() + value.len();
-            region.memstore.insert(key, value);
-            (region.memstore_bytes >= self.cfg.memstore_flush_bytes).then(|| region.begin_flush())
-        };
-        if let Some((seq, snapshot)) = flush {
-            // Persist the store file under the *region's* directory so any
-            // future host of this bucket can recover it.
-            let buf = store_file(&snapshot);
-            drop(snapshot);
-            let path = format!("/hbase/region{bucket}/hfile-rs{}-{seq:06}", self.rs_id);
-            let written = self.dfs.write_file(&path, &buf);
-            // Installed even when the write failed: the rows are in the
-            // WAL, and an uninstalled snapshot would block every later
-            // flush of the region.
-            if let Some(region) = self.regions.lock().get_mut(&bucket) {
-                region.finish_flush(seq);
+            if value.is_none() && region.get(&key).is_none() {
+                return Ok(false);
             }
-            written.map_err(|e| e.to_string())?;
-        }
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+            let (segment, roll) = self.wal.lock().append(
+                region.next_seq,
+                &key,
+                value.as_deref(),
+                self.cfg.wal_roll_bytes,
+            );
+            region.apply(key, value, segment);
+            let full = region.memstore_bytes >= self.cfg.memstore_flush_bytes;
+            (roll, full.then(|| region.begin_flush()))
+        };
+        // Each runs whatever the other returns: a begun flush must finish.
+        let rolled = roll.map_or(Ok(()), |segment| self.write_segment(segment));
+        let flushed = flush.map_or(Ok(()), |(seq, cells)| self.flush(bucket, seq, cells));
+        rolled.and(flushed).map_err(|e| e.to_string())?;
+        Ok(true)
     }
 
-    fn delete(&self, key: &[u8]) -> Result<bool, String> {
-        let bucket = region_of(key, self.n_regions);
-        self.append_wal(ENTRY_DELETE, key, &[])
-            .map_err(|e| e.to_string())?;
-        let mut regions = self.regions.lock();
-        let region = regions
-            .get_mut(&bucket)
-            .ok_or_else(|| format!("{NOT_SERVING}: bucket {bucket}"))?;
-        let mut found = region.memstore.remove(key).is_some();
-        for flush in &mut region.flushing {
-            // Copies the snapshot only if its writer still shares it.
-            if flush.rows.contains_key(key) {
-                found |= Arc::make_mut(&mut flush.rows).remove(key).is_some();
+    /// Write a rolled segment to HDFS, hand its buffer back, and retire
+    /// what that lets go: its edits may have been flushed meanwhile.
+    fn write_segment(&self, (segment, buf): (u64, Vec<u8>)) -> RpcResult<()> {
+        let written = self.dfs.write_file(&self.wal_path(segment), &buf);
+        {
+            let mut wal = self.wal.lock();
+            wal.give_back(buf);
+            wal.rolled.insert(segment);
+        }
+        written.map(|()| self.retire_segments())
+    }
+
+    /// Write a memstore snapshot as a store file under the *region's*
+    /// directory, so any future host of the bucket can recover it; then
+    /// install it and retire the segments it lets go.
+    fn flush(&self, bucket: u32, seq: u64, cells: Arc<Cells>) -> RpcResult<()> {
+        let file = store_file(&cells);
+        drop(cells);
+        let written = self.dfs.write_file(&self.store_path(bucket, seq), &file);
+        // Installed even when the write failed: the WAL keeps the rows
+        // (the region pins their floor), and an uninstalled snapshot would
+        // block every later flush of the region.
+        if let Some(region) = self.regions.lock().get_mut(&bucket) {
+            region.finish_flush(seq, written.is_ok());
+        }
+        written.map(|()| self.retire_segments())
+    }
+
+    /// Delete every written segment below the lowest floor of a region
+    /// hosted or handed off, and below the open segment. Taken under the
+    /// region lock, which every edit holds while it logs, so no segment
+    /// gains an edit the floors have not seen.
+    fn retire_segments(&self) {
+        let retired = {
+            let regions = self.regions.lock();
+            let handed_off = self.handed_off.lock();
+            let mut wal = self.wal.lock();
+            let floor = regions
+                .values()
+                .filter_map(Region::floor)
+                .chain(handed_off.iter().copied())
+                .fold(wal.open, u64::min);
+            let kept = wal.rolled.split_off(&floor);
+            std::mem::replace(&mut wal.rolled, kept)
+        };
+        for segment in retired {
+            if self.dfs.delete(&self.wal_path(segment)).is_err() {
+                // Tried again at the next retirement.
+                self.wal.lock().rolled.insert(segment);
             }
         }
-        found |= region.flushed.remove(key).is_some();
-        Ok(found)
+    }
+
+    fn put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), String> {
+        self.edit(key, Some(value))?;
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
@@ -296,18 +479,25 @@ impl RsState {
     fn scan(&self, start: &[u8], limit: usize) -> Vec<Row> {
         // Scan across all hosted regions, merged by key.
         let mut rows = Vec::new();
+        let from = (Bound::Included(start), Bound::Unbounded);
         let regions = self.regions.lock();
         for region in regions.values() {
-            // Newest layer first: a key's first sighting is its value.
-            let mut current: BTreeMap<&Vec<u8>, &Vec<u8>> = BTreeMap::new();
-            for layer in region.layers() {
-                for (k, v) in layer.range::<[u8], _>((Bound::Included(start), Bound::Unbounded)) {
-                    current.entry(k).or_insert(v);
+            // Newest layer first: a key's first sighting is its value, or
+            // the delete that hides it.
+            let mut current: BTreeMap<&Vec<u8>, Option<&Vec<u8>>> = BTreeMap::new();
+            for cells in region.unflushed() {
+                for (k, cell) in cells.range::<[u8], _>(from) {
+                    current.entry(k).or_insert(cell.value.as_ref());
                 }
             }
-            rows.extend(current.into_iter().map(|(k, v)| Row {
-                key: k.clone(),
-                value: v.clone(),
+            for (k, v) in region.flushed.range::<[u8], _>(from) {
+                current.entry(k).or_insert(Some(v));
+            }
+            rows.extend(current.into_iter().filter_map(|(k, v)| {
+                Some(Row {
+                    key: k.clone(),
+                    value: v?.clone(),
+                })
             }));
         }
         rows.sort_by(|a, b| a.key.cmp(&b.key));
@@ -315,50 +505,44 @@ impl RsState {
         rows
     }
 
-    /// Bring a newly assigned bucket online: reload its store files from
-    /// HDFS, then replay every WAL segment (any writer), applying only
-    /// this bucket's entries — crash recovery, HBase-style.
+    /// A WAL segment's bytes, or `None` if its writer retired it since it
+    /// was listed (a store file written before holds its edits).
+    fn read_segment(&self, path: &str) -> RpcResult<Option<Vec<u8>>> {
+        match self.dfs.read_file(path) {
+            Ok(data) => Ok(Some(data)),
+            Err(_) if self.dfs.get_file_info(path)?.is_none() => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Bring a newly assigned bucket online from HDFS — the recovery rule
+    /// in the module docs.
     fn recover_bucket(&self, bucket: u32) -> RpcResult<Region> {
-        let mut region = Region::new();
-        // 1. Store files, in (writer, seq) path order.
+        // 1. The WAL, every writer's, before the store files are listed.
+        let mut logged = Vec::new();
+        for file in self.dfs.list("/hbase/wal").unwrap_or_default() {
+            if let Some(data) = self.read_segment(&file.path)? {
+                let entries = parse_entries(&data).into_iter();
+                logged.extend(entries.filter(|(key, _)| region_of(key, self.n_regions) == bucket));
+            }
+        }
+        // 2. Each row's newest edit, from store files and WAL alike.
+        let mut cells = Cells::new();
         let dir = format!("/hbase/region{bucket}");
-        let mut hfiles = self.dfs.list(&dir).unwrap_or_default();
-        hfiles.sort_by(|a, b| a.path.cmp(&b.path));
-        for file in hfiles {
-            let data = self.dfs.read_file(&file.path)?;
-            for (op, k, v) in parse_entries(&data) {
-                match op {
-                    ENTRY_PUT => {
-                        region.flushed.insert(k, v);
-                    }
-                    ENTRY_DELETE => {
-                        region.flushed.remove(&k);
-                    }
-                    _ => {}
-                }
+        for file in self.dfs.list(&dir).unwrap_or_default() {
+            for (key, cell) in parse_entries(&self.dfs.read_file(&file.path)?) {
+                keep_newest(&mut cells, key, cell);
             }
         }
-        // 2. WAL segments (every server's — entries for other buckets are
-        // skipped). Unflushed rows live only here.
-        let mut wals = self.dfs.list("/hbase/wal").unwrap_or_default();
-        wals.sort_by(|a, b| a.path.cmp(&b.path));
-        for file in wals {
-            let data = self.dfs.read_file(&file.path)?;
-            for (op, k, v) in parse_entries(&data) {
-                if region_of(&k, self.n_regions) != bucket {
-                    continue;
-                }
-                match op {
-                    ENTRY_PUT => {
-                        region.flushed.insert(k, v);
-                    }
-                    ENTRY_DELETE => {
-                        region.flushed.remove(&k);
-                    }
-                    _ => {}
-                }
-            }
+        for (key, cell) in logged {
+            keep_newest(&mut cells, key, cell);
         }
+        let mut region = Region::new();
+        region.next_seq = cells.values().map(|cell| cell.seq + 1).fold(1, u64::max);
+        region.flushed = cells
+            .into_iter()
+            .filter_map(|(key, cell)| Some((key, cell.value?)))
+            .collect();
         Ok(region)
     }
 
@@ -378,10 +562,12 @@ impl RsState {
         }
         // Hand off buckets moved away (the master's map is
         // authoritative). A *graceful* shed first rolls the WAL buffer
-        // and flushes the bucket's memstore to HDFS, so nothing is lost
-        // when another server recovers the bucket.
+        // and writes the bucket's unflushed edits as a store file, so
+        // nothing is lost when another server recovers the bucket; its
+        // floor holds its segments until that file is written.
         let shed: Vec<(u32, Region)> = {
             let mut regions = self.regions.lock();
+            let mut handed_off = self.handed_off.lock();
             let doomed: Vec<u32> = regions
                 .keys()
                 .copied()
@@ -389,31 +575,40 @@ impl RsState {
                 .collect();
             doomed
                 .into_iter()
-                .filter_map(|bucket| regions.remove(&bucket).map(|r| (bucket, r)))
+                .filter_map(|bucket| {
+                    let region = regions.remove(&bucket)?;
+                    handed_off.extend(region.floor());
+                    Some((bucket, region))
+                })
                 .collect()
         };
-        if !shed.is_empty() {
-            // Roll the whole WAL buffer (covers every shed bucket's
-            // unflushed puts and deletes).
-            let segment = {
-                let mut wal = self.wal.lock();
-                (!wal.buf.is_empty()).then(|| wal.take_segment())
-            };
-            if let Some(segment) = segment {
-                let _ = self.write_segment(segment);
-            }
-            for (bucket, region) in shed {
-                if region.memstore.is_empty() {
-                    continue;
+        if shed.is_empty() {
+            return;
+        }
+        // Roll the whole WAL buffer (covers every shed bucket's unflushed
+        // puts and deletes).
+        let segment = {
+            let mut wal = self.wal.lock();
+            (!wal.buf.is_empty()).then(|| wal.take_segment())
+        };
+        if let Some(segment) = segment {
+            let _ = self.write_segment(segment);
+        }
+        for (bucket, region) in shed {
+            let (floor, pinned, seq) = (region.floor(), region.pinned, region.next_seq - 1);
+            let cells = region.into_unflushed();
+            let path = self.store_path(bucket, seq);
+            let written =
+                cells.is_empty() || self.dfs.write_file(&path, &store_file(&cells)).is_ok();
+            // What a failed flush pinned is in no store file: it stays.
+            if let Some(floor) = floor.filter(|_| written && pinned.is_none()) {
+                let mut handed_off = self.handed_off.lock();
+                if let Some(at) = handed_off.iter().position(|f| *f == floor) {
+                    handed_off.swap_remove(at);
                 }
-                let path = format!(
-                    "/hbase/region{bucket}/hfile-rs{}-{:06}",
-                    self.rs_id,
-                    region.flush_seq + 1
-                );
-                let _ = self.dfs.write_file(&path, &store_file(&region.memstore));
             }
         }
+        self.retire_segments();
     }
 }
 
@@ -447,7 +642,7 @@ impl RpcService for RegionServerProtocol {
             "delete" => {
                 let mut key = Vec::new();
                 key.read_fields(param).map_err(|e| e.to_string())?;
-                Ok(Box::new(BooleanWritable(self.state.delete(&key)?)))
+                Ok(Box::new(BooleanWritable(self.state.edit(key, None)?)))
             }
             "scan" => {
                 let mut args = ScanArgs::default();
@@ -510,8 +705,8 @@ impl HRegionServer {
             n_regions,
             regions: Mutex::new(HashMap::new()),
             dfs,
+            handed_off: Mutex::new(Vec::new()),
             wal: Mutex::new(Wal::default()),
-            wal_seq: AtomicU64::new(0),
             puts: AtomicU64::new(0),
             gets: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -588,6 +783,12 @@ impl HRegionServer {
         )
     }
 
+    /// WAL segments rolled so far. A roll's segment is written before the
+    /// edit that filled it is acknowledged.
+    pub fn wal_segments_rolled(&self) -> u64 {
+        self.state.wal.lock().open
+    }
+
     /// Stop serving. Idempotent.
     pub fn stop(&self) {
         if self.state.stop.swap(true, Ordering::AcqRel) {
@@ -615,7 +816,7 @@ mod tests {
     use super::*;
 
     fn put(region: &mut Region, key: &[u8], value: &[u8]) {
-        region.memstore.insert(key.to_vec(), value.to_vec());
+        region.apply(key.to_vec(), Some(value.to_vec()), 0);
     }
 
     #[test]
@@ -628,7 +829,8 @@ mod tests {
         let (second, _) = region.begin_flush();
         put(&mut region, b"c", b"c3");
         let (third, _) = region.begin_flush();
-        assert_eq!((first, second, third), (1, 2, 3));
+        // Each is named by the sequence number of its newest edit.
+        assert_eq!((first, second, third), (2, 3, 4));
 
         // Nothing has been written yet; every row is readable, newest
         // snapshot first.
@@ -638,13 +840,13 @@ mod tests {
         assert_eq!(read(&region, b"c"), Some(b"c3".to_vec()));
 
         // The newest two writes return first: they wait behind flush 1.
-        region.finish_flush(third);
-        region.finish_flush(second);
+        region.finish_flush(third, true);
+        region.finish_flush(second, true);
         assert!(region.flushed.is_empty(), "installed ahead of flush 1");
         assert_eq!(read(&region, b"a"), Some(b"a2".to_vec()));
 
         // Flush 1 lands last — and must not resurrect a1 over a2.
-        region.finish_flush(first);
+        region.finish_flush(first, true);
         assert!(region.flushing.is_empty());
         assert_eq!(region.flushed.len(), 3);
         assert_eq!(read(&region, b"a"), Some(b"a2".to_vec()));
@@ -653,15 +855,80 @@ mod tests {
     }
 
     #[test]
+    fn a_delete_hides_its_row_until_its_flush_removes_it() {
+        let mut region = Region::new();
+        put(&mut region, b"a", b"a1");
+        let (first, _) = region.begin_flush();
+        region.finish_flush(first, true);
+        region.apply(b"a".to_vec(), None, 0);
+        assert_eq!(
+            region.get(b"a"),
+            None,
+            "the tombstone shadows the flushed row"
+        );
+        let (second, cells) = region.begin_flush();
+        assert_eq!(region.get(b"a"), None, "and does so mid-flush");
+        assert_eq!(
+            cells[&b"a".to_vec()],
+            Cell {
+                seq: 2,
+                value: None
+            }
+        );
+        region.finish_flush(second, true);
+        assert!(region.flushed.is_empty());
+    }
+
+    #[test]
+    fn a_region_holds_the_oldest_segment_no_written_store_file_covers() {
+        let mut region = Region::new();
+        let edit = |region: &mut Region, key: &[u8], segment: u64| {
+            region.apply(key.to_vec(), Some(b"v".to_vec()), segment);
+        };
+        assert_eq!(region.floor(), None);
+        edit(&mut region, b"a", 3);
+        edit(&mut region, b"b", 4);
+        assert_eq!(region.floor(), Some(3), "the memstore's oldest edit");
+        let (first, _) = region.begin_flush();
+        edit(&mut region, b"c", 5);
+        let (second, _) = region.begin_flush();
+        edit(&mut region, b"d", 6);
+        assert_eq!(region.floor(), Some(3), "a flush in flight holds its own");
+        // Written out of order: the older flush still holds segment 3.
+        region.finish_flush(second, true);
+        assert_eq!(region.floor(), Some(3));
+        region.finish_flush(first, true);
+        assert_eq!(region.floor(), Some(6), "the memstore's");
+        // A flush whose store file was not written pins its floor for
+        // good: its rows are installed, and only the WAL holds them.
+        let (third, _) = region.begin_flush();
+        region.finish_flush(third, false);
+        assert_eq!(region.get(b"d"), Some(&b"v".to_vec()));
+        edit(&mut region, b"e", 9);
+        let (fourth, _) = region.begin_flush();
+        region.finish_flush(fourth, true);
+        assert_eq!(region.floor(), Some(6));
+    }
+
+    #[test]
     fn entry_format_roundtrips_and_tolerates_truncation() {
+        let cell = |seq, value: Option<&[u8]>| Cell {
+            seq,
+            value: value.map(<[u8]>::to_vec),
+        };
+        let edits = vec![
+            (b"k1".to_vec(), cell(1, Some(b"v1"))),
+            (b"k2".to_vec(), cell(2, None)),
+            (b"k3".to_vec(), cell(1 << 40, Some(&[7u8; 100]))),
+        ];
         let mut buf = Vec::new();
-        append_entry(&mut buf, ENTRY_PUT, b"k1", b"v1");
-        append_entry(&mut buf, ENTRY_DELETE, b"k2", b"");
-        append_entry(&mut buf, ENTRY_PUT, b"k3", &[7u8; 100]);
-        let entries = parse_entries(&buf);
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0], (ENTRY_PUT, b"k1".to_vec(), b"v1".to_vec()));
-        assert_eq!(entries[1], (ENTRY_DELETE, b"k2".to_vec(), Vec::new()));
+        let mut size = 0;
+        for (key, c) in &edits {
+            append_entry(&mut buf, c.seq, key, c.value.as_deref());
+            size += entry_size(c.seq, key, c.value.as_deref());
+        }
+        assert_eq!(buf.len(), size);
+        assert_eq!(parse_entries(&buf), edits);
         // A torn tail drops only the incomplete entry.
         let torn = &buf[..buf.len() - 30];
         let entries = parse_entries(torn);

@@ -68,8 +68,14 @@ fn flushes_write_to_hdfs_and_data_stays_readable() {
     for id in (0..200).step_by(17) {
         assert_eq!(client.get(&key_of(id)).unwrap().unwrap(), value, "row {id}");
     }
-    // HDFS now holds WAL segments and store files.
+    // The WAL rolled into HDFS, which now holds store files and only the
+    // segments whose edits are not all in one yet.
     let dfs = hbase.dfs().client().unwrap();
+    let rolled: u64 = hbase
+        .regionservers()
+        .iter()
+        .map(|rs| rs.wal_segments_rolled())
+        .sum();
     let wal_segments = dfs.list("/hbase/wal").unwrap().len();
     let mut store_files = 0;
     for bucket in 0..hbase.regionservers().len() {
@@ -78,7 +84,13 @@ fn flushes_write_to_hdfs_and_data_stays_readable() {
             .unwrap_or_default()
             .len();
     }
-    assert!(wal_segments > 0, "WAL rolls must hit HDFS");
+    assert!(rolled > 0, "WAL rolls must hit HDFS");
+    let cfg = small(HBaseConfig::socket());
+    let live_per_server = cfg.memstore_flush_bytes.div_ceil(cfg.wal_roll_bytes) + 2;
+    assert!(
+        wal_segments <= live_per_server * hbase.regionservers().len(),
+        "{wal_segments} live WAL segments of {rolled} rolled"
+    );
     assert!(store_files > 0, "memstore flushes must hit HDFS");
     client.shutdown();
     hbase.stop();

@@ -73,6 +73,14 @@ impl BlockStore {
         self.blocks.lock().insert(block, stored);
     }
 
+    /// Drop the replicas of `blocks` (those not here are ignored).
+    fn remove(&self, blocks: &[u64]) {
+        let mut stored = self.blocks.lock();
+        for block in blocks {
+            stored.remove(block);
+        }
+    }
+
     /// The replica of `block`, verified against its stored checksum; a
     /// failure is remembered.
     fn replica(&self, block: u64) -> Replica {
@@ -293,6 +301,7 @@ fn heartbeat_loop(state: Arc<DnState>) {
                     // NameNode once its pending entry expires.
                     let _ = replicate_block(&state, block, &targets);
                 }
+                DnCommand::Invalidate { blocks } => state.store.remove(&blocks),
                 DnCommand::None => {}
             }
         }

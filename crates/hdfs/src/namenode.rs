@@ -2,8 +2,9 @@
 //! the two RPC protocols Table I profiles (`hdfs.ClientProtocol`,
 //! `hdfs.DatanodeProtocol`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,10 +42,18 @@ struct DnReg {
     last_heartbeat: Instant,
 }
 
+/// Replicas one heartbeat tells its DataNode to drop, at most (HDFS's
+/// `dfs.block.invalidate.limit`).
+const INVALIDATE_PER_HEARTBEAT: usize = 1000;
+
 pub(crate) struct NnState {
     cfg: HdfsConfig,
-    namespace: Mutex<HashMap<String, INode>>,
+    /// Ordered, so a directory's entries are one range of it.
+    namespace: Mutex<BTreeMap<String, INode>>,
     blocks: Mutex<HashMap<u64, BlockMeta>>,
+    /// Per DataNode, replicas of blocks no file holds any more, to drop
+    /// at its next heartbeat.
+    invalidate: Mutex<HashMap<u32, BTreeSet<u64>>>,
     datanodes: Mutex<HashMap<u32, DnReg>>,
     leases: Mutex<HashMap<String, (String, Instant)>>,
     /// Blocks with a replication command in flight (avoid re-issuing
@@ -112,7 +121,7 @@ impl NnState {
         }
     }
 
-    fn parent_dirs_exist(&self, ns: &HashMap<String, INode>, path: &str) -> bool {
+    fn parent_dirs_exist(&self, ns: &BTreeMap<String, INode>, path: &str) -> bool {
         match path.rsplit_once('/') {
             None | Some(("", _)) => true, // parent is the root
             Some((parent, _)) => matches!(ns.get(parent), Some(INode::Dir)),
@@ -196,6 +205,57 @@ impl NnState {
         commands
     }
 
+    /// Have each of `holders` drop its replica of `block` at its next
+    /// heartbeat.
+    fn invalidate(&self, block: u64, holders: &[u32]) {
+        let mut pending = self.invalidate.lock();
+        for dn in holders {
+            pending.entry(*dn).or_default().insert(block);
+        }
+    }
+
+    /// Forget `block`; every DataNode known to hold it drops its replica.
+    fn remove_block(&self, map: &mut HashMap<u64, BlockMeta>, block: u64) {
+        if let Some(meta) = map.remove(&block) {
+            self.invalidate(block, &meta.locations);
+        }
+    }
+
+    /// The entry of a block `dn` reports holding, with `dn` among its
+    /// locations — or `None` if this NameNode issued the block and has
+    /// since forgotten it (its file was deleted, its pipeline abandoned):
+    /// then that replica is dropped instead of bringing the block back. A
+    /// block this NameNode never issued is tracked as reported.
+    fn reported<'m>(
+        &self,
+        map: &'m mut HashMap<u64, BlockMeta>,
+        dn: u32,
+        block: u64,
+    ) -> Option<&'m mut BlockMeta> {
+        if block < self.next_block.load(Ordering::Relaxed) && !map.contains_key(&block) {
+            self.invalidate(block, &[dn]);
+            return None;
+        }
+        let meta = map.entry(block).or_default();
+        if !meta.locations.contains(&dn) {
+            meta.locations.push(dn);
+        }
+        Some(meta)
+    }
+
+    /// Up to [`INVALIDATE_PER_HEARTBEAT`] of the replicas `dn` is to drop.
+    fn invalidation_work(&self, dn: u32) -> Option<DnCommand> {
+        let mut pending = self.invalidate.lock();
+        let queued = pending.get_mut(&dn)?;
+        let blocks: Vec<u64> = std::iter::from_fn(|| queued.pop_first())
+            .take(INVALIDATE_PER_HEARTBEAT)
+            .collect();
+        if queued.is_empty() {
+            pending.remove(&dn);
+        }
+        Some(DnCommand::Invalidate { blocks })
+    }
+
     fn mkdirs(&self, path: &str) -> bool {
         let mut ns = self.namespace.lock();
         let mut prefix = String::new();
@@ -212,6 +272,19 @@ impl NnState {
         }
         true
     }
+}
+
+/// `path` and every entry under it: one range of the ordered namespace.
+fn subtree(ns: &BTreeMap<String, INode>, path: &str) -> Vec<String> {
+    let children = format!("{path}/");
+    let under = ns
+        .range::<str, _>((Bound::Included(children.as_str()), Bound::Unbounded))
+        .take_while(|(p, _)| p.starts_with(&children));
+    ns.get_key_value(path)
+        .into_iter()
+        .chain(under)
+        .map(|(p, _)| p.clone())
+        .collect()
 }
 
 /// `hdfs.ClientProtocol` — the client-facing metadata service.
@@ -311,7 +384,7 @@ impl RpcService for ClientProtocol {
                     blocks.retain(|b| *b != block);
                 }
                 drop(ns);
-                state.blocks.lock().remove(&block);
+                state.remove_block(&mut state.blocks.lock(), block);
                 Ok(Box::new(BooleanWritable(true)))
             }
             "complete" => {
@@ -366,12 +439,12 @@ impl RpcService for ClientProtocol {
                     format!("{}/", path.0)
                 };
                 let ns = state.namespace.lock();
-                let mut listing: Vec<FileStatus> = ns
-                    .iter()
-                    .filter(|(p, _)| p.starts_with(&prefix) && !p[prefix.len()..].contains('/'))
+                let listing: Vec<FileStatus> = ns
+                    .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+                    .take_while(|(p, _)| p.starts_with(&prefix))
+                    .filter(|(p, _)| !p[prefix.len()..].contains('/'))
                     .map(|(p, node)| state.status_of(p, node))
                     .collect();
-                listing.sort_by(|a, b| a.path.cmp(&b.path));
                 Ok(Box::new(listing))
             }
             "rename" => {
@@ -384,15 +457,10 @@ impl RpcService for ClientProtocol {
                     return Ok(Box::new(BooleanWritable(false)));
                 }
                 // Move the node and any children (directory rename).
-                let moved: Vec<(String, INode)> = ns
-                    .iter()
-                    .filter(|(p, _)| **p == src.0 || p.starts_with(&format!("{}/", src.0)))
-                    .map(|(p, n)| (p.clone(), n.clone()))
-                    .collect();
-                for (p, node) in moved {
-                    ns.remove(&p);
-                    let new_path = format!("{}{}", dst.0, &p[src.0.len()..]);
-                    ns.insert(new_path, node);
+                for p in subtree(&ns, &src.0) {
+                    if let Some(node) = ns.remove(&p) {
+                        ns.insert(format!("{}{}", dst.0, &p[src.0.len()..]), node);
+                    }
                 }
                 Ok(Box::new(BooleanWritable(true)))
             }
@@ -400,11 +468,7 @@ impl RpcService for ClientProtocol {
                 let mut path = Text::default();
                 path.read_fields(param).map_err(ioerr)?;
                 let mut ns = state.namespace.lock();
-                let doomed: Vec<String> = ns
-                    .keys()
-                    .filter(|p| **p == path.0 || p.starts_with(&format!("{}/", path.0)))
-                    .cloned()
-                    .collect();
+                let doomed = subtree(&ns, &path.0);
                 if doomed.is_empty() {
                     return Ok(Box::new(BooleanWritable(false)));
                 }
@@ -412,7 +476,7 @@ impl RpcService for ClientProtocol {
                 for p in &doomed {
                     if let Some(INode::File { blocks, .. }) = ns.remove(p) {
                         for b in blocks {
-                            block_map.remove(&b);
+                            state.remove_block(&mut block_map, b);
                         }
                     }
                 }
@@ -473,19 +537,19 @@ impl RpcService for DatanodeProtocol {
                     Some(dn) => dn.last_heartbeat = Instant::now(),
                     None => return Err(format!("unregistered datanode {}", id.0)),
                 }
-                // Piggy-back lease recovery + replication work on the
-                // heartbeat response.
+                // Piggy-back lease recovery, replication and invalidation
+                // work on the heartbeat response.
                 state.recover_expired_leases();
-                Ok(Box::new(state.replication_work(dn_id)))
+                let mut commands = state.replication_work(dn_id);
+                commands.extend(state.invalidation_work(dn_id));
+                Ok(Box::new(commands))
             }
             "blockReceived" => {
                 let mut args = BlockReceivedArgs::default();
                 args.read_fields(param).map_err(ioerr)?;
                 let mut blocks = state.blocks.lock();
-                let meta = blocks.entry(args.block).or_default();
-                meta.size = meta.size.max(args.size);
-                if !meta.locations.contains(&args.dn_id) {
-                    meta.locations.push(args.dn_id);
+                if let Some(meta) = state.reported(&mut blocks, args.dn_id, args.block) {
+                    meta.size = meta.size.max(args.size);
                 }
                 Ok(Box::new(NullWritable))
             }
@@ -494,10 +558,7 @@ impl RpcService for DatanodeProtocol {
                 args.read_fields(param).map_err(ioerr)?;
                 let mut blocks = state.blocks.lock();
                 for b in &args.blocks {
-                    let meta = blocks.entry(*b).or_default();
-                    if !meta.locations.contains(&args.dn_id) {
-                        meta.locations.push(args.dn_id);
-                    }
+                    state.reported(&mut blocks, args.dn_id, *b);
                 }
                 // The report is authoritative for this DataNode: a replica
                 // it no longer reports (deleted or detected corrupt) is
@@ -528,6 +589,9 @@ pub struct FsckReport {
     pub under_replicated: usize,
     /// Blocks with zero live replicas — data loss.
     pub missing: usize,
+    /// Blocks tracked with no bytes reported yet (a pipeline still open,
+    /// or a block of no bytes); `blocks` leaves them out.
+    pub empty_blocks: usize,
 }
 
 /// A running NameNode.
@@ -541,8 +605,9 @@ impl NameNode {
     pub fn start(fabric: &Fabric, node: NodeId, cfg: HdfsConfig) -> RpcResult<NameNode> {
         let state = Arc::new(NnState {
             cfg: cfg.clone(),
-            namespace: Mutex::new(HashMap::new()),
+            namespace: Mutex::new(BTreeMap::new()),
             blocks: Mutex::new(HashMap::new()),
+            invalidate: Mutex::new(HashMap::new()),
             datanodes: Mutex::new(HashMap::new()),
             leases: Mutex::new(HashMap::new()),
             replication_pending: Mutex::new(HashMap::new()),
@@ -611,6 +676,7 @@ impl NameNode {
         let blocks = self.state.blocks.lock();
         for meta in blocks.values() {
             if meta.size == 0 {
+                report.empty_blocks += 1;
                 continue;
             }
             report.blocks += 1;

@@ -146,25 +146,18 @@ pub struct BlockReportArgs {
 impl Writable for BlockReportArgs {
     fn write(&self, out: &mut dyn DataOutput) -> io::Result<()> {
         out.write_vint(self.dn_id as i32)?;
-        out.write_vint(self.blocks.len() as i32)?;
-        for b in &self.blocks {
-            out.write_i64(*b as i64)?;
-        }
-        Ok(())
+        self.blocks.write(out)
     }
     fn read_fields(&mut self, input: &mut dyn DataInput) -> io::Result<()> {
         self.dn_id = input.read_vint()? as u32;
-        let n = input.read_vint()?;
-        self.blocks = (0..n)
-            .map(|_| input.read_i64().map(|v| v as u64))
-            .collect::<Result<_, _>>()?;
-        Ok(())
+        self.blocks.read_fields(input)
     }
 }
 
 /// A command returned to a DataNode in its heartbeat response — the
 /// mechanism HDFS uses to drive re-replication of under-replicated
-/// blocks after a DataNode death.
+/// blocks after a DataNode death, and to free the replicas of deleted
+/// ones.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum DnCommand {
     /// No-op (placeholder for unknown future commands).
@@ -175,6 +168,8 @@ pub enum DnCommand {
         block: u64,
         targets: Vec<DatanodeInfo>,
     },
+    /// Drop the local replicas of `blocks`: their files are gone.
+    Invalidate { blocks: Vec<u64> },
 }
 
 impl Writable for DnCommand {
@@ -186,6 +181,10 @@ impl Writable for DnCommand {
                 out.write_i64(*block as i64)?;
                 targets.write(out)
             }
+            DnCommand::Invalidate { blocks } => {
+                out.write_u8(2)?;
+                blocks.write(out)
+            }
         }
     }
     fn read_fields(&mut self, input: &mut dyn DataInput) -> io::Result<()> {
@@ -196,6 +195,12 @@ impl Writable for DnCommand {
                 let mut targets = Vec::new();
                 targets.read_fields(input)?;
                 DnCommand::Replicate { block, targets }
+            }
+            2 => {
+                // A block report's list, with its bound on the count.
+                let mut blocks = Vec::new();
+                blocks.read_fields(input)?;
+                DnCommand::Invalidate { blocks }
             }
             other => {
                 return Err(io::Error::new(
@@ -269,6 +274,9 @@ mod tests {
                 xfer_node: 8,
                 xfer_port: 50010,
             }],
+        });
+        roundtrip(DnCommand::Invalidate {
+            blocks: vec![3, 1 << 40],
         });
     }
 
