@@ -30,9 +30,13 @@
 //! logical call draws one wrap-safe `i64` sequence number, and *all*
 //! retry attempts of that call re-send the same `(client_id, seq)` pair
 //! (with an incrementing `retry_attempt`), so the server's retry cache
-//! can deduplicate re-executions.
+//! can deduplicate re-executions. A call answered on its first attempt
+//! can never be re-sent, so a later request on the same connection
+//! acknowledges it and the server lets its cached response go; a retried
+//! call is never acknowledged (another attempt may still be in flight on
+//! another connection), nor is one this client gave up on.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,6 +64,12 @@ const PENDING_SHARDS: usize = 8;
 /// undercounted — a metrics blemish, accepted so the set stays bounded
 /// (its predecessor grew by one entry per server, forever).
 const RECONNECT_TRACK_CAP: usize = 256;
+
+/// Answered calls a connection holds for later requests to acknowledge.
+/// Each request carries one, so the queue holds about one per caller; an
+/// answer that finds it full is never acknowledged, and the server's
+/// capacity and TTL backstops let its response go instead.
+const ACK_QUEUE: usize = 16;
 
 /// A response as the receive turn produces it: the lead parsed exactly
 /// once (the turn guards the connection's decoder state, so leads are
@@ -250,6 +260,9 @@ struct ClientConnection {
     /// the receiver knows.
     recv: Mutex<V3Decoder>,
     pending: PendingTable,
+    /// Seqs answered on this connection on their call's first attempt,
+    /// oldest first, each waiting for a request to acknowledge it.
+    acks: Mutex<VecDeque<i64>>,
     /// Retired call slots awaiting reuse; bounded by this connection's
     /// peak caller concurrency.
     slots: Mutex<Vec<Arc<CallSlot>>>,
@@ -725,6 +738,9 @@ impl Client {
         // the server can shed the call once it expires instead of
         // executing work this client has already timed out on.
         let budget = Some(attempt_timeout);
+        // An earlier answer the server need not keep. Lost with this
+        // frame if the send fails, which leaves it to the backstops.
+        let acked = connection.acks.lock().pop_front();
         // The frame is split: the header is encoded by the connection's
         // stateful encoder at the transport's wire-ordering point (so
         // delta-seq/method-table state advances in exactly the order
@@ -733,10 +749,14 @@ impl Client {
         let sent = connection.conn.send_msg_ordered(
             key,
             &mut |out| {
-                connection
-                    .enc
-                    .lock()
-                    .write_request_header(out, seq, retry_attempt, budget, key)
+                connection.enc.lock().write_request_header_acking(
+                    out,
+                    seq,
+                    retry_attempt,
+                    budget,
+                    acked,
+                    key,
+                )
             },
             &mut |out| request.write(out),
         );
@@ -762,7 +782,17 @@ impl Client {
         match resp.header.status {
             ResponseStatus::Busy => Err(RpcError::ServerBusy),
             ResponseStatus::Expired => Err(RpcError::DeadlineExpired),
-            ResponseStatus::Ok | ResponseStatus::Error => Ok(resp),
+            ResponseStatus::Ok | ResponseStatus::Error => {
+                // Answered on the first attempt: no other attempt exists,
+                // so the next request here may acknowledge it.
+                if retry_attempt == 0 {
+                    let mut acks = connection.acks.lock();
+                    if acks.len() < ACK_QUEUE {
+                        acks.push_back(seq);
+                    }
+                }
+                Ok(resp)
+            }
         }
     }
 
@@ -901,6 +931,7 @@ impl Client {
             enc: Mutex::new(V3Encoder::new(!self.inner.cfg.ib_enabled)),
             recv: Mutex::new(V3Decoder::new(!self.inner.cfg.ib_enabled)),
             pending: PendingTable::new(),
+            acks: Mutex::new(VecDeque::with_capacity(ACK_QUEUE)),
             slots: Mutex::new(Vec::new()),
             broken: AtomicBool::new(false),
             handoffs: AtomicU64::new(0),

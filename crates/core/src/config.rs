@@ -45,13 +45,15 @@ pub struct RpcConfig {
     /// heal a cached connection to a restarted server.
     pub retry: RetryPolicy,
     /// How long a completed call's response stays replayable in the
-    /// server's retry cache. Must comfortably exceed the worst-case
-    /// client retry horizon (attempts × call_timeout + backoff), or a
-    /// late retry re-executes.
+    /// server's retry cache when no later request acknowledges it — a
+    /// backstop: a response the caller acknowledges leaves at once. Must
+    /// comfortably exceed the worst-case client retry horizon (attempts ×
+    /// call_timeout + backoff), or a late retry re-executes.
     pub retry_cache_ttl: Duration,
-    /// Maximum completed responses the server's retry cache holds; the
-    /// oldest completed entry is evicted first. `0` disables at-most-once
-    /// caching entirely: every retry re-executes.
+    /// Maximum unacknowledged completed responses the server's retry
+    /// cache holds (a backstop, like the TTL); the oldest is evicted
+    /// first. `0` disables at-most-once caching entirely: every retry
+    /// re-executes.
     pub retry_cache_capacity: usize,
     /// Whether the shadow pool uses `<protocol, method>` size history
     /// (disabled only by the ablation).

@@ -7,7 +7,7 @@
 //! [`V3Encoder`]/[`V3Decoder`] pair per connection direction:
 //!
 //! * request: `[vlong seq_field][vlong retry_attempt][vlong deadline_µs]
-//!   [vlong method_ref]([Text protocol][Text method])?[param …]`
+//!   [vlong ack][vlong method_ref]([Text protocol][Text method])?[param …]`
 //! * response: `[vlong seq_field][u8 status][value … | Text error]`
 //!
 //! `(client_id, seq, retry_attempt)` is the at-most-once identity triple:
@@ -19,6 +19,11 @@
 //! microseconds (`0` = none): the admission plane sheds a queued call
 //! once that budget has elapsed instead of executing it (see
 //! [`STATUS_EXPIRED`]).
+//!
+//! `ack` names one earlier call of the same client whose response the
+//! caller already has, as the wrapping distance `seq − acked_seq` (`0` =
+//! none; usually one byte in either mode): the server's retry cache lets
+//! that entry go at once (see [`crate::retry_cache`]).
 //!
 //! In **stateful** mode (stream transports, where a lost byte kills the
 //! connection and its codec state with it) `seq_field` is the wrapping
@@ -79,6 +84,10 @@ pub struct RequestHeader {
     /// (`None` for callers with no deadline). The admission plane sheds
     /// the call once this much time has passed since admission.
     pub deadline_budget: Option<Duration>,
+    /// Seq of an earlier call of this client whose response the caller
+    /// has received, so the server need not keep it. A peer's value is
+    /// untrusted but harmless: it can only name its own client's calls.
+    pub ack: Option<i64>,
 }
 
 impl RequestHeader {
@@ -291,9 +300,9 @@ impl V3Encoder {
         }
     }
 
-    /// Serialize a request header; the param bytes follow.
-    /// `deadline_budget` is the caller's remaining per-attempt budget
-    /// (`None` encodes as `0`: no deadline, never shed).
+    /// Serialize a request header that acknowledges nothing; the param
+    /// bytes follow. `deadline_budget` is the caller's remaining
+    /// per-attempt budget (`None` encodes as `0`: no deadline, never shed).
     pub fn write_request_header(
         &mut self,
         out: &mut dyn DataOutput,
@@ -302,9 +311,24 @@ impl V3Encoder {
         deadline_budget: Option<Duration>,
         key: MethodKey,
     ) -> io::Result<()> {
+        self.write_request_header_acking(out, seq, retry_attempt, deadline_budget, None, key)
+    }
+
+    /// [`Self::write_request_header`], acknowledging the response of the
+    /// earlier call `acked` (a seq other than `seq`).
+    pub fn write_request_header_acking(
+        &mut self,
+        out: &mut dyn DataOutput,
+        seq: i64,
+        retry_attempt: u32,
+        deadline_budget: Option<Duration>,
+        acked: Option<i64>,
+        key: MethodKey,
+    ) -> io::Result<()> {
         out.write_vlong(self.seq_field(seq))?;
         out.write_vlong(i64::from(retry_attempt))?;
         out.write_vlong(encode_deadline_budget(deadline_budget))?;
+        out.write_vlong(acked.map_or(0, |acked| seq.wrapping_sub(acked)))?;
         if !self.stateful {
             out.write_vlong(MREF_INLINE)?;
             out.write_string(key.protocol())?;
@@ -404,6 +428,10 @@ impl V3Decoder {
         let seq = self.seq(input.read_vlong()?);
         let retry_attempt = read_retry_attempt(input)?;
         let deadline_budget = read_deadline_budget(input)?;
+        let ack = match input.read_vlong()? {
+            0 => None,
+            distance => Some(seq.wrapping_sub(distance)),
+        };
         let mref = input.read_vlong()?;
         let key = self.method_key(input, mref)?;
         Ok(RequestHeader {
@@ -412,6 +440,7 @@ impl V3Decoder {
             retry_attempt,
             key,
             deadline_budget,
+            ack,
         })
     }
 
@@ -607,6 +636,7 @@ mod tests {
         buf.write_vlong(1).unwrap(); // seq
         buf.write_vlong(retry).unwrap();
         buf.write_vlong(0).unwrap(); // no deadline
+        buf.write_vlong(0).unwrap(); // no ack
         buf.write_vlong(MREF_INLINE).unwrap();
         buf
     }
@@ -678,11 +708,11 @@ mod tests {
 
     #[test]
     fn oversized_key_text_is_refused_before_any_allocation() {
-        // A 12-byte frame announcing a 2 GiB protocol name.
+        // A 13-byte frame announcing a 2 GiB protocol name.
         let mut buf = header_before_names(0);
         buf.write_vint(i32::MAX).unwrap();
         buf.extend_from_slice(b"abc");
-        assert_eq!(buf.len(), 12);
+        assert_eq!(buf.len(), 13);
         for stateful in [true, false] {
             let err = V3Decoder::new(stateful)
                 .read_request_header(&mut buf.as_slice(), 7)
@@ -733,9 +763,46 @@ mod tests {
             "interned form must drop the inline strings: {sizes:?}"
         );
         assert_eq!(
-            sizes[1], 4,
-            "delta-seq + retry + deadline + method ref, one byte each"
+            sizes[1], 5,
+            "delta-seq + retry + deadline + ack + method ref, one byte each"
         );
+    }
+
+    #[test]
+    fn ack_roundtrips_across_the_seq_wrap_in_both_forms() {
+        let key = crate::intern::method_key("v3.Proto", "ack");
+        for stateful in [true, false] {
+            let mut enc = V3Encoder::new(stateful);
+            let mut dec = V3Decoder::new(stateful);
+            for (seq, acked) in [
+                (5i64, None),
+                (6, Some(5)),
+                (i64::MIN, Some(i64::MAX)),
+                (i64::MIN + 2, Some(i64::MAX - 1)),
+                (i64::MAX, Some(i64::MIN)),
+                (7, Some(7 - 300)),
+            ] {
+                let mut buf: Vec<u8> = Vec::new();
+                enc.write_request_header_acking(&mut buf, seq, 0, None, acked, key)
+                    .unwrap();
+                let mut input = buf.as_slice();
+                let header = dec.read_request_header(&mut input, 3).unwrap();
+                assert_eq!(
+                    (header.seq, header.ack),
+                    (seq, acked),
+                    "stateful {stateful}"
+                );
+                assert!(input.is_empty());
+            }
+            // The usual ack, a few calls back, is one byte, like none.
+            let mut none: Vec<u8> = Vec::new();
+            enc.write_request_header(&mut none, 100, 0, None, key)
+                .unwrap();
+            let mut acking: Vec<u8> = Vec::new();
+            enc.write_request_header_acking(&mut acking, 101, 0, None, Some(99), key)
+                .unwrap();
+            assert_eq!(none.len(), acking.len(), "stateful {stateful}");
+        }
     }
 
     #[test]
@@ -798,6 +865,7 @@ mod tests {
         buf.write_vlong(1).unwrap(); // seq delta
         buf.write_vlong(0).unwrap(); // retry
         buf.write_vlong(0).unwrap(); // no deadline
+        buf.write_vlong(0).unwrap(); // no ack
         buf.write_vlong(3).unwrap(); // ref id 3, table empty
         let mut input = buf.as_slice();
         assert!(dec.read_request_header(&mut input, 1).is_err());
@@ -806,6 +874,7 @@ mod tests {
         let mut dec = V3Decoder::new(true);
         let mut buf: Vec<u8> = Vec::new();
         buf.write_vlong(1).unwrap();
+        buf.write_vlong(0).unwrap();
         buf.write_vlong(0).unwrap();
         buf.write_vlong(0).unwrap();
         buf.write_vlong(-7).unwrap(); // announces wid 5
@@ -818,6 +887,7 @@ mod tests {
         let mut dec = V3Decoder::new(true);
         let mut buf: Vec<u8> = Vec::new();
         buf.write_vlong(1).unwrap();
+        buf.write_vlong(0).unwrap();
         buf.write_vlong(0).unwrap();
         buf.write_vlong(0).unwrap();
         buf.write_vlong(i64::MIN).unwrap();

@@ -550,6 +550,10 @@ pub struct EngineCounters {
     pub retry_cache_evictions: u64,
     /// Completed retry-cache entries discarded because their TTL passed.
     pub retry_cache_expired: u64,
+    /// Retry-cache entries dropped because a later request of the same
+    /// caller acknowledged their response (or, still executing, marked so
+    /// that their completion is not stored).
+    pub retry_cache_acked: u64,
     /// Response bodies serialized into a recycled buffer — one the retry
     /// cache had let go of (or, cache off, one the server had just sent) —
     /// at no allocation, and those that needed a fresh one (server side).
@@ -788,6 +792,7 @@ struct MetricsInner {
     retry_cache_parked: AtomicU64,
     retry_cache_evictions: AtomicU64,
     retry_cache_expired: AtomicU64,
+    retry_cache_acked: AtomicU64,
     resp_bodies_reused: AtomicU64,
     resp_bodies_fresh: AtomicU64,
     resp_sent_behind: AtomicU64,
@@ -830,6 +835,7 @@ impl Default for MetricsInner {
             retry_cache_parked: AtomicU64::new(0),
             retry_cache_evictions: AtomicU64::new(0),
             retry_cache_expired: AtomicU64::new(0),
+            retry_cache_acked: AtomicU64::new(0),
             resp_bodies_reused: AtomicU64::new(0),
             resp_bodies_fresh: AtomicU64::new(0),
             resp_sent_behind: AtomicU64::new(0),
@@ -1143,6 +1149,10 @@ impl MetricsRegistry {
             .fetch_add(1, Ordering::Relaxed);
     }
 
+    pub fn inc_retry_cache_acked(&self) {
+        self.inner.retry_cache_acked.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub fn inc_resp_bodies_reused(&self) {
         self.inner
             .resp_bodies_reused
@@ -1173,6 +1183,7 @@ impl MetricsRegistry {
             retry_cache_parked: self.inner.retry_cache_parked.load(Ordering::Relaxed),
             retry_cache_evictions: self.inner.retry_cache_evictions.load(Ordering::Relaxed),
             retry_cache_expired: self.inner.retry_cache_expired.load(Ordering::Relaxed),
+            retry_cache_acked: self.inner.retry_cache_acked.load(Ordering::Relaxed),
             resp_bodies_reused: self.inner.resp_bodies_reused.load(Ordering::Relaxed),
             resp_bodies_fresh: self.inner.resp_bodies_fresh.load(Ordering::Relaxed),
             resp_sent_behind: self.inner.resp_sent_behind.load(Ordering::Relaxed),
@@ -1209,6 +1220,7 @@ impl MetricsRegistry {
         self.inner.retry_cache_parked.store(0, Ordering::Relaxed);
         self.inner.retry_cache_evictions.store(0, Ordering::Relaxed);
         self.inner.retry_cache_expired.store(0, Ordering::Relaxed);
+        self.inner.retry_cache_acked.store(0, Ordering::Relaxed);
         self.inner.resp_bodies_reused.store(0, Ordering::Relaxed);
         self.inner.resp_bodies_fresh.store(0, Ordering::Relaxed);
         self.inner.resp_sent_behind.store(0, Ordering::Relaxed);
@@ -1433,6 +1445,7 @@ mod tests {
         reg.inc_retry_cache_parked();
         reg.inc_retry_cache_evictions();
         reg.inc_retry_cache_expired();
+        reg.inc_retry_cache_acked();
         reg.inc_resp_bodies_reused();
         reg.inc_resp_bodies_fresh();
         let c = reg.counters();
@@ -1448,6 +1461,7 @@ mod tests {
         assert_eq!(c.retry_cache_parked, 1);
         assert_eq!(c.retry_cache_evictions, 1);
         assert_eq!(c.retry_cache_expired, 1);
+        assert_eq!(c.retry_cache_acked, 1);
         assert_eq!((c.resp_bodies_reused, c.resp_bodies_fresh), (1, 1));
         reg.reset();
         assert_eq!(reg.counters(), EngineCounters::default());

@@ -1,9 +1,9 @@
 //! Server-side retry cache: the at-most-once half of the RPC contract —
-//! and, since a cache that evicts is a steady source of buffers nobody can
+//! and, since every response it lets go of is a buffer nobody else can
 //! see any more, the pool the server's response bodies are built in.
 //!
 //! Hadoop's production RPC closes the duplicate-execution hole with a
-//! server-side `RetryCache`; this is the same idea keyed by the frame-v2
+//! server-side `RetryCache`; this is the same idea keyed by the call
 //! identity `(client_id, seq)`. Three cases on arrival of a call:
 //!
 //! * **unseen** — admit it for execution and remember it as in-flight;
@@ -13,38 +13,68 @@
 //! * **completed** — replay the cached serialized response; the handler
 //!   pool never sees the duplicate.
 //!
-//! Completed entries expire by TTL and are evicted oldest-first while the
-//! cache is over either of two bounds: `capacity` entries, or a byte
-//! budget on what it retains (an entry bound alone lets 8192 bulk
-//! responses of 256 KiB pin 2 GB). The entry just completed is never
-//! evicted, so a single response larger than the whole budget is still
-//! replayable until the next completion. In-flight entries are never
-//! expired or evicted — a waiter parked behind one must not be stranded —
-//! so the hard memory bound is the byte budget (or one oversized
-//! response) plus however many calls are genuinely executing.
+//! ## What leaves the cache
 //!
-//! ## What leaves the cache, and who may rewrite it
+//! A completed entry is kept only while its caller might ask for it
+//! again. It leaves in one of three ways:
 //!
-//! A body that leaves the cache — evicted by either bound, expired, or
+//! * **Acknowledged.** A request may name one earlier call of its client
+//!   whose response the caller already has (the frame's `ack`, see
+//!   [`crate::frame`]; RIFL's client acknowledgements). Nobody will ask
+//!   for that response again, so [`RetryCache::begin_acking`] drops the
+//!   entry in the same mutex acquisition that admits the request. An ack
+//!   that finds the call still executing — the server sends a response
+//!   before it completes the entry, so the caller can be first — marks
+//!   it, and `complete` hands back its waiters without storing it. An
+//!   ack can only name its own client's calls, and one that names
+//!   nothing is a no-op that allocates nothing. A client acks only an
+//!   answer to a call's first attempt (a retried call may have another
+//!   attempt in flight on another connection), and never a call it gave
+//!   up on. Those calls, and the last call of a connection that goes
+//!   quiet, are what the two backstops below are for.
+//! * **Expired.** A completed entry no ack has named expires by TTL.
+//! * **Evicted.** Unacknowledged completed entries are evicted
+//!   oldest-first while the cache is over either of two bounds:
+//!   `capacity` entries, or a byte budget on what it retains (an entry
+//!   bound alone lets 8192 bulk responses of 256 KiB pin 2 GB). The
+//!   entry just completed is never evicted, so a single response larger
+//!   than the whole budget is still replayable until the next completion.
+//!
+//! In-flight entries are never expired or evicted — a waiter parked
+//! behind one must not be stranded — so the hard memory bound is the
+//! byte budget (or one oversized response) plus however many calls are
+//! genuinely executing. With acknowledgements the cache holds about one
+//! entry per active caller, far inside either backstop, and a call that
+//! *is* still being retried stays replayable for as long as the
+//! backstops allow unacknowledged entries, not for the last few hundred
+//! completions of everyone else.
+//!
+//! ## Where a body goes, and who may rewrite it
+//!
+//! A body that leaves the cache — acknowledged, expired, evicted, or
 //! displaced by a re-completion — is not freed: it is *offered*
 //! ([`RetryCache::offer`]) as a **spare**, and the next response of its
 //! size class is serialized into it ([`RetryCache::build_body`]) instead
 //! of into a fresh `Vec` behind a fresh `Arc`. This is the paper's
 //! history-based pool (message-size locality, Figure 3) applied to the
-//! last two allocations the engine made per call; in the evicting steady
-//! state a completion lets go of exactly one body and the next call picks
-//! it up. The rules:
+//! last two allocations the engine made per call; in the acknowledged
+//! steady state each request lets go of one body and its own response
+//! picks it up. The rules:
 //!
 //! * **One owner, proven by the type.** A body is cleared or written only
 //!   through `Arc::get_mut`, which succeeds only when no replay pending
-//!   behind a send turn, no parked-duplicate route and no handler
-//!   mid-send holds it. A body still shared when it is offered is simply dropped
-//!   by its last holder. No reference count is ever read.
+//!   behind a send turn, no parked-duplicate route, no cache entry and no
+//!   handler mid-send holds it. A body still shared when it is offered is
+//!   simply dropped by that holder; the server offers a response's own
+//!   body once it is sent, so whichever holder lets go last files the
+//!   spare. No reference count is ever read.
 //! * **Class-matched.** Spares are filed under the native pool's size
 //!   ladder ([`bufpool::classes`]) by `capacity()` and drawn by the class
-//!   of the caller's size hint, so a spare's capacity is below twice the
-//!   hint; a body that turns out far smaller than its buffer gives the
-//!   excess back before it is cached. Fresh buffers are sized exactly.
+//!   of the caller's size hint, or the class above it when that one is
+//!   empty (a body that grew while it was written was doubled into it),
+//!   so a spare's capacity is below four times the hint; a body that
+//!   turns out far smaller than its buffer gives the excess back before
+//!   it is cached. Fresh buffers are sized exactly.
 //! * **Inside the byte budget.** The budget counts `capacity()` — what a
 //!   body pins, not what it says — of completed entries *and* idle
 //!   spares, and at most [`SPARES_PER_CLASS`] spares idle per class.
@@ -60,8 +90,8 @@
 //!   per call and never together with the cache mutex, which `begin` and
 //!   `complete` remain the only per-call acquisitions of.
 //!
-//! With `capacity == 0` nothing is cached and nothing is ever evicted:
-//! the server offers each response's own buffer once it has been sent.
+//! With `capacity == 0` nothing is cached, acknowledged or evicted: a
+//! response's own buffer, offered once it is sent, is the only spare.
 //!
 //! The cache is generic over the waiter payload `W` (the server parks
 //! `(connection, response-routing)` tuples; unit tests park `()`).
@@ -88,16 +118,29 @@ type Body = Arc<Vec<u8>>;
 /// leave behind.
 pub const SPARES_PER_CLASS: usize = 4;
 
-/// The order ring is reserved up front for what it holds in steady
-/// state, the capacity plus the completion pushed before the oldest is
-/// evicted — grown by doubling, it reallocated itself well after
-/// start-up — but for at most this many records, so that a huge
-/// capacity asks for nothing huge.
+/// Order records of entries that left by acknowledgement stay behind
+/// until a scan passes them. Past twice the completed entries plus this
+/// many, one pass sweeps them out, so the ring stays within a constant
+/// factor of what the cache holds, for about one lookup per completion.
+const ORDER_SLACK: usize = 64;
+
+/// The order ring is reserved up front for the most it can hold — twice
+/// the entries it may list plus the slack (see [`ORDER_SLACK`]); grown
+/// by doubling, it reallocated itself well after start-up — but for at
+/// most this many records, so that a huge capacity asks for nothing
+/// huge.
 const ORDER_RESERVE_MAX: usize = 1 << 16;
 
 /// Size classes that keep spares: 128 B · 2^k up to 1 GiB. A larger body
 /// is never kept.
 const SPARE_CLASSES: usize = 24;
+
+/// The cache's one clock read: `begin` and `complete` take it, and hand
+/// it to the TTL and eviction rules, which tests drive with explicit
+/// instants.
+fn now() -> Instant {
+    Instant::now()
+}
 
 /// Outcome of presenting an arriving call to the cache.
 #[derive(Debug)]
@@ -115,6 +158,9 @@ pub enum Admission {
 enum Entry<W> {
     InFlight {
         waiters: Vec<W>,
+        /// The caller acknowledged the response before the entry was
+        /// completed: `complete` returns the waiters and stores nothing.
+        acked: bool,
     },
     Done {
         response: Body,
@@ -130,27 +176,31 @@ struct CacheInner<W> {
     entries: HashMap<CallKey, Entry<W>>,
     /// Completion order of Done entries; the TTL/capacity scans walk it
     /// front-to-back. (In-flight entries are not listed — they cannot be
-    /// expired or evicted.)
+    /// expired or evicted.) Each Done entry has exactly one record here;
+    /// the others are stale (see [`ORDER_SLACK`]).
     order: VecDeque<(CallKey, u64, Instant)>,
+    /// Done entries: what `capacity` bounds.
+    done: usize,
     /// Monotonic completion counter stamping `order` records and `Done`
     /// entries.
     next_gen: u64,
 }
 
 /// Bodies on their way out of the cache, collected under the cache mutex
-/// and dealt with after it is released. The steady state evicts one body
-/// per completion, which must not cost a `Vec` of its own.
+/// and dealt with after it is released. A call lets go of at most two in
+/// the common cases — an acknowledged entry and an evicted or expired
+/// one — which must not cost a `Vec` of their own.
 #[derive(Default)]
 struct Leaving {
-    first: Option<Body>,
+    inline: [Option<Body>; 2],
     rest: Vec<Body>,
 }
 
 impl Leaving {
     fn push(&mut self, body: Body) {
-        match self.first {
-            None => self.first = Some(body),
-            Some(_) => self.rest.push(body),
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(body),
+            None => self.rest.push(body),
         }
     }
 }
@@ -199,10 +249,18 @@ impl<W> RetryCache<W> {
     /// `capacity == 0` disables caching: every `begin` admits. The byte
     /// budget starts unlimited; see [`RetryCache::with_byte_budget`].
     pub fn new(ttl: Duration, capacity: usize, metrics: MetricsRegistry) -> RetryCache<W> {
+        let reserve = match capacity {
+            0 => 0,
+            _ => capacity
+                .saturating_mul(2)
+                .saturating_add(ORDER_SLACK + 1)
+                .min(ORDER_RESERVE_MAX),
+        };
         RetryCache {
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
-                order: VecDeque::with_capacity(capacity.saturating_add(1).min(ORDER_RESERVE_MAX)),
+                order: VecDeque::with_capacity(reserve),
+                done: 0,
                 next_gen: 0,
             }),
             spares: Mutex::new(std::array::from_fn(|_| {
@@ -229,29 +287,45 @@ impl<W> RetryCache<W> {
         self
     }
 
-    /// Present an arriving call. `waiter` is only invoked (and parked)
-    /// when the call duplicates one still executing.
+    /// Present an arriving call that acknowledges nothing. `waiter` is
+    /// only invoked (and parked) when the call duplicates one still
+    /// executing.
     pub fn begin(&self, key: CallKey, waiter: impl FnOnce() -> W) -> Admission {
+        self.begin_acking(key, None, waiter)
+    }
+
+    /// Present an arriving call whose request acknowledges the response
+    /// of the same client's call `acked` (module docs, "What leaves the
+    /// cache"): that entry goes in the same acquisition.
+    pub fn begin_acking(
+        &self,
+        key: CallKey,
+        acked: Option<i64>,
+        waiter: impl FnOnce() -> W,
+    ) -> Admission {
         if self.capacity == 0 {
             return Admission::Execute;
         }
-        let now = Instant::now();
+        self.begin_at(key, acked, waiter, now())
+    }
+
+    fn begin_at(
+        &self,
+        key: CallKey,
+        acked: Option<i64>,
+        waiter: impl FnOnce() -> W,
+        now: Instant,
+    ) -> Admission {
         let mut leaving = Leaving::default();
         let admission = {
             let mut inner = self.inner.lock();
-            while let Some(&(old_key, old_gen, completed_at)) = inner.order.front() {
-                if now.duration_since(completed_at) < self.ttl {
-                    break;
-                }
-                inner.order.pop_front();
-                if let Some(body) = self.remove_done(&mut inner, old_key, old_gen) {
-                    self.metrics.inc_retry_cache_expired();
-                    leaving.push(body);
-                }
+            self.expire(&mut inner, now, &mut leaving);
+            if let Some(seq) = acked {
+                self.acknowledge(&mut inner, (key.0, seq), &mut leaving);
             }
             match inner.entries.entry(key) {
                 hash_map::Entry::Occupied(mut slot) => match slot.get_mut() {
-                    Entry::InFlight { waiters } => {
+                    Entry::InFlight { waiters, .. } => {
                         waiters.push(waiter());
                         self.metrics.inc_retry_cache_parked();
                         Admission::Parked
@@ -264,6 +338,7 @@ impl<W> RetryCache<W> {
                 hash_map::Entry::Vacant(slot) => {
                     slot.insert(Entry::InFlight {
                         waiters: Vec::new(),
+                        acked: false,
                     });
                     Admission::Execute
                 }
@@ -280,7 +355,10 @@ impl<W> RetryCache<W> {
         if self.capacity == 0 {
             return Vec::new();
         }
-        let now = Instant::now();
+        self.complete_at(key, response, now())
+    }
+
+    fn complete_at(&self, key: CallKey, response: Arc<Vec<u8>>, now: Instant) -> Vec<W> {
         // `room`: every body built here and not yet completed, this one
         // included. The others are on their way in; this one's share is
         // the room its evictee needs to stay as a spare (the entry itself
@@ -299,11 +377,23 @@ impl<W> RetryCache<W> {
         };
         let mut leaving = Leaving::default();
         let mut inner = self.inner.lock();
+        if let Some(Entry::InFlight { acked: true, .. }) = inner.entries.get(&key) {
+            // The caller already has it: nothing to store. `response` is
+            // dropped after the lock, and its sender still holds it.
+            let Some(Entry::InFlight { waiters, .. }) = inner.entries.remove(&key) else {
+                unreachable!("checked InFlight under the same lock");
+            };
+            drop(inner);
+            return waiters;
+        }
         let gen = inner.next_gen;
         inner.next_gen += 1;
         self.retained.fetch_add(own, Ordering::Relaxed);
         let waiters = match inner.entries.insert(key, Entry::Done { response, gen }) {
-            Some(Entry::InFlight { waiters }) => waiters,
+            Some(Entry::InFlight { waiters, .. }) => {
+                inner.done += 1;
+                waiters
+            }
             // Re-completion (should not happen): keep the fresher
             // response, nobody is parked. The displaced Done entry's
             // order record goes stale; the generation stamp keeps it from
@@ -314,23 +404,13 @@ impl<W> RetryCache<W> {
                 Vec::new()
             }
             // A racing abort already forgot the call.
-            None => Vec::new(),
+            None => {
+                inner.done += 1;
+                Vec::new()
+            }
         };
         inner.order.push_back((key, gen, now));
-        // Eviction: let go of the oldest completed entries while over
-        // either bound — but never the one just pushed (the last record).
-        // The byte bound holds with `room` added, so that what is evicted
-        // here can stay as a spare and still fit.
-        while (inner.order.len() > self.capacity
-            || self.retained.load(Ordering::Relaxed).saturating_add(room) > self.max_bytes)
-            && inner.order.len() > 1
-        {
-            let (old_key, old_gen, _) = inner.order.pop_front().expect("len checked");
-            if let Some(body) = self.remove_done(&mut inner, old_key, old_gen) {
-                self.metrics.inc_retry_cache_evictions();
-                leaving.push(body);
-            }
-        }
+        self.evict(&mut inner, room, &mut leaving);
         drop(inner);
         // Entries alone cannot get the cache under its budget when what
         // is left is the one just completed: then idle spares go.
@@ -351,7 +431,7 @@ impl<W> RetryCache<W> {
         let mut inner = self.inner.lock();
         match inner.entries.get(&key) {
             Some(Entry::InFlight { .. }) => match inner.entries.remove(&key) {
-                Some(Entry::InFlight { waiters }) => waiters,
+                Some(Entry::InFlight { waiters, .. }) => waiters,
                 _ => unreachable!("checked InFlight under the same lock"),
             },
             // Completed (or absent) entries are not abortable.
@@ -371,14 +451,15 @@ impl<W> RetryCache<W> {
     }
 
     /// Serialize a response body into a buffer nobody else can see and
-    /// return it shared: an idle spare of `hint`'s size class when there
-    /// is one (neither the `Vec`'s block nor the `Arc`'s is allocated),
-    /// else a fresh buffer of exactly `hint` bytes. `hint` is what the
-    /// caller expects `fill` to write — the last body of the same
-    /// `<protocol, method#resp>`; a size that drifts upward inside its
-    /// class costs one `realloc`, and a body that leaves its buffer more
-    /// than half empty (above the class floor) gives the excess back, so
-    /// what the cache then retains is below twice what it can replay.
+    /// return it shared: an idle spare of `hint`'s size class (or the one
+    /// above) when there is one (neither the `Vec`'s block nor the
+    /// `Arc`'s is allocated), else a fresh buffer of exactly `hint`
+    /// bytes. `hint` is what the caller expects `fill` to write — the
+    /// last body of the same `<protocol, method#resp>`; a size that
+    /// drifts upward inside its class costs one `realloc`, and a body
+    /// that leaves its buffer more than half empty (above the class
+    /// floor) gives the excess back, so what the cache then retains is
+    /// below twice what it can replay.
     pub fn build_body(&self, hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Arc<Vec<u8>> {
         let write = |buf: &mut Vec<u8>| {
             buf.reserve_exact(hint);
@@ -407,8 +488,7 @@ impl<W> RetryCache<W> {
     /// [`SPARES_PER_CLASS`] idle and the byte budget has room; otherwise
     /// this reference is dropped, and with the last one the body. Called
     /// for whatever leaves the cache and, by the server, for a response's
-    /// own buffer once it is sent — the one source a cache that is off
-    /// has. Never call it holding the cache mutex.
+    /// own buffer once it is sent. Never call it holding the cache mutex.
     pub fn offer(&self, mut body: Arc<Vec<u8>>) {
         let Some(buf) = Arc::get_mut(&mut body) else {
             return;
@@ -447,12 +527,21 @@ impl<W> RetryCache<W> {
         r
     }
 
+    /// An idle spare of `hint`'s size class or, that class empty, of the
+    /// one above: where a body that outgrew its buffer while it was
+    /// written lands (the `Vec` doubles it past its class), while the
+    /// next hint, its own length, is back below.
     fn take_spare(&self, hint: usize) -> Option<Body> {
         let class = class_for(hint);
         if class >= SPARE_CLASSES {
             return None;
         }
-        let spare = self.spares.lock()[class].pop()?;
+        let spare = {
+            let mut spares = self.spares.lock();
+            spares[class]
+                .pop()
+                .or_else(|| spares.get_mut(class + 1)?.pop())
+        }?;
         self.retained.fetch_sub(spare.capacity(), Ordering::Relaxed);
         Some(spare)
     }
@@ -478,6 +567,62 @@ impl<W> RetryCache<W> {
             .is_ok()
     }
 
+    /// A request acknowledged `key`'s response: a completed entry leaves
+    /// now, an executing one is marked so that `complete` stores nothing.
+    /// A key the cache does not hold is left alone.
+    fn acknowledge(&self, inner: &mut CacheInner<W>, key: CallKey, leaving: &mut Leaving) {
+        match inner.entries.get_mut(&key) {
+            None => return,
+            Some(Entry::InFlight { acked, .. }) => *acked = true,
+            Some(&mut Entry::Done { gen, .. }) => {
+                if let Some(body) = self.remove_done(inner, key, gen) {
+                    leaving.push(body);
+                }
+            }
+        }
+        self.metrics.inc_retry_cache_acked();
+    }
+
+    /// The TTL backstop: drop the completed entries older than the TTL.
+    fn expire(&self, inner: &mut CacheInner<W>, now: Instant, leaving: &mut Leaving) {
+        while let Some(&(old_key, old_gen, completed_at)) = inner.order.front() {
+            if now.saturating_duration_since(completed_at) < self.ttl {
+                break;
+            }
+            inner.order.pop_front();
+            if let Some(body) = self.remove_done(inner, old_key, old_gen) {
+                self.metrics.inc_retry_cache_expired();
+                leaving.push(body);
+            }
+        }
+    }
+
+    /// The capacity and byte backstops: let go of the oldest completed
+    /// entries while over either bound — but never the one just
+    /// completed, the last live record. The byte bound holds with `room`
+    /// added, so that what is evicted here can stay as a spare and still
+    /// fit. Then sweep out the stale records acknowledgements left.
+    fn evict(&self, inner: &mut CacheInner<W>, room: usize, leaving: &mut Leaving) {
+        while (inner.done > self.capacity
+            || self.retained.load(Ordering::Relaxed).saturating_add(room) > self.max_bytes)
+            && inner.done > 1
+        {
+            // Each Done entry has one record, so with two or more of them
+            // the front holds a live record before the newest.
+            let (old_key, old_gen, _) = inner.order.pop_front().expect("done > 1 records");
+            if let Some(body) = self.remove_done(inner, old_key, old_gen) {
+                self.metrics.inc_retry_cache_evictions();
+                leaving.push(body);
+            }
+        }
+        if inner.order.len() > 2 * inner.done + ORDER_SLACK {
+            let CacheInner { entries, order, .. } = inner;
+            order.retain(|(key, gen, _)| {
+                matches!(entries.get(key), Some(Entry::Done { gen: live, .. }) if live == gen)
+            });
+        }
+    }
+
     /// Remove `key`'s entry if it is the `Done` entry that `order_gen`
     /// stamped, and hand its body out — to be offered or dropped once the
     /// cache mutex is released, never under it. The order queue can hold
@@ -493,6 +638,7 @@ impl<W> RetryCache<W> {
         let Entry::Done { response, .. } = slot.remove() else {
             return None;
         };
+        inner.done -= 1;
         self.retained
             .fetch_sub(response.capacity(), Ordering::Relaxed);
         Some(response)
@@ -501,8 +647,9 @@ impl<W> RetryCache<W> {
     /// Offer what left `CacheInner`, the cache mutex released.
     fn let_go(&self, leaving: Leaving) {
         leaving
-            .first
+            .inline
             .into_iter()
+            .flatten()
             .chain(leaving.rest)
             .for_each(|body| self.offer(body));
     }
@@ -536,6 +683,13 @@ mod tests {
 
     fn resp(tag: u8) -> Arc<Vec<u8>> {
         Arc::new(vec![tag])
+    }
+
+    /// An explicit clock for the TTL rules: `at(ms)` is `ms` after a
+    /// fixed start, so no test waits on the host's.
+    fn clock() -> impl Fn(u64) -> Instant {
+        let start = now();
+        move |ms| start + Duration::from_millis(ms)
     }
 
     #[test]
@@ -578,13 +732,22 @@ mod tests {
     #[test]
     fn ttl_expires_completed_entries() {
         let (cache, metrics) = cache(Duration::from_millis(20), 16);
+        let at = clock();
         let key = (1, 1);
-        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
-        cache.complete(key, resp(1));
-        assert!(matches!(cache.begin(key, || 0), Admission::Replay(_)));
-        std::thread::sleep(Duration::from_millis(40));
-        // Past the TTL the entry is gone: the same key executes again.
-        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
+        assert!(matches!(
+            cache.begin_at(key, None, || 0, at(0)),
+            Admission::Execute
+        ));
+        cache.complete_at(key, resp(1), at(0));
+        assert!(matches!(
+            cache.begin_at(key, None, || 0, at(19)),
+            Admission::Replay(_)
+        ));
+        // At the TTL the entry is gone: the same key executes again.
+        assert!(matches!(
+            cache.begin_at(key, None, || 0, at(20)),
+            Admission::Execute
+        ));
         assert_eq!(metrics.counters().retry_cache_expired, 1);
         assert_eq!(cache.len(), 1, "only the fresh in-flight entry remains");
     }
@@ -592,13 +755,26 @@ mod tests {
     #[test]
     fn ttl_never_expires_inflight_entries() {
         let (cache, _) = cache(Duration::from_millis(10), 16);
+        let at = clock();
         let key = (1, 2);
-        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
-        std::thread::sleep(Duration::from_millis(30));
+        // A completed entry ahead of it, so the TTL scan has work to do.
+        assert!(matches!(
+            cache.begin_at((1, 1), None, || 0, at(0)),
+            Admission::Execute
+        ));
+        cache.complete_at((1, 1), resp(1), at(0));
+        assert!(matches!(
+            cache.begin_at(key, None, || 0, at(0)),
+            Admission::Execute
+        ));
         // Still in-flight long past the TTL: the duplicate parks rather
         // than executing a second time.
-        assert!(matches!(cache.begin(key, || 5), Admission::Parked));
-        assert_eq!(cache.complete(key, resp(2)), vec![5]);
+        assert!(matches!(
+            cache.begin_at(key, None, || 5, at(30)),
+            Admission::Parked
+        ));
+        assert_eq!(cache.complete_at(key, resp(2), at(30)), vec![5]);
+        assert_eq!(cache.len(), 1, "the expired neighbour went, this one stays");
     }
 
     #[test]
@@ -739,6 +915,22 @@ mod tests {
     }
 
     #[test]
+    fn a_body_that_outgrew_its_class_is_drawn_by_the_hint_below_it() {
+        let (cache, metrics) = cache(Duration::from_secs(60), 4);
+        // A 507-byte body against a 500-byte hint: the `Vec` doubled its
+        // buffer into the class above the hint's.
+        let grown = cache.build_body(500, |buf| buf.extend_from_slice(&[1; 507]));
+        assert!(grown.capacity() > 512, "{}", grown.capacity());
+        let block = grown.as_ptr();
+        cache.offer(grown);
+        // The next hint is that body's length, a class below its buffer.
+        let next = cache.build_body(507, |buf| buf.extend_from_slice(&[2; 514]));
+        assert_eq!(next.as_ptr(), block);
+        let c = metrics.counters();
+        assert_eq!((c.resp_bodies_reused, c.resp_bodies_fresh), (1, 1));
+    }
+
+    #[test]
     fn body_still_held_when_evicted_is_dropped_not_filed() {
         let (cache, _) = cache(Duration::from_secs(60), 1);
         assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
@@ -792,12 +984,18 @@ mod tests {
     #[test]
     fn expired_bodies_leave_as_spares_too() {
         let (cache, metrics) = cache(Duration::from_millis(20), 16);
+        let at = clock();
         for seq in 0..3i64 {
-            assert!(matches!(cache.begin((1, seq), || 0), Admission::Execute));
-            cache.complete((1, seq), Arc::new(vec![seq as u8; 500]));
+            assert!(matches!(
+                cache.begin_at((1, seq), None, || 0, at(0)),
+                Admission::Execute
+            ));
+            cache.complete_at((1, seq), Arc::new(vec![seq as u8; 500]), at(0));
         }
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(matches!(cache.begin((1, 9), || 0), Admission::Execute));
+        assert!(matches!(
+            cache.begin_at((1, 9), None, || 0, at(40)),
+            Admission::Execute
+        ));
         assert_eq!(metrics.counters().retry_cache_expired, 3);
         let kept = cache.retention();
         assert_eq!((kept.entries, kept.spares), (0, 3));
@@ -849,20 +1047,28 @@ mod tests {
     #[test]
     fn recompleted_entry_survives_its_stale_order_record_on_ttl() {
         let (cache, metrics) = cache(Duration::from_millis(60), 16);
+        let at = clock();
         let key = (1, 1);
-        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
-        cache.complete(key, resp(1));
-        std::thread::sleep(Duration::from_millis(35));
-        cache.complete(key, resp(2));
-        std::thread::sleep(Duration::from_millis(35));
+        assert!(matches!(
+            cache.begin_at(key, None, || 0, at(0)),
+            Admission::Execute
+        ));
+        cache.complete_at(key, resp(1), at(0));
+        cache.complete_at(key, resp(2), at(35));
         // The first completion's order record is past the TTL but points
         // at the re-completed entry: it must be skipped, not expire the
         // fresh response early.
-        match cache.begin(key, || 0) {
+        match cache.begin_at(key, None, || 0, at(70)) {
             Admission::Replay(bytes) => assert_eq!(*bytes, vec![2]),
             other => panic!("expected replay, got {other:?}"),
         }
         assert_eq!(metrics.counters().retry_cache_expired, 0);
+        // The fresh response's own record expires it at its own TTL.
+        assert!(matches!(
+            cache.begin_at(key, None, || 0, at(95)),
+            Admission::Execute
+        ));
+        assert_eq!(metrics.counters().retry_cache_expired, 1);
     }
 
     #[test]
@@ -889,5 +1095,161 @@ mod tests {
         }
         // Client 2's identical seq is still its own in-flight call.
         assert!(matches!(cache.begin((2, 9), || 3), Admission::Parked));
+    }
+
+    #[test]
+    fn acked_entry_leaves_and_its_body_is_the_next_built_in_its_class() {
+        let (cache, metrics) = cache(Duration::from_secs(60), 16);
+        assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
+        let first = cache.build_body(0, |buf| buf.extend_from_slice(&[1; 200]));
+        let (block, capacity) = (first.as_ptr(), first.capacity());
+        cache.complete((1, 1), first);
+        // The caller's next request acknowledges call 1: it leaves in the
+        // same `begin`, as a spare.
+        assert!(matches!(
+            cache.begin_acking((1, 2), Some(1), || 0),
+            Admission::Execute
+        ));
+        let kept = cache.retention();
+        assert_eq!((kept.entries, kept.spares), (0, 1));
+        assert_eq!(cache.len(), 1, "only call 2, in flight");
+        let again = cache.build_body(180, |buf| buf.extend_from_slice(&[2; 180]));
+        assert_eq!((again.as_ptr(), again.capacity()), (block, capacity));
+        let c = metrics.counters();
+        assert_eq!((c.retry_cache_acked, c.retry_cache_evictions), (1, 0));
+        assert_eq!((c.resp_bodies_reused, c.resp_bodies_fresh), (1, 1));
+    }
+
+    #[test]
+    fn acked_inflight_entry_is_not_stored_and_its_waiters_still_return() {
+        let (cache, metrics) = cache(Duration::from_secs(60), 16);
+        assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
+        // A duplicate attempt, parked on another connection.
+        assert!(matches!(cache.begin((1, 1), || 7), Admission::Parked));
+        // The response was sent before `complete` ran, and the caller's
+        // next request acknowledges it first.
+        assert!(matches!(
+            cache.begin_acking((1, 2), Some(1), || 0),
+            Admission::Execute
+        ));
+        assert_eq!(cache.complete((1, 1), resp(9)), vec![7]);
+        assert_eq!(cache.retention().entries, 0);
+        assert_eq!(cache.len(), 1, "only call 2, in flight");
+        assert_eq!(metrics.counters().retry_cache_acked, 1);
+        // Call 2 itself is stored as usual.
+        cache.complete((1, 2), resp(2));
+        assert!(matches!(cache.begin((1, 2), || 0), Admission::Replay(_)));
+    }
+
+    #[test]
+    fn an_ack_names_only_its_own_clients_calls_and_an_unknown_seq_is_a_no_op() {
+        let (cache, metrics) = cache(Duration::from_secs(60), 16);
+        for client in [1u64, 2] {
+            assert!(matches!(cache.begin((client, 5), || 0), Admission::Execute));
+            cache.complete((client, 5), resp(client as u8));
+        }
+        // Client 2 acknowledges its seq 5, then a seq nobody completed.
+        assert!(matches!(
+            cache.begin_acking((2, 6), Some(5), || 0),
+            Admission::Execute
+        ));
+        assert!(matches!(
+            cache.begin_acking((2, 7), Some(1_000), || 0),
+            Admission::Execute
+        ));
+        assert_eq!(metrics.counters().retry_cache_acked, 1);
+        // Client 1's identical seq is untouched.
+        match cache.begin((1, 5), || 0) {
+            Admission::Replay(bytes) => assert_eq!(*bytes, vec![1]),
+            other => panic!("expected replay, got {other:?}"),
+        }
+        assert!(matches!(cache.begin((2, 5), || 0), Admission::Execute));
+        assert_eq!(cache.retention().entries, 1);
+    }
+
+    #[test]
+    fn unacked_entries_still_obey_capacity_ttl_and_budget() {
+        // Capacity counts the entries no ack has named.
+        let (cache, metrics) = cache(Duration::from_millis(50), 2);
+        let at = clock();
+        let run = |seq: i64, acked: Option<i64>, ms: u64| {
+            assert!(matches!(
+                cache.begin_at((1, seq), acked, || 0, at(ms)),
+                Admission::Execute
+            ));
+            cache.complete_at((1, seq), resp(seq as u8), at(ms));
+        };
+        run(1, None, 0);
+        run(2, None, 0);
+        run(3, Some(1), 0);
+        assert_eq!(metrics.counters().retry_cache_evictions, 0);
+        run(4, None, 0);
+        assert_eq!(metrics.counters().retry_cache_evictions, 1);
+        assert!(matches!(
+            cache.begin_at((1, 2), None, || 0, at(10)),
+            Admission::Execute
+        ));
+        assert!(matches!(
+            cache.begin_at((1, 3), None, || 0, at(10)),
+            Admission::Replay(_)
+        ));
+        // The TTL still expires what no ack names.
+        assert!(matches!(
+            cache.begin_at((1, 9), None, || 0, at(60)),
+            Admission::Execute
+        ));
+        assert_eq!(metrics.counters().retry_cache_expired, 2);
+        assert_eq!(cache.retention().entries, 0);
+
+        // The byte budget counts them too. Each body is also held by its
+        // sender here, so nothing is filed as a spare.
+        let metrics = MetricsRegistry::new(false);
+        let cache: RetryCache<u32> =
+            RetryCache::new(Duration::from_secs(60), 16, metrics.clone()).with_byte_budget(250);
+        let mut sent = Vec::new();
+        let mut call = |seq: i64, acked: Option<i64>| {
+            assert!(matches!(
+                cache.begin_acking((1, seq), acked, || 0),
+                Admission::Execute
+            ));
+            let body = Arc::new(vec![seq as u8; 100]);
+            cache.complete((1, seq), Arc::clone(&body));
+            sent.push(body);
+        };
+        call(0, None);
+        call(1, None);
+        call(2, Some(0));
+        assert_eq!(metrics.counters().retry_cache_evictions, 0);
+        call(3, None);
+        assert_eq!(metrics.counters().retry_cache_evictions, 1);
+        assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
+        for seq in [2i64, 3] {
+            assert!(matches!(cache.begin((1, seq), || 0), Admission::Replay(_)));
+        }
+    }
+
+    #[test]
+    fn an_unacked_call_outlives_any_number_of_acked_ones() {
+        // The last call on a quiet connection is never acknowledged; the
+        // busy caller beside it acknowledges every call. Its entry
+        // outlives many times the capacity's worth of completions, and
+        // the records the acks leave behind are swept.
+        let (cache, metrics) = cache(Duration::from_secs(60), 64);
+        assert!(matches!(cache.begin((9, 1), || 0), Admission::Execute));
+        cache.complete((9, 1), resp(9));
+        for seq in 1..10_000i64 {
+            let acked = (seq > 1).then_some(seq - 1);
+            assert!(matches!(
+                cache.begin_acking((1, seq), acked, || 0),
+                Admission::Execute
+            ));
+            cache.complete((1, seq), resp(1));
+            let inner = cache.inner.lock();
+            assert!(inner.done <= 2, "seq {seq}: {} entries", inner.done);
+            assert!(inner.order.len() <= 2 * inner.done + ORDER_SLACK + 1);
+        }
+        assert!(matches!(cache.begin((9, 1), || 0), Admission::Replay(_)));
+        let c = metrics.counters();
+        assert_eq!((c.retry_cache_acked, c.retry_cache_evictions), (9_998, 0));
     }
 }

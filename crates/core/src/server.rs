@@ -98,7 +98,7 @@
 //! thread's send, and a slow or credit-starved peer costs the one sender
 //! holding its turn, never the pool. A reader shard may be that sender:
 //! credit waits drive receive progress themselves
-//! (`RdmaConn::acquire_slots`), and while it waits its shard is away and
+//! (`RdmaConn::send_bulk`), and while it waits its shard is away and
 //! read by a worker. Five rules:
 //!
 //! 1. **Push, then try; release, then look** — why nothing pushed is ever
@@ -140,12 +140,12 @@
 //! (`ServerInner::serialize_response` writes into a buffer the cache has
 //! let go of, picked by the size class of the method's last response;
 //! only a miss allocates) → *sent* (inline or queued, always behind a
-//! per-route lead) → *cached* (`RetryCache::complete`) → *evicted* (entry
-//! bound, byte budget or TTL; moved out under the cache mutex, offered
-//! after it) → *spare* again, if `Arc::get_mut` finds nobody still
-//! holding it; a body somebody does hold is dropped by its last holder,
-//! as ever. With the cache off nothing is evicted, and the step after
-//! *sent* is the offer. Steady state, the server's call path allocates
+//! per-route lead) → *cached* (`RetryCache::complete`) → *acknowledged*
+//! by the caller's next request (or, as a backstop, evicted or expired;
+//! moved out under the cache mutex, offered after it) → *spare* again,
+//! if `Arc::get_mut` finds nobody still holding it. Every holder offers
+//! the body when it lets go — the sender once it is sent, too — so the
+//! last one files it. Steady state, the server's call path allocates
 //! nothing of its own. See [`crate::retry_cache`] for the rules.
 //!
 //! Shutdown comes in two flavors: [`Server::stop`] (abrupt — close
@@ -455,14 +455,10 @@ impl ServerInner {
         // response is on the wire or pending (each pending response holds
         // a slot of its own), so `drain` never sees a gap.
         self.open_work.fetch_sub(1, Ordering::AcqRel);
-        // A server that caches nothing evicts nothing: the one place its
-        // spares can come from is the response's own buffer, now that it
-        // is sent — kept if nobody else holds it (it went out inline; one
-        // that went pending is offered by whoever sends it). With the
-        // cache on the cache holds it, so do not even ask.
-        if self.cfg.retry_cache_capacity == 0 {
-            self.retry_cache.offer(bytes);
-        }
+        // Sent: offer the buffer. Kept only if nobody else holds it — the
+        // cache off, or the caller's ack already in; a cache entry or a
+        // pending send still holding it offers it when it lets go.
+        self.retry_cache.offer(bytes);
     }
 
     /// Serialize a dispatch result into the response body
@@ -627,13 +623,8 @@ impl ServerConn {
             behind += u64::from(out.producer != me);
             out
         };
-        // Sent: as at the end of `respond`, with the cache off the body
-        // is the next response's buffer.
-        let sent_body = |bytes: Arc<Vec<u8>>| {
-            if inner.cfg.retry_cache_capacity == 0 {
-                inner.retry_cache.offer(bytes);
-            }
-        };
+        // Sent: offered, as at the end of `respond`.
+        let sent_body = |bytes: Arc<Vec<u8>>| inner.retry_cache.offer(bytes);
         let first = pop();
         let sent = if run >= 2 {
             // The response's buffer-size history is keyed separately from
@@ -1619,10 +1610,11 @@ fn read_one(
     // logical call arriving on different connections share one entry —
     // each route's lead is composed by its own connection's encoder.
     let cache_key = (header.client_id, header.seq);
-    match inner
-        .retry_cache
-        .begin(cache_key, || RespRoute::new(Arc::clone(conn), &header))
-    {
+    // The request's ack lets an earlier response of this client go in
+    // the same acquisition.
+    match inner.retry_cache.begin_acking(cache_key, header.ack, || {
+        RespRoute::new(Arc::clone(conn), &header)
+    }) {
         Admission::Execute => {}
         Admission::Parked => return ReadOutcome::Frame,
         Admission::Replay(bytes) => {

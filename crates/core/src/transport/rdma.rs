@@ -242,14 +242,10 @@ impl IbContext {
 /// One received frame and the profile of receiving it.
 type Frame = (Payload, RecvProfile);
 
-/// A grant of `consumed` credits whose frame starts at slot `start`. The
-/// `ticket` orders the actual RDMA writes: grants must hit the wire in
-/// grant order or the receiver's arrival-order crediting would return
-/// slots a later, still-unwritten frame already owns.
+/// A grant of `consumed` credits whose frame starts at slot `start`.
 struct Grant {
     start: usize,
     consumed: usize,
-    ticket: u64,
 }
 
 struct RingState {
@@ -261,9 +257,6 @@ struct RingState {
     credits: usize,
     /// Next slot index to allocate.
     ring_pos: usize,
-    /// Next ticket to issue / next ticket allowed to post.
-    next_ticket: u64,
-    turn: u64,
     closed: bool,
     /// The connection's *poll turn*: a thread is inside `poll_recv` on the
     /// queue pair. Completions are consumed by one thread at a time (frame
@@ -280,6 +273,18 @@ struct RingState {
 
 /// Multi-slot credit ring over the peer's large region. `slots = 1`
 /// degenerates to the paper's one-deep credit gate.
+///
+/// **Grant and post under `link.send`.** Frames must hit the wire in
+/// grant order, or the receiver's arrival-order crediting would return
+/// slots a later, still-unwritten frame already owns. A sender therefore
+/// takes the link's send lock, then this ring's lock, grants, lets the
+/// ring go and posts its writes before letting the send lock go: grant
+/// order is post order by construction (MPICH2's RDMA channel writes its
+/// ring the same way). Lock order is send, then ring; no path takes them
+/// the other way round — the ring's lock is never held across a send.
+/// A sender that finds no grant drops both and waits for credits
+/// holding neither ([`RdmaConn::send_bulk`]): this side's own credit
+/// returns are sends, and they need `link.send`.
 struct SlotRing {
     slots: usize,
     state: Mutex<RingState>,
@@ -293,8 +298,6 @@ impl SlotRing {
             state: Mutex::new(RingState {
                 credits: slots,
                 ring_pos: 0,
-                next_ticket: 0,
-                turn: 0,
                 closed: false,
                 polling: false,
                 sleepers: 0,
@@ -326,13 +329,7 @@ impl SlotRing {
         };
         st.ring_pos = (start + k) % self.slots;
         st.credits -= consumed;
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        Some(Grant {
-            start,
-            consumed,
-            ticket,
-        })
+        Some(Grant { start, consumed })
     }
 
     /// Sleep on the ring until notified or `slice` passes.
@@ -348,28 +345,6 @@ impl SlotRing {
         if st.sleepers > 0 {
             self.cv.notify_all();
         }
-    }
-
-    /// Block until `ticket` may post its writes.
-    fn await_turn(&self, ticket: u64) -> RpcResult<()> {
-        let mut st = self.state.lock();
-        loop {
-            if st.closed {
-                return Err(RpcError::ConnectionClosed);
-            }
-            if st.turn == ticket {
-                return Ok(());
-            }
-            self.sleep(&mut st, POLL_SLICE);
-        }
-    }
-
-    /// Pass the turn to the next granted ticket. Must run exactly once
-    /// per granted ticket, error paths included.
-    fn advance_turn(&self) {
-        let mut st = self.state.lock();
-        st.turn += 1;
-        self.wake(&st);
     }
 
     /// Return `n` slots announced by a peer credit message.
@@ -390,7 +365,8 @@ struct SendState {
     /// Tiny dedicated region for credit messages.
     credit_mr: MemoryRegion,
     /// Dedicated region the bulk path writes length headers from. Safe to
-    /// reuse per-frame: bulk posting is serialized by the ring turnstile.
+    /// reuse per-frame: a bulk frame's header is written and posted under
+    /// this state's lock.
     header_mr: MemoryRegion,
 }
 
@@ -425,17 +401,18 @@ impl Link {
 /// is contiguous: it reads `credits >= k` as "the next `k` slots from the
 /// cursor are free". Readers finish out of order — two callers on one
 /// connection, a queued call behind a running one — so frames are kept
-/// here in arrival order (which is ring order: the sender's turnstile
-/// posts grants in grant order), each with the `consumed` count its
-/// immediate carried (wrap stubs included) and a released mark, and only
-/// the released *prefix* is owed back: MPICH2's in-order head pointer. A
-/// frame released early waits behind an older one still being read; that
-/// costs head-of-line delay on a credit, never a slot handed out twice.
+/// here in arrival order (which is ring order: the sender grants and
+/// posts under `link.send`, see [`SlotRing`]), each with the `consumed`
+/// count its immediate carried (wrap stubs included) and a released
+/// mark, and only the released *prefix* is owed back: MPICH2's in-order
+/// head pointer. A frame released early waits behind an older one still
+/// being read; that costs head-of-line delay on a credit, never a slot
+/// handed out twice.
 ///
 /// **Why holding slots while a call waits for a run permit cannot
 /// deadlock.** A connection has at most `large_slots` unread bulk frames
 /// at its peer, and the next one waits at its *sender*
-/// ([`RdmaConn::acquire_slots`], which drives receive progress itself
+/// ([`RdmaConn::send_bulk`], which drives receive progress itself
 /// and gives up after `call_timeout` with the retryable `CreditStarved`).
 /// What each holder of a slot needs in order to let go: the consumer of a
 /// *response* needs only CPU (a parked caller is woken to read; a frame a
@@ -463,7 +440,7 @@ impl Link {
 /// * *idle* — the receiver's idle moment ([`Conn::recv_msg`] with nothing
 ///   stashed and a quiet inbox) sends it;
 /// * *pulled* — otherwise a release holds it, and a sender that then
-///   finds no grant asks ([`RdmaConn::acquire_slots`]): the ask is
+///   finds no grant asks ([`RdmaConn::send_bulk`]): the ask is
 ///   answered with what is held, or by the next release if nothing is.
 ///   The ask is a completion like any other — it fires the ready hook —
 ///   so a held credit delays nobody who is waiting for it, whether or
@@ -849,10 +826,15 @@ impl RdmaConn {
         polled
     }
 
-    /// Claim `k` contiguous slots of the peer's region, waiting up to
-    /// `call_timeout` (sliced, so a concurrent close is noticed promptly).
-    /// Exhausting the budget is [`RpcError::CreditStarved`] — the peer is
-    /// alive but not letting go of what it holds.
+    /// Claim `k` contiguous slots of the peer's region and gather-write
+    /// one bulk frame into them, granting and posting under `link.send`
+    /// (see [`SlotRing`]).
+    ///
+    /// With no grant to be had, wait for credits holding neither lock, up
+    /// to `call_timeout` (sliced, so a concurrent close is noticed
+    /// promptly), then try again. Exhausting the budget is
+    /// [`RpcError::CreditStarved`] — the peer is alive but not letting go
+    /// of what it holds.
     ///
     /// The credits arrive as completions on our own queue pair (a count
     /// of their own or riding a frame), and no thread is dedicated to
@@ -867,18 +849,43 @@ impl RdmaConn {
     /// yields no grant — every ask is answered by the next credit the
     /// peer has, and every answer changes the count, so between the two
     /// nothing this waiter needs stays held.
-    fn acquire_slots(&self, k: usize) -> RpcResult<Grant> {
+    fn send_bulk(&self, segs: &[PooledBuf<MemoryRegion>], len: usize) -> RpcResult<()> {
+        debug_assert!(len > 0, "zero-length frames always route eager");
+        let footprint = len + HEADER_BYTES;
+        let k = footprint.div_ceil(self.peer_slot_size);
+        if k > self.peer_slots {
+            return Err(RpcError::Protocol(format!(
+                "frame of {len} bytes needs {k} slots but the peer's region has \
+                 {} slots of {} bytes",
+                self.peer_slots, self.peer_slot_size
+            )));
+        }
         let deadline = Instant::now() + self.cfg.call_timeout;
         let peer_holds = credit_batch(self.peer_slots) > 1;
         let mut asked_at = None;
         loop {
+            let send = self.link.send.lock();
             let mut st = self.ring.state.lock();
             if st.closed {
                 return Err(RpcError::ConnectionClosed);
             }
             if let Some(grant) = self.ring.try_grant(&mut st, k) {
-                return Ok(grant);
+                drop(st);
+                let posted = self.post_bulk_writes(&send, &grant, segs, len);
+                drop(send);
+                if let Err(e) = posted {
+                    // A failed write mid-frame breaks the ring's in-order
+                    // crediting story (this grant's credits may never
+                    // return); a verbs-level failure invalidates the
+                    // connection anyway.
+                    self.close();
+                    return Err(e);
+                }
+                return Ok(());
             }
+            // Never wait holding the send lock: our own credit returns,
+            // which the peer may be waiting on, are sends.
+            drop(send);
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(RpcError::CreditStarved);
@@ -895,42 +902,17 @@ impl RdmaConn {
         }
     }
 
-    /// Claim slots, wait for the posting turn, and gather-write one bulk
-    /// frame into the peer's region.
-    fn send_bulk(&self, segs: &[PooledBuf<MemoryRegion>], len: usize) -> RpcResult<()> {
-        debug_assert!(len > 0, "zero-length frames always route eager");
-        let footprint = len + HEADER_BYTES;
-        let k = footprint.div_ceil(self.peer_slot_size);
-        if k > self.peer_slots {
-            return Err(RpcError::Protocol(format!(
-                "frame of {len} bytes needs {k} slots but the peer's region has \
-                 {} slots of {} bytes",
-                self.peer_slots, self.peer_slot_size
-            )));
-        }
-        let grant = self.acquire_slots(k)?;
-        self.ring.await_turn(grant.ticket)?;
-        let result = self.post_bulk_writes(&grant, segs, len);
-        self.ring.advance_turn();
-        if let Err(e) = result {
-            // A failed write mid-frame breaks the ring's in-order
-            // crediting story (this grant's credits may never return);
-            // a verbs-level failure invalidates the connection anyway.
-            self.close();
-            return Err(e);
-        }
-        Ok(())
-    }
-
+    /// Write one bulk frame into its granted slots; `state` is the held
+    /// `link.send` lock's content.
     fn post_bulk_writes(
         &self,
+        state: &SendState,
         grant: &Grant,
         segs: &[PooledBuf<MemoryRegion>],
         len: usize,
     ) -> RpcResult<()> {
         let base = grant.start * self.peer_slot_size;
         let imm = IMM_LARGE | ((grant.start as u32) << 8) | ((grant.consumed as u32) << 20);
-        let state = self.link.send.lock();
         let word = len as u64 | u64::from(self.ledger.take()) << CARRIED_SHIFT;
         state
             .header_mr
@@ -2041,6 +2023,50 @@ mod tests {
             RpcError::ConnectionClosed,
             "close must beat the 30s budget"
         );
+    }
+
+    #[test]
+    fn two_ends_starved_for_each_others_credits_both_complete() {
+        // One slot each way. Each end holds the frame the other sent it,
+        // then sends a second one, which waits for the credit its peer
+        // owes. Those credits go back when the held frames are let go:
+        // sends, under each end's own `link.send`. A sender that waited
+        // for credits holding that lock would keep its peer's credit
+        // from leaving, and both would end `CreditStarved`.
+        let cfg = RpcConfig {
+            large_slots: 1,
+            call_timeout: Duration::from_secs(4),
+            ..RpcConfig::rpcoib()
+        };
+        let (cli, srv) = conn_pair(&cfg);
+        let key = crate::intern::method_key("p", "big");
+        let body = vec![3u8; 100_000];
+        for end in [&cli, &srv] {
+            end.send_msg(key, &mut |out| out.write_bytes(&body))
+                .unwrap();
+        }
+        let held_by_srv = srv.recv_msg(Duration::from_secs(5)).unwrap().0;
+        let held_by_cli = cli.recv_msg(Duration::from_secs(5)).unwrap().0;
+        let senders: Vec<_> = [&cli, &srv]
+            .into_iter()
+            .map(|end| {
+                let (end, body) = (Arc::clone(end), body.clone());
+                thread::spawn(move || end.send_msg(key, &mut |out| out.write_bytes(&body)))
+            })
+            .collect();
+        // Long enough for both to be waiting: neither can be granted.
+        thread::sleep(Duration::from_millis(100));
+        drop(held_by_srv);
+        drop(held_by_cli);
+        for sender in senders {
+            sender.join().unwrap().unwrap();
+        }
+        for end in [&srv, &cli] {
+            assert_eq!(
+                end.recv_msg(Duration::from_secs(5)).unwrap().0.len(),
+                body.len()
+            );
+        }
     }
 
     #[test]

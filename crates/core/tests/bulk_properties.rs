@@ -303,7 +303,7 @@ proptest! {
     }
 
     /// A single sender's frames additionally arrive *in order*, at any
-    /// slot count — the ring's posting turnstile at work.
+    /// slot count — grants posted in grant order, under the send lock.
     #[test]
     fn single_sender_order_is_preserved(
         slots_idx in 0usize..3,

@@ -1,13 +1,16 @@
 //! A response body is never rewritten while anyone can read it.
 //!
-//! The retry cache recycles: a body that leaves it (evicted, expired) is
-//! kept as a spare and the next response of its size class is serialized
-//! into it. What makes that safe is `Arc::get_mut` — a body is cleared
-//! or written only when no replay handle, parked route or sender holds
-//! it. This property drives random schedules of `begin` / `build_body` +
+//! The retry cache recycles: a body that leaves it (acknowledged, evicted,
+//! expired) is kept as a spare and the next response of its size class is
+//! serialized into it. What makes that safe is `Arc::get_mut` — a body is
+//! cleared or written only when no replay handle, parked route or sender
+//! holds it. This property drives random schedules of `begin` (some
+//! acknowledging another key, completed or in flight) / `build_body` +
 //! `complete` (three size classes) / held `Replay` handles / dropped and
 //! offered handles / TTL expiry over a small capacity and byte budget,
-//! against a model that remembers what every completion wrote:
+//! against a model that remembers what every completion wrote (an
+//! acknowledged key may re-execute, which the model allows as it allows
+//! an evicted one):
 //!
 //! * every held handle still equals the bytes it was completed with,
 //!   after every step and when it is finally let go;
@@ -57,8 +60,12 @@ fn run(ops: &[(usize, i64, usize)]) {
     let mut naps = 0;
     for &(kind, seq, size) in ops {
         match kind {
-            // An attempt arrives.
-            0..=3 => match cache.begin((1, seq), || ()) {
+            // An attempt arrives; one in four acknowledges another key.
+            0..=3 => match cache.begin_acking(
+                (1, seq),
+                (kind == 3).then_some((seq + 1 + size as i64) % KEYS),
+                || (),
+            ) {
                 Admission::Execute => {
                     prop_assert!(in_flight.insert(seq), "executed a call in flight");
                 }

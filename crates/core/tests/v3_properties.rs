@@ -112,6 +112,7 @@ proptest! {
             prop_assert_eq!(header.key, key);
             prop_assert_eq!(header.client_id, 0xc11e);
             prop_assert_eq!(header.deadline_budget, budget);
+            prop_assert_eq!(header.ack, None);
             prop_assert!(input.is_empty(), "header must consume exactly its bytes");
         }
     }
@@ -173,7 +174,7 @@ proptest! {
     }
 
     /// The same, aimed: a run of arbitrary vlong fields (seq, retry,
-    /// deadline, method ref, string lengths — every value a peer can put
+    /// deadline, ack, method ref, string lengths — every value a peer can put
     /// there) followed by arbitrary bytes, so hostile lengths actually
     /// reach the string reader instead of dying on the first field.
     #[test]
@@ -218,7 +219,36 @@ proptest! {
                 again.len(),
                 first.len()
             );
-            prop_assert!(again.len() <= 4, "delta-seq interned header stays tiny");
+            prop_assert!(again.len() <= 5, "delta-seq interned header stays tiny");
+        }
+    }
+
+    /// Acknowledgements round-trip in both modes whatever the distance
+    /// between the acked seq and the frame's own — across the i64 wrap
+    /// included — and a frame that acks nothing decodes as `None`.
+    #[test]
+    fn acks_roundtrip_across_seq_wraps(
+        stateful in any::<bool>(),
+        steps in proptest::collection::vec(
+            (any::<i64>(), proptest::option::of(any::<i64>())),
+            1..40,
+        )
+    ) {
+        let key = key_pool()[0];
+        let mut enc = V3Encoder::new(stateful);
+        let mut dec = V3Decoder::new(stateful);
+        let mut seq: i64 = i64::MAX - 3; // a few steps from the wrap
+        for (step, back) in steps {
+            seq = seq.wrapping_add(step);
+            // Acking oneself is what `0` would mean: not an ack.
+            let acked = back.filter(|&back| back != 0).map(|back| seq.wrapping_sub(back));
+            let mut buf: Vec<u8> = Vec::new();
+            enc.write_request_header_acking(&mut buf, seq, 0, None, acked, key).unwrap();
+            let mut input = buf.as_slice();
+            let header = dec.read_request_header(&mut input, 7).unwrap();
+            prop_assert_eq!(header.seq, seq);
+            prop_assert_eq!(header.ack, acked);
+            prop_assert!(input.is_empty());
         }
     }
 }

@@ -178,14 +178,13 @@ impl NnState {
             if pending.contains_key(block) {
                 continue;
             }
-            let live_holders: Vec<u32> = meta
-                .locations
-                .iter()
-                .copied()
-                .filter(|id| live.contains(id))
-                .collect();
-            let missing = self.cfg.replication.saturating_sub(live_holders.len());
-            if missing == 0 {
+            let live_holders = meta.locations.iter().filter(|id| live.contains(id)).count();
+            let missing = self.cfg.replication.saturating_sub(live_holders);
+            // Nothing to place without a live DataNode that holds no
+            // replica yet — every block, when the cluster has fewer
+            // DataNodes than the replication factor. Checked here, so
+            // that no heartbeat builds a placement only to refuse it.
+            if missing == 0 || live.iter().all(|id| meta.locations.contains(id)) {
                 continue;
             }
             // Exclude every current holder (live or not) from targets.
