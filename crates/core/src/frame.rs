@@ -38,7 +38,7 @@
 //! length (Hadoop's `out.writeInt(dataLength)`); on the RDMA transport the
 //! length travels in the completion, so no prefix is needed.
 
-use std::io::{self, Read};
+use std::io;
 use std::time::Duration;
 
 use bufpool::{PoolMem, PooledBuf};
@@ -506,6 +506,7 @@ impl Payload {
             stage: [0u8; READ_STAGE],
             stage_start: 0,
             stage_len: 0,
+            spares: None,
         }
     }
 }
@@ -525,13 +526,32 @@ impl std::fmt::Debug for Payload {
 /// reads fetch through a small local window.
 const READ_STAGE: usize = 512;
 
-/// Reader over a [`Payload`]; implements `Read`, hence `DataInput`.
+/// Where [`PayloadReader::read_len_bytes`](DataInput::read_len_bytes)
+/// may find a buffer for `len` bytes instead of allocating one: handed
+/// `len`, it returns a `Vec` to read into (what it holds is discarded),
+/// or `None`.
+pub type Spares<'a> = &'a mut dyn FnMut(usize) -> Option<Vec<u8>>;
+
+/// Reader over a [`Payload`]. It implements [`DataInput`] itself, not
+/// `Read`, so that a length-prefixed buffer is copied once, from where it
+/// landed, into a `Vec` that is never zero-filled first — and that may be
+/// a spare ([`Self::with_spares`]).
 pub struct PayloadReader<'a> {
     payload: &'a Payload,
     pos: usize,
     stage: [u8; READ_STAGE],
     stage_start: usize,
     stage_len: usize,
+    spares: Option<Spares<'a>>,
+}
+
+impl<'a> PayloadReader<'a> {
+    /// Offer every length-prefixed buffer read from here on to `spares`
+    /// first.
+    pub fn with_spares(mut self, spares: Spares<'a>) -> Self {
+        self.spares = Some(spares);
+        self
+    }
 }
 
 impl PayloadReader<'_> {
@@ -563,16 +583,11 @@ impl PayloadReader<'_> {
     /// them, whatever is checked (a CRC, a length) must be checked on the
     /// copy `f` made — *verify what you keep* — never on a second visit.
     ///
-    /// Inherent, not a `DataInput` method: the blanket
-    /// `impl<R: Read> DataInput for R` admits no override, so a handler
-    /// holding `&mut dyn DataInput` still reads through the stage.
+    /// Generic, so not a `DataInput` method: a handler holding
+    /// `&mut dyn DataInput` reaches it through `read_len_bytes`, which
+    /// this reader overrides to copy through here.
     pub fn with_bytes<R>(&mut self, len: usize, f: impl FnOnce(&[u8]) -> R) -> io::Result<R> {
-        if len > self.remaining() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("{len} bytes announced, {} left", self.remaining()),
-            ));
-        }
+        self.check_remaining(len)?;
         let (start, end) = (self.pos, self.pos + len);
         let out = match self.payload {
             Payload::Owned(v) => f(&v[start..end]),
@@ -584,43 +599,77 @@ impl PayloadReader<'_> {
         self.pos = end;
         Ok(out)
     }
+
+    /// Refuse a read of `len` bytes beyond the payload before anything
+    /// moves or is allocated for it.
+    fn check_remaining(&self, len: usize) -> io::Result<()> {
+        if len > self.remaining() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("{len} bytes announced, {} left", self.remaining()),
+            ));
+        }
+        Ok(())
+    }
 }
 
-impl Read for PayloadReader<'_> {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let n = self.remaining().min(out.len());
-        if n == 0 {
-            return Ok(0);
-        }
+impl DataInput for PayloadReader<'_> {
+    fn read_bytes(&mut self, out: &mut [u8]) -> io::Result<()> {
+        let n = out.len();
+        self.check_remaining(n)?;
         // Registered memory, and where in it the payload starts.
         let (mem, origin) = match self.payload {
             Payload::Owned(v) => {
-                out[..n].copy_from_slice(&v[self.pos..self.pos + n]);
+                out.copy_from_slice(&v[self.pos..self.pos + n]);
                 self.pos += n;
-                return Ok(n);
+                return Ok(());
             }
             Payload::Pooled { buf, .. } => (buf.mem(), 0),
             Payload::InPlace { region, base, .. } => (region, *base),
         };
         if n >= READ_STAGE {
             // Bulk read: bypass the stage.
-            mem.get(origin + self.pos, &mut out[..n]);
+            mem.get(origin + self.pos, out);
             self.pos += n;
-            return Ok(n);
+            return Ok(());
         }
         // Serve from the staged window, refilling as needed.
-        let in_stage = self.pos >= self.stage_start && self.pos < self.stage_start + self.stage_len;
-        if !in_stage {
-            let fill = self.remaining().min(READ_STAGE);
-            mem.get(origin + self.pos, &mut self.stage[..fill]);
-            self.stage_start = self.pos;
-            self.stage_len = fill;
+        let mut done = 0;
+        while done < n {
+            let in_stage =
+                self.pos >= self.stage_start && self.pos < self.stage_start + self.stage_len;
+            if !in_stage {
+                let fill = self.remaining().min(READ_STAGE);
+                mem.get(origin + self.pos, &mut self.stage[..fill]);
+                self.stage_start = self.pos;
+                self.stage_len = fill;
+            }
+            let off = self.pos - self.stage_start;
+            let k = (n - done).min(self.stage_len - off);
+            out[done..done + k].copy_from_slice(&self.stage[off..off + k]);
+            self.pos += k;
+            done += k;
         }
-        let off = self.pos - self.stage_start;
-        let n = n.min(self.stage_len - off);
-        out[..n].copy_from_slice(&self.stage[off..off + n]);
-        self.pos += n;
-        Ok(n)
+        Ok(())
+    }
+
+    /// One copy, from where the bytes landed into a `Vec` of exactly
+    /// their length that is not zero-filled first — a spare, if the
+    /// reader was given some and they have one; the length is checked
+    /// against what the payload holds before anything is allocated.
+    fn read_len_bytes(&mut self) -> io::Result<Vec<u8>> {
+        let len = usize::try_from(self.read_i32()?)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "negative buffer length"))?;
+        self.check_remaining(len)?;
+        let mut buf = self
+            .spares
+            .as_mut()
+            .and_then(|spares| spares(len))
+            .unwrap_or_default();
+        buf.clear();
+        buf.reserve_exact(len);
+        self.with_bytes(len, |bytes| buf.extend_from_slice(bytes))?;
+        Ok(buf)
     }
 }
 
@@ -968,12 +1017,72 @@ mod tests {
         let payload = Payload::Owned(vec![1, 2, 3, 4, 5]);
         let mut reader = payload.reader();
         let mut buf = [0u8; 2];
-        reader.read_exact(&mut buf).unwrap();
+        reader.read_bytes(&mut buf).unwrap();
         assert_eq!(buf, [1, 2]);
         assert_eq!(reader.remaining(), 3);
-        let mut rest = Vec::new();
-        reader.read_to_end(&mut rest).unwrap();
-        assert_eq!(rest, vec![3, 4, 5]);
+        // Four bytes are refused whole, and nothing is consumed.
+        let mut over = [0u8; 4];
+        let err = reader.read_bytes(&mut over).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let mut rest = [0u8; 3];
+        reader.read_bytes(&mut rest).unwrap();
+        assert_eq!(rest, [3, 4, 5]);
+    }
+
+    /// `[i32 len][bytes]`, then `tail`.
+    fn len_bytes_payload(bytes: &[u8], tail: &[u8]) -> Payload {
+        let mut raw: Vec<u8> = Vec::new();
+        raw.write_len_bytes(bytes).unwrap();
+        raw.extend_from_slice(tail);
+        Payload::Owned(raw)
+    }
+
+    #[test]
+    fn len_bytes_are_exact_and_an_overlong_length_is_refused_before_a_spare_is_asked() {
+        let body: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        let payload = len_bytes_payload(&body, &[7]);
+        let mut reader = payload.reader();
+        let got = reader.read_len_bytes().unwrap();
+        assert_eq!((got.len(), got.capacity()), (1000, 1000));
+        assert_eq!(got, body);
+        assert_eq!(reader.read_u8().unwrap(), 7);
+
+        // Nine bytes announcing 2 GiB: no spare is asked for, no byte is
+        // consumed past the length.
+        let mut hostile: Vec<u8> = Vec::new();
+        hostile.write_i32(i32::MAX).unwrap();
+        hostile.extend_from_slice(b"short");
+        let payload = Payload::Owned(hostile);
+        let mut asked = false;
+        let mut spares = |_: usize| {
+            asked = true;
+            None
+        };
+        let mut reader = payload.reader().with_spares(&mut spares);
+        let err = reader.read_len_bytes().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(reader.position(), 4);
+        assert!(!asked);
+    }
+
+    #[test]
+    fn a_spare_shows_none_of_its_old_bytes() {
+        let stale = vec![0xAA; 1500];
+        let block = stale.as_ptr();
+        let mut spare = Some(stale);
+        let mut spares = |len: usize| {
+            assert_eq!(len, 1200);
+            spare.take()
+        };
+        let body = vec![0x42; 1200];
+        let payload = len_bytes_payload(&body, &[]);
+        let got = payload
+            .reader()
+            .with_spares(&mut spares)
+            .read_len_bytes()
+            .unwrap();
+        assert_eq!(got, body);
+        assert_eq!((got.as_ptr(), got.capacity()), (block, 1500));
     }
 
     #[test]

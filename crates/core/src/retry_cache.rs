@@ -87,11 +87,25 @@
 //!   dropped — after it is released: no `Arc<Vec<u8>>` dies in there (a
 //!   256 KiB `free` per bulk completion, or 8192 of them in one `begin`
 //!   after an idle gap). Spares have their own lock, taken at most twice
-//!   per call and never together with the cache mutex, which `begin` and
+//!   per call for its response (twice more for a bulk parameter, below)
+//!   and never together with the cache mutex, which `begin` and
 //!   `complete` remain the only per-call acquisitions of.
 //!
+//! **Parameters are read into spares too.** A parameter that arrived in a
+//! bulk frame is read into the `Vec` of a spare of exactly its length's
+//! class ([`RetryCache::draw_param`]; never the class above, so the
+//! buffer is below twice the length). The spare's emptied `Arc` stays
+//! with the call, and the buffer its reply gives up once serialized goes
+//! back into it and is offered ([`RetryCache::give_back`]): in an echo's
+//! steady state a parameter is read into the buffer the last reply gave
+//! back. A drawn spare leaves the byte budget and is charged again when
+//! it returns. Eager frames draw nothing: a handler that keeps its
+//! parameter (a memstore keeps a put's value) would pin a class-rounded
+//! buffer per small value.
+//!
 //! With `capacity == 0` nothing is cached, acknowledged or evicted: a
-//! response's own buffer, offered once it is sent, is the only spare.
+//! response's own buffer, offered once it is sent, and a reply's, given
+//! back, are the only spares.
 //!
 //! The cache is generic over the waiter payload `W` (the server parks
 //! `(connection, response-routing)` tuples; unit tests park `()`).
@@ -204,6 +218,11 @@ impl Leaving {
         }
     }
 }
+
+/// A call's claim on the spare its parameter was read into
+/// ([`RetryCache::draw_param`]): the spare's emptied `Arc`, or — no spare
+/// was idle — the parameter's length.
+pub struct ParamDraw(Result<Body, usize>);
 
 /// What the cache retains, for tests and observability (see
 /// [`RetryCache::retention`]).
@@ -468,7 +487,7 @@ impl<W> RetryCache<W> {
                 buf.shrink_to_fit();
             }
         };
-        if let Some(mut spare) = self.take_spare(hint) {
+        if let Some(mut spare) = self.take_spare(hint, 2) {
             // Unique when it was filed and unseen since; `get_mut` says
             // so again, and is the only way in.
             if let Some(buf) = Arc::get_mut(&mut spare) {
@@ -507,6 +526,44 @@ impl<W> RetryCache<W> {
         drop(spares);
     }
 
+    /// A buffer to read a `len`-byte parameter into: the `Vec` of an idle
+    /// spare of exactly `len`'s size class (never the class above, so its
+    /// capacity is below twice `len`), cleared and held by nobody else.
+    /// The returned [`ParamDraw`] stays with the call until
+    /// [`RetryCache::give_back`]. The spare leaves the byte budget here
+    /// and is charged again when it comes back; it is not a body, so
+    /// nothing is in flight.
+    pub fn draw_param(&self, len: usize) -> (ParamDraw, Option<Vec<u8>>) {
+        match self.take_spare(len, 1) {
+            Some(mut shell) => {
+                let buf = Arc::get_mut(&mut shell).map(std::mem::take);
+                (ParamDraw(Ok(shell)), buf)
+            }
+            None => (ParamDraw(Err(len)), None),
+        }
+    }
+
+    /// File the buffer a call's reply gave up as a spare, in the `Arc`
+    /// its parameter was drawn from. A draw that found no spare had its
+    /// buffer allocated; when the reply's buffer is of the class it
+    /// looked in, it is filed behind a new `Arc` — the only allocation
+    /// here, on a miss only, and how a class is first stocked: a response
+    /// body is a few bytes longer than the value it carries, so it seldom
+    /// lands in its parameter's exact class.
+    pub fn give_back(&self, draw: ParamDraw, buf: Vec<u8>) {
+        match draw.0 {
+            Ok(mut shell) => {
+                if let Some(slot) = Arc::get_mut(&mut shell) {
+                    *slot = buf;
+                    self.offer(shell);
+                }
+            }
+            Err(len) if class_for(buf.capacity()) == class_for(len) => {
+                self.offer(Arc::new(buf));
+            }
+            Err(_) => {}
+        }
+    }
     /// What the cache retains right now. Walks every entry under the
     /// cache mutex: for tests and observability, not for a hot path.
     #[doc(hidden)]
@@ -527,20 +584,19 @@ impl<W> RetryCache<W> {
         r
     }
 
-    /// An idle spare of `hint`'s size class or, that class empty, of the
-    /// one above: where a body that outgrew its buffer while it was
-    /// written lands (the `Vec` doubles it past its class), while the
-    /// next hint, its own length, is back below.
-    fn take_spare(&self, hint: usize) -> Option<Body> {
+    /// An idle spare of `hint`'s size class or, that class empty, of one
+    /// of the `classes - 1` above it. A body looks one class up (2): that
+    /// is where a body that outgrew its buffer while it was written lands
+    /// (the `Vec` doubles it past its class), while the next hint, its
+    /// own length, is back below. A parameter looks in its own (1).
+    fn take_spare(&self, hint: usize, classes: usize) -> Option<Body> {
         let class = class_for(hint);
         if class >= SPARE_CLASSES {
             return None;
         }
         let spare = {
             let mut spares = self.spares.lock();
-            spares[class]
-                .pop()
-                .or_else(|| spares.get_mut(class + 1)?.pop())
+            (class..class + classes).find_map(|c| spares.get_mut(c)?.pop())
         }?;
         self.retained.fetch_sub(spare.capacity(), Ordering::Relaxed);
         Some(spare)
@@ -928,6 +984,39 @@ mod tests {
         assert_eq!(next.as_ptr(), block);
         let c = metrics.counters();
         assert_eq!((c.resp_bodies_reused, c.resp_bodies_fresh), (1, 1));
+    }
+
+    #[test]
+    fn a_parameter_is_read_into_a_spare_of_its_exact_class_and_given_back() {
+        let (cache, _) = cache(Duration::from_secs(60), 4);
+        let cache = cache.with_byte_budget(10_000);
+        // Only the class above is stocked: a parameter never takes it.
+        cache.offer(roomy(1_500, 1_500));
+        let (draw, buf) = cache.draw_param(1_000);
+        assert!(buf.is_none());
+        // A miss stocks only the class it missed in, with the buffer the
+        // reply gives back.
+        cache.give_back(draw, Vec::with_capacity(5_000));
+        assert_eq!(cache.retention().spares, 1);
+        let (draw, buf) = cache.draw_param(1_000);
+        assert!(buf.is_none());
+        cache.give_back(draw, Vec::with_capacity(1_000));
+        let kept = cache.retention();
+        assert_eq!((kept.spares, kept.spare_capacity), (2, 2_500));
+
+        // A hit: the spare's buffer, cleared, out of the budget while the
+        // call has it; whatever the reply gives back goes into its `Arc`.
+        let (draw, buf) = cache.draw_param(1_000);
+        let buf = buf.expect("a spare of the class");
+        assert!(buf.is_empty() && buf.capacity() == 1_000);
+        assert_eq!(cache.retention().spare_capacity, 1_500);
+        let mut reply = buf;
+        reply.resize(900, 0xAA);
+        cache.give_back(draw, reply);
+        let kept = cache.retention();
+        assert_eq!((kept.spares, kept.spare_capacity), (2, 2_500));
+        let (_, again) = cache.draw_param(900);
+        assert_eq!(again.map(|b| (b.len(), b.capacity())), Some((0, 1_000)));
     }
 
     #[test]

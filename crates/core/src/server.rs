@@ -146,7 +146,8 @@
 //! if `Arc::get_mut` finds nobody still holding it. Every holder offers
 //! the body when it lets go — the sender once it is sent, too — so the
 //! last one files it. Steady state, the server's call path allocates
-//! nothing of its own. See [`crate::retry_cache`] for the rules.
+//! nothing of its own, and a bulk parameter is read into a spare as well
+//! ([`call_frame`]). See [`crate::retry_cache`] for the rules.
 //!
 //! Shutdown comes in two flavors: [`Server::stop`] (abrupt — close
 //! everything now) and [`Server::drain`] (graceful — stop accepting,
@@ -176,7 +177,7 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase, ShardRole, ShardSt
 use crate::readiness::{
     token, token_gen, token_slot, Pop, ReadyQueue, TakeoverHook, WakeState, TOKEN_REGISTER,
 };
-use crate::retry_cache::{Admission, Retention, RetryCache};
+use crate::retry_cache::{Admission, ParamDraw, Retention, RetryCache};
 use crate::sched::{HandlerCx, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
 use crate::transport::rdma::{IbContext, RdmaConn};
@@ -1757,6 +1758,15 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
 /// not evacuate: see [`crate::transport::rdma`] for why that cannot
 /// deadlock.
 ///
+/// **The parameter's buffer.** A request that arrived as a bulk frame
+/// reads its first buffer longer than an eager frame into a spare of the
+/// retry cache ([`RetryCache::draw_param`]); the spare's emptied `Arc`
+/// stays with the call, and once the result is serialized the buffer the
+/// reply gives up ([`Writable::take_buffer`]) goes back into it
+/// ([`RetryCache::give_back`]). An echo's parameter is thus read into the
+/// buffer the last reply gave back. An eager frame draws nothing, and
+/// allocates as it always did.
+///
 /// The poll that completes serializes once, answers from the worker it
 /// ran on ([`ServerInner::respond`]) and releases the tenant's admission
 /// quota.
@@ -1771,6 +1781,7 @@ fn call_frame(
     // Handler-phase time is the sum of the call's *running* slices;
     // parked time is charged to nobody — that is the point.
     let mut handler_ns: u64 = 0;
+    let mut param: Option<ParamDraw> = None;
     move |cx: &mut TaskCx<'_>| {
         let c = call.as_mut().expect("call polled after completion");
         let entry = inner.metrics.entry(c.header.key);
@@ -1781,11 +1792,23 @@ fn call_frame(
             );
         }
         let poll_start = Instant::now();
+        // The call's one draw: its first buffer longer than an eager frame.
+        let mut draw = |len: usize| {
+            if len <= inner.cfg.rdma_threshold || param.is_some() {
+                return None;
+            }
+            let (claim, buf) = inner.retry_cache.draw_param(len);
+            param = Some(claim);
+            buf
+        };
         let mut reader = c.payload.reader();
+        if matches!(c.payload, Payload::InPlace { .. }) {
+            reader = reader.with_spares(&mut draw);
+        }
         reader.skip(c.body_offset);
         let mut hcx = HandlerCx::new(cx, &mut stash);
         let (protocol, method) = (c.header.protocol(), c.header.method());
-        let Some(result) = inner
+        let Some(mut result) = inner
             .registry
             .dispatch(protocol, method, &mut reader, &mut hcx)
         else {
@@ -1804,6 +1827,11 @@ fn call_frame(
         } = call.take().expect("taken once");
         drop(payload);
         let body = inner.serialize_response(header.key, &result);
+        if let (Some(claim), Ok(value)) = (param.take(), &mut result) {
+            if let Some(buf) = value.take_buffer() {
+                inner.retry_cache.give_back(claim, buf);
+            }
+        }
         handler_ns += poll_start.elapsed().as_nanos() as u64;
         entry.record_phase(Phase::Handler, handler_ns);
         inner.respond(conn, header, body);

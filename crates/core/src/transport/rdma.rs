@@ -1386,7 +1386,7 @@ mod tests {
         assert_eq!(got.len(), payload.len());
         let mut reader = got.reader();
         let mut out = vec![0u8; payload.len()];
-        std::io::Read::read_exact(&mut reader, &mut out).unwrap();
+        reader.read_bytes(&mut out).unwrap();
         assert_eq!(out, payload);
     }
 
@@ -1918,7 +1918,7 @@ mod tests {
         cli.send_msg(key, &mut |out| out.write_bytes(&[9u8; 150_000]))
             .unwrap();
         let mut got = vec![0u8; first.len()];
-        std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+        payload.reader().read_bytes(&mut got).unwrap();
         assert_eq!(got, first);
     }
 
@@ -1953,7 +1953,7 @@ mod tests {
                 .rdma_write(&state.header_mr, 0, 8, cli.peer_rkey, 3 << 20, None)
         };
         let mut got = vec![0u8; body.len()];
-        std::io::Read::read_exact(&mut held.reader(), &mut got).unwrap();
+        held.reader().read_bytes(&mut got).unwrap();
         assert_eq!(got, body);
         assert_eq!(probe(&cli), Ok(()));
         drop(held);
@@ -2198,7 +2198,7 @@ mod tests {
             let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
             assert_eq!(payload.len(), want.len());
             let mut got = vec![0u8; want.len()];
-            std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+            payload.reader().read_bytes(&mut got).unwrap();
             assert_eq!(&got, want);
         }
         assert!(!srv.poll_ready(), "stash fully drained");
@@ -2219,7 +2219,7 @@ mod tests {
             let (payload, _) = srv.recv_msg(Duration::from_secs(5)).unwrap();
             assert_eq!(payload.len(), want.len());
             let mut got = vec![0u8; want.len()];
-            std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+            payload.reader().read_bytes(&mut got).unwrap();
             assert_eq!(&got, want, "ordering drifted around the large frame");
         }
     }

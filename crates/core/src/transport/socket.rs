@@ -765,7 +765,7 @@ mod tests {
         h.join().unwrap();
         let mut reader = got.reader();
         let mut out = vec![0u8; payload.len()];
-        std::io::Read::read_exact(&mut reader, &mut out).unwrap();
+        reader.read_bytes(&mut out).unwrap();
         assert_eq!(out, payload);
     }
 
@@ -779,7 +779,7 @@ mod tests {
             let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
             assert_eq!(payload.len(), want.len());
             let mut got = vec![0u8; want.len()];
-            std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+            payload.reader().read_bytes(&mut got).unwrap();
             assert_eq!(&got, want);
         }
     }
@@ -795,7 +795,7 @@ mod tests {
         .unwrap();
         let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
         let mut got = vec![0u8; 4];
-        std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+        payload.reader().read_bytes(&mut got).unwrap();
         assert_eq!(got, [0xAA, 1, 2, 3], "lead precedes body in one frame");
     }
 
@@ -812,7 +812,7 @@ mod tests {
         let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
         assert_eq!(payload.len(), 102);
         let mut got = vec![0u8; 102];
-        std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+        payload.reader().read_bytes(&mut got).unwrap();
         assert_eq!(&got[..100], &lead[..]);
         assert_eq!(&got[100..], &[7, 8]);
     }
@@ -843,7 +843,7 @@ mod tests {
             let t = reader.read_u8().unwrap();
             let i = reader.read_u8().unwrap();
             let mut body = vec![0u8; 100];
-            std::io::Read::read_exact(&mut reader, &mut body).unwrap();
+            reader.read_bytes(&mut body).unwrap();
             assert!(body.iter().all(|&b| b == t ^ i), "frame corrupted");
         }
         for h in handles {
@@ -858,7 +858,7 @@ mod tests {
         cli.send_serialized(key, &[0xAA, 0xBB], &[1, 2, 3]).unwrap();
         let (payload, _) = srv.recv_msg(Duration::from_secs(1)).unwrap();
         let mut got = vec![0u8; 5];
-        std::io::Read::read_exact(&mut payload.reader(), &mut got).unwrap();
+        payload.reader().read_bytes(&mut got).unwrap();
         assert_eq!(got, [0xAA, 0xBB, 1, 2, 3]);
 
         // Racing ordinary senders: whichever path a frame takes (borrowed
@@ -884,7 +884,7 @@ mod tests {
             let (payload, _) = srv.recv_msg(Duration::from_secs(5)).unwrap();
             assert_eq!(payload.len(), 202);
             let mut frame = vec![0u8; 202];
-            std::io::Read::read_exact(&mut payload.reader(), &mut frame).unwrap();
+            payload.reader().read_bytes(&mut frame).unwrap();
             let (t, i) = (frame[0], frame[1]);
             assert!(frame[2..].iter().all(|&b| b == t ^ i), "frame corrupted");
         }
@@ -930,7 +930,7 @@ mod tests {
             let mut reader = payload.reader();
             let tag = reader.read_u8().unwrap();
             let mut body = vec![0u8; 499];
-            std::io::Read::read_exact(&mut reader, &mut body).unwrap();
+            reader.read_bytes(&mut body).unwrap();
             assert!(
                 body.iter().all(|&b| b == tag),
                 "frame interleaving detected"

@@ -173,9 +173,10 @@ fn deliver(slots: usize, senders: usize, lens: &[usize], seed: u64) -> Vec<Vec<u
 
 /// Every byte of a received frame.
 fn read_all(payload: &Payload) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(payload.len());
-    std::io::Read::read_to_end(&mut payload.reader(), &mut bytes).unwrap();
-    bytes
+    payload
+        .reader()
+        .with_bytes(payload.len(), <[u8]>::to_vec)
+        .unwrap()
 }
 
 /// A frame length whose footprint (8-byte header included) spans exactly

@@ -14,6 +14,12 @@
 //! it pleases. (A file of its own because the largest-allocation
 //! allocator below is process-wide: a neighbouring test's quarter-megabyte
 //! body would trip it.)
+//!
+//! The same allocator counts what one thread allocates, which is how the
+//! reader's own cases are checked on a bare verbs connection: a
+//! length-prefixed buffer costs one allocation of exactly its length from
+//! any payload, a length beyond the frame costs nothing it sized, and a
+//! recycled spare shows none of its old bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,13 +31,16 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rpcoib::intern::method_key;
+use rpcoib::metrics::MetricsRegistry;
+use rpcoib::transport::rdma::RdmaConn;
+use rpcoib::transport::Conn;
 use rpcoib::{handshake, Client, RpcConfig, RpcService, Server, ServiceRegistry};
-use rpcoib::{V3Decoder, V3Encoder};
+use rpcoib::{IbContext, Payload, RetryCache, V3Decoder, V3Encoder};
 use simnet::{
     model, CompletionKind, Fabric, MemoryRegion, QpEndpoint, QueuePair, RdmaDevice, RemoteKey,
-    SimAddr, SimStream, VerbsError,
+    SimAddr, SimListener, SimStream, VerbsError,
 };
-use wire::{BytesWritable, DataInput, LongWritable, Writable};
+use wire::{BytesWritable, DataInput, DataOutput, LongWritable, Writable};
 
 /// Records the largest request any thread but an exempt one makes.
 struct LargestAlloc;
@@ -41,6 +50,8 @@ static LARGEST: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// The hostile peer's own thread: its regions are the test's cost.
     static EXEMPT: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations and their bytes, while [`tally`] runs.
+    static TALLY: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
 fn note_alloc(size: usize) {
@@ -48,6 +59,19 @@ fn note_alloc(size: usize) {
     if !EXEMPT.try_with(Cell::get).unwrap_or(true) {
         LARGEST.fetch_max(size, Ordering::Relaxed);
     }
+    let _ = TALLY.try_with(|tally| {
+        if let Some((n, bytes)) = tally.get() {
+            tally.set(Some((n + 1, bytes + size)));
+        }
+    });
+}
+
+/// `f`'s result, and how many allocations of how many bytes in all this
+/// thread made running it.
+fn tally<R>(f: impl FnOnce() -> R) -> (R, (usize, usize)) {
+    TALLY.with(|tally| tally.set(Some((0, 0))));
+    let result = f();
+    (result, TALLY.with(Cell::take).expect("set above"))
 }
 
 unsafe impl GlobalAlloc for LargestAlloc {
@@ -149,12 +173,11 @@ impl RawPeer {
 
     /// RDMA-write `bytes` at `offset` of the server's region, announced
     /// as a one-slot bulk frame at `slot` if `announce`.
-    fn write(&self, bytes: &[u8], offset: usize, announce: Option<u32>) {
+    fn write(&self, bytes: &[u8], offset: usize, announce: Option<u32>) -> Result<(), VerbsError> {
         self.stage.write_at(0, bytes).unwrap();
         let imm = announce.map(|slot| IMM_LARGE | (slot << 8) | (1 << 20));
         self.qp
             .rdma_write(&self.stage, 0, bytes.len(), self.server_rkey, offset, imm)
-            .unwrap();
     }
 
     /// The next response the server sends this peer, if one comes within
@@ -305,11 +328,16 @@ proptest! {
             for &(at, bytes) in &spots {
                 frame[at..at + bytes.len()].copy_from_slice(bytes);
             }
-            peer.write(&frame, base, Some(slot));
+            peer.write(&frame, base, Some(slot)).unwrap();
         } else {
-            peer.write(&frame, base, Some(slot));
+            peer.write(&frame, base, Some(slot)).unwrap();
             for &(at, bytes) in &spots {
-                peer.write(bytes, base + at, None);
+                // An earlier rewrite may already have had the connection
+                // forfeited, its region deregistered (`BadRemoteKey`):
+                // the rest have nowhere to land.
+                if peer.write(bytes, base + at, None).is_err() {
+                    break;
+                }
             }
         }
 
@@ -341,4 +369,133 @@ proptest! {
         );
         drop(peer);
     }
+}
+
+/// A bare verbs connection pair — a sender and a receiver, no server —
+/// whose frames longer than `rdma_threshold` bytes go bulk and arrive in
+/// place. Set up on threads exempt from the largest-allocation check:
+/// each end registers its regions.
+fn conn_pair(rdma_threshold: usize) -> (RdmaConn, RdmaConn) {
+    simnet::set_fast_forward(true);
+    EXEMPT.with(|e| e.set(true));
+    let cfg = RpcConfig {
+        large_region_bytes: 256 * 1024,
+        rdma_threshold,
+        ..RpcConfig::rpcoib()
+    };
+    let fabric = Fabric::new(model::IB_QDR_VERBS);
+    let (server, client) = (fabric.add_node(), fabric.add_node());
+    let srv_ctx = IbContext::new(&fabric, server, &cfg).unwrap();
+    let cli_ctx = IbContext::new(&fabric, client, &cfg).unwrap();
+    let addr = SimAddr::new(server, 9100);
+    let listener = SimListener::bind(&fabric, addr).unwrap();
+    let cli_cfg = cfg.clone();
+    let cli = std::thread::spawn(move || {
+        EXEMPT.with(|e| e.set(true));
+        let stream = SimStream::connect(&fabric, client, addr).unwrap();
+        RdmaConn::bootstrap(&stream, &cli_ctx, &cli_cfg).unwrap()
+    });
+    let (stream, _) = listener.accept().unwrap();
+    let srv = RdmaConn::bootstrap(&stream, &srv_ctx, &cfg).unwrap();
+    (cli.join().unwrap(), srv)
+}
+
+/// Send `frame` from `cli` and receive it on `srv`.
+fn carry(cli: &RdmaConn, srv: &RdmaConn, frame: &[u8]) -> Payload {
+    cli.send_msg(method_key("hostile.Reader", "frame"), &mut |out| {
+        out.write_bytes(frame)
+    })
+    .unwrap();
+    srv.recv_msg(Duration::from_secs(10)).unwrap().0
+}
+
+/// `[i32 len][bytes]`.
+fn len_bytes(bytes: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.write_len_bytes(bytes).unwrap();
+    frame
+}
+
+#[test]
+fn len_bytes_cost_one_allocation_of_their_length_from_any_payload() {
+    let (cli, srv) = conn_pair(4096);
+    let small: Vec<u8> = (0..1_000u32).map(|i| i as u8).collect();
+    let large: Vec<u8> = (0..40_000u32).map(|i| (i * 7) as u8).collect();
+    let owned = Payload::Owned(len_bytes(&small));
+    let pooled = carry(&cli, &srv, &len_bytes(&small));
+    let in_place = carry(&cli, &srv, &len_bytes(&large));
+    assert!(matches!(pooled, Payload::Pooled { .. }), "{pooled:?}");
+    assert!(matches!(in_place, Payload::InPlace { .. }), "{in_place:?}");
+    for (payload, body) in [(&owned, &small), (&pooled, &small), (&in_place, &large)] {
+        let (got, allocs) = tally(|| payload.reader().read_len_bytes().unwrap());
+        assert_eq!(got, *body, "{payload:?}");
+        assert_eq!(allocs, (1, body.len()), "{payload:?}");
+        assert_eq!(got.capacity(), body.len(), "{payload:?}");
+    }
+}
+
+#[test]
+fn a_length_beyond_the_frame_sizes_nothing() {
+    // A 9-byte bulk frame that announces 2 GiB.
+    let (cli, srv) = conn_pair(8);
+    let mut frame = Vec::new();
+    frame.write_i32(i32::MAX).unwrap();
+    frame.extend_from_slice(b"short");
+    let payload = carry(&cli, &srv, &frame);
+    assert!(
+        matches!(payload, Payload::InPlace { len: 9, .. }),
+        "{payload:?}"
+    );
+    let mut asked = 0;
+    let mut spares = |_: usize| {
+        asked += 1;
+        None
+    };
+    let (err, (_, bytes)) = tally(|| {
+        payload
+            .reader()
+            .with_spares(&mut spares)
+            .read_len_bytes()
+            .unwrap_err()
+    });
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert_eq!(asked, 0, "a spare was asked for an impossible length");
+    // The error's own message is all that was allocated.
+    assert!(bytes < 128, "a refused length cost {bytes} bytes");
+}
+
+#[test]
+fn a_recycled_spare_shows_none_of_its_old_bytes() {
+    let (cli, srv) = conn_pair(4096);
+    let cache: RetryCache<()> =
+        RetryCache::new(Duration::from_secs(60), 16, MetricsRegistry::new(false));
+    // The last reply gave back 60 000 bytes of 0xAA, after its parameter
+    // found no spare of the class.
+    let (claim, none) = cache.draw_param(60_000);
+    assert!(none.is_none());
+    let stale = vec![0xAA; 60_000];
+    let block = stale.as_ptr();
+    cache.give_back(claim, stale);
+    // A shorter parameter of the same size class is read into it.
+    let param: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+    let payload = carry(&cli, &srv, &len_bytes(&param));
+    let mut claim = None;
+    let mut spares = |len: usize| {
+        let (drawn, buf) = cache.draw_param(len);
+        claim = Some(drawn);
+        buf
+    };
+    let (got, allocs) = tally(|| {
+        payload
+            .reader()
+            .with_spares(&mut spares)
+            .read_len_bytes()
+            .unwrap()
+    });
+    assert_eq!(got, param);
+    assert_eq!(got.len(), param.len());
+    assert!(got.capacity() < 2 * param.len(), "{}", got.capacity());
+    assert_eq!(got.as_ptr(), block, "read into the spare");
+    assert_eq!(allocs, (0, 0));
+    assert!(claim.is_some());
 }

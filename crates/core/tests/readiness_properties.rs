@@ -161,8 +161,10 @@ fn drain_conn(
         }
         match conn.recv_msg(Duration::from_millis(200)) {
             Ok((payload, _)) => {
-                let mut bytes = Vec::with_capacity(payload.len());
-                std::io::Read::read_to_end(&mut payload.reader(), &mut bytes).unwrap();
+                let bytes = payload
+                    .reader()
+                    .with_bytes(payload.len(), <[u8]>::to_vec)
+                    .unwrap();
                 progress = true;
                 if bytes == SENTINEL {
                     *done = true;

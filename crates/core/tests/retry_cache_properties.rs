@@ -7,10 +7,10 @@
 //! holds it. This property drives random schedules of `begin` (some
 //! acknowledging another key, completed or in flight) / `build_body` +
 //! `complete` (three size classes) / held `Replay` handles / dropped and
-//! offered handles / TTL expiry over a small capacity and byte budget,
-//! against a model that remembers what every completion wrote (an
-//! acknowledged key may re-execute, which the model allows as it allows
-//! an evicted one):
+//! offered handles / TTL expiry / parameters read into spares and given
+//! back over a small capacity and byte budget, against a model that
+//! remembers what every completion wrote (an acknowledged key may
+//! re-execute, which the model allows as it allows an evicted one):
 //!
 //! * every held handle still equals the bytes it was completed with,
 //!   after every step and when it is finally let go;
@@ -19,15 +19,18 @@
 //! * what the cache retains — entries plus idle spares, by `capacity()` —
 //!   never exceeds the byte budget, and no class idles more than
 //!   [`SPARES_PER_CLASS`] spares;
-//! * offering a body somebody else still holds files nothing.
+//! * offering a body somebody else still holds files nothing;
+//! * a parameter's buffer is cleared, of its length's own class, and no
+//!   held handle's: the parameter written into it rewrites nothing held.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bufpool::classes::class_for;
 use proptest::prelude::*;
 use rpcoib::metrics::MetricsRegistry;
-use rpcoib::retry_cache::{Admission, RetryCache, SPARES_PER_CLASS};
+use rpcoib::retry_cache::{Admission, ParamDraw, RetryCache, SPARES_PER_CLASS};
 
 const CAPACITY: usize = 4;
 /// Room for two of the largest bodies and change: the byte bound and the
@@ -56,6 +59,7 @@ fn run(ops: &[(usize, i64, usize)]) {
     let mut in_flight: HashSet<i64> = HashSet::new();
     let mut done: HashMap<i64, Vec<u8>> = HashMap::new();
     let mut held: Vec<Held> = Vec::new();
+    let mut params: Vec<(ParamDraw, Vec<u8>)> = Vec::new();
     let mut stamp = 0u64;
     let mut naps = 0;
     for &(kind, seq, size) in ops {
@@ -109,6 +113,30 @@ fn run(ops: &[(usize, i64, usize)]) {
                 naps += 1;
                 std::thread::sleep(TTL + Duration::from_millis(1));
             }
+            // A parameter is read into a spare, or a buffer of its own.
+            10 => {
+                let len = SIZES[size];
+                let (claim, buf) = cache.draw_param(len);
+                let mut buf = match buf {
+                    Some(buf) => {
+                        prop_assert!(buf.is_empty(), "a spare kept {} bytes", buf.len());
+                        prop_assert_eq!(class_for(buf.capacity()), class_for(len));
+                        prop_assert!(
+                            held.iter().all(|h| h.handle.as_ptr() != buf.as_ptr()),
+                            "drew a buffer a handle holds"
+                        );
+                        buf
+                    }
+                    None => Vec::with_capacity(len),
+                };
+                buf.resize(len, 0xEE);
+                params.push((claim, buf));
+            }
+            // Its call's reply gives the buffer back.
+            11 if !params.is_empty() => {
+                let (claim, buf) = params.swap_remove(seq as usize % params.len());
+                cache.give_back(claim, buf);
+            }
             _ => {}
         }
         for h in &held {
@@ -125,6 +153,9 @@ fn run(ops: &[(usize, i64, usize)]) {
     }
     // Let go one by one, offering each: the last holder of a body the
     // cache has dropped makes it a spare, which must not disturb the rest.
+    for (claim, buf) in params {
+        cache.give_back(claim, buf);
+    }
     while let Some(h) = held.pop() {
         prop_assert_eq!(&*h.handle, &h.expected);
         cache.offer(h.handle);
@@ -142,7 +173,7 @@ proptest! {
 
     #[test]
     fn held_bodies_are_never_rewritten_and_the_budget_holds(
-        ops in proptest::collection::vec((0usize..10, 0i64..KEYS, 0usize..3), 20..160),
+        ops in proptest::collection::vec((0usize..12, 0i64..KEYS, 0usize..3), 20..160),
     ) {
         run(&ops);
     }

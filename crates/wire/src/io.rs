@@ -6,6 +6,12 @@
 //! `Vec<u8>`, the Algorithm-1 [`crate::DataOutputBuffer`], a socket stream,
 //! or the RPCoIB `RdmaOutputStream` — exactly the interface-compatibility
 //! trick the paper uses to slide RDMA streams under unmodified RPC code.
+//!
+//! A blanket impl admits no override, so a reader that can do better than
+//! its provided methods is not a `Read`: it implements `DataInput` itself.
+//! The RPC engine's reader over registered memory does, to copy a
+//! length-prefixed buffer once, where it landed, into a buffer it may
+//! have recycled ([`DataInput::read_len_bytes`]).
 
 use std::io::{self, Read, Write};
 

@@ -14,7 +14,13 @@
 use std::io;
 
 use crate::io::{DataInput, DataOutput};
-use crate::types::Writable;
+use crate::types::{read_elements, Writable};
+
+/// Deepest nesting of arrays a reader decodes. Each level is a stack
+/// frame on whichever thread reads a peer's bytes, for about seven of
+/// those bytes (`\x05array\x01`): unbounded, a few hundred kilobytes
+/// overflow that thread's stack and abort the process.
+pub const MAX_NESTING: usize = 64;
 
 /// A dynamically typed `Writable` value.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -78,33 +84,44 @@ impl Writable for ObjectWritable {
     }
 
     fn read_fields(&mut self, input: &mut dyn DataInput) -> io::Result<()> {
-        let type_name = input.read_string()?;
-        *self = match type_name.as_str() {
-            "null" => ObjectWritable::Null,
-            "boolean" => ObjectWritable::Boolean(input.read_bool()?),
-            "byte" => ObjectWritable::Byte(input.read_i8()?),
-            "int" => ObjectWritable::Int(input.read_i32()?),
-            "long" => ObjectWritable::Long(input.read_i64()?),
-            "float" => ObjectWritable::Float(input.read_f32()?),
-            "double" => ObjectWritable::Double(input.read_f64()?),
-            "org.apache.hadoop.io.Text" => ObjectWritable::Text(input.read_string()?),
-            "org.apache.hadoop.io.BytesWritable" => ObjectWritable::Bytes(input.read_len_bytes()?),
-            "array" => {
-                // The wire form of `Vec<ObjectWritable>`, count bounded
-                // as there.
-                let mut items = Vec::new();
-                items.read_fields(input)?;
-                ObjectWritable::Array(items)
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown ObjectWritable type: {other}"),
-                ))
-            }
-        };
+        *self = read_nested(input, 0)?;
         Ok(())
     }
+}
+
+/// Read one value that sits inside `depth` arrays.
+fn read_nested(input: &mut dyn DataInput, depth: usize) -> io::Result<ObjectWritable> {
+    let type_name = input.read_string()?;
+    Ok(match type_name.as_str() {
+        "null" => ObjectWritable::Null,
+        "boolean" => ObjectWritable::Boolean(input.read_bool()?),
+        "byte" => ObjectWritable::Byte(input.read_i8()?),
+        "int" => ObjectWritable::Int(input.read_i32()?),
+        "long" => ObjectWritable::Long(input.read_i64()?),
+        "float" => ObjectWritable::Float(input.read_f32()?),
+        "double" => ObjectWritable::Double(input.read_f64()?),
+        "org.apache.hadoop.io.Text" => ObjectWritable::Text(input.read_string()?),
+        "org.apache.hadoop.io.BytesWritable" => ObjectWritable::Bytes(input.read_len_bytes()?),
+        "array" if depth == MAX_NESTING => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("ObjectWritable arrays nested deeper than {MAX_NESTING}"),
+            ))
+        }
+        "array" => {
+            // The wire form of `Vec<ObjectWritable>`, count bounded as
+            // there.
+            let mut items = Vec::new();
+            read_elements(input, &mut items, |input| read_nested(input, depth + 1))?;
+            ObjectWritable::Array(items)
+        }
+        other => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown ObjectWritable type: {other}"),
+            ))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -139,6 +156,39 @@ mod tests {
             ObjectWritable::Null,
         ]));
         roundtrip(ObjectWritable::Array(Vec::new()));
+    }
+
+    /// `value` inside `depth` one-element arrays.
+    fn nest(depth: usize, value: ObjectWritable) -> ObjectWritable {
+        (0..depth).fold(value, |inner, _| ObjectWritable::Array(vec![inner]))
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        roundtrip(nest(MAX_NESTING, ObjectWritable::Int(1)));
+        let deeper = to_bytes(&nest(MAX_NESTING + 1, ObjectWritable::Null)).unwrap();
+        let err = from_bytes::<ObjectWritable>(&deeper).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_hundred_thousand_levels_are_refused_not_a_stack_overflow() {
+        // Seven bytes a level, written by hand: the encoder recurses too.
+        let level = {
+            let mut level: Vec<u8> = Vec::new();
+            crate::io::DataOutput::write_string(&mut level, "array").unwrap();
+            crate::io::DataOutput::write_vint(&mut level, 1).unwrap();
+            level
+        };
+        assert_eq!(level.len(), 7);
+        let bytes = level.repeat(100_000);
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || from_bytes::<ObjectWritable>(&bytes).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("the decoding thread survived");
+        assert_eq!(decoded.unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -16,6 +16,14 @@ pub trait Writable {
     fn write(&self, out: &mut dyn DataOutput) -> io::Result<()>;
     /// Replace `self`'s fields with deserialized values from `input`.
     fn read_fields(&mut self, input: &mut dyn DataInput) -> io::Result<()>;
+
+    /// Hand over the byte buffer this value holds, once it is serialized
+    /// and will not be read again: the RPC server files a reply's buffer
+    /// as a spare for the next parameter of its size. `None` for a value
+    /// that holds none.
+    fn take_buffer(&mut self) -> Option<Vec<u8>> {
+        None
+    }
 }
 
 macro_rules! wrapper_writable {
@@ -137,6 +145,9 @@ impl Writable for BytesWritable {
         self.0 = input.read_len_bytes()?;
         Ok(())
     }
+    fn take_buffer(&mut self) -> Option<Vec<u8>> {
+        Some(std::mem::take(&mut self.0))
+    }
 }
 
 impl From<Vec<u8>> for BytesWritable {
@@ -230,19 +241,29 @@ impl<T: Writable + Default> Writable for Vec<T> {
         Ok(())
     }
     fn read_fields(&mut self, input: &mut dyn DataInput) -> io::Result<()> {
-        let n = usize::try_from(input.read_vint()?)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "negative element count"))?;
-        self.clear();
-        // On the peer's word, what `LEN_BYTES_ON_TRUST` holds of `T`;
-        // past that the vector grows as its elements arrive.
-        self.reserve(n.min(LEN_BYTES_ON_TRUST / size_of::<T>().max(1)));
-        for _ in 0..n {
+        read_elements(input, self, |input| {
             let mut item = T::default();
-            item.read_fields(input)?;
-            self.push(item);
-        }
-        Ok(())
+            item.read_fields(input).map(|()| item)
+        })
     }
+}
+
+/// Read a vint element count into `items`, each element by `read`.
+pub(crate) fn read_elements<T>(
+    input: &mut dyn DataInput,
+    items: &mut Vec<T>,
+    mut read: impl FnMut(&mut dyn DataInput) -> io::Result<T>,
+) -> io::Result<()> {
+    let n = usize::try_from(input.read_vint()?)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "negative element count"))?;
+    items.clear();
+    // On the peer's word, what `LEN_BYTES_ON_TRUST` holds of `T`; past
+    // that the vector grows as its elements arrive.
+    items.reserve(n.min(LEN_BYTES_ON_TRUST / size_of::<T>().max(1)));
+    for _ in 0..n {
+        items.push(read(input)?);
+    }
+    Ok(())
 }
 
 /// Options serialize as a presence byte followed by the value.
@@ -323,6 +344,14 @@ mod tests {
     #[test]
     fn bytes_writable_layout() {
         assert_eq!(to_bytes(&BytesWritable(vec![9])).unwrap(), [0, 0, 0, 1, 9]);
+    }
+
+    #[test]
+    fn only_a_value_holding_a_buffer_hands_one_over() {
+        let mut bytes = BytesWritable(vec![1, 2, 3]);
+        assert_eq!(bytes.take_buffer(), Some(vec![1, 2, 3]));
+        assert!(bytes.0.is_empty());
+        assert_eq!(IntWritable(7).take_buffer(), None);
     }
 
     #[test]
