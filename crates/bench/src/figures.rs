@@ -360,13 +360,11 @@ pub fn run_shards(opts: &RunOpts, git_rev: &str) -> Json {
             for &shards in SHARD_COUNTS {
                 let mut cfg = cfg.clone();
                 cfg.rpc.reader_shards = shards;
-                // Trim per-connection buffer footprints: at 256
-                // connections the default 4 MB large region plus a
-                // 32-deep 64 KB recv ring would cost gigabytes; the
-                // 512 B payloads here only ever ride the small path.
+                // Trim buffer footprints: at 256 connections the
+                // default 4 MB large region each would cost a gigabyte;
+                // the 512 B payloads here only ever ride the small path.
                 cfg.rpc.rdma_threshold = 16 * 1024;
                 cfg.rpc.recv_buf_bytes = 16 * 1024;
-                cfg.rpc.posted_recvs = 8;
                 cfg.rpc.large_region_bytes = 64 * 1024;
                 cfg.rpc.prefill_per_class = 2;
                 // No link faults: concurrent clients would race for the

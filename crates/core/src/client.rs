@@ -320,8 +320,8 @@ struct ClientInner {
     conns: Mutex<HashMap<SimAddr, Arc<ClientConnection>>>,
     /// Serializes connection establishment: concurrent first callers must
     /// not each bootstrap a connection (an RPCoIB bootstrap registers a
-    /// receive ring and a large region on *both* sides — losers of a
-    /// connect race would leak all of it as zombies).
+    /// large region on *both* sides — losers of a connect race would leak
+    /// it as zombies).
     connect_lock: Mutex<()>,
     /// Next call sequence number. `i64` so it cannot realistically wrap
     /// (the old `i32` call id went negative after 2³¹ calls).
@@ -423,12 +423,13 @@ pub struct Client {
 }
 
 impl Client {
-    /// Create a client on `node`. In RPCoIB mode this opens the HCA and
-    /// pre-registers the buffer pool.
+    /// Create a client on `node`. In RPCoIB mode it takes the node's verbs
+    /// context ([`IbContext::for_node`]): the first endpoint on the node
+    /// opens the HCA and pre-registers the pool, the rest share them.
     pub fn new(fabric: &Fabric, node: NodeId, cfg: RpcConfig) -> RpcResult<Client> {
         cfg.validate().map_err(RpcError::Config)?;
         let ib = if cfg.ib_enabled {
-            Some(IbContext::new(fabric, node, &cfg)?)
+            Some(IbContext::for_node(fabric, node, &cfg)?)
         } else {
             None
         };
@@ -476,14 +477,15 @@ impl Client {
         &self.inner.metrics
     }
 
-    /// RPCoIB buffer-pool counters (hits, misses, returns, oversize);
-    /// `None` on the socket transport.
+    /// RPCoIB buffer-pool counters (hits, misses, returns, oversize) of
+    /// the node's pool, which its other endpoints share; `None` on the
+    /// socket transport.
     pub fn pool_stats(&self) -> Option<(u64, u64, u64, u64)> {
         self.inner.ib.as_ref().map(|ib| ib.pool_stats())
     }
 
-    /// Pre-register `per_class` buffers in every pool class up to
-    /// `max_bytes` (see [`IbContext::prewarm`]); no-op on the socket
+    /// Pre-register `per_class` buffers in every class of the node's pool
+    /// up to `max_bytes` (see [`IbContext::prewarm`]); no-op on the socket
     /// transport. Callers that know their payload sizes use this to move
     /// jumbo-class registration costs out of the first large call.
     pub fn prewarm_pool(&self, max_bytes: usize, per_class: usize) {

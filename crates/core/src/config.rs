@@ -7,7 +7,10 @@
 //! priority) two deployments can want different values of, and the
 //! switches the paper's ablations flip (`use_size_history`, `trace_sizes`,
 //! `prefill_per_class`). A behaviour with one value in use is not here:
-//! it is what the engine does.
+//! it is what the engine does. Nor is what a node has one of: the receive
+//! buffers it keeps posted are one shared queue's
+//! ([`crate::transport::rdma::SRQ_DEPTH`]), however many connections it
+//! has, so no connection's configuration sizes them.
 
 use std::time::Duration;
 
@@ -61,11 +64,10 @@ pub struct RpcConfig {
     /// Buffers pre-allocated (and pre-registered) per size class at
     /// startup.
     pub prefill_per_class: usize,
-    /// Capacity of each pre-posted receive buffer on RDMA connections.
-    /// Must be ≥ `rdma_threshold`.
+    /// Capacity of each receive buffer a node keeps posted for its RDMA
+    /// connections (how many is a per-node constant,
+    /// [`crate::transport::rdma::SRQ_DEPTH`]). Must be ≥ `rdma_threshold`.
     pub recv_buf_bytes: usize,
-    /// Number of receive buffers kept posted per RDMA connection.
-    pub posted_recvs: usize,
     /// Size of the per-connection region that large frames are
     /// RDMA-written into.
     pub large_region_bytes: usize,
@@ -146,7 +148,6 @@ impl Default for RpcConfig {
             use_size_history: true,
             prefill_per_class: 4,
             recv_buf_bytes: 64 * 1024,
-            posted_recvs: 32,
             large_region_bytes: 4 * 1024 * 1024,
             large_slots: 4,
             trace_sizes: false,
@@ -241,9 +242,6 @@ impl RpcConfig {
                      fit in posted receive buffers",
                     self.rdma_threshold, self.recv_buf_bytes
                 ));
-            }
-            if self.posted_recvs == 0 {
-                return Err("posted_recvs must be >= 1".into());
             }
             if self.large_region_bytes < self.recv_buf_bytes {
                 return Err("large_region_bytes must be >= recv_buf_bytes".into());

@@ -362,7 +362,10 @@ impl PhaseSnapshot {
 
 /// Buffer-pool counters surfaced into the unified metrics snapshot: the
 /// shadow pool's size-history behaviour (paper §V.C) plus the native
-/// registered-buffer pool underneath it.
+/// registered-buffer pool underneath it. The pool is the *node's*: every
+/// verbs endpoint on a node with the same buffer geometry shares one
+/// ([`crate::IbContext::for_node`]), so a `Client` and a `Server` on one
+/// node report the same counters, each including the other's traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Size-history predictions that fit (no adjustment needed).

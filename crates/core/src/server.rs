@@ -711,7 +711,7 @@ impl Server {
         let addr = SimAddr::new(node, port);
         let listener = SimListener::bind(fabric, addr)?;
         let ib = if cfg.ib_enabled {
-            Some(IbContext::new(fabric, node, &cfg)?)
+            Some(IbContext::for_node(fabric, node, &cfg)?)
         } else {
             None
         };

@@ -11,10 +11,11 @@
 //! Message paths:
 //!
 //! * **eager** (≤ `rdma_threshold`): serialized directly into a
-//!   pooled registered buffer and `post_send`-ed from it; the receiver has
-//!   a ring of pre-posted pooled buffers, and deserialization reads
-//!   straight out of the one the message landed in. Zero copies beyond
-//!   the (simulated) DMA itself.
+//!   pooled registered buffer and `post_send`-ed from it; the receiving
+//!   node keeps pooled buffers posted on one shared receive queue for all
+//!   its connections ([`IbContext`]), and deserialization reads straight
+//!   out of the one the message landed in. Zero copies beyond the
+//!   (simulated) DMA itself.
 //! * **bulk**: the peer's large region is divided into a ring of
 //!   equal-size slots. A frame claims as many contiguous slots as it
 //!   needs from the [`SlotRing`], is RDMA-written into them *gather-style*
@@ -53,7 +54,7 @@ use bufpool::{NativePool, PoolMem, PooledBuf, RdmaMemFactory, ShadowPool, SizeCl
 use parking_lot::{Condvar, Mutex};
 use simnet::{
     CompletionKind, Fabric, MemoryRegion, NodeId, QpEndpoint, QueuePair, RdmaDevice, RemoteKey,
-    SimStream, VerbsError,
+    SharedRecvQueue, SimStream, VerbsError,
 };
 use wire::DataOutput;
 
@@ -110,25 +111,95 @@ fn verbs_err(e: VerbsError) -> RpcError {
     }
 }
 
-/// Per-endpoint verbs state: the opened device and the two-level buffer
-/// pool (pre-registered at startup). Shared by every connection of one
-/// client or server.
+/// Receive buffers a context keeps posted on its shared receive queue,
+/// however many connections take from it: a node posts for its traffic,
+/// not per connection. Each completion puts one back before it is read.
+pub const SRQ_DEPTH: usize = 32;
+
+/// A node's verbs state: the opened device, the two-level buffer pool
+/// (pre-registered at startup) and the shared receive queue every
+/// connection on the context takes its receive buffers from. Clones are
+/// handles to one context; [`IbContext::for_node`] gives every endpoint
+/// of a node the same one.
 #[derive(Clone)]
 pub struct IbContext {
+    inner: Arc<IbInner>,
+}
+
+struct IbInner {
     device: RdmaDevice,
     pool: ShadowPool<MemoryRegion>,
+    /// Capacity of every posted receive buffer: the largest eager frame a
+    /// connection on this context can take.
+    recv_buf_bytes: usize,
+    srq: SharedRecvQueue,
+    /// The buffers posted on `srq`, by work-request id. Sized at four
+    /// times the queue's depth, so the take-one-post-one churn of steady
+    /// state rehashes in place and never allocates.
+    posted: Mutex<HashMap<u64, PooledBuf<MemoryRegion>>>,
+    next_wr: AtomicU64,
+}
+
+impl IbInner {
+    /// A receive buffer from the pool: with a warm pool a freelist pop,
+    /// the "allocation" cost RPCoIB removes.
+    fn fresh_recv(&self) -> PooledBuf<MemoryRegion> {
+        self.pool.acquire_size(self.recv_buf_bytes)
+    }
+
+    /// Enter `buf` in `posted` under a fresh work-request id, ready to
+    /// post. Entered first: once posted, any connection's completion may
+    /// name it.
+    fn stage_recv(&self, buf: PooledBuf<MemoryRegion>) -> (u64, MemoryRegion) {
+        let wr = self.next_wr.fetch_add(1, Ordering::Relaxed);
+        let mr = buf.mem().clone();
+        self.posted.lock().insert(wr, buf);
+        (wr, mr)
+    }
+
+    fn post_recv(&self, buf: PooledBuf<MemoryRegion>) {
+        let (wr, mr) = self.stage_recv(buf);
+        self.srq.post_recv(wr, mr);
+    }
+
+    fn take_posted(&self, wr_id: u64) -> Option<PooledBuf<MemoryRegion>> {
+        self.posted.lock().remove(&wr_id)
+    }
 }
 
 impl std::fmt::Debug for IbContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IbContext")
-            .field("node", &self.device.node())
+            .field("node", &self.inner.device.node())
             .finish()
     }
 }
 
 impl IbContext {
-    /// Open the HCA on `node` and build the pre-registered pool.
+    /// The context every verbs endpoint on `node` whose buffer geometry
+    /// is `cfg`'s shares: its clients, servers and data-plane pools take
+    /// their receive buffers from one shared receive queue and their
+    /// registered memory from one pool. The geometry is what the pool and
+    /// the queue are built from — `recv_buf_bytes`, `large_region_bytes`,
+    /// `prefill_per_class`, `use_size_history` — so an endpoint with
+    /// other buffers (the HDFS data plane's) gets a context of its own.
+    /// The fabric holds it weakly: it lives as long as its last endpoint.
+    pub fn for_node(fabric: &Fabric, node: NodeId, cfg: &RpcConfig) -> RpcResult<IbContext> {
+        let geometry = [
+            cfg.recv_buf_bytes as u64,
+            cfg.large_region_bytes as u64,
+            cfg.prefill_per_class as u64,
+            u64::from(cfg.use_size_history),
+        ];
+        let inner = fabric.node_shared(node, &geometry, || {
+            IbContext::new(fabric, node, cfg).map(|ctx| ctx.inner)
+        })?;
+        Ok(IbContext { inner })
+    }
+
+    /// Open the HCA on `node` and build a private context: the
+    /// pre-registered pool and a shared receive queue with [`SRQ_DEPTH`]
+    /// buffers posted, which no other endpoint is given.
     pub fn new(fabric: &Fabric, node: NodeId, cfg: &RpcConfig) -> RpcResult<IbContext> {
         let device = RdmaDevice::open(fabric, node).map_err(|_| {
             RpcError::Config(format!(
@@ -153,20 +224,44 @@ impl IbContext {
             }
         }
         pool.native().set_jumbo_retention(cfg.recv_buf_bytes, 4, 8);
-        // The receive-ring class gets a full ring plus slack up front, so
-        // connection bring-up and the first calls never register inline —
+        // The receive-ring class gets the shared queue's depth plus slack
+        // up front, so the first calls never register inline —
         // "pre-allocated and pre-registered when the RPCoIB library
         // loads" (Section III-B).
         if let Some(ring_class) = ladder.class_of(cfg.recv_buf_bytes) {
-            pool.native()
-                .prefill_class(ring_class, cfg.posted_recvs + 8);
+            pool.native().prefill_class(ring_class, SRQ_DEPTH + 8);
         }
-        Ok(IbContext { device, pool })
+        let inner = Arc::new(IbInner {
+            srq: device.create_srq(),
+            device,
+            pool,
+            recv_buf_bytes: cfg.recv_buf_bytes,
+            posted: Mutex::new(HashMap::with_capacity(4 * SRQ_DEPTH)),
+            next_wr: AtomicU64::new(1),
+        });
+        // More pollers at once than the queue holds: the one that finds
+        // it empty posts another and takes it (verbs' SRQ-limit event).
+        let weak = Arc::downgrade(&inner);
+        inner.srq.set_limit_hook(Arc::new(move || {
+            let ctx = weak.upgrade()?;
+            Some(ctx.stage_recv(ctx.fresh_recv()))
+        }));
+        for _ in 0..SRQ_DEPTH {
+            inner.post_recv(inner.fresh_recv());
+        }
+        Ok(IbContext { inner })
     }
 
     /// The shared two-level pool.
     pub fn pool(&self) -> &ShadowPool<MemoryRegion> {
-        &self.pool
+        &self.inner.pool
+    }
+
+    /// Receive buffers posted on the shared queue right now: [`SRQ_DEPTH`]
+    /// whenever no completion is being read, whatever the number of
+    /// connections.
+    pub fn posted_recvs(&self) -> usize {
+        self.inner.srq.posted()
     }
 
     /// Pre-register `per_class` extra buffers in every class up to
@@ -177,31 +272,33 @@ impl IbContext {
     /// "pre-allocated and pre-registered when the RPCoIB library loads",
     /// extended to the large ladder.
     pub fn prewarm(&self, max_bytes: usize, per_class: usize) {
-        let ladder = self.pool.native().classes();
+        let native = self.inner.pool.native();
+        let ladder = native.classes();
         for idx in 0..ladder.count {
             if ladder.capacity(idx) <= max_bytes {
-                self.pool.native().prefill_class(idx, per_class);
+                native.prefill_class(idx, per_class);
             }
         }
     }
 
     /// The underlying device.
     pub fn device(&self) -> &RdmaDevice {
-        &self.device
+        &self.inner.device
     }
 
     /// (hits, misses, returns, oversize) of the native pool.
     pub fn pool_stats(&self) -> (u64, u64, u64, u64) {
-        self.pool.native().stats().snapshot()
+        self.inner.pool.native().stats().snapshot()
     }
 
     /// Both pool levels' counters in the shape the unified metrics
     /// snapshot carries: the shadow pool's size-history behaviour plus the
     /// native registered-buffer pool underneath.
     pub fn pool_counters(&self) -> PoolCounters {
-        let (history_hits, grows, shrinks, cold) = self.pool.stats().snapshot();
+        let pool = &self.inner.pool;
+        let (history_hits, grows, shrinks, cold) = pool.stats().snapshot();
         let (native_hits, native_misses, native_returns, oversize) =
-            self.pool.native().stats().snapshot();
+            pool.native().stats().snapshot();
         PoolCounters {
             history_hits,
             grows,
@@ -229,11 +326,12 @@ impl IbContext {
             return;
         };
         let (base, len) = (*base, *len);
-        let mut buf = self.pool.acquire_size(len);
+        let mut buf = self.pool().acquire_size(len);
         region.with(|bytes| buf.mem_mut().put(0, &bytes[base..base + len]));
-        self.device
+        let device = self.device();
+        device
             .fabric()
-            .charge_host_ns(self.device.node(), hostcost::drain_ns(len));
+            .charge_host_ns(device.node(), hostcost::drain_ns(len));
         // Dropping the in-place payload releases its lease.
         *payload = Payload::Pooled { buf, len };
     }
@@ -588,14 +686,11 @@ pub struct RdmaConn {
     /// Slot geometry of the peer's region (sender side of the bulk plane).
     peer_slots: usize,
     peer_slot_size: usize,
-    /// Receive buffers currently posted, by work-request id.
-    posted: Mutex<HashMap<u64, PooledBuf<MemoryRegion>>>,
     /// Frames pulled off the queue pair and not yet handed to a
     /// `recv_msg` caller, oldest first: every completion lands here
     /// (under the poll turn, so in wire order) whether the receiver, a
     /// credit-waiting sender or an [`IMM_BATCH`] unpack produced it.
     stash: Mutex<VecDeque<Frame>>,
-    next_wr: AtomicU64,
     /// Credits over the *peer's* region, spent by our bulk sends.
     ring: SlotRing,
     /// Leases over *our* region, held by the in-place frames not yet
@@ -694,10 +789,21 @@ fn unpack_batch(mut chunk: &[u8], mut emit: impl FnMut(&[u8])) -> RpcResult<()> 
 impl RdmaConn {
     /// Run the end-point exchange over an established bootstrap stream and
     /// bring up the verbs connection. Symmetric: both the client and the
-    /// server side call this on their end of the stream.
+    /// server side call this on their end of the stream. The connection
+    /// posts no receive buffer of its own: it takes them from `ctx`'s
+    /// shared queue, whose buffers must hold every eager frame `cfg` sends.
     pub fn bootstrap(stream: &SimStream, ctx: &IbContext, cfg: &RpcConfig) -> RpcResult<RdmaConn> {
-        let qp = ctx.device.create_qp();
-        let my_large = ctx.device.register(cfg.large_region_bytes);
+        let posted_bytes = ctx.inner.recv_buf_bytes;
+        if cfg.recv_buf_bytes.max(cfg.rdma_threshold) > posted_bytes {
+            return Err(RpcError::Config(format!(
+                "eager frames of up to {} bytes do not fit the context's {posted_bytes}-byte \
+                 receive buffers",
+                cfg.recv_buf_bytes.max(cfg.rdma_threshold)
+            )));
+        }
+        let device = ctx.device();
+        let qp = device.create_qp_on(&ctx.inner.srq);
+        let my_large = device.register(cfg.large_region_bytes);
 
         // Send our endpoint info: magic + version, QP endpoint, the
         // large-region rkey and its slot geometry.
@@ -724,12 +830,12 @@ impl RdmaConn {
         let link = Arc::new(Link {
             qp,
             send: Mutex::new(SendState {
-                credit_mr: ctx.device.register(128),
-                header_mr: ctx.device.register(64),
+                credit_mr: device.register(128),
+                header_mr: device.register(64),
             }),
             closed: AtomicBool::new(false),
         });
-        let conn = RdmaConn {
+        Ok(RdmaConn {
             ctx: ctx.clone(),
             cfg: cfg.clone(),
             ledger: Arc::new(SlotLedger {
@@ -749,20 +855,13 @@ impl RdmaConn {
             peer_rkey,
             peer_slots,
             peer_slot_size: peer_large_size / peer_slots,
-            posted: Mutex::new(HashMap::new()),
             stash: Mutex::new(VecDeque::new()),
-            next_wr: AtomicU64::new(1),
             ring: SlotRing::new(peer_slots),
             seg_scratch: Mutex::new(Vec::new()),
             peer_desc: format!("rdma:{}", peer_ep.node),
             metrics: None,
             ready_hook: Mutex::new(None),
-        };
-        // Pre-post the receive ring before the peer can possibly send.
-        for _ in 0..cfg.posted_recvs {
-            conn.post_one_recv();
-        }
-        Ok(conn)
+        })
     }
 
     /// Attach a metrics registry; subsequent sends record their serialize
@@ -770,26 +869,6 @@ impl RdmaConn {
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    fn post_one_recv(&self) {
-        let wr = self.next_wr.fetch_add(1, Ordering::Relaxed);
-        let buf = self.ctx.pool.acquire_size(self.cfg.recv_buf_bytes);
-        self.link.qp.post_recv(wr, buf.mem().clone());
-        self.posted.lock().insert(wr, buf);
-    }
-
-    /// A completion for a work-request id we never posted means the
-    /// connection's accounting is corrupt: count it, tear the connection
-    /// down, and surface a protocol error instead of killing the reader.
-    fn take_posted(&self, wr_id: u64) -> RpcResult<PooledBuf<MemoryRegion>> {
-        match self.posted.lock().remove(&wr_id) {
-            Some(buf) => Ok(buf),
-            None => {
-                Err(self
-                    .frame_corruption(format!("completion for unknown work-request id {wr_id}")))
-            }
-        }
     }
 
     /// Record an unrecoverable framing-level fault: the connection's wire
@@ -1007,15 +1086,27 @@ impl RdmaConn {
             Err(e) => return Err(verbs_err(e)),
         };
         let total_start = Instant::now();
+        // The completion took one of the node's posted buffers. Every arm
+        // puts one back before believing anything the completion says, so
+        // a refused frame costs the node's other connections nothing: a
+        // fresh one where the frame is read in its buffer, otherwise the
+        // consumed one itself, as warm as it was.
+        let ctx = &self.ctx.inner;
+        // A work-request id nobody posted means the accounting is
+        // corrupt: tear the connection down rather than the reader.
+        let Some(buf) = ctx.take_posted(completion.wr_id) else {
+            ctx.post_recv(ctx.fresh_recv());
+            return Err(self.frame_corruption(format!(
+                "completion for unknown work-request id {}",
+                completion.wr_id
+            )));
+        };
         let frame = match (completion.kind, completion.imm & 0xff) {
             (CompletionKind::Recv, IMM_SMALL) => {
-                let buf = self.take_posted(completion.wr_id)?;
-                self.credit((completion.imm >> 8) as usize)?;
-                // Replenish the ring; with a warm pool this is a
-                // freelist pop — the "allocation" cost RPCoIB removes.
                 let alloc_start = Instant::now();
-                self.post_one_recv();
+                ctx.post_recv(ctx.fresh_recv());
                 let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
+                self.credit((completion.imm >> 8) as usize)?;
                 (
                     Payload::Pooled {
                         buf,
@@ -1029,11 +1120,10 @@ impl RdmaConn {
                 )
             }
             (CompletionKind::Recv, IMM_BATCH) => {
-                let buf = self.take_posted(completion.wr_id)?;
-                self.credit((completion.imm >> 8) as usize)?;
                 let alloc_start = Instant::now();
-                self.post_one_recv();
+                ctx.post_recv(ctx.fresh_recv());
                 let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
+                self.credit((completion.imm >> 8) as usize)?;
                 // One copy per sub-frame, straight out of registered
                 // memory onto the stash.
                 let mut stash = self.stash.lock();
@@ -1061,11 +1151,10 @@ impl RdmaConn {
                 return Ok(true);
             }
             (CompletionKind::Recv, IMM_CREDIT) => {
-                // Flow control alone: recycle the consumed recv buffer,
+                // Flow control alone: repost the consumed recv buffer,
                 // then wake senders blocked on the slot ring — or, asked
                 // by one blocked at the peer, answer.
-                drop(self.take_posted(completion.wr_id)?);
-                self.post_one_recv();
+                ctx.post_recv(buf);
                 match (completion.imm >> 8) as usize {
                     0 => self.ledger.pull(),
                     count => self.credit(count)?,
@@ -1073,8 +1162,7 @@ impl RdmaConn {
                 return Ok(false);
             }
             (CompletionKind::RecvRdmaWithImm, IMM_LARGE) => {
-                drop(self.take_posted(completion.wr_id)?);
-                self.post_one_recv();
+                ctx.post_recv(buf);
                 let start = ((completion.imm >> 8) & 0xfff) as usize;
                 let consumed = ((completion.imm >> 20) & 0xfff) as usize;
                 let (len, carried) = self.bulk_frame_len(start, consumed)?;
@@ -1104,6 +1192,7 @@ impl RdmaConn {
                 )
             }
             (kind, imm) => {
+                ctx.post_recv(buf);
                 return Err(
                     self.frame_corruption(format!("unexpected completion {kind:?} imm={imm}"))
                 );
@@ -1129,7 +1218,7 @@ impl RdmaConn {
         if *frames_in_chunk == 0 {
             return Ok(());
         }
-        let mut buf = self.ctx.pool.acquire_size(chunk.len());
+        let mut buf = self.ctx.pool().acquire_size(chunk.len());
         buf.mem_mut().put(0, chunk);
         let state = self.link.send.lock();
         self.link
@@ -1161,7 +1250,7 @@ impl Conn for RdmaConn {
         // --- Serialization: straight into pooled registered segments. ---
         let ser_start = Instant::now();
         let scratch = self.seg_scratch.lock().pop().unwrap_or_default();
-        let mut out = RdmaGatherStream::new(&self.ctx.pool, key, self.cfg.recv_buf_bytes, scratch);
+        let mut out = RdmaGatherStream::new(self.ctx.pool(), key, self.cfg.recv_buf_bytes, scratch);
         write(&mut out)?;
         let (mut segs, len, grows) = out.finish();
         let serialize_ns = ser_start.elapsed().as_nanos() as u64;
@@ -1327,24 +1416,51 @@ mod tests {
     use std::thread;
     use wire::DataInput;
 
+    /// A server and a client node of one fabric, each with a private
+    /// context, between which [`Nodes::connect`] brings up connections.
+    struct Nodes {
+        fabric: Fabric,
+        client: NodeId,
+        server_ctx: IbContext,
+        client_ctx: IbContext,
+        cfg: RpcConfig,
+        addr: SimAddr,
+        listener: SimListener,
+    }
+
+    impl Nodes {
+        fn new(cfg: &RpcConfig) -> Nodes {
+            let fabric = Fabric::new(model::IB_QDR_VERBS);
+            let server = fabric.add_node();
+            let client = fabric.add_node();
+            let addr = SimAddr::new(server, 9000);
+            Nodes {
+                server_ctx: IbContext::new(&fabric, server, cfg).unwrap(),
+                client_ctx: IbContext::new(&fabric, client, cfg).unwrap(),
+                listener: SimListener::bind(&fabric, addr).unwrap(),
+                fabric,
+                client,
+                cfg: cfg.clone(),
+                addr,
+            }
+        }
+
+        /// A fresh (client end, server end) pair on the nodes' contexts.
+        fn connect(&self) -> (Arc<RdmaConn>, Arc<RdmaConn>) {
+            let (fabric, client, addr) = (self.fabric.clone(), self.client, self.addr);
+            let (ctx, cfg) = (self.client_ctx.clone(), self.cfg.clone());
+            let h = thread::spawn(move || {
+                let stream = SimStream::connect(&fabric, client, addr).unwrap();
+                RdmaConn::bootstrap(&stream, &ctx, &cfg).unwrap()
+            });
+            let (srv_stream, _) = self.listener.accept().unwrap();
+            let srv_conn = RdmaConn::bootstrap(&srv_stream, &self.server_ctx, &self.cfg).unwrap();
+            (Arc::new(h.join().unwrap()), Arc::new(srv_conn))
+        }
+    }
+
     fn conn_pair(cfg: &RpcConfig) -> (Arc<RdmaConn>, Arc<RdmaConn>) {
-        let fabric = Fabric::new(model::IB_QDR_VERBS);
-        let server = fabric.add_node();
-        let client = fabric.add_node();
-        let server_ctx = IbContext::new(&fabric, server, cfg).unwrap();
-        let client_ctx = IbContext::new(&fabric, client, cfg).unwrap();
-        let addr = SimAddr::new(server, 9000);
-        let listener = SimListener::bind(&fabric, addr).unwrap();
-        let f2 = fabric.clone();
-        let cfg2 = cfg.clone();
-        let h = thread::spawn(move || {
-            let stream = SimStream::connect(&f2, client, addr).unwrap();
-            RdmaConn::bootstrap(&stream, &client_ctx, &cfg2).unwrap()
-        });
-        let (srv_stream, _) = listener.accept().unwrap();
-        let srv_conn = RdmaConn::bootstrap(&srv_stream, &server_ctx, cfg).unwrap();
-        let cli_conn = h.join().unwrap();
-        (Arc::new(cli_conn), Arc::new(srv_conn))
+        Nodes::new(cfg).connect()
     }
 
     #[test]
@@ -1641,7 +1757,7 @@ mod tests {
             ..RpcConfig::rpcoib()
         };
         let (cli, srv) = conn_pair(&cfg);
-        let fabric = cli.ctx.device.fabric();
+        let fabric = cli.ctx.device().fabric();
         let key = crate::intern::method_key("p", "big");
         let body = vec![5u8; 100_000];
         let mut frames: Vec<_> = (0..3)
@@ -1741,7 +1857,6 @@ mod tests {
         let cfg = RpcConfig {
             rdma_threshold: 2 * 1024,
             recv_buf_bytes: 4 * 1024,
-            posted_recvs: 4,
             prefill_per_class: 1,
             large_region_bytes: 16 * 1024,
             large_slots: 4,
@@ -1894,8 +2009,8 @@ mod tests {
         let (mut payload, _) = srv.recv_msg(Duration::from_secs(5)).unwrap();
         // Registering the copy's buffer is set-up, not the copy.
         srv.ctx.prewarm(256 * 1024, 1);
-        let fabric = srv.ctx.device.fabric();
-        let node = srv.ctx.device.node();
+        let fabric = srv.ctx.device().fabric();
+        let node = srv.ctx.device().node();
         let before = fabric.modeled_ns(node);
         srv.ctx.evacuate(&mut payload);
         assert!(matches!(payload, Payload::Pooled { .. }));
@@ -1968,7 +2083,6 @@ mod tests {
         let cfg = RpcConfig {
             rdma_threshold: 2 * 1024,
             recv_buf_bytes: 4 * 1024,
-            posted_recvs: 2,
             prefill_per_class: 1,
             large_region_bytes: 16 * 1024,
             large_slots: 4,
@@ -1996,7 +2110,6 @@ mod tests {
         let cfg = RpcConfig {
             rdma_threshold: 2 * 1024,
             recv_buf_bytes: 4 * 1024,
-            posted_recvs: 2,
             prefill_per_class: 1,
             large_region_bytes: 16 * 1024,
             large_slots: 4,
@@ -2127,8 +2240,8 @@ mod tests {
         let cfg = RpcConfig::rpcoib();
         let (cli, srv) = conn_pair(&cfg);
         // Corrupt the server's accounting: the next completion will name a
-        // work-request id the posted-map no longer knows.
-        srv.posted.lock().clear();
+        // work-request id its context's posted-map no longer knows.
+        srv.ctx.inner.posted.lock().clear();
         cli.send_msg(crate::intern::method_key("p", "m"), &mut |out| {
             out.write_bytes(&[1u8; 64])
         })
@@ -2149,7 +2262,7 @@ mod tests {
         // RDMA write (the length header, then its single segment).
         let cfg = RpcConfig::rpcoib();
         let (cli, srv) = conn_pair(&cfg);
-        let fabric = cli.ctx.device.fabric();
+        let fabric = cli.ctx.device().fabric();
         let key = crate::intern::method_key("p", "m");
         for (len, sends, writes) in [(cfg.rdma_threshold, 1, 0), (cfg.rdma_threshold + 1, 0, 2)] {
             let (sends_before, _, writes_before, _) = fabric.stats().snapshot();
@@ -2236,10 +2349,10 @@ mod tests {
             .unwrap();
             let _ = srv.recv_msg(Duration::from_secs(1)).unwrap();
         }
-        let (_hits, misses, _ret, _over) = cli.ctx.pool.native().stats().snapshot();
+        let (_hits, misses, _ret, _over) = cli.ctx.pool().native().stats().snapshot();
         // After warmup the send path should not allocate fresh regions for
         // every call (some misses during warmup are expected).
-        let (hits2, _m2, _r2, _o2) = cli.ctx.pool.native().stats().snapshot();
+        let (hits2, _m2, _r2, _o2) = cli.ctx.pool().native().stats().snapshot();
         assert!(hits2 > 0, "pool must be serving from freelists");
         assert!(misses < 50, "unbounded registration leak");
     }
@@ -2259,7 +2372,7 @@ mod tests {
             }
         };
         roundtrip(3); // warm: the segment class populates
-        let fabric = cli.ctx.device.fabric();
+        let fabric = cli.ctx.device().fabric();
         let (_, _, _, regs_before) = fabric.stats().snapshot();
         let (_, misses_before, _, over_before) = cli.ctx.pool_stats();
         let (_, srv_misses_before, _, srv_over_before) = srv.ctx.pool_stats();
@@ -2284,5 +2397,336 @@ mod tests {
             0,
             "receiver oversize allocations"
         );
+    }
+
+    /// The largest single allocation this thread makes while [`largest_alloc`]
+    /// watches it; other threads and other times pass straight through.
+    struct Watched;
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    }
+
+    fn note_alloc(size: usize) {
+        // `try_with`: the allocator also runs during TLS setup and teardown.
+        let _ = LARGEST.try_with(|largest| {
+            if let Some(seen) = largest.get() {
+                largest.set(Some(seen.max(size)));
+            }
+        });
+    }
+
+    // SAFETY: every call is passed unchanged to the system allocator,
+    // which upholds `GlobalAlloc`'s contract; the watch only reads a
+    // thread-local `Cell` and allocates nothing itself.
+    unsafe impl std::alloc::GlobalAlloc for Watched {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note_alloc(layout.size());
+            std::alloc::System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            note_alloc(new_size);
+            std::alloc::System.realloc(ptr, layout, new_size)
+        }
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note_alloc(layout.size());
+            std::alloc::System.alloc_zeroed(layout)
+        }
+    }
+
+    #[global_allocator]
+    static WATCHED: Watched = Watched;
+
+    /// `f`'s result and the largest allocation this thread made running it.
+    fn largest_alloc<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        LARGEST.with(|largest| largest.set(Some(0)));
+        let result = f();
+        (
+            result,
+            LARGEST.with(|largest| largest.take()).expect("set above"),
+        )
+    }
+
+    /// What a refusal may allocate whatever the peer sent — an error's
+    /// text, the first slot of a connection's stash. Nothing a peer's
+    /// bytes size may be larger than those bytes.
+    const FLOOR: usize = 1024;
+
+    /// Small buffers, so the hostile cases below bring up connections
+    /// cheaply: four 16 KiB slots, 4 KiB receive buffers.
+    fn small_cfg() -> RpcConfig {
+        RpcConfig {
+            rdma_threshold: 2 * 1024,
+            recv_buf_bytes: 4 * 1024,
+            prefill_per_class: 1,
+            large_region_bytes: 64 * 1024,
+            large_slots: 4,
+            ..RpcConfig::rpcoib()
+        }
+    }
+
+    thread_local! {
+        /// One server node and one client node for every case of the
+        /// immediates property: each case connects afresh, and the
+        /// server node's shared queue outlives them all.
+        static HOSTILE: Nodes = Nodes::new(&small_cfg());
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any 0–64 bytes as a hello — a third with the right lead, a third
+        /// with plausible geometry too — are taken or refused as a
+        /// protocol error, and size nothing.
+        #[test]
+        fn any_hello_is_taken_or_refused_as_a_protocol_error(
+            bytes in vec(any::<u8>(), 0..65),
+            lead in 0u8..3,
+            region_kib in 0u64..9_000,
+            slots in 0u32..9,
+        ) {
+            let mut hello = bytes;
+            if lead > 0 && hello.len() > 4 {
+                hello[0..4].copy_from_slice(&HELLO_MAGIC.to_be_bytes());
+                hello[4] = HELLO_VERSION;
+            }
+            if lead > 1 && hello.len() >= 44 {
+                hello[32..40].copy_from_slice(&(region_kib << 10).to_be_bytes());
+                hello[40..44].copy_from_slice(&slots.to_be_bytes());
+            }
+            let cfg = RpcConfig::rpcoib();
+            let (verdict, largest) = largest_alloc(|| parse_hello(&hello, &cfg).map(|_| ()));
+            match verdict {
+                Ok(()) => prop_assert!(hello.len() >= 44, "a {}-byte hello taken", hello.len()),
+                Err(RpcError::Protocol(_)) => {}
+                Err(e) => panic!("{hello:?}: {e}"),
+            }
+            prop_assert!(largest <= FLOOR, "{hello:?}: a {largest}-byte allocation");
+        }
+
+        /// Any chunk — half of them of short lengths, so that they split —
+        /// is split into frames that lie in order inside it, or refused as
+        /// a protocol error. What the stash copies is those frames: never
+        /// more in all than the chunk holds.
+        #[test]
+        fn any_batch_chunk_splits_inside_itself_or_is_refused(
+            bytes in vec(any::<u8>(), 0..65),
+            short in any::<bool>(),
+        ) {
+            let chunk: Vec<u8> = if short { bytes.iter().map(|b| b % 4).collect() } else { bytes };
+            let base = chunk.as_ptr() as usize;
+            let mut frames = Vec::with_capacity(chunk.len());
+            let (verdict, largest) = largest_alloc(|| {
+                unpack_batch(&chunk, |frame| frames.push((frame.as_ptr() as usize - base, frame.len())))
+            });
+            match verdict {
+                Ok(()) => prop_assert!(!frames.is_empty()),
+                Err(RpcError::Protocol(_)) => {}
+                Err(e) => panic!("{chunk:?}: {e}"),
+            }
+            let mut end = 0;
+            for (at, len) in frames {
+                prop_assert!(at >= end && at + len <= chunk.len(), "{chunk:?}");
+                end = at + len;
+            }
+            prop_assert!(largest <= FLOOR, "{chunk:?}: a {largest}-byte allocation");
+        }
+
+        /// Any immediate on either completion kind — unknown tags, a start
+        /// or a count beyond the ring, credits beyond the ring carried in
+        /// the immediate or in a bulk frame's length word — is read, or
+        /// refused as a protocol error with the connection torn down; it
+        /// sizes nothing, and the server node's shared queue holds
+        /// [`SRQ_DEPTH`] buffers again afterwards.
+        #[test]
+        fn any_immediate_is_read_or_refused_and_the_node_keeps_its_posted_buffers(
+            write in any::<bool>(),
+            tag in 0u32..10,
+            start in 0u32..7,
+            count in 0u32..7,
+            wide in any::<u32>(),
+            wild in 0u8..4,
+            carried in 0u64..7,
+            len in 0u64..40_000,
+            word in any::<u64>(),
+        ) {
+            HOSTILE.with(|nodes| {
+                let tag = if tag < 8 { tag } else { wide & 0xff };
+                let high = match (wild, tag) {
+                    (0, _) => wide >> 8,
+                    (_, IMM_LARGE) => start | count << 12,
+                    _ => count,
+                };
+                let imm = tag | high << 8;
+                let (cli, srv) = nodes.connect();
+                {
+                    let state = cli.link.send.lock();
+                    if write {
+                        let word = if wild == 1 { word } else { carried << CARRIED_SHIFT | len };
+                        let slot = start.min(cli.peer_slots as u32 - 1) as usize;
+                        state.header_mr.write_at(0, &word.to_be_bytes()).unwrap();
+                        cli.link
+                            .qp
+                            .rdma_write(&state.header_mr, 0, HEADER_BYTES, cli.peer_rkey,
+                                        slot * cli.peer_slot_size, Some(imm))
+                            .unwrap();
+                    } else {
+                        state.credit_mr.write_at(0, &[0]).unwrap();
+                        cli.link.qp.post_send(&state.credit_mr, 0, 1, imm).unwrap();
+                    }
+                }
+                let (verdict, largest) = largest_alloc(|| srv.poll_one(Duration::from_secs(5)));
+                let closed = srv.link.closed.load(Ordering::Acquire);
+                match verdict {
+                    Ok(_) => prop_assert!(!closed, "imm {imm:#x} read on a closed connection"),
+                    Err(RpcError::Protocol(_)) => prop_assert!(closed, "imm {imm:#x} refused, left open"),
+                    Err(e) => panic!("imm {imm:#x} (write: {write}): {e}"),
+                }
+                prop_assert_eq!(nodes.server_ctx.posted_recvs(), SRQ_DEPTH, "imm {:#x}", imm);
+                prop_assert!(largest <= FLOOR, "imm {imm:#x}: a {largest}-byte allocation");
+            });
+        }
+    }
+
+    #[test]
+    fn a_node_with_sixteen_connections_posts_what_a_node_with_one_does() {
+        let cfg = RpcConfig::rpcoib();
+        let nodes = Nodes::new(&cfg);
+        let fabric = &nodes.fabric;
+        let node = nodes.server_ctx.device().node();
+        let regs_before = fabric.stats().snapshot().3;
+        let held_before = fabric.registered_bytes(node);
+        let pairs: Vec<_> = (0..16).map(|_| nodes.connect()).collect();
+        for ctx in [&nodes.server_ctx, &nodes.client_ctx] {
+            assert_eq!(ctx.posted_recvs(), SRQ_DEPTH);
+        }
+        // Each end registered its large region and its two small send
+        // regions, and nothing it receives into.
+        let per_end = cfg.large_region_bytes as u64 + 128 + 64;
+        assert_eq!(fabric.registered_bytes(node) - held_before, 16 * per_end);
+        assert_eq!(fabric.stats().snapshot().3 - regs_before, 2 * 16 * 3);
+        // Traffic on all of them draws on the one queue, and puts back.
+        let key = crate::intern::method_key("p", "m");
+        for (cli, srv) in &pairs {
+            cli.send_msg(key, &mut |out| out.write_u8(1)).unwrap();
+            srv.recv_msg(Duration::from_secs(1)).unwrap();
+        }
+        assert_eq!(nodes.server_ctx.posted_recvs(), SRQ_DEPTH);
+    }
+
+    #[test]
+    fn more_pollers_than_the_shared_queue_holds_never_see_receiver_not_ready() {
+        let nodes = Nodes::new(&small_cfg());
+        let pairs: Vec<_> = (0..SRQ_DEPTH + 8).map(|_| nodes.connect()).collect();
+        // Empty the server node's queue: a queue pair of its own on it
+        // takes every posted buffer and gives none back.
+        let ctx = &nodes.server_ctx;
+        let thief = ctx.device().create_qp_on(&ctx.inner.srq);
+        let dev = RdmaDevice::open(&nodes.fabric, nodes.fabric.add_node()).unwrap();
+        let sender = dev.create_qp();
+        sender.connect(thief.endpoint());
+        thief.connect(sender.endpoint());
+        let one = dev.register(1);
+        for _ in 0..SRQ_DEPTH {
+            sender.post_send(&one, 0, 1, 0).unwrap();
+            thief.poll_recv(Duration::from_secs(1)).unwrap();
+        }
+        assert_eq!(ctx.posted_recvs(), 0);
+        // Forty frames, forty ends read at once.
+        let key = crate::intern::method_key("p", "m");
+        for (cli, _) in &pairs {
+            cli.send_msg(key, &mut |out| out.write_u8(7)).unwrap();
+        }
+        let barrier = Arc::new(std::sync::Barrier::new(pairs.len()));
+        let readers: Vec<_> = pairs
+            .iter()
+            .map(|(_, srv)| {
+                let (srv, barrier) = (Arc::clone(srv), Arc::clone(&barrier));
+                thread::spawn(move || {
+                    barrier.wait();
+                    srv.recv_msg(Duration::from_secs(5))
+                        .map(|(frame, _)| frame.len())
+                })
+            })
+            .collect();
+        for reader in readers {
+            assert_eq!(reader.join().unwrap(), Ok(1));
+        }
+    }
+
+    fn same(a: &IbContext, b: &IbContext) -> bool {
+        Arc::ptr_eq(&a.inner, &b.inner)
+    }
+
+    #[test]
+    fn endpoints_of_one_geometry_share_a_node_context_while_one_of_them_lives() {
+        let fabric = Fabric::new(model::IB_QDR_VERBS);
+        let (a, b) = (fabric.add_node(), fabric.add_node());
+        let rpc = RpcConfig::rpcoib();
+        let first = IbContext::for_node(&fabric, a, &rpc).unwrap();
+        assert!(same(
+            &first,
+            &IbContext::for_node(&fabric, a, &rpc).unwrap()
+        ));
+        // A knob outside the geometry does not split the node.
+        let other_knobs = RpcConfig {
+            handlers: 2,
+            large_slots: 8,
+            ..RpcConfig::rpcoib()
+        };
+        assert!(same(
+            &first,
+            &IbContext::for_node(&fabric, a, &other_knobs).unwrap()
+        ));
+        // Another node, or another geometry (the data plane's larger
+        // receive buffers), is another context.
+        assert!(!same(
+            &first,
+            &IbContext::for_node(&fabric, b, &rpc).unwrap()
+        ));
+        let data = RpcConfig {
+            rdma_threshold: 64 * 1024 + 256,
+            recv_buf_bytes: 128 * 1024,
+            large_region_bytes: 1024 * 1024,
+            prefill_per_class: 2,
+            ..RpcConfig::rpcoib()
+        };
+        assert!(!same(
+            &first,
+            &IbContext::for_node(&fabric, a, &data).unwrap()
+        ));
+        assert!(!same(&first, &IbContext::new(&fabric, a, &rpc).unwrap()));
+        // The fabric does not keep it: gone with its last handle.
+        let gone = Arc::downgrade(&first.inner);
+        drop(first);
+        assert!(gone.upgrade().is_none());
+    }
+
+    #[test]
+    fn a_connection_whose_eager_frames_overflow_the_context_buffers_is_refused() {
+        let nodes = Nodes::new(&small_cfg());
+        let stream = thread::scope(|scope| {
+            let peer = scope.spawn(|| nodes.listener.accept().unwrap());
+            let stream = SimStream::connect(&nodes.fabric, nodes.client, nodes.addr).unwrap();
+            drop(peer.join().unwrap());
+            stream
+        });
+        let wider = RpcConfig {
+            recv_buf_bytes: 8 * 1024,
+            ..small_cfg()
+        };
+        let err = RdmaConn::bootstrap(&stream, &nodes.client_ctx, &wider).unwrap_err();
+        assert!(matches!(err, RpcError::Config(_)), "{err}");
     }
 }

@@ -41,7 +41,6 @@ fn bulk_cfg(slots: usize, call_timeout: Duration) -> RpcConfig {
         recv_buf_bytes: 8 * 1024,
         large_region_bytes: 64 * 1024,
         large_slots: slots,
-        posted_recvs: 8,
         prefill_per_class: 2,
         call_timeout,
         ..RpcConfig::rpcoib()

@@ -234,7 +234,6 @@ fn lone_caller_receives_for_itself_and_connections_cost_no_thread() {
             handlers: 1,
             reader_shards: 1,
             prefill_per_class: 1,
-            posted_recvs: 4,
             large_region_bytes: 256 * 1024,
             ..base
         };

@@ -1511,7 +1511,6 @@ fn connection_churn_soak_leaks_nothing() {
         // stay cheap (same shape as the shards figure).
         cfg.rdma_threshold = 2 * 1024;
         cfg.recv_buf_bytes = 4 * 1024;
-        cfg.posted_recvs = 2;
         cfg.large_region_bytes = 16 * 1024;
         cfg.prefill_per_class = 1;
     }

@@ -455,7 +455,6 @@ fn a_dead_peers_pending_answers_do_not_hold_drain() {
         handlers: 4,
         rdma_threshold: 2 * 1024,
         recv_buf_bytes: 4 * 1024,
-        posted_recvs: 8,
         prefill_per_class: 2,
         large_region_bytes: 16 * 1024,
         large_slots: 4,
@@ -518,7 +517,6 @@ fn credit_starved_peer_costs_one_sender_not_the_pool() {
         handlers: 2,
         rdma_threshold: 2 * 1024,
         recv_buf_bytes: 4 * 1024,
-        posted_recvs: 8,
         prefill_per_class: 2,
         large_region_bytes: 16 * 1024,
         large_slots: 4,

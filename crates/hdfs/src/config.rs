@@ -82,7 +82,6 @@ impl HdfsConfig {
             ib_enabled: self.data_rdma,
             rdma_threshold: self.chunk + 256,
             recv_buf_bytes: (self.chunk + 256).next_power_of_two(),
-            posted_recvs: 32,
             large_region_bytes: ((self.chunk + 256).next_power_of_two() * 4).max(1024 * 1024),
             prefill_per_class: 2,
             ..RpcConfig::default()

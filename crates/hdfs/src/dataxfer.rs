@@ -86,11 +86,13 @@ pub struct DataConnPool {
 }
 
 impl DataConnPool {
-    /// Build a pool for one endpoint of the data plane. Opens the HCA when
-    /// the data path is RDMA.
+    /// Build a pool for one endpoint of the data plane. When the data path
+    /// is RDMA it takes the node's verbs context for `cfg`'s buffers
+    /// ([`IbContext::for_node`]), shared with the node's other endpoints
+    /// of that geometry.
     pub fn new(fabric: &Fabric, local: NodeId, cfg: RpcConfig) -> RpcResult<DataConnPool> {
         let ib = if cfg.ib_enabled {
-            Some(IbContext::new(fabric, local, &cfg)?)
+            Some(IbContext::for_node(fabric, local, &cfg)?)
         } else {
             None
         };

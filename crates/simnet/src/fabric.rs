@@ -7,6 +7,7 @@
 //! bandwidth, so that concurrent flows through the same node contend the way
 //! they would on real hardware.
 
+use std::any::{Any, TypeId};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -137,6 +138,10 @@ pub(crate) struct NodeLinks {
     /// function of the traffic and the fault-RNG seed, so benchmark
     /// artifacts built from them replay byte-identically.
     pub(crate) modeled_ns: AtomicU64,
+    /// Bytes of memory registered on this node's HCA and not yet
+    /// deregistered: rises in `RdmaDevice::register`, falls when the
+    /// region's last handle drops.
+    pub(crate) registered_bytes: AtomicU64,
 }
 
 /// Aggregate transfer counters, exposed for benchmark sanity checks.
@@ -186,10 +191,16 @@ pub(crate) struct FabricInner {
     /// may have armed; senders fire the slot after posting a completion.
     pub(crate) qps: Mutex<HashMap<u64, QpSlot>>,
     pub(crate) mrs: Mutex<HashMap<u64, Weak<MrInner>>>,
+    /// What a node's endpoints share, by type and key ([`Fabric::node_shared`]).
+    node_shared: Mutex<HashMap<SharedKey, Weak<dyn Any + Send + Sync>>>,
     next_node: AtomicU32,
     pub(crate) next_id: AtomicU64,
     pub(crate) stats: FabricStats,
 }
+
+/// A [`Fabric::node_shared`] entry's identity: its node, its type and
+/// the caller's key.
+type SharedKey = (NodeId, TypeId, Box<[u64]>);
 
 /// Handle to a simulated fabric. Clones share the same underlying network.
 #[derive(Clone)]
@@ -215,6 +226,7 @@ impl Fabric {
                 next_listener_id: AtomicU64::new(0),
                 qps: Mutex::new(HashMap::new()),
                 mrs: Mutex::new(HashMap::new()),
+                node_shared: Mutex::new(HashMap::new()),
                 next_node: AtomicU32::new(0),
                 next_id: AtomicU64::new(1),
                 stats: FabricStats::default(),
@@ -236,6 +248,7 @@ impl Fabric {
                 egress: LinkClock::new(),
                 ingress: LinkClock::new(),
                 modeled_ns: AtomicU64::new(0),
+                registered_bytes: AtomicU64::new(0),
             }),
         );
         id
@@ -455,6 +468,41 @@ impl Fabric {
         self.inner.stats.modeled_ns.load(Ordering::Relaxed)
     }
 
+    /// Bytes registered on `node`'s HCA right now: every live memory
+    /// region, whoever holds it. A gauge, not a counter — it falls when a
+    /// region's last handle drops.
+    pub fn registered_bytes(&self, node: NodeId) -> u64 {
+        self.links(node)
+            .map(|l| l.registered_bytes.load(Ordering::Relaxed))
+            .unwrap_or(0)
+    }
+
+    /// The one `T` that `node`'s endpoints share under `key`, made by
+    /// `make` if none is alive. The fabric holds it weakly: it lives as
+    /// long as the last handle an endpoint keeps, and the next caller
+    /// after that makes a fresh one. `make` runs under the registry's
+    /// lock, so two endpoints that ask at once get the same object.
+    pub fn node_shared<T, E>(
+        &self,
+        node: NodeId,
+        key: &[u64],
+        make: impl FnOnce() -> Result<Arc<T>, E>,
+    ) -> Result<Arc<T>, E>
+    where
+        T: Send + Sync + 'static,
+    {
+        let mut shared = self.inner.node_shared.lock();
+        let id: SharedKey = (node, TypeId::of::<T>(), key.into());
+        if let Some(alive) = shared.get(&id).and_then(Weak::upgrade) {
+            return Ok(alive.downcast::<T>().expect("keyed by its type"));
+        }
+        let made = make()?;
+        shared.retain(|_, entry| entry.strong_count() > 0);
+        let erased: Arc<dyn Any + Send + Sync> = made.clone();
+        shared.insert(id, Arc::downgrade(&erased));
+        Ok(made)
+    }
+
     pub(crate) fn fresh_id(&self) -> u64 {
         self.inner.next_id.fetch_add(1, Ordering::Relaxed)
     }
@@ -600,6 +648,31 @@ mod tests {
         f.fail_next_connects(addr, 1);
         assert!(f.take_connect_failure(addr));
         assert!(!f.take_connect_failure(addr));
+    }
+
+    #[test]
+    fn node_shared_is_one_object_per_node_and_key_while_it_lives() {
+        let f = Fabric::new(IPOIB_QDR);
+        let (a, b) = (f.add_node(), f.add_node());
+        let make = |v: u32| move || Ok::<_, ()>(Arc::new(v));
+        let first = f.node_shared(a, &[1], make(1)).unwrap();
+        assert!(Arc::ptr_eq(
+            &first,
+            &f.node_shared(a, &[1], make(2)).unwrap()
+        ));
+        // Another key, another node, another type: another object.
+        assert_eq!(*f.node_shared(a, &[2], make(3)).unwrap(), 3);
+        assert_eq!(*f.node_shared(b, &[1], make(4)).unwrap(), 4);
+        assert_eq!(
+            *f.node_shared(a, &[1], || Ok::<_, ()>(Arc::new(5u64)))
+                .unwrap(),
+            5
+        );
+        // The fabric does not keep it alive.
+        drop(first);
+        assert_eq!(*f.node_shared(a, &[1], make(6)).unwrap(), 6);
+        // A failed make leaves nothing behind.
+        assert_eq!(f.node_shared::<u32, _>(b, &[9], || Err("no")), Err("no"));
     }
 
     #[test]

@@ -75,7 +75,8 @@ pub use stream::{ListenerCloser, SimListener, SimStream};
 pub use time::{fast_forward, set_fast_forward};
 pub use topology::{Cluster, Host};
 pub use verbs::{
-    Completion, CompletionKind, MemoryRegion, QpEndpoint, QueuePair, RdmaDevice, RemoteKey,
+    Completion, CompletionKind, LimitHook, MemoryRegion, QpEndpoint, QueuePair, RdmaDevice,
+    RemoteKey, SharedRecvQueue,
 };
 
 /// Errors surfaced by the simulated fabric.

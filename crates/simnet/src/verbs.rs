@@ -17,7 +17,14 @@
 //! Memory regions are identified fabric-wide by an rkey-like id; the fabric
 //! holds weak references, so dropping all handles to a region implicitly
 //! deregisters it and subsequent remote accesses fail with
-//! [`VerbsError::BadRemoteKey`].
+//! [`VerbsError::BadRemoteKey`]. [`Fabric::registered_bytes`] reads what a
+//! node holds registered at any moment.
+//!
+//! A queue pair takes its receive buffers from a receive queue: its own
+//! ([`RdmaDevice::create_qp`]) or a shared receive queue that every queue
+//! pair made on it draws from ([`RdmaDevice::create_qp_on`]), as Ibdxnet
+//! serves many connections from one SRQ. Either way there is one receive
+//! path, and a completion still arrives on its own queue pair's inbox.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -28,7 +35,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use crate::fabric::{Fabric, NodeId, WakeSlot};
+use crate::fabric::{Fabric, NodeId, NodeLinks, WakeSlot};
 use crate::time::{spin_ns, spin_until};
 use crate::VerbsError;
 
@@ -87,11 +94,18 @@ impl RdmaDevice {
             .stats()
             .registrations
             .fetch_add(1, Ordering::Relaxed);
+        let links = self.fabric.links(self.node);
+        if let Some(links) = &links {
+            links
+                .registered_bytes
+                .fetch_add(len as u64, Ordering::Relaxed);
+        }
         let id = self.fabric.fresh_id();
         let inner = Arc::new(MrInner {
             id,
             node: self.node,
             buf: Mutex::new(vec![0u8; len].into_boxed_slice()),
+            links,
         });
         self.fabric
             .inner
@@ -104,8 +118,29 @@ impl RdmaDevice {
         }
     }
 
-    /// Create a queue pair (with its completion channel) on this device.
+    /// Create a queue pair (with its completion channel) on this device,
+    /// with a receive queue of its own.
     pub fn create_qp(&self) -> QueuePair {
+        self.qp_with(Arc::default())
+    }
+
+    /// Create a shared receive queue on this device.
+    pub fn create_srq(&self) -> SharedRecvQueue {
+        SharedRecvQueue {
+            node: self.node,
+            queue: Arc::default(),
+        }
+    }
+
+    /// Create a queue pair that takes its receive buffers from `srq`
+    /// instead of a queue of its own. Its completions still arrive on
+    /// its own inbox and fire its own readiness hook.
+    pub fn create_qp_on(&self, srq: &SharedRecvQueue) -> QueuePair {
+        debug_assert_eq!(srq.node, self.node, "an SRQ serves its own device");
+        self.qp_with(Arc::clone(&srq.queue))
+    }
+
+    fn qp_with(&self, recv_queue: Arc<RecvQueue>) -> QueuePair {
         let id = self.fabric.fresh_id();
         let (tx, rx) = unbounded();
         let wake = WakeSlot::new();
@@ -123,8 +158,97 @@ impl RdmaDevice {
             inbox: rx,
             recv_wake: wake,
             remote: Mutex::new(None),
-            recv_queue: Mutex::new(VecDeque::new()),
+            recv_queue,
         }
+    }
+}
+
+/// What a shared receive queue's limit hook hands the completion that
+/// found the queue empty: the work-request id and buffer it posted.
+pub type LimitHook = Arc<dyn Fn() -> Option<(u64, MemoryRegion)> + Send + Sync>;
+
+/// Receive buffers posted for incoming sends and writes-with-immediate,
+/// consumed in FIFO order: a queue pair's own, or a shared one.
+#[derive(Default)]
+struct RecvQueue {
+    posted: Mutex<VecDeque<(u64, MemoryRegion)>>,
+    /// Set on a shared queue only: verbs' SRQ-limit event, run on the
+    /// polling thread when a completion finds the queue empty.
+    limit: Mutex<Option<LimitHook>>,
+}
+
+impl RecvQueue {
+    /// Take the oldest posted buffer for a completion that places `fill`
+    /// bytes in it (`None`: it delivers only an immediate). A buffer too
+    /// small for them stays posted; an empty queue without a limit hook —
+    /// or whose hook posts nothing — is [`VerbsError::ReceiverNotReady`].
+    fn take(&self, fill: Option<usize>) -> Result<(u64, MemoryRegion), VerbsError> {
+        let hook = {
+            let mut posted = self.posted.lock();
+            if let Some((_, mr)) = posted.front() {
+                fits(mr, fill)?;
+                return Ok(posted.pop_front().expect("front seen above"));
+            }
+            self.limit.lock().clone()
+        };
+        let (wr_id, mr) = hook
+            .and_then(|hook| hook())
+            .ok_or(VerbsError::ReceiverNotReady)?;
+        if let Err(e) = fits(&mr, fill) {
+            self.posted.lock().push_front((wr_id, mr));
+            return Err(e);
+        }
+        Ok((wr_id, mr))
+    }
+}
+
+fn fits(mr: &MemoryRegion, fill: Option<usize>) -> Result<(), VerbsError> {
+    match fill.map(|needed| (needed, mr.len())) {
+        Some((needed, posted)) if needed > posted => {
+            Err(VerbsError::RecvBufferTooSmall { needed, posted })
+        }
+        _ => Ok(()),
+    }
+}
+
+/// A shared receive queue (SRQ): one set of posted receive buffers for
+/// every queue pair made on it ([`RdmaDevice::create_qp_on`]), so a node
+/// posts for its traffic, not for each of its connections. Clones are
+/// handles to the same queue.
+#[derive(Clone)]
+pub struct SharedRecvQueue {
+    node: NodeId,
+    queue: Arc<RecvQueue>,
+}
+
+impl SharedRecvQueue {
+    /// Post a receive buffer for whichever queue pair's completion comes
+    /// first.
+    pub fn post_recv(&self, wr_id: u64, mr: MemoryRegion) {
+        self.queue.posted.lock().push_back((wr_id, mr));
+    }
+
+    /// Number of buffers currently posted.
+    pub fn posted(&self) -> usize {
+        self.queue.posted.lock().len()
+    }
+
+    /// Arm the SRQ-limit event: when a completion finds the queue empty,
+    /// `hook` runs on the polling thread, and the buffer it posts is the
+    /// one that completion takes.
+    pub fn set_limit_hook(&self, hook: LimitHook) {
+        *self.queue.limit.lock() = Some(hook);
+    }
+}
+
+impl std::fmt::Debug for SharedRecvQueue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "SharedRecvQueue(node={}, posted={})",
+            self.node,
+            self.posted()
+        )
     }
 }
 
@@ -132,6 +256,17 @@ pub(crate) struct MrInner {
     pub(crate) id: u64,
     pub(crate) node: NodeId,
     pub(crate) buf: Mutex<Box<[u8]>>,
+    /// The node's registered-bytes gauge, given back on drop.
+    links: Option<Arc<NodeLinks>>,
+}
+
+impl Drop for MrInner {
+    fn drop(&mut self) {
+        if let Some(links) = &self.links {
+            let len = self.buf.get_mut().len() as u64;
+            links.registered_bytes.fetch_sub(len, Ordering::Relaxed);
+        }
+    }
 }
 
 /// A registered memory region. Clones share the same memory; the region is
@@ -318,7 +453,8 @@ pub struct QueuePair {
     /// `qps` map); armed by [`QueuePair::set_recv_interest`].
     recv_wake: WakeSlot,
     remote: Mutex<Option<QpEndpoint>>,
-    recv_queue: Mutex<VecDeque<(u64, MemoryRegion)>>,
+    /// Its own receive queue, or the shared one it was made on.
+    recv_queue: Arc<RecvQueue>,
 }
 
 impl QueuePair {
@@ -343,12 +479,13 @@ impl QueuePair {
     /// Post a receive buffer. Consumed in FIFO order by incoming sends and
     /// RDMA-writes-with-immediate.
     pub fn post_recv(&self, wr_id: u64, mr: MemoryRegion) {
-        self.recv_queue.lock().push_back((wr_id, mr));
+        self.recv_queue.posted.lock().push_back((wr_id, mr));
     }
 
-    /// Number of currently posted receive buffers.
+    /// Number of currently posted receive buffers (on a queue pair made
+    /// on an SRQ, the SRQ's).
     pub fn posted_recvs(&self) -> usize {
-        self.recv_queue.lock().len()
+        self.recv_queue.posted.lock().len()
     }
 
     /// Arm this queue pair's readiness hook: it fires (charge-free, on the
@@ -658,7 +795,8 @@ impl QueuePair {
     ///
     /// For `Send` messages the payload is placed into the oldest posted
     /// receive buffer; for RDMA-write-with-immediate only the immediate is
-    /// delivered (the data is already in the targeted region).
+    /// delivered (the data is already in the targeted region). Either
+    /// consumes one buffer of the receive queue, shared or not.
     pub fn poll_recv(&self, timeout: Duration) -> Result<Completion, VerbsError> {
         let deadline = Instant::now() + timeout;
         let msg = loop {
@@ -699,20 +837,8 @@ impl QueuePair {
 
         match msg {
             QpMessage::Send { data, imm, .. } => {
-                let (wr_id, mr) = self
-                    .recv_queue
-                    .lock()
-                    .pop_front()
-                    .ok_or(VerbsError::ReceiverNotReady)?;
-                let mut buf = mr.inner.buf.lock();
-                if buf.len() < data.len() {
-                    return Err(VerbsError::RecvBufferTooSmall {
-                        needed: data.len(),
-                        posted: buf.len(),
-                    });
-                }
-                buf[..data.len()].copy_from_slice(&data);
-                drop(buf);
+                let (wr_id, mr) = self.recv_queue.take(Some(data.len()))?;
+                mr.inner.buf.lock()[..data.len()].copy_from_slice(&data);
                 Ok(Completion {
                     kind: CompletionKind::Recv,
                     wr_id,
@@ -721,11 +847,7 @@ impl QueuePair {
                 })
             }
             QpMessage::WriteImm { len, imm, .. } => {
-                let (wr_id, _mr) = self
-                    .recv_queue
-                    .lock()
-                    .pop_front()
-                    .ok_or(VerbsError::ReceiverNotReady)?;
+                let (wr_id, _mr) = self.recv_queue.take(None)?;
                 Ok(Completion {
                     kind: CompletionKind::RecvRdmaWithImm,
                     wr_id,
@@ -972,6 +1094,129 @@ mod tests {
             oneway < Duration::from_micros(200),
             "verbs too slow: {oneway:?}"
         );
+    }
+
+    /// Two senders, each connected to its own queue pair on one node, and
+    /// that node's SRQ the two queue pairs were made on.
+    fn two_pairs_on_one_srq(
+        fabric: &Fabric,
+    ) -> (
+        [QueuePair; 2],
+        [QueuePair; 2],
+        SharedRecvQueue,
+        RdmaDevice,
+        RdmaDevice,
+    ) {
+        let (a, b) = (fabric.add_node(), fabric.add_node());
+        let dev_a = RdmaDevice::open(fabric, a).unwrap();
+        let dev_b = RdmaDevice::open(fabric, b).unwrap();
+        let srq = dev_b.create_srq();
+        let senders = [dev_a.create_qp(), dev_a.create_qp()];
+        let receivers = [dev_b.create_qp_on(&srq), dev_b.create_qp_on(&srq)];
+        for (s, r) in senders.iter().zip(&receivers) {
+            s.connect(r.endpoint());
+            r.connect(s.endpoint());
+        }
+        (senders, receivers, srq, dev_a, dev_b)
+    }
+
+    #[test]
+    fn queue_pairs_on_one_srq_get_their_own_completions_from_its_buffers_in_order() {
+        let fabric = Fabric::new(IB_QDR_VERBS);
+        let ([s0, s1], [r0, r1], srq, dev_a, dev_b) = two_pairs_on_one_srq(&fabric);
+        let bufs: Vec<_> = (0..3).map(|_| dev_b.register(64)).collect();
+        for (wr, mr) in bufs.iter().enumerate() {
+            srq.post_recv(wr as u64, mr.clone());
+        }
+        assert_eq!(
+            (srq.posted(), r0.posted_recvs(), r1.posted_recvs()),
+            (3, 3, 3)
+        );
+        let src = dev_a.register(64);
+        src.write_at(0, b"onetwo").unwrap();
+        s1.post_send(&src, 0, 3, 11).unwrap();
+        s0.post_send(&src, 3, 3, 10).unwrap();
+        // Each completion on its own queue pair; buffers in posting
+        // order, whichever queue pair polls first.
+        assert!(r0.recv_pending() && r1.recv_pending());
+        let c0 = r0.poll_recv(Duration::from_secs(1)).unwrap();
+        let c1 = r1.poll_recv(Duration::from_secs(1)).unwrap();
+        assert_eq!((c0.imm, c0.wr_id, c1.imm, c1.wr_id), (10, 0, 11, 1));
+        let mut out = [0u8; 3];
+        bufs[0].read_at(0, &mut out).unwrap();
+        assert_eq!(&out, b"two");
+        bufs[1].read_at(0, &mut out).unwrap();
+        assert_eq!(&out, b"one");
+        // A write-with-immediate takes the next one too.
+        s0.rdma_write(&src, 0, 6, bufs[2].remote_key(), 0, Some(12))
+            .unwrap();
+        let c = r0.poll_recv(Duration::from_secs(1)).unwrap();
+        assert_eq!(
+            (c.kind, c.wr_id, c.imm),
+            (CompletionKind::RecvRdmaWithImm, 2, 12)
+        );
+        assert_eq!(srq.posted(), 0);
+    }
+
+    #[test]
+    fn an_empty_srq_runs_its_limit_hook_and_the_completion_takes_what_it_posts() {
+        let fabric = Fabric::new(IB_QDR_VERBS);
+        let ([s0, _s1], [r0, _r1], srq, dev_a, dev_b) = two_pairs_on_one_srq(&fabric);
+        let src = dev_a.register(64);
+        // Without a hook an empty SRQ is an RNR, as a private queue is.
+        s0.post_send(&src, 0, 8, 0).unwrap();
+        assert_eq!(
+            r0.poll_recv(Duration::from_secs(1)).unwrap_err(),
+            VerbsError::ReceiverNotReady
+        );
+        let runs = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let (runs2, dev) = (Arc::clone(&runs), dev_b.clone());
+        srq.set_limit_hook(Arc::new(move || {
+            let wr = 100 + runs2.fetch_add(1, Ordering::Relaxed);
+            Some((wr, dev.register(64)))
+        }));
+        s0.post_send(&src, 0, 8, 0).unwrap();
+        assert_eq!(r0.poll_recv(Duration::from_secs(1)).unwrap().wr_id, 100);
+        assert_eq!(srq.posted(), 0, "the hook's buffer went to the completion");
+        // A posted buffer is taken before the hook is asked.
+        srq.post_recv(7, dev_b.register(64));
+        s0.post_send(&src, 0, 8, 0).unwrap();
+        assert_eq!(r0.poll_recv(Duration::from_secs(1)).unwrap().wr_id, 7);
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_message_too_big_for_the_next_buffer_leaves_it_posted() {
+        let fabric = Fabric::new(IB_QDR_VERBS);
+        let ([s0, _s1], [r0, _r1], srq, dev_a, dev_b) = two_pairs_on_one_srq(&fabric);
+        let src = dev_a.register(256);
+        srq.post_recv(1, dev_b.register(16));
+        s0.post_send(&src, 0, 128, 0).unwrap();
+        assert!(matches!(
+            r0.poll_recv(Duration::from_secs(1)).unwrap_err(),
+            VerbsError::RecvBufferTooSmall {
+                needed: 128,
+                posted: 16
+            }
+        ));
+        assert_eq!(srq.posted(), 1);
+    }
+
+    #[test]
+    fn registered_bytes_rise_on_register_and_fall_when_the_last_handle_drops() {
+        let fabric = Fabric::new(IB_QDR_VERBS);
+        let (a, b) = (fabric.add_node(), fabric.add_node());
+        let dev = RdmaDevice::open(&fabric, a).unwrap();
+        let big = dev.register(4096);
+        let small = dev.register(100);
+        let clone = big.clone();
+        assert_eq!(fabric.registered_bytes(a), 4196);
+        assert_eq!(fabric.registered_bytes(b), 0);
+        drop(big);
+        assert_eq!(fabric.registered_bytes(a), 4196, "a clone still holds it");
+        drop(clone);
+        drop(small);
+        assert_eq!(fabric.registered_bytes(a), 0);
     }
 
     #[test]

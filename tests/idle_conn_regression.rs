@@ -15,6 +15,9 @@
 //! * a quiet window with the full population attached charges **zero**
 //!   modeled nanoseconds to the server node (the old sweep woke every
 //!   `SWEEP_IDLE` and walked all N conns; the ready queue just blocks).
+//!
+//! What an idle verbs connection end *holds* is checked at defaults, in
+//! the one case here that is not tier 2: registered memory, per end.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,7 +86,6 @@ fn run_population(rdma: bool, idle_n: usize) -> Population {
         // bootstrapped conns fit comfortably (cf. the shards figure).
         cfg.rdma_threshold = 2 * 1024;
         cfg.recv_buf_bytes = 4 * 1024;
-        cfg.posted_recvs = 2;
         cfg.large_region_bytes = 16 * 1024;
         cfg.prefill_per_class = 1;
     }
@@ -220,4 +222,52 @@ fn socket_idle_connections_are_free() {
 #[ignore = "tier-2: large population, run with --ignored"]
 fn verbs_idle_connections_are_free() {
     assert_idle_population_is_free(true, 4_000);
+}
+
+/// At `RpcConfig::rpcoib()` defaults an idle verbs connection end holds
+/// registered its large region and its two small send regions, on either
+/// side, and nothing it receives into: receive buffers are posted per
+/// node, on its shared receive queue, not per connection.
+#[test]
+fn an_idle_verbs_connection_end_registers_no_receive_buffers() {
+    const ENDS: u64 = 8;
+    simnet::set_fast_forward(true);
+    let cfg = RpcConfig::rpcoib();
+    let fabric = Fabric::new(model::IB_QDR_VERBS);
+    let (server_node, idle_node) = (fabric.add_node(), fabric.add_node());
+    let mut registry = ServiceRegistry::new();
+    registry.register(Arc::new(EchoService));
+    let server = Server::start(&fabric, server_node, 8020, cfg.clone(), registry).unwrap();
+    let idle_ctx = IbContext::new(&fabric, idle_node, &cfg).unwrap();
+    let held = |node| fabric.registered_bytes(node);
+    let before = [held(server_node), held(idle_node)];
+
+    let idle: Vec<(SimStream, RdmaConn)> = (0..ENDS)
+        .map(|_| {
+            let stream = SimStream::connect(&fabric, idle_node, server.addr()).unwrap();
+            client_hello(&stream, 0).unwrap();
+            let conn = RdmaConn::bootstrap(&stream, &idle_ctx, &cfg).unwrap();
+            (stream, conn)
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.metrics_snapshot().connections < ENDS as usize {
+        assert!(Instant::now() < deadline, "idle conns never registered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let per_end = cfg.large_region_bytes as u64 + 128 + 64;
+    for (side, node, before) in [
+        ("server", server_node, before[0]),
+        ("client", idle_node, before[1]),
+    ] {
+        let grown = held(node) - before;
+        println!(
+            "{side} end: {:.3} MiB registered per idle verbs connection",
+            grown as f64 / ENDS as f64 / (1 << 20) as f64
+        );
+        assert_eq!(grown, ENDS * per_end, "{side} side, {ENDS} idle ends");
+    }
+    drop(idle);
+    server.stop();
 }
