@@ -23,6 +23,16 @@
 //! plain heap buffers ([`HeapMem`], for tests and for quantifying the
 //! benefit of pre-registration in the ablation benchmarks).
 //!
+//! The design has two tiers, one per kind of memory:
+//!
+//! * the **registered tier** is the two levels above, one per node's HCA:
+//!   what goes on the wire is written into it;
+//! * the **heap tier** ([`HeapTier`], one per RPC server) keeps the
+//!   response bodies the server shares between its retry cache, replays
+//!   and senders, and the buffers bulk parameters are read into, as
+//!   size-classed spares under a byte budget of its own. Its size history
+//!   is the caller's: the server's last body size per method.
+//!
 //! ```
 //! use bufpool::{HeapMem, NativePool, ShadowPool, SizeClasses};
 //!
@@ -44,11 +54,13 @@
 //! ```
 
 pub mod classes;
+pub mod heap;
 pub mod mem;
 pub mod native;
 pub mod shadow;
 
 pub use classes::{class_capacity, class_for, SizeClasses};
+pub use heap::HeapTier;
 pub use mem::{HeapMem, PoolMem, RdmaMemFactory};
 pub use native::{NativePool, PoolStats, PooledBuf};
 pub use shadow::{ShadowPool, ShadowStats, SHRINK_HYSTERESIS};

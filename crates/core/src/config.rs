@@ -5,12 +5,13 @@
 //! larger ones through RDMA. [`RpcConfig`] carries those, the sizing of
 //! the server's pools, queues and rings, the policies (retry, tenant,
 //! priority) two deployments can want different values of, and the
-//! switches the paper's ablations flip (`use_size_history`, `trace_sizes`,
-//! `prefill_per_class`). A behaviour with one value in use is not here:
-//! it is what the engine does. Nor is what a node has one of: the receive
-//! buffers it keeps posted are one shared queue's
-//! ([`crate::transport::rdma::SRQ_DEPTH`]), however many connections it
-//! has, so no connection's configuration sizes them.
+//! switches the paper's ablations flip (`trace_sizes`,
+//! `prefill_per_class`): twenty public fields in all. A behaviour with
+//! one value in use is not here: it is what the engine does. Nor is what
+//! a node has one of: the receive buffers it keeps posted are one shared
+//! queue's ([`crate::transport::rdma::SRQ_DEPTH`]), however many
+//! connections it has, so no connection's configuration sizes them. Nor
+//! is a server's heap tier budget ([`bufpool::heap::BUDGET_BYTES`]).
 
 use std::time::Duration;
 
@@ -58,9 +59,6 @@ pub struct RpcConfig {
     /// first. `0` disables at-most-once caching entirely: every retry
     /// re-executes.
     pub retry_cache_capacity: usize,
-    /// Whether the shadow pool uses `<protocol, method>` size history
-    /// (disabled only by the ablation).
-    pub use_size_history: bool,
     /// Buffers pre-allocated (and pre-registered) per size class at
     /// startup.
     pub prefill_per_class: usize,
@@ -145,7 +143,6 @@ impl Default for RpcConfig {
             retry: RetryPolicy::default(),
             retry_cache_ttl: Duration::from_secs(120),
             retry_cache_capacity: 8192,
-            use_size_history: true,
             prefill_per_class: 4,
             recv_buf_bytes: 64 * 1024,
             large_region_bytes: 4 * 1024 * 1024,

@@ -557,9 +557,10 @@ pub struct EngineCounters {
     /// caller acknowledged their response (or, still executing, marked so
     /// that their completion is not stored).
     pub retry_cache_acked: u64,
-    /// Response bodies serialized into a recycled buffer — one the retry
-    /// cache had let go of (or, cache off, one the server had just sent) —
-    /// at no allocation, and those that needed a fresh one (server side).
+    /// Response bodies serialized into a spare of the server's heap tier
+    /// (`bufpool::heap`) — one the retry cache had let go of, or one the
+    /// server had just sent — at no allocation, and those that needed a
+    /// fresh one (server side).
     /// `reused / (reused + fresh)` is the pool's hit share: fresh ≈ 0 in
     /// the evicting steady state, fresh ≈ all while a cache fills or when
     /// a method's sizes wander across size classes.
@@ -1156,14 +1157,14 @@ impl MetricsRegistry {
         self.inner.retry_cache_acked.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn inc_resp_bodies_reused(&self) {
-        self.inner
-            .resp_bodies_reused
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn inc_resp_bodies_fresh(&self) {
-        self.inner.resp_bodies_fresh.fetch_add(1, Ordering::Relaxed);
+    /// A response body was built in a spare of the heap tier (`reused`)
+    /// or in a fresh buffer.
+    pub fn inc_resp_bodies(&self, reused: bool) {
+        match reused {
+            true => &self.inner.resp_bodies_reused,
+            false => &self.inner.resp_bodies_fresh,
+        }
+        .fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn add_resp_sent_behind(&self, n: u64) {
@@ -1449,8 +1450,8 @@ mod tests {
         reg.inc_retry_cache_evictions();
         reg.inc_retry_cache_expired();
         reg.inc_retry_cache_acked();
-        reg.inc_resp_bodies_reused();
-        reg.inc_resp_bodies_fresh();
+        reg.inc_resp_bodies(true);
+        reg.inc_resp_bodies(false);
         let c = reg.counters();
         assert_eq!(c.retries, 2);
         assert_eq!(c.reconnects, 1);

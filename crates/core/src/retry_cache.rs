@@ -1,121 +1,58 @@
-//! Server-side retry cache: the at-most-once half of the RPC contract —
-//! and, since every response it lets go of is a buffer nobody else can
-//! see any more, the pool the server's response bodies are built in.
+//! Server-side retry cache: the at-most-once half of the RPC contract.
 //!
 //! Hadoop's production RPC closes the duplicate-execution hole with a
 //! server-side `RetryCache`; this is the same idea keyed by the call
-//! identity `(client_id, seq)`. Three cases on arrival of a call:
-//!
-//! * **unseen** — admit it for execution and remember it as in-flight;
-//! * **in-flight** — a duplicate attempt of a call a handler is still
-//!   executing: *park* it (the parked connection gets the response when
-//!   the first attempt finishes) instead of executing it again;
-//! * **completed** — replay the cached serialized response; the handler
-//!   pool never sees the duplicate.
+//! identity `(client_id, seq)`. On arrival, an **unseen** call is admitted
+//! and remembered as in-flight; a duplicate of an **in-flight** call is
+//! *parked* (its connection gets the response when the first attempt
+//! finishes) instead of executed again; a duplicate of a **completed**
+//! call is answered with the cached serialized response, and the handler
+//! pool never sees it.
 //!
 //! ## What leaves the cache
 //!
 //! A completed entry is kept only while its caller might ask for it
-//! again. It leaves in one of three ways:
+//! again:
 //!
 //! * **Acknowledged.** A request may name one earlier call of its client
 //!   whose response the caller already has (the frame's `ack`, see
-//!   [`crate::frame`]; RIFL's client acknowledgements). Nobody will ask
-//!   for that response again, so [`RetryCache::begin_acking`] drops the
-//!   entry in the same mutex acquisition that admits the request. An ack
-//!   that finds the call still executing — the server sends a response
-//!   before it completes the entry, so the caller can be first — marks
-//!   it, and `complete` hands back its waiters without storing it. An
-//!   ack can only name its own client's calls, and one that names
-//!   nothing is a no-op that allocates nothing. A client acks only an
-//!   answer to a call's first attempt (a retried call may have another
-//!   attempt in flight on another connection), and never a call it gave
-//!   up on. Those calls, and the last call of a connection that goes
-//!   quiet, are what the two backstops below are for.
+//!   [`crate::frame`]; RIFL's client acknowledgements), so
+//!   [`RetryCache::begin_acking`] drops that entry in the acquisition
+//!   that admits the request. An ack that finds the call still executing
+//!   (the response is sent before the entry completes) marks it, and
+//!   `complete` stores nothing. An ack names only its own client's
+//!   calls; one that names nothing is a no-op and allocates nothing. A
+//!   client acks only an answer to a call's first attempt (a retry may
+//!   have another attempt in flight elsewhere), never a call it gave up
+//!   on: those, and a quiet connection's last call, are the backstops'.
 //! * **Expired.** A completed entry no ack has named expires by TTL.
 //! * **Evicted.** Unacknowledged completed entries are evicted
 //!   oldest-first while the cache is over either of two bounds:
-//!   `capacity` entries, or a byte budget on what it retains (an entry
-//!   bound alone lets 8192 bulk responses of 256 KiB pin 2 GB). The
-//!   entry just completed is never evicted, so a single response larger
-//!   than the whole budget is still replayable until the next completion.
+//!   `capacity` entries, or a byte budget on the `capacity()` of their
+//!   bodies — what a body pins, not what it says (an entry bound alone
+//!   lets 8192 bulk responses of 256 KiB pin 2 GB). The entry just
+//!   completed is never evicted, so a single response larger than the
+//!   whole budget is still replayable until the next completion.
 //!
 //! In-flight entries are never expired or evicted — a waiter parked
 //! behind one must not be stranded — so the hard memory bound is the
-//! byte budget (or one oversized response) plus however many calls are
-//! genuinely executing. With acknowledgements the cache holds about one
-//! entry per active caller, far inside either backstop, and a call that
-//! *is* still being retried stays replayable for as long as the
-//! backstops allow unacknowledged entries, not for the last few hundred
-//! completions of everyone else.
+//! byte budget (or one oversized response) plus the calls executing.
+//! With acknowledgements the cache holds about one entry per active
+//! caller, and a call still being retried stays replayable for as long
+//! as the backstops allow, not for the last few hundred completions of
+//! everyone else.
 //!
-//! ## Where a body goes, and who may rewrite it
-//!
-//! A body that leaves the cache — acknowledged, expired, evicted, or
-//! displaced by a re-completion — is not freed: it is *offered*
-//! ([`RetryCache::offer`]) as a **spare**, and the next response of its
-//! size class is serialized into it ([`RetryCache::build_body`]) instead
-//! of into a fresh `Vec` behind a fresh `Arc`. This is the paper's
-//! history-based pool (message-size locality, Figure 3) applied to the
-//! last two allocations the engine made per call; in the acknowledged
-//! steady state each request lets go of one body and its own response
-//! picks it up. The rules:
-//!
-//! * **One owner, proven by the type.** A body is cleared or written only
-//!   through `Arc::get_mut`, which succeeds only when no replay pending
-//!   behind a send turn, no parked-duplicate route, no cache entry and no
-//!   handler mid-send holds it. A body still shared when it is offered is
-//!   simply dropped by that holder; the server offers a response's own
-//!   body once it is sent, so whichever holder lets go last files the
-//!   spare. No reference count is ever read.
-//! * **Class-matched.** Spares are filed under the native pool's size
-//!   ladder ([`bufpool::classes`]) by `capacity()` and drawn by the class
-//!   of the caller's size hint, or the class above it when that one is
-//!   empty (a body that grew while it was written was doubled into it),
-//!   so a spare's capacity is below four times the hint; a body that
-//!   turns out far smaller than its buffer gives the excess back before
-//!   it is cached. Fresh buffers are sized exactly.
-//! * **Inside the byte budget.** The budget counts `capacity()` — what a
-//!   body pins, not what it says — of completed entries *and* idle
-//!   spares, and at most [`SPARES_PER_CLASS`] spares idle per class.
-//!   Where the budget is what binds, a completion evicts for the bodies
-//!   [`RetryCache::build_body`] has handed out and not seen back, and
-//!   for one more like its own — the room its evictee needs to stay as a
-//!   spare; a cache nobody builds from keeps its whole budget for replay.
-//! * **Nothing is filed or freed under the cache mutex.** Whatever
-//!   leaves `CacheInner` is moved out inside the lock and offered — or
-//!   dropped — after it is released: no `Arc<Vec<u8>>` dies in there (a
-//!   256 KiB `free` per bulk completion, or 8192 of them in one `begin`
-//!   after an idle gap). Spares have their own lock, taken at most twice
-//!   per call for its response (twice more for a bulk parameter, below)
-//!   and never together with the cache mutex, which `begin` and
-//!   `complete` remain the only per-call acquisitions of.
-//!
-//! **Parameters are read into spares too.** A parameter that arrived in a
-//! bulk frame is read into the `Vec` of a spare of exactly its length's
-//! class ([`RetryCache::draw_param`]; never the class above, so the
-//! buffer is below twice the length). The spare's emptied `Arc` stays
-//! with the call, and the buffer its reply gives up once serialized goes
-//! back into it and is offered ([`RetryCache::give_back`]): in an echo's
-//! steady state a parameter is read into the buffer the last reply gave
-//! back. A drawn spare leaves the byte budget and is charged again when
-//! it returns. Eager frames draw nothing: a handler that keeps its
-//! parameter (a memstore keeps a put's value) would pin a class-rounded
-//! buffer per small value.
-//!
-//! With `capacity == 0` nothing is cached, acknowledged or evicted: a
-//! response's own buffer, offered once it is sent, and a reply's, given
-//! back, are the only spares.
-//!
-//! The cache is generic over the waiter payload `W` (the server parks
-//! `(connection, response-routing)` tuples; unit tests park `()`).
+//! Nothing is freed under the cache mutex: what leaves it is moved out
+//! and, the lock released, offered to the heap tier given by
+//! [`RetryCache::with_spares`] (rules in [`bufpool::heap`]) or dropped.
+//! With `capacity == 0` nothing is cached. The waiter payload `W` is the
+//! server's `(connection, response-routing)`; unit tests park `()`.
 
 use std::collections::{hash_map, HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bufpool::classes::{class_for, MIN_CLASS_BYTES};
+use bufpool::heap::HeapTier;
 use parking_lot::Mutex;
 
 use crate::metrics::MetricsRegistry;
@@ -127,31 +64,18 @@ pub type CallKey = (u64, i64);
 /// cache entry, replays and parked duplicates.
 type Body = Arc<Vec<u8>>;
 
-/// Idle spares kept per size class. In steady state a class holds one per
-/// call in flight; the cap is what a burst of evictions of one size may
-/// leave behind.
-pub const SPARES_PER_CLASS: usize = 4;
-
-/// Order records of entries that left by acknowledgement stay behind
-/// until a scan passes them. Past twice the completed entries plus this
-/// many, one pass sweeps them out, so the ring stays within a constant
-/// factor of what the cache holds, for about one lookup per completion.
+/// Records of acknowledged entries stay in the order ring until a scan
+/// passes them; past twice the completed entries plus this many, one pass
+/// sweeps them out, for about one lookup per completion.
 const ORDER_SLACK: usize = 64;
 
-/// The order ring is reserved up front for the most it can hold — twice
-/// the entries it may list plus the slack (see [`ORDER_SLACK`]); grown
-/// by doubling, it reallocated itself well after start-up — but for at
-/// most this many records, so that a huge capacity asks for nothing
-/// huge.
+/// The order ring is reserved up front for the most it can hold (twice
+/// the entries plus [`ORDER_SLACK`]; grown by doubling, it reallocated
+/// well after start-up), capped so a huge capacity asks for nothing huge.
 const ORDER_RESERVE_MAX: usize = 1 << 16;
 
-/// Size classes that keep spares: 128 B · 2^k up to 1 GiB. A larger body
-/// is never kept.
-const SPARE_CLASSES: usize = 24;
-
-/// The cache's one clock read: `begin` and `complete` take it, and hand
-/// it to the TTL and eviction rules, which tests drive with explicit
-/// instants.
+/// The cache's one clock read, taken by `begin` and `complete`; tests
+/// drive the TTL and eviction rules with explicit instants.
 fn now() -> Instant {
     Instant::now()
 }
@@ -178,32 +102,30 @@ enum Entry<W> {
     },
     Done {
         response: Body,
-        /// Which `order` record owns this entry. A re-completed key
-        /// leaves its old order record behind as a stale duplicate; the
-        /// generation lets the TTL/capacity scans tell the stale record
-        /// (skip) from the live one (expire/evict).
+        /// Which `order` record owns this entry: a re-completed key
+        /// leaves a stale record behind, which the scans skip.
         gen: u64,
     },
 }
 
 struct CacheInner<W> {
     entries: HashMap<CallKey, Entry<W>>,
-    /// Completion order of Done entries; the TTL/capacity scans walk it
-    /// front-to-back. (In-flight entries are not listed — they cannot be
-    /// expired or evicted.) Each Done entry has exactly one record here;
-    /// the others are stale (see [`ORDER_SLACK`]).
+    /// Completion order of Done entries (exactly one live record each;
+    /// the rest are stale, see [`ORDER_SLACK`]), walked front-to-back by
+    /// the TTL and eviction scans.
     order: VecDeque<(CallKey, u64, Instant)>,
     /// Done entries: what `capacity` bounds.
     done: usize,
+    /// `capacity()` of every Done entry's body: what `max_bytes` bounds.
+    retained: usize,
     /// Monotonic completion counter stamping `order` records and `Done`
     /// entries.
     next_gen: u64,
 }
 
-/// Bodies on their way out of the cache, collected under the cache mutex
-/// and dealt with after it is released. A call lets go of at most two in
-/// the common cases — an acknowledged entry and an evicted or expired
-/// one — which must not cost a `Vec` of their own.
+/// Bodies on their way out, collected under the cache mutex and let go
+/// after it. The common cases — an acked entry and an evicted or expired
+/// one — cost no `Vec`.
 #[derive(Default)]
 struct Leaving {
     inline: [Option<Body>; 2],
@@ -219,23 +141,16 @@ impl Leaving {
     }
 }
 
-/// A call's claim on the spare its parameter was read into
-/// ([`RetryCache::draw_param`]): the spare's emptied `Arc`, or — no spare
-/// was idle — the parameter's length.
-pub struct ParamDraw(Result<Body, usize>);
-
-/// What the cache retains, for tests and observability (see
-/// [`RetryCache::retention`]).
+/// What the cache retains and its heap tier keeps idle, for tests and
+/// observability (see [`RetryCache::retention`]).
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Retention {
-    /// Completed entries, the sum of their bodies' `len()` and of their
-    /// `capacity()`.
+    /// Completed entries and their bodies' total `len()` and `capacity()`.
     pub entries: usize,
     pub entry_len: usize,
     pub entry_capacity: usize,
-    /// Idle spares, the fullest class's count, and their total
-    /// `capacity()`.
+    /// The tier's idle spares, the fullest class's count, their capacity.
     pub spares: usize,
     pub spares_in_fullest_class: usize,
     pub spare_capacity: usize,
@@ -245,19 +160,8 @@ pub struct Retention {
 /// Handlers.
 pub struct RetryCache<W> {
     inner: Mutex<CacheInner<W>>,
-    /// Idle spares by size class of their capacity, each cleared and
-    /// unique. Never locked together with `inner`.
-    spares: Mutex<[Vec<Body>; SPARE_CLASSES]>,
-    /// `capacity()` of every completed entry's body plus every idle
-    /// spare: what the byte budget bounds. Entries move it under `inner`,
-    /// spares under `spares`; an atomic so that neither needs the other's
-    /// lock, and `Relaxed` throughout: it is a byte count that publishes
-    /// nothing — the bodies themselves change hands under the mutexes.
-    retained: AtomicUsize,
-    /// `capacity()` of the bodies built here ([`RetryCache::build_body`])
-    /// that `complete` has not seen yet. They are on their way in, so the
-    /// byte bound evicts for them too — see `complete`.
-    in_flight: AtomicUsize,
+    /// Where bodies that leave the cache are offered, if anywhere.
+    spares: Option<Arc<HeapTier>>,
     ttl: Duration,
     capacity: usize,
     max_bytes: usize,
@@ -280,13 +184,10 @@ impl<W> RetryCache<W> {
                 entries: HashMap::new(),
                 order: VecDeque::with_capacity(reserve),
                 done: 0,
+                retained: 0,
                 next_gen: 0,
             }),
-            spares: Mutex::new(std::array::from_fn(|_| {
-                Vec::with_capacity(SPARES_PER_CLASS)
-            })),
-            retained: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
+            spares: None,
             ttl,
             capacity,
             max_bytes: usize::MAX,
@@ -294,15 +195,16 @@ impl<W> RetryCache<W> {
         }
     }
 
-    /// Bound what the cache retains — the `capacity()` of cached response
-    /// bodies and of idle spares — to `max_bytes`, on top of the entry
-    /// bound. A cache that is off (`capacity == 0`) has no entries to
-    /// bound and ignores it: its spares are the buffers of responses the
-    /// server has just sent, at most [`SPARES_PER_CLASS`] per class.
+    /// Bound the `capacity()` of cached response bodies to `max_bytes`,
+    /// on top of the entry bound.
     pub fn with_byte_budget(mut self, max_bytes: usize) -> RetryCache<W> {
-        if self.capacity != 0 {
-            self.max_bytes = max_bytes;
-        }
+        self.max_bytes = max_bytes;
+        self
+    }
+
+    /// Offer the bodies that leave the cache to `tier`.
+    pub fn with_spares(mut self, tier: Arc<HeapTier>) -> RetryCache<W> {
+        self.spares = Some(tier);
         self
     }
 
@@ -378,22 +280,6 @@ impl<W> RetryCache<W> {
     }
 
     fn complete_at(&self, key: CallKey, response: Arc<Vec<u8>>, now: Instant) -> Vec<W> {
-        // `room`: every body built here and not yet completed, this one
-        // included. The others are on their way in; this one's share is
-        // the room its evictee needs to stay as a spare (the entry itself
-        // is charged below). A body that was not built here — a shared
-        // refusal body, a test's — takes at most its own size off the
-        // gauge, and in a cache nobody builds from `room` is always 0.
-        let own = response.capacity();
-        let room = match self.in_flight.load(Ordering::Relaxed) {
-            0 => 0,
-            _ => self
-                .in_flight
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |building| {
-                    Some(building.saturating_sub(own))
-                })
-                .unwrap_or(0),
-        };
         let mut leaving = Leaving::default();
         let mut inner = self.inner.lock();
         if let Some(Entry::InFlight { acked: true, .. }) = inner.entries.get(&key) {
@@ -407,18 +293,16 @@ impl<W> RetryCache<W> {
         }
         let gen = inner.next_gen;
         inner.next_gen += 1;
-        self.retained.fetch_add(own, Ordering::Relaxed);
+        inner.retained += response.capacity();
         let waiters = match inner.entries.insert(key, Entry::Done { response, gen }) {
             Some(Entry::InFlight { waiters, .. }) => {
                 inner.done += 1;
                 waiters
             }
             // Re-completion (should not happen): keep the fresher
-            // response, nobody is parked. The displaced Done entry's
-            // order record goes stale; the generation stamp keeps it from
-            // ever expiring this fresh one.
+            // response; the old record goes stale (see `gen`).
             Some(Entry::Done { response: old, .. }) => {
-                self.retained.fetch_sub(old.capacity(), Ordering::Relaxed);
+                inner.retained -= old.capacity();
                 leaving.push(old);
                 Vec::new()
             }
@@ -429,13 +313,8 @@ impl<W> RetryCache<W> {
             }
         };
         inner.order.push_back((key, gen, now));
-        self.evict(&mut inner, room, &mut leaving);
+        self.evict(&mut inner, &mut leaving);
         drop(inner);
-        // Entries alone cannot get the cache under its budget when what
-        // is left is the one just completed: then idle spares go.
-        if self.retained.load(Ordering::Relaxed) > self.max_bytes {
-            self.shed_spares();
-        }
         self.let_go(leaving);
         waiters
     }
@@ -469,103 +348,8 @@ impl<W> RetryCache<W> {
         self.len() == 0
     }
 
-    /// Serialize a response body into a buffer nobody else can see and
-    /// return it shared: an idle spare of `hint`'s size class (or the one
-    /// above) when there is one (neither the `Vec`'s block nor the
-    /// `Arc`'s is allocated), else a fresh buffer of exactly `hint`
-    /// bytes. `hint` is what the caller expects `fill` to write — the
-    /// last body of the same `<protocol, method#resp>`; a size that
-    /// drifts upward inside its class costs one `realloc`, and a body
-    /// that leaves its buffer more than half empty (above the class
-    /// floor) gives the excess back, so what the cache then retains is
-    /// below twice what it can replay.
-    pub fn build_body(&self, hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Arc<Vec<u8>> {
-        let write = |buf: &mut Vec<u8>| {
-            buf.reserve_exact(hint);
-            fill(buf);
-            if buf.capacity() >= 2 * buf.len() + MIN_CLASS_BYTES {
-                buf.shrink_to_fit();
-            }
-        };
-        if let Some(mut spare) = self.take_spare(hint, 2) {
-            // Unique when it was filed and unseen since; `get_mut` says
-            // so again, and is the only way in.
-            if let Some(buf) = Arc::get_mut(&mut spare) {
-                write(buf);
-                self.metrics.inc_resp_bodies_reused();
-                return self.built(spare);
-            }
-        }
-        let mut buf = Vec::new();
-        write(&mut buf);
-        self.metrics.inc_resp_bodies_fresh();
-        self.built(Arc::new(buf))
-    }
-
-    /// Offer a body the caller is done with: kept as a spare iff nobody
-    /// else holds it (`Arc::get_mut`'s verdict), its class has fewer than
-    /// [`SPARES_PER_CLASS`] idle and the byte budget has room; otherwise
-    /// this reference is dropped, and with the last one the body. Called
-    /// for whatever leaves the cache and, by the server, for a response's
-    /// own buffer once it is sent. Never call it holding the cache mutex.
-    pub fn offer(&self, mut body: Arc<Vec<u8>>) {
-        let Some(buf) = Arc::get_mut(&mut body) else {
-            return;
-        };
-        let (bytes, class) = (buf.capacity(), class_for(buf.capacity()));
-        if bytes == 0 || class >= SPARE_CLASSES {
-            return;
-        }
-        buf.clear();
-        let mut spares = self.spares.lock();
-        if spares[class].len() < SPARES_PER_CLASS && self.charge_if_room(bytes) {
-            spares[class].push(body);
-            return;
-        }
-        // Not kept: free it after the spare lock, not under it.
-        drop(spares);
-    }
-
-    /// A buffer to read a `len`-byte parameter into: the `Vec` of an idle
-    /// spare of exactly `len`'s size class (never the class above, so its
-    /// capacity is below twice `len`), cleared and held by nobody else.
-    /// The returned [`ParamDraw`] stays with the call until
-    /// [`RetryCache::give_back`]. The spare leaves the byte budget here
-    /// and is charged again when it comes back; it is not a body, so
-    /// nothing is in flight.
-    pub fn draw_param(&self, len: usize) -> (ParamDraw, Option<Vec<u8>>) {
-        match self.take_spare(len, 1) {
-            Some(mut shell) => {
-                let buf = Arc::get_mut(&mut shell).map(std::mem::take);
-                (ParamDraw(Ok(shell)), buf)
-            }
-            None => (ParamDraw(Err(len)), None),
-        }
-    }
-
-    /// File the buffer a call's reply gave up as a spare, in the `Arc`
-    /// its parameter was drawn from. A draw that found no spare had its
-    /// buffer allocated; when the reply's buffer is of the class it
-    /// looked in, it is filed behind a new `Arc` — the only allocation
-    /// here, on a miss only, and how a class is first stocked: a response
-    /// body is a few bytes longer than the value it carries, so it seldom
-    /// lands in its parameter's exact class.
-    pub fn give_back(&self, draw: ParamDraw, buf: Vec<u8>) {
-        match draw.0 {
-            Ok(mut shell) => {
-                if let Some(slot) = Arc::get_mut(&mut shell) {
-                    *slot = buf;
-                    self.offer(shell);
-                }
-            }
-            Err(len) if class_for(buf.capacity()) == class_for(len) => {
-                self.offer(Arc::new(buf));
-            }
-            Err(_) => {}
-        }
-    }
-    /// What the cache retains right now. Walks every entry under the
-    /// cache mutex: for tests and observability, not for a hot path.
+    /// What the cache retains and its heap tier keeps idle. Walks every
+    /// entry under the mutex: for tests, not for a hot path.
     #[doc(hidden)]
     pub fn retention(&self) -> Retention {
         let mut r = Retention::default();
@@ -576,51 +360,12 @@ impl<W> RetryCache<W> {
                 r.entry_capacity += response.capacity();
             }
         }
-        for class in self.spares.lock().iter() {
-            r.spares += class.len();
-            r.spares_in_fullest_class = r.spares_in_fullest_class.max(class.len());
-            r.spare_capacity += class.iter().map(|s| s.capacity()).sum::<usize>();
+        if let Some(idle) = self.spares.as_ref().map(|tier| tier.idle()) {
+            r.spares = idle.spares;
+            r.spares_in_fullest_class = idle.fullest_class;
+            r.spare_capacity = idle.capacity;
         }
         r
-    }
-
-    /// An idle spare of `hint`'s size class or, that class empty, of one
-    /// of the `classes - 1` above it. A body looks one class up (2): that
-    /// is where a body that outgrew its buffer while it was written lands
-    /// (the `Vec` doubles it past its class), while the next hint, its
-    /// own length, is back below. A parameter looks in its own (1).
-    fn take_spare(&self, hint: usize, classes: usize) -> Option<Body> {
-        let class = class_for(hint);
-        if class >= SPARE_CLASSES {
-            return None;
-        }
-        let spare = {
-            let mut spares = self.spares.lock();
-            (class..class + classes).find_map(|c| spares.get_mut(c)?.pop())
-        }?;
-        self.retained.fetch_sub(spare.capacity(), Ordering::Relaxed);
-        Some(spare)
-    }
-
-    /// A body built here comes back through `complete` (the caller's
-    /// duty; one that never does only makes the cache evict earlier):
-    /// until then it is in flight.
-    fn built(&self, body: Body) -> Body {
-        if self.capacity != 0 {
-            self.in_flight.fetch_add(body.capacity(), Ordering::Relaxed);
-        }
-        body
-    }
-
-    /// Charge `bytes` to the budget unless that would exceed it.
-    fn charge_if_room(&self, bytes: usize) -> bool {
-        self.retained
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |retained| {
-                retained
-                    .checked_add(bytes)
-                    .filter(|&total| total <= self.max_bytes)
-            })
-            .is_ok()
     }
 
     /// A request acknowledged `key`'s response: a completed entry leaves
@@ -654,15 +399,10 @@ impl<W> RetryCache<W> {
     }
 
     /// The capacity and byte backstops: let go of the oldest completed
-    /// entries while over either bound — but never the one just
-    /// completed, the last live record. The byte bound holds with `room`
-    /// added, so that what is evicted here can stay as a spare and still
-    /// fit. Then sweep out the stale records acknowledgements left.
-    fn evict(&self, inner: &mut CacheInner<W>, room: usize, leaving: &mut Leaving) {
-        while (inner.done > self.capacity
-            || self.retained.load(Ordering::Relaxed).saturating_add(room) > self.max_bytes)
-            && inner.done > 1
-        {
+    /// entries while over either bound, never the one just completed.
+    /// Then sweep out the stale records acknowledgements left.
+    fn evict(&self, inner: &mut CacheInner<W>, leaving: &mut Leaving) {
+        while (inner.done > self.capacity || inner.retained > self.max_bytes) && inner.done > 1 {
             // Each Done entry has one record, so with two or more of them
             // the front holds a live record before the newest.
             let (old_key, old_gen, _) = inner.order.pop_front().expect("done > 1 records");
@@ -679,11 +419,9 @@ impl<W> RetryCache<W> {
         }
     }
 
-    /// Remove `key`'s entry if it is the `Done` entry that `order_gen`
-    /// stamped, and hand its body out — to be offered or dropped once the
-    /// cache mutex is released, never under it. The order queue can hold
-    /// stale records for entries that were re-completed or already
-    /// removed; those match nothing.
+    /// Remove `key`'s entry if it is the `Done` entry `order_gen` stamped
+    /// (a stale record matches nothing), and hand its body out to be let
+    /// go after the lock.
     fn remove_done(&self, inner: &mut CacheInner<W>, key: CallKey, order_gen: u64) -> Option<Body> {
         let hash_map::Entry::Occupied(slot) = inner.entries.entry(key) else {
             return None;
@@ -695,46 +433,40 @@ impl<W> RetryCache<W> {
             return None;
         };
         inner.done -= 1;
-        self.retained
-            .fetch_sub(response.capacity(), Ordering::Relaxed);
+        inner.retained -= response.capacity();
         Some(response)
     }
 
-    /// Offer what left `CacheInner`, the cache mutex released.
+    /// Offer what left `CacheInner` to the heap tier, or drop it, the
+    /// cache mutex released.
     fn let_go(&self, leaving: Leaving) {
-        leaving
-            .inline
-            .into_iter()
-            .flatten()
-            .chain(leaving.rest)
-            .for_each(|body| self.offer(body));
-    }
-
-    /// Drop idle spares, largest classes first, until the cache is back
-    /// under its budget: for when evicting entries could not get it there
-    /// (what is left is the one just completed). Freed after the spare
-    /// lock, not under it.
-    fn shed_spares(&self) {
-        let mut dropped = Leaving::default();
-        let mut spares = self.spares.lock();
-        for class in spares.iter_mut().rev() {
-            while self.retained.load(Ordering::Relaxed) > self.max_bytes {
-                let Some(spare) = class.pop() else { break };
-                self.retained.fetch_sub(spare.capacity(), Ordering::Relaxed);
-                dropped.push(spare);
-            }
+        if let Some(tier) = &self.spares {
+            let bodies = leaving.inline.into_iter().flatten().chain(leaving.rest);
+            bodies.for_each(|body| tier.offer(body));
         }
-        drop(spares);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bufpool::classes::MIN_CLASS_BYTES;
+    use bufpool::heap::{BUDGET_BYTES, SPARES_PER_CLASS};
 
     fn cache(ttl: Duration, capacity: usize) -> (RetryCache<u32>, MetricsRegistry) {
         let metrics = MetricsRegistry::new(false);
         (RetryCache::new(ttl, capacity, metrics.clone()), metrics)
+    }
+
+    /// A cache that offers what leaves it to a heap tier of `budget`.
+    fn tiered(
+        ttl: Duration,
+        capacity: usize,
+        budget: usize,
+    ) -> (RetryCache<u32>, Arc<HeapTier>, MetricsRegistry) {
+        let (cache, metrics) = cache(ttl, capacity);
+        let tier = Arc::new(HeapTier::new(budget));
+        (cache.with_spares(Arc::clone(&tier)), tier, metrics)
     }
 
     fn resp(tag: u8) -> Arc<Vec<u8>> {
@@ -900,59 +632,40 @@ mod tests {
         let kept = cache.retention();
         assert_eq!((kept.entries, kept.entry_len), (2, 20));
         assert_eq!(kept.entry_capacity, 2_000);
-        // The evicted buffer (unique, 1 000 B) would not fit beside them.
-        assert_eq!(kept.spares, 0);
     }
 
     #[test]
-    fn entries_and_spares_stay_within_the_budget() {
+    fn entries_and_spares_each_stay_within_their_own_budget() {
         const BUDGET: usize = 4_000;
-        let metrics = MetricsRegistry::new(false);
-        let cache: RetryCache<u32> =
-            RetryCache::new(Duration::from_secs(60), 8, metrics.clone()).with_byte_budget(BUDGET);
+        const TIER_BUDGET: usize = 2_000;
+        let (cache, tier, _) = tiered(Duration::from_secs(60), 8, TIER_BUDGET);
+        let cache = cache.with_byte_budget(BUDGET);
         // Three sizes, three classes; the entry bound binds for the
         // small ones and the byte budget for the large.
+        let mut fresh = 0;
         for seq in 0..200i64 {
             let len = [40usize, 300, 900][(seq % 3) as usize];
             assert!(matches!(cache.begin((1, seq), || 0), Admission::Execute));
-            let body = cache.build_body(len, |buf| buf.resize(len, seq as u8));
+            let (body, reused) = tier.build_body(len, |buf| buf.resize(len, seq as u8));
+            fresh += usize::from(!reused);
             assert!(body.capacity() < 2 * len + MIN_CLASS_BYTES);
             cache.complete((1, seq), body);
             let kept = cache.retention();
-            assert!(
-                kept.entry_capacity + kept.spare_capacity <= BUDGET,
-                "seq {seq}: {kept:?}"
-            );
+            assert!(kept.entry_capacity <= BUDGET, "seq {seq}: {kept:?}");
+            assert!(kept.spare_capacity <= TIER_BUDGET, "seq {seq}: {kept:?}");
             assert!(kept.spares_in_fullest_class <= SPARES_PER_CLASS);
         }
-        let c = metrics.counters();
-        assert_eq!(c.resp_bodies_reused + c.resp_bodies_fresh, 200);
         assert!(
-            c.resp_bodies_fresh <= 20,
-            "steady state builds in what was evicted: {c:?}"
+            fresh <= 20,
+            "steady state builds in what was evicted: {fresh}"
         );
     }
 
     #[test]
-    fn oversized_newest_entry_pushes_idle_spares_out() {
-        let (cache, _) = cache(Duration::from_secs(60), 4);
-        let cache = cache.with_byte_budget(1_000);
-        cache.offer(roomy(0, 400));
-        cache.offer(roomy(0, 100));
-        assert_eq!(cache.retention().spare_capacity, 500);
-        // Nothing to evict but the entry itself: spares go instead, the
-        // largest first, until the rest fits.
-        assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
-        cache.complete((1, 1), roomy(700, 700));
-        let kept = cache.retention();
-        assert_eq!((kept.entries, kept.spare_capacity), (1, 100));
-    }
-
-    #[test]
     fn evicted_body_is_the_next_one_built_in_its_class() {
-        let (cache, metrics) = cache(Duration::from_secs(60), 1);
+        let (cache, tier, metrics) = tiered(Duration::from_secs(60), 1, usize::MAX);
         assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
-        let first = cache.build_body(0, |buf| buf.extend_from_slice(&[1; 200]));
+        let (first, _) = tier.build_body(0, |buf| buf.extend_from_slice(&[1; 200]));
         let (block, capacity) = (first.as_ptr(), first.capacity());
         cache.complete((1, 1), first);
         assert!(matches!(cache.begin((1, 2), || 0), Admission::Execute));
@@ -960,68 +673,15 @@ mod tests {
         assert_eq!(metrics.counters().retry_cache_evictions, 1);
         assert_eq!(cache.retention().spares, 1);
         // Same class, a little smaller: same block, nothing allocated.
-        let again = cache.build_body(180, |buf| buf.extend_from_slice(&[3; 180]));
+        let (again, reused) = tier.build_body(180, |buf| buf.extend_from_slice(&[3; 180]));
+        assert!(reused);
         assert_eq!((again.as_ptr(), again.capacity()), (block, capacity));
         assert_eq!(*again, vec![3; 180]);
-        // Another class finds nothing and allocates exactly.
-        let other = cache.build_body(2_000, |buf| buf.extend_from_slice(&[4; 2_000]));
-        assert_eq!(other.capacity(), 2_000);
-        let c = metrics.counters();
-        assert_eq!((c.resp_bodies_reused, c.resp_bodies_fresh), (1, 2));
-    }
-
-    #[test]
-    fn a_body_that_outgrew_its_class_is_drawn_by_the_hint_below_it() {
-        let (cache, metrics) = cache(Duration::from_secs(60), 4);
-        // A 507-byte body against a 500-byte hint: the `Vec` doubled its
-        // buffer into the class above the hint's.
-        let grown = cache.build_body(500, |buf| buf.extend_from_slice(&[1; 507]));
-        assert!(grown.capacity() > 512, "{}", grown.capacity());
-        let block = grown.as_ptr();
-        cache.offer(grown);
-        // The next hint is that body's length, a class below its buffer.
-        let next = cache.build_body(507, |buf| buf.extend_from_slice(&[2; 514]));
-        assert_eq!(next.as_ptr(), block);
-        let c = metrics.counters();
-        assert_eq!((c.resp_bodies_reused, c.resp_bodies_fresh), (1, 1));
-    }
-
-    #[test]
-    fn a_parameter_is_read_into_a_spare_of_its_exact_class_and_given_back() {
-        let (cache, _) = cache(Duration::from_secs(60), 4);
-        let cache = cache.with_byte_budget(10_000);
-        // Only the class above is stocked: a parameter never takes it.
-        cache.offer(roomy(1_500, 1_500));
-        let (draw, buf) = cache.draw_param(1_000);
-        assert!(buf.is_none());
-        // A miss stocks only the class it missed in, with the buffer the
-        // reply gives back.
-        cache.give_back(draw, Vec::with_capacity(5_000));
-        assert_eq!(cache.retention().spares, 1);
-        let (draw, buf) = cache.draw_param(1_000);
-        assert!(buf.is_none());
-        cache.give_back(draw, Vec::with_capacity(1_000));
-        let kept = cache.retention();
-        assert_eq!((kept.spares, kept.spare_capacity), (2, 2_500));
-
-        // A hit: the spare's buffer, cleared, out of the budget while the
-        // call has it; whatever the reply gives back goes into its `Arc`.
-        let (draw, buf) = cache.draw_param(1_000);
-        let buf = buf.expect("a spare of the class");
-        assert!(buf.is_empty() && buf.capacity() == 1_000);
-        assert_eq!(cache.retention().spare_capacity, 1_500);
-        let mut reply = buf;
-        reply.resize(900, 0xAA);
-        cache.give_back(draw, reply);
-        let kept = cache.retention();
-        assert_eq!((kept.spares, kept.spare_capacity), (2, 2_500));
-        let (_, again) = cache.draw_param(900);
-        assert_eq!(again.map(|b| (b.len(), b.capacity())), Some((0, 1_000)));
     }
 
     #[test]
     fn body_still_held_when_evicted_is_dropped_not_filed() {
-        let (cache, _) = cache(Duration::from_secs(60), 1);
+        let (cache, tier, _) = tiered(Duration::from_secs(60), 1, usize::MAX);
         assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
         cache.complete((1, 1), Arc::new(vec![7; 300]));
         // A replay on a connection's pending list.
@@ -1031,48 +691,30 @@ mod tests {
         assert!(matches!(cache.begin((1, 2), || 0), Admission::Execute));
         cache.complete((1, 2), resp(2));
         assert_eq!(cache.retention().spares, 0, "shared: not a spare");
-        let built = cache.build_body(300, |buf| buf.extend_from_slice(&[9; 300]));
+        let (built, _) = tier.build_body(300, |buf| buf.extend_from_slice(&[9; 300]));
         assert_ne!(built.as_ptr(), held.as_ptr());
         assert_eq!(*held, vec![7; 300], "the held replay is untouched");
         // Its last holder may offer it: now it is unique.
-        cache.offer(held);
+        tier.offer(held);
         assert_eq!(cache.retention().spares, 1);
     }
 
     #[test]
-    fn body_far_smaller_than_its_buffer_gives_the_excess_back() {
-        let (cache, _) = cache(Duration::from_secs(60), 4);
-        cache.offer(roomy(0, 1_000));
-        let body = cache.build_body(1_000, |buf| buf.extend_from_slice(&[1; 10]));
-        assert!(
-            body.capacity() < 2 * 10 + MIN_CLASS_BYTES,
-            "{}",
-            body.capacity()
-        );
-        assert_eq!(*body, vec![1; 10]);
-    }
-
-    #[test]
     fn cache_that_is_off_recycles_what_it_is_offered() {
-        let (cache, metrics) = cache(Duration::from_secs(60), 0);
+        let (cache, tier, _) = tiered(Duration::from_secs(60), 0, usize::MAX);
         let cache = cache.with_byte_budget(0);
-        let first = cache.build_body(0, |buf| buf.extend_from_slice(&[1; 64]));
+        let (first, _) = tier.build_body(0, |buf| buf.extend_from_slice(&[1; 64]));
         let block = first.as_ptr();
         assert!(cache.complete((1, 1), Arc::clone(&first)).is_empty());
-        cache.offer(first);
-        let second = cache.build_body(64, |buf| buf.extend_from_slice(&[2; 64]));
+        tier.offer(first);
+        let (second, reused) = tier.build_body(64, |buf| buf.extend_from_slice(&[2; 64]));
         assert_eq!(second.as_ptr(), block);
-        // At most SPARES_PER_CLASS idle per class, whatever is offered.
-        for _ in 0..SPARES_PER_CLASS + 3 {
-            cache.offer(roomy(0, 64));
-        }
-        assert_eq!(cache.retention().spares, SPARES_PER_CLASS);
-        assert_eq!(metrics.counters().resp_bodies_reused, 1);
+        assert!(reused);
     }
 
     #[test]
     fn expired_bodies_leave_as_spares_too() {
-        let (cache, metrics) = cache(Duration::from_millis(20), 16);
+        let (cache, _, metrics) = tiered(Duration::from_millis(20), 16, usize::MAX);
         let at = clock();
         for seq in 0..3i64 {
             assert!(matches!(
@@ -1188,9 +830,9 @@ mod tests {
 
     #[test]
     fn acked_entry_leaves_and_its_body_is_the_next_built_in_its_class() {
-        let (cache, metrics) = cache(Duration::from_secs(60), 16);
+        let (cache, tier, metrics) = tiered(Duration::from_secs(60), 16, BUDGET_BYTES);
         assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
-        let first = cache.build_body(0, |buf| buf.extend_from_slice(&[1; 200]));
+        let (first, _) = tier.build_body(0, |buf| buf.extend_from_slice(&[1; 200]));
         let (block, capacity) = (first.as_ptr(), first.capacity());
         cache.complete((1, 1), first);
         // The caller's next request acknowledges call 1: it leaves in the
@@ -1202,11 +844,11 @@ mod tests {
         let kept = cache.retention();
         assert_eq!((kept.entries, kept.spares), (0, 1));
         assert_eq!(cache.len(), 1, "only call 2, in flight");
-        let again = cache.build_body(180, |buf| buf.extend_from_slice(&[2; 180]));
+        let (again, reused) = tier.build_body(180, |buf| buf.extend_from_slice(&[2; 180]));
         assert_eq!((again.as_ptr(), again.capacity()), (block, capacity));
+        assert!(reused);
         let c = metrics.counters();
         assert_eq!((c.retry_cache_acked, c.retry_cache_evictions), (1, 0));
-        assert_eq!((c.resp_bodies_reused, c.resp_bodies_fresh), (1, 1));
     }
 
     #[test]

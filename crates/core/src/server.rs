@@ -136,18 +136,21 @@
 //!
 //! **The body's life.** A response body is `Arc<Vec<u8>>` end to end —
 //! the retry cache must own the bytes, and replays and parked duplicates
-//! share them — and it goes round: *spare* → *serialized*
-//! (`ServerInner::serialize_response` writes into a buffer the cache has
-//! let go of, picked by the size class of the method's last response;
-//! only a miss allocates) → *sent* (inline or queued, always behind a
-//! per-route lead) → *cached* (`RetryCache::complete`) → *acknowledged*
-//! by the caller's next request (or, as a backstop, evicted or expired;
-//! moved out under the cache mutex, offered after it) → *spare* again,
-//! if `Arc::get_mut` finds nobody still holding it. Every holder offers
-//! the body when it lets go — the sender once it is sent, too — so the
-//! last one files it. Steady state, the server's call path allocates
-//! nothing of its own, and a bulk parameter is read into a spare as well
-//! ([`call_frame`]). See [`crate::retry_cache`] for the rules.
+//! share them. It lives in the server's heap tier ([`bufpool::heap`],
+//! the heap half of the paper's two-tier pool; the registered half is
+//! the node's [`IbContext`]) and goes round: *spare* → *serialized*
+//! (`ServerInner::serialize_response` writes into a spare of the size
+//! class of the method's last response; only a miss allocates) → *sent*
+//! (inline or queued, always behind a per-route lead) → *cached*
+//! (`RetryCache::complete`) → *acknowledged* by the caller's next
+//! request (or, as a backstop, evicted or expired; moved out under the
+//! cache mutex, offered after it) → *spare* again, if `Arc::get_mut`
+//! finds nobody still holding it. Every holder offers the body when it
+//! lets go — the sender once it is sent, too — so the last one files it.
+//! Steady state, the server's call path allocates nothing of its own,
+//! and a bulk parameter is read into a spare as well ([`call_frame`]).
+//! The tier's rules are [`bufpool::heap`]'s, the cache's
+//! [`crate::retry_cache`]'s.
 //!
 //! Shutdown comes in two flavors: [`Server::stop`] (abrupt — close
 //! everything now) and [`Server::drain`] (graceful — stop accepting,
@@ -160,6 +163,7 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
+use bufpool::heap::{self, HeapTier, ParamDraw};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use simnet::{Fabric, ListenerCloser, NodeId, SimAddr, SimListener};
@@ -177,7 +181,7 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase, ShardRole, ShardSt
 use crate::readiness::{
     token, token_gen, token_slot, Pop, ReadyQueue, TakeoverHook, WakeState, TOKEN_REGISTER,
 };
-use crate::retry_cache::{Admission, ParamDraw, Retention, RetryCache};
+use crate::retry_cache::{Admission, Retention, RetryCache};
 use crate::sched::{HandlerCx, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
 use crate::transport::rdma::{IbContext, RdmaConn};
@@ -330,6 +334,9 @@ struct ServerInner {
     /// the registered buffer pool's counters.
     ib: Option<IbContext>,
     retry_cache: RetryCache<RespRoute>,
+    /// The heap tier response bodies are built in and bulk parameters
+    /// read into; the retry cache offers it what leaves the cache.
+    heap: Arc<HeapTier>,
     /// Source of server-assigned client ids for peers that present 0 at
     /// the handshake.
     next_client_id: AtomicU64,
@@ -459,19 +466,19 @@ impl ServerInner {
         // Sent: offer the buffer. Kept only if nobody else holds it — the
         // cache off, or the caller's ack already in; a cache entry or a
         // pending send still holding it offers it when it lets go.
-        self.retry_cache.offer(bytes);
+        self.heap.offer(bytes);
     }
 
     /// Serialize a dispatch result into the response body
     /// (`[status][value | error]`): once, on the computing thread, so a
     /// replay or a parked duplicate on another connection shares the
-    /// bytes — and into a buffer the retry cache has let go of, when it
-    /// has one of the size the last response of this
-    /// `<protocol, method#resp>` had (the paper's message-size locality):
-    /// steady state, neither the `Vec` nor its `Arc` is allocated. A
-    /// fresh buffer is sized from the same history, so it is allocated
-    /// once instead of grown. An error is not its method's size locality:
-    /// it is sized by its own text and leaves the history alone.
+    /// bytes — and into a spare of the heap tier, when it has one of the
+    /// size the last response of this `<protocol, method#resp>` had (the
+    /// paper's message-size locality): steady state, neither the `Vec`
+    /// nor its `Arc` is allocated. A fresh buffer is sized from the same
+    /// history, so it is allocated once instead of grown. An error is not
+    /// its method's size locality: it is sized by its own text and leaves
+    /// the history alone.
     fn serialize_response(
         &self,
         key: MethodKey,
@@ -491,9 +498,10 @@ impl ServerInner {
                 (Err(&error_text), ERROR_LEAD_MAX + error_text.len())
             }
         };
-        let body = self.retry_cache.build_body(hint, |buf| {
+        let (body, reused) = self.heap.build_body(hint, |buf| {
             write_response_body(buf, result_ref).expect("serializing to Vec cannot fail")
         });
+        self.metrics.inc_resp_bodies(reused);
         if result.is_ok() {
             sizes.note_body_size(body.len());
         }
@@ -625,7 +633,7 @@ impl ServerConn {
             out
         };
         // Sent: offered, as at the end of `respond`.
-        let sent_body = |bytes: Arc<Vec<u8>>| inner.retry_cache.offer(bytes);
+        let sent_body = |bytes: Arc<Vec<u8>>| inner.heap.offer(bytes);
         let first = pop();
         let sent = if run >= 2 {
             // The response's buffer-size history is keyed separately from
@@ -720,17 +728,19 @@ impl Server {
         let admission =
             AdmissionQueue::new(cfg.call_queue_len, cfg.tenant_quota, &cfg.tenant_weights);
         let metrics = MetricsRegistry::new(false);
-        // Byte budget (cached bodies and idle spares, by `capacity()`):
-        // as if every cached response were as large as an eager frame
-        // can get (`rdma_threshold`) — 128 MiB at defaults. Small-call
-        // servers never reach it; bulk responses evict early instead of
-        // pinning `capacity × response size`.
+        // Byte budget (cached bodies, by `capacity()`): as if every
+        // cached response were as large as an eager frame can get
+        // (`rdma_threshold`) — 128 MiB at defaults. Small-call servers
+        // never reach it; bulk responses evict early instead of pinning
+        // `capacity × response size`. Idle spares have the tier's own.
+        let heap = Arc::new(HeapTier::new(heap::BUDGET_BYTES));
         let retry_cache = RetryCache::new(
             cfg.retry_cache_ttl,
             cfg.retry_cache_capacity,
             metrics.clone(),
         )
-        .with_byte_budget(cfg.retry_cache_capacity.saturating_mul(cfg.rdma_threshold));
+        .with_byte_budget(cfg.retry_cache_capacity.saturating_mul(cfg.rdma_threshold))
+        .with_spares(Arc::clone(&heap));
 
         let worker_stats: Vec<_> = (0..cfg.handlers)
             .map(|i| metrics.register_shard(ShardRole::Worker, i))
@@ -773,6 +783,7 @@ impl Server {
             metrics,
             ib,
             retry_cache,
+            heap,
             next_client_id: AtomicU64::new(id_seed),
             admission,
             started: Instant::now(),
@@ -884,8 +895,9 @@ impl Server {
         self.inner.retry_cache.len()
     }
 
-    /// What the retry cache retains — completed bodies and idle spares,
-    /// by `len()` and by `capacity()` — for the allocation tests.
+    /// What the retry cache retains — completed bodies, by `len()` and by
+    /// `capacity()` — and the heap tier's idle spares, for the allocation
+    /// tests.
     #[doc(hidden)]
     pub fn retry_cache_retention(&self) -> Retention {
         self.inner.retry_cache.retention()
@@ -1760,10 +1772,10 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
 ///
 /// **The parameter's buffer.** A request that arrived as a bulk frame
 /// reads its first buffer longer than an eager frame into a spare of the
-/// retry cache ([`RetryCache::draw_param`]); the spare's emptied `Arc`
-/// stays with the call, and once the result is serialized the buffer the
-/// reply gives up ([`Writable::take_buffer`]) goes back into it
-/// ([`RetryCache::give_back`]). An echo's parameter is thus read into the
+/// heap tier ([`HeapTier::draw_param`]); the spare's emptied `Arc` stays
+/// with the call, and once the result is serialized the buffer the reply
+/// gives up ([`Writable::take_buffer`]) goes back into it
+/// ([`HeapTier::give_back`]). An echo's parameter is thus read into the
 /// buffer the last reply gave back. An eager frame draws nothing, and
 /// allocates as it always did.
 ///
@@ -1797,7 +1809,7 @@ fn call_frame(
             if len <= inner.cfg.rdma_threshold || param.is_some() {
                 return None;
             }
-            let (claim, buf) = inner.retry_cache.draw_param(len);
+            let (claim, buf) = inner.heap.draw_param(len);
             param = Some(claim);
             buf
         };
@@ -1829,7 +1841,7 @@ fn call_frame(
         let body = inner.serialize_response(header.key, &result);
         if let (Some(claim), Ok(value)) = (param.take(), &mut result) {
             if let Some(buf) = value.take_buffer() {
-                inner.retry_cache.give_back(claim, buf);
+                inner.heap.give_back(claim, buf);
             }
         }
         handler_ns += poll_start.elapsed().as_nanos() as u64;

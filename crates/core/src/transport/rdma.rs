@@ -181,15 +181,14 @@ impl IbContext {
     /// their receive buffers from one shared receive queue and their
     /// registered memory from one pool. The geometry is what the pool and
     /// the queue are built from — `recv_buf_bytes`, `large_region_bytes`,
-    /// `prefill_per_class`, `use_size_history` — so an endpoint with
-    /// other buffers (the HDFS data plane's) gets a context of its own.
+    /// `prefill_per_class` — so an endpoint with other buffers (the HDFS
+    /// data plane's) gets a context of its own.
     /// The fabric holds it weakly: it lives as long as its last endpoint.
     pub fn for_node(fabric: &Fabric, node: NodeId, cfg: &RpcConfig) -> RpcResult<IbContext> {
         let geometry = [
             cfg.recv_buf_bytes as u64,
             cfg.large_region_bytes as u64,
             cfg.prefill_per_class as u64,
-            u64::from(cfg.use_size_history),
         ];
         let inner = fabric.node_shared(node, &geometry, || {
             IbContext::new(fabric, node, cfg).map(|ctx| ctx.inner)
@@ -211,7 +210,7 @@ impl IbContext {
         let ladder = SizeClasses::up_to(cfg.large_region_bytes);
         let pool = ShadowPool::new(
             NativePool::new(ladder, move |len| factory.allocate(len)),
-            cfg.use_size_history,
+            true,
         );
         // Pre-register the small classes (the ones per-call traffic uses);
         // jumbo classes are registered lazily on first use — and once

@@ -29,13 +29,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bufpool::heap::{self, HeapTier};
 use proptest::prelude::*;
 use rpcoib::intern::method_key;
-use rpcoib::metrics::MetricsRegistry;
 use rpcoib::transport::rdma::RdmaConn;
 use rpcoib::transport::Conn;
 use rpcoib::{handshake, Client, RpcConfig, RpcService, Server, ServiceRegistry};
-use rpcoib::{IbContext, Payload, RetryCache, V3Decoder, V3Encoder};
+use rpcoib::{IbContext, Payload, V3Decoder, V3Encoder};
 use simnet::{
     model, CompletionKind, Fabric, MemoryRegion, QpEndpoint, QueuePair, RdmaDevice, RemoteKey,
     SimAddr, SimListener, SimStream, VerbsError,
@@ -467,21 +467,20 @@ fn a_length_beyond_the_frame_sizes_nothing() {
 #[test]
 fn a_recycled_spare_shows_none_of_its_old_bytes() {
     let (cli, srv) = conn_pair(4096);
-    let cache: RetryCache<()> =
-        RetryCache::new(Duration::from_secs(60), 16, MetricsRegistry::new(false));
+    let tier = HeapTier::new(heap::BUDGET_BYTES);
     // The last reply gave back 60 000 bytes of 0xAA, after its parameter
     // found no spare of the class.
-    let (claim, none) = cache.draw_param(60_000);
+    let (claim, none) = tier.draw_param(60_000);
     assert!(none.is_none());
     let stale = vec![0xAA; 60_000];
     let block = stale.as_ptr();
-    cache.give_back(claim, stale);
+    tier.give_back(claim, stale);
     // A shorter parameter of the same size class is read into it.
     let param: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
     let payload = carry(&cli, &srv, &len_bytes(&param));
     let mut claim = None;
     let mut spares = |len: usize| {
-        let (drawn, buf) = cache.draw_param(len);
+        let (drawn, buf) = tier.draw_param(len);
         claim = Some(drawn);
         buf
     };

@@ -1,23 +1,25 @@
 //! A response body is never rewritten while anyone can read it.
 //!
-//! The retry cache recycles: a body that leaves it (acknowledged, evicted,
-//! expired) is kept as a spare and the next response of its size class is
-//! serialized into it. What makes that safe is `Arc::get_mut` — a body is
-//! cleared or written only when no replay handle, parked route or sender
-//! holds it. This property drives random schedules of `begin` (some
-//! acknowledging another key, completed or in flight) / `build_body` +
-//! `complete` (three size classes) / held `Replay` handles / dropped and
-//! offered handles / TTL expiry / parameters read into spares and given
-//! back over a small capacity and byte budget, against a model that
-//! remembers what every completion wrote (an acknowledged key may
-//! re-execute, which the model allows as it allows an evicted one):
+//! The retry cache and the heap tier recycle together: a body that leaves
+//! the cache (acknowledged, evicted, expired) is offered to the tier, kept
+//! as a spare, and the next response of its size class is serialized into
+//! it. What makes that safe is `Arc::get_mut` — a body is cleared or
+//! written only when no replay handle, parked route or sender holds it.
+//! This property drives random schedules of `begin` (some acknowledging
+//! another key, completed or in flight) / `build_body` + `complete` (three
+//! size classes) / held `Replay` handles / dropped and offered handles /
+//! TTL expiry / parameters read into spares and given back over a small
+//! capacity and two small byte budgets, against a model that remembers
+//! what every completion wrote (an acknowledged key may re-execute, which
+//! the model allows as it allows an evicted one):
 //!
 //! * every held handle still equals the bytes it was completed with,
 //!   after every step and when it is finally let go;
 //! * a replay returns the latest completion of its key, and a key the
 //!   model knows in flight parks;
-//! * what the cache retains — entries plus idle spares, by `capacity()` —
-//!   never exceeds the byte budget, and no class idles more than
+//! * what the cache retains — its entries, by `capacity()` — never
+//!   exceeds the cache's byte budget, what the tier keeps idle never
+//!   exceeds the tier's, and no class idles more than
 //!   [`SPARES_PER_CLASS`] spares;
 //! * offering a body somebody else still holds files nothing;
 //! * a parameter's buffer is cleared, of its length's own class, and no
@@ -28,14 +30,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bufpool::classes::class_for;
+use bufpool::heap::{HeapTier, ParamDraw, SPARES_PER_CLASS};
 use proptest::prelude::*;
 use rpcoib::metrics::MetricsRegistry;
-use rpcoib::retry_cache::{Admission, ParamDraw, RetryCache, SPARES_PER_CLASS};
+use rpcoib::retry_cache::{Admission, RetryCache};
 
 const CAPACITY: usize = 4;
 /// Room for two of the largest bodies and change: the byte bound and the
 /// entry bound both get to bind, and no single body is oversized.
 const BUDGET: usize = 2_500;
+/// The tier's: room for a few spares, so that it binds too.
+const TIER_BUDGET: usize = 2_500;
 const TTL: Duration = Duration::from_millis(3);
 /// Body lengths, one per size class (128 B, 512 B, 1 KiB).
 const SIZES: [usize; 3] = [40, 300, 900];
@@ -54,8 +59,10 @@ struct Held {
 }
 
 fn run(ops: &[(usize, i64, usize)]) {
-    let cache: RetryCache<()> =
-        RetryCache::new(TTL, CAPACITY, MetricsRegistry::new(false)).with_byte_budget(BUDGET);
+    let tier = Arc::new(HeapTier::new(TIER_BUDGET));
+    let cache: RetryCache<()> = RetryCache::new(TTL, CAPACITY, MetricsRegistry::new(false))
+        .with_byte_budget(BUDGET)
+        .with_spares(Arc::clone(&tier));
     let mut in_flight: HashSet<i64> = HashSet::new();
     let mut done: HashMap<i64, Vec<u8>> = HashMap::new();
     let mut held: Vec<Held> = Vec::new();
@@ -90,7 +97,8 @@ fn run(ops: &[(usize, i64, usize)]) {
                 in_flight.remove(&seq);
                 stamp += 1;
                 let expected = content(stamp, SIZES[size]);
-                let body = cache.build_body(SIZES[size], |buf| buf.extend_from_slice(&expected));
+                let (body, _) =
+                    tier.build_body(SIZES[size], |buf| buf.extend_from_slice(&expected));
                 prop_assert_eq!(&*body, &expected);
                 cache.complete((1, seq), body);
                 done.insert(seq, expected);
@@ -105,7 +113,7 @@ fn run(ops: &[(usize, i64, usize)]) {
             8 if !held.is_empty() => {
                 let h = &held[seq as usize % held.len()];
                 let spares = cache.retention().spares;
-                cache.offer(Arc::clone(&h.handle));
+                tier.offer(Arc::clone(&h.handle));
                 prop_assert_eq!(cache.retention().spares, spares, "filed a shared body");
             }
             // Everything completed so far outlives its TTL.
@@ -116,7 +124,7 @@ fn run(ops: &[(usize, i64, usize)]) {
             // A parameter is read into a spare, or a buffer of its own.
             10 => {
                 let len = SIZES[size];
-                let (claim, buf) = cache.draw_param(len);
+                let (claim, buf) = tier.draw_param(len);
                 let mut buf = match buf {
                     Some(buf) => {
                         prop_assert!(buf.is_empty(), "a spare kept {} bytes", buf.len());
@@ -135,7 +143,7 @@ fn run(ops: &[(usize, i64, usize)]) {
             // Its call's reply gives the buffer back.
             11 if !params.is_empty() => {
                 let (claim, buf) = params.swap_remove(seq as usize % params.len());
-                cache.give_back(claim, buf);
+                tier.give_back(claim, buf);
             }
             _ => {}
         }
@@ -143,8 +151,9 @@ fn run(ops: &[(usize, i64, usize)]) {
             prop_assert_eq!(&*h.handle, &h.expected, "held handle rewritten");
         }
         let kept = cache.retention();
+        prop_assert!(kept.entry_capacity <= BUDGET, "over budget: {:?}", kept);
         prop_assert!(
-            kept.entry_capacity + kept.spare_capacity <= BUDGET,
+            kept.spare_capacity <= TIER_BUDGET,
             "over budget: {:?}",
             kept
         );
@@ -154,17 +163,18 @@ fn run(ops: &[(usize, i64, usize)]) {
     // Let go one by one, offering each: the last holder of a body the
     // cache has dropped makes it a spare, which must not disturb the rest.
     for (claim, buf) in params {
-        cache.give_back(claim, buf);
+        tier.give_back(claim, buf);
     }
     while let Some(h) = held.pop() {
         prop_assert_eq!(&*h.handle, &h.expected);
-        cache.offer(h.handle);
+        tier.offer(h.handle);
         for h in &held {
             prop_assert_eq!(&*h.handle, &h.expected, "held handle rewritten");
         }
     }
     let kept = cache.retention();
-    prop_assert!(kept.entry_capacity + kept.spare_capacity <= BUDGET);
+    prop_assert!(kept.entry_capacity <= BUDGET);
+    prop_assert!(kept.spare_capacity <= TIER_BUDGET);
     prop_assert!(kept.spares_in_fullest_class <= SPARES_PER_CLASS);
 }
 

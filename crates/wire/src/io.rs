@@ -183,13 +183,7 @@ pub trait DataInput {
     }
 
     fn read_vint(&mut self) -> io::Result<i32> {
-        let v = self.read_vlong()?;
-        i32::try_from(v).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("vint out of range: {v}"),
-            )
-        })
+        varint::narrow_vint(self.read_vlong()?)
     }
 
     fn read_vlong(&mut self) -> io::Result<i64> {

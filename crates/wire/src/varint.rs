@@ -92,13 +92,13 @@ pub fn read_vlong<R: Read + ?Sized>(input: &mut R) -> io::Result<i64> {
 
 /// Read an `int` in Hadoop vint format, failing on overflow.
 pub fn read_vint<R: Read + ?Sized>(input: &mut R) -> io::Result<i32> {
-    let v = read_vlong(input)?;
-    i32::try_from(v).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vint out of range: {v}"),
-        )
-    })
+    narrow_vint(read_vlong(input)?)
+}
+
+/// A decoded vlong as an `int`. A value out of range is refused with the
+/// bare `InvalidData` kind: a refusal of peer bytes allocates nothing.
+pub(crate) fn narrow_vint(v: i64) -> io::Result<i32> {
+    i32::try_from(v).map_err(|_| io::ErrorKind::InvalidData.into())
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use std::cell::Cell;
 use proptest::prelude::*;
 use wire::buffer::INITIAL_CAPACITY;
 use wire::io::LEN_BYTES_ON_TRUST;
-use wire::varint::{read_vlong, vlong_size, write_vlong};
+use wire::varint::{decode_vint_size, read_vint, read_vlong, vlong_size, write_vlong};
 use wire::{
     from_bytes, to_bytes, BytesWritable, DataOutputBuffer, ObjectWritable, Text, VLongWritable,
 };
@@ -15,11 +15,15 @@ thread_local! {
     /// The largest single allocation this thread has asked for since the
     /// cell was last zeroed.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Allocations (and reallocations) this thread has made since the
+    /// cell was last zeroed.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note_alloc(size: usize) {
     // `try_with`: the allocator also runs while a thread tears down.
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
 }
 
 struct LargestAlloc;
@@ -61,14 +65,26 @@ proptest! {
     }
 
     /// Every i64 survives the Hadoop vint codec, and the size function
-    /// agrees with the encoder.
+    /// agrees with the encoder: a vlong decodes in exactly the
+    /// `vlong_size` bytes its encoding took, whatever follows it, and its
+    /// first byte announces that size. Small magnitudes are drawn as often
+    /// as large ones.
     #[test]
-    fn vlong_roundtrip(v in any::<i64>()) {
+    fn vlong_roundtrip(
+        v in any::<i64>(),
+        shift in 0u32..64,
+        tail in proptest::collection::vec(any::<u8>(), 0..9),
+    ) {
+        let v = v >> shift;
         let mut buf = Vec::new();
         write_vlong(&mut buf, v).unwrap();
         prop_assert_eq!(buf.len(), vlong_size(v));
         prop_assert!(buf.len() <= 9);
-        prop_assert_eq!(read_vlong(&mut buf.as_slice()).unwrap(), v);
+        prop_assert_eq!(decode_vint_size(buf[0]), vlong_size(v));
+        buf.extend_from_slice(&tail);
+        let mut cursor = buf.as_slice();
+        prop_assert_eq!(read_vlong(&mut cursor).unwrap(), v);
+        prop_assert_eq!(buf.len() - cursor.len(), vlong_size(v));
     }
 
     /// Encoded vints are prefix-free: decoding consumes exactly the bytes
@@ -84,6 +100,26 @@ proptest! {
             prop_assert_eq!(read_vlong(&mut cursor).unwrap(), v);
         }
         prop_assert!(cursor.is_empty());
+    }
+
+    /// The varint decoders take any 0–16 bytes from a peer — the free
+    /// functions and `DataInput`'s — and give a value or an `io::Error`,
+    /// never a panic, and allocate nothing, not even for the error.
+    #[test]
+    fn varint_decoders_take_any_bytes_and_allocate_nothing(
+        bytes in proptest::collection::vec(any::<u8>(), 0..17),
+    ) {
+        use wire::DataInput;
+        let (mut a, mut b) = (bytes.as_slice(), bytes.as_slice());
+        ALLOCS.with(|allocs| allocs.set(0));
+        let refused = [
+            read_vlong(&mut bytes.as_slice()).err(),
+            read_vint(&mut bytes.as_slice()).err(),
+            a.read_vlong().err(),
+            b.read_vint().err(),
+        ];
+        let allocs = ALLOCS.with(Cell::get);
+        prop_assert_eq!(allocs, 0, "{:?}", refused);
     }
 
     /// Algorithm 1 never loses data and always keeps count <= capacity.
