@@ -328,28 +328,15 @@ pub fn run_handlers(opts: &RunOpts, git_rev: &str) -> Json {
     header("handlers", opts, git_rev).field("rows", Json::Arr(rows))
 }
 
-/// Connection counts of the shard-scaling sweep.
+/// Connection counts of the connection-scaling sweep.
 const SHARD_CLIENTS: &[usize] = &[1, 4, 16, 64, 256];
 
-/// Reader shard counts swept.
-const SHARD_COUNTS: &[usize] = &[1, 2, 4];
-
-/// Figure: connection scaling versus reader shard count. Every
+/// Figure: connection scaling on the server's one read side. Every
 /// connection drives an identical sequential call stream from its own
-/// fabric node, so each per-call ledger delta is deterministic, and —
-/// because connections are dealt onto shards round-robin by accept-order
-/// id — the per-shard load split is `ceil(C/M)` connections on the
-/// busiest shard no matter which client won which accept slot.
-///
-/// The serialized throughput figure is *derived* from the ledger, not
-/// measured: it models each reader shard as serving its connections'
-/// call streams one after another — a lone call is read, run and
-/// answered by its shard's thread — and the shards as running in
-/// parallel, so the modeled makespan is `ceil(C/M) × per_conn_ns` (the
-/// busiest *reader* shard's connections) and modeled throughput is total
-/// calls over that: `M = 4` cuts the bottleneck shard's stream to a
-/// quarter. Wall-clock throughput (scheduler-dependent) goes to stdout
-/// only.
+/// fabric node, so each per-call ledger delta is deterministic. A row
+/// per (transport, clients): the per-call distribution and the costliest
+/// connection's modeled total. Wall-clock throughput
+/// (scheduler-dependent) goes to stdout only.
 pub fn run_shards(opts: &RunOpts, git_rev: &str) -> Json {
     let warmup = 2usize;
     let calls_per_conn = opts.iters(6, 24);
@@ -357,101 +344,74 @@ pub fn run_shards(opts: &RunOpts, git_rev: &str) -> Json {
     let mut rows = Vec::new();
     for (label, cfg) in transports() {
         for &clients in SHARD_CLIENTS {
-            for &shards in SHARD_COUNTS {
-                let mut cfg = cfg.clone();
-                cfg.rpc.reader_shards = shards;
-                // Trim buffer footprints: at 256 connections the
-                // default 4 MB large region each would cost a gigabyte;
-                // the 512 B payloads here only ever ride the small path.
-                cfg.rpc.rdma_threshold = 16 * 1024;
-                cfg.rpc.recv_buf_bytes = 16 * 1024;
-                cfg.rpc.large_region_bytes = 64 * 1024;
-                cfg.rpc.prefill_per_class = 2;
-                // No link faults: concurrent clients would race for the
-                // RNG (see run_handlers).
-                let fabric = Fabric::new(cfg.model);
-                fabric.set_fault_seed(opts.seed);
-                let server_node = fabric.add_node();
-                let mut registry = ServiceRegistry::new();
-                registry.register(Arc::new(EchoService));
-                let server = Server::start(&fabric, server_node, 9999, cfg.rpc.clone(), registry)
-                    .expect("start server");
-                let addr = server.addr();
+            let mut cfg = cfg.clone();
+            // Trim buffer footprints: at 256 connections the
+            // default 4 MB large region each would cost a gigabyte;
+            // the 512 B payloads here only ever ride the small path.
+            cfg.rpc.rdma_threshold = 16 * 1024;
+            cfg.rpc.recv_buf_bytes = 16 * 1024;
+            cfg.rpc.large_region_bytes = 64 * 1024;
+            cfg.rpc.prefill_per_class = 2;
+            // No link faults: concurrent clients would race for the
+            // RNG (see run_handlers).
+            let fabric = Fabric::new(cfg.model);
+            fabric.set_fault_seed(opts.seed);
+            let server_node = fabric.add_node();
+            let mut registry = ServiceRegistry::new();
+            registry.register(Arc::new(EchoService));
+            let server = Server::start(&fabric, server_node, 9999, cfg.rpc.clone(), registry)
+                .expect("start server");
+            let addr = server.addr();
 
-                let start = std::time::Instant::now();
-                let mut threads = Vec::new();
-                for _ in 0..clients {
-                    let fabric = fabric.clone();
-                    let rpc = cfg.rpc.clone();
-                    let node = fabric.add_node();
-                    threads.push(std::thread::spawn(move || {
-                        let client = Client::new(&fabric, node, rpc).expect("client");
-                        let body = BytesWritable(vec![0x44; payload]);
-                        for _ in 0..warmup {
-                            let _: BytesWritable = client
-                                .call(addr, "bench.PingPongProtocol", "pingpong", &body)
-                                .expect("warmup call");
-                        }
-                        let mut deltas = Vec::with_capacity(calls_per_conn);
-                        for _ in 0..calls_per_conn {
-                            let before = fabric.modeled_ns(node);
-                            let _: BytesWritable = client
-                                .call(addr, "bench.PingPongProtocol", "pingpong", &body)
-                                .expect("call");
-                            deltas.push(fabric.modeled_ns(node) - before);
-                        }
-                        client.shutdown();
-                        deltas
-                    }));
-                }
-                let mut samples: Vec<u64> = Vec::new();
-                let mut per_conn_ns: u64 = 0;
-                for t in threads {
-                    let deltas = t.join().expect("client thread");
-                    per_conn_ns = per_conn_ns.max(deltas.iter().sum());
-                    samples.extend(deltas);
-                }
-                let wall = start.elapsed();
-                let total_calls = samples.len() as u64;
-                println!(
-                    "shards {label:>6} c={clients:<3} s={shards} wall {:>8.1} ms  {:>8.1} calls/s (wall-clock, not serialized)",
-                    wall.as_secs_f64() * 1e3,
-                    total_calls as f64 / wall.as_secs_f64()
-                );
-
-                // Per-shard frames read: which connection landed on which
-                // shard is an accept race, but the *sorted* counts are
-                // fixed by the round-robin deal.
-                server.stop();
-                let snap = server.metrics_snapshot();
-                let mut reader_processed: Vec<u64> = snap
-                    .shards
-                    .iter()
-                    .filter(|s| s.role.name() == "reader")
-                    .map(|s| s.processed)
-                    .collect();
-                reader_processed.sort_unstable_by(|a, b| b.cmp(a));
-                let reader_processed =
-                    Json::Arr(reader_processed.into_iter().map(Json::U64).collect());
-
-                let bottleneck_conns = clients.div_ceil(shards);
-                let makespan_ns = bottleneck_conns as u64 * per_conn_ns;
-                let modeled_calls_per_sec = (total_calls * 1_000_000_000)
-                    .checked_div(makespan_ns)
-                    .unwrap_or(0);
-                let row = Json::obj()
-                    .field("transport", label)
-                    .field("point", format!("c{clients}_s{shards}"))
-                    .field("clients", clients as u64)
-                    .field("shards", shards as u64);
-                let row = percentile_fields(row, &mut samples)
-                    .field("per_conn_modeled_ns", per_conn_ns)
-                    .field("bottleneck_conns", bottleneck_conns as u64)
-                    .field("modeled_makespan_ns", makespan_ns)
-                    .field("modeled_calls_per_sec", modeled_calls_per_sec)
-                    .field("reader_processed", reader_processed);
-                rows.push(row);
+            let start = std::time::Instant::now();
+            let mut threads = Vec::new();
+            for _ in 0..clients {
+                let fabric = fabric.clone();
+                let rpc = cfg.rpc.clone();
+                let node = fabric.add_node();
+                threads.push(std::thread::spawn(move || {
+                    let client = Client::new(&fabric, node, rpc).expect("client");
+                    let body = BytesWritable(vec![0x44; payload]);
+                    for _ in 0..warmup {
+                        let _: BytesWritable = client
+                            .call(addr, "bench.PingPongProtocol", "pingpong", &body)
+                            .expect("warmup call");
+                    }
+                    let mut deltas = Vec::with_capacity(calls_per_conn);
+                    for _ in 0..calls_per_conn {
+                        let before = fabric.modeled_ns(node);
+                        let _: BytesWritable = client
+                            .call(addr, "bench.PingPongProtocol", "pingpong", &body)
+                            .expect("call");
+                        deltas.push(fabric.modeled_ns(node) - before);
+                    }
+                    client.shutdown();
+                    deltas
+                }));
             }
+            let mut samples: Vec<u64> = Vec::new();
+            let mut per_conn_ns: u64 = 0;
+            for t in threads {
+                let deltas = t.join().expect("client thread");
+                per_conn_ns = per_conn_ns.max(deltas.iter().sum());
+                samples.extend(deltas);
+            }
+            let wall = start.elapsed();
+            let total_calls = samples.len() as u64;
+            println!(
+                "shards {label:>6} c={clients:<3} wall {:>8.1} ms  {:>8.1} calls/s (wall-clock, not serialized)",
+                wall.as_secs_f64() * 1e3,
+                total_calls as f64 / wall.as_secs_f64()
+            );
+
+            server.stop();
+            let row = Json::obj()
+                .field("transport", label)
+                .field("point", format!("c{clients}"))
+                .field("clients", clients as u64);
+            let row =
+                percentile_fields(row, &mut samples).field("per_conn_modeled_ns", per_conn_ns);
+            rows.push(row);
         }
     }
     header("shards", opts, git_rev).field("rows", Json::Arr(rows))

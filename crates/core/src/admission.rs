@@ -1,5 +1,5 @@
-//! Weighted-fair, deadline-aware admission queue between the reader
-//! shards and the handler workers.
+//! Weighted-fair, deadline-aware admission queue between the server's
+//! read side and the calls it runs.
 //!
 //! The seed design used one bounded FIFO channel: first come, first
 //! served, with a global `STATUS_BUSY` overflow. Under skewed

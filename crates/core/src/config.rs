@@ -6,12 +6,13 @@
 //! the server's pools, queues and rings, the policies (retry, tenant,
 //! priority) two deployments can want different values of, and the
 //! switches the paper's ablations flip (`trace_sizes`,
-//! `prefill_per_class`): twenty public fields in all. A behaviour with
+//! `prefill_per_class`): nineteen public fields in all. A behaviour with
 //! one value in use is not here: it is what the engine does. Nor is what
 //! a node has one of: the receive buffers it keeps posted are one shared
 //! queue's ([`crate::transport::rdma::SRQ_DEPTH`]), however many
 //! connections it has, so no connection's configuration sizes them. Nor
-//! is a server's heap tier budget ([`bufpool::heap::BUDGET_BYTES`]).
+//! is a server's heap tier budget ([`bufpool::heap::BUDGET_BYTES`]), nor
+//! its read side: one wake list, read by whichever pool thread is free.
 
 use std::time::Duration;
 
@@ -30,15 +31,15 @@ pub struct RpcConfig {
     /// rejects one a posted receive buffer could not hold).
     pub rdma_threshold: usize,
     /// Calls the server executes at once (the paper's microbenchmarks
-    /// fix 8) — a count of calls, not a set of threads. That many
-    /// handler workers are started, but a reader shard that has just
-    /// read a lone call runs it itself, *in the place of* an idle worker
-    /// (under one of this many run permits), so whichever threads are
-    /// executing, never more than `handlers` calls are. One that
-    /// suspends (`RpcService::call_mn` returning `Pending`) gives its
-    /// permit back and is resumed later by whichever worker is free.
+    /// fix 8) — a count of calls, not a set of threads. The server runs
+    /// `handlers + 1` pool threads that each read, run and send, under
+    /// `handlers` run permits, so whichever threads are executing, never
+    /// more than `handlers` calls are, and one thread is always free to
+    /// read. A call that suspends (`RpcService::call_mn` returning
+    /// `Pending`) gives its permit back and is resumed later by whichever
+    /// thread is free.
     pub handlers: usize,
-    /// Bound of the server call queue between Readers and Handlers.
+    /// Bound of the server call queue between reading and running.
     pub call_queue_len: usize,
     /// Client-side wait for a response before failing one attempt. When
     /// `retry.deadline` is set, each attempt waits at most the remaining
@@ -78,16 +79,11 @@ pub struct RpcConfig {
     /// Record every call's serialized size in the metrics registry
     /// (needed by the Figure 3 harness; off by default — it allocates).
     pub trace_sizes: bool,
-    /// Reader shard count. Connections are hashed onto shards at accept
-    /// time and each shard runs an event loop over its connections
-    /// (replacing the paper's one-Reader-thread-per-connection model).
-    /// `0` = auto (currently 4).
-    pub reader_shards: usize,
     /// Per-tenant weights for the weighted-fair admission plane, keyed by
     /// handshake `client_id`. A tenant absent from the list has weight 1;
     /// a tenant with weight `w` is served up to `w` calls per fair round.
     /// Non-empty weights enable weighted-fair scheduling in the server's
-    /// admission queue and shard sweeps. Empty (default) with
+    /// admission queue and read bursts. Empty (default) with
     /// `tenant_quota == 0` keeps the plain FIFO call queue.
     pub tenant_weights: Vec<(u64, u32)>,
     /// Per-tenant outstanding-call quota (queued + executing), keyed by
@@ -121,16 +117,9 @@ pub struct RpcConfig {
     pub priority_protocols: Vec<String>,
 }
 
-/// Upper bound on explicit shard counts — far above any sane
-/// configuration; catches arithmetic mistakes (e.g. `usize::MAX`).
-pub(crate) const MAX_SHARDS: usize = 1024;
-
 /// Upper bound on `large_slots`: the slot ring's start index and consumed
 /// count each ride a 12-bit field of the write-with-imm immediate.
 pub const MAX_LARGE_SLOTS: usize = 2048;
-
-/// Reader shard count used when `reader_shards` is `0` (auto).
-pub(crate) const AUTO_READER_SHARDS: usize = 4;
 
 impl Default for RpcConfig {
     fn default() -> Self {
@@ -148,7 +137,6 @@ impl Default for RpcConfig {
             large_region_bytes: 4 * 1024 * 1024,
             large_slots: 4,
             trace_sizes: false,
-            reader_shards: 0,
             tenant_weights: Vec::new(),
             tenant_quota: 0,
             max_connections: 0,
@@ -173,25 +161,10 @@ impl RpcConfig {
         }
     }
 
-    /// The effective reader shard count (resolving `0` = auto).
-    pub fn effective_reader_shards(&self) -> usize {
-        if self.reader_shards == 0 {
-            AUTO_READER_SHARDS
-        } else {
-            self.reader_shards
-        }
-    }
-
     /// Validate internal consistency; called by client/server construction.
     pub fn validate(&self) -> Result<(), String> {
         if self.handlers == 0 {
             return Err("handlers must be >= 1".into());
-        }
-        if self.reader_shards > MAX_SHARDS {
-            return Err(format!(
-                "reader_shards ({}) exceeds the sanity cap ({MAX_SHARDS})",
-                self.reader_shards
-            ));
         }
         self.retry.validate()?;
         let mut seen_tenants = std::collections::HashSet::new();
@@ -342,28 +315,6 @@ mod tests {
             ..RpcConfig::default()
         };
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn reader_shards_default_to_auto() {
-        let cfg = RpcConfig::default();
-        assert_eq!(cfg.reader_shards, 0);
-        assert_eq!(cfg.effective_reader_shards(), AUTO_READER_SHARDS);
-        let cfg = RpcConfig {
-            reader_shards: 2,
-            ..RpcConfig::default()
-        };
-        cfg.validate().unwrap();
-        assert_eq!(cfg.effective_reader_shards(), 2);
-    }
-
-    #[test]
-    fn absurd_shard_counts_rejected() {
-        let cfg = RpcConfig {
-            reader_shards: MAX_SHARDS + 1,
-            ..RpcConfig::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

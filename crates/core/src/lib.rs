@@ -23,9 +23,10 @@
 //! but a thread that is already there does the neighbouring stage's work
 //! when it can: the client has no Connection thread (the caller that is
 //! waiting holds its connection's receive turn and reads the wire itself,
-//! see [`client`]), the read side is sharded (reader *shards* each run an
-//! event loop over the connections hashed onto them), and the server has
-//! no Responder thread: the thread that produced a response sends it, as
+//! see [`client`]), the server has no Reader or Handler *roles* — one
+//! pool of threads each reads a woken connection's burst and runs the
+//! call it read, under a bounded number of run permits — and no Responder
+//! thread: the thread that produced a response sends it, as
 //! Hadoop's `doRespond` does, and one that finds the connection's send
 //! turn taken leaves it for the turn's holder to send (see [`server`]).
 //! Both transports expose the same [`transport::Conn`] interface,

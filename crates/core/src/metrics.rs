@@ -389,15 +389,18 @@ pub struct PoolCounters {
 /// Which part of the server pipeline a row of counters describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ShardRole {
-    /// An event-loop shard receiving frames from its assigned connections.
+    /// The read side: one row (index 0) — frames read, busy rejections,
+    /// the connection gauge and the wake list's depth — whichever pool
+    /// thread read.
     Reader,
     /// The send ledger: one row (index 0) with no thread behind it —
     /// whoever holds a connection's send turn sends. `processed` counts
     /// responses sent by whichever thread; the queue-depth gauge counts
     /// responses pending behind a turn's holder, over all connections.
     Responder,
-    /// A handler worker: pops the admission queue, polls calls, resumes
-    /// suspended ones, steals them from siblings.
+    /// One pool thread: reads when it holds the read turn, pops the
+    /// admission queue, polls calls, resumes suspended ones, steals them
+    /// from siblings.
     Worker,
 }
 
@@ -412,32 +415,30 @@ impl ShardRole {
     }
 }
 
-/// Live counters for one reader shard, one worker, or the send ledger.
+/// Live counters for the read side, one pool thread, or the send ledger.
 /// Registered with the [`MetricsRegistry`] at server start and updated
 /// with relaxed atomics on the hot path.
 #[derive(Debug, Default)]
 pub struct ShardStats {
-    /// Connections currently assigned to this shard (reader shards; a
-    /// gauge — incremented at registration, decremented at teardown).
+    /// Connections currently in the read side's table (a gauge —
+    /// incremented at registration, decremented at teardown).
     connections: AtomicU64,
-    /// Work items currently queued for this shard (send ledger: responses
-    /// on connections' pending lists — one sent at once never enters
-    /// one).
+    /// Work items currently queued for this row (the read side: wake
+    /// tokens; send ledger: responses on connections' pending lists — one
+    /// sent at once never enters one).
     queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth` over the shard's lifetime.
+    /// High-water mark of `queue_depth` over the row's lifetime.
     queue_depth_max: AtomicU64,
-    /// Work items this shard has completed (reader shards: frames read;
+    /// Work items this row has completed (the read side: frames read;
     /// send ledger: response transmissions attempted, by whichever
     /// thread; workers: calls completed).
     processed: AtomicU64,
-    /// Busy rejections this shard issued (reader shards).
+    /// Busy rejections the read side issued.
     busy_rejections: AtomicU64,
-    /// Work taken from a sibling: reader shards count ready tokens
-    /// stolen from a hot sibling's wake list; handler workers count tasks
-    /// stolen from a sibling's run queue.
+    /// Tasks a worker took from a sibling's run queue.
     steals: AtomicU64,
     /// Tasks this worker parked (suspended awaiting a wake). Always 0 for
-    /// reader shards and the send ledger.
+    /// the read side and the send ledger.
     parks: AtomicU64,
     /// Parked tasks made runnable again, attributed to the worker that
     /// parked them (timer expiry or an external wake handle).
@@ -453,7 +454,7 @@ impl ShardStats {
         self.connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// One item entered this shard's queue: bump the depth gauge and fold
+    /// One item entered this row's queue: bump the depth gauge and fold
     /// it into the high-water mark. Call *before* the item becomes
     /// visible to the consumer, or the matching [`ShardStats::dequeued`]
     /// can race ahead and underflow the gauge.
@@ -465,7 +466,7 @@ impl ShardStats {
         self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// One item left this shard's queue (whether or not the send worked).
+    /// One item left this row's queue (whether or not the send worked).
     pub fn dequeued(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
@@ -491,7 +492,7 @@ impl ShardStats {
     }
 }
 
-/// Point-in-time copy of one shard's counters.
+/// Point-in-time copy of one row's counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSnapshot {
     pub role: ShardRole,
@@ -594,8 +595,8 @@ pub struct MetricsSnapshot {
     pub counters: EngineCounters,
     /// Buffer-pool counters; `None` on transports without a pool.
     pub pool: Option<PoolCounters>,
-    /// Per-shard pipeline counters, sorted by (role, index). Empty on
-    /// clients (only servers register shards).
+    /// The pipeline's counter rows, sorted by (role, index). Empty on
+    /// clients (only servers register rows).
     pub shards: Vec<ShardSnapshot>,
     /// Per-tenant admission counters, sorted by `client_id`. A tenant
     /// appears once it has been busy-rejected or shed at least once;
@@ -995,8 +996,8 @@ impl MetricsRegistry {
         out
     }
 
-    /// Register one pipeline shard's counter block. Called by server
-    /// construction; the returned `Arc` is owned by the shard thread.
+    /// Register one pipeline row's counter block. Called by server
+    /// construction; the returned `Arc` is held by whatever books on it.
     pub fn register_shard(&self, role: ShardRole, index: usize) -> Arc<ShardStats> {
         let stats = Arc::new(ShardStats::default());
         self.inner

@@ -32,16 +32,15 @@
 //!   time — the task re-queues instead of suspending.
 //!
 //! * **Run permits** — the runtime counts the polls in progress and
-//!   hands out at most `workers` permits ([`Sched::try_permit`]): *that*
+//!   hands out at most `permits` of them ([`Sched::try_permit`]): *that*
 //!   is what `RpcConfig::handlers` bounds, calls executing at once, not a
-//!   set of threads. A worker polls under a permit; so does any other
-//!   thread that takes an idle worker's place — the server's reader
-//!   shard running the call it just read ([`Sched::run_first_foreign`]) —
-//!   which is why such a thread runs *instead of* a worker, never beside
-//!   all of them. Whoever returns a permit while work is waiting
-//!   notifies, under the same epoch protocol as every other producer, so
-//!   a worker that found no permit free and is on its way to sleep is
-//!   not left asleep beside a free permit and a runnable call.
+//!   set of threads. There may be more worker rows than permits (the
+//!   server runs one more thread than it has permits, so that one always
+//!   holds none); every poll runs under a permit. Whoever returns a
+//!   permit while work is waiting notifies, under the same epoch protocol
+//!   as every other producer, so a worker that found no permit free and
+//!   is on its way to sleep is not left asleep beside a free permit and a
+//!   runnable call.
 //!
 //! The runtime owns every frame (run queues, injector, parked table); a
 //! [`WakeHandle`] owns only its cell, so [`Sched::close`] drops every
@@ -199,9 +198,9 @@ struct SchedInner {
     /// Calls entered and not yet completed: on a worker's stack,
     /// runnable, or parked.
     inflight: AtomicUsize,
-    /// Run permits out: polls in progress, on whichever threads. Never
-    /// above `locals.len()`.
+    /// Run permits out: polls in progress. Never above `permits`.
     running: AtomicUsize,
+    permits: usize,
     /// Tasks on the run queues (locals + injector), so that returning a
     /// permit can tell "someone should run" without taking their locks.
     runnable: AtomicUsize,
@@ -278,15 +277,6 @@ impl SchedInner {
     }
 }
 
-/// Whose stack a poll ran on: a worker's, or a permit-holding thread's
-/// that is no worker (the index then names the row its parks are booked
-/// on).
-#[derive(Clone, Copy)]
-enum Seat {
-    Worker(usize),
-    Foreign(usize),
-}
-
 /// The work-stealing scheduler. Passive by design: it owns no threads.
 /// The server's worker loops drive it on wall-derived monotonic time;
 /// the `handlers_mn` bench figure drives the identical structure
@@ -296,15 +286,16 @@ pub struct Sched {
 }
 
 impl Sched {
-    /// A scheduler for `workers` worker loops. `stats` must hold one
-    /// counter block per worker (the server registers them as
-    /// `ShardRole::Worker`; standalone drivers pass fresh ones).
-    pub fn new(workers: usize, stats: Vec<Arc<ShardStats>>) -> Sched {
-        assert!(workers >= 1, "at least one worker");
-        assert_eq!(stats.len(), workers, "one stats block per worker");
+    /// A scheduler with `permits` run permits and one worker loop — a
+    /// run queue and a counter block — per entry of `stats` (the server
+    /// registers them as `ShardRole::Worker`; standalone callers pass
+    /// fresh ones). There are at least as many workers as permits.
+    pub fn new(permits: usize, stats: Vec<Arc<ShardStats>>) -> Sched {
+        assert!(permits >= 1, "at least one permit");
+        assert!(stats.len() >= permits, "a worker per permit at least");
         Sched {
             inner: Arc::new(SchedInner {
-                locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+                locals: stats.iter().map(|_| Mutex::new(VecDeque::new())).collect(),
                 injector: Mutex::new(VecDeque::new()),
                 parked: Mutex::new(HashMap::new()),
                 parked_peak: AtomicUsize::new(0),
@@ -312,6 +303,7 @@ impl Sched {
                 timer_seq: AtomicU64::new(0),
                 inflight: AtomicUsize::new(0),
                 running: AtomicUsize::new(0),
+                permits,
                 runnable: AtomicUsize::new(0),
                 idle_lock: Mutex::new(()),
                 idle_cv: Condvar::new(),
@@ -328,27 +320,7 @@ impl Sched {
     /// (with `polls() == 1` at its next poll) and queues or parks it
     /// exactly as [`Sched::run`] would. A [`WakeHandle`] taken — even
     /// fired — during this poll behaves as on any later one.
-    pub fn run_first<F>(&self, worker: usize, now_ns: u64, poll: F)
-    where
-        F: FnMut(&mut TaskCx<'_>) -> Step + Send + 'static,
-    {
-        self.first_poll(Seat::Worker(worker), now_ns, poll);
-    }
-
-    /// [`Sched::run_first`] on a thread that is not a worker — one that
-    /// holds a run permit in an idle worker's place. It has no run queue
-    /// and no counter row: a poll that completes is booked nowhere here;
-    /// one that yields goes to the injector, one that parks to the parked
-    /// table, and either way a worker resumes it. The park (and its wake)
-    /// is booked on worker row `seat`.
-    pub fn run_first_foreign<F>(&self, seat: usize, now_ns: u64, poll: F)
-    where
-        F: FnMut(&mut TaskCx<'_>) -> Step + Send + 'static,
-    {
-        self.first_poll(Seat::Foreign(seat), now_ns, poll);
-    }
-
-    fn first_poll<F>(&self, seat: Seat, now_ns: u64, mut poll: F)
+    pub fn run_first<F>(&self, worker: usize, now_ns: u64, mut poll: F)
     where
         F: FnMut(&mut TaskCx<'_>) -> Step + Send + 'static,
     {
@@ -357,9 +329,7 @@ impl Sched {
         let (step, park_deadline_ns) = self.poll_once(&mut poll, &wake, 0, now_ns);
         if step == Step::Done {
             self.inner.retire(&wake);
-            if let Seat::Worker(worker) = seat {
-                self.inner.stats[worker].inc_processed();
-            }
+            self.inner.stats[worker].inc_processed();
             return;
         }
         let task = Task {
@@ -367,7 +337,7 @@ impl Sched {
             wake,
             polls: 1,
         };
-        self.settle(seat, task, step, park_deadline_ns);
+        self.settle(worker, task, step, park_deadline_ns);
     }
 
     /// Spawn a task onto `worker`'s own queue (LIFO end — it runs next
@@ -450,7 +420,7 @@ impl Sched {
         let (step, park_deadline_ns) =
             self.poll_once(&mut *task.poll, &task.wake, task.polls, now_ns);
         task.polls += 1;
-        self.settle(Seat::Worker(worker), task, step, park_deadline_ns);
+        self.settle(worker, task, step, park_deadline_ns);
     }
 
     fn poll_once(
@@ -471,20 +441,18 @@ impl Sched {
         (step, cx.park_deadline_ns.get())
     }
 
-    fn settle(&self, seat: Seat, task: Task, step: Step, park_deadline_ns: Option<u64>) {
+    fn settle(&self, worker: usize, task: Task, step: Step, park_deadline_ns: Option<u64>) {
         let inner = &self.inner;
-        let (Seat::Worker(worker) | Seat::Foreign(worker)) = seat;
         let stats = &inner.stats[worker];
-        match (step, seat) {
-            (Step::Done, _) => {
+        match step {
+            Step::Done => {
                 inner.retire(&task.wake);
                 stats.inc_processed();
             }
             // The stealing end: behind everything already queued
             // locally, ahead of nothing.
-            (Step::Yield, Seat::Worker(_)) => inner.enqueue(&inner.locals[worker], task, true),
-            (Step::Yield, Seat::Foreign(_)) => inner.enqueue(&inner.injector, task, false),
-            (Step::Park, _) => {
+            Step::Yield => inner.enqueue(&inner.locals[worker], task, true),
+            Step::Park => {
                 let cell = Arc::clone(inner.cell_of(&task.wake));
                 let mut st = cell.st.lock();
                 if matches!(*st, WakeSt::Running { notified: true }) {
@@ -517,10 +485,10 @@ impl Sched {
     }
 
     /// Take a run permit: the right to poll one call (or resume one task)
-    /// now. Fails when `workers` polls are already in progress, on
-    /// whichever threads. Pair with [`Sched::release_permit`].
+    /// now. Fails when `permits` polls are already in progress. Pair with
+    /// [`Sched::release_permit`].
     pub fn try_permit(&self) -> bool {
-        let limit = self.inner.locals.len();
+        let limit = self.inner.permits;
         self.inner
             .running
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
@@ -568,16 +536,16 @@ impl Sched {
         self.inflight() + self.inner.timers.lock().len()
     }
 
-    /// Wake one idle worker: a producer made new work observable (the
-    /// reader pushed onto the admission queue). Queue pushes and wakes
-    /// inside the runtime do this themselves.
+    /// Wake one idle worker: a producer made new work observable (a
+    /// connection became readable, a call was admitted). Queue pushes and
+    /// wakes inside the runtime do this themselves.
     pub fn notify(&self) {
         self.inner.notify();
     }
 
     /// [`Sched::notify`] as a value: for producers that cannot hold a
-    /// reference to the runtime (the server's reader wake lists, which
-    /// call it when something arrives for a shard whose owner is away).
+    /// reference to the runtime (the transports' readiness hooks, which
+    /// call it when a connection's token joins the server's wake list).
     pub fn notifier(&self) -> impl Fn() + Send + Sync + 'static {
         let inner = Arc::clone(&self.inner);
         move || inner.notify()
@@ -1043,11 +1011,11 @@ mod tests {
     #[test]
     fn a_release_between_a_failed_permit_and_the_wait_is_not_slept_through() {
         // The worker's sequence, single-threaded so the interleaving is
-        // exact: a reader holds the only permit; a call is queued. The
-        // worker reads the epoch, finds no permit, and — before it gets
-        // to sleep — the reader returns the permit.
+        // exact: another worker holds the only permit; a call is queued.
+        // This worker reads the epoch, finds no permit, and — before it
+        // gets to sleep — the other returns the permit.
         let s = sched(1);
-        assert!(s.try_permit(), "the reader's");
+        assert!(s.try_permit(), "the other worker's");
         let seen = s.wake_epoch();
         assert!(!s.try_permit(), "the worker finds none");
         s.release_permit(true);
@@ -1056,49 +1024,23 @@ mod tests {
     }
 
     #[test]
-    fn a_foreign_first_poll_hands_a_suspended_call_to_the_workers() {
-        let metrics = crate::metrics::MetricsRegistry::new(false);
-        let rows = (0..2)
-            .map(|i| metrics.register_shard(crate::metrics::ShardRole::Worker, i))
-            .collect();
-        let s = Sched::new(2, rows);
-        // Completing on the foreign stack books nothing on any worker.
-        s.run_first_foreign(1, 0, |_cx| Step::Done);
-        assert_eq!((s.inflight(), s.queued()), (0, 0));
-        assert!(metrics
-            .shard_snapshot()
-            .iter()
-            .all(|row| row.processed == 0));
-        // A yield goes to the injector — a foreign thread has no queue —
-        // and worker 0, which it was not booked on, picks it up.
-        let polls = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&polls);
-        s.run_first_foreign(1, 0, move |cx| {
-            seen.lock().push(cx.polls());
+    fn a_worker_without_a_permit_is_a_worker_all_the_same() {
+        // Two worker rows, one permit: the server's shape, one thread
+        // more than it has permits.
+        let s = Sched::new(1, vec![Arc::default(), Arc::default()]);
+        assert!(s.try_permit());
+        assert!(!s.try_permit(), "one permit, whichever worker asks");
+        s.release_permit(false);
+        // Either row polls, queues and parks on its own queue.
+        s.run_first(1, 0, |cx| {
             if cx.polls() == 0 {
                 return Step::Yield;
             }
             Step::Done
         });
-        assert_eq!(s.inner.injector.lock().len(), 1);
-        drain_worker(&s, 0, 0);
-        assert_eq!(*polls.lock(), vec![0, 1]);
-        // A park is held like any other and wakes through the injector.
-        s.run_first_foreign(1, 0, |cx| {
-            if cx.polls() == 0 {
-                cx.park_until_ns(100);
-                return Step::Park;
-            }
-            Step::Done
-        });
-        assert_eq!(s.parked(), 1);
-        drain_worker(&s, 0, 200);
+        assert_eq!(s.inner.locals[1].lock().len(), 1);
+        drain_worker(&s, 1, 0);
         assert_eq!(s.residue(), 0);
-        // Booked: the park on the seat named, the completions on the
-        // worker that resumed them.
-        let rows = metrics.shard_snapshot();
-        assert_eq!((rows[1].parks, rows[1].wakes), (1, 1));
-        assert_eq!((rows[0].processed, rows[1].processed), (2, 0));
     }
 
     #[test]

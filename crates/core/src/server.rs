@@ -1,85 +1,68 @@
-//! The RPC server: the paper's Section III-D pipeline, sharded on the
-//! read side, in which **the thread that has the work does the next
-//! step**: the thread that computes a response sends it, and the thread
-//! that reads a lone call runs it.
+//! The RPC server: the paper's Section III-D pipeline, in which **the
+//! thread that has the work does the next step**: the thread that reads
+//! a lone call runs it, and the thread that computes a response sends it.
 //!
 //! Hadoop's 0.20.x architecture dedicates one **Reader** thread to every
 //! connection — thread explosion at scale — hands every call to a
-//! **Handler** pool through a queue, and this repo's earlier rounds
-//! funnelled every transmission through **Responder** threads. Each of
-//! those hand-offs is a futex wake, a context switch and a queue
-//! residence per call; stock Hadoop itself skips the last
-//! (`Responder.doRespond` writes from the Handler thread whenever the
-//! connection's response queue is empty), and Ibdxnet's receive thread
-//! runs the handler of the message it just decoded. The roles here:
+//! **Handler** pool through a queue, and funnels every transmission
+//! through a **Responder** thread. Each of those hand-offs is a futex
+//! wake, a context switch and a queue residence per call; stock Hadoop
+//! itself skips the last (`Responder.doRespond` writes from the Handler
+//! thread whenever the connection's response queue is empty), and
+//! Ibdxnet runs one event loop per thread: take a ready connection,
+//! decode its burst, run the handler of what it decoded, send. Two thread
+//! roles are left here:
 //!
 //! * a **Listener** thread *blocks* in accept (no polling: `drain` and
 //!   `stop` unbind its socket, which fails the accept at once), assigns
 //!   each connection a monotonically increasing id, and hands the stream
 //!   to a transient setup thread (handshake and, in RPCoIB mode, the
 //!   blocking end-point exchange) which registers the finished
-//!   connection with its reader shard. The accept path is *bounded*: at
+//!   connection on the read side. The accept path is *bounded*: at
 //!   most `RpcConfig::accept_backlog` setups run concurrently (further
 //!   connects wait in the listener queue), and once
 //!   `RpcConfig::max_connections` connections are live (or being set
 //!   up), further connects are answered with a retryable busy rejection
 //!   instead of growing the conn table without limit;
-//! * **N reader shards** (`RpcConfig::reader_shards`; connections hashed
-//!   by `conn_id % N` at accept time), each blocking on its
-//!   [`ReadyQueue`] of woken connections (see [`crate::readiness`] for
-//!   the wake-list contract): transports enqueue a generation-stamped
-//!   conn token when input becomes observable, the shard pops it,
-//!   re-checks [`Conn::poll_ready`], receives a bounded burst of frames,
-//!   and re-arms the token if input remains — so idle connections cost
-//!   nothing per scheduling round, which is what makes a 50k-connection
-//!   front door affordable. Each admitted frame consults the
-//!   [`RetryCache`] for at-most-once admission and is pushed onto the
-//!   bounded call queue — *without blocking*: an overflowing queue
-//!   answers with a retryable busy rejection instead of stalling every
-//!   other call on the shard;
-//! * `RpcConfig::handlers` **Handler** workers pop calls and poll each
-//!   one for the first time on their own stack; a call that completes
-//!   there — every call of a service that never suspends — is a plain
-//!   function call, and only one that yields or parks becomes a heap
-//!   frame on the [`crate::sched`] runtime, to be resumed by whichever
-//!   worker is free (see [`worker_loop`]).
+//! * a **pool** of `handlers + 1` threads, each running one loop
+//!   ([`worker_loop`]): read a burst from a woken connection, run a call,
+//!   resume a suspended one, or sleep. Reading is event-driven: the
+//!   transports enqueue a generation-stamped conn token on the server's
+//!   one [`ReadyQueue`] when input becomes observable (see
+//!   [`crate::readiness`] for the wake-list contract), and whoever takes
+//!   the read turn pops it, re-checks [`Conn::poll_ready`], receives a
+//!   bounded burst of frames, and re-arms the token if input remains —
+//!   so idle connections cost nothing per scheduling round, which is
+//!   what makes a 50k-connection front door affordable. Each admitted
+//!   frame consults the [`RetryCache`] for at-most-once admission and is
+//!   pushed onto the bounded call queue — *without blocking*: an
+//!   overflowing queue answers with a retryable busy rejection instead of
+//!   stalling every other connection. A call's first poll runs on the
+//!   stack of the thread that pops it; one that completes there — every
+//!   call of a service that never suspends — is a plain function call,
+//!   and only one that yields or parks becomes a heap frame on the
+//!   [`crate::sched`] runtime, to be resumed by whichever thread is free.
 //!
 //! ## Who runs a call
 //!
 //! Every call goes through `retry_cache.begin` and `admission.try_push`
 //! — busy rejection, tenant quota, priority class, deadline shedding and
 //! DRR order are properties of that one queue, and there is no way around
-//! it. What varies is who *pops*. A burst (a gathered batch, pipelined
-//! calls) is announced to the workers frame by frame, as it always was,
-//! and keeps its parallelism. But a reader shard whose burst ends on an
-//! admitted call, and which has nothing else to read, does not wake a
-//! worker to pop the one call it just pushed: it performs one pass of the
-//! worker loop's body itself ([`run_in_place`]) — pop, answer the shed,
-//! poll the popped call on its own stack. A closed-loop 512 B call then
-//! blocks two threads, not three. A handler may block (a region server's
-//! put sits in a 5 ms HDFS write), and the engine cannot know which do,
-//! so three rules hold for every call:
-//!
-//! 1. **Run permit — a reader runs only instead of a worker.** The
-//!    runtime hands out `handlers` run permits ([`Sched::try_permit`]);
-//!    workers and readers alike execute only under one. `handlers` means
-//!    *calls executing at once*, whichever threads execute them.
-//! 2. **Only when there is nothing else to read.** The connection has no
-//!    further input after the frame just admitted and the shard's wake
-//!    list is empty; otherwise the call is announced and the shard keeps
-//!    reading.
-//! 3. **Away, and taken over.** The handler runs *outside* the shard's
-//!    table lock, with the shard's wake list marked *away*: anything
-//!    pushed onto it meanwhile (a wake token, a registration) also wakes
-//!    an idle worker, whose loop services away shards' tokens in the
-//!    owner's stead ([`take_over`]) — reading, adopting, queueing and
-//!    refusing, but never running a call from in there; it meets the
-//!    call again, under a permit, in its own pass. Reading needs no
-//!    permit, and a permit in a reader's hand is a worker that cannot be
-//!    executing, so *shards away = permits held by readers ≤ workers not
-//!    executing*: an away shard always has a reader. A call that suspends
-//!    on a reader's stack goes to the runtime's injector and is a
-//!    worker's from then on.
+//! it. A burst (a gathered batch, pipelined calls) announces each call
+//! but its last to the pool, and keeps its parallelism; a burst that ends
+//! on an admitted call with nothing else to read announces nobody, and
+//! the thread that read it pops it next — a closed-loop 512 B call blocks
+//! one server thread, not two. Reading needs no permit; running does:
+//! the runtime hands out `handlers` run permits ([`Sched::try_permit`]),
+//! so `handlers` means *calls executing at once*, whichever threads
+//! execute them. The pool has one thread more than that, so **at least
+//! one thread holds no permit**: a handler may block (a region server's
+//! put sits in a 5 ms HDFS write; a call may call back into its own
+//! server) and the read side is never deaf. The connection table's lock
+//! is the read turn. It is held for one burst, never across a handler,
+//! and taken without waiting: a thread that finds it held leaves the
+//! wake list to the holder, who looks at the list again after letting
+//! go ([`read_burst`]).
 //!
 //! ## Who sends a response
 //!
@@ -96,10 +79,10 @@
 //! before letting go, and looks once more after. There is no responder
 //! thread: nobody is woken to send, a handler never waits on another
 //! thread's send, and a slow or credit-starved peer costs the one sender
-//! holding its turn, never the pool. A reader shard may be that sender:
-//! credit waits drive receive progress themselves
-//! (`RdmaConn::send_bulk`), and while it waits its shard is away and
-//! read by a worker. Five rules:
+//! holding its turn, never the pool. A thread that has just read may be
+//! that sender: credit waits drive receive progress themselves
+//! (`RdmaConn::send_bulk`), and it sends with the read turn let go, so
+//! another thread reads meanwhile. Five rules:
 //!
 //! 1. **Push, then try; release, then look** — why nothing pushed is ever
 //!    stranded: see [`ServerConn::flush`]. Wire order on a connection is
@@ -112,17 +95,15 @@
 //!    [`Conn::send_frames`] gather (at most [`SEND_GATHER`] a wire
 //!    operation); a bulk-sized body is never copied to ride a gather it
 //!    would be split out of again.
-//! 4. **A reader sends its own refusals — never under its table lock,
-//!    never deaf.** Whoever reads holds its shard's table lock and must
-//!    not wait on a send, so its busy rejections and replays are only
-//!    *pushed* from in there (and dropped beyond `call_queue_len`
-//!    pending: the client retries, a replay is still cached) and
-//!    *flushed* by the same thread once [`service_token`] has let the
-//!    lock go — not by waking a worker: a refusal must not wait for one.
-//!    A flush sends whatever is pending there, and a bulk-sized response
-//!    can block on slot credits, so a shard's owner flushes *away*
-//!    ([`ReadyQueue::leave`], which announces the tokens it leaves behind
-//!    through the takeover hook), exactly as it runs a call.
+//! 4. **A reader sends its own refusals — never under the read turn.**
+//!    Whoever reads holds the table lock and must not wait on a send, so
+//!    its busy rejections and replays are only *pushed* from in there
+//!    (and dropped beyond `call_queue_len` pending: the client retries, a
+//!    replay is still cached) and *flushed* by the same thread once
+//!    [`read_burst`] has let the lock go — not by waking another thread:
+//!    a refusal must not wait for one. A flush sends whatever is pending
+//!    there, and a bulk-sized response can block on slot credits, which
+//!    is why the lock is let go first.
 //! 5. **Accounting and lifetime.** A pending response holds an
 //!    `open_work` slot from push to send attempt, so `drain` still means
 //!    "nothing anywhere"; it carries no `Arc` to its own connection (a
@@ -178,9 +159,7 @@ use crate::frame::{
 use crate::handshake;
 use crate::intern::MethodKey;
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, Phase, ShardRole, ShardStats};
-use crate::readiness::{
-    token, token_gen, token_slot, Pop, ReadyQueue, TakeoverHook, WakeState, TOKEN_REGISTER,
-};
+use crate::readiness::{token, token_gen, token_slot, ReadyQueue, WakeState, TOKEN_REGISTER};
 use crate::retry_cache::{Admission, Retention, RetryCache};
 use crate::sched::{HandlerCx, Sched, Step, TaskCx};
 use crate::service::ServiceRegistry;
@@ -188,18 +167,19 @@ use crate::transport::rdma::{IbContext, RdmaConn};
 use crate::transport::socket::{SocketConn, SERVER_INIT_BUF};
 use crate::transport::Conn;
 
-/// How long blocking queue pops wait before re-checking for shutdown.
+/// How long an idle pool thread or the Listener waits before
+/// re-checking for shutdown (and the pool, for a due liveness sweep).
 const IDLE_SLICE: Duration = Duration::from_millis(100);
 
-/// Cadence of the reader's liveness sweep — the fallback probe pass that
-/// catches the one readiness transition no hook can deliver: a peer node
-/// dying without closing its connections. See [`reader_shard_loop`].
-const LIVENESS_SWEEP: Duration = Duration::from_secs(1);
+/// Cadence of the liveness sweep, in `now_ns` — the fallback probe pass
+/// that catches the one readiness transition no hook can deliver: a peer
+/// node dying without closing its connections. See [`liveness_sweep`].
+const LIVENESS_SWEEP_NS: u64 = 1_000_000_000;
 
 /// Bound on one `recv_msg` once a connection has signalled readiness. A
 /// ready socket connection returns instantly; on the verbs path the
 /// pending completion may be a flow-control credit rather than a
-/// message, in which case the credit is consumed and the shard waits at
+/// message, in which case the credit is consumed and the reader waits at
 /// most this long for a message riding behind it.
 const READ_SLICE: Duration = Duration::from_millis(1);
 
@@ -215,7 +195,7 @@ const DRAIN_POLL: Duration = Duration::from_millis(2);
 /// budgets by tenant weight instead). A gathered batch arrives as one
 /// wire op carrying many frames: draining them in one pop turns
 /// batch-of-32 service from 32 queue round-trips into one, while the
-/// bound keeps one chatty peer from starving its shard.
+/// bound keeps one chatty peer from starving the others.
 const READ_BURST: usize = 32;
 
 /// Most eager-sized responses one gathered wire operation carries. Bounds
@@ -225,7 +205,7 @@ const SEND_GATHER: usize = 64;
 /// Everything the server keeps per connection that more than one thread
 /// touches: the transport, and the state of its *send side*.
 struct ServerConn {
-    /// Accept-order id; `id % N` picks the reader shard.
+    /// Accept-order id, the connection's key in the conn table.
     id: u64,
     transport: Arc<dyn Conn>,
     /// The connection's send turn. Whoever holds it is the only thread
@@ -260,7 +240,7 @@ enum Producer {
     /// It computed (or shed) the response and may transmit it; what it
     /// hands over is never dropped.
     Computing,
-    /// It is reading, under its shard's table lock: its answer is only
+    /// It is reading, under the read turn: its answer is only
     /// pushed (or dropped, past `call_queue_len` pending) and flushed
     /// once the lock is released — rule 4 of the module docs.
     Reading,
@@ -272,9 +252,9 @@ struct RawCall {
     payload: Payload,
     /// Offset of the parameter bytes within the payload.
     body_offset: usize,
-    /// When the Reader admitted the call — the handler's pop time minus
-    /// this is the `server_queue` phase of the latency histogram.
-    admitted_at: Instant,
+    /// When the call was admitted, in `now_ns` — the first poll's time
+    /// minus this is the `server_queue` phase of the latency histogram.
+    admitted_ns: u64,
 }
 
 /// Where one serialized response must be delivered. The retry cache parks
@@ -296,13 +276,13 @@ impl RespRoute {
     }
 }
 
-/// A connection handed from the accept path to its reader shard.
-struct ShardConn {
+/// A connection handed from the accept path to the read side.
+struct ReadConn {
     conn: Arc<ServerConn>,
     /// Identity from the handshake (never 0); frames do not carry it.
     client_id: u64,
-    /// Request-header decoder. Owned by the one reader shard the
-    /// connection is hashed onto, so decoding needs no lock.
+    /// Request-header decoder. It lives in the connection table, so the
+    /// read turn is its lock.
     dec: V3Decoder,
 }
 
@@ -317,10 +297,10 @@ struct ServerInner {
     /// Set by the Listener on its way out; `drain` waits on it before
     /// trusting the reader count (no new setup threads spawn after this).
     listener_done: AtomicBool,
-    /// Read-side threads that can still admit calls: every reader shard
-    /// for the server's lifetime, plus each in-flight connection-setup
-    /// thread (incremented by the Listener *before* the spawn, so `drain`
-    /// never sees a gap).
+    /// Threads that can still admit calls or register connections: each
+    /// pool thread while inside a burst, and each in-flight
+    /// connection-setup thread (incremented by the Listener *before* the
+    /// spawn, so `drain` never sees a gap).
     live_readers: AtomicUsize,
     /// Admitted calls whose responses have not yet been transmitted.
     /// Incremented by whoever reads before it queues a call, and for every
@@ -346,37 +326,29 @@ struct ServerInner {
     admission: AdmissionQueue<RawCall>,
     /// Base of the admission plane's monotonic `now_ns` timeline.
     started: Instant,
-    /// Registration channels into the reader shards, indexed by
-    /// `conn_id % reader_shards`.
-    reader_regs: Vec<Sender<ShardConn>>,
-    /// Their receiving ends, indexed alike. Here rather than in the
-    /// shard threads so that whoever services a shard's
-    /// [`TOKEN_REGISTER`] — its owner, or a worker taking over — can
-    /// adopt.
-    reader_reg_rx: Vec<Receiver<ShardConn>>,
-    /// The reader shards' wake lists, indexed like `reader_regs`. The
-    /// accept path pushes [`TOKEN_REGISTER`] after a registration so a
-    /// blocked shard adopts promptly; `drain`/`stop` close them so
-    /// blocked pops exit without waiting out a timeout.
-    reader_ready: Vec<Arc<ReadyQueue>>,
-    /// Each reader shard's slot table, indexed like `reader_regs`.
-    /// Shared so a worker can service the shard while its owner is away
-    /// running a call, under the table lock — which is also what keeps
-    /// per-connection frame order: whoever holds the lock is the only
-    /// thread reading that shard's connections. It is held for a read
-    /// burst and **never across a handler**: `shutdown` takes every one
-    /// of them and must not wait for a call to finish.
-    reader_state: Vec<Mutex<ReaderState>>,
-    /// Per reader-shard counters, indexed like `reader_regs`. Frames,
-    /// busy rejections and the conn gauge are booked on the connection's
-    /// *owner* shard whoever read them; a takeover counts as a `steal` on
-    /// the worker that made it.
-    reader_stats: Vec<Arc<ShardStats>>,
-    /// The handler workers' counter rows (the runtime holds the same
-    /// ones), for booking takeovers.
-    worker_stats: Vec<Arc<ShardStats>>,
-    /// Where suspended calls live between polls, and what the handler
-    /// workers sleep on. Its frames hold `Arc<ServerInner>`; the cycle
+    /// The registration channel: the accept path sends finished
+    /// connections, and whoever services a [`TOKEN_REGISTER`] adopts
+    /// them.
+    reg_tx: Sender<ReadConn>,
+    reg_rx: Receiver<ReadConn>,
+    /// The wake list. The accept path pushes [`TOKEN_REGISTER`] after a
+    /// registration; the transports push a connection's token when it
+    /// becomes readable.
+    ready: Arc<ReadyQueue>,
+    /// The connection table — slots, generations, free list — behind
+    /// the lock that is the read turn: whoever holds it is the only
+    /// thread reading any connection, which is what keeps per-connection
+    /// frame order. It is held for a read burst and **never across a
+    /// handler**: `shutdown` takes it and must not wait for a call to
+    /// finish.
+    table: Mutex<ReaderState>,
+    /// The snapshot's one `ShardRole::Reader` row: frames read, busy
+    /// rejections, the conn gauge and the wake list's depth.
+    reader_stats: Arc<ShardStats>,
+    /// When the next liveness sweep is due, in `now_ns`.
+    next_sweep_ns: AtomicU64,
+    /// Where suspended calls live between polls, and what the pool
+    /// threads sleep on. Its frames hold `Arc<ServerInner>`; the cycle
     /// is broken by `shutdown`, which closes it.
     sched: Sched,
     /// Protocols of the control/heartbeat admission class
@@ -394,7 +366,7 @@ struct ServerInner {
     /// gauge).
     send_ledger: Arc<ShardStats>,
     /// Live connections, keyed by accept order. Entries are removed by
-    /// the owning reader shard when a connection is forfeited, so
+    /// the reader that forfeits a connection, so
     /// connection churn does not accumulate dead `Arc<dyn Conn>`s (and,
     /// in RPCoIB mode, their registered buffers) for the life of the
     /// server.
@@ -436,7 +408,7 @@ impl ServerInner {
     }
 
     /// A failed send only affects that one connection — but it does mean
-    /// the connection is broken: close it so its reader shard stops
+    /// the connection is broken: close it so the read side stops
     /// pulling requests whose responses could never be delivered, and
     /// count it.
     fn check_sent(&self, conn: &ServerConn, sent: RpcResult<()>) {
@@ -542,10 +514,10 @@ impl ServerConn {
                 // response, preempted mid-send by the very caller it
                 // woke. Queueing behind it at once is correct but, on one
                 // CPU, settles into a slow stable mode when that holder
-                // is a reader running in place: it resumes only to send
+                // read and ran the call before: it resumes only to send
                 // what queued behind it, is preempted in that send too,
-                // and never gets back to its post — a third thread reads
-                // for it call after call. A bulk-sized body queues at
+                // and never gets back to reading — every call after costs
+                // a second server thread. A bulk-sized body queues at
                 // once: its turn's holder is as likely asleep on slot
                 // credits, and yielding to a sleeper is a wasted switch
                 // pair.
@@ -689,8 +661,8 @@ impl ServerConn {
     }
 }
 
-/// Decrements a counter on drop, so read-side thread exits (normal,
-/// panic, early return) all release their slot.
+/// Decrements a counter on drop, so every way out of a burst or a
+/// connection setup (normal, panic, early return) releases its slot.
 struct CountGuard<'a>(&'a AtomicUsize);
 
 impl Drop for CountGuard<'_> {
@@ -724,7 +696,6 @@ impl Server {
             None
         };
 
-        let n_readers = cfg.effective_reader_shards();
         let admission =
             AdmissionQueue::new(cfg.call_queue_len, cfg.tenant_quota, &cfg.tenant_weights);
         let metrics = MetricsRegistry::new(false);
@@ -742,31 +713,15 @@ impl Server {
         .with_byte_budget(cfg.retry_cache_capacity.saturating_mul(cfg.rdma_threshold))
         .with_spares(Arc::clone(&heap));
 
-        let worker_stats: Vec<_> = (0..cfg.handlers)
+        // One more thread than permits: one always holds none.
+        let pool = cfg.handlers + 1;
+        let worker_stats: Vec<_> = (0..pool)
             .map(|i| metrics.register_shard(ShardRole::Worker, i))
             .collect();
-        let sched = Sched::new(cfg.handlers, worker_stats.clone());
-        // What a push onto an away shard's wake list does: get an idle
-        // worker to take the shard over.
-        let wake_worker: TakeoverHook = Arc::new(sched.notifier());
-        let mut reader_regs = Vec::with_capacity(n_readers);
-        let mut reader_reg_rx = Vec::with_capacity(n_readers);
-        let mut reader_stats = Vec::with_capacity(n_readers);
-        let mut reader_ready = Vec::with_capacity(n_readers);
-        let mut reader_state = Vec::with_capacity(n_readers);
-        for i in 0..n_readers {
-            let (tx, rx) = unbounded();
-            reader_regs.push(tx);
-            reader_reg_rx.push(rx);
-            let stats = metrics.register_shard(ShardRole::Reader, i);
-            // The shard's wake list feeds its queue-depth gauge.
-            reader_ready.push(Arc::new(
-                ReadyQueue::new(Some(Arc::clone(&stats)))
-                    .with_takeover_hook(Arc::clone(&wake_worker)),
-            ));
-            reader_stats.push(stats);
-            reader_state.push(Mutex::new(ReaderState::default()));
-        }
+        let sched = Sched::new(cfg.handlers, worker_stats);
+        let (reg_tx, reg_rx) = unbounded();
+        let reader_stats = metrics.register_shard(ShardRole::Reader, 0);
+        let ready = Arc::new(ReadyQueue::new(Some(Arc::clone(&reader_stats))));
         let send_ledger = metrics.register_shard(ShardRole::Responder, 0);
 
         let id_seed = handshake::mint_client_id((u64::from(node.0) << 16) ^ u64::from(port));
@@ -787,12 +742,12 @@ impl Server {
             next_client_id: AtomicU64::new(id_seed),
             admission,
             started: Instant::now(),
-            reader_regs,
-            reader_reg_rx,
-            reader_ready,
-            reader_state,
+            reg_tx,
+            reg_rx,
+            ready,
+            table: Mutex::new(ReaderState::default()),
             reader_stats,
-            worker_stats,
+            next_sweep_ns: AtomicU64::new(LIVENESS_SWEEP_NS),
             sched,
             priority,
             setups_inflight: AtomicUsize::new(0),
@@ -818,29 +773,13 @@ impl Server {
                     .expect("spawn listener"),
             );
         }
-        // Reader shards (counted in live_readers for their whole life;
-        // `drain` waits for them to observe the draining flag and exit).
-        for i in 0..n_readers {
-            inner.live_readers.fetch_add(1, Ordering::SeqCst);
+        for i in 0..pool {
             let inner = Arc::clone(&inner);
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("rpc-reader-{i}"))
-                    .spawn(move || {
-                        let _slot = CountGuard(&inner.live_readers);
-                        reader_shard_loop(&inner, i);
-                    })
-                    .expect("spawn reader shard"),
-            );
-        }
-        // Handler workers.
-        for h in 0..inner.cfg.handlers {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("rpc-handler-{h}"))
-                    .spawn(move || worker_loop(inner, h))
-                    .expect("spawn handler"),
+                    .name(format!("rpc-worker-{i}"))
+                    .spawn(move || worker_loop(inner, i))
+                    .expect("spawn pool thread"),
             );
         }
 
@@ -861,8 +800,8 @@ impl Server {
     }
 
     /// Full observability snapshot: engine counters, per-method stats,
-    /// per-`<protocol, method>` phase histograms, per-shard pipeline
-    /// counters, and (in RPCoIB mode) the registered buffer pool's
+    /// per-`<protocol, method>` phase histograms, the pipeline's counter
+    /// rows (reader, send ledger, one per pool thread), and (in RPCoIB mode) the registered buffer pool's
     /// counters.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self
@@ -870,7 +809,7 @@ impl Server {
             .metrics
             .full_snapshot(self.inner.ib.as_ref().map(|ib| ib.pool_counters()));
         // Per-connection memory accounting, read live from the conn
-        // table (per-shard ready-queue depth already rides in `shards`).
+        // table (the wake list's depth already rides in `shards`).
         let conns = self.inner.conns.lock();
         snap.connections = conns.len();
         snap.conn_buffered_bytes = conns.values().map(|c| c.buffered_bytes()).sum();
@@ -878,8 +817,8 @@ impl Server {
     }
 
     /// Number of connections currently alive (accepted and not yet torn
-    /// down). Under churn this returns to zero once departed clients'
-    /// reader shards notice the close.
+    /// down). Under churn this returns to zero once the read side
+    /// notices departed clients' closes.
     pub fn connection_count(&self) -> usize {
         self.inner.conns.lock().len()
     }
@@ -920,48 +859,37 @@ impl Server {
         if self.inner.stop.load(Ordering::Acquire) {
             return true;
         }
-        // SeqCst against a worker's "count myself a reader, then look at
-        // the flag" (see `take_over`): either it sees the flag and reads
-        // nothing, or phase 2 below sees it counted and waits.
+        // SeqCst against a pool thread's "count myself a reader, then
+        // look at the flag" (see `read_burst`): either it sees the flag
+        // and reads nothing, or phase 2 below sees it counted and waits.
         self.inner.draining.store(true, Ordering::SeqCst);
-        // Wake the Listener out of its accept and every reader shard
-        // blocked on its ready queue *now*: the draining flag alone would
-        // only be observed after an idle slice.
+        // Wake the Listener out of its accept *now*: the draining flag
+        // alone would only be observed after an idle slice.
         self.inner.listener_closer.close();
-        for ready in &self.inner.reader_ready {
-            ready.close();
-        }
         let deadline = Instant::now() + timeout;
-
+        let quiesced = |done: &dyn Fn() -> bool| {
+            while !done() {
+                if Instant::now() >= deadline {
+                    return false;
+                }
+                std::thread::sleep(DRAIN_POLL);
+            }
+            true
+        };
+        let inner = &self.inner;
         // Phase 1: the Listener exits — no new setup threads after this.
-        while !self.inner.listener_done.load(Ordering::Acquire) {
-            if Instant::now() >= deadline {
-                self.shutdown(false);
-                return false;
-            }
-            std::thread::sleep(DRAIN_POLL);
-        }
-        // Phase 2: the read side quiesces — every reader shard observes
-        // the draining flag and exits (one that is inside a handler, when
-        // that call has answered), a worker that was reading in an away
-        // shard's stead finishes its burst, and in-flight connection
-        // setups finish. No new calls enter the pipeline after this.
-        while self.inner.live_readers.load(Ordering::SeqCst) > 0 {
-            if Instant::now() >= deadline {
-                self.shutdown(false);
-                return false;
-            }
-            std::thread::sleep(DRAIN_POLL);
-        }
-        // Phase 3: the pipeline empties. `open_work` covers a call from
-        // reader admission until its response transmission, so zero means
-        // nothing is queued, executing, or awaiting send.
-        while self.inner.open_work.load(Ordering::Acquire) > 0 {
-            if Instant::now() >= deadline {
-                self.shutdown(false);
-                return false;
-            }
-            std::thread::sleep(DRAIN_POLL);
+        // Phase 2: the read side quiesces — a thread inside a burst
+        // finishes it, and in-flight connection setups finish. No new
+        // calls enter the pipeline after this. Phase 3: the pipeline
+        // empties. `open_work` covers a call from admission until its
+        // response transmission, so zero means nothing is queued,
+        // executing, or awaiting send.
+        if !(quiesced(&|| inner.listener_done.load(Ordering::Acquire))
+            && quiesced(&|| inner.live_readers.load(Ordering::SeqCst) == 0)
+            && quiesced(&|| inner.open_work.load(Ordering::Acquire) == 0))
+        {
+            self.shutdown(false);
+            return false;
         }
         self.stop();
         true
@@ -982,34 +910,27 @@ impl Server {
         // Refuse further admissions; what is already queued stays
         // poppable and the workers finish it before they exit.
         self.inner.admission.close();
-        // Wake the idle workers, and drop every suspended call: their
+        // Wake the idle pool threads, and drop every suspended call: their
         // frames hold `Arc<ServerInner>`, so one left parked (on a
         // timer, or on a handle a service still keeps) would keep the
         // whole server — registry, retry cache, registered pool — alive.
         self.inner.sched.close();
-        // And the Listener blocked in accept, and the reader shards
-        // blocked on their wake lists.
+        // And the Listener blocked in accept.
         self.inner.listener_closer.close();
-        for ready in &self.inner.reader_ready {
-            ready.close();
-        }
-        // Clear every shard's slot table (a table lock is never held
-        // across a handler, so this cannot wait on a call). The slots hold the *other*
-        // `Arc<dyn Conn>` clones (the conn table below holds the first),
-        // and stale-connection fast-fail depends on the server-side
-        // transport state being released at stop — a `ReaderSlot`
-        // surviving in `ServerInner` would keep an RPCoIB queue pair
-        // registered and turn a restarted peer's fast reconnect into a
-        // full call timeout. (Before PR 10 these were reader-thread
-        // locals and died with the thread.)
-        for state in &self.inner.reader_state {
-            let mut state = state.lock();
-            for slot in state.slots.iter().flatten() {
-                slot.sc.conn.transport.close();
+        // Clear the connection table (its lock is never held across a
+        // handler, so this cannot wait on a call). The slots hold the
+        // *other* `Arc<dyn Conn>` clones (the conn table below holds the
+        // first), and stale-connection fast-fail depends on the
+        // server-side transport state being released at stop — a
+        // `ReaderSlot` surviving in `ServerInner` would keep an RPCoIB
+        // queue pair registered and turn a restarted peer's fast
+        // reconnect into a full call timeout.
+        {
+            let mut table = self.inner.table.lock();
+            for slot in table.slots.iter().flatten() {
+                slot.rc.conn.transport.close();
             }
-            state.slots.clear();
-            state.gens.clear();
-            state.free.clear();
+            *table = ReaderState::default();
         }
         {
             // Close *and drop* every connection. Releasing the `Arc`s here
@@ -1110,9 +1031,7 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                     continue;
                 }
                 inner.accepted.fetch_add(1, Ordering::Relaxed);
-                // The id decides the connection's reader shard; assigned
-                // here, in accept order, so shard placement does not
-                // depend on setup-thread scheduling.
+                // The conn table's key, assigned here in accept order.
                 let conn_id = inner.next_conn_id.fetch_add(1, Ordering::Relaxed);
                 // Counted before the spawn so `drain` can never observe
                 // "listener done, read side quiesced" while a setup is in
@@ -1123,7 +1042,7 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                 // Connection setup (handshake, and in RPCoIB mode the
                 // blocking endpoint exchange) runs on its own transient
                 // thread, keeping the accept loop responsive; the
-                // finished connection is handed to its reader shard.
+                // finished connection is handed to the read side.
                 let handle = std::thread::Builder::new()
                     .name("rpc-conn-setup".into())
                     .spawn(move || {
@@ -1160,27 +1079,19 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                         // Stream transports run the stateful codec,
                         // verbs the self-contained one (see `frame`).
                         let stateful = !inner2.cfg.ib_enabled;
-                        let shard = (conn_id % inner2.reader_regs.len() as u64) as usize;
-                        if inner2.reader_regs[shard]
-                            .send(ShardConn {
-                                conn: Arc::new(ServerConn {
-                                    id: conn_id,
-                                    transport: conn,
-                                    turn: Mutex::new(V3Encoder::new(stateful)),
-                                    pending: Mutex::new(VecDeque::new()),
-                                }),
-                                client_id,
-                                dec: V3Decoder::new(stateful),
-                            })
-                            .is_ok()
-                        {
-                            // Nudge a shard blocked on its wake list to
-                            // adopt the registration now.
-                            inner2.reader_ready[shard].push(TOKEN_REGISTER);
-                        }
-                        // On send error the shard is gone (server
-                        // stopping): the table entry is closed by
-                        // `stop()`.
+                        let _ = inner2.reg_tx.send(ReadConn {
+                            conn: Arc::new(ServerConn {
+                                id: conn_id,
+                                transport: conn,
+                                turn: Mutex::new(V3Encoder::new(stateful)),
+                                pending: Mutex::new(VecDeque::new()),
+                            }),
+                            client_id,
+                            dec: V3Decoder::new(stateful),
+                        });
+                        // Get an idle pool thread to adopt it now.
+                        inner2.ready.push(TOKEN_REGISTER);
+                        inner2.sched.notify();
                     })
                     .expect("spawn conn setup");
                 inner.setup_threads.lock().push(handle);
@@ -1198,35 +1109,31 @@ enum ReadOutcome {
     /// A frame was consumed (replayed, parked, or rejected busy).
     Frame,
     /// A frame was consumed and its call pushed onto the admission queue
-    /// — and **nobody has been told yet**. From [`read_one`]: the call
-    /// just pushed. From [`service_token`]: additionally, the connection
-    /// has nothing more to read. Whoever receives this must run a pass of
-    /// the worker loop's body itself or `Sched::notify`.
+    /// — and **nobody has been told yet**: the burst's next frame
+    /// announces it; the burst's last is popped by whoever read it, or
+    /// announced if there is more to read ([`worker_loop`]).
     Admitted,
     /// Nothing usable within [`READ_SLICE`] (e.g. only a flow-control
-    /// credit was pending); the connection stays assigned.
+    /// credit was pending); the connection stays in the table.
     Idle,
     /// The connection is forfeit (peer gone, corrupt frame): close it and
     /// free its table entry.
     Forfeit,
-    /// The server is going away (call queue disconnected); the shard
-    /// should exit.
+    /// The server is going away (call queue closed); the burst ends.
     Shutdown,
 }
 
-/// A reader shard's slot for one assigned connection: the connection
-/// itself plus its wake bookkeeping. Slots are recycled through a free
-/// list; the matching entry in the shard's `gens` vector counts reuses so
-/// stale wake tokens are detectable.
+/// The connection table's slot for one connection: the connection itself
+/// plus its wake bookkeeping. Slots are recycled through a free list; the
+/// matching entry in the table's `gens` vector counts reuses so stale
+/// wake tokens are detectable.
 struct ReaderSlot {
-    sc: ShardConn,
+    rc: ReadConn,
     wake: Arc<WakeState>,
 }
 
-/// One reader shard's connection table: slots, their reuse generations,
-/// and the free list. Held in [`ServerInner::reader_state`] behind a
-/// mutex so a stealing sibling can service this shard's connections; see
-/// the field's docs for the locking discipline.
+/// The connection table: slots, their reuse generations, and the free
+/// list, in [`ServerInner::table`] behind the lock that is the read turn.
 #[derive(Default)]
 struct ReaderState {
     slots: Vec<Option<ReaderSlot>>,
@@ -1237,77 +1144,68 @@ struct ReaderState {
 /// Adopt every connection waiting on the registration channel: assign a
 /// slot, arm the transport's readiness hook, and deliver the no-lost-wake
 /// guarantee (probe `poll_ready` once *after* arming, catching input that
-/// arrived before the hook existed).
-///
-/// The caller is the shard's owner or a worker taking over; the table
-/// lock serializes them.
-fn adopt_registrations(inner: &ServerInner, shard: usize) {
-    let ready = &inner.reader_ready[shard];
-    let mut state = inner.reader_state[shard].lock();
-    let state = &mut *state;
-    while let Ok(sc) = inner.reader_reg_rx[shard].try_recv() {
-        inner.reader_stats[shard].conn_added();
-        let idx = match state.free.pop() {
+/// arrived before the hook existed). The caller holds the read turn.
+fn adopt_registrations(inner: &ServerInner, table: &mut ReaderState) {
+    while let Ok(rc) = inner.reg_rx.try_recv() {
+        inner.reader_stats.conn_added();
+        let idx = match table.free.pop() {
             Some(idx) => idx,
             None => {
-                state.slots.push(None);
-                state.gens.push(0);
-                state.slots.len() - 1
+                table.slots.push(None);
+                table.gens.push(0);
+                table.slots.len() - 1
             }
         };
         let wake = Arc::new(WakeState::new(
-            token(idx, state.gens[idx]),
-            Arc::clone(ready),
+            token(idx, table.gens[idx]),
+            Arc::clone(&inner.ready),
         ));
+        // An edge that queues the token wakes an idle pool thread to read
+        // it. (The reader's own re-arms below and in `service_token` wake
+        // nobody: it looks at the wake list itself once it lets go.)
         let hook_state = Arc::clone(&wake);
-        sc.conn
-            .transport
-            .set_ready_hook(Arc::new(move || hook_state.wake()));
-        let slot = ReaderSlot { sc, wake };
-        if slot.sc.conn.transport.poll_ready() {
+        let notify = inner.sched.notifier();
+        rc.conn.transport.set_ready_hook(Arc::new(move || {
+            if hook_state.wake() {
+                notify();
+            }
+        }));
+        let slot = ReaderSlot { rc, wake };
+        if slot.rc.conn.transport.poll_ready() {
             slot.wake.wake();
         }
-        state.slots[idx] = Some(slot);
+        table.slots[idx] = Some(slot);
     }
 }
 
-/// Service one wake token against shard `owner`'s connection table. The
-/// caller is the owner, or a worker that took the token over while the
-/// owner is away; the table lock is held for the whole burst, which is
-/// what serializes reads per connection (and per shard) no matter who
-/// services it. No call is ever run from in here.
-///
-/// Everything is booked on the *owner*'s counters — frames, busy
-/// rejections, the conn gauge — so per-shard `processed` stays a function
-/// of which connections a shard was dealt, not of who happened to read.
+/// Service one wake token against the connection table. The caller holds
+/// the read turn for the whole burst, which is what serializes reads per
+/// connection. No call is ever run from in here.
 ///
 /// Every call admitted is announced with `Sched::notify` as soon as it is
 /// known not to be the burst's last: a gathered batch is handed to the
-/// workers exactly as it always was. The last one is announced too if the
-/// connection still has input; if it has none, the outcome is
-/// [`ReadOutcome::Admitted`] and the announcement is the caller's.
+/// pool exactly as it always was. The last one is the caller's.
 ///
 /// So is the flush: the connections this burst answered itself (busy,
 /// replay) are noted in `answered`, and the caller [`ServerConn::flush`]es
-/// them now that the table lock is released.
+/// them once the read turn is let go.
 fn service_token(
     inner: &Arc<ServerInner>,
-    owner: usize,
+    table: &mut ReaderState,
     tok: u64,
     answered: &mut Vec<Arc<ServerConn>>,
-) -> ReadOutcome {
+) {
     let fair = inner.admission.fair();
-    let stats = &inner.reader_stats[owner];
-    let mut state = inner.reader_state[owner].lock();
+    let stats = &inner.reader_stats;
     let idx = token_slot(tok);
-    if idx >= state.slots.len() || state.gens[idx] != token_gen(tok) || state.slots[idx].is_none() {
+    if idx >= table.slots.len() || table.gens[idx] != token_gen(tok) || table.slots[idx].is_none() {
         // Stale token: its connection was torn down (and possibly the
         // slot recycled) after the token was queued. The generation
         // stamp makes it inert.
-        return ReadOutcome::Idle;
+        return;
     }
     let outcome = {
-        let slot = state.slots[idx].as_mut().expect("checked above");
+        let slot = table.slots[idx].as_mut().expect("checked above");
         // Clear the dedup flag *before* reading, so an edge firing
         // mid-burst re-enqueues instead of being lost.
         slot.wake.begin_poll();
@@ -1316,22 +1214,22 @@ fn service_token(
         // `READ_BURST` frames, so a gathered batch decodes in one
         // pop instead of one queue round-trip per frame. Per-connection
         // order holds either way — it is one connection drained
-        // sequentially under the table lock.
+        // sequentially under the read turn.
         let budget = if fair {
-            inner.admission.weight(slot.sc.client_id).max(1) as usize
+            inner.admission.weight(slot.rc.client_id).max(1) as usize
         } else {
             READ_BURST
         };
         let mut outcome = ReadOutcome::Idle;
         for _ in 0..budget {
-            if !slot.sc.conn.transport.poll_ready() {
+            if !slot.rc.conn.transport.poll_ready() {
                 break;
             }
             if outcome == ReadOutcome::Admitted {
-                // Not the last of its burst: a worker's.
+                // Not the last of its burst: another thread's.
                 inner.sched.notify();
             }
-            outcome = read_one(inner, &mut slot.sc, stats, answered);
+            outcome = read_one(inner, &mut slot.rc, stats, answered);
             match outcome {
                 ReadOutcome::Frame | ReadOutcome::Admitted => {}
                 ReadOutcome::Idle | ReadOutcome::Forfeit | ReadOutcome::Shutdown => break,
@@ -1341,200 +1239,50 @@ fn service_token(
     };
     match outcome {
         ReadOutcome::Forfeit => {
-            let slot = state.slots[idx].take().expect("checked above");
-            slot.sc.conn.transport.close();
-            inner.conns.lock().remove(&slot.sc.conn.id);
+            let slot = table.slots[idx].take().expect("checked above");
+            slot.rc.conn.transport.close();
+            inner.conns.lock().remove(&slot.rc.conn.id);
             stats.conn_removed();
             // Reap the wake token: bump the generation first, so the
             // token the `close()` above just (re-)queued — and any
             // other stale one — can never index this slot's next
             // tenant.
-            state.gens[idx] = state.gens[idx].wrapping_add(1);
-            state.free.push(idx);
+            table.gens[idx] = table.gens[idx].wrapping_add(1);
+            table.free.push(idx);
         }
         ReadOutcome::Shutdown => {}
         ReadOutcome::Frame | ReadOutcome::Admitted | ReadOutcome::Idle => {
             // Level-trigger re-arm: if input remains (a burst larger
             // than the budget, a stashed verbs frame, sticky EOF),
             // requeue at the back of the wake list.
-            let slot = state.slots[idx].as_ref().expect("checked above");
-            if slot.sc.conn.transport.poll_ready() {
+            let slot = table.slots[idx].as_ref().expect("checked above");
+            if slot.rc.conn.transport.poll_ready() {
                 slot.wake.wake();
-                if outcome == ReadOutcome::Admitted {
-                    inner.sched.notify();
-                    return ReadOutcome::Frame;
-                }
             }
         }
     }
-    outcome
 }
 
-/// The event loop of one reader shard: block on the shard's wake list,
-/// re-check readiness on every pop (wakes are hints — see
-/// [`crate::readiness`]), receive a bounded burst of frames, and re-arm
-/// connections that still have input. One chatty peer cannot starve the
-/// shard: its burst is bounded and its re-armed token goes to the *back*
-/// of the queue, giving round-robin service among ready connections while
-/// idle ones cost nothing at all.
+/// The read turn: one burst — the registrations adopted, or one woken
+/// connection's frames read — if the wake list has anything, the server
+/// is not draining, and nobody else is reading. `true` if this thread
+/// held the turn; it must then look at the wake list again
+/// ([`worker_loop`]).
 ///
-/// A burst that ends on an admitted call with nothing behind it — the
-/// lone closed-loop call — is not handed to a worker: if the wake list
-/// has nothing more for it either, the shard runs a call itself
-/// ([`run_in_place`]).
-fn reader_shard_loop(inner: &Arc<ServerInner>, shard: usize) {
-    let ready = &inner.reader_ready[shard];
-    let mut last_sweep = Instant::now();
-    let mut answered = Vec::new();
-    while !inner.stop.load(Ordering::Acquire) && !inner.draining.load(Ordering::Acquire) {
-        // Low-frequency liveness sweep: a peer that dies without closing
-        // its stream (node failure) makes its conns readable without any
-        // edge ever firing — the one readiness transition a wake hook
-        // cannot deliver. Walk the slab once a second and `wake()` any
-        // ready conn; the dedup flag makes this a no-op for conns whose
-        // token is already queued, so steady-state traffic never pays
-        // for it and a truly idle shard pays one charge-free probe per
-        // conn per sweep (versus every `IDLE_SLICE` under the old
-        // sweep-only reader).
-        if last_sweep.elapsed() >= LIVENESS_SWEEP {
-            last_sweep = Instant::now();
-            let state = inner.reader_state[shard].lock();
-            for slot in state.slots.iter().flatten() {
-                if slot.sc.conn.transport.poll_ready() {
-                    slot.wake.wake();
-                }
-            }
-        }
-        // The timeout is only a belt-and-suspenders re-check of the stop
-        // flags; `drain`/`stop` close the queue, which wakes this pop
-        // immediately.
-        let tok = match ready.pop(IDLE_SLICE) {
-            Pop::Token(tok) => tok,
-            Pop::TimedOut => continue,
-            Pop::Closed => break,
-        };
-        if tok == TOKEN_REGISTER {
-            adopt_registrations(inner, shard);
-            continue;
-        }
-        let outcome = service_token(inner, shard, tok, &mut answered);
-        if !answered.is_empty() {
-            // The flush sends whatever is pending on those connections,
-            // and a bulk-sized response a handler queued there can block
-            // on slot credits: away meanwhile, like any send of a
-            // reader's (a closed wake list cannot be left, and need not
-            // be — the shard is on its way out).
-            let left = ready.leave();
-            answered.drain(..).for_each(|conn| conn.flush(inner));
-            if left {
-                ready.come_back();
-            }
-        }
-        match outcome {
-            ReadOutcome::Shutdown => break,
-            ReadOutcome::Admitted => {
-                if !run_in_place(inner, shard) {
-                    inner.sched.notify();
-                }
-            }
-            ReadOutcome::Frame | ReadOutcome::Idle | ReadOutcome::Forfeit => {}
-        }
-    }
-    // On stop or drain the assigned connections stay open and in the
-    // table — a draining server still owes them responses, and `stop()`
-    // closes the whole table itself.
-}
-
-/// The reader takes an idle worker's place: the heart of a worker pass
-/// ([`pop_and_poll`]) — pop whichever call the admission queue hands out
-/// (after `try_push`, so quota, class, DRR order and deadline shedding are
-/// the queued path's by construction), answer the shed ones, poll the
-/// popped one on this stack — where it would have woken a worker to do
-/// the same.
-/// `false` = it did not, and the caller announces the call instead.
+/// The turn is the table lock, taken without waiting. A thread that finds
+/// it held leaves the wake list to the holder, which looks at the list
+/// after letting go: "release, then look", as on the send side
+/// ([`ServerConn::flush`]). The list's own lock orders a push against
+/// that look, so a token the look does not see was pushed after the
+/// release, and its pusher's notify wakes a thread that can take the
+/// turn.
 ///
-/// * **Instead of a worker, not beside them:** only under a run permit
-///   (never more than `cfg.handlers` calls execute, whichever threads
-///   run them), below the in-flight cap, and not once the server is
-///   draining or stopping.
-/// * **Only with nothing else to read:** the burst is over (the caller
-///   got [`ReadOutcome::Admitted`]) and the shard's wake list is empty.
-///   (A token landing between that look and [`ReadyQueue::leave`] is
-///   announced by the leave.)
-/// * **Away, and taken over:** this runs outside the shard's table lock,
-///   with the wake list marked *away*, so anything arriving for the
-///   shard meanwhile wakes an idle worker, which reads it ([`take_over`])
-///   — and one exists: a permit held here is a worker that cannot be
-///   executing. A handler may therefore block without deafening its
-///   shard.
-///
-/// A poll that suspends goes to the injector for a worker to resume; a
-/// reader has no run queue.
-fn run_in_place(inner: &Arc<ServerInner>, shard: usize) -> bool {
-    let sched = &inner.sched;
-    let cap = inner.cfg.max_inflight_calls;
-    if inner.draining.load(Ordering::Acquire)
-        || inner.stop.load(Ordering::Acquire)
-        || (cap != 0 && sched.inflight() >= cap)
-        || !sched.try_permit()
-    {
-        return false;
-    }
-    let ready = &inner.reader_ready[shard];
-    if !ready.is_empty() || !ready.leave() {
-        sched.release_permit(false);
-        return false;
-    }
-    pop_and_poll(inner, inner.now_ns(), Runner::Reader(shard));
-    // This thread goes back to reading: whatever is still queued needs a
-    // worker, and one that found no permit may be asleep.
-    sched.release_permit(!inner.admission.is_empty());
-    ready.come_back();
-    true
-}
-
-/// Whose stack a call's first poll runs on.
-#[derive(Clone, Copy)]
-enum Runner {
-    Worker(usize),
-    /// A reader shard, holding a permit in an idle worker's place.
-    Reader(usize),
-}
-
-/// The heart of a worker pass, under a run permit: pop the admission
-/// queue at `now` — expired heads are answered without execution, that
-/// is the whole point of deadline propagation — and poll the popped call
-/// for the first time right here, on the caller's stack. `true` if
-/// anything was popped.
-fn pop_and_poll(inner: &Arc<ServerInner>, now: u64, runner: Runner) -> bool {
-    let popped = inner.admission.try_pop(now);
-    let worked = !popped.is_empty();
-    for (meta, call) in popped.shed {
-        shed_call(inner, meta, call);
-    }
-    if let Some((meta, call)) = popped.run {
-        let frame = call_frame(inner, meta, call);
-        match runner {
-            Runner::Worker(worker) => inner.sched.run_first(worker, now, frame),
-            // Parks are booked on a worker row; the shard's index picks it.
-            Runner::Reader(shard) => {
-                let seat = shard % inner.worker_stats.len();
-                inner.sched.run_first_foreign(seat, now, frame)
-            }
-        }
-    }
-    worked
-}
-
-/// A worker's reading step: service one token (or registration) from
-/// each shard whose owner is away running a call. It only reads and
-/// pushes — the calls it admits it meets again in its own loop, under a
-/// permit like any other — so with every permit taken an away shard is
-/// still read, queued for and refused for (its refusals it sends itself).
-/// Counted a reader while at it,
-/// so that `drain` waits for it; nobody takes over once `draining` is set.
-fn take_over(inner: &Arc<ServerInner>, worker: usize) -> bool {
-    if !inner.reader_ready.iter().any(|ready| ready.is_away()) {
+/// Counted a reader while at it, so that `drain` waits for it; no burst
+/// starts once `draining` is set. The refusals the burst answered are
+/// flushed after the turn is let go: a flush can wait on a peer's
+/// credits, so the wake list is handed on first if it is not empty.
+fn read_burst(inner: &Arc<ServerInner>, answered: &mut Vec<Arc<ServerConn>>) -> bool {
+    if inner.ready.is_empty() {
         return false;
     }
     inner.live_readers.fetch_add(1, Ordering::SeqCst);
@@ -1542,25 +1290,69 @@ fn take_over(inner: &Arc<ServerInner>, worker: usize) -> bool {
     if inner.draining.load(Ordering::SeqCst) || inner.stop.load(Ordering::Acquire) {
         return false;
     }
-    let mut took = false;
-    let mut answered = Vec::new();
-    for (victim, ready) in inner.reader_ready.iter().enumerate() {
-        let Some(tok) = ready.take_over() else {
-            continue;
-        };
-        took = true;
-        inner.worker_stats[worker].inc_steal();
-        if tok == TOKEN_REGISTER {
-            adopt_registrations(inner, victim);
-        } else {
-            // An `Admitted` needs no notify: this worker's own pass pops
-            // next, and if no permit is free, nobody could run it anyway
-            // — whoever frees one looks at the queue.
-            service_token(inner, victim, tok, &mut answered);
-            answered.drain(..).for_each(|conn| conn.flush(inner));
+    let Some(mut table) = inner.table.try_lock() else {
+        return false;
+    };
+    match inner.ready.try_pop() {
+        Some(TOKEN_REGISTER) => adopt_registrations(inner, &mut table),
+        Some(tok) => service_token(inner, &mut table, tok, answered),
+        None => {}
+    }
+    drop(table);
+    if !answered.is_empty() {
+        // The flush can wait on a peer's credits: what is left to read
+        // meanwhile is another thread's.
+        if !inner.ready.is_empty() {
+            inner.sched.notify();
+        }
+        answered.drain(..).for_each(|conn| conn.flush(inner));
+    }
+    true
+}
+
+/// The liveness sweep, once a [`LIVENESS_SWEEP_NS`] per server, claimed
+/// by whichever pool thread finds it due. A peer that dies without
+/// closing its stream (node failure) makes its conns readable without any
+/// edge ever firing — the one readiness transition a wake hook cannot
+/// deliver — so walk the table and `wake()` any ready conn. The dedup
+/// flag makes this a no-op for conns whose token is already queued, so
+/// steady-state traffic never pays for it and an idle server pays one
+/// charge-free probe per conn per sweep. The sweeper reads what it woke
+/// in the same pass.
+fn liveness_sweep(inner: &ServerInner, now: u64) {
+    let claimed = inner
+        .next_sweep_ns
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |due| {
+            (now >= due).then_some(now + LIVENESS_SWEEP_NS)
+        });
+    if claimed.is_err() {
+        return;
+    }
+    let table = inner.table.lock();
+    for slot in table.slots.iter().flatten() {
+        if slot.rc.conn.transport.poll_ready() {
+            slot.wake.wake();
         }
     }
-    took
+}
+
+/// The heart of a worker pass, under a run permit: pop the admission
+/// queue at `now` — expired heads are answered without execution, that
+/// is the whole point of deadline propagation — and poll the popped call
+/// for the first time right here, on this stack. `true` if anything was
+/// popped.
+fn pop_and_poll(inner: &Arc<ServerInner>, now: u64, worker: usize) -> bool {
+    let popped = inner.admission.try_pop(now);
+    let worked = !popped.is_empty();
+    for (meta, call) in popped.shed {
+        shed_call(inner, meta, call);
+    }
+    if let Some((meta, call)) = popped.run {
+        inner
+            .sched
+            .run_first(worker, now, call_frame(inner, meta, call));
+    }
+    worked
 }
 
 /// A reader's own answer (busy, replay, a parked duplicate it aborts),
@@ -1585,14 +1377,14 @@ fn answer_reading(
 
 /// Receive and admit one frame from a ready connection. This is the body
 /// the per-connection Reader thread used to run, minus the blocking idle
-/// wait (the shard only calls it after `poll_ready`).
+/// wait (the reader only calls it after `poll_ready`).
 fn read_one(
     inner: &Arc<ServerInner>,
-    sc: &mut ShardConn,
+    rc: &mut ReadConn,
     stats: &ShardStats,
     answered: &mut Vec<Arc<ServerConn>>,
 ) -> ReadOutcome {
-    let conn = &sc.conn;
+    let conn = &rc.conn;
     let (payload, recv) = match conn.transport.recv_msg(READ_SLICE) {
         Ok(v) => v,
         Err(RpcError::Timeout) => return ReadOutcome::Idle,
@@ -1605,7 +1397,7 @@ fn read_one(
         Err(_) => return ReadOutcome::Forfeit,
     };
     let mut reader = payload.reader();
-    let header = match sc.dec.read_request_header(&mut reader, sc.client_id) {
+    let header = match rc.dec.read_request_header(&mut reader, rc.client_id) {
         Ok(h) => h,
         Err(_) => {
             // Corrupt frame: past this point the stream cannot be
@@ -1638,18 +1430,19 @@ fn read_one(
             return ReadOutcome::Frame;
         }
     }
+    let admitted_ns = inner.now_ns();
     let call = RawCall {
         conn: Arc::clone(conn),
         header,
         payload,
         body_offset,
-        admitted_at: Instant::now(),
+        admitted_ns,
     };
     // The shedding deadline in the server's own clock; a call that
     // carries no budget is never shed.
     let expires_at_ns = header
         .deadline_budget
-        .map(|budget| inner.now_ns().saturating_add(budget.as_nanos() as u64));
+        .map(|budget| admitted_ns.saturating_add(budget.as_nanos() as u64));
     // Protocol-priority class: calls to a listed control protocol jump
     // their tenant's bulk backlog inside the admission queue. The
     // default empty set marks everything Bulk — ordering identical to
@@ -1671,8 +1464,8 @@ fn read_one(
         Ok(()) => return ReadOutcome::Admitted,
         Err((AdmitError::QueueFull | AdmitError::TenantOverQuota, call)) => {
             // Overload (shared queue full, or this tenant over its
-            // quota): reject instead of blocking the shard (which would
-            // stall every connection assigned to it). The call never
+            // quota): reject instead of blocking the reader (which would
+            // stall every other connection). The call never
             // executed, so the rejection is retryable. A refused request
             // is let go where it is refused.
             drop(call);
@@ -1696,38 +1489,50 @@ fn read_one(
     ReadOutcome::Frame
 }
 
-/// One handler worker. Each pass: fire due timers; read for any shard
-/// whose owner is away ([`take_over`] — needs no permit); then, under a
-/// run permit, pop the admission queue and poll the popped call for the
-/// first time right here, on this stack ([`pop_and_poll`]), and run one
-/// suspended call that is runnable
-/// again — own queue first, then the injector, then stealing. Admission
-/// precedes the task so a yield-spinning call can never starve new
-/// arrivals; the in-flight cap (`cfg.max_inflight_calls`) pauses
-/// admission — backpressure into the bounded queue, not rejection — while
-/// parked calls pile up. A pass that found nothing — or no permit: a
-/// reader shard is running in this worker's place — sleeps on the
-/// runtime's idle wait; whoever pushes a call, wakes a task, pushes onto
-/// an away shard or returns a permit beside waiting work notifies.
+/// One pool thread; all `handlers + 1` run this loop. Each pass, in
+/// order: fire due timers (and the liveness sweep, when due); read one
+/// burst ([`read_burst`]) — and if the wake list is still not empty
+/// after it, announce the calls waiting and read again; otherwise, under
+/// a run permit, pop the admission queue and poll the popped call for the
+/// first time right here, on this stack ([`pop_and_poll`]) — the call
+/// this thread just read, when its burst ended on one — and run one
+/// suspended call that is runnable again: own queue first, then the
+/// injector, then stealing. Admission precedes the task so a
+/// yield-spinning call can never starve new arrivals; the in-flight cap
+/// (`cfg.max_inflight_calls`) pauses admission — backpressure into the
+/// bounded queue, not rejection — while parked calls pile up. A pass
+/// that found nothing, or no permit, sleeps on the runtime's idle wait;
+/// whoever makes a connection readable, admits a call it will not run,
+/// wakes a task or returns a permit beside waiting work notifies.
 fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
     let sched = &inner.sched;
     let cap = inner.cfg.max_inflight_calls;
+    let mut answered = Vec::new();
     loop {
         // Read before the scan: a push or wake landing after the scan
         // has passed it by moves the epoch and cancels the wait below.
         let epoch = sched.wake_epoch();
         let now = inner.now_ns();
         sched.fire_timers(now);
-        let mut worked = take_over(&inner, worker);
+        liveness_sweep(&inner, now);
+        let mut worked = read_burst(&inner, &mut answered);
+        if worked && !inner.ready.is_empty() {
+            // Release, then look: there is more to read, so what this
+            // burst admitted is another thread's to run.
+            if !inner.admission.is_empty() {
+                sched.notify();
+            }
+            continue;
+        }
         if sched.try_permit() {
             if cap == 0 || sched.inflight() < cap {
-                worked |= pop_and_poll(&inner, now, Runner::Worker(worker));
+                worked |= pop_and_poll(&inner, now, worker);
             }
             if let Some(task) = sched.next_task(worker) {
                 sched.run(worker, task, inner.now_ns());
                 worked = true;
             }
-            // This worker looks at the admission queue again itself.
+            // This thread looks at the admission queue again itself.
             sched.release_permit(false);
         }
         if worked {
@@ -1750,7 +1555,7 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
 
 /// One admitted call as the runtime polls it: the `RawCall`, the
 /// service's stash and the accumulated handler time are this closure's
-/// captures. They sit on the worker's stack for the first poll and move
+/// captures. They sit on the pool thread's stack for the first poll and move
 /// to the heap — a few hundred bytes, against an OS thread per blocked
 /// call — only if that poll suspends.
 ///
@@ -1779,7 +1584,7 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
 /// buffer the last reply gave back. An eager frame draws nothing, and
 /// allocates as it always did.
 ///
-/// The poll that completes serializes once, answers from the worker it
+/// The poll that completes serializes once, answers from the thread it
 /// ran on ([`ServerInner::respond`]) and releases the tenant's admission
 /// quota.
 fn call_frame(
@@ -1800,7 +1605,7 @@ fn call_frame(
         if cx.polls() == 0 {
             entry.record_phase(
                 Phase::ServerQueue,
-                c.admitted_at.elapsed().as_nanos() as u64,
+                inner.now_ns().saturating_sub(c.admitted_ns),
             );
         }
         let poll_start = Instant::now();

@@ -112,8 +112,8 @@ pub trait Conn: Send + Sync {
     /// internally but consumes nothing; `true` does not guarantee a full
     /// frame is buffered — only that the transport has *something* for the
     /// receiving thread, which may still briefly block assembling the rest
-    /// of a frame already in flight. Event-loop shards use this to skip
-    /// idle connections.
+    /// of a frame already in flight. The server's event loop uses this to
+    /// skip idle connections.
     fn poll_ready(&self) -> bool;
 
     /// Arm the readiness notification: `hook` fires (possibly on the

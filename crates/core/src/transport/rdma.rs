@@ -918,8 +918,8 @@ impl RdmaConn {
     /// of their own or riding a frame), and no thread is dedicated to
     /// reading it: when nobody is receiving, this waiter reads them
     /// itself. Frames it meets on the way are stashed for the receiver,
-    /// which is told through the ready hook (an event-driven reader shard
-    /// saw the queue pair's own edge before we emptied it).
+    /// which is told through the ready hook (the event-driven reader saw
+    /// the queue pair's own edge before we emptied it).
     ///
     /// The peer may be holding credits for a frame of its own to carry
     /// (a ring deep enough to batch), so a waiter *pulls*: it asks once,
@@ -1365,7 +1365,7 @@ impl Conn for RdmaConn {
     fn poll_ready(&self) -> bool {
         // Closed counts as ready (the next recv_msg surfaces
         // ConnectionClosed). A pending completion may be a credit rather
-        // than a message — the shard's bounded recv_msg then consumes the
+        // than a message — the reader's bounded recv_msg then consumes the
         // credit and times out, which is still progress.
         self.link.closed.load(Ordering::Acquire)
             || !self.stash.lock().is_empty()
@@ -1838,7 +1838,7 @@ mod tests {
     }
 
     /// A four-slot ring small enough to fill with one frame, and a
-    /// receiver driven the way a reader shard drives one: it reads when
+    /// receiver driven the way the server's reader drives one: it reads when
     /// its hook has fired and input is pending, and is otherwise nowhere
     /// near `recv_msg` — it has no idle moment. It reads `frames` frames
     /// and returns their lengths; the first `keep` it holds on to, and

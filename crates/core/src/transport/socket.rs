@@ -587,7 +587,7 @@ impl Conn for SocketConn {
     }
 
     fn poll_ready(&self) -> bool {
-        // A closed connection is "ready" so the shard's next recv_msg
+        // A closed connection is "ready" so the reader's next recv_msg
         // observes ConnectionClosed instead of skipping the conn forever.
         self.closed.load(Ordering::Acquire) || self.stream.readable()
     }

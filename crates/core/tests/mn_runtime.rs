@@ -4,9 +4,8 @@
 //! both transports and see the same `HandlerCx` whether a poll ran
 //! inline or as a task, a stopped server must let go of every suspended
 //! call, protocol-priority classes must keep heartbeats ahead of a bulk
-//! flood, and the burst-decode and shard-takeover paths (a worker reads
-//! for a shard whose owner is inside a handler) must preserve
-//! per-connection correctness.
+//! flood, and burst decode and a read side whose other threads are inside
+//! handlers must preserve per-connection correctness.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
@@ -192,11 +191,10 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 // The runtime end to end.
 // ---------------------------------------------------------------------
 
-/// A lone call round-trips on both transports, and the per-worker shard
-/// counters surface in the server snapshot. (A lone call that never
-/// suspends runs on the reader shard that read it and is booked on no
-/// worker — `run_discipline.rs` pins that; one that suspends is resumed,
-/// and booked, by a worker.)
+/// A lone call round-trips on both transports, and the per-worker
+/// counters surface in the server snapshot: one row per pool thread,
+/// `handlers + 1` of them. A call that suspends is resumed, and booked, by
+/// a worker.
 #[test]
 fn lone_echo_round_trips_on_both_transports() {
     let _wd = watchdog(
@@ -213,7 +211,11 @@ fn lone_echo_round_trips_on_both_transports() {
             body,
             "transport {label}"
         );
-        assert_eq!(worker_sum(&server, |_| 1), 4, "{label}: one row per worker");
+        assert_eq!(
+            worker_sum(&server, |_| 1),
+            5,
+            "{label}: one row per pool thread"
+        );
         assert_eq!(
             echo(&client, addr, "mn.ParkEcho", "park_ms", vec![1, 7]),
             vec![1, 7],
@@ -892,7 +894,7 @@ fn heartbeats_jump_a_bulk_flood() {
 }
 
 // ---------------------------------------------------------------------
-// Satellites: burst decode + reader stealing.
+// Satellites: burst decode + reading beside held handlers.
 // ---------------------------------------------------------------------
 
 /// Gathered V3 batches (many pipelined frames arriving as one wire op)
@@ -984,83 +986,54 @@ impl RpcService for HoldEcho {
     }
 }
 
-/// A shard whose owner is inside a handler is drained by an idle worker:
-/// a lone `hold` call runs on the reader shard that read it and blocks
-/// there; the flood is then pinned onto the *other* connections of that
-/// same shard (found empirically via the per-shard `processed` counter).
-/// Every one of its calls can only have been read by a worker taking the
-/// shard over — the workers' steal counters move — and every response
-/// must still be the right one.
+/// A call held inside a handler leaves the read side to the rest of the
+/// pool: with two permits, a lone `hold` call blocks one thread, and a
+/// flood from three other connections (4 pipelining threads each) is
+/// still read, run and answered — by the two threads left, one of which
+/// holds no permit at any time — with every response the right one and
+/// every frame booked on the one reader row.
 #[test]
-fn a_shard_whose_owner_is_in_a_handler_is_drained_by_a_worker() {
+fn a_call_held_in_a_handler_leaves_the_read_side_to_the_rest_of_the_pool() {
     let _wd = watchdog(
-        "a_shard_whose_owner_is_in_a_handler_is_drained_by_a_worker",
+        "a_call_held_in_a_handler_leaves_the_read_side_to_the_rest_of_the_pool",
         Duration::from_secs(120),
     );
     let fabric = Fabric::new(model::IB_QDR_VERBS);
-    let mut cfg = RpcConfig::rpcoib();
-    cfg.reader_shards = 2;
+    let cfg = RpcConfig {
+        handlers: 2,
+        ..RpcConfig::rpcoib()
+    };
     let service = Arc::new(HoldEcho::default());
     let (server, addr) = start(&fabric, &cfg, vec![Arc::clone(&service)]);
     let _release = ReleaseOnDrop(Arc::clone(&service));
+    let frames_read = |server: &Server| role_sum(server, ShardRole::Reader, |s| s.processed);
 
-    // Probe each client's shard: one ping, then see whose `processed`
-    // moved.
-    let shard_processed = |server: &Server| -> Vec<u64> {
-        server
-            .metrics_snapshot()
-            .shards
-            .iter()
-            .filter(|s| s.role == ShardRole::Reader)
-            .map(|s| s.processed)
-            .collect()
-    };
-    let mut hot = Vec::new(); // clients on shard 0
-    for _ in 0..6 {
-        let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-        let before = shard_processed(&server);
-        echo(&client, addr, "mn.HoldEcho", "echo", vec![1, 2, 3]);
-        let after = shard_processed(&server);
-        if after[0] > before[0] {
-            hot.push(client);
-        } else {
-            client.shutdown(); // shard-1 tenant: stay silent
-        }
-    }
-    assert!(
-        hot.len() >= 3,
-        "conn placement should land >=3 of 6 clients on shard 0, got {}",
-        hot.len()
-    );
-
-    // Shard 0's owner goes into a handler and stays there.
-    let holder = hot.pop().unwrap();
+    let holder = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
     let held = {
         let holder = holder.clone();
         std::thread::spawn(move || echo(&holder, addr, "mn.HoldEcho", "hold", vec![9]))
     };
-    {
+    let held_on = {
         let mut held_on = service.held_on.lock().unwrap();
         while held_on.is_none() {
             held_on = service.cv.wait(held_on).unwrap();
         }
-        let name = held_on.as_deref().unwrap();
-        assert!(
-            name.starts_with("rpc-reader-"),
-            "a lone call should run on the shard that read it, ran on {name:?}"
-        );
-    }
-    let steals_before = worker_sum(&server, |s| s.steals);
-    let frames_before = shard_processed(&server);
+        held_on.clone().unwrap()
+    };
+    assert!(held_on.starts_with("rpc-worker-"), "{held_on:?}");
+    let frames_before = frames_read(&server);
 
-    // Flood shard 0 only (4 pipelining threads per hot connection).
     const CALLS: usize = 50;
-    let hot = Arc::new(hot);
-    let handles: Vec<_> = (0..hot.len() * 4)
+    let flooders: Arc<Vec<Client>> = Arc::new(
+        (0..3)
+            .map(|_| Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap())
+            .collect(),
+    );
+    let handles: Vec<_> = (0..flooders.len() * 4)
         .map(|t| {
-            let hot = Arc::clone(&hot);
+            let flooders = Arc::clone(&flooders);
             std::thread::spawn(move || {
-                let client = &hot[t % hot.len()];
+                let client = &flooders[t % flooders.len()];
                 for i in 0..CALLS {
                     let body = vec![(t * 31 + i) as u8; 512];
                     let resp: BytesWritable = client
@@ -1075,19 +1048,13 @@ fn a_shard_whose_owner_is_in_a_handler_is_drained_by_a_worker() {
     for h in handles {
         h.join().unwrap();
     }
-    assert!(
-        worker_sum(&server, |s| s.steals) > steals_before,
-        "no worker ever took the away shard over"
-    );
-    // Booked on the shard the connections were dealt to, whoever read.
-    let frames_after = shard_processed(&server);
-    assert_eq!(frames_after[0] - frames_before[0], flood as u64);
-    assert_eq!(frames_after[1], frames_before[1]);
+    assert!(!held.is_finished(), "the hold is still inside");
+    assert_eq!(frames_read(&server) - frames_before, flood as u64);
 
     service.release();
     assert_eq!(held.join().unwrap(), vec![9]);
     holder.shutdown();
-    for client in hot.iter() {
+    for client in flooders.iter() {
         client.shutdown();
     }
     server.stop();

@@ -8,8 +8,8 @@
 //! apply the same schedule, so verbs drop coins replay identically (the
 //! fault window only spans client-side sequential sends, and wake-hook
 //! fires are charge-free and draw nothing). Divergence therefore means a
-//! readiness bug: a lost wakeup (event consumer starves and the pop
-//! times out), a spurious one (a token for a conn that is not ready), or
+//! readiness bug: a lost wakeup (event consumer starves and the queue
+//! stays empty), a spurious one (a token for a conn that is not ready), or
 //! a non-sticky EOF.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rpcoib::intern::method_key;
-use rpcoib::readiness::{token, token_slot, Pop, ReadyQueue, WakeState};
+use rpcoib::readiness::{token, token_slot, ReadyQueue, WakeState};
 use rpcoib::transport::rdma::RdmaConn;
 use rpcoib::transport::socket::SocketConn;
 use rpcoib::transport::Conn;
@@ -215,7 +215,9 @@ fn run(
     if event {
         for (i, conn) in h.srv.iter().enumerate() {
             let ws = Arc::clone(&wakes[i]);
-            conn.set_ready_hook(Arc::new(move || ws.wake()));
+            conn.set_ready_hook(Arc::new(move || {
+                ws.wake();
+            }));
             if conn.poll_ready() {
                 wakes[i].wake();
             }
@@ -324,37 +326,40 @@ fn run(
         }
     }
 
-    // Run each conn to completion. The event consumer *blocks* on the
-    // ready queue: a pop timeout with work outstanding is a lost wakeup.
+    // Run each conn to completion. The event consumer reads only what the
+    // ready queue hands it: the queue idle for 5 s with work outstanding
+    // is a lost wakeup.
     let deadline = Instant::now() + Duration::from_secs(30);
+    let mut last_token = Instant::now();
     while !done.iter().all(|&d| d) {
         assert!(Instant::now() < deadline, "consumer wedged");
         if event {
-            match queue.pop(Duration::from_secs(5)) {
-                Pop::Token(tok) => {
-                    let i = token_slot(tok);
-                    wakes[i].begin_poll();
-                    if done[i] {
-                        continue;
-                    }
-                    assert!(
-                        h.srv[i].poll_ready(),
-                        "spurious wakeup: token for conn {i} that is not ready"
-                    );
-                    drain_conn(&h.srv[i], &mut delivered[i], &mut done[i], BURST);
-                    if !done[i] && h.srv[i].poll_ready() {
-                        wakes[i].wake();
-                    }
-                }
-                Pop::TimedOut => panic!(
+            let Some(tok) = queue.try_pop() else {
+                assert!(
+                    last_token.elapsed() < Duration::from_secs(5),
                     "lost wakeup: ready queue idle 5s with conns {:?} unfinished",
                     done.iter()
                         .enumerate()
                         .filter(|(_, d)| !**d)
                         .map(|(i, _)| i)
                         .collect::<Vec<_>>()
-                ),
-                Pop::Closed => panic!("queue closed unexpectedly"),
+                );
+                std::thread::sleep(Duration::from_micros(200));
+                continue;
+            };
+            last_token = Instant::now();
+            let i = token_slot(tok);
+            wakes[i].begin_poll();
+            if done[i] {
+                continue;
+            }
+            assert!(
+                h.srv[i].poll_ready(),
+                "spurious wakeup: token for conn {i} that is not ready"
+            );
+            drain_conn(&h.srv[i], &mut delivered[i], &mut done[i], BURST);
+            if !done[i] && h.srv[i].poll_ready() {
+                wakes[i].wake();
             }
         } else {
             let mut progress = false;

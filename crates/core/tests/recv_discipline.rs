@@ -6,10 +6,10 @@
 //! waiting, exactly one waiter holds the turn**: every caller that stops
 //! waiting promotes a parked follower when nobody leads.
 //!
-//! Each case runs on both transports (honouring the CI matrix's
-//! `RPC_SHARDS`) under a watchdog, and is built to fail
-//! when its hazard is open: (a) at a build with a thread per connection,
-//! (b) and (c) at a build whose leaving leader does not promote.
+//! Each case runs on both transports under a watchdog, and is built to
+//! fail when its hazard is open: (a) at a build with a thread per
+//! connection, (b) and (c) at a build whose leaving leader does not
+//! promote.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -27,24 +27,14 @@ static QUIET: RwLock<()> = RwLock::new(());
 
 const GATES: usize = 8;
 
-/// Both transports with their fabric model, under the CI matrix's shard
-/// setting.
+/// Both transports with their fabric model.
 fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
-    let shards = std::env::var("RPC_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0);
     [
         ("socket", model::IPOIB_QDR, RpcConfig::socket()),
         ("verbs", model::IB_QDR_VERBS, RpcConfig::rpcoib()),
     ]
     .into_iter()
-    .map(|(name, model, mut cfg)| {
-        if let Some(n) = shards {
-            cfg.reader_shards = n;
-        }
-        (name, Fabric::new(model), cfg)
-    })
+    .map(|(name, model, cfg)| (name, Fabric::new(model), cfg))
     .collect()
 }
 
@@ -232,7 +222,6 @@ fn lone_caller_receives_for_itself_and_connections_cost_no_thread() {
         // Small servers: 32 of them share this process.
         let cfg = RpcConfig {
             handlers: 1,
-            reader_shards: 1,
             prefill_per_class: 1,
             large_region_bytes: 256 * 1024,
             ..base

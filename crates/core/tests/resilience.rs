@@ -20,31 +20,19 @@ use simnet::{model, Fabric, FaultSpec, NodeId, SimStream};
 use wire::{BytesWritable, DataInput, LongWritable, Text, Writable};
 
 /// Fabric + matching config for the transport selected by
-/// `RPC_TRANSPORT` (CI runs the suite under both values), with the
-/// server pipeline shape from `RPC_SHARDS` (pins the reader shard
-/// count; unset or 0 keeps the config default). CI's resilience matrix
-/// crosses the two, so every scenario here runs on both transports,
-/// single-sharded *and* on 4 reader shards.
+/// `RPC_TRANSPORT` (CI runs the suite under both values).
 fn env_transport() -> (Fabric, RpcConfig) {
-    transport_with_env_shape(std::env::var("RPC_TRANSPORT").as_deref() == Ok("verbs"))
+    transport_of(std::env::var("RPC_TRANSPORT").as_deref() == Ok("verbs"))
 }
 
 /// [`env_transport`] with the transport chosen by the caller, for the
 /// scenarios that must hold on both in every run.
-fn transport_with_env_shape(verbs: bool) -> (Fabric, RpcConfig) {
-    let (fabric, mut cfg) = if verbs {
+fn transport_of(verbs: bool) -> (Fabric, RpcConfig) {
+    if verbs {
         (Fabric::new(model::IB_QDR_VERBS), RpcConfig::rpcoib())
     } else {
         (Fabric::new(model::IPOIB_QDR), RpcConfig::socket())
-    };
-    if let Some(n) = std::env::var("RPC_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        cfg.reader_shards = n;
     }
-    (fabric, cfg)
 }
 
 /// Aborts the whole test process (with a pointed message) if the guard is
@@ -919,7 +907,7 @@ fn drain_under_multi_tenant_load_leaves_no_call_unanswered() {
 /// The handshake is demanded, not sniffed. A connection that opens with
 /// anything else — the previous release's V1 frame, an HTTP probe, a
 /// hello offering version 2 — is closed with nothing written back,
-/// counted in `frame_errors`, never reaches a reader shard or (on verbs)
+/// counted in `frame_errors`, never reaches the read side or (on verbs)
 /// the endpoint exchange, and costs the server's real clients nothing: a
 /// V3 client on another connection is served before, between and after.
 #[test]
@@ -943,7 +931,7 @@ fn connection_without_the_handshake_is_refused() {
     let openings = [v1_peer, b"GET / HTTP/1.1\r\n\r\n".to_vec(), v2_hello];
 
     for verbs in [false, true] {
-        let (fabric, cfg) = transport_with_env_shape(verbs);
+        let (fabric, cfg) = transport_of(verbs);
         let server_node = fabric.add_node();
         let (server, applied) = start_counter_server(&fabric, server_node, &cfg, Duration::ZERO);
         let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
@@ -1248,9 +1236,8 @@ fn retry_cache_ttl_expiry_reexecutes_instead_of_replaying_stale() {
     }
 }
 
-/// The sharded pipeline's correctness contract, cross-shard: with two
-/// reader shards, two connections land on *different* shards (conn ids
-/// are assigned in accept order and routed `id % N`), and
+/// The read side's correctness contract across connections: two
+/// connections, read by whichever pool thread holds the read turn, and
 ///
 /// * a parked duplicate on one connection still fans out exactly once;
 /// * a non-idempotent workload split across both connections applies
@@ -1262,13 +1249,12 @@ fn retry_cache_ttl_expiry_reexecutes_instead_of_replaying_stale() {
 /// All three invariants must hold whether a turn's holder finds one
 /// response pending behind it or gathers several.
 #[test]
-fn cross_shard_ordering_and_at_most_once() {
-    let _wd = watchdog("cross_shard", Duration::from_secs(120));
+fn ordering_and_at_most_once_across_two_connections() {
+    let _wd = watchdog("two_connections", Duration::from_secs(120));
     let (fabric, base) = env_transport();
     fabric.set_fault_seed(7);
     let server_node = fabric.add_node();
     let cfg = RpcConfig {
-        reader_shards: 2,
         // The slow_incr handler takes 400 ms: the first attempt times out
         // and its retry parks behind the in-flight execution.
         call_timeout: Duration::from_millis(300),
@@ -1284,15 +1270,14 @@ fn cross_shard_ordering_and_at_most_once() {
     registry.register(Arc::new(EchoService));
     let server = Server::start(&fabric, server_node, 8020, cfg.clone(), registry).unwrap();
 
-    // Two clients = two connections; sequential warm-ups pin the accept
-    // order, so conn 0 and conn 1 sit on different reader shards.
+    // Two clients = two connections.
     let client_a = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
     counter_call(&client_a, &server, "get").unwrap();
     let client_b = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
     counter_call(&client_b, &server, "get").unwrap();
 
-    // Parked duplicate on connection A while connection B (on the other
-    // shard) keeps working.
+    // Parked duplicate on connection A while connection B keeps
+    // working.
     let resp = counter_call(&client_a, &server, "slow_incr")
         .expect("the retry should collect the first attempt's response");
     assert_eq!(resp.0, 1);
@@ -1342,7 +1327,7 @@ fn cross_shard_ordering_and_at_most_once() {
     assert_eq!(
         applied.load(Ordering::Acquire),
         1 + 2 * CALLS_PER_CONN,
-        "every incr must apply exactly once across both shard pairs"
+        "every incr must apply exactly once across both connections"
     );
 
     // Clean links again: hammer one connection with concurrent callers.
@@ -1372,17 +1357,14 @@ fn cross_shard_ordering_and_at_most_once() {
         h.join().unwrap();
     }
 
-    // Both reader shards must actually have seen work, and the send
-    // ledger (one row: no thread, no shard) every response.
+    // The read side (one row, whichever thread read) saw every frame,
+    // and the send ledger (one row: no thread) every response.
     let shards = server.metrics_snapshot().shards;
-    for (role, rows) in [("reader", 2), ("responder", 1)] {
-        let busy: Vec<_> = shards
-            .iter()
-            .filter(|s| s.role.name() == role && s.processed > 0)
-            .collect();
+    for role in ["reader", "responder"] {
+        let rows: Vec<_> = shards.iter().filter(|s| s.role.name() == role).collect();
         assert!(
-            busy.len() >= rows,
-            "{role} work was not spread across shards: {shards:?}"
+            rows.len() == 1 && rows[0].processed > 0,
+            "one {role} row, and it saw work: {shards:?}"
         );
     }
 
@@ -1542,7 +1524,7 @@ fn connection_churn_soak_leaks_nothing() {
 
     // No residue: every reader slot freed, every ready-queue token
     // consumed, no buffered bytes pinned. The table empties before the
-    // shards have popped the (inert) tokens the last batch's closes
+    // readers have popped the (inert) tokens the last batch's closes
     // re-queued, so the depth is waited for, boundedly — a leaked token
     // never drains.
     let queued = |server: &Server| {

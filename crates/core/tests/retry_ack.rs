@@ -58,19 +58,12 @@ impl RpcService for AckService {
     }
 }
 
-/// Run `case` once per transport, under the CI matrix's shard setting.
+/// Run `case` once per transport.
 fn each_transport(case: impl Fn(Fabric, RpcConfig)) {
-    for (fabric, mut cfg) in [
+    for (fabric, cfg) in [
         (Fabric::new(model::IPOIB_QDR), RpcConfig::socket()),
         (Fabric::new(model::IB_QDR_VERBS), RpcConfig::rpcoib()),
     ] {
-        if let Some(n) = std::env::var("RPC_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            cfg.reader_shards = n;
-        }
         case(fabric, cfg);
     }
 }

@@ -1,21 +1,20 @@
-//! The server's run discipline: a reader shard that has just admitted a
-//! call and has nothing else to read runs that call itself, in the place
-//! of an idle worker. Three rules make that safe when a handler blocks,
-//! and each case below is built to fail when its rule is broken:
+//! The server's run discipline: every pool thread reads, runs and
+//! sends, and a thread that has just admitted a call and has nothing else
+//! to read runs that call itself. Three rules make that safe when a
+//! handler blocks, and each case below is built to fail when its rule is
+//! broken:
 //!
 //! * **run permit** — never more than `handlers` calls execute, whichever
 //!   threads run them (b);
 //! * **only when there is nothing else to read** — a burst keeps its
-//!   workers and its parallelism (d);
-//! * **away, and taken over** — while a reader is inside a handler its
-//!   shard is read, adopted for and answered for by an idle worker (c, g),
-//!   no handler runs under a shard's table lock (f), and a call that
-//!   suspends on a reader's stack is a worker's from then on (e).
+//!   parallelism (d);
+//! * **at least one thread holds no permit** — while a thread is inside a
+//!   handler, another reads, adopts and answers (c, g), no handler runs
+//!   under the read turn (f), and a call that suspends is resumed by
+//!   whichever thread is free (e).
 //!
-//! Each case runs on both transports (honouring the CI matrix's
-//! `RPC_SHARDS`; with `RPC_SHARDS=1` the takeover is the *only* reader a
-//! busy shard has) under a watchdog, with gates that open when the test
-//! unwinds.
+//! Each case runs on both transports under a watchdog, with gates that
+//! open when the test unwinds.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -28,39 +27,26 @@ use rpcoib::{
 use simnet::{model, Fabric, SimAddr};
 use wire::{BytesWritable, DataInput, Writable};
 
-/// Case (a) asserts that *nothing* ran on a worker, so it runs alone: it
-/// takes the write side, every other case the read side.
+/// Case (a) counts the pool threads' wake-ups, so it runs alone: it takes
+/// the write side, every other case the read side.
 static QUIET: RwLock<()> = RwLock::new(());
 
 const GATES: usize = 8;
 const PROTOCOL: &str = "test.RunDiscipline";
 
-fn env_shards() -> Option<usize> {
-    std::env::var("RPC_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// Both transports with their fabric model, under the CI matrix's shard
-/// setting.
+/// Both transports with their fabric model.
 fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
     [
         ("socket", model::IPOIB_QDR, RpcConfig::socket()),
         ("verbs", model::IB_QDR_VERBS, RpcConfig::rpcoib()),
     ]
     .into_iter()
-    .map(|(name, model, mut cfg)| {
-        if let Some(n) = env_shards() {
-            cfg.reader_shards = n;
-        }
-        (name, Fabric::new(model), cfg)
-    })
+    .map(|(name, model, cfg)| (name, Fabric::new(model), cfg))
     .collect()
 }
 
-/// Aborts the process if the guard outlives `limit`: a deaf shard or a
-/// lost wake-up must fail fast, not hang the suite.
+/// Aborts the process if the guard outlives `limit`: a deaf read side or
+/// a lost wake-up must fail fast, not hang the suite.
 struct Watchdog(Arc<AtomicBool>);
 
 fn watchdog(name: &'static str, limit: Duration) -> Watchdog {
@@ -116,10 +102,6 @@ impl Probe {
     fn open(&self, gate: usize) {
         self.gates.lock().unwrap().open[gate] = true;
         self.cv.notify_all();
-    }
-
-    fn shut(&self, gate: usize) {
-        self.gates.lock().unwrap().open[gate] = false;
     }
 
     /// Block until `n` `hold` calls are inside the server.
@@ -264,12 +246,11 @@ fn shard_rows(server: &Server, role: ShardRole) -> Vec<ShardSnapshot> {
     shards.into_iter().filter(|s| s.role == role).collect()
 }
 
-/// Frames read per reader shard (booked on the connection's owner).
-fn frames_read(server: &Server) -> Vec<u64> {
-    shard_rows(server, ShardRole::Reader)
-        .iter()
-        .map(|s| s.processed)
-        .collect()
+/// Frames read, on the one reader row (whichever thread read them).
+fn frames_read(server: &Server) -> u64 {
+    let rows = shard_rows(server, ShardRole::Reader);
+    assert_eq!(rows.len(), 1, "one read side: {rows:?}");
+    rows[0].processed
 }
 
 fn worker_sum(server: &Server, counter: fn(&ShardSnapshot) -> u64) -> u64 {
@@ -279,126 +260,103 @@ fn worker_sum(server: &Server, counter: fn(&ShardSnapshot) -> u64) -> u64 {
         .sum()
 }
 
-/// The reader shard `client`'s connection was dealt to: one echo, then
-/// see whose `processed` moved. (Nothing else may be calling meanwhile.)
-fn shard_of(server: &Server, client: &Client) -> usize {
-    let before = frames_read(server);
-    assert_eq!(
-        call(client, server.addr(), "echo", b"probe").unwrap(),
-        b"probe"
-    );
-    let after = frames_read(server);
-    let moved: Vec<usize> = (0..after.len()).filter(|&i| after[i] > before[i]).collect();
-    assert_eq!(
-        moved.len(),
-        1,
-        "one echo, one shard: {before:?} -> {after:?}"
-    );
-    moved[0]
-}
-
-/// A new client whose connection to `server` sits on reader shard
-/// `shard`. Connections are dealt round-robin in accept order, so one of
-/// any `reader_shards` consecutive connects lands there.
-fn client_on_shard(
-    fabric: &Fabric,
-    cfg: &RpcConfig,
-    server: &Server,
-    shard: usize,
-) -> (Client, Vec<Client>) {
-    let mut elsewhere = Vec::new();
-    for _ in 0..4 * cfg.effective_reader_shards() {
-        let client = Client::new(fabric, fabric.add_node(), cfg.clone()).unwrap();
-        if shard_of(server, &client) == shard {
-            return (client, elsewhere);
-        }
-        elsewhere.push(client);
-    }
-    panic!("no connection landed on shard {shard}");
+fn on_pool(thread: &str) -> bool {
+    thread.starts_with("rpc-worker-")
 }
 
 type Pending = std::thread::JoinHandle<Result<Vec<u8>, RpcError>>;
 
-/// Get a `hold` call of `client`'s held *on the reader shard that read
-/// it*, behind `gate`. A lone call runs there unless it arrived while the
-/// reader was still on its way back from the call before (see case a);
-/// one that a worker took over instead is let go and the hold tried
-/// again.
-fn hold_on_reader(probe: &Probe, client: &Client, addr: SimAddr, gate: u8) -> Pending {
-    for _ in 0..50 {
-        // Let the reader get back to its wake list first.
-        std::thread::sleep(Duration::from_millis(2));
-        let arrived = probe.threads_of("hold").len();
-        let held = {
-            let client = client.clone();
-            std::thread::spawn(move || call(&client, addr, "hold", &[gate, 42]))
-        };
-        probe.await_arrivals(arrived + 1);
-        if on_reader(&probe.threads_of("hold")[arrived].1) {
-            return held;
+/// Get a `hold` call of `client`'s held behind `gate`, and the name of the
+/// thread it is held on.
+fn hold(probe: &Probe, client: &Client, addr: SimAddr, gate: u8) -> (Pending, String) {
+    let arrived = probe.threads_of("hold").len();
+    let held = {
+        let client = client.clone();
+        std::thread::spawn(move || call(&client, addr, "hold", &[gate, 42]))
+    };
+    probe.await_arrivals(arrived + 1);
+    let thread = probe.threads_of("hold")[arrived].1.clone();
+    assert!(on_pool(&thread), "{thread:?}");
+    (held, thread)
+}
+
+/// Voluntary context switches of this process's pool threads, by thread
+/// id: how often they went to sleep, hence how often one was woken.
+fn pool_switches() -> std::collections::HashMap<String, u64> {
+    let mut out = std::collections::HashMap::new();
+    for task in std::fs::read_dir("/proc/self/task")
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        let path = task.path();
+        let comm = std::fs::read_to_string(path.join("comm")).unwrap_or_default();
+        if !on_pool(comm.trim()) {
+            continue;
         }
-        probe.open(gate as usize);
-        assert_eq!(held.join().unwrap().unwrap(), [gate, 42]);
-        probe.shut(gate as usize);
+        let status = std::fs::read_to_string(path.join("status")).unwrap_or_default();
+        let switches = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok());
+        if let Some(switches) = switches {
+            out.insert(task.file_name().to_string_lossy().into_owned(), switches);
+        }
     }
-    panic!("50 lone holds and not one ran on the reader that read it");
+    out
 }
 
-fn on_reader(thread: &str) -> bool {
-    thread.starts_with("rpc-reader-")
-}
-
-fn on_worker(thread: &str) -> bool {
-    thread.starts_with("rpc-handler-")
-}
-
-/// (a) A lone caller's calls stay on the shard that read them: of 1 000
-/// echoes most run on a thread named `rpc-reader-*`, and no worker row's
-/// `processed` moves for those. The rest reach a worker one of two ways,
-/// both the host's doing, which is why only "most" is asserted: the call
-/// arrived while the reader was still on its way back from the previous
-/// one (the caller its send woke preempted it and spun through its
-/// modeled delays on the reader's CPU) and a worker *took it over* — a
-/// `steal`; or the reader found something else on its wake list behind
-/// the call (a stale token of a frame that came in two segments, a verbs
-/// flow-control credit) and announced it. At a build that hands every
-/// call to a worker: 1 000 strays.
+/// (a) A lone caller's calls run on the thread that read them: over
+/// 1 000 echoes the server's pool threads are woken not much more than
+/// once a call — the wake that read the call ran it. A build that hands
+/// every call from the thread that read it to another wakes two threads
+/// per call: 2 000. Only "most" is asserted, because the rest is the
+/// host's doing: a caller that preempts the thread its own response woke
+/// sends its next call before that thread is back asleep, and the wake
+/// goes to a second thread; a verbs flow-control credit wakes a thread
+/// that finds nothing to read. Every call is booked on the pool thread
+/// that ran it.
 #[test]
-fn a_lone_callers_calls_run_on_the_reader_that_read_them() {
+fn a_lone_callers_calls_run_on_the_thread_that_read_them() {
     let _alone = QUIET.write().unwrap_or_else(|e| e.into_inner());
     let _wd = watchdog("lone_caller", Duration::from_secs(120));
     for (name, fabric, cfg) in transports() {
         let (server, probe) = start_server(&fabric, &cfg);
         let addr = server.addr();
         let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+        assert_eq!(call(&client, addr, "echo", b"warm").unwrap(), b"warm");
+        let before = pool_switches();
         for i in 0..1000u32 {
             let payload = i.to_be_bytes();
             assert_eq!(call(&client, addr, "echo", &payload).unwrap(), payload);
         }
-        let ran = probe.threads_of("echo");
-        assert_eq!(ran.len(), 1000, "{name}");
-        let strays = ran.iter().filter(|(_, t)| !on_reader(t)).count() as u64;
-        assert!(strays < 500, "{name}: {strays} of 1000 ran off the reader");
-        // What ran on a reader is booked on no worker.
+        let after = pool_switches();
+        let woken: u64 = after
+            .iter()
+            .filter_map(|(tid, n)| Some(n - before.get(tid)?))
+            .sum();
+        assert_eq!(probe.threads_of("echo").len(), 1001, "{name}");
+        assert!(
+            probe.threads_of("echo").iter().all(|(_, t)| on_pool(t)),
+            "{name}"
+        );
+        assert!(
+            woken < 1500,
+            "{name}: pool threads woken {woken} times for 1000 calls"
+        );
         wait_until(
             Duration::from_secs(5),
             "the workers' books to settle",
-            || worker_sum(&server, |s| s.processed) == strays,
+            || worker_sum(&server, |s| s.processed) == 1001,
         );
-        let taken_by_readers: u64 = shard_rows(&server, ShardRole::Reader)
-            .iter()
-            .map(|s| s.steals)
-            .sum();
-        assert_eq!(taken_by_readers, 0, "{name}: readers take nothing over");
         client.shutdown();
         server.stop();
     }
 }
 
 /// (b) `handlers` bounds the calls executing, not a pool of threads: with
-/// two permits, four reader shards and eight clients hammering, readers
-/// and workers together never have more than two calls inside the
-/// handler — and do reach two.
+/// two permits, three pool threads and eight clients hammering, never
+/// more than two calls are inside the handler — and two are reached.
 #[test]
 fn never_more_than_handlers_calls_execute_whoever_runs_them() {
     let _shared = QUIET.read().unwrap_or_else(|e| e.into_inner());
@@ -406,7 +364,6 @@ fn never_more_than_handlers_calls_execute_whoever_runs_them() {
     for (name, fabric, base) in transports() {
         let cfg = RpcConfig {
             handlers: 2,
-            reader_shards: env_shards().unwrap_or(4),
             ..base
         };
         let (server, probe) = start_server(&fabric, &cfg);
@@ -434,59 +391,46 @@ fn never_more_than_handlers_calls_execute_whoever_runs_them() {
     }
 }
 
-/// (c) While a reader is held inside a handler, a second connection *of
-/// the same shard* is connected, adopted and answered — by a worker that
-/// takes the shard over, its `steals` moving — and what it reads is
-/// booked on the owner shard. With `RPC_SHARDS=1` that is every
-/// connection. (Hangs, and is aborted by the watchdog, at a build whose
-/// away shard nobody reads.)
+/// (c) While one thread is held inside a handler, another reads, adopts
+/// and answers: a second connection is connected after the hold and its
+/// 20 echoes are answered, on other threads, and booked on the one reader
+/// row. (Hangs, and is aborted by the watchdog, at a build whose read
+/// side waits for the held call.)
 #[test]
-fn a_held_readers_shard_is_adopted_for_and_answered_for_by_a_worker() {
+fn a_held_call_leaves_the_read_side_to_another_thread() {
     let _shared = QUIET.read().unwrap_or_else(|e| e.into_inner());
-    let _wd = watchdog("takeover", Duration::from_secs(120));
+    let _wd = watchdog("held_call", Duration::from_secs(120));
     for (name, fabric, cfg) in transports() {
         let (server, probe) = start_server(&fabric, &cfg);
         let addr = server.addr();
         let holder = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-        let shard = shard_of(&server, &holder);
-        let held = hold_on_reader(&probe, &holder, addr, 0);
+        let (held, held_on) = hold(&probe, &holder, addr, 0);
 
-        // The gate is shut and the shard's owner is behind it.
-        let steals = worker_sum(&server, |s| s.steals);
+        // The gate is shut and a thread is behind it.
         let frames = frames_read(&server);
-        let (second, elsewhere) = client_on_shard(&fabric, &cfg, &server, shard);
+        let second = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
         for i in 0..20u8 {
             assert_eq!(call(&second, addr, "echo", &[i; 64]).unwrap(), [i; 64]);
         }
-        let took = worker_sum(&server, |s| s.steals) - steals;
-        assert!(
-            took >= 2,
-            "{name}: a registration and a wake token at least, took {took}"
-        );
         let echoes = probe.threads_of("echo");
-        let same_shard: Vec<_> = echoes.iter().rev().take(20).collect();
         assert!(
-            same_shard.iter().all(|(_, t)| on_worker(t)),
-            "{name}: {same_shard:?}"
+            echoes.iter().all(|(_, t)| on_pool(t) && *t != held_on),
+            "{name}: held on {held_on}, echoes on {echoes:?}"
         );
-        assert!(
-            frames_read(&server)[shard] >= frames[shard] + 21,
-            "{name}: frames a worker read are booked on the owner shard"
-        );
+        assert_eq!(frames_read(&server), frames + 20, "{name}");
 
         probe.open(0);
         assert_eq!(held.join().unwrap().unwrap(), [0, 42], "{name}");
-        for client in elsewhere.into_iter().chain([holder, second]) {
-            client.shutdown();
-        }
+        holder.shutdown();
+        second.shutdown();
         server.stop();
     }
 }
 
 /// (d) A burst keeps its parallelism: eight calls pipelined on one
-/// connection are all inside the handler at once, and at least seven of
-/// them on workers — a reader runs a call only when it is the last thing
-/// it has to read, so at most the burst's tail stays with it.
+/// connection are all inside the handler at once, on eight threads — the
+/// thread that reads the burst announces each call but its last, and
+/// runs a call only when there is nothing left to read.
 #[test]
 fn a_pipelined_burst_executes_in_parallel_on_workers() {
     let _shared = QUIET.read().unwrap_or_else(|e| e.into_inner());
@@ -509,8 +453,8 @@ fn a_pipelined_burst_executes_in_parallel_on_workers() {
         // All eight inside at once — none waits for another to finish.
         probe.await_arrivals(GATES);
         let ran = probe.threads_of("hold");
-        let on_workers = ran.iter().filter(|(_, t)| on_worker(t)).count();
-        assert!(on_workers >= GATES - 1, "{name}: {ran:?}");
+        let threads: std::collections::HashSet<_> = ran.iter().map(|(_, t)| t).collect();
+        assert_eq!(threads.len(), GATES, "{name}: {ran:?}");
         for gate in 0..GATES {
             probe.open(gate);
         }
@@ -526,46 +470,41 @@ fn a_pipelined_burst_executes_in_parallel_on_workers() {
     }
 }
 
-/// (e) A call that suspends on a reader's stack is a worker's from then
-/// on: first poll on `rpc-reader-*`, second on `rpc-handler-*`, answered
-/// exactly once, nothing left in the runtime — for a timed park and for a
-/// yield.
+/// (e) A call that suspends on its first poll is resumed by whichever
+/// pool thread is free: both polls on pool threads, answered exactly
+/// once, its park booked on a worker row, nothing left in the runtime —
+/// for a timed park and for a yield.
 #[test]
-fn a_call_that_suspends_on_a_reader_is_resumed_by_a_worker() {
+fn a_call_that_suspends_is_resumed_by_whichever_thread_is_free() {
     let _shared = QUIET.read().unwrap_or_else(|e| e.into_inner());
-    let _wd = watchdog("suspend_on_reader", Duration::from_secs(120));
+    let _wd = watchdog("suspend", Duration::from_secs(120));
     for (name, fabric, cfg) in transports() {
         let (server, probe) = start_server(&fabric, &cfg);
         let addr = server.addr();
         let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-        let mut parks = 0;
         for method in ["park", "yield"] {
-            // Until a first poll has run on the reader (see
-            // `hold_on_reader`); whoever ran it, the second is a worker's.
-            for attempt in 1.. {
-                std::thread::sleep(Duration::from_millis(2));
-                let done = probe.completions.load(Ordering::SeqCst);
-                assert_eq!(call(&client, addr, method, b"zz").unwrap(), b"zz", "{name}");
-                assert_eq!(probe.completions.load(Ordering::SeqCst), done + 1);
-                parks += u64::from(method == "park");
-                let polls = probe.threads_of(method);
-                assert_eq!(polls.len(), 2 * attempt, "{name}/{method}: {polls:?}");
-                let (first, second) = (&polls[polls.len() - 2], &polls[polls.len() - 1]);
-                assert_eq!((first.0, second.0), (0, 1), "{name}/{method}: {polls:?}");
-                assert!(on_worker(&second.1), "{name}/{method}: {polls:?}");
-                if on_reader(&first.1) {
-                    break;
-                }
-                assert!(attempt < 50, "{name}/{method}: never polled on the reader");
-            }
+            let done = probe.completions.load(Ordering::SeqCst);
+            assert_eq!(call(&client, addr, method, b"zz").unwrap(), b"zz", "{name}");
+            assert_eq!(probe.completions.load(Ordering::SeqCst), done + 1);
+            let polls = probe.threads_of(method);
+            assert_eq!(polls.len(), 2, "{name}/{method}: {polls:?}");
+            assert_eq!(
+                (polls[0].0, polls[1].0),
+                (0, 1),
+                "{name}/{method}: {polls:?}"
+            );
+            assert!(
+                polls.iter().all(|(_, t)| on_pool(t)),
+                "{name}/{method}: {polls:?}"
+            );
         }
         wait_until(Duration::from_secs(5), "the runtime to empty", || {
             server.handler_residue() == 0
         });
         assert_eq!(
             worker_sum(&server, |s| s.parks),
-            parks,
-            "{name}: a park on a reader's stack is booked on a worker row"
+            1,
+            "{name}: the park is booked on a worker row"
         );
         assert_eq!(client.metrics().counters().retries, 0, "{name}");
         client.shutdown();
@@ -573,11 +512,11 @@ fn a_call_that_suspends_on_a_reader_is_resumed_by_a_worker() {
     }
 }
 
-/// (f1) `drain` with a call mid-handler on a reader waits for it, returns
-/// `true` once it has answered — and admits nothing meanwhile: a call
-/// sent to the held reader's shard after the flag is read by no worker.
+/// (f1) `drain` with a call mid-handler waits for it, returns `true` once
+/// it has answered — and admits nothing meanwhile: a call sent after the
+/// flag, on a connection that was already open, is read by no thread.
 #[test]
-fn drain_waits_for_a_reader_run_call_and_admits_nothing_behind_it() {
+fn drain_waits_for_a_running_call_and_admits_nothing_behind_it() {
     let _shared = QUIET.read().unwrap_or_else(|e| e.into_inner());
     let _wd = watchdog("drain_waits", Duration::from_secs(120));
     for (name, fabric, base) in transports() {
@@ -594,9 +533,9 @@ fn drain_waits_for_a_reader_run_call_and_admits_nothing_behind_it() {
         let (server, probe) = (Arc::new(server), probe);
         let addr = server.addr();
         let holder = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-        let shard = shard_of(&server, &holder);
-        let (late, elsewhere) = client_on_shard(&fabric, &cfg, &server, shard);
-        let held = hold_on_reader(&probe, &holder, addr, 0);
+        let late = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+        assert_eq!(call(&late, addr, "echo", b"open").unwrap(), b"open");
+        let (held, _) = hold(&probe, &holder, addr, 0);
 
         let draining = Arc::new(AtomicBool::new(false));
         let drained = {
@@ -630,19 +569,18 @@ fn drain_waits_for_a_reader_run_call_and_admits_nothing_behind_it() {
         assert!(late_call.join().unwrap().is_err(), "{name}");
         assert_eq!(probe.threads_of("echo").len(), echoes, "{name}");
         assert_eq!(server.handler_residue(), 0, "{name}");
-        for client in elsewhere.into_iter().chain([holder, late]) {
-            client.shutdown();
-        }
+        holder.shutdown();
+        late.shutdown();
     }
 }
 
-/// (f2) No handler runs under a shard's table lock: against a handler
-/// held on a reader, `drain(10 ms)` gives up — `false` — within 100 ms,
-/// where a build that holds the lock across the handler hangs in the
-/// shutdown's sweep of the tables; once the cut-off call has run out,
-/// nothing is left in the runtime.
+/// (f2) No handler runs under the read turn: against a held handler,
+/// `drain(10 ms)` gives up — `false` — within 100 ms, where a build that
+/// holds the table lock across the handler hangs in the shutdown's sweep
+/// of the table; once the cut-off call has run out, nothing is left in
+/// the runtime.
 #[test]
-fn an_expired_drain_does_not_wait_for_a_reader_run_call() {
+fn an_expired_drain_does_not_wait_for_a_running_call() {
     let _shared = QUIET.read().unwrap_or_else(|e| e.into_inner());
     let _wd = watchdog("drain_expires", Duration::from_secs(120));
     for (name, fabric, base) in transports() {
@@ -655,7 +593,7 @@ fn an_expired_drain_does_not_wait_for_a_reader_run_call() {
         let addr = server.addr();
         let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
         assert_eq!(call(&client, addr, "echo", b"warm").unwrap(), b"warm");
-        let held = hold_on_reader(&probe, &client, addr, 0);
+        let (held, _) = hold(&probe, &client, addr, 0);
 
         let started = Instant::now();
         assert!(!server.drain(Duration::from_millis(10)), "{name}");
@@ -680,10 +618,10 @@ fn an_expired_drain_does_not_wait_for_a_reader_run_call() {
     }
 }
 
-/// (g) A handler on server A's reader calls server B, whose handler calls
-/// back into A on a connection of that same reader's shard. The shard's
-/// owner is waiting for B; the callback can only be read by a worker
-/// taking the shard over. Answered, no deadlock.
+/// (g) A handler on server A calls server B, whose handler calls back
+/// into A: the thread running the outer call waits for B, and the
+/// callback is read and run by another of A's threads. Answered, no
+/// deadlock, on every one of 20 relays.
 #[test]
 fn a_nested_call_back_into_the_callers_own_shard_is_answered() {
     let _shared = QUIET.read().unwrap_or_else(|e| e.into_inner());
@@ -692,11 +630,8 @@ fn a_nested_call_back_into_the_callers_own_shard_is_answered() {
         let (a, probe_a) = start_server(&fabric, &cfg);
         let (b, probe_b) = start_server(&fabric, &cfg);
         let outer = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-        let shard = shard_of(&a, &outer);
-        // B → A rides a connection dealt to the same shard as outer → A.
-        let (back, elsewhere) = client_on_shard(&fabric, &cfg, &a, shard);
         *probe_b.downstream.lock().unwrap() = Some(Downstream {
-            client: back,
+            client: Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap(),
             addr: a.addr(),
             method: "echo",
         });
@@ -706,32 +641,21 @@ fn a_nested_call_back_into_the_callers_own_shard_is_answered() {
             method: "bounce",
         });
 
-        // Until a relay has run on A's reader (see `hold_on_reader`).
-        let mut relays = 0;
-        loop {
-            std::thread::sleep(Duration::from_millis(2));
-            let steals = worker_sum(&a, |s| s.steals);
+        for _ in 0..20 {
             assert_eq!(
                 call(&outer, a.addr(), "relay", b"there and back").unwrap(),
                 b"there and back",
                 "{name}"
             );
-            relays += 1;
-            if on_reader(&probe_a.threads_of("relay").last().unwrap().1) {
-                let callback = probe_a.threads_of("echo");
-                assert!(
-                    on_worker(&callback.last().unwrap().1),
-                    "{name}: {callback:?}"
-                );
-                assert!(worker_sum(&a, |s| s.steals) > steals, "{name}");
-                break;
-            }
-            assert!(relays < 50, "{name}: no relay ever ran on the reader");
+            let relay = probe_a.threads_of("relay").last().unwrap().1.clone();
+            let callback = probe_a.threads_of("echo").last().unwrap().1.clone();
+            assert!(
+                on_pool(&relay) && on_pool(&callback) && relay != callback,
+                "{name}: relay on {relay}, callback on {callback}"
+            );
         }
 
-        for client in elsewhere.into_iter().chain([outer]) {
-            client.shutdown();
-        }
+        outer.shutdown();
         drop((probe_a, probe_b));
         a.stop();
         b.stop();

@@ -63,19 +63,6 @@ impl RpcService for TestService {
     }
 }
 
-/// `cfg` under the CI matrix's shard setting (each case picks its own
-/// transport).
-fn matrix(mut cfg: RpcConfig) -> RpcConfig {
-    if let Some(n) = std::env::var("RPC_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        cfg.reader_shards = n;
-    }
-    cfg
-}
-
 fn start_server(fabric: &Fabric, cfg: &RpcConfig, delay: Duration) -> (Server, Arc<AtomicU64>) {
     let (server, executed, _sleeping) = start_counting_server(fabric, cfg, delay);
     (server, executed)
@@ -155,7 +142,7 @@ fn inline_and_queued_sends_share_one_stateful_connection() {
         handlers: 8,
         call_timeout: Duration::from_millis(40),
         retry: RetryPolicy::exponential(8, Duration::from_millis(2)),
-        ..matrix(RpcConfig::socket())
+        ..RpcConfig::socket()
     };
     let (server, _executed) = start_server(&fabric, &cfg, Duration::from_millis(70));
     let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
@@ -303,17 +290,14 @@ fn nothing_pushed_behind_a_holder_is_stranded(fabric: Fabric, base: RpcConfig) {
 
 #[test]
 fn nothing_pushed_behind_a_holder_is_stranded_socket() {
-    nothing_pushed_behind_a_holder_is_stranded(
-        Fabric::new(model::IPOIB_QDR),
-        matrix(RpcConfig::socket()),
-    );
+    nothing_pushed_behind_a_holder_is_stranded(Fabric::new(model::IPOIB_QDR), RpcConfig::socket());
 }
 
 #[test]
 fn nothing_pushed_behind_a_holder_is_stranded_verbs() {
     nothing_pushed_behind_a_holder_is_stranded(
         Fabric::new(model::IB_QDR_VERBS),
-        matrix(RpcConfig::rpcoib()),
+        RpcConfig::rpcoib(),
     );
 }
 
@@ -355,10 +339,9 @@ fn raw_response(stream: &SimStream, dec: &mut V3Decoder) -> (i64, ResponseStatus
 /// run permit, asleep in a slow call; a raw peer on a stateful socket
 /// connection then pipelines four calls that fill the call queue, two
 /// that no longer fit, a duplicate of a call already answered, and one
-/// more that does not fit. Whoever reads that burst — the shard's owner,
-/// or the one worker standing in for an owner that ran the slow call
-/// itself — answers busy, busy, replay, busy from under its table lock
-/// and sends them itself once it is out: all four arrive, in that order,
+/// more that does not fit. Whoever reads that burst — a pool thread that
+/// holds no permit — answers busy, busy, replay, busy from under the read
+/// turn and sends them itself once it is out: all four arrive, in that order,
 /// **while the handler still sleeps**. The stateful lead is a delta, so a
 /// frame encoded out of wire order would decode to the wrong seq.
 #[test]
@@ -371,7 +354,7 @@ fn a_readers_own_answers_keep_order_and_need_no_worker() {
         // Also the most answers a reader may leave pending on one
         // connection before it drops them.
         call_queue_len: 4,
-        ..matrix(RpcConfig::socket())
+        ..RpcConfig::socket()
     };
     let (server, executed, sleeping) = start_counting_server(&fabric, &cfg, DELAY);
     let stream = SimStream::connect(&fabric, fabric.add_node(), server.addr()).unwrap();
@@ -460,7 +443,7 @@ fn a_dead_peers_pending_answers_do_not_hold_drain() {
         large_slots: 4,
         call_timeout: BUDGET,
         retry: RetryPolicy::none(),
-        ..matrix(RpcConfig::rpcoib())
+        ..RpcConfig::rpcoib()
     };
     let (server, _executed) = start_server(&fabric, &cfg, Duration::ZERO);
     let node_a = fabric.add_node();
@@ -523,7 +506,7 @@ fn credit_starved_peer_costs_one_sender_not_the_pool() {
         // The server's slot-credit budget for one bulk send.
         call_timeout: Duration::from_secs(10),
         retry: RetryPolicy::none(),
-        ..matrix(RpcConfig::rpcoib())
+        ..RpcConfig::rpcoib()
     };
     let (server, _executed) = start_server(&fabric, &cfg, Duration::ZERO);
 
@@ -664,18 +647,12 @@ fn drain_answers_every_admitted_call_once(fabric: Fabric, base: RpcConfig) {
 
 #[test]
 fn drain_answers_every_admitted_call_once_socket() {
-    drain_answers_every_admitted_call_once(
-        Fabric::new(model::IPOIB_QDR),
-        matrix(RpcConfig::socket()),
-    );
+    drain_answers_every_admitted_call_once(Fabric::new(model::IPOIB_QDR), RpcConfig::socket());
 }
 
 #[test]
 fn drain_answers_every_admitted_call_once_verbs() {
-    drain_answers_every_admitted_call_once(
-        Fabric::new(model::IB_QDR_VERBS),
-        matrix(RpcConfig::rpcoib()),
-    );
+    drain_answers_every_admitted_call_once(Fabric::new(model::IB_QDR_VERBS), RpcConfig::rpcoib());
 }
 
 /// Aborts (rather than hangs) the test binary if a case wedges.
@@ -781,7 +758,7 @@ fn recycled_bodies_are_not_rewritten_under_a_sender(fabric: Fabric, base: RpcCon
 fn recycled_bodies_are_not_rewritten_under_a_sender_socket() {
     recycled_bodies_are_not_rewritten_under_a_sender(
         Fabric::new(model::IPOIB_QDR),
-        matrix(RpcConfig::socket()),
+        RpcConfig::socket(),
     );
 }
 
@@ -789,6 +766,6 @@ fn recycled_bodies_are_not_rewritten_under_a_sender_socket() {
 fn recycled_bodies_are_not_rewritten_under_a_sender_verbs() {
     recycled_bodies_are_not_rewritten_under_a_sender(
         Fabric::new(model::IB_QDR_VERBS),
-        matrix(RpcConfig::rpcoib()),
+        RpcConfig::rpcoib(),
     );
 }

@@ -87,7 +87,8 @@ fn main() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // A quiet server with 2 000 parked conns must charge itself nothing:
-    // the readers block on their ready queues instead of sweeping.
+    // the pool sleeps until a connection's token is queued instead of
+    // sweeping.
     let quiet_before = fabric.modeled_ns(server_node);
     std::thread::sleep(Duration::from_millis(200));
     assert_eq!(

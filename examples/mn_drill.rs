@@ -147,9 +147,11 @@ fn elasticity() {
     let steals: u64 = workers.iter().map(|s| s.steals).sum();
     let parks: u64 = workers.iter().map(|s| s.parks).sum();
     let wakes: u64 = workers.iter().map(|s| s.wakes).sum();
-    assert_eq!(workers.len(), 2, "one counter row per handler");
-    // (The lone fast pings mostly run on the reader shard that read
-    // them and are booked on no worker.)
+    assert_eq!(
+        workers.len(),
+        3,
+        "one counter row per pool thread: handlers + 1"
+    );
     assert!(
         processed >= PARKED as u64,
         "every resumed call completes, and is booked, on a worker (saw {processed})"

@@ -12,7 +12,7 @@
 //!
 //! The same allocator also keeps a *process-wide* tally (every thread,
 //! `hw_scope` excluded the same way), which is what sees the server side
-//! of a call: reader shard, handler, whoever sends, retry cache,
+//! of a call: reader, handler, whoever sends, retry cache,
 //! admission queue. The engine's own share of that tally is **zero**: a response is
 //! serialized into a buffer the retry cache has just let go of, so what a
 //! steady-state call allocates anywhere in the process is the
@@ -432,7 +432,6 @@ fn busy_rejections_build_no_body() {
         let cfg = RpcConfig {
             handlers: 1,
             call_queue_len: 1,
-            reader_shards: 1,
             retry: RetryPolicy::none(),
             ..base
         };
@@ -564,8 +563,8 @@ fn measure_process_wide(payload: usize, warmup: usize, calls: u64) -> (f64, f64)
 }
 
 /// Whole-process allocations of one steady-state 512 B verbs echo:
-/// caller (which also receives the response), reader shard (which also
-/// runs the handler and sends), retry cache. Measured 3.0, all three the
+/// caller (which also receives the response), the pool thread that
+/// reads it (which also runs the handler and sends), retry cache. Measured 3.0, all three the
 /// application's: the handler's parameter value, its boxed result, and
 /// the reply value `Client::call` hands the caller. The response body and
 /// its `Arc` — 2 more until the engine learnt to serialize into the

@@ -10,8 +10,8 @@
 //! * the active calls' per-call modeled-ns samples are **identical** —
 //!   not merely close — to the baseline's (idle conns charge nothing
 //!   and draw nothing from the fault RNG);
-//! * the reader shards' sorted processed counts match the baseline
-//!   (idle conns generate no frames and steal no shard time);
+//! * the frames read match the baseline (idle conns generate no
+//!   frames);
 //! * a quiet window with the full population attached charges **zero**
 //!   modeled nanoseconds to the server node (the old sweep woke every
 //!   `SWEEP_IDLE` and walked all N conns; the ready queue just blocks).
@@ -55,8 +55,8 @@ const CALLS_PER_CLIENT: usize = 12;
 struct Population {
     /// Per-call modeled-ns deltas of the active clients, sorted.
     samples: Vec<u64>,
-    /// Reader shards' processed frame counts, sorted descending.
-    reader_processed: Vec<u64>,
+    /// Frames read (the reader row's `processed`).
+    frames_read: u64,
     /// Modeled ns charged to the server node across a quiet 300 ms
     /// window with the whole idle population attached.
     quiet_delta_ns: u64,
@@ -160,13 +160,12 @@ fn run_population(rdma: bool, idle_n: usize) -> Population {
     let snap = server.metrics_snapshot();
     let connections = snap.connections;
     let buffered_bytes = snap.conn_buffered_bytes;
-    let mut reader_processed: Vec<u64> = snap
+    let frames_read = snap
         .shards
         .iter()
         .filter(|s| s.role.name() == "reader")
         .map(|s| s.processed)
-        .collect();
-    reader_processed.sort_unstable_by(|a, b| b.cmp(a));
+        .sum();
 
     for (client, _) in &clients {
         client.shutdown();
@@ -175,7 +174,7 @@ fn run_population(rdma: bool, idle_n: usize) -> Population {
     server.stop();
     Population {
         samples,
-        reader_processed,
+        frames_read,
         quiet_delta_ns,
         connections,
         buffered_bytes,
@@ -195,8 +194,8 @@ fn assert_idle_population_is_free(rdma: bool, idle_n: usize) {
         "active-call modeled costs must be identical with {idle_n} idle conns parked"
     );
     assert_eq!(
-        loaded.reader_processed, baseline.reader_processed,
-        "reader shards must process the same frame counts regardless of idle population"
+        loaded.frames_read, baseline.frames_read,
+        "the server must read the same frames regardless of idle population"
     );
     assert_eq!(
         loaded.connections,
