@@ -4,10 +4,10 @@
 //!
 //! Part 1 — size history on/off: the engine always keeps the history, so
 //! the calls run through it once, with their serialized sizes traced, and
-//! those sizes are then replayed through a bare shadow pool built with
-//! the history and without it (`ShadowPool::new(native, false)`). Without
-//! it every call starts from the 128-byte class and "re-gets by
-//! doubling", reintroducing adjustment work on the fast path.
+//! those sizes are then replayed through a bare shadow pool that is told
+//! each size (`ShadowPool::record`) and through one that never is.
+//! Without a record every call starts from the 128-byte class and
+//! "re-gets by doubling", reintroducing adjustment work on the fast path.
 //!
 //! Part 2 — threshold sweep: a fixed 32 KB payload is pushed through
 //! thresholds on both sides of its size, switching it between the
@@ -25,10 +25,10 @@ const METHOD: &str = "pingpong";
 
 /// Re-gets per call when messages of `sizes` are serialized into a bare
 /// shadow pool the way the engine's output stream does it: acquire at the
-/// recorded class, double until the message fits, record its size.
-fn regets_per_call(sizes: &[u32], use_history: bool) -> f64 {
-    let native = NativePool::new(SizeClasses::up_to(1 << 20), HeapMem::new);
-    let pool = ShadowPool::new(native, use_history);
+/// recorded class, double until the message fits, and (when `record`)
+/// record its size.
+fn regets_per_call(sizes: &[u32], record: bool) -> f64 {
+    let pool = ShadowPool::new(NativePool::new(SizeClasses::up_to(1 << 20), HeapMem::new));
     let mut regets = 0u64;
     for &size in sizes {
         let size = size as usize;
@@ -38,7 +38,9 @@ fn regets_per_call(sizes: &[u32], use_history: bool) -> f64 {
             buf = pool.grow(buf, used);
             regets += 1;
         }
-        pool.record(PROTOCOL, METHOD, size);
+        if record {
+            pool.record(PROTOCOL, METHOD, size);
+        }
     }
     regets as f64 / sizes.len().max(1) as f64
 }

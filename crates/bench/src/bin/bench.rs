@@ -5,10 +5,10 @@
 //!
 //! ```text
 //! bench [--quick|--full] [--seed N] [--out DIR] [--fast]
-//!       [--figure pingpong|bufpool|handlers|shards|smallcall|batching|qos|connections|bulk|handlers_mn|all]
-//!       [--check BASELINE.json] [--tolerance PCT]
+//!       [--figure NAME|all] [--check BASELINE.json] [--tolerance PCT]
 //! ```
 //!
+//! * `--figure` — one of [`figures::FIGURES`], or `all` (the default).
 //! * `--quick` — CI-sized iteration counts (the committed baselines are
 //!   quick runs at seed 42).
 //! * `--seed` — fault-RNG seed; same seed ⇒ byte-identical files.
@@ -68,10 +68,11 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --tolerance: {e}"))?;
             }
             "--help" | "-h" => {
+                let names: Vec<&str> = figures::FIGURES.iter().map(|f| f.0).collect();
                 println!(
                     "usage: bench [--quick|--full] [--seed N] [--out DIR] [--fast] \
-                     [--figure pingpong|bufpool|handlers|shards|smallcall|batching|qos|connections|bulk|handlers_mn|all] \
-                     [--check BASELINE.json] [--tolerance PCT]"
+                     [--figure {}|all] [--check BASELINE.json] [--tolerance PCT]",
+                    names.join("|")
                 );
                 std::process::exit(0);
             }
@@ -122,35 +123,14 @@ fn main() -> ExitCode {
     };
 
     let git_rev = figures::git_rev();
-    type FigureFn = fn(&RunOpts, &str) -> json::Json;
-    let runs: Vec<(&str, FigureFn)> = match figure.as_str() {
-        "pingpong" => vec![("pingpong", figures::run_pingpong)],
-        "bufpool" => vec![("bufpool", figures::run_bufpool)],
-        "handlers" => vec![("handlers", figures::run_handlers)],
-        "shards" => vec![("shards", figures::run_shards)],
-        "smallcall" => vec![("smallcall", figures::run_smallcall)],
-        "batching" => vec![("batching", figures::run_batching)],
-        "qos" => vec![("qos", figures::run_qos)],
-        "connections" => vec![("connections", figures::run_connections)],
-        "bulk" => vec![("bulk", figures::run_bulk)],
-        "handlers_mn" => vec![("handlers_mn", figures::run_handlers_mn)],
-        "all" => vec![
-            ("pingpong", figures::run_pingpong),
-            ("bufpool", figures::run_bufpool),
-            ("handlers", figures::run_handlers),
-            ("shards", figures::run_shards),
-            ("smallcall", figures::run_smallcall),
-            ("batching", figures::run_batching),
-            ("qos", figures::run_qos),
-            ("connections", figures::run_connections),
-            ("bulk", figures::run_bulk),
-            ("handlers_mn", figures::run_handlers_mn),
-        ],
-        other => {
-            eprintln!("bench: unknown figure {other}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let runs: Vec<_> = figures::FIGURES
+        .iter()
+        .filter(|(name, _, _)| figure == "all" || figure == *name)
+        .collect();
+    if runs.is_empty() {
+        eprintln!("bench: unknown figure {figure}");
+        return ExitCode::FAILURE;
+    }
 
     if let Err(e) = std::fs::create_dir_all(&args.out_dir) {
         eprintln!("bench: cannot create {}: {e}", args.out_dir.display());
@@ -158,7 +138,7 @@ fn main() -> ExitCode {
     }
 
     let mut produced = Vec::new();
-    for (name, run) in runs {
+    for (name, run, _) in runs {
         eprintln!(
             "bench: running figure {name} (quick={}, seed={})",
             args.opts.quick, args.opts.seed

@@ -2,10 +2,9 @@
 //! beyond a configurable tolerance.
 //!
 //! Rows are matched by a composite key (`transport` plus whichever sweep
-//! axis the figure uses — `payload`, `mix`, `handlers`, or the shard
-//! sweep's `point`), so adding new rows to a sweep never breaks an old
-//! baseline; only rows the baseline *has* must still exist and stay
-//! within tolerance.
+//! axis the figure uses — `payload`, `mix`, or `point`), so adding new
+//! rows to a sweep never breaks an old baseline; only rows the baseline
+//! *has* must still exist and stay within tolerance.
 
 use crate::json::Json;
 
@@ -25,9 +24,9 @@ impl CheckOutcome {
 }
 
 /// The identity of a row within its figure: transport + sweep axis.
-fn row_key(row: &Json) -> Option<String> {
+pub fn row_key(row: &Json) -> Option<String> {
     let transport = row.get("transport")?.as_str()?;
-    for axis in ["payload", "mix", "handlers", "point"] {
+    for axis in ["payload", "mix", "point"] {
         if let Some(v) = row.get(axis) {
             let v = match v {
                 Json::U64(n) => n.to_string(),
@@ -165,8 +164,8 @@ mod tests {
 
     #[test]
     fn parses_real_shape() {
-        let text = r#"{"figure": "handlers", "rows": [
-            {"transport": "verbs", "handlers": 4, "p99_ns": 5000}
+        let text = r#"{"figure": "bulk", "rows": [
+            {"transport": "verbs", "point": "lone_p65536_slots4", "p99_ns": 5000}
         ]}"#;
         let cur = parse(text).unwrap();
         let out = check_regression(&cur, &cur, 0).unwrap();

@@ -1,11 +1,21 @@
-//! The acceptance property of the bench harness: two runs with the same
+//! The acceptance properties of the bench harness: two runs with the same
 //! seed serialize byte-identically (the committed baselines — and CI's
-//! `bench --check` — depend on it). Latency numbers come from the
-//! modeled-time ledger, and jitter comes from the seeded fault RNG, so
-//! nothing in the files depends on wall clock or scheduling.
+//! `bench --check` — depend on it), and every figure's claim can fail.
+//! Latency numbers come from the modeled-time ledger, and jitter comes
+//! from the seeded fault RNG, so nothing in the files depends on wall
+//! clock or scheduling.
+//!
+//! Each `run_*` panics when its own output breaks its `check_*`, so the
+//! runs below also hold each figure's claim; the `committed_*` tests hold
+//! it on the files in `results/`, and on a copy doctored to break it.
 
-use rpcoib_bench::figures::{run_batching, run_bufpool, run_bulk, run_pingpong, RunOpts};
-use rpcoib_bench::regress::check_regression;
+use std::path::Path;
+
+use rpcoib_bench::figures::{
+    run_batching, run_bufpool, run_bulk, run_pingpong, run_smallcall, RunOpts, FIGURES,
+};
+use rpcoib_bench::json::{self, Json};
+use rpcoib_bench::regress::{check_regression, row_key};
 
 const OPTS: RunOpts = RunOpts {
     quick: true,
@@ -16,6 +26,94 @@ fn enable_fast_forward() {
     // Process-global; modeled charges are unaffected, only the busy-wait
     // spins are skipped, so this cannot change the serialized output.
     simnet::set_fast_forward(true);
+}
+
+fn results_dir() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"))
+}
+
+/// The committed `results/BENCH_<figure>.json`.
+fn committed(figure: &str) -> Json {
+    let path = results_dir().join(format!("BENCH_{figure}.json"));
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
+}
+
+/// The committed `figure` with `field` of row `key` set to `value`.
+fn doctored(figure: &str, key: &str, field: &str, value: u64) -> Json {
+    let mut doc = committed(figure);
+    let Json::Obj(top) = &mut doc else {
+        panic!("{figure}: not an object")
+    };
+    let Some((_, Json::Arr(rows))) = top.iter_mut().find(|(k, _)| k == "rows") else {
+        panic!("{figure}: no rows")
+    };
+    let Some(Json::Obj(row)) = rows.iter_mut().find(|r| row_key(r).as_deref() == Some(key)) else {
+        panic!("{figure}: no row {key}")
+    };
+    let slot = row.iter_mut().find(|(k, _)| k == field);
+    slot.unwrap_or_else(|| panic!("{key}: no field {field}")).1 = Json::U64(value);
+    doc
+}
+
+#[test]
+fn the_committed_figures_are_exactly_the_checked_ones() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(results_dir())
+        .expect("results/")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter_map(|name| {
+            Some(
+                name.strip_prefix("BENCH_")?
+                    .strip_suffix(".json")?
+                    .to_string(),
+            )
+        })
+        .collect();
+    on_disk.sort();
+    let mut checked: Vec<String> = FIGURES.iter().map(|(f, _, _)| f.to_string()).collect();
+    checked.sort();
+    assert_eq!(on_disk, checked);
+}
+
+#[test]
+fn committed_figures_pass_their_checks() {
+    for (figure, _, check) in FIGURES {
+        let doc = committed(figure);
+        assert_eq!(doc.get("figure").and_then(Json::as_str), Some(*figure));
+        if let Err(e) = check(&doc) {
+            panic!("results/BENCH_{figure}.json breaks its claim: {e}");
+        }
+    }
+}
+
+/// One claim-bearing field per figure, doctored to break the claim: the
+/// check must refuse it, naming the row.
+#[test]
+fn doctored_figures_fail_their_checks() {
+    let cases = [
+        ("pingpong", "verbs/payload=512", "p50_ns", 40_000), // verbs slower than sockets
+        ("bufpool", "verbs/mix=steady_512", "hit_rate_bp", 0), // a steady size never predicted
+        ("smallcall", "verbs_interned/payload=64", "max_ns", 2_656), // one dearer lone call
+        ("batching", "verbs/point=multi8_p32", "speedup_bp", 19_999), // 1 bp short of 2x
+        ("qos", "model/point=on_flood_light", "p99_ns", 20_001), // just over 2x quiet
+        ("connections", "model/point=event_idle50000", "pops", 129), // one pop an idle conn cost
+        (
+            "bulk",
+            "verbs/point=lone_p65536_slots4",
+            "ledger_saved_ns",
+            15_601,
+        ), // not whole credits
+        ("handlers_mn", "model/point=parked_flood", "p99_ns", 8_001), // just over 2x quiet
+    ];
+    assert_eq!(cases.len(), FIGURES.len(), "a doctored case per figure");
+    for (figure, key, field, value) in cases {
+        let (_, _, check) = FIGURES.iter().find(|(f, _, _)| *f == figure).unwrap();
+        match check(&doctored(figure, key, field, value)) {
+            Ok(()) => panic!("{figure}: {key} with {field} = {value} passed its check"),
+            Err(e) => assert!(e.contains(key), "{figure}: {e:?} does not name {key}"),
+        }
+    }
 }
 
 #[test]
@@ -71,11 +169,31 @@ fn bufpool_runs_are_byte_identical_and_pass_self_check() {
     assert!(verbs_lookups > 0, "verbs rows must surface pool activity");
 }
 
-/// The batching figure: byte-identical per seed, self-check clean, and
-/// the acceptance numbers hold — every multi-client burst point shows
-/// ≥ 2× modeled throughput from coalescing, and a lone sequential caller
-/// never waits for company: every one of its calls charges the same
-/// ledger (what that ledger is, the committed baseline holds).
+/// The small-call figure: byte-identical per seed and self-check clean;
+/// `run_smallcall` itself holds the lone-call guard ([`check_smallcall`]):
+/// a sequential caller never waits for company, so every one of its
+/// calls charges the same ledger.
+#[test]
+fn smallcall_runs_are_byte_identical_and_hold_the_lone_call_guard() {
+    enable_fast_forward();
+    let a = run_smallcall(&OPTS, "test-rev");
+    let b = run_smallcall(&OPTS, "test-rev");
+    assert_eq!(
+        a.pretty(),
+        b.pretty(),
+        "same seed must produce byte-identical smallcall JSON"
+    );
+
+    let outcome = check_regression(&a, &b, 0).expect("comparable");
+    assert!(outcome.passed(), "{:?}", outcome.failures);
+    assert_eq!(
+        outcome.compared, 16,
+        "both transports × two modes × four payloads"
+    );
+}
+
+/// The batching figure: byte-identical per seed and self-check clean;
+/// `run_batching` itself holds the ≥ 2× bar ([`check_batching`]).
 #[test]
 fn batching_runs_are_byte_identical_and_meet_the_bar() {
     enable_fast_forward();
@@ -89,39 +207,13 @@ fn batching_runs_are_byte_identical_and_meet_the_bar() {
 
     let outcome = check_regression(&a, &b, 0).expect("comparable");
     assert!(outcome.passed(), "{:?}", outcome.failures);
-
-    let rows = a.get("rows").unwrap().as_arr().unwrap();
-    let mut multi_points = 0;
-    let mut single_guards = 0;
-    for row in rows {
-        let point = row.get("point").and_then(|p| p.as_str()).unwrap();
-        if point.starts_with("multi") {
-            multi_points += 1;
-            let speedup = row.get("speedup_bp").and_then(|s| s.as_u64()).unwrap();
-            assert!(
-                speedup >= 20_000,
-                "{point}: coalescing must model ≥2× throughput, got {speedup} bp"
-            );
-        } else {
-            assert!(point.starts_with("single_p"), "unexpected row {point}");
-            single_guards += 1;
-            assert_eq!(
-                row.get("p50_ns").and_then(|v| v.as_u64()),
-                row.get("max_ns").and_then(|v| v.as_u64()),
-                "{point}: a lone call's cost must not depend on its neighbours"
-            );
-        }
-    }
-    assert_eq!(multi_points, 6, "both transports × three payloads");
-    assert_eq!(single_guards, 6, "three `single_p{{N}}` rows per transport");
+    assert_eq!(outcome.compared, 6, "both transports × three payloads");
 }
 
-/// The bulk figure: byte-identical per seed, self-check clean, and the
-/// acceptance numbers hold — every pipelined payload models ≥ 2×
-/// throughput from the multi-slot ring versus the one-deep gate, a lone
-/// transfer's ledger differs across ring depths by exactly the credit
-/// messages the deeper ring did not send, and steady-state large calls
-/// register no memory and miss no pool.
+/// The bulk figure: byte-identical per seed and self-check clean;
+/// `run_bulk` itself holds the pipelining, credit-message and
+/// registration-cache claims ([`check_bulk`]) and, transfer by transfer,
+/// that no lone transfer costs more through the ring than the gate.
 #[test]
 fn bulk_runs_are_byte_identical_and_meet_the_bar() {
     enable_fast_forward();
@@ -139,47 +231,4 @@ fn bulk_runs_are_byte_identical_and_meet_the_bar() {
         outcome.compared >= 12,
         "lone guards + pipeline points all gate on p99"
     );
-
-    let rows = a.get("rows").unwrap().as_arr().unwrap();
-    let mut pipe_points = 0;
-    let mut lone_guards = 0;
-    for row in rows {
-        let point = row.get("point").and_then(|p| p.as_str()).unwrap();
-        if point.starts_with("pipe") {
-            pipe_points += 1;
-            let speedup = row.get("speedup_bp").and_then(|s| s.as_u64()).unwrap();
-            assert!(
-                speedup >= 20_000,
-                "{point}: multi-slot ring must model ≥2× pipelined throughput, got {speedup} bp"
-            );
-        } else if point.starts_with("lone") {
-            let regs = row
-                .get("steady_registrations")
-                .and_then(|r| r.as_u64())
-                .unwrap();
-            let misses = row
-                .get("steady_pool_misses")
-                .and_then(|m| m.as_u64())
-                .unwrap();
-            assert_eq!(regs, 0, "{point}: steady-state large calls registered");
-            assert_eq!(
-                misses, 0,
-                "{point}: steady-state large calls missed the pool"
-            );
-            if let Some(saved) = row.get("ledger_saved_ns").and_then(|s| s.as_u64()) {
-                lone_guards += 1;
-                let msgs = |field| row.get(field).and_then(|m| m.as_u64()).unwrap();
-                let unsent = msgs("one_deep_credit_msgs") - msgs("credit_msgs");
-                assert_eq!(
-                    saved,
-                    unsent * 2_600,
-                    "{point}: the arms differ by something other than credit messages"
-                );
-            }
-        } else {
-            panic!("unexpected row {point}");
-        }
-    }
-    assert_eq!(pipe_points, 4, "a pipeline point per payload");
-    assert_eq!(lone_guards, 4, "a lone-transfer guard per payload");
 }

@@ -36,10 +36,7 @@
 //! ```
 //! use bufpool::{HeapMem, NativePool, ShadowPool, SizeClasses};
 //!
-//! let pool = ShadowPool::new(
-//!     NativePool::new(SizeClasses::up_to(64 * 1024), HeapMem::new),
-//!     true, // use the <protocol, method> size history
-//! );
+//! let pool = ShadowPool::new(NativePool::new(SizeClasses::up_to(64 * 1024), HeapMem::new));
 //!
 //! // Cold call: smallest class.
 //! let buf = pool.acquire("DatanodeProtocol", "blockReceived");

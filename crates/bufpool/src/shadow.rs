@@ -69,7 +69,6 @@ struct ShadowInner<M: PoolMem> {
     native: NativePool<M>,
     /// protocol -> method -> recorded size-class history.
     history: Mutex<HashMap<String, HashMap<String, HistoryEntry>>>,
-    use_history: bool,
     stats: ShadowStats,
 }
 
@@ -87,15 +86,15 @@ impl<M: PoolMem> Clone for ShadowPool<M> {
 }
 
 impl<M: PoolMem> ShadowPool<M> {
-    /// Wrap a native pool. With `use_history = false` every acquisition
-    /// starts at the smallest class (the ablation configuration that
-    /// forces doubling re-acquires on every non-tiny call).
-    pub fn new(native: NativePool<M>, use_history: bool) -> ShadowPool<M> {
+    /// Wrap a native pool. A kind that has never been [`record`]ed is
+    /// served at the smallest class.
+    ///
+    /// [`record`]: ShadowPool::record
+    pub fn new(native: NativePool<M>) -> ShadowPool<M> {
         ShadowPool {
             inner: Arc::new(ShadowInner {
                 native,
                 history: Mutex::new(HashMap::new()),
-                use_history,
                 stats: ShadowStats::default(),
             }),
         }
@@ -109,15 +108,13 @@ impl<M: PoolMem> ShadowPool<M> {
     /// Acquire a buffer for a call of kind `<protocol, method>` at the
     /// historically recorded class (smallest class when cold).
     pub fn acquire(&self, protocol: &str, method: &str) -> PooledBuf<M> {
-        let class = if self.inner.use_history {
-            let history = self.inner.history.lock();
-            history
-                .get(protocol)
-                .and_then(|methods| methods.get(method))
-                .map(|entry| entry.class)
-        } else {
-            None
-        };
+        let class = self
+            .inner
+            .history
+            .lock()
+            .get(protocol)
+            .and_then(|methods| methods.get(method))
+            .map(|entry| entry.class);
         let class = match class {
             Some(c) => c,
             None => {
@@ -152,9 +149,6 @@ impl<M: PoolMem> ShadowPool<M> {
     /// grow immediately on undershoot, shrink only after
     /// [`SHRINK_HYSTERESIS`] consecutive overshoots (see the module doc).
     pub fn record(&self, protocol: &str, method: &str, used: usize) {
-        if !self.inner.use_history {
-            return;
-        }
         let ladder = self.inner.native.classes();
         let class = class_for(used).min(ladder.count - 1);
         let mut history = self.inner.history.lock();
@@ -217,7 +211,6 @@ impl<M: PoolMem> ShadowPool<M> {
 impl<M: PoolMem> std::fmt::Debug for ShadowPool<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShadowPool")
-            .field("use_history", &self.inner.use_history)
             .field("protocols", &self.inner.history.lock().len())
             .finish()
     }
@@ -229,25 +222,25 @@ mod tests {
     use crate::classes::SizeClasses;
     use crate::mem::HeapMem;
 
-    fn pool(use_history: bool) -> ShadowPool<HeapMem> {
-        ShadowPool::new(
-            NativePool::new(SizeClasses::up_to(8192), HeapMem::new),
-            use_history,
-        )
+    fn pool() -> ShadowPool<HeapMem> {
+        ShadowPool::new(NativePool::new(SizeClasses::up_to(8192), HeapMem::new))
     }
 
     #[test]
     fn cold_acquire_is_smallest_class() {
-        let p = pool(true);
-        let b = p.acquire("DatanodeProtocol", "blockReceived");
-        assert_eq!(b.class(), Some(0));
+        let p = pool();
+        p.record("DatanodeProtocol", "sendHeartbeat", 5000); // another kind
+        for _ in 0..2 {
+            let b = p.acquire("DatanodeProtocol", "blockReceived");
+            assert_eq!(b.class(), Some(0), "an unrecorded kind stays at class 0");
+        }
         let (_, _, _, cold) = p.stats().snapshot();
-        assert_eq!(cold, 1);
+        assert_eq!(cold, 2);
     }
 
     #[test]
     fn history_converges_after_one_call() {
-        let p = pool(true);
+        let p = pool();
         // blockReceived calls are ~430 bytes (paper §III-C) -> class 2 (512B).
         let b = p.acquire("DatanodeProtocol", "blockReceived");
         assert_eq!(b.capacity(), 128);
@@ -263,7 +256,7 @@ mod tests {
 
     #[test]
     fn history_shrinks_only_after_consecutive_overshoots() {
-        let p = pool(true);
+        let p = pool();
         p.record("p", "m", 4000); // class 5 (4096)
         assert_eq!(p.recorded_class("p", "m"), Some(5));
         p.record("p", "m", 100); // class 0: first overshoot — hold
@@ -278,7 +271,7 @@ mod tests {
 
     #[test]
     fn intervening_hit_resets_the_shrink_countdown() {
-        let p = pool(true);
+        let p = pool();
         p.record("p", "m", 4000); // class 5
         p.record("p", "m", 100); // overshoot 1
         p.record("p", "m", 4000); // hit: countdown resets
@@ -290,7 +283,7 @@ mod tests {
 
     #[test]
     fn alternating_sizes_park_at_the_larger_class() {
-        let p = pool(true);
+        let p = pool();
         for _ in 0..20 {
             p.record("p", "m", 300); // class 2 (512)
             p.record("p", "m", 3000); // class 5 (4096)
@@ -306,7 +299,7 @@ mod tests {
 
     #[test]
     fn grow_preserves_content_and_doubles() {
-        let p = pool(true);
+        let p = pool();
         let mut b = p.acquire("p", "m");
         b.mem_mut().put(0, b"keep me around");
         let b2 = p.grow(b, 14);
@@ -320,7 +313,7 @@ mod tests {
 
     #[test]
     fn grow_beyond_ladder_goes_oversize() {
-        let p = pool(true);
+        let p = pool();
         let b = p.acquire_size(8192);
         assert_eq!(b.class(), Some(6));
         let b2 = p.grow(b, 10);
@@ -329,17 +322,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_history_always_serves_smallest() {
-        let p = pool(false);
-        p.record("p", "m", 5000);
-        assert_eq!(p.recorded_class("p", "m"), None);
-        let b = p.acquire("p", "m");
-        assert_eq!(b.class(), Some(0));
-    }
-
-    #[test]
     fn distinct_methods_have_distinct_history() {
-        let p = pool(true);
+        let p = pool();
         p.record("TaskUmbilicalProtocol", "ping", 100);
         p.record("TaskUmbilicalProtocol", "statusUpdate", 2000);
         assert_eq!(p.recorded_class("TaskUmbilicalProtocol", "ping"), Some(0));

@@ -7,10 +7,7 @@ use bufpool::{
 use proptest::prelude::*;
 
 fn shadow(max_bytes: usize) -> ShadowPool<HeapMem> {
-    ShadowPool::new(
-        NativePool::new(SizeClasses::up_to(max_bytes), HeapMem::new),
-        true,
-    )
+    ShadowPool::new(NativePool::new(SizeClasses::up_to(max_bytes), HeapMem::new))
 }
 
 /// The reference model of the history's hysteresis: grow immediately,
@@ -159,10 +156,7 @@ proptest! {
     /// Growing a buffer repeatedly preserves the prefix that was in use.
     #[test]
     fn repeated_grow_preserves_prefix(data in proptest::collection::vec(any::<u8>(), 1..4000)) {
-        let shadow = ShadowPool::new(
-            NativePool::new(SizeClasses::up_to(64 * 1024), HeapMem::new),
-            true,
-        );
+        let shadow = ShadowPool::new(NativePool::new(SizeClasses::up_to(64 * 1024), HeapMem::new));
         let mut buf = shadow.acquire("p", "m");
         let mut written = 0usize;
         for chunk in data.chunks(97) {

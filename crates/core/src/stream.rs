@@ -362,12 +362,9 @@ mod tests {
         let node = fabric.add_node();
         let dev = RdmaDevice::open(&fabric, node).unwrap();
         let factory = RdmaMemFactory::new(dev);
-        ShadowPool::new(
-            NativePool::new(SizeClasses::up_to(1 << 20), move |len| {
-                factory.allocate(len)
-            }),
-            true,
-        )
+        ShadowPool::new(NativePool::new(SizeClasses::up_to(1 << 20), move |len| {
+            factory.allocate(len)
+        }))
     }
 
     #[test]

@@ -208,10 +208,7 @@ impl IbContext {
         })?;
         let factory = RdmaMemFactory::new(device.clone());
         let ladder = SizeClasses::up_to(cfg.large_region_bytes);
-        let pool = ShadowPool::new(
-            NativePool::new(ladder, move |len| factory.allocate(len)),
-            true,
-        );
+        let pool = ShadowPool::new(NativePool::new(ladder, move |len| factory.allocate(len)));
         // Pre-register the small classes (the ones per-call traffic uses);
         // jumbo classes are registered lazily on first use — and once
         // registered, the retention policy below caches a few idle ones
