@@ -1458,7 +1458,7 @@ const MN_PARK_POLL_NS: u64 = 500;
 
 /// Figure: the handler runtime — parked calls cost bytes, not threads.
 ///
-/// The *real* [`Sched`] — same queues, same wake cells, same timer heap
+/// The *real* [`Sched`] — same run queue, same wake cells, same timer heap
 /// the server mounts — driven single-threaded on a virtual clock: a
 /// `quiet` arm runs a seeded fast call stream alone; the `parked_flood`
 /// arm first parks ≥ 1000 call frames on 4 workers, runs the identical
@@ -1493,13 +1493,13 @@ pub fn run_handlers_mn(opts: &RunOpts, git_rev: &str) -> Json {
         let sojourns: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::with_capacity(fast_calls)));
         let handles = Arc::new(Mutex::new(Vec::with_capacity(parked_n)));
 
-        // Park phase: `parked_n` calls spawn round-robin onto the worker
-        // queues (exercising local pops and steals), poll once, and
-        // suspend on their wake handles. Each frame now costs bytes.
-        for i in 0..parked_n {
+        // Park phase: `parked_n` calls join the run queue, are polled
+        // once by whichever worker is free, and suspend on their wake
+        // handles. Each frame now costs bytes.
+        for _ in 0..parked_n {
             let handles = Arc::clone(&handles);
             let poll_cost = Arc::clone(&poll_cost);
-            sched.spawn(i % MN_WORKERS, move |cx| {
+            sched.inject(move |cx| {
                 poll_cost.store(MN_PARK_POLL_NS, Ordering::Relaxed);
                 if cx.polls() == 0 {
                     handles.lock().unwrap().push(cx.wake_handle());
@@ -1521,7 +1521,7 @@ pub fn run_handlers_mn(opts: &RunOpts, git_rev: &str) -> Json {
                 break;
             }
             sched.fire_timers(t);
-            let Some(task) = sched.next_task(slot) else {
+            let Some(task) = sched.next_task() else {
                 break;
             };
             now.store(t, Ordering::Relaxed);
@@ -1573,7 +1573,6 @@ pub fn run_handlers_mn(opts: &RunOpts, git_rev: &str) -> Json {
                 Json::obj()
                     .field("worker", s.index as u64)
                     .field("processed", s.processed)
-                    .field("steals", s.steals)
                     .field("parks", s.parks)
                     .field("wakes", s.wakes)
             })

@@ -104,5 +104,5 @@ pub use retry_cache::{Admission, RetryCache};
 pub use sched::{CallPoll, HandlerCx, Sched, Step, WakeHandle};
 pub use server::Server;
 pub use service::{RpcService, ServiceRegistry};
-pub use stream::{RdmaInputStream, RdmaOutputStream};
+pub use stream::RdmaOutputStream;
 pub use transport::rdma::IbContext;

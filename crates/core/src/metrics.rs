@@ -22,7 +22,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -218,11 +217,6 @@ impl LatencyHistogram {
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Record a [`Duration`] sample.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Consistent-enough copy of the current state (relaxed loads; exact
     /// once recording has quiesced).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -399,8 +393,7 @@ pub enum ShardRole {
     /// responses pending behind a turn's holder, over all connections.
     Responder,
     /// One pool thread: reads when it holds the read turn, pops the
-    /// admission queue, polls calls, resumes suspended ones, steals them
-    /// from siblings.
+    /// admission queue, polls calls, resumes suspended ones.
     Worker,
 }
 
@@ -435,8 +428,6 @@ pub struct ShardStats {
     processed: AtomicU64,
     /// Busy rejections the read side issued.
     busy_rejections: AtomicU64,
-    /// Tasks a worker took from a sibling's run queue.
-    steals: AtomicU64,
     /// Tasks this worker parked (suspended awaiting a wake). Always 0 for
     /// the read side and the send ledger.
     parks: AtomicU64,
@@ -479,10 +470,6 @@ impl ShardStats {
         self.busy_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn inc_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn inc_park(&self) {
         self.parks.fetch_add(1, Ordering::Relaxed);
     }
@@ -502,7 +489,6 @@ pub struct ShardSnapshot {
     pub queue_depth_max: u64,
     pub processed: u64,
     pub busy_rejections: u64,
-    pub steals: u64,
     pub parks: u64,
     pub wakes: u64,
 }
@@ -1021,7 +1007,6 @@ impl MetricsRegistry {
                 queue_depth_max: s.queue_depth_max.load(Ordering::Relaxed),
                 processed: s.processed.load(Ordering::Relaxed),
                 busy_rejections: s.busy_rejections.load(Ordering::Relaxed),
-                steals: s.steals.load(Ordering::Relaxed),
                 parks: s.parks.load(Ordering::Relaxed),
                 wakes: s.wakes.load(Ordering::Relaxed),
             })
@@ -1207,7 +1192,6 @@ impl MetricsRegistry {
             s.queue_depth_max.store(0, Ordering::Relaxed);
             s.processed.store(0, Ordering::Relaxed);
             s.busy_rejections.store(0, Ordering::Relaxed);
-            s.steals.store(0, Ordering::Relaxed);
             s.parks.store(0, Ordering::Relaxed);
             s.wakes.store(0, Ordering::Relaxed);
         }
@@ -1230,13 +1214,6 @@ impl MetricsRegistry {
         self.inner.resp_bodies_fresh.store(0, Ordering::Relaxed);
         self.inner.resp_sent_behind.store(0, Ordering::Relaxed);
     }
-}
-
-/// Convenience: time a closure, returning (result, elapsed).
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let start = std::time::Instant::now();
-    let r = f();
-    (r, start.elapsed())
 }
 
 #[cfg(test)]

@@ -123,6 +123,23 @@ impl RetryPolicy {
         Ok(())
     }
 
+    /// The latest time after a call starts at which its client can still
+    /// send an attempt: every attempt waiting out `call_timeout`, and
+    /// every sleep between them at its ceiling,
+    /// `max_attempts × call_timeout + (max_attempts − 1) × max_backoff ×
+    /// (1 + jitter)`, capped by `deadline`. Saturating: a horizon too long
+    /// to represent is [`Duration::MAX`].
+    pub fn horizon(&self, call_timeout: Duration) -> Duration {
+        let sleep =
+            Duration::try_from_secs_f64(self.max_backoff.as_secs_f64() * (1.0 + self.jitter))
+                .unwrap_or(Duration::MAX);
+        let horizon = call_timeout
+            .saturating_mul(self.max_attempts)
+            .saturating_add(sleep.saturating_mul(self.max_attempts.saturating_sub(1)));
+        self.deadline
+            .map_or(horizon, |deadline| horizon.min(deadline))
+    }
+
     /// The sleep after `failed_attempts` attempts have failed (≥ 1).
     /// `entropy` decorrelates concurrent callers' jitter; pass anything
     /// call-unique (the engine uses the call id).
@@ -192,6 +209,35 @@ mod tests {
         assert!(sleeps.iter().any(|s| *s != sleeps[0]));
         // Same entropy replays the same sleep.
         assert_eq!(p.backoff(1, 9), p.backoff(1, 9));
+    }
+
+    #[test]
+    fn horizon_is_every_attempt_and_every_sleep_at_its_ceiling() {
+        let timeout = Duration::from_secs(30);
+        // Defaults: two attempts, no sleep between them.
+        assert_eq!(
+            RetryPolicy::default().horizon(timeout),
+            Duration::from_secs(60)
+        );
+        assert_eq!(RetryPolicy::none().horizon(timeout), timeout);
+        // Exponential backoff with jitter: three sleeps of at most
+        // 32 × 100 ms × 1.2 each, beside four attempts.
+        let p = RetryPolicy::exponential(4, Duration::from_millis(100));
+        assert_eq!(
+            p.horizon(timeout),
+            Duration::from_secs(120) + Duration::from_millis(3 * 3_840)
+        );
+        // A deadline caps it.
+        let p = p.with_deadline(Duration::from_secs(5));
+        assert_eq!(p.horizon(timeout), Duration::from_secs(5));
+        // A horizon too long to represent saturates.
+        assert_eq!(RetryPolicy::default().horizon(Duration::MAX), Duration::MAX);
+        let p = RetryPolicy {
+            max_backoff: Duration::MAX,
+            jitter: 1.0,
+            ..RetryPolicy::default()
+        };
+        assert_eq!(p.horizon(timeout), Duration::MAX);
     }
 
     #[test]

@@ -15,12 +15,10 @@
 //!   closure) with *explicit* yield/park points. No stack switching:
 //!   suspension is "return [`Step::Park`] and be polled again", like a
 //!   hand-rolled future. A parked call costs bytes, not a thread.
-//! * **Per-worker LIFO run queues with stealing** — a worker pushes and
-//!   pops its deque at the back (cache-warm continuations), thieves take
-//!   from the front (the oldest — the Chase-Lev discipline, under a short
-//!   mutex: queue ops are nanoseconds against microsecond handlers).
-//! * **A global injector** — woken tasks re-enter here, visible to every
-//!   worker.
+//! * **One FIFO run queue** — injected, yielded and woken tasks join its
+//!   back and every worker takes from its front, under a short mutex
+//!   (queue ops are nanoseconds against microsecond handlers), so a
+//!   worker that finds nothing to run has taken one lock.
 //! * **A parker on the modeled-time ledger's terms** — parking charges
 //!   **zero** nanoseconds to any node: the frame sits in the parked
 //!   table under its wake cell's key (plus a timer entry for
@@ -42,7 +40,7 @@
 //!   is on its way to sleep is not left asleep beside a free permit and a
 //!   runnable call.
 //!
-//! The runtime owns every frame (run queues, injector, parked table); a
+//! The runtime owns every frame (run queue, parked table); a
 //! [`WakeHandle`] owns only its cell, so [`Sched::close`] drops every
 //! frame whoever still holds a handle.
 //!
@@ -68,8 +66,8 @@ use crate::metrics::ShardStats;
 pub enum Step {
     /// The task is finished; its frame is dropped.
     Done,
-    /// Cooperative yield: requeue at the stealing end of the worker's
-    /// deque, so everything already runnable goes first.
+    /// Cooperative yield: requeue at the back of the run queue, so
+    /// everything already runnable goes first.
     Yield,
     /// Suspend. The task is re-queued when its [`WakeHandle`] fires —
     /// from the timer table if [`TaskCx::park_until_ns`] set a deadline,
@@ -153,8 +151,8 @@ pub struct WakeHandle {
 }
 
 impl WakeHandle {
-    /// Fire the wake: if the task is parked, move it to the global
-    /// injector and notify an idle worker; if it is running or queued,
+    /// Fire the wake: if the task is parked, move it to the run queue
+    /// and notify an idle worker; if it is running or queued,
     /// mark it notified so its next park becomes a requeue. Charge-free,
     /// non-blocking, idempotent while armed; inert after completion.
     pub fn wake(&self) {
@@ -174,7 +172,7 @@ impl WakeHandle {
                 // Attributed to the worker that parked the task,
                 // wherever the wake itself runs.
                 sched.stats[worker].inc_wake();
-                sched.enqueue(&sched.injector, task, false);
+                sched.enqueue(task);
             }
             WakeSt::Running { .. } => *st = WakeSt::Running { notified: true },
             WakeSt::Done => {}
@@ -183,10 +181,8 @@ impl WakeHandle {
 }
 
 struct SchedInner {
-    /// Per-worker run queues: owner at the back, thieves at the front.
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// The global injector: externally spawned and woken tasks.
-    injector: Mutex<VecDeque<Task>>,
+    /// The run queue: injected, yielded and woken tasks, oldest first.
+    queue: Mutex<VecDeque<Task>>,
     /// Suspended frames by [`parked_key`], each with the worker that
     /// parked it — "in-flight calls cost bytes", observable.
     parked: Mutex<HashMap<usize, (usize, Task)>>,
@@ -201,8 +197,8 @@ struct SchedInner {
     /// Run permits out: polls in progress. Never above `permits`.
     running: AtomicUsize,
     permits: usize,
-    /// Tasks on the run queues (locals + injector), so that returning a
-    /// permit can tell "someone should run" without taking their locks.
+    /// Tasks on the run queue, so that returning a permit can tell
+    /// "someone should run" without taking its lock.
     runnable: AtomicUsize,
     /// Idle workers block on `idle_cv`; every producer of work bumps
     /// `wake_epoch` *under* `idle_lock` before signalling, so a worker
@@ -240,31 +236,18 @@ impl SchedInner {
         self.idle_cv.notify_one();
     }
 
-    /// Store `task` on `queue` (front or back) and wake a worker — or,
+    /// Store `task` at the back of the run queue and wake a worker — or,
     /// once closed, drop the frame.
-    fn enqueue(&self, queue: &Mutex<VecDeque<Task>>, task: Task, front: bool) {
-        let mut q = queue.lock();
+    fn enqueue(&self, task: Task) {
+        let mut q = self.queue.lock();
         if self.closed() {
             drop(q);
             return self.retire(&task.wake);
         }
-        if front {
-            q.push_front(task);
-        } else {
-            q.push_back(task);
-        }
+        q.push_back(task);
         self.runnable.fetch_add(1, Ordering::SeqCst);
         drop(q);
         self.notify();
-    }
-
-    /// Take one task off `queue` (its front or back), keeping the
-    /// runnable count.
-    fn dequeue(&self, queue: &Mutex<VecDeque<Task>>, front: bool) -> Option<Task> {
-        let mut q = queue.lock();
-        let task = if front { q.pop_front() } else { q.pop_back() }?;
-        self.runnable.fetch_sub(1, Ordering::SeqCst);
-        Some(task)
     }
 
     /// One call is over — completed, or dropped by `close`: any handle
@@ -277,7 +260,7 @@ impl SchedInner {
     }
 }
 
-/// The work-stealing scheduler. Passive by design: it owns no threads.
+/// The scheduler. Passive by design: it owns no threads.
 /// The server's worker loops drive it on wall-derived monotonic time;
 /// the `handlers_mn` bench figure drives the identical structure
 /// single-threaded on virtual time.
@@ -287,7 +270,7 @@ pub struct Sched {
 
 impl Sched {
     /// A scheduler with `permits` run permits and one worker loop — a
-    /// run queue and a counter block — per entry of `stats` (the server
+    /// counter block — per entry of `stats` (the server
     /// registers them as `ShardRole::Worker`; standalone callers pass
     /// fresh ones). There are at least as many workers as permits.
     pub fn new(permits: usize, stats: Vec<Arc<ShardStats>>) -> Sched {
@@ -295,8 +278,7 @@ impl Sched {
         assert!(stats.len() >= permits, "a worker per permit at least");
         Sched {
             inner: Arc::new(SchedInner {
-                locals: stats.iter().map(|_| Mutex::new(VecDeque::new())).collect(),
-                injector: Mutex::new(VecDeque::new()),
+                queue: Mutex::new(VecDeque::new()),
                 parked: Mutex::new(HashMap::new()),
                 parked_peak: AtomicUsize::new(0),
                 timers: Mutex::new(BTreeMap::new()),
@@ -340,27 +322,15 @@ impl Sched {
         self.settle(worker, task, step, park_deadline_ns);
     }
 
-    /// Spawn a task onto `worker`'s own queue (LIFO end — it runs next
-    /// on that worker unless stolen).
-    pub fn spawn(&self, worker: usize, poll: impl FnMut(&mut TaskCx<'_>) -> Step + Send + 'static) {
-        let task = self.make_task(Box::new(poll));
-        self.inner.enqueue(&self.inner.locals[worker], task, false);
-    }
-
-    /// Spawn a task onto the global injector (FIFO). External producers
+    /// Queue a new task at the back of the run queue. External producers
     /// — and the bench harness modelling arrivals — use this.
     pub fn inject(&self, poll: impl FnMut(&mut TaskCx<'_>) -> Step + Send + 'static) {
-        let task = self.make_task(Box::new(poll));
-        self.inner.enqueue(&self.inner.injector, task, false);
-    }
-
-    fn make_task(&self, poll: Box<dyn FnMut(&mut TaskCx<'_>) -> Step + Send>) -> Task {
         self.inner.inflight.fetch_add(1, Ordering::AcqRel);
-        Task {
-            poll,
+        self.inner.enqueue(Task {
+            poll: Box::new(poll),
             wake: OnceCell::new(),
             polls: 0,
-        }
+        });
     }
 
     /// Fire every timer whose deadline has passed at `now_ns`, waking
@@ -391,27 +361,12 @@ impl Sched {
             .map(|&(at_ns, _)| at_ns)
     }
 
-    /// Take the next runnable task for `worker`: own queue's LIFO end,
-    /// else the injector's FIFO head, else steal the oldest task from a
-    /// sibling (scanned round-robin from `worker + 1`, counted on the
-    /// thief).
-    pub fn next_task(&self, worker: usize) -> Option<Task> {
-        let inner = &self.inner;
-        if let Some(task) = inner.dequeue(&inner.locals[worker], false) {
-            return Some(task);
-        }
-        if let Some(task) = inner.dequeue(&inner.injector, true) {
-            return Some(task);
-        }
-        let n = inner.locals.len();
-        for off in 1..n {
-            let victim = (worker + off) % n;
-            if let Some(task) = inner.dequeue(&inner.locals[victim], true) {
-                inner.stats[worker].inc_steal();
-                return Some(task);
-            }
-        }
-        None
+    /// Take the oldest runnable task, for whichever worker asks.
+    pub fn next_task(&self) -> Option<Task> {
+        let mut q = self.inner.queue.lock();
+        let task = q.pop_front()?;
+        self.inner.runnable.fetch_sub(1, Ordering::SeqCst);
+        Some(task)
     }
 
     /// Poll `task` once on behalf of `worker` at time `now_ns`, then
@@ -449,9 +404,8 @@ impl Sched {
                 inner.retire(&task.wake);
                 stats.inc_processed();
             }
-            // The stealing end: behind everything already queued
-            // locally, ahead of nothing.
-            Step::Yield => inner.enqueue(&inner.locals[worker], task, true),
+            // Behind everything already runnable.
+            Step::Yield => inner.enqueue(task),
             Step::Park => {
                 let cell = Arc::clone(inner.cell_of(&task.wake));
                 let mut st = cell.st.lock();
@@ -462,7 +416,7 @@ impl Sched {
                     *st = WakeSt::Running { notified: false };
                     drop(st);
                     stats.inc_wake();
-                    return inner.enqueue(&inner.injector, task, false);
+                    return inner.enqueue(task);
                 }
                 let mut parked = inner.parked.lock();
                 if inner.closed() {
@@ -523,11 +477,10 @@ impl Sched {
         self.inner.parked_peak.load(Ordering::Acquire)
     }
 
-    /// Tasks sitting in run queues (locals + injector), excluding parked
-    /// and currently-polling ones.
+    /// Tasks sitting in the run queue, excluding parked and
+    /// currently-polling ones.
     pub fn queued(&self) -> usize {
-        let locals: usize = self.inner.locals.iter().map(|q| q.lock().len()).sum();
-        locals + self.inner.injector.lock().len()
+        self.inner.queue.lock().len()
     }
 
     /// Everything still held by the runtime — the drain-residue gauge:
@@ -573,7 +526,7 @@ impl Sched {
 
     /// Close the runtime: every frame it holds — queued, parked on a
     /// timer, or parked on a handle someone still keeps — is dropped,
-    /// later wakes and spawns are inert, every idle worker wakes, and
+    /// later wakes and injections are inert, every idle worker wakes, and
     /// subsequent `idle_wait`s return immediately.
     pub fn close(&self) {
         let inner = &self.inner;
@@ -582,8 +535,8 @@ impl Sched {
         // releases whatever the call captured.
         let mut frames: Vec<Task> = Vec::new();
         frames.extend(inner.parked.lock().drain().map(|(_, (_, task))| task));
-        for queue in std::iter::once(&inner.injector).chain(&inner.locals) {
-            let mut q = queue.lock();
+        {
+            let mut q = inner.queue.lock();
             inner.runnable.fetch_sub(q.len(), Ordering::SeqCst);
             frames.extend(q.drain(..));
         }
@@ -700,58 +653,34 @@ mod tests {
 
     fn drain_worker(s: &Sched, worker: usize, now_ns: u64) {
         s.fire_timers(now_ns);
-        while let Some(t) = s.next_task(worker) {
+        while let Some(t) = s.next_task() {
             s.run(worker, t, now_ns);
         }
     }
 
     #[test]
-    fn lifo_local_fifo_steal() {
+    fn a_yield_runs_behind_everything_runnable() {
         let s = sched(2);
         let order = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..3u32 {
+        for name in ["a", "b", "c"] {
             let order = Arc::clone(&order);
-            s.spawn(0, move |_cx| {
-                order.lock().push(i);
-                Step::Done
-            });
-        }
-        // Thief (worker 1) takes the *oldest* task; the owner then runs
-        // its remaining queue newest-first.
-        let stolen = s.next_task(1).expect("steal");
-        s.run(1, stolen, 0);
-        assert_eq!(*order.lock(), vec![0]);
-        drain_worker(&s, 0, 0);
-        assert_eq!(*order.lock(), vec![0, 2, 1]);
-        assert_eq!(s.inflight(), 0);
-    }
-
-    #[test]
-    fn yield_requeues_behind_local_work() {
-        let s = sched(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        {
-            let order = Arc::clone(&order);
-            s.spawn(0, move |cx| {
-                order.lock().push(format!("a{}", cx.polls()));
-                if cx.polls() == 0 {
+            s.inject(move |cx| {
+                order.lock().push(format!("{name}{}", cx.polls()));
+                if name == "a" && cx.polls() == 0 {
                     Step::Yield
                 } else {
                     Step::Done
                 }
             });
         }
-        {
-            let order = Arc::clone(&order);
-            s.spawn(0, move |_cx| {
-                order.lock().push("b".into());
-                Step::Done
-            });
+        // a yields on worker 0; whichever worker asks next gets b and c
+        // before a comes round again.
+        for w in [0usize, 1, 0, 1] {
+            let t = s.next_task().expect("runnable");
+            s.run(w, t, 0);
         }
-        drain_worker(&s, 0, 0);
-        // b was spawned later (LIFO: runs first); a yields and runs
-        // again only after the queue drains to it.
-        assert_eq!(*order.lock(), vec!["b", "a0", "a1"]);
+        assert_eq!(*order.lock(), vec!["a0", "b0", "c0", "a1"]);
+        assert_eq!(s.residue(), 0);
     }
 
     #[test]
@@ -760,7 +689,7 @@ mod tests {
         let done = Arc::new(Mutex::new(Vec::new()));
         for (i, deadline) in [(0u32, 500u64), (1, 200), (2, 800)] {
             let done = Arc::clone(&done);
-            s.spawn(0, move |cx| {
+            s.inject(move |cx| {
                 if cx.polls() == 0 {
                     cx.park_until_ns(deadline);
                     return Step::Park;
@@ -791,7 +720,7 @@ mod tests {
         {
             let hits = Arc::clone(&hits);
             let handle = Arc::clone(&handle);
-            s.spawn(0, move |cx| {
+            s.inject(move |cx| {
                 hits.fetch_add(1, Ordering::Relaxed);
                 if cx.polls() == 0 {
                     *handle.lock() = Some(cx.wake_handle());
@@ -851,7 +780,7 @@ mod tests {
         {
             let handle = Arc::clone(&handle);
             let runs = Arc::clone(&runs);
-            s.spawn(0, move |cx| {
+            s.inject(move |cx| {
                 if cx.polls() == 0 {
                     *handle.lock() = Some(cx.wake_handle());
                     cx.park_until_ns(10_000);
@@ -874,22 +803,36 @@ mod tests {
     }
 
     #[test]
-    fn stolen_task_parks_and_wakes_on_the_thief() {
-        let s = sched(2);
-        s.spawn(0, |cx| {
+    fn a_task_one_worker_parked_is_woken_onto_the_queue_for_any_worker() {
+        use crate::metrics::{MetricsRegistry, ShardRole};
+        let metrics = MetricsRegistry::new(false);
+        let stats = (0..2)
+            .map(|i| metrics.register_shard(ShardRole::Worker, i))
+            .collect();
+        let s = Sched::new(2, stats);
+        s.inject(|cx| {
             if cx.polls() == 0 {
                 cx.park_until_ns(100);
                 return Step::Park;
             }
             Step::Done
         });
-        // Worker 1 steals the task and parks it; the timer wake brings
-        // it back through the injector. (The per-worker counters are
-        // asserted through `MetricsRegistry` in the server-level tests.)
-        let t = s.next_task(1).expect("steal");
-        s.run(1, t, 0);
+        // Worker 0 parks it; its timer puts it back on the one queue,
+        // where worker 1 finds it and retires it.
+        let t = s.next_task().expect("injected");
+        s.run(0, t, 0);
+        assert_eq!((s.parked(), s.queued()), (1, 0));
+        s.fire_timers(200);
+        assert_eq!((s.parked(), s.queued()), (0, 1));
         drain_worker(&s, 1, 200);
         assert_eq!(s.residue(), 0);
+        let rows: Vec<_> = metrics
+            .shard_snapshot()
+            .iter()
+            .map(|r| (r.parks, r.wakes, r.processed))
+            .collect();
+        // The wake counts on the worker that parked the task.
+        assert_eq!(rows, vec![(1, 1, 0), (0, 0, 1)]);
     }
 
     #[test]
@@ -903,9 +846,9 @@ mod tests {
                 Step::Done
             });
         }
-        // Alternating workers drain the injector in arrival order.
+        // Alternating workers drain the queue in arrival order.
         for w in [0usize, 1, 0, 1] {
-            let t = s.next_task(w).expect("injected");
+            let t = s.next_task().expect("injected");
             s.run(w, t, 0);
         }
         assert_eq!(*order.lock(), vec![0, 1, 2, 3]);
@@ -937,7 +880,7 @@ mod tests {
         // notifies, then the worker waits.
         let s = sched(1);
         let seen = s.wake_epoch();
-        assert!(s.next_task(0).is_none());
+        assert!(s.next_task().is_none());
         s.notify();
         assert_wait_is_cancelled(&s, seen, "a notify after the scan must cancel the wait");
     }
@@ -1031,14 +974,14 @@ mod tests {
         assert!(s.try_permit());
         assert!(!s.try_permit(), "one permit, whichever worker asks");
         s.release_permit(false);
-        // Either row polls, queues and parks on its own queue.
+        // Either row polls, queues and parks.
         s.run_first(1, 0, |cx| {
             if cx.polls() == 0 {
                 return Step::Yield;
             }
             Step::Done
         });
-        assert_eq!(s.inner.locals[1].lock().len(), 1);
+        assert_eq!(s.queued(), 1);
         drain_worker(&s, 1, 0);
         assert_eq!(s.residue(), 0);
     }
@@ -1051,7 +994,7 @@ mod tests {
         let handle: Arc<Mutex<Option<WakeHandle>>> = Arc::new(Mutex::new(None));
         for kind in 0..3 {
             let (captured, handle) = (Arc::clone(&captured), Arc::clone(&handle));
-            s.spawn(0, move |cx| {
+            s.inject(move |cx| {
                 let _ = &captured;
                 match kind {
                     0 => cx.park_until_ns(u64::MAX),
@@ -1062,7 +1005,7 @@ mod tests {
             });
         }
         for _ in 0..3 {
-            let t = s.next_task(0).expect("spawned");
+            let t = s.next_task().expect("injected");
             s.run(0, t, 0);
         }
         assert_eq!((s.parked(), s.queued()), (2, 1));
@@ -1072,7 +1015,7 @@ mod tests {
         assert_eq!(s.residue(), 0);
         // The surviving handle is inert, and nothing can be stored anew.
         handle.lock().clone().expect("captured").wake();
-        s.spawn(0, |_cx| Step::Done);
+        s.inject(|_cx| Step::Done);
         assert_eq!((s.queued(), s.residue()), (0, 0));
     }
 }

@@ -19,7 +19,7 @@
 //!   to a transient setup thread (handshake and, in RPCoIB mode, the
 //!   blocking end-point exchange) which registers the finished
 //!   connection on the read side. The accept path is *bounded*: at
-//!   most `RpcConfig::accept_backlog` setups run concurrently (further
+//!   most [`ACCEPT_BACKLOG`] setups run concurrently (further
 //!   connects wait in the listener queue), and once
 //!   `RpcConfig::max_connections` connections are live (or being set
 //!   up), further connects are answered with a retryable busy rejection
@@ -183,7 +183,13 @@ const LIVENESS_SWEEP_NS: u64 = 1_000_000_000;
 /// most this long for a message riding behind it.
 const READ_SLICE: Duration = Duration::from_millis(1);
 
-/// How often a Listener paused at `accept_backlog` looks for a finished
+/// Connection setups (handshake + RPCoIB end-point exchange) in flight
+/// at once — the bounded accept queue. A connect storm past this waits
+/// in the listener queue until setups drain (added latency, not
+/// rejection), keeping the accept path's thread and memory use bounded.
+const ACCEPT_BACKLOG: usize = 64;
+
+/// How often a Listener paused at [`ACCEPT_BACKLOG`] looks for a finished
 /// setup.
 const BACKLOG_POLL: Duration = Duration::from_millis(1);
 
@@ -356,7 +362,7 @@ struct ServerInner {
     priority: HashSet<String>,
     /// Connection setups currently in flight (accepted, handshake or
     /// verbs bootstrap unfinished). Together with the conn table this
-    /// bounds the accept path: at `accept_backlog` the Listener pauses
+    /// bounds the accept path: at [`ACCEPT_BACKLOG`] the Listener pauses
     /// accepting until a setup finishes; past `max_connections` it
     /// answers busy instead of spawning.
     setups_inflight: AtomicUsize,
@@ -705,13 +711,10 @@ impl Server {
         // never reach it; bulk responses evict early instead of pinning
         // `capacity × response size`. Idle spares have the tier's own.
         let heap = Arc::new(HeapTier::new(heap::BUDGET_BYTES));
-        let retry_cache = RetryCache::new(
-            cfg.retry_cache_ttl,
-            cfg.retry_cache_capacity,
-            metrics.clone(),
-        )
-        .with_byte_budget(cfg.retry_cache_capacity.saturating_mul(cfg.rdma_threshold))
-        .with_spares(Arc::clone(&heap));
+        let retry_cache =
+            RetryCache::new(cfg.replay_ttl(), cfg.retry_cache_capacity, metrics.clone())
+                .with_byte_budget(cfg.retry_cache_capacity.saturating_mul(cfg.rdma_threshold))
+                .with_spares(Arc::clone(&heap));
 
         // One more thread than permits: one always holds none.
         let pool = cfg.handlers + 1;
@@ -1004,12 +1007,12 @@ fn reap_setup_threads(inner: &ServerInner) {
 /// at once.
 fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
     while !inner.stop.load(Ordering::Acquire) && !inner.draining.load(Ordering::Acquire) {
-        // Backlog backpressure: with `accept_backlog` setups already in
+        // Backlog backpressure: with `ACCEPT_BACKLOG` setups already in
         // flight, stop accepting until one finishes. Pending connects
         // queue in the listener (bounded latency, like a TCP SYN queue),
         // so a legitimate burst is absorbed rather than refused. (A
         // transient state, so it may poll.)
-        if inner.setups_inflight.load(Ordering::Acquire) >= inner.cfg.accept_backlog {
+        if inner.setups_inflight.load(Ordering::Acquire) >= ACCEPT_BACKLOG {
             std::thread::sleep(BACKLOG_POLL);
             continue;
         }
@@ -1496,17 +1499,14 @@ fn read_one(
 /// a run permit, pop the admission queue and poll the popped call for the
 /// first time right here, on this stack ([`pop_and_poll`]) — the call
 /// this thread just read, when its burst ended on one — and run one
-/// suspended call that is runnable again: own queue first, then the
-/// injector, then stealing. Admission precedes the task so a
-/// yield-spinning call can never starve new arrivals; the in-flight cap
-/// (`cfg.max_inflight_calls`) pauses admission — backpressure into the
-/// bounded queue, not rejection — while parked calls pile up. A pass
-/// that found nothing, or no permit, sleeps on the runtime's idle wait;
-/// whoever makes a connection readable, admits a call it will not run,
-/// wakes a task or returns a permit beside waiting work notifies.
+/// suspended call that is runnable again, from the runtime's one run
+/// queue. Admission precedes the task so a yield-spinning call can never
+/// starve new arrivals. A pass that found nothing, or no permit, sleeps
+/// on the runtime's idle wait; whoever makes a connection readable,
+/// admits a call it will not run, wakes a task or returns a permit beside
+/// waiting work notifies.
 fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
     let sched = &inner.sched;
-    let cap = inner.cfg.max_inflight_calls;
     let mut answered = Vec::new();
     loop {
         // Read before the scan: a push or wake landing after the scan
@@ -1525,10 +1525,8 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
             continue;
         }
         if sched.try_permit() {
-            if cap == 0 || sched.inflight() < cap {
-                worked |= pop_and_poll(&inner, now, worker);
-            }
-            if let Some(task) = sched.next_task(worker) {
+            worked |= pop_and_poll(&inner, now, worker);
+            if let Some(task) = sched.next_task() {
                 sched.run(worker, task, inner.now_ns());
                 worked = true;
             }

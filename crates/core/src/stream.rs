@@ -8,11 +8,8 @@
 //! the stream re-acquires at double the class (Section III-C) and, on
 //! `finish`, reports the final size so the `<protocol, method>` history
 //! converges.
-//!
-//! [`RdmaInputStream`] is the mirror image: it reads directly out of the
-//! pooled buffer an incoming frame landed in.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use bufpool::{PoolMem, PooledBuf, ShadowPool};
 use simnet::MemoryRegion;
@@ -314,48 +311,12 @@ impl std::fmt::Debug for RdmaGatherStream {
     }
 }
 
-/// Input stream reading directly from a pooled receive buffer.
-pub struct RdmaInputStream {
-    buf: PooledBuf<MemoryRegion>,
-    len: usize,
-    pos: usize,
-}
-
-impl RdmaInputStream {
-    /// Wrap a pooled buffer holding `len` valid bytes.
-    pub fn new(buf: PooledBuf<MemoryRegion>, len: usize) -> Self {
-        RdmaInputStream { buf, len, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.len - self.pos
-    }
-
-    /// Reclaim the underlying buffer (returned to the pool on drop).
-    pub fn into_inner(self) -> PooledBuf<MemoryRegion> {
-        self.buf
-    }
-}
-
-impl Read for RdmaInputStream {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let n = self.remaining().min(out.len());
-        if n == 0 {
-            return Ok(0);
-        }
-        self.buf.mem().get(self.pos, &mut out[..n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bufpool::{NativePool, RdmaMemFactory, SizeClasses};
     use simnet::{model, Fabric, RdmaDevice};
-    use wire::{DataInput, DataOutput};
+    use wire::DataOutput;
 
     fn rdma_pool() -> ShadowPool<MemoryRegion> {
         let fabric = Fabric::new(model::IB_QDR_VERBS);
@@ -367,6 +328,22 @@ mod tests {
         }))
     }
 
+    /// The first `len` bytes of `buf`'s registered memory.
+    fn read_back(buf: &PooledBuf<MemoryRegion>, len: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; len];
+        buf.mem().get(0, &mut bytes);
+        bytes
+    }
+
+    /// What `write_i32(7)` then `write_string("direct to the HCA")` put
+    /// on the wire, through the plain `DataOutput` codec.
+    fn written_7_and_string() -> Vec<u8> {
+        let mut plain = Vec::new();
+        plain.write_i32(7).unwrap();
+        plain.write_string("direct to the HCA").unwrap();
+        plain
+    }
+
     #[test]
     fn serialize_into_registered_memory() {
         let pool = rdma_pool();
@@ -375,10 +352,7 @@ mod tests {
         out.write_string("direct to the HCA").unwrap();
         let (buf, len, grows) = out.finish();
         assert_eq!(grows, 0, "fits in the smallest class");
-        let mut input = RdmaInputStream::new(buf, len);
-        assert_eq!(input.read_i32().unwrap(), 7);
-        assert_eq!(input.read_string().unwrap(), "direct to the HCA");
-        assert_eq!(input.remaining(), 0);
+        assert_eq!(read_back(&buf, len), written_7_and_string());
     }
 
     #[test]
@@ -423,9 +397,7 @@ mod tests {
         let (segs, len, grows) = out.finish();
         assert_eq!(segs.len(), 1);
         assert_eq!(grows, 0);
-        let mut input = RdmaInputStream::new(segs.into_iter().next().unwrap(), len);
-        assert_eq!(input.read_i32().unwrap(), 7);
-        assert_eq!(input.read_string().unwrap(), "direct to the HCA");
+        assert_eq!(read_back(&segs[0], len), written_7_and_string());
     }
 
     #[test]

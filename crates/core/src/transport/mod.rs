@@ -26,12 +26,12 @@ pub use crate::metrics::{CallProfile as SendProfile, RecvProfile};
 /// `recv_msg` has one receiver at a time, and it is the callers' turn
 /// discipline that enforces it: on the client, the waiting caller that
 /// holds the connection's receive turn (there is no Connection thread —
-/// see [`crate::client`]); on the server, the reader *shard* that the
-/// connection was hashed onto at accept time. A shard multiplexes many
-/// connections event-style: each conn's [`Conn::set_ready_hook`] enqueues
-/// a wake token when input becomes observable, the shard blocks on its
-/// ready queue, and `poll_ready` stays the level-triggered truth the
-/// shard re-checks on every wake (so a spurious or duplicate wake is
+/// see [`crate::client`]); on the server, whichever pool thread holds the
+/// server's one read turn. That turn multiplexes every connection
+/// event-style: each conn's [`Conn::set_ready_hook`] enqueues a wake
+/// token on the server's one wake list when input becomes observable,
+/// the turn's holder pops it, and `poll_ready` stays the level-triggered
+/// truth it re-checks on every pop (so a spurious or duplicate wake is
 /// harmless, and a conn with residual input is re-armed). Idle
 /// connections therefore cost nothing per scheduling round — on either
 /// side. A transport may read its own wire outside `recv_msg` when one of

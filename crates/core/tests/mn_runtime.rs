@@ -729,75 +729,6 @@ fn a_suspended_bulk_call_gives_its_slot_back() {
     }
 }
 
-/// `max_inflight_calls` is backpressure, not rejection: under two run
-/// permits and a cap of four, eight calls that park leave four parked
-/// and four in the admission queue — read, refused nothing, polled by
-/// nobody — and each wake answers one call and lets exactly the next one
-/// in, until all eight have been polled, parked and answered once.
-#[test]
-fn the_inflight_cap_holds_calls_in_the_admission_queue() {
-    let _wd = watchdog(
-        "the_inflight_cap_holds_calls_in_the_admission_queue",
-        Duration::from_secs(120),
-    );
-    const CALLS: usize = 8;
-    const CAP: usize = 4;
-    for (label, fabric, mut cfg) in transports() {
-        cfg.handlers = 2;
-        cfg.max_inflight_calls = CAP;
-        cfg.retry = rpcoib::RetryPolicy::none();
-        let service = Arc::new(SuspendDigest::default());
-        let (server, addr) = start(&fabric, &cfg, vec![Arc::clone(&service)]);
-        let client = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-        let answered = Arc::new(AtomicU64::new(0));
-        let callers: Vec<_> = (0..CALLS)
-            .map(|c| {
-                let (client, answered) = (client.clone(), Arc::clone(&answered));
-                std::thread::spawn(move || {
-                    let body = vec![1, c as u8]; // suspend once
-                    let want = digest(&body);
-                    let got: LongWritable = client
-                        .call(addr, "mn.SuspendDigest", "digest", &BytesWritable(body))
-                        .unwrap_or_else(|e| panic!("{label} call {c}: {e:?}"));
-                    assert_eq!(got.0, want, "{label} call {c}");
-                    answered.fetch_add(1, Ordering::Release);
-                })
-            })
-            .collect();
-        let parks = || worker_sum(&server, |s| s.parks) as usize;
-        wait_until("every call to be read and the cap to fill", || {
-            role_sum(&server, ShardRole::Reader, |s| s.processed) == CALLS as u64 && parks() == CAP
-        });
-        // All eight are in, two workers are idle, and the other four stay
-        // where they are: long enough for a pop that should not happen.
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(parks(), CAP, "{label}: a call was polled past the cap");
-        assert_eq!(server.handler_residue(), CAP, "{label}");
-        assert_eq!(answered.load(Ordering::Acquire), 0, "{label}");
-        for woken in 1..=CALLS {
-            let handle = service
-                .handles
-                .lock()
-                .unwrap()
-                .pop()
-                .expect("a parked call");
-            handle.wake();
-            // One out, the next one in — and no further.
-            wait_until("a wake to answer one call and admit the next", || {
-                answered.load(Ordering::Acquire) == woken as u64
-                    && parks() == (CAP + woken).min(CALLS)
-                    && server.handler_residue() == CAP.min(CALLS - woken)
-            });
-        }
-        for c in callers {
-            c.join().unwrap();
-        }
-        assert_eq!(parks(), CALLS, "{label}: every call was polled once");
-        client.shutdown();
-        server.stop();
-    }
-}
-
 // ---------------------------------------------------------------------
 // Satellite: protocol-priority classes.
 // ---------------------------------------------------------------------
@@ -1187,7 +1118,7 @@ fn soak_100k_parked_calls_leave_zero_residue() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || loop {
                 let epoch = sched.wake_epoch();
-                if let Some(task) = sched.next_task(w) {
+                if let Some(task) = sched.next_task() {
                     sched.run(w, task, 0);
                     continue;
                 }

@@ -1430,7 +1430,6 @@ fn accept_storm_past_max_connections_is_rejected_retryably() {
     let _wd = watchdog("accept_storm", Duration::from_secs(120));
     let (fabric, mut cfg) = env_transport();
     cfg.max_connections = 8;
-    cfg.accept_backlog = 4;
     let server_node = fabric.add_node();
     let idle_node = fabric.add_node();
     let server = start_server(&fabric, server_node, &cfg);

@@ -11,12 +11,12 @@
 //! * a call whose first attempt timed out and was retried is never
 //!   acknowledged: a later duplicate of it replays, not re-executes;
 //! * the last call of a connection that goes quiet is never acknowledged
-//!   either: it stays replayable until a backstop (here the TTL) lets it
-//!   go.
+//!   either: it stays replayable until a backstop (here the capacity)
+//!   lets it go.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rpcoib::{Client, RetryPolicy, RpcConfig, RpcService, Server, ServiceRegistry};
 use simnet::{model, Fabric};
@@ -170,13 +170,14 @@ fn a_retried_call_is_never_acknowledged_and_its_duplicate_replays() {
 #[test]
 fn the_last_call_of_a_quiet_connection_stays_until_a_backstop_removes_it() {
     each_transport(|fabric, base| {
+        // Room for the quiet connection's last call and the busy one's.
         let cfg = RpcConfig {
-            retry_cache_ttl: Duration::from_secs(1),
+            retry_cache_capacity: 2,
             ..base
         };
         let (server, executed) = start(&fabric, &cfg, Duration::ZERO);
         let quiet = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
-        let busy = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+        let busy = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
         const LAST: i64 = 5_000;
         quiet.force_next_seq(LAST);
         assert_eq!(incr(&quiet, &server, "incr"), 1);
@@ -188,14 +189,29 @@ fn the_last_call_of_a_quiet_connection_stays_until_a_backstop_removes_it() {
         quiet.force_next_seq(LAST);
         assert_eq!(incr(&quiet, &server, "incr"), 1, "replayed");
         assert_eq!(executed.load(Ordering::Acquire), 21);
-        // Past the TTL the next arrival expires it: a duplicate now runs.
-        std::thread::sleep(Duration::from_millis(1_200));
-        incr(&busy, &server, "incr");
+        assert_eq!(server.metrics().counters().retry_cache_evictions, 0);
+        // A third connection's call fills the cache past its capacity:
+        // the oldest unacknowledged entry goes, and a duplicate now runs.
+        let other = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+        assert_eq!(incr(&other, &server, "incr"), 22);
+        // The response is sent before its entry completes, and the
+        // eviction is the completion's: wait for it to be booked.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.metrics().counters().retry_cache_evictions == 0 {
+            assert!(Instant::now() < deadline, "nothing was evicted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let counters = server.metrics().counters();
+        assert_eq!(
+            (counters.retry_cache_evictions, counters.retry_cache_expired),
+            (1, 0),
+            "{counters:?}"
+        );
         quiet.force_next_seq(LAST);
         assert_eq!(incr(&quiet, &server, "incr"), 23);
-        assert!(server.metrics().counters().retry_cache_expired >= 1);
         quiet.shutdown();
         busy.shutdown();
+        other.shutdown();
         server.stop();
     });
 }

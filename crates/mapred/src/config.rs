@@ -33,7 +33,7 @@ pub struct MrConfig {
     /// (Hadoop's speculative execution; the first finisher wins via the
     /// `canCommit` arbitration). Hadoop defaults this ON; here it
     /// defaults OFF because on a host with fewer cores than simulated
-    /// nodes a duplicate attempt steals real CPU from the original.
+    /// nodes a duplicate attempt takes real CPU from the original.
     pub speculative: bool,
     /// A running task becomes a speculation candidate once it has run
     /// longer than `speculative_slowdown` × the median runtime of its

@@ -144,7 +144,6 @@ fn elasticity() {
         .filter(|s| s.role == ShardRole::Worker)
         .collect();
     let processed: u64 = workers.iter().map(|s| s.processed).sum();
-    let steals: u64 = workers.iter().map(|s| s.steals).sum();
     let parks: u64 = workers.iter().map(|s| s.parks).sum();
     let wakes: u64 = workers.iter().map(|s| s.wakes).sum();
     assert_eq!(
@@ -163,7 +162,7 @@ fn elasticity() {
     assert!(wakes >= PARKED as u64, "and been woken (saw {wakes})");
     println!(
         "  {PARKED} slow calls completed on 2 handlers; fast pings {fast_per_call:.1?} per call \
-         mid-flight; worker counters: processed={processed} steals={steals} parks={parks} \
+         mid-flight; worker counters: processed={processed} parks={parks} \
          wakes={wakes}"
     );
     client.shutdown();
