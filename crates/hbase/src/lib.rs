@@ -11,7 +11,8 @@
 //!   served over `hbase.MasterProtocol`;
 //! * [`HRegionServer`] — per-region memstores with write-ahead-log
 //!   segments and memstore flushes persisted to mini-HDFS (this is what
-//!   makes Put workloads RPC-intensive, as §IV-E explains), serving
+//!   makes Put workloads RPC-intensive, as §IV-E explains), store files
+//!   cleaned to a bounded multiple of the live rows, serving
 //!   `hbase.RegionServerProtocol` on the operation plane;
 //! * [`HBaseClient`] — region-map caching client;
 //! * [`ycsb`] — a YCSB-style workload driver (load + run phases, get/put

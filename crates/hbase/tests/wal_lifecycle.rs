@@ -3,29 +3,15 @@
 //! is in a written store file, and HDFS frees its replicas; recovery
 //! takes each row's newest edit, from store files and the WAL alike.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
-use mini_hbase::types::region_of;
+use common::{a_bucket_of, keys_in, small};
 use mini_hbase::ycsb::key_of;
-use mini_hbase::{HBaseClient, HBaseConfig, HRegionServer, MiniHbase};
+use mini_hbase::{HBaseClient, HRegionServer, MiniHbase};
 use mini_hdfs::DfsClient;
 use simnet::model;
-
-fn small() -> HBaseConfig {
-    let mut cfg = HBaseConfig::socket();
-    cfg.memstore_flush_bytes = 16 * 1024;
-    cfg.wal_roll_bytes = 8 * 1024;
-    cfg.hdfs.block_size = 128 * 1024;
-    cfg.hdfs.heartbeat = Duration::from_millis(50);
-    cfg
-}
-
-/// Row keys that hash to `bucket`, in `key_of` order.
-fn keys_in(bucket: u32, n_regions: u32) -> impl Iterator<Item = Vec<u8>> {
-    (0..)
-        .map(key_of)
-        .filter(move |key| region_of(key, n_regions) == bucket)
-}
 
 fn wal_segments_of(dfs: &DfsClient, rs: &HRegionServer) -> usize {
     let prefix = format!("/hbase/wal/rs{}-", rs.id());
@@ -100,21 +86,44 @@ fn live_segments_and_stored_bytes_stay_bounded() {
     hbase.stop();
 }
 
-/// A bucket `rs` hosts, once its heartbeat has brought it the master's
-/// first assignment.
-fn a_bucket_of(rs: &HRegionServer) -> u32 {
-    let started = Instant::now();
-    loop {
-        if let Some(bucket) = rs.hosted_buckets().first() {
-            return *bucket;
+#[test]
+fn a_hot_set_that_never_fills_a_memstore_still_lets_its_segments_go() {
+    let cfg = small();
+    let hbase = MiniHbase::start(model::IPOIB_QDR, 3, cfg.clone()).unwrap();
+    let client = hbase.client().unwrap();
+    let dfs = hbase.dfs().client().unwrap();
+    // The WAL holds at most twice what the hosted memstores can: a roll
+    // flushes a region whose oldest unflushed edit is further back.
+    let span = (2 * cfg.regions_per_server * cfg.memstore_flush_bytes).div_ceil(cfg.wal_roll_bytes);
+    // Three rows: 3 KiB of memstore, under the 16 KiB flush threshold.
+    let value = vec![6u8; 1024];
+    for i in 0..600usize {
+        client.put(&key_of(i % 3), &value).unwrap();
+        if i % 10 == 9 {
+            for rs in hbase.regionservers() {
+                let live = wal_segments_of(&dfs, rs);
+                assert!(
+                    live <= span,
+                    "put {i}: rs{} has {live} live segments",
+                    rs.id()
+                );
+            }
         }
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "rs{} hosts nothing",
-            rs.id()
-        );
-        std::thread::sleep(Duration::from_millis(20));
     }
+    // Each such flush lets the next `span` rolls go by.
+    for rs in hbase.regionservers() {
+        let rolled = rs.wal_segments_rolled();
+        assert!(
+            rs.flushes() >= rolled / (span as u64 + 1),
+            "rs{}: {} flushes for {rolled} rolls",
+            rs.id(),
+            rs.flushes()
+        );
+    }
+    assert_eq!(client.get(&key_of(1)).unwrap(), Some(value));
+    dfs.shutdown();
+    client.shutdown();
+    hbase.stop();
 }
 
 /// `n` one-KiB puts to `keys`.
