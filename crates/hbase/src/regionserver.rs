@@ -14,19 +14,23 @@
 //!
 //! Every edit — a put, or a delete, which is a tombstone — takes its
 //! region's next sequence number and carries it in its WAL entry and its
-//! store-file entry. A flush's store file is named by the highest
-//! sequence number it holds (`hfile-{seq:020}-rs{id}`); a cleaned file
-//! (below) by the flush that set it off (`cleaned-{seq:020}-rs{id}`).
+//! store-file entry. A store file is named by the highest sequence number
+//! of the memstore it flushed (`hfile-{seq:020}-rs{id}`).
 //!
 //! A WAL segment lives until every edit in it is in a *durable* store
 //! file. Each region keeps its floor, the oldest segment holding one of
-//! its edits that is not: its memstore's, each in-flight flush's until
-//! its store file is written, and a failed flush's for as long as the
-//! region is hosted here (its rows are installed all the same, so only
-//! the WAL holds them). A bucket handed off keeps its floor until its
-//! hand-off store file is written. After each successful segment write or
-//! flush, every written segment below the lowest floor — and below the
-//! open segment — is deleted, and HDFS frees its replicas.
+//! its edits that is not: its memstore's, and each in-flight flush's
+//! until its store file is written. A flush whose write failed is
+//! installed all the same, and only the WAL holds its rows: when it
+//! installs, its floor becomes the region's *pin*, and the region counts
+//! one more failed flush. A later flush carries those rows into its own
+//! file (below); one whose write succeeded releases the pin when it
+//! installs if no failed flush installed since it began, because it then
+//! carried every row only the WAL held. A bucket handed off keeps its
+//! floor until its hand-off store file, which holds every edit of it no
+//! written store file holds, is written. After each successful segment
+//! write or flush, every written segment below the lowest floor — and
+//! below the open segment — is deleted, and HDFS frees its replicas.
 //!
 //! A region whose few rows never fill its memstore would hold its floor,
 //! and with it every later segment, for good. So the WAL holds at most
@@ -56,7 +60,10 @@
 //! newest edit in the WAL alone. The region's sequence numbers resume
 //! above the largest seen, and its file table (below) is rebuilt from the
 //! files listed: a file's live bytes are those of the rows whose newest
-//! edit it holds.
+//! edit it holds. A listing or read that fails — a file deleted between
+//! the listing and its read among them — fails the recovery, and the
+//! bucket is not served until the next heartbeat's try succeeds; its
+//! listing then holds whatever file now holds those rows.
 //!
 //! ## Store files
 //!
@@ -73,33 +80,35 @@
 //! only the WAL holds, a failed flush's, counts in no file). A file left
 //! with no live byte is deleted at once.
 //!
-//! When a region's files hold more than [`CLEAN_RATIO`] times their live
-//! bytes, the flush that finds it also *cleans*: the live rows of every
-//! file under half live are written, with their own sequence numbers and
-//! tombstones kept, from the block cache as one new file; no HDFS read.
-//! When that write returns, each row still at the sequence number it was
-//! written with is re-pointed at the new file, and the files left with no
-//! live byte, the victims, are deleted. A row a newer flush installed
-//! meanwhile keeps its newer file: the sequence-number check. A failed
-//! write deletes nothing, and the next flush tries again. Every file a
-//! cleaning leaves is at least half live, bar rows replaced while it was
-//! written, so it brings a region to about twice its live bytes; between
-//! cleanings a region holds at most `CLEAN_RATIO` times its live bytes,
-//! plus what installs while a cleaning is in flight. Cleaning runs on the
-//! thread of the put whose flush found it due, one per region at a time;
-//! it takes the region lock to pick its rows (key and sequence number
-//! only), then again for each few rows it serializes, so a put or get of
-//! the region waits behind at most those. A row replaced before it is
-//! serialized is left out. Flushes and cleanings serialize into one
-//! buffer the server keeps, so neither allocates its file.
+//! There is one write path. A flush's store file holds its memstore
+//! snapshot and the rows it *carries*: every row only the WAL holds and,
+//! when the region's files hold more than [`CLEAN_RATIO`] times their
+//! live bytes, the live rows of every file under half live — bar the rows
+//! its snapshot replaces. A flush carries rows only while no other flush
+//! of its region that carries rows is in flight, and picks them, key and
+//! sequence number only, under the region lock it begins under. The
+//! snapshot is serialized without the lock; the carried rows are
+//! serialized a few per hold of it, with their own sequence numbers and
+//! tombstones kept, from the block cache: no HDFS read. A row replaced
+//! since it was picked is left out. When the flush installs, each carried
+//! row still at the sequence number it was picked at is re-pointed at the
+//! new file, and the files left with no live byte are deleted. A row an
+//! older flush installed meanwhile keeps its newer file: the
+//! sequence-number check. A flush whose write failed re-points nothing,
+//! so no file it was to empty goes, and the next flush carries the rows
+//! again. Every file a carrying flush leaves is at least half live, bar
+//! rows replaced while it was written, so it brings a region to about
+//! twice its live bytes; between carrying flushes a region holds at most
+//! `CLEAN_RATIO` times its live bytes, plus a flush. Flushes serialize
+//! into one buffer the server keeps, so none allocates its file.
 //!
-//! Deleting a victim is safe because every entry in it is either some
-//! row's newest edit, which the written cleaned file now holds, or an
-//! older one, which recovery would pass over for the newer edit in a
-//! written file or the WAL. A cleaning that returns after its region was
-//! handed off deletes nothing; its file only repeats entries another file
-//! holds, and recovery tells them apart by sequence number like any
-//! others.
+//! Deleting a file a carrying flush emptied is safe because every entry
+//! in it is either some row's newest edit, which the written carrying
+//! file now holds, or an older one, which recovery would pass over for
+//! the newer edit in a written file or the WAL. A flush that returns
+//! after its region was handed off installs nothing and deletes nothing;
+//! its file only repeats entries another file holds, and recovery tells
+//! them apart by sequence number like any others.
 //!
 //! A tombstone stays while something older of its row may remain: a put
 //! it hides would come back in recovery without it. Each flushed row
@@ -113,11 +122,6 @@
 //! recovery found is born before this host (born 0) and keeps its
 //! tombstone: an earlier host's WAL — a dead server's is never deleted —
 //! or a file it wrote after the listing may hold an older put.
-//!
-//! A file deleted between recovery's
-//! listing and its read fails the recovery, which the next heartbeat
-//! tries again; its listing then holds whatever file now holds those
-//! rows.
 
 use std::borrow::Borrow;
 use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -160,7 +164,8 @@ impl Cell {
 }
 
 /// A region's files hold more than this many times their live bytes: the
-/// next flush cleans (module docs, "Store files").
+/// next flush carries the live rows of its files under half live (module
+/// docs, "Store files").
 pub const CLEAN_RATIO: u64 = 3;
 
 /// Unflushed edits by row: a memstore, or a snapshot being flushed.
@@ -233,18 +238,33 @@ fn keep_newest<T: Borrow<Cell>>(edits: &mut BTreeMap<Vec<u8>, T>, key: Vec<u8>, 
     }
 }
 
-/// A memstore snapshot whose store file is being written to HDFS
-/// (outside the region lock). It stays readable here until installed.
+/// What a flush writes as one store file (module docs, "Store files").
+#[derive(Clone, Default)]
+struct Snapshot {
+    /// The memstore it took.
+    cells: Cells,
+    /// The rows it carries from older files, or from none: each key with
+    /// the sequence number of the edit it was picked at.
+    carried: Vec<(Vec<u8>, u64)>,
+    /// Their stored bytes.
+    carried_bytes: u64,
+}
+
+/// A flush whose store file is being written to HDFS (outside the region
+/// lock). Its snapshot stays readable here until installed.
 struct Flush {
     /// The snapshot's highest sequence number, which names its store file.
     seq: u64,
     /// Shared with the thread writing the store file.
-    cells: Arc<Cells>,
+    snapshot: Arc<Snapshot>,
     /// The oldest WAL segment holding one of its edits, until the write
-    /// returns.
+    /// succeeds or the flush installs.
     floor: Option<u64>,
     /// A WAL segment no older than the newest holding one of its edits.
     logged: u64,
+    /// The region's count of failed flushes when it began, if it carried
+    /// every row only the WAL held: it may then release the pin.
+    failed_seen: Option<u64>,
     /// The HDFS write has returned; the snapshot may install once every
     /// older flush of the region has.
     written: bool,
@@ -265,8 +285,6 @@ struct Region {
     /// The store files by id, and the id the next one takes.
     files: BTreeMap<u32, StoreFile>,
     next_file: u32,
-    /// The flush whose cleaning is in flight.
-    cleaning: Option<u64>,
     /// The flushed tombstones a store file holds of rows born here, each
     /// with a WAL segment no older than the one it was logged in: the
     /// ones that may be dropped once nothing older of their row remains.
@@ -275,8 +293,10 @@ struct Region {
     next_seq: u64,
     /// The oldest WAL segment holding an edit of a flush whose store file
     /// was not written: installed all the same, those rows are durable in
-    /// the WAL alone.
+    /// the WAL alone until a later flush carries them.
     pinned: Option<u64>,
+    /// Flushes installed without a store file.
+    failed: u64,
 }
 
 impl Region {
@@ -289,17 +309,17 @@ impl Region {
             flushed: BTreeMap::new(),
             files: BTreeMap::new(),
             next_file: 0,
-            cleaning: None,
             tombstones: BTreeMap::new(),
             next_seq: 1,
             pinned: None,
+            failed: 0,
         }
     }
 
     /// The unflushed edits, newest first: the memstore, then the
     /// in-flight flush snapshots newest to oldest.
     fn unflushed(&self) -> impl Iterator<Item = &Cells> {
-        std::iter::once(&self.memstore).chain(self.flushing.iter().rev().map(|f| &*f.cells))
+        std::iter::once(&self.memstore).chain(self.flushing.iter().rev().map(|f| &f.snapshot.cells))
     }
 
     /// `key`'s current value: its newest edit, unflushed or flushed (a
@@ -336,47 +356,109 @@ impl Region {
     /// through `flushing` while the caller writes the store file. Its
     /// highest sequence number is the last one taken: the memstore holds
     /// the newest edit. `open` is the WAL's open segment, or any segment
-    /// no older than its newest edit.
-    fn begin_flush(&mut self, open: u64) -> (u64, Arc<Cells>) {
-        let cells = Arc::new(std::mem::take(&mut self.memstore));
+    /// no older than its newest edit. Unless a flush that carries rows is
+    /// in flight, it carries rows too.
+    fn begin_flush(&mut self, open: u64) -> (u64, Arc<Snapshot>) {
+        let free = self.flushing.iter().all(|f| f.snapshot.carried.is_empty());
+        let snapshot = Arc::new(self.snapshot(free));
         self.memstore_bytes = 0;
         let seq = self.next_seq - 1;
         self.flushing.push_back(Flush {
             seq,
-            cells: Arc::clone(&cells),
+            snapshot: Arc::clone(&snapshot),
             floor: self.memstore_floor.take(),
             logged: open,
+            failed_seen: free.then_some(self.failed),
             written: false,
             file: None,
         });
-        (seq, cells)
+        (seq, snapshot)
+    }
+
+    /// Take the memstore as a snapshot that, if it `carries`, carries
+    /// every row only the WAL holds and, if the files hold more than
+    /// `CLEAN_RATIO` times their live bytes, the live rows of every file
+    /// under half live; bar the rows the memstore replaces.
+    fn snapshot(&mut self, carries: bool) -> Snapshot {
+        let mut snapshot = Snapshot {
+            cells: std::mem::take(&mut self.memstore),
+            ..Snapshot::default()
+        };
+        if !carries {
+            return snapshot;
+        }
+        let (_, held, live) = self.store_bytes();
+        let victims: BTreeSet<u32> = self
+            .files
+            .iter()
+            .filter(|(_, file)| held > CLEAN_RATIO * live && 2 * file.live < file.bytes)
+            .map(|(id, _)| *id)
+            .collect();
+        for (key, row) in &self.flushed {
+            if row.file.is_none_or(|id| victims.contains(&id)) && !snapshot.cells.contains_key(key)
+            {
+                snapshot.carried.push((key.clone(), row.cell.seq));
+                snapshot.carried_bytes += row.cell.stored_bytes(key);
+            }
+        }
+        snapshot
     }
 
     /// Flush `seq`'s write has returned, with its store `file` or without
-    /// one: its floor is released, or pinned if the store file was not
-    /// written. Snapshots install strictly in flush order: one that
-    /// finishes early waits — still readable — behind an older flush in
-    /// flight, so an old value can never land on top of a newer one.
-    /// Returns the paths of the files installing left with no live byte.
+    /// one. A written flush's floor is released now; a failed one's stays
+    /// until it installs, and is then pinned. Snapshots install strictly
+    /// in flush order: one that finishes early waits — still readable —
+    /// behind an older flush in flight, so an old value can never land on
+    /// top of a newer one. Installing a written flush re-points the rows
+    /// it carried, and releases the pin if it carried every row only the
+    /// WAL held and no failed flush has installed since it began. Returns
+    /// the paths of the files installing left with no live byte.
     fn finish_flush(&mut self, seq: u64, file: Option<StoreFile>) -> Vec<String> {
         if let Some(flush) = self.flushing.iter_mut().find(|f| f.seq == seq) {
             flush.written = true;
-            let floor = flush.floor.take();
-            if file.is_none() {
-                self.pinned = self.pinned.into_iter().chain(floor).min();
+            if file.is_some() {
+                flush.floor = None;
             }
             flush.file = file;
         }
         while self.flushing.front().is_some_and(|f| f.written) {
             let flush = self.flushing.pop_front().expect("front checked");
+            if flush.file.is_none() {
+                self.failed += 1;
+                self.pinned = self.pinned.into_iter().chain(flush.floor).min();
+            } else if flush.failed_seen == Some(self.failed) {
+                self.pinned = None;
+            }
             let file = flush.file.map(|file| self.add_file(file));
-            let cells = Arc::try_unwrap(flush.cells).unwrap_or_else(|shared| (*shared).clone());
-            for (key, cell) in cells {
+            let snapshot =
+                Arc::try_unwrap(flush.snapshot).unwrap_or_else(|shared| (*shared).clone());
+            for (key, cell) in snapshot.cells {
                 let born = cell.seq;
                 self.install(key, Stored { cell, file, born }, flush.logged);
             }
+            if let Some(file) = file {
+                self.repoint(&snapshot.carried, file, flush.logged);
+            }
         }
         self.drop_dead_files()
+    }
+
+    /// Point each `carried` row still at the edit it was picked at to
+    /// `file`, written with every edit logged in WAL segment `logged` or
+    /// before. A row replaced or dropped since stays where it is.
+    fn repoint(&mut self, carried: &[(Vec<u8>, u64)], file: u32, logged: u64) {
+        for (key, seq) in carried {
+            let Some(row) = self.flushed.get_mut(key).filter(|row| row.cell.seq == *seq) else {
+                continue;
+            };
+            let bytes = row.cell.stored_bytes(key);
+            move_live(&mut self.files, row.file, Some(file), bytes);
+            if row.file.is_none() && row.cell.value.is_none() && row.born > 0 {
+                // A tombstone only the WAL held: a store file holds it now.
+                self.tombstones.insert(key.clone(), logged);
+            }
+            row.file = Some(file);
+        }
     }
 
     /// Enter `file` in the table, with no live byte yet.
@@ -462,88 +544,30 @@ impl Region {
         (self.files.len(), held, live)
     }
 
-    /// If the files hold more than `CLEAN_RATIO` times their live bytes
-    /// and no cleaning is in flight, start one for flush `seq`: the live
-    /// rows of every file under half live, each key with the sequence
-    /// number of the edit it is to be written at.
-    fn begin_cleaning(&mut self, seq: u64) -> Option<Vec<(Vec<u8>, u64)>> {
-        let (_, held, live) = self.store_bytes();
-        if self.cleaning.is_some() || held <= CLEAN_RATIO * live {
-            return None;
-        }
-        // Ascending, as the table iterates.
-        let victims: Vec<u32> = self
-            .files
-            .iter()
-            .filter(|(_, file)| 2 * file.live < file.bytes)
-            .map(|(id, _)| *id)
-            .collect();
-        let rows = self
-            .flushed
-            .iter()
-            .filter(|(_, row)| {
-                row.file
-                    .is_some_and(|id| victims.binary_search(&id).is_ok())
-            })
-            .map(|(key, row)| (key.clone(), row.cell.seq))
-            .collect();
-        self.cleaning = Some(seq);
-        Some(rows)
+    /// Append to `buf` each of the carried `rows` still at the edit it was
+    /// picked at; returns the range of their sequence numbers. A row
+    /// replaced or dropped since is left out.
+    fn write_rows(&self, rows: &[(Vec<u8>, u64)], buf: &mut Vec<u8>) -> (u64, u64) {
+        seq_range(rows.iter().filter_map(|(key, seq)| {
+            let row = self.flushed.get(key).filter(|row| row.cell.seq == *seq)?;
+            append_entry(buf, *seq, key, row.cell.value.as_deref());
+            Some(*seq)
+        }))
     }
 
-    /// Append to `buf` each of a cleaning's `rows` still at the edit it
-    /// was taken at. A row replaced or dropped since is not written, and
-    /// its sequence number becomes 0, which no edit takes.
-    fn write_rows(&self, rows: &mut [(Vec<u8>, u64)], buf: &mut Vec<u8>) {
-        for (key, seq) in rows {
-            match self.flushed.get(key) {
-                Some(row) if row.cell.seq == *seq => {
-                    append_entry(buf, *seq, key, row.cell.value.as_deref());
-                }
-                _ => *seq = 0,
-            }
-        }
-    }
-
-    /// Flush `seq`'s cleaning has returned, with its `file` or without
-    /// one. Each row still at the sequence number it was written with
-    /// moves to the new file; a row a newer flush installed meanwhile
-    /// stays where it is. Returns the paths of the files this left with no
-    /// live byte; a failed write leaves every file as it was.
-    fn finish_cleaning(
-        &mut self,
-        seq: u64,
-        rows: &[(Vec<u8>, u64)],
-        file: Option<StoreFile>,
-    ) -> Vec<String> {
-        if self.cleaning != Some(seq) {
-            // Handed off, and maybe hosted again, since it began.
-            return Vec::new();
-        }
-        self.cleaning = None;
-        let Some(file) = file else {
-            return Vec::new();
-        };
-        let id = self.add_file(file);
-        for (key, written) in rows {
-            if let Some(row) = self.flushed.get_mut(key) {
-                if row.cell.seq == *written {
-                    let bytes = row.cell.stored_bytes(key);
-                    move_live(&mut self.files, row.file, Some(id), bytes);
-                    row.file = Some(id);
-                }
-            }
-        }
-        self.drop_dead_files()
-    }
-
-    /// Every unflushed edit, the newest of each row: what a hand-off
+    /// Every edit no written store file holds, the newest of each row:
+    /// the unflushed ones and the rows only the WAL holds. What a hand-off
     /// writes as one store file.
     fn into_unflushed(self) -> Cells {
         let mut cells = self.memstore;
         for flush in self.flushing {
-            for (key, cell) in flush.cells.iter() {
+            for (key, cell) in flush.snapshot.cells.iter() {
                 keep_newest(&mut cells, key.clone(), cell.clone());
+            }
+        }
+        for (key, row) in self.flushed {
+            if row.file.is_none() {
+                keep_newest(&mut cells, key, row.cell);
             }
         }
         cells
@@ -617,15 +641,30 @@ fn read_field(input: &mut &[u8]) -> io::Result<Vec<u8>> {
     Ok(field.to_vec())
 }
 
-/// Serialize edits as a store file into `buf`, reserved at the file's
-/// size first: growing one by doubling from empty asks the allocator for
-/// four times the file.
-fn store_file<'a>(edits: impl Iterator<Item = (&'a Vec<u8>, &'a Cell)> + Clone, buf: &mut Vec<u8>) {
-    let size = edits.clone().map(|(k, c)| c.stored_bytes(k) as usize).sum();
-    buf.reserve(size);
-    for (k, c) in edits {
+/// Serialize `snapshot` as a store file into `buf`, reserved at the
+/// file's size first (growing one by doubling from empty asks the
+/// allocator for four times the file): its cells, then its carried rows
+/// [`CLEAN_ROWS_PER_LOCK`] at a time through `carry`, which appends those
+/// still at the edit they were picked at and returns the range of their
+/// sequence numbers. Returns the file's range, and the bytes of carried
+/// rows it holds.
+fn serialize(
+    snapshot: &Snapshot,
+    buf: &mut Vec<u8>,
+    mut carry: impl FnMut(&[(Vec<u8>, u64)], &mut Vec<u8>) -> (u64, u64),
+) -> ((u64, u64), usize) {
+    let cells = &snapshot.cells;
+    let size: usize = cells.iter().map(|(k, c)| c.stored_bytes(k) as usize).sum();
+    buf.reserve(size + snapshot.carried_bytes as usize);
+    for (k, c) in cells {
         append_entry(buf, c.seq, k, c.value.as_deref());
     }
+    let mut seqs = seq_range(cells.values().map(|c| c.seq));
+    for rows in snapshot.carried.chunks(CLEAN_ROWS_PER_LOCK) {
+        let (lo, hi) = carry(rows, buf);
+        seqs = (seqs.0.min(lo), seqs.1.max(hi));
+    }
+    (seqs, buf.len() - size)
 }
 
 /// Keep `buf`, emptied, as `spare` if it is the larger of the two.
@@ -689,7 +728,7 @@ impl Wal {
 /// flushes that region (module docs, "The WAL's lifecycle").
 const WAL_MEMSTORES: usize = 2;
 
-/// Rows a cleaning serializes per hold of the region lock.
+/// Carried rows a flush serializes per hold of the region lock.
 const CLEAN_ROWS_PER_LOCK: usize = 64;
 
 struct RsState {
@@ -704,14 +743,14 @@ struct RsState {
     dfs: DfsClient,
     wal: Mutex<Wal>,
     /// The buffer the last store file written was serialized in, kept to
-    /// serialize the next: flushes and cleanings allocate none once it
-    /// has grown to the largest.
+    /// serialize the next: flushes allocate none once it has grown to the
+    /// largest.
     file_buf: Mutex<Vec<u8>>,
     puts: AtomicU64,
     gets: AtomicU64,
     /// Memstore flushes whose store file was written.
     flushes: AtomicU64,
-    /// Bytes written by cleanings.
+    /// Bytes of carried rows in the store files written.
     cleaned_bytes: AtomicU64,
     stop: AtomicBool,
 }
@@ -726,27 +765,26 @@ impl RsState {
         format!("/hbase/region{bucket}/hfile-{seq:020}-rs{}", self.rs_id)
     }
 
-    /// The file the cleaning that flush `seq` of `bucket` set off writes.
-    fn cleaned_path(&self, bucket: u32, seq: u64) -> String {
-        format!("/hbase/region{bucket}/cleaned-{seq:020}-rs{}", self.rs_id)
-    }
-
-    /// Write a store file at `path`, serialized by `serialize` into the
-    /// server's spare buffer; `serialize` returns the file's lowest and
-    /// highest sequence numbers, or `None` to write nothing.
+    /// Write `snapshot` as the store file at `path`, serialized into the
+    /// server's spare buffer, its carried rows read from `bucket`'s region
+    /// a few per hold of the region lock (none once the region is gone).
     fn write_store_file(
         &self,
         path: String,
-        serialize: impl FnOnce(&mut Vec<u8>) -> Option<(u64, u64)>,
-    ) -> RpcResult<Option<StoreFile>> {
+        bucket: u32,
+        snapshot: &Snapshot,
+    ) -> RpcResult<StoreFile> {
         let mut buf = std::mem::take(&mut *self.file_buf.lock());
-        let written = match serialize(&mut buf) {
-            Some(seqs) => self
-                .dfs
-                .write_file(&path, &buf)
-                .map(|()| Some(StoreFile::new(path, buf.len(), seqs))),
-            None => Ok(None),
-        };
+        let (seqs, carried) = serialize(snapshot, &mut buf, |rows, buf| {
+            let regions = self.regions.lock();
+            let region = regions.get(&bucket);
+            region.map_or(seq_range(std::iter::empty()), |r| r.write_rows(rows, buf))
+        });
+        let written = self.dfs.write_file(&path, &buf).map(|()| {
+            self.cleaned_bytes
+                .fetch_add(carried as u64, Ordering::Relaxed);
+            StoreFile::new(path, buf.len(), seqs)
+        });
         keep_larger(&mut self.file_buf.lock(), buf);
         written
     }
@@ -791,8 +829,8 @@ impl RsState {
         };
         // Each runs whatever the others return: a begun flush must finish.
         let mut done = roll.map_or(Ok(()), |segment| self.write_segment(segment));
-        for (bucket, (seq, cells)) in flushes {
-            done = done.and(self.flush(bucket, seq, cells));
+        for (bucket, (seq, snapshot)) in flushes {
+            done = done.and(self.flush(bucket, seq, snapshot));
         }
         done.map_err(|e| e.to_string())?;
         Ok(true)
@@ -810,60 +848,29 @@ impl RsState {
         written.map(|()| self.retire_segments())
     }
 
-    /// Write a memstore snapshot as a store file under the *region's*
-    /// directory, so any future host of the bucket can recover it; then
-    /// install it, delete the files it leaves with no live byte, clean if
-    /// the region's files are due, and retire the segments it lets go.
-    fn flush(&self, bucket: u32, seq: u64, cells: Arc<Cells>) -> RpcResult<()> {
-        let written = self.write_store_file(self.store_path(bucket, seq), |buf| {
-            store_file(cells.iter(), buf);
-            Some(seq_range(cells.values().map(|cell| cell.seq)))
-        });
-        drop(cells);
+    /// Write a flush's store file under the *region's* directory, so any
+    /// future host of the bucket can recover it; then install it, delete
+    /// the files it leaves with no live byte, and retire the segments it
+    /// lets go.
+    fn flush(&self, bucket: u32, seq: u64, snapshot: Arc<Snapshot>) -> RpcResult<()> {
+        let written = self.write_store_file(self.store_path(bucket, seq), bucket, &snapshot);
+        drop(snapshot);
         let (written, file) = match written {
-            Ok(file) => (Ok(()), file),
+            Ok(file) => {
+                self.flushes.fetch_add(1, Ordering::Relaxed);
+                (Ok(()), Some(file))
+            }
             Err(e) => (Err(e), None),
         };
-        if file.is_some() {
-            self.flushes.fetch_add(1, Ordering::Relaxed);
-        }
         // Installed even when the write failed: the WAL keeps the rows
         // (the region pins their floor), and an uninstalled snapshot would
         // block every later flush of the region.
-        let (dead, cleaning) = match self.regions.lock().get_mut(&bucket) {
-            Some(region) => (region.finish_flush(seq, file), region.begin_cleaning(seq)),
-            None => (Vec::new(), None),
-        };
-        self.delete_files(dead);
-        if let Some(rows) = cleaning {
-            self.clean(bucket, seq, rows);
-        }
-        written.map(|()| self.retire_segments())
-    }
-
-    /// Write the rows a cleaning took as one file, serialized a few rows
-    /// per hold of the region lock; then re-point them and delete the
-    /// files left with no live byte: the victims go only once the file
-    /// holding their rows is written. A region handed off meanwhile gets
-    /// no file.
-    fn clean(&self, bucket: u32, seq: u64, mut rows: Vec<(Vec<u8>, u64)>) {
-        let written = self.write_store_file(self.cleaned_path(bucket, seq), |buf| {
-            for chunk in rows.chunks_mut(CLEAN_ROWS_PER_LOCK) {
-                self.regions.lock().get(&bucket)?.write_rows(chunk, buf);
-            }
-            Some(seq_range(
-                rows.iter().map(|(_, seq)| *seq).filter(|seq| *seq > 0),
-            ))
-        });
-        let file = written.ok().flatten();
-        if let Some(file) = &file {
-            self.cleaned_bytes.fetch_add(file.bytes, Ordering::Relaxed);
-        }
         let dead = match self.regions.lock().get_mut(&bucket) {
-            Some(region) => region.finish_cleaning(seq, &rows, file),
+            Some(region) => region.finish_flush(seq, file),
             None => Vec::new(),
         };
         self.delete_files(dead);
+        written.map(|()| self.retire_segments())
     }
 
     /// Delete store files no row's newest edit is in. One that fails
@@ -974,7 +981,7 @@ impl RsState {
     fn recover_bucket(&self, bucket: u32) -> RpcResult<Region> {
         // 1. The WAL, every writer's, before the store files are listed.
         let mut logged = Vec::new();
-        for file in self.dfs.list("/hbase/wal").unwrap_or_default() {
+        for file in self.dfs.list("/hbase/wal")? {
             if let Some(data) = self.read_segment(&file.path)? {
                 let entries = parse_entries(&data).into_iter();
                 logged.extend(entries.filter(|(key, _)| region_of(key, self.n_regions) == bucket));
@@ -987,7 +994,7 @@ impl RsState {
         let mut region = Region::new();
         let mut rows = Rows::new();
         let dir = format!("/hbase/region{bucket}");
-        for status in self.dfs.list(&dir).unwrap_or_default() {
+        for status in self.dfs.list(&dir)? {
             let data = self.dfs.read_file(&status.path)?;
             let entries = parse_entries(&data);
             let seqs = seq_range(entries.iter().map(|(_, cell)| cell.seq));
@@ -1035,9 +1042,10 @@ impl RsState {
         }
         // Hand off buckets moved away (the master's map is
         // authoritative). A *graceful* shed first rolls the WAL buffer
-        // and writes the bucket's unflushed edits as a store file, so
-        // nothing is lost when another server recovers the bucket; its
-        // floor holds its segments until that file is written.
+        // and writes every edit of the bucket no written store file holds
+        // as a store file, so nothing is lost when another server recovers
+        // the bucket; its floor holds its segments until that file is
+        // written.
         let shed: Vec<(u32, Region)> = {
             let mut regions = self.regions.lock();
             let mut handed_off = self.handed_off.lock();
@@ -1068,18 +1076,15 @@ impl RsState {
             let _ = self.write_segment(segment);
         }
         for (bucket, region) in shed {
-            let (floor, pinned, seq) = (region.floor(), region.pinned, region.next_seq - 1);
-            let cells = region.into_unflushed();
+            let (floor, seq) = (region.floor(), region.next_seq - 1);
+            let snapshot = Snapshot {
+                cells: region.into_unflushed(),
+                ..Snapshot::default()
+            };
             let path = self.store_path(bucket, seq);
-            let written = cells.is_empty()
-                || self
-                    .write_store_file(path, |buf| {
-                        store_file(cells.iter(), buf);
-                        Some(seq_range(cells.values().map(|cell| cell.seq)))
-                    })
-                    .is_ok();
-            // What a failed flush pinned is in no store file: it stays.
-            if let Some(floor) = floor.filter(|_| written && pinned.is_none()) {
+            let written =
+                snapshot.cells.is_empty() || self.write_store_file(path, bucket, &snapshot).is_ok();
+            if let Some(floor) = floor.filter(|_| written) {
                 let mut handed_off = self.handed_off.lock();
                 if let Some(at) = handed_off.iter().position(|f| *f == floor) {
                     handed_off.swap_remove(at);
@@ -1275,8 +1280,8 @@ impl HRegionServer {
         self.state.flushes.load(Ordering::Relaxed)
     }
 
-    /// Bytes written by cleanings: the store files' write amplification
-    /// beyond the flushes.
+    /// Bytes of carried rows in the store files written: the store files'
+    /// write amplification beyond the memstores flushed.
     pub fn cleaned_bytes(&self) -> u64 {
         self.state.cleaned_bytes.load(Ordering::Relaxed)
     }
@@ -1327,30 +1332,39 @@ mod tests {
         region.apply(key.to_vec(), None, 0);
     }
 
-    /// The store file a flush's write returns, as `RsState::flush` builds
-    /// it.
-    fn written(path: &str, cells: &Cells) -> Option<StoreFile> {
+    /// A flush's store file serialized as `RsState::write_store_file`
+    /// does, its carried rows read from `region`: the file's bytes, and
+    /// the file its write returns.
+    fn serialized(
+        region: &Region,
+        path: &str,
+        snapshot: &Snapshot,
+    ) -> (Vec<u8>, Option<StoreFile>) {
         let mut buf = Vec::new();
-        store_file(cells.iter(), &mut buf);
-        let seqs = seq_range(cells.values().map(|cell| cell.seq));
-        Some(StoreFile::new(path.to_string(), buf.len(), seqs))
+        let (seqs, _) = serialize(snapshot, &mut buf, |rows, buf| region.write_rows(rows, buf));
+        let file = StoreFile::new(path.to_string(), buf.len(), seqs);
+        (buf, Some(file))
     }
 
-    /// A cleaning's rows serialized as `RsState::clean` does: the file's
-    /// bytes, and the file its write returns.
-    fn cleaned(region: &Region, rows: &mut [(Vec<u8>, u64)]) -> (Vec<u8>, Option<StoreFile>) {
-        let mut buf = Vec::new();
-        region.write_rows(rows, &mut buf);
-        let seqs = seq_range(rows.iter().map(|(_, seq)| *seq).filter(|seq| *seq > 0));
-        let file = StoreFile::new("cleaned".to_string(), buf.len(), seqs);
-        (buf, Some(file))
+    fn written(region: &Region, path: &str, snapshot: &Snapshot) -> Option<StoreFile> {
+        serialized(region, path, snapshot).1
     }
 
     /// Flush the memstore, its edits logged in WAL segment `open` or
     /// before, and install it as the file at `path`.
     fn flush_at(region: &mut Region, path: &str, open: u64) -> Vec<String> {
-        let (seq, cells) = region.begin_flush(open);
-        region.finish_flush(seq, written(path, &cells))
+        let (seq, snapshot) = region.begin_flush(open);
+        let file = written(region, path, &snapshot);
+        region.finish_flush(seq, file)
+    }
+
+    /// The keys a flush carries.
+    fn carried(snapshot: &Snapshot) -> Vec<&[u8]> {
+        snapshot
+            .carried
+            .iter()
+            .map(|(key, _)| key.as_slice())
+            .collect()
     }
 
     fn flush(region: &mut Region, path: &str) -> Vec<String> {
@@ -1417,10 +1431,10 @@ mod tests {
             None,
             "the tombstone shadows the flushed row"
         );
-        let (second, cells) = region.begin_flush(0);
+        let (second, snapshot) = region.begin_flush(0);
         assert_eq!(region.get(b"a"), None, "and does so mid-flush");
         assert_eq!(
-            cells[&b"a".to_vec()],
+            snapshot.cells[&b"a".to_vec()],
             Cell {
                 seq: 2,
                 value: None
@@ -1429,7 +1443,8 @@ mod tests {
         // The put's file holds nothing live once the tombstone installs:
         // it is deleted. The tombstone stays, live in its own file, while
         // the WAL may still hold the put.
-        let dead = region.finish_flush(second, written("second", &cells));
+        let file = written(&region, "second", &snapshot);
+        let dead = region.finish_flush(second, file);
         assert_eq!(dead, ["first"]);
         assert_eq!(region.get(b"a"), None);
         assert_eq!(region.flushed[&b"a".to_vec()].cell.value, None);
@@ -1471,6 +1486,29 @@ mod tests {
         put(&mut region, b"a", b"a3");
         flush_at(&mut region, "f4", 4);
         assert_eq!(region.flushed[&b"a".to_vec()].born, 5);
+    }
+
+    #[test]
+    fn a_tombstone_a_failed_flush_left_in_the_wal_is_dropped_once_carried() {
+        let mut region = Region::new();
+        put(&mut region, b"a", b"a1");
+        flush_at(&mut region, "f1", 1);
+        delete(&mut region, b"a");
+        // The put's file goes: the pinned WAL holds the newer edit.
+        let (failed, _) = region.begin_flush(2);
+        assert_eq!(region.finish_flush(failed, None), ["f1"]);
+        assert!(region.tombstones.is_empty(), "no store file holds it");
+        // The next flush carries it; once segment 3 is deleted, nothing
+        // older of `a` remains.
+        put(&mut region, b"b", b"b1");
+        flush_at(&mut region, "f3", 3);
+        assert_eq!(region.floor(), None);
+        assert_eq!(region.drop_tombstones(3), Vec::<String>::new());
+        assert!(region.flushed.contains_key(b"a".as_slice()));
+        assert_eq!(region.drop_tombstones(4), Vec::<String>::new());
+        assert!(!region.flushed.contains_key(b"a".as_slice()));
+        assert_eq!(region.get(b"b"), Some(&b"b1".to_vec()));
+        assert_table_matches_rows(&region);
     }
 
     #[test]
@@ -1536,27 +1574,59 @@ mod tests {
         edit(&mut region, b"a", 3);
         edit(&mut region, b"b", 4);
         assert_eq!(region.floor(), Some(3), "the memstore's oldest edit");
-        let (first, _) = region.begin_flush(4);
+        let (first, one) = region.begin_flush(4);
         edit(&mut region, b"c", 5);
-        let (second, _) = region.begin_flush(5);
+        let (second, two) = region.begin_flush(5);
         edit(&mut region, b"d", 6);
         assert_eq!(region.floor(), Some(3), "a flush in flight holds its own");
         // Written out of order: the older flush still holds segment 3.
-        let file = || Some(StoreFile::new(String::new(), 100, (1, 4)));
-        region.finish_flush(second, file());
+        let file = written(&region, "second", &two);
+        region.finish_flush(second, file);
         assert_eq!(region.floor(), Some(3));
-        region.finish_flush(first, file());
+        let file = written(&region, "first", &one);
+        region.finish_flush(first, file);
         assert_eq!(region.floor(), Some(6), "the memstore's");
-        // A flush whose store file was not written pins its floor for
-        // good: its rows are installed, and only the WAL holds them.
+        // A flush whose store file was not written pins its floor: its
+        // rows are installed, and only the WAL holds them.
         let (third, _) = region.begin_flush(6);
         region.finish_flush(third, None);
         assert_eq!(region.get(b"d"), Some(&b"v".to_vec()));
         assert_eq!(region.flushed[&b"d".to_vec()].file, None);
         edit(&mut region, b"e", 9);
-        let (fourth, _) = region.begin_flush(9);
-        region.finish_flush(fourth, file());
         assert_eq!(region.floor(), Some(6));
+        // Until the next flush, which carries them, is written.
+        let (fourth, snapshot) = region.begin_flush(9);
+        assert_eq!(carried(&snapshot), [b"d"]);
+        assert_eq!(region.floor(), Some(6));
+        let file = written(&region, "fourth", &snapshot);
+        region.finish_flush(fourth, file);
+        assert_eq!(region.floor(), None);
+        assert!(region.flushed[&b"d".to_vec()].file.is_some());
+    }
+
+    #[test]
+    fn a_flush_begun_before_a_failed_flush_installed_keeps_the_pin() {
+        let mut region = Region::new();
+        let edit = |region: &mut Region, key: &[u8], segment: u64| {
+            region.apply(key.to_vec(), Some(b"v".to_vec()), segment);
+        };
+        edit(&mut region, b"a", 1);
+        let (first, _) = region.begin_flush(1);
+        edit(&mut region, b"b", 2);
+        let (second, snapshot) = region.begin_flush(2);
+        // The first fails once the second has begun: the second did not
+        // carry `a`, so its written file releases nothing.
+        region.finish_flush(first, None);
+        let file = written(&region, "second", &snapshot);
+        region.finish_flush(second, file);
+        assert_eq!(region.floor(), Some(1), "a is in no store file");
+        assert_eq!(region.flushed[&b"a".to_vec()].file, None);
+        // The next flush carries `a`.
+        edit(&mut region, b"c", 3);
+        flush_at(&mut region, "third", 3);
+        assert_eq!(region.floor(), None);
+        assert!(region.flushed[&b"a".to_vec()].file.is_some());
+        assert_table_matches_rows(&region);
     }
 
     #[test]
@@ -1592,77 +1662,116 @@ mod tests {
     }
 
     #[test]
-    fn a_cleaning_moves_the_live_rows_of_files_under_half_live_and_frees_them() {
+    fn a_flush_carries_the_live_rows_of_files_under_half_live_and_frees_them() {
         let mut region = a_region_due_for_cleaning();
-        let mut rows = region.begin_cleaning(8).expect("a cleaning is due");
-        let keys: Vec<&[u8]> = rows.iter().map(|(k, _)| k.as_slice()).collect();
-        assert_eq!(keys, [b"x", b"y", b"z"], "the live rows of f1 to f3");
-        assert!(region.begin_cleaning(8).is_none(), "one at a time");
-        let (data, file) = cleaned(&region, &mut rows);
-        assert_eq!(parse_entries(&data).len(), 3);
-        let dead = region.finish_cleaning(8, &rows, file);
-        assert_eq!(dead, ["f1", "f2", "f3"]);
+        put(&mut region, b"n", b"new");
+        let (seq, snapshot) = region.begin_flush(0);
+        assert_eq!(
+            carried(&snapshot),
+            [b"x", b"y", b"z"],
+            "the live rows of f1 to f3"
+        );
+        // A second flush begun while a carrying flush is in flight
+        // carries nothing.
+        put(&mut region, b"m", b"new");
+        let (next, beside) = region.begin_flush(0);
+        assert!(beside.carried.is_empty());
+
+        let (data, file) = serialized(&region, "f5", &snapshot);
+        assert_eq!(parse_entries(&data).len(), 4, "n, and the three carried");
+        assert_eq!(region.finish_flush(seq, file), ["f1", "f2", "f3"]);
+        let file = written(&region, "f6", &beside);
+        assert_eq!(region.finish_flush(next, file), Vec::<String>::new());
         let (files, held, live) = region.store_bytes();
-        assert_eq!(files, 2, "f4 and the cleaned file");
+        assert_eq!(files, 3, "f4, f5 and f6");
         assert!(held <= 2 * live, "{held} held, {live} live");
         assert_eq!(region.get(b"x"), Some(&b"cold".to_vec()));
         assert_table_matches_rows(&region);
     }
 
     #[test]
-    fn a_cleaning_whose_write_failed_deletes_nothing_and_is_tried_again() {
+    fn a_carrying_flush_whose_write_failed_deletes_nothing_and_the_next_carries_again() {
         let mut region = a_region_due_for_cleaning();
-        let rows = region.begin_cleaning(8).expect("a cleaning is due");
-        assert_eq!(region.finish_cleaning(8, &rows, None), Vec::<String>::new());
+        put(&mut region, b"n", b"new");
+        let (seq, snapshot) = region.begin_flush(0);
+        assert_eq!(region.finish_flush(seq, None), Vec::<String>::new());
         assert_eq!(region.store_bytes().0, 4);
         assert_table_matches_rows(&region);
-        assert_eq!(region.begin_cleaning(9), Some(rows), "tried again");
+        put(&mut region, b"m", b"new");
+        let (_, again) = region.begin_flush(0);
+        // Tried again, with the failed flush's row, which only the WAL holds.
+        assert_eq!(carried(&snapshot), [b"x", b"y", b"z"]);
+        assert_eq!(carried(&again), [b"n".as_slice(), b"x", b"y", b"z"]);
+    }
+
+    /// A flush begun: its sequence number and its snapshot.
+    type Begun = (u64, Arc<Snapshot>);
+
+    /// A region due for cleaning whose carrying flush failed, a flush that
+    /// replaces `x` in flight, and a flush begun after them that carries
+    /// `x` at its older edit: (the flush holding `x`'s newer edit, the
+    /// carrying flush).
+    fn a_carried_row_an_older_flush_replaces() -> (Region, Begun, Begun) {
+        let mut region = a_region_due_for_cleaning();
+        put(&mut region, b"n", b"new");
+        let (failed, _) = region.begin_flush(0);
+        put(&mut region, b"x", b"newer");
+        let older = region.begin_flush(0);
+        assert!(older.1.carried.is_empty(), "a carrying flush is in flight");
+        region.finish_flush(failed, None);
+        put(&mut region, b"m", b"new");
+        let carrying = region.begin_flush(0);
+        assert_eq!(carried(&carrying.1), [b"n".as_slice(), b"x", b"y", b"z"]);
+        (region, older, carrying)
     }
 
     #[test]
-    fn a_row_overwritten_while_its_cleaning_is_written_keeps_its_newer_file() {
-        let mut region = a_region_due_for_cleaning();
-        let mut rows = region.begin_cleaning(8).expect("a cleaning is due");
-        let (_, file) = cleaned(&region, &mut rows);
-        // `x` is overwritten and flushed while the cleaned file, which
-        // holds its old edit, is being written. Its old file has nothing
-        // live left.
-        put(&mut region, b"x", b"newer");
-        assert_eq!(flush(&mut region, "f5"), ["f1"]);
+    fn a_row_an_older_flush_replaces_while_it_is_carried_keeps_its_newer_file() {
+        let (mut region, (older, snapshot), (seq, carrying)) =
+            a_carried_row_an_older_flush_replaces();
+        // The carrying file is written with `x`'s old edit; then the older
+        // flush, which holds the newer one, installs.
+        let (_, file) = serialized(&region, "f7", &carrying);
+        let newer = written(&region, "f6", &snapshot);
+        assert_eq!(region.finish_flush(older, newer), ["f1"]);
         let newer = region.flushed[&b"x".to_vec()].file;
 
-        // The cleaning returns: `x` is not re-pointed at the cleaned file,
-        // whose copy is older, so neither f5 nor the value goes.
-        let dead = region.finish_cleaning(8, &rows, file);
-        assert_eq!(dead, ["f2", "f3"], "f5 holds x's newest edit");
+        // `x` is not re-pointed at the carrying file, whose copy is older,
+        // so neither f6 nor the value goes.
+        let dead = region.finish_flush(seq, file);
+        assert_eq!(dead, ["f2", "f3"], "f6 holds x's newest edit");
         assert_eq!(region.flushed[&b"x".to_vec()].file, newer);
         assert_eq!(region.get(b"x"), Some(&b"newer".to_vec()));
+        assert_eq!(region.floor(), None, "n is in f7");
         assert_table_matches_rows(&region);
     }
 
     #[test]
     fn a_row_replaced_before_its_rows_are_serialized_is_left_out() {
-        let mut region = a_region_due_for_cleaning();
-        let mut rows = region.begin_cleaning(8).expect("a cleaning is due");
-        put(&mut region, b"y", b"newer");
-        flush(&mut region, "f5");
-        let (data, file) = cleaned(&region, &mut rows);
+        let (mut region, (older, snapshot), (seq, carrying)) =
+            a_carried_row_an_older_flush_replaces();
+        let newer = written(&region, "f6", &snapshot);
+        region.finish_flush(older, newer);
+        let (data, file) = serialized(&region, "f7", &carrying);
         let written: Vec<Vec<u8>> = parse_entries(&data).into_iter().map(|(k, _)| k).collect();
-        assert_eq!(written, [b"x".to_vec(), b"z".to_vec()]);
-        region.finish_cleaning(8, &rows, file);
-        assert_eq!(region.get(b"y"), Some(&b"newer".to_vec()));
+        let keys: [&[u8]; 4] = [b"m", b"n", b"y", b"z"];
+        assert_eq!(written, keys);
+        region.finish_flush(seq, file);
+        assert_eq!(region.get(b"x"), Some(&b"newer".to_vec()));
         assert_table_matches_rows(&region);
     }
 
     #[test]
-    fn a_cleaning_that_returns_after_its_region_moved_deletes_nothing() {
+    fn a_flush_that_returns_after_its_region_moved_deletes_nothing() {
         let mut region = a_region_due_for_cleaning();
-        let mut rows = region.begin_cleaning(8).expect("a cleaning is due");
-        let (_, file) = cleaned(&region, &mut rows);
+        put(&mut region, b"n", b"new");
+        let (seq, snapshot) = region.begin_flush(0);
+        let file = written(&region, "f5", &snapshot);
         // The bucket was handed off and hosted here again: a new region.
         let mut again = a_region_due_for_cleaning();
-        assert_eq!(again.finish_cleaning(8, &rows, file), Vec::<String>::new());
+        assert_eq!(again.finish_flush(seq, file), Vec::<String>::new());
         assert_eq!(again.store_bytes().0, 4);
+        assert!(again.flushing.is_empty() && !again.flushed.contains_key(b"n".as_slice()));
     }
 
     #[test]

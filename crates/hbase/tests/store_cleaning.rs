@@ -1,9 +1,9 @@
 //! A region's store files are cleaned down to a bounded multiple of its
 //! live rows: a file no row's newest edit is in is deleted, and when the
-//! files hold more than `CLEAN_RATIO` times their live bytes the live
-//! rows of the files under half live are rewritten as one file and those
-//! files deleted. Nothing a client was acknowledged is lost on the way,
-//! and a deleted row stays deleted.
+//! files hold more than `CLEAN_RATIO` times their live bytes the next
+//! flush carries the live rows of the files under half live into its own
+//! file, and those files are deleted. Nothing a client was acknowledged
+//! is lost on the way, and a deleted row stays deleted.
 
 mod common;
 
@@ -100,32 +100,36 @@ struct Churned {
 /// memstores' worth, in turn, and one in eight to a row never written
 /// again. A file's warm rows are replaced three flushes later, so every
 /// file but the first ends under half live, the delete's among them.
-/// Then 10 KiB of filler rolls the WAL.
-fn churn(client: &HBaseClient, keys: &mut impl Iterator<Item = Vec<u8>>) -> Churned {
+/// Then 10 KiB of filler rolls the WAL. Each put goes through `put`.
+fn churn(
+    client: &HBaseClient,
+    keys: &mut impl Iterator<Item = Vec<u8>>,
+    put: &mut dyn FnMut(&[u8], &[u8]),
+) -> Churned {
     let mut rows = BTreeMap::new();
-    let mut put = |key: Vec<u8>, version: usize| {
+    let mut put_row = |key: Vec<u8>, version: usize| {
         let value = value(&key, version);
-        client.put(&key, &value).unwrap();
+        put(&key, &value);
         rows.insert(key, value);
     };
     let deleted = keys.next().unwrap();
     client.put(&deleted, b"doomed").unwrap();
     for key in keys.by_ref().take(20) {
-        put(key, 0);
+        put_row(key, 0);
     }
     assert!(client.delete(&deleted).unwrap());
     let warm: Vec<Vec<u8>> = keys.by_ref().take(48).collect();
     for i in 0..800 {
         if i % 8 == 7 {
-            put(keys.next().unwrap(), i);
+            put_row(keys.next().unwrap(), i);
         } else {
-            put(warm[i % warm.len()].clone(), i);
+            put_row(warm[i % warm.len()].clone(), i);
         }
     }
     // A killed server's open WAL segment is lost, as in HBase: roll it
     // with rows nobody reads back.
     for key in keys.take(10) {
-        client.put(&key, &[0u8; VALUE]).unwrap();
+        put(&key, &[0u8; VALUE]);
     }
     Churned { rows, deleted }
 }
@@ -157,7 +161,8 @@ fn a_killed_server_s_cleaned_bucket_recovers_every_row_and_keeps_its_delete() {
     let client = hbase.client().unwrap();
     let victim = &hbase.regionservers()[0];
     let bucket = a_bucket_of(victim);
-    let churned = churn(&client, &mut keys_in(bucket, 2));
+    let mut put = |key: &[u8], value: &[u8]| client.put(key, value).unwrap();
+    let churned = churn(&client, &mut keys_in(bucket, 2), &mut put);
 
     assert!(victim.cleaned_bytes() > 0, "no cleaning ran");
     assert_bounded(victim, &cfg, "after the churn");
@@ -227,13 +232,26 @@ fn a_cleaning_whose_write_fails_deletes_nothing() {
     let victim = &hbase.regionservers()[0];
     let bucket = a_bucket_of(victim);
 
-    // Every file a cleaning of this bucket could write exists already, so
-    // every cleaning's write fails.
-    let blocker = |seq: u64| format!("/hbase/region{bucket}/cleaned-{seq:020}-rs{}", victim.id());
-    for seq in 1..=BLOCKED {
-        dfs.write_file(&blocker(seq), &[]).unwrap();
-    }
-    let churned = churn(&client, &mut keys_in(bucket, 2));
+    // Once the bucket's files are due for cleaning, every store file the
+    // bucket's flushes could write exists already, so the flush that would
+    // carry rows fails, and so does every later one: each leaves rows only
+    // the WAL holds, which the next would carry. A put whose flush failed
+    // is logged but not acknowledged, so it is put again.
+    let blocker = |seq: u64| format!("/hbase/region{bucket}/hfile-{seq:020}-rs{}", victim.id());
+    let mut blocked = Vec::new();
+    let mut put = |key: &[u8], value: &[u8]| {
+        let (_, held, live) = victim.store_files();
+        if blocked.is_empty() && held > CLEAN_RATIO * live {
+            let names = (1..=BLOCKED).filter(|seq| dfs.write_file(&blocker(*seq), &[]).is_ok());
+            blocked.extend(names);
+        }
+        if client.put(key, value).is_err() {
+            assert!(!blocked.is_empty(), "a flush failed before any was blocked");
+            client.put(key, value).unwrap();
+        }
+    };
+    let churned = churn(&client, &mut keys_in(bucket, 2), &mut put);
+    assert!(!blocked.is_empty(), "the churn never called for a cleaning");
 
     let (files, held, live) = victim.store_files();
     assert_eq!(victim.cleaned_bytes(), 0);
@@ -241,7 +259,7 @@ fn a_cleaning_whose_write_fails_deletes_nothing() {
         held > CLEAN_RATIO * live + one_flush(&cfg),
         "{files} files hold {held} for {live} live: the churn never called for a cleaning"
     );
-    for seq in 1..=BLOCKED {
+    for seq in blocked {
         dfs.delete(&blocker(seq)).unwrap();
     }
     kill_and_check(victim, &client, &churned);

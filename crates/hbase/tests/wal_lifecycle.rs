@@ -8,10 +8,12 @@ mod common;
 use std::time::{Duration, Instant};
 
 use common::{a_bucket_of, keys_in, small};
+use mini_hbase::master::RS_TIMEOUT;
 use mini_hbase::ycsb::key_of;
 use mini_hbase::{HBaseClient, HRegionServer, MiniHbase};
 use mini_hdfs::DfsClient;
-use simnet::model;
+use rpcoib::RpcConfig;
+use simnet::{model, Host};
 
 fn wal_segments_of(dfs: &DfsClient, rs: &HRegionServer) -> usize {
     let prefix = format!("/hbase/wal/rs{}-", rs.id());
@@ -197,6 +199,114 @@ fn a_bucket_moved_to_a_lower_numbered_server_returns_its_newest_value() {
 
     assert_eq!(client.get(&row).unwrap().as_deref(), Some(&b"new"[..]));
     dfs.shutdown();
+    client.shutdown();
+    hbase.stop();
+}
+
+/// A 1 KiB value that names its row.
+fn value_of(key: &[u8]) -> Vec<u8> {
+    let mut value = key.to_vec();
+    value.resize(1024, b'.');
+    value
+}
+
+#[test]
+fn one_failed_flush_lets_its_segments_go_once_a_later_flush_carries_its_rows() {
+    let cfg = small();
+    let hbase = MiniHbase::start(model::IPOIB_QDR, 3, cfg.clone()).unwrap();
+    let client = hbase.client().unwrap();
+    let dfs = hbase.dfs().client().unwrap();
+    let victim = &hbase.regionservers()[0];
+    let bucket = a_bucket_of(victim);
+    let mut keys = keys_in(bucket, 3 * cfg.regions_per_server as u32);
+    let bound = cfg.memstore_flush_bytes.div_ceil(cfg.wal_roll_bytes) + 2;
+
+    // Twenty puts of 1 KiB hold one flush: its store file's name is
+    // taken, so its write fails, and so does the put that set it off.
+    // Only the WAL holds its rows.
+    let blocked = |seq: u64| format!("/hbase/region{bucket}/hfile-{seq:020}-rs{}", victim.id());
+    for seq in 1..=20 {
+        dfs.write_file(&blocked(seq), &[]).unwrap();
+    }
+    let rows: Vec<Vec<u8>> = keys.by_ref().take(40).collect();
+    let failed = rows[..20]
+        .iter()
+        .filter(|key| client.put(key, &value_of(key)).is_err())
+        .count();
+    assert_eq!(failed, 1, "one flush is due in twenty puts");
+    assert_eq!(victim.flushes(), 0, "the blocked flush wrote its file");
+    for seq in 1..=20 {
+        dfs.delete(&blocked(seq)).unwrap();
+    }
+
+    // Then the rows are put again and again: the next flush carries the
+    // failed one's rows into its file, and the WAL lets them go.
+    for i in 20..400 {
+        let key = &rows[i % rows.len()];
+        client.put(key, &value_of(key)).unwrap();
+    }
+    assert!(victim.flushes() > 0);
+    let live = wal_segments_of(&dfs, victim);
+    assert!(live <= bound, "rs{} has {live} live segments", victim.id());
+
+    // A killed server's open segment is lost: roll it with rows nobody
+    // reads back.
+    fill(&client, &mut keys, 10);
+    victim.stop();
+    for key in &rows {
+        let got = client.get(key).unwrap();
+        assert!(
+            got == Some(value_of(key)),
+            "{} lost",
+            String::from_utf8_lossy(key)
+        );
+    }
+    dfs.shutdown();
+    client.shutdown();
+    hbase.stop();
+}
+
+#[test]
+fn a_recovery_whose_listing_fails_is_tried_again_not_served_empty() {
+    // The master on InfiniBand and HDFS RPC on Ethernet: cutting the
+    // Ethernet link between a region server's host and host 0 cuts that
+    // server off from the NameNode alone.
+    let mut cfg = small();
+    cfg.rpc = RpcConfig::rpcoib();
+    let hbase = MiniHbase::start(model::IPOIB_QDR, 2, cfg.clone()).unwrap();
+    let client = hbase.client().unwrap();
+    let [victim, heir] = hbase.regionservers() else {
+        unreachable!("two region servers")
+    };
+    let bucket = a_bucket_of(victim);
+    let mut keys = keys_in(bucket, 2 * cfg.regions_per_server as u32);
+
+    // Flushed rows and logged ones, then filler to roll the open segment.
+    let rows: Vec<Vec<u8>> = keys.by_ref().take(40).collect();
+    for key in &rows {
+        client.put(key, &value_of(key)).unwrap();
+    }
+    fill(&client, &mut keys, 10);
+    assert!(victim.flushes() > 0);
+
+    // The heir's host (host 3) is cut off from the NameNode while the
+    // master hands it the bucket, and for a few heartbeats after.
+    let cluster = hbase.cluster();
+    let (heir_host, nn_host) = (cluster.eth_node(Host(3)), cluster.eth_node(Host(0)));
+    cluster.eth().partition(heir_host, nn_host);
+    victim.stop();
+    std::thread::sleep(RS_TIMEOUT + Duration::from_millis(1500));
+    cluster.eth().heal(heir_host, nn_host);
+
+    for key in &rows {
+        let got = client.get(key).unwrap();
+        assert!(
+            got == Some(value_of(key)),
+            "{} lost",
+            String::from_utf8_lossy(key)
+        );
+    }
+    assert!(heir.hosted_buckets().contains(&bucket));
     client.shutdown();
     hbase.stop();
 }

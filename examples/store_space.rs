@@ -3,8 +3,8 @@
 //! 50/50 get/put mix over YCSB's Zipfian keys, 12 000 operations per
 //! second of benchmark window (what `benchmark/` runs per `--seconds`).
 //! For each window it prints what HDFS holds under `/hbase/region*`, the
-//! region servers' own gauge of held and live bytes, and the bytes
-//! cleaning rewrote per byte the client put.
+//! region servers' own gauge of held and live bytes, and the bytes of
+//! carried rows the flushes rewrote per byte the client put.
 //!
 //! ```sh
 //! cargo run --release --example store_space -- 2 3 5 10
