@@ -24,11 +24,11 @@
 //!   handler ever executes it. A call that carries none is never shed.
 //!
 //! Time is an explicit `now_ns` argument on every operation rather than
-//! an internal `Instant::now()`. The server feeds it a monotonic reading;
-//! the `qos` benchmark drives the very same structure from a
-//! single-threaded discrete-event simulation with virtual time, which is
-//! what makes its shed decisions — and therefore its committed JSON
-//! baseline — bit-for-bit reproducible.
+//! an internal clock read. The server feeds it a reading of the fabric's
+//! clock ([`simnet::time::Clock`]); the `qos` benchmark drives the very
+//! same structure from a single-threaded discrete-event simulation with
+//! virtual time, which is what makes its shed decisions — and therefore
+//! its committed JSON baseline — bit-for-bit reproducible.
 //!
 //! With quotas and weights both disabled the queue degenerates to a
 //! single FIFO ring (every tenant shares one bucket), reproducing the

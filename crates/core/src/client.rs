@@ -39,10 +39,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use simnet::{Fabric, NodeId, SimAddr, SimStream};
+use simnet::{Clock, Fabric, NodeId, SimAddr, SimStream};
 use wire::Writable;
 
 use crate::config::RpcConfig;
@@ -161,11 +161,15 @@ impl CallSlot {
     }
 
     /// Sleep until a result arrives (returned), a leaver promotes this
-    /// caller, or `deadline` passes (both `None`).
-    fn wait(&self, deadline: Instant) -> Option<RpcResult<RawResponse>> {
+    /// caller, or `deadline` on `clock` passes (both `None`).
+    fn wait(&self, clock: &Clock, deadline: u64) -> Option<RpcResult<RawResponse>> {
         let mut st = self.state.lock();
-        while st.result.is_none() && st.parked && Instant::now() < deadline {
-            self.cv.wait_until(&mut st, deadline);
+        while st.result.is_none() && st.parked {
+            let bound = clock.wait_bound(deadline);
+            if bound.is_zero() {
+                break;
+            }
+            self.cv.wait_for(&mut st, bound);
         }
         st.parked = false;
         st.result.take()
@@ -565,7 +569,7 @@ impl Client {
     {
         let key = intern::method_key(protocol, method);
         let resp = self.call_raw_keyed(server, key, request)?;
-        let deser_start = Instant::now();
+        let deser_start = self.inner.fabric.clock().now_ns();
         let result = (|| {
             let mut reader = resp.payload.reader();
             // The lead was parsed under the receive turn (which guards the
@@ -592,10 +596,10 @@ impl Client {
                 ResponseStatus::Expired => Err(RpcError::DeadlineExpired),
             }
         })();
-        self.inner
-            .metrics
-            .entry(key)
-            .record_phase(Phase::Deserialize, deser_start.elapsed().as_nanos() as u64);
+        self.inner.metrics.entry(key).record_phase(
+            Phase::Deserialize,
+            self.inner.fabric.clock().elapsed_ns(deser_start),
+        );
         if result.is_err() {
             // A remote exception (or unparseable response) is as
             // definitive a failure as exhausted retries: count it.
@@ -641,7 +645,11 @@ impl Client {
         Req: Writable,
     {
         let policy = self.inner.cfg.retry.clone();
-        let start = Instant::now();
+        let clock = self.inner.fabric.clock();
+        // The whole call's deadline; without one, a reading never reached.
+        let overall = policy
+            .deadline
+            .map_or(u64::MAX, |budget| clock.deadline(budget));
         // One sequence number for the whole logical call, retries
         // included — this is what at-most-once keys on.
         let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
@@ -650,14 +658,11 @@ impl Client {
         let mut attempt = 0u32;
         let err = loop {
             attempt += 1;
-            let mut attempt_timeout = self.inner.cfg.call_timeout;
-            if let Some(deadline) = policy.deadline {
-                let remaining = deadline.saturating_sub(start.elapsed());
-                if remaining.is_zero() {
-                    break RpcError::Timeout;
-                }
-                attempt_timeout = attempt_timeout.min(remaining);
+            let remaining = clock.remaining(overall);
+            if remaining.is_zero() {
+                break RpcError::Timeout;
             }
+            let attempt_timeout = self.inner.cfg.call_timeout.min(remaining);
             match self.try_call(server, key, request, attempt_timeout, seq, attempt - 1) {
                 Ok(payload) => return Ok(payload),
                 Err(e) => {
@@ -666,21 +671,18 @@ impl Client {
                     if !e.is_retryable() || exhausted {
                         break e;
                     }
-                    let mut pause = policy.backoff(attempt, entropy);
-                    if let Some(deadline) = policy.deadline {
-                        let remaining = deadline.saturating_sub(start.elapsed());
-                        if remaining.is_zero() {
-                            break e;
-                        }
-                        // A busy backoff that would sleep out the whole
-                        // remaining budget cannot buy another attempt —
-                        // fail fast instead of burning the deadline's tail
-                        // parked in the backoff wait.
-                        if matches!(e, RpcError::ServerBusy) && pause >= remaining {
-                            break e;
-                        }
-                        pause = pause.min(remaining);
+                    let remaining = clock.remaining(overall);
+                    // A busy backoff that would sleep out the whole
+                    // remaining budget cannot buy another attempt — fail
+                    // fast instead of burning the deadline's tail parked
+                    // in the backoff wait.
+                    let pause = policy.backoff(attempt, entropy);
+                    if remaining.is_zero()
+                        || (matches!(e, RpcError::ServerBusy) && pause >= remaining)
+                    {
+                        break e;
                     }
+                    let pause = pause.min(remaining);
                     self.inner.metrics.inc_retries();
                     if !pause.is_zero() {
                         // Interruptible backoff: `shutdown` notifies the
@@ -738,8 +740,11 @@ impl Client {
 
         // Deadline propagation: ship the attempt's remaining budget so
         // the server can shed the call once it expires instead of
-        // executing work this client has already timed out on.
+        // executing work this client has already timed out on. The
+        // attempt's deadline is read before the send: once the request
+        // is out, its answer may already be on the way.
         let budget = Some(attempt_timeout);
+        let deadline = self.inner.fabric.clock().deadline(attempt_timeout);
         // An earlier answer the server need not keep. Lost with this
         // frame if the send fails, which leaves it to the backstops.
         let acked = connection.acks.lock().pop_front();
@@ -773,7 +778,6 @@ impl Client {
         };
         self.inner.metrics.entry(key).record_call(profile);
 
-        let deadline = Instant::now() + attempt_timeout;
         let resp = self.await_response(&connection, &slot, seq, deadline)?;
         // A busy rejection means the server refused admission and the call
         // never executed — surface it as a retryable error so the retry
@@ -798,18 +802,20 @@ impl Client {
         }
     }
 
-    /// Wait for call `seq`'s response until `deadline`: as the
-    /// connection's receiver if the turn is free, parked on `slot`
-    /// otherwise. `Timeout` leaves the connection cached (the server may
-    /// simply be slow); only this call gives up, and a response that
-    /// still arrives is counted late by whichever leader meets it.
+    /// Wait for call `seq`'s response until `deadline` on the fabric's
+    /// clock: as the connection's receiver if the turn is free, parked on
+    /// `slot` otherwise. `Timeout` leaves the connection cached (the
+    /// server may simply be slow); only this call gives up, and a
+    /// response that still arrives is counted late by whichever leader
+    /// meets it.
     fn await_response(
         &self,
         connection: &Arc<ClientConnection>,
         slot: &CallSlot,
         seq: i64,
-        deadline: Instant,
+        deadline: u64,
     ) -> RpcResult<RawResponse> {
+        let clock = self.inner.fabric.clock();
         loop {
             slot.park();
             if let Some(mut turn) = connection.recv.try_lock() {
@@ -818,10 +824,10 @@ impl Client {
                     None => self.lead(connection, &mut turn, slot, seq, deadline),
                 };
             }
-            if let Some(result) = slot.wait(deadline) {
+            if let Some(result) = slot.wait(clock, deadline) {
                 return result;
             }
-            if Instant::now() >= deadline {
+            if clock.now_ns() >= deadline {
                 return Err(RpcError::Timeout);
             }
         }
@@ -835,12 +841,11 @@ impl Client {
         dec: &mut V3Decoder,
         slot: &CallSlot,
         seq: i64,
-        deadline: Instant,
+        deadline: u64,
     ) -> RpcResult<RawResponse> {
         let metrics = &self.inner.metrics;
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let (payload, recv) = match connection.conn.recv_msg(remaining) {
+            let (payload, recv) = match connection.conn.recv_until(deadline) {
                 Ok(v) => v,
                 Err(RpcError::Timeout) => return Err(RpcError::Timeout),
                 Err(e) => {

@@ -121,18 +121,19 @@ pub fn server_accept(stream: &SimStream, assign: impl FnOnce() -> u64) -> RpcRes
     Ok(client_id)
 }
 
-/// Mint a random, non-zero client id. Mixes wall-clock entropy, the
+/// Mint a random, non-zero client id. Mixes the process's random hash
+/// keys (no time is read: the engine's one clock is the fabric's), the
 /// caller-supplied salt (e.g. an address), and a process-wide counter
-/// through splitmix64, so two clients created in the same nanosecond on
-/// different nodes still diverge.
+/// through splitmix64, so two clients minted at once on different nodes
+/// still diverge.
 pub fn mint_client_id(salt: u64) -> u64 {
+    use std::hash::{BuildHasher, Hasher};
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-        .unwrap_or(0x5eed);
-    let raw = nanos ^ salt.rotate_left(17) ^ COUNTER.fetch_add(0x9e37_79b9, Ordering::Relaxed);
+    let entropy = std::collections::hash_map::RandomState::new()
+        .build_hasher()
+        .finish();
+    let raw = entropy ^ salt.rotate_left(17) ^ COUNTER.fetch_add(0x9e37_79b9, Ordering::Relaxed);
     let mut z = raw.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -50,10 +50,11 @@
 
 use std::collections::{hash_map, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bufpool::heap::HeapTier;
 use parking_lot::Mutex;
+use simnet::Clock;
 
 use crate::metrics::MetricsRegistry;
 
@@ -73,12 +74,6 @@ const ORDER_SLACK: usize = 64;
 /// the entries plus [`ORDER_SLACK`]; grown by doubling, it reallocated
 /// well after start-up), capped so a huge capacity asks for nothing huge.
 const ORDER_RESERVE_MAX: usize = 1 << 16;
-
-/// The cache's one clock read, taken by `begin` and `complete`; tests
-/// drive the TTL and eviction rules with explicit instants.
-fn now() -> Instant {
-    Instant::now()
-}
 
 /// Outcome of presenting an arriving call to the cache.
 #[derive(Debug)]
@@ -113,7 +108,7 @@ struct CacheInner<W> {
     /// Completion order of Done entries (exactly one live record each;
     /// the rest are stale, see [`ORDER_SLACK`]), walked front-to-back by
     /// the TTL and eviction scans.
-    order: VecDeque<(CallKey, u64, Instant)>,
+    order: VecDeque<(CallKey, u64, u64)>,
     /// Done entries: what `capacity` bounds.
     done: usize,
     /// `capacity()` of every Done entry's body: what `max_bytes` bounds.
@@ -162,6 +157,9 @@ pub struct RetryCache<W> {
     inner: Mutex<CacheInner<W>>,
     /// Where bodies that leave the cache are offered, if anywhere.
     spares: Option<Arc<HeapTier>>,
+    /// What `begin` and `complete` read the time from: the TTL rule's
+    /// one clock read each.
+    clock: Clock,
     ttl: Duration,
     capacity: usize,
     max_bytes: usize,
@@ -170,7 +168,8 @@ pub struct RetryCache<W> {
 
 impl<W> RetryCache<W> {
     /// `capacity == 0` disables caching: every `begin` admits. The byte
-    /// budget starts unlimited; see [`RetryCache::with_byte_budget`].
+    /// budget starts unlimited; see [`RetryCache::with_byte_budget`]. The
+    /// clock is the host's; see [`RetryCache::with_clock`].
     pub fn new(ttl: Duration, capacity: usize, metrics: MetricsRegistry) -> RetryCache<W> {
         let reserve = match capacity {
             0 => 0,
@@ -188,6 +187,7 @@ impl<W> RetryCache<W> {
                 next_gen: 0,
             }),
             spares: None,
+            clock: Clock::host(),
             ttl,
             capacity,
             max_bytes: usize::MAX,
@@ -205,6 +205,13 @@ impl<W> RetryCache<W> {
     /// Offer the bodies that leave the cache to `tier`.
     pub fn with_spares(mut self, tier: Arc<HeapTier>) -> RetryCache<W> {
         self.spares = Some(tier);
+        self
+    }
+
+    /// Read the TTL rule's time from `clock` (a server's is its
+    /// fabric's).
+    pub fn with_clock(mut self, clock: Clock) -> RetryCache<W> {
+        self.clock = clock;
         self
     }
 
@@ -227,16 +234,7 @@ impl<W> RetryCache<W> {
         if self.capacity == 0 {
             return Admission::Execute;
         }
-        self.begin_at(key, acked, waiter, now())
-    }
-
-    fn begin_at(
-        &self,
-        key: CallKey,
-        acked: Option<i64>,
-        waiter: impl FnOnce() -> W,
-        now: Instant,
-    ) -> Admission {
+        let now = self.clock.now_ns();
         let mut leaving = Leaving::default();
         let admission = {
             let mut inner = self.inner.lock();
@@ -276,10 +274,7 @@ impl<W> RetryCache<W> {
         if self.capacity == 0 {
             return Vec::new();
         }
-        self.complete_at(key, response, now())
-    }
-
-    fn complete_at(&self, key: CallKey, response: Arc<Vec<u8>>, now: Instant) -> Vec<W> {
+        let now = self.clock.now_ns();
         let mut leaving = Leaving::default();
         let mut inner = self.inner.lock();
         if let Some(Entry::InFlight { acked: true, .. }) = inner.entries.get(&key) {
@@ -385,9 +380,9 @@ impl<W> RetryCache<W> {
     }
 
     /// The TTL backstop: drop the completed entries older than the TTL.
-    fn expire(&self, inner: &mut CacheInner<W>, now: Instant, leaving: &mut Leaving) {
+    fn expire(&self, inner: &mut CacheInner<W>, now: u64, leaving: &mut Leaving) {
         while let Some(&(old_key, old_gen, completed_at)) = inner.order.front() {
-            if now.saturating_duration_since(completed_at) < self.ttl {
+            if Duration::from_nanos(now.saturating_sub(completed_at)) < self.ttl {
                 break;
             }
             inner.order.pop_front();
@@ -473,11 +468,19 @@ mod tests {
         Arc::new(vec![tag])
     }
 
-    /// An explicit clock for the TTL rules: `at(ms)` is `ms` after a
-    /// fixed start, so no test waits on the host's.
-    fn clock() -> impl Fn(u64) -> Instant {
-        let start = now();
-        move |ms| start + Duration::from_millis(ms)
+    /// `cache` on a manual clock, and `at(ms)`, which moves that clock on
+    /// to `ms` after its start: the TTL rules are stepped, so no test
+    /// waits on the host's clock.
+    fn stepped<W>(cache: RetryCache<W>) -> (RetryCache<W>, impl Fn(u64)) {
+        let clock = Clock::manual();
+        let hand = clock.clone();
+        let at = move |ms: u64| {
+            let by = (ms * 1_000_000)
+                .checked_sub(hand.now_ns())
+                .expect("the clock only moves forward");
+            hand.advance(Duration::from_nanos(by));
+        };
+        (cache.with_clock(clock), at)
     }
 
     #[test]
@@ -520,22 +523,15 @@ mod tests {
     #[test]
     fn ttl_expires_completed_entries() {
         let (cache, metrics) = cache(Duration::from_millis(20), 16);
-        let at = clock();
+        let (cache, at) = stepped(cache);
         let key = (1, 1);
-        assert!(matches!(
-            cache.begin_at(key, None, || 0, at(0)),
-            Admission::Execute
-        ));
-        cache.complete_at(key, resp(1), at(0));
-        assert!(matches!(
-            cache.begin_at(key, None, || 0, at(19)),
-            Admission::Replay(_)
-        ));
+        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
+        cache.complete(key, resp(1));
+        at(19);
+        assert!(matches!(cache.begin(key, || 0), Admission::Replay(_)));
         // At the TTL the entry is gone: the same key executes again.
-        assert!(matches!(
-            cache.begin_at(key, None, || 0, at(20)),
-            Admission::Execute
-        ));
+        at(20);
+        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
         assert_eq!(metrics.counters().retry_cache_expired, 1);
         assert_eq!(cache.len(), 1, "only the fresh in-flight entry remains");
     }
@@ -543,25 +539,17 @@ mod tests {
     #[test]
     fn ttl_never_expires_inflight_entries() {
         let (cache, _) = cache(Duration::from_millis(10), 16);
-        let at = clock();
+        let (cache, at) = stepped(cache);
         let key = (1, 2);
         // A completed entry ahead of it, so the TTL scan has work to do.
-        assert!(matches!(
-            cache.begin_at((1, 1), None, || 0, at(0)),
-            Admission::Execute
-        ));
-        cache.complete_at((1, 1), resp(1), at(0));
-        assert!(matches!(
-            cache.begin_at(key, None, || 0, at(0)),
-            Admission::Execute
-        ));
+        assert!(matches!(cache.begin((1, 1), || 0), Admission::Execute));
+        cache.complete((1, 1), resp(1));
+        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
         // Still in-flight long past the TTL: the duplicate parks rather
         // than executing a second time.
-        assert!(matches!(
-            cache.begin_at(key, None, || 5, at(30)),
-            Admission::Parked
-        ));
-        assert_eq!(cache.complete_at(key, resp(2), at(30)), vec![5]);
+        at(30);
+        assert!(matches!(cache.begin(key, || 5), Admission::Parked));
+        assert_eq!(cache.complete(key, resp(2)), vec![5]);
         assert_eq!(cache.len(), 1, "the expired neighbour went, this one stays");
     }
 
@@ -715,18 +703,13 @@ mod tests {
     #[test]
     fn expired_bodies_leave_as_spares_too() {
         let (cache, _, metrics) = tiered(Duration::from_millis(20), 16, usize::MAX);
-        let at = clock();
+        let (cache, at) = stepped(cache);
         for seq in 0..3i64 {
-            assert!(matches!(
-                cache.begin_at((1, seq), None, || 0, at(0)),
-                Admission::Execute
-            ));
-            cache.complete_at((1, seq), Arc::new(vec![seq as u8; 500]), at(0));
+            assert!(matches!(cache.begin((1, seq), || 0), Admission::Execute));
+            cache.complete((1, seq), Arc::new(vec![seq as u8; 500]));
         }
-        assert!(matches!(
-            cache.begin_at((1, 9), None, || 0, at(40)),
-            Admission::Execute
-        ));
+        at(40);
+        assert!(matches!(cache.begin((1, 9), || 0), Admission::Execute));
         assert_eq!(metrics.counters().retry_cache_expired, 3);
         let kept = cache.retention();
         assert_eq!((kept.entries, kept.spares), (0, 3));
@@ -778,27 +761,24 @@ mod tests {
     #[test]
     fn recompleted_entry_survives_its_stale_order_record_on_ttl() {
         let (cache, metrics) = cache(Duration::from_millis(60), 16);
-        let at = clock();
+        let (cache, at) = stepped(cache);
         let key = (1, 1);
-        assert!(matches!(
-            cache.begin_at(key, None, || 0, at(0)),
-            Admission::Execute
-        ));
-        cache.complete_at(key, resp(1), at(0));
-        cache.complete_at(key, resp(2), at(35));
+        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
+        cache.complete(key, resp(1));
+        at(35);
+        cache.complete(key, resp(2));
         // The first completion's order record is past the TTL but points
         // at the re-completed entry: it must be skipped, not expire the
         // fresh response early.
-        match cache.begin_at(key, None, || 0, at(70)) {
+        at(70);
+        match cache.begin(key, || 0) {
             Admission::Replay(bytes) => assert_eq!(*bytes, vec![2]),
             other => panic!("expected replay, got {other:?}"),
         }
         assert_eq!(metrics.counters().retry_cache_expired, 0);
         // The fresh response's own record expires it at its own TTL.
-        assert!(matches!(
-            cache.begin_at(key, None, || 0, at(95)),
-            Admission::Execute
-        ));
+        at(95);
+        assert!(matches!(cache.begin(key, || 0), Admission::Execute));
         assert_eq!(metrics.counters().retry_cache_expired, 1);
     }
 
@@ -902,33 +882,26 @@ mod tests {
     fn unacked_entries_still_obey_capacity_ttl_and_budget() {
         // Capacity counts the entries no ack has named.
         let (cache, metrics) = cache(Duration::from_millis(50), 2);
-        let at = clock();
-        let run = |seq: i64, acked: Option<i64>, ms: u64| {
+        let (cache, at) = stepped(cache);
+        let run = |seq: i64, acked: Option<i64>| {
             assert!(matches!(
-                cache.begin_at((1, seq), acked, || 0, at(ms)),
+                cache.begin_acking((1, seq), acked, || 0),
                 Admission::Execute
             ));
-            cache.complete_at((1, seq), resp(seq as u8), at(ms));
+            cache.complete((1, seq), resp(seq as u8));
         };
-        run(1, None, 0);
-        run(2, None, 0);
-        run(3, Some(1), 0);
+        run(1, None);
+        run(2, None);
+        run(3, Some(1));
         assert_eq!(metrics.counters().retry_cache_evictions, 0);
-        run(4, None, 0);
+        run(4, None);
         assert_eq!(metrics.counters().retry_cache_evictions, 1);
-        assert!(matches!(
-            cache.begin_at((1, 2), None, || 0, at(10)),
-            Admission::Execute
-        ));
-        assert!(matches!(
-            cache.begin_at((1, 3), None, || 0, at(10)),
-            Admission::Replay(_)
-        ));
+        at(10);
+        assert!(matches!(cache.begin((1, 2), || 0), Admission::Execute));
+        assert!(matches!(cache.begin((1, 3), || 0), Admission::Replay(_)));
         // The TTL still expires what no ack names.
-        assert!(matches!(
-            cache.begin_at((1, 9), None, || 0, at(60)),
-            Admission::Execute
-        ));
+        at(60);
+        assert!(matches!(cache.begin((1, 9), || 0), Admission::Execute));
         assert_eq!(metrics.counters().retry_cache_expired, 2);
         assert_eq!(cache.retention().entries, 0);
 

@@ -45,10 +45,11 @@
 //! frame whoever still holds a handle.
 //!
 //! Time is an explicit `now_ns` argument on every operation, exactly
-//! like the admission queue: the server's workers feed a monotonic
-//! reading, while the `handlers_mn` bench figure drives the very same
-//! structure single-threaded on virtual time — which is what makes its
-//! committed JSON baseline bit-for-bit reproducible.
+//! like the admission queue: the server's workers feed a reading of the
+//! fabric's clock ([`simnet::time::Clock`]), while the `handlers_mn`
+//! bench figure drives the very same structure single-threaded on
+//! virtual time — which is what makes its committed JSON baseline
+//! bit-for-bit reproducible.
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell};
@@ -261,7 +262,7 @@ impl SchedInner {
 }
 
 /// The scheduler. Passive by design: it owns no threads.
-/// The server's worker loops drive it on wall-derived monotonic time;
+/// The server's worker loops drive it on the fabric's clock;
 /// the `handlers_mn` bench figure drives the identical structure
 /// single-threaded on virtual time.
 pub struct Sched {
@@ -601,7 +602,7 @@ impl<'a> HandlerCx<'a> {
         self.task.polls
     }
 
-    /// The runtime's clock for this poll (server-monotonic ns).
+    /// The runtime's clock for this poll: the reading the worker took.
     pub fn now_ns(&self) -> u64 {
         self.task.now_ns
     }
@@ -622,7 +623,7 @@ impl<'a> HandlerCx<'a> {
 
     /// Request a timed park of `d` from now.
     pub fn park_for(&mut self, d: Duration) {
-        self.park_until_ns(self.now_ns().saturating_add(d.as_nanos() as u64));
+        self.park_until_ns(simnet::time::later(self.now_ns(), d));
     }
 
     /// The call's wake handle, for parks ended by an external event

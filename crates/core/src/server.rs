@@ -142,12 +142,12 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bufpool::heap::{self, HeapTier, ParamDraw};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use simnet::{Fabric, ListenerCloser, NodeId, SimAddr, SimListener};
+use simnet::{Clock, Fabric, ListenerCloser, NodeId, SimAddr, SimListener};
 use wire::Writable;
 
 use crate::admission::{AdmissionQueue, AdmitError, CallClass, CallMeta};
@@ -330,8 +330,9 @@ struct ServerInner {
     /// channel, now with per-tenant quotas, weighted-fair pop, and
     /// deadline shedding (all off by default — see [`crate::admission`]).
     admission: AdmissionQueue<RawCall>,
-    /// Base of the admission plane's monotonic `now_ns` timeline.
-    started: Instant,
+    /// The fabric's clock: the `now_ns` timeline admission, the runtime's
+    /// timers, the liveness sweep and `drain` all run on.
+    clock: Clock,
     /// The registration channel: the accept path sends finished
     /// connections, and whoever services a [`TOKEN_REGISTER`] adopts
     /// them.
@@ -395,13 +396,6 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    /// Monotonic nanoseconds since server start — the explicit clock the
-    /// admission queue runs on. (The `qos` benchmark drives the same
-    /// queue type with virtual time for deterministic shed decisions.)
-    fn now_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
     fn assign_client_id(&self) -> u64 {
         // The counter is seeded randomly per server; skip an (unlikely)
         // wrap through 0, which the handshake reserves for "assign me".
@@ -714,7 +708,8 @@ impl Server {
         let retry_cache =
             RetryCache::new(cfg.replay_ttl(), cfg.retry_cache_capacity, metrics.clone())
                 .with_byte_budget(cfg.retry_cache_capacity.saturating_mul(cfg.rdma_threshold))
-                .with_spares(Arc::clone(&heap));
+                .with_spares(Arc::clone(&heap))
+                .with_clock(fabric.clock().clone());
 
         // One more thread than permits: one always holds none.
         let pool = cfg.handlers + 1;
@@ -744,13 +739,13 @@ impl Server {
             heap,
             next_client_id: AtomicU64::new(id_seed),
             admission,
-            started: Instant::now(),
+            clock: fabric.clock().clone(),
             reg_tx,
             reg_rx,
             ready,
             table: Mutex::new(ReaderState::default()),
             reader_stats,
-            next_sweep_ns: AtomicU64::new(LIVENESS_SWEEP_NS),
+            next_sweep_ns: AtomicU64::new(fabric.clock().now_ns() + LIVENESS_SWEEP_NS),
             sched,
             priority,
             setups_inflight: AtomicUsize::new(0),
@@ -869,10 +864,10 @@ impl Server {
         // Wake the Listener out of its accept *now*: the draining flag
         // alone would only be observed after an idle slice.
         self.inner.listener_closer.close();
-        let deadline = Instant::now() + timeout;
+        let deadline = self.inner.clock.deadline(timeout);
         let quiesced = |done: &dyn Fn() -> bool| {
             while !done() {
-                if Instant::now() >= deadline {
+                if self.inner.clock.now_ns() >= deadline {
                     return false;
                 }
                 std::thread::sleep(DRAIN_POLL);
@@ -1433,7 +1428,7 @@ fn read_one(
             return ReadOutcome::Frame;
         }
     }
-    let admitted_ns = inner.now_ns();
+    let admitted_ns = inner.clock.now_ns();
     let call = RawCall {
         conn: Arc::clone(conn),
         header,
@@ -1445,7 +1440,7 @@ fn read_one(
     // carries no budget is never shed.
     let expires_at_ns = header
         .deadline_budget
-        .map(|budget| admitted_ns.saturating_add(budget.as_nanos() as u64));
+        .map(|budget| simnet::time::later(admitted_ns, budget));
     // Protocol-priority class: calls to a listed control protocol jump
     // their tenant's bulk backlog inside the admission queue. The
     // default empty set marks everything Bulk — ordering identical to
@@ -1512,7 +1507,7 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
         // Read before the scan: a push or wake landing after the scan
         // has passed it by moves the epoch and cancels the wait below.
         let epoch = sched.wake_epoch();
-        let now = inner.now_ns();
+        let now = inner.clock.now_ns();
         sched.fire_timers(now);
         liveness_sweep(&inner, now);
         let mut worked = read_burst(&inner, &mut answered);
@@ -1527,7 +1522,7 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
         if sched.try_permit() {
             worked |= pop_and_poll(&inner, now, worker);
             if let Some(task) = sched.next_task() {
-                sched.run(worker, task, inner.now_ns());
+                sched.run(worker, task, inner.clock.now_ns());
                 worked = true;
             }
             // This thread looks at the admission queue again itself.
@@ -1541,12 +1536,12 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
         }
         // Sleep until the next timer deadline (a `park_until` must not
         // oversleep), a notify, or the idle slice.
-        let timeout = match sched.next_timer_ns() {
-            Some(at) => {
-                Duration::from_nanos(at.saturating_sub(inner.now_ns()).max(1)).min(IDLE_SLICE)
-            }
-            None => IDLE_SLICE,
-        };
+        let timeout = sched.next_timer_ns().map_or(IDLE_SLICE, |at| {
+            inner
+                .clock
+                .wait_bound(at)
+                .clamp(Duration::from_nanos(1), IDLE_SLICE)
+        });
         sched.idle_wait(epoch, timeout);
     }
 }
@@ -1601,12 +1596,9 @@ fn call_frame(
         let c = call.as_mut().expect("call polled after completion");
         let entry = inner.metrics.entry(c.header.key);
         if cx.polls() == 0 {
-            entry.record_phase(
-                Phase::ServerQueue,
-                inner.now_ns().saturating_sub(c.admitted_ns),
-            );
+            entry.record_phase(Phase::ServerQueue, inner.clock.elapsed_ns(c.admitted_ns));
         }
-        let poll_start = Instant::now();
+        let poll_start = inner.clock.now_ns();
         // The call's one draw: its first buffer longer than an eager frame.
         let mut draw = |len: usize| {
             if len <= inner.cfg.rdma_threshold || param.is_some() {
@@ -1631,7 +1623,7 @@ fn call_frame(
             if let Some(ib) = &inner.ib {
                 ib.evacuate(&mut c.payload);
             }
-            handler_ns += poll_start.elapsed().as_nanos() as u64;
+            handler_ns += inner.clock.elapsed_ns(poll_start);
             return hcx.pending_step();
         };
         let RawCall {
@@ -1647,7 +1639,7 @@ fn call_frame(
                 inner.heap.give_back(claim, buf);
             }
         }
-        handler_ns += poll_start.elapsed().as_nanos() as u64;
+        handler_ns += inner.clock.elapsed_ns(poll_start);
         entry.record_phase(Phase::Handler, handler_ns);
         inner.respond(conn, header, body);
         inner.admission.release(meta.tenant);

@@ -9,6 +9,7 @@ pub mod socket;
 use std::io;
 use std::time::Duration;
 
+use simnet::Clock;
 use wire::DataOutput;
 
 use crate::error::RpcResult;
@@ -103,9 +104,21 @@ pub trait Conn: Send + Sync {
     }
 
     /// Receive the next message. Returns [`crate::RpcError::Timeout`] if
-    /// nothing arrives within `timeout` (the caller decides whether to
-    /// retry), [`crate::RpcError::ConnectionClosed`] on orderly EOF.
-    fn recv_msg(&self, timeout: Duration) -> RpcResult<(Payload, RecvProfile)>;
+    /// nothing arrives within `timeout` on the connection's clock (the
+    /// caller decides whether to retry),
+    /// [`crate::RpcError::ConnectionClosed`] on orderly EOF.
+    fn recv_msg(&self, timeout: Duration) -> RpcResult<(Payload, RecvProfile)> {
+        self.recv_until(self.clock().deadline(timeout))
+    }
+
+    /// [`Conn::recv_msg`] until the clock reads `deadline_ns`: a caller
+    /// with a deadline of its own hands it down as it is, since turning
+    /// it into a timeout and back would read the clock twice.
+    fn recv_until(&self, deadline_ns: u64) -> RpcResult<(Payload, RecvProfile)>;
+
+    /// The clock the connection's waits and phase timings read: its
+    /// fabric's.
+    fn clock(&self) -> &Clock;
 
     /// Whether a `recv_msg` would make progress right now without an idle
     /// wait: data (or EOF, or a local close) is observable. May stage data

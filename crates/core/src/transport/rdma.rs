@@ -48,13 +48,13 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bufpool::{NativePool, PoolMem, PooledBuf, RdmaMemFactory, ShadowPool, SizeClasses};
 use parking_lot::{Condvar, Mutex};
 use simnet::{
-    CompletionKind, Fabric, MemoryRegion, NodeId, QpEndpoint, QueuePair, RdmaDevice, RemoteKey,
-    SharedRecvQueue, SimStream, VerbsError,
+    Clock, CompletionKind, Fabric, MemoryRegion, NodeId, QpEndpoint, QueuePair, RdmaDevice,
+    RemoteKey, SharedRecvQueue, SimStream, VerbsError,
 };
 use wire::DataOutput;
 
@@ -672,6 +672,8 @@ impl Drop for SlotLease {
 pub struct RdmaConn {
     ctx: IbContext,
     cfg: RpcConfig,
+    /// The fabric's clock: deadlines and phase timings.
+    clock: Clock,
     link: Arc<Link>,
     /// Region the *peer* RDMA-writes large frames into.
     my_large: MemoryRegion,
@@ -834,6 +836,7 @@ impl RdmaConn {
         Ok(RdmaConn {
             ctx: ctx.clone(),
             cfg: cfg.clone(),
+            clock: stream.clock().clone(),
             ledger: Arc::new(SlotLedger {
                 state: Mutex::new(LedgerState {
                     frames: VecDeque::with_capacity(cfg.large_slots),
@@ -935,7 +938,7 @@ impl RdmaConn {
                 self.peer_slots, self.peer_slot_size
             )));
         }
-        let deadline = Instant::now() + self.cfg.call_timeout;
+        let deadline = self.clock.deadline(self.cfg.call_timeout);
         let peer_holds = credit_batch(self.peer_slots) > 1;
         let mut asked_at = None;
         loop {
@@ -961,7 +964,7 @@ impl RdmaConn {
             // Never wait holding the send lock: our own credit returns,
             // which the peer may be waiting on, are sends.
             drop(send);
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = self.clock.wait_bound(deadline);
             if remaining.is_zero() {
                 return Err(RpcError::CreditStarved);
             }
@@ -1081,7 +1084,7 @@ impl RdmaConn {
             Err(VerbsError::Timeout) => return Ok(false),
             Err(e) => return Err(verbs_err(e)),
         };
-        let total_start = Instant::now();
+        let total_start = self.clock.now_ns();
         // The completion took one of the node's posted buffers. Every arm
         // puts one back before believing anything the completion says, so
         // a refused frame costs the node's other connections nothing: a
@@ -1099,9 +1102,9 @@ impl RdmaConn {
         };
         let frame = match (completion.kind, completion.imm & 0xff) {
             (CompletionKind::Recv, IMM_SMALL) => {
-                let alloc_start = Instant::now();
+                let alloc_start = self.clock.now_ns();
                 ctx.post_recv(ctx.fresh_recv());
-                let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
+                let alloc_ns = self.clock.elapsed_ns(alloc_start);
                 self.credit((completion.imm >> 8) as usize)?;
                 (
                     Payload::Pooled {
@@ -1110,15 +1113,15 @@ impl RdmaConn {
                     },
                     RecvProfile {
                         alloc_ns,
-                        total_ns: total_start.elapsed().as_nanos() as u64 + 1,
+                        total_ns: self.clock.elapsed_ns(total_start) + 1,
                         size: completion.len,
                     },
                 )
             }
             (CompletionKind::Recv, IMM_BATCH) => {
-                let alloc_start = Instant::now();
+                let alloc_start = self.clock.now_ns();
                 ctx.post_recv(ctx.fresh_recv());
-                let alloc_ns = alloc_start.elapsed().as_nanos() as u64;
+                let alloc_ns = self.clock.elapsed_ns(alloc_start);
                 self.credit((completion.imm >> 8) as usize)?;
                 // One copy per sub-frame, straight out of registered
                 // memory onto the stash.
@@ -1143,7 +1146,7 @@ impl RdmaConn {
                 // The completion's measured cost rides its first frame.
                 let (_, profile) = &mut stash[first];
                 profile.alloc_ns = alloc_ns;
-                profile.total_ns = total_start.elapsed().as_nanos() as u64 + 1;
+                profile.total_ns = self.clock.elapsed_ns(total_start) + 1;
                 return Ok(true);
             }
             (CompletionKind::Recv, IMM_CREDIT) => {
@@ -1182,7 +1185,7 @@ impl RdmaConn {
                     },
                     RecvProfile {
                         alloc_ns: 0,
-                        total_ns: total_start.elapsed().as_nanos() as u64 + 1,
+                        total_ns: self.clock.elapsed_ns(total_start) + 1,
                         size: len,
                     },
                 )
@@ -1244,15 +1247,15 @@ impl Conn for RdmaConn {
         }
 
         // --- Serialization: straight into pooled registered segments. ---
-        let ser_start = Instant::now();
+        let ser_start = self.clock.now_ns();
         let scratch = self.seg_scratch.lock().pop().unwrap_or_default();
         let mut out = RdmaGatherStream::new(self.ctx.pool(), key, self.cfg.recv_buf_bytes, scratch);
         write(&mut out)?;
         let (mut segs, len, grows) = out.finish();
-        let serialize_ns = ser_start.elapsed().as_nanos() as u64;
+        let serialize_ns = self.clock.elapsed_ns(ser_start);
 
         // --- Transmission. ---
-        let send_start = Instant::now();
+        let send_start = self.clock.now_ns();
         match &segs[..] {
             // One segment whenever `rdma_threshold <= recv_buf_bytes`, which
             // `validate` requires; anything else takes the gather path.
@@ -1266,7 +1269,7 @@ impl Conn for RdmaConn {
             }
             _ => self.send_bulk(&segs, len)?,
         }
-        let send_ns = send_start.elapsed().as_nanos() as u64;
+        let send_ns = self.clock.elapsed_ns(send_start);
 
         // Segments return to the pool; their Vec storage is recycled.
         segs.clear();
@@ -1295,7 +1298,7 @@ impl Conn for RdmaConn {
         // ride in a chunk flushes what's pending — order is preserved —
         // and takes the ordinary eager/bulk path by itself.
         let cap = self.cfg.recv_buf_bytes;
-        let batch_start = Instant::now();
+        let batch_start = self.clock.now_ns();
         let mut chunk: Vec<u8> = Vec::new();
         let mut in_chunk = 0usize;
         let mut merged = 0u64;
@@ -1320,7 +1323,7 @@ impl Conn for RdmaConn {
             // per-send accounting): give each its amortized share here,
             // so phase sample counts still equal frame counts. Oversized
             // frames recorded themselves above.
-            if let Some(per_frame) = (batch_start.elapsed().as_nanos() as u64).checked_div(merged) {
+            if let Some(per_frame) = self.clock.elapsed_ns(batch_start).checked_div(merged) {
                 let entry = m.entry(key);
                 for _ in 0..merged {
                     entry.record_phase(Phase::Serialize, 0);
@@ -1331,8 +1334,7 @@ impl Conn for RdmaConn {
         Ok(())
     }
 
-    fn recv_msg(&self, timeout: Duration) -> RpcResult<Frame> {
-        let deadline = Instant::now() + timeout;
+    fn recv_until(&self, deadline: u64) -> RpcResult<Frame> {
         loop {
             if self.link.closed.load(Ordering::Acquire) {
                 return Err(RpcError::ConnectionClosed);
@@ -1349,14 +1351,18 @@ impl Conn for RdmaConn {
             if let Some(frame) = self.stash.lock().pop_front() {
                 return Ok(frame);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let remaining = self.clock.wait_bound(deadline);
+            if remaining.is_zero() {
                 return Err(RpcError::Timeout);
             }
             // Poll — or, while such a sender does, sleep: what it reads
             // lands in the stash and its release wakes us.
-            self.progress(st, POLL_SLICE.min(deadline - now))?;
+            self.progress(st, POLL_SLICE.min(remaining))?;
         }
+    }
+
+    fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     fn poll_ready(&self) -> bool {
@@ -1410,6 +1416,7 @@ mod tests {
     use simnet::{model, SimAddr, SimListener};
     use std::sync::Arc;
     use std::thread;
+    use std::time::Instant;
     use wire::DataInput;
 
     /// A server and a client node of one fabric, each with a private

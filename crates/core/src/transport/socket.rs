@@ -29,10 +29,10 @@
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
-use simnet::SimStream;
+use simnet::{Clock, SimStream};
 use wire::{DataOutput, DataOutputBuffer};
 
 use crate::error::{RpcError, RpcResult};
@@ -61,6 +61,8 @@ const LEAD_INLINE: usize = 32;
 /// Socket-based RPC connection.
 pub struct SocketConn {
     stream: SimStream,
+    /// The stream's fabric's clock: deadlines and phase timings.
+    clock: Clock,
     /// The write queue: all frames pass through here so concurrent
     /// senders cannot interleave on the stream and queued frames can be
     /// coalesced into one gathered write.
@@ -165,6 +167,7 @@ impl SocketConn {
     /// `DataOutputBuffer` capacity for messages sent on this connection.
     pub fn new(stream: SimStream, init_buf: usize) -> Self {
         SocketConn {
+            clock: stream.clock().clone(),
             stream,
             wq: Mutex::new(WriteQueue {
                 queue: VecDeque::new(),
@@ -200,9 +203,9 @@ impl SocketConn {
     }
 
     /// Read exactly `buf.len()` bytes. Returns `Timeout` only if *nothing*
-    /// was consumed before the deadline; once a frame has started we wait
-    /// it out (it is in flight on a reliable stream).
-    fn read_exact_deadline(&self, buf: &mut [u8], deadline: Option<Instant>) -> RpcResult<usize> {
+    /// was consumed before the deadline (`u64::MAX`: none); once a frame
+    /// has started we wait it out (it is in flight on a reliable stream).
+    fn read_exact_deadline(&self, buf: &mut [u8], deadline: u64) -> RpcResult<usize> {
         use std::io::Read;
         let mut filled = 0usize;
         loop {
@@ -212,10 +215,8 @@ impl SocketConn {
             // Sliced so a local close is noticed; while nothing is consumed
             // the slice is cut to the deadline, so a waiting caller's
             // timeout is its own and not rounded up to the slice.
-            let slice = match deadline {
-                Some(d) if filled == 0 => {
-                    READ_SLICE.min(d.saturating_duration_since(Instant::now()))
-                }
+            let slice = match filled {
+                0 => READ_SLICE.min(self.clock.wait_bound(deadline)),
                 _ => READ_SLICE,
             };
             self.stream.set_read_timeout(Some(slice));
@@ -227,15 +228,11 @@ impl SocketConn {
                         return Ok(filled);
                     }
                 }
+                // Frame started (or no deadline): keep waiting.
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                    if filled == 0 {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                return Err(RpcError::Timeout);
-                            }
-                        }
+                    if filled == 0 && self.clock.now_ns() >= deadline {
+                        return Err(RpcError::Timeout);
                     }
-                    // Frame started (or no deadline): keep waiting.
                 }
                 Err(e) => return Err(RpcError::Io(e.to_string())),
             }
@@ -408,10 +405,10 @@ impl Conn for SocketConn {
         self.check_open()?;
 
         // --- Serialization (Listing 1 lines 2-7) ---
-        let ser_start = Instant::now();
+        let ser_start = self.clock.now_ns();
         let mut d = DataOutputBuffer::with_capacity(self.init_buf);
         write(&mut d)?;
-        let serialize_ns = ser_start.elapsed().as_nanos() as u64;
+        let serialize_ns = self.clock.elapsed_ns(ser_start);
         let adjustments = d.adjustments();
         let size = d.len();
 
@@ -419,9 +416,9 @@ impl Conn for SocketConn {
         // The finished frame moves into the write queue without a copy;
         // the stream still performs the user→kernel staging copy and pays
         // the stack + wire costs, but nothing re-copies it in user space.
-        let send_start = Instant::now();
+        let send_start = self.clock.now_ns();
         self.transmit_one(None, d.into_vec())?;
-        let send_ns = send_start.elapsed().as_nanos() as u64;
+        let send_ns = self.clock.elapsed_ns(send_start);
 
         if let Some(m) = &self.metrics {
             let entry = m.entry(key);
@@ -449,16 +446,16 @@ impl Conn for SocketConn {
         // every lock, concurrently with other senders; only the tiny
         // order-sensitive lead is encoded under the queue lock, inside
         // `transmit_one`, once this frame's wire position is final.
-        let ser_start = Instant::now();
+        let ser_start = self.clock.now_ns();
         let mut d = DataOutputBuffer::with_capacity(self.init_buf);
         body(&mut d)?;
-        let serialize_ns = ser_start.elapsed().as_nanos() as u64;
+        let serialize_ns = self.clock.elapsed_ns(ser_start);
         let adjustments = d.adjustments();
         let body_len = d.len();
 
-        let send_start = Instant::now();
+        let send_start = self.clock.now_ns();
         self.transmit_one(Some(lead), d.into_vec())?;
-        let send_ns = send_start.elapsed().as_nanos() as u64;
+        let send_ns = self.clock.elapsed_ns(send_start);
 
         if let Some(m) = &self.metrics {
             let entry = m.entry(key);
@@ -478,7 +475,7 @@ impl Conn for SocketConn {
 
     fn send_serialized(&self, key: MethodKey, lead: &[u8], body: &[u8]) -> RpcResult<()> {
         self.check_open()?;
-        let send_start = Instant::now();
+        let send_start = self.clock.now_ns();
         let mut st = self.wq.lock();
         if let Some(e) = &st.err {
             return Err(e.clone());
@@ -510,7 +507,7 @@ impl Conn for SocketConn {
             // Pre-serialized, like `send_frames`: serialize time is nil.
             let entry = m.entry(key);
             entry.record_phase(Phase::Serialize, 0);
-            entry.record_phase(Phase::Wire, send_start.elapsed().as_nanos() as u64);
+            entry.record_phase(Phase::Wire, self.clock.elapsed_ns(send_start));
         }
         Ok(())
     }
@@ -521,13 +518,13 @@ impl Conn for SocketConn {
         if n == 0 {
             return Ok(());
         }
-        let send_start = Instant::now();
+        let send_start = self.clock.now_ns();
         self.transmit_many(frames.into_iter())?;
         if let Some(m) = &self.metrics {
             // One sample per frame, as a per-frame send would record —
             // the gathered send's cost amortized over its frames. The
             // bytes arrive pre-serialized, so serialize time is nil.
-            let per_frame = (send_start.elapsed().as_nanos() as u64) / n;
+            let per_frame = self.clock.elapsed_ns(send_start) / n;
             let entry = m.entry(key);
             for _ in 0..n {
                 entry.record_phase(Phase::Serialize, 0);
@@ -537,15 +534,14 @@ impl Conn for SocketConn {
         Ok(())
     }
 
-    fn recv_msg(&self, timeout: Duration) -> RpcResult<(Payload, RecvProfile)> {
+    fn recv_until(&self, deadline: u64) -> RpcResult<(Payload, RecvProfile)> {
         self.check_open()?;
         let mut state = self.recv.lock();
-        let deadline = Instant::now() + timeout;
 
         // Listing 2 line 3-5: read the length (tiny per-call buffer).
         let mut len_buf = [0u8; 4];
-        self.read_exact_deadline(&mut len_buf, Some(deadline))?;
-        let total_start = Instant::now();
+        self.read_exact_deadline(&mut len_buf, deadline)?;
+        let total_start = self.clock.now_ns();
         let len = i32::from_be_bytes(len_buf);
         if len < 0 {
             return Err(RpcError::Protocol(format!("negative frame length {len}")));
@@ -559,10 +555,10 @@ impl Conn for SocketConn {
         // JVM zeroes heap arrays eagerly; the explicit resize models that.
         #[allow(clippy::slow_vector_initialization)]
         let (mut heap, alloc_ns) = {
-            let alloc_start = Instant::now();
+            let alloc_start = self.clock.now_ns();
             let mut heap = Vec::with_capacity(len);
             heap.resize(len, 0);
-            (heap, alloc_start.elapsed().as_nanos() as u64)
+            (heap, self.clock.elapsed_ns(alloc_start))
         };
 
         // Listing 2 line 8: read fully, in chunks, through the temp
@@ -570,11 +566,11 @@ impl Conn for SocketConn {
         let mut filled = 0;
         while filled < len {
             let chunk = (len - filled).min(state.temp.len());
-            self.read_exact_deadline(&mut state.temp[..chunk], None)?;
+            self.read_exact_deadline(&mut state.temp[..chunk], u64::MAX)?;
             heap[filled..filled + chunk].copy_from_slice(&state.temp[..chunk]);
             filled += chunk;
         }
-        let total_ns = total_start.elapsed().as_nanos() as u64 + 1;
+        let total_ns = self.clock.elapsed_ns(total_start) + 1;
 
         Ok((
             Payload::Owned(heap),
@@ -584,6 +580,10 @@ impl Conn for SocketConn {
                 size: len,
             },
         ))
+    }
+
+    fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     fn poll_ready(&self) -> bool {

@@ -84,6 +84,38 @@ fn echo_over_rpcoib() {
     echo_roundtrip(RpcConfig::rpcoib(), model::IB_QDR_VERBS);
 }
 
+/// `validate` accepts a `call_timeout` of `Duration::MAX` — one that
+/// never gives up. Its deadline is one that never passes, not an
+/// overflow: a 64 B and a 256 KiB (bulk on verbs) echo on each transport,
+/// then an idle server's `drain(Duration::MAX)` quiesces.
+#[test]
+fn a_timeout_that_never_expires_is_a_deadline_that_never_passes() {
+    for (cfg, model) in [
+        (RpcConfig::socket(), model::IPOIB_QDR),
+        (RpcConfig::rpcoib(), model::IB_QDR_VERBS),
+    ] {
+        let cfg = RpcConfig {
+            call_timeout: Duration::MAX,
+            ..cfg
+        };
+        let (_fabric, server, client, _) = setup(model, cfg);
+        for size in [64usize, 256 * 1024] {
+            let payload = vec![size as u8 ^ 0x5a; size];
+            let resp: BytesWritable = client
+                .call(
+                    server.addr(),
+                    "test.EchoProtocol",
+                    "pingpong",
+                    &BytesWritable(payload.clone()),
+                )
+                .unwrap();
+            assert_eq!(resp.0, payload, "size {size}");
+        }
+        client.shutdown();
+        assert!(server.drain(Duration::MAX), "an idle server quiesces");
+    }
+}
+
 #[test]
 fn rpcoib_refuses_non_rdma_fabric() {
     let fabric = Fabric::new(model::IPOIB_QDR);

@@ -16,7 +16,7 @@ use rpcoib::transport::rdma::RdmaConn;
 use rpcoib::{
     Client, IbContext, RetryPolicy, RpcConfig, RpcError, RpcService, Server, ServiceRegistry,
 };
-use simnet::{model, Fabric, FaultSpec, NodeId, SimStream};
+use simnet::{model, Clock, Fabric, FaultSpec, NodeId, SimStream};
 use wire::{BytesWritable, DataInput, LongWritable, Text, Writable};
 
 /// Fabric + matching config for the transport selected by
@@ -33,6 +33,13 @@ fn transport_of(verbs: bool) -> (Fabric, RpcConfig) {
     } else {
         (Fabric::new(model::IPOIB_QDR), RpcConfig::socket())
     }
+}
+
+/// [`env_transport`] on a manual clock: time moves only when the test
+/// advances it, so a timeout racing a handler is a step the test takes.
+fn env_transport_stepped() -> (Fabric, RpcConfig) {
+    let (fabric, cfg) = env_transport();
+    (Fabric::with_clock(*fabric.model(), Clock::manual()), cfg)
 }
 
 /// Aborts the whole test process (with a pointed message) if the guard is
@@ -455,10 +462,21 @@ fn remote_errors_are_not_retried() {
 
 /// A deliberately *non-idempotent* service: every executed `incr` bumps
 /// the counter, so duplicate executions are directly observable. `slow*`
-/// methods stall in the handler for `delay` first.
+/// methods stall in the handler for `delay` on the fabric's clock, and
+/// count themselves in `begun` once the stall's end is fixed.
 struct CounterService {
     applied: Arc<AtomicU64>,
+    begun: Arc<AtomicU64>,
+    clock: Clock,
     delay: Duration,
+}
+
+impl CounterService {
+    fn stall(&self) {
+        let until = self.clock.deadline(self.delay);
+        self.begun.fetch_add(1, Ordering::AcqRel);
+        self.clock.sleep_until(until);
+    }
 }
 
 impl RpcService for CounterService {
@@ -476,12 +494,12 @@ impl RpcService for CounterService {
                 Ok(Box::new(LongWritable(now as i64)))
             }
             "slow_incr" => {
-                std::thread::sleep(self.delay);
+                self.stall();
                 let now = self.applied.fetch_add(1, Ordering::AcqRel) + 1;
                 Ok(Box::new(LongWritable(now as i64)))
             }
             "slow" => {
-                std::thread::sleep(self.delay);
+                self.stall();
                 Ok(Box::new(LongWritable(0)))
             }
             "get" => Ok(Box::new(LongWritable(
@@ -502,6 +520,8 @@ fn start_counter_server(
     let mut registry = ServiceRegistry::new();
     registry.register(Arc::new(CounterService {
         applied: Arc::clone(&applied),
+        begun: Arc::new(AtomicU64::new(0)),
+        clock: fabric.clock().clone(),
         delay,
     }));
     let server = Server::start(fabric, node, 8020, cfg.clone(), registry).unwrap();
@@ -1236,38 +1256,60 @@ fn retry_cache_ttl_expiry_reexecutes_instead_of_replaying_stale() {
     }
 }
 
-/// The read side's correctness contract across connections: two
-/// connections, read by whichever pool thread holds the read turn, and
-///
-/// * a parked duplicate on one connection still fans out exactly once;
-/// * a non-idempotent workload split across both connections applies
-///   exactly once per logical call under seeded link faults;
-/// * concurrent callers multiplexed on one connection always get *their
-///   own* response back — the per-connection send turn never lets two
-///   threads interleave writes on a single connection.
-///
-/// All three invariants must hold whether a turn's holder finds one
-/// response pending behind it or gathers several.
+/// Moves a manual clock past every deadline when dropped — declared after
+/// the server, so that a failed assertion's unwinding wakes a handler
+/// asleep on the clock before the server's drop waits for its thread.
+struct WakeSleepers(Clock);
+
+impl Drop for WakeSleepers {
+    fn drop(&mut self) {
+        self.0.advance(Duration::MAX);
+    }
+}
+
+/// Spin (under the caller's watchdog) until `cond` holds. It yields
+/// rather than sleeps: on a manual clock nothing the test waits for is
+/// a matter of time.
+fn until(mut cond: impl FnMut() -> bool) {
+    while !cond() {
+        std::thread::yield_now();
+    }
+}
+
+/// Duplicates the server has met: parked behind their executing call, or
+/// replayed from the cache.
+fn duplicates(server: &Server) -> u64 {
+    let counters = server.metrics().counters();
+    counters.retry_cache_parked + counters.retry_cache_hits
+}
+
+/// The read side across connections, first invariant: a parked
+/// duplicate on one of two connections still fans out exactly once.
+/// Stepped on a manual clock: the handler stalls 400 ms of it, the call
+/// timeout is 300 ms. The test moves the clock past the timeout, waits
+/// until the server has met the retry — parked behind the executing
+/// call — and only then moves it past the handler's stall, so no host
+/// scheduling can let the first attempt finish before its retry lands.
 #[test]
-fn ordering_and_at_most_once_across_two_connections() {
-    let _wd = watchdog("two_connections", Duration::from_secs(120));
-    let (fabric, base) = env_transport();
-    fabric.set_fault_seed(7);
+fn a_parked_duplicate_across_two_connections_fans_out_once() {
+    let _wd = watchdog("parked_duplicate", Duration::from_secs(60));
+    let (fabric, base) = env_transport_stepped();
+    let clock = fabric.clock().clone();
     let server_node = fabric.add_node();
     let cfg = RpcConfig {
-        // The slow_incr handler takes 400 ms: the first attempt times out
-        // and its retry parks behind the in-flight execution.
         call_timeout: Duration::from_millis(300),
         retry: RetryPolicy::exponential(10, Duration::from_millis(10)),
         ..base
     };
     let applied = Arc::new(AtomicU64::new(0));
+    let begun = Arc::new(AtomicU64::new(0));
     let mut registry = ServiceRegistry::new();
     registry.register(Arc::new(CounterService {
         applied: Arc::clone(&applied),
+        begun: Arc::clone(&begun),
+        clock: clock.clone(),
         delay: Duration::from_millis(400),
     }));
-    registry.register(Arc::new(EchoService));
     let server = Server::start(&fabric, server_node, 8020, cfg.clone(), registry).unwrap();
 
     // Two clients = two connections.
@@ -1275,10 +1317,34 @@ fn ordering_and_at_most_once_across_two_connections() {
     counter_call(&client_a, &server, "get").unwrap();
     let client_b = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
     counter_call(&client_b, &server, "get").unwrap();
+    let _wake = WakeSleepers(clock.clone());
 
     // Parked duplicate on connection A while connection B keeps
     // working.
-    let resp = counter_call(&client_a, &server, "slow_incr")
+    let caller = {
+        let (client, addr) = (client_a.clone(), server.addr());
+        std::thread::spawn(move || {
+            client.call::<_, LongWritable>(
+                addr,
+                "test.CounterProtocol",
+                "slow_incr",
+                &LongWritable(1),
+            )
+        })
+    };
+    until(|| begun.load(Ordering::Acquire) == 1);
+    clock.advance(Duration::from_millis(301));
+    until(|| duplicates(&server) >= 1 || begun.load(Ordering::Acquire) > 1);
+    assert_eq!(
+        begun.load(Ordering::Acquire),
+        1,
+        "the retry re-executed instead of parking"
+    );
+    assert_eq!(counter_call(&client_b, &server, "get").unwrap().0, 0);
+    clock.advance(Duration::from_millis(100));
+    let resp = caller
+        .join()
+        .unwrap()
         .expect("the retry should collect the first attempt's response");
     assert_eq!(resp.0, 1);
     assert_eq!(
@@ -1290,6 +1356,52 @@ fn ordering_and_at_most_once_across_two_connections() {
         server.metrics().counters().retry_cache_parked >= 1,
         "the duplicate should have parked behind the in-flight call"
     );
+    client_a.shutdown();
+    client_b.shutdown();
+    server.stop();
+}
+
+/// The read side's correctness contract across connections, the other
+/// two invariants: two connections, read by whichever pool thread holds
+/// the read turn, and
+///
+/// * a non-idempotent workload split across both connections applies
+///   exactly once per logical call under seeded link faults;
+/// * concurrent callers multiplexed on one connection always get *their
+///   own* response back — the per-connection send turn never lets two
+///   threads interleave writes on a single connection.
+///
+/// Both must hold whether a turn's holder finds one response pending
+/// behind it or gathers several. (The first invariant, a parked
+/// duplicate, is [`a_parked_duplicate_across_two_connections_fans_out_once`].)
+#[test]
+fn ordering_and_at_most_once_across_two_connections() {
+    let _wd = watchdog("two_connections", Duration::from_secs(120));
+    let (fabric, base) = env_transport();
+    fabric.set_fault_seed(7);
+    let server_node = fabric.add_node();
+    let cfg = RpcConfig {
+        // Lost requests and responses cost an attempt each.
+        call_timeout: Duration::from_millis(300),
+        retry: RetryPolicy::exponential(10, Duration::from_millis(10)),
+        ..base
+    };
+    let applied = Arc::new(AtomicU64::new(0));
+    let mut registry = ServiceRegistry::new();
+    registry.register(Arc::new(CounterService {
+        applied: Arc::clone(&applied),
+        begun: Arc::new(AtomicU64::new(0)),
+        clock: fabric.clock().clone(),
+        delay: Duration::ZERO,
+    }));
+    registry.register(Arc::new(EchoService));
+    let server = Server::start(&fabric, server_node, 8020, cfg.clone(), registry).unwrap();
+
+    // Two clients = two connections.
+    let client_a = Client::new(&fabric, fabric.add_node(), cfg.clone()).unwrap();
+    counter_call(&client_a, &server, "get").unwrap();
+    let client_b = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+    counter_call(&client_b, &server, "get").unwrap();
 
     // Seeded faults on both links; each connection drives a sequential
     // stream of non-idempotent calls from its own thread.
@@ -1326,7 +1438,7 @@ fn ordering_and_at_most_once_across_two_connections() {
     }
     assert_eq!(
         applied.load(Ordering::Acquire),
-        1 + 2 * CALLS_PER_CONN,
+        2 * CALLS_PER_CONN,
         "every incr must apply exactly once across both connections"
     );
 

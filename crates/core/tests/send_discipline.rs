@@ -10,7 +10,7 @@
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, RwLock};
 use std::time::{Duration, Instant};
 
 use rpcoib::handshake::client_hello;
@@ -21,15 +21,16 @@ use rpcoib::{
     Client, IbContext, ResponseStatus, RetryPolicy, RpcConfig, RpcError, RpcService, Server,
     ServiceRegistry, ShardRole, ShardSnapshot, V3Decoder, V3Encoder,
 };
-use simnet::{model, Fabric, SimStream};
+use simnet::{model, Clock, Fabric, SimStream};
 use wire::{BytesWritable, DataInput, IntWritable, Writable};
 
 /// `echo` returns its payload (and counts the execution); `slow_echo`
-/// sleeps `delay` first (and counts itself in before it does); `inflate`
-/// answers an `i32 n` with `n` bytes.
+/// sleeps `delay` on the fabric's clock first (and counts itself in once
+/// the sleep's end is fixed); `inflate` answers an `i32 n` with `n` bytes.
 struct TestService {
     executed: Arc<AtomicU64>,
     sleeping: Arc<AtomicU64>,
+    clock: Clock,
     delay: Duration,
 }
 
@@ -45,8 +46,9 @@ impl RpcService for TestService {
         match method {
             "echo" | "slow_echo" => {
                 if method == "slow_echo" {
+                    let until = self.clock.deadline(self.delay);
                     self.sleeping.fetch_add(1, Ordering::AcqRel);
-                    std::thread::sleep(self.delay);
+                    self.clock.sleep_until(until);
                 }
                 let mut payload = BytesWritable::default();
                 payload.read_fields(param).map_err(|e| e.to_string())?;
@@ -81,6 +83,7 @@ fn start_counting_server(
     registry.register(Arc::new(TestService {
         executed: Arc::clone(&executed),
         sleeping: Arc::clone(&sleeping),
+        clock: fabric.clock().clone(),
         delay,
     }));
     let server = Server::start(fabric, fabric.add_node(), 8020, cfg.clone(), registry).unwrap();
@@ -125,48 +128,58 @@ fn wait_until(limit: Duration, what: &str, mut cond: impl FnMut() -> bool) {
 /// sent at once by the thread that produced them and responses sent from
 /// the pending list by the turn's holder: every `slow_echo` outlives the
 /// call timeout, so its retry — the same seq on the same connection —
-/// parks behind the execution (and is released by the handler that
-/// completes it) or, arriving later, is replayed by whoever reads (pushed
-/// under the table lock, flushed after it); and caller 3's echoes are a
-/// quarter megabyte each, which holds the turn for the ~200 µs the link
-/// takes to carry one — the other callers' responses run into that
-/// (about one per echo; with every fourth echo that big, one run in 180
-/// saw none). The V3 response
+/// parks behind the execution and is released by the handler that
+/// completes it; and caller 3's echoes are a quarter megabyte each,
+/// which holds the turn for the ~200 µs the link takes to carry one —
+/// the other callers' responses run into that (about one per echo; with
+/// every fourth echo that big, one run in 180 saw none). The V3 response
 /// lead is a *delta* against the previous frame on the wire: if encode
 /// order ever differed from wire order the client would attribute frames
 /// to the wrong calls, so every echo matching its request is the proof.
+///
+/// Stepped on a manual clock (T₁ = the 40 ms call timeout, T₂ = the
+/// 70 ms stall): for each slow call the test moves the clock past T₁,
+/// waits until the server has met the retry, and only then moves it past
+/// T₂ — so no descheduled caller can read the answer before it notices
+/// its timeout. The other calls are each made under a shared gate the
+/// test takes alone to move the clock, so a step expires the slow call's
+/// attempt and no other.
 #[test]
 fn inline_and_queued_sends_share_one_stateful_connection() {
-    let fabric = Fabric::new(model::IPOIB_QDR);
+    let _wd = watchdog("inline_and_queued", Duration::from_secs(120));
+    let fabric = Fabric::with_clock(model::IPOIB_QDR, Clock::manual());
+    let clock = fabric.clock().clone();
     let cfg = RpcConfig {
         handlers: 8,
         call_timeout: Duration::from_millis(40),
         retry: RetryPolicy::exponential(8, Duration::from_millis(2)),
         ..RpcConfig::socket()
     };
-    let (server, _executed) = start_server(&fabric, &cfg, Duration::from_millis(70));
+    let (server, _executed, sleeping) =
+        start_counting_server(&fabric, &cfg, Duration::from_millis(70));
     let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+    let _wake = WakeSleepers(clock.clone());
     echo(&client, &server, "echo", b"warm").unwrap();
 
+    let gate = Arc::new(RwLock::new(()));
     let callers: Vec<_> = (0..4u8)
         .map(|t| {
             let client = client.clone();
             let addr = server.addr();
+            let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
                 for i in 0..40u8 {
                     // Caller 0 forces the duplicates, caller 3 holds the
                     // turn; the others keep running into both.
-                    let method = if t == 0 && i % 4 == 0 {
-                        "slow_echo"
-                    } else {
-                        "echo"
-                    };
+                    let slow = t == 0 && i % 4 == 0;
+                    let method = if slow { "slow_echo" } else { "echo" };
                     let size = if t == 3 {
                         256 * 1024
                     } else {
                         48 + t as usize * 100
                     };
                     let payload = vec![t * 64 + i; size + i as usize];
+                    let _shared = (!slow).then(|| gate.read().unwrap());
                     let got: BytesWritable = client
                         .call(
                             addr,
@@ -183,6 +196,22 @@ fn inline_and_queued_sends_share_one_stateful_connection() {
             })
         })
         .collect();
+    let step = |by: Duration| {
+        let _alone = gate.write().unwrap();
+        clock.advance(by);
+    };
+    for slow_call in 1..=10u64 {
+        until(|| sleeping.load(Ordering::Acquire) == slow_call);
+        let met = duplicates(&server);
+        step(Duration::from_millis(41));
+        until(|| duplicates(&server) > met || sleeping.load(Ordering::Acquire) > slow_call);
+        assert_eq!(
+            sleeping.load(Ordering::Acquire),
+            slow_call,
+            "slow call {slow_call}'s retry re-executed instead of parking"
+        );
+        step(Duration::from_millis(30));
+    }
     for c in callers {
         c.join().unwrap();
     }
@@ -213,6 +242,33 @@ fn inline_and_queued_sends_share_one_stateful_connection() {
     );
     client.shutdown();
     server.stop();
+}
+
+/// Moves a manual clock past every deadline when dropped — declared after
+/// the server, so that a failed assertion's unwinding wakes a handler
+/// asleep on the clock before the server's drop waits for its thread.
+struct WakeSleepers(Clock);
+
+impl Drop for WakeSleepers {
+    fn drop(&mut self) {
+        self.0.advance(Duration::MAX);
+    }
+}
+
+/// Spin (under the caller's watchdog) until `cond` holds. It yields
+/// rather than sleeps: on a manual clock nothing the test waits for is
+/// a matter of time.
+fn until(mut cond: impl FnMut() -> bool) {
+    while !cond() {
+        std::thread::yield_now();
+    }
+}
+
+/// Duplicates the server has met: parked behind their executing call, or
+/// replayed from the cache.
+fn duplicates(server: &Server) -> u64 {
+    let counters = server.metrics().counters();
+    counters.retry_cache_parked + counters.retry_cache_hits
 }
 
 /// (b′) Nothing pushed is ever stranded. Eight callers share one

@@ -19,6 +19,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::faults::{next_unit, FaultSpec};
 use crate::model::NetworkModel;
 use crate::stream::PendingConn;
+use crate::time::Clock;
 use crate::verbs::{MrInner, QpSlot};
 
 /// An epoll-style readiness hook, shared between the producer and the
@@ -169,6 +170,7 @@ impl FabricStats {
 
 pub(crate) struct FabricInner {
     pub(crate) model: NetworkModel,
+    clock: Clock,
     pub(crate) nodes: RwLock<HashMap<NodeId, Arc<NodeLinks>>>,
     pub(crate) dead: RwLock<HashSet<NodeId>>,
     /// Normalized (min, max) node pairs that cannot reach each other.
@@ -209,11 +211,19 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Create a fabric governed by the given cost model.
+    /// Create a fabric governed by the given cost model, on the host's
+    /// clock.
     pub fn new(model: NetworkModel) -> Self {
+        Fabric::with_clock(model, Clock::host())
+    }
+
+    /// Create a fabric whose endpoints read time from `clock` — a
+    /// [`Clock::manual`] one to step a test's timeouts by hand.
+    pub fn with_clock(model: NetworkModel, clock: Clock) -> Self {
         Fabric {
             inner: Arc::new(FabricInner {
                 model,
+                clock,
                 nodes: RwLock::new(HashMap::new()),
                 dead: RwLock::new(HashSet::new()),
                 partitions: RwLock::new(HashSet::new()),
@@ -237,6 +247,11 @@ impl Fabric {
     /// The cost model this fabric runs under.
     pub fn model(&self) -> &NetworkModel {
         &self.inner.model
+    }
+
+    /// The clock every endpoint on this fabric reads time from.
+    pub fn clock(&self) -> &Clock {
+        &self.inner.clock
     }
 
     /// Allocate a new simulated node (with its own NIC link clocks).

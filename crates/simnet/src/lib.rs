@@ -72,7 +72,7 @@ pub use faults::FaultSpec;
 pub use hw::{hw_scope, in_hw_scope};
 pub use model::NetworkModel;
 pub use stream::{ListenerCloser, SimListener, SimStream};
-pub use time::{fast_forward, set_fast_forward};
+pub use time::{fast_forward, set_fast_forward, Clock};
 pub use topology::{Cluster, Host};
 pub use verbs::{
     Completion, CompletionKind, LimitHook, MemoryRegion, QpEndpoint, QueuePair, RdmaDevice,

@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 
 use crate::fabric::{Fabric, NodeId, SimAddr, WakeSlot};
 use crate::time::spin_until;
+use crate::time::Clock;
 
 /// How often blocked reads/accepts re-check for node failure.
 const FAILURE_POLL: Duration = Duration::from_millis(10);
@@ -194,6 +195,11 @@ impl SimStream {
     /// The remote (node, port) this stream is connected to.
     pub fn peer_addr(&self) -> SimAddr {
         self.inner.peer
+    }
+
+    /// The clock of the fabric this stream runs on.
+    pub fn clock(&self) -> &Clock {
+        self.inner.fabric.clock()
     }
 
     /// Set or clear the timeout applied to blocking reads.
