@@ -584,8 +584,9 @@ impl PayloadReader<'_> {
     /// copy `f` made — *verify what you keep* — never on a second visit.
     ///
     /// Generic, so not a `DataInput` method: a handler holding
-    /// `&mut dyn DataInput` reaches it through `read_len_bytes`, which
-    /// this reader overrides to copy through here.
+    /// `&mut dyn DataInput` reaches it through the two this reader
+    /// overrides, `read_len_bytes`, which copies through here, and
+    /// `with_len_bytes`, which visits through here.
     pub fn with_bytes<R>(&mut self, len: usize, f: impl FnOnce(&[u8]) -> R) -> io::Result<R> {
         self.check_remaining(len)?;
         let (start, end) = (self.pos, self.pos + len);
@@ -670,6 +671,18 @@ impl DataInput for PayloadReader<'_> {
         buf.reserve_exact(len);
         self.with_bytes(len, |bytes| buf.extend_from_slice(bytes))?;
         Ok(buf)
+    }
+
+    /// [`PayloadReader::with_bytes`] behind the length prefix: `f` runs
+    /// where the bytes landed. A negative length or one past the frame is
+    /// refused before `f` runs, by kind alone: it allocates nothing, not
+    /// even a message.
+    fn with_len_bytes(&mut self, f: &mut dyn FnMut(&[u8])) -> io::Result<()> {
+        let len = usize::try_from(self.read_i32()?).map_err(|_| io::ErrorKind::InvalidData)?;
+        if len > self.remaining() {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        self.with_bytes(len, |bytes| f(bytes))
     }
 }
 
@@ -1098,5 +1111,32 @@ mod tests {
         assert_eq!(reader.position(), 4);
         assert_eq!(reader.with_bytes(0, <[u8]>::len).unwrap(), 0);
         assert_eq!(reader.read_u8().unwrap(), 5);
+    }
+
+    #[test]
+    fn with_len_bytes_visits_in_place_and_refuses_a_hostile_length_unvisited() {
+        let payload = len_bytes_payload(&[2, 3, 4], &[9]);
+        let mut reader = payload.reader();
+        let mut seen = Vec::new();
+        reader
+            .with_len_bytes(&mut |b| seen.extend_from_slice(b))
+            .unwrap();
+        assert_eq!((seen.as_slice(), reader.position()), (&[2, 3, 4][..], 7));
+        assert_eq!(reader.read_u8().unwrap(), 9);
+        for (announced, kind) in [
+            (-1, io::ErrorKind::InvalidData),
+            (2, io::ErrorKind::UnexpectedEof),
+        ] {
+            let mut raw: Vec<u8> = Vec::new();
+            raw.write_i32(announced).unwrap();
+            raw.push(1);
+            let payload = Payload::Owned(raw);
+            let mut reader = payload.reader();
+            let err = reader
+                .with_len_bytes(&mut |_| panic!("visited"))
+                .unwrap_err();
+            assert_eq!(err.kind(), kind);
+            assert_eq!(reader.position(), 4);
+        }
     }
 }

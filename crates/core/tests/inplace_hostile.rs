@@ -18,7 +18,9 @@
 //! The same allocator counts what one thread allocates, which is how the
 //! reader's own cases are checked on a bare verbs connection: a
 //! length-prefixed buffer costs one allocation of exactly its length from
-//! any payload, a length beyond the frame costs nothing it sized, and a
+//! any payload, and visiting one in place costs none; a length beyond the
+//! frame costs nothing it sized, and a negative one or one beyond the
+//! frame is refused before it is visited at no cost at all; and a
 //! recycled spare shows none of its old bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -431,6 +433,75 @@ fn len_bytes_cost_one_allocation_of_their_length_from_any_payload() {
         assert_eq!(got, *body, "{payload:?}");
         assert_eq!(allocs, (1, body.len()), "{payload:?}");
         assert_eq!(got.capacity(), body.len(), "{payload:?}");
+    }
+}
+
+#[test]
+fn with_len_bytes_visits_what_read_len_bytes_returns_where_it_landed() {
+    let (cli, srv) = conn_pair(4096);
+    let framed = |body: &[u8]| {
+        let mut frame = len_bytes(body);
+        frame.push(7);
+        frame
+    };
+    let small: Vec<u8> = (0..1_000u32).map(|i| i as u8).collect();
+    let large: Vec<u8> = (0..40_000u32).map(|i| (i * 7) as u8).collect();
+    let owned = Payload::Owned(framed(&small));
+    let pooled = carry(&cli, &srv, &framed(&small));
+    let in_place = carry(&cli, &srv, &framed(&large));
+    let empty = carry(&cli, &srv, &framed(&[]));
+    assert!(matches!(pooled, Payload::Pooled { .. }), "{pooled:?}");
+    assert!(matches!(in_place, Payload::InPlace { .. }), "{in_place:?}");
+    for payload in [&owned, &pooled, &in_place, &empty] {
+        let mut copied = payload.reader();
+        let want = copied.read_len_bytes().unwrap();
+        let mut reader = payload.reader();
+        let (visits, allocs) = tally(|| {
+            let mut visits = 0;
+            reader
+                .with_len_bytes(&mut |bytes| {
+                    assert!(bytes == want.as_slice(), "other bytes than read_len_bytes'");
+                    visits += 1;
+                })
+                .unwrap();
+            visits
+        });
+        assert_eq!(visits, 1, "{payload:?}");
+        assert_eq!(allocs, (0, 0), "{payload:?}");
+        assert_eq!(reader.position(), copied.position(), "{payload:?}");
+        assert_eq!(reader.read_u8().unwrap(), 7);
+    }
+}
+
+#[test]
+fn with_len_bytes_refuses_a_hostile_length_before_it_visits_or_allocates() {
+    let (eager_cli, eager_srv) = conn_pair(4096);
+    let (bulk_cli, bulk_srv) = conn_pair(8);
+    for (announced, kind) in [
+        (-2, std::io::ErrorKind::InvalidData),
+        (6, std::io::ErrorKind::UnexpectedEof),
+        (i32::MAX, std::io::ErrorKind::UnexpectedEof),
+    ] {
+        // Announcing `announced` bytes, holding five.
+        let mut frame = Vec::new();
+        frame.write_i32(announced).unwrap();
+        frame.extend_from_slice(b"short");
+        let owned = Payload::Owned(frame.clone());
+        let pooled = carry(&eager_cli, &eager_srv, &frame);
+        let in_place = carry(&bulk_cli, &bulk_srv, &frame);
+        assert!(matches!(pooled, Payload::Pooled { .. }), "{pooled:?}");
+        assert!(matches!(in_place, Payload::InPlace { .. }), "{in_place:?}");
+        for payload in [&owned, &pooled, &in_place] {
+            let mut reader = payload.reader();
+            let (err, allocs) = tally(|| {
+                reader
+                    .with_len_bytes(&mut |_| panic!("visited"))
+                    .unwrap_err()
+            });
+            assert_eq!(err.kind(), kind, "{announced} in {payload:?}");
+            assert_eq!(allocs, (0, 0), "{announced} in {payload:?}");
+            assert_eq!(reader.position(), 4, "nothing read past the length");
+        }
     }
 }
 

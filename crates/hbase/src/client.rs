@@ -4,10 +4,10 @@
 use parking_lot::RwLock;
 use rpcoib::{Client, RpcError, RpcResult};
 use simnet::{Cluster, Host, SimAddr};
-use wire::BooleanWritable;
+use wire::{BooleanWritable, VIntWritable};
 
 use crate::config::HBaseConfig;
-use crate::types::{region_of, PutArgs, RegionInfo, Row, ScanArgs};
+use crate::types::{region_of, RegionInfo, Row};
 
 const MASTER_PROTOCOL: &str = "hbase.MasterProtocol";
 const RS_PROTOCOL: &str = "hbase.RegionServerProtocol";
@@ -108,18 +108,13 @@ impl HBaseClient {
         Err(last_err.unwrap_or_else(|| RpcError::Protocol("no region attempt made".into())))
     }
 
-    /// Store a row.
+    /// Store a row. Each request is serialized from the caller's
+    /// borrowed key and value (as is every request below).
     pub fn put(&self, key: &[u8], value: &[u8]) -> RpcResult<()> {
         self.with_region(key, |region| {
-            let _: BooleanWritable = self.ops_rpc.call(
-                region.rs_addr(),
-                RS_PROTOCOL,
-                "put",
-                &PutArgs {
-                    key: key.to_vec(),
-                    value: value.to_vec(),
-                },
-            )?;
+            let _: BooleanWritable =
+                self.ops_rpc
+                    .call(region.rs_addr(), RS_PROTOCOL, "put", &(key, value))?;
             Ok(())
         })
     }
@@ -129,7 +124,7 @@ impl HBaseClient {
         self.with_region(key, |region| {
             let existed: BooleanWritable =
                 self.ops_rpc
-                    .call(region.rs_addr(), RS_PROTOCOL, "delete", &key.to_vec())?;
+                    .call(region.rs_addr(), RS_PROTOCOL, "delete", &key)?;
             Ok(existed.0)
         })
     }
@@ -138,12 +133,12 @@ impl HBaseClient {
     pub fn get(&self, key: &[u8]) -> RpcResult<Option<Vec<u8>>> {
         self.with_region(key, |region| {
             self.ops_rpc
-                .call(region.rs_addr(), RS_PROTOCOL, "get", &key.to_vec())
+                .call(region.rs_addr(), RS_PROTOCOL, "get", &key)
         })
     }
 
-    /// Batch point reads: one RPC per key (grouped routing), collected in
-    /// input order. `None` entries are missing rows.
+    /// Point reads of several keys: one `get` per key, each routed on its
+    /// own, in input order. `None` entries are missing rows.
     pub fn multi_get(&self, keys: &[&[u8]]) -> RpcResult<Vec<Option<Vec<u8>>>> {
         keys.iter().map(|key| self.get(key)).collect()
     }
@@ -152,15 +147,9 @@ impl HBaseClient {
     /// owning `start`'s bucket (single-server scan).
     pub fn scan(&self, start: &[u8], limit: u32) -> RpcResult<Vec<Row>> {
         self.with_region(start, |region| {
-            self.ops_rpc.call(
-                region.rs_addr(),
-                RS_PROTOCOL,
-                "scan",
-                &ScanArgs {
-                    start: start.to_vec(),
-                    limit,
-                },
-            )
+            let args = (start, VIntWritable(limit as i32));
+            self.ops_rpc
+                .call(region.rs_addr(), RS_PROTOCOL, "scan", &args)
         })
     }
 

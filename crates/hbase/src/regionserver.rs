@@ -10,6 +10,13 @@
 //! Flushed data stays readable through an in-memory store-file cache
 //! (HBase's block cache equivalent), so Gets hit memory.
 //!
+//! A value is stored once and shared. A put's value is copied out of the
+//! request, where it landed, into one allocation that is the value from
+//! then on: the memstore, a flush's snapshot, the block cache and a get's
+//! reply hold it by reference count. A get looks its key up where the
+//! request landed, and its reply copies the value once, into the response
+//! body.
+//!
 //! ## The WAL's lifecycle
 //!
 //! Every edit — a put, or a delete, which is a tombstone — takes its
@@ -138,7 +145,7 @@ use simnet::{Cluster, Host, SimAddr};
 use wire::{BooleanWritable, DataInput, IntWritable, Writable};
 
 use crate::config::HBaseConfig;
-use crate::types::{region_of, PutArgs, Row, ScanArgs};
+use crate::types::{region_of, Acked, Row, SharedValue};
 use crate::RS_PORT;
 
 /// WAL / store-file entry opcodes.
@@ -148,12 +155,12 @@ const ENTRY_DELETE: u8 = 2;
 /// Error message prefix a client interprets as "refresh your region map".
 pub const NOT_SERVING: &str = "NotServingRegion";
 
-/// One edit of a row: its sequence number, and the value it put or
-/// `None` for a delete.
+/// One edit of a row: its sequence number, and the value it put (shared,
+/// module docs) or `None` for a delete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Cell {
     seq: u64,
-    value: Option<Vec<u8>>,
+    value: Option<Arc<[u8]>>,
 }
 
 impl Cell {
@@ -324,24 +331,70 @@ impl Region {
 
     /// `key`'s current value: its newest edit, unflushed or flushed (a
     /// delete hides the row).
-    fn get(&self, key: &[u8]) -> Option<&Vec<u8>> {
+    fn get(&self, key: &[u8]) -> Option<&Arc<[u8]>> {
         let cell = self.unflushed().find_map(|cells| cells.get(key));
         cell.or_else(|| Some(&self.flushed.get(key)?.cell))?
             .value
             .as_ref()
     }
 
+    /// Up to `limit` rows with keys ≥ `start`, in key order, borrowed:
+    /// the layers — the memstore, the flushes in flight newest first, the
+    /// block cache — merged by key, the newest layer holding a key giving
+    /// its edit (a delete hides the row), stopping at the `limit`-th row.
+    fn scan(&self, start: &[u8], limit: usize) -> Vec<(&[u8], &[u8])> {
+        let from = (Bound::Included(start), Bound::Unbounded);
+        let mut unflushed: Vec<_> = self
+            .unflushed()
+            .map(|cells| cells.range::<[u8], _>(from).peekable())
+            .collect();
+        let mut flushed = self.flushed.range::<[u8], _>(from).peekable();
+        let mut rows = Vec::new();
+        while rows.len() < limit {
+            let heads = unflushed.iter_mut().filter_map(|layer| layer.peek());
+            let Some(key) = heads
+                .map(|(key, _)| *key)
+                .chain(flushed.peek().map(|(key, _)| *key))
+                .min()
+            else {
+                break;
+            };
+            // Every layer holding `key` steps past it; the first wins.
+            let mut newest = None;
+            for layer in &mut unflushed {
+                if let Some((_, cell)) = layer.next_if(|(k, _)| *k == key) {
+                    newest.get_or_insert(cell);
+                }
+            }
+            if let Some((_, row)) = flushed.next_if(|(k, _)| *k == key) {
+                newest.get_or_insert(&row.cell);
+            }
+            if let Some(value) = newest.and_then(|cell| cell.value.as_deref()) {
+                rows.push((key.as_slice(), value));
+            }
+        }
+        rows
+    }
+
     /// Apply an edit the WAL logged in `segment` under `next_seq`. The
     /// memstore counts the bytes it holds: a cell this edit replaces
-    /// comes off.
-    fn apply(&mut self, key: Vec<u8>, value: Option<Vec<u8>>, segment: u64) {
-        let key_len = key.len();
-        self.memstore_bytes += key_len + value.as_ref().map_or(0, Vec::len);
+    /// comes off, and keeps its key (only a new row's is copied).
+    fn apply(&mut self, key: &[u8], value: Option<Arc<[u8]>>, segment: u64) {
+        self.memstore_bytes += key.len() + value.as_ref().map_or(0, |v| v.len());
         self.memstore_floor.get_or_insert(segment);
-        let seq = self.next_seq;
+        let cell = Cell {
+            seq: self.next_seq,
+            value,
+        };
         self.next_seq += 1;
-        if let Some(replaced) = self.memstore.insert(key, Cell { seq, value }) {
-            self.memstore_bytes -= key_len + replaced.value.map_or(0, |v| v.len());
+        match self.memstore.get_mut(key) {
+            Some(slot) => {
+                let replaced = std::mem::replace(slot, cell);
+                self.memstore_bytes -= key.len() + replaced.value.map_or(0, |v| v.len());
+            }
+            None => {
+                self.memstore.insert(key.to_vec(), cell);
+            }
         }
     }
 
@@ -623,22 +676,22 @@ fn read_entry(input: &mut &[u8]) -> io::Result<(Vec<u8>, Cell)> {
     let key = read_field(input)?;
     let value = read_field(input)?;
     let value = match op {
-        ENTRY_PUT => Some(value),
+        ENTRY_PUT => Some(Arc::from(value)),
         ENTRY_DELETE => None,
         _ => return Err(io::ErrorKind::InvalidData.into()),
     };
-    Ok((key, Cell { seq, value }))
+    Ok((key.to_vec(), Cell { seq, value }))
 }
 
 /// A `u32`-length-prefixed field, refused if it runs past the data.
-fn read_field(input: &mut &[u8]) -> io::Result<Vec<u8>> {
+fn read_field<'a>(input: &mut &'a [u8]) -> io::Result<&'a [u8]> {
     let len = input.read_i32()? as u32 as usize;
     if len > input.len() {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
     let (field, rest) = input.split_at(len);
     *input = rest;
-    Ok(field.to_vec())
+    Ok(field)
 }
 
 /// Serialize `snapshot` as a store file into `buf`, reserved at the
@@ -795,19 +848,19 @@ impl RsState {
     /// whose oldest unflushed edit it leaves more than the WAL's span
     /// behind. A delete of a row that does not exist logs nothing and
     /// returns `false`.
-    fn edit(&self, key: Vec<u8>, value: Option<Vec<u8>>) -> Result<bool, String> {
-        let bucket = region_of(&key, self.n_regions);
+    fn edit(&self, key: &[u8], value: Option<Arc<[u8]>>) -> Result<bool, String> {
+        let bucket = region_of(key, self.n_regions);
         let (roll, flushes) = {
             let mut regions = self.regions.lock();
             let region = regions
                 .get_mut(&bucket)
                 .ok_or_else(|| format!("{NOT_SERVING}: bucket {bucket}"))?;
-            if value.is_none() && region.get(&key).is_none() {
+            if value.is_none() && region.get(key).is_none() {
                 return Ok(false);
             }
             let (segment, roll) = self.wal.lock().append(
                 region.next_seq,
-                &key,
+                key,
                 value.as_deref(),
                 self.cfg.wal_roll_bytes,
             );
@@ -921,13 +974,14 @@ impl RsState {
         self.delete_files(dead);
     }
 
-    fn put(&self, key: Vec<u8>, value: Vec<u8>) -> Result<(), String> {
+    fn put(&self, key: &[u8], value: Arc<[u8]>) -> Result<(), String> {
         self.edit(key, Some(value))?;
         self.puts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, String> {
+    /// `key`'s value, shared with the region that holds it.
+    fn get(&self, key: &[u8]) -> Result<Option<Arc<[u8]>>, String> {
         let bucket = region_of(key, self.n_regions);
         let regions = self.regions.lock();
         let region = regions
@@ -937,33 +991,22 @@ impl RsState {
         Ok(region.get(key).cloned())
     }
 
+    /// Up to `limit` rows with keys ≥ `start` across the hosted regions,
+    /// in key order. Only the rows returned are copied.
     fn scan(&self, start: &[u8], limit: usize) -> Vec<Row> {
-        // Scan across all hosted regions, merged by key.
-        let mut rows = Vec::new();
-        let from = (Bound::Included(start), Bound::Unbounded);
         let regions = self.regions.lock();
-        for region in regions.values() {
-            // Newest layer first: a key's first sighting is its value, or
-            // the delete that hides it.
-            let mut current: BTreeMap<&Vec<u8>, Option<&Vec<u8>>> = BTreeMap::new();
-            for cells in region.unflushed() {
-                for (k, cell) in cells.range::<[u8], _>(from) {
-                    current.entry(k).or_insert(cell.value.as_ref());
-                }
-            }
-            for (k, row) in region.flushed.range::<[u8], _>(from) {
-                current.entry(k).or_insert(row.cell.value.as_ref());
-            }
-            rows.extend(current.into_iter().filter_map(|(k, v)| {
-                Some(Row {
-                    key: k.clone(),
-                    value: v?.clone(),
-                })
-            }));
-        }
-        rows.sort_by(|a, b| a.key.cmp(&b.key));
+        let mut rows: Vec<(&[u8], &[u8])> = regions
+            .values()
+            .flat_map(|region| region.scan(start, limit))
+            .collect();
+        rows.sort_unstable_by_key(|(key, _)| *key);
         rows.truncate(limit);
-        rows
+        rows.into_iter()
+            .map(|(key, value)| Row {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            })
+            .collect()
     }
 
     /// A WAL segment's bytes, or `None` if its writer retired it since it
@@ -1095,6 +1138,44 @@ impl RsState {
     }
 }
 
+/// Row keys this long or shorter are read onto the stack.
+const SHORT_KEY: usize = 64;
+
+/// A request's row key, copied out of the frame: onto the stack when it is
+/// as short as row keys are, so that an edit of a row the memstore holds
+/// allocates nothing for its key.
+enum RowKey {
+    Short(u8, [u8; SHORT_KEY]),
+    Long(Vec<u8>),
+}
+
+impl RowKey {
+    fn read(input: &mut dyn DataInput) -> io::Result<RowKey> {
+        let mut key = RowKey::Short(0, [0; SHORT_KEY]);
+        input.with_len_bytes(&mut |bytes| {
+            key = match bytes.len() {
+                len @ 0..=SHORT_KEY => {
+                    let mut short = [0; SHORT_KEY];
+                    short[..len].copy_from_slice(bytes);
+                    RowKey::Short(len as u8, short)
+                }
+                _ => RowKey::Long(bytes.to_vec()),
+            }
+        })?;
+        Ok(key)
+    }
+}
+
+impl std::ops::Deref for RowKey {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            RowKey::Short(len, short) => &short[..*len as usize],
+            RowKey::Long(key) => key,
+        }
+    }
+}
+
 /// `hbase.RegionServerProtocol` — the operation plane.
 struct RegionServerProtocol {
     state: Arc<RsState>,
@@ -1110,27 +1191,33 @@ impl RpcService for RegionServerProtocol {
         method: &str,
         param: &mut dyn DataInput,
     ) -> Result<Box<dyn Writable + Send>, String> {
+        let err = |e: io::Error| e.to_string();
         match method {
             "put" => {
-                let mut args = PutArgs::default();
-                args.read_fields(param).map_err(|e| e.to_string())?;
-                self.state.put(args.key, args.value)?;
-                Ok(Box::new(BooleanWritable(true)))
+                let key = RowKey::read(param).map_err(err)?;
+                let mut value = None;
+                param
+                    .with_len_bytes(&mut |bytes| value = Some(Arc::from(bytes)))
+                    .map_err(err)?;
+                self.state
+                    .put(&key, value.ok_or("a put without its value")?)?;
+                Ok(Box::new(Acked))
             }
             "get" => {
-                let mut key = Vec::new();
-                key.read_fields(param).map_err(|e| e.to_string())?;
-                Ok(Box::new(self.state.get(&key)?))
+                let mut value = Ok(None);
+                param
+                    .with_len_bytes(&mut |key| value = self.state.get(key))
+                    .map_err(err)?;
+                Ok(Box::new(SharedValue(value?)))
             }
             "delete" => {
-                let mut key = Vec::new();
-                key.read_fields(param).map_err(|e| e.to_string())?;
-                Ok(Box::new(BooleanWritable(self.state.edit(key, None)?)))
+                let key = RowKey::read(param).map_err(err)?;
+                Ok(Box::new(BooleanWritable(self.state.edit(&key, None)?)))
             }
             "scan" => {
-                let mut args = ScanArgs::default();
-                args.read_fields(param).map_err(|e| e.to_string())?;
-                Ok(Box::new(self.state.scan(&args.start, args.limit as usize)))
+                let start = param.read_len_bytes().map_err(err)?;
+                let limit = param.read_vint().map_err(err)? as u32;
+                Ok(Box::new(self.state.scan(&start, limit as usize)))
             }
             other => Err(format!("RegionServerProtocol has no method {other}")),
         }
@@ -1324,12 +1411,17 @@ impl std::fmt::Debug for HRegionServer {
 mod tests {
     use super::*;
 
+    /// A stored value.
+    fn shared(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
+    }
+
     fn put(region: &mut Region, key: &[u8], value: &[u8]) {
-        region.apply(key.to_vec(), Some(value.to_vec()), 0);
+        region.apply(key, Some(shared(value)), 0);
     }
 
     fn delete(region: &mut Region, key: &[u8]) {
-        region.apply(key.to_vec(), None, 0);
+        region.apply(key, None, 0);
     }
 
     /// A flush's store file serialized as `RsState::write_store_file`
@@ -1400,24 +1492,24 @@ mod tests {
         // Nothing has been written yet; every row is readable, newest
         // snapshot first.
         let read = |region: &Region, key: &[u8]| region.get(key).cloned();
-        assert_eq!(read(&region, b"a"), Some(b"a2".to_vec()));
-        assert_eq!(read(&region, b"b"), Some(b"b1".to_vec()));
-        assert_eq!(read(&region, b"c"), Some(b"c3".to_vec()));
+        assert_eq!(read(&region, b"a"), Some(shared(b"a2")));
+        assert_eq!(read(&region, b"b"), Some(shared(b"b1")));
+        assert_eq!(read(&region, b"c"), Some(shared(b"c3")));
 
         // The newest two writes return first: they wait behind flush 1.
         let file = |name: &str| Some(StoreFile::new(name.to_string(), 100, (1, 4)));
         region.finish_flush(third, file("third"));
         region.finish_flush(second, file("second"));
         assert!(region.flushed.is_empty(), "installed ahead of flush 1");
-        assert_eq!(read(&region, b"a"), Some(b"a2".to_vec()));
+        assert_eq!(read(&region, b"a"), Some(shared(b"a2")));
 
         // Flush 1 lands last — and must not resurrect a1 over a2.
         region.finish_flush(first, file("first"));
         assert!(region.flushing.is_empty());
         assert_eq!(region.flushed.len(), 3);
-        assert_eq!(read(&region, b"a"), Some(b"a2".to_vec()));
-        assert_eq!(read(&region, b"b"), Some(b"b1".to_vec()));
-        assert_eq!(read(&region, b"c"), Some(b"c3".to_vec()));
+        assert_eq!(read(&region, b"a"), Some(shared(b"a2")));
+        assert_eq!(read(&region, b"b"), Some(shared(b"b1")));
+        assert_eq!(read(&region, b"c"), Some(shared(b"c3")));
     }
 
     #[test]
@@ -1479,7 +1571,7 @@ mod tests {
         assert!(!region.flushed.contains_key(b"a".as_slice()));
         assert!(region.tombstones.is_empty());
         assert_eq!(region.get(b"a"), None);
-        assert_eq!(region.get(b"b"), Some(&b"b2".to_vec()));
+        assert_eq!(region.get(b"b"), Some(&shared(b"b2")));
         assert_table_matches_rows(&region);
 
         // A row put again after its tombstone went is born again.
@@ -1507,7 +1599,7 @@ mod tests {
         assert!(region.flushed.contains_key(b"a".as_slice()));
         assert_eq!(region.drop_tombstones(4), Vec::<String>::new());
         assert!(!region.flushed.contains_key(b"a".as_slice()));
-        assert_eq!(region.get(b"b"), Some(&b"b1".to_vec()));
+        assert_eq!(region.get(b"b"), Some(&shared(b"b1")));
         assert_table_matches_rows(&region);
     }
 
@@ -1568,7 +1660,7 @@ mod tests {
     fn a_region_holds_the_oldest_segment_no_written_store_file_covers() {
         let mut region = Region::new();
         let edit = |region: &mut Region, key: &[u8], segment: u64| {
-            region.apply(key.to_vec(), Some(b"v".to_vec()), segment);
+            region.apply(key, Some(shared(b"v")), segment);
         };
         assert_eq!(region.floor(), None);
         edit(&mut region, b"a", 3);
@@ -1590,7 +1682,7 @@ mod tests {
         // rows are installed, and only the WAL holds them.
         let (third, _) = region.begin_flush(6);
         region.finish_flush(third, None);
-        assert_eq!(region.get(b"d"), Some(&b"v".to_vec()));
+        assert_eq!(region.get(b"d"), Some(&shared(b"v")));
         assert_eq!(region.flushed[&b"d".to_vec()].file, None);
         edit(&mut region, b"e", 9);
         assert_eq!(region.floor(), Some(6));
@@ -1608,7 +1700,7 @@ mod tests {
     fn a_flush_begun_before_a_failed_flush_installed_keeps_the_pin() {
         let mut region = Region::new();
         let edit = |region: &mut Region, key: &[u8], segment: u64| {
-            region.apply(key.to_vec(), Some(b"v".to_vec()), segment);
+            region.apply(key, Some(shared(b"v")), segment);
         };
         edit(&mut region, b"a", 1);
         let (first, _) = region.begin_flush(1);
@@ -1685,7 +1777,7 @@ mod tests {
         let (files, held, live) = region.store_bytes();
         assert_eq!(files, 3, "f4, f5 and f6");
         assert!(held <= 2 * live, "{held} held, {live} live");
-        assert_eq!(region.get(b"x"), Some(&b"cold".to_vec()));
+        assert_eq!(region.get(b"x"), Some(&shared(b"cold")));
         assert_table_matches_rows(&region);
     }
 
@@ -1741,7 +1833,7 @@ mod tests {
         let dead = region.finish_flush(seq, file);
         assert_eq!(dead, ["f2", "f3"], "f6 holds x's newest edit");
         assert_eq!(region.flushed[&b"x".to_vec()].file, newer);
-        assert_eq!(region.get(b"x"), Some(&b"newer".to_vec()));
+        assert_eq!(region.get(b"x"), Some(&shared(b"newer")));
         assert_eq!(region.floor(), None, "n is in f7");
         assert_table_matches_rows(&region);
     }
@@ -1757,7 +1849,7 @@ mod tests {
         let keys: [&[u8]; 4] = [b"m", b"n", b"y", b"z"];
         assert_eq!(written, keys);
         region.finish_flush(seq, file);
-        assert_eq!(region.get(b"x"), Some(&b"newer".to_vec()));
+        assert_eq!(region.get(b"x"), Some(&shared(b"newer")));
         assert_table_matches_rows(&region);
     }
 
@@ -1774,11 +1866,90 @@ mod tests {
         assert!(again.flushing.is_empty() && !again.flushed.contains_key(b"n".as_slice()));
     }
 
+    /// The rows a scan found before it merged layers in key order: every
+    /// key ≥ `start` of every layer, the newest layer's edit of each, the
+    /// visible ones, the first `limit` of them.
+    fn scan_every_row(region: &Region, start: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let from = (Bound::Included(start), Bound::Unbounded);
+        let mut current: BTreeMap<&Vec<u8>, Option<&Arc<[u8]>>> = BTreeMap::new();
+        for cells in region.unflushed() {
+            for (k, cell) in cells.range::<[u8], _>(from) {
+                current.entry(k).or_insert(cell.value.as_ref());
+            }
+        }
+        for (k, row) in region.flushed.range::<[u8], _>(from) {
+            current.entry(k).or_insert(row.cell.value.as_ref());
+        }
+        let mut rows: Vec<_> = current
+            .into_iter()
+            .filter_map(|(k, v)| Some((k.clone(), v?.to_vec())))
+            .collect();
+        rows.truncate(limit);
+        rows
+    }
+
+    #[test]
+    fn a_scan_merges_the_layers_as_reading_every_row_did() {
+        let mut region = Region::new();
+        let key = |i: u64| format!("k{:02}", i % 30).into_bytes();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut in_flight = Vec::new();
+        for round in 0..8 {
+            for _ in 0..25 {
+                let r = next();
+                if r % 4 == 0 {
+                    delete(&mut region, &key(r >> 8));
+                } else {
+                    put(&mut region, &key(r >> 8), format!("v{r}").as_bytes());
+                }
+            }
+            // Some memstores are flushed, some left in flight, the last
+            // left in the memstore.
+            match round % 3 {
+                0 => {
+                    flush(&mut region, &format!("f{round}"));
+                }
+                1 if round < 7 => in_flight.push(region.begin_flush(0)),
+                _ => {}
+            }
+        }
+        // Flushes written behind one in flight wait in `flushing` too.
+        assert!(!region.memstore.is_empty() && !region.flushed.is_empty());
+        assert_eq!(region.flushing.len(), 4);
+        let tombstones = |cells: &Cells| cells.values().filter(|c| c.value.is_none()).count();
+        assert!(region.unflushed().map(tombstones).sum::<usize>() > 0);
+        assert!(region.flushed.values().any(|row| row.cell.value.is_none()));
+
+        for start in ["", "k00", "k07", "k13", "k131", "k29", "k3", "z"] {
+            for limit in [0, 1, 2, 5, 10, 30, 100] {
+                let want = scan_every_row(&region, start.as_bytes(), limit);
+                let got: Vec<(Vec<u8>, Vec<u8>)> = region
+                    .scan(start.as_bytes(), limit)
+                    .into_iter()
+                    .map(|(k, v)| (k.to_vec(), v.to_vec()))
+                    .collect();
+                assert_eq!(got, want, "scan from {start:?}, limit {limit}");
+            }
+        }
+        for (seq, snapshot) in in_flight {
+            let file = written(&region, "late", &snapshot);
+            region.finish_flush(seq, file);
+        }
+        let want = scan_every_row(&region, b"", 100);
+        assert_eq!(region.scan(b"", 100).len(), want.len());
+    }
+
     #[test]
     fn entry_format_roundtrips_and_tolerates_truncation() {
         let cell = |seq, value: Option<&[u8]>| Cell {
             seq,
-            value: value.map(<[u8]>::to_vec),
+            value: value.map(shared),
         };
         let edits = vec![
             (b"k1".to_vec(), cell(1, Some(b"v1"))),

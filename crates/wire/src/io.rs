@@ -11,7 +11,9 @@
 //! its provided methods is not a `Read`: it implements `DataInput` itself.
 //! The RPC engine's reader over registered memory does, to copy a
 //! length-prefixed buffer once, where it landed, into a buffer it may
-//! have recycled ([`DataInput::read_len_bytes`]).
+//! have recycled ([`DataInput::read_len_bytes`]), and to show one to a
+//! caller that only looks at it without copying it at all
+//! ([`DataInput::with_len_bytes`]).
 
 use std::io::{self, Read, Write};
 
@@ -218,6 +220,21 @@ pub trait DataInput {
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "negative buffer length"))?;
         read_announced(self, len)
     }
+
+    /// Visit the next length-prefixed buffer without keeping it: `f` sees
+    /// exactly what [`DataInput::read_len_bytes`] would return, and the
+    /// input is left where that would leave it. By default the bytes are
+    /// read into a `Vec` first. The RPC engine's `PayloadReader` visits
+    /// them in place instead — in the heap buffer of a socket frame, the
+    /// pooled registered buffer of an eager one, or the ring slots a bulk
+    /// frame landed in — after checking the length against the frame, so
+    /// a handler that only looks (a key to find, a value to copy once into
+    /// storage of its own) allocates nothing for the bytes.
+    fn with_len_bytes(&mut self, f: &mut dyn FnMut(&[u8])) -> io::Result<()> {
+        let bytes = self.read_len_bytes()?;
+        f(&bytes);
+        Ok(())
+    }
 }
 
 impl<R: Read + ?Sized> DataInput for R {
@@ -276,6 +293,35 @@ mod tests {
         out.write_len_bytes(&[9, 8, 7]).unwrap();
         assert_eq!(out, [0, 0, 0, 3, 9, 8, 7]);
         assert_eq!(out.as_slice().read_len_bytes().unwrap(), vec![9, 8, 7]);
+    }
+
+    #[test]
+    fn with_len_bytes_visits_what_read_len_bytes_returns() {
+        let mut out: Vec<u8> = Vec::new();
+        out.write_len_bytes(&[9, 8, 7]).unwrap();
+        out.write_len_bytes(&[]).unwrap();
+        out.write_u8(5).unwrap();
+        let mut input = out.as_slice();
+        let mut seen = Vec::new();
+        input
+            .with_len_bytes(&mut |b| seen.push(b.to_vec()))
+            .unwrap();
+        input
+            .with_len_bytes(&mut |b| seen.push(b.to_vec()))
+            .unwrap();
+        assert_eq!(seen, [vec![9, 8, 7], vec![]]);
+        assert_eq!(input, [5]);
+        // Refused as `read_len_bytes` refuses, and nothing is visited.
+        let mut visited = false;
+        let err = [0xff, 0xff, 0xff, 0xfe]
+            .as_slice()
+            .with_len_bytes(&mut |_| visited = true);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let err = [0, 0, 0, 4, 1]
+            .as_slice()
+            .with_len_bytes(&mut |_| visited = true);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert!(!visited);
     }
 
     #[test]

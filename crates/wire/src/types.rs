@@ -231,6 +231,21 @@ impl Writable for Vec<u8> {
     }
 }
 
+/// A borrowed buffer, to send: encoded as a `Vec<u8>` is, so a caller
+/// serializes bytes it holds without copying them into a `Vec` of their
+/// own first. It owns nothing to read into: decode a `Vec<u8>`.
+impl Writable for &[u8] {
+    fn write(&self, out: &mut dyn DataOutput) -> io::Result<()> {
+        out.write_len_bytes(self)
+    }
+    fn read_fields(&mut self, _input: &mut dyn DataInput) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "a borrowed buffer is written, not read",
+        ))
+    }
+}
+
 /// Collections serialize as a vint element count followed by the elements.
 impl<T: Writable + Default> Writable for Vec<T> {
     fn write(&self, out: &mut dyn DataOutput) -> io::Result<()> {
@@ -380,6 +395,19 @@ mod tests {
         roundtrip(7i64);
         roundtrip(u64::MAX);
         roundtrip(vec![1u8, 2, 3]);
+    }
+
+    #[test]
+    fn a_borrowed_buffer_encodes_as_a_vec_and_is_not_read() {
+        let bytes: &[u8] = &[4, 5, 6];
+        assert_eq!(
+            to_bytes(&bytes).unwrap(),
+            to_bytes(&bytes.to_vec()).unwrap()
+        );
+        let mut borrowed: &[u8] = &[];
+        let mut input: &[u8] = &[0, 0, 0, 0];
+        let err = borrowed.read_fields(&mut input).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
     }
 
     #[test]
