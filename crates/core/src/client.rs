@@ -164,13 +164,9 @@ impl CallSlot {
     /// caller, or `deadline` on `clock` passes (both `None`).
     fn wait(&self, clock: &Clock, deadline: u64) -> Option<RpcResult<RawResponse>> {
         let mut st = self.state.lock();
-        while st.result.is_none() && st.parked {
-            let bound = clock.wait_bound(deadline);
-            if bound.is_zero() {
-                break;
-            }
-            self.cv.wait_for(&mut st, bound);
-        }
+        clock.wait_on(&self.cv, &mut st, deadline, |st| {
+            st.result.is_some() || !st.parked
+        });
         st.parked = false;
         st.result.take()
     }
@@ -476,6 +472,11 @@ impl Client {
         self.inner.client_id.store(id, Ordering::Release);
     }
 
+    /// The clock of the fabric this client's calls run on.
+    pub fn clock(&self) -> &Clock {
+        self.inner.fabric.clock()
+    }
+
     /// Client-side metrics (Table I and Figure 3 read these).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
@@ -770,8 +771,12 @@ impl Client {
         let profile = match sent {
             Ok(p) => p,
             Err(e) => {
+                // Given up for new calls, but not failed under the calls
+                // waiting on it: their answers may already be here, and the
+                // receiver reads them before it meets the end of the
+                // stream, which fails the rest.
                 if e.invalidates_connection() {
-                    self.inner.fail_connection(&connection, e.clone());
+                    self.inner.forget_connection(&connection);
                 }
                 return Err(e);
             }
@@ -849,9 +854,9 @@ impl Client {
                 Ok(v) => v,
                 Err(RpcError::Timeout) => return Err(RpcError::Timeout),
                 Err(e) => {
-                    // Whoever failed the connection first (a sender,
-                    // `shutdown`) closed the transport to get us here and
-                    // left the cause on our slot; else the cause is ours.
+                    // Whoever failed the connection first (`shutdown`)
+                    // closed the transport to get us here and left the
+                    // cause on our slot; else the cause is ours.
                     return slot.unpark().unwrap_or_else(|| {
                         self.inner.fail_connection(connection, e.clone());
                         Err(e)

@@ -59,16 +59,6 @@ impl MethodKey {
         &self.0.method
     }
 
-    /// Shared-ownership halves, for callers that need owned strings
-    /// without copying the bytes.
-    pub fn protocol_arc(&self) -> Arc<str> {
-        Arc::clone(&self.0.protocol)
-    }
-
-    pub fn method_arc(&self) -> Arc<str> {
-        Arc::clone(&self.0.method)
-    }
-
     /// The interned `<protocol, method#resp>` sibling used to account the
     /// server's response sends. Interned on first use, then a pointer
     /// copy forever.
@@ -280,16 +270,6 @@ pub fn by_id(id: MethodId) -> Option<MethodKey> {
     }
     let slow = int.slow.lock().unwrap_or_else(|e| e.into_inner());
     slow.by_id.get(id.0 as usize).map(|inner| MethodKey(inner))
-}
-
-/// Number of distinct pairs interned so far.
-pub fn interned_count() -> usize {
-    interner()
-        .slow
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .by_id
-        .len()
 }
 
 #[cfg(test)]

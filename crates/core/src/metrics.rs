@@ -90,20 +90,6 @@ impl MethodStats {
             self.send_ns as f64 / self.calls as f64 / 1e3
         }
     }
-    pub fn avg_recv_alloc_us(&self) -> f64 {
-        if self.recvs == 0 {
-            0.0
-        } else {
-            self.recv_alloc_ns as f64 / self.recvs as f64 / 1e3
-        }
-    }
-    pub fn avg_recv_total_us(&self) -> f64 {
-        if self.recvs == 0 {
-            0.0
-        } else {
-            self.recv_total_ns as f64 / self.recvs as f64 / 1e3
-        }
-    }
     /// Figure 1's y-axis: allocation time / total receive time.
     pub fn alloc_ratio(&self) -> f64 {
         if self.recv_total_ns == 0 {

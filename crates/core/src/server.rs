@@ -146,7 +146,7 @@ use std::time::Duration;
 
 use bufpool::heap::{self, HeapTier, ParamDraw};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use simnet::{Clock, Fabric, ListenerCloser, NodeId, SimAddr, SimListener};
 use wire::Writable;
 
@@ -167,8 +167,8 @@ use crate::transport::rdma::{IbContext, RdmaConn};
 use crate::transport::socket::{SocketConn, SERVER_INIT_BUF};
 use crate::transport::Conn;
 
-/// How long an idle pool thread or the Listener waits before
-/// re-checking for shutdown (and the pool, for a due liveness sweep).
+/// How long an idle pool thread waits before re-checking for shutdown
+/// and for a due liveness sweep.
 const IDLE_SLICE: Duration = Duration::from_millis(100);
 
 /// Cadence of the liveness sweep, in `now_ns` — the fallback probe pass
@@ -188,13 +188,6 @@ const READ_SLICE: Duration = Duration::from_millis(1);
 /// in the listener queue until setups drain (added latency, not
 /// rejection), keeping the accept path's thread and memory use bounded.
 const ACCEPT_BACKLOG: usize = 64;
-
-/// How often a Listener paused at [`ACCEPT_BACKLOG`] looks for a finished
-/// setup.
-const BACKLOG_POLL: Duration = Duration::from_millis(1);
-
-/// Poll interval of [`Server::drain`]'s quiescence checks.
-const DRAIN_POLL: Duration = Duration::from_millis(2);
 
 /// Frames one readiness pop may decode from a single connection before
 /// its token re-arms at the back of the queue (non-QoS mode; QoS mode
@@ -310,11 +303,17 @@ struct ServerInner {
     live_readers: AtomicUsize,
     /// Admitted calls whose responses have not yet been transmitted.
     /// Incremented by whoever reads before it queues a call, and for every
-    /// response pushed onto a connection's pending list; decremented by
-    /// the handler after it has answered the call and by whoever drains
-    /// the list after each send attempt — so "no open work" really means
-    /// no call or response is anywhere in the pipeline.
+    /// response pushed onto a connection's pending list; given back
+    /// ([`ServerInner::release_work`]) by the handler after it has
+    /// answered the call and by whoever drains the list after each send
+    /// attempt — so "no open work" really means no call or response is
+    /// anywhere in the pipeline.
     open_work: AtomicUsize,
+    /// What `drain` and a Listener paused at [`ACCEPT_BACKLOG`] wait on:
+    /// `fell` is notified, under `quiet`, when a count they wait for
+    /// falls far enough ([`ServerInner::wake_waiters`]).
+    quiet: Mutex<()>,
+    fell: Condvar,
     metrics: MetricsRegistry,
     /// Present in RPCoIB mode; kept here so metrics snapshots can read
     /// the registered buffer pool's counters.
@@ -407,6 +406,24 @@ impl ServerInner {
         }
     }
 
+    /// Give back `n` `open_work` slots. Reaching zero during a drain is
+    /// the event `drain` waits for, and only then does this lock and
+    /// notify: outside a drain the call path does neither. `SeqCst`
+    /// against `drain`'s "set the flag, then look at the count": either
+    /// this sees the flag, or `drain` sees the count.
+    fn release_work(&self, n: usize) {
+        let was = self.open_work.fetch_sub(n, Ordering::SeqCst);
+        if was == n && self.draining.load(Ordering::SeqCst) {
+            self.wake_waiters();
+        }
+    }
+
+    /// Wake `drain` and a paused Listener to look at their counts again.
+    fn wake_waiters(&self) {
+        let _quiet = self.quiet.lock();
+        self.fell.notify_all();
+    }
+
     /// A failed send only affects that one connection — but it does mean
     /// the connection is broken: close it so the read side stops
     /// pulling requests whose responses could never be delivered, and
@@ -434,7 +451,7 @@ impl ServerInner {
         // The call's own open_work slot is released only now, after its
         // response is on the wire or pending (each pending response holds
         // a slot of its own), so `drain` never sees a gap.
-        self.open_work.fetch_sub(1, Ordering::AcqRel);
+        self.release_work(1);
         // Sent: offer the buffer. Kept only if nobody else holds it — the
         // cache off, or the caller's ack already in; a cache entry or a
         // pending send still holding it offers it when it lets go.
@@ -631,7 +648,7 @@ impl ServerConn {
         for _ in 0..sent {
             inner.send_ledger.inc_processed();
         }
-        inner.open_work.fetch_sub(sent, Ordering::AcqRel);
+        inner.release_work(sent);
         if behind > 0 {
             inner.metrics.add_resp_sent_behind(behind);
         }
@@ -661,13 +678,19 @@ impl ServerConn {
     }
 }
 
-/// Decrements a counter on drop, so every way out of a burst or a
-/// connection setup (normal, panic, early return) releases its slot.
-struct CountGuard<'a>(&'a AtomicUsize);
+/// Decrements one of the server's counts on drop, so every way out of a
+/// burst or a connection setup (normal, panic, early return) releases
+/// its slot; and wakes the waiters when the count falls to what one of
+/// them may wait for: to zero during a drain (`live_readers`), or below
+/// [`ACCEPT_BACKLOG`] (`setups_inflight`, for a paused Listener).
+struct CountGuard<'a>(&'a ServerInner, &'a AtomicUsize);
 
 impl Drop for CountGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        let was = self.1.fetch_sub(1, Ordering::SeqCst);
+        if was == ACCEPT_BACKLOG || (was == 1 && self.0.draining.load(Ordering::SeqCst)) {
+            self.0.wake_waiters();
+        }
     }
 }
 
@@ -733,6 +756,8 @@ impl Server {
             listener_done: AtomicBool::new(false),
             live_readers: AtomicUsize::new(0),
             open_work: AtomicUsize::new(0),
+            quiet: Mutex::new(()),
+            fell: Condvar::new(),
             metrics,
             ib,
             retry_cache,
@@ -859,33 +884,30 @@ impl Server {
         }
         // SeqCst against a pool thread's "count myself a reader, then
         // look at the flag" (see `read_burst`): either it sees the flag
-        // and reads nothing, or phase 2 below sees it counted and waits.
+        // and reads nothing, or the wait below sees it counted.
         self.inner.draining.store(true, Ordering::SeqCst);
-        // Wake the Listener out of its accept *now*: the draining flag
-        // alone would only be observed after an idle slice.
+        // Unbind the Listener's socket, which fails its accept at once,
+        // and wake it if it is paused at the backlog.
         self.inner.listener_closer.close();
-        let deadline = self.inner.clock.deadline(timeout);
-        let quiesced = |done: &dyn Fn() -> bool| {
-            while !done() {
-                if self.inner.clock.now_ns() >= deadline {
-                    return false;
-                }
-                std::thread::sleep(DRAIN_POLL);
-            }
-            true
-        };
+        self.inner.wake_waiters();
         let inner = &self.inner;
-        // Phase 1: the Listener exits — no new setup threads after this.
-        // Phase 2: the read side quiesces — a thread inside a burst
-        // finishes it, and in-flight connection setups finish. No new
-        // calls enter the pipeline after this. Phase 3: the pipeline
-        // empties. `open_work` covers a call from admission until its
+        // In this order: the Listener has exited — no new setup threads
+        // after this; the read side has quiesced — a thread inside a
+        // burst has finished it, and in-flight connection setups have
+        // finished, so no new call enters the pipeline; the pipeline is
+        // empty — `open_work` covers a call from admission until its
         // response transmission, so zero means nothing is queued,
-        // executing, or awaiting send.
-        if !(quiesced(&|| inner.listener_done.load(Ordering::Acquire))
-            && quiesced(&|| inner.live_readers.load(Ordering::SeqCst) == 0)
-            && quiesced(&|| inner.open_work.load(Ordering::Acquire) == 0))
-        {
+        // executing, or awaiting send. Each of those events wakes this
+        // wait (`wake_waiters`).
+        let deadline = inner.clock.deadline(timeout);
+        let quiesced = inner
+            .clock
+            .wait_on(&inner.fell, &mut inner.quiet.lock(), deadline, |_| {
+                inner.listener_done.load(Ordering::Acquire)
+                    && inner.live_readers.load(Ordering::SeqCst) == 0
+                    && inner.open_work.load(Ordering::SeqCst) == 0
+            });
+        if !quiesced {
             self.shutdown(false);
             return false;
         }
@@ -913,8 +935,9 @@ impl Server {
         // timer, or on a handle a service still keeps) would keep the
         // whole server — registry, retry cache, registered pool — alive.
         self.inner.sched.close();
-        // And the Listener blocked in accept.
+        // And the Listener, blocked in accept or paused at the backlog.
         self.inner.listener_closer.close();
+        self.inner.wake_waiters();
         // Clear the connection table (its lock is never held across a
         // handler, so this cannot wait on a call). The slots hold the
         // *other* `Arc<dyn Conn>` clones (the conn table below holds the
@@ -995,24 +1018,28 @@ fn reap_setup_threads(inner: &ServerInner) {
     }
 }
 
-/// The Listener *blocks* in accept: an idle one makes no timed wake-up
-/// but the [`IDLE_SLICE`] re-check every blocking loop here makes, a
-/// connect is accepted the moment it arrives, and `drain`/`stop` unbind
-/// the socket ([`ServerInner::listener_closer`]), which fails the accept
-/// at once.
+/// The Listener *blocks* in accept: an idle one makes no timed wake-up,
+/// a connect is accepted the moment it arrives, and `drain`/`stop`
+/// unbind the socket ([`ServerInner::listener_closer`]), which fails the
+/// accept at once.
 fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
-    while !inner.stop.load(Ordering::Acquire) && !inner.draining.load(Ordering::Acquire) {
+    let stopping = || inner.stop.load(Ordering::Acquire) || inner.draining.load(Ordering::Acquire);
+    while !stopping() {
         // Backlog backpressure: with `ACCEPT_BACKLOG` setups already in
-        // flight, stop accepting until one finishes. Pending connects
-        // queue in the listener (bounded latency, like a TCP SYN queue),
-        // so a legitimate burst is absorbed rather than refused. (A
-        // transient state, so it may poll.)
-        if inner.setups_inflight.load(Ordering::Acquire) >= ACCEPT_BACKLOG {
-            std::thread::sleep(BACKLOG_POLL);
+        // flight, stop accepting until one finishes (its `CountGuard`
+        // wakes this wait). Pending connects queue in the listener
+        // (bounded latency, like a TCP SYN queue), so a legitimate burst
+        // is absorbed rather than refused.
+        if inner.setups_inflight.load(Ordering::SeqCst) >= ACCEPT_BACKLOG {
+            inner
+                .clock
+                .wait_on(&inner.fell, &mut inner.quiet.lock(), u64::MAX, |_| {
+                    inner.setups_inflight.load(Ordering::SeqCst) < ACCEPT_BACKLOG || stopping()
+                });
             continue;
         }
-        match listener.accept_timeout(IDLE_SLICE) {
-            Ok(Some((stream, _peer))) => {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
                 reap_setup_threads(&inner);
                 // Hard admission cap, *before* any resource is
                 // committed: past `max_connections` (live + in setup),
@@ -1044,8 +1071,8 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                 let handle = std::thread::Builder::new()
                     .name("rpc-conn-setup".into())
                     .spawn(move || {
-                        let _slot = CountGuard(&inner2.live_readers);
-                        let _setup = CountGuard(&inner2.setups_inflight);
+                        let _slot = CountGuard(&inner2, &inner2.live_readers);
+                        let _setup = CountGuard(&inner2, &inner2.setups_inflight);
                         // The handshake first, on the raw stream, and
                         // nothing before it: a peer that does not open
                         // with the magic (or offers an older version) is
@@ -1094,11 +1121,11 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                     .expect("spawn conn setup");
                 inner.setup_threads.lock().push(handle);
             }
-            Ok(None) => {}   // an idle slice (or an injected accept failure)
             Err(_) => break, // unbound: `drain`/`stop`, or the node was killed
         }
     }
     inner.listener_done.store(true, Ordering::Release);
+    inner.wake_waiters();
 }
 
 /// What one bounded receive attempt on a ready connection produced.
@@ -1284,7 +1311,7 @@ fn read_burst(inner: &Arc<ServerInner>, answered: &mut Vec<Arc<ServerConn>>) -> 
         return false;
     }
     inner.live_readers.fetch_add(1, Ordering::SeqCst);
-    let _reading = CountGuard(&inner.live_readers);
+    let _reading = CountGuard(inner, &inner.live_readers);
     if inner.draining.load(Ordering::SeqCst) || inner.stop.load(Ordering::Acquire) {
         return false;
     }
@@ -1467,7 +1494,7 @@ fn read_one(
             // executed, so the rejection is retryable. A refused request
             // is let go where it is refused.
             drop(call);
-            inner.open_work.fetch_sub(1, Ordering::AcqRel);
+            inner.release_work(1);
             inner.metrics.inc_busy_rejections_for(header.client_id);
             stats.inc_busy();
             // Duplicates that parked in the begin/try_push window
@@ -1479,7 +1506,7 @@ fn read_one(
             }
         }
         Err((AdmitError::Closed, _call)) => {
-            inner.open_work.fetch_sub(1, Ordering::AcqRel);
+            inner.release_work(1);
             inner.retry_cache.abort(cache_key);
             return ReadOutcome::Shutdown; // the server is going away
         }

@@ -360,12 +360,19 @@ impl SocketConn {
             };
         }
         st.flushing = true;
-        self.flush_queue(st)
+        self.flush_queue(st, my_ticket)
     }
 
     /// The flusher's sweep: one gather per iteration until nothing is
-    /// queued, then release the wire. The caller has set `flushing`.
-    fn flush_queue<'a>(&'a self, mut st: parking_lot::MutexGuard<'a, WriteQueue>) -> RpcResult<()> {
+    /// queued, then release the wire. The caller has set `flushing`. Its
+    /// result is the fate of its own frame, `my_ticket`: a later batch's
+    /// failure is that batch's senders' (and the peer may already be
+    /// answering this one).
+    fn flush_queue<'a>(
+        &'a self,
+        mut st: parking_lot::MutexGuard<'a, WriteQueue>,
+        my_ticket: u64,
+    ) -> RpcResult<()> {
         while !st.queue.is_empty() {
             let batch: Vec<WqEntry> = st.queue.drain(..).collect();
             drop(st);
@@ -376,7 +383,11 @@ impl SocketConn {
                     st.done_ticket = batch.last().expect("non-empty batch").ticket;
                     self.wq_cv.notify_all();
                 }
-                Err(e) => return Err(self.fail_flush(st, e)),
+                Err(e) => {
+                    let sent = st.done_ticket >= my_ticket;
+                    let e = self.fail_flush(st, e);
+                    return if sent { Ok(()) } else { Err(e) };
+                }
             }
         }
         st.flushing = false;
@@ -498,7 +509,7 @@ impl Conn for SocketConn {
             match result {
                 Ok(_) => {
                     st.done_ticket = ticket;
-                    self.flush_queue(st)?;
+                    self.flush_queue(st, ticket)?;
                 }
                 Err(e) => return Err(self.fail_flush(st, Self::map_write_err(e))),
             }

@@ -362,3 +362,85 @@ fn shutdown_interrupts_retry_backoff() {
         "backoff was not interrupted: call took {elapsed:?}"
     );
 }
+
+/// `stall` parks its handler until the gate opens, and says when it has
+/// started.
+struct StallService {
+    started: std::sync::mpsc::SyncSender<()>,
+    gate: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl RpcService for StallService {
+    fn protocol(&self) -> &'static str {
+        "test.GatedProtocol"
+    }
+    fn call(
+        &self,
+        method: &str,
+        param: &mut dyn DataInput,
+    ) -> Result<Box<dyn Writable + Send>, String> {
+        let mut text = Text::default();
+        text.read_fields(param).map_err(|e| e.to_string())?;
+        if method == "stall" {
+            let _ = self.started.try_send(());
+            let (lock, cv) = &*self.gate;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        }
+        Ok(Box::new(text))
+    }
+}
+
+/// A send that fails on a connection the server has closed gives the
+/// connection up for new calls, but does not fail a call whose answer
+/// has already reached the client: the receiver reads it before it meets
+/// the end of the stream. Here a drained server answers a stalled call
+/// and closes; the answer spends 50 ms on the wire, and a second caller's
+/// send fails inside that window.
+#[test]
+fn a_failed_send_does_not_fail_an_answer_already_on_its_way() {
+    let slow_wire = simnet::NetworkModel {
+        base_latency_ns: 50_000_000,
+        ..model::IPOIB_QDR
+    };
+    let fabric = Fabric::new(slow_wire);
+    let cfg = RpcConfig {
+        call_timeout: Duration::from_secs(5),
+        retry: RetryPolicy::none(),
+        ..RpcConfig::socket()
+    };
+    let (started_tx, started) = std::sync::mpsc::sync_channel(1);
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let mut registry = ServiceRegistry::new();
+    registry.register(Arc::new(StallService {
+        started: started_tx,
+        gate: Arc::clone(&gate),
+    }));
+    let server = Server::start(&fabric, fabric.add_node(), 8020, cfg.clone(), registry).unwrap();
+    let addr = server.addr();
+    let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+    echo(&client, addr, "warm").unwrap();
+
+    let stalled = {
+        let client = client.clone();
+        std::thread::spawn(move || {
+            client.call::<Text, Text>(addr, "test.GatedProtocol", "stall", &Text::from("a"))
+        })
+    };
+    let admitted = started.recv_timeout(Duration::from_secs(5));
+    open_gate(&gate);
+    admitted.expect("the stalled call never started");
+    assert!(server.drain(Duration::from_secs(5)), "the drain timed out");
+    // The answer is on the wire; the server has hung up.
+    let err = echo(&client, addr, "b").unwrap_err();
+    assert!(
+        matches!(err, RpcError::ConnectionClosed | RpcError::Io(_)),
+        "{err:?}"
+    );
+    let answer = stalled.join().unwrap();
+    assert_eq!(answer.expect("an answer on its way was failed").0, "a");
+    assert_eq!(client.pending_calls(), 0);
+    client.shutdown();
+}

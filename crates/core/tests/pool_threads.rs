@@ -1,7 +1,8 @@
 //! What an idle server costs in threads: one Listener and one pool of
 //! `handlers + 1` threads that each read, run and send — `handlers + 2`
-//! threads named `rpc-*`, 10 at the default `handlers = 8` — and none of
-//! them wakes more often than the idle re-check.
+//! threads named `rpc-*`, 10 at the default `handlers = 8`. The Listener
+//! blocks in accept and does not wake; a pool thread wakes no more often
+//! than its idle wait's re-check.
 //!
 //! One test in its own file, because it counts this process's threads.
 
@@ -40,10 +41,10 @@ fn rpc_threads() -> HashMap<String, (String, u64)> {
 }
 
 /// An idle default server on either transport runs `handlers + 2`
-/// threads: the Listener and `handlers + 1` pool threads. No thread
-/// blocks on a reader shard's wake list with a timeout — there is none —
-/// so over an idle second each wakes at most about ten times: the
-/// 100 ms idle re-check of the Listener's accept and the pool's sleep.
+/// threads: the Listener and `handlers + 1` pool threads. Over an idle
+/// second the Listener, blocked in accept, wakes at most once, and each
+/// pool thread at most about ten times: its 100 ms idle wait, which also
+/// paces the liveness sweep.
 #[test]
 fn an_idle_default_server_runs_handlers_plus_two_threads() {
     for (name, net, cfg) in [
@@ -77,8 +78,13 @@ fn an_idle_default_server_runs_handlers_plus_two_threads() {
         let after = rpc_threads();
         for (tid, (thread, was)) in &before {
             let woken = after[tid].1 - was;
+            let bound = if thread.starts_with("rpc-listener-") {
+                1
+            } else {
+                15
+            };
             assert!(
-                woken <= 15,
+                woken <= bound,
                 "{name}: {thread} woke {woken} times in an idle second"
             );
         }

@@ -99,7 +99,8 @@ impl HBaseClient {
                     last_err = Some(e);
                     // Recovery takes a master liveness timeout plus a
                     // heartbeat; back off accordingly.
-                    std::thread::sleep(std::time::Duration::from_millis(50 * (attempt + 1)));
+                    let back_off = std::time::Duration::from_millis(50 * (attempt + 1));
+                    self.ops_rpc.clock().sleep(back_off);
                     let _ = self.refresh_regions();
                 }
                 Err(e) => return Err(e),
@@ -151,6 +152,11 @@ impl HBaseClient {
             self.ops_rpc
                 .call(region.rs_addr(), RS_PROTOCOL, "scan", &args)
         })
+    }
+
+    /// The clock of the fabric the operation plane runs on.
+    pub(crate) fn clock(&self) -> &simnet::Clock {
+        self.ops_rpc.clock()
     }
 
     /// Operation-plane RPC metrics.

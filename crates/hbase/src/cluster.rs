@@ -4,11 +4,11 @@
 //! region-server setup does).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mini_hdfs::MiniDfs;
-use rpcoib::{RpcError, RpcResult};
-use simnet::{Cluster, Host, NetworkModel, SimAddr};
+use rpcoib::RpcResult;
+use simnet::{Cluster, Host, NetworkModel};
 
 use crate::client::HBaseClient;
 use crate::config::HBaseConfig;
@@ -64,19 +64,10 @@ impl MiniHbase {
             regionservers,
             cfg,
         };
-        hbase.await_servers(n_servers, Duration::from_secs(10))?;
+        hbase
+            .master
+            .await_servers(n_servers, Duration::from_secs(10))?;
         Ok(hbase)
-    }
-
-    fn await_servers(&self, want: usize, timeout: Duration) -> RpcResult<()> {
-        let deadline = Instant::now() + timeout;
-        while self.master.server_count() < want || !self.master.fully_assigned() {
-            if Instant::now() > deadline {
-                return Err(RpcError::Timeout);
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        Ok(())
     }
 
     /// The cluster topology.
@@ -87,11 +78,6 @@ impl MiniHbase {
     /// The underlying HDFS.
     pub fn dfs(&self) -> &MiniDfs {
         &self.dfs
-    }
-
-    /// The master's address.
-    pub fn master_addr(&self) -> SimAddr {
-        self.master.addr()
     }
 
     /// The region servers.

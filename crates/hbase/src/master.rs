@@ -7,11 +7,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
-use rpcoib::{RpcResult, RpcService, Server, ServiceRegistry};
-use simnet::{Fabric, NodeId, SimAddr};
+use parking_lot::{Condvar, Mutex};
+use rpcoib::{RpcError, RpcResult, RpcService, Server, ServiceRegistry};
+use simnet::{Clock, Fabric, NodeId, SimAddr};
 use wire::{DataInput, IntWritable, Writable};
 
 use crate::types::RegionInfo;
@@ -23,11 +23,16 @@ pub const RS_TIMEOUT: Duration = Duration::from_millis(1200);
 struct RsReg {
     node: u32,
     port: u16,
-    last_heartbeat: Instant,
+    /// On the master's clock, in ns.
+    last_heartbeat: u64,
 }
 
 struct MasterState {
     servers: Mutex<HashMap<u32, RsReg>>,
+    /// Notified, under `servers`, when a region server registers.
+    registered: Condvar,
+    /// The clock of the fabric the master's RPC runs on.
+    clock: Clock,
     /// Fixed bucket count (servers_at_creation × regions_per_server).
     n_regions: u32,
     /// Assignment is *sticky*: a bucket moves only when its server dies.
@@ -43,12 +48,14 @@ struct MasterState {
 impl MasterState {
     /// Live servers, sorted by id for a stable assignment.
     fn live(&self) -> Vec<(u32, u32, u16)> {
-        let now = Instant::now();
+        let now = self.clock.now_ns();
         let mut live: Vec<(u32, u32, u16)> = self
             .servers
             .lock()
             .iter()
-            .filter(|(_, reg)| now.duration_since(reg.last_heartbeat) < RS_TIMEOUT)
+            .filter(|(_, reg)| {
+                Duration::from_nanos(now.saturating_sub(reg.last_heartbeat)) < RS_TIMEOUT
+            })
             .map(|(id, reg)| (*id, reg.node, reg.port))
             .collect();
         live.sort_by_key(|(id, _, _)| *id);
@@ -146,14 +153,13 @@ impl RpcService for MasterProtocol {
                 node.read_fields(param).map_err(|e| e.to_string())?;
                 port.read_fields(param).map_err(|e| e.to_string())?;
                 let id = self.state.next_rs.fetch_add(1, Ordering::Relaxed);
-                self.state.servers.lock().insert(
-                    id,
-                    RsReg {
-                        node: node.0 as u32,
-                        port: port.0 as u16,
-                        last_heartbeat: Instant::now(),
-                    },
-                );
+                let reg = RsReg {
+                    node: node.0 as u32,
+                    port: port.0 as u16,
+                    last_heartbeat: self.state.clock.now_ns(),
+                };
+                self.state.servers.lock().insert(id, reg);
+                self.state.registered.notify_all();
                 Ok(Box::new(IntWritable(id as i32)))
             }
             "rsHeartbeat" => {
@@ -161,7 +167,7 @@ impl RpcService for MasterProtocol {
                 id.read_fields(param).map_err(|e| e.to_string())?;
                 let rs_id = id.0 as u32;
                 match self.state.servers.lock().get_mut(&rs_id) {
-                    Some(reg) => reg.last_heartbeat = Instant::now(),
+                    Some(reg) => reg.last_heartbeat = self.state.clock.now_ns(),
                     None => return Err(format!("unregistered region server {rs_id}")),
                 }
                 let buckets: Vec<IntWritable> = self
@@ -197,6 +203,8 @@ impl HMaster {
     ) -> RpcResult<HMaster> {
         let state = Arc::new(MasterState {
             servers: Mutex::new(HashMap::new()),
+            registered: Condvar::new(),
+            clock: fabric.clock().clone(),
             n_regions,
             assignment: Mutex::new(HashMap::new()),
             expected_servers,
@@ -215,14 +223,19 @@ impl HMaster {
         self.server.addr()
     }
 
-    /// Registered region-server count (live or not).
-    pub fn server_count(&self) -> usize {
-        self.state.servers.lock().len()
-    }
-
-    /// Currently live (heartbeating) region-server count.
-    pub fn live_server_count(&self) -> usize {
-        self.state.live().len()
+    /// Wait until `want` region servers have registered and every bucket
+    /// has an owner, for at most `timeout` on the master's clock.
+    pub(crate) fn await_servers(&self, want: usize, timeout: Duration) -> RpcResult<()> {
+        let (state, deadline) = (&self.state, self.state.clock.deadline(timeout));
+        let registered = {
+            let servers = &mut state.servers.lock();
+            state
+                .clock
+                .wait_on(&state.registered, servers, deadline, |s| s.len() >= want)
+        };
+        (registered && self.fully_assigned())
+            .then_some(())
+            .ok_or(RpcError::Timeout)
     }
 
     /// Whether every bucket has an assigned (registered) owner.

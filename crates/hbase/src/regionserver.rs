@@ -1313,7 +1313,7 @@ impl HRegionServer {
             .name(format!("rs{rs_id}-heartbeat"))
             .spawn(move || {
                 while !state2.stop.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(150));
+                    master_client.clock().sleep(Duration::from_millis(150));
                     if let Ok(assigned) = master_client.call::<IntWritable, Vec<IntWritable>>(
                         master,
                         "hbase.MasterProtocol",

@@ -5,7 +5,7 @@
 //! `operation_count` operations with a configurable get/put mix, keys
 //! chosen uniformly or by the standard YCSB zipfian generator.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 use rpcoib::RpcResult;
@@ -174,14 +174,15 @@ pub fn run(client: &HBaseClient, workload: &Workload) -> RpcResult<Report> {
     let mut gets = 0;
     let mut puts = 0;
     let mut scans = 0;
-    let start = Instant::now();
+    let clock = client.clock();
+    let start = clock.now_ns();
     for _ in 0..workload.operation_count {
         let id = match workload.distribution {
             KeyDistribution::Uniform => rng.gen_range(0..workload.record_count),
             KeyDistribution::Zipfian => zipf.sample(&mut rng),
         };
         let key = key_of(id);
-        let op_start = Instant::now();
+        let op_start = clock.now_ns();
         let dice: f64 = rng.gen();
         if dice < workload.read_proportion {
             let _row = client.get(&key)?;
@@ -194,9 +195,9 @@ pub fn run(client: &HBaseClient, workload: &Workload) -> RpcResult<Report> {
             client.put(&key, &value)?;
             puts += 1;
         }
-        latencies.push(op_start.elapsed());
+        latencies.push(Duration::from_nanos(clock.elapsed_ns(op_start)));
     }
-    let elapsed = start.elapsed();
+    let elapsed = Duration::from_nanos(clock.elapsed_ns(start));
     latencies.sort_unstable();
     Ok(Report {
         operations: gets + puts + scans,

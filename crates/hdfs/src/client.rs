@@ -293,7 +293,7 @@ impl DfsClient {
                         &(Text::from(path), LongWritable(lb.block as i64)),
                     )?;
                     last_err = Some(e);
-                    std::thread::sleep(self.cfg.heartbeat);
+                    self.rpc.clock().sleep(self.cfg.heartbeat);
                 }
             }
         }

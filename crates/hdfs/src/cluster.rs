@@ -1,9 +1,9 @@
 //! `MiniDfs`: boot a whole HDFS on a dual-rail simulated cluster.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rpcoib::{RpcError, RpcResult};
+use rpcoib::RpcResult;
 use simnet::{Cluster, Host, NetworkModel, SimAddr};
 
 use crate::client::DfsClient;
@@ -59,19 +59,9 @@ impl MiniDfs {
             namenode,
             datanodes,
         };
-        dfs.await_datanodes(n_datanodes, Duration::from_secs(10))?;
+        dfs.namenode
+            .await_datanodes(n_datanodes, Duration::from_secs(10))?;
         Ok(dfs)
-    }
-
-    fn await_datanodes(&self, want: usize, timeout: Duration) -> RpcResult<()> {
-        let deadline = Instant::now() + timeout;
-        while self.namenode.live_datanode_count() < want {
-            if Instant::now() > deadline {
-                return Err(RpcError::Timeout);
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        Ok(())
     }
 
     /// The NameNode RPC address.

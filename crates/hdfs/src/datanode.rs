@@ -8,22 +8,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use rpcoib::transport::rdma::RdmaConn;
-use rpcoib::transport::socket::SocketConn;
 use rpcoib::transport::Conn;
 use rpcoib::{Client, RpcError, RpcResult};
-use simnet::{ListenerCloser, SimAddr, SimListener};
+use simnet::{SimAddr, SimListener};
 use wire::{IntWritable, NullWritable};
 
 use crate::config::{HdfsConfig, HostNet};
 use crate::dataxfer::{
     recv_frame, recv_frame_into, send_ack, send_opening, send_packet, send_transfer, DataConnPool,
-    DataFrame, Opening, ACK_CORRUPT, ACK_FAIL, ACK_OK, DATA_TIMEOUT,
+    DataFrame, DataService, Opening, ACK_CORRUPT, ACK_FAIL, ACK_OK, DATA_TIMEOUT,
 };
 use crate::types::{BlockReceivedArgs, BlockReportArgs, DatanodeInfo, DnCommand};
 use crate::DATA_PORT;
 
-const IDLE_SLICE: Duration = Duration::from_millis(100);
 /// A full block report every this many heartbeats.
 const REPORT_EVERY: u32 = 8;
 
@@ -144,15 +141,13 @@ struct DnState {
     pool: DataConnPool,
     store: BlockStore,
     stop: AtomicBool,
-    /// Unbinds the data port, which is what gets the acceptor out of its
-    /// blocking accept at `stop`.
-    acceptor: ListenerCloser,
 }
 
 /// A running DataNode.
 pub struct DataNode {
     state: Arc<DnState>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    xceivers: DataService,
+    heartbeat: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl DataNode {
@@ -177,31 +172,29 @@ impl DataNode {
             pool,
             store: BlockStore::default(),
             stop: AtomicBool::new(false),
-            acceptor: listener.closer(),
         });
 
-        let mut threads = Vec::new();
-        {
-            let state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dn{}-acceptor", state.id))
-                    .spawn(move || acceptor_loop(state, listener))
-                    .expect("spawn dn acceptor"),
+        let xceivers = {
+            let state2 = Arc::clone(&state);
+            let (name, conn_name) = (
+                format!("dn{}-acceptor", state.id),
+                format!("dn{}-xceiver", state.id),
             );
-        }
-        {
+            DataService::start(listener, &state.pool, name, conn_name, move |conn| {
+                xceiver_loop(&state2, conn)
+            })
+        };
+        let heartbeat = {
             let state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dn{}-heartbeat", state.id))
-                    .spawn(move || heartbeat_loop(state))
-                    .expect("spawn dn heartbeat"),
-            );
-        }
+            std::thread::Builder::new()
+                .name(format!("dn{}-heartbeat", state.id))
+                .spawn(move || heartbeat_loop(state))
+                .expect("spawn dn heartbeat")
+        };
         Ok(DataNode {
             state,
-            threads: Mutex::new(threads),
+            xceivers,
+            heartbeat: Mutex::new(Some(heartbeat)),
         })
     }
 
@@ -260,9 +253,9 @@ impl DataNode {
             return;
         }
         self.state.rpc.shutdown();
-        self.state.acceptor.close();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
+        self.xceivers.stop();
+        if let Some(heartbeat) = self.heartbeat.lock().take() {
+            let _ = heartbeat.join();
         }
     }
 }
@@ -287,7 +280,7 @@ fn heartbeat_loop(state: Arc<DnState>) {
     // The last block id the report scan verified.
     let mut scanned = 0u64;
     while !state.stop.load(Ordering::Acquire) {
-        std::thread::sleep(state.cfg.heartbeat);
+        state.rpc.clock().sleep(state.cfg.heartbeat);
         let commands = state.rpc.call::<IntWritable, Vec<DnCommand>>(
             state.nn,
             "hdfs.DatanodeProtocol",
@@ -320,76 +313,30 @@ fn heartbeat_loop(state: Arc<DnState>) {
     }
 }
 
-/// Blocks in accept — an idle DataNode polls nothing here; `stop` unbinds
-/// the port, which fails the accept at once.
-fn acceptor_loop(state: Arc<DnState>, listener: SimListener) {
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !state.stop.load(Ordering::Acquire) {
-        match listener.accept_timeout(IDLE_SLICE) {
-            Ok(Some((stream, _peer))) => {
-                let state2 = Arc::clone(&state);
-                let handle = std::thread::Builder::new()
-                    .name(format!("dn{}-xceiver", state.id))
-                    .spawn(move || {
-                        let conn: Arc<dyn Conn> = if state2.cfg.data_rdma {
-                            match state2.pool_ctx_bootstrap(&stream) {
-                                Ok(c) => c,
-                                Err(_) => return,
-                            }
-                        } else {
-                            Arc::new(SocketConn::new(stream, 4096))
-                        };
-                        xceiver_loop(state2, conn);
-                    })
-                    .expect("spawn xceiver");
-                handlers.push(handle);
-            }
-            Ok(None) => {}
-            Err(_) => break,
-        }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-impl DnState {
-    fn pool_ctx_bootstrap(&self, stream: &simnet::SimStream) -> RpcResult<Arc<dyn Conn>> {
-        let ctx = self
-            .pool
-            .ib_context()
-            .ok_or_else(|| RpcError::Config("data_rdma set but pool has no IB context".into()))?;
-        Ok(Arc::new(RdmaConn::bootstrap(
-            stream,
-            ctx,
-            &self.cfg.data_rpc_config(),
-        )?))
-    }
-}
-
-/// Per-connection server loop: one WRITE or READ operation at a time.
-fn xceiver_loop(state: Arc<DnState>, conn: Arc<dyn Conn>) {
-    while !state.stop.load(Ordering::Acquire) {
+/// Serve one connection, one WRITE or READ operation at a time, blocked
+/// in its receive between them; it ends when the connection breaks or
+/// `stop` closes it.
+fn xceiver_loop(state: &Arc<DnState>, conn: &Arc<dyn Conn>) {
+    loop {
         // A write's replica: reserved by the frame that opens it, for the
         // length that frame announces, which `block_size` bounds.
         let mut data = Vec::new();
         // A frame this node refuses takes the broken-connection path too.
-        let result = match recv_frame_into(&conn, IDLE_SLICE, &mut data, state.cfg.block_size) {
-            Err(RpcError::Timeout) => continue,
+        let result = match recv_frame_into(conn, Duration::MAX, &mut data, state.cfg.block_size) {
             Ok(DataFrame::Write {
                 block,
                 len,
                 targets,
                 first,
-            }) => handle_write(&state, &conn, block, len, targets, data, first),
+            }) => handle_write(state, conn, block, len, targets, data, first),
             Ok(DataFrame::Read { block, offset, len }) => {
-                handle_read(&state, &conn, block, offset, len)
+                handle_read(state, conn, block, offset, len)
             }
             Ok(_) => Err(RpcError::Protocol("unexpected leading frame".into())),
             Err(e) => Err(e),
         };
         if result.is_err() {
-            let _ = send_ack(&conn, ACK_FAIL);
+            let _ = send_ack(conn, ACK_FAIL);
             return; // drop a connection that broke mid-protocol
         }
     }

@@ -39,7 +39,8 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -48,7 +49,7 @@ use rpcoib::transport::rdma::{IbContext, RdmaConn};
 use rpcoib::transport::socket::SocketConn;
 use rpcoib::transport::Conn;
 use rpcoib::{RpcConfig, RpcError, RpcResult};
-use simnet::{Fabric, NodeId, SimAddr, SimStream};
+use simnet::{Fabric, ListenerCloser, NodeId, SimAddr, SimListener, SimStream};
 use wire::{DataInput, DataOutput};
 
 use crate::types::DatanodeInfo;
@@ -116,12 +117,8 @@ impl DataConnPool {
             });
         }
         let stream = SimStream::connect(&self.fabric, self.local, addr)?;
-        let conn: Arc<dyn Conn> = match &self.ib {
-            Some(ctx) => Arc::new(RdmaConn::bootstrap(&stream, ctx, &self.cfg)?),
-            None => Arc::new(SocketConn::new(stream, 4096)),
-        };
         Ok(PooledConn {
-            conn: Some(conn),
+            conn: Some(open(&self.ib, &self.cfg, stream)?),
             addr,
             pool: self,
             reusable: true,
@@ -136,6 +133,15 @@ impl DataConnPool {
     fn checkin(&self, addr: SimAddr, conn: Arc<dyn Conn>) {
         self.idle.lock().entry(addr).or_default().push(conn);
     }
+}
+
+/// Either end of a data connection over `stream`: a verbs bootstrap on
+/// `ib` with `cfg`'s buffers, or a framed socket.
+fn open(ib: &Option<IbContext>, cfg: &RpcConfig, stream: SimStream) -> RpcResult<Arc<dyn Conn>> {
+    Ok(match ib {
+        Some(ctx) => Arc::new(RdmaConn::bootstrap(&stream, ctx, cfg)?),
+        None => Arc::new(SocketConn::new(stream, 4096)),
+    })
 }
 
 impl std::fmt::Debug for DataConnPool {
@@ -178,6 +184,106 @@ impl Drop for PooledConn<'_> {
                 conn.close();
             }
         }
+    }
+}
+
+/// The serving end of a data plane (a DataNode's xceivers, a
+/// TaskTracker's shuffle): one thread blocked in accept, and one per
+/// connection blocked in its receive. Nothing here polls: `stop` unbinds
+/// the port and closes every open connection, which ends each of those
+/// waits at once.
+pub struct DataService {
+    closer: ListenerCloser,
+    serving: Arc<Serving>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// What a [`DataService`]'s threads share.
+struct Serving {
+    ib: Option<IbContext>,
+    cfg: RpcConfig,
+    /// The connections being served; `None` once stopped, so that a
+    /// connection set up after `stop` is closed rather than served.
+    open: Mutex<Option<Vec<Weak<dyn Conn>>>>,
+    serve: Box<ServeFn>,
+}
+
+/// What a [`DataService`] runs on each connection it sets up.
+type ServeFn = dyn Fn(&Arc<dyn Conn>) + Send + Sync;
+
+impl DataService {
+    /// Accept on `listener` from a thread named `name`. Each connection is
+    /// set up on a thread of its own, named `conn_name`, on the transport
+    /// and buffers of the node's side of `pool` (so both ends agree), and
+    /// handed to `serve`, which returns once the connection breaks or
+    /// closes.
+    pub fn start(
+        listener: SimListener,
+        pool: &DataConnPool,
+        name: String,
+        conn_name: String,
+        serve: impl Fn(&Arc<dyn Conn>) + Send + Sync + 'static,
+    ) -> DataService {
+        let serving = Arc::new(Serving {
+            ib: pool.ib.clone(),
+            cfg: pool.cfg.clone(),
+            open: Mutex::new(Some(Vec::new())),
+            serve: Box::new(serve),
+        });
+        let closer = listener.closer();
+        let shared = Arc::clone(&serving);
+        let accept_loop = move || {
+            let mut served: Vec<JoinHandle<()>> = Vec::new();
+            // Until unbound: `stop`, or the node was killed.
+            while let Ok((stream, _)) = listener.accept() {
+                served.retain(|t| !t.is_finished());
+                let serving = Arc::clone(&shared);
+                let conn_thread = std::thread::Builder::new().name(conn_name.clone());
+                let serve = move || serving.serve(stream);
+                served.push(conn_thread.spawn(serve).expect("spawn data connection"));
+            }
+            for t in served {
+                let _ = t.join();
+            }
+        };
+        let acceptor = std::thread::Builder::new().name(name);
+        let acceptor = acceptor.spawn(accept_loop).expect("spawn acceptor");
+        DataService {
+            closer,
+            serving,
+            acceptor: Mutex::new(Some(acceptor)),
+        }
+    }
+
+    /// Unbind the port, close every open connection, and join the
+    /// acceptor, which joins the connections' threads. Idempotent.
+    pub fn stop(&self) {
+        self.closer.close();
+        let open = self.serving.open.lock().take();
+        for conn in open.into_iter().flatten().filter_map(|c| c.upgrade()) {
+            conn.close();
+        }
+        if let Some(acceptor) = self.acceptor.lock().take() {
+            let _ = acceptor.join();
+        }
+    }
+}
+
+impl Serving {
+    /// Set up the connection `stream` was accepted for, and serve it
+    /// until it breaks or closes.
+    fn serve(&self, stream: SimStream) {
+        let Ok(conn) = open(&self.ib, &self.cfg, stream) else {
+            return; // a peer that vanished mid-hello
+        };
+        match self.open.lock().as_mut() {
+            Some(open) => {
+                open.retain(|c| c.strong_count() > 0);
+                open.push(Arc::downgrade(&conn));
+            }
+            None => return conn.close(),
+        }
+        (self.serve)(&conn);
     }
 }
 

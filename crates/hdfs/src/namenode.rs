@@ -7,11 +7,12 @@ use std::io;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
-use parking_lot::Mutex;
-use rpcoib::{RpcResult, RpcService, Server, ServiceRegistry};
-use simnet::{Fabric, NodeId};
+use parking_lot::{Condvar, Mutex};
+use rpcoib::{RpcError, RpcResult, RpcService, Server, ServiceRegistry};
+use simnet::time::later;
+use simnet::{Clock, Fabric, NodeId};
 use wire::{BooleanWritable, DataInput, IntWritable, NullWritable, Text, Writable};
 
 use crate::config::HdfsConfig;
@@ -39,7 +40,8 @@ struct BlockMeta {
 
 struct DnReg {
     info: DatanodeInfo,
-    last_heartbeat: Instant,
+    /// On the NameNode's clock, in ns.
+    last_heartbeat: u64,
 }
 
 /// Replicas one heartbeat tells its DataNode to drop, at most (HDFS's
@@ -55,10 +57,16 @@ pub(crate) struct NnState {
     /// at its next heartbeat.
     invalidate: Mutex<HashMap<u32, BTreeSet<u64>>>,
     datanodes: Mutex<HashMap<u32, DnReg>>,
-    leases: Mutex<HashMap<String, (String, Instant)>>,
-    /// Blocks with a replication command in flight (avoid re-issuing
-    /// every heartbeat while the copy is still running).
-    replication_pending: Mutex<HashMap<u64, Instant>>,
+    /// Notified, under `datanodes`, when a DataNode registers.
+    registered: Condvar,
+    /// The clock of the fabric the NameNode's RPC runs on; every time
+    /// below is its reading, in ns.
+    clock: Clock,
+    /// Path → (holder, last renewal).
+    leases: Mutex<HashMap<String, (String, u64)>>,
+    /// Blocks with a replication command in flight, and when it lapses
+    /// (avoid re-issuing every heartbeat while the copy is still running).
+    replication_pending: Mutex<HashMap<u64, u64>>,
     next_block: AtomicU64,
     next_dn: AtomicU32,
     placement_cursor: AtomicUsize,
@@ -66,12 +74,12 @@ pub(crate) struct NnState {
 
 impl NnState {
     fn live_datanodes(&self, exclude: &[u32]) -> Vec<DatanodeInfo> {
-        let now = Instant::now();
+        let now = self.clock.now_ns();
         let mut dns: Vec<_> = self
             .datanodes
             .lock()
             .values()
-            .filter(|dn| now.duration_since(dn.last_heartbeat) < self.cfg.dn_timeout)
+            .filter(|dn| now < later(dn.last_heartbeat, self.cfg.dn_timeout))
             .filter(|dn| !exclude.contains(&dn.info.id))
             .map(|dn| dn.info)
             .collect();
@@ -132,12 +140,12 @@ impl NnState {
     /// renewing its lease (crashed clients must not hold files open
     /// forever). Piggy-backed on DataNode heartbeats, like replication.
     fn recover_expired_leases(&self) {
-        let now = Instant::now();
+        let now = self.clock.now_ns();
         let expired: Vec<String> = {
             let leases = self.leases.lock();
             leases
                 .iter()
-                .filter(|(_, (_, renewed))| now.duration_since(*renewed) > self.cfg.lease_timeout)
+                .filter(|(_, (_, renewed))| now > later(*renewed, self.cfg.lease_timeout))
                 .map(|(path, _)| path.clone())
                 .collect()
         };
@@ -158,7 +166,7 @@ impl NnState {
     /// each under-replicated block it holds, pick fresh live targets.
     /// This is how HDFS recovers replication after a DataNode death.
     fn replication_work(&self, dn_id: u32) -> Vec<DnCommand> {
-        let now = Instant::now();
+        let now = self.clock.now_ns();
         let live: Vec<u32> = self.live_datanodes(&[]).iter().map(|dn| dn.id).collect();
         if !live.contains(&dn_id) {
             return Vec::new();
@@ -195,7 +203,7 @@ impl NnState {
             if targets.is_empty() {
                 continue;
             }
-            pending.insert(*block, now + self.cfg.dn_timeout * 4);
+            pending.insert(*block, later(now, self.cfg.dn_timeout * 4));
             commands.push(DnCommand::Replicate {
                 block: *block,
                 targets,
@@ -344,7 +352,7 @@ impl RpcService for ClientProtocol {
                 state
                     .leases
                     .lock()
-                    .insert(path.0.clone(), ("client".into(), Instant::now()));
+                    .insert(path.0.clone(), ("client".into(), state.clock.now_ns()));
                 Ok(Box::new(BooleanWritable(true)))
             }
             "addBlock" => {
@@ -484,7 +492,7 @@ impl RpcService for ClientProtocol {
             "renewLease" => {
                 let mut client = Text::default();
                 client.read_fields(param).map_err(ioerr)?;
-                let now = Instant::now();
+                let now = state.clock.now_ns();
                 for lease in state.leases.lock().values_mut() {
                     if lease.0 == client.0 {
                         lease.1 = now;
@@ -519,13 +527,16 @@ impl RpcService for DatanodeProtocol {
                 info.read_fields(param).map_err(ioerr)?;
                 let id = state.next_dn.fetch_add(1, Ordering::Relaxed);
                 info.id = id;
-                state.datanodes.lock().insert(
+                let last_heartbeat = state.clock.now_ns();
+                let mut datanodes = state.datanodes.lock();
+                datanodes.insert(
                     id,
                     DnReg {
                         info,
-                        last_heartbeat: Instant::now(),
+                        last_heartbeat,
                     },
                 );
+                state.registered.notify_all();
                 Ok(Box::new(IntWritable(id as i32)))
             }
             "sendHeartbeat" => {
@@ -533,7 +544,7 @@ impl RpcService for DatanodeProtocol {
                 id.read_fields(param).map_err(ioerr)?;
                 let dn_id = id.0 as u32;
                 match state.datanodes.lock().get_mut(&dn_id) {
-                    Some(dn) => dn.last_heartbeat = Instant::now(),
+                    Some(dn) => dn.last_heartbeat = state.clock.now_ns(),
                     None => return Err(format!("unregistered datanode {}", id.0)),
                 }
                 // Piggy-back lease recovery, replication and invalidation
@@ -608,6 +619,8 @@ impl NameNode {
             blocks: Mutex::new(HashMap::new()),
             invalidate: Mutex::new(HashMap::new()),
             datanodes: Mutex::new(HashMap::new()),
+            registered: Condvar::new(),
+            clock: fabric.clock().clone(),
             leases: Mutex::new(HashMap::new()),
             replication_pending: Mutex::new(HashMap::new()),
             next_block: AtomicU64::new(1),
@@ -633,6 +646,17 @@ impl NameNode {
     /// Server-side RPC metrics.
     pub fn metrics(&self) -> &rpcoib::MetricsRegistry {
         self.server.metrics()
+    }
+
+    /// Wait until `want` DataNodes have registered, for at most `timeout`
+    /// on the NameNode's clock.
+    pub(crate) fn await_datanodes(&self, want: usize, timeout: Duration) -> RpcResult<()> {
+        let (state, deadline) = (&self.state, self.state.clock.deadline(timeout));
+        let dns = &mut state.datanodes.lock();
+        let registered = state
+            .clock
+            .wait_on(&state.registered, dns, deadline, |d| d.len() >= want);
+        registered.then_some(()).ok_or(RpcError::Timeout)
     }
 
     /// Number of currently live (heartbeating) DataNodes.

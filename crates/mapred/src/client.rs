@@ -1,6 +1,6 @@
 //! Job submission client.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rpcoib::{Client, RpcError, RpcResult};
 use simnet::SimAddr;
@@ -45,18 +45,21 @@ impl JobClient {
         )
     }
 
-    /// Poll until the job leaves the `Running` state (or `timeout`).
+    /// Poll `getJobStatus` until the job leaves the `Running` state, or
+    /// `timeout` passes on the client's clock. A poll, as Hadoop's
+    /// `JobClient` makes: the JobTracker tells nobody when a job ends.
     pub fn wait(&self, job: u32, timeout: Duration) -> RpcResult<JobStatus> {
-        let deadline = Instant::now() + timeout;
+        let clock = self.rpc.clock();
+        let deadline = clock.deadline(timeout);
         loop {
             let status = self.status(job)?;
             if status.state != JobState::Running {
                 return Ok(status);
             }
-            if Instant::now() > deadline {
+            if clock.now_ns() > deadline {
                 return Err(RpcError::Timeout);
             }
-            std::thread::sleep(Duration::from_millis(50));
+            clock.sleep(Duration::from_millis(50));
         }
     }
 

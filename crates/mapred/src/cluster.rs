@@ -4,11 +4,11 @@
 //! host 1 is the client host.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mini_hdfs::{DfsClient, MiniDfs};
-use rpcoib::{Client, RpcError, RpcResult};
-use simnet::{Cluster, Host, NetworkModel, SimAddr};
+use rpcoib::{Client, RpcResult};
+use simnet::{Cluster, Host, NetworkModel};
 
 use crate::client::JobClient;
 use crate::config::MrConfig;
@@ -53,19 +53,9 @@ impl MiniMr {
             tasktrackers,
             cfg,
         };
-        mr.await_trackers(n_workers, Duration::from_secs(10))?;
+        mr.jobtracker
+            .await_trackers(n_workers, Duration::from_secs(10))?;
         Ok(mr)
-    }
-
-    fn await_trackers(&self, want: usize, timeout: Duration) -> RpcResult<()> {
-        let deadline = Instant::now() + timeout;
-        while self.jobtracker.tracker_count() < want {
-            if Instant::now() > deadline {
-                return Err(RpcError::Timeout);
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        Ok(())
     }
 
     /// The underlying HDFS deployment.
@@ -86,11 +76,6 @@ impl MiniMr {
     /// The TaskTrackers, in worker order.
     pub fn tasktrackers(&self) -> &[TaskTracker] {
         &self.tasktrackers
-    }
-
-    /// The JobTracker address.
-    pub fn jt_addr(&self) -> SimAddr {
-        self.jobtracker.addr()
     }
 
     /// A job client on the reserved client host.

@@ -5,11 +5,12 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
-use rpcoib::{RpcResult, RpcService, Server, ServiceRegistry};
-use simnet::{Fabric, NodeId, SimAddr};
+use parking_lot::{Condvar, Mutex};
+use rpcoib::{RpcError, RpcResult, RpcService, Server, ServiceRegistry};
+use simnet::time::later;
+use simnet::{Clock, Fabric, NodeId, SimAddr};
 use wire::{BooleanWritable, DataInput, IntWritable, VLongWritable, Writable};
 
 use crate::config::MrConfig;
@@ -34,7 +35,8 @@ enum TaskStatus {
 struct RunningAttempt {
     attempt: u64,
     tt: u32,
-    started: Instant,
+    /// On the JobTracker's clock, in ns.
+    started: u64,
 }
 
 #[derive(Debug)]
@@ -61,11 +63,11 @@ impl Task {
             if attempts.iter().any(|a| a.attempt == attempt))
     }
 
-    fn start_attempt(&mut self, attempt: u64, tt: u32) {
+    fn start_attempt(&mut self, attempt: u64, tt: u32, now: u64) {
         let running = RunningAttempt {
             attempt,
             tt,
-            started: Instant::now(),
+            started: now,
         };
         match &mut self.status {
             TaskStatus::Running { attempts } => attempts.push(running),
@@ -146,7 +148,8 @@ fn median_duration(durations: &[Duration]) -> Option<Duration> {
 
 struct TrackerReg {
     info: TrackerInfo,
-    last_heartbeat: Instant,
+    /// On the JobTracker's clock, in ns.
+    last_heartbeat: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -159,6 +162,10 @@ struct JtState {
     cfg: MrConfig,
     jobs: Mutex<HashMap<u32, Job>>,
     trackers: Mutex<HashMap<u32, TrackerReg>>,
+    /// Notified, under `trackers`, when a TaskTracker registers.
+    registered: Condvar,
+    /// The clock of the fabric the JobTracker's RPC runs on.
+    clock: Clock,
     attempts: Mutex<HashMap<u64, TaskRef>>,
     next_job: AtomicU32,
     next_tt: AtomicU32,
@@ -177,12 +184,12 @@ impl JtState {
     /// Completed maps on a lost tracker are also requeued when their job
     /// still has unfinished reduces (the shuffle outputs died with it).
     fn reap_lost_trackers(&self) {
-        let now = Instant::now();
+        let now = self.clock.now_ns();
         let lost: Vec<u32> = {
             let mut trackers = self.trackers.lock();
             let lost: Vec<u32> = trackers
                 .iter()
-                .filter(|(_, reg)| now.duration_since(reg.last_heartbeat) > self.cfg.tt_timeout)
+                .filter(|(_, reg)| now > later(reg.last_heartbeat, self.cfg.tt_timeout))
                 .map(|(id, _)| *id)
                 .collect();
             for id in &lost {
@@ -229,6 +236,7 @@ impl JtState {
     }
 
     fn assign(&self, tt: &TrackerInfo, free_maps: u32, free_reduces: u32) -> Vec<TaskAssignment> {
+        let now = self.clock.now_ns();
         let mut actions = Vec::new();
         let mut jobs = self.jobs.lock();
         let mut job_ids: Vec<u32> = jobs.keys().copied().collect();
@@ -248,7 +256,7 @@ impl JtState {
                 }
                 if task.status == TaskStatus::Pending {
                     let attempt = self.next_attempt.fetch_add(1, Ordering::Relaxed);
-                    task.start_attempt(attempt, tt.tt_id);
+                    task.start_attempt(attempt, tt.tt_id, now);
                     self.attempts
                         .lock()
                         .insert(attempt, TaskRef::Map { job: id, idx });
@@ -274,7 +282,7 @@ impl JtState {
                     }
                     if task.status == TaskStatus::Pending {
                         let attempt = self.next_attempt.fetch_add(1, Ordering::Relaxed);
-                        task.start_attempt(attempt, tt.tt_id);
+                        task.start_attempt(attempt, tt.tt_id, now);
                         self.attempts
                             .lock()
                             .insert(attempt, TaskRef::Reduce { job: id, idx });
@@ -332,11 +340,12 @@ impl JtState {
                                 continue; // already speculated
                             }
                             let only = &attempts[0];
-                            if only.tt == tt.tt_id || only.started.elapsed() < threshold {
+                            let ran = Duration::from_nanos(now.saturating_sub(only.started));
+                            if only.tt == tt.tt_id || ran < threshold {
                                 continue; // same tracker, or not a straggler
                             }
                             let attempt = next_attempt.fetch_add(1, Ordering::Relaxed);
-                            task.start_attempt(attempt, tt.tt_id);
+                            task.start_attempt(attempt, tt.tt_id, now);
                             let task_ref = if is_map {
                                 TaskRef::Map { job: id, idx }
                             } else {
@@ -395,7 +404,7 @@ impl JtState {
             let reg = trackers
                 .get_mut(&args.tt_id)
                 .ok_or_else(|| format!("unregistered tracker {}", args.tt_id))?;
-            reg.last_heartbeat = Instant::now();
+            reg.last_heartbeat = self.clock.now_ns();
             reg.info
         };
         self.reap_lost_trackers();
@@ -409,10 +418,11 @@ impl JtState {
                     if let Some(task) = self.task_mut(&mut jobs, r) {
                         if task.is_running_attempt(*attempt) {
                             let duration = match &task.status {
-                                TaskStatus::Running { attempts } => attempts
-                                    .iter()
-                                    .find(|a| a.attempt == *attempt)
-                                    .map(|a| a.started.elapsed()),
+                                TaskStatus::Running { attempts } => {
+                                    attempts.iter().find(|a| a.attempt == *attempt).map(|a| {
+                                        Duration::from_nanos(self.clock.elapsed_ns(a.started))
+                                    })
+                                }
                                 _ => None,
                             };
                             task.status = TaskStatus::Done;
@@ -562,13 +572,13 @@ impl RpcService for InterTracker {
                 info.read_fields(param).map_err(|e| e.to_string())?;
                 let id = self.state.next_tt.fetch_add(1, Ordering::Relaxed);
                 info.tt_id = id;
-                self.state.trackers.lock().insert(
-                    id,
-                    TrackerReg {
-                        info,
-                        last_heartbeat: Instant::now(),
-                    },
-                );
+                let last_heartbeat = self.state.clock.now_ns();
+                let reg = TrackerReg {
+                    info,
+                    last_heartbeat,
+                };
+                self.state.trackers.lock().insert(id, reg);
+                self.state.registered.notify_all();
                 Ok(Box::new(IntWritable(id as i32)))
             }
             "heartbeat" => {
@@ -634,6 +644,8 @@ impl JobTracker {
             cfg: cfg.clone(),
             jobs: Mutex::new(HashMap::new()),
             trackers: Mutex::new(HashMap::new()),
+            registered: Condvar::new(),
+            clock: fabric.clock().clone(),
             attempts: Mutex::new(HashMap::new()),
             next_job: AtomicU32::new(1),
             next_tt: AtomicU32::new(0),
@@ -660,9 +672,15 @@ impl JobTracker {
         self.server.metrics()
     }
 
-    /// Live (heartbeating) tracker count.
-    pub fn tracker_count(&self) -> usize {
-        self.state.trackers.lock().len()
+    /// Wait until `want` TaskTrackers have registered, for at most
+    /// `timeout` on the JobTracker's clock.
+    pub(crate) fn await_trackers(&self, want: usize, timeout: Duration) -> RpcResult<()> {
+        let (state, deadline) = (&self.state, self.state.clock.deadline(timeout));
+        let tts = &mut state.trackers.lock();
+        let registered = state
+            .clock
+            .wait_on(&state.registered, tts, deadline, |t| t.len() >= want);
+        registered.then_some(()).ok_or(RpcError::Timeout)
     }
 
     /// Stop the server.
@@ -692,6 +710,8 @@ mod tests {
             cfg,
             jobs: Mutex::new(HashMap::new()),
             trackers: Mutex::new(HashMap::new()),
+            registered: Condvar::new(),
+            clock: Clock::manual(),
             attempts: Mutex::new(HashMap::new()),
             next_job: AtomicU32::new(2),
             next_tt: AtomicU32::new(1),
@@ -725,7 +745,7 @@ mod tests {
                     shuffle_node: 9,
                     shuffle_port: 50060,
                 },
-                last_heartbeat: Instant::now(),
+                last_heartbeat: 0,
             },
         );
         state
@@ -760,7 +780,7 @@ mod tests {
                     shuffle_node: 100 + tt_id,
                     shuffle_port: 50060,
                 },
-                last_heartbeat: Instant::now(),
+                last_heartbeat: 0,
             },
         );
     }
@@ -891,8 +911,9 @@ mod tests {
         // One map completes, one keeps running; reduces still pending.
         complete(&state, vec![resp.actions[0].attempt]);
         // The tracker goes silent past the timeout.
-        state.trackers.lock().get_mut(&0).unwrap().last_heartbeat =
-            Instant::now() - state.cfg.tt_timeout - Duration::from_millis(1);
+        state
+            .clock
+            .advance(state.cfg.tt_timeout + Duration::from_millis(1));
         state.reap_lost_trackers();
         let jobs = state.jobs.lock();
         let job = jobs.get(&1).unwrap();
@@ -950,7 +971,7 @@ mod tests {
                 ..Default::default()
             })
             .unwrap();
-        std::thread::sleep(Duration::from_millis(30));
+        state.clock.advance(Duration::from_millis(30));
         // Tracker 0 itself never gets duplicates of its own attempts.
         assert!(beat(&state, 8, 0).actions.is_empty());
         // Tracker 1, past the floor, gets speculative copies of both
@@ -1029,7 +1050,7 @@ mod tests {
                 ..Default::default()
             })
             .unwrap();
-        std::thread::sleep(Duration::from_millis(10));
+        state.clock.advance(Duration::from_millis(10));
         assert!(beat_from(&state, 1, 8, 0).actions.is_empty());
     }
 
@@ -1053,7 +1074,7 @@ mod tests {
             })
             .unwrap();
         let original = first.actions[1].attempt;
-        std::thread::sleep(Duration::from_millis(20));
+        state.clock.advance(Duration::from_millis(20));
         let dup = beat_from(&state, 1, 8, 0).actions[0].attempt;
         assert_ne!(original, dup);
         // The duplicate fails: the task keeps running on the original.

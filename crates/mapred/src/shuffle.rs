@@ -1,8 +1,24 @@
 //! Shuffle: storage and transfer of map outputs.
 //!
 //! Hadoop serves map outputs over HTTP from the TaskTracker; here the
-//! shuffle server speaks a two-frame protocol (`FETCH` → `CHUNK*`/`MISSING`)
-//! over the same pooled-connection machinery the HDFS data plane uses.
+//! shuffle server answers a `FETCH` over the same pooled-connection
+//! machinery the HDFS data plane uses, and as there, control rides the
+//! data: the partition's length travels in the message that carries its
+//! first chunk, and nothing marks its end. Frames (one `Conn` message
+//! each):
+//!
+//! * `FETCH` — `[op][vint job][vint map][vint reduce]`;
+//! * `MISSING` — `[op]`: this tracker does not (yet) hold that output;
+//! * `FOUND` — `[op][vlong total][len-prefixed bytes]`: the partition's
+//!   length and its first chunk (an empty partition is this frame alone,
+//!   with `total` 0);
+//! * `CHUNK` — `[op][len-prefixed bytes]`: the next chunk.
+//!
+//! A fetch is complete once exactly `total` bytes have arrived, so a
+//! fetch of n chunks costs n + 1 messages. A chunk past `total`, an empty
+//! chunk after the first, a stream that ends short, or any other opcode
+//! is `RpcError::Protocol`.
+//!
 //! The shuffle follows the RPC rail: on socket configurations it stays on
 //! Ethernet, and on RPCoIB configurations its 64 KiB chunks ride the
 //! verbs transport's one-sided bulk plane (slot ring + RDMA write), the
@@ -18,13 +34,12 @@ use parking_lot::Mutex;
 use rpcoib::transport::Conn;
 use rpcoib::{RpcError, RpcResult};
 use simnet::SimAddr;
-use wire::DataInput;
+use wire::{DataInput, DataOutput};
 
 const OP_FETCH: u8 = 0x21;
 const OP_FOUND: u8 = 0x22;
 const OP_MISSING: u8 = 0x23;
 const OP_CHUNK: u8 = 0x24;
-const OP_DONE: u8 = 0x25;
 
 /// Chunk size for shuffle transfers.
 const SHUFFLE_CHUNK: usize = 64 * 1024;
@@ -72,15 +87,11 @@ impl MapOutputStore {
     }
 }
 
-/// Serve one shuffle connection until it closes (run by the TaskTracker's
-/// shuffle service, one thread per connection).
-pub fn serve_connection(conn: &Arc<dyn Conn>, store: &MapOutputStore, stop: impl Fn() -> bool) {
-    while !stop() {
-        let (payload, _) = match conn.recv_msg(Duration::from_millis(100)) {
-            Ok(v) => v,
-            Err(RpcError::Timeout) => continue,
-            Err(_) => return,
-        };
+/// Serve one shuffle connection, blocked in its receive between
+/// fetches, until it breaks or closes (run by the TaskTracker's shuffle
+/// service, one thread per connection).
+pub fn serve_connection(conn: &Arc<dyn Conn>, store: &MapOutputStore) {
+    while let Ok((payload, _)) = conn.recv_msg(Duration::MAX) {
         let mut reader = payload.reader();
         let parsed = (|| -> std::io::Result<(u32, u32, u32)> {
             let op = reader.read_u8()?;
@@ -96,9 +107,8 @@ pub fn serve_connection(conn: &Arc<dyn Conn>, store: &MapOutputStore, stop: impl
                 reader.read_vint()? as u32,
             ))
         })();
-        let (job, map_idx, reduce) = match parsed {
-            Ok(v) => v,
-            Err(_) => return,
+        let Ok((job, map_idx, reduce)) = parsed else {
+            return;
         };
         let result = match store.get(job, map_idx, reduce) {
             Some(data) => send_found(conn, &data),
@@ -115,28 +125,26 @@ pub fn serve_connection(conn: &Arc<dyn Conn>, store: &MapOutputStore, stop: impl
     }
 }
 
+/// `FOUND` riding the first chunk, then a `CHUNK` per further chunk,
+/// each sent from where it lies behind a lead built on the stack.
 fn send_found(conn: &Arc<dyn Conn>, data: &[u8]) -> RpcResult<()> {
-    conn.send_msg(
-        rpcoib::intern::method_key("mapred.shuffle", "found"),
-        &mut |out| {
-            out.write_u8(OP_FOUND)?;
-            out.write_vlong(data.len() as i64)
-        },
-    )?;
-    for chunk in data.chunks(SHUFFLE_CHUNK) {
-        // `[op][len-prefixed bytes]`, the chunk sent from where it lies.
+    const LEAD_MAX: usize = 1 + 9 + 4;
+    let mut chunks = data.chunks(SHUFFLE_CHUNK);
+    let first = chunks.next().unwrap_or_default();
+    let mut lead = [0u8; LEAD_MAX];
+    let mut out = &mut lead[..];
+    out.write_u8(OP_FOUND)?;
+    out.write_vlong(data.len() as i64)?;
+    out.write_i32(first.len() as i32)?;
+    let used = LEAD_MAX - out.len();
+    let key = rpcoib::intern::method_key("mapred.shuffle", "found");
+    conn.send_serialized(key, &lead[..used], first)?;
+    for chunk in chunks {
         let mut lead = [OP_CHUNK; 5];
         lead[1..].copy_from_slice(&(chunk.len() as i32).to_be_bytes());
-        conn.send_serialized(
-            rpcoib::intern::method_key("mapred.shuffle", "chunk"),
-            &lead,
-            chunk,
-        )?;
+        let key = rpcoib::intern::method_key("mapred.shuffle", "chunk");
+        conn.send_serialized(key, &lead, chunk)?;
     }
-    conn.send_msg(
-        rpcoib::intern::method_key("mapred.shuffle", "done"),
-        &mut |out| out.write_u8(OP_DONE),
-    )?;
     Ok(())
 }
 
@@ -150,6 +158,7 @@ pub fn fetch(
     reduce: u32,
 ) -> RpcResult<Option<Vec<u8>>> {
     let mut conn = pool.checkout(addr)?;
+    let protocol = |e: std::io::Error| RpcError::Protocol(e.to_string());
     let run = (|| -> RpcResult<Option<Vec<u8>>> {
         conn.conn().send_msg(
             rpcoib::intern::method_key("mapred.shuffle", "fetch"),
@@ -162,50 +171,49 @@ pub fn fetch(
         )?;
         let (payload, _) = conn.conn().recv_msg(FETCH_TIMEOUT)?;
         let mut reader = payload.reader();
-        let op = reader
-            .read_u8()
-            .map_err(|e| RpcError::Protocol(e.to_string()))?;
-        match op {
-            OP_MISSING => Ok(None),
-            OP_FOUND => {
-                let total = reader
-                    .read_vlong()
-                    .map_err(|e| RpcError::Protocol(e.to_string()))?;
-                let total = usize::try_from(total).map_err(|_| {
-                    RpcError::Protocol(format!("shuffle partition of {total} bytes"))
-                })?;
-                let mut data = Vec::with_capacity(total.min(FETCH_RESERVE));
-                loop {
-                    let (payload, _) = conn.conn().recv_msg(FETCH_TIMEOUT)?;
-                    let mut reader = payload.reader();
-                    let op = reader
-                        .read_u8()
-                        .map_err(|e| RpcError::Protocol(e.to_string()))?;
-                    match op {
-                        // Appended in the one visit the wire buffer gets.
-                        OP_CHUNK => append_len_bytes(&mut reader, &mut data, total)
-                            .map(drop)
-                            .map_err(|e| RpcError::Protocol(e.to_string()))?,
-                        OP_DONE => break,
-                        other => {
-                            return Err(RpcError::Protocol(format!(
-                                "unexpected shuffle opcode {other}"
-                            )))
-                        }
+        let total = match reader.read_u8().map_err(protocol)? {
+            OP_MISSING => return Ok(None),
+            OP_FOUND => reader.read_vlong().map_err(protocol)?,
+            other => {
+                return Err(RpcError::Protocol(format!(
+                    "unexpected shuffle opcode {other}"
+                )))
+            }
+        };
+        let total = usize::try_from(total)
+            .map_err(|_| RpcError::Protocol(format!("shuffle partition of {total} bytes")))?;
+        let mut data = Vec::with_capacity(total.min(FETCH_RESERVE));
+        // Appended in the one visit the wire buffer gets.
+        append_len_bytes(&mut reader, &mut data, total).map_err(protocol)?;
+        // Let the first chunk's buffer go before waiting for the next: on
+        // verbs it holds ring slots the sender needs back.
+        drop(payload);
+        while data.len() < total {
+            let (payload, _) = match conn.conn().recv_msg(FETCH_TIMEOUT) {
+                Err(RpcError::ConnectionClosed) => {
+                    return Err(RpcError::Protocol(format!(
+                        "shuffle stream ended at {} of {total} bytes",
+                        data.len()
+                    )))
+                }
+                received => received?,
+            };
+            let mut reader = payload.reader();
+            match reader.read_u8().map_err(protocol)? {
+                OP_CHUNK => {
+                    let at = append_len_bytes(&mut reader, &mut data, total).map_err(protocol)?;
+                    if at == data.len() {
+                        return Err(RpcError::Protocol("empty shuffle chunk".into()));
                     }
                 }
-                if data.len() != total {
+                other => {
                     return Err(RpcError::Protocol(format!(
-                        "short shuffle fetch: {} of {total}",
-                        data.len()
-                    )));
+                        "unexpected shuffle opcode {other}"
+                    )))
                 }
-                Ok(Some(data))
             }
-            other => Err(RpcError::Protocol(format!(
-                "unexpected shuffle opcode {other}"
-            ))),
         }
+        Ok(Some(data))
     })();
     if run.is_err() {
         conn.poison();
@@ -219,7 +227,6 @@ mod tests {
     use rpcoib::transport::socket::SocketConn;
     use rpcoib::RpcConfig;
     use simnet::{model, Fabric, SimListener};
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
     #[test]
@@ -232,14 +239,13 @@ mod tests {
 
         let store = Arc::new(MapOutputStore::new());
         store.insert(1, 0, 2, (0..200_000u32).map(|i| i as u8).collect());
+        store.insert(1, 0, 4, Vec::new());
 
-        let stop = Arc::new(AtomicBool::new(false));
         let store2 = Arc::clone(&store);
-        let stop2 = Arc::clone(&stop);
         let srv = thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let conn: Arc<dyn Conn> = Arc::new(SocketConn::new(stream, 4096));
-            serve_connection(&conn, &store2, || stop2.load(Ordering::Relaxed));
+            serve_connection(&conn, &store2);
         });
 
         let pool = DataConnPool::new(&fabric, client, RpcConfig::socket()).unwrap();
@@ -247,6 +253,7 @@ mod tests {
         assert_eq!(data.len(), 200_000);
         assert!(data.iter().enumerate().all(|(i, &b)| b == i as u8));
 
+        assert_eq!(fetch(&pool, addr, 1, 0, 4).unwrap(), Some(Vec::new()));
         assert!(
             fetch(&pool, addr, 1, 0, 3).unwrap().is_none(),
             "missing partition"
@@ -256,7 +263,42 @@ mod tests {
             "missing job"
         );
 
-        stop.store(true, Ordering::Relaxed);
+        drop(pool);
+        srv.join().unwrap();
+    }
+
+    /// The partition's length rides its first chunk and nothing marks
+    /// its end: the request and one message per chunk.
+    #[test]
+    fn a_fetch_of_three_chunks_costs_four_messages() {
+        let fabric = Fabric::new(model::TEN_GIG_E);
+        let (server, client) = (fabric.add_node(), fabric.add_node());
+        let addr = SimAddr::new(server, 50060);
+        let listener = SimListener::bind(&fabric, addr).unwrap();
+        let store = Arc::new(MapOutputStore::new());
+        let partition: Vec<u8> = (0..2 * SHUFFLE_CHUNK + 100).map(|i| i as u8).collect();
+        store.insert(1, 0, 0, partition.clone());
+        let store2 = Arc::clone(&store);
+        let srv = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let conn: Arc<dyn Conn> = Arc::new(SocketConn::new(stream, 4096));
+            serve_connection(&conn, &store2);
+        });
+
+        let pool = DataConnPool::new(&fabric, client, RpcConfig::socket()).unwrap();
+        // On a connection already open: a miss costs the request and
+        // its answer.
+        assert!(fetch(&pool, addr, 1, 0, 9).unwrap().is_none());
+        let messages = || {
+            fabric
+                .stats()
+                .messages
+                .load(std::sync::atomic::Ordering::Relaxed)
+        };
+        let before = messages();
+        assert_eq!(fetch(&pool, addr, 1, 0, 0).unwrap().unwrap(), partition);
+        assert_eq!(messages() - before, 4);
+
         drop(pool);
         srv.join().unwrap();
     }

@@ -10,17 +10,14 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use mini_hdfs::dataxfer::DataConnPool;
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use mini_hdfs::dataxfer::{DataConnPool, DataService};
 use mini_hdfs::{DfsClient, HostNet};
 use parking_lot::Mutex;
-use rpcoib::transport::rdma::RdmaConn;
-use rpcoib::transport::socket::SocketConn;
-use rpcoib::transport::Conn;
 use rpcoib::{Client, RpcConfig, RpcError, RpcResult, RpcService, Server, ServiceRegistry};
-use simnet::{Cluster, Host, ListenerCloser, SimAddr, SimListener};
+use simnet::{Cluster, Host, SimAddr, SimListener};
 use wire::{BooleanWritable, DataInput, IntWritable, NullWritable, VLongWritable, Writable};
 
 use crate::config::MrConfig;
@@ -32,7 +29,6 @@ use crate::types::{
 };
 use crate::{SHUFFLE_PORT, UMBILICAL_PORT};
 
-const IDLE_SLICE: Duration = Duration::from_millis(100);
 const UMBILICAL_PROTOCOL: &str = "mapred.TaskUmbilicalProtocol";
 const INTERTRACKER_PROTOCOL: &str = "mapred.InterTrackerProtocol";
 
@@ -47,17 +43,42 @@ struct TtState {
     store: Arc<MapOutputStore>,
     shuffle_pool: DataConnPool,
     assignments: Mutex<HashMap<u64, TaskAssignment>>,
-    map_q: (Sender<u64>, Receiver<u64>),
-    reduce_q: (Sender<u64>, Receiver<u64>),
+    /// The map slots, then the reduce slots ([`kind`]).
+    slots: [Slots; 2],
     running: Mutex<HashMap<u64, TaskReport>>,
     completed: Mutex<Vec<u64>>,
     failed: Mutex<Vec<u64>>,
-    in_flight_maps: AtomicU32,
-    in_flight_reduces: AtomicU32,
     stop: AtomicBool,
-    /// Unbinds the shuffle port, which is what gets the shuffle acceptor
-    /// out of its blocking accept at `stop`.
-    shuffle_closer: ListenerCloser,
+}
+
+/// The slots of one kind of task: the queue the heartbeat fills and the
+/// kind's runners block on, and its attempts queued or running.
+struct Slots {
+    /// `None` once `stop` has dropped it, which ends the runners' waits.
+    tx: Mutex<Option<Sender<u64>>>,
+    rx: Receiver<u64>,
+    in_flight: AtomicU32,
+}
+
+impl Slots {
+    fn new() -> Slots {
+        let (tx, rx) = unbounded();
+        Slots {
+            tx: Mutex::new(Some(tx)),
+            rx,
+            in_flight: AtomicU32::new(0),
+        }
+    }
+
+    /// Of `total` slots, those neither queued for nor running.
+    fn free(&self, total: usize) -> u32 {
+        (total as u32).saturating_sub(self.in_flight.load(Ordering::Acquire))
+    }
+}
+
+/// Index into [`TtState::slots`].
+fn kind(is_map: bool) -> usize {
+    usize::from(!is_map)
 }
 
 /// The umbilical RPC service hosted for this tracker's tasks.
@@ -146,6 +167,7 @@ impl RpcService for Umbilical {
 pub struct TaskTracker {
     state: Arc<TtState>,
     umbilical_server: Server,
+    shuffle: DataService,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -204,15 +226,11 @@ impl TaskTracker {
             store: Arc::new(MapOutputStore::new()),
             shuffle_pool,
             assignments: Mutex::new(HashMap::new()),
-            map_q: unbounded(),
-            reduce_q: unbounded(),
+            slots: [Slots::new(), Slots::new()],
             running: Mutex::new(HashMap::new()),
             completed: Mutex::new(Vec::new()),
             failed: Mutex::new(Vec::new()),
-            in_flight_maps: AtomicU32::new(0),
-            in_flight_reduces: AtomicU32::new(0),
             stop: AtomicBool::new(false),
-            shuffle_closer: shuffle_listener.closer(),
         });
 
         // Umbilical RPC server (a couple of handlers is plenty: its only
@@ -238,37 +256,33 @@ impl TaskTracker {
                     .expect("spawn heartbeat"),
             );
         }
-        for slot in 0..cfg.map_slots {
-            let state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("tt{id}-map-{slot}"))
-                    .spawn(move || runner_loop(state, true))
-                    .expect("spawn map runner"),
-            );
+        for (is_map, name, n) in [
+            (true, "map", cfg.map_slots),
+            (false, "reduce", cfg.reduce_slots),
+        ] {
+            for slot in 0..n {
+                let state = Arc::clone(&state);
+                threads.push(
+                    std::thread::Builder::new()
+                        .name(format!("tt{id}-{name}-{slot}"))
+                        .spawn(move || runner_loop(state, is_map))
+                        .expect("spawn runner"),
+                );
+            }
         }
-        for slot in 0..cfg.reduce_slots {
-            let state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("tt{id}-reduce-{slot}"))
-                    .spawn(move || runner_loop(state, false))
-                    .expect("spawn reduce runner"),
-            );
-        }
-        {
-            let state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("tt{id}-shuffle"))
-                    .spawn(move || shuffle_acceptor(state, shuffle_listener))
-                    .expect("spawn shuffle"),
-            );
-        }
+        let store = Arc::clone(&state.store);
+        let shuffle = DataService::start(
+            shuffle_listener,
+            &state.shuffle_pool,
+            format!("tt{id}-shuffle"),
+            format!("tt{id}-shuffle-conn"),
+            move |conn| shuffle::serve_connection(conn, &store),
+        );
 
         Ok(TaskTracker {
             state,
             umbilical_server,
+            shuffle,
             threads: Mutex::new(threads),
         })
     }
@@ -302,7 +316,10 @@ impl TaskTracker {
         self.state.jt_client.shutdown();
         self.state.umb_client.shutdown();
         self.state.dfs.shutdown();
-        self.state.shuffle_closer.close();
+        self.shuffle.stop();
+        for slots in &self.state.slots {
+            slots.tx.lock().take();
+        }
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }
@@ -325,16 +342,14 @@ impl std::fmt::Debug for TaskTracker {
 
 fn heartbeat_loop(state: Arc<TtState>) {
     while !state.stop.load(Ordering::Acquire) {
-        std::thread::sleep(state.cfg.heartbeat);
+        state.jt_client.clock().sleep(state.cfg.heartbeat);
         let completed: Vec<u64> = state.completed.lock().clone();
         let failed: Vec<u64> = state.failed.lock().clone();
         let running: Vec<TaskReport> = state.running.lock().values().cloned().collect();
         let args = HeartbeatArgs {
             tt_id: state.id,
-            free_map_slots: (state.cfg.map_slots as u32)
-                .saturating_sub(state.in_flight_maps.load(Ordering::Acquire)),
-            free_reduce_slots: (state.cfg.reduce_slots as u32)
-                .saturating_sub(state.in_flight_reduces.load(Ordering::Acquire)),
+            free_map_slots: state.slots[kind(true)].free(state.cfg.map_slots),
+            free_reduce_slots: state.slots[kind(false)].free(state.cfg.reduce_slots),
             completed: completed.clone(),
             failed: failed.clone(),
             running,
@@ -359,56 +374,37 @@ fn heartbeat_loop(state: Arc<TtState>) {
 
         for action in response.actions {
             let attempt = action.attempt;
-            let is_map = matches!(action.spec, TaskSpec::Map { .. });
+            let slots = &state.slots[kind(matches!(action.spec, TaskSpec::Map { .. }))];
             state.assignments.lock().insert(attempt, action);
-            if is_map {
-                state.in_flight_maps.fetch_add(1, Ordering::AcqRel);
-                let _ = state.map_q.0.send(attempt);
-            } else {
-                state.in_flight_reduces.fetch_add(1, Ordering::AcqRel);
-                let _ = state.reduce_q.0.send(attempt);
+            slots.in_flight.fetch_add(1, Ordering::AcqRel);
+            if let Some(tx) = &*slots.tx.lock() {
+                let _ = tx.send(attempt);
             }
         }
     }
 }
 
+/// Run the attempts queued for this runner's kind, blocked on the queue
+/// between them, until `stop` drops the queue's sender.
 fn runner_loop(state: Arc<TtState>, is_map: bool) {
-    let rx = if is_map {
-        state.map_q.1.clone()
-    } else {
-        state.reduce_q.1.clone()
-    };
-    loop {
-        match rx.recv_timeout(IDLE_SLICE) {
-            Ok(attempt) => {
-                let result = if is_map {
-                    run_map_attempt(&state, attempt)
-                } else {
-                    run_reduce_attempt(&state, attempt)
-                };
-                if is_map {
-                    state.in_flight_maps.fetch_sub(1, Ordering::AcqRel);
-                } else {
-                    state.in_flight_reduces.fetch_sub(1, Ordering::AcqRel);
-                }
-                // The final report stays in `running` until a heartbeat
-                // has carried the completion to the JobTracker (Hadoop
-                // reports every not-yet-acknowledged task's status).
-                match result {
-                    Ok(()) => state.completed.lock().push(attempt),
-                    Err(_) => {
-                        state.assignments.lock().remove(&attempt);
-                        state.running.lock().remove(&attempt);
-                        state.failed.lock().push(attempt);
-                    }
-                }
+    let slots = &state.slots[kind(is_map)];
+    while let Ok(attempt) = slots.rx.recv() {
+        let result = if is_map {
+            run_map_attempt(&state, attempt)
+        } else {
+            run_reduce_attempt(&state, attempt)
+        };
+        slots.in_flight.fetch_sub(1, Ordering::AcqRel);
+        // The final report stays in `running` until a heartbeat has
+        // carried the completion to the JobTracker (Hadoop reports every
+        // not-yet-acknowledged task's status).
+        match result {
+            Ok(()) => state.completed.lock().push(attempt),
+            Err(_) => {
+                state.assignments.lock().remove(&attempt);
+                state.running.lock().remove(&attempt);
+                state.failed.lock().push(attempt);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if state.stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -469,10 +465,12 @@ fn run_map_attempt(state: &Arc<TtState>, attempt: u64) -> RpcResult<()> {
     let status_every = state.cfg.status_every_records as u64;
     let status_interval = state.cfg.status_interval;
     let state_cb = Arc::clone(state);
-    let mut last_status = Instant::now();
+    let clock = state.umb_client.clock().clone();
+    let mut last_status = clock.now_ns();
     let progress_cb = move |records: u64| {
-        if records.is_multiple_of(status_every.max(1)) || last_status.elapsed() >= status_interval {
-            last_status = Instant::now();
+        let due = clock.now_ns() >= simnet::time::later(last_status, status_interval);
+        if records.is_multiple_of(status_every.max(1)) || due {
+            last_status = clock.now_ns();
             let _ = umb_call::<TaskReport, BooleanWritable>(
                 &state_cb,
                 "statusUpdate",
@@ -530,12 +528,13 @@ fn run_reduce_attempt(state: &Arc<TtState>, attempt: u64) -> RpcResult<()> {
 
     // Collect map-completion events until every map output is located.
     let mut events: HashMap<u32, MapCompletionEvent> = HashMap::new();
-    let deadline = Instant::now() + Duration::from_secs(120);
+    let clock = state.umb_client.clock();
+    let deadline = clock.deadline(Duration::from_secs(120));
     while events.len() < n_maps as usize {
         if state.stop.load(Ordering::Acquire) {
             return Err(RpcError::ConnectionClosed);
         }
-        if Instant::now() > deadline {
+        if clock.now_ns() > deadline {
             return Err(RpcError::Timeout);
         }
         let fresh: Vec<MapCompletionEvent> = umb_call(
@@ -548,7 +547,7 @@ fn run_reduce_attempt(state: &Arc<TtState>, attempt: u64) -> RpcResult<()> {
         }
         if events.len() < n_maps as usize {
             let _: BooleanWritable = umb_call(state, "ping", &VLongWritable(attempt as i64))?;
-            std::thread::sleep(state.cfg.status_interval);
+            clock.sleep(state.cfg.status_interval);
         }
     }
 
@@ -579,7 +578,7 @@ fn run_reduce_attempt(state: &Arc<TtState>, attempt: u64) -> RpcResult<()> {
                     for e in fresh {
                         events.insert(e.map_idx, e);
                     }
-                    std::thread::sleep(state.cfg.status_interval);
+                    clock.sleep(state.cfg.status_interval);
                 }
             }
         }
@@ -638,46 +637,4 @@ fn run_reduce_attempt(state: &Arc<TtState>, attempt: u64) -> RpcResult<()> {
     )?;
     let _: NullWritable = umb_call(state, "done", &VLongWritable(attempt as i64))?;
     Ok(())
-}
-
-/// Blocks in accept — an idle tracker polls nothing here; `stop` unbinds
-/// the shuffle port, which fails the accept at once.
-fn shuffle_acceptor(state: Arc<TtState>, listener: SimListener) {
-    let mut handlers = Vec::new();
-    while !state.stop.load(Ordering::Acquire) {
-        match listener.accept_timeout(IDLE_SLICE) {
-            Ok(Some((stream, _))) => {
-                let state2 = Arc::clone(&state);
-                handlers.push(
-                    std::thread::Builder::new()
-                        .name(format!("tt{}-shuffle-conn", state.id))
-                        .spawn(move || {
-                            // Same transport the fetch side's pool picked:
-                            // a verbs bootstrap when the shuffle rides IB,
-                            // a framed socket otherwise.
-                            let conn: Arc<dyn Conn> = match state2.shuffle_pool.ib_context() {
-                                Some(ctx) => {
-                                    match RdmaConn::bootstrap(&stream, ctx, &state2.cfg.rpc) {
-                                        Ok(conn) => Arc::new(conn),
-                                        // A peer that vanished mid-hello;
-                                        // nothing to serve.
-                                        Err(_) => return,
-                                    }
-                                }
-                                None => Arc::new(SocketConn::new(stream, 4096)),
-                            };
-                            shuffle::serve_connection(&conn, &state2.store, || {
-                                state2.stop.load(Ordering::Acquire)
-                            });
-                        })
-                        .expect("spawn shuffle conn"),
-                );
-            }
-            Ok(None) => {}
-            Err(_) => break,
-        }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
 }

@@ -1,9 +1,10 @@
 //! A shuffle fetch against a hostile server, both shuffle transports
 //! (sockets, and RPCoIB's bulk plane as the TaskTracker configures it).
-//! The partition size in `FOUND` and every chunk's length are the
-//! server's word: `fetch` refuses them with `RpcError::Protocol`,
-//! reserves no more than a block's worth on the announced size, does not
-//! panic, and its next fetch — on a fresh connection — is served.
+//! The partition size `FOUND` announces, every chunk's length, and where
+//! the stream ends are the server's word: `fetch` refuses them with
+//! `RpcError::Protocol`, reserves no more than a block's worth on the
+//! announced size, does not panic, and its next fetch — on a fresh
+//! connection — is served.
 //! (A file of its own because the largest-allocation allocator below is
 //! process-wide.)
 
@@ -23,7 +24,8 @@ use rpcoib::{RpcConfig, RpcError};
 use simnet::{model, Fabric, SimAddr, SimListener};
 use wire::DataOutput;
 
-/// The shuffle opcodes a server has to know (`shuffle.rs`).
+/// The shuffle opcodes a server has to know (`shuffle.rs`), and one it
+/// must not send: the end marker the protocol no longer has.
 const OP_FOUND: u8 = 0x22;
 const OP_CHUNK: u8 = 0x24;
 const OP_DONE: u8 = 0x25;
@@ -61,10 +63,14 @@ fn send(conn: &Arc<dyn Conn>, frame: &dyn Fn(&mut dyn DataOutput) -> io::Result<
     .unwrap();
 }
 
-fn found(conn: &Arc<dyn Conn>, total: i64) {
+/// A `FOUND` whose total and first chunk's length are the server's to
+/// choose.
+fn found(conn: &Arc<dyn Conn>, total: i64, len: i32, body: &[u8]) {
     send(conn, &|out| {
         out.write_u8(OP_FOUND)?;
-        out.write_vlong(total)
+        out.write_vlong(total)?;
+        out.write_i32(len)?;
+        out.write_bytes(body)
     });
 }
 
@@ -77,8 +83,9 @@ fn chunk(conn: &Arc<dyn Conn>, len: i32, body: &[u8]) {
     });
 }
 
-fn done(conn: &Arc<dyn Conn>) {
-    send(conn, &|out| out.write_u8(OP_DONE));
+/// A frame of one opcode byte.
+fn op(conn: &Arc<dyn Conn>, op: u8) {
+    send(conn, &|out| out.write_u8(op));
 }
 
 #[test]
@@ -96,46 +103,76 @@ fn fetch_refuses_hostile_sizes_and_keeps_fetching() {
         // What the server answers a `FETCH` with, one connection each;
         // the last is well formed.
         type Answer = Box<dyn Fn(&Arc<dyn Conn>) + Send>;
-        let answers: Vec<(&str, Answer)> = vec![
-            ("total of -1", Box::new(|c| found(c, -1))),
-            ("total of i64::MIN", Box::new(|c| found(c, i64::MIN))),
+        let mut answers: Vec<(&str, Answer)> = vec![
+            ("total of -1", Box::new(move |c| found(c, -1, 16, &body))),
             (
-                "total of i64::MAX, then DONE",
-                Box::new(|c| {
-                    found(c, i64::MAX);
-                    done(c);
+                "total of i64::MIN",
+                Box::new(move |c| found(c, i64::MIN, 16, &body)),
+            ),
+            (
+                "total of i64::MAX, then the old DONE",
+                Box::new(move |c| {
+                    found(c, i64::MAX, 16, &body);
+                    op(c, OP_DONE);
                 }),
+            ),
+            (
+                "first chunk longer than its payload",
+                Box::new(move |c| found(c, i64::MAX, i32::MAX, &body)),
             ),
             (
                 "chunk longer than its payload",
                 Box::new(move |c| {
-                    found(c, i64::MAX);
+                    found(c, i64::MAX, 16, &body);
                     chunk(c, i32::MAX, &body);
                 }),
             ),
             (
                 "chunk of negative length",
                 Box::new(move |c| {
-                    found(c, 16);
+                    found(c, 32, 16, &body);
                     chunk(c, -16, &body);
                 }),
             ),
             (
+                "first chunk past the announced total",
+                Box::new(move |c| found(c, 15, 16, &body)),
+            ),
+            (
                 "chunk past the announced total",
                 Box::new(move |c| {
-                    found(c, 15);
+                    found(c, 20, 16, &body);
                     chunk(c, 16, &body);
                 }),
             ),
             (
-                "well formed",
+                "empty chunk after the first",
                 Box::new(move |c| {
-                    found(c, 16);
-                    chunk(c, 16, &body);
-                    done(c);
+                    found(c, 32, 16, &body);
+                    chunk(c, 0, &[]);
+                }),
+            ),
+            ("foreign opcode first", Box::new(|c| op(c, 0x7f))),
+            (
+                "foreign opcode where a chunk is due",
+                Box::new(move |c| {
+                    found(c, 32, 16, &body);
+                    op(c, 0x7f);
                 }),
             ),
         ];
+        if !cfg.ib_enabled {
+            // A verbs peer's close is silent: there, a short stream is a
+            // fetch timeout.
+            answers.push((
+                "stream that ends short",
+                Box::new(move |c| {
+                    found(c, 32, 16, &body);
+                    c.close();
+                }),
+            ));
+        }
+        answers.push(("well formed", Box::new(move |c| found(c, 16, 16, &body))));
         let hostile = answers.len() - 1;
         let (server_fabric, server_cfg) = (fabric.clone(), cfg.clone());
         let tracker = std::thread::spawn(move || {

@@ -269,11 +269,6 @@ impl Fabric {
         id
     }
 
-    /// Allocate `n` nodes at once; convenience for cluster setup.
-    pub fn add_nodes(&self, n: usize) -> Vec<NodeId> {
-        (0..n).map(|_| self.add_node()).collect()
-    }
-
     pub(crate) fn links(&self, node: NodeId) -> Option<Arc<NodeLinks>> {
         self.inner.nodes.read().get(&node).cloned()
     }

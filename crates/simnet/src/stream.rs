@@ -30,7 +30,7 @@ use crate::fabric::{Fabric, NodeId, SimAddr, WakeSlot};
 use crate::time::spin_until;
 use crate::time::Clock;
 
-/// How often blocked reads/accepts re-check for node failure.
+/// How often a blocked read re-checks for node failure.
 const FAILURE_POLL: Duration = Duration::from_millis(10);
 
 /// Large writes are cut into wire segments of this size, each with its
@@ -570,27 +570,19 @@ impl SimListener {
         self.addr
     }
 
-    /// Block until a peer connects; returns the stream and the peer address.
-    pub fn accept(&self) -> io::Result<(SimStream, SimAddr)> {
-        loop {
-            if let Some(accepted) = self.accept_timeout(FAILURE_POLL)? {
-                return Ok(accepted);
-            }
-        }
-    }
-
-    /// Block until a peer connects, for at most `timeout`: `Ok(None)` when
-    /// none did. Returns `Err` at once when the listener is unbound under
+    /// Block until a peer connects; returns the stream and the peer
+    /// address. Returns `Err` at once when the listener is unbound under
     /// it — its node killed, or [`ListenerCloser::close`] — so a thread
     /// parked here needs no poll to be stopped.
-    pub fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<(SimStream, SimAddr)>> {
+    pub fn accept(&self) -> io::Result<(SimStream, SimAddr)> {
         if self.fabric.is_dead(self.addr.node) {
             return Err(io::Error::new(io::ErrorKind::NotConnected, "node is down"));
         }
-        match self.incoming.recv_timeout(timeout) {
-            Ok(pending) => Ok(self.establish(pending)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(evicted()),
+        loop {
+            let pending = self.incoming.recv().map_err(|_| evicted())?;
+            if let Some(accepted) = self.establish(pending) {
+                return Ok(accepted);
+            }
         }
     }
 
@@ -763,6 +755,35 @@ mod tests {
         let addr = SimAddr::new(n, 80);
         drop(SimListener::bind(&fabric, addr).unwrap());
         SimListener::bind(&fabric, addr).unwrap();
+    }
+
+    #[test]
+    fn a_blocked_accept_fails_at_once_when_its_node_dies_or_its_listener_closes() {
+        let fabric = Fabric::new(IPOIB_QDR);
+        let n = fabric.add_node();
+        let addr = SimAddr::new(n, 80);
+        for how in ["kill_node", "close"] {
+            fabric.revive_node(n);
+            let listener = Arc::new(SimListener::bind(&fabric, addr).unwrap());
+            let accepting = Arc::clone(&listener);
+            let blocked = thread::spawn(move || accepting.accept().map(drop));
+            thread::sleep(Duration::from_millis(50));
+            assert!(
+                !blocked.is_finished(),
+                "{how}: accept returned with no peer"
+            );
+            let unbound = Instant::now();
+            match how {
+                "kill_node" => fabric.kill_node(n),
+                _ => listener.closer().close(),
+            }
+            assert!(blocked.join().unwrap().is_err(), "{how}");
+            let took = unbound.elapsed();
+            assert!(
+                took < Duration::from_millis(100),
+                "{how}: accept took {took:?}"
+            );
+        }
     }
 
     #[test]

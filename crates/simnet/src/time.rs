@@ -9,7 +9,16 @@
 //! only when [`Clock::advance`] is called, so that a timeout racing a
 //! slow handler is a step the test takes rather than a race the host's
 //! scheduler decides. A deadline saturates: `deadline(Duration::MAX)`
-//! is `u64::MAX`, which never passes.
+//! is `u64::MAX`, which never passes. A [`crate::Cluster`]'s two rails
+//! share one clock, so a whole deployment — its RPC engine, daemons and
+//! clients — runs on one timeline.
+//!
+//! **Waits.** A wait for an event blocks on the condition variable that
+//! whoever causes the event notifies ([`Clock::wait_on`]) rather than
+//! looking again every so often, and its deadline, if it has one, is a
+//! reading of this clock. Periodic work (a heartbeat, a retry's
+//! back-off) sleeps on the clock ([`Clock::sleep`]). A timed wait blocks
+//! for [`Clock::wait_bound`]: the host `Duration` the shims' waits take.
 //!
 //! **Delay injection.** The paper's microbenchmarks live in the 30–100 µs
 //! range; `thread::sleep` on Linux routinely overshoots by 50+ µs, which
@@ -23,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// How long a timed wait on a manual clock blocks before it looks at the
 /// clock again. A manual clock's time has no relation to the host's, so
@@ -99,6 +108,27 @@ impl Clock {
             Source::Manual { .. } if !left.is_zero() => MANUAL_SLICE,
             _ => left,
         }
+    }
+
+    /// Wait on `cond` until `done` holds for what `guard` guards, or the
+    /// clock reads `deadline_ns`; `true` if `done` held. Whoever makes
+    /// `done` true notifies `cond` after it has held the guard's lock —
+    /// while making it true, or taken once it is — so no wake-up is lost.
+    pub fn wait_on<T>(
+        &self,
+        cond: &Condvar,
+        guard: &mut MutexGuard<'_, T>,
+        deadline_ns: u64,
+        mut done: impl FnMut(&mut T) -> bool,
+    ) -> bool {
+        while !done(&mut **guard) {
+            let bound = self.wait_bound(deadline_ns);
+            if bound.is_zero() {
+                return false;
+            }
+            cond.wait_for(guard, bound);
+        }
+        true
     }
 
     /// Block until the clock reads `deadline_ns` or later.
@@ -282,6 +312,28 @@ mod tests {
         assert!(!woke.load(Ordering::Acquire), "woke 1 ms early");
         clock.advance(Duration::from_millis(1));
         assert_eq!(sleeper.join().unwrap(), 70_000_000);
+    }
+
+    #[test]
+    fn a_wait_on_ends_at_its_event_or_at_its_deadline_on_the_clock() {
+        let clock = Clock::manual();
+        let state = Arc::new((Mutex::new(false), Condvar::new()));
+        let waiter = {
+            let (clock, state) = (clock.clone(), Arc::clone(&state));
+            std::thread::spawn(move || {
+                let mut set = state.0.lock();
+                clock.wait_on(&state.1, &mut set, u64::MAX, |set| *set)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(5));
+        *state.0.lock() = true;
+        state.1.notify_all();
+        assert!(waiter.join().unwrap(), "the event ends the wait");
+
+        let mut unset = state.0.lock();
+        *unset = false;
+        clock.advance(Duration::from_millis(10));
+        assert!(!clock.wait_on(&state.1, &mut unset, 10_000_000, |set| *set));
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! IPoIB). Its evaluation mixes transports *per component* — e.g. Figure 7
 //! runs HDFS data over RDMA while RPC stays on 1GigE. [`Cluster`] models
 //! that: every [`Host`] owns one node on an "eth" fabric (whatever TCP
-//! model the experiment selects) and one on a native-IB fabric.
+//! model the experiment selects) and one on a native-IB fabric. Both
+//! rails read one [`Clock`], so every daemon and client of a deployment
+//! is on one timeline, whichever rail its RPC runs on.
 
 use crate::fabric::{Fabric, NodeId, SimAddr};
 use crate::model::{NetworkModel, IB_QDR_VERBS};
+use crate::time::Clock;
 
 /// Index of a host in a [`Cluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,11 +37,13 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build a cluster of `n` hosts whose Ethernet rail runs `eth_model`
-    /// (1GigE / 10GigE / IPoIB) and whose IB rail is native QDR verbs.
+    /// (1GigE / 10GigE / IPoIB) and whose IB rail is native QDR verbs,
+    /// both on one host clock.
     pub fn new(eth_model: NetworkModel, n: usize) -> Cluster {
+        let clock = Clock::host();
         let mut cluster = Cluster {
-            eth: Fabric::new(eth_model),
-            ib: Fabric::new(IB_QDR_VERBS),
+            eth: Fabric::with_clock(eth_model, clock.clone()),
+            ib: Fabric::with_clock(IB_QDR_VERBS, clock),
             hosts: Vec::new(),
         };
         for _ in 0..n {
@@ -97,11 +102,6 @@ impl Cluster {
         SimAddr::new(self.eth_node(host), port)
     }
 
-    /// Address `(host, port)` on the IB rail.
-    pub fn ib_addr(&self, host: Host, port: u16) -> SimAddr {
-        SimAddr::new(self.ib_node(host), port)
-    }
-
     /// Fail a host: both NICs go dark.
     pub fn kill_host(&self, host: Host) {
         self.eth.kill_node(self.eth_node(host));
@@ -128,6 +128,7 @@ impl std::fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use crate::model::IPOIB_QDR;
+    use std::time::Duration;
 
     #[test]
     fn hosts_have_one_node_per_rail() {
@@ -137,6 +138,24 @@ mod tests {
         assert_ne!(cluster.eth_addr(h, 80), cluster.eth_addr(Host(2), 80));
         assert!(!cluster.eth().model().rdma_capable);
         assert!(cluster.ib().model().rdma_capable);
+    }
+
+    #[test]
+    fn both_rails_read_one_clock() {
+        let cluster = Cluster::new(IPOIB_QDR, 1);
+        let (eth, ib) = (cluster.eth().clock(), cluster.ib().clock());
+        // Two host clocks would read apart by the time between their
+        // origins; one clock's readings only move forward.
+        for _ in 0..1_000 {
+            let at_eth = eth.now_ns();
+            let at_ib = ib.now_ns();
+            assert!(at_ib >= at_eth, "ib read {at_ib} after eth read {at_eth}");
+            assert!(eth.now_ns() >= at_ib);
+        }
+        // A deadline formed on one rail is the same instant on the other.
+        let deadline = eth.deadline(Duration::from_secs(60));
+        assert!(ib.remaining(deadline) <= Duration::from_secs(60));
+        assert!(ib.remaining(deadline) > Duration::from_secs(59));
     }
 
     #[test]

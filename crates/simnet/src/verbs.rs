@@ -471,11 +471,6 @@ impl QueuePair {
         *self.remote.lock() = Some(remote);
     }
 
-    /// Whether `connect` has been called.
-    pub fn is_connected(&self) -> bool {
-        self.remote.lock().is_some()
-    }
-
     /// Post a receive buffer. Consumed in FIFO order by incoming sends and
     /// RDMA-writes-with-immediate.
     pub fn post_recv(&self, wr_id: u64, mr: MemoryRegion) {
