@@ -38,7 +38,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -318,6 +318,9 @@ struct ClientInner {
     /// assigns in the handshake ack and re-presents it from then on.
     client_id: AtomicU64,
     conns: Mutex<HashMap<SimAddr, Arc<ClientConnection>>>,
+    /// Connections a failed send gave up while calls may still wait on
+    /// them: out of `conns`, but still reached by `close_all`.
+    given_up: Mutex<Vec<Weak<ClientConnection>>>,
     /// Serializes connection establishment: concurrent first callers must
     /// not each bootstrap a connection (an RPCoIB bootstrap registers a
     /// large region on *both* sides — losers of a connect race would leak
@@ -363,11 +366,30 @@ impl ClientInner {
         }
     }
 
-    /// Close every cached connection and fail what waits on it: closing
-    /// the transport gets a leader out of a blocked `recv_msg`, failing
-    /// the table wakes every follower, and there is no thread to join.
+    /// Give `connection` up for new calls after a failed send, without
+    /// failing the calls waiting on it: their answers may already be
+    /// here, and its receiver reads them before it meets the end of the
+    /// stream (on verbs: the peer's destroyed queue pair), which fails the
+    /// rest. Listed before it leaves `conns`, so `close_all` always
+    /// reaches it — a partition ends neither stream, and `shutdown` must.
+    fn give_up(&self, connection: &Arc<ClientConnection>) {
+        connection.broken.store(true, Ordering::Release);
+        let mut given_up = self.given_up.lock();
+        given_up.retain(|c| c.strong_count() > 0);
+        given_up.push(Arc::downgrade(connection));
+        drop(given_up);
+        self.forget_connection(connection);
+    }
+
+    /// Close every connection and fail what waits on it: closing the
+    /// transport gets a leader out of a blocked `recv_msg`, failing the
+    /// table wakes every follower, and there is no thread to join. The
+    /// cached ones first: one given up meanwhile was listed before it left.
     fn close_all(&self) {
         for (_, conn) in self.conns.lock().drain() {
+            conn.fail_all(RpcError::ConnectionClosed);
+        }
+        for conn in self.given_up.lock().drain(..).filter_map(|c| c.upgrade()) {
             conn.fail_all(RpcError::ConnectionClosed);
         }
     }
@@ -442,6 +464,7 @@ impl Client {
                 ib,
                 client_id: AtomicU64::new(handshake::mint_client_id(u64::from(node.0))),
                 conns: Mutex::new(HashMap::new()),
+                given_up: Mutex::new(Vec::new()),
                 connect_lock: Mutex::new(()),
                 next_seq: AtomicI64::new(1),
                 metrics: MetricsRegistry::new(trace),
@@ -771,12 +794,8 @@ impl Client {
         let profile = match sent {
             Ok(p) => p,
             Err(e) => {
-                // Given up for new calls, but not failed under the calls
-                // waiting on it: their answers may already be here, and the
-                // receiver reads them before it meets the end of the
-                // stream, which fails the rest.
                 if e.invalidates_connection() {
-                    self.inner.forget_connection(&connection);
+                    self.inner.give_up(&connection);
                 }
                 return Err(e);
             }

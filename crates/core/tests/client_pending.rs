@@ -33,15 +33,18 @@ fn transports() -> Vec<(&'static str, Fabric, RpcConfig)> {
     ]
 }
 
+/// A gate stalled handlers wait on until the test opens it.
+type Gate = Arc<(Mutex<bool>, Condvar)>;
+
 /// Echo, plus a `stall` method that parks the handler on a gate the test
 /// opens — a server that is *slow*, deterministically, rather than by
 /// wall-clock luck.
 struct GatedService {
-    gate: Arc<(Mutex<bool>, Condvar)>,
+    gate: Gate,
 }
 
 impl GatedService {
-    fn new() -> (Arc<(Mutex<bool>, Condvar)>, GatedService) {
+    fn new() -> (Gate, GatedService) {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let svc = GatedService {
             gate: Arc::clone(&gate),
@@ -50,7 +53,7 @@ impl GatedService {
     }
 }
 
-fn open_gate(gate: &Arc<(Mutex<bool>, Condvar)>) {
+fn open_gate(gate: &Gate) {
     let (lock, cv) = &**gate;
     *lock.lock().unwrap() = true;
     cv.notify_all();
@@ -82,15 +85,11 @@ impl RpcService for GatedService {
     }
 }
 
-fn start_gated(fabric: &Fabric, cfg: &RpcConfig) -> (Server, Arc<(Mutex<bool>, Condvar)>) {
+fn start_gated(fabric: &Fabric, cfg: &RpcConfig) -> (Server, Gate) {
     start_gated_at(fabric, cfg, SimAddr::new(fabric.add_node(), 8020))
 }
 
-fn start_gated_at(
-    fabric: &Fabric,
-    cfg: &RpcConfig,
-    addr: SimAddr,
-) -> (Server, Arc<(Mutex<bool>, Condvar)>) {
+fn start_gated_at(fabric: &Fabric, cfg: &RpcConfig, addr: SimAddr) -> (Server, Gate) {
     let (gate, svc) = GatedService::new();
     let mut registry = ServiceRegistry::new();
     registry.register(Arc::new(svc));
@@ -367,7 +366,7 @@ fn shutdown_interrupts_retry_backoff() {
 /// started.
 struct StallService {
     started: std::sync::mpsc::SyncSender<()>,
-    gate: Arc<(Mutex<bool>, Condvar)>,
+    gate: Gate,
 }
 
 impl RpcService for StallService {
@@ -393,6 +392,36 @@ impl RpcService for StallService {
     }
 }
 
+/// A server whose `stall` calls wait on the returned gate, and the
+/// channel that says when one has started.
+fn start_stalling(
+    fabric: &Fabric,
+    cfg: &RpcConfig,
+) -> (Server, Gate, std::sync::mpsc::Receiver<()>) {
+    let (started_tx, started) = std::sync::mpsc::sync_channel(1);
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let mut registry = ServiceRegistry::new();
+    registry.register(Arc::new(StallService {
+        started: started_tx,
+        gate: Arc::clone(&gate),
+    }));
+    let server = Server::start(fabric, fabric.add_node(), 8020, cfg.clone(), registry).unwrap();
+    (server, gate, started)
+}
+
+/// A `stall` call on its own thread, which hands back its result and
+/// when it had it.
+fn stall(
+    client: &Client,
+    addr: SimAddr,
+) -> std::thread::JoinHandle<(Result<Text, RpcError>, Instant)> {
+    let client = client.clone();
+    std::thread::spawn(move || {
+        let result = client.call(addr, "test.GatedProtocol", "stall", &Text::from("a"));
+        (result, Instant::now())
+    })
+}
+
 /// A send that fails on a connection the server has closed gives the
 /// connection up for new calls, but does not fail a call whose answer
 /// has already reached the client: the receiver reads it before it meets
@@ -411,24 +440,12 @@ fn a_failed_send_does_not_fail_an_answer_already_on_its_way() {
         retry: RetryPolicy::none(),
         ..RpcConfig::socket()
     };
-    let (started_tx, started) = std::sync::mpsc::sync_channel(1);
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let mut registry = ServiceRegistry::new();
-    registry.register(Arc::new(StallService {
-        started: started_tx,
-        gate: Arc::clone(&gate),
-    }));
-    let server = Server::start(&fabric, fabric.add_node(), 8020, cfg.clone(), registry).unwrap();
+    let (server, gate, started) = start_stalling(&fabric, &cfg);
     let addr = server.addr();
     let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
     echo(&client, addr, "warm").unwrap();
 
-    let stalled = {
-        let client = client.clone();
-        std::thread::spawn(move || {
-            client.call::<Text, Text>(addr, "test.GatedProtocol", "stall", &Text::from("a"))
-        })
-    };
+    let stalled = stall(&client, addr);
     let admitted = started.recv_timeout(Duration::from_secs(5));
     open_gate(&gate);
     admitted.expect("the stalled call never started");
@@ -439,8 +456,125 @@ fn a_failed_send_does_not_fail_an_answer_already_on_its_way() {
         matches!(err, RpcError::ConnectionClosed | RpcError::Io(_)),
         "{err:?}"
     );
-    let answer = stalled.join().unwrap();
+    let (answer, _) = stalled.join().unwrap();
     assert_eq!(answer.expect("an answer on its way was failed").0, "a");
     assert_eq!(client.pending_calls(), 0);
     client.shutdown();
+}
+
+/// Calls to `method` the client's sends have put on the wire.
+fn sent(client: &Client, method: &str) -> u64 {
+    client
+        .metrics()
+        .snapshot()
+        .into_iter()
+        .filter(|((_, m), _)| m == method)
+        .map(|(_, stats)| stats.calls)
+        .sum()
+}
+
+/// A call the server hung up on without answering ends as soon as the
+/// hang-up is seen, with the retryable `ConnectionClosed` — not at its
+/// call timeout. On verbs nothing but a failed send sees it: here a call
+/// sent while the server drains is never read, the drain ends and the
+/// server stops, and a second caller's send fails.
+#[test]
+fn a_send_that_finds_the_server_gone_ends_the_calls_waiting_there() {
+    for (name, fabric, cfg) in transports() {
+        let cfg = RpcConfig {
+            call_timeout: Duration::from_secs(5),
+            retry: RetryPolicy::none(),
+            ..cfg
+        };
+        let (server, gate, started) = start_stalling(&fabric, &cfg);
+        let addr = server.addr();
+        let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+        echo(&client, addr, "warm").unwrap();
+
+        let stalled = stall(&client, addr);
+        started
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the stalled call never started");
+        let (unread, hung_up) = std::thread::scope(|s| {
+            let drain = s.spawn(|| server.drain(Duration::from_secs(5)));
+            // The drain has begun once its Listener has given the port up.
+            while SimListener::bind(&fabric, addr).is_err() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let unread = {
+                let client = client.clone();
+                std::thread::spawn(move || {
+                    let result = echo(&client, addr, "c");
+                    (result, Instant::now())
+                })
+            };
+            while sent(&client, "echo") < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            open_gate(&gate);
+            assert!(drain.join().unwrap(), "{name}: the drain timed out");
+            (unread, Instant::now())
+        });
+        assert_eq!(stalled.join().unwrap().0.unwrap().0, "a", "{name}");
+        assert!(echo(&client, addr, "b").is_err(), "{name}");
+        let (result, ended) = unread.join().unwrap();
+        assert!(
+            matches!(result, Err(RpcError::ConnectionClosed)),
+            "{name}: {result:?}"
+        );
+        assert!(
+            ended.duration_since(hung_up) < Duration::from_secs(1),
+            "{name}: the call ended {:?} after the hang-up",
+            ended.duration_since(hung_up)
+        );
+        assert_eq!(client.pending_calls(), 0, "{name}");
+        client.shutdown();
+    }
+}
+
+/// A connection a failed send gave up is out of the client's cache, but
+/// `shutdown` still fails the calls waiting on it. A partition ends
+/// neither transport's stream — the stalled call's answer may yet come —
+/// so here only `shutdown` can end it.
+#[test]
+fn shutdown_fails_a_call_waiting_on_a_given_up_connection() {
+    for (name, fabric, cfg) in transports() {
+        let cfg = RpcConfig {
+            call_timeout: Duration::from_secs(5),
+            retry: RetryPolicy::none(),
+            ..cfg
+        };
+        let (server, gate, started) = start_stalling(&fabric, &cfg);
+        let addr = server.addr();
+        let node = fabric.add_node();
+        let client = Client::new(&fabric, node, cfg).unwrap();
+        echo(&client, addr, "warm").unwrap();
+
+        let stalled = stall(&client, addr);
+        started
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the stalled call never started");
+        fabric.partition(node, addr.node);
+        assert!(echo(&client, addr, "b").is_err(), "{name}");
+        std::thread::sleep(Duration::from_millis(100));
+        if stalled.is_finished() {
+            open_gate(&gate);
+            panic!("{name}: a partition ended the call");
+        }
+        let shut = Instant::now();
+        client.shutdown();
+        let (result, ended) = stalled.join().unwrap();
+        fabric.heal(node, addr.node);
+        open_gate(&gate);
+        server.stop();
+        assert!(
+            matches!(result, Err(RpcError::ConnectionClosed)),
+            "{name}: {result:?}"
+        );
+        assert!(
+            ended.duration_since(shut) < Duration::from_secs(1),
+            "{name}: shutdown reached the call {:?} after it began",
+            ended.duration_since(shut)
+        );
+    }
 }

@@ -27,7 +27,7 @@
 //! path, and a completion still arrives on its own queue pair's inbox.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -158,6 +158,7 @@ impl RdmaDevice {
             inbox: rx,
             recv_wake: wake,
             remote: Mutex::new(None),
+            peer_gone: AtomicBool::new(false),
             recv_queue,
         }
     }
@@ -453,6 +454,10 @@ pub struct QueuePair {
     /// `qps` map); armed by [`QueuePair::set_recv_interest`].
     recv_wake: WakeSlot,
     remote: Mutex<Option<QpEndpoint>>,
+    /// A post found the peer's queue pair destroyed: the connection is in
+    /// the error state, and its receiver reads what had arrived, then
+    /// `PeerDown`.
+    peer_gone: AtomicBool,
     /// Its own receive queue, or the shared one it was made on.
     recv_queue: Arc<RecvQueue>,
 }
@@ -495,13 +500,11 @@ impl QueuePair {
         if self.fabric.is_dead(remote.node) || self.fabric.is_partitioned(self.node, remote.node) {
             return Err(VerbsError::PeerDown);
         }
-        self.fabric
-            .inner
-            .qps
-            .lock()
-            .get(&remote.qp_id)
-            .cloned()
-            .ok_or(VerbsError::PeerDown)
+        let slot = self.fabric.inner.qps.lock().get(&remote.qp_id).cloned();
+        if slot.is_none() {
+            self.peer_gone.store(true, Ordering::Release);
+        }
+        slot.ok_or(VerbsError::PeerDown)
     }
 
     fn charge_send(&self, remote: NodeId, len: usize) -> (Instant, Duration) {
@@ -767,9 +770,10 @@ impl QueuePair {
     /// channel right now — a `poll_recv` would return without blocking.
     /// Nothing is consumed or charged; this is the readiness primitive
     /// event-loop receivers poll across many queue pairs. Also reports
-    /// ready when either endpoint's node is dead — a connected peer that
-    /// died can never send again, so a poller must observe the
-    /// `PeerDown` instead of skipping the queue pair forever. (Real
+    /// ready when either endpoint's node is dead, or a post found the
+    /// peer's queue pair destroyed — a peer that can never send again,
+    /// so a poller must observe the `PeerDown` instead of skipping the
+    /// queue pair forever. (Real
     /// verbs surfaces this as an async QP error event; the wake-slot
     /// model has no out-of-band event channel, so death is exposed as
     /// readiness and discovered by the receiver's liveness probe.)
@@ -777,13 +781,12 @@ impl QueuePair {
         !self.inbox.is_empty() || self.fabric.is_dead(self.node) || self.remote_dead()
     }
 
-    /// A connected remote endpoint whose node has been marked failed.
-    /// Not-yet-connected queue pairs have no peer to be dead.
+    /// A connected remote endpoint whose node has been marked failed, or
+    /// whose queue pair a post found destroyed. Not-yet-connected queue
+    /// pairs have no peer to be dead.
     fn remote_dead(&self) -> bool {
-        match *self.remote.lock() {
-            Some(ep) => self.fabric.is_dead(ep.node),
-            None => false,
-        }
+        self.peer_gone.load(Ordering::Acquire)
+            || matches!(*self.remote.lock(), Some(ep) if self.fabric.is_dead(ep.node))
     }
 
     /// Block until a receive completion is available (or `timeout` passes).
@@ -1056,6 +1059,27 @@ mod tests {
             VerbsError::PeerDown
         );
         fabric.revive_node(dev_b.node());
+    }
+
+    #[test]
+    fn a_post_that_finds_the_peer_gone_ends_the_receive_after_what_arrived() {
+        let fabric = Fabric::new(IB_QDR_VERBS);
+        let (qa, qb, dev_a, dev_b) = connected_pair(&fabric);
+        let src = dev_a.register(64);
+        qa.post_recv(1, dev_a.register(64));
+        qb.post_send(&dev_b.register(64), 0, 4, 9).unwrap();
+        drop(qb);
+        assert_eq!(
+            qa.post_send(&src, 0, 4, 0).unwrap_err(),
+            VerbsError::PeerDown
+        );
+        assert_eq!(qa.poll_recv(Duration::from_secs(1)).unwrap().imm, 9);
+        let start = Instant::now();
+        assert_eq!(
+            qa.poll_recv(Duration::from_secs(5)).unwrap_err(),
+            VerbsError::PeerDown
+        );
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
