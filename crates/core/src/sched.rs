@@ -512,11 +512,12 @@ impl Sched {
     }
 
     /// Block the calling worker until notified or `timeout`, whichever
-    /// first — unless a notify has landed since `seen_epoch` was read,
-    /// in which case the work it announced may have been missed by the
-    /// caller's scan and the wait returns at once. Callers bound
-    /// `timeout` by [`Sched::next_timer_ns`] so a deadline park never
-    /// oversleeps. Returns immediately once closed.
+    /// first (`Duration::MAX`: until notified) — unless a notify has
+    /// landed since `seen_epoch` was read, in which case the work it
+    /// announced may have been missed by the caller's scan and the wait
+    /// returns at once. Callers bound `timeout` by
+    /// [`Sched::next_timer_ns`] so a deadline park never oversleeps.
+    /// Returns immediately once closed.
     pub fn idle_wait(&self, seen_epoch: u64, timeout: Duration) {
         let mut idle = self.inner.idle_lock.lock();
         if self.inner.closed() || self.wake_epoch() != seen_epoch {

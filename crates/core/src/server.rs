@@ -167,15 +167,6 @@ use crate::transport::rdma::{IbContext, RdmaConn};
 use crate::transport::socket::{SocketConn, SERVER_INIT_BUF};
 use crate::transport::Conn;
 
-/// How long an idle pool thread waits before re-checking for shutdown
-/// and for a due liveness sweep.
-const IDLE_SLICE: Duration = Duration::from_millis(100);
-
-/// Cadence of the liveness sweep, in `now_ns` — the fallback probe pass
-/// that catches the one readiness transition no hook can deliver: a peer
-/// node dying without closing its connections. See [`liveness_sweep`].
-const LIVENESS_SWEEP_NS: u64 = 1_000_000_000;
-
 /// Bound on one `recv_msg` once a connection has signalled readiness. A
 /// ready socket connection returns instantly; on the verbs path the
 /// pending completion may be a flow-control credit rather than a
@@ -330,7 +321,7 @@ struct ServerInner {
     /// deadline shedding (all off by default — see [`crate::admission`]).
     admission: AdmissionQueue<RawCall>,
     /// The fabric's clock: the `now_ns` timeline admission, the runtime's
-    /// timers, the liveness sweep and `drain` all run on.
+    /// timers and `drain` all run on.
     clock: Clock,
     /// The registration channel: the accept path sends finished
     /// connections, and whoever services a [`TOKEN_REGISTER`] adopts
@@ -351,8 +342,6 @@ struct ServerInner {
     /// The snapshot's one `ShardRole::Reader` row: frames read, busy
     /// rejections, the conn gauge and the wake list's depth.
     reader_stats: Arc<ShardStats>,
-    /// When the next liveness sweep is due, in `now_ns`.
-    next_sweep_ns: AtomicU64,
     /// Where suspended calls live between polls, and what the pool
     /// threads sleep on. Its frames hold `Arc<ServerInner>`; the cycle
     /// is broken by `shutdown`, which closes it.
@@ -770,7 +759,6 @@ impl Server {
             ready,
             table: Mutex::new(ReaderState::default()),
             reader_stats,
-            next_sweep_ns: AtomicU64::new(fabric.clock().now_ns() + LIVENESS_SWEEP_NS),
             sched,
             priority,
             setups_inflight: AtomicUsize::new(0),
@@ -939,33 +927,18 @@ impl Server {
         self.inner.listener_closer.close();
         self.inner.wake_waiters();
         // Clear the connection table (its lock is never held across a
-        // handler, so this cannot wait on a call). The slots hold the
-        // *other* `Arc<dyn Conn>` clones (the conn table below holds the
-        // first), and stale-connection fast-fail depends on the
-        // server-side transport state being released at stop — a
-        // `ReaderSlot` surviving in `ServerInner` would keep an RPCoIB
-        // queue pair registered and turn a restarted peer's fast
-        // reconnect into a full call timeout.
-        {
-            let mut table = self.inner.table.lock();
-            for slot in table.slots.iter().flatten() {
-                slot.rc.conn.transport.close();
-            }
-            *table = ReaderState::default();
+        // handler, so this cannot wait on a call), then close and drop
+        // every connection: each peer learns of its end at once, and the
+        // server-side transport state — an RPCoIB queue pair and its
+        // registered buffers — goes now, not when the `Server` value
+        // itself is dropped.
+        *self.inner.table.lock() = ReaderState::default();
+        let mut conns = self.inner.conns.lock();
+        for conn in conns.values() {
+            conn.close();
         }
-        {
-            // Close *and drop* every connection. Releasing the `Arc`s here
-            // (rather than when the `Server` value itself is dropped)
-            // deregisters server-side transport state — RPCoIB queue pairs
-            // in particular — so a client holding a stale connection sees
-            // its next send fail fast and reconnects, instead of writing
-            // into a zombie queue pair and timing out.
-            let mut conns = self.inner.conns.lock();
-            for conn in conns.values() {
-                conn.close();
-            }
-            conns.clear();
-        }
+        conns.clear();
+        drop(conns);
         let mut threads: Vec<_> = self.threads.lock().drain(..).collect();
         threads.extend(self.inner.setup_threads.lock().drain(..));
         if wait {
@@ -1335,32 +1308,6 @@ fn read_burst(inner: &Arc<ServerInner>, answered: &mut Vec<Arc<ServerConn>>) -> 
     true
 }
 
-/// The liveness sweep, once a [`LIVENESS_SWEEP_NS`] per server, claimed
-/// by whichever pool thread finds it due. A peer that dies without
-/// closing its stream (node failure) makes its conns readable without any
-/// edge ever firing — the one readiness transition a wake hook cannot
-/// deliver — so walk the table and `wake()` any ready conn. The dedup
-/// flag makes this a no-op for conns whose token is already queued, so
-/// steady-state traffic never pays for it and an idle server pays one
-/// charge-free probe per conn per sweep. The sweeper reads what it woke
-/// in the same pass.
-fn liveness_sweep(inner: &ServerInner, now: u64) {
-    let claimed = inner
-        .next_sweep_ns
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |due| {
-            (now >= due).then_some(now + LIVENESS_SWEEP_NS)
-        });
-    if claimed.is_err() {
-        return;
-    }
-    let table = inner.table.lock();
-    for slot in table.slots.iter().flatten() {
-        if slot.rc.conn.transport.poll_ready() {
-            slot.wake.wake();
-        }
-    }
-}
-
 /// The heart of a worker pass, under a run permit: pop the admission
 /// queue at `now` — expired heads are answered without execution, that
 /// is the whole point of deadline propagation — and poll the popped call
@@ -1515,18 +1462,19 @@ fn read_one(
 }
 
 /// One pool thread; all `handlers + 1` run this loop. Each pass, in
-/// order: fire due timers (and the liveness sweep, when due); read one
-/// burst ([`read_burst`]) — and if the wake list is still not empty
-/// after it, announce the calls waiting and read again; otherwise, under
-/// a run permit, pop the admission queue and poll the popped call for the
-/// first time right here, on this stack ([`pop_and_poll`]) — the call
-/// this thread just read, when its burst ended on one — and run one
-/// suspended call that is runnable again, from the runtime's one run
-/// queue. Admission precedes the task so a yield-spinning call can never
-/// starve new arrivals. A pass that found nothing, or no permit, sleeps
-/// on the runtime's idle wait; whoever makes a connection readable,
-/// admits a call it will not run, wakes a task or returns a permit beside
-/// waiting work notifies.
+/// order: fire due timers; read one burst ([`read_burst`]) — and if the
+/// wake list is still not empty after it, announce the calls waiting and
+/// read again; otherwise, under a run permit, pop the admission queue and
+/// poll the popped call for the first time right here, on this stack
+/// ([`pop_and_poll`]) — the call this thread just read, when its burst
+/// ended on one — and run one suspended call that is runnable again, from
+/// the runtime's one run queue. Admission precedes the task so a
+/// yield-spinning call can never starve new arrivals. A pass that found
+/// nothing, or no permit, sleeps on the runtime's idle wait until the
+/// next timer is due, or without bound: whoever makes a connection
+/// readable (its data, its peer's end, a killed node), admits a call it
+/// will not run, wakes a task or returns a permit beside waiting work
+/// notifies, and `stop` closes the runtime.
 fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
     let sched = &inner.sched;
     let mut answered = Vec::new();
@@ -1536,7 +1484,6 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
         let epoch = sched.wake_epoch();
         let now = inner.clock.now_ns();
         sched.fire_timers(now);
-        liveness_sweep(&inner, now);
         let mut worked = read_burst(&inner, &mut answered);
         if worked && !inner.ready.is_empty() {
             // Release, then look: there is more to read, so what this
@@ -1561,13 +1508,10 @@ fn worker_loop(inner: Arc<ServerInner>, worker: usize) {
         if inner.stop.load(Ordering::Acquire) {
             return;
         }
-        // Sleep until the next timer deadline (a `park_until` must not
-        // oversleep), a notify, or the idle slice.
-        let timeout = sched.next_timer_ns().map_or(IDLE_SLICE, |at| {
-            inner
-                .clock
-                .wait_bound(at)
-                .clamp(Duration::from_nanos(1), IDLE_SLICE)
+        // Sleep until a notify, or the next timer deadline (a
+        // `park_until` must not oversleep).
+        let timeout = sched.next_timer_ns().map_or(Duration::MAX, |at| {
+            inner.clock.wait_bound(at).max(Duration::from_nanos(1))
         });
         sched.idle_wait(epoch, timeout);
     }

@@ -145,7 +145,9 @@ pub trait Conn: Send + Sync {
         0
     }
 
-    /// Tear down the connection; pending and future operations fail.
+    /// Tear down the connection; pending and future operations fail, a
+    /// receive blocked on it returns at once, and the peer's receive
+    /// meets the end after what had arrived.
     fn close(&self);
 
     /// Human-readable peer description for diagnostics.

@@ -87,9 +87,6 @@ const IMM_CREDIT: u32 = 3;
 /// carry the slots credited back with it.
 const IMM_BATCH: u32 = 4;
 
-/// How finely blocked polls slice their waits to notice closure.
-const POLL_SLICE: Duration = Duration::from_millis(50);
-
 /// Length word written ahead of a bulk frame in its first slot: the
 /// frame's length in the low [`CARRIED_SHIFT`] bits (no region is larger
 /// than [`MAX_SANE_REGION`]), the slots credited back with it above.
@@ -351,7 +348,6 @@ struct RingState {
     credits: usize,
     /// Next slot index to allocate.
     ring_pos: usize,
-    closed: bool,
     /// The connection's *poll turn*: a thread is inside `poll_recv` on the
     /// queue pair. Completions are consumed by one thread at a time (frame
     /// order, posted-buffer matching) and no thread is dedicated to it —
@@ -392,7 +388,6 @@ impl SlotRing {
             state: Mutex::new(RingState {
                 credits: slots,
                 ring_pos: 0,
-                closed: false,
                 polling: false,
                 sleepers: 0,
             }),
@@ -426,10 +421,12 @@ impl SlotRing {
         Some(Grant { start, consumed })
     }
 
-    /// Sleep on the ring until notified or `slice` passes.
-    fn sleep(&self, st: &mut parking_lot::MutexGuard<'_, RingState>, slice: Duration) {
+    /// Sleep on the ring until notified or `bound` passes. What notifies
+    /// is [`SlotRing::wake`]: credits returned, or the poll turn let go —
+    /// which a close lets go of too, by ending the holder's poll.
+    fn sleep(&self, st: &mut parking_lot::MutexGuard<'_, RingState>, bound: Duration) {
         st.sleepers += 1;
-        self.cv.wait_for(st, slice);
+        self.cv.wait_for(st, bound);
         st.sleepers -= 1;
     }
 
@@ -445,12 +442,6 @@ impl SlotRing {
     fn release(&self, n: usize) {
         let mut st = self.state.lock();
         st.credits = (st.credits + n).min(self.slots);
-        self.wake(&st);
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock();
-        st.closed = true;
         self.wake(&st);
     }
 }
@@ -882,22 +873,25 @@ impl RdmaConn {
     }
 
     /// One step of receive progress for a thread that must block on this
-    /// connection, `st` being the held ring lock: if another thread has
-    /// the poll turn, sleep on the ring (it releases what it reads and
-    /// wakes us); otherwise take the turn and consume one completion.
-    /// Returns whether this thread stashed a frame.
+    /// connection for up to `bound`, `st` being the held ring lock: if
+    /// another thread has the poll turn, sleep on the ring (it releases
+    /// what it reads and wakes us); otherwise take the turn and consume
+    /// one completion. The turn's holder waits in `poll_recv`, which a
+    /// completion wakes, and so does the queue pair's error state: the
+    /// peer's end, a killed node or our own [`Conn::close`]. Returns
+    /// whether this thread stashed a frame.
     fn progress(
         &self,
         mut st: parking_lot::MutexGuard<'_, RingState>,
-        slice: Duration,
+        bound: Duration,
     ) -> RpcResult<bool> {
         if st.polling {
-            self.ring.sleep(&mut st, slice);
+            self.ring.sleep(&mut st, bound);
             return Ok(false);
         }
         st.polling = true;
         drop(st);
-        let polled = self.poll_one(slice);
+        let polled = self.poll_one(bound);
         let mut st = self.ring.state.lock();
         st.polling = false;
         self.ring.wake(&st);
@@ -909,8 +903,8 @@ impl RdmaConn {
     /// (see [`SlotRing`]).
     ///
     /// With no grant to be had, wait for credits holding neither lock, up
-    /// to `call_timeout` (sliced, so a concurrent close is noticed
-    /// promptly), then try again. Exhausting the budget is
+    /// to `call_timeout`, then try again; a close ends the wait at once
+    /// (the queue pair's error state). Exhausting the budget is
     /// [`RpcError::CreditStarved`] — the peer is alive but not letting go
     /// of what it holds.
     ///
@@ -944,9 +938,6 @@ impl RdmaConn {
         loop {
             let send = self.link.send.lock();
             let mut st = self.ring.state.lock();
-            if st.closed {
-                return Err(RpcError::ConnectionClosed);
-            }
             if let Some(grant) = self.ring.try_grant(&mut st, k) {
                 drop(st);
                 let posted = self.post_bulk_writes(&send, &grant, segs, len);
@@ -974,7 +965,7 @@ impl RdmaConn {
                 self.link.send_credit(0)?;
                 continue;
             }
-            if self.progress(st, POLL_SLICE.min(remaining))? {
+            if self.progress(st, remaining)? {
                 self.fire_ready_hook();
             }
         }
@@ -1073,13 +1064,13 @@ impl RdmaConn {
         Ok(())
     }
 
-    /// Wait up to `slice` for one receive completion and consume it:
+    /// Wait up to `bound` for one receive completion and consume it:
     /// credits go to the slot ring, frames to the back of the stash.
     /// Returns whether a frame was stashed. The caller holds the poll
     /// turn — completions are consumed, and the stash grows, in wire
     /// order by one thread at a time.
-    fn poll_one(&self, slice: Duration) -> RpcResult<bool> {
-        let completion = match self.link.qp.poll_recv(slice) {
+    fn poll_one(&self, bound: Duration) -> RpcResult<bool> {
+        let completion = match self.link.qp.poll_recv(bound) {
             Ok(c) => c,
             Err(VerbsError::Timeout) => return Ok(false),
             Err(e) => return Err(verbs_err(e)),
@@ -1357,7 +1348,7 @@ impl Conn for RdmaConn {
             }
             // Poll — or, while such a sender does, sleep: what it reads
             // lands in the stash and its release wakes us.
-            self.progress(st, POLL_SLICE.min(remaining))?;
+            self.progress(st, remaining)?;
         }
     }
 
@@ -1366,13 +1357,12 @@ impl Conn for RdmaConn {
     }
 
     fn poll_ready(&self) -> bool {
-        // Closed counts as ready (the next recv_msg surfaces
-        // ConnectionClosed). A pending completion may be a credit rather
-        // than a message — the reader's bounded recv_msg then consumes the
-        // credit and times out, which is still progress.
-        self.link.closed.load(Ordering::Acquire)
-            || !self.stash.lock().is_empty()
-            || self.link.qp.recv_pending()
+        // A closed connection's queue pair is in the error state, which
+        // counts as pending (the next recv_msg surfaces ConnectionClosed).
+        // A pending completion may be a credit rather than a message — the
+        // reader's bounded recv_msg then consumes the credit and times out,
+        // which is still progress.
+        !self.stash.lock().is_empty() || self.link.qp.recv_pending()
     }
 
     fn set_ready_hook(&self, hook: std::sync::Arc<dyn Fn() + Send + Sync>) {
@@ -1389,11 +1379,9 @@ impl Conn for RdmaConn {
     fn close(&self) {
         // Leases still out release into nothing from here on.
         self.link.closed.store(true, Ordering::Release);
-        // Senders blocked on slot credits must observe the close.
-        self.ring.close();
-        // Local close is a readiness edge: `poll_ready` is now permanently
-        // true, but no completion will arrive to announce it.
-        self.fire_ready_hook();
+        // Both queue pairs enter the error state: a poll blocked on either
+        // wakes — a credit waiter's too — and the ready hook fires.
+        self.link.qp.disconnect();
     }
 
     fn peer(&self) -> String {
@@ -1715,10 +1703,12 @@ mod tests {
         announce(&cli, 100, 0, 0, 1);
         assert_torn_down(&srv, "fifth frame over four slots");
         // Leases still out release into a closed connection: nothing sent.
+        // The peer reads what arrived — no credit, which would overrun its
+        // ring — then the close.
         drop(held);
         assert_eq!(
             cli.recv_msg(Duration::from_millis(20)).unwrap_err(),
-            RpcError::Timeout
+            RpcError::ConnectionClosed
         );
     }
 
@@ -2053,7 +2043,9 @@ mod tests {
         // One frame in a reader's hands, one still in the stash — and the
         // connection closes and goes away under both.
         let (held, _) = srv.recv_msg(Duration::from_secs(5)).unwrap();
-        assert!(srv.progress(srv.ring.state.lock(), POLL_SLICE).unwrap());
+        assert!(srv
+            .progress(srv.ring.state.lock(), Duration::from_secs(5))
+            .unwrap());
         assert_eq!(srv.buffered_bytes(), body.len());
         srv.close();
         drop(Arc::into_inner(srv).expect("sole owner"));
@@ -2063,12 +2055,15 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, RpcError::ConnectionClosed);
         // The region did not: the frame still reads, and a write to its
-        // rkey still lands — until the last payload is dropped.
+        // rkey still lands — until the last payload is dropped. (Written
+        // through a fresh queue pair: the connection's is in the error
+        // state, where every post fails.)
+        let device = cli.ctx.device();
+        let (qp, other) = (device.create_qp(), device.create_qp());
+        qp.connect(other.endpoint());
         let probe = |cli: &RdmaConn| {
             let state = cli.link.send.lock();
-            cli.link
-                .qp
-                .rdma_write(&state.header_mr, 0, 8, cli.peer_rkey, 3 << 20, None)
+            qp.rdma_write(&state.header_mr, 0, 8, cli.peer_rkey, 3 << 20, None)
         };
         let mut got = vec![0u8; body.len()];
         held.reader().read_bytes(&mut got).unwrap();

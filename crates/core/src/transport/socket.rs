@@ -29,7 +29,6 @@
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use simnet::{Clock, SimStream};
@@ -44,9 +43,6 @@ use crate::transport::{Conn, RecvProfile, SendProfile};
 /// Size of the temporary chunk used for the native→heap copy on receive
 /// (the JDK uses an 8 KB-ish temp direct buffer).
 const TEMP_CHUNK: usize = 8 * 1024;
-
-/// How finely a blocked read slices its wait to notice a local close.
-const READ_SLICE: Duration = Duration::from_millis(50);
 
 /// Initial serialization buffer of a server-side connection: Hadoop's
 /// server starts at 10 KB where its client starts at
@@ -76,9 +72,6 @@ pub struct SocketConn {
     /// When attached, every send feeds the per-`<protocol, method>`
     /// serialize/wire phase histograms.
     metrics: Option<MetricsRegistry>,
-    /// Copy of the armed readiness hook, so a local `close()` can deliver
-    /// its own wake (the stream only fires for peer-side edges).
-    ready_hook: Mutex<Option<std::sync::Arc<dyn Fn() + Send + Sync>>>,
 }
 
 /// A serializer callback writing one frame part into the transport's
@@ -183,7 +176,6 @@ impl SocketConn {
             closed: AtomicBool::new(false),
             init_buf,
             metrics: None,
-            ready_hook: Mutex::new(None),
         }
     }
 
@@ -205,6 +197,8 @@ impl SocketConn {
     /// Read exactly `buf.len()` bytes. Returns `Timeout` only if *nothing*
     /// was consumed before the deadline (`u64::MAX`: none); once a frame
     /// has started we wait it out (it is in flight on a reliable stream).
+    /// The stream's end — the peer's close, a killed node, or our own
+    /// [`Conn::close`], which shuts its read side — wakes the read.
     fn read_exact_deadline(&self, buf: &mut [u8], deadline: u64) -> RpcResult<usize> {
         use std::io::Read;
         let mut filled = 0usize;
@@ -212,14 +206,9 @@ impl SocketConn {
             if self.closed.load(Ordering::Acquire) {
                 return Err(RpcError::ConnectionClosed);
             }
-            // Sliced so a local close is noticed; while nothing is consumed
-            // the slice is cut to the deadline, so a waiting caller's
-            // timeout is its own and not rounded up to the slice.
-            let slice = match filled {
-                0 => READ_SLICE.min(self.clock.wait_bound(deadline)),
-                _ => READ_SLICE,
-            };
-            self.stream.set_read_timeout(Some(slice));
+            let bound =
+                (filled == 0 && deadline != u64::MAX).then(|| self.clock.wait_bound(deadline));
+            self.stream.set_read_timeout(bound);
             match (&self.stream).read(&mut buf[filled..]) {
                 Ok(0) => return Err(RpcError::ConnectionClosed),
                 Ok(n) => {
@@ -228,9 +217,10 @@ impl SocketConn {
                         return Ok(filled);
                     }
                 }
-                // Frame started (or no deadline): keep waiting.
+                // A manual clock's bound is a slice of host time: look
+                // at the clock again.
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                    if filled == 0 && self.clock.now_ns() >= deadline {
+                    if self.clock.now_ns() >= deadline {
                         return Err(RpcError::Timeout);
                     }
                 }
@@ -598,13 +588,13 @@ impl Conn for SocketConn {
     }
 
     fn poll_ready(&self) -> bool {
-        // A closed connection is "ready" so the reader's next recv_msg
-        // observes ConnectionClosed instead of skipping the conn forever.
-        self.closed.load(Ordering::Acquire) || self.stream.readable()
+        // A closed connection is "ready" (its read side is shut) so the
+        // reader's next recv_msg observes ConnectionClosed instead of
+        // skipping the conn forever.
+        self.stream.readable()
     }
 
     fn set_ready_hook(&self, hook: std::sync::Arc<dyn Fn() + Send + Sync>) {
-        *self.ready_hook.lock() = Some(hook.clone());
         self.stream.set_read_interest(hook);
     }
 
@@ -623,12 +613,10 @@ impl Conn for SocketConn {
         }
         st.queue.clear();
         self.wq_cv.notify_all();
-        // A local close is a readiness edge too (`poll_ready` is now
-        // permanently true); the stream won't fire for it, so do it here.
-        let hook = self.ready_hook.lock().clone();
-        if let Some(hook) = hook {
-            hook();
-        }
+        drop(st);
+        // Wakes a blocked read, and — a local close being a readiness
+        // edge too (`poll_ready` is now permanently true) — fires the hook.
+        self.stream.shutdown_read();
     }
 
     fn peer(&self) -> String {
@@ -642,6 +630,7 @@ mod tests {
     use simnet::{model, Fabric, SimAddr, SimListener};
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
     use wire::DataInput;
 
     fn conn_pair() -> (Arc<SocketConn>, Arc<SocketConn>) {

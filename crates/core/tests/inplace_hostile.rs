@@ -183,13 +183,16 @@ impl RawPeer {
     }
 
     /// The next response the server sends this peer, if one comes within
-    /// `patience`: `Some(well_formed)`. Credit returns are skipped.
+    /// `patience`: `Some(well_formed)`. Credit returns are skipped. A
+    /// server that forfeits the connection ends its queue pair, and the
+    /// peer's poll sees `PeerDown`: no response, as when none comes.
     fn response(&mut self, patience: Duration) -> Option<bool> {
         let deadline = Instant::now() + patience;
         while Instant::now() < deadline {
             let done = match self.qp.poll_recv(Duration::from_millis(5)) {
                 Ok(done) => done,
                 Err(VerbsError::Timeout) => continue,
+                Err(VerbsError::PeerDown) => return None,
                 Err(e) => panic!("raw peer poll: {e:?}"),
             };
             let (wr, mr) = self.posted.pop_front().expect("a posted buffer");
@@ -263,6 +266,10 @@ fn env() -> &'static Env {
                 answered.fetch_add(1, Ordering::Release);
             }
         });
+        // Its connection is up before a case counts connections.
+        while neighbour.load(Ordering::Acquire) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let dev = RdmaDevice::open(&fabric, fabric.add_node()).unwrap();
         Env {
             fabric,
@@ -369,7 +376,14 @@ proptest! {
             largest <= env.cfg.large_region_bytes,
             "the server allocated {largest} bytes while serving a hostile peer"
         );
+        // Its end reaches the server, which lets the connection go (if a
+        // forfeit has not already), so the next case counts from here.
         drop(peer);
+        let gone = Instant::now() + Duration::from_secs(10);
+        while env.server.connection_count() > connections {
+            prop_assert!(Instant::now() < gone, "a dropped peer's connection was kept");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }
 

@@ -186,7 +186,7 @@ fn server_survives_connection_churn_without_leaking() {
     }
 
     assert_eq!(server.lifetime_connection_count(), 100);
-    // Readers notice the closed transports within their idle slice.
+    // Each closed transport wakes the server, which lets it go.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.connection_count() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
@@ -1493,10 +1493,9 @@ fn ordering_and_at_most_once_across_two_connections() {
 
 /// A raw parked connection held open against a server: a handshaken
 /// stream (socket) or a handshaken stream plus its bootstrapped verbs
-/// conn. Dropping it releases the client end. On the socket transport
-/// the server sees EOF immediately; on verbs there is no in-band
-/// teardown, so churn tests pair this with `Fabric::kill_node` and the
-/// reader's liveness sweep.
+/// conn. Dropping it releases the client end, and the server sees the
+/// end at once: EOF on the socket transport, its queue pair's error
+/// state on verbs.
 struct ParkedConn {
     _stream: SimStream,
     _conn: Option<RdmaConn>,
@@ -1575,12 +1574,8 @@ fn accept_storm_past_max_connections_is_rejected_retryably() {
     );
     assert_eq!(server.lifetime_connection_count(), 8);
 
-    // Release the population. Socket conns EOF on drop; verbs conns are
-    // only observable as dead via the fabric, through the liveness sweep.
+    // Release the population: each end reaches the server.
     drop(parked);
-    if cfg.ib_enabled {
-        fabric.kill_node(idle_node);
-    }
     wait_connection_count(&server, 0, Duration::from_secs(30), "release");
 
     // Freed capacity admits a real client.
@@ -1591,7 +1586,8 @@ fn accept_storm_past_max_connections_is_rejected_retryably() {
 }
 
 /// Seeded connection-churn soak: thousands of conns each run the full
-/// accept path and then go away (EOF on socket, node death on verbs).
+/// accept path and then go away (EOF on socket, the queue pair's error
+/// state on verbs).
 /// The conn table, the reader slot tables, and the ready queues must
 /// all return to empty — no leaked entry, stale token, or gauge residue
 /// — and the server must still serve fresh traffic afterwards.
@@ -1610,8 +1606,7 @@ fn connection_churn_soak_leaks_nothing() {
     let server_node = fabric.add_node();
     let server = start_server(&fabric, server_node, &cfg);
 
-    // Verbs conns can only be reaped via node death, so each batch gets
-    // its own client node that dies when the batch is done.
+    // Each batch connects from a client node of its own.
     let (total, batch) = if cfg.ib_enabled {
         (2_000, 100)
     } else {
@@ -1626,9 +1621,6 @@ fn connection_churn_soak_leaks_nothing() {
             .map(|_| park_conn(&fabric, node, server.addr(), &cfg, ctx.as_ref()).unwrap())
             .collect();
         drop(conns);
-        if cfg.ib_enabled {
-            fabric.kill_node(node);
-        }
     }
     assert_eq!(server.lifetime_connection_count(), total as u64);
     wait_connection_count(&server, 0, Duration::from_secs(60), "soak reap");

@@ -91,9 +91,9 @@ fn cluster() -> (MiniHbase, HBaseClient) {
 
 /// What a window of `seconds` may hold beside its operations: the
 /// cluster's own periodic work — the region server's and the DataNodes'
-/// heartbeats, the RPC servers' liveness sweeps — allocates about 150
-/// times a second idle, and up to 40 in one 50 ms window (counted on a
-/// 2-vCPU host). Twice the rate, and half again the burst.
+/// heartbeats — allocates at most about 150 times a second idle, and up
+/// to 40 in one 50 ms window (counted on a 2-vCPU host). Twice the rate,
+/// and half again the burst.
 fn heartbeat_slack(seconds: f64) -> u64 {
     (300.0 * seconds) as u64 + 60
 }

@@ -245,14 +245,11 @@ fn a_datanode_refuses_hostile_writes_and_keeps_serving() {
 
         // A stream that closes short of its block, with nobody left to
         // answer: the xceiver sees the close where a packet was due and
-        // gives the half-filled replica up. (Sockets: a dropped queue
-        // pair is silent, and its xceiver waits out `DATA_TIMEOUT`.)
-        if !cfg.data_rdma {
-            let mut conn = pool.checkout(victim.xfer_addr()).unwrap();
-            conn.poison();
-            send_raw(conn.conn(), half_open().as_ref());
-            drop(conn);
-        }
+        // gives the half-filled replica up.
+        let mut conn = pool.checkout(victim.xfer_addr()).unwrap();
+        conn.poison();
+        send_raw(conn.conn(), half_open().as_ref());
+        drop(conn);
 
         // Every xceiver that met one is gone; the node is not.
         client.write_file("/after", &data).unwrap();
@@ -461,8 +458,7 @@ fn a_client_refuses_hostile_read_responses_and_keeps_reading() {
                     "{what}"
                 );
                 answer(&conn);
-                // Until the client has hung up on it (verbs: until it
-                // would have: a dropped queue pair is silent).
+                // Until the client has hung up on it.
                 let _ = recv_frame(&conn, Duration::from_millis(200));
             }
         });

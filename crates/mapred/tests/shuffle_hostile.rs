@@ -161,17 +161,13 @@ fn fetch_refuses_hostile_sizes_and_keeps_fetching() {
                 }),
             ),
         ];
-        if !cfg.ib_enabled {
-            // A verbs peer's close is silent: there, a short stream is a
-            // fetch timeout.
-            answers.push((
-                "stream that ends short",
-                Box::new(move |c| {
-                    found(c, 32, 16, &body);
-                    c.close();
-                }),
-            ));
-        }
+        answers.push((
+            "stream that ends short",
+            Box::new(move |c| {
+                found(c, 32, 16, &body);
+                c.close();
+            }),
+        ));
         answers.push(("well formed", Box::new(move |c| found(c, 16, 16, &body))));
         let hostile = answers.len() - 1;
         let (server_fabric, server_cfg) = (fabric.clone(), cfg.clone());
@@ -185,8 +181,7 @@ fn fetch_refuses_hostile_sizes_and_keeps_fetching() {
                 };
                 conn.recv_msg(Duration::from_secs(10)).expect(what);
                 answer(&conn);
-                // Until the fetcher has hung up (verbs: until it would
-                // have: a dropped queue pair is silent).
+                // Until the fetcher has hung up.
                 let _ = conn.recv_msg(Duration::from_millis(200));
             }
         });

@@ -18,7 +18,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::faults::{next_unit, FaultSpec};
 use crate::model::NetworkModel;
-use crate::stream::PendingConn;
+use crate::stream::{SimStream, StreamInner};
 use crate::time::Clock;
 use crate::verbs::{MrInner, QpSlot};
 
@@ -187,11 +187,13 @@ pub(crate) struct FabricInner {
     pub(crate) fault_rng: Mutex<u64>,
     /// Bound listeners: the binding's id (a rebind of the same address
     /// gets a new one) and the sender connects are handed to.
-    pub(crate) listeners: Mutex<HashMap<SimAddr, (u64, Sender<PendingConn>)>>,
+    pub(crate) listeners: Mutex<HashMap<SimAddr, (u64, Sender<SimStream>)>>,
     pub(crate) next_listener_id: AtomicU64,
     /// Each queue pair's completion inbox plus the wake slot its receiver
     /// may have armed; senders fire the slot after posting a completion.
-    pub(crate) qps: Mutex<HashMap<u64, QpSlot>>,
+    pub(crate) qps: Mutex<HashMap<u64, Arc<QpSlot>>>,
+    /// Every stream end, so that [`Fabric::kill_node`] reaches it.
+    pub(crate) streams: Mutex<HashMap<u64, Weak<StreamInner>>>,
     pub(crate) mrs: Mutex<HashMap<u64, Weak<MrInner>>>,
     /// What a node's endpoints share, by type and key ([`Fabric::node_shared`]).
     node_shared: Mutex<HashMap<SharedKey, Weak<dyn Any + Send + Sync>>>,
@@ -235,6 +237,7 @@ impl Fabric {
                 listeners: Mutex::new(HashMap::new()),
                 next_listener_id: AtomicU64::new(0),
                 qps: Mutex::new(HashMap::new()),
+                streams: Mutex::new(HashMap::new()),
                 mrs: Mutex::new(HashMap::new()),
                 node_shared: Mutex::new(HashMap::new()),
                 next_node: AtomicU32::new(0),
@@ -274,7 +277,10 @@ impl Fabric {
     }
 
     /// Mark a node as failed: its listeners stop accepting, in-flight and
-    /// future transfers to or from it fail.
+    /// future transfers to or from it fail. Every queue pair and stream
+    /// end on the node or connected to it ends now: a receive blocked on
+    /// one wakes, reads what had arrived, then fails (`PeerDown`,
+    /// `ConnectionReset`), and its readiness hook fires once.
     pub fn kill_node(&self, node: NodeId) {
         self.inner.dead.write().insert(node);
         // Evict the dead node's listeners so connects fail fast.
@@ -282,6 +288,26 @@ impl Fabric {
             .listeners
             .lock()
             .retain(|addr, _| addr.node != node);
+        // Collected first: the hooks run, and the last handle of a stream
+        // may drop, with no registry locked.
+        let qps: Vec<_> = self
+            .inner
+            .qps
+            .lock()
+            .values()
+            .filter(|qp| qp.touches(node))
+            .cloned()
+            .collect();
+        let streams: Vec<_> = self
+            .inner
+            .streams
+            .lock()
+            .values()
+            .filter_map(Weak::upgrade)
+            .filter(|end| end.touches(node))
+            .collect();
+        qps.iter().for_each(|qp| qp.fail());
+        streams.iter().for_each(|end| end.reset());
     }
 
     /// Remove binding `id` of `addr` — and only that one: a listener that

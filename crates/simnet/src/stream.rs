@@ -15,6 +15,13 @@
 //! Streams are full-duplex and sharable across threads (`Read`/`Write` are
 //! implemented for `&SimStream`), matching how Hadoop's `Connection` thread
 //! and caller threads share one socket.
+//!
+//! **A direction's end is an event.** Each direction is a [`Pipe`]. It ends
+//! when its writer shuts down or goes away (the reader reads what had
+//! arrived, then EOF), when its reader shuts down or goes away (further
+//! writes fail), or when a node at either end is killed (what had
+//! arrived, then `ConnectionReset`). Whichever comes first wakes a
+//! blocked read at once and fires the reader's readiness hook.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -23,15 +30,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{unbounded, Receiver};
+use parking_lot::{Condvar, Mutex};
 
 use crate::fabric::{Fabric, NodeId, SimAddr, WakeSlot};
 use crate::time::spin_until;
 use crate::time::Clock;
-
-/// How often a blocked read re-checks for node failure.
-const FAILURE_POLL: Duration = Duration::from_millis(10);
 
 /// Large writes are cut into wire segments of this size, each with its
 /// own delivery window — like TCP segmentation. Without this, a reader
@@ -49,53 +53,134 @@ pub(crate) struct Segment {
     data: Bytes,
 }
 
-/// A connection handed to a listener by a connecting peer. Each direction
-/// carries a [`WakeSlot`]: `read_wake` is the accepted stream's own
-/// readiness slot (fired by the connector's writes and EOF), `peer_wake`
-/// is the connector's slot (fired by the accepted stream's writes and
-/// EOF).
-pub(crate) struct PendingConn {
-    peer_addr: SimAddr,
-    to_peer: Sender<Segment>,
-    from_peer: Receiver<Segment>,
-    read_wake: WakeSlot,
-    peer_wake: WakeSlot,
+/// How a [`Pipe`] ended.
+#[derive(Clone, Copy)]
+enum End {
+    /// Its writer or its reader shut down or went away.
+    Closed,
+    /// A node at either end was killed.
+    Reset,
+}
+
+#[derive(Default)]
+struct PipeState {
+    segments: VecDeque<Segment>,
+    end: Option<End>,
+}
+
+/// One direction of a stream: the segments its writer has sent and its
+/// reader not yet taken, how it ended, and the reader's readiness slot.
+#[derive(Default)]
+pub(crate) struct Pipe {
+    state: Mutex<PipeState>,
+    /// Signalled by every push and by the end.
+    arrived: Condvar,
+    /// The reader's slot, armed via [`SimStream::set_read_interest`]; fired
+    /// once per message and by the end.
+    wake: WakeSlot,
+}
+
+impl Pipe {
+    /// Queue one segment, unless the direction has ended.
+    fn push(&self, seg: Segment) -> io::Result<()> {
+        let mut st = self.state.lock();
+        if st.end.is_some() {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"));
+        }
+        st.segments.push_back(seg);
+        drop(st);
+        self.arrived.notify_one();
+        Ok(())
+    }
+
+    /// End the direction, if it has not ended yet: wake a blocked read,
+    /// and fire the reader's hook when `fire`.
+    fn end(&self, how: End, fire: bool) {
+        let mut st = self.state.lock();
+        if st.end.is_some() {
+            return;
+        }
+        st.end = Some(how);
+        drop(st);
+        self.arrived.notify_all();
+        if fire {
+            self.wake.fire();
+        }
+    }
+
+    /// The next segment, waiting up to `timeout` (`None`: without bound);
+    /// `Ok(None)` once the direction is closed and drained.
+    fn pop(&self, timeout: Option<Duration>) -> io::Result<Option<Segment>> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut st = self.state.lock();
+        loop {
+            if let Some(seg) = st.segments.pop_front() {
+                return Ok(Some(seg));
+            }
+            match (st.end, deadline) {
+                (Some(End::Closed), _) => return Ok(None),
+                (Some(End::Reset), _) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::ConnectionReset,
+                        "a node of the stream is down",
+                    ))
+                }
+                (None, Some(deadline)) => {
+                    if self.arrived.wait_until(&mut st, deadline).timed_out() {
+                        return Err(io::Error::new(io::ErrorKind::TimedOut, "read timeout"));
+                    }
+                }
+                (None, None) => self.arrived.wait(&mut st),
+            }
+        }
+    }
 }
 
 struct RxState {
-    rx: Receiver<Segment>,
     /// Bytes from a previously delivered segment not yet read out.
     leftover: VecDeque<Bytes>,
-    /// A segment pulled off the channel by [`SimStream::readable`] but not
+    /// A segment taken off the pipe by [`SimStream::readable`] but not
     /// yet consumed by a read. Ingress/ledger charging happens only at
     /// consumption time, so peeking never perturbs the modeled clock.
     peeked: Option<Segment>,
-    /// Set once the channel reports `Disconnected`: the stream is at EOF
-    /// and stays readable forever (reads return `Ok(0)`).
-    eof: bool,
 }
 
-struct StreamInner {
+pub(crate) struct StreamInner {
     fabric: Fabric,
+    /// This end's key in the fabric's `streams` registry.
+    id: u64,
     local: SimAddr,
     peer: SimAddr,
-    /// `None` after an explicit shutdown of the write half.
-    tx: Mutex<Option<Sender<Segment>>>,
+    /// The outgoing direction, ended by a shutdown of the write half.
+    outgoing: Arc<Pipe>,
+    /// The incoming direction, whose wake slot is this end's.
+    incoming: Arc<Pipe>,
     rx: Mutex<RxState>,
     read_timeout: Mutex<Option<Duration>>,
-    /// This end's readiness slot, armed via [`SimStream::set_read_interest`]
-    /// and fired by the peer's writes and EOF.
-    read_wake: WakeSlot,
-    /// The peer's readiness slot; fired after every local write, on
-    /// [`SimStream::shutdown_write`], and when this end drops (EOF).
-    peer_wake: WakeSlot,
+}
+
+impl StreamInner {
+    /// Whether this end is on `node` or connected to it.
+    pub(crate) fn touches(&self, node: NodeId) -> bool {
+        self.local.node == node || self.peer.node == node
+    }
+
+    /// A node of the stream was killed: what this end reads ends in
+    /// `ConnectionReset`.
+    pub(crate) fn reset(&self) {
+        self.incoming.end(End::Reset, true);
+    }
 }
 
 impl Drop for StreamInner {
     fn drop(&mut self) {
-        // Dropping this end drops its `Sender`, which the peer observes as
-        // EOF — deliver the readiness edge for it.
-        self.peer_wake.fire();
+        self.fabric.inner.streams.lock().remove(&self.id);
+        // Nothing reads here any more: the peer's writes fail.
+        self.incoming.end(End::Closed, false);
+        // The peer reads EOF; deliver the readiness edge for it (again,
+        // after a write-half shutdown: the reader re-checks on every wake).
+        self.outgoing.end(End::Closed, false);
+        self.outgoing.wake.fire();
     }
 }
 
@@ -106,6 +191,37 @@ pub struct SimStream {
 }
 
 impl SimStream {
+    /// One end of a new stream, registered with the fabric so that
+    /// [`Fabric::kill_node`] reaches it.
+    fn new_end(
+        fabric: &Fabric,
+        local: SimAddr,
+        peer: SimAddr,
+        outgoing: Arc<Pipe>,
+        incoming: Arc<Pipe>,
+    ) -> Self {
+        let id = fabric.fresh_id();
+        let inner = Arc::new(StreamInner {
+            fabric: fabric.clone(),
+            id,
+            local,
+            peer,
+            outgoing,
+            incoming,
+            rx: Mutex::new(RxState {
+                leftover: VecDeque::new(),
+                peeked: None,
+            }),
+            read_timeout: Mutex::new(None),
+        });
+        fabric
+            .inner
+            .streams
+            .lock()
+            .insert(id, Arc::downgrade(&inner));
+        SimStream { inner }
+    }
+
     /// Connect from `local_node` to a listener at `remote`. Pays one round
     /// trip of handshake latency, like TCP's SYN/SYN-ACK.
     pub fn connect(fabric: &Fabric, local_node: NodeId, remote: SimAddr) -> io::Result<SimStream> {
@@ -153,38 +269,15 @@ impl SimStream {
         crate::time::spin_ns(handshake_ns);
 
         let local = SimAddr::new(local_node, ephemeral_port(fabric));
-        let (c2s_tx, c2s_rx) = unbounded();
-        let (s2c_tx, s2c_rx) = unbounded();
-        // One wake slot per direction, shared with the accepted end.
-        let connector_wake = WakeSlot::new();
-        let acceptor_wake = WakeSlot::new();
+        let (c2s, s2c) = (Arc::<Pipe>::default(), Arc::<Pipe>::default());
+        // The accepted end is made here, whole; a listener that never
+        // accepts it drops it, and this end reads EOF.
+        let accepted =
+            SimStream::new_end(fabric, remote, local, Arc::clone(&s2c), Arc::clone(&c2s));
         accept_tx
-            .send(PendingConn {
-                peer_addr: local,
-                to_peer: s2c_tx,
-                from_peer: c2s_rx,
-                read_wake: acceptor_wake.clone(),
-                peer_wake: connector_wake.clone(),
-            })
+            .send(accepted)
             .map_err(|_| io::Error::new(io::ErrorKind::ConnectionRefused, "listener closed"))?;
-
-        Ok(SimStream {
-            inner: Arc::new(StreamInner {
-                fabric: fabric.clone(),
-                local,
-                peer: remote,
-                tx: Mutex::new(Some(c2s_tx)),
-                rx: Mutex::new(RxState {
-                    rx: s2c_rx,
-                    leftover: VecDeque::new(),
-                    peeked: None,
-                    eof: false,
-                }),
-                read_timeout: Mutex::new(None),
-                read_wake: connector_wake,
-                peer_wake: acceptor_wake,
-            }),
-        })
+        Ok(SimStream::new_end(fabric, local, remote, c2s, s2c))
     }
 
     /// The local (node, port) of this end of the stream.
@@ -209,10 +302,18 @@ impl SimStream {
 
     /// Close the write half; the peer will observe EOF after draining.
     pub fn shutdown_write(&self) {
-        self.inner.tx.lock().take();
         // EOF is a readiness edge: a blocked event-driven peer must learn
         // its next read would return `Ok(0)`.
-        self.inner.peer_wake.fire();
+        let outgoing = &self.inner.outgoing;
+        outgoing.end(End::Closed, false);
+        outgoing.wake.fire();
+    }
+
+    /// Close the read half: a read blocked on this end returns at once,
+    /// and reads return what had arrived, then EOF; the peer's writes
+    /// fail. Fires this end's readiness hook, once.
+    pub fn shutdown_read(&self) {
+        self.inner.incoming.end(End::Closed, true);
     }
 
     /// Arm this stream's readiness hook: it fires (charge-free, on the
@@ -221,7 +322,7 @@ impl SimStream {
     /// level-triggered [`SimStream::readable`] stays authoritative; the
     /// hook is the edge notification that makes polling it unnecessary.
     pub fn set_read_interest(&self, hook: Arc<dyn Fn() + Send + Sync>) {
-        self.inner.read_wake.set(hook);
+        self.inner.incoming.wake.set(hook);
     }
 
     /// Bytes received from the wire and buffered for reading (delivered
@@ -235,26 +336,23 @@ impl SimStream {
     }
 
     /// Whether a read would make progress right now without blocking:
-    /// buffered bytes, an in-flight segment, or EOF (all senders gone —
-    /// a read would return `Ok(0)` immediately). Nothing is charged to
-    /// the modeled-time ledger; a segment surfaced here is stashed and
-    /// consumed — and charged — by the next read. This is the `select()`
-    /// readiness primitive event-loop readers poll.
+    /// buffered bytes, an in-flight segment, or the direction's end (a
+    /// read would return `Ok(0)` or the reset immediately). Nothing is
+    /// charged to the modeled-time ledger; a segment surfaced here is
+    /// stashed and consumed — and charged — by the next read. This is the
+    /// `select()` readiness primitive event-loop readers poll.
     pub fn readable(&self) -> bool {
         let mut rx = self.inner.rx.lock();
-        if !rx.leftover.is_empty() || rx.peeked.is_some() || rx.eof {
+        if !rx.leftover.is_empty() || rx.peeked.is_some() {
             return true;
         }
-        match rx.rx.try_recv() {
-            Ok(seg) => {
+        let mut pipe = self.inner.incoming.state.lock();
+        match pipe.segments.pop_front() {
+            Some(seg) => {
                 rx.peeked = Some(seg);
                 true
             }
-            Err(crossbeam::channel::TryRecvError::Empty) => false,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                rx.eof = true;
-                true
-            }
+            None => pipe.end.is_some(),
         }
     }
 
@@ -316,11 +414,11 @@ impl SimStream {
             model.stack_ns(total) + model.base_latency_ns + fault_delay.as_nanos() as u64,
         );
 
-        let tx = inner
-            .tx
-            .lock()
-            .clone()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::BrokenPipe, "write half shut down"))?;
+        // Counted before its first segment can be read, so a reader that
+        // has read it never reads a count without it.
+        let stats = fabric.stats();
+        stats.messages.fetch_add(1, Ordering::Relaxed);
+        stats.bytes.fetch_add(total as u64, Ordering::Relaxed);
 
         // Segment like TCP: each wire segment pays its own bandwidth and
         // gets its own delivery window, so a receiver drains a large
@@ -366,21 +464,17 @@ impl SimStream {
             spin_until(egress_end);
             let arrive_start =
                 egress_end - wire + Duration::from_nanos(model.base_latency_ns) + fault_delay;
-            tx.send(Segment {
+            inner.outgoing.push(Segment {
                 arrive_start,
                 wire,
                 data,
-            })
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))?;
+            })?;
             sent += chunk_len;
         }
         // Readiness edge for an event-driven peer. Fired once per message
-        // (not per segment), after every segment is on the channel, and
+        // (not per segment), after every segment is in the pipe, and
         // charge-free — notification is bookkeeping, not wire traffic.
-        inner.peer_wake.fire();
-        let stats = fabric.stats();
-        stats.messages.fetch_add(1, Ordering::Relaxed);
-        stats.bytes.fetch_add(total as u64, Ordering::Relaxed);
+        inner.outgoing.wake.fire();
         Ok(total)
     }
 
@@ -402,49 +496,16 @@ impl SimStream {
             return Ok(n);
         }
 
-        let deadline = inner.read_timeout.lock().map(|t| Instant::now() + t);
-        let seg = if let Some(seg) = rx.peeked.take() {
-            // A segment staged by `readable()`: consume it before touching
-            // the channel so delivery order is preserved. Its ingress and
-            // ledger charges happen below, exactly as for a fresh recv.
-            seg
-        } else if rx.eof {
-            return Ok(0);
-        } else {
-            loop {
-                if inner.fabric.is_dead(inner.local.node) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "local node is down",
-                    ));
-                }
-                let wait = match deadline {
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            return Err(io::Error::new(io::ErrorKind::TimedOut, "read timeout"));
-                        }
-                        FAILURE_POLL.min(d - now)
-                    }
-                    None => FAILURE_POLL,
-                };
-                match rx.rx.recv_timeout(wait) {
-                    Ok(seg) => break seg,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if inner.fabric.is_dead(inner.peer.node) {
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionReset,
-                                "peer node is down",
-                            ));
-                        }
-                    }
-                    // All senders gone: orderly EOF.
-                    Err(RecvTimeoutError::Disconnected) => {
-                        rx.eof = true;
-                        return Ok(0);
-                    }
-                }
-            }
+        let timeout = *inner.read_timeout.lock();
+        let seg = match rx.peeked.take() {
+            // A segment staged by `readable()`: consume it before the pipe
+            // so delivery order is preserved. Its ingress and ledger
+            // charges happen below, exactly as for a fresh one.
+            Some(seg) => seg,
+            None => match inner.incoming.pop(timeout)? {
+                Some(seg) => seg,
+                None => return Ok(0),
+            },
         };
 
         // Wait for the bytes to finish arriving, gated by our ingress link.
@@ -534,7 +595,8 @@ pub struct SimListener {
     addr: SimAddr,
     /// Which binding of `addr` this is (see [`Fabric::unbind`]).
     id: u64,
-    incoming: Receiver<PendingConn>,
+    /// The accepted ends of pending connects.
+    incoming: Receiver<SimStream>,
 }
 
 impl SimListener {
@@ -595,33 +657,15 @@ impl SimListener {
         }
     }
 
-    /// Turn a pending connect into the accepted end of the stream — or
-    /// into nothing, on an injected accept failure: the connection is
-    /// dropped on the floor, and the peer, whose connect already
+    /// Hand a pending connect's accepted end over — or drop it, on an
+    /// injected accept failure: the peer, whose connect already
     /// succeeded, discovers the breakage only on its first I/O.
-    fn establish(&self, pending: PendingConn) -> Option<(SimStream, SimAddr)> {
+    fn establish(&self, accepted: SimStream) -> Option<(SimStream, SimAddr)> {
         if self.fabric.take_accept_failure(self.addr) {
             return None;
         }
-        let peer = pending.peer_addr;
-        let stream = SimStream {
-            inner: Arc::new(StreamInner {
-                fabric: self.fabric.clone(),
-                local: self.addr,
-                peer,
-                tx: Mutex::new(Some(pending.to_peer)),
-                rx: Mutex::new(RxState {
-                    rx: pending.from_peer,
-                    leftover: VecDeque::new(),
-                    peeked: None,
-                    eof: false,
-                }),
-                read_timeout: Mutex::new(None),
-                read_wake: pending.read_wake,
-                peer_wake: pending.peer_wake,
-            }),
-        };
-        Some((stream, peer))
+        let peer = accepted.peer_addr();
+        Some((accepted, peer))
     }
 
     /// A handle that unbinds this listener from another thread.

@@ -39,18 +39,47 @@ use crate::fabric::{Fabric, NodeId, NodeLinks, WakeSlot};
 use crate::time::{spin_ns, spin_until};
 use crate::VerbsError;
 
-/// A queue pair's fabric-side entry: its completion inbox plus the wake
-/// slot its owner may arm with [`QueuePair::set_recv_interest`]. Senders
-/// fire the slot right after posting a completion, so an event-driven
-/// receiver learns of pending work without polling [`QueuePair::recv_pending`].
-#[derive(Clone)]
+/// A queue pair's fabric-side entry: its completion inbox, the wake slot
+/// its owner may arm with [`QueuePair::set_recv_interest`], where it is
+/// and whom it is connected to. Senders fire the slot right after
+/// posting a completion, so an event-driven receiver learns of pending
+/// work without polling [`QueuePair::recv_pending`].
+///
+/// **The error state** is the reliable connection's other exit. A queue
+/// pair enters it when its peer is destroyed or disconnects, when a node
+/// at either end is killed, or when a post of its own finds the peer
+/// gone; it never leaves it. Entering it puts a flush marker behind
+/// every completion already delivered and fires the armed wake, once:
+/// its receiver reads what had arrived, then `PeerDown`, as a real
+/// completion queue reports `IBV_WC_WR_FLUSH_ERR` behind the work that
+/// completed.
 pub(crate) struct QpSlot {
-    pub(crate) tx: Sender<QpMessage>,
-    pub(crate) wake: WakeSlot,
+    /// `None` is the flush marker.
+    tx: Sender<Option<QpMessage>>,
+    wake: WakeSlot,
+    node: NodeId,
+    remote: Mutex<Option<QpEndpoint>>,
+    failed: AtomicBool,
 }
 
-/// How often blocked polls re-check for node failure.
-const FAILURE_POLL: Duration = Duration::from_millis(10);
+impl QpSlot {
+    /// Whether this queue pair is on `node` or connected to it.
+    pub(crate) fn touches(&self, node: NodeId) -> bool {
+        self.node == node || matches!(*self.remote.lock(), Some(ep) if ep.node == node)
+    }
+
+    /// Enter the error state (see [`QpSlot`]); a no-op once in it.
+    pub(crate) fn fail(&self) {
+        if !self.failed.swap(true, Ordering::AcqRel) {
+            let _ = self.tx.send(None);
+            self.wake.fire();
+        }
+    }
+
+    fn failed(&self) -> bool {
+        self.failed.load(Ordering::Acquire)
+    }
+}
 
 /// A verbs context on one simulated node (device + protection domain).
 #[derive(Clone)]
@@ -143,22 +172,21 @@ impl RdmaDevice {
     fn qp_with(&self, recv_queue: Arc<RecvQueue>) -> QueuePair {
         let id = self.fabric.fresh_id();
         let (tx, rx) = unbounded();
-        let wake = WakeSlot::new();
-        self.fabric.inner.qps.lock().insert(
-            id,
-            QpSlot {
-                tx,
-                wake: wake.clone(),
-            },
-        );
+        let slot = Arc::new(QpSlot {
+            tx,
+            wake: WakeSlot::new(),
+            node: self.node,
+            remote: Mutex::new(None),
+            // Made on a dead node: born in the error state.
+            failed: AtomicBool::new(self.fabric.is_dead(self.node)),
+        });
+        self.fabric.inner.qps.lock().insert(id, Arc::clone(&slot));
         QueuePair {
             fabric: self.fabric.clone(),
             node: self.node,
             id,
             inbox: rx,
-            recv_wake: wake,
-            remote: Mutex::new(None),
-            peer_gone: AtomicBool::new(false),
+            slot,
             recv_queue,
         }
     }
@@ -449,15 +477,9 @@ pub struct QueuePair {
     fabric: Fabric,
     node: NodeId,
     id: u64,
-    inbox: Receiver<QpMessage>,
-    /// This QP's own wake slot (the same one registered in the fabric's
-    /// `qps` map); armed by [`QueuePair::set_recv_interest`].
-    recv_wake: WakeSlot,
-    remote: Mutex<Option<QpEndpoint>>,
-    /// A post found the peer's queue pair destroyed: the connection is in
-    /// the error state, and its receiver reads what had arrived, then
-    /// `PeerDown`.
-    peer_gone: AtomicBool,
+    inbox: Receiver<Option<QpMessage>>,
+    /// Its entry in the fabric's `qps` map: wake slot, peer, error state.
+    slot: Arc<QpSlot>,
     /// Its own receive queue, or the shared one it was made on.
     recv_queue: Arc<RecvQueue>,
 }
@@ -471,9 +493,41 @@ impl QueuePair {
         }
     }
 
-    /// Transition to connected: all sends now target `remote`.
+    /// Transition to connected: all sends now target `remote`. A peer
+    /// that has already ended puts this queue pair in the error state.
     pub fn connect(&self, remote: QpEndpoint) {
-        *self.remote.lock() = Some(remote);
+        *self.slot.remote.lock() = Some(remote);
+        if self.fabric.is_dead(remote.node) || self.peer_slot().is_none_or(|peer| peer.failed()) {
+            self.slot.fail();
+        }
+    }
+
+    /// End the connection, as `rdma_disconnect` does: this queue pair and
+    /// its peer enter the error state, so a receive blocked on either
+    /// reads what had arrived, then `PeerDown`, and every later post on
+    /// either fails.
+    pub fn disconnect(&self) {
+        self.slot.fail();
+        if let Some(peer) = self.peer_slot() {
+            peer.fail();
+        }
+    }
+
+    /// The fabric's entry for the connected peer, while it exists.
+    fn peer_slot(&self) -> Option<Arc<QpSlot>> {
+        let remote = (*self.slot.remote.lock())?;
+        self.fabric.inner.qps.lock().get(&remote.qp_id).cloned()
+    }
+
+    /// The peer a post targets: `NotConnected` before [`QueuePair::connect`],
+    /// `PeerDown` once this node is dead or this queue pair in the error
+    /// state.
+    fn live_remote(&self) -> Result<QpEndpoint, VerbsError> {
+        let remote = self.slot.remote.lock().ok_or(VerbsError::NotConnected)?;
+        if self.fabric.is_dead(self.node) || self.slot.failed() {
+            return Err(VerbsError::PeerDown);
+        }
+        Ok(remote)
     }
 
     /// Post a receive buffer. Consumed in FIFO order by incoming sends and
@@ -490,21 +544,26 @@ impl QueuePair {
 
     /// Arm this queue pair's readiness hook: it fires (charge-free, on the
     /// sender's thread) each time a peer posts a completion into this QP's
-    /// inbox — the event-driven alternative to polling
-    /// [`QueuePair::recv_pending`].
+    /// inbox, and once when it enters the error state — the event-driven
+    /// alternative to polling [`QueuePair::recv_pending`].
     pub fn set_recv_interest(&self, hook: Arc<dyn Fn() + Send + Sync>) {
-        self.recv_wake.set(hook);
+        self.slot.wake.set(hook);
     }
 
-    fn peer_inbox(&self, remote: QpEndpoint) -> Result<QpSlot, VerbsError> {
+    /// The connected peer's entry, to post a completion into. A peer
+    /// destroyed or in the error state puts this queue pair there too.
+    fn peer_inbox(&self, remote: QpEndpoint) -> Result<Arc<QpSlot>, VerbsError> {
         if self.fabric.is_dead(remote.node) || self.fabric.is_partitioned(self.node, remote.node) {
             return Err(VerbsError::PeerDown);
         }
         let slot = self.fabric.inner.qps.lock().get(&remote.qp_id).cloned();
-        if slot.is_none() {
-            self.peer_gone.store(true, Ordering::Release);
+        match slot {
+            Some(slot) if !slot.failed() => Ok(slot),
+            _ => {
+                self.slot.fail();
+                Err(VerbsError::PeerDown)
+            }
         }
-        slot.ok_or(VerbsError::PeerDown)
     }
 
     fn charge_send(&self, remote: NodeId, len: usize) -> (Instant, Duration) {
@@ -546,10 +605,7 @@ impl QueuePair {
         len: usize,
         imm: u32,
     ) -> Result<(), VerbsError> {
-        let remote = self.remote.lock().ok_or(VerbsError::NotConnected)?;
-        if self.fabric.is_dead(self.node) {
-            return Err(VerbsError::PeerDown);
-        }
+        let remote = self.live_remote()?;
         let inbox = self.peer_inbox(remote)?;
         // "DMA" out of registered memory — the HCA's work, so the staging
         // allocation is excluded from application alloc accounting.
@@ -564,22 +620,24 @@ impl QueuePair {
         if self.fabric.fault_drops(self.node, remote.node) {
             return Ok(());
         }
+        // Counted before it can be received, so a receiver that has read
+        // it never reads a count without it.
+        let stats = self.fabric.stats();
+        stats.messages.fetch_add(1, Ordering::Relaxed);
+        stats.bytes.fetch_add(len as u64, Ordering::Relaxed);
         inbox
             .tx
-            .send(QpMessage::Send {
+            .send(Some(QpMessage::Send {
                 arrive_start,
                 wire,
                 data,
                 imm,
-            })
+            }))
             .map_err(|_| VerbsError::PeerDown)?;
         // Completion posted: wake the receiver if it armed a hook. An
         // injected drop returned above without sending, so — like the
         // polling model — a lost message produces no readiness signal.
         inbox.wake.fire();
-        let stats = self.fabric.stats();
-        stats.messages.fetch_add(1, Ordering::Relaxed);
-        stats.bytes.fetch_add(len as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -596,11 +654,8 @@ impl QueuePair {
         remote_offset: usize,
         imm: Option<u32>,
     ) -> Result<(), VerbsError> {
-        let remote = self.remote.lock().ok_or(VerbsError::NotConnected)?;
-        if self.fabric.is_dead(self.node)
-            || self.fabric.is_dead(rkey.node)
-            || self.fabric.is_partitioned(self.node, rkey.node)
-        {
+        let remote = self.live_remote()?;
+        if self.fabric.is_dead(rkey.node) || self.fabric.is_partitioned(self.node, rkey.node) {
             return Err(VerbsError::PeerDown);
         }
         let target = self
@@ -642,12 +697,12 @@ impl QueuePair {
             let inbox = self.peer_inbox(remote)?;
             inbox
                 .tx
-                .send(QpMessage::WriteImm {
+                .send(Some(QpMessage::WriteImm {
                     arrive_start,
                     wire,
                     len,
                     imm,
-                })
+                }))
                 .map_err(|_| VerbsError::PeerDown)?;
             inbox.wake.fire();
         } else {
@@ -690,11 +745,8 @@ impl QueuePair {
     where
         I: IntoIterator<Item = (&'a MemoryRegion, usize, usize, usize)> + Clone,
     {
-        let remote = self.remote.lock().ok_or(VerbsError::NotConnected)?;
-        if self.fabric.is_dead(self.node)
-            || self.fabric.is_dead(rkey.node)
-            || self.fabric.is_partitioned(self.node, rkey.node)
-        {
+        let remote = self.live_remote()?;
+        if self.fabric.is_dead(rkey.node) || self.fabric.is_partitioned(self.node, rkey.node) {
             return Err(VerbsError::PeerDown);
         }
         let target = self
@@ -744,12 +796,12 @@ impl QueuePair {
                 let inbox = self.peer_inbox(remote)?;
                 inbox
                     .tx
-                    .send(QpMessage::WriteImm {
+                    .send(Some(QpMessage::WriteImm {
                         arrive_start,
                         wire,
                         len: total,
                         imm,
-                    })
+                    }))
                     .map_err(|_| VerbsError::PeerDown)?;
                 inbox.wake.fire();
             }
@@ -769,24 +821,11 @@ impl QueuePair {
     /// Whether a completion is waiting in this queue pair's completion
     /// channel right now — a `poll_recv` would return without blocking.
     /// Nothing is consumed or charged; this is the readiness primitive
-    /// event-loop receivers poll across many queue pairs. Also reports
-    /// ready when either endpoint's node is dead, or a post found the
-    /// peer's queue pair destroyed — a peer that can never send again,
-    /// so a poller must observe the `PeerDown` instead of skipping the
-    /// queue pair forever. (Real
-    /// verbs surfaces this as an async QP error event; the wake-slot
-    /// model has no out-of-band event channel, so death is exposed as
-    /// readiness and discovered by the receiver's liveness probe.)
+    /// event-loop receivers poll across many queue pairs. A queue pair in
+    /// the error state is ready too: its poller must observe the
+    /// `PeerDown` instead of skipping it forever.
     pub fn recv_pending(&self) -> bool {
-        !self.inbox.is_empty() || self.fabric.is_dead(self.node) || self.remote_dead()
-    }
-
-    /// A connected remote endpoint whose node has been marked failed, or
-    /// whose queue pair a post found destroyed. Not-yet-connected queue
-    /// pairs have no peer to be dead.
-    fn remote_dead(&self) -> bool {
-        self.peer_gone.load(Ordering::Acquire)
-            || matches!(*self.remote.lock(), Some(ep) if self.fabric.is_dead(ep.node))
+        !self.inbox.is_empty() || self.slot.failed()
     }
 
     /// Block until a receive completion is available (or `timeout` passes).
@@ -794,27 +833,21 @@ impl QueuePair {
     /// For `Send` messages the payload is placed into the oldest posted
     /// receive buffer; for RDMA-write-with-immediate only the immediate is
     /// delivered (the data is already in the targeted region). Either
-    /// consumes one buffer of the receive queue, shared or not.
+    /// consumes one buffer of the receive queue, shared or not. In the
+    /// error state it returns what had arrived, then `PeerDown` at once;
+    /// entering it wakes a blocked poll.
     pub fn poll_recv(&self, timeout: Duration) -> Result<Completion, VerbsError> {
-        let deadline = Instant::now() + timeout;
-        let msg = loop {
-            if self.fabric.is_dead(self.node) {
-                return Err(VerbsError::PeerDown);
-            }
-            // Completions already delivered before the peer died are
-            // still consumable; only an empty channel surfaces the death.
-            if self.inbox.is_empty() && self.remote_dead() {
-                return Err(VerbsError::PeerDown);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(VerbsError::Timeout);
-            }
-            match self.inbox.recv_timeout(FAILURE_POLL.min(deadline - now)) {
-                Ok(msg) => break msg,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(VerbsError::PeerDown),
-            }
+        let next = if self.slot.failed() {
+            self.inbox.try_recv().map_err(|_| VerbsError::PeerDown)
+        } else {
+            self.inbox.recv_timeout(timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => VerbsError::Timeout,
+                RecvTimeoutError::Disconnected => VerbsError::PeerDown,
+            })
+        };
+        // `None` is the flush marker: the error state, behind what arrived.
+        let Some(msg) = next? else {
+            return Err(VerbsError::PeerDown);
         };
         let (arrive_start, wire) = match &msg {
             QpMessage::Send {
@@ -858,8 +891,12 @@ impl QueuePair {
 }
 
 impl Drop for QueuePair {
+    /// Destroying a queue pair puts its peer in the error state.
     fn drop(&mut self) {
         self.fabric.inner.qps.lock().remove(&self.id);
+        if let Some(peer) = self.peer_slot() {
+            peer.fail();
+        }
     }
 }
 
