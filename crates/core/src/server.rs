@@ -98,12 +98,16 @@
 //! 4. **A reader sends its own refusals — never under the read turn.**
 //!    Whoever reads holds the table lock and must not wait on a send, so
 //!    its busy rejections and replays are only *pushed* from in there
-//!    (and dropped beyond `call_queue_len` pending: the client retries, a
-//!    replay is still cached) and *flushed* by the same thread once
-//!    [`read_burst`] has let the lock go — not by waking another thread:
-//!    a refusal must not wait for one. A flush sends whatever is pending
-//!    there, and a bulk-sized response can block on slot credits, which
-//!    is why the lock is let go first.
+//!    and *flushed* by the same thread once [`read_burst`] has let the
+//!    lock go — not by waking another thread: a refusal must not wait
+//!    for one. A flush sends whatever is pending there, and a bulk-sized
+//!    response can block on slot credits, which is why the lock is let
+//!    go first. No refusal is dropped (a caller that does not retry would
+//!    wait out its timeout): a frame read pushes at most one answer, and
+//!    the list is sent after each burst, or by a turn holder before it
+//!    lets go, so it holds at most what was read while one send held the
+//!    turn — one burst, unless that send waits on its peer's credits,
+//!    which it does for at most `call_timeout`.
 //! 5. **Accounting and lifetime.** A pending response holds an
 //!    `open_work` slot from push to send attempt, so `drain` still means
 //!    "nothing anywhere"; it carries no `Arc` to its own connection (a
@@ -231,8 +235,8 @@ enum Producer {
     /// hands over is never dropped.
     Computing,
     /// It is reading, under the read turn: its answer is only
-    /// pushed (or dropped, past `call_queue_len` pending) and flushed
-    /// once the lock is released — rule 4 of the module docs.
+    /// pushed, and flushed once the lock is released — rule 4 of the
+    /// module docs.
     Reading,
 }
 
@@ -544,9 +548,6 @@ impl ServerConn {
         }
         {
             let mut pending = self.pending.lock();
-            if from == Producer::Reading && pending.len() >= inner.cfg.call_queue_len {
-                return;
-            }
             // Both counts move before the item can be popped, so the
             // matching decrements can never run ahead of them.
             inner.open_work.fetch_add(1, Ordering::AcqRel);
@@ -1018,10 +1019,14 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                 // committed: past `max_connections` (live + in setup),
                 // answer with the 9-byte busy ack (version byte 0) and
                 // drop the stream. The client maps it to the retryable
-                // `ServerBusy`.
-                let setups = inner.setups_inflight.load(Ordering::Acquire);
-                let over_cap = inner.cfg.max_connections != 0
-                    && inner.conns.lock().len() + setups >= inner.cfg.max_connections;
+                // `ServerBusy`. Both counts are read under the table's
+                // lock, which a setup holds to move from one to the
+                // other, so each connection is counted once.
+                let over_cap = inner.cfg.max_connections != 0 && {
+                    let conns = inner.conns.lock();
+                    conns.len() + inner.setups_inflight.load(Ordering::Acquire)
+                        >= inner.cfg.max_connections
+                };
                 if over_cap {
                     inner.metrics.inc_accept_rejections();
                     use std::io::Write;
@@ -1045,7 +1050,7 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                     .name("rpc-conn-setup".into())
                     .spawn(move || {
                         let _slot = CountGuard(&inner2, &inner2.live_readers);
-                        let _setup = CountGuard(&inner2, &inner2.setups_inflight);
+                        let setup = CountGuard(&inner2, &inner2.setups_inflight);
                         // The handshake first, on the raw stream, and
                         // nothing before it: a peer that does not open
                         // with the magic (or offers an older version) is
@@ -1073,7 +1078,10 @@ fn listener_loop(inner: Arc<ServerInner>, listener: SimListener) {
                                     .with_metrics(inner2.metrics.clone()),
                             ),
                         };
-                        inner2.conns.lock().insert(conn_id, Arc::clone(&conn));
+                        let mut conns = inner2.conns.lock();
+                        conns.insert(conn_id, Arc::clone(&conn));
+                        drop(setup);
+                        drop(conns);
                         // Stream transports run the stateful codec,
                         // verbs the self-contained one (see `frame`).
                         let stateful = !inner2.cfg.ib_enabled;

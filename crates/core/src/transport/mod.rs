@@ -116,6 +116,12 @@ pub trait Conn: Send + Sync {
     /// it into a timeout and back would read the clock twice.
     fn recv_until(&self, deadline_ns: u64) -> RpcResult<(Payload, RecvProfile)>;
 
+    /// Hand back a payload this connection received, once read. The
+    /// socket path receives its next frame into it; the default drops
+    /// it, which returns a verbs payload to its pool or ring. The RPC
+    /// engine never calls this (Listing 2 allocates per call).
+    fn recycle(&self, _payload: Payload) {}
+
     /// The clock the connection's waits and phase timings read: its
     /// fabric's.
     fn clock(&self) -> &Clock;

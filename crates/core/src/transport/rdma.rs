@@ -1399,7 +1399,7 @@ impl std::fmt::Debug for RdmaConn {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use simnet::{model, SimAddr, SimListener};
     use std::sync::Arc;
@@ -2444,7 +2444,7 @@ mod tests {
     static WATCHED: Watched = Watched;
 
     /// `f`'s result and the largest allocation this thread made running it.
-    fn largest_alloc<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    pub(crate) fn largest_alloc<R>(f: impl FnOnce() -> R) -> (R, usize) {
         LARGEST.with(|largest| largest.set(Some(0)));
         let result = f();
         (

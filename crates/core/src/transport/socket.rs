@@ -12,10 +12,11 @@
 //! a copy the vectored syscall never needed).
 //!
 //! **Receive (Listing 2):** read the 4-byte length, allocate a fresh
-//! heap buffer *per call* (timed — this is Figure 1's numerator), then
+//! heap buffer per RPC frame (timed — this is Figure 1's numerator), then
 //! read the body through a bounded temporary chunk, copying temp→heap —
 //! emulating the JDK's hidden direct-buffer hop for channel reads into
-//! heap `ByteBuffer`s.
+//! heap `ByteBuffer`s. A data plane that hands its frames back
+//! ([`Conn::recycle`]) is received into the buffer it last gave back.
 //!
 //! **Opportunistic coalescing.** Sends go through a single-writer write
 //! queue (the bRPC execution-queue idiom): the first sender to find the
@@ -48,6 +49,11 @@ const TEMP_CHUNK: usize = 8 * 1024;
 /// server starts at 10 KB where its client starts at
 /// [`wire::buffer::INITIAL_CAPACITY`] (32 B).
 pub const SERVER_INIT_BUF: usize = 10 * 1024;
+
+/// The largest buffer a connection keeps for its next frame: a data
+/// plane's 64 KiB packet and its lead, with room. A larger frame is
+/// received whole and not kept, so a peer's length pins nothing.
+pub const SPARE_MAX: usize = 128 * 1024;
 
 /// Inline capacity for a frame's order-sensitive lead bytes. A V3 lead is
 /// 3–27 bytes unless it carries an inline method announcement, which
@@ -153,6 +159,9 @@ impl io::Write for LeadSink {
 struct RecvState {
     /// Reusable temp chunk standing in for the JDK's temp direct buffer.
     temp: Box<[u8]>,
+    /// The buffer the last [`Conn::recycle`] gave back, at most
+    /// [`SPARE_MAX`] bytes: the next frame's, if it fits.
+    spare: Vec<u8>,
 }
 
 impl SocketConn {
@@ -172,6 +181,7 @@ impl SocketConn {
             wq_cv: Condvar::new(),
             recv: Mutex::new(RecvState {
                 temp: vec![0u8; TEMP_CHUNK].into_boxed_slice(),
+                spare: Vec::new(),
             }),
             closed: AtomicBool::new(false),
             init_buf,
@@ -549,17 +559,25 @@ impl Conn for SocketConn {
         }
         let len = len as usize;
 
-        // Listing 2 line 6: ByteBuffer.allocate(len) — a fresh, zeroed
-        // heap buffer per call. This allocation is what Figure 1 measures.
-        // Deliberately NOT `vec![0; len]`: that lowers to calloc, whose
-        // lazily-mapped zero pages would make the "allocation" free. The
-        // JVM zeroes heap arrays eagerly; the explicit resize models that.
+        // A receiver that hands its frame back gets its next frame in
+        // that buffer, when it fits. Hadoop RPC never hands a frame back;
+        // Hadoop's `BlockReceiver` reads every packet into one buffer.
+        let mut heap = std::mem::take(&mut state.spare);
         #[allow(clippy::slow_vector_initialization)]
-        let (mut heap, alloc_ns) = {
-            let alloc_start = self.clock.now_ns();
-            let mut heap = Vec::with_capacity(len);
+        let alloc_ns = if heap.capacity() >= len {
             heap.resize(len, 0);
-            (heap, self.clock.elapsed_ns(alloc_start))
+            0
+        } else {
+            // Listing 2 line 6: ByteBuffer.allocate(len) — a fresh, zeroed
+            // heap buffer per call. This allocation is what Figure 1
+            // measures. Deliberately NOT `vec![0; len]`: that lowers to
+            // calloc, whose lazily-mapped zero pages would make the
+            // "allocation" free. The JVM zeroes heap arrays eagerly; the
+            // explicit resize models that.
+            let alloc_start = self.clock.now_ns();
+            heap = Vec::with_capacity(len);
+            heap.resize(len, 0);
+            self.clock.elapsed_ns(alloc_start)
         };
 
         // Listing 2 line 8: read fully, in chunks, through the temp
@@ -581,6 +599,15 @@ impl Conn for SocketConn {
                 size: len,
             },
         ))
+    }
+
+    fn recycle(&self, payload: Payload) {
+        // A receive in progress keeps its own buffer; this one is dropped.
+        if let (Payload::Owned(heap), Some(mut state)) = (payload, self.recv.try_lock()) {
+            if heap.capacity() <= SPARE_MAX {
+                state.spare = heap;
+            }
+        }
     }
 
     fn clock(&self) -> &Clock {
@@ -748,6 +775,70 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, RpcError::ConnectionClosed);
+    }
+
+    /// Send `len` bytes of `fill` on `cli`, then receive and check them on
+    /// `srv`: the payload and the largest allocation its receive made.
+    fn recv_watched(cli: &SocketConn, srv: &SocketConn, len: usize, fill: u8) -> (Payload, usize) {
+        let key = crate::intern::method_key("p", "m");
+        cli.send_serialized(key, &[], &vec![fill; len]).unwrap();
+        let (received, largest) =
+            crate::transport::rdma::tests::largest_alloc(|| srv.recv_msg(Duration::from_secs(5)));
+        let (payload, _) = received.unwrap();
+        let Payload::Owned(bytes) = &payload else {
+            panic!("a socket frame is owned")
+        };
+        assert!(bytes.len() == len && bytes.iter().all(|&b| b == fill));
+        (payload, largest)
+    }
+
+    #[test]
+    fn a_handed_back_buffer_receives_the_next_frame_that_fits() {
+        let (cli, srv) = conn_pair();
+        let (first, largest) = recv_watched(&cli, &srv, 60_000, 1);
+        assert!(largest >= 60_000, "the first frame is allocated");
+        let Payload::Owned(bytes) = &first else {
+            unreachable!()
+        };
+        let at = bytes.as_ptr();
+        srv.recycle(first);
+        for (len, fill) in [(60_000, 2), (100, 3), (60_000, 4)] {
+            let (next, largest) = recv_watched(&cli, &srv, len, fill);
+            let Payload::Owned(bytes) = &next else {
+                unreachable!()
+            };
+            assert_eq!(bytes.as_ptr(), at, "received where the last was given back");
+            assert!(largest < 1024, "{len}-byte frame allocated {largest} B");
+            srv.recycle(next);
+        }
+        // A larger frame is received whole, into a buffer of its own.
+        let (larger, largest) = recv_watched(&cli, &srv, 90_000, 5);
+        assert!(largest >= 90_000);
+        srv.recycle(larger);
+        let (next, largest) = recv_watched(&cli, &srv, 90_000, 6);
+        assert!(largest < 1024, "the larger buffer is kept in turn");
+        drop(next);
+    }
+
+    #[test]
+    fn a_frame_above_the_spare_bound_is_not_kept() {
+        let (cli, srv) = conn_pair();
+        let (huge, _) = recv_watched(&cli, &srv, SPARE_MAX + 1, 7);
+        srv.recycle(huge);
+        let (_, largest) = recv_watched(&cli, &srv, 1000, 8);
+        assert!(largest >= 1000, "nothing was kept to receive into");
+    }
+
+    #[test]
+    fn a_frame_never_handed_back_is_allocated_per_call() {
+        // Listing 2: the RPC engine hands nothing back, so every frame is
+        // a fresh, timed allocation.
+        let (cli, srv) = conn_pair();
+        for fill in 0..4 {
+            let (payload, largest) = recv_watched(&cli, &srv, 5000, fill);
+            assert!(largest >= 5000, "frame {fill} allocated {largest} B");
+            drop(payload);
+        }
     }
 
     #[test]

@@ -224,6 +224,65 @@ fn pending_cleared_on_busy_rejection() {
     }
 }
 
+/// However many calls one read burst refuses, each refusal reaches its
+/// caller at once — none is dropped for a caller that does not retry to
+/// wait out — and the server counts exactly the refusals its callers see.
+#[test]
+fn every_busy_rejection_reaches_its_caller() {
+    for (name, fabric, cfg) in transports() {
+        let cfg = RpcConfig {
+            handlers: 1,
+            call_queue_len: 1,
+            call_timeout: Duration::from_secs(4),
+            retry: RetryPolicy::none(),
+            ..cfg
+        };
+        let (server, gate) = start_gated(&fabric, &cfg);
+        let client = Client::new(&fabric, fabric.add_node(), cfg).unwrap();
+        let addr = server.addr();
+        let counted = || server.metrics().counters().busy_rejections;
+        for round in 0..20 {
+            *gate.0.lock().unwrap() = false;
+            let before = counted();
+            // One stall executing and one queued absorb two of the four;
+            // the rest are refused.
+            let workers: Vec<_> = (0..4)
+                .map(|i| {
+                    let client = client.clone();
+                    std::thread::spawn(move || {
+                        let start = Instant::now();
+                        let text = Text::from(format!("r{round}c{i}").as_str());
+                        let result =
+                            client.call::<Text, Text>(addr, "test.GatedProtocol", "stall", &text);
+                        (result, start.elapsed())
+                    })
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while counted() - before < 2 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            open_gate(&gate);
+            let results: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            for (result, took) in &results {
+                assert!(
+                    result.is_ok() || *result == Err(RpcError::ServerBusy),
+                    "{name} round {round}: {results:?}"
+                );
+                assert!(
+                    *took < Duration::from_secs(1),
+                    "{name} round {round}: a call took {took:?}: {results:?}"
+                );
+            }
+            let busy = results.iter().filter(|(r, _)| r.is_err()).count() as u64;
+            assert_eq!(counted() - before, busy, "{name} round {round}");
+        }
+        assert_eq!(client.pending_calls(), 0, "{name}");
+        client.shutdown();
+        server.stop();
+    }
+}
+
 /// Socket-only: a raw fake server completes the handshake, then answers
 /// the first request with an unparseable frame. The caller, receiving,
 /// must fail its own call and leave the table (and the connection cache)

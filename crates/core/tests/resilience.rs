@@ -1585,6 +1585,37 @@ fn accept_storm_past_max_connections_is_rejected_retryably() {
     server.stop();
 }
 
+/// A cap filled one connect at a time, each connect right behind the
+/// last one's handshake, admits every connect up to the cap: a setup that
+/// has just registered its connection is counted once, not as live and in
+/// setup both. The next connect is refused.
+#[test]
+fn a_cap_filled_one_connect_at_a_time_admits_every_connect() {
+    let _wd = watchdog("cap_fill", Duration::from_secs(120));
+    const CAP: usize = 4;
+    for round in 0..50 {
+        let (fabric, mut cfg) = env_transport();
+        cfg.max_connections = CAP;
+        let server = start_server(&fabric, fabric.add_node(), &cfg);
+        let node = fabric.add_node();
+        let ctx = cfg
+            .ib_enabled
+            .then(|| IbContext::new(&fabric, node, &cfg).unwrap());
+        let connect = || park_conn(&fabric, node, server.addr(), &cfg, ctx.as_ref());
+        let parked: Vec<ParkedConn> = (0..CAP)
+            .map(|i| {
+                connect().unwrap_or_else(|e| panic!("round {round}: connect {i} of {CAP}: {e:?}"))
+            })
+            .collect();
+        assert!(
+            matches!(connect(), Err(RpcError::ServerBusy)),
+            "round {round}: a connect past the cap was not refused"
+        );
+        drop(parked);
+        server.stop();
+    }
+}
+
 /// Seeded connection-churn soak: thousands of conns each run the full
 /// accept path and then go away (EOF on socket, the queue pair's error
 /// state on verbs).

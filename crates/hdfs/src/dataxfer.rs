@@ -35,7 +35,10 @@
 //! A packet's bytes are copied once on each side of the wire: the sender
 //! hands the transport a borrowed chunk ([`send_packet`]), the receiver
 //! appends it to the block it belongs to in the one visit it pays the
-//! wire buffer ([`append_len_bytes`]).
+//! wire buffer ([`append_len_bytes`]) and hands that buffer back
+//! ([`Conn::recycle`]), which a socket connection receives its next
+//! frame into, as Hadoop's `BlockReceiver` does. Every frame's lead is
+//! built on the stack, so nothing is allocated per message.
 
 use std::collections::HashMap;
 use std::io;
@@ -388,28 +391,25 @@ pub fn send_packet(conn: &Arc<dyn Conn>, crc: u32, chunk: &[u8]) -> RpcResult<()
     )
 }
 
-/// Send an `ACK` with `status`.
+/// Send an `ACK` with `status`, from the stack.
 pub fn send_ack(conn: &Arc<dyn Conn>, status: u8) -> RpcResult<()> {
-    conn.send_msg(rpcoib::intern::method_key("hdfs.data", "ack"), &mut |out| {
-        out.write_u8(OP_ACK)?;
-        out.write_u8(status)
-    })
-    .map(|_| ())
+    let key = rpcoib::intern::method_key("hdfs.data", "ack");
+    conn.send_serialized(key, &[OP_ACK, status], &[])
 }
 
 /// Send a `READ` request for `[offset, offset+len)` of `block`
-/// (`len == u64::MAX` means "to the end of the block").
+/// (`len == u64::MAX` means "to the end of the block"), from the stack.
 pub fn send_read(conn: &Arc<dyn Conn>, block: u64, offset: u64, len: u64) -> RpcResult<()> {
-    conn.send_msg(
-        rpcoib::intern::method_key("hdfs.data", "read"),
-        &mut |out| {
-            out.write_u8(OP_READ)?;
-            out.write_i64(block as i64)?;
-            out.write_vlong(offset as i64)?;
-            out.write_i64(len as i64)
-        },
-    )
-    .map(|_| ())
+    const LEAD: usize = 1 + 8 + 9 + 8;
+    let mut lead = [0u8; LEAD];
+    let mut out = &mut lead[..];
+    out.write_u8(OP_READ)?;
+    out.write_i64(block as i64)?;
+    out.write_vlong(offset as i64)?;
+    out.write_i64(len as i64)?;
+    let used = LEAD - out.len();
+    let key = rpcoib::intern::method_key("hdfs.data", "read");
+    conn.send_serialized(key, &lead[..used], &[])
 }
 
 /// A parsed data-plane frame. A packet it carried has been verified and
@@ -463,7 +463,9 @@ pub fn recv_frame_into(
     limit: usize,
 ) -> RpcResult<DataFrame> {
     let (payload, _) = conn.recv_msg(timeout)?;
-    parse_frame(&mut payload.reader(), sink, limit).map_err(|e| RpcError::Protocol(e.to_string()))
+    let frame = parse_frame(&mut payload.reader(), sink, limit);
+    conn.recycle(payload);
+    frame.map_err(|e| RpcError::Protocol(e.to_string()))
 }
 
 fn invalid(what: String) -> io::Error {

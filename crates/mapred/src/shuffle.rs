@@ -107,17 +107,16 @@ pub fn serve_connection(conn: &Arc<dyn Conn>, store: &MapOutputStore) {
                 reader.read_vint()? as u32,
             ))
         })();
+        conn.recycle(payload);
         let Ok((job, map_idx, reduce)) = parsed else {
             return;
         };
         let result = match store.get(job, map_idx, reduce) {
             Some(data) => send_found(conn, &data),
-            None => conn
-                .send_msg(
-                    rpcoib::intern::method_key("mapred.shuffle", "missing"),
-                    &mut |out| out.write_u8(OP_MISSING),
-                )
-                .map(|_| ()),
+            None => {
+                let key = rpcoib::intern::method_key("mapred.shuffle", "missing");
+                conn.send_serialized(key, &[OP_MISSING], &[])
+            }
         };
         if result.is_err() {
             return;
@@ -160,15 +159,16 @@ pub fn fetch(
     let mut conn = pool.checkout(addr)?;
     let protocol = |e: std::io::Error| RpcError::Protocol(e.to_string());
     let run = (|| -> RpcResult<Option<Vec<u8>>> {
-        conn.conn().send_msg(
-            rpcoib::intern::method_key("mapred.shuffle", "fetch"),
-            &mut |out| {
-                out.write_u8(OP_FETCH)?;
-                out.write_vint(job as i32)?;
-                out.write_vint(map_idx as i32)?;
-                out.write_vint(reduce as i32)
-            },
-        )?;
+        const LEAD: usize = 1 + 3 * 5;
+        let mut lead = [0u8; LEAD];
+        let mut out = &mut lead[..];
+        out.write_u8(OP_FETCH)?;
+        out.write_vint(job as i32)?;
+        out.write_vint(map_idx as i32)?;
+        out.write_vint(reduce as i32)?;
+        let used = LEAD - out.len();
+        let key = rpcoib::intern::method_key("mapred.shuffle", "fetch");
+        conn.conn().send_serialized(key, &lead[..used], &[])?;
         let (payload, _) = conn.conn().recv_msg(FETCH_TIMEOUT)?;
         let mut reader = payload.reader();
         let total = match reader.read_u8().map_err(protocol)? {
@@ -185,9 +185,9 @@ pub fn fetch(
         let mut data = Vec::with_capacity(total.min(FETCH_RESERVE));
         // Appended in the one visit the wire buffer gets.
         append_len_bytes(&mut reader, &mut data, total).map_err(protocol)?;
-        // Let the first chunk's buffer go before waiting for the next: on
-        // verbs it holds ring slots the sender needs back.
-        drop(payload);
+        // Hand the first chunk's buffer back before waiting for the next:
+        // on verbs it holds ring slots the sender needs back.
+        conn.conn().recycle(payload);
         while data.len() < total {
             let (payload, _) = match conn.conn().recv_msg(FETCH_TIMEOUT) {
                 Err(RpcError::ConnectionClosed) => {
@@ -205,6 +205,7 @@ pub fn fetch(
                     if at == data.len() {
                         return Err(RpcError::Protocol("empty shuffle chunk".into()));
                     }
+                    conn.conn().recycle(payload);
                 }
                 other => {
                     return Err(RpcError::Protocol(format!(
